@@ -1,4 +1,4 @@
-//! Criterion bench for the frozen flat query path: `BTreeMap`-backed
+//! Criterion bench for the frozen flat query path: per-node `Sketch`
 //! sketches vs the `FlatSketchSet` CSR layout, per family, single and
 //! batched submission.
 //!

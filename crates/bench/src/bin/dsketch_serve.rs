@@ -21,7 +21,7 @@
 //! `--engine parallel|congest` (default `parallel`; `congest` runs the
 //! paper-faithful simulation and reports its round/message cost) and
 //! `--frozen true|false` (default `true`: serve from the flat CSR label
-//! layout; `false` serves the `BTreeMap`-backed sketches, for comparison).
+//! layout; `false` serves the per-node `Sketch`es, for comparison).
 //!
 //! With `--listen HOST:PORT` the binary serves the sketch over TCP instead
 //! of replaying local traffic: the length-prefixed binary protocol (drive
@@ -122,9 +122,9 @@ fn main() {
     println!(
         "query layout: {}",
         if frozen {
-            "frozen flat CSR labels (--frozen false serves the BTreeMap path)"
+            "frozen flat CSR labels (--frozen false serves the per-node sketches)"
         } else {
-            "BTreeMap-backed labels (--frozen true serves the flat CSR path)"
+            "per-node sketch labels (--frozen true serves the flat CSR path)"
         }
     );
     match engine {

@@ -49,7 +49,7 @@
 //! on one port — instead of replaying a local workload.
 //! `query` and `serve` both default to `--frozen true`: the snapshot's
 //! label bytes are materialized straight into the flat CSR layout
-//! (`dsketch::flat::FlatSketchSet`) without rebuilding any `BTreeMap`;
+//! (`dsketch::flat::FlatSketchSet`) without rebuilding any per-node `Sketch`;
 //! `--frozen false` loads the map-backed sketches instead (the two answer
 //! identically — CI diffs them).
 //! `watch` polls `--graph` every `--interval-ms` (default 2000),
@@ -397,7 +397,7 @@ fn cmd_serve(args: &[String]) {
         .with_cache_capacity(cache)
         .with_trace_sample(trace_sample);
     // The frozen path materializes the snapshot's label bytes straight into
-    // the flat CSR layout — no BTreeMap is ever constructed between disk
+    // the flat CSR layout — no per-node Sketch is ever constructed between disk
     // and the serving shards (SketchServer::from_snapshot is this same
     // sequence; the oracle is loaded here so the node count is at hand for
     // workload generation).
@@ -458,7 +458,7 @@ fn cmd_serve(args: &[String]) {
         if frozen {
             "frozen flat CSR"
         } else {
-            "BTreeMap-backed"
+            "per-node sketches"
         }
     );
 

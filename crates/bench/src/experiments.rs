@@ -18,7 +18,7 @@ use netgraph::{Graph, NodeId};
 /// scheme-polymorphic API over every family, `e12` the sharded serving
 /// layer built on top of it, `e13` the snapshot persistence layer under
 /// it, `e14` the parallel construction engine's thread scaling, `e15` the
-/// frozen flat query path's single-thread throughput vs the `BTreeMap`
+/// frozen flat query path's single-thread throughput vs the per-node
 /// path, `e16` the network front end's loopback answer identity, `e17`
 /// hot snapshot swapping under sustained query load, `e18` the
 /// deterministic fault-injection chaos battery over the whole serve
@@ -828,6 +828,9 @@ fn e13_snapshot_cold_start(quick: bool) -> ExperimentResult {
 /// contract is that they are byte-for-byte equal.  The "cores" column
 /// records the host's available parallelism: wall-clock speedup can only
 /// materialize up to that limit (the determinism columns hold regardless).
+/// For the Thorup–Zwick rows the last column splits one more build into the
+/// direct engine's three phases (`tz/pivots`, `tz/clusters`, `tz/merge`), so
+/// a phase that stops scaling shows in the table, not just in the total.
 fn e14_parallel_build_scaling(quick: bool) -> ExperimentResult {
     use dsketch_store::{build_stored, write_snapshot};
     use std::time::Instant;
@@ -854,6 +857,7 @@ fn e14_parallel_build_scaling(quick: bool) -> ExperimentResult {
         "build ms",
         "speedup vs 1T",
         "identical bytes",
+        "tz pivots/clusters/merge ms",
     ]);
     for (spec, n) in cases {
         let graph = WorkloadSpec::new(Workload::ErdosRenyi, n, 42).build();
@@ -889,6 +893,7 @@ fn e14_parallel_build_scaling(quick: bool) -> ExperimentResult {
                 format!("{:.1}", best * 1e3),
                 format!("{speedup:.2}x"),
                 if identical { "yes" } else { "NO" }.to_string(),
+                tz_phase_split(&graph, spec, &config),
             ]);
         }
     }
@@ -903,8 +908,29 @@ fn e14_parallel_build_scaling(quick: bool) -> ExperimentResult {
     }
 }
 
+/// The wall-clock milliseconds of the direct engine's `tz/pivots`,
+/// `tz/clusters` and `tz/merge` phases for one build of a Thorup–Zwick
+/// `spec` (`-` for the other families, whose phases differ).
+fn tz_phase_split(graph: &Graph, spec: SchemeSpec, config: &SchemeConfig) -> String {
+    let SchemeSpec::ThorupZwick { k } = spec else {
+        return "-".to_string();
+    };
+    let timings = ThorupZwickScheme::new(k)
+        .build(graph, config)
+        .expect("parallel construction")
+        .timings;
+    ["tz/pivots", "tz/clusters", "tz/merge"]
+        .iter()
+        .map(|&label| {
+            let phase = timings.phases.iter().find(|p| p.phase == label);
+            phase.map_or("?".to_string(), |p| format!("{:.1}", p.seconds * 1e3))
+        })
+        .collect::<Vec<_>>()
+        .join("/")
+}
+
 /// E15 — the frozen flat query path: single-thread throughput of
-/// [`dsketch::flat::FlatSketchSet`] vs the `BTreeMap`-backed oracle.
+/// [`dsketch::flat::FlatSketchSet`] vs the per-node `Sketch` oracle.
 ///
 /// For every scheme family (and, for `tz:3`, growing graph sizes up to
 /// n = 4096 in full mode), build once with the parallel engine, freeze the
@@ -1050,7 +1076,7 @@ fn e15_flat_query_throughput(quick: bool) -> ExperimentResult {
 
     ExperimentResult {
         id: "e15",
-        title: "Flat query path: frozen CSR labels vs BTreeMap sketches, one thread",
+        title: "Flat query path: frozen CSR labels vs per-node sketches, one thread",
         claim: "queries are answered locally in O(k) from two labels (Lemma 3.2); packing \
                 labels into contiguous sorted arrays turns every bunch probe into a binary \
                 search / linear merge over cache-resident memory, multiplying single-thread \
@@ -1876,6 +1902,9 @@ mod tests {
             );
             let ms: f64 = row[4].parse().unwrap();
             assert!(ms >= 0.0);
+            // Thorup–Zwick rows split the build into its three phases.
+            let phases = row[7].split('/').filter(|ms| ms.parse::<f64>().is_ok());
+            assert_eq!(phases.count(), if row[0] == "tz:3" { 3 } else { 0 });
         }
     }
 

@@ -164,7 +164,7 @@ pub fn arg_engine(args: &[String]) -> dsketch::BuildEngine {
 /// whether to serve through the flat CSR representation
 /// (`dsketch::flat::FlatSketchSet`).  Defaults to `true` — serving always
 /// prefers the frozen layout; pass `--frozen false` to exercise the
-/// `BTreeMap`-backed path (e.g. for cross-checks).  An unrecognized value
+/// per-node `Sketch` path (e.g. for cross-checks).  An unrecognized value
 /// is a usage error (exit 2).
 pub fn arg_frozen(args: &[String]) -> bool {
     match arg_value(args, "frozen").as_deref() {

@@ -24,10 +24,21 @@
 //!   | CDG / degrading layers (Thm 4.6 / 4.8) | the Thorup–Zwick engine on the net-restricted hierarchy, per layer |
 //!
 //! Each exploration touches only its own output, so the batch runs on the
-//! [`crate::parallel`] worker pool; the merge back into per-node sketches is
-//! sequential and index-ordered, which makes `threads = k` **bit-identical**
+//! [`crate::parallel`] worker pool, and so does the step that turns its
+//! results into labels.  Clusters and bunches are inverse relations
+//! (`u ∈ C(w)` iff `w ∈ B(u)`, Section 3.2), so that step is a transpose: count
+//! `|B(u)|`, size every row exactly, cut the nodes into one consecutive
+//! range per worker, and let each worker scatter the `(w, level, d(u, w))`
+//! of its own rows out of the shared cluster list ([`parallel_split_mut`] —
+//! disjoint pieces, no atomics).  Every landmark owns exactly one cluster
+//! and the clusters are walked in ascending landmark id, so each row comes
+//! out strictly ascending with no sort — and that sorted run is the label's
+//! storage ([`crate::sketch`]).  Where the cuts fall decides who writes a
+//! row, never what is written, which makes `threads = k` **bit-identical**
 //! to `threads = 1` — down to the serialized `DSK1` snapshot bytes (property
-//! tested in `tests/tests/parallel_build.rs`, measured in experiment `e14`).
+//! tested in `tests/tests/parallel_build.rs`, measured in experiment `e14`;
+//! `tests/tests/build_differential.rs` holds the engine to an insert-based
+//! model label for label).
 //!
 //! The centralized Thorup–Zwick baseline ([`crate::centralized`]) is this
 //! engine at `threads = 1`: [`CentralizedTz::build`](crate::centralized::CentralizedTz::build)
@@ -53,8 +64,10 @@
 
 use crate::centralized::{grow_cluster, lexicographic_multi_source, ClusterScratch};
 use crate::hierarchy::Hierarchy;
-use crate::parallel::{parallel_map, parallel_map_with, resolve_threads, BuildTimings};
-use crate::sketch::{DistKey, Sketch, SketchSet};
+use crate::parallel::{
+    parallel_map, parallel_map_with, parallel_split_mut, resolve_threads, BuildTimings,
+};
+use crate::sketch::{BunchEntry, DistKey, Sketch, SketchSet};
 use netgraph::{Graph, NodeId};
 use std::time::Instant;
 
@@ -118,27 +131,62 @@ pub fn thorup_zwick(graph: &Graph, hierarchy: &Hierarchy, threads: usize) -> Dir
     );
     timings.record("tz/clusters", work.len(), started);
 
-    // Phase 3: deterministic merge, in work-list order.  Each source lands
-    // in exactly one cluster, so the merge is a disjoint scatter.
+    // Phase 3: transpose clusters into bunches (`u ∈ C(w)` iff `w ∈ B(u)`).
+    // Count `|B(u)|`, size every row exactly, then scatter every
+    // `(w, level, d(u, w))` into row `u`.
     let started = Instant::now();
-    let mut sketches: Vec<Sketch> = (0..n)
-        .map(|u| Sketch::new(NodeId::from_index(u), k))
+    let mut offsets = vec![0usize; n + 1];
+    for cluster in &clusters {
+        for &(u, _) in cluster {
+            offsets[u.index() + 1] += 1;
+        }
+    }
+    for u in 0..n {
+        offsets[u + 1] += offsets[u];
+    }
+    let total_cluster_size = offsets[n];
+    let mut rows: Vec<Vec<(NodeId, BunchEntry)>> = offsets
+        .windows(2)
+        .map(|row| Vec::with_capacity(row[1] - row[0]))
         .collect();
-    for (u, sketch) in sketches.iter_mut().enumerate() {
-        for (level, keys) in pivot_keys.iter().take(k).enumerate() {
-            let key = keys[u];
-            if !key.is_infinite() {
-                sketch.set_pivot(level, key.node, key.distance);
+    // Each landmark owns exactly one cluster; walking them in ascending id
+    // makes every row come out sorted, whoever fills it.
+    let mut by_landmark: Vec<usize> = (0..work.len()).collect();
+    by_landmark.sort_unstable_by_key(|&i| work[i].1);
+    // Workers own disjoint node ranges, cut so each holds an equal share of
+    // the entries; every worker reads all clusters and keeps its own rows.
+    let cuts = balanced_cuts(&offsets, threads.clamp(1, n.max(1)));
+    parallel_split_mut(&mut rows, &cuts, |piece, rows| {
+        let (lo, hi) = (cuts[piece], cuts[piece + 1]);
+        for &i in &by_landmark {
+            let (level, w) = work[i];
+            let level = level as u32;
+            for &(u, distance) in &clusters[i] {
+                if (lo..hi).contains(&u.index()) {
+                    rows[u.index() - lo].push((w, BunchEntry { level, distance }));
+                }
             }
         }
-    }
-    let mut total_cluster_size = 0usize;
-    for (&(level, w), cluster) in work.iter().zip(&clusters) {
-        total_cluster_size += cluster.len();
-        for &(u, dist) in cluster {
-            sketches[u.index()].insert_bunch(w, level as u32, dist);
-        }
-    }
+    });
+    // Every (u, w) pair landed exactly once: each row holds its count.
+    debug_assert!(rows
+        .iter()
+        .zip(offsets.windows(2))
+        .all(|(row, o)| row.len() == o[1] - o[0]));
+    drop(clusters);
+
+    let sketches: Vec<Sketch> = rows
+        .into_iter()
+        .enumerate()
+        .map(|(u, row)| {
+            let pivots = pivot_keys[..k]
+                .iter()
+                .map(|keys| keys[u])
+                .map(|key| (!key.is_infinite()).then_some((key.node, key.distance)))
+                .collect();
+            Sketch::from_sorted_parts(NodeId::from_index(u), pivots, row)
+        })
+        .collect();
     timings.record("tz/merge", n, started);
 
     DirectTzBuild {
@@ -147,6 +195,20 @@ pub fn thorup_zwick(graph: &Graph, hierarchy: &Hierarchy, threads: usize) -> Dir
         total_cluster_size,
         timings,
     }
+}
+
+/// Cut the rows `0..n` of a CSR `offsets` array into `pieces` consecutive
+/// node ranges of roughly equal entry count (piece `p` starts at the first
+/// row boundary at or past `p / pieces` of the entries): piece `p` is
+/// `cuts[p]..cuts[p + 1]`.
+fn balanced_cuts(offsets: &[usize], pieces: usize) -> Vec<usize> {
+    let n = offsets.len() - 1;
+    let total = offsets[n];
+    let mut cuts: Vec<usize> = (0..pieces)
+        .map(|p| offsets.partition_point(|&o| o < total * p / pieces).min(n))
+        .collect();
+    cuts.push(n);
+    cuts
 }
 
 #[cfg(test)]
@@ -190,6 +252,23 @@ mod tests {
             assert_eq!(reference.pivot_keys, build.pivot_keys);
             assert_eq!(reference.total_cluster_size, build.total_cluster_size);
         }
+    }
+
+    #[test]
+    fn cuts_cover_all_rows_and_balance_the_entries() {
+        // Rows of 5, 0, 1, 9, 0, 3, 2 entries.
+        let offsets = [0usize, 5, 5, 6, 15, 15, 18, 20];
+        assert_eq!(balanced_cuts(&offsets, 1), vec![0, 7]);
+        assert_eq!(balanced_cuts(&offsets, 2), vec![0, 4, 7]);
+        for pieces in 1..=9 {
+            let cuts = balanced_cuts(&offsets, pieces);
+            assert_eq!(cuts.len(), pieces + 1);
+            assert_eq!((cuts[0], cuts[pieces]), (0, 7));
+            assert!(cuts.windows(2).all(|c| c[0] <= c[1]), "{cuts:?}");
+        }
+        // No entries at all, and no rows at all.
+        assert_eq!(balanced_cuts(&[0, 0, 0], 2), vec![0, 0, 2]);
+        assert_eq!(balanced_cuts(&[0], 1), vec![0, 0]);
     }
 
     #[test]

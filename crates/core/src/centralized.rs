@@ -105,6 +105,8 @@ pub fn lexicographic_multi_source(graph: &Graph, sources: &[NodeId]) -> Vec<Dist
 pub(crate) struct ClusterScratch {
     dist: Vec<Distance>,
     touched: Vec<usize>,
+    /// Drained by every exploration, so only its capacity carries over.
+    heap: BinaryHeap<Reverse<(Distance, u32)>>,
 }
 
 impl ClusterScratch {
@@ -112,6 +114,7 @@ impl ClusterScratch {
         ClusterScratch {
             dist: vec![INFINITY; n],
             touched: Vec::new(),
+            heap: BinaryHeap::new(),
         }
     }
 
@@ -134,16 +137,15 @@ pub(crate) fn grow_cluster(
 ) -> Vec<(NodeId, Distance)> {
     scratch.reset();
     let mut members = Vec::new();
-    let mut heap: BinaryHeap<Reverse<(Distance, u32)>> = BinaryHeap::new();
 
     let start_key = DistKey::new(0, w);
     if start_key < next_keys[w.index()] {
         scratch.dist[w.index()] = 0;
         scratch.touched.push(w.index());
-        heap.push(Reverse((0, w.0)));
+        scratch.heap.push(Reverse((0, w.0)));
     }
 
-    while let Some(Reverse((d, u))) = heap.pop() {
+    while let Some(Reverse((d, u))) = scratch.heap.pop() {
         if d > scratch.dist[u as usize] {
             continue; // stale
         }
@@ -157,7 +159,7 @@ pub(crate) fn grow_cluster(
                     scratch.touched.push(v.index());
                 }
                 scratch.dist[v.index()] = nd;
-                heap.push(Reverse((nd, v.0)));
+                scratch.heap.push(Reverse((nd, v.0)));
             }
         }
     }
@@ -270,11 +272,7 @@ mod tests {
                 for &w in &h.exact_level_members(i as usize) {
                     let key = DistKey::new(table.distance(u, w), w);
                     let should_be_member = key < next_key;
-                    let is_member = sketch
-                        .bunch()
-                        .get(&w)
-                        .map(|e| e.level == i)
-                        .unwrap_or(false);
+                    let is_member = sketch.bunch_entry(w).is_some_and(|e| e.level == i);
                     assert_eq!(
                         should_be_member, is_member,
                         "membership mismatch u={u} w={w} level={i}"

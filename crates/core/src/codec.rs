@@ -20,8 +20,10 @@
 //!
 //! * Every field is little-endian and fixed-width (`u8`/`u32`/`u64`,
 //!   `f64` as IEEE-754 bits); collections are length-prefixed with `u64`.
-//! * Bunches encode in `BTreeMap` iteration order (ascending node id), so
-//!   encoding is deterministic: `encode(decode(bytes)) == bytes`.
+//! * Bunches encode in the label's own order (strictly ascending node id),
+//!   so encoding is deterministic: `encode(decode(bytes)) == bytes`.
+//! * Every encoding's size is known before a byte is written
+//!   ([`SketchCodec::encoded_len`]), so a payload is allocated once.
 //! * Changing any encoding below is a **format break** and must bump the
 //!   container's major version in `dsketch-store`.
 //!
@@ -110,6 +112,14 @@ impl Encoder {
     /// An empty encoder.
     pub fn new() -> Self {
         Encoder::default()
+    }
+
+    /// An empty encoder with room for `bytes` bytes, so a payload whose size
+    /// is known up front ([`SketchCodec::encoded_len`]) never re-allocates.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Encoder {
+            buf: Vec::with_capacity(bytes),
+        }
     }
 
     /// Append one byte.
@@ -329,9 +339,12 @@ pub trait SketchCodec: Sized {
     /// Decode one value, consuming exactly the bytes `encode` produced.
     fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError>;
 
-    /// Encode into a fresh byte vector.
+    /// Exactly the number of bytes `encode` appends.
+    fn encoded_len(&self) -> usize;
+
+    /// Encode into a fresh byte vector, allocated once at its final size.
     fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Encoder::new();
+        let mut out = Encoder::with_capacity(self.encoded_len());
         self.encode(&mut out);
         out.into_bytes()
     }
@@ -354,6 +367,10 @@ impl SketchCodec for NodeId {
     fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Ok(NodeId(input.u32("NodeId")?))
     }
+
+    fn encoded_len(&self) -> usize {
+        4
+    }
 }
 
 impl SketchCodec for DistKey {
@@ -366,6 +383,10 @@ impl SketchCodec for DistKey {
         let distance = input.u64("DistKey.distance")?;
         let node = NodeId::decode(input)?;
         Ok(DistKey { distance, node })
+    }
+
+    fn encoded_len(&self) -> usize {
+        8 + 4
     }
 }
 
@@ -380,6 +401,10 @@ impl SketchCodec for BunchEntry {
             level: input.u32("BunchEntry.level")?,
             distance: input.u64("BunchEntry.distance")?,
         })
+    }
+
+    fn encoded_len(&self) -> usize {
+        4 + 8
     }
 }
 
@@ -398,10 +423,17 @@ impl SketchCodec for Sketch {
             }
         }
         out.put_usize(self.bunch_size());
-        for (&node, entry) in self.bunch() {
+        for (node, entry) in self.bunch() {
             node.encode(out);
             entry.encode(out);
         }
+    }
+
+    fn encoded_len(&self) -> usize {
+        // owner + k, a flag byte per pivot slot plus (node, distance) where
+        // present, bunch length, 16 bytes per bunch entry.
+        let present = self.pivots().iter().flatten().count();
+        4 + 8 + self.pivots().len() + 12 * present + 8 + 16 * self.bunch_size()
     }
 
     fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
@@ -414,16 +446,20 @@ impl SketchCodec for Sketch {
                 message: "k must be at least 1".to_string(),
             });
         }
-        let mut sketch = Sketch::new(owner, k);
-        for level in 0..k {
+        let mut pivots = vec![None; k];
+        for slot in &mut pivots {
             if input.bool("Sketch.pivot flag")? {
                 let node = NodeId::decode(input)?;
                 let distance = input.u64("Sketch.pivot distance")?;
-                sketch.set_pivot(level, node, distance);
+                *slot = Some((node, distance));
             }
         }
         // node id (4) + level (4) + distance (8) per bunch entry.
         let bunch_len = input.len_prefix(16, "Sketch.bunch length")?;
+        let mut sketch = Sketch::from_sorted_parts(owner, pivots, Vec::with_capacity(bunch_len));
+        // A canonical payload lists the bunch ascending, which `insert_bunch`
+        // appends; anything else folds in under the same rule as any other
+        // insertion (smallest distance, lowest level on ties).
         for _ in 0..bunch_len {
             let node = NodeId::decode(input)?;
             let entry = BunchEntry::decode(input)?;
@@ -457,6 +493,10 @@ impl SketchCodec for SketchSet {
         }
         Ok(SketchSet::new(sketches))
     }
+
+    fn encoded_len(&self) -> usize {
+        8 + self.iter().map(Sketch::encoded_len).sum::<usize>()
+    }
 }
 
 impl SketchCodec for Hierarchy {
@@ -481,6 +521,10 @@ impl SketchCodec for Hierarchy {
             context: "Hierarchy",
             message: e.to_string(),
         })
+    }
+
+    fn encoded_len(&self) -> usize {
+        8 + 8 + 8 + 4 * self.levels().len()
     }
 }
 
@@ -510,6 +554,10 @@ impl SketchCodec for DensityNet {
         }
         Ok(DensityNet::from_members(num_nodes, eps, members))
     }
+
+    fn encoded_len(&self) -> usize {
+        8 + 8 + 8 + 4 * self.len()
+    }
 }
 
 impl SketchCodec for CdgParams {
@@ -529,6 +577,10 @@ impl SketchCodec for CdgParams {
             message: e.to_string(),
         })?;
         Ok(params)
+    }
+
+    fn encoded_len(&self) -> usize {
+        8 + 8 + 8
     }
 }
 
@@ -551,6 +603,10 @@ impl SketchCodec for RunStats {
             active_rounds: input.u64("RunStats.active_rounds")?,
             bandwidth_violations: input.u64("RunStats.bandwidth_violations")?,
         })
+    }
+
+    fn encoded_len(&self) -> usize {
+        6 * 8
     }
 }
 
@@ -627,6 +683,15 @@ impl SketchCodec for SchemeSpec {
             }),
         }
     }
+
+    fn encoded_len(&self) -> usize {
+        let option = |value: Option<usize>| 1 + value.map_or(0, |_| 8);
+        1 + match *self {
+            SchemeSpec::ThorupZwick { .. } | SchemeSpec::ThreeStretch { .. } => 8,
+            SchemeSpec::Cdg { .. } => 8 + 8,
+            SchemeSpec::Degrading { max_layers, max_k } => option(max_layers) + option(max_k),
+        }
+    }
 }
 
 impl SketchCodec for TzSketchSet {
@@ -643,6 +708,10 @@ impl SketchCodec for TzSketchSet {
             hierarchy,
         })
     }
+
+    fn encoded_len(&self) -> usize {
+        self.sketches.encoded_len() + self.hierarchy.encoded_len()
+    }
 }
 
 impl SketchCodec for ThreeStretchSketchSet {
@@ -658,6 +727,10 @@ impl SketchCodec for ThreeStretchSketchSet {
             sketches: SketchSet::decode(input)?,
             stats: RunStats::decode(input)?,
         })
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.net.encoded_len() + self.sketches.encoded_len() + self.stats.encoded_len()
     }
 }
 
@@ -678,6 +751,14 @@ impl SketchCodec for CdgSketchSet {
             sketches: SketchSet::decode(input)?,
             stats: RunStats::decode(input)?,
         })
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.params.encoded_len()
+            + self.net.encoded_len()
+            + self.hierarchy.encoded_len()
+            + self.sketches.encoded_len()
+            + self.stats.encoded_len()
     }
 }
 
@@ -700,6 +781,11 @@ impl SketchCodec for DegradingSketchSet {
         }
         let stats = RunStats::decode(input)?;
         Ok(DegradingSketchSet { layers, stats })
+    }
+
+    fn encoded_len(&self) -> usize {
+        let layers: usize = self.layers.iter().map(CdgSketchSet::encoded_len).sum();
+        8 + layers + self.stats.encoded_len()
     }
 }
 
@@ -844,6 +930,95 @@ mod tests {
         .encode(&mut out);
         let err = Sketch::from_bytes(out.as_bytes()).unwrap_err();
         assert!(matches!(err, CodecError::Invalid { .. }), "{err}");
+    }
+
+    #[test]
+    fn out_of_order_and_duplicate_bunch_entries_fold_like_insertions() {
+        // Descending ids, a duplicate that improves the distance, one that
+        // ties at a lower level and one that loses.
+        let entries = [
+            (9u32, 2u32, 14u64),
+            (4, 1, 7),
+            (9, 1, 11),
+            (4, 0, 7),
+            (2, 0, 3),
+            (4, 2, 8),
+        ];
+        let mut out = Encoder::new();
+        NodeId(7).encode(&mut out);
+        out.put_usize(3);
+        out.put_u8(1);
+        NodeId(7).encode(&mut out);
+        out.put_u64(0);
+        out.put_u8(0);
+        out.put_u8(0);
+        out.put_usize(entries.len());
+        let mut inserted = Sketch::new(NodeId(7), 3);
+        inserted.set_pivot(0, NodeId(7), 0);
+        for (node, level, distance) in entries {
+            NodeId(node).encode(&mut out);
+            BunchEntry { level, distance }.encode(&mut out);
+            inserted.insert_bunch(NodeId(node), level, distance);
+        }
+        let decoded = Sketch::from_bytes(out.as_bytes()).unwrap();
+        assert_eq!(decoded, inserted);
+        let bunch: Vec<(u32, u32, u64)> = decoded
+            .bunch()
+            .iter()
+            .map(|&(w, e)| (w.0, e.level, e.distance))
+            .collect();
+        assert_eq!(bunch, vec![(2, 0, 3), (4, 0, 7), (9, 1, 11)]);
+        // Re-encoding is canonical from here on.
+        assert_eq!(Sketch::from_bytes(&decoded.to_bytes()).unwrap(), decoded);
+    }
+
+    /// `to_bytes` reserves `encoded_len` bytes and must fill exactly that.
+    fn assert_len_is_exact<T: SketchCodec>(value: &T) {
+        let mut out = Encoder::with_capacity(value.encoded_len());
+        value.encode(&mut out);
+        assert_eq!(out.len(), value.encoded_len());
+    }
+
+    #[test]
+    fn encoded_len_is_exact_for_every_family() {
+        use crate::scheme::{
+            CdgScheme, DegradingScheme, SchemeConfig, SketchScheme, ThorupZwickScheme,
+            ThreeStretchScheme,
+        };
+        use netgraph::generators::{erdos_renyi, GeneratorConfig};
+
+        let graph = erdos_renyi(48, 0.15, GeneratorConfig::uniform(4, 1, 30));
+        let config = SchemeConfig::default().with_seed(6).with_parallel_build();
+        let tz = ThorupZwickScheme::new(3).build(&graph, &config).unwrap();
+        assert_len_is_exact(&tz.sketches);
+        let three = ThreeStretchScheme::new(0.4).build(&graph, &config).unwrap();
+        assert_len_is_exact(&three.sketches);
+        let cdg = CdgScheme::new(0.4, 2).build(&graph, &config).unwrap();
+        assert_len_is_exact(&cdg.sketches);
+        let degrading = DegradingScheme::new().build(&graph, &config).unwrap();
+        assert_len_is_exact(&degrading.sketches);
+    }
+
+    #[test]
+    fn encoded_len_is_exact_for_the_small_types() {
+        assert_len_is_exact(&sample_sketch(3));
+        assert_len_is_exact(&Sketch::new(NodeId(1), 4));
+        assert_len_is_exact(&SketchSet::new(vec![]));
+        assert_len_is_exact(&DistKey::INFINITE);
+        assert_len_is_exact(&CdgParams::new(0.25, 2));
+        assert_len_is_exact(&RunStats::default());
+        for spec in [
+            SchemeSpec::thorup_zwick(3),
+            SchemeSpec::three_stretch(0.25),
+            SchemeSpec::cdg(0.2, 2),
+            SchemeSpec::degrading(),
+            SchemeSpec::Degrading {
+                max_layers: Some(3),
+                max_k: None,
+            },
+        ] {
+            assert_len_is_exact(&spec);
+        }
     }
 
     #[test]

@@ -143,7 +143,7 @@ impl SketchExchangeProgram {
                 });
             }
         }
-        for (&node, entry) in self.own_sketch.bunch() {
+        for &(node, entry) in self.own_sketch.bunch() {
             self.outgoing_reply.push_back(ExchangeMessage::ReplyBunch {
                 level: entry.level,
                 node,

@@ -1,13 +1,13 @@
 //! Frozen, cache-friendly query representation: the CSR sketch layout.
 //!
-//! The mutable [`Sketch`] stores its bunch as a `BTreeMap<NodeId,
-//! BunchEntry>` — the right shape while the construction is still inserting
-//! and improving entries, and the wrong shape for serving: every
-//! `p_i(u) ∈ B(v)` probe of the Lemma 3.2 walk chases B-tree node pointers
-//! across cache lines, and the serve layer pays that cost millions of times
-//! per second.  [`FlatSketchSet`] is the read-only counterpart a finished
-//! build is *frozen* into: all labels packed into contiguous CSR-style
-//! arrays —
+//! The mutable [`Sketch`] owns its label: a pivot `Vec` and the bunch as one
+//! sorted `Vec<(NodeId, BunchEntry)>` per node — the right shape while the
+//! construction is still inserting and improving entries, and not the one
+//! to serve from: two allocations per node scattered over the heap, keys
+//! interleaved with levels no query reads, and nothing a snapshot can be
+//! decoded into without `2n` small allocations.  [`FlatSketchSet`] is the
+//! read-only counterpart a finished build is *frozen* into: all labels
+//! packed into contiguous CSR-style arrays —
 //!
 //! ```text
 //!   pivot_offsets ─┐                bunch_offsets ─┐
@@ -30,13 +30,13 @@
 //!   toggle.
 //! * [`FlatSketchSet::from_family_bytes`] — straight from the `SKCH`
 //!   section bytes of a `dsketch-store` snapshot, so a cold-started server
-//!   never materializes a `BTreeMap` at all.
+//!   never materializes a [`Sketch`] at all.
 //!
 //! Both paths produce the same value (`freeze(decode(bytes)) ==
 //! from_family_bytes(bytes)`, pinned by tests), and every query function is
-//! answer-identical to the `BTreeMap` path — the equivalence property tests
-//! in `tests/tests/flat_query.rs` compare them result-for-result, errors
-//! included, across all four families.
+//! answer-identical to the per-node [`Sketch`] path — the equivalence
+//! property tests in `tests/tests/flat_query.rs` compare them
+//! result-for-result, errors included, across all four families.
 
 #![deny(missing_docs)]
 
@@ -58,7 +58,7 @@ const NO_PIVOT: NodeId = NodeId(u32::MAX);
 
 /// Which query rule [`DistanceOracle::estimate`] runs on a frozen set.
 ///
-/// Chosen at freeze time to match the family's `BTreeMap`-path oracle:
+/// Chosen at freeze time to match the family's unfrozen oracle:
 /// Thorup–Zwick labels answer with the Lemma 3.2 level walk, the slack and
 /// degrading families with the best-common-landmark minimum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,17 +144,22 @@ impl FlatLayer {
         for pivot in sketch.pivots() {
             self.pivots.push(pivot.unwrap_or((NO_PIVOT, INFINITY)));
         }
-        // BTreeMap iteration is ascending by node id: the range arrives
-        // pre-sorted, exactly what the binary search and merge need.
-        for (&node, entry) in sketch.bunch() {
-            self.bunch_nodes.push(node);
-            self.bunch_dists.push(entry.distance);
-        }
+        // The label's bunch is already one run sorted by node id — exactly
+        // what the binary search and merge need; split it into the two
+        // parallel arrays.
+        let bunch = sketch.bunch();
+        self.bunch_nodes.extend(bunch.iter().map(|&(node, _)| node));
+        self.bunch_dists
+            .extend(bunch.iter().map(|&(_, entry)| entry.distance));
         self.seal_node();
     }
 
     fn from_sketch_set(set: &SketchSet) -> FlatLayer {
         let mut layer = FlatLayer::new();
+        let entries: usize = set.iter().map(Sketch::bunch_size).sum();
+        layer.offsets.reserve_exact(set.len());
+        layer.bunch_nodes.reserve_exact(entries);
+        layer.bunch_dists.reserve_exact(entries);
         for sketch in set.iter() {
             layer.push_sketch(sketch);
         }
@@ -162,12 +167,12 @@ impl FlatLayer {
     }
 
     /// Decode one `SketchSet` payload (the exact byte layout of
-    /// [`SketchSet::decode`]) directly into CSR arrays, never touching a
-    /// `BTreeMap`.  Enforces the same invariants as the map-based decoder
-    /// (`k ≥ 1`, bunch levels below `k`) plus the two the flat layout
-    /// relies on: owners are the node indices, and bunch entries are
-    /// strictly ascending by node id (which the canonical encoder
-    /// guarantees, since it serializes `BTreeMap` iteration order).
+    /// [`SketchSet::decode`]) directly into CSR arrays, never building a
+    /// [`Sketch`].  Enforces the same invariants as that decoder (`k ≥ 1`,
+    /// bunch levels below `k`) plus the two the flat layout relies on:
+    /// owners are the node indices, and bunch entries are strictly
+    /// ascending by node id (which the canonical encoder guarantees, since
+    /// it writes each label's sorted run in order).
     fn decode_sketch_set(input: &mut Decoder<'_>) -> Result<FlatLayer, CodecError> {
         let count = input.len_prefix(21, "SketchSet length")?;
         let mut layer = FlatLayer::new();
@@ -371,7 +376,7 @@ impl Label<'_> {
 /// [`crate::scheme::SketchBuilder`]'s `frozen` toggle, or straight from
 /// snapshot bytes with [`FlatSketchSet::from_family_bytes`].  A frozen set
 /// is a first-class [`DistanceOracle`] whose answers (including errors) are
-/// identical to the `BTreeMap` path it was frozen from.
+/// identical to the sketch set it was frozen from.
 ///
 /// ```
 /// use dsketch::prelude::*;
@@ -399,10 +404,10 @@ pub struct FlatSketchSet {
 ///
 /// Implemented by the raw [`SketchSet`] and all four family sketch sets;
 /// freezing copies the labels once and drops construction-only state
-/// (B-tree nodes, bunch levels), after which queries run over contiguous
-/// slices.  Freezing never changes an answer: `frozen.estimate(u, v)`
-/// equals the source oracle's `estimate(u, v)` for every pair, errors
-/// included.
+/// (per-node allocations, bunch levels), after which queries run over
+/// contiguous slices.  Freezing never changes an answer:
+/// `frozen.estimate(u, v)` equals the source oracle's `estimate(u, v)` for
+/// every pair, errors included.
 pub trait Freeze {
     /// Pack this set's labels into the frozen CSR representation.
     fn freeze(&self) -> FlatSketchSet;
@@ -469,10 +474,10 @@ impl FlatSketchSet {
 
     /// Materialize a frozen set directly from the `SKCH` section payload of
     /// a `DSK1` snapshot, dispatching on the stored [`SchemeSpec`] — the
-    /// cold-start path: no `BTreeMap` (and no mutable [`Sketch`]) is ever
-    /// constructed.  Accepts exactly the bytes the family's
-    /// [`SketchCodec`] encoding produces and enforces the same validity
-    /// checks, so corrupt payloads fail with a [`CodecError`], not a panic.
+    /// cold-start path: no mutable [`Sketch`] is ever constructed.  Accepts
+    /// exactly the bytes the family's [`SketchCodec`] encoding produces and
+    /// enforces the same validity checks, so corrupt payloads fail with a
+    /// [`CodecError`], not a panic.
     pub fn from_family_bytes(spec: &SchemeSpec, bytes: &[u8]) -> Result<FlatSketchSet, CodecError> {
         let mut input = Decoder::new(bytes);
         let set = match spec {
@@ -688,7 +693,7 @@ impl DistanceOracle for FlatSketchSet {
 
     /// The batch path the serve layer and benches drive: one pre-sized
     /// output vector, zero further allocation per pair, and the per-pair
-    /// work is the slice walk/merge itself (no `BTreeMap` probes and no
+    /// work is the slice walk/merge itself (no per-node label lookups and no
     /// per-pair virtual dispatch — `estimate` resolves statically here).
     ///
     fn estimate_batch(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Result<Distance, SketchError>> {

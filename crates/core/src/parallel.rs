@@ -7,8 +7,8 @@
 //! one truncated Dijkstra per cluster source in Thorup–Zwick, one
 //! exploration per density-net node in the 3-stretch scheme, one restricted
 //! hierarchy per CDG layer.  Those explorations never observe each other, so
-//! they can be executed on any number of worker threads — as long as the
-//! *merge* of their results is deterministic.
+//! they can be executed on any number of worker threads — as long as what
+//! comes out does not depend on which worker did what.
 //!
 //! The contract of this module is exactly that determinism guarantee:
 //!
@@ -19,14 +19,21 @@
 //!   balanced automatically; each worker accumulates `(index, result)` pairs
 //!   privately and the results are re-assembled by index after the scoped
 //!   threads join.
-//! * With `threads == 1` no threads are spawned at all — the call is a plain
-//!   sequential loop.  Because the output only depends on the input order,
-//!   `parallel_map(k, …)` is **bit-identical** to `parallel_map(1, …)` for
-//!   every `k` (the property the `parallel_build` integration suite checks
-//!   end-to-end, down to the serialized `DSK1` snapshot bytes).
+//! * [`parallel_split_mut`] is the write side: it cuts one output slice into
+//!   consecutive disjoint pieces (`split_at_mut`) and gives each worker
+//!   exclusive access to one.  The direct engine's cluster→bunch transpose
+//!   runs on it — every worker fills the label rows of its own node range —
+//!   so the result is a function of what is written per piece, never of the
+//!   cuts or the schedule.
+//! * With `threads == 1` (or a single piece) no threads are spawned at all —
+//!   the call is a plain loop.  Because the output only depends on the
+//!   input, `threads = k` is **bit-identical** to `threads = 1` for every `k`
+//!   (the property the `parallel_build` integration suite checks end-to-end,
+//!   down to the serialized `DSK1` snapshot bytes).
 //!
 //! Threads are plain `std::thread::scope` workers: no unsafe code, no shared
-//! mutable state beyond the atomic work counter, no dependencies.
+//! mutable state beyond the atomic work counter and the disjoint pieces, no
+//! dependencies.
 //!
 //! ```
 //! use dsketch::parallel::parallel_map;
@@ -165,6 +172,54 @@ where
         // dsketch-lint: allow(no-unwrap-in-hot-path): merge invariant — every index in 0..n is claimed by exactly one worker
         .map(|slot| slot.expect("every index computed exactly once"))
         .collect()
+}
+
+/// Run `f` over consecutive disjoint pieces of `data`, one scoped worker per
+/// piece: piece `i` is `data[cuts[i]..cuts[i + 1]]`, and `f` receives `i`
+/// with exclusive access to that piece.
+///
+/// This is the write side of the pool: [`parallel_map`] hands out read-only
+/// items and collects results, this hands every worker the part of one
+/// shared output it alone fills.  What ends up in `data` depends only on
+/// what `f` writes for each piece, never on scheduling.  A single piece
+/// runs inline, with no thread spawned.
+///
+/// # Panics
+///
+/// Panics unless `cuts` is non-decreasing, starts at `0` and ends at
+/// `data.len()`.
+pub fn parallel_split_mut<T, F>(data: &mut [T], cuts: &[usize], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    assert!(
+        cuts.first() == Some(&0) && cuts.last() == Some(&data.len()),
+        "cuts must span the whole slice"
+    );
+    let mut pieces = Vec::with_capacity(cuts.len() - 1);
+    let mut rest = data;
+    for cut in cuts.windows(2) {
+        assert!(cut[0] <= cut[1], "cuts must be non-decreasing");
+        let (piece, tail) = std::mem::take(&mut rest).split_at_mut(cut[1] - cut[0]);
+        pieces.push(piece);
+        rest = tail;
+    }
+    if let [piece] = pieces.as_mut_slice() {
+        return f(0, piece);
+    }
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = pieces
+            .into_iter()
+            .enumerate()
+            .map(|(index, piece)| scope.spawn(move || f(index, piece)))
+            .collect();
+        for handle in handles {
+            // dsketch-lint: allow(no-unwrap-in-hot-path): join propagates a worker panic — there is no error to type
+            handle.join().expect("parallel_split_mut worker panicked");
+        }
+    });
 }
 
 /// Wall-clock timing of one batched phase of a parallel build.
@@ -310,6 +365,29 @@ mod tests {
         );
         assert_eq!(results, items);
         assert_eq!(processed.load(Ordering::Relaxed), 100);
+    }
+
+    #[test]
+    fn split_workers_fill_disjoint_pieces() {
+        // Uneven and empty pieces; one piece runs inline.
+        for cuts in [vec![0usize, 10], vec![0, 3, 3, 7, 10], vec![0, 0, 10]] {
+            let mut data = vec![usize::MAX; 10];
+            parallel_split_mut(&mut data, &cuts, |piece, slots| {
+                assert_eq!(slots.len(), cuts[piece + 1] - cuts[piece]);
+                for (offset, slot) in slots.iter_mut().enumerate() {
+                    *slot = cuts[piece] + offset;
+                }
+            });
+            assert_eq!(data, (0..10).collect::<Vec<_>>(), "cuts = {cuts:?}");
+        }
+        let mut empty: Vec<u8> = Vec::new();
+        parallel_split_mut(&mut empty, &[0, 0], |_, slots| assert!(slots.is_empty()));
+    }
+
+    #[test]
+    #[should_panic(expected = "span the whole slice")]
+    fn split_rejects_cuts_that_do_not_cover_the_slice() {
+        parallel_split_mut(&mut [0u8; 4], &[0, 3], |_, _| {});
     }
 
     #[test]

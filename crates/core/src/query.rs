@@ -73,7 +73,7 @@ pub fn estimate_distance_best_common(u: &Sketch, v: &Sketch) -> Result<Distance,
     };
     let mut best: Option<Distance> = None;
     // Common bunch members.
-    for (&w, entry) in small.bunch() {
+    for &(w, entry) in small.bunch() {
         if let Some(d_other) = large.bunch_distance(w) {
             let est = add_dist(entry.distance, d_other);
             best = Some(best.map_or(est, |b| b.min(est)));

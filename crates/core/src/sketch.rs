@@ -16,9 +16,19 @@
 //! comparison between candidate pivots/bunch thresholds uses `DistKey`, so
 //! the centralized and distributed constructions make identical choices and
 //! can be compared bit-for-bit.
+//!
+//! # Storage
+//!
+//! The bunch is one sorted run: a `Vec<(NodeId, BunchEntry)>` strictly
+//! ascending by node id.  The direct engine ([`crate::build`]) produces
+//! every row already in that order and hands it over whole
+//! (`Sketch::from_sorted_parts`); everything that learns members one at a
+//! time (the CONGEST engine, the 3-stretch builds, tests) goes through
+//! [`Sketch::insert_bunch`], which keeps the run sorted by binary search.
+//! Readers — the queries, [`crate::flat`]'s freeze, the codec — walk or
+//! binary-search the slice.
 
 use netgraph::{Distance, NodeId, INFINITY};
-use std::collections::BTreeMap;
 
 /// Lexicographic `(distance, node)` key used for consistent tie-breaking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -68,8 +78,9 @@ pub struct Sketch {
     /// unreachable/empty (can only happen on disconnected graphs or when the
     /// sampled `A_i` is empty).
     pivots: Vec<Option<(NodeId, Distance)>>,
-    /// The bunch `B(u)` with levels and distances.
-    bunch: BTreeMap<NodeId, BunchEntry>,
+    /// The bunch `B(u)` with levels and distances, strictly ascending by
+    /// node id.
+    bunch: Vec<(NodeId, BunchEntry)>,
 }
 
 impl Sketch {
@@ -79,7 +90,26 @@ impl Sketch {
             owner,
             k,
             pivots: vec![None; k],
-            bunch: BTreeMap::new(),
+            bunch: Vec::new(),
+        }
+    }
+
+    /// Assemble a sketch from finished parts: one pivot slot per level and
+    /// a bunch that is already strictly ascending by node id.
+    pub(crate) fn from_sorted_parts(
+        owner: NodeId,
+        pivots: Vec<Option<(NodeId, Distance)>>,
+        bunch: Vec<(NodeId, BunchEntry)>,
+    ) -> Self {
+        debug_assert!(
+            bunch.windows(2).all(|pair| pair[0].0 < pair[1].0),
+            "bunch of {owner} is not strictly ascending"
+        );
+        Sketch {
+            owner,
+            k: pivots.len(),
+            pivots,
+            bunch,
         }
     }
 
@@ -112,30 +142,52 @@ impl Sketch {
     /// through different levels in different orders, and the sketch must
     /// not depend on which insertion happened last.
     pub fn insert_bunch(&mut self, node: NodeId, level: u32, distance: Distance) {
-        let entry = self
-            .bunch
-            .entry(node)
-            .or_insert(BunchEntry { level, distance });
-        if distance < entry.distance {
-            entry.distance = distance;
-            entry.level = level;
-        } else if distance == entry.distance {
-            entry.level = entry.level.min(level);
+        // Ascending insertion — decoding a canonical payload, folding a
+        // sorted table — lands at the tail without a search.
+        let slot = if self.bunch.last().is_none_or(|&(last, _)| last < node) {
+            Err(self.bunch.len())
+        } else {
+            self.search(node)
+        };
+        match slot {
+            Ok(index) => {
+                let entry = &mut self.bunch[index].1;
+                if distance < entry.distance {
+                    *entry = BunchEntry { level, distance };
+                } else if distance == entry.distance {
+                    entry.level = entry.level.min(level);
+                }
+            }
+            Err(index) => self
+                .bunch
+                .insert(index, (node, BunchEntry { level, distance })),
         }
+    }
+
+    /// Where `node` sits in the sorted bunch (`Ok`), or where it would be
+    /// inserted (`Err`).
+    fn search(&self, node: NodeId) -> Result<usize, usize> {
+        self.bunch
+            .binary_search_by_key(&node, |&(member, _)| member)
+    }
+
+    /// The bunch entry of `node`, if `node ∈ B(u)`.
+    pub fn bunch_entry(&self, node: NodeId) -> Option<BunchEntry> {
+        self.search(node).ok().map(|index| self.bunch[index].1)
     }
 
     /// Distance to `node` if it is in the bunch.
     pub fn bunch_distance(&self, node: NodeId) -> Option<Distance> {
-        self.bunch.get(&node).map(|e| e.distance)
+        self.bunch_entry(node).map(|e| e.distance)
     }
 
     /// True if `node ∈ B(u)`.
     pub fn contains(&self, node: NodeId) -> bool {
-        self.bunch.contains_key(&node)
+        self.bunch_entry(node).is_some()
     }
 
-    /// The whole bunch.
-    pub fn bunch(&self) -> &BTreeMap<NodeId, BunchEntry> {
+    /// The whole bunch, strictly ascending by node id.
+    pub fn bunch(&self) -> &[(NodeId, BunchEntry)] {
         &self.bunch
     }
 
@@ -144,7 +196,7 @@ impl Sketch {
         self.bunch
             .iter()
             .filter(move |(_, e)| e.level == level)
-            .map(|(&n, e)| (n, e.distance))
+            .map(|&(n, e)| (n, e.distance))
     }
 
     /// Number of bunch entries `|B(u)|`.
@@ -167,7 +219,7 @@ impl Sketch {
     pub fn check_invariants(&self) -> Result<(), String> {
         for (level, p) in self.pivots.iter().enumerate() {
             if let Some((node, dist)) = p {
-                if let Some(e) = self.bunch.get(node) {
+                if let Some(e) = self.bunch_entry(*node) {
                     if e.distance > *dist {
                         return Err(format!(
                             "pivot {node} at level {level} has distance {dist} but bunch says {}",
@@ -301,15 +353,41 @@ mod tests {
         descending.insert_bunch(NodeId(4), 2, 7);
         descending.insert_bunch(NodeId(4), 0, 7);
         for sketch in [&ascending, &descending] {
-            assert_eq!(sketch.bunch()[&NodeId(4)].level, 0);
+            assert_eq!(sketch.bunch_entry(NodeId(4)).unwrap().level, 0);
             assert_eq!(sketch.bunch_distance(NodeId(4)), Some(7));
         }
         assert_eq!(ascending, descending);
         // A strictly smaller distance still replaces the level outright.
         let mut improved = descending.clone();
         improved.insert_bunch(NodeId(4), 1, 6);
-        assert_eq!(improved.bunch()[&NodeId(4)].level, 1);
+        assert_eq!(improved.bunch_entry(NodeId(4)).unwrap().level, 1);
         assert_eq!(improved.bunch_distance(NodeId(4)), Some(6));
+    }
+
+    #[test]
+    fn bunch_is_one_sorted_run_whatever_the_insertion_order() {
+        let members = [9u32, 2, 7, 4, 11, 0];
+        let mut ascending = Sketch::new(NodeId(0), 2);
+        let mut sorted = members;
+        sorted.sort_unstable();
+        for w in sorted {
+            ascending.insert_bunch(NodeId(w), w % 2, u64::from(w) + 1);
+        }
+        let mut scattered = Sketch::new(NodeId(0), 2);
+        for w in members {
+            scattered.insert_bunch(NodeId(w), w % 2, u64::from(w) + 1);
+        }
+        assert_eq!(ascending, scattered);
+        let ids: Vec<u32> = scattered.bunch().iter().map(|&(w, _)| w.0).collect();
+        assert_eq!(ids, sorted);
+        assert_eq!(
+            scattered.bunch_entry(NodeId(7)),
+            Some(BunchEntry {
+                level: 1,
+                distance: 8
+            })
+        );
+        assert_eq!(scattered.bunch_entry(NodeId(8)), None);
     }
 
     #[test]

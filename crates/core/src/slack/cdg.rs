@@ -354,7 +354,7 @@ mod tests {
         let result = build_scheme(&g, params);
         assert!(result.max_words() <= 2 * (result.net.len() + params.k));
         for s in result.sketches.iter() {
-            for &member in s.bunch().keys() {
+            for &(member, _) in s.bunch() {
                 assert!(result.net.contains(member), "bunch member outside the net");
             }
         }

@@ -432,7 +432,7 @@ impl SketchServer {
     /// running the builder at all: load the snapshot (CRC-verified),
     /// materialize the section bytes straight into the frozen
     /// [`FlatSketchSet`](dsketch::flat::FlatSketchSet) CSR layout — no
-    /// `BTreeMap`-backed sketch is ever constructed — and spawn the shards
+    /// per-node `Sketch` is ever constructed — and spawn the shards
     /// over it.
     ///
     /// This is the warm-standby / instant-restart path: the expensive

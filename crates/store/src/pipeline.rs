@@ -355,7 +355,7 @@ pub fn load_oracle<P: AsRef<Path>>(path: P) -> Result<Box<dyn DistanceOracle>, S
 /// Load the snapshot at `path` straight into a **frozen** oracle: the
 /// `SKCH` section bytes are materialized directly into a
 /// [`FlatSketchSet`]'s CSR arrays, without ever constructing the mutable
-/// `BTreeMap`-backed sketches — the cold-start path `dsketch-serve` and
+/// per-node `Sketch`es — the cold-start path `dsketch-serve` and
 /// `dsketch-store serve` default to.  Answers are identical to
 /// [`load_oracle`]'s (the equivalence property tests pin this); only the
 /// in-memory layout differs.

@@ -343,7 +343,7 @@ fn first_sketch_with_bunch(bytes: &[u8]) -> SketchSites {
 fn resigned_bunch_order_violation_is_caught() {
     let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(2), 32, 13);
     let sites = first_sketch_with_bunch(&bytes);
-    // Swap the first two (16-byte) bunch entries: the decoded BTreeMap
+    // Swap the first two (16-byte) bunch entries: the decoded `Sketch`
     // would silently re-sort them — only the independent walk objects.
     let (a, b) = (sites.bunch_at, sites.bunch_at + 16);
     for i in 0..16 {

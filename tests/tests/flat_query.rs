@@ -1,13 +1,13 @@
 //! Cross-crate equivalence contract of the frozen flat query path: for
 //! every sketch family, [`FlatSketchSet`] answers **identically** to the
-//! `BTreeMap`-backed oracle it was frozen from — same estimates, same
+//! per-node `Sketch` oracle it was frozen from — same estimates, same
 //! errors, same label-size accounting — for every query function, on
 //! random graphs, on disconnected graphs (the `NoCommonLandmark` cases),
 //! and on hand-built labels with asymmetric per-node `k`.
 //!
 //! Also pins the store contract: materializing a `FlatSketchSet` straight
 //! from `DSK1` snapshot bytes (`load_frozen_oracle`, the cold-start path
-//! that never builds a `BTreeMap`) yields the same value as freezing the
+//! that never builds a `Sketch`) yields the same value as freezing the
 //! decoded sketches.
 
 use dsketch::prelude::*;
@@ -110,7 +110,7 @@ fn assert_equivalent(
     }
 
     // The store contract: snapshot bytes → FlatSketchSet directly (no
-    // BTreeMap on the way) is the same oracle.
+    // `Sketch` on the way) is the same oracle.
     let contents = dsketch_store::SnapshotContents {
         spec,
         fingerprint,

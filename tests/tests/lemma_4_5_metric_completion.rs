@@ -59,11 +59,10 @@ fn check_lemma_4_5(graph: &Graph, eps: f64, k: usize, seed: u64) {
             from_completion.bunch_size(),
             "bunch size mismatch at net node {orig}"
         );
-        for (&member_local, entry) in from_completion.bunch() {
+        for &(member_local, entry) in from_completion.bunch() {
             let member_orig = completion.original_id(member_local);
             let in_g = from_g
-                .bunch()
-                .get(&member_orig)
+                .bunch_entry(member_orig)
                 .unwrap_or_else(|| panic!("{member_orig} missing from {orig}'s bunch on G"));
             assert_eq!(in_g.distance, entry.distance, "distance mismatch at {orig}");
             assert_eq!(in_g.level, entry.level, "level mismatch at {orig}");

@@ -142,3 +142,34 @@ fn auto_thread_count_is_still_deterministic() {
         );
     }
 }
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The `DSK1` bytes of a fixed build, pinned per family as
+/// `(length, FNV-1a 64)`.  The digests were taken before labels became
+/// sorted runs built by a parallel transpose (and before the CRC and the
+/// encoder were reworked), so "the bytes did not move" is a test: any change
+/// to label contents, label order, the payload codec or the container shows
+/// up here.  Re-pin only together with a `DSK1` format version bump.
+#[test]
+fn snapshot_bytes_match_the_pinned_golden_digests() {
+    let golden: [(usize, u64); 4] = [
+        (77_621, 0xad1d_b27d_d928_f9dd),
+        (418_677, 0x51b5_b28f_e6bf_939d),
+        (105_389, 0x4e6b_ba1e_9233_2200),
+        (968_895, 0xd5d4_e495_97c5_62f3),
+    ];
+    let g = graph(256, 7);
+    for (spec, expected) in SchemeSpec::all_families().into_iter().zip(golden) {
+        let bytes = snapshot_bytes(&g, spec, 7, 2);
+        assert_eq!(
+            (bytes.len(), fnv1a64(&bytes)),
+            expected,
+            "{spec}: snapshot bytes moved"
+        );
+    }
+}

@@ -11,6 +11,8 @@
 //! one or more `DSK1` snapshots and fails on the first invariant
 //! violation, naming the section, node and byte offset.
 
+#![forbid(unsafe_code)]
+
 use dsketch_analysis::{lint_workspace, verify_snapshot_file, AnalysisError};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

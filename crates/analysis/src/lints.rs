@@ -176,7 +176,7 @@ fn collect_rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), Analysis
 
 /// Lint one file's source text.  `path` should be workspace-relative: the
 /// path decides which lints apply (crate libraries get the full set,
-/// binaries and benches skip the doc lints, integration tests are exempt).
+/// binaries skip the doc lints, integration tests are exempt).
 pub fn lint_file(path: &Path, source: &str) -> Vec<Finding> {
     let scope = Scope::of(path);
     let tokens = tokenize(source);
@@ -240,19 +240,15 @@ impl Scope {
         .contains(&p.as_str());
         let lib_root = p.starts_with("crates/") && p.ends_with("/src/lib.rs");
         // `dsketch::parallel` is the one blessed spawn site; integration
-        // test and bench trees drive concurrency through the public APIs
-        // and are covered by code review instead.
+        // test trees drive concurrency through the public APIs and are
+        // covered by code review instead.
         let spawn_lint = p != "crates/core/src/parallel.rs"
             && !p.starts_with("tests/")
-            && !p.contains("/tests/")
-            && !p.contains("/benches/");
+            && !p.contains("/tests/");
         // Metric names are registered from crate sources (lib and bin);
         // integration tests exercising deliberately bad names are exempt,
         // like the other style lints.
-        let metric_lint = p.starts_with("crates/")
-            && p.contains("/src/")
-            && !p.contains("/tests/")
-            && !p.contains("/benches/");
+        let metric_lint = p.starts_with("crates/") && p.contains("/src/") && !p.contains("/tests/");
         Scope {
             unwrap_lint,
             cast_lint,

@@ -33,6 +33,8 @@
 //! workload always matches whatever sketch the server is actually holding.
 //! Exit status is nonzero on any transport error or any non-typed failure.
 
+#![forbid(unsafe_code)]
+
 use dsketch_bench::workloads::QueryWorkload;
 use dsketch_bench::{arg_parse_or_exit, arg_value, percentile_nanos};
 use dsketch_obs::Histogram;

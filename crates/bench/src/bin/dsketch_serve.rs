@@ -34,6 +34,8 @@
 //! samples every N-th query into the trace ring (default 0: off);
 //! `--log-json` mirrors sampled events to stdout as JSON lines.
 
+#![forbid(unsafe_code)]
+
 use dsketch::prelude::*;
 use dsketch_bench::workloads::{QueryWorkload, Workload, WorkloadSpec};
 use dsketch_bench::{arg_engine, arg_frozen, arg_parse_or_exit, arg_value, serve_network, Table};

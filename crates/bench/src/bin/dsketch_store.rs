@@ -59,6 +59,8 @@
 //! binary-protocol swap request so the fresh snapshot goes live without a
 //! restart.  `--iterations N` bounds the loop (0 = run forever).
 
+#![forbid(unsafe_code)]
+
 use dsketch::prelude::*;
 use dsketch_bench::workloads::{QueryWorkload, Workload, WorkloadSpec};
 use dsketch_bench::{arg_engine, arg_frozen, arg_parse_or_exit, arg_value, serve_network, Table};

@@ -6,6 +6,8 @@
 //! cargo run --release -p dsketch-bench --bin experiments -- all --markdown
 //! ```
 
+#![forbid(unsafe_code)]
+
 use dsketch_bench::{run_experiment, EXPERIMENT_IDS};
 
 fn main() {

@@ -33,7 +33,7 @@ pub use phase::{PhaseProgram, PhaseState};
 pub use termination::TerminationTzProgram;
 
 use crate::error::SketchError;
-use crate::hierarchy::{Hierarchy, TzParams};
+use crate::hierarchy::Hierarchy;
 use crate::sketch::{DistKey, Sketch, SketchSet};
 use congest_sim::programs::bfs_tree::build_bfs_tree;
 use congest_sim::{CongestConfig, Network, RunStats};
@@ -81,9 +81,9 @@ impl DistributedTzConfig {
 
 /// Everything produced by one distributed construction.
 ///
-/// Returned by the deprecated [`DistributedTz`] entry points; the
-/// [`crate::scheme::ThorupZwickScheme`] API returns the same data as a
-/// [`crate::scheme::BuildOutcome`] instead.
+/// What the distributed engine hands back; the
+/// [`crate::scheme::ThorupZwickScheme`] API repackages it as a
+/// [`crate::scheme::BuildOutcome`].
 #[derive(Debug, Clone)]
 pub struct TzBuildResult {
     /// The per-node labels.
@@ -113,73 +113,6 @@ pub(crate) fn build_with_hierarchy(
     match config.sync {
         SyncMode::GlobalOracle => run_global_oracle(graph, hierarchy, config),
         SyncMode::TerminationDetection => run_termination_detection(graph, hierarchy, config),
-    }
-}
-
-/// Entry point for the distributed Thorup–Zwick construction.
-///
-/// Deprecated: every method has a [`crate::scheme`] equivalent that shares
-/// its configuration and result shape with the other three sketch families.
-/// See the [crate-level migration table](crate#migrating-from-the-deprecated-run-entry-points)
-/// for the full old → new mapping.
-pub struct DistributedTz;
-
-impl DistributedTz {
-    /// Sample a hierarchy from `params` (re-sampling until the top level is
-    /// non-empty, as the paper's high-probability analysis assumes) and run
-    /// the distributed construction.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use ThorupZwickScheme::new(k).build(graph, &config) or SketchBuilder::thorup_zwick(k)"
-    )]
-    pub fn run(graph: &Graph, params: &TzParams, config: DistributedTzConfig) -> TzBuildResult {
-        #[allow(deprecated)]
-        // dsketch-lint: allow(no-unwrap-in-hot-path): deprecated panicking shim; try_run is the typed-error path
-        Self::try_run(graph, params, config).expect("distributed TZ construction failed")
-    }
-
-    /// Fallible variant of [`DistributedTz::run`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use ThorupZwickScheme::new(k).build(graph, &config)"
-    )]
-    pub fn try_run(
-        graph: &Graph,
-        params: &TzParams,
-        config: DistributedTzConfig,
-    ) -> Result<TzBuildResult, SketchError> {
-        params.validate()?;
-        let (hierarchy, _) = Hierarchy::sample_until_top_nonempty(graph.num_nodes(), params, 1000)?;
-        build_with_hierarchy(graph, hierarchy, config)
-    }
-
-    /// Run the distributed construction with an explicitly provided
-    /// hierarchy (used by the equivalence experiments, which hand the same
-    /// hierarchy to the centralized construction).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use ThorupZwickScheme::new(k).build_with_hierarchy(graph, hierarchy, &config)"
-    )]
-    pub fn run_with_hierarchy(
-        graph: &Graph,
-        hierarchy: Hierarchy,
-        config: DistributedTzConfig,
-    ) -> TzBuildResult {
-        // dsketch-lint: allow(no-unwrap-in-hot-path): deprecated panicking shim; try_run_with_hierarchy is the typed-error path
-        build_with_hierarchy(graph, hierarchy, config).expect("distributed TZ construction failed")
-    }
-
-    /// Fallible variant of [`DistributedTz::run_with_hierarchy`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use ThorupZwickScheme::new(k).build_with_hierarchy(graph, hierarchy, &config)"
-    )]
-    pub fn try_run_with_hierarchy(
-        graph: &Graph,
-        hierarchy: Hierarchy,
-        config: DistributedTzConfig,
-    ) -> Result<TzBuildResult, SketchError> {
-        build_with_hierarchy(graph, hierarchy, config)
     }
 }
 
@@ -422,34 +355,5 @@ mod tests {
             b.stats.rounds,
             a.stats.rounds
         );
-    }
-
-    /// The deprecated entry points must keep producing the same labels as
-    /// the scheme API while they exist as shims.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_scheme_api() {
-        let g = grid(6, 6, GeneratorConfig::uniform(2, 1, 9));
-        let params = TzParams::new(2).with_seed(4);
-        let old = DistributedTz::run(&g, &params, DistributedTzConfig::default());
-        let new = ThorupZwickScheme::new(2)
-            .build(&g, &SchemeConfig::default().with_seed(4))
-            .unwrap();
-        for u in g.nodes() {
-            assert_eq!(old.sketches.sketch(u), new.sketches.sketch(u));
-        }
-        assert_eq!(old.stats, new.stats);
-
-        let (h, _) = Hierarchy::sample_until_top_nonempty(36, &params, 200).unwrap();
-        let old_h = DistributedTz::try_run_with_hierarchy(
-            &g,
-            h.clone(),
-            DistributedTzConfig::default().with_termination_detection(),
-        )
-        .unwrap();
-        let new_h = ThorupZwickScheme::new(2)
-            .build_with_hierarchy(&g, h, &SchemeConfig::default().with_termination_detection())
-            .unwrap();
-        assert_eq!(old_h.stats, new_h.stats);
     }
 }

@@ -12,7 +12,6 @@
 
 use crate::error::SketchError;
 use crate::oracle::DistanceOracle;
-use crate::sketch::SketchSet;
 use netgraph::apsp::{DistanceTable, SampledPairs};
 use netgraph::{Distance, Graph, NodeId};
 
@@ -133,30 +132,6 @@ pub fn evaluate_oracle_with_slack(
     evaluate_with_slack(graph, eps, |u, v| oracle.estimate(u, v))
 }
 
-/// Evaluate a Thorup–Zwick [`SketchSet`] over **all** pairs of a graph using
-/// the Lemma 3.2 query.
-#[deprecated(
-    since = "0.1.0",
-    note = "use evaluate_oracle (SketchSet is a DistanceOracle)"
-)]
-pub fn evaluate_sketches(graph: &Graph, sketches: &SketchSet) -> StretchReport {
-    evaluate_oracle(graph, sketches)
-}
-
-/// Evaluate a [`SketchSet`] over a uniform sample of pairs.
-#[deprecated(
-    since = "0.1.0",
-    note = "use evaluate_oracle_sampled (SketchSet is a DistanceOracle)"
-)]
-pub fn evaluate_sketches_sampled(
-    graph: &Graph,
-    sketches: &SketchSet,
-    num_pairs: usize,
-    seed: u64,
-) -> StretchReport {
-    evaluate_oracle_sampled(graph, sketches, num_pairs, seed)
-}
-
 /// Evaluate an arbitrary estimator separately on ε-far pairs and on the
 /// remaining (near) pairs.  The closure form serves baselines that are not
 /// [`DistanceOracle`]s; sketch sets use [`evaluate_oracle_with_slack`].
@@ -197,6 +172,7 @@ mod tests {
     use super::*;
     use crate::centralized::CentralizedTz;
     use crate::hierarchy::{Hierarchy, TzParams};
+    use crate::sketch::SketchSet;
     use netgraph::generators::{erdos_renyi, GeneratorConfig};
 
     fn build_sketches(n: usize, k: usize) -> (Graph, SketchSet) {

@@ -120,38 +120,6 @@
 //! * [`cast`] — checked and intent-bearing integer conversions; the
 //!   `checked-casts` project lint keeps bare `as` casts out of the
 //!   byte-layout code in favor of these helpers.
-//!
-//! # Migrating from the deprecated `run()` entry points
-//!
-//! The original per-scheme entry points (`DistributedTz`,
-//! `DistributedThreeStretch`, `DistributedCdg`, `DistributedDegrading`) are
-//! kept as `#[deprecated]` shims and still produce bit-identical sketches,
-//! but new code should use the [`SketchScheme`] implementations, which share
-//! one config ([`SchemeConfig`]) and one result shape ([`BuildOutcome`])
-//! across all four families:
-//!
-//! | deprecated call | replacement |
-//! |---|---|
-//! | `DistributedTz::run(g, &TzParams::new(k).with_seed(s), cfg)` | [`ThorupZwickScheme`]`::new(k).build(g, &config)` |
-//! | `DistributedTz::try_run(…)` | same — `SketchScheme::build` is already fallible |
-//! | `DistributedTz::run_with_hierarchy(g, h, cfg)` / `try_run_with_hierarchy` | [`ThorupZwickScheme::build_with_hierarchy`]`(g, h, &config)` |
-//! | `DistributedThreeStretch::run(g, eps, seed, congest, max)` | [`ThreeStretchScheme`]`::new(eps).build(g, &config)` |
-//! | `DistributedCdg::run(g, params, cfg)` | [`CdgScheme`]`::new(eps, k).build(g, &config)` |
-//! | `DistributedDegrading::run(g, params, cfg)` | [`DegradingScheme`]`::new().build(g, &config)` |
-//! | `evaluate_sketches` / `evaluate_sketches_sampled` | [`evaluate_oracle`] / [`evaluate_oracle_sampled`] (a `SketchSet` **is** a `DistanceOracle`) |
-//!
-//! The old `run()` shims return the per-scheme result structs
-//! (`TzBuildResult`, bare sketch sets); the scheme API returns the same data
-//! inside a [`BuildOutcome`] — `result.sketches` / `result.stats` map
-//! directly onto `outcome.sketches` / `outcome.stats`.  When the scheme is
-//! only known at runtime, go through [`SchemeSpec`] / [`SketchBuilder`]
-//! instead of matching on families yourself.  Per-shim equivalence tests
-//! (`deprecated_shim_matches_scheme_api`) pin the old and new paths to the
-//! same output for as long as the shims exist.
-//!
-//! [`ThorupZwickScheme::build_with_hierarchy`]: scheme::ThorupZwickScheme::build_with_hierarchy
-//! [`evaluate_oracle`]: eval::evaluate_oracle
-//! [`evaluate_oracle_sampled`]: eval::evaluate_oracle_sampled
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -177,7 +145,7 @@ pub mod slack;
 pub mod prelude {
     pub use crate::centralized::CentralizedTz;
     pub use crate::codec::{CodecError, Decoder, Encoder, SketchCodec};
-    pub use crate::distributed::{DistributedTz, DistributedTzConfig, SyncMode, TzBuildResult};
+    pub use crate::distributed::{DistributedTzConfig, SyncMode, TzBuildResult};
     pub use crate::error::SketchError;
     pub use crate::eval::{
         evaluate_oracle, evaluate_oracle_sampled, evaluate_oracle_with_slack, SlackReport,
@@ -194,10 +162,10 @@ pub mod prelude {
         TzSketchSet,
     };
     pub use crate::sketch::{Sketch, SketchSet};
-    pub use crate::slack::cdg::{CdgParams, CdgSketchSet, DistributedCdg};
-    pub use crate::slack::degrading::{DegradingParams, DegradingSketchSet, DistributedDegrading};
+    pub use crate::slack::cdg::{CdgParams, CdgSketchSet};
+    pub use crate::slack::degrading::{DegradingParams, DegradingSketchSet};
     pub use crate::slack::density_net::DensityNet;
-    pub use crate::slack::three_stretch::{DistributedThreeStretch, ThreeStretchSketchSet};
+    pub use crate::slack::three_stretch::ThreeStretchSketchSet;
     // The CONGEST engine types every SchemeConfig embeds, re-exported so
     // downstream crates don't need a congest-sim dependency just to
     // configure a build.

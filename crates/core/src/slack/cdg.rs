@@ -168,8 +168,7 @@ impl DistanceOracle for CdgSketchSet {
 
 /// The Theorem 4.6 construction: sample the net, restrict the hierarchy to
 /// it, run the distributed Thorup–Zwick engine.  Crate-internal engine
-/// behind [`crate::scheme::CdgScheme`] and the deprecated [`DistributedCdg`]
-/// shim.
+/// behind [`crate::scheme::CdgScheme`].
 pub(crate) fn build(
     graph: &Graph,
     params: CdgParams,
@@ -214,26 +213,6 @@ pub(crate) fn build_direct(
         },
         built.timings,
     ))
-}
-
-/// Builder for (ε, k)-CDG sketches (deprecated shim over
-/// [`crate::scheme::CdgScheme`]; see the
-/// [crate-level migration table](crate#migrating-from-the-deprecated-run-entry-points)).
-pub struct DistributedCdg;
-
-impl DistributedCdg {
-    /// Run the distributed construction.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use CdgScheme::new(eps, k).build(graph, &config) or SketchBuilder::cdg(eps, k)"
-    )]
-    pub fn run(
-        graph: &Graph,
-        params: CdgParams,
-        config: DistributedTzConfig,
-    ) -> Result<CdgSketchSet, SketchError> {
-        build(graph, params, config)
-    }
 }
 
 /// Sample the net-restricted hierarchy, retrying seeds (and, as a last
@@ -372,17 +351,5 @@ mod tests {
         let prob = p.level_probability(1000);
         assert!(prob > 0.0 && prob < 1.0);
         assert_eq!(CdgParams::new(0.25, 1).level_probability(1000), 0.0);
-    }
-
-    /// The deprecated shim must keep matching the scheme API while it exists.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_matches_scheme_api() {
-        let g = grid(6, 6, GeneratorConfig::uniform(5, 1, 8));
-        let params = CdgParams::new(0.3, 2).with_seed(2);
-        let old = DistributedCdg::run(&g, params, DistributedTzConfig::default()).unwrap();
-        let new = build_scheme(&g, params);
-        assert_eq!(old.net, new.net);
-        assert_eq!(old.sketches, new.sketches);
     }
 }

@@ -157,8 +157,7 @@ impl DistanceOracle for DegradingSketchSet {
 }
 
 /// The Theorem 4.8 layered construction.  Crate-internal engine behind
-/// [`crate::scheme::DegradingScheme`] and the deprecated
-/// [`DistributedDegrading`] shim.
+/// [`crate::scheme::DegradingScheme`].
 pub(crate) fn build(
     graph: &Graph,
     params: DegradingParams,
@@ -200,26 +199,6 @@ pub(crate) fn build_direct(
         },
         timings,
     ))
-}
-
-/// Builder for gracefully degrading sketches (deprecated shim over
-/// [`crate::scheme::DegradingScheme`]; see the
-/// [crate-level migration table](crate#migrating-from-the-deprecated-run-entry-points)).
-pub struct DistributedDegrading;
-
-impl DistributedDegrading {
-    /// Run the layered construction on `graph`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use DegradingScheme::new().build(graph, &config) or SketchBuilder::degrading()"
-    )]
-    pub fn run(
-        graph: &Graph,
-        params: DegradingParams,
-        config: DistributedTzConfig,
-    ) -> Result<DegradingSketchSet, SketchError> {
-        build(graph, params, config)
-    }
 }
 
 #[cfg(test)]
@@ -327,27 +306,5 @@ mod tests {
         assert_eq!(sketches.words(u), manual);
         assert!(sketches.max_words() >= manual);
         assert!(sketches.stats.rounds > 0);
-    }
-
-    /// The deprecated shim must keep matching the scheme API while it exists.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_matches_scheme_api() {
-        let g = erdos_renyi(48, 0.12, GeneratorConfig::uniform(9, 1, 10));
-        let old = DistributedDegrading::run(
-            &g,
-            DegradingParams::new(7).with_max_k(2).with_max_layers(2),
-            DistributedTzConfig::default(),
-        )
-        .unwrap();
-        let new = build_scheme(
-            &g,
-            DegradingScheme::new().with_max_k(2).with_max_layers(2),
-            7,
-        );
-        assert_eq!(old.num_layers(), new.num_layers());
-        for (a, b) in old.layers.iter().zip(new.layers.iter()) {
-            assert_eq!(a.sketches, b.sketches);
-        }
     }
 }

@@ -84,8 +84,7 @@ impl DistanceOracle for ThreeStretchSketchSet {
 
 /// The Theorem 4.3 construction: sample the net, run the k-source
 /// Bellman–Ford from it, assemble per-node sketches.  Crate-internal engine
-/// behind [`crate::scheme::ThreeStretchScheme`] and the deprecated
-/// [`DistributedThreeStretch`] shim.
+/// behind [`crate::scheme::ThreeStretchScheme`].
 pub(crate) fn build(
     graph: &Graph,
     eps: f64,
@@ -186,28 +185,6 @@ pub(crate) fn build_direct(
     ))
 }
 
-/// Builder for Theorem 4.3 sketches (deprecated shim over
-/// [`crate::scheme::ThreeStretchScheme`]; see the
-/// [crate-level migration table](crate#migrating-from-the-deprecated-run-entry-points)).
-pub struct DistributedThreeStretch;
-
-impl DistributedThreeStretch {
-    /// Run the distributed construction on `graph` with slack `eps`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use ThreeStretchScheme::new(eps).build(graph, &config) or SketchBuilder::three_stretch(eps)"
-    )]
-    pub fn run(
-        graph: &Graph,
-        eps: f64,
-        seed: u64,
-        congest: CongestConfig,
-        max_rounds: u64,
-    ) -> Result<ThreeStretchSketchSet, SketchError> {
-        build(graph, eps, seed, congest, max_rounds)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,17 +275,5 @@ mod tests {
         let err = ThreeStretchScheme::new(0.2)
             .build(&g, &SchemeConfig::default().with_seed(1).with_max_rounds(1));
         assert!(matches!(err, Err(SketchError::RoundLimitExceeded { .. })));
-    }
-
-    /// The deprecated shim must keep matching the scheme API while it exists.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_matches_scheme_api() {
-        let g = grid(5, 5, GeneratorConfig::uniform(3, 1, 7));
-        let old =
-            DistributedThreeStretch::run(&g, 0.4, 6, CongestConfig::default(), u64::MAX).unwrap();
-        let new = build_scheme(&g, 0.4, 6, CongestConfig::default());
-        assert_eq!(old.net, new.net);
-        assert_eq!(old.sketches, new.sketches);
     }
 }

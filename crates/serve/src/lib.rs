@@ -39,9 +39,10 @@
 //!   and is serving as soon as the labels are read and checksummed.
 //! * **Hot snapshot swap** — [`SketchServer::swap_snapshot`] replaces the
 //!   serving oracle *while queries are in flight*: the new snapshot is
-//!   deep-verified and published through a lock-free [`SwapCell`] as a new
-//!   [`Generation`]; readers never block, stale cache entries are lazily
-//!   invalidated, and the retired oracle is dropped when its last reader
+//!   deep-verified and published through a [`SwapCell`] (a version counter
+//!   over a mutex-guarded `Arc`) as a new [`Generation`]; each shard sees
+//!   the version move at its next batch boundary, reloads, and drops its
+//!   cache there, and the retired oracle is dropped when its last reader
 //!   lets go (see [`swap`]).
 //!
 //! # Example
@@ -82,10 +83,7 @@
 //!     --scheme tz:3 --nodes 512 --queries 100000 --shards 4
 //! ```
 
-// `deny` (not `forbid`) so the one module implementing the lock-free swap
-// cell can opt in with its per-operation safety proofs; everything else in
-// the crate stays safe code.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod cache;

@@ -245,7 +245,7 @@ pub struct NetServer {
     accept_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     server: Option<Arc<SketchServer>>,
-    counters: Arc<NetCounters>,
+    registry: Arc<MetricsRegistry>,
     config: NetConfig,
 }
 
@@ -344,7 +344,7 @@ impl NetServer {
             accept_thread: Some(accept_thread),
             workers,
             server: Some(server),
-            counters,
+            registry,
             config: net_config,
         })
     }
@@ -366,7 +366,7 @@ impl NetServer {
 
     /// Snapshot the wire-level counters.
     pub fn net_stats(&self) -> NetStats {
-        self.counters.snapshot()
+        NetStats::from_metrics(&self.registry.snapshot())
     }
 
     /// Gracefully drain and stop: refuse new connections, let in-flight
@@ -374,7 +374,7 @@ impl NetServer {
     /// shard router, and return the final counters.
     pub fn shutdown(mut self) -> NetServerStats {
         self.stop_net();
-        let net = self.counters.snapshot();
+        let net = self.net_stats();
         let serve = match self.server.take() {
             Some(server) => match Arc::try_unwrap(server) {
                 Ok(server) => server.shutdown(),

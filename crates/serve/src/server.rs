@@ -15,7 +15,7 @@
 //!   [queue 0]    [queue 1]  …   [queue S−1]     bounded sync channels
 //!        │           │               │
 //!   worker 0     worker 1       worker S−1      one thread per shard
-//!   LRU cache    LRU cache      LRU cache       private, generation-tagged
+//!   LRU cache    LRU cache      LRU cache       private, one generation each
 //!        └───────────┴───────┬───────┘
 //!                            ▼
 //!           SwapCell<Generation> → Arc<dyn DistanceOracle>
@@ -25,9 +25,9 @@
 //! [`SketchServer::swap_snapshot`] publishes a new generation while the
 //! workers keep answering: each worker probes the cell's version once per
 //! batch (one atomic load) and reloads its `Arc<Generation>` only when a
-//! swap landed.  Cache entries are tagged with the generation that produced
-//! them and lazily discarded on touch after a swap — no flush pause, no
-//! stop-the-world.
+//! swap landed.  A worker that reloads starts a fresh cache in the same
+//! step, so a cache only ever holds answers of the generation its worker is
+//! serving — no tag per entry, no stop-the-world flush across shards.
 //!
 //! Each worker runs under a per-shard supervisor thread
 //! (`dsketch-serve-sup-{shard}`): a panicking worker is joined, counted in
@@ -202,10 +202,10 @@ fn supervise_shard(
 ///
 /// Generation handling: the worker keeps one `Arc<Generation>` and probes
 /// [`SwapCell::version`] once per batch — a single atomic load — reloading
-/// only when a swap was published.  Cache values are tagged with the
-/// generation that computed them; an entry whose tag does not match the
-/// current generation is discarded on touch (counted as an invalidation
-/// *and* a miss, so `hits + misses == queries` stays true across swaps).
+/// only when a swap was published.  The cache belongs to that generation:
+/// the reload replaces it with an empty one and adds the number of entries
+/// dropped to `cache_invalidations`.  Lookups after that are plain misses,
+/// so `hits + misses == queries` stays true across swaps.
 ///
 /// The receiver arrives behind a mutex because the supervisor hands the
 /// same channel to each worker incarnation; there is exactly one live
@@ -221,7 +221,7 @@ fn run_worker(
     tracer: Arc<Tracer>,
     cache_capacity: usize,
 ) {
-    let mut cache: LruCache<(NodeId, NodeId), (u64, Distance)> = LruCache::new(cache_capacity);
+    let mut cache: LruCache<(NodeId, NodeId), Distance> = LruCache::new(cache_capacity);
     let mut current = cell.load();
     loop {
         let job = {
@@ -248,24 +248,15 @@ fn run_worker(
         }
         if cell.version() != current.number {
             current = cell.load();
+            counters.cache_invalidations.add(cache.len() as u64);
+            cache = LruCache::new(cache_capacity);
         }
         let generation = current.number;
         let mut results = Vec::with_capacity(job.pairs.len());
         for &(index, u, v) in &job.pairs {
             let start = Instant::now();
             let key = canonical(u, v);
-            let cached = match cache.get(&key) {
-                Some(&(tag, distance)) if tag == generation => Some(distance),
-                Some(_) => {
-                    // Stale entry from a retired generation: lazily
-                    // invalidated right here, on touch, instead of by a
-                    // stop-the-world flush at swap time.
-                    counters.cache_invalidations.inc();
-                    None
-                }
-                None => None,
-            };
-            let (result, cache_hit) = match cached {
+            let (result, cache_hit) = match cache.get(&key).copied() {
                 Some(distance) => {
                     counters.cache_hits.inc();
                     (Ok(distance), true)
@@ -274,7 +265,7 @@ fn run_worker(
                     counters.cache_misses.inc();
                     let result = current.oracle.estimate(u, v);
                     if let Ok(distance) = result {
-                        cache.insert(key, (generation, distance));
+                        cache.insert(key, distance);
                     }
                     (result, false)
                 }
@@ -455,8 +446,7 @@ impl SketchServer {
         let bytes = std::fs::read(path).map_err(dsketch_store::StoreError::Io)?;
         let raw = dsketch_store::SnapshotReader::new(&bytes[..]).read()?;
         let origin = (raw.spec(), raw.fingerprint());
-        let oracle: Arc<dyn DistanceOracle> =
-            Arc::from(dsketch_store::read_frozen_oracle(&bytes[..])?);
+        let oracle: Arc<dyn DistanceOracle> = Arc::from(raw.frozen_oracle()?);
         let tracer = Arc::new(Tracer::one_in(config.trace_sample));
         Ok(SketchServer::start_with_origin(
             oracle,
@@ -489,16 +479,15 @@ impl SketchServer {
     /// Every refusal leaves the live generation untouched — in-flight and
     /// follow-up queries keep answering from the old oracle.  On success
     /// the new [`Generation`] is published through the [`SwapCell`]:
-    /// readers pick it up at their next batch, per-shard cache entries
-    /// from older generations are lazily invalidated on touch, and the
-    /// retired oracle is dropped when its last in-flight reader finishes.
+    /// each shard picks it up at its next batch boundary and drops its
+    /// cache there, and the retired oracle is dropped when its last
+    /// in-flight reader finishes.
     pub fn swap_snapshot<P: AsRef<std::path::Path>>(&self, path: P) -> Result<u64, SwapError> {
         let bytes = std::fs::read(path).map_err(|e| SwapError::Store(e.into()))?;
         dsketch_analysis::verify_snapshot_bytes(&bytes)?;
         let raw = dsketch_store::SnapshotReader::new(&bytes[..]).read()?;
         let (spec, fingerprint) = (raw.spec(), raw.fingerprint());
-        let oracle: Arc<dyn DistanceOracle> =
-            Arc::from(dsketch_store::read_frozen_oracle(&bytes[..])?);
+        let oracle: Arc<dyn DistanceOracle> = Arc::from(raw.frozen_oracle()?);
         // Serialize publication: concurrent swappers validate against a
         // stable current generation and numbers advance without gaps.
         // dsketch-lint: allow(no-unwrap-in-hot-path): a poisoned swap lock means a swapper panicked — propagate
@@ -531,8 +520,8 @@ impl SketchServer {
         Ok(version)
     }
 
-    /// The generation currently serving (oracle + provenance).  One atomic
-    /// load plus a pin; never blocks.
+    /// The generation currently serving (oracle + provenance): one
+    /// `Arc` clone under the cell's lock.
     pub fn current_generation(&self) -> Arc<Generation> {
         self.cell.load()
     }
@@ -578,19 +567,10 @@ impl SketchServer {
         }
     }
 
-    /// Snapshot the per-shard and aggregate counters.
+    /// Snapshot the per-shard and aggregate counters (one registry
+    /// snapshot, the same view `GET /stats` serves).
     pub fn stats(&self) -> ServeStats {
-        let per_shard: Vec<_> = self.counters.iter().map(|c| c.snapshot()).collect();
-        let mut totals = crate::stats::ShardStats::default();
-        for shard in &per_shard {
-            totals.absorb(shard);
-        }
-        ServeStats {
-            totals,
-            per_shard,
-            generation: self.cell.version(),
-            swaps: self.swaps.value(),
-        }
+        ServeStats::from_metrics(&self.registry.snapshot(), self.num_shards())
     }
 
     /// Close the queues, join all workers, and return the final counters.

@@ -6,15 +6,15 @@
 //! per-shard breakdown — so experiment tables can put build cost and serve
 //! cost side by side.
 //!
-//! Since the observability refactor the live cells behind these snapshots
-//! are instruments in the server's [`MetricsRegistry`]: the internal
-//! counter structs hold cheap [`Counter`]/[`Gauge`]/[`Histogram`] handles
-//! registered under the `dsketch_serve_*` / `dsketch_net_*` families, and
-//! the public snapshot types here are *views* computed from those
-//! instruments.  [`ServeStats::from_metrics`] / [`NetStats::from_metrics`]
-//! rebuild the same views from one registry snapshot, which is how
-//! `GET /stats` guarantees every number in one response was read at one
-//! moment.
+//! The live cells behind these snapshots are instruments in the server's
+//! [`MetricsRegistry`]: the internal counter structs hold cheap
+//! [`Counter`]/[`Gauge`]/[`Histogram`] handles registered under the
+//! `dsketch_serve_*` / `dsketch_net_*` families, and the public snapshot
+//! types here are *views* of those instruments.  There is one path from
+//! instruments to views: [`ServeStats::from_metrics`] /
+//! [`NetStats::from_metrics`] over one registry snapshot, behind
+//! `SketchServer::stats`, `NetServer::net_stats` and `GET /stats` alike, so
+//! every number in one view was read at one moment.
 
 use dsketch_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 
@@ -28,12 +28,13 @@ pub struct ShardStats {
     pub cache_hits: u64,
     /// Queries that had to consult the oracle.
     pub cache_misses: u64,
-    /// Cached entries discarded on touch because they were computed under
-    /// a retired generation (lazy invalidation after a hot snapshot swap).
-    /// Each invalidation is *also* counted as a cache miss — the query did
-    /// consult the oracle — so `cache_hits + cache_misses == queries`
-    /// holds across swaps and post-swap misses are not misread as
-    /// cold-cache regressions.
+    /// Entries discarded when a shard picked up a new generation: the
+    /// worker drops its whole cache at the batch boundary where it saw the
+    /// version move, and adds the cache's size here.  The lookups that
+    /// follow are ordinary misses, so `cache_hits + cache_misses ==
+    /// queries` holds across swaps, and this counter says how much of a
+    /// post-swap miss burst is the swap's doing rather than a cold-cache
+    /// regression.
     pub cache_invalidations: u64,
     /// Queries that returned an error (unknown node, no common landmark).
     pub errors: u64,
@@ -347,27 +348,11 @@ impl NetCounters {
             ),
         }
     }
-
-    pub(crate) fn snapshot(&self) -> NetStats {
-        NetStats {
-            connections_accepted: self.connections_accepted.value(),
-            connections_refused: self.connections_refused.value(),
-            connections_closed: self.connections_closed.value(),
-            frames_in: self.frames_in.value(),
-            frames_out: self.frames_out.value(),
-            http_requests: self.http_requests.value(),
-            bytes_in: self.bytes_in.value(),
-            bytes_out: self.bytes_out.value(),
-            timeouts: self.timeouts.value(),
-            protocol_errors: self.protocol_errors.value(),
-            overloads: self.overload.value(),
-        }
-    }
 }
 
-/// The live instrument handles one worker thread writes and [`ServeStats`]
-/// snapshots read.  Every handle is a registered `dsketch_serve_*` series
-/// labeled with the shard index.
+/// The live instrument handles one worker thread writes and
+/// [`ServeStats::from_metrics`] reads back by name.  Every handle is a
+/// registered `dsketch_serve_*` series labeled with the shard index.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ShardCounters {
     pub queries: Counter,
@@ -409,7 +394,7 @@ impl ShardCounters {
             ),
             cache_invalidations: registry.counter_with(
                 "dsketch_serve_cache_invalidations_total",
-                "Cached entries discarded on touch after a snapshot swap.",
+                "Cached entries discarded when the shard picked up a new generation.",
                 labels,
             ),
             errors: registry.counter_with(
@@ -437,21 +422,6 @@ impl ShardCounters {
                 "Worker restarts performed by the shard supervisor after a panic.",
                 labels,
             ),
-        }
-    }
-
-    pub(crate) fn snapshot(&self) -> ShardStats {
-        let latency = self.latency.snapshot();
-        ShardStats {
-            queries: self.queries.value(),
-            cache_hits: self.cache_hits.value(),
-            cache_misses: self.cache_misses.value(),
-            cache_invalidations: self.cache_invalidations.value(),
-            errors: self.errors.value(),
-            batches: self.batches.value(),
-            busy_nanos: latency.sum,
-            max_latency_nanos: latency.max,
-            restarts: self.restarts.value(),
         }
     }
 
@@ -518,7 +488,7 @@ mod tests {
         counters.queries.add(3);
         counters.record_latency(50);
         counters.record_latency(10);
-        let snap = counters.snapshot();
+        let snap = &ServeStats::from_metrics(&registry.snapshot(), 1).per_shard[0];
         assert_eq!(snap.queries, 3);
         assert_eq!(snap.busy_nanos, 60);
         assert_eq!(snap.max_latency_nanos, 50);
@@ -583,10 +553,9 @@ mod tests {
             protocol_errors: 6,
             overloads: 7,
         };
-        assert_eq!(counters.snapshot(), expected);
-        // The registry-snapshot view reads back the same numbers.
-        assert_eq!(NetStats::from_metrics(&registry.snapshot()), expected);
-        let text = counters.snapshot().to_string();
+        let stats = NetStats::from_metrics(&registry.snapshot());
+        assert_eq!(stats, expected);
+        let text = stats.to_string();
         assert!(text.contains("3 conns accepted"));
         assert!(text.contains("1 refused"));
         assert!(text.contains("1200 B in / 3400 B out"));

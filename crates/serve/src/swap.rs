@@ -1,56 +1,20 @@
-//! Live snapshot swap: a hand-rolled, dependency-free `ArcSwap`-style
-//! cell and the generation tag it publishes.
+//! Live snapshot swap: the cell that publishes the current
+//! [`Generation`] and the generation tag itself.
 //!
 //! The serving stack was built over one immutable `Arc<dyn
 //! DistanceOracle>` fixed at startup; this module makes that binding
-//! *replaceable while queries are in flight*.  A [`SwapCell`] holds the
-//! current [`Generation`] (oracle + generation number + provenance);
-//! readers take a snapshot with one atomic load plus a pin, **never
-//! block, and never observe a torn value**; a writer publishes a fully
-//! built replacement and the retired generation is dropped exactly once,
-//! when the cell's reference and every outstanding reader clone are gone.
-//!
-//! # How the cell works
-//!
-//! ```text
-//!                    seq: AtomicU64 (monotonic, current = seq % 4)
-//!        ┌──────────┬──────────┬──────────┬──────────┐
-//!        │ slot 0   │ slot 1   │ slot 2   │ slot 3   │
-//!        │ pins ptr │ pins ptr │ pins ptr │ pins ptr │
-//!        └──────────┴──────────┴──────────┴──────────┘
-//!   reader:  s = seq; pin slot[s%4]; revalidate seq == s;
-//!            clone the Arc out of the slot; unpin
-//!   writer:  (mutex) wait pins == 0 on slot[(s+1)%4];
-//!            ptr.swap(new); seq = s+1; drop the displaced Arc
-//! ```
-//!
-//! The sequence number kills ABA: readers validate the *exact* `u64`
-//! they pinned under, so a pin taken against a stale sequence is always
-//! detected and retried.  A writer reuses a slot only after the slot has
-//! been non-current for `SLOTS − 1` generations *and* its pin count has
-//! drained to zero; the SeqCst total order makes the handshake airtight
-//! (see the safety comments on [`SwapCell::load`]).  Readers therefore
-//! spin only when a swap lands between their load and validation —
-//! never on a lock — and writers wait only for readers that pinned the
-//! one slot being recycled, generations ago.
-//!
-//! This is the only module in the crate allowed to use `unsafe`
-//! (`#![deny(unsafe_code)]` at the crate root, `#[allow]` here); every
-//! unsafe operation carries its proof.
-
-#![allow(unsafe_code)]
+//! *replaceable while queries are in flight*.  A [`SwapCell`] is a version
+//! counter over a mutex-guarded `Arc`: a shard worker reads the counter
+//! (one atomic load) at every batch boundary and takes the lock — for the
+//! length of one `Arc::clone` — only when the number moved, which happens
+//! once per rebuild.  A writer publishes a fully built replacement; the
+//! retired generation is dropped exactly once, when the cell's reference
+//! and every outstanding reader clone are gone.
 
 use dsketch::{DistanceOracle, SchemeSpec};
 use netgraph::GraphFingerprint;
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Slot-ring size.  A slot is recycled only after it has been
-/// non-current for `SLOTS − 1` consecutive swaps, which gives validated
-/// readers three full generations of slack before their slot's pointer
-/// can change.
-const SLOTS: usize = 4;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One published value the serving stack can be switched to: the oracle
 /// plus everything a swap has to validate and the stats endpoints report.
@@ -156,70 +120,50 @@ impl From<dsketch_store::StoreError> for SwapError {
     }
 }
 
-/// One slot of the ring: a raw `Arc` pointer plus the count of readers
-/// currently copying out of it.
-struct Slot<T> {
-    pins: AtomicUsize,
-    ptr: AtomicPtr<T>,
-}
-
-impl<T> Slot<T> {
-    fn empty() -> Slot<T> {
-        Slot {
-            pins: AtomicUsize::new(0),
-            ptr: AtomicPtr::new(std::ptr::null_mut()),
-        }
-    }
-}
-
-/// A wait-free-for-readers shared cell holding an `Arc<T>`, replaceable
-/// while readers are loading — the crate's hand-rolled, dependency-free
-/// `ArcSwap`.
+/// A shared cell holding an `Arc<T>`, replaceable while readers are
+/// loading: a version counter over a mutex-guarded `Arc`.
 ///
-/// * [`SwapCell::load`] clones the current `Arc` without blocking: no
-///   lock, no syscall, and retries only when a writer published between
-///   its two sequence reads (swaps are rare; queries are not).
-/// * [`SwapCell::store`] publishes a replacement and drops the value
-///   displaced from the recycled slot.  Writers serialize on an internal
-///   mutex; the reader path never touches it.
-/// * [`SwapCell::version`] is a single atomic load — the fast path for
-///   "has anything changed since I last looked?" checks on hot loops.
+/// * [`SwapCell::version`] is a single atomic load — the per-batch "has
+///   anything changed since I last looked?" check on hot loops.
+/// * [`SwapCell::load`] clones the current `Arc` under the lock, which is
+///   held for exactly that clone.
+/// * [`SwapCell::store`] publishes a replacement and drops the value it
+///   displaced.
 ///
-/// Every `Ordering` here is `SeqCst` on purpose: swaps are measured per
-/// minute while loads are amortized to one per shard batch, so the cost
-/// of the strongest ordering is noise and the correctness argument gets
-/// to use one total order.
+/// Two conditions carry the guarantees the serving stack relies on:
+///
+/// 1. **The version is bumped inside `store`'s critical section.**  A
+///    reader that saw version `v` and then calls `load` therefore gets
+///    generation `≥ v` (its lock follows the store that wrote `v`), and a
+///    `load` that returned generation `g` is followed by `version() ≥ g`.
+///    `run_worker`'s `if cell.version() != current.number { current =
+///    cell.load() }` depends on both halves: its reload must return the
+///    generation the version announced (or a newer one), and a generation
+///    it holds must never be ahead of the version, or the worker would
+///    reload — and drop its cache — for a swap it already has.  The mutex
+///    supplies the ordering; the counter only has to be atomic.
+/// 2. **The displaced `Arc` is dropped after the guard is released.**
+///    Dropping the cell's reference can free a 160 MB oracle, and a
+///    payload's `Drop` may itself touch the cell; neither may happen while
+///    readers are locked out.
+///
+/// Nothing that can panic runs under the lock, and both paths recover a
+/// poisoned guard anyway (the protected `Arc` is always a whole value), so
+/// `load` cannot panic because a swapper did.
 pub struct SwapCell<T> {
-    slots: [Slot<T>; SLOTS],
-    /// Monotonic publication counter; the current slot is `seq % SLOTS`.
-    /// Starts at 1 so version numbers align with generation numbers.
-    seq: AtomicU64,
-    writer: Mutex<()>,
-    /// The cell owns one strong reference per occupied slot, held as raw
-    /// pointers — tie `Send`/`Sync` to `Arc<T>`'s.
-    _owns: PhantomData<Arc<T>>,
+    current: Mutex<Arc<T>>,
+    /// 1 for the initial value, +1 per store, so version numbers align
+    /// with generation numbers.
+    version: AtomicU64,
 }
-
-// SAFETY: the cell is a container of `Arc<T>`s accessed under the
-// pin/sequence protocol below; it adds no thread affinity of its own, so
-// it is exactly as `Send`/`Sync` as `Arc<T>` (enforced by the bounds).
-unsafe impl<T: Send + Sync> Send for SwapCell<T> {}
-// SAFETY: as above — shared access is the whole point of the protocol.
-unsafe impl<T: Send + Sync> Sync for SwapCell<T> {}
 
 impl<T> SwapCell<T> {
     /// A cell holding `initial` as version 1.
     pub fn new(initial: Arc<T>) -> SwapCell<T> {
-        let cell = SwapCell {
-            slots: std::array::from_fn(|_| Slot::empty()),
-            seq: AtomicU64::new(1),
-            writer: Mutex::new(()),
-            _owns: PhantomData,
-        };
-        cell.slots[1 % SLOTS]
-            .ptr
-            .store(Arc::into_raw(initial).cast_mut(), Ordering::SeqCst);
-        cell
+        SwapCell {
+            current: Mutex::new(initial),
+            version: AtomicU64::new(1),
+        }
     }
 
     /// The current version: 1 for the initial value, +1 per [`store`].
@@ -229,106 +173,27 @@ impl<T> SwapCell<T> {
     ///
     /// [`store`]: SwapCell::store
     pub fn version(&self) -> u64 {
-        self.seq.load(Ordering::SeqCst)
+        self.version.load(Ordering::Acquire)
     }
 
-    /// Clone out the current value.  Never blocks: the only retry is a
-    /// writer publishing between the sequence read and its revalidation.
+    /// Clone out the current value.
     pub fn load(&self) -> Arc<T> {
-        loop {
-            let seq = self.seq.load(Ordering::SeqCst);
-            let slot = &self.slots[(seq % SLOTS as u64) as usize];
-            slot.pins.fetch_add(1, Ordering::SeqCst);
-            if self.seq.load(Ordering::SeqCst) != seq {
-                // A writer published while we pinned; the slot we hold
-                // may be (or be about to become) recycled.  Let it go
-                // and start over — the next iteration sees the new seq.
-                slot.pins.fetch_sub(1, Ordering::SeqCst);
-                std::hint::spin_loop();
-                continue;
-            }
-            let ptr = slot.ptr.load(Ordering::SeqCst);
-            // SAFETY: `ptr` was produced by `Arc::into_raw` (in `new` or
-            // `store`) and the cell still owns that strong reference, so
-            // the allocation is live unless a writer recycled this slot.
-            // Recycling slot `seq % SLOTS` happens only inside `store`
-            // for version `seq + SLOTS`, after (a) every intermediate
-            // version `seq+1 … seq+SLOTS−1` was published and (b) this
-            // slot's pin count was observed to be zero.  Our pin was
-            // acquired *before* the validation load that returned `seq`,
-            // which in the SeqCst total order places it before the
-            // `seq+1` publication — so any later pin check either sees
-            // our pin (and waits) or runs after we unpin below.  While
-            // we hold the pin, therefore, neither the pointer nor the
-            // strong count it guards can be retired.
-            //
-            // SAFETY: per the argument above, `ptr` is a live `Arc`
-            // allocation while our pin is held, so incrementing the
-            // strong count then reconstituting yields a valid clone.
-            let value = unsafe {
-                Arc::increment_strong_count(ptr);
-                Arc::from_raw(ptr)
-            };
-            slot.pins.fetch_sub(1, Ordering::SeqCst);
-            return value;
-        }
+        Arc::clone(&self.current.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Publish `next` as the new current value and return its version.
     ///
-    /// The value displaced from the recycled slot (`SLOTS` publications
-    /// old, retired for `SLOTS − 1`) is dropped here — the last reader
-    /// clone of *any* generation keeps that generation alive until it is
+    /// The displaced value is released here, outside the lock; the last
+    /// reader clone of a generation keeps it alive until that clone is
     /// dropped, so "retire" never frees memory a reader still holds.
     pub fn store(&self, next: Arc<T>) -> u64 {
-        // dsketch-lint: allow(no-unwrap-in-hot-path): a poisoned writer lock means a writer panicked mid-swap — propagate
-        let _writer = self.writer.lock().expect("swap writer lock poisoned");
-        let seq = self.seq.load(Ordering::SeqCst);
-        let incoming = &self.slots[((seq + 1) % SLOTS as u64) as usize];
-        // Wait out readers still pinning the slot being recycled.  Such a
-        // reader pinned against a sequence ≥ SLOTS−1 publications stale,
-        // so it is about to fail validation and unpin; this wait is a few
-        // loads, not a lock readers can contend on.
-        let mut spins = 0u32;
-        while incoming.pins.load(Ordering::SeqCst) != 0 {
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        let fresh = Arc::into_raw(next).cast_mut();
-        let displaced = incoming.ptr.swap(fresh, Ordering::SeqCst);
-        self.seq.store(seq + 1, Ordering::SeqCst);
-        if !displaced.is_null() {
-            // `displaced` is the strong reference the cell took via
-            // `Arc::into_raw` when that generation was published.  It
-            // stopped being current `SLOTS − 1` publications ago, no
-            // reader has been able to pin-and-validate this slot since
-            // (validation compares exact sequence numbers), and the wait
-            // above saw the pin count at zero.  Reader clones hold their
-            // own strong counts and keep the value alive past this drop.
-            //
-            // SAFETY: reconstituting the `Arc` therefore releases the
-            // cell's sole remaining reference, exactly once.
-            drop(unsafe { Arc::from_raw(displaced) });
-        }
-        seq + 1
-    }
-}
-
-impl<T> Drop for SwapCell<T> {
-    fn drop(&mut self) {
-        for slot in &self.slots {
-            let ptr = slot.ptr.swap(std::ptr::null_mut(), Ordering::SeqCst);
-            if !ptr.is_null() {
-                // SAFETY: `&mut self` proves no reader or writer is
-                // active, and each occupied slot holds exactly the one
-                // strong reference the cell took with `Arc::into_raw`.
-                drop(unsafe { Arc::from_raw(ptr) });
-            }
-        }
+        let (displaced, version) = {
+            let mut current = self.current.lock().unwrap_or_else(PoisonError::into_inner);
+            let displaced = std::mem::replace(&mut *current, next);
+            (displaced, self.version.fetch_add(1, Ordering::Release) + 1)
+        };
+        drop(displaced);
+        version
     }
 }
 
@@ -343,13 +208,14 @@ impl<T> std::fmt::Debug for SwapCell<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64 as Counter;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{OnceLock, Weak};
 
     /// A payload that counts its drops, so tests can pin down "dropped
     /// exactly once, and only after the last reader let go".
     struct DropProbe {
         id: u64,
-        drops: Arc<Counter>,
+        drops: Arc<AtomicU64>,
     }
 
     impl Drop for DropProbe {
@@ -373,7 +239,7 @@ mod tests {
 
     #[test]
     fn every_generation_drops_exactly_once() {
-        let drops = Arc::new(Counter::new(0));
+        let drops = Arc::new(AtomicU64::new(0));
         let make = |id: u64| {
             Arc::new(DropProbe {
                 id,
@@ -387,15 +253,14 @@ mod tests {
                 held.push(cell.load());
                 cell.store(make(id));
             }
-            // 10 generations exist; the cell retires all but the newest
-            // SLOTS of them, but reader clones in `held` keep their
-            // generations alive regardless.
+            // Generations 1..=9 are alive only through the reader clones
+            // in `held`, generation 10 only through the cell.
             assert_eq!(held.iter().map(|g| g.id).min().unwrap(), 1);
-            let alive_in_cell = SLOTS as u64;
-            assert!(drops.load(Ordering::SeqCst) <= 10 - alive_in_cell);
-            // Dropping the reader clones must not double-free retired
-            // generations the cell also released.
+            assert_eq!(drops.load(Ordering::SeqCst), 0);
+            // Dropping the reader clones must free each retired
+            // generation once, and must not touch the current one.
             held.clear();
+            assert_eq!(drops.load(Ordering::SeqCst), 9);
         }
         // Cell and clones gone: all 10 payloads dropped exactly once.
         assert_eq!(drops.load(Ordering::SeqCst), 10);
@@ -403,36 +268,92 @@ mod tests {
 
     #[test]
     fn reader_clones_keep_retired_generations_alive() {
-        let drops = Arc::new(Counter::new(0));
-        let cell = SwapCell::new(Arc::new(DropProbe {
-            id: 1,
-            drops: Arc::clone(&drops),
-        }));
-        let pinned = cell.load();
-        assert!(Arc::strong_count(&pinned) >= 2, "cell + reader clone");
-        // Push generation 1 fully out of the ring.
-        for id in 2..=(SLOTS as u64 + 2) {
-            cell.store(Arc::new(DropProbe {
+        let drops = Arc::new(AtomicU64::new(0));
+        let make = |id: u64| {
+            Arc::new(DropProbe {
                 id,
                 drops: Arc::clone(&drops),
-            }));
+            })
+        };
+        let cell = SwapCell::new(make(1));
+        let pinned = cell.load();
+        assert_eq!(Arc::strong_count(&pinned), 2, "cell + reader clone");
+        for id in 2..=50u64 {
+            cell.store(make(id));
         }
-        // Generation 1 was displaced from its slot, but our clone holds it.
+        // Every unheld generation 2..=49 was released by the store that
+        // displaced it; generation 1 lives on through our clone alone.
         assert_eq!(pinned.id, 1);
         assert_eq!(Arc::strong_count(&pinned), 1, "cell reference released");
-        let dropped_before = drops.load(Ordering::SeqCst);
+        assert_eq!(drops.load(Ordering::SeqCst), 48);
         drop(pinned);
         assert_eq!(
             drops.load(Ordering::SeqCst),
-            dropped_before + 1,
+            49,
             "last clone drop frees generation 1 exactly once"
         );
     }
 
+    /// A payload whose `Drop` reads the cell it was displaced from.
+    struct Reentrant {
+        id: u64,
+        cell: Arc<OnceLock<Weak<SwapCell<Reentrant>>>>,
+        seen_on_drop: Arc<AtomicU64>,
+    }
+
+    impl Drop for Reentrant {
+        fn drop(&mut self) {
+            if let Some(cell) = self.cell.get().and_then(Weak::upgrade) {
+                self.seen_on_drop.store(cell.load().id, Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// Condition 2 of the cell's contract: a cell that dropped the
+    /// displaced `Arc` while still holding its guard would self-deadlock
+    /// here (the payload's `Drop` calls `load` on the same thread).
+    #[test]
+    fn a_payload_whose_drop_loads_the_cell_does_not_deadlock_store() {
+        let handle = Arc::new(OnceLock::new());
+        let seen_on_drop = Arc::new(AtomicU64::new(0));
+        let make = |id: u64| {
+            Arc::new(Reentrant {
+                id,
+                cell: Arc::clone(&handle),
+                seen_on_drop: Arc::clone(&seen_on_drop),
+            })
+        };
+        let cell = Arc::new(SwapCell::new(make(1)));
+        assert!(handle.set(Arc::downgrade(&cell)).is_ok());
+        let next = make(2);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let swapper = {
+            let cell = Arc::clone(&cell);
+            std::thread::spawn(move || {
+                // Generation 1 has no other owner: this store drops it.
+                let version = cell.store(next);
+                let _ = done_tx.send(version);
+            })
+        };
+        let version = done_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("store deadlocked dropping the displaced generation under its lock");
+        swapper.join().expect("swapper panicked");
+        assert_eq!(version, 2);
+        assert_eq!(
+            seen_on_drop.load(Ordering::SeqCst),
+            2,
+            "the displaced payload's drop ran after publication and saw generation 2"
+        );
+    }
+
+    /// Condition 1 of the cell's contract, as `run_worker` uses it: a
+    /// version number read from `version()` is a lower bound on what the
+    /// next `load` returns, and an upper bound is the version read after.
     #[test]
     fn concurrent_loads_and_stores_never_yield_torn_or_stale_beyond_window() {
         let cell = Arc::new(SwapCell::new(Arc::new(1u64)));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop = Arc::new(AtomicBool::new(false));
         let readers: Vec<_> = (0..4)
             .map(|_| {
                 let cell = Arc::clone(&cell);
@@ -444,7 +365,11 @@ mod tests {
                     // least one load even on a single-core box where the
                     // writer finishes before readers are first scheduled.
                     loop {
+                        let before = cell.version();
                         let value = *cell.load();
+                        let after = cell.version();
+                        assert!(value >= before, "load {value} older than version {before}");
+                        assert!(value <= after, "load {value} ahead of version {after}");
                         assert!(value >= last, "reads must be monotonic per thread");
                         last = value;
                         loads += 1;
@@ -456,14 +381,15 @@ mod tests {
                 })
             })
             .collect();
-        for value in 2..500u64 {
-            cell.store(Arc::new(value));
+        // The payload is its own version number: store k publishes k.
+        for value in 2..2000u64 {
+            assert_eq!(cell.store(Arc::new(value)), value);
         }
         stop.store(true, Ordering::Relaxed);
         for reader in readers {
             assert!(reader.join().expect("reader panicked") > 0);
         }
-        assert_eq!(*cell.load(), 499);
-        assert_eq!(cell.version(), 499);
+        assert_eq!(*cell.load(), 1999);
+        assert_eq!(cell.version(), 1999);
     }
 }

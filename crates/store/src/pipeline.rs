@@ -369,16 +369,26 @@ pub fn load_frozen_oracle<P: AsRef<Path>>(path: P) -> Result<Box<dyn DistanceOra
 
 /// [`load_frozen_oracle`] over any reader.
 pub fn read_frozen_oracle<R: Read>(reader: R) -> Result<Box<dyn DistanceOracle>, StoreError> {
-    let started = std::time::Instant::now();
-    let raw = SnapshotReader::new(reader).read()?;
-    let spec = raw.spec();
-    let flat = FlatSketchSet::from_family_bytes(&spec, raw.require_section(SECTION_SKETCHES)?)
-        .map_err(|source| StoreError::Codec {
-            section: SECTION_SKETCHES,
-            source,
-        })?;
-    record_snapshot_load(started);
-    Ok(Box::new(flat))
+    SnapshotReader::new(reader).read()?.frozen_oracle()
+}
+
+impl RawSnapshot {
+    /// Materialize the `SKCH` section of this already parsed and
+    /// CRC-verified container into a frozen oracle — the decode half of
+    /// [`read_frozen_oracle`], for callers that also need the header
+    /// (origin checks before a swap) and must not parse the bytes twice.
+    /// Charges the load, timed from the start of the container read, to
+    /// `dsketch_store_snapshot_load_nanos`.
+    pub fn frozen_oracle(&self) -> Result<Box<dyn DistanceOracle>, StoreError> {
+        let flat =
+            FlatSketchSet::from_family_bytes(&self.spec(), self.require_section(SECTION_SKETCHES)?)
+                .map_err(|source| StoreError::Codec {
+                    section: SECTION_SKETCHES,
+                    source,
+                })?;
+        record_snapshot_load(self.read_started);
+        Ok(Box::new(flat))
+    }
 }
 
 /// Like [`load_oracle`], but refuse with

@@ -94,6 +94,9 @@ pub struct RawSnapshot {
     payload: Vec<u8>,
     /// Total on-disk size (header block + payload), for reporting.
     total_bytes: u64,
+    /// When [`SnapshotReader::read`] began, so a decode that follows can
+    /// report the whole load as one duration.
+    pub(crate) read_started: std::time::Instant,
 }
 
 impl RawSnapshot {
@@ -159,6 +162,7 @@ impl<R: Read> SnapshotReader<R> {
     /// payload area, CRC-check every section.  Fails with a typed
     /// [`StoreError`] on truncation, corruption, or version mismatch.
     pub fn read(mut self) -> Result<RawSnapshot, StoreError> {
+        let read_started = std::time::Instant::now();
         if let Some(fault) = dsketch_faults::fail_point!("store.load.read") {
             return Err(StoreError::Io(fault.io_error("store.load.read")));
         }
@@ -246,6 +250,7 @@ impl<R: Read> SnapshotReader<R> {
             total_bytes: 12 + cast::u64_from_usize(header_len) + payload_len,
             header,
             payload,
+            read_started,
         })
     }
 }

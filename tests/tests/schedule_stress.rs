@@ -4,12 +4,12 @@
 //! interleavings, and assert the results are bit-identical to the
 //! sequential oracle every time.
 //!
-//! The point is not to *prove* the absence of races (the gated `tsan` CI
-//! job aims the real detector at these same tests); it is to make
-//! schedule-dependence **observable**: every assertion here compares a
-//! concurrent execution against a deterministic reference, so any unsynced
-//! mutation, lost batch, or cross-wired reply channel shows up as a value
-//! mismatch under `cargo test` on any machine, no sanitizer required.
+//! The point is not to *prove* the absence of races (every crate is
+//! `#![forbid(unsafe_code)]`, so the compiler already rules out data
+//! races); it is to make schedule-dependence **observable**: every
+//! assertion here compares a concurrent execution against a deterministic
+//! reference, so any lost batch or cross-wired reply channel shows up as a
+//! value mismatch under `cargo test` on any machine.
 //!
 //! All workloads are seeded (a splitmix-style generator below) — a failure
 //! reproduces from the printed round/seed alone.

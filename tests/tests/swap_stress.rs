@@ -375,8 +375,8 @@ fn drive_cell(readers: usize, stores: u64, holds: usize) {
                 cell.store(make(id));
             }
         });
-        // All readers done; the cell still owns up to SLOTS recent
-        // generations, so nothing can have dropped total times yet.
+        // All readers done; the cell still owns the current generation,
+        // so nothing can have dropped total times yet.
         assert!(drops.load(Ordering::SeqCst) < total);
         assert!(live.load(Ordering::SeqCst) > 0);
     }

@@ -481,7 +481,7 @@ fn e8_equivalence(quick: bool) -> ExperimentResult {
 
 /// E9 — Section 3.3: cost of distributed termination detection.
 fn e9_termination_overhead(quick: bool) -> ExperimentResult {
-    let n = if quick { 96 } else { 160 };
+    let n = if quick { 96 } else { 320 };
     let mut table = Table::new(&[
         "workload",
         "k",
@@ -546,7 +546,7 @@ fn e10_rounds_scaling(quick: bool) -> ExperimentResult {
     let sizes: &[usize] = if quick {
         &[64, 128]
     } else {
-        &[64, 128, 256, 512]
+        &[64, 128, 256, 512, 1024, 2048]
     };
     let k = 2usize;
     let mut table = Table::new(&[

@@ -1,25 +1,29 @@
 //! The synchronous round engine.
 //!
-//! One [`Network`] owns one [`NodeProgram`] instance per graph node and
-//! repeatedly executes rounds:
+//! One [`Network`] owns one [`NodeProgram`] instance per graph node.  The
+//! nodes are cut into consecutive ranges, one per worker thread, and a round
+//! is a single parallel section in which every worker
 //!
-//! 1. **Compute** — every node program is stepped with the messages that were
-//!    delivered to it at the end of the previous round.  Node state is fully
-//!    node-local, so this step is executed in parallel across a pool of
-//!    scoped threads; the result is bit-identical to a sequential execution
-//!    because programs cannot observe each other within a round.
-//! 2. **Deliver** — queued messages are moved to their destination inboxes in
-//!    deterministic (sender-id) order, adjacency is validated, the per-edge
-//!    bandwidth budget is enforced, and statistics are updated.
+//! 1. **pulls** — drains the lanes addressed to its range during the previous
+//!    round, sender worker by sender worker, into its nodes' inboxes (cleared,
+//!    not dropped), and
+//! 2. **steps** — runs each of its node programs on its inbox; what a program
+//!    sends is validated, counted and appended to this worker's lane for the
+//!    destination's worker at send time (see [`crate::node`]).
 //!
-//! The run terminates when every program reports `is_done()` and no messages
-//! are in flight (the simulator's global-termination oracle), or when the
-//! configured round limit is hit.
+//! Workers step their nodes in id order and are drained in worker order, so
+//! every inbox is ordered by sender id, then send order, whatever the number
+//! of threads: a run is bit-identical to a sequential one.  Lanes and inboxes
+//! keep their capacity, so rounds stop allocating once the busiest is past.
+//!
+//! The run ends when every program reports `is_done()` and the last round
+//! sent nothing (the simulator's global-termination oracle), or at the
+//! configured round limit.
 
-use crate::message::MessageSize;
-use crate::node::{Incoming, NodeContext, NodeProgram};
+use crate::node::{Incoming, Lanes, NodeContext, NodeProgram};
 use crate::stats::RunStats;
 use netgraph::{Graph, NodeId};
+use std::mem;
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
@@ -34,7 +38,7 @@ pub struct CongestConfig {
     /// The default of 4 admits that constant while still catching runaway
     /// programs; set it to 1 to assert the strict model.
     pub messages_per_edge_per_round: usize,
-    /// Number of worker threads for the compute step.  `0` means "use all
+    /// Number of worker threads a round runs on.  `0` means "use all
     /// available parallelism".
     pub num_threads: usize,
     /// If true (default), exceeding the bandwidth budget panics; if false the
@@ -90,12 +94,55 @@ pub struct RunOutcome {
     pub stats: RunStats,
 }
 
+impl<M> Lanes<M> {
+    /// Pull last round's messages into `inboxes`, then step `programs` (the
+    /// nodes `base..base + programs.len()`) on them.
+    fn run_round<P: NodeProgram<Message = M>>(
+        &mut self,
+        graph: &Graph,
+        base: usize,
+        round: u64,
+        starting: bool,
+        programs: &mut [P],
+        inboxes: &mut [Vec<Incoming<M>>],
+    ) {
+        for inbox in inboxes.iter_mut() {
+            inbox.clear();
+        }
+        for lane in &mut self.arriving {
+            for (to, incoming) in lane.drain(..) {
+                inboxes[to.index() - base].push(incoming);
+            }
+        }
+        for (offset, (program, inbox)) in programs.iter_mut().zip(inboxes.iter()).enumerate() {
+            let mut ctx = NodeContext {
+                node: NodeId::from_index(base + offset),
+                round,
+                graph,
+                incoming: inbox,
+                out: self,
+                queued: 0,
+            };
+            if starting {
+                program.on_start(&mut ctx);
+            } else {
+                program.on_round(&mut ctx);
+            }
+        }
+    }
+}
+
 /// A simulated CONGEST network executing one program per node.
 pub struct Network<'g, P: NodeProgram> {
     graph: &'g Graph,
-    config: CongestConfig,
     programs: Vec<P>,
     inboxes: Vec<Vec<Incoming<P::Message>>>,
+    /// Nodes per worker: worker `w` owns nodes `w * chunk..(w + 1) * chunk`.
+    chunk: usize,
+    workers: Vec<Lanes<P::Message>>,
+    /// Messages sent by the last round (or by `on_start`), delivered by the
+    /// next one.
+    in_flight: u64,
     stats: RunStats,
     round: u64,
     started: bool,
@@ -110,12 +157,18 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         mut factory: impl FnMut(NodeId) -> P,
     ) -> Self {
         let n = graph.num_nodes();
-        let programs = graph.nodes().map(&mut factory).collect();
+        let chunk = n.div_ceil(config.resolved_threads(n)).max(1);
+        let count = n.div_ceil(chunk);
+        let workers = (0..count)
+            .map(|_| Lanes::new(count, chunk, config))
+            .collect();
         Network {
             graph,
-            config,
-            programs,
+            programs: graph.nodes().map(&mut factory).collect(),
             inboxes: std::iter::repeat_with(Vec::new).take(n).collect(),
+            chunk,
+            workers,
+            in_flight: 0,
             stats: RunStats::default(),
             round: 0,
             started: false,
@@ -154,7 +207,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
 
     /// True if all programs report done and no messages are in flight.
     pub fn is_quiescent(&self) -> bool {
-        self.programs.iter().all(|p| p.is_done()) && self.inboxes.iter().all(|i| i.is_empty())
+        self.in_flight == 0 && self.programs.iter().all(|p| p.is_done())
     }
 
     /// Execute rounds until quiescence or until `max_rounds` rounds have been
@@ -173,17 +226,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     /// Execute exactly `rounds` additional rounds (or stop earlier at
     /// quiescence).
     pub fn run_rounds(&mut self, rounds: u64) -> RunOutcome {
-        self.ensure_started();
-        for _ in 0..rounds {
-            if self.is_quiescent() {
-                break;
-            }
-            self.step();
-        }
-        RunOutcome {
-            completed: self.is_quiescent(),
-            stats: self.stats.clone(),
-        }
+        self.run_until_quiescent(self.round.saturating_add(rounds))
     }
 
     fn ensure_started(&mut self) {
@@ -191,167 +234,75 @@ impl<'g, P: NodeProgram> Network<'g, P> {
             return;
         }
         self.started = true;
-        // `on_start` runs as a round-(-1) compute step with empty inboxes;
-        // whatever it sends is delivered before round 0.
-        let outboxes = self.compute_step(true);
-        self.deliver(outboxes, false);
+        // `on_start` runs as a round-(-1) step with empty inboxes; whatever
+        // it sends is pulled by round 0.  The pseudo-round only contributes
+        // its messages and words.
+        let (messages, words) = self.run_workers(true);
+        self.stats.messages += messages;
+        self.stats.words += words;
+        self.stats.max_messages_in_round = self.stats.max_messages_in_round.max(messages);
     }
 
-    /// Execute one full round (compute + deliver) and update statistics.
+    /// Execute one full round and update statistics.
     pub fn step(&mut self) {
         self.ensure_started();
-        let outboxes = self.compute_step(false);
-        self.deliver(outboxes, true);
+        let (messages, words) = self.run_workers(false);
+        self.stats.record_round(messages, words);
         self.round += 1;
     }
 
-    /// Run the compute half of a round, in parallel, returning per-node
-    /// outboxes.  `starting` selects `on_start` vs `on_round`.
-    fn compute_step(&mut self, starting: bool) -> Vec<Vec<(NodeId, P::Message)>> {
-        let n = self.graph.num_nodes();
-        if n == 0 {
-            return Vec::new();
-        }
-        let threads = self.config.resolved_threads(n);
-        let chunk = n.div_ceil(threads);
-        let round = self.round;
-        let graph = self.graph;
-
-        let mut outboxes: Vec<Vec<(NodeId, P::Message)>> = Vec::with_capacity(n);
-        outboxes.resize_with(n, Vec::new);
-
-        if threads == 1 {
-            for (i, program) in self.programs.iter_mut().enumerate() {
-                let inbox = std::mem::take(&mut self.inboxes[i]);
-                outboxes[i] = run_one(
-                    program,
-                    graph,
-                    NodeId::from_index(i),
-                    round,
-                    inbox,
-                    starting,
-                );
-            }
-            return outboxes;
-        }
-
-        let programs = &mut self.programs;
-        let inboxes = &mut self.inboxes;
+    /// One parallel section: every worker pulls and steps its node range
+    /// (`on_start` if `starting`).  Afterwards each filled lane is handed to
+    /// the worker it is addressed to, in exchange for the lane that worker
+    /// has just drained, and the workers' tallies are folded.  Returns the
+    /// messages and words sent.
+    fn run_workers(&mut self, starting: bool) -> (u64, u64) {
+        let (graph, round, chunk) = (self.graph, self.round, self.chunk);
         std::thread::scope(|scope| {
-            let prog_chunks = programs.chunks_mut(chunk);
-            let inbox_chunks = inboxes.chunks_mut(chunk);
-            let out_chunks = outboxes.chunks_mut(chunk);
-            for (chunk_idx, ((progs, inbs), outs)) in
-                prog_chunks.zip(inbox_chunks).zip(out_chunks).enumerate()
-            {
-                let base = chunk_idx * chunk;
-                scope.spawn(move || {
-                    for (offset, ((program, inbox_slot), out_slot)) in progs
-                        .iter_mut()
-                        .zip(inbs.iter_mut())
-                        .zip(outs.iter_mut())
-                        .enumerate()
-                    {
-                        let node = NodeId::from_index(base + offset);
-                        let inbox = std::mem::take(inbox_slot);
-                        *out_slot = run_one(program, graph, node, round, inbox, starting);
-                    }
+            let mut parts = self
+                .workers
+                .iter_mut()
+                .zip(self.programs.chunks_mut(chunk))
+                .zip(self.inboxes.chunks_mut(chunk))
+                .enumerate()
+                .map(|(w, ((worker, programs), inboxes))| {
+                    move || worker.run_round(graph, w * chunk, round, starting, programs, inboxes)
                 });
+            // The first range runs on the calling thread.
+            let first = parts.next();
+            let spawned: Vec<_> = parts.map(|part| scope.spawn(part)).collect();
+            if let Some(mut part) = first {
+                part();
+            }
+            // `scope` would replace a worker's panic with its own message;
+            // the caller is owed the original (a model violation names the
+            // offending node).
+            for handle in spawned {
+                if let Err(payload) = handle.join() {
+                    std::panic::resume_unwind(payload);
+                }
             }
         });
-        outboxes
-    }
 
-    /// Deliver outboxes into inboxes, enforcing adjacency and bandwidth, and
-    /// (if `count_round`) record one round of statistics.
-    fn deliver(&mut self, outboxes: Vec<Vec<(NodeId, P::Message)>>, count_round: bool) {
-        let mut messages: u64 = 0;
-        let mut words: u64 = 0;
-        let budget = self.config.messages_per_edge_per_round;
-
-        for (u_idx, outbox) in outboxes.into_iter().enumerate() {
-            let u = NodeId::from_index(u_idx);
-            if outbox.is_empty() {
-                continue;
-            }
-            // Per-destination counts for bandwidth enforcement.  Outboxes are
-            // small (≤ degree × budget), so a sorted scan is cheap.
-            let mut dest_counts: Vec<(NodeId, usize)> = Vec::new();
-            for (to, message) in outbox {
-                let edge_weight = match self.graph.edge_weight(u, to) {
-                    Some(w) => w,
-                    None => panic!("CONGEST violation: {u} attempted to send to non-neighbor {to}"),
-                };
-                let count = match dest_counts.iter_mut().find(|(d, _)| *d == to) {
-                    Some((_, c)) => {
-                        *c += 1;
-                        *c
-                    }
-                    None => {
-                        dest_counts.push((to, 1));
-                        1
-                    }
-                };
-                if count > budget {
-                    self.stats.bandwidth_violations += 1;
-                    if self.config.panic_on_bandwidth_violation {
-                        panic!(
-                            "CONGEST bandwidth violation: {u} sent {count} messages to {to} \
-                             in one round (budget {budget})"
-                        );
-                    }
-                }
-                messages += 1;
-                words += message.words() as u64;
-                self.inboxes[to.index()].push(Incoming {
-                    from: u,
-                    edge_weight,
-                    message,
-                });
+        let mut sent = RunStats::default();
+        for s in 0..self.workers.len() {
+            sent.absorb(&mem::take(&mut self.workers[s].tally));
+            for d in 0..self.workers.len() {
+                let filled = mem::take(&mut self.workers[s].outgoing[d]);
+                let drained = mem::replace(&mut self.workers[d].arriving[s], filled);
+                self.workers[s].outgoing[d] = drained;
             }
         }
-
-        if count_round {
-            self.stats.record_round(messages, words);
-        } else {
-            // The on_start pseudo-round only contributes its messages/words.
-            self.stats.messages += messages;
-            self.stats.words += words;
-            if messages > 0 {
-                self.stats.max_messages_in_round = self.stats.max_messages_in_round.max(messages);
-            }
-        }
+        self.stats.bandwidth_violations += sent.bandwidth_violations;
+        self.in_flight = sent.messages;
+        (sent.messages, sent.words)
     }
-}
-
-/// Step a single program and return its outbox.
-fn run_one<P: NodeProgram>(
-    program: &mut P,
-    graph: &Graph,
-    node: NodeId,
-    round: u64,
-    inbox: Vec<Incoming<P::Message>>,
-    starting: bool,
-) -> Vec<(NodeId, P::Message)> {
-    let mut ctx = NodeContext {
-        node,
-        round,
-        graph,
-        incoming: &inbox,
-        outgoing: Vec::new(),
-    };
-    if starting {
-        program.on_start(&mut ctx);
-    } else {
-        program.on_round(&mut ctx);
-    }
-    ctx.outgoing
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netgraph::generators::{ring, GeneratorConfig};
+    use netgraph::generators::{erdos_renyi, ring, GeneratorConfig};
     use netgraph::GraphBuilder;
 
     /// Flooding program: the root broadcasts a token once; every node
@@ -472,16 +423,46 @@ mod tests {
         assert_eq!(net.round(), 2);
     }
 
-    /// Program that (illegally) sends to a non-neighbor.
+    fn with_threads(num_threads: usize) -> CongestConfig {
+        CongestConfig {
+            num_threads,
+            ..Default::default()
+        }
+    }
+
+    /// Run a network of `make` programs on `graph` at one and at two threads
+    /// and return the panic message, which must be the same: at two threads
+    /// the last node is stepped by a spawned worker, and its panic has to
+    /// cross the join unchanged.
+    fn panic_message<P: NodeProgram>(graph: &Graph, make: impl Fn(NodeId) -> P) -> String {
+        let message_at = |threads| {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Network::new(graph, with_threads(threads), &make).run_until_quiescent(5);
+            }))
+            .expect_err("the run must panic");
+            match payload.downcast::<String>() {
+                Ok(message) => *message,
+                Err(payload) => payload.downcast::<&str>().map_or_else(
+                    |_| "a payload that is not a message".to_string(),
+                    |message| message.to_string(),
+                ),
+            }
+        };
+        let sequential = message_at(1);
+        assert_eq!(sequential, message_at(2));
+        sequential
+    }
+
+    /// Program whose last node (illegally) sends to a non-neighbor.
     struct BadSender {
         me: NodeId,
     }
     impl NodeProgram for BadSender {
         type Message = u64;
         fn on_start(&mut self, ctx: &mut NodeContext<'_, u64>) {
-            if self.me == NodeId(0) {
-                // node 2 is not adjacent to node 0 in a path of length 3+
-                ctx.send(NodeId(2), 1);
+            if self.me.index() + 1 == ctx.num_nodes() {
+                // node 0 is not adjacent to the far end of a path of 3+ nodes
+                ctx.send(NodeId(0), 1);
             }
         }
         fn on_round(&mut self, _ctx: &mut NodeContext<'_, u64>) {}
@@ -491,23 +472,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-neighbor")]
+    #[should_panic(expected = "CONGEST violation: v3 attempted to send to non-neighbor v0")]
     fn sending_to_non_neighbor_panics() {
-        let g = path(4);
-        let mut net = Network::new(&g, CongestConfig::sequential(), |u| BadSender { me: u });
-        net.run_until_quiescent(5);
+        let message = panic_message(&path(4), |u| BadSender { me: u });
+        panic!("{message}");
     }
 
-    /// Program that floods too many messages over one edge in one round.
+    /// Program whose last node floods too many messages over one edge in one
+    /// round.
     struct Chatty {
         me: NodeId,
     }
     impl NodeProgram for Chatty {
         type Message = u64;
         fn on_start(&mut self, ctx: &mut NodeContext<'_, u64>) {
-            if self.me == NodeId(0) {
+            if self.me.index() + 1 == ctx.num_nodes() {
                 for i in 0..10 {
-                    ctx.send(NodeId(1), i);
+                    ctx.send(NodeId(self.me.0 - 1), i);
                 }
             }
         }
@@ -518,11 +499,165 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bandwidth violation")]
+    #[should_panic(
+        expected = "CONGEST bandwidth violation: v2 sent 5 messages to v1 in one round (budget 4)"
+    )]
     fn exceeding_bandwidth_panics_by_default() {
-        let g = path(3);
-        let mut net = Network::new(&g, CongestConfig::sequential(), |u| Chatty { me: u });
-        net.run_until_quiescent(5);
+        let message = panic_message(&path(3), |u| Chatty { me: u });
+        panic!("{message}");
+    }
+
+    /// Program whose last node fails an assertion of its own.
+    struct Faulty {
+        me: NodeId,
+    }
+    impl NodeProgram for Faulty {
+        type Message = u64;
+        fn on_start(&mut self, _ctx: &mut NodeContext<'_, u64>) {}
+        fn on_round(&mut self, ctx: &mut NodeContext<'_, u64>) {
+            assert!(
+                self.me.index() + 1 < ctx.num_nodes(),
+                "program invariant broken at {}",
+                self.me
+            );
+        }
+        fn is_done(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn a_programs_own_panic_reaches_the_caller_unchanged() {
+        let message = panic_message(&path(4), |u| Faulty { me: u });
+        assert_eq!(message, "program invariant broken at v3");
+    }
+
+    /// Program that sends numbered messages — one per neighbor, a second one
+    /// over its first edge, then a broadcast — and logs every inbox.
+    struct Recorder {
+        sent: u64,
+        rounds_left: u32,
+        log: Vec<(u64, NodeId, u64)>,
+    }
+    impl Recorder {
+        fn talk(&mut self, ctx: &mut NodeContext<'_, u64>) {
+            let neighbors: Vec<NodeId> = ctx.neighbors().map(|(v, _)| v).collect();
+            for &v in neighbors.iter().chain(neighbors.first()) {
+                ctx.send(v, self.sent);
+                self.sent += 1;
+            }
+            ctx.broadcast(self.sent);
+            self.sent += 1;
+        }
+    }
+    impl NodeProgram for Recorder {
+        type Message = u64;
+        fn on_start(&mut self, ctx: &mut NodeContext<'_, u64>) {
+            self.talk(ctx);
+        }
+        fn on_round(&mut self, ctx: &mut NodeContext<'_, u64>) {
+            let inbox = ctx.incoming();
+            // A sender's numbers grow with every send, so this is "ascending
+            // by sender, and in send order within a sender".
+            assert!(
+                inbox
+                    .windows(2)
+                    .all(|w| (w[0].from, w[0].message) < (w[1].from, w[1].message)),
+                "inbox of {} out of order in round {}",
+                ctx.me(),
+                ctx.round()
+            );
+            let round = ctx.round();
+            self.log
+                .extend(inbox.iter().map(|inc| (round, inc.from, inc.message)));
+            if self.rounds_left > 0 {
+                self.rounds_left -= 1;
+                self.talk(ctx);
+            }
+        }
+        fn is_done(&self) -> bool {
+            self.rounds_left == 0
+        }
+    }
+
+    #[test]
+    fn inboxes_are_ordered_by_sender_then_send_order_at_every_thread_count() {
+        let g = erdos_renyi(45, 0.15, GeneratorConfig::unit(8));
+        let logs: Vec<_> = [1, 2, 3, 8]
+            .into_iter()
+            .map(|threads| {
+                let mut net = Network::new(&g, with_threads(threads), |_| Recorder {
+                    sent: 0,
+                    rounds_left: 6,
+                    log: Vec::new(),
+                });
+                let outcome = net.run_until_quiescent(100);
+                assert!(outcome.completed);
+                // 7 talks of degree + 1 + degree messages, all delivered.
+                let expected =
+                    7 * (4 * g.num_edges() + g.nodes().filter(|&u| g.degree(u) > 0).count());
+                assert_eq!(outcome.stats.messages, expected as u64);
+                let logs: Vec<_> = net.into_programs().into_iter().map(|p| p.log).collect();
+                assert_eq!(logs.iter().map(Vec::len).sum::<usize>(), expected);
+                logs
+            })
+            .collect();
+        for other in &logs[1..] {
+            assert_eq!(&logs[0], other);
+        }
+    }
+
+    /// Program that broadcasts once a round, and `budget` times in the two
+    /// rounds of the burst (two, so that both generations of lanes see it).
+    struct Pulse {
+        rounds_left: u32,
+    }
+    const BURST: [u64; 2] = [10, 11];
+    impl NodeProgram for Pulse {
+        type Message = u64;
+        fn on_start(&mut self, _ctx: &mut NodeContext<'_, u64>) {}
+        fn on_round(&mut self, ctx: &mut NodeContext<'_, u64>) {
+            self.rounds_left -= 1;
+            let copies = if BURST.contains(&ctx.round()) { 4 } else { 1 };
+            for _ in 0..copies {
+                ctx.broadcast(ctx.round());
+            }
+        }
+        fn is_done(&self) -> bool {
+            self.rounds_left == 0
+        }
+    }
+
+    #[test]
+    fn retained_buffers_stop_growing_after_the_busiest_round() {
+        let g = erdos_renyi(200, 0.05, GeneratorConfig::unit(5));
+        let mut net = Network::new(&g, with_threads(3), |_| Pulse { rounds_left: 200 });
+        let capacities = |net: &Network<'_, Pulse>| {
+            let lanes: usize = net
+                .workers
+                .iter()
+                .flat_map(|w| w.outgoing.iter().chain(&w.arriving))
+                .map(Vec::capacity)
+                .sum();
+            let inboxes: Vec<usize> = net.inboxes.iter().map(Vec::capacity).collect();
+            (lanes, inboxes)
+        };
+        net.run_rounds(BURST[1] + 2);
+        let after_burst = capacities(&net);
+        let outcome = net.run_rounds(200 - net.round());
+        assert_eq!(net.round(), 200);
+        assert_eq!(capacities(&net), after_burst);
+
+        // Retention is bounded by the busiest round, not by the run: two
+        // generations of lanes, each at most doubled past its fullest, and
+        // an inbox per node sized by its own busiest round.
+        let busiest = outcome.stats.max_messages_in_round as usize;
+        assert_eq!(busiest, 4 * 2 * g.num_edges());
+        let (lanes, inboxes) = after_burst;
+        assert!((busiest..=4 * busiest).contains(&lanes), "lanes {lanes}");
+        for (u, capacity) in g.nodes().zip(inboxes) {
+            assert!(capacity <= 2 * 4 * g.degree(u).max(1), "inbox of {u}");
+        }
     }
 
     #[test]

@@ -1,6 +1,16 @@
-//! The per-node program abstraction and the context handed to it each round.
+//! The per-node program abstraction, the context handed to it each round,
+//! and the sending half of the message plane.
+//!
+//! `send` and `broadcast` resolve the edge *slot* in the sender's sorted CSR
+//! adjacency at once: the slot yields the edge weight, proves adjacency (no
+//! slot is the non-neighbour panic) and indexes the per-edge budget count;
+//! `broadcast` walks the slots without a lookup.  The message then joins,
+//! addressed and weighed, the sending worker's lane for the destination's
+//! worker ([`crate::engine`] has the receiving half of a round).
 
+use crate::engine::CongestConfig;
 use crate::message::MessageSize;
+use crate::stats::RunStats;
 use netgraph::{Graph, NodeId, Weight};
 
 /// A distributed algorithm, as seen from one node.
@@ -48,16 +58,54 @@ pub struct Incoming<M> {
     pub message: M,
 }
 
+/// Messages in flight between two workers, each with the node it is for.
+pub(crate) type Lane<M> = Vec<(NodeId, Incoming<M>)>;
+
+/// One worker's share of the message plane.  A lane is filled by its sender,
+/// emptied by its receiver, and never shrinks.
+#[derive(Debug)]
+pub(crate) struct Lanes<M> {
+    /// `outgoing[d]`: what this worker's nodes have sent this round to the
+    /// nodes of worker `d`, in send order.
+    pub(crate) outgoing: Vec<Lane<M>>,
+    /// `arriving[s]`: what worker `s` sent to this worker's nodes during the
+    /// previous round.
+    pub(crate) arriving: Vec<Lane<M>>,
+    /// Nodes per worker: node `v` belongs to worker `v / chunk`.
+    chunk: usize,
+    config: CongestConfig,
+    /// Messages the current node has put on each of its edge slots this
+    /// round; reset by the node's first send.
+    edge_sent: Vec<usize>,
+    /// Messages, words and violations of this round so far.
+    pub(crate) tally: RunStats,
+}
+
+impl<M> Lanes<M> {
+    pub(crate) fn new(workers: usize, chunk: usize, config: CongestConfig) -> Self {
+        let empty = || std::iter::repeat_with(Vec::new).take(workers).collect();
+        Lanes {
+            outgoing: empty(),
+            arriving: empty(),
+            chunk,
+            config,
+            edge_sent: Vec::new(),
+            tally: RunStats::default(),
+        }
+    }
+}
+
 /// Everything a node may legally observe and do during one round.
 pub struct NodeContext<'a, M> {
     pub(crate) node: NodeId,
     pub(crate) round: u64,
     pub(crate) graph: &'a Graph,
     pub(crate) incoming: &'a [Incoming<M>],
-    pub(crate) outgoing: Vec<(NodeId, M)>,
+    pub(crate) out: &'a mut Lanes<M>,
+    pub(crate) queued: usize,
 }
 
-impl<'a, M: Clone> NodeContext<'a, M> {
+impl<'a, M: Clone + MessageSize> NodeContext<'a, M> {
     /// This node's identity.
     pub fn me(&self) -> NodeId {
         self.node
@@ -97,23 +145,61 @@ impl<'a, M: Clone> NodeContext<'a, M> {
         self.incoming
     }
 
-    /// Send `message` to `neighbor` (must be adjacent; checked by the
-    /// engine during delivery).
+    /// Send `message` to `neighbor`, which must be adjacent.
     pub fn send(&mut self, neighbor: NodeId, message: M) {
-        self.outgoing.push((neighbor, message));
+        let (targets, _) = self.graph.neighbor_slices(self.node);
+        match targets.binary_search(&neighbor) {
+            Ok(slot) => self.send_on_slot(slot, message),
+            Err(_) => panic!(
+                "CONGEST violation: {} attempted to send to non-neighbor {neighbor}",
+                self.node
+            ),
+        }
     }
 
     /// Send `message` to every neighbor.
     pub fn broadcast(&mut self, message: M) {
-        let neighbors: Vec<NodeId> = self.graph.neighbors(self.node).map(|e| e.to).collect();
-        for v in neighbors {
-            self.outgoing.push((v, message.clone()));
+        for slot in 0..self.degree() {
+            self.send_on_slot(slot, message.clone());
         }
     }
 
     /// Number of messages queued for sending this round so far.
     pub fn queued(&self) -> usize {
-        self.outgoing.len()
+        self.queued
+    }
+
+    /// Count the message against the edge's budget and the round's tally and
+    /// append it to the lane of the destination's worker.
+    fn send_on_slot(&mut self, slot: usize, message: M) {
+        let (targets, weights) = self.graph.neighbor_slices(self.node);
+        let (to, edge_weight) = (targets[slot], weights[slot]);
+        let out = &mut *self.out;
+        if self.queued == 0 {
+            out.edge_sent.clear();
+            out.edge_sent.resize(targets.len(), 0);
+        }
+        self.queued += 1;
+        out.edge_sent[slot] += 1;
+        let (count, budget) = (out.edge_sent[slot], out.config.messages_per_edge_per_round);
+        if count > budget {
+            out.tally.bandwidth_violations += 1;
+            if out.config.panic_on_bandwidth_violation {
+                panic!(
+                    "CONGEST bandwidth violation: {} sent {count} messages to {to} \
+                     in one round (budget {budget})",
+                    self.node
+                );
+            }
+        }
+        out.tally.messages += 1;
+        out.tally.words += message.words() as u64;
+        let incoming = Incoming {
+            from: self.node,
+            edge_weight,
+            message,
+        };
+        out.outgoing[to.index() / out.chunk].push((to, incoming));
     }
 }
 
@@ -137,12 +223,15 @@ mod tests {
             edge_weight: 4,
             message: 10u64,
         }];
+        // Two workers of two nodes each: node 2 is the second worker's.
+        let mut out = Lanes::new(2, 2, CongestConfig::default());
         let mut ctx = NodeContext {
             node: NodeId(1),
             round: 3,
             graph: &g,
             incoming: &incoming,
-            outgoing: Vec::new(),
+            out: &mut out,
+            queued: 0,
         };
         assert_eq!(ctx.me(), NodeId(1));
         assert_eq!(ctx.round(), 3);
@@ -156,21 +245,36 @@ mod tests {
         ctx.send(NodeId(0), 1u64);
         ctx.broadcast(2u64);
         assert_eq!(ctx.queued(), 3);
-        assert_eq!(ctx.outgoing[0], (NodeId(0), 1));
-        // broadcast goes to both neighbors, in sorted adjacency order
-        assert_eq!(ctx.outgoing[1], (NodeId(0), 2));
-        assert_eq!(ctx.outgoing[2], (NodeId(2), 2));
+
+        let sent = |lane: &Lane<u64>| -> Vec<(NodeId, Weight, u64)> {
+            lane.iter()
+                .map(|(to, incoming)| {
+                    assert_eq!(incoming.from, NodeId(1));
+                    (*to, incoming.edge_weight, incoming.message)
+                })
+                .collect()
+        };
+        // Each lane keeps send order and every message carries its edge weight.
+        assert_eq!(
+            sent(&out.outgoing[0]),
+            [(NodeId(0), 4, 1), (NodeId(0), 4, 2)]
+        );
+        assert_eq!(sent(&out.outgoing[1]), [(NodeId(2), 6, 2)]);
+        assert_eq!((out.tally.messages, out.tally.words), (3, 3));
+        assert_eq!(out.tally.bandwidth_violations, 0);
     }
 
     #[test]
     fn neighbors_iterator_matches_graph() {
         let g = path3();
+        let mut out = Lanes::new(1, 3, CongestConfig::default());
         let ctx = NodeContext::<u64> {
             node: NodeId(0),
             round: 0,
             graph: &g,
             incoming: &[],
-            outgoing: Vec::new(),
+            out: &mut out,
+            queued: 0,
         };
         let nbrs: Vec<_> = ctx.neighbors().collect();
         assert_eq!(nbrs, vec![(NodeId(1), 4)]);

@@ -119,13 +119,9 @@ impl NodeProgram for ConvergecastProgram {
     }
 
     fn on_round(&mut self, ctx: &mut NodeContext<'_, Self::Message>) {
-        let incoming: Vec<(NodeId, AggregationMessage)> = ctx
-            .incoming()
-            .iter()
-            .map(|inc| (inc.from, inc.message))
-            .collect();
-        for (from, msg) in incoming {
-            match msg {
+        for inc in ctx.incoming() {
+            let from = inc.from;
+            match inc.message {
                 AggregationMessage::Up(v) => {
                     self.partial = self.op.combine(self.partial, v);
                     self.waiting_children.remove(&from);

@@ -12,11 +12,17 @@
 //!   outgoing queue per source and serves the non-empty queues round-robin,
 //!   exactly as described for Algorithm 2; the round complexity is
 //!   `O(|sources| · S)` as in Lemma 3.4.
+//! * [`SourceTable`] is that relax-and-round-robin state (Algorithm 2 lines
+//!   10–20) as one type: a run of `(source, distance, queued)` ascending by
+//!   source plus the FIFO of sources with an unannounced improvement.
+//!   [`KSourceBellmanFord`] and both Algorithm-2 programs of
+//!   `dsketch::distributed` relax into it straight from `ctx.incoming()`,
+//!   and the finished run is what the label is built from.
 
 use crate::message::MessageSize;
 use crate::node::{NodeContext, NodeProgram};
 use netgraph::{add_dist, Distance, NodeId, INFINITY};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// Message carrying a distance-to-source-set announcement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +44,6 @@ pub struct BellmanFordProgram {
     me: NodeId,
     is_source: bool,
     dist: Distance,
-    pending_announce: bool,
 }
 
 impl BellmanFordProgram {
@@ -49,7 +54,6 @@ impl BellmanFordProgram {
             me,
             is_source,
             dist: if is_source { 0 } else { INFINITY },
-            pending_announce: false,
         }
     }
 
@@ -74,29 +78,19 @@ impl NodeProgram for BellmanFordProgram {
     }
 
     fn on_round(&mut self, ctx: &mut NodeContext<'_, Self::Message>) {
-        // Relax all incoming announcements (Algorithm 1, lines 1–4).
-        let mut best = self.dist;
-        for inc in ctx.incoming() {
-            let candidate = add_dist(inc.message.distance, inc.edge_weight);
-            if candidate < best {
-                best = candidate;
-            }
-        }
-        if best < self.dist {
-            self.dist = best;
-            self.pending_announce = true;
-        }
-        // Announce an improvement (Algorithm 1, line 5).
-        if self.pending_announce {
-            self.pending_announce = false;
-            ctx.broadcast(DistanceAnnouncement {
-                distance: self.dist,
-            });
+        // Relax all incoming announcements (Algorithm 1, lines 1–4) and
+        // announce an improvement in the same round (line 5).
+        let incoming = ctx.incoming().iter();
+        let best = incoming.map(|inc| add_dist(inc.message.distance, inc.edge_weight));
+        if let Some(distance) = best.min().filter(|&best| best < self.dist) {
+            self.dist = distance;
+            ctx.broadcast(DistanceAnnouncement { distance });
         }
     }
 
     fn is_done(&self) -> bool {
-        !self.pending_announce
+        // An improvement is announced in the round that finds it.
+        true
     }
 }
 
@@ -116,6 +110,84 @@ impl MessageSize for SourcedAnnouncement {
     }
 }
 
+/// Per-source distances with round-robin announcement scheduling: the state
+/// of Algorithm 2 lines 10–20 at one node.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SourceTable {
+    /// `(source, best known distance, queued)`, strictly ascending by source.
+    entries: Vec<(NodeId, Distance, bool)>,
+    /// Sources with an un-sent improved distance, in FIFO order; exactly the
+    /// entries marked `queued`.
+    fifo: VecDeque<NodeId>,
+}
+
+impl SourceTable {
+    fn search(&self, source: NodeId) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&source, |e| e.0)
+    }
+
+    /// Best known distance to `source` ([`INFINITY`] if never heard of).
+    pub fn distance(&self, source: NodeId) -> Distance {
+        self.search(source).map_or(INFINITY, |i| self.entries[i].1)
+    }
+
+    /// Record `distance` to `source` without scheduling an announcement: the
+    /// origin entry of a source, whose announcement is sent unconditionally
+    /// (Algorithm 2 line 8) rather than queued.
+    pub fn set_origin(&mut self, source: NodeId, distance: Distance) {
+        match self.search(source) {
+            Ok(i) => self.entries[i].1 = distance,
+            Err(i) => self.entries.insert(i, (source, distance, false)),
+        }
+    }
+
+    /// Relax `source` to `candidate`: a strict improvement is stored and the
+    /// source joins the FIFO unless it is already waiting there.  Returns
+    /// whether the candidate improved the table.
+    pub fn relax(&mut self, source: NodeId, candidate: Distance) -> bool {
+        let i = match self.search(source) {
+            Ok(i) if candidate < self.entries[i].1 => i,
+            Err(i) if candidate < INFINITY => {
+                self.entries.insert(i, (source, INFINITY, false));
+                i
+            }
+            _ => return false,
+        };
+        let (_, distance, queued) = &mut self.entries[i];
+        *distance = candidate;
+        if !std::mem::replace(queued, true) {
+            self.fifo.push_back(source);
+        }
+        true
+    }
+
+    /// Take the next source to announce, with its current distance.
+    pub fn pop_announcement(&mut self) -> Option<(NodeId, Distance)> {
+        let source = self.fifo.pop_front()?;
+        let i = self.search(source).expect("queued sources have an entry");
+        self.entries[i].2 = false;
+        Some((source, self.entries[i].1))
+    }
+
+    /// True if no announcement is waiting.
+    pub fn is_idle(&self) -> bool {
+        self.fifo.is_empty()
+    }
+
+    /// All `(source, distance)` pairs, ascending by source.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (NodeId, Distance)> + '_ {
+        self.entries
+            .iter()
+            .map(|&(source, distance, _)| (source, distance))
+    }
+
+    /// Forget everything (the next phase starts from an empty table).
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.fifo.clear();
+    }
+}
+
 /// k-Source Shortest Paths: every node learns its distance to each source.
 ///
 /// Outgoing announcements are queued per source and served round-robin, one
@@ -124,28 +196,21 @@ impl MessageSize for SourcedAnnouncement {
 pub struct KSourceBellmanFord {
     me: NodeId,
     is_source: bool,
-    /// Best known distance per source.
-    dist: BTreeMap<NodeId, Distance>,
-    /// Sources with an un-sent improved distance, in FIFO order.
-    queue: std::collections::VecDeque<NodeId>,
-    /// Membership flags for `queue` to keep it duplicate-free.
-    queued: std::collections::BTreeSet<NodeId>,
+    table: SourceTable,
 }
 
 impl KSourceBellmanFord {
     /// Create the program for node `me`; `is_source` marks membership in the
     /// source set.
     pub fn new(me: NodeId, is_source: bool) -> Self {
-        let mut dist = BTreeMap::new();
+        let mut table = SourceTable::default();
         if is_source {
-            dist.insert(me, 0);
+            table.set_origin(me, 0);
         }
         KSourceBellmanFord {
             me,
             is_source,
-            dist,
-            queue: std::collections::VecDeque::new(),
-            queued: std::collections::BTreeSet::new(),
+            table,
         }
     }
 
@@ -156,18 +221,12 @@ impl KSourceBellmanFord {
 
     /// Distance to `source` discovered so far.
     pub fn distance_to(&self, source: NodeId) -> Distance {
-        self.dist.get(&source).copied().unwrap_or(INFINITY)
+        self.table.distance(source)
     }
 
-    /// All `(source, distance)` pairs discovered so far.
-    pub fn distances(&self) -> &BTreeMap<NodeId, Distance> {
-        &self.dist
-    }
-
-    fn enqueue(&mut self, source: NodeId) {
-        if self.queued.insert(source) {
-            self.queue.push_back(source);
-        }
+    /// All `(source, distance)` pairs discovered so far, ascending by source.
+    pub fn distances(&self) -> &SourceTable {
+        &self.table
     }
 }
 
@@ -185,34 +244,19 @@ impl NodeProgram for KSourceBellmanFord {
 
     fn on_round(&mut self, ctx: &mut NodeContext<'_, Self::Message>) {
         // Relax incoming announcements; queue improved sources.
-        let updates: Vec<(NodeId, Distance)> = ctx
-            .incoming()
-            .iter()
-            .map(|inc| {
-                (
-                    inc.message.source,
-                    add_dist(inc.message.distance, inc.edge_weight),
-                )
-            })
-            .collect();
-        for (source, candidate) in updates {
-            let entry = self.dist.entry(source).or_insert(INFINITY);
-            if candidate < *entry {
-                *entry = candidate;
-                self.enqueue(source);
-            }
+        for inc in ctx.incoming() {
+            let candidate = add_dist(inc.message.distance, inc.edge_weight);
+            self.table.relax(inc.message.source, candidate);
         }
         // Serve one queued source per round (round-robin over non-empty
         // queues, exactly one outgoing message per edge per round).
-        if let Some(source) = self.queue.pop_front() {
-            self.queued.remove(&source);
-            let distance = self.distance_to(source);
+        if let Some((source, distance)) = self.table.pop_announcement() {
             ctx.broadcast(SourcedAnnouncement { source, distance });
         }
     }
 
     fn is_done(&self) -> bool {
-        self.queue.is_empty()
+        self.table.is_idle()
     }
 }
 
@@ -230,6 +274,62 @@ mod tests {
             b.add_edge_idx(i, i + 1, (i + 1) as u64);
         }
         b.build()
+    }
+
+    #[test]
+    fn relax_keeps_the_minimum_per_source() {
+        let mut t = SourceTable::default();
+        assert!(t.relax(NodeId(7), 9));
+        assert!(
+            !t.relax(NodeId(7), 9),
+            "an equal distance is no improvement"
+        );
+        assert!(!t.relax(NodeId(7), 12));
+        assert!(t.relax(NodeId(7), 4));
+        assert!(t.relax(NodeId(2), 30));
+        assert!(
+            !t.relax(NodeId(5), INFINITY),
+            "unreachable is not a distance"
+        );
+        assert_eq!(t.distance(NodeId(7)), 4);
+        assert_eq!(t.distance(NodeId(5)), INFINITY);
+        // The run is ascending by source whatever the arrival order.
+        assert_eq!(
+            t.iter().collect::<Vec<_>>(),
+            [(NodeId(2), 30), (NodeId(7), 4)]
+        );
+    }
+
+    #[test]
+    fn a_queued_source_is_not_queued_twice_and_is_served_fifo() {
+        let mut t = SourceTable::default();
+        t.relax(NodeId(9), 50);
+        t.relax(NodeId(3), 20);
+        t.relax(NodeId(9), 40); // improves while waiting: still one slot
+        t.relax(NodeId(6), 10);
+        assert!(!t.is_idle());
+        // Arrival order, not source order, and the latest distance goes out.
+        assert_eq!(t.pop_announcement(), Some((NodeId(9), 40)));
+        assert_eq!(t.pop_announcement(), Some((NodeId(3), 20)));
+        // Once served, a further improvement queues the source again.
+        t.relax(NodeId(9), 35);
+        assert_eq!(t.pop_announcement(), Some((NodeId(6), 10)));
+        assert_eq!(t.pop_announcement(), Some((NodeId(9), 35)));
+        assert_eq!(t.pop_announcement(), None);
+        assert!(t.is_idle());
+    }
+
+    #[test]
+    fn the_origin_announcement_is_not_queued() {
+        let mut t = SourceTable::default();
+        t.set_origin(NodeId(4), 0);
+        assert!(t.is_idle(), "the origin is announced unconditionally");
+        assert_eq!(t.distance(NodeId(4)), 0);
+        assert!(!t.relax(NodeId(4), 3), "nothing beats the origin's zero");
+        assert!(t.is_idle());
+        t.clear();
+        assert_eq!(t.iter().len(), 0);
+        assert_eq!(t.distance(NodeId(4)), INFINITY);
     }
 
     #[test]
@@ -319,7 +419,7 @@ mod tests {
         });
         net.run_until_quiescent(10_000);
         let p = net.program(NodeId(1));
-        assert_eq!(p.distances().len(), 2);
+        assert_eq!(p.distances().iter().len(), 2);
         assert_eq!(p.distance_to(NodeId(0)), 1);
         assert_eq!(p.distance_to(NodeId(3)), 5);
         assert_eq!(p.distance_to(NodeId(2)), INFINITY); // not a source

@@ -139,13 +139,9 @@ impl NodeProgram for BfsTreeProgram {
     }
 
     fn on_round(&mut self, ctx: &mut NodeContext<'_, Self::Message>) {
-        let incoming: Vec<(NodeId, TreeMessage)> = ctx
-            .incoming()
-            .iter()
-            .map(|inc| (inc.from, inc.message))
-            .collect();
-        for (from, msg) in incoming {
-            match msg {
+        for inc in ctx.incoming() {
+            let from = inc.from;
+            match inc.message {
                 TreeMessage::Announce { root, hops } => {
                     self.consider(root, hops + 1, from);
                 }
@@ -169,9 +165,7 @@ impl NodeProgram for BfsTreeProgram {
         if let Some(current) = self.parent {
             self.pending_abandons.remove(&current);
         }
-        let abandons: Vec<NodeId> = self.pending_abandons.iter().copied().collect();
-        self.pending_abandons.clear();
-        for old in abandons {
+        for old in std::mem::take(&mut self.pending_abandons) {
             ctx.send(old, TreeMessage::Abandon);
         }
         if let Some(new) = self.pending_claim.take() {

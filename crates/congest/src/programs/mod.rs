@@ -16,5 +16,5 @@ pub mod bellman_ford;
 pub mod bfs_tree;
 
 pub use aggregation::{ConvergecastProgram, ConvergecastResult};
-pub use bellman_ford::{BellmanFordProgram, KSourceBellmanFord};
+pub use bellman_ford::{BellmanFordProgram, KSourceBellmanFord, SourceTable};
 pub use bfs_tree::{BfsTreeProgram, TreeInfo};

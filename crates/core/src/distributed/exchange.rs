@@ -75,19 +75,16 @@ pub struct SketchExchangeProgram {
     me: NodeId,
     requester: NodeId,
     target: NodeId,
-    /// This node's own sketch (the target streams it back).
+    /// This node's own sketch: the target streams it back, the requester
+    /// answers the query with it at the end.
     own_sketch: Sketch,
-    /// The requester's local sketch (used to answer the query at the end).
-    /// `None` on every other node.
-    local_sketch_of_requester: Option<Sketch>,
     /// Parent pointer toward the requester, learned from the request flood.
     toward_requester: Option<NodeId>,
     seen_request: bool,
     pending_flood: bool,
-    /// Reply entries waiting to be forwarded toward the requester.
-    relay_queue: VecDeque<ExchangeMessage>,
-    /// At the target: entries not yet injected into the reply stream.
-    outgoing_reply: VecDeque<ExchangeMessage>,
+    /// Reply entries waiting to go toward the requester: the whole sketch at
+    /// the target, entries being relayed everywhere else.
+    reply_queue: VecDeque<ExchangeMessage>,
     /// At the requester: the reassembled remote sketch.
     received: Option<Sketch>,
     reply_complete: bool,
@@ -99,22 +96,15 @@ impl SketchExchangeProgram {
     /// Create the program for node `me` whose preprocessed sketch is
     /// `own_sketch`, for the query `(requester, target)`.
     pub fn new(me: NodeId, own_sketch: Sketch, requester: NodeId, target: NodeId) -> Self {
-        let local_sketch_of_requester = if me == requester {
-            Some(own_sketch.clone())
-        } else {
-            None
-        };
         SketchExchangeProgram {
             me,
             requester,
             target,
             own_sketch,
-            local_sketch_of_requester,
             toward_requester: None,
             seen_request: false,
             pending_flood: false,
-            relay_queue: VecDeque::new(),
-            outgoing_reply: VecDeque::new(),
+            reply_queue: VecDeque::new(),
             received: None,
             reply_complete: false,
             estimate: None,
@@ -136,7 +126,7 @@ impl SketchExchangeProgram {
         // Stream pivots first, then bunch entries, then the terminator.
         for (level, pivot) in self.own_sketch.pivots().iter().enumerate() {
             if let Some((node, distance)) = pivot {
-                self.outgoing_reply.push_back(ExchangeMessage::ReplyPivot {
+                self.reply_queue.push_back(ExchangeMessage::ReplyPivot {
                     level: level as u32,
                     node: *node,
                     distance: *distance,
@@ -144,13 +134,13 @@ impl SketchExchangeProgram {
             }
         }
         for &(node, entry) in self.own_sketch.bunch() {
-            self.outgoing_reply.push_back(ExchangeMessage::ReplyBunch {
+            self.reply_queue.push_back(ExchangeMessage::ReplyBunch {
                 level: entry.level,
                 node,
                 distance: entry.distance,
             });
         }
-        self.outgoing_reply.push_back(ExchangeMessage::ReplyDone);
+        self.reply_queue.push_back(ExchangeMessage::ReplyDone);
     }
 
     fn record_reply(&mut self, msg: ExchangeMessage) {
@@ -178,11 +168,8 @@ impl SketchExchangeProgram {
             ExchangeMessage::Request { .. } => {}
         }
         if self.reply_complete && self.estimate.is_none() {
-            if let (Some(local), Some(remote)) = (
-                self.local_sketch_of_requester.as_ref(),
-                self.received.as_ref(),
-            ) {
-                self.estimate = estimate_distance(local, remote).ok();
+            if let Some(remote) = &self.received {
+                self.estimate = estimate_distance(&self.own_sketch, remote).ok();
             }
         }
     }
@@ -208,13 +195,9 @@ impl NodeProgram for SketchExchangeProgram {
     }
 
     fn on_round(&mut self, ctx: &mut NodeContext<'_, Self::Message>) {
-        let incoming: Vec<(NodeId, ExchangeMessage)> = ctx
-            .incoming()
-            .iter()
-            .map(|inc| (inc.from, inc.message))
-            .collect();
-        for (from, msg) in incoming {
-            match msg {
+        for inc in ctx.incoming() {
+            let from = inc.from;
+            match inc.message {
                 ExchangeMessage::Request { requester, target } => {
                     if !self.seen_request {
                         self.seen_request = true;
@@ -233,7 +216,7 @@ impl NodeProgram for SketchExchangeProgram {
                     if self.me == self.requester {
                         self.record_reply(reply);
                     } else {
-                        self.relay_queue.push_back(reply);
+                        self.reply_queue.push_back(reply);
                     }
                 }
             }
@@ -248,26 +231,18 @@ impl NodeProgram for SketchExchangeProgram {
             });
         }
 
-        // Forward at most one reply entry per round toward the requester:
-        // entries the target itself injects, or entries being relayed.
-        let next_reply = if self.me == self.target {
-            self.outgoing_reply.pop_front()
-        } else {
-            self.relay_queue.pop_front()
-        };
-        if let Some(msg) = next_reply {
-            match self.toward_requester {
-                Some(parent) => ctx.send(parent, msg),
-                None => {
-                    // Only possible if this node *is* the requester-and-target
-                    // corner case, handled in on_start.
-                }
+        // Forward at most one reply entry per round toward the requester.
+        if let Some(msg) = self.reply_queue.pop_front() {
+            // No parent only at a requester that is its own target, which
+            // `on_start` has already answered.
+            if let Some(parent) = self.toward_requester {
+                ctx.send(parent, msg);
             }
         }
     }
 
     fn is_done(&self) -> bool {
-        !self.pending_flood && self.relay_queue.is_empty() && self.outgoing_reply.is_empty()
+        !self.pending_flood && self.reply_queue.is_empty()
     }
 }
 

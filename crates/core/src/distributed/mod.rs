@@ -7,7 +7,9 @@
 //! from source `v` when the announced distance beats `d(u, A_{i+1})` — i.e.
 //! exactly when `v` would enter the bunch `B_i(u)`.  Outgoing announcements
 //! are queued per source and served round-robin, so the program sends at most
-//! one data message per edge per round.
+//! one data message per edge per round.  Both modes keep that state in the
+//! shared `SourceTable` of `congest_sim::programs::bellman_ford`, whose
+//! finished per-phase runs are merged once into the label's sorted bunch.
 //!
 //! Two synchronization modes are provided, matching the two options the paper
 //! describes for detecting the end of a phase:
@@ -16,7 +18,8 @@
 //!   execution and the simulator's global quiescence oracle ends it.  This
 //!   models the Section 3.2 assumption that phases can be synchronized
 //!   externally (there: by waiting out a known upper bound in terms of `S`);
-//!   the measured rounds are the rounds the phase actually needed.
+//!   the measured rounds are the rounds the phase actually needed, also
+//!   exported per phase as the `dsketch_congest_*` metric families.
 //! * [`SyncMode::TerminationDetection`] — the full Section 3.3 protocol: a
 //!   BFS tree is built first, every data message is ECHOed, sources detect
 //!   when their announcement has stopped propagating, COMPLETE messages
@@ -29,15 +32,16 @@ mod phase;
 mod termination;
 
 pub use exchange::{run_sketch_exchange, ExchangeMessage, SketchExchangeProgram};
-pub use phase::{PhaseProgram, PhaseState};
+pub use phase::PhaseProgram;
 pub use termination::TerminationTzProgram;
 
 use crate::error::SketchError;
 use crate::hierarchy::Hierarchy;
-use crate::sketch::{DistKey, Sketch, SketchSet};
+use crate::sketch::{BunchEntry, DistKey, Sketch, SketchSet};
 use congest_sim::programs::bfs_tree::build_bfs_tree;
 use congest_sim::{CongestConfig, Network, RunStats};
 use netgraph::{Graph, NodeId};
+use std::time::Instant;
 
 /// How phase boundaries are detected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,6 +121,11 @@ pub(crate) fn build_with_hierarchy(
 }
 
 /// Oracle-synchronized execution: one simulator run per phase.
+///
+/// Each phase leaves, at every node, a run of `(source, distance)` ascending
+/// by source.  The `k` runs of a node have disjoint sources (`A_i \ A_{i+1}`),
+/// so they are appended as they arrive and merged once into the label's
+/// sorted bunch when the last phase is over.
 fn run_global_oracle(
     graph: &Graph,
     hierarchy: Hierarchy,
@@ -125,9 +134,8 @@ fn run_global_oracle(
     let n = graph.num_nodes();
     let k = hierarchy.k();
 
-    let mut sketches: Vec<Sketch> = (0..n)
-        .map(|u| Sketch::new(NodeId::from_index(u), k))
-        .collect();
+    let mut pivots = vec![vec![None; k]; n];
+    let mut bunches: Vec<Vec<(NodeId, BunchEntry)>> = vec![Vec::new(); n];
     // key(u, A_{i+1}) for the phase currently being run; starts at the
     // all-infinite row for A_k = ∅.
     let mut thresholds = vec![DistKey::INFINITE; n];
@@ -136,13 +144,10 @@ fn run_global_oracle(
     let mut phase_stats = Vec::with_capacity(k);
 
     for phase in (0..k).rev() {
+        let started = Instant::now();
+        let level = phase as u32;
         let mut net = Network::new(graph, config.congest, |u| {
-            PhaseProgram::new(
-                u,
-                phase as u32,
-                hierarchy.level_of(u),
-                thresholds[u.index()],
-            )
+            PhaseProgram::new(u, level, hierarchy.level_of(u), thresholds[u.index()])
         });
         let outcome = net.run_until_quiescent(config.max_rounds);
         if !outcome.completed {
@@ -150,28 +155,36 @@ fn run_global_oracle(
                 limit: config.max_rounds,
             });
         }
-        phase_stats.push(outcome.stats.clone());
-        total.absorb(&outcome.stats);
 
-        for program in net.programs() {
-            let u = program.node();
-            let state = program.state();
-            // Fold the learned B_i(u) into the sketch and update the
-            // threshold/pivot: key(u, A_i) = min(best new key, key(u, A_{i+1})).
-            let mut best = thresholds[u.index()];
-            for (&source, &dist) in &state.distances {
-                sketches[u.index()].insert_bunch(source, phase as u32, dist);
-                let key = DistKey::new(dist, source);
-                if key < best {
-                    best = key;
-                }
+        for (u, program) in net.programs().iter().enumerate() {
+            // Append the learned B_i(u) and update the threshold/pivot:
+            // key(u, A_i) = min(best new key, key(u, A_{i+1})).
+            let mut best = thresholds[u];
+            for (source, distance) in program.distances().iter() {
+                bunches[u].push((source, BunchEntry { level, distance }));
+                best = best.min(DistKey::new(distance, source));
             }
             if !best.is_infinite() {
-                sketches[u.index()].set_pivot(phase, best.node, best.distance);
+                pivots[u][phase] = Some((best.node, best.distance));
             }
-            thresholds[u.index()] = best;
+            thresholds[u] = best;
         }
+
+        record_phase(phase, &outcome.stats, started);
+        total.absorb(&outcome.stats);
+        phase_stats.push(outcome.stats);
     }
+
+    let sketches = pivots
+        .into_iter()
+        .zip(bunches)
+        .enumerate()
+        .map(|(u, (pivots, mut bunch))| {
+            // k sorted runs back to back: the stable sort merges them.
+            bunch.sort_by_key(|&(node, _)| node);
+            Sketch::from_sorted_parts(NodeId::from_index(u), pivots, bunch)
+        })
+        .collect();
 
     Ok(TzBuildResult {
         sketches: SketchSet::new(sketches),
@@ -180,6 +193,29 @@ fn run_global_oracle(
         phase_stats,
         tree_stats: None,
     })
+}
+
+/// Feed one finished phase to the process-global [`dsketch_obs::global`]
+/// registry: its wall time next to `dsketch_build_phase_nanos`, and its cost
+/// in the paper's currency (`phase` is the label on all four families).
+fn record_phase(phase: usize, stats: &RunStats, started: Instant) {
+    let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    let registry = dsketch_obs::global();
+    let phase = phase.to_string();
+    let labels: &[(&str, &str)] = &[("phase", &phase)];
+    let help = "Cost of the simulated Algorithm-2 phases, by phase.";
+    registry
+        .histogram_with("dsketch_congest_phase_nanos", help, labels)
+        .record(nanos);
+    registry
+        .counter_with("dsketch_congest_rounds_total", help, labels)
+        .add(stats.rounds);
+    registry
+        .counter_with("dsketch_congest_messages_total", help, labels)
+        .add(stats.messages);
+    registry
+        .counter_with("dsketch_congest_words_total", help, labels)
+        .add(stats.words);
 }
 
 /// Fully distributed execution with Section 3.3 termination detection.
@@ -196,13 +232,7 @@ fn run_termination_detection(
         TerminationTzProgram::new(u, k, hierarchy.level_of(u), trees[u.index()].clone())
     });
     let outcome = net.run_until_quiescent(config.max_rounds);
-    if !outcome.completed {
-        return Err(SketchError::RoundLimitExceeded {
-            limit: config.max_rounds,
-        });
-    }
-    let all_finished = net.programs().iter().all(|p| p.finished());
-    if !all_finished {
+    if !outcome.completed || !net.programs().iter().all(|p| p.finished()) {
         return Err(SketchError::RoundLimitExceeded {
             limit: config.max_rounds,
         });

@@ -9,21 +9,16 @@
 //! the best distance to `v` seen so far.  Outgoing announcements are queued
 //! per source and served round-robin (Algorithm 2 lines 15–20), so at most
 //! one data message crosses each edge per round.
+//!
+//! The per-source state is the shared [`SourceTable`]; the program adds only
+//! the threshold test in front of it.  Once the phase has quiesced the table
+//! is the bunch slice `B_i(u)` as a run ascending by source, which is the
+//! form [`super`] folds into the label.
 
 use crate::sketch::DistKey;
-use congest_sim::programs::bellman_ford::SourcedAnnouncement;
+use congest_sim::programs::bellman_ford::{SourceTable, SourcedAnnouncement};
 use congest_sim::{NodeContext, NodeProgram};
-use netgraph::{add_dist, Distance, NodeId, INFINITY};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-/// The per-source distances a node has accumulated during one phase; exactly
-/// the bunch slice `B_i(u)` once the phase has quiesced.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PhaseState {
-    /// `distances[v]` is the best known `d(u, v)` for phase sources `v` that
-    /// satisfy the bunch condition.
-    pub distances: BTreeMap<NodeId, Distance>,
-}
+use netgraph::{add_dist, NodeId};
 
 /// Algorithm 2 for a single node and a single phase.
 #[derive(Debug, Clone)]
@@ -34,9 +29,9 @@ pub struct PhaseProgram {
     level: i32,
     /// `key(u, A_{i+1})` — the participation threshold for this phase.
     threshold: DistKey,
-    state: PhaseState,
-    queue: VecDeque<NodeId>,
-    queued: BTreeSet<NodeId>,
+    /// Best known `d(u, v)` for the phase sources `v` that satisfy the bunch
+    /// condition.
+    table: SourceTable,
 }
 
 impl PhaseProgram {
@@ -49,9 +44,7 @@ impl PhaseProgram {
             phase,
             level,
             threshold,
-            state: PhaseState::default(),
-            queue: VecDeque::new(),
-            queued: BTreeSet::new(),
+            table: SourceTable::default(),
         }
     }
 
@@ -70,32 +63,10 @@ impl PhaseProgram {
         self.level == self.phase as i32
     }
 
-    /// The accumulated per-source distances.
-    pub fn state(&self) -> &PhaseState {
-        &self.state
-    }
-
-    fn current_distance(&self, source: NodeId) -> Distance {
-        self.state
-            .distances
-            .get(&source)
-            .copied()
-            .unwrap_or(INFINITY)
-    }
-
-    fn accept(&mut self, source: NodeId, candidate: Distance) -> bool {
-        let key = DistKey::new(candidate, source);
-        if key >= self.threshold {
-            return false;
-        }
-        if candidate >= self.current_distance(source) {
-            return false;
-        }
-        self.state.distances.insert(source, candidate);
-        if self.queued.insert(source) {
-            self.queue.push_back(source);
-        }
-        true
+    /// The accumulated per-source distances; exactly the bunch slice
+    /// `B_i(u)` once the phase has quiesced.
+    pub fn distances(&self) -> &SourceTable {
+        &self.table
     }
 }
 
@@ -106,45 +77,35 @@ impl NodeProgram for PhaseProgram {
         if self.is_source() {
             // The source joins its own bunch slice when its own key beats the
             // threshold (it always does unless a zero-weight tie collides).
-            self.accept(self.me, 0);
+            if DistKey::new(0, self.me) < self.threshold {
+                self.table.set_origin(self.me, 0);
+            }
             // Algorithm 2 line 8: announce unconditionally in the first round.
             ctx.broadcast(SourcedAnnouncement {
                 source: self.me,
                 distance: 0,
             });
-            // The origin announcement is the one we just sent, not a queued one.
-            self.queued.remove(&self.me);
-            self.queue.retain(|&s| s != self.me);
         }
     }
 
     fn on_round(&mut self, ctx: &mut NodeContext<'_, Self::Message>) {
-        // Algorithm 2 lines 10–14: relax incoming announcements.
-        let updates: Vec<(NodeId, Distance)> = ctx
-            .incoming()
-            .iter()
-            .map(|inc| {
-                (
-                    inc.message.source,
-                    add_dist(inc.message.distance, inc.edge_weight),
-                )
-            })
-            .collect();
-        for (source, candidate) in updates {
-            self.accept(source, candidate);
+        // Algorithm 2 lines 10–14: relax incoming announcements that beat
+        // the threshold.
+        for inc in ctx.incoming() {
+            let source = inc.message.source;
+            let candidate = add_dist(inc.message.distance, inc.edge_weight);
+            if DistKey::new(candidate, source) < self.threshold {
+                self.table.relax(source, candidate);
+            }
         }
         // Algorithm 2 lines 15–20: serve one queued source.
-        if let Some(source) = self.queue.pop_front() {
-            self.queued.remove(&source);
-            ctx.broadcast(SourcedAnnouncement {
-                source,
-                distance: self.current_distance(source),
-            });
+        if let Some((source, distance)) = self.table.pop_announcement() {
+            ctx.broadcast(SourcedAnnouncement { source, distance });
         }
     }
 
     fn is_done(&self) -> bool {
-        self.queue.is_empty()
+        self.table.is_idle()
     }
 }
 
@@ -154,7 +115,7 @@ mod tests {
     use congest_sim::{CongestConfig, Network};
     use netgraph::generators::{erdos_renyi, GeneratorConfig};
     use netgraph::shortest_path::multi_source_dijkstra;
-    use netgraph::GraphBuilder;
+    use netgraph::{GraphBuilder, INFINITY};
 
     /// With an infinite threshold and all nodes at level == phase, the phase
     /// degenerates to the k-source shortest-path problem from every node.
@@ -182,7 +143,7 @@ mod tests {
             let exact = multi_source_dijkstra(&g, &[s]);
             for (i, p) in net.programs().iter().enumerate() {
                 assert_eq!(
-                    p.state().distances.get(&s).copied().unwrap_or(INFINITY),
+                    p.distances().distance(s),
                     exact.dist[i],
                     "node {i}, source {s}"
                 );
@@ -219,12 +180,12 @@ mod tests {
         let outcome = net.run_until_quiescent(1_000);
         assert!(outcome.completed);
         let programs = net.programs();
-        assert_eq!(programs[1].state().distances.get(&NodeId(0)), Some(&1));
+        assert_eq!(programs[1].distances().distance(NodeId(0)), 1);
         // Node 2: candidate key (2, v0) >= threshold (2, v99) is false —
         // (2, v0) < (2, v99) lexicographically, so it *is* accepted.
-        assert_eq!(programs[2].state().distances.get(&NodeId(0)), Some(&2));
+        assert_eq!(programs[2].distances().distance(NodeId(0)), 2);
         // Node 3: candidate distance 3 ≥ 2, rejected.
-        assert_eq!(programs[3].state().distances.get(&NodeId(0)), None);
+        assert_eq!(programs[3].distances().distance(NodeId(0)), INFINITY);
     }
 
     #[test]
@@ -250,8 +211,8 @@ mod tests {
         });
         let outcome = net.run_until_quiescent(1_000);
         assert!(outcome.completed);
-        assert!(net.programs()[1].state().distances.is_empty());
-        assert!(net.programs()[2].state().distances.is_empty());
+        assert!(net.programs()[1].distances().iter().len() == 0);
+        assert!(net.programs()[2].distances().iter().len() == 0);
         // Only the origin broadcast happened: one message per incident edge.
         assert_eq!(outcome.stats.messages, g.degree(NodeId(0)) as u64);
     }

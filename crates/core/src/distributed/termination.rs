@@ -20,10 +20,11 @@
 //! matching the paper's accounting; experiment E9 measures the observed
 //! overhead against the oracle-synchronized mode.
 
-use crate::sketch::{DistKey, Sketch};
+use crate::sketch::{BunchEntry, DistKey, Sketch};
+use congest_sim::programs::bellman_ford::SourceTable;
 use congest_sim::programs::bfs_tree::TreeInfo;
 use congest_sim::{MessageSize, NodeContext, NodeProgram};
-use netgraph::{add_dist, Distance, NodeId, INFINITY};
+use netgraph::{add_dist, Distance, NodeId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Maximum number of queued ECHO messages sent to one neighbor per round.
@@ -91,21 +92,21 @@ struct Outstanding {
 #[derive(Debug, Clone)]
 pub struct TerminationTzProgram {
     me: NodeId,
-    k: usize,
     level: i32,
     tree: TreeInfo,
 
     // ---- accumulated results ----
     pivots: Vec<Option<(NodeId, Distance)>>,
-    bunch: BTreeMap<NodeId, (u32, Distance)>,
+    /// The finished phases' tables back to back: `k` runs ascending by node,
+    /// with disjoint nodes.
+    bunch: Vec<(NodeId, BunchEntry)>,
 
     // ---- current phase ----
     phase: u32,
     /// `key(u, A_{phase+1})`.
     threshold: DistKey,
-    phase_dist: BTreeMap<NodeId, Distance>,
-    queue: VecDeque<NodeId>,
-    queued: BTreeSet<NodeId>,
+    /// Algorithm 2's per-source distances and announcement queue.
+    table: SourceTable,
     /// For each queued (not yet broadcast) improvement, the neighbor and
     /// original value that must be echoed when the improvement is broadcast
     /// or superseded.
@@ -134,16 +135,13 @@ impl TerminationTzProgram {
     pub fn new(me: NodeId, k: usize, level: i32, tree: TreeInfo) -> Self {
         TerminationTzProgram {
             me,
-            k,
             level,
             tree,
             pivots: vec![None; k],
-            bunch: BTreeMap::new(),
+            bunch: Vec::new(),
             phase: k as u32 - 1,
             threshold: DistKey::INFINITE,
-            phase_dist: BTreeMap::new(),
-            queue: VecDeque::new(),
-            queued: BTreeSet::new(),
+            table: SourceTable::default(),
             pending_ack: BTreeMap::new(),
             outstanding: Vec::new(),
             echo_queues: BTreeMap::new(),
@@ -168,24 +166,13 @@ impl TerminationTzProgram {
 
     /// Assemble the final label from the accumulated pivots and bunch.
     pub fn build_sketch(&self) -> Sketch {
-        let mut sketch = Sketch::new(self.me, self.k);
-        for (i, p) in self.pivots.iter().enumerate() {
-            if let Some((node, dist)) = p {
-                sketch.set_pivot(i, *node, *dist);
-            }
-        }
-        for (&node, &(level, dist)) in &self.bunch {
-            sketch.insert_bunch(node, level, dist);
-        }
-        sketch
+        let mut bunch = self.bunch.clone();
+        bunch.sort_by_key(|&(node, _)| node);
+        Sketch::from_sorted_parts(self.me, self.pivots.clone(), bunch)
     }
 
     fn is_source_for(&self, phase: u32) -> bool {
         self.level == phase as i32
-    }
-
-    fn current_distance(&self, source: NodeId) -> Distance {
-        self.phase_dist.get(&source).copied().unwrap_or(INFINITY)
     }
 
     fn queue_echo(&mut self, to: NodeId, phase: u32, source: NodeId, distance: Distance) {
@@ -195,10 +182,8 @@ impl TerminationTzProgram {
             .push_back((phase, source, distance));
     }
 
-    /// Accept or reject an incoming data announcement; returns `true` if the
-    /// announcement produced a (queued) improvement, in which case the echo
-    /// obligation is attached to the queued entry instead of being discharged
-    /// immediately.
+    /// Accept or reject an incoming data announcement.  An improvement is
+    /// queued with its echo obligation attached; anything else is echoed now.
     fn handle_data(
         &mut self,
         from: NodeId,
@@ -220,8 +205,8 @@ impl TerminationTzProgram {
             }
         }
         let candidate = add_dist(announced, edge_weight);
-        let key = DistKey::new(candidate, source);
-        let improves = key < self.threshold && candidate < self.current_distance(source);
+        let improves =
+            DistKey::new(candidate, source) < self.threshold && self.table.relax(source, candidate);
         if !improves {
             self.queue_echo(from, phase, source, announced);
             return;
@@ -232,11 +217,7 @@ impl TerminationTzProgram {
         if let Some((old_from, old_value)) = self.pending_ack.remove(&source) {
             self.queue_echo(old_from, phase, source, old_value);
         }
-        self.phase_dist.insert(source, candidate);
         self.pending_ack.insert(source, (from, announced));
-        if self.queued.insert(source) {
-            self.queue.push_back(source);
-        }
     }
 
     fn handle_echo(&mut self, phase: u32, source: NodeId, value: Distance) {
@@ -272,25 +253,20 @@ impl TerminationTzProgram {
     }
 
     fn finalize_phase(&mut self) {
-        let phase = self.phase;
+        let level = self.phase;
         let mut best = self.threshold;
-        for (&source, &dist) in &self.phase_dist {
-            self.bunch.insert(source, (phase, dist));
-            let key = DistKey::new(dist, source);
-            if key < best {
-                best = key;
-            }
+        for (source, distance) in self.table.iter() {
+            self.bunch.push((source, BunchEntry { level, distance }));
+            best = best.min(DistKey::new(distance, source));
         }
         if !best.is_infinite() {
-            self.pivots[phase as usize] = Some((best.node, best.distance));
+            self.pivots[level as usize] = Some((best.node, best.distance));
         }
         self.threshold = best;
     }
 
     fn reset_phase_state(&mut self) {
-        self.phase_dist.clear();
-        self.queue.clear();
-        self.queued.clear();
+        self.table.clear();
         self.pending_ack.clear();
         self.outstanding.clear();
         self.origin_complete = false;
@@ -304,7 +280,7 @@ impl TerminationTzProgram {
         if self.is_source_for(self.phase) {
             let key = DistKey::new(0, self.me);
             if key < self.threshold {
-                self.phase_dist.insert(self.me, 0);
+                self.table.set_origin(self.me, 0);
             }
             self.origin_pending = true;
         }
@@ -322,10 +298,16 @@ impl TerminationTzProgram {
         let origin_ok = !self.is_source_for(self.phase) || self.origin_complete;
         origin_ok
             && !self.origin_pending
-            && self.queue.is_empty()
+            && self.table.is_idle()
             && self.outstanding.is_empty()
             && self.pending_ack.is_empty()
             && self.echo_queues.values().all(|q| q.is_empty())
+    }
+
+    /// Queue `msg` for every child in the BFS tree.
+    fn tell_children(&mut self, msg: TdMessage) {
+        let children = self.tree.children.iter();
+        self.pending_control.extend(children.map(|&c| (c, msg)));
     }
 
     fn children_all_complete(&self) -> bool {
@@ -347,16 +329,11 @@ impl TerminationTzProgram {
             None => {
                 // Root: the phase is globally complete.
                 if self.phase == 0 {
-                    for &c in &self.tree.children.clone() {
-                        self.pending_control.push((c, TdMessage::Done));
-                    }
+                    self.tell_children(TdMessage::Done);
                     self.finish_construction();
                 } else {
                     let next = self.phase - 1;
-                    for &c in &self.tree.children.clone() {
-                        self.pending_control
-                            .push((c, TdMessage::Start { phase: next }));
-                    }
+                    self.tell_children(TdMessage::Start { phase: next });
                     self.advance_to_phase(next);
                 }
             }
@@ -380,18 +357,14 @@ impl NodeProgram for TerminationTzProgram {
 
     fn on_round(&mut self, ctx: &mut NodeContext<'_, Self::Message>) {
         // ---- receive ----
-        let incoming: Vec<(NodeId, Distance, TdMessage)> = ctx
-            .incoming()
-            .iter()
-            .map(|inc| (inc.from, inc.edge_weight, inc.message))
-            .collect();
-        for (from, edge_weight, msg) in incoming {
-            match msg {
+        for inc in ctx.incoming() {
+            let from = inc.from;
+            match inc.message {
                 TdMessage::Data {
                     phase,
                     source,
                     distance,
-                } => self.handle_data(from, phase, source, distance, edge_weight),
+                } => self.handle_data(from, phase, source, distance, inc.edge_weight),
                 TdMessage::Echo {
                     phase,
                     source,
@@ -407,17 +380,13 @@ impl NodeProgram for TerminationTzProgram {
                     // Forward down the tree regardless, so the whole subtree
                     // hears about the new phase, and advance if a data
                     // message has not already outrun the START wave.
-                    for &c in &self.tree.children.clone() {
-                        self.pending_control.push((c, TdMessage::Start { phase }));
-                    }
+                    self.tell_children(inc.message);
                     if !self.finished && phase < self.phase {
                         self.advance_to_phase(phase);
                     }
                 }
                 TdMessage::Done => {
-                    for &c in &self.tree.children.clone() {
-                        self.pending_control.push((c, TdMessage::Done));
-                    }
+                    self.tell_children(inc.message);
                     self.finish_construction();
                 }
             }
@@ -445,9 +414,7 @@ impl NodeProgram for TerminationTzProgram {
                         ack_to: None,
                     });
                 }
-            } else if let Some(source) = self.queue.pop_front() {
-                self.queued.remove(&source);
-                let value = self.current_distance(source);
+            } else if let Some((source, value)) = self.table.pop_announcement() {
                 let ack_to = self.pending_ack.remove(&source);
                 let degree = ctx.degree();
                 ctx.broadcast(TdMessage::Data {
@@ -465,21 +432,15 @@ impl NodeProgram for TerminationTzProgram {
         }
 
         // ---- send queued echoes, rate limited per neighbor ----
-        let neighbors: Vec<NodeId> = self.echo_queues.keys().copied().collect();
-        for to in neighbors {
-            for _ in 0..ECHOES_PER_NEIGHBOR_PER_ROUND {
-                let entry = self.echo_queues.get_mut(&to).and_then(|q| q.pop_front());
-                match entry {
-                    Some((phase, source, distance)) => ctx.send(
-                        to,
-                        TdMessage::Echo {
-                            phase,
-                            source,
-                            distance,
-                        },
-                    ),
-                    None => break,
-                }
+        for (&to, queue) in &mut self.echo_queues {
+            let ready = queue.len().min(ECHOES_PER_NEIGHBOR_PER_ROUND);
+            for (phase, source, distance) in queue.drain(..ready) {
+                let echo = TdMessage::Echo {
+                    phase,
+                    source,
+                    distance,
+                };
+                ctx.send(to, echo);
             }
         }
 
@@ -487,8 +448,7 @@ impl NodeProgram for TerminationTzProgram {
         self.maybe_complete_or_advance();
 
         // ---- control messages (COMPLETE / START / DONE) ----
-        let control = std::mem::take(&mut self.pending_control);
-        for (to, msg) in control {
+        for (to, msg) in self.pending_control.drain(..) {
             ctx.send(to, msg);
         }
     }
@@ -643,7 +603,13 @@ mod tests {
         assert_eq!(p.node(), NodeId(2));
         assert!(!p.finished());
         p.pivots[0] = Some((NodeId(2), 0));
-        p.bunch.insert(NodeId(3), (1, 7));
+        p.bunch.push((
+            NodeId(3),
+            BunchEntry {
+                level: 1,
+                distance: 7,
+            },
+        ));
         let s = p.build_sketch();
         assert_eq!(s.pivot(0), Some((NodeId(2), 0)));
         assert_eq!(s.bunch_distance(NodeId(3)), Some(7));

@@ -20,10 +20,12 @@
 //! # Storage
 //!
 //! The bunch is one sorted run: a `Vec<(NodeId, BunchEntry)>` strictly
-//! ascending by node id.  The direct engine ([`crate::build`]) produces
-//! every row already in that order and hands it over whole
-//! (`Sketch::from_sorted_parts`); everything that learns members one at a
-//! time (the CONGEST engine, the 3-stretch builds, tests) goes through
+//! ascending by node id.  Both engines hand it over whole
+//! (`Sketch::from_sorted_parts`): the direct engine ([`crate::build`])
+//! produces every row already in that order, and the CONGEST programs end
+//! with per-phase tables that are sorted runs ([`crate::distributed`]).
+//! Whatever learns members one at a time (the sketch exchange, the codec's
+//! map decoder, the direct 3-stretch build, tests) goes through
 //! [`Sketch::insert_bunch`], which keeps the run sorted by binary search.
 //! Readers — the queries, [`crate::flat`]'s freeze, the codec — walk or
 //! binary-search the slice.

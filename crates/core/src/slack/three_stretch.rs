@@ -12,7 +12,7 @@ use crate::flat::{FlatSketchSet, Freeze, QueryRule};
 use crate::oracle::{check_nodes, DistanceOracle};
 use crate::parallel::{parallel_map, resolve_threads, BuildTimings};
 use crate::query::estimate_distance_slack;
-use crate::sketch::{Sketch, SketchSet};
+use crate::sketch::{BunchEntry, Sketch, SketchSet};
 use crate::slack::density_net::DensityNet;
 use congest_sim::programs::bellman_ford::KSourceBellmanFord;
 use congest_sim::{CongestConfig, Network, RunStats};
@@ -106,18 +106,14 @@ pub(crate) fn build(
         .programs()
         .iter()
         .map(|p| {
-            let mut sketch = Sketch::new(p.node(), 1);
-            let mut best: Option<(NodeId, Distance)> = None;
-            for (&net_node, &dist) in p.distances() {
-                sketch.insert_bunch(net_node, 0, dist);
-                if best.is_none_or(|(_, d)| dist < d) {
-                    best = Some((net_node, dist));
-                }
-            }
-            if let Some((node, dist)) = best {
-                sketch.set_pivot(0, node, dist);
-            }
-            sketch
+            // The table is already the label: a run ascending by net node.
+            let table = p.distances();
+            let pivot = table.iter().min_by_key(|&(node, dist)| (dist, node));
+            let bunch = table.iter().map(|(node, distance)| {
+                let entry = BunchEntry { level: 0, distance };
+                (node, entry)
+            });
+            Sketch::from_sorted_parts(p.node(), vec![pivot], bunch.collect())
         })
         .collect();
 

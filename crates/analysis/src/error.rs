@@ -28,11 +28,12 @@ pub enum AnalysisError {
         /// The four bytes actually found.
         found: [u8; 4],
     },
-    /// The format version is newer than this verifier understands.
+    /// The format version is not the one this verifier understands —
+    /// older or newer.
     UnsupportedVersion {
         /// Version found in the prelude.
         found: u32,
-        /// Highest version this verifier accepts.
+        /// The one version this verifier accepts.
         supported: u32,
     },
     /// The header CRC does not match the header bytes.
@@ -79,28 +80,6 @@ pub enum AnalysisError {
         offset: u64,
         /// What went wrong.
         message: String,
-    },
-    /// A bunch's node ids are not strictly ascending (Lemma 3.2 order).
-    BunchOrder {
-        /// Owning node of the bunch.
-        node: u32,
-        /// File offset of the offending entry.
-        offset: u64,
-        /// The previous node id in the bunch.
-        previous: u32,
-        /// The out-of-order node id found.
-        found: u32,
-    },
-    /// A bunch entry's level is outside `0..k`.
-    BunchLevel {
-        /// Owning node of the bunch.
-        node: u32,
-        /// The offending level.
-        level: u32,
-        /// The scheme's `k` (levels must be `< k`).
-        k: u32,
-        /// File offset of the offending entry.
-        offset: u64,
     },
     /// A node's pivot row violates its contract (distance monotonicity or
     /// absence persistence across levels).
@@ -155,7 +134,8 @@ impl std::fmt::Display for AnalysisError {
             AnalysisError::UnsupportedVersion { found, supported } => {
                 write!(
                     f,
-                    "snapshot version {found} unsupported (verifier knows <= {supported})"
+                    "snapshot format version {found} unsupported: this verifier reads version \
+                     {supported} only — rebuild the snapshot with a matching build"
                 )
             }
             AnalysisError::HeaderChecksum { stored, computed } => {
@@ -196,28 +176,6 @@ impl std::fmt::Display for AnalysisError {
                 write!(
                     f,
                     "section `{section}` undecodable at byte {offset}: {message}"
-                )
-            }
-            AnalysisError::BunchOrder {
-                node,
-                offset,
-                previous,
-                found,
-            } => {
-                write!(
-                    f,
-                    "node {node}: bunch not strictly ascending at byte {offset}: {found} after {previous}"
-                )
-            }
-            AnalysisError::BunchLevel {
-                node,
-                level,
-                k,
-                offset,
-            } => {
-                write!(
-                    f,
-                    "node {node}: bunch entry level {level} out of range (k = {k}) at byte {offset}"
                 )
             }
             AnalysisError::PivotRow {
@@ -273,8 +231,6 @@ impl AnalysisError {
             AnalysisError::SectionChecksum { .. } => "section-checksum",
             AnalysisError::MissingSection { .. } => "missing-section",
             AnalysisError::SectionDecode { .. } => "section-decode",
-            AnalysisError::BunchOrder { .. } => "bunch-order",
-            AnalysisError::BunchLevel { .. } => "bunch-level",
             AnalysisError::PivotRow { .. } => "pivot-row",
             AnalysisError::HierarchyContract { .. } => "hierarchy-contract",
             AnalysisError::LayerContract { .. } => "layer-contract",

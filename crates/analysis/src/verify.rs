@@ -5,16 +5,18 @@
 //! set*.  A writer bug (or a bit flip followed by a CRC re-sign) can
 //! produce a snapshot every checksum accepts whose labels violate the
 //! paper's contracts and whose queries silently return garbage.  This
-//! module re-derives the whole file from first principles — its own
-//! prelude/header/section-table parse, then a byte-by-byte walk of the
-//! `SKCH` payload — and checks the semantic invariants:
+//! module re-derives the container from first principles — its own
+//! prelude/header/section-table parse, its own CRC — then walks the `SKCH`
+//! payload and checks the semantic invariants:
 //!
 //! * section table: offsets sorted, non-overlapping, contiguous, in
 //!   bounds, ids unique; payload area exactly as long as declared;
-//! * every bunch strictly ascending by node id with levels `< k`
-//!   (Lemma 3.2's sorted-bunch representation — the `BTreeMap` decode
-//!   path would silently *canonicalize* an out-of-order bunch, so only
-//!   an independent walk can catch it);
+//! * label rows well-formed.  The bytes of a label set have one reader,
+//!   [`dsketch::codec::LabelRows`], which this walk consumes like the two
+//!   decoders do: canonical varints, header totals, `k ≥ 1`, levels `< k`
+//!   and ids within `u32` are its checks (Lemma 3.2's sorted bunch is
+//!   structural in the gap coding), reported here with the file offset
+//!   where the cursor stopped;
 //! * pivot rows consistent: distances non-decreasing in level and
 //!   absence persisting upward (both forced by `A_0 ⊇ A_1 ⊇ …`), and a
 //!   pivot that appears in its own bunch agrees on the distance;
@@ -23,14 +25,14 @@
 //!   hierarchy level is at least `i`; same for the level-`i` pivot);
 //! * cross-family contracts: CDG params match the header's scheme spec,
 //!   degrading layers have strictly decreasing ε and non-decreasing `k`;
-//! * the frozen CSR decode path accepts the same payload and its offset
+//! * the frozen CSR decode accepts the same payload and its offset
 //!   arrays are monotone, terminating at the array lengths.
 //!
 //! Every failure is a typed [`AnalysisError`] naming the section, node
 //! and byte offset, so a corrupt file is diagnosable without a hex dump.
 
 use crate::error::AnalysisError;
-use dsketch::codec::{CodecError, Decoder, SketchCodec};
+use dsketch::codec::{CodecError, Decoder, LabelRow, LabelRows, SketchCodec};
 use dsketch::flat::FlatSketchSet;
 use dsketch::hierarchy::Hierarchy;
 use dsketch::slack::cdg::CdgParams;
@@ -38,12 +40,13 @@ use dsketch::slack::density_net::DensityNet;
 use dsketch::SchemeSpec;
 use netgraph::{Distance, GraphFingerprint, NodeId, INFINITY};
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// Magic, version and section ids re-declared here on purpose: the
 /// verifier parses the container independently of `dsketch-store`'s
 /// reader, so a bug in that reader cannot hide a malformed file from it.
 const MAGIC: [u8; 4] = *b"DSK1";
-const SUPPORTED_VERSION: u32 = 1;
+const SUPPORTED_VERSION: u32 = 2;
 const SECTION_SKETCHES: [u8; 4] = *b"SKCH";
 const SECTION_BUILD_STATS: [u8; 4] = *b"STAT";
 
@@ -98,7 +101,10 @@ pub fn verify_snapshot_bytes(bytes: &[u8]) -> Result<VerifyReport, AnalysisError
         .ok_or(AnalysisError::MissingSection {
             section: section_name(SECTION_SKETCHES),
         })?;
-    let mut walker = SketchWalker::new(skch.payload, skch.file_offset);
+    let mut walker = SketchWalker {
+        input: Decoder::new(skch.payload),
+        base: skch.file_offset,
+    };
     let counts = walk_family(&mut walker, &spec, container.fingerprint)?;
     walker.finish()?;
 
@@ -183,7 +189,7 @@ fn parse_container(bytes: &[u8]) -> Result<ParsedContainer<'_>, AnalysisError> {
         return Err(AnalysisError::BadMagic { found: magic });
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if version > SUPPORTED_VERSION {
+    if version != SUPPORTED_VERSION {
         return Err(AnalysisError::UnsupportedVersion {
             found: version,
             supported: SUPPORTED_VERSION,
@@ -336,30 +342,17 @@ struct WalkCounts {
 /// A byte-offset-aware decoder over the `SKCH` payload.
 struct SketchWalker<'a> {
     input: Decoder<'a>,
-    payload_len: usize,
     base: u64,
 }
 
-impl<'a> SketchWalker<'a> {
-    fn new(payload: &'a [u8], file_offset: u64) -> SketchWalker<'a> {
-        SketchWalker {
-            input: Decoder::new(payload),
-            payload_len: payload.len(),
-            base: file_offset,
-        }
-    }
-
+impl SketchWalker<'_> {
     /// Absolute file offset of the next unread byte.
     fn offset(&self) -> u64 {
-        self.base + (self.payload_len - self.input.remaining()) as u64
+        self.base + self.input.position() as u64
     }
 
     fn codec_err(&self, e: CodecError) -> AnalysisError {
-        AnalysisError::SectionDecode {
-            section: section_name(SECTION_SKETCHES),
-            offset: self.offset(),
-            message: e.to_string(),
-        }
+        skch_error(self.offset(), e.to_string())
     }
 
     fn finish(self) -> Result<(), AnalysisError> {
@@ -374,15 +367,19 @@ impl<'a> SketchWalker<'a> {
     }
 }
 
-/// One decoded sketch, kept only as long as its cross-checks need it.
-struct WalkedSketch {
-    owner: u32,
-    k: usize,
-    /// `(node, distance)` per level, `None` where the level has no pivot.
-    pivots: Vec<Option<(u32, Distance)>>,
-    /// `(node, level, distance)`, strictly ascending by node.
-    bunch: Vec<(u32, u32, Distance)>,
+fn skch_error(offset: u64, message: String) -> AnalysisError {
+    AnalysisError::SectionDecode {
+        section: section_name(SECTION_SKETCHES),
+        offset,
+        message,
+    }
 }
+
+/// What one label set says about the sampling hierarchy: per node, the
+/// highest level at which some label lists it — as a bunch member or as a
+/// pivot — and the owner of that label.  All the hierarchy contract needs,
+/// in `n` words instead of a copy of every label.
+type LevelClaims = Vec<Option<(u32, NodeId)>>;
 
 /// Walk the family payload: dispatch on the header's spec, decode every
 /// sub-structure in wire order, and run the semantic checks.
@@ -395,11 +392,11 @@ fn walk_family(
     match *spec {
         SchemeSpec::ThorupZwick { k } => {
             // Layout of TzSketchSet: sketches, hierarchy.
-            let sketches = walk_sketch_set(walker, Some(k), fingerprint, &mut counts)?;
-            let hierarchy = decode_hierarchy(walker, &sketches)?;
-            for sketch in &sketches {
-                check_hierarchy_contract(sketch, &hierarchy)?;
-            }
+            let claims = walk_sketch_set(walker, Some(k), fingerprint, &mut counts)?;
+            let at = walker.offset();
+            let hierarchy =
+                Hierarchy::decode(&mut walker.input).map_err(|e| walker.codec_err(e))?;
+            check_hierarchy_contract(&claims, k, &hierarchy, at)?;
             counts.layers = 1;
         }
         SchemeSpec::ThreeStretch { .. } => {
@@ -486,23 +483,10 @@ fn walk_cdg_layer(
 ) -> Result<CdgParams, AnalysisError> {
     let params = CdgParams::decode(&mut walker.input).map_err(|e| walker.codec_err(e))?;
     decode_net(walker, fingerprint)?;
-    let sketches_at = walker.offset();
+    let at = walker.offset();
     let hierarchy = Hierarchy::decode(&mut walker.input).map_err(|e| walker.codec_err(e))?;
-    let sketches = walk_sketch_set(walker, Some(params.k), fingerprint, counts)?;
-    if hierarchy.levels().len() as u64 != fingerprint.nodes {
-        return Err(AnalysisError::SectionDecode {
-            section: section_name(SECTION_SKETCHES),
-            offset: sketches_at,
-            message: format!(
-                "hierarchy covers {} nodes but the fingerprint says {}",
-                hierarchy.levels().len(),
-                fingerprint.nodes
-            ),
-        });
-    }
-    for sketch in &sketches {
-        check_hierarchy_contract(sketch, &hierarchy)?;
-    }
+    let claims = walk_sketch_set(walker, Some(params.k), fingerprint, counts)?;
+    check_hierarchy_contract(&claims, params.k, &hierarchy, at)?;
     congest_sim::RunStats::decode(&mut walker.input).map_err(|e| walker.codec_err(e))?;
     Ok(params)
 }
@@ -513,50 +497,16 @@ fn decode_net(
 ) -> Result<(), AnalysisError> {
     let at = walker.offset();
     let net = DensityNet::decode(&mut walker.input).map_err(|e| walker.codec_err(e))?;
-    if net.num_nodes() as u64 != fingerprint.nodes {
-        return Err(AnalysisError::SectionDecode {
-            section: section_name(SECTION_SKETCHES),
-            offset: at,
-            message: format!(
-                "density net covers {} nodes but the fingerprint says {}",
-                net.num_nodes(),
-                fingerprint.nodes
-            ),
-        });
+    let (covers, says) = (net.num_nodes(), fingerprint.nodes);
+    if covers as u64 != says {
+        let message = format!("density net covers {covers} nodes but the fingerprint says {says}");
+        return Err(skch_error(at, message));
     }
-    for member in net.members() {
-        if member.index() >= net.num_nodes() {
-            return Err(AnalysisError::SectionDecode {
-                section: section_name(SECTION_SKETCHES),
-                offset: at,
-                message: format!(
-                    "net member {member} out of range for {} nodes",
-                    net.num_nodes()
-                ),
-            });
-        }
+    if let Some(member) = net.members().iter().find(|m| m.index() >= covers) {
+        let message = format!("net member {member} out of range for {covers} nodes");
+        return Err(skch_error(at, message));
     }
     Ok(())
-}
-
-fn decode_hierarchy(
-    walker: &mut SketchWalker<'_>,
-    sketches: &[WalkedSketch],
-) -> Result<Hierarchy, AnalysisError> {
-    let at = walker.offset();
-    let hierarchy = Hierarchy::decode(&mut walker.input).map_err(|e| walker.codec_err(e))?;
-    if hierarchy.levels().len() != sketches.len() {
-        return Err(AnalysisError::SectionDecode {
-            section: section_name(SECTION_SKETCHES),
-            offset: at,
-            message: format!(
-                "hierarchy covers {} nodes but the sketch set covers {}",
-                hierarchy.levels().len(),
-                sketches.len()
-            ),
-        });
-    }
-    Ok(hierarchy)
 }
 
 fn decode_build_stats(section: &ParsedSection<'_>) -> Result<(), AnalysisError> {
@@ -576,258 +526,152 @@ fn decode_build_stats(section: &ParsedSection<'_>) -> Result<(), AnalysisError> 
     Ok(())
 }
 
-/// Walk one `SketchSet` encoding, checking the per-sketch contracts and
-/// accumulating counts.  `expect_k` pins every sketch's level count when
-/// the spec fixes it.
+/// Walk one `SketchSet` encoding: take each row from the shared cursor,
+/// run the per-label contracts on it and fold it into the counts and the
+/// level claims.  `expect_k` pins every label's level count when the spec
+/// fixes it.
 fn walk_sketch_set(
     walker: &mut SketchWalker<'_>,
     expect_k: Option<usize>,
     fingerprint: GraphFingerprint,
     counts: &mut WalkCounts,
-) -> Result<Vec<WalkedSketch>, AnalysisError> {
+) -> Result<LevelClaims, AnalysisError> {
+    let base = walker.base;
     let at = walker.offset();
-    let count = walker
-        .input
-        .len_prefix(21, "SketchSet length")
-        .map_err(|e| walker.codec_err(e))?;
-    if count as u64 != fingerprint.nodes {
-        return Err(AnalysisError::SectionDecode {
-            section: section_name(SECTION_SKETCHES),
-            offset: at,
-            message: format!(
-                "sketch set covers {count} nodes but the fingerprint says {}",
-                fingerprint.nodes
-            ),
-        });
+    let mut rows =
+        LabelRows::begin(&mut walker.input).map_err(|e| skch_error(at, e.to_string()))?;
+    let nodes = rows.totals().0;
+    if nodes as u64 != fingerprint.nodes {
+        let says = fingerprint.nodes;
+        let message = format!("sketch set covers {nodes} nodes but the fingerprint says {says}");
+        return Err(skch_error(at, message));
     }
-    let mut sketches = Vec::with_capacity(count);
-    for index in 0..count {
-        sketches.push(walk_sketch(walker, index, expect_k)?);
-        let sketch = sketches.last().expect("just pushed");
-        counts.bunch_entries += sketch.bunch.len() as u64;
-        counts.pivots_present += sketch.pivots.iter().flatten().count() as u64;
+    counts.nodes = nodes;
+    let mut claims: LevelClaims = vec![None; nodes];
+    loop {
+        let at = base + rows.position() as u64;
+        let row = match rows.next_row() {
+            Ok(Some(row)) => row,
+            Ok(None) => return Ok(claims),
+            Err(e) => return Err(skch_error(base + rows.position() as u64, e.to_string())),
+        };
+        check_row(&row, expect_k, at, &mut claims)?;
+        counts.bunch_entries += row.bunch.len() as u64;
+        counts.pivots_present += row.pivots.iter().flatten().count() as u64;
     }
-    counts.nodes = count;
-    Ok(sketches)
 }
 
-fn walk_sketch(
-    walker: &mut SketchWalker<'_>,
-    index: usize,
+/// The contracts of one label that its bytes alone cannot express; `at` is
+/// the file offset of its row.
+fn check_row(
+    row: &LabelRow<'_>,
     expect_k: Option<usize>,
-) -> Result<WalkedSketch, AnalysisError> {
-    let at = walker.offset();
-    let owner = walker
-        .input
-        .u32("Sketch.owner")
-        .map_err(|e| walker.codec_err(e))?;
-    if owner as usize != index {
-        return Err(AnalysisError::SectionDecode {
-            section: section_name(SECTION_SKETCHES),
-            offset: at,
-            message: format!("sketch {index} is owned by node {owner}, not its node index"),
-        });
+    at: u64,
+    claims: &mut LevelClaims,
+) -> Result<(), AnalysisError> {
+    let owner = row.owner.0;
+    let k = row.pivots.len();
+    if let Some(fixed) = expect_k.filter(|&fixed| k != fixed) {
+        let message =
+            format!("sketch of node {owner} has k = {k} but the scheme fixes k = {fixed}");
+        return Err(skch_error(at, message));
     }
-    let k = walker
-        .input
-        .len_prefix(1, "Sketch.k")
-        .map_err(|e| walker.codec_err(e))?;
-    if k == 0 {
-        return Err(AnalysisError::SectionDecode {
-            section: section_name(SECTION_SKETCHES),
-            offset: at,
-            message: format!("sketch of node {owner} has k = 0"),
-        });
-    }
-    if expect_k.is_some_and(|expected| k != expected) {
-        return Err(AnalysisError::SectionDecode {
-            section: section_name(SECTION_SKETCHES),
-            offset: at,
-            message: format!(
-                "sketch of node {owner} has k = {k} but the scheme fixes k = {}",
-                expect_k.expect("checked Some")
-            ),
-        });
-    }
+    let mut claim = |member: NodeId, level: u32| match claims.get_mut(member.index()) {
+        Some(slot) => {
+            if slot.is_none_or(|(highest, _)| highest < level) {
+                *slot = Some((level, row.owner));
+            }
+            Ok(())
+        }
+        None => {
+            let message = format!("label of node {owner} names node {member}, out of range");
+            Err(skch_error(at, message))
+        }
+    };
 
     // Pivot row: distances non-decreasing in level, absence persisting
     // upward — both forced by the nesting A_0 ⊇ A_1 ⊇ …: the nearest
     // member of a *smaller* set cannot be nearer, and a level with no
-    // reachable member cannot regrow one above it.
-    let mut pivots = Vec::with_capacity(k);
+    // reachable member cannot regrow one above it.  A pivot that appears
+    // in its own bunch must agree on the distance: both record
+    // d(owner, node), measured by different parts of the construction.
     let mut last_distance: Distance = 0;
     let mut absent_since: Option<usize> = None;
-    for level in 0..k {
-        let present = walker
-            .input
-            .bool("Sketch.pivot flag")
-            .map_err(|e| walker.codec_err(e))?;
-        if present {
-            let node = walker
-                .input
-                .u32("Sketch.pivot node")
-                .map_err(|e| walker.codec_err(e))?;
-            let distance = walker
-                .input
-                .u64("Sketch.pivot distance")
-                .map_err(|e| walker.codec_err(e))?;
-            if let Some(since) = absent_since {
-                return Err(AnalysisError::PivotRow {
-                    node: owner,
-                    level: level as u32,
-                    message: format!(
-                        "pivot present although level {since} had none (A_{since} ⊇ A_{level})"
-                    ),
-                });
-            }
-            if distance == INFINITY {
-                return Err(AnalysisError::PivotRow {
-                    node: owner,
-                    level: level as u32,
-                    message: "present pivot with infinite distance".to_string(),
-                });
-            }
-            if distance < last_distance {
-                return Err(AnalysisError::PivotRow {
-                    node: owner,
-                    level: level as u32,
-                    message: format!(
-                        "pivot distance {distance} decreases from level {}'s {last_distance}",
-                        level - 1
-                    ),
-                });
-            }
-            last_distance = distance;
-            pivots.push(Some((node, distance)));
-        } else {
+    for (level, pivot) in row.pivots.iter().enumerate() {
+        let Some((node, distance)) = *pivot else {
             absent_since.get_or_insert(level);
-            pivots.push(None);
-        }
-    }
-
-    let bunch_len = walker
-        .input
-        .len_prefix(16, "Sketch.bunch length")
-        .map_err(|e| walker.codec_err(e))?;
-    let mut bunch = Vec::with_capacity(bunch_len);
-    let mut previous: Option<u32> = None;
-    for _ in 0..bunch_len {
-        let entry_at = walker.offset();
-        let node = walker
-            .input
-            .u32("BunchEntry.node")
-            .map_err(|e| walker.codec_err(e))?;
-        let level = walker
-            .input
-            .u32("BunchEntry.level")
-            .map_err(|e| walker.codec_err(e))?;
-        let distance = walker
-            .input
-            .u64("BunchEntry.distance")
-            .map_err(|e| walker.codec_err(e))?;
-        if let Some(prev) = previous {
-            if node <= prev {
-                return Err(AnalysisError::BunchOrder {
-                    node: owner,
-                    offset: entry_at,
-                    previous: prev,
-                    found: node,
-                });
-            }
-        }
-        previous = Some(node);
-        if level as usize >= k {
-            return Err(AnalysisError::BunchLevel {
-                node: owner,
-                level,
-                k: k as u32,
-                offset: entry_at,
-            });
-        }
-        bunch.push((node, level, distance));
-    }
-
-    // A pivot that appears in its own bunch must agree on the distance:
-    // both record d(owner, node), measured by different parts of the
-    // construction.
-    for (level, pivot) in pivots.iter().enumerate() {
-        let Some((node, distance)) = pivot else {
             continue;
         };
-        if let Ok(i) = bunch.binary_search_by_key(node, |&(n, _, _)| n) {
-            if bunch[i].2 != *distance {
-                return Err(AnalysisError::PivotRow {
-                    node: owner,
-                    level: level as u32,
-                    message: format!(
-                        "pivot {node} at distance {distance} but the bunch records {}",
-                        bunch[i].2
-                    ),
-                });
+        let broken = |message: String| AnalysisError::PivotRow {
+            node: owner,
+            level: level as u32,
+            message,
+        };
+        if let Some(since) = absent_since {
+            return Err(broken(format!(
+                "pivot present although level {since} had none (A_{since} ⊇ A_{level})"
+            )));
+        }
+        if distance == INFINITY {
+            return Err(broken("present pivot with infinite distance".to_string()));
+        }
+        if distance < last_distance {
+            return Err(broken(format!(
+                "pivot distance {distance} decreases from level {}'s {last_distance}",
+                level - 1
+            )));
+        }
+        last_distance = distance;
+        if let Ok(i) = row.bunch.binary_search_by_key(&node, |&(member, _)| member) {
+            let recorded = row.bunch[i].1.distance;
+            if recorded != distance {
+                return Err(broken(format!(
+                    "pivot {node} at distance {distance} but the bunch records {recorded}"
+                )));
             }
         }
+        claim(node, level as u32)?;
     }
-
-    Ok(WalkedSketch {
-        owner,
-        k,
-        pivots,
-        bunch,
-    })
+    for &(member, entry) in row.bunch {
+        claim(member, entry.level)?;
+    }
+    Ok(())
 }
 
-/// Cross-check one sketch against the sampling hierarchy stored beside it:
-/// a bunch entry at level `i` names a node the construction saw in `A_i`,
-/// and the level-`i` pivot is the nearest member of `A_i` — so both nodes'
-/// stored hierarchy levels must be at least `i`.
+/// Cross-check a label set against the sampling hierarchy stored beside it
+/// (decoded at file offset `at`): a bunch entry at level `i` names a node
+/// the construction saw in `A_i`, and the level-`i` pivot is the nearest
+/// member of `A_i` — so every node's stored hierarchy level must be at
+/// least the highest level any label claims for it.
 fn check_hierarchy_contract(
-    sketch: &WalkedSketch,
+    claims: &LevelClaims,
+    k: usize,
     hierarchy: &Hierarchy,
+    at: u64,
 ) -> Result<(), AnalysisError> {
-    if hierarchy.k() != sketch.k {
+    let (covers, k_stored) = (hierarchy.levels().len(), hierarchy.k());
+    if covers != claims.len() {
+        let nodes = claims.len();
+        let message = format!("hierarchy covers {covers} nodes but the sketch set covers {nodes}");
+        return Err(skch_error(at, message));
+    }
+    if k_stored != k {
         return Err(AnalysisError::HierarchyContract {
-            node: sketch.owner,
-            message: format!(
-                "sketch has k = {} but the hierarchy has k = {}",
-                sketch.k,
-                hierarchy.k()
-            ),
+            node: 0,
+            message: format!("sketches have k = {k} but the hierarchy has k = {k_stored}"),
         });
     }
-    let num_nodes = hierarchy.levels().len();
-    for &(node, level, _) in &sketch.bunch {
-        if node as usize >= num_nodes {
-            return Err(AnalysisError::HierarchyContract {
-                node: sketch.owner,
-                message: format!("bunch member {node} out of range for {num_nodes} nodes"),
-            });
-        }
-        let actual = hierarchy.level_of(NodeId(node));
+    for (member, claim) in claims.iter().enumerate() {
+        let Some((level, owner)) = *claim else {
+            continue;
+        };
+        let actual = hierarchy.level_of(NodeId::from_index(member));
         if actual < level as i32 {
             return Err(AnalysisError::HierarchyContract {
-                node: sketch.owner,
+                node: owner.0,
                 message: format!(
-                    "bunch member {node} claims level {level} but the hierarchy samples it \
-                     at level {actual}"
-                ),
-            });
-        }
-    }
-    for (level, pivot) in sketch.pivots.iter().enumerate() {
-        let Some((node, _)) = pivot else { continue };
-        if *node as usize >= num_nodes {
-            return Err(AnalysisError::HierarchyContract {
-                node: sketch.owner,
-                message: format!("pivot {node} out of range for {num_nodes} nodes"),
-            });
-        }
-        let actual = hierarchy.level_of(NodeId(*node));
-        if actual < level as i32 {
-            return Err(AnalysisError::HierarchyContract {
-                node: sketch.owner,
-                message: format!(
-                    "level-{level} pivot {node} is sampled only to level {actual} \
-                     in the hierarchy"
+                    "node {member} is a level-{level} pivot or bunch member here but the \
+                     hierarchy samples it only to level {actual}"
                 ),
             });
         }
@@ -836,17 +680,21 @@ fn check_hierarchy_contract(
 }
 
 /// CRC-32 (IEEE, reflected) — deliberately a second implementation, so the
-/// verifier does not depend on the code path it is checking.
+/// verifier does not depend on the code path it is checking: one byte per
+/// step through a 256-entry table built (bit by bit) on first use, where
+/// the store slices by eight through tables built at compile time.
 fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &byte in bytes {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
+    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        std::array::from_fn(|byte| {
+            (0..8).fold(byte as u32, |crc, _| {
+                (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg())
+            })
+        })
+    });
+    !bytes.iter().fold(!0u32, |crc, &byte| {
+        (crc >> 8) ^ table[((crc ^ u32::from(byte)) & 0xFF) as usize]
+    })
 }
 
 #[cfg(test)]
@@ -858,6 +706,56 @@ mod tests {
         // The classic IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_agrees_with_the_store_on_every_length() {
+        // Two implementations that share nothing but the polynomial — the
+        // store slices by eight, this one goes a byte at a time — on seeded
+        // random buffers of every length across several 8-byte strides and
+        // one past a 4 KiB page.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let buffer: Vec<u8> = (0..4099)
+            .map(|_| {
+                // splitmix64
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect();
+        for len in 0..=buffer.len() {
+            assert_eq!(
+                crc32(&buffer[..len]),
+                dsketch_store::crc32::crc32(&buffer[..len]),
+                "length {len}"
+            );
+            // An unaligned start as well, so the store's 8-byte chunks fall
+            // differently over the same bytes.
+            let from = len.min(3);
+            assert_eq!(
+                crc32(&buffer[from..len]),
+                dsketch_store::crc32::crc32(&buffer[from..len]),
+                "range {from}..{len}"
+            );
+        }
+    }
+
+    #[test]
+    fn other_versions_are_refused_in_both_directions() {
+        for version in [SUPPORTED_VERSION - 1, SUPPORTED_VERSION + 1] {
+            let mut prelude = Vec::new();
+            prelude.extend_from_slice(&MAGIC);
+            prelude.extend_from_slice(&version.to_le_bytes());
+            prelude.extend_from_slice(&0u32.to_le_bytes());
+            let err = verify_snapshot_bytes(&prelude).unwrap_err();
+            assert!(
+                matches!(err, AnalysisError::UnsupportedVersion { found, supported }
+                    if found == version && supported == SUPPORTED_VERSION),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -304,6 +304,15 @@ fn cmd_inspect(args: &[String]) {
         None => println!("built in:    (not recorded)"),
     }
     println!("total bytes: {}", summary.total_bytes);
+    for (entry, entities) in summary.sections.iter().zip(&summary.section_entities) {
+        if let dsketch_store::SectionEntities::Sketches { bunch_entries, .. } = entities {
+            println!(
+                "on disk:     {:.2} {} bytes per bunch entry",
+                entry.len as f64 / (*bunch_entries).max(1) as f64,
+                entry.id
+            );
+        }
+    }
     let mut table = Table::new(&["section", "offset", "bytes", "crc32", "decodes to"]);
     for (entry, entities) in summary.sections.iter().zip(&summary.section_entities) {
         table.push(vec![

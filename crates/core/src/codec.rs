@@ -4,24 +4,49 @@
 //! The paper's economics only pay off if the expensive CONGEST construction
 //! is paid **once**: labels must outlive the process that built them.  This
 //! module defines [`SketchCodec`], a hand-rolled, dependency-free binary
-//! codec (little-endian, fixed-width fields, length-prefixed collections)
-//! implemented for every piece of label state — [`DistKey`], [`BunchEntry`],
-//! [`Sketch`], [`SketchSet`], [`Hierarchy`], [`DensityNet`], [`RunStats`] —
-//! and for all four sketch-set families, so that a decoded sketch set is
-//! **bit-identical** to the one that was encoded: same pivots, same bunches,
-//! same estimates for every query.
+//! codec implemented for every piece of label state — [`SketchSet`],
+//! [`Hierarchy`], [`DensityNet`], [`RunStats`] — and for all four sketch-set
+//! families, so that a decoded sketch set is **bit-identical** to the one
+//! that was encoded: same pivots, same bunches, same estimates for every
+//! query.
 //!
 //! The encoding is *payload only*: framing, versioning, checksums and
 //! corruption detection live one layer up, in the `dsketch-store` snapshot
 //! container (`DSK1` format).  Keeping the codec flat and deterministic is
 //! what makes the container's section CRCs meaningful.
 //!
+//! # Label sets
+//!
+//! Labels are nearly all of a snapshot, and a label is small numbers: ids
+//! ascending within a bunch, levels below `k`, distances far below
+//! `u64::MAX`.  A [`SketchSet`] is therefore LEB128 varints (7 value bits
+//! per byte, low group first, shortest form only):
+//!
+//! ```text
+//! set   := n · total pivot slots · total bunch entries · row × n
+//! row   := k · pivot × k · bunch length · entry × length   (owner = row index)
+//! pivot := 0 (none at this level)  |  node + 1 · distance
+//! entry := (gap << ⌈log₂ k⌉) | level · distance
+//!          gap = id for a row's first entry, id − previous id − 1 after it
+//! ```
+//!
+//! The gap makes "strictly ascending by node id" a property of the bytes
+//! rather than a check; the level rides in a varint that is one or two
+//! bytes anyway; a distance is a plain varint, so any `u64` round-trips
+//! with no escape path.  The totals are held against the bytes that remain
+//! and against the rows, and let a reader size its arrays once.
+//! [`LabelRows`] is the only reader of this layout: [`SketchSet`]'s decoder,
+//! the frozen decoder in [`crate::flat`] and the deep verifier in
+//! `dsketch-analysis` all consume its rows.
+//!
 //! # Stability rules
 //!
-//! * Every field is little-endian and fixed-width (`u8`/`u32`/`u64`,
-//!   `f64` as IEEE-754 bits); collections are length-prefixed with `u64`.
-//! * Bunches encode in the label's own order (strictly ascending node id),
-//!   so encoding is deterministic: `encode(decode(bytes)) == bytes`.
+//! * Everything else — hierarchy, density net, params, stats, scheme
+//!   spec — is little-endian and fixed-width (`u8`/`u32`/`u64`, `f64` as
+//!   IEEE-754 bits), collections length-prefixed with `u64`.
+//! * Bunches encode in the label's own order and a value has exactly one
+//!   accepted form, so encoding is deterministic:
+//!   `encode(decode(bytes)) == bytes`.
 //! * Every encoding's size is known before a byte is written
 //!   ([`SketchCodec::encoded_len`]), so a payload is allocated once.
 //! * Changing any encoding below is a **format break** and must bump the
@@ -29,26 +54,28 @@
 //!
 //! ```
 //! use dsketch::codec::SketchCodec;
-//! use dsketch::sketch::Sketch;
+//! use dsketch::sketch::{Sketch, SketchSet};
 //! use netgraph::NodeId;
 //!
-//! let mut sketch = Sketch::new(NodeId(3), 2);
-//! sketch.set_pivot(0, NodeId(3), 0);
+//! let mut sketch = Sketch::new(NodeId(0), 2);
+//! sketch.set_pivot(0, NodeId(0), 0);
 //! sketch.insert_bunch(NodeId(5), 1, 9);
+//! let set = SketchSet::new(vec![sketch]);
 //!
-//! let bytes = sketch.to_bytes();
-//! assert_eq!(Sketch::from_bytes(&bytes).unwrap(), sketch);
+//! let bytes = set.to_bytes();
+//! assert_eq!(SketchSet::from_bytes(&bytes).unwrap(), set);
 //! ```
 
+use crate::cast;
 use crate::hierarchy::Hierarchy;
 use crate::scheme::{SchemeSpec, TzSketchSet};
-use crate::sketch::{BunchEntry, DistKey, Sketch, SketchSet};
+use crate::sketch::{BunchEntry, Sketch, SketchSet};
 use crate::slack::cdg::{CdgParams, CdgSketchSet};
 use crate::slack::degrading::DegradingSketchSet;
 use crate::slack::density_net::DensityNet;
 use crate::slack::three_stretch::ThreeStretchSketchSet;
 use congest_sim::RunStats;
-use netgraph::NodeId;
+use netgraph::{Distance, NodeId};
 
 /// Errors produced while decoding a binary payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,6 +173,16 @@ impl Encoder {
     /// architecture-independent).
     pub fn put_usize(&mut self, v: usize) {
         self.put_u64(crate::cast::u64_from_usize(v));
+    }
+
+    /// Append a LEB128 varint: 7 value bits per byte, low group first,
+    /// the top bit set on every byte but the last.
+    pub fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v.to_le_bytes()[0] | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v.to_le_bytes()[0]);
     }
 
     /// Append an `f64` as its IEEE-754 bit pattern (NaN-safe: the exact
@@ -263,6 +300,54 @@ impl<'a> Decoder<'a> {
         })
     }
 
+    /// Read a LEB128 varint written by [`Encoder::put_varint`].  Only the
+    /// shortest form is accepted (no trailing zero group, at most ten
+    /// bytes, nothing above bit 63), so equal values have equal bytes.
+    #[inline]
+    pub fn varint(&mut self, context: &'static str) -> Result<u64, CodecError> {
+        // One- and two-byte values are nearly all of a label set, two
+        // varints an entry: 8% of the frozen decode at n = 65536.
+        if let [first, second, ..] = self.bytes[self.pos..] {
+            if first < 0x80 {
+                self.pos += 1;
+                return Ok(u64::from(first));
+            }
+            if second < 0x80 && second != 0 {
+                self.pos += 2;
+                return Ok(u64::from(first & 0x7F) | u64::from(second) << 7);
+            }
+        }
+        self.long_varint(context)
+    }
+
+    fn long_varint(&mut self, context: &'static str) -> Result<u64, CodecError> {
+        let invalid = |message: &str| CodecError::Invalid {
+            context,
+            message: message.to_string(),
+        };
+        let mut value = 0u64;
+        for (i, &byte) in self.bytes[self.pos..].iter().take(10).enumerate() {
+            // The tenth byte holds bit 63 and nothing else: a larger one
+            // overflows `u64` or continues into an eleventh byte.
+            if i == 9 && byte > 1 {
+                return Err(invalid("varint does not fit in 64 bits"));
+            }
+            value |= u64::from(byte & 0x7F) << (7 * i);
+            if byte < 0x80 {
+                if byte == 0 && i > 0 {
+                    return Err(invalid("over-long varint (trailing zero group)"));
+                }
+                self.pos += i + 1;
+                return Ok(value);
+            }
+        }
+        Err(CodecError::UnexpectedEof {
+            context,
+            needed: self.remaining() + 1,
+            remaining: self.remaining(),
+        })
+    }
+
     /// Read an `f64` from its IEEE-754 bit pattern.
     pub fn f64(&mut self, context: &'static str) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.u64(context)?))
@@ -290,6 +375,26 @@ impl<'a> Decoder<'a> {
         context: &'static str,
     ) -> Result<usize, CodecError> {
         let count = self.usize(context)?;
+        self.bounded(count, min_element_bytes, context)
+    }
+
+    /// [`Decoder::len_prefix`] for a count stored as a varint.
+    pub fn varint_count(
+        &mut self,
+        min_element_bytes: usize,
+        context: &'static str,
+    ) -> Result<usize, CodecError> {
+        // A count that does not fit `usize` cannot fit the payload either.
+        let count = usize::try_from(self.varint(context)?).unwrap_or(usize::MAX);
+        self.bounded(count, min_element_bytes, context)
+    }
+
+    fn bounded(
+        &self,
+        count: usize,
+        min_element_bytes: usize,
+        context: &'static str,
+    ) -> Result<usize, CodecError> {
         let need = count.saturating_mul(min_element_bytes.max(1));
         if need > self.remaining() {
             return Err(CodecError::UnexpectedEof {
@@ -313,6 +418,11 @@ impl<'a> Decoder<'a> {
     /// Unconsumed bytes.
     pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
+    }
+
+    /// Bytes consumed so far: the offset of the next unread byte.
+    pub fn position(&self) -> usize {
+        self.pos
     }
 
     /// Assert the whole payload was consumed.
@@ -359,143 +469,222 @@ pub trait SketchCodec: Sized {
     }
 }
 
-impl SketchCodec for NodeId {
-    fn encode(&self, out: &mut Encoder) {
-        out.put_u32(self.0);
-    }
+/// Bytes [`Encoder::put_varint`] writes for `v`.
+fn varint_len(v: u64) -> usize {
+    cast::usize_from_u32((70 - (v | 1).leading_zeros()) / 7)
+}
 
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(NodeId(input.u32("NodeId")?))
-    }
+/// Low bits of a bunch entry's first varint that hold its level:
+/// `⌈log₂ k⌉`, the width of `k − 1`.
+fn level_bits(k: usize) -> u32 {
+    usize::BITS - k.saturating_sub(1).leading_zeros()
+}
 
-    fn encoded_len(&self) -> usize {
-        4
+/// A label set's varints, in wire order (see "Label sets" in the
+/// [module docs](self)).  The encoder and `encoded_len` both fold over
+/// this, so the length is exact by construction.
+fn set_varints(set: &SketchSet, mut put: impl FnMut(u64)) {
+    let total = |per_label: fn(&Sketch) -> usize| -> u64 {
+        cast::u64_from_usize(set.iter().map(per_label).sum())
+    };
+    put(cast::u64_from_usize(set.len()));
+    put(total(|sketch| sketch.pivots().len()));
+    put(total(Sketch::bunch_size));
+    for (index, sketch) in set.iter().enumerate() {
+        debug_assert_eq!(sketch.owner.index(), index, "owners are implicit");
+        let k = sketch.pivots().len();
+        put(cast::u64_from_usize(k));
+        for pivot in sketch.pivots() {
+            match *pivot {
+                Some((node, distance)) => {
+                    put(u64::from(node.0) + 1);
+                    put(distance);
+                }
+                None => put(0),
+            }
+        }
+        put(cast::u64_from_usize(sketch.bunch_size()));
+        let bits = level_bits(k);
+        // The smallest id the next entry may carry; gaps count up from it.
+        let mut floor = 0u64;
+        for &(node, entry) in sketch.bunch() {
+            debug_assert!(cast::usize_from_u32(entry.level) < k, "bunch level >= k");
+            put(((u64::from(node.0) - floor) << bits) | u64::from(entry.level));
+            put(entry.distance);
+            floor = u64::from(node.0) + 1;
+        }
     }
 }
 
-impl SketchCodec for DistKey {
-    fn encode(&self, out: &mut Encoder) {
-        out.put_u64(self.distance);
-        self.node.encode(out);
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let distance = input.u64("DistKey.distance")?;
-        let node = NodeId::decode(input)?;
-        Ok(DistKey { distance, node })
-    }
-
-    fn encoded_len(&self) -> usize {
-        8 + 4
-    }
+/// One label as [`LabelRows`] yields it: slices into the cursor's row
+/// buffer, valid until the next row is read.
+#[derive(Debug)]
+pub struct LabelRow<'r> {
+    /// The node the label belongs to — its index in the set.
+    pub owner: NodeId,
+    /// One slot per level (so `pivots.len()` is the label's `k ≥ 1`),
+    /// `None` where the level has no pivot.
+    pub pivots: &'r [Option<(NodeId, Distance)>],
+    /// The bunch, strictly ascending by node id, every level below `k`.
+    pub bunch: &'r [(NodeId, BunchEntry)],
 }
 
-impl SketchCodec for BunchEntry {
-    fn encode(&self, out: &mut Encoder) {
-        out.put_u32(self.level);
-        out.put_u64(self.distance);
-    }
+/// The one reader of label-set bytes: a validating cursor over a
+/// [`SketchSet`] encoding that yields one [`LabelRow`] at a time.
+///
+/// Everything the layout promises is checked here, once, for every
+/// consumer: canonical varints, header totals that fit the remaining bytes
+/// and agree with the rows, `1 ≤ k`, levels below `k`, ids within `u32`.
+/// No count read from the input is trusted with more memory than the input
+/// itself could fill.
+#[derive(Debug)]
+pub struct LabelRows<'d, 'a> {
+    input: &'d mut Decoder<'a>,
+    /// The header: labels, pivot slots and bunch entries in the set.
+    totals: (usize, usize, usize),
+    next_owner: u32,
+    pivots_left: usize,
+    entries_left: usize,
+    pivots: Vec<Option<(NodeId, Distance)>>,
+    bunch: Vec<(NodeId, BunchEntry)>,
+}
 
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(BunchEntry {
-            level: input.u32("BunchEntry.level")?,
-            distance: input.u64("BunchEntry.distance")?,
+impl<'d, 'a> LabelRows<'d, 'a> {
+    /// Read the set header at `input`'s position.
+    pub fn begin(input: &'d mut Decoder<'a>) -> Result<Self, CodecError> {
+        // A row is at least k, one pivot slot and the bunch length; a
+        // pivot slot at least one byte; a bunch entry at least two.
+        let nodes = input.varint_count(3, "SketchSet length")?;
+        let pivot_slots = input.varint_count(1, "SketchSet pivot slots")?;
+        let bunch_entries = input.varint_count(2, "SketchSet bunch entries")?;
+        if u32::try_from(nodes).is_err() {
+            return Err(CodecError::Invalid {
+                context: "SketchSet length",
+                message: format!("{nodes} nodes exceed the u32 id range"),
+            });
+        }
+        Ok(LabelRows {
+            input,
+            totals: (nodes, pivot_slots, bunch_entries),
+            next_owner: 0,
+            pivots_left: pivot_slots,
+            entries_left: bunch_entries,
+            pivots: Vec::new(),
+            bunch: Vec::new(),
         })
     }
 
-    fn encoded_len(&self) -> usize {
-        4 + 8
+    /// The header's totals — labels, pivot slots, bunch entries — which
+    /// the rows are held to: what a consumer sizes its arrays by.
+    pub fn totals(&self) -> (usize, usize, usize) {
+        self.totals
     }
-}
 
-impl SketchCodec for Sketch {
-    fn encode(&self, out: &mut Encoder) {
-        self.owner.encode(out);
-        out.put_usize(self.k);
-        for pivot in self.pivots() {
-            match pivot {
-                Some((node, distance)) => {
-                    out.put_u8(1);
-                    node.encode(out);
-                    out.put_u64(*distance);
+    /// Offset of the next unread byte in the underlying [`Decoder`] —
+    /// after an error, where decoding stopped.
+    pub fn position(&self) -> usize {
+        self.input.position()
+    }
+
+    /// Decode the next label, or `None` after the last — at which point
+    /// the rows must have used up exactly the header's totals.
+    pub fn next_row(&mut self) -> Result<Option<LabelRow<'_>>, CodecError> {
+        let invalid = |context, message: String| CodecError::Invalid { context, message };
+        let totals = |what: &str| {
+            let message = format!("the header and the rows disagree on the number of {what}");
+            invalid("SketchSet totals", message)
+        };
+        if cast::usize_from_u32(self.next_owner) == self.totals.0 {
+            return match (self.pivots_left, self.entries_left) {
+                (0, 0) => Ok(None),
+                (0, _) => Err(totals("bunch entries")),
+                _ => Err(totals("pivot slots")),
+            };
+        }
+        let owner = NodeId(self.next_owner);
+        self.next_owner += 1;
+        let input = &mut *self.input;
+
+        // Levels are `u32`s below k.
+        let k = input.varint_count(1, "Sketch.k")?;
+        if k == 0 || u32::try_from(k).is_err() {
+            return Err(invalid(
+                "Sketch.k",
+                format!("k = {k} is outside 1..=u32::MAX"),
+            ));
+        }
+        self.pivots_left = self
+            .pivots_left
+            .checked_sub(k)
+            .ok_or_else(|| totals("pivot slots"))?;
+        self.pivots.clear();
+        for _ in 0..k {
+            let pivot = match input.varint("Sketch.pivot")?.checked_sub(1) {
+                None => None,
+                Some(node) => {
+                    let node = u32::try_from(node).map_err(|_| {
+                        invalid("Sketch.pivot", format!("node id {node} exceeds u32"))
+                    })?;
+                    Some((NodeId(node), input.varint("Sketch.pivot distance")?))
                 }
-                None => out.put_u8(0),
-            }
+            };
+            self.pivots.push(pivot);
         }
-        out.put_usize(self.bunch_size());
-        for (node, entry) in self.bunch() {
-            node.encode(out);
-            entry.encode(out);
-        }
-    }
 
-    fn encoded_len(&self) -> usize {
-        // owner + k, a flag byte per pivot slot plus (node, distance) where
-        // present, bunch length, 16 bytes per bunch entry.
-        let present = self.pivots().iter().flatten().count();
-        4 + 8 + self.pivots().len() + 12 * present + 8 + 16 * self.bunch_size()
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let owner = NodeId::decode(input)?;
-        // Each pivot slot is at least one flag byte.
-        let k = input.len_prefix(1, "Sketch.k")?;
-        if k == 0 {
-            return Err(CodecError::Invalid {
-                context: "Sketch.k",
-                message: "k must be at least 1".to_string(),
-            });
-        }
-        let mut pivots = vec![None; k];
-        for slot in &mut pivots {
-            if input.bool("Sketch.pivot flag")? {
-                let node = NodeId::decode(input)?;
-                let distance = input.u64("Sketch.pivot distance")?;
-                *slot = Some((node, distance));
+        let len = input.varint_count(2, "Sketch.bunch length")?;
+        self.entries_left = self
+            .entries_left
+            .checked_sub(len)
+            .ok_or_else(|| totals("bunch entries"))?;
+        let bits = level_bits(k);
+        let level_mask = (1u64 << bits) - 1;
+        self.bunch.clear();
+        self.bunch.reserve(len);
+        let mut floor = 0u64;
+        for _ in 0..len {
+            let packed = input.varint("BunchEntry")?;
+            let level = u32::try_from(packed & level_mask).unwrap_or(u32::MAX);
+            if cast::usize_from_u32(level) >= k {
+                let message = format!("level {} out of range for k = {k}", packed & level_mask);
+                return Err(invalid("BunchEntry.level", message));
             }
+            let Ok(node) = u32::try_from(floor.saturating_add(packed >> bits)) else {
+                let gap = packed >> bits;
+                let message = format!("gap {gap} from {floor} carries the id past u32::MAX");
+                return Err(invalid("BunchEntry.node", message));
+            };
+            floor = u64::from(node) + 1;
+            let distance = input.varint("BunchEntry.distance")?;
+            self.bunch
+                .push((NodeId(node), BunchEntry { level, distance }));
         }
-        // node id (4) + level (4) + distance (8) per bunch entry.
-        let bunch_len = input.len_prefix(16, "Sketch.bunch length")?;
-        let mut sketch = Sketch::from_sorted_parts(owner, pivots, Vec::with_capacity(bunch_len));
-        // A canonical payload lists the bunch ascending, which `insert_bunch`
-        // appends; anything else folds in under the same rule as any other
-        // insertion (smallest distance, lowest level on ties).
-        for _ in 0..bunch_len {
-            let node = NodeId::decode(input)?;
-            let entry = BunchEntry::decode(input)?;
-            if crate::cast::usize_from_u32(entry.level) >= k {
-                return Err(CodecError::Invalid {
-                    context: "Sketch.bunch entry",
-                    message: format!("bunch level {} out of range for k = {k}", entry.level),
-                });
-            }
-            sketch.insert_bunch(node, entry.level, entry.distance);
-        }
-        Ok(sketch)
+        Ok(Some(LabelRow {
+            owner,
+            pivots: &self.pivots,
+            bunch: &self.bunch,
+        }))
     }
 }
 
 impl SketchCodec for SketchSet {
     fn encode(&self, out: &mut Encoder) {
-        out.put_usize(self.len());
-        for sketch in self.iter() {
-            sketch.encode(out);
-        }
+        set_varints(self, |v| out.put_varint(v));
     }
 
     fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        // A sketch is at least owner (4) + k (8) + one pivot flag + empty
-        // bunch length (8).
-        let count = input.len_prefix(21, "SketchSet length")?;
-        let mut sketches = Vec::with_capacity(count);
-        for _ in 0..count {
-            sketches.push(Sketch::decode(input)?);
+        let mut rows = LabelRows::begin(input)?;
+        let mut sketches = Vec::with_capacity(rows.totals().0);
+        while let Some(row) = rows.next_row()? {
+            let (pivots, bunch) = (row.pivots.to_vec(), row.bunch.to_vec());
+            sketches.push(Sketch::from_sorted_parts(row.owner, pivots, bunch));
         }
         Ok(SketchSet::new(sketches))
     }
 
     fn encoded_len(&self) -> usize {
-        8 + self.iter().map(Sketch::encoded_len).sum::<usize>()
+        let mut len = 0;
+        set_varints(self, |v| len += varint_len(v));
+        len
     }
 }
 
@@ -534,7 +723,7 @@ impl SketchCodec for DensityNet {
         out.put_f64(self.eps());
         out.put_usize(self.len());
         for &member in self.members() {
-            member.encode(out);
+            out.put_u32(member.0);
         }
     }
 
@@ -550,9 +739,18 @@ impl SketchCodec for DensityNet {
         let len = input.len_prefix(4, "DensityNet members length")?;
         let mut members = Vec::with_capacity(len);
         for _ in 0..len {
-            members.push(NodeId::decode(input)?);
+            members.push(NodeId(input.u32("DensityNet member")?));
         }
-        Ok(DensityNet::from_members(num_nodes, eps, members))
+        let net = DensityNet::from_members(num_nodes, eps, members);
+        // The net keeps ε in thousandths; bytes that say anything finer
+        // would not re-encode to themselves.
+        if net.eps().to_bits() != eps.to_bits() {
+            return Err(CodecError::Invalid {
+                context: "DensityNet.eps",
+                message: format!("epsilon {eps} is not a whole number of thousandths"),
+            });
+        }
+        Ok(net)
     }
 
     fn encoded_len(&self) -> usize {
@@ -805,24 +1003,81 @@ mod tests {
 
     #[test]
     fn primitive_round_trips() {
-        let key = DistKey::new(17, NodeId(3));
-        assert_eq!(DistKey::from_bytes(&key.to_bytes()).unwrap(), key);
-        let infinite = DistKey::INFINITE;
-        assert_eq!(DistKey::from_bytes(&infinite.to_bytes()).unwrap(), infinite);
+        // Varints: every group boundary, and the length is what was written.
+        let mut values = vec![0, 1, u64::MAX, u64::MAX - 1];
+        for shift in 1..64 {
+            values.extend([(1u64 << shift) - 1, 1u64 << shift, (1u64 << shift) + 1]);
+        }
+        for v in values {
+            let mut out = Encoder::new();
+            out.put_varint(v);
+            assert_eq!(out.len(), varint_len(v), "{v}");
+            let mut input = Decoder::new(out.as_bytes());
+            assert_eq!(input.varint("v").unwrap(), v);
+            input.finish().unwrap();
+        }
+    }
 
-        let entry = BunchEntry {
-            level: 2,
-            distance: 99,
-        };
-        assert_eq!(BunchEntry::from_bytes(&entry.to_bytes()).unwrap(), entry);
+    #[test]
+    fn non_canonical_varints_are_rejected() {
+        let varint = |bytes: &[u8]| Decoder::new(bytes).varint("v");
+        // Over-long: zero with a redundant continuation group.
+        assert!(matches!(
+            varint(&[0x80, 0x00]),
+            Err(CodecError::Invalid { .. })
+        ));
+        assert!(matches!(
+            varint(&[0xFF, 0x80, 0x00]),
+            Err(CodecError::Invalid { .. })
+        ));
+        // Eleven bytes, and a tenth byte carrying more than bit 63.
+        let mut eleven = vec![0x80; 10];
+        eleven.push(0x01);
+        assert!(matches!(varint(&eleven), Err(CodecError::Invalid { .. })));
+        let mut wide = vec![0xFF; 9];
+        wide.push(0x02);
+        assert!(matches!(varint(&wide), Err(CodecError::Invalid { .. })));
+        // Running out of bytes mid-value is an EOF, not a value.
+        assert!(matches!(varint(&[]), Err(CodecError::UnexpectedEof { .. })));
+        assert!(matches!(
+            varint(&[0x80, 0x80]),
+            Err(CodecError::UnexpectedEof { .. })
+        ));
+        // u64::MAX itself is ten bytes ending in 0x01.
+        let mut max = vec![0xFF; 9];
+        max.push(0x01);
+        assert_eq!(varint(&max).unwrap(), u64::MAX);
     }
 
     #[test]
     fn sketch_round_trip_is_exact_and_deterministic() {
-        let sketch = sample_sketch(7);
-        let bytes = sketch.to_bytes();
-        let decoded = Sketch::from_bytes(&bytes).unwrap();
-        assert_eq!(decoded, sketch);
+        let set = SketchSet::new(vec![sample_sketch(0)]);
+        let bytes = set.to_bytes();
+        // n, slots, entries; k, self pivot, absent, pivot 9 at 14; three
+        // entries of (gap << 2 | level, distance).
+        assert_eq!(
+            bytes,
+            [
+                1,
+                3,
+                3,
+                3,
+                1,
+                0,
+                0,
+                10,
+                14,
+                3,
+                0,
+                0,
+                (3 << 2) | 1,
+                7,
+                (4 << 2) | 2,
+                14
+            ]
+        );
+        let decoded = SketchSet::from_bytes(&bytes).unwrap();
+        assert_eq!(decoded, set);
         // encode(decode(bytes)) == bytes: the representation is canonical.
         assert_eq!(decoded.to_bytes(), bytes);
     }
@@ -882,9 +1137,9 @@ mod tests {
 
     #[test]
     fn truncated_payloads_fail_with_eof_not_panic() {
-        let bytes = sample_sketch(3).to_bytes();
+        let bytes = SketchSet::new(vec![sample_sketch(0), sample_sketch(1)]).to_bytes();
         for cut in 0..bytes.len() {
-            let err = Sketch::from_bytes(&bytes[..cut]).unwrap_err();
+            let err = SketchSet::from_bytes(&bytes[..cut]).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -897,79 +1152,125 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut bytes = sample_sketch(3).to_bytes();
+        let mut bytes = SketchSet::new(vec![sample_sketch(0)]).to_bytes();
         bytes.push(0xFF);
         assert!(matches!(
-            Sketch::from_bytes(&bytes),
+            SketchSet::from_bytes(&bytes),
             Err(CodecError::TrailingBytes { remaining: 1 })
         ));
     }
 
+    /// A label set from raw varints, for payloads the encoder cannot write.
+    fn raw_set(varints: &[u64]) -> Vec<u8> {
+        let mut out = Encoder::new();
+        for &v in varints {
+            out.put_varint(v);
+        }
+        out.into_bytes()
+    }
+
     #[test]
     fn absurd_length_prefixes_fail_fast() {
-        // A corrupted count must be rejected by the remaining-bytes bound,
-        // not attempted as an allocation.
-        let mut out = Encoder::new();
-        out.put_usize(u32::MAX as usize);
-        let err = SketchSet::from_bytes(out.as_bytes()).unwrap_err();
+        // Each header total is bounded by the bytes that remain, so a
+        // corrupted count is refused before anything is sized by it.
+        for header in [
+            [u64::from(u32::MAX), 0, 0],
+            [0, u64::MAX, 0],
+            [0, 0, 1 << 40],
+        ] {
+            let err = SketchSet::from_bytes(&raw_set(&header)).unwrap_err();
+            assert!(matches!(err, CodecError::UnexpectedEof { .. }), "{err}");
+        }
+        // So is a row's k and its bunch length.
+        let err = SketchSet::from_bytes(&raw_set(&[1, 1, 0, 1 << 30, 0, 0])).unwrap_err();
+        assert!(matches!(err, CodecError::UnexpectedEof { .. }), "{err}");
+        let err = SketchSet::from_bytes(&raw_set(&[1, 1, 0, 1, 0, 1 << 30])).unwrap_err();
         assert!(matches!(err, CodecError::UnexpectedEof { .. }), "{err}");
     }
 
     #[test]
     fn bunch_levels_are_validated_against_k() {
-        let mut out = Encoder::new();
-        NodeId(0).encode(&mut out); // owner
-        out.put_usize(1); // k = 1
-        out.put_u8(0); // no pivot
-        out.put_usize(1); // one bunch entry
-        NodeId(2).encode(&mut out);
-        BunchEntry {
-            level: 9,
-            distance: 1,
-        }
-        .encode(&mut out);
-        let err = Sketch::from_bytes(out.as_bytes()).unwrap_err();
-        assert!(matches!(err, CodecError::Invalid { .. }), "{err}");
+        // k = 3 leaves two level bits, so level 3 is writable but invalid.
+        let row = |level: u64| raw_set(&[1, 3, 1, 3, 0, 0, 0, 1, (2 << 2) | level, 1]);
+        assert!(SketchSet::from_bytes(&row(2)).is_ok());
+        let err = SketchSet::from_bytes(&row(3)).unwrap_err();
+        assert!(
+            matches!(err, CodecError::Invalid { context, .. } if context.contains("level")),
+            "{err}"
+        );
+        // k = 0 is refused outright.
+        let err = SketchSet::from_bytes(&raw_set(&[1, 0, 0, 0, 0, 0])).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CodecError::Invalid {
+                    context: "Sketch.k",
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]
-    fn out_of_order_and_duplicate_bunch_entries_fold_like_insertions() {
-        // Descending ids, a duplicate that improves the distance, one that
-        // ties at a lower level and one that loses.
-        let entries = [
-            (9u32, 2u32, 14u64),
-            (4, 1, 7),
-            (9, 1, 11),
-            (4, 0, 7),
-            (2, 0, 3),
-            (4, 2, 8),
-        ];
-        let mut out = Encoder::new();
-        NodeId(7).encode(&mut out);
-        out.put_usize(3);
-        out.put_u8(1);
-        NodeId(7).encode(&mut out);
-        out.put_u64(0);
-        out.put_u8(0);
-        out.put_u8(0);
-        out.put_usize(entries.len());
-        let mut inserted = Sketch::new(NodeId(7), 3);
-        inserted.set_pivot(0, NodeId(7), 0);
-        for (node, level, distance) in entries {
-            NodeId(node).encode(&mut out);
-            BunchEntry { level, distance }.encode(&mut out);
-            inserted.insert_bunch(NodeId(node), level, distance);
+    fn gaps_cannot_carry_an_id_past_u32() {
+        let max = u64::from(u32::MAX);
+        // One entry at u32::MAX is the last id there is ...
+        assert!(SketchSet::from_bytes(&raw_set(&[1, 1, 1, 1, 0, 1, max, 5])).is_ok());
+        // ... a larger first gap, any entry after it, or a gap that
+        // overflows u64 once added, is not an id.
+        for entries in [
+            vec![1, max + 1, 5],
+            vec![2, max, 5, 0, 5],
+            vec![2, 7, 5, u64::MAX, 5],
+        ] {
+            let count = entries[0];
+            let mut varints = vec![1, 1, count, 1, 0];
+            varints.extend(entries);
+            let err = SketchSet::from_bytes(&raw_set(&varints)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CodecError::Invalid {
+                        context: "BunchEntry.node",
+                        ..
+                    }
+                ),
+                "{err}"
+            );
         }
-        let decoded = Sketch::from_bytes(out.as_bytes()).unwrap();
-        assert_eq!(decoded, inserted);
-        let bunch: Vec<(u32, u32, u64)> = decoded
-            .bunch()
-            .iter()
-            .map(|&(w, e)| (w.0, e.level, e.distance))
-            .collect();
-        assert_eq!(bunch, vec![(2, 0, 3), (4, 0, 7), (9, 1, 11)]);
-        // Re-encoding is canonical from here on.
-        assert_eq!(Sketch::from_bytes(&decoded.to_bytes()).unwrap(), decoded);
+        // A pivot id is bounded the same way.
+        let err = SketchSet::from_bytes(&raw_set(&[1, 1, 0, 1, max + 2, 0, 0])).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CodecError::Invalid {
+                    context: "Sketch.pivot",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn header_totals_must_agree_with_the_rows() {
+        // One row with one pivot slot and one bunch entry.
+        let set = |slots: u64, entries: u64| raw_set(&[1, slots, entries, 1, 0, 1, 4, 9]);
+        assert!(SketchSet::from_bytes(&set(1, 1)).is_ok());
+        for (slots, entries) in [(0, 1), (2, 1), (1, 0), (1, 2)] {
+            let err = SketchSet::from_bytes(&set(slots, entries)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CodecError::Invalid {
+                        context: "SketchSet totals",
+                        ..
+                    }
+                ),
+                "slots {slots}, entries {entries}: {err}"
+            );
+        }
     }
 
     /// `to_bytes` reserves `encoded_len` bytes and must fill exactly that.
@@ -1001,10 +1302,9 @@ mod tests {
 
     #[test]
     fn encoded_len_is_exact_for_the_small_types() {
-        assert_len_is_exact(&sample_sketch(3));
-        assert_len_is_exact(&Sketch::new(NodeId(1), 4));
+        assert_len_is_exact(&SketchSet::new(vec![sample_sketch(0), sample_sketch(1)]));
+        assert_len_is_exact(&SketchSet::new(vec![Sketch::new(NodeId(0), 4)]));
         assert_len_is_exact(&SketchSet::new(vec![]));
-        assert_len_is_exact(&DistKey::INFINITE);
         assert_len_is_exact(&CdgParams::new(0.25, 2));
         assert_len_is_exact(&RunStats::default());
         for spec in [

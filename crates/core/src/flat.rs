@@ -30,7 +30,10 @@
 //!   toggle.
 //! * [`FlatSketchSet::from_family_bytes`] — straight from the `SKCH`
 //!   section bytes of a `dsketch-store` snapshot, so a cold-started server
-//!   never materializes a [`Sketch`] at all.
+//!   never materializes a [`Sketch`] at all.  The label rows come from
+//!   [`LabelRows`], the codec's one reader of those bytes (the map decoder
+//!   and the deep verifier consume the same cursor); this module only
+//!   appends each row to the arrays, which the set header sized up front.
 //!
 //! Both paths produce the same value (`freeze(decode(bytes)) ==
 //! from_family_bytes(bytes)`, pinned by tests), and every query function is
@@ -41,12 +44,12 @@
 #![deny(missing_docs)]
 
 use crate::cast;
-use crate::codec::{CodecError, Decoder, SketchCodec};
+use crate::codec::{CodecError, Decoder, LabelRows, SketchCodec};
 use crate::error::SketchError;
 use crate::hierarchy::Hierarchy;
 use crate::oracle::{check_nodes, DistanceOracle};
 use crate::scheme::SchemeSpec;
-use crate::sketch::{Sketch, SketchSet};
+use crate::sketch::{BunchEntry, Sketch, SketchSet};
 use crate::slack::cdg::CdgParams;
 use crate::slack::density_net::DensityNet;
 use congest_sim::RunStats;
@@ -116,16 +119,6 @@ fn slice_distance(nodes: &[NodeId], dists: &[Distance], w: NodeId) -> Option<Dis
 }
 
 impl FlatLayer {
-    fn new() -> FlatLayer {
-        FlatLayer {
-            num_nodes: 0,
-            offsets: vec![(0, 0)],
-            pivots: Vec::new(),
-            bunch_nodes: Vec::new(),
-            bunch_dists: Vec::new(),
-        }
-    }
-
     fn offset(len: usize) -> u32 {
         // dsketch-lint: allow(no-unwrap-in-hot-path): capacity contract — layers over u32::MAX entries are unrepresentable by design, checked at freeze time
         u32::try_from(len).expect("flat sketch arrays exceed u32 offset range")
@@ -140,14 +133,25 @@ impl FlatLayer {
         ));
     }
 
-    fn push_sketch(&mut self, sketch: &Sketch) {
-        for pivot in sketch.pivots() {
-            self.pivots.push(pivot.unwrap_or((NO_PIVOT, INFINITY)));
+    /// An empty layer whose arrays are sized, once, for exactly this much.
+    fn with_capacity(nodes: usize, pivot_slots: usize, bunch_entries: usize) -> FlatLayer {
+        let mut offsets = Vec::with_capacity(nodes + 1);
+        offsets.push((0, 0));
+        FlatLayer {
+            num_nodes: 0,
+            offsets,
+            pivots: Vec::with_capacity(pivot_slots),
+            bunch_nodes: Vec::with_capacity(bunch_entries),
+            bunch_dists: Vec::with_capacity(bunch_entries),
         }
-        // The label's bunch is already one run sorted by node id — exactly
-        // what the binary search and merge need; split it into the two
-        // parallel arrays.
-        let bunch = sketch.bunch();
+    }
+
+    /// Append one node's label: its pivot slots, and its bunch — already
+    /// one run sorted by node id, exactly what the binary search and merge
+    /// need — split into the two parallel arrays.
+    fn push_row(&mut self, pivots: &[Option<(NodeId, Distance)>], bunch: &[(NodeId, BunchEntry)]) {
+        self.pivots
+            .extend(pivots.iter().map(|p| p.unwrap_or((NO_PIVOT, INFINITY))));
         self.bunch_nodes.extend(bunch.iter().map(|&(node, _)| node));
         self.bunch_dists
             .extend(bunch.iter().map(|&(_, entry)| entry.distance));
@@ -155,76 +159,32 @@ impl FlatLayer {
     }
 
     fn from_sketch_set(set: &SketchSet) -> FlatLayer {
-        let mut layer = FlatLayer::new();
-        let entries: usize = set.iter().map(Sketch::bunch_size).sum();
-        layer.offsets.reserve_exact(set.len());
-        layer.bunch_nodes.reserve_exact(entries);
-        layer.bunch_dists.reserve_exact(entries);
+        let slots = set.iter().map(|sketch| sketch.pivots().len()).sum();
+        let entries = set.iter().map(Sketch::bunch_size).sum();
+        let mut layer = FlatLayer::with_capacity(set.len(), slots, entries);
         for sketch in set.iter() {
-            layer.push_sketch(sketch);
+            layer.push_row(sketch.pivots(), sketch.bunch());
         }
         layer
     }
 
-    /// Decode one `SketchSet` payload (the exact byte layout of
-    /// [`SketchSet::decode`]) directly into CSR arrays, never building a
-    /// [`Sketch`].  Enforces the same invariants as that decoder (`k ≥ 1`,
-    /// bunch levels below `k`) plus the two the flat layout relies on:
-    /// owners are the node indices, and bunch entries are strictly
-    /// ascending by node id (which the canonical encoder guarantees, since
-    /// it writes each label's sorted run in order).
+    /// Decode one `SketchSet` payload directly into CSR arrays, never
+    /// building a [`Sketch`]: the rows come from [`LabelRows`], the one
+    /// reader of those bytes, which has already enforced everything the
+    /// flat layout relies on (owners are the node indices, `k ≥ 1`, bunch
+    /// ids strictly ascending), and the header totals size the arrays.
     fn decode_sketch_set(input: &mut Decoder<'_>) -> Result<FlatLayer, CodecError> {
-        let count = input.len_prefix(21, "SketchSet length")?;
-        let mut layer = FlatLayer::new();
-        for index in 0..count {
-            let owner = NodeId::decode(input)?;
-            if owner.index() != index {
-                return Err(CodecError::Invalid {
-                    context: "FlatSketchSet owner",
-                    message: format!("sketch {index} is owned by {owner}, not its node index"),
-                });
-            }
-            let k = input.len_prefix(1, "Sketch.k")?;
-            if k == 0 {
-                return Err(CodecError::Invalid {
-                    context: "Sketch.k",
-                    message: "k must be at least 1".to_string(),
-                });
-            }
-            for _ in 0..k {
-                if input.bool("Sketch.pivot flag")? {
-                    let node = NodeId::decode(input)?;
-                    let distance = input.u64("Sketch.pivot distance")?;
-                    layer.pivots.push((node, distance));
-                } else {
-                    layer.pivots.push((NO_PIVOT, INFINITY));
-                }
-            }
-            let bunch_len = input.len_prefix(16, "Sketch.bunch length")?;
-            let mut previous: Option<NodeId> = None;
-            for _ in 0..bunch_len {
-                let node = NodeId::decode(input)?;
-                let level = input.u32("BunchEntry.level")?;
-                let distance = input.u64("BunchEntry.distance")?;
-                if cast::usize_from_u32(level) >= k {
-                    return Err(CodecError::Invalid {
-                        context: "Sketch.bunch entry",
-                        message: format!("bunch level {level} out of range for k = {k}"),
-                    });
-                }
-                if previous.is_some_and(|p| p >= node) {
-                    return Err(CodecError::Invalid {
-                        context: "FlatSketchSet bunch order",
-                        message: format!(
-                            "bunch of node {index} is not strictly ascending at {node}"
-                        ),
-                    });
-                }
-                previous = Some(node);
-                layer.bunch_nodes.push(node);
-                layer.bunch_dists.push(distance);
-            }
-            layer.seal_node();
+        let mut rows = LabelRows::begin(input)?;
+        let (nodes, pivot_slots, bunch_entries) = rows.totals();
+        if u32::try_from(pivot_slots.max(bunch_entries)).is_err() {
+            return Err(CodecError::Invalid {
+                context: "FlatSketchSet",
+                message: "label set exceeds the u32 offset range".to_string(),
+            });
+        }
+        let mut layer = FlatLayer::with_capacity(nodes, pivot_slots, bunch_entries);
+        while let Some(row) = rows.next_row()? {
+            layer.push_row(row.pivots, row.bunch);
         }
         Ok(layer)
     }
@@ -430,22 +390,6 @@ impl Freeze for SketchSet {
 }
 
 impl FlatSketchSet {
-    /// Assemble from already-flattened parts (the family `Freeze` impls and
-    /// the snapshot decoder funnel through this).
-    fn from_parts(
-        layers: Vec<FlatLayer>,
-        rule: QueryRule,
-        scheme_name: &'static str,
-        stretch_bound: Option<u64>,
-    ) -> FlatSketchSet {
-        FlatSketchSet {
-            layers,
-            rule,
-            scheme_name,
-            stretch_bound,
-        }
-    }
-
     /// Freeze a single-layer family: one [`SketchSet`] plus its query rule
     /// and reporting metadata.
     pub(crate) fn single_layer(
@@ -454,22 +398,22 @@ impl FlatSketchSet {
         scheme_name: &'static str,
         stretch_bound: Option<u64>,
     ) -> FlatSketchSet {
-        FlatSketchSet::from_parts(
-            vec![FlatLayer::from_sketch_set(set)],
+        FlatSketchSet {
+            layers: vec![FlatLayer::from_sketch_set(set)],
             rule,
             scheme_name,
             stretch_bound,
-        )
+        }
     }
 
     /// Freeze the layered degrading family from its per-layer label sets.
     pub(crate) fn layered<'a>(sets: impl Iterator<Item = &'a SketchSet>) -> FlatSketchSet {
-        FlatSketchSet::from_parts(
-            sets.map(FlatLayer::from_sketch_set).collect(),
-            QueryRule::BestCommon,
-            "degrading",
-            None,
-        )
+        FlatSketchSet {
+            layers: sets.map(FlatLayer::from_sketch_set).collect(),
+            rule: QueryRule::BestCommon,
+            scheme_name: "degrading",
+            stretch_bound: None,
+        }
     }
 
     /// Materialize a frozen set directly from the `SKCH` section payload of
@@ -486,33 +430,33 @@ impl FlatSketchSet {
                 let layer = FlatLayer::decode_sketch_set(&mut input)?;
                 let hierarchy = Hierarchy::decode(&mut input)?;
                 let stretch = (2 * cast::u64_from_usize(hierarchy.k())).saturating_sub(1);
-                FlatSketchSet::from_parts(
-                    vec![layer],
-                    QueryRule::LevelWalk,
-                    "thorup-zwick",
-                    Some(stretch),
-                )
+                FlatSketchSet {
+                    layers: vec![layer],
+                    rule: QueryRule::LevelWalk,
+                    scheme_name: "thorup-zwick",
+                    stretch_bound: Some(stretch),
+                }
             }
             SchemeSpec::ThreeStretch { .. } => {
                 // Layout of ThreeStretchSketchSet: net, sketches, stats.
                 DensityNet::decode(&mut input)?;
                 let layer = FlatLayer::decode_sketch_set(&mut input)?;
                 RunStats::decode(&mut input)?;
-                FlatSketchSet::from_parts(
-                    vec![layer],
-                    QueryRule::BestCommon,
-                    "three-stretch",
-                    Some(3),
-                )
+                FlatSketchSet {
+                    layers: vec![layer],
+                    rule: QueryRule::BestCommon,
+                    scheme_name: "three-stretch",
+                    stretch_bound: Some(3),
+                }
             }
             SchemeSpec::Cdg { .. } => {
                 let (layer, params) = decode_cdg_layer(&mut input)?;
-                FlatSketchSet::from_parts(
-                    vec![layer],
-                    QueryRule::BestCommon,
-                    "cdg",
-                    Some(params.stretch()),
-                )
+                FlatSketchSet {
+                    layers: vec![layer],
+                    rule: QueryRule::BestCommon,
+                    scheme_name: "cdg",
+                    stretch_bound: Some(params.stretch()),
+                }
             }
             SchemeSpec::Degrading { .. } => {
                 // Layout of DegradingSketchSet: layer count, CDG layers, stats.
@@ -522,7 +466,12 @@ impl FlatSketchSet {
                     layers.push(decode_cdg_layer(&mut input)?.0);
                 }
                 RunStats::decode(&mut input)?;
-                FlatSketchSet::from_parts(layers, QueryRule::BestCommon, "degrading", None)
+                FlatSketchSet {
+                    layers,
+                    rule: QueryRule::BestCommon,
+                    scheme_name: "degrading",
+                    stretch_bound: None,
+                }
             }
         };
         input.finish()?;
@@ -850,11 +799,12 @@ mod tests {
     }
 
     #[test]
-    fn flat_decode_rejects_reordered_and_misowned_payloads() {
+    fn flat_decode_equals_the_freeze_and_rejects_what_the_cursor_rejects() {
         let set = toy_set();
         let spec = SchemeSpec::thorup_zwick(2);
 
-        // A valid TzSketchSet payload decodes flat and equals the freeze.
+        // A valid TzSketchSet payload decodes flat and equals the freeze of
+        // the map decode: the two are consumers of the same rows.
         let tz = crate::scheme::TzSketchSet {
             sketches: set.clone(),
             hierarchy: Hierarchy::sample(2, &crate::hierarchy::TzParams::new(2).with_seed(1))
@@ -862,43 +812,27 @@ mod tests {
         };
         let bytes = tz.to_bytes();
         let flat = FlatSketchSet::from_family_bytes(&spec, &bytes).unwrap();
+        assert_eq!(flat, tz.freeze());
         assert_eq!(
             flat.estimate(NodeId(0), NodeId(1)),
             DistanceOracle::estimate(&set, NodeId(0), NodeId(1))
         );
 
-        // Owner not equal to the node index is refused.
-        let misowned = SketchSet::new(vec![Sketch::new(NodeId(5), 1)]);
-        let tz_bad = crate::scheme::TzSketchSet {
-            sketches: misowned,
-            hierarchy: tz.hierarchy.clone(),
-        };
-        let err = FlatSketchSet::from_family_bytes(&spec, &tz_bad.to_bytes()).unwrap_err();
-        assert!(matches!(err, CodecError::Invalid { context, .. } if context.contains("owner")));
-
-        // A non-ascending bunch is refused: encode one sketch manually with
-        // its two bunch entries in descending node order.
+        // Owners and bunch order are structural on the wire; what a hostile
+        // payload can still say is an id past u32::MAX, and the flat decoder
+        // refuses it exactly as the map decoder does.
         let mut out = crate::codec::Encoder::new();
-        NodeId(0).encode(&mut out);
-        out.put_usize(2); // k
-        out.put_u8(0);
-        out.put_u8(0); // no pivots
-        out.put_usize(2); // bunch length
-        NodeId(9).encode(&mut out);
-        out.put_u32(1);
-        out.put_u64(2);
-        NodeId(0).encode(&mut out);
-        out.put_u32(0);
-        out.put_u64(0);
-        let mut payload = crate::codec::Encoder::new();
-        payload.put_usize(1);
-        let mut bytes = payload.into_bytes();
-        bytes.extend_from_slice(out.as_bytes());
-        let mut input = Decoder::new(&bytes);
-        let err = FlatLayer::decode_sketch_set(&mut input).unwrap_err();
+        // n = 1, one pivot slot, two entries; k = 1, no pivot, two entries:
+        // id u32::MAX, then a gap of 0 after it.
+        for v in [1, 1, 2, 1, 0, 2, u64::from(u32::MAX), 0, 0, 0] {
+            out.put_varint(v);
+        }
+        let flat_err = FlatLayer::decode_sketch_set(&mut Decoder::new(out.as_bytes())).unwrap_err();
+        let map_err = SketchSet::from_bytes(out.as_bytes()).unwrap_err();
+        assert_eq!(flat_err, map_err);
         assert!(
-            matches!(err, CodecError::Invalid { context, .. } if context.contains("bunch order")),
-            "descending bunch must be refused"
+            matches!(flat_err, CodecError::Invalid { context, .. } if context.contains("node")),
+            "{flat_err}"
         );
     }
 

@@ -156,12 +156,14 @@ impl Hierarchy {
     /// replaying a hierarchy recorded elsewhere).  `level[v]` must be in
     /// `-1..k` for every `v`.
     pub fn from_levels(level: Vec<i32>, k: usize) -> Result<Self, SketchError> {
-        if k == 0 {
-            return Err(SketchError::InvalidParameters(
-                "k must be at least 1".to_string(),
-            ));
-        }
-        if let Some(&bad) = level.iter().find(|&&l| l < -1 || l >= k as i32) {
+        // Levels are `i32`s below k, so a larger k names no level (and every
+        // `2k − 1` downstream stays far from overflow).
+        let Some(top) = i32::try_from(k).ok().filter(|&top| top >= 1) else {
+            return Err(SketchError::InvalidParameters(format!(
+                "k = {k} is outside 1..=i32::MAX"
+            )));
+        };
+        if let Some(&bad) = level.iter().find(|&&l| l < -1 || l >= top) {
             return Err(SketchError::InvalidParameters(format!(
                 "level {bad} out of range for k = {k}"
             )));

@@ -23,9 +23,10 @@
 //! ascending by node id.  Both engines hand it over whole
 //! (`Sketch::from_sorted_parts`): the direct engine ([`crate::build`])
 //! produces every row already in that order, and the CONGEST programs end
-//! with per-phase tables that are sorted runs ([`crate::distributed`]).
-//! Whatever learns members one at a time (the sketch exchange, the codec's
-//! map decoder, the direct 3-stretch build, tests) goes through
+//! with per-phase tables that are sorted runs ([`crate::distributed`]);
+//! so does the codec, whose gap-coded rows can only be ascending.
+//! Whatever learns members one at a time (the sketch exchange, the direct
+//! 3-stretch build, tests) goes through
 //! [`Sketch::insert_bunch`], which keeps the run sorted by binary search.
 //! Readers — the queries, [`crate::flat`]'s freeze, the codec — walk or
 //! binary-search the slice.
@@ -144,8 +145,8 @@ impl Sketch {
     /// through different levels in different orders, and the sketch must
     /// not depend on which insertion happened last.
     pub fn insert_bunch(&mut self, node: NodeId, level: u32, distance: Distance) {
-        // Ascending insertion — decoding a canonical payload, folding a
-        // sorted table — lands at the tail without a search.
+        // Ascending insertion — folding a sorted table — lands at the tail
+        // without a search.
         let slot = if self.bunch.last().is_none_or(|&(last, _)| last < node) {
             Err(self.bunch.len())
         } else {

@@ -69,8 +69,12 @@ impl CdgParams {
 
     /// Validate.
     pub fn validate(&self) -> Result<(), SketchError> {
-        if self.k == 0 {
-            return Err(SketchError::InvalidParameters("k must be >= 1".into()));
+        // The upper bound keeps `8k − 1` (and every level, a `u32`) in range
+        // for parameters read from a snapshot.
+        if self.k == 0 || u32::try_from(self.k).is_err() {
+            return Err(SketchError::InvalidParameters(
+                "k must be in 1..=u32::MAX".into(),
+            ));
         }
         if !(self.eps > 0.0 && self.eps <= 1.0) {
             return Err(SketchError::InvalidParameters(format!(

@@ -443,8 +443,7 @@ impl SketchServer {
         path: P,
         config: ServeConfig,
     ) -> Result<SketchServer, dsketch_store::StoreError> {
-        let bytes = std::fs::read(path).map_err(dsketch_store::StoreError::Io)?;
-        let raw = dsketch_store::SnapshotReader::new(&bytes[..]).read()?;
+        let raw = dsketch_store::SnapshotReader::open(path.as_ref())?.read()?;
         let origin = (raw.spec(), raw.fingerprint());
         let oracle: Arc<dyn DistanceOracle> = Arc::from(raw.frozen_oracle()?);
         let tracer = Arc::new(Tracer::one_in(config.trace_sample));
@@ -485,7 +484,9 @@ impl SketchServer {
     pub fn swap_snapshot<P: AsRef<std::path::Path>>(&self, path: P) -> Result<u64, SwapError> {
         let bytes = std::fs::read(path).map_err(|e| SwapError::Store(e.into()))?;
         dsketch_analysis::verify_snapshot_bytes(&bytes)?;
-        let raw = dsketch_store::SnapshotReader::new(&bytes[..]).read()?;
+        let raw = dsketch_store::SnapshotReader::new(&bytes[..])
+            .with_available(bytes.len() as u64)
+            .read()?;
         let (spec, fingerprint) = (raw.spec(), raw.fingerprint());
         let oracle: Arc<dyn DistanceOracle> = Arc::from(raw.frozen_oracle()?);
         // Serialize publication: concurrent swappers validate against a

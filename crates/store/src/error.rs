@@ -26,12 +26,12 @@ pub enum StoreError {
         /// The four bytes actually found.
         found: [u8; 4],
     },
-    /// The snapshot was written by an incompatible (newer) major format
-    /// version.
+    /// The snapshot was written in a major format version other than the
+    /// one this build reads — newer or older.
     UnsupportedVersion {
         /// Version found in the header.
         found: u32,
-        /// Highest version this build understands.
+        /// The one version this build reads and writes.
         supported: u32,
     },
     /// The header bytes do not match their own checksum (header corruption).
@@ -98,7 +98,13 @@ impl std::fmt::Display for StoreError {
             ),
             StoreError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "snapshot format version {found} is newer than the supported version {supported}"
+                "snapshot format version {found} is not readable by this build, which reads \
+                 version {supported} only ({})",
+                if found < supported {
+                    "an older format: rebuild the snapshot"
+                } else {
+                    "a newer format: upgrade this build"
+                }
             ),
             StoreError::HeaderChecksumMismatch { expected, actual } => write!(
                 f,
@@ -171,12 +177,24 @@ mod tests {
         assert!(StoreError::BadMagic { found: *b"ELF\0" }
             .to_string()
             .contains("DSK1"));
-        assert!(StoreError::UnsupportedVersion {
+        let newer = StoreError::UnsupportedVersion {
             found: 9,
-            supported: 1
+            supported: 2,
         }
-        .to_string()
-        .contains("version 9"));
+        .to_string();
+        assert!(
+            newer.contains("version 9") && newer.contains("newer"),
+            "{newer}"
+        );
+        let older = StoreError::UnsupportedVersion {
+            found: 1,
+            supported: 2,
+        }
+        .to_string();
+        assert!(
+            older.contains("version 1") && older.contains("older"),
+            "{older}"
+        );
         assert!(StoreError::Truncated { context: "header" }
             .to_string()
             .contains("header"));

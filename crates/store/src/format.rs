@@ -16,15 +16,21 @@
 //! └──────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! All integers are little-endian and fixed-width.  Section offsets are
-//! relative to the start of the payload area, so the header can be any
-//! length without disturbing them.
+//! All container integers are little-endian and fixed-width.  Section
+//! offsets are relative to the start of the payload area, so the header can
+//! be any length without disturbing them.  Inside the `SKCH` payload the
+//! label sets are gap-coded varints (see `dsketch::codec`, "Label sets");
+//! that is the payload's business, not the container's.
 //!
 //! # Versioning policy
 //!
-//! * The `version` field is the **major** format version.  Readers refuse
-//!   versions newer than [`FORMAT_VERSION`]; older versions stay readable
-//!   (there is only v1 today).
+//! * The `version` field is the **major** format version, and a reader
+//!   reads exactly one: [`FORMAT_VERSION`].  Anything else — newer *or*
+//!   older — is refused with [`StoreError::UnsupportedVersion`].  There is
+//!   no v1 reader and no converter: v2 changed the label encoding itself
+//!   (fixed-width → gap-coded varints), a snapshot is a cache of a
+//!   deterministic build, and rebuilding it is one `build_stored` call —
+//!   cheaper to own than a second decoder for every consumer of the bytes.
 //! * **Minor** evolution is new section ids: readers skip sections they do
 //!   not recognize, so a newer writer can add sections without breaking
 //!   older readers of the same major version.
@@ -41,8 +47,8 @@ use netgraph::GraphFingerprint;
 /// The four magic bytes every snapshot starts with.
 pub const MAGIC: [u8; 4] = *b"DSK1";
 
-/// The current (and highest supported) major format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// The major format version this build writes, and the only one it reads.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// A four-byte section identifier (printable ASCII tag, e.g. `SKCH`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -150,7 +156,7 @@ impl Header {
             return Err(StoreError::BadMagic { found });
         }
         let version = u32::from_le_bytes([prelude[4], prelude[5], prelude[6], prelude[7]]);
-        if version > FORMAT_VERSION {
+        if version != FORMAT_VERSION {
             return Err(StoreError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
@@ -299,14 +305,18 @@ mod tests {
 
     #[test]
     fn future_versions_are_rejected() {
-        let mut header = sample_header();
-        header.version = FORMAT_VERSION + 1;
-        let bytes = header.to_bytes().unwrap();
-        let (prelude, block) = split(&bytes);
-        assert!(matches!(
-            Header::from_parts(&prelude, block),
-            Err(StoreError::UnsupportedVersion { found, .. }) if found == FORMAT_VERSION + 1
-        ));
+        // ... and so are past ones: a reader reads exactly its own version.
+        for version in [FORMAT_VERSION + 1, FORMAT_VERSION - 1, 0] {
+            let mut header = sample_header();
+            header.version = version;
+            let bytes = header.to_bytes().unwrap();
+            let (prelude, block) = split(&bytes);
+            assert!(matches!(
+                Header::from_parts(&prelude, block),
+                Err(StoreError::UnsupportedVersion { found, supported })
+                    if found == version && supported == FORMAT_VERSION
+            ));
+        }
     }
 
     #[test]

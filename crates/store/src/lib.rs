@@ -22,8 +22,10 @@
 //! [`SchemeSpec`](dsketch::SchemeSpec) it was built with, the
 //! [`GraphFingerprint`](netgraph::GraphFingerprint) of the graph it was
 //! built on, and a section table) followed by contiguous sections, each
-//! CRC-32 checked.  Payload encodings are the stable little-endian
-//! [`SketchCodec`](dsketch::codec::SketchCodec) layer in `dsketch::codec`.
+//! CRC-32 checked.  Payload encodings are the stable
+//! [`SketchCodec`](dsketch::codec::SketchCodec) layer in `dsketch::codec`
+//! (label sets as gap-coded varints, everything else little-endian and
+//! fixed-width).
 //! See `format` for the byte layout and the versioning policy, and
 //! ARCHITECTURE.md's *Persistence* section for the full diagram.
 //!

@@ -276,8 +276,12 @@ fn stage_and_rename(
 
 /// Read, verify and decode a snapshot from any reader.
 pub fn read_snapshot<R: Read>(reader: R) -> Result<SnapshotContents, StoreError> {
+    decode_reader(SnapshotReader::new(reader))
+}
+
+fn decode_reader<R: Read>(reader: SnapshotReader<R>) -> Result<SnapshotContents, StoreError> {
     let started = std::time::Instant::now();
-    let contents = decode_raw(SnapshotReader::new(reader).read()?)?;
+    let contents = decode_raw(reader.read()?)?;
     record_snapshot_load(started);
     Ok(contents)
 }
@@ -304,9 +308,9 @@ fn record_snapshot_load_bytes(bytes: u64) {
 
 /// Read, verify and decode the snapshot at `path`.
 pub fn load_snapshot<P: AsRef<Path>>(path: P) -> Result<SnapshotContents, StoreError> {
-    let file = std::fs::File::open(path)?;
-    let bytes = file.metadata().map(|m| m.len()).unwrap_or(0);
-    let contents = read_snapshot(std::io::BufReader::new(file))?;
+    let reader = SnapshotReader::open(path.as_ref())?;
+    let bytes = reader.available();
+    let contents = decode_reader(reader)?;
     record_snapshot_load_bytes(bytes);
     Ok(contents)
 }
@@ -318,8 +322,7 @@ pub fn load_snapshot<P: AsRef<Path>>(path: P) -> Result<SnapshotContents, StoreE
 pub fn peek_snapshot_meta<P: AsRef<Path>>(
     path: P,
 ) -> Result<(SchemeSpec, GraphFingerprint), StoreError> {
-    let file = std::fs::File::open(path)?;
-    let raw = SnapshotReader::new(std::io::BufReader::new(file)).read()?;
+    let raw = SnapshotReader::open(path.as_ref())?.read()?;
     Ok((raw.spec(), raw.fingerprint()))
 }
 
@@ -360,9 +363,9 @@ pub fn load_oracle<P: AsRef<Path>>(path: P) -> Result<Box<dyn DistanceOracle>, S
 /// [`load_oracle`]'s (the equivalence property tests pin this); only the
 /// in-memory layout differs.
 pub fn load_frozen_oracle<P: AsRef<Path>>(path: P) -> Result<Box<dyn DistanceOracle>, StoreError> {
-    let file = std::fs::File::open(path)?;
-    let bytes = file.metadata().map(|m| m.len()).unwrap_or(0);
-    let oracle = read_frozen_oracle(std::io::BufReader::new(file))?;
+    let reader = SnapshotReader::open(path.as_ref())?;
+    let bytes = reader.available();
+    let oracle = reader.read()?.frozen_oracle()?;
     record_snapshot_load_bytes(bytes);
     Ok(oracle)
 }
@@ -556,8 +559,7 @@ pub struct SnapshotSummary {
 /// statistics.  Verifies all checksums along the way (an `inspect` that
 /// says "ok" means the snapshot will load).
 pub fn inspect_snapshot<P: AsRef<Path>>(path: P) -> Result<SnapshotSummary, StoreError> {
-    let file = std::fs::File::open(path)?;
-    let raw = SnapshotReader::new(std::io::BufReader::new(file)).read()?;
+    let raw = SnapshotReader::open(path.as_ref())?.read()?;
     let sections = raw.header().sections.clone();
     let version = raw.header().version;
     let total_bytes = raw.total_bytes();

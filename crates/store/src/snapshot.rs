@@ -150,12 +150,41 @@ impl RawSnapshot {
 #[derive(Debug)]
 pub struct SnapshotReader<R: Read> {
     inner: R,
+    /// Most bytes the source can hold, when the caller knows (0 otherwise).
+    available: u64,
+}
+
+impl SnapshotReader<std::io::BufReader<std::fs::File>> {
+    /// A reader over the file at `path` that knows the file's length.
+    pub fn open(path: &std::path::Path) -> Result<Self, StoreError> {
+        let file = std::fs::File::open(path)?;
+        let available = file.metadata().map_or(0, |m| m.len());
+        Ok(SnapshotReader::new(std::io::BufReader::new(file)).with_available(available))
+    }
 }
 
 impl<R: Read> SnapshotReader<R> {
     /// A reader over `inner`.
     pub fn new(inner: R) -> Self {
-        SnapshotReader { inner }
+        SnapshotReader {
+            inner,
+            available: 0,
+        }
+    }
+
+    /// Declare that the source holds at most `bytes` bytes — a file's
+    /// length from its metadata, a slice's length.  The payload buffer is
+    /// then reserved once, at the smaller of this and the header's declared
+    /// payload length, instead of doubling its way up; a header that lies
+    /// still cannot make the reader allocate more than the source holds.
+    pub fn with_available(mut self, bytes: u64) -> Self {
+        self.available = bytes;
+        self
+    }
+
+    /// The bound given to [`SnapshotReader::with_available`] (0 if none).
+    pub fn available(&self) -> u64 {
+        self.available
     }
 
     /// Read the whole snapshot: parse and CRC-check the header, read the
@@ -179,7 +208,7 @@ impl<R: Read> SnapshotReader<R> {
             return Err(StoreError::BadMagic { found: magic });
         }
         let version = u32::from_le_bytes([prelude[4], prelude[5], prelude[6], prelude[7]]);
-        if version > crate::format::FORMAT_VERSION {
+        if version != crate::format::FORMAT_VERSION {
             return Err(StoreError::UnsupportedVersion {
                 found: version,
                 supported: crate::format::FORMAT_VERSION,
@@ -212,8 +241,11 @@ impl<R: Read> SnapshotReader<R> {
         // Read through `take` rather than pre-allocating the declared
         // length: a crafted header claiming a huge payload then costs only
         // as much memory as the stream actually contains, and a short
-        // stream surfaces as Truncated instead of an OOM attempt.
+        // stream surfaces as Truncated instead of an OOM attempt.  What is
+        // reserved up front is bounded by what the caller says the source
+        // holds (nothing, when it did not say).
         let mut payload = Vec::new();
+        payload.reserve_exact(cast::to_usize(payload_len.min(self.available)).unwrap_or(0));
         self.inner
             .by_ref()
             .take(payload_len)
@@ -401,6 +433,40 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_sized_source_reserves_the_payload_once_and_never_past_itself() {
+        let bytes = sample_bytes();
+        let sized = SnapshotReader::new(bytes.as_slice())
+            .with_available(bytes.len() as u64)
+            .read()
+            .unwrap();
+        // Reserved once at the declared payload length (5 + 48), not grown
+        // there by doubling.
+        assert_eq!(sized.payload.len(), 53);
+        assert_eq!(sized.payload.capacity(), 53);
+
+        // A header declaring a terabyte, from a source that says how small
+        // it is: still Truncated, and nothing near a terabyte was reserved
+        // on the way (the reservation is capped by the source's length).
+        let header = crate::format::Header {
+            version: FORMAT_VERSION,
+            spec: SchemeSpec::thorup_zwick(2),
+            fingerprint: fingerprint(),
+            sections: vec![crate::format::SectionEntry {
+                id: SECTION_SKETCHES,
+                offset: 0,
+                len: 1 << 40,
+                crc: 0,
+            }],
+        };
+        let lying = header.to_bytes().unwrap();
+        let err = SnapshotReader::new(lying.as_slice())
+            .with_available(lying.len() as u64)
+            .read()
+            .unwrap_err();
+        assert!(matches!(err, StoreError::Truncated { .. }), "{err}");
     }
 
     #[test]

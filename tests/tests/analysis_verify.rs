@@ -142,70 +142,122 @@ fn skch_range(bytes: &[u8]) -> (usize, usize) {
     (offset, len)
 }
 
-/// A cursor over the `SKCH` wire format of a Thorup–Zwick snapshot,
-/// yielding the file positions the targeted mutations need.
+/// Replace `old_len` bytes at file offset `at` (inside the `SKCH` payload)
+/// with `new`, then put the container back in order around the edit: the
+/// section's declared length, every later section's offset, and all CRCs.
+fn splice_skch(bytes: &mut Vec<u8>, at: usize, old_len: usize, new: &[u8]) {
+    let layout = layout(bytes);
+    let (skch_row, &(_, skch_at, skch_len)) = layout
+        .sections
+        .iter()
+        .enumerate()
+        .find(|(_, (id, _, _))| id == b"SKCH")
+        .expect("snapshot has a SKCH section");
+    assert!(skch_at <= at && at + old_len <= skch_at + skch_len);
+    bytes.splice(at..at + old_len, new.iter().copied());
+    let new_len = (skch_len - old_len + new.len()) as u64;
+    let len_at = layout.rows_start + skch_row * 24 + 12;
+    bytes[len_at..len_at + 8].copy_from_slice(&new_len.to_le_bytes());
+    for row in skch_row + 1..layout.sections.len() {
+        let offset_at = layout.rows_start + row * 24 + 4;
+        let offset = le_u64(bytes, offset_at) - old_len as u64 + new.len() as u64;
+        bytes[offset_at..offset_at + 8].copy_from_slice(&offset.to_le_bytes());
+    }
+    resign(bytes);
+}
+
+/// LEB128, written out again here so the mutations do not lean on the
+/// encoder under test.
+fn varint_bytes(mut v: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+    out
+}
+
+/// A cursor over the v2 label-set bytes of a Thorup–Zwick snapshot's
+/// `SKCH` section, yielding the file positions the targeted mutations
+/// need.  Hand-rolled on purpose: it must not share code with the reader
+/// it is used against.
 struct TzSketchCursor<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
+/// One varint in the file: where it starts, how many bytes, its value.
+#[derive(Clone, Copy)]
+struct Site {
+    at: usize,
+    len: usize,
+    value: u64,
+}
+
 struct SketchSites {
-    /// File offset of the sketch's `owner` field.
-    owner_at: usize,
     /// `k` of this sketch.
     k: usize,
-    /// File offset of each *present* pivot's distance field.
-    pivot_distance_at: Vec<usize>,
-    /// File offset of the first bunch entry (16 bytes per entry).
-    bunch_at: usize,
-    /// Number of bunch entries.
-    bunch_len: usize,
+    /// The distance varint of each *present* pivot, by level.
+    pivot_distances: Vec<Site>,
+    /// The first varint — `(gap << ⌈log₂k⌉) | level` — of each bunch entry.
+    entries: Vec<Site>,
 }
 
 impl<'a> TzSketchCursor<'a> {
-    /// Position the cursor at the first sketch (skipping the set's count
-    /// prefix) of the `SKCH` section.
-    fn new(bytes: &'a [u8]) -> (Self, usize) {
+    /// Position the cursor at the first row of the `SKCH` section (past
+    /// the set header: node count, pivot slots, bunch entries), returning
+    /// the header's three varints too.
+    fn new(bytes: &'a [u8]) -> (Self, [Site; 3]) {
         let (start, _) = skch_range(bytes);
-        let count = le_u64(bytes, start) as usize;
-        (
-            TzSketchCursor {
-                bytes,
-                pos: start + 8,
-            },
-            count,
-        )
+        let mut cursor = TzSketchCursor { bytes, pos: start };
+        let header = [cursor.varint(), cursor.varint(), cursor.varint()];
+        (cursor, header)
     }
 
-    /// Walk one sketch, returning its mutation sites.
-    fn next_sketch(&mut self) -> SketchSites {
-        let owner_at = self.pos;
-        self.pos += 4;
-        let k = le_u64(self.bytes, self.pos) as usize;
-        self.pos += 8;
-        let mut pivot_distance_at = Vec::new();
-        for _ in 0..k {
-            let present = self.bytes[self.pos] != 0;
+    fn varint(&mut self) -> Site {
+        let at = self.pos;
+        let mut value = 0u64;
+        loop {
+            let byte = self.bytes[self.pos];
+            value |= u64::from(byte & 0x7F) << (7 * (self.pos - at));
             self.pos += 1;
-            if present {
-                pivot_distance_at.push(self.pos + 4);
-                self.pos += 12;
+            if byte < 0x80 {
+                break Site {
+                    at,
+                    len: self.pos - at,
+                    value,
+                };
             }
         }
-        let bunch_len = le_u64(self.bytes, self.pos) as usize;
-        self.pos += 8;
-        let bunch_at = self.pos;
-        self.pos += bunch_len * 16;
+    }
+
+    /// Walk one row, returning its mutation sites.
+    fn next_sketch(&mut self) -> SketchSites {
+        let k = self.varint().value as usize;
+        let mut pivot_distances = Vec::new();
+        for _ in 0..k {
+            if self.varint().value != 0 {
+                pivot_distances.push(self.varint());
+            }
+        }
+        let bunch_len = self.varint().value as usize;
+        let entries = (0..bunch_len)
+            .map(|_| {
+                let packed = self.varint();
+                self.varint(); // distance
+                packed
+            })
+            .collect();
         SketchSites {
-            owner_at,
             k,
-            pivot_distance_at,
-            bunch_at,
-            bunch_len,
+            pivot_distances,
+            entries,
         }
     }
 
-    /// File offset just past the last sketch — where the hierarchy starts.
+    /// File offset just past the last row read — after all of them, where
+    /// the (fixed-width) hierarchy starts.
     fn position(&self) -> usize {
         self.pos
     }
@@ -329,10 +381,10 @@ fn missing_sketch_section_is_reported_as_such() {
 /// Find the first sketch with at least two bunch entries and return its
 /// mutation sites (every connected non-trivial graph has one).
 fn first_sketch_with_bunch(bytes: &[u8]) -> SketchSites {
-    let (mut cursor, count) = TzSketchCursor::new(bytes);
-    for _ in 0..count {
+    let (mut cursor, header) = TzSketchCursor::new(bytes);
+    for _ in 0..header[0].value {
         let sites = cursor.next_sketch();
-        if sites.bunch_len >= 2 {
+        if sites.entries.len() >= 2 {
             return sites;
         }
     }
@@ -343,84 +395,100 @@ fn first_sketch_with_bunch(bytes: &[u8]) -> SketchSites {
 fn resigned_bunch_order_violation_is_caught() {
     let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(2), 32, 13);
     let sites = first_sketch_with_bunch(&bytes);
-    // Swap the first two (16-byte) bunch entries: the decoded `Sketch`
-    // would silently re-sort them — only the independent walk objects.
-    let (a, b) = (sites.bunch_at, sites.bunch_at + 16);
-    for i in 0..16 {
-        bytes.swap(a + i, b + i);
+    // Gap coding makes "strictly ascending" structural: no bytes spell a
+    // descending bunch.  What they can still spell is a bunch that leaves
+    // the id space — a second entry whose gap carries it past u32::MAX —
+    // and that is refused where v1 refused a swapped pair.
+    let second = sites.entries[1];
+    let level = second.value & 1; // k = 2: one level bit
+    let gap = u64::from(u32::MAX);
+    splice_skch(
+        &mut bytes,
+        second.at,
+        second.len,
+        &varint_bytes((gap << 1) | level),
+    );
+    match verify_snapshot_bytes(&bytes) {
+        Ok(_) => panic!("id overflow: corrupted snapshot verified clean"),
+        Err(e) => {
+            assert_eq!(e.kind(), "section-decode", "{e}");
+            assert!(e.to_string().contains("past u32::MAX"), "{e}");
+        }
     }
-    resign(&mut bytes);
-    expect_kind(&bytes, "bunch-order", "swapped bunch entries");
 }
 
 #[test]
 fn resigned_bunch_level_violation_is_caught() {
-    let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(2), 32, 13);
+    // k = 3 leaves two level bits, so level 3 = k is writable.
+    let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(3), 32, 13);
     let sites = first_sketch_with_bunch(&bytes);
+    assert_eq!(sites.k, 3);
     // A bunch entry claiming level `k`: impossible, levels index A_0..A_{k-1}.
-    let level_at = sites.bunch_at + 4;
-    bytes[level_at..level_at + 4].copy_from_slice(&(sites.k as u32).to_le_bytes());
+    bytes[sites.entries[0].at] |= 0b11;
     resign(&mut bytes);
-    expect_kind(&bytes, "bunch-level", "bunch level >= k");
+    match verify_snapshot_bytes(&bytes) {
+        Ok(_) => panic!("level >= k: corrupted snapshot verified clean"),
+        Err(e) => {
+            assert_eq!(e.kind(), "section-decode", "{e}");
+            assert!(e.to_string().contains("level 3 out of range"), "{e}");
+        }
+    }
+}
+
+#[test]
+fn resigned_header_totals_mismatch_is_caught() {
+    let bytes = snapshot_bytes(SchemeSpec::thorup_zwick(2), 32, 13);
+    let (_, header) = TzSketchCursor::new(&bytes);
+    // Node count, pivot slots, bunch entries: each off by one either way
+    // must be refused — the totals size the serving arrays.
+    for site in header {
+        for value in [site.value + 1, site.value - 1] {
+            let mut mutated = bytes.clone();
+            splice_skch(&mut mutated, site.at, site.len, &varint_bytes(value));
+            expect_kind(&mutated, "section-decode", "header total off by one");
+        }
+    }
 }
 
 #[test]
 fn resigned_infinite_pivot_distance_is_caught() {
     let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(2), 32, 13);
-    let (mut cursor, count) = TzSketchCursor::new(&bytes);
-    let mut site = None;
-    for _ in 0..count {
-        let sites = cursor.next_sketch();
-        if let Some(&at) = sites.pivot_distance_at.first() {
-            site = Some(at);
-            break;
-        }
-    }
-    let at = site.expect("a sketch with a present pivot");
-    bytes[at..at + 8].copy_from_slice(&netgraph::INFINITY.to_le_bytes());
-    resign(&mut bytes);
+    let (mut cursor, header) = TzSketchCursor::new(&bytes);
+    let site = (0..header[0].value)
+        .find_map(|_| cursor.next_sketch().pivot_distances.first().copied())
+        .expect("a sketch with a present pivot");
+    splice_skch(
+        &mut bytes,
+        site.at,
+        site.len,
+        &varint_bytes(netgraph::INFINITY),
+    );
     expect_kind(&bytes, "pivot-row", "present pivot at infinite distance");
 }
 
 #[test]
 fn resigned_decreasing_pivot_distances_are_caught() {
     let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(3), 48, 17);
-    let (mut cursor, count) = TzSketchCursor::new(&bytes);
-    let mut site = None;
-    for _ in 0..count {
-        let sites = cursor.next_sketch();
-        // Level 0's pivot is the node itself at distance 0, so the first
-        // place monotonicity can break is between levels 1 and 2: find a
-        // sketch with all three pivots present and a positive level-1
-        // distance, then zero out level 2's.
-        if sites.pivot_distance_at.len() >= 3 && le_u64(&bytes, sites.pivot_distance_at[1]) > 0 {
-            site = Some(sites.pivot_distance_at[2]);
-            break;
-        }
-    }
-    let at = site.expect("a sketch with three present pivots and positive level-1 distance");
-    bytes[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
-    resign(&mut bytes);
+    let (mut cursor, header) = TzSketchCursor::new(&bytes);
+    // Level 0's pivot is the node itself at distance 0, so the first
+    // place monotonicity can break is between levels 1 and 2: find a
+    // sketch with all three pivots present and a positive level-1
+    // distance, then zero out level 2's.
+    let site = (0..header[0].value)
+        .find_map(|_| {
+            let pivots = cursor.next_sketch().pivot_distances;
+            (pivots.len() >= 3 && pivots[1].value > 0).then(|| pivots[2])
+        })
+        .expect("a sketch with three present pivots and positive level-1 distance");
+    splice_skch(&mut bytes, site.at, site.len, &[0]);
     expect_kind(&bytes, "pivot-row", "pivot distance decreasing in level");
-}
-
-#[test]
-fn resigned_owner_mismatch_is_caught() {
-    let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(2), 32, 13);
-    let (mut cursor, _) = TzSketchCursor::new(&bytes);
-    let sites = cursor.next_sketch();
-    // Sketch 0 claiming to be owned by node 5: indexing would silently
-    // serve node 5's label for node 0's queries.
-    bytes[sites.owner_at..sites.owner_at + 4].copy_from_slice(&5u32.to_le_bytes());
-    resign(&mut bytes);
-    expect_kind(&bytes, "section-decode", "sketch owner != node index");
 }
 
 #[test]
 fn resigned_hierarchy_k_mismatch_is_caught() {
     let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(2), 32, 13);
-    let (mut cursor, count) = TzSketchCursor::new(&bytes);
-    for _ in 0..count {
+    let (mut cursor, header) = TzSketchCursor::new(&bytes);
+    for _ in 0..header[0].value {
         cursor.next_sketch();
     }
     // The hierarchy trails the sketch set; its first field is k.
@@ -449,29 +517,24 @@ fn resigned_spec_params_mismatch_is_caught() {
 
 #[test]
 fn resigned_trailing_bytes_inside_skch_are_caught() {
-    let bytes = snapshot_bytes(SchemeSpec::thorup_zwick(2), 32, 13);
-    let layout = layout(&bytes);
-    let (skch_row, &(_, skch_at, skch_len)) = layout
-        .sections
-        .iter()
-        .enumerate()
-        .find(|(_, (id, _, _))| id == b"SKCH")
-        .unwrap();
-    // Splice one extra byte onto the end of the SKCH payload and grow its
-    // declared length, shifting every later section's offset.
-    let mut grown = bytes.clone();
-    grown.insert(skch_at + skch_len, 0xEE);
-    let len_at = layout.rows_start + skch_row * 24 + 12;
-    let new_len = (skch_len + 1) as u64;
-    grown[len_at..len_at + 8].copy_from_slice(&new_len.to_le_bytes());
-    for (row, &(id, _, _)) in layout.sections.iter().enumerate() {
-        if row > skch_row {
-            let offset_at = layout.rows_start + row * 24 + 4;
-            let offset = le_u64(&grown, offset_at) + 1;
-            grown[offset_at..offset_at + 8].copy_from_slice(&offset.to_le_bytes());
-            let _ = id;
-        }
-    }
-    resign(&mut grown);
-    expect_kind(&grown, "trailing-bytes", "extra byte inside SKCH");
+    let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(2), 32, 13);
+    // Splice one extra byte onto the end of the SKCH payload, growing its
+    // declared length and shifting every later section's offset.
+    let (skch_at, skch_len) = skch_range(&bytes);
+    splice_skch(&mut bytes, skch_at + skch_len, 0, &[0xEE]);
+    expect_kind(&bytes, "trailing-bytes", "extra byte inside SKCH");
+}
+
+#[test]
+fn a_v1_versioned_snapshot_is_refused_by_version() {
+    // The file a v1 writer would have stamped: same container, version
+    // field 1, header CRC valid.  The verifier reads version 2 only and
+    // must say so, not fail somewhere inside bytes it cannot parse.
+    let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(2), 32, 13);
+    assert_eq!(le_u32(&bytes, 4), 2, "format version field");
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    resign(&mut bytes);
+    expect_kind(&bytes, "unsupported-version", "v1 version field");
+    let err = verify_snapshot_bytes(&bytes).unwrap_err();
+    assert!(err.to_string().contains("version 1"), "{err}");
 }

@@ -150,26 +150,34 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// The `DSK1` bytes of a fixed build, pinned per family as
-/// `(length, FNV-1a 64)`.  The digests were taken before labels became
-/// sorted runs built by a parallel transpose (and before the CRC and the
-/// encoder were reworked), so "the bytes did not move" is a test: any change
+/// `(length, FNV-1a 64)`, so "the bytes did not move" is a test: any change
 /// to label contents, label order, the payload codec or the container shows
-/// up here.  Re-pin only together with a `DSK1` format version bump.
+/// up here.  Pinned at format version 2 (gap-coded varint labels); re-pin
+/// only together with a `DSK1` format version bump.
 #[test]
 fn snapshot_bytes_match_the_pinned_golden_digests() {
     let golden: [(usize, u64); 4] = [
-        (77_621, 0xad1d_b27d_d928_f9dd),
-        (418_677, 0x51b5_b28f_e6bf_939d),
-        (105_389, 0x4e6b_ba1e_9233_2200),
-        (968_895, 0xd5d4_e495_97c5_62f3),
+        (11_736, 0xde99_9457_f3f8_0eb1),
+        (52_988, 0x5a00_2f29_bbc0_0c63),
+        (15_024, 0x5775_1a46_0fb8_3f8f),
+        (140_913, 0x627e_d988_8e44_bc04),
     ];
+    // What the same four builds weighed at format version 1, where every
+    // bunch entry was 16 fixed bytes.
+    let v1_lengths = [77_621usize, 418_677, 105_389, 968_895];
     let g = graph(256, 7);
-    for (spec, expected) in SchemeSpec::all_families().into_iter().zip(golden) {
-        let bytes = snapshot_bytes(&g, spec, 7, 2);
-        assert_eq!(
-            (bytes.len(), fnv1a64(&bytes)),
-            expected,
-            "{spec}: snapshot bytes moved"
+    let actual: Vec<(usize, u64)> = SchemeSpec::all_families()
+        .into_iter()
+        .map(|spec| {
+            let bytes = snapshot_bytes(&g, spec, 7, 2);
+            (bytes.len(), fnv1a64(&bytes))
+        })
+        .collect();
+    assert_eq!(actual, golden, "snapshot bytes moved: {actual:#x?}");
+    for ((len, _), v1) in actual.into_iter().zip(v1_lengths) {
+        assert!(
+            len * 10 <= v1 * 3,
+            "{len} bytes is more than 30% of the v1 length {v1}"
         );
     }
 }

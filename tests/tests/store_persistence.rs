@@ -255,6 +255,57 @@ fn garbage_files_fail_with_bad_magic_or_truncation() {
     ));
 }
 
+/// Rewrite the format-version field of snapshot `bytes` and re-sign the
+/// header CRC, which covers it: the file another major version's writer
+/// would have stamped, as far as the container can tell.
+fn restamp_version(bytes: &mut [u8], version: u32) {
+    bytes[4..8].copy_from_slice(&version.to_le_bytes());
+    let header_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+    let crc_at = 12 + header_len - 4;
+    let crc = dsketch_store::crc32::crc32(&bytes[..crc_at]);
+    bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+}
+
+#[test]
+fn other_format_versions_are_refused_by_version_not_by_accident() {
+    // There is no v1 reader: a file stamped version 1 (or 3) is refused
+    // with the typed version error on every load path, before a byte of
+    // its payload is interpreted, and the message says which way it is off.
+    let g = graph(24, 3);
+    let contents = build_stored(&g, SchemeSpec::thorup_zwick(2), &config(3)).unwrap();
+    let mut bytes = Vec::new();
+    dsketch_store::write_snapshot(&mut bytes, &contents).unwrap();
+    assert_eq!(bytes[4..8], dsketch_store::FORMAT_VERSION.to_le_bytes());
+    assert_eq!(dsketch_store::FORMAT_VERSION, 2);
+
+    for (version, direction) in [(1u32, "older"), (3, "newer")] {
+        let mut stamped = bytes.clone();
+        restamp_version(&mut stamped, version);
+        let path = temp_path(&format!("stamped_v{version}.dsk"));
+        std::fs::write(&path, &stamped).unwrap();
+        let failures = [
+            dsketch_store::read_snapshot(stamped.as_slice()).err(),
+            dsketch_store::read_frozen_oracle(stamped.as_slice()).err(),
+            load_oracle(&path).err(),
+            dsketch_store::load_frozen_oracle(&path).err(),
+            dsketch_store::inspect_snapshot(&path).err(),
+            SketchServer::from_snapshot(&path, ServeConfig::default()).err(),
+        ];
+        for error in failures {
+            let error = error.expect("a restamped snapshot must not load");
+            assert!(
+                matches!(
+                    error,
+                    StoreError::UnsupportedVersion { found, supported: 2 } if found == version
+                ),
+                "version {version}: {error}"
+            );
+            assert!(error.to_string().contains(direction), "{error}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Cold-starting the serving layer from a snapshot
 // ---------------------------------------------------------------------------

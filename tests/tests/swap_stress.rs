@@ -307,6 +307,76 @@ fn http_queries_and_swaps_interleave_cleanly() {
     std::fs::remove_file(&snap_b).ok();
 }
 
+/// A snapshot stamped with another format version is refused over
+/// `POST /swap` by its version — the generation stays put and the old
+/// oracle keeps answering.
+#[test]
+fn a_v1_versioned_snapshot_is_refused_over_http_swap() {
+    use dsketch_serve::{NetConfig, NetServer};
+    let n = 32;
+    let (snap_a, snap_b, oracle_a, _) = two_snapshots(n, "http_v1");
+    // Snapshot B with its version field rewritten to 1 and the header CRC
+    // (which covers the field) re-signed: what a v1 writer would have
+    // stamped, as far as the container can tell.
+    let mut bytes = std::fs::read(&snap_b).expect("read b");
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let header_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+    let crc_at = 12 + header_len - 4;
+    let crc = dsketch_store::crc32::crc32(&bytes[..crc_at]);
+    bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+    let stamped = temp_path("http_v1_stamped.dsk");
+    std::fs::write(&stamped, &bytes).expect("write stamped");
+
+    let oracle: Arc<dyn DistanceOracle> =
+        Arc::from(dsketch_store::load_frozen_oracle(&snap_a).expect("load a"));
+    let (spec, fingerprint) = dsketch_store::peek_snapshot_meta(&snap_a).expect("peek");
+    let server = NetServer::start_with_origin(
+        oracle,
+        ServeConfig::default().with_shards(2),
+        NetConfig::default().with_workers(2),
+        "127.0.0.1:0",
+        dsketch_serve::ServeMeta::new(spec.to_string(), fingerprint.to_string()),
+        Some((spec, fingerprint)),
+    )
+    .expect("listen");
+    let addr = server.local_addr().to_string();
+    let http = |request: String| -> String {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        stream.write_all(request.as_bytes()).expect("request");
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).expect("reply");
+        reply
+    };
+
+    let refused = http(format!(
+        "POST /swap?snapshot={} HTTP/1.1\r\nhost: t\r\n\r\n",
+        stamped.display().to_string().replace('/', "%2F")
+    ));
+    assert!(refused.starts_with("HTTP/1.1 409"), "{refused}");
+    assert!(refused.contains("swap-refused"), "{refused}");
+    assert!(refused.contains("version 1"), "{refused}");
+
+    let stats = http("GET /stats HTTP/1.1\r\nhost: t\r\n\r\n".to_string());
+    assert!(stats.contains("\"generation\":1"), "{stats}");
+    assert!(stats.contains("\"swaps\":0"), "{stats}");
+    for (u, v) in (0..6u32).map(|i| (i, (i * 5 + 1) % n as u32)) {
+        let reply = http(format!(
+            "GET /distance?u={u}&v={v} HTTP/1.1\r\nhost: t\r\n\r\n"
+        ));
+        match oracle_a.estimate(NodeId(u), NodeId(v)) {
+            Ok(d) => assert!(reply.contains(&format!("\"distance\":{d}")), "{reply}"),
+            Err(_) => assert!(reply.contains("\"error\""), "{reply}"),
+        }
+    }
+    server.shutdown();
+    for path in [snap_a, snap_b, stamped] {
+        std::fs::remove_file(path).ok();
+    }
+}
+
 /// A payload that counts its drops — the oracle for exactly-once
 /// retirement.  `live` goes negative on a double-free (the drop glue
 /// would usually also crash, but the counter makes the failure crisp).

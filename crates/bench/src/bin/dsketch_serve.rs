@@ -1,4 +1,4 @@
-//! `dsketch-serve` — build a sketch, start the sharded query server, replay
+//! `dsketch-serve` — build a sketch, start the query server, replay
 //! synthetic traffic, report throughput and cache statistics.
 //!
 //! The end-to-end demonstration of the paper's serving economics: pay the
@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! cargo run --release -p dsketch-bench --bin dsketch-serve -- \
-//!     --scheme tz:3 --nodes 512 --queries 100000 --shards 4
+//!     --scheme tz:3 --nodes 512 --queries 100000
 //!
 //! # a single workload shape, a different scheme and topology
 //! cargo run --release -p dsketch-bench --bin dsketch-serve -- \
@@ -15,8 +15,8 @@
 //!
 //! Flags (all optional): `--scheme tz:3|3stretch:ε|cdg:ε,k|degrading[:k]`,
 //! `--topology erdos-renyi|grid|ring|power-law`, `--nodes N`,
-//! `--queries N`, `--shards N`, `--batch N`, `--cache N` (0 disables),
-//! `--queue N`, `--workload uniform|hotspot|adversarial|all`, `--seed N`,
+//! `--queries N`, `--batch N`, `--cache N` (0 disables),
+//! `--workload uniform|hotspot|adversarial|all`, `--seed N`,
 //! `--threads N` (parallel-engine worker count, 0 = all cores),
 //! `--engine parallel|congest` (default `parallel`; `congest` runs the
 //! paper-faithful simulation and reports its round/message cost) and
@@ -54,10 +54,8 @@ fn main() {
     let workload_text = arg_value(&args, "workload").unwrap_or_else(|| "all".to_string());
     let n: usize = arg_parse_or_exit(&args, "nodes", 512);
     let queries: usize = arg_parse_or_exit(&args, "queries", 100_000);
-    let shards: usize = arg_parse_or_exit(&args, "shards", 4);
     let batch: usize = arg_parse_or_exit(&args, "batch", 256);
     let cache: usize = arg_parse_or_exit(&args, "cache", 4096);
-    let queue: usize = arg_parse_or_exit(&args, "queue", 64);
     let seed: u64 = arg_parse_or_exit(&args, "seed", 42);
     let threads: usize = arg_parse_or_exit(&args, "threads", 0);
     let engine = arg_engine(&args);
@@ -92,7 +90,7 @@ fn main() {
         }
     };
 
-    println!("== dsketch-serve: sharded query serving over distance sketches ==\n");
+    println!("== dsketch-serve: query serving over distance sketches ==\n");
     let graph_spec = WorkloadSpec::new(topology, n, seed);
     let graph = graph_spec.build();
     println!(
@@ -147,12 +145,9 @@ fn main() {
     let oracle: Arc<dyn DistanceOracle> = Arc::from(outcome.sketches);
 
     let trace_sample: u64 = arg_parse_or_exit(&args, "trace-sample", 0);
-    let config = ServeConfig {
-        shards,
-        queue_depth: queue,
-        cache_capacity: cache,
-        trace_sample,
-    };
+    let config = ServeConfig::default()
+        .with_cache_capacity(cache)
+        .with_trace_sample(trace_sample);
 
     if let Some(listen) = arg_value(&args, "listen") {
         let serve_seconds: u64 = arg_parse_or_exit(&args, "serve-seconds", 0);
@@ -173,21 +168,19 @@ fn main() {
         );
     }
     println!(
-        "server: {} shards, queue depth {}, per-shard LRU cache {} entries\n",
-        config.shards, config.queue_depth, config.cache_capacity
+        "server: answers on the calling thread, LRU cache of {} entries\n",
+        config.cache_capacity
     );
 
     let mut table = Table::new(&[
         "workload",
         "queries",
-        "shards",
         "elapsed ms",
         "queries/s",
         "hit rate",
         "errors",
         "avg µs/query",
-        "max µs",
-        "imbalance",
+        "max µs/batch",
     ]);
     for shape in shapes {
         let pairs = shape.generate(graph.num_nodes(), queries, seed);
@@ -196,21 +189,17 @@ fn main() {
         // throwaway server, so the measured server's caches and counters
         // stay untouched by the verification traffic.
         {
-            let checker = SketchServer::start(Arc::clone(&oracle), config).unwrap_or_else(|e| {
-                eprintln!("server start failed: {e}");
-                std::process::exit(1);
-            });
+            let checker = SketchServer::start(Arc::clone(&oracle), config)
+                .expect("no ServeConfig is invalid");
             let client = checker.client();
             for &(u, v) in pairs.iter().take(32) {
-                assert_eq!(client.query(u, v), oracle.estimate(u, v), "shard mismatch");
+                assert_eq!(client.query(u, v), oracle.estimate(u, v), "serve mismatch");
             }
         }
 
         // One fresh server per shape so cache statistics are per-workload.
-        let server = SketchServer::start(Arc::clone(&oracle), config).unwrap_or_else(|e| {
-            eprintln!("server start failed: {e}");
-            std::process::exit(1);
-        });
+        let server =
+            SketchServer::start(Arc::clone(&oracle), config).expect("no ServeConfig is invalid");
         let client = server.client();
         let replay_started = Instant::now();
         let mut checksum = 0u64;
@@ -220,19 +209,16 @@ fn main() {
             }
         }
         let elapsed = replay_started.elapsed();
-        drop(client);
         let stats = server.shutdown();
         table.push(vec![
             shape.name().to_string(),
             stats.totals.queries.to_string(),
-            stats.num_shards().to_string(),
             format!("{:.1}", elapsed.as_secs_f64() * 1e3),
             format!("{:.0}", stats.totals.queries as f64 / elapsed.as_secs_f64()),
             format!("{:.1}%", 100.0 * stats.totals.hit_rate()),
             stats.totals.errors.to_string(),
             format!("{:.2}", stats.totals.avg_latency_nanos() / 1e3),
             format!("{:.1}", stats.totals.max_latency_nanos as f64 / 1e3),
-            format!("{:.2}", stats.load_imbalance()),
         ]);
         println!("[{}] {} (checksum {checksum:x})", shape.name(), stats);
     }

@@ -27,9 +27,9 @@
 //! cargo run --release -p dsketch-bench --bin dsketch-store -- \
 //!     query --snapshot g.dsk --u 0 --v 41
 //!
-//! # cold-start a sharded server from the snapshot and replay traffic
+//! # cold-start a server from the snapshot and replay traffic
 //! cargo run --release -p dsketch-bench --bin dsketch-store -- \
-//!     serve --snapshot g.dsk --queries 100000 --shards 4
+//!     serve --snapshot g.dsk --queries 100000
 //!
 //! # keep g.dsk fresh against an evolving edge list, hot-swapping a live
 //! # server whenever the graph's fingerprint moves
@@ -42,7 +42,7 @@
 //! `netgraph::io` edge list) or `--topology erdos-renyi|grid|ring|power-law`
 //! with `--nodes N`; plus `--seed N`, `--threads N` (parallel engine worker
 //! count, 0 = all cores) and `--engine parallel|congest` (default
-//! `parallel`).  `serve` flags: `--snapshot`, `--queries`, `--shards`,
+//! `parallel`).  `serve` flags: `--snapshot`, `--queries`,
 //! `--batch`, `--cache`, `--workload`, `--seed`, `--frozen true|false`;
 //! with `--listen HOST:PORT` (plus `--serve-seconds N`, `--net-workers N`)
 //! the cold-started server is exposed over TCP — binary protocol and HTTP
@@ -88,7 +88,7 @@ fn usage() -> ! {
          inspect --snapshot FILE\n\
          verify  --snapshot FILE\n\
          query   --snapshot FILE --u NODE --v NODE [--frozen true|false]\n\
-         serve   --snapshot FILE [--queries N] [--shards N] [--batch N] [--cache N]\n\
+         serve   --snapshot FILE [--queries N] [--batch N] [--cache N]\n\
          \u{20}        [--workload uniform|hotspot|adversarial] [--seed N] [--frozen true|false]\n\
          \u{20}        [--listen HOST:PORT [--serve-seconds N] [--net-workers N]]\n\
          watch   --graph EDGE_LIST --scheme SPEC --snapshot FILE [--server HOST:PORT]\n\
@@ -387,7 +387,6 @@ fn cmd_query(args: &[String]) {
 fn cmd_serve(args: &[String]) {
     let path = required(args, "snapshot");
     let queries: usize = arg_parse_or_exit(args, "queries", 100_000);
-    let shards: usize = arg_parse_or_exit(args, "shards", 4);
     let batch: usize = arg_parse_or_exit(args, "batch", 256);
     let cache: usize = arg_parse_or_exit(args, "cache", 4096);
     let seed: u64 = arg_parse_or_exit(args, "seed", 42);
@@ -404,12 +403,11 @@ fn cmd_serve(args: &[String]) {
     let trace_sample: u64 = arg_parse_or_exit(args, "trace-sample", 0);
     let load_started = Instant::now();
     let config = ServeConfig::default()
-        .with_shards(shards)
         .with_cache_capacity(cache)
         .with_trace_sample(trace_sample);
     // The frozen path materializes the snapshot's label bytes straight into
     // the flat CSR layout — no per-node Sketch is ever constructed between disk
-    // and the serving shards (SketchServer::from_snapshot is this same
+    // and the serving threads (SketchServer::from_snapshot is this same
     // sequence; the oracle is loaded here so the node count is at hand for
     // workload generation).
     let oracle = if frozen {
@@ -458,12 +456,9 @@ fn cmd_serve(args: &[String]) {
         );
     }
 
-    let server = SketchServer::start(Arc::from(oracle), config).unwrap_or_else(|e| {
-        eprintln!("cold start failed: {e}");
-        std::process::exit(1);
-    });
+    let server = SketchServer::start(Arc::from(oracle), config).expect("no ServeConfig is invalid");
     println!(
-        "cold-started {shards}-shard server from {path} in {:.1} ms \
+        "cold-started server from {path} in {:.1} ms \
          (no construction rounds; {} labels)",
         load_started.elapsed().as_secs_f64() * 1e3,
         if frozen {
@@ -485,7 +480,6 @@ fn cmd_serve(args: &[String]) {
         }
     }
     let elapsed = replay_started.elapsed();
-    drop(client);
     let stats = server.shutdown();
     println!(
         "[{}] replayed {} queries in {:.1} ms — {:.0} queries/s, {:.1}% cache hits, {} errors",

@@ -15,7 +15,7 @@ use netgraph::apsp::DistanceTable;
 use netgraph::{Graph, NodeId};
 
 /// The experiment identifiers, in DESIGN.md order (`e11` exercises the
-/// scheme-polymorphic API over every family, `e12` the sharded serving
+/// scheme-polymorphic API over every family, `e12` the serving
 /// layer built on top of it, `e13` the snapshot persistence layer under
 /// it, `e14` the parallel construction engine's thread scaling, `e15` the
 /// frozen flat query path's single-thread throughput vs the per-node
@@ -650,12 +650,11 @@ fn e11_scheme_matrix(quick: bool) -> ExperimentResult {
 
 /// E12 — serving throughput: the Section 2.1 query path under load.
 ///
-/// Builds one oracle per scheme, starts the `dsketch-serve` sharded server
-/// over it, and replays each [`QueryWorkload`] shape in batches.  The
-/// interesting columns: the cache-hit rate spread between hotspot (Zipf)
-/// and adversarial (never-repeating) traffic, and the resulting throughput
-/// difference — plus shard load balance, which the pair-hash routing should
-/// keep near 1.
+/// Builds one oracle per scheme, starts a `dsketch-serve` server over it,
+/// and replays each [`QueryWorkload`] shape in batches from one caller.
+/// The interesting columns: the cache-hit rate spread between hotspot
+/// (Zipf) and adversarial (never-repeating) traffic, and the resulting
+/// throughput difference.
 fn e12_query_throughput(quick: bool) -> ExperimentResult {
     use crate::workloads::QueryWorkload;
     use dsketch_serve::{ServeConfig, SketchServer};
@@ -667,18 +666,16 @@ fn e12_query_throughput(quick: bool) -> ExperimentResult {
     let n = if quick { 128 } else { 512 };
     let queries = if quick { 8_000 } else { 100_000 };
     let batch = 256;
-    let config = ServeConfig::default(); // 4 shards, 4096-entry caches
+    let config = ServeConfig::default(); // a 4096-entry cache per caller
     let mut table = Table::new(&[
         "workload",
         "scheme",
         "traffic",
         "queries",
-        "shards",
         "queries/s",
         "hit rate",
         "errors",
         "avg µs/query",
-        "imbalance",
     ]);
     let spec = WorkloadSpec::new(Workload::ErdosRenyi, n, 42);
     let graph = spec.build();
@@ -697,28 +694,25 @@ fn e12_query_throughput(quick: bool) -> ExperimentResult {
                 for _ in client.query_batch(chunk) {}
             }
             let elapsed = started.elapsed().as_secs_f64();
-            drop(client);
             let stats = server.shutdown();
             table.push(vec![
                 spec.label(),
                 scheme.to_string(),
                 shape.name().to_string(),
                 stats.totals.queries.to_string(),
-                stats.num_shards().to_string(),
                 format!("{:.0}", stats.totals.queries as f64 / elapsed),
                 format!("{:.1}%", 100.0 * stats.totals.hit_rate()),
                 stats.totals.errors.to_string(),
                 format!("{:.2}", stats.totals.avg_latency_nanos() / 1e3),
-                format!("{:.2}", stats.load_imbalance()),
             ]);
         }
     }
     ExperimentResult {
         id: "e12",
-        title: "Serving throughput: sharded concurrent queries over one oracle",
+        title: "Serving throughput: batched queries over one oracle",
         claim: "after construction, distance queries need no communication and can be served \
-                at memory speed from labels alone (Section 2.1); sharding spreads the load and \
-                an LRU cache converts traffic skew into hit rate",
+                at memory speed from labels alone (Section 2.1); an LRU cache converts traffic \
+                skew into hit rate",
         table,
     }
 }
@@ -1227,11 +1221,11 @@ fn e16_net_front_end(quick: bool) -> ExperimentResult {
 /// client threads hammer tagged batch queries.  Each answer is checked
 /// against the offline oracle of the generation that served it — swapping
 /// must never produce a wrong, torn, or failed answer — and the server's
-/// own latency histogram yields the p99 to compare against a swap-free
-/// baseline run of the same workload.  The load-bearing columns: `wrong`
-/// and `errors` must be 0 in both rows, and the swapping row's p99 should
-/// stay within small-constant reach of the baseline's (readers never block
-/// on a swap; the only extra cost is cache re-misses).
+/// own per-batch latency histogram yields the p99 to compare against a
+/// swap-free baseline run of the same workload.  The load-bearing columns:
+/// `wrong` and `errors` must be 0 in both rows, and the swapping row's p99
+/// should stay within small-constant reach of the baseline's (readers never
+/// block on a swap; the only extra cost is cache re-misses).
 fn e17_swap_under_load(quick: bool) -> ExperimentResult {
     use crate::workloads::QueryWorkload;
     use dsketch_serve::{ServeConfig, SketchServer};
@@ -1289,8 +1283,8 @@ fn e17_swap_under_load(quick: bool) -> ExperimentResult {
         "swaps",
         "invalidations",
         "qps",
-        "p50 µs",
-        "p99 µs",
+        "batch p50 µs",
+        "batch p99 µs",
     ]);
     let mut baseline_p99 = 0u64;
     for swapping in [false, true] {
@@ -1314,14 +1308,14 @@ fn e17_swap_under_load(quick: bool) -> ExperimentResult {
                     let client = server.client();
                     while !stop.load(Ordering::Relaxed) {
                         for chunk in pairs.chunks(batch) {
-                            for ((result, generation), &(u, v)) in
-                                client.query_batch_tagged(chunk).into_iter().zip(chunk)
-                            {
-                                let oracle = if generation % 2 == 1 {
-                                    &oracle_a
-                                } else {
-                                    &oracle_b
-                                };
+                            // One generation answers a whole batch.
+                            let (results, generation) = client.query_batch_tagged(chunk);
+                            let oracle = if generation % 2 == 1 {
+                                &oracle_a
+                            } else {
+                                &oracle_b
+                            };
+                            for (result, &(u, v)) in results.into_iter().zip(chunk) {
                                 match (result, oracle.estimate(u, v)) {
                                     (Ok(got), Ok(want)) if got == want => {}
                                     (Err(_), Err(_)) => {}
@@ -1358,12 +1352,8 @@ fn e17_swap_under_load(quick: bool) -> ExperimentResult {
         let latency = server
             .registry()
             .snapshot()
-            .histogram_total("dsketch_serve_query_latency_nanos");
-        let server = match Arc::try_unwrap(server) {
-            Ok(server) => server,
-            Err(_) => unreachable!("all client threads joined; no Arc clones remain"),
-        };
-        let stats = server.shutdown();
+            .histogram_total("dsketch_serve_batch_latency_nanos");
+        let stats = server.stats();
         let p99 = latency.quantile(0.99);
         if !swapping {
             baseline_p99 = p99;
@@ -1411,11 +1401,12 @@ fn e17_swap_under_load(quick: bool) -> ExperimentResult {
 /// driven by seeded [`dsketch_faults`] plans so every run injects the
 /// same faults at the same points:
 ///
-/// * **Phase A** panics a serving shard mid-dispatch, once per scheme
-///   family.  Shed pairs must come back as the typed retryable
-///   `ShardPanicked` error (never a wrong distance), the supervisor must
-///   record exactly one restart per injected panic, and a disarmed
-///   recovery sweep must answer every query oracle-identically.
+/// * **Phase A** panics the query path mid-dispatch, once per scheme
+///   family.  The pairs of a panicked batch must come back as the typed
+///   retryable `ShardPanicked` error (never a wrong distance), the server
+///   must count exactly one panic per injected one, and a disarmed
+///   recovery sweep on the same caller must answer every query
+///   oracle-identically.
 /// * **Phase B** fails the watch loop's rebuild and then the snapshot
 ///   save's fsync and rename.  The loop must back off inside the jittered
 ///   exponential window, leave no torn `.tmp` staging file behind, and
@@ -1449,12 +1440,12 @@ fn e18_chaos_battery(quick: bool) -> ExperimentResult {
         "queries",
         "injected",
         "wrong",
-        "restarts",
+        "panics",
         "recovered",
         "detail",
     ]);
 
-    // ---- Phase A: shard panic storm, one pass per scheme family. ----
+    // ---- Phase A: dispatch panic storm, one pass per scheme family. ----
     let graph = WorkloadSpec::new(Workload::ErdosRenyi, n, 42).build();
     let pairs = QueryWorkload::Uniform.generate(n, storm_queries, 7);
     for scheme in SchemeSpec::all_families() {
@@ -1467,23 +1458,23 @@ fn e18_chaos_battery(quick: bool) -> ExperimentResult {
             SketchServer::start(Arc::clone(&oracle), ServeConfig::default()).expect("server start");
         let client = server.client();
 
-        // Hits 0..3 dispatch cleanly, hits 3 and 4 panic the dequeuing
-        // shard — so the storm lands inside the first batches and is
-        // over (trip budget spent) well before the sweep ends.
-        dsketch_faults::arm_from_spec("seed=101;serve.shard.dispatch=panic,after=3,max=2")
+        // Hits 0..3 dispatch cleanly, hits 3 and 4 panic inside the
+        // caller's batch — so the storm lands inside the first batches
+        // and is over (trip budget spent) well before the sweep ends.
+        dsketch_faults::arm_from_spec("seed=101;serve.dispatch=panic,after=3,max=2")
             .expect("valid fault spec");
-        armed_points.insert("serve.shard.dispatch");
+        armed_points.insert("serve.dispatch");
 
         let mut wrong = 0u64;
         let mut shed = 0u64;
         for chunk in pairs.chunks(32) {
             for (mut result, &(u, v)) in client.query_batch(chunk).into_iter().zip(chunk) {
-                // A panicked shard sheds its in-flight job; its pairs come
-                // back `ShardPanicked`.  The error's contract is "retry":
-                // the supervisor is respawning the worker, so a bounded
+                // A panicked batch answers `ShardPanicked` for all its
+                // pairs.  The error's contract is "retry": the panic was
+                // caught and this caller is still serving, so a bounded
                 // retry loop must settle (the trip budget caps repeats).
                 let mut retries = 0u32;
-                while matches!(result, Err(SketchError::ShardPanicked { .. })) {
+                while matches!(result, Err(SketchError::ShardPanicked)) {
                     shed += 1;
                     retries += 1;
                     assert!(
@@ -1499,34 +1490,33 @@ fn e18_chaos_battery(quick: bool) -> ExperimentResult {
                 }
             }
         }
-        let injected = dsketch_faults::registry().trips("serve.shard.dispatch");
+        let injected = dsketch_faults::registry().trips("serve.dispatch");
         dsketch_faults::disarm_all();
-        assert!(injected >= 1, "{scheme}: the storm must panic a shard");
+        assert!(injected >= 1, "{scheme}: the storm must panic a batch");
         assert!(
             shed >= injected,
-            "{scheme}: every panic sheds at least its in-flight job"
+            "{scheme}: every panic sheds at least its own batch"
         );
 
-        // Disarmed recovery sweep: restarted shards serve from fresh
-        // caches and every answer must again match the oracle exactly.
+        // Disarmed recovery sweep: the same caller serves from a fresh
+        // cache and every answer must again match the oracle exactly.
         let mut recovery_wrong = 0u64;
         for chunk in pairs.chunks(64) {
             for (result, &(u, v)) in client.query_batch(chunk).into_iter().zip(chunk) {
                 match (result, oracle.estimate(u, v)) {
                     (Ok(got), Ok(want)) if got == want => {}
-                    (Err(SketchError::ShardPanicked { .. }), _) => recovery_wrong += 1,
+                    (Err(SketchError::ShardPanicked), _) => recovery_wrong += 1,
                     (Err(_), Err(_)) => {}
                     _ => recovery_wrong += 1,
                 }
             }
         }
-        drop(client);
         let stats = server.shutdown();
         assert_eq!(wrong, 0, "{scheme}: a panic storm may shed, never corrupt");
         assert_eq!(recovery_wrong, 0, "{scheme}: recovery must be complete");
         assert_eq!(
-            stats.totals.restarts, injected,
-            "{scheme}: every injected panic is followed by a recorded restart"
+            stats.totals.panics, injected,
+            "{scheme}: every injected panic is counted, and nothing else is"
         );
         table.push(vec![
             "A panic storm".to_string(),
@@ -1534,7 +1524,7 @@ fn e18_chaos_battery(quick: bool) -> ExperimentResult {
             (pairs.len() as u64 * 2 + shed).to_string(),
             injected.to_string(),
             (wrong + recovery_wrong).to_string(),
-            stats.totals.restarts.to_string(),
+            stats.totals.panics.to_string(),
             "yes".to_string(),
             format!("{shed} shed answers retried to success"),
         ]);
@@ -1739,11 +1729,11 @@ fn e18_chaos_battery(quick: bool) -> ExperimentResult {
         id: "e18",
         title: "Chaos battery: deterministic fault injection across the serve stack",
         claim: "a deterministic, label-only serving stack degrades only in availability, \
-                never in correctness: injected shard panics, torn saves, failed rebuild \
+                never in correctness: injected dispatch panics, torn saves, failed rebuild \
                 ticks, dropped frames, and shed accepts each surface as typed, retryable \
                 errors while every answer that is delivered — during the storm and after \
-                recovery — exactly matches the offline oracle, with every panic matched \
-                by a recorded supervisor restart",
+                recovery — exactly matches the offline oracle, with every panic caught \
+                and counted",
         table,
     }
 }
@@ -1791,19 +1781,18 @@ mod tests {
         assert_eq!(result.table.len(), 6);
         for row in &result.table.rows {
             assert_eq!(row[3], "8000", "every replay answers all queries: {row:?}");
-            assert_eq!(row[4], "4", "default shard count: {row:?}");
             match row[2].as_str() {
                 // Never-repeating pairs defeat any LRU cache.
-                "adversarial" => assert_eq!(row[6], "0.0%", "{row:?}"),
+                "adversarial" => assert_eq!(row[5], "0.0%", "{row:?}"),
                 // Zipf traffic concentrates on few pairs: hits dominate.
                 "hotspot" => {
-                    let hit: f64 = row[6].trim_end_matches('%').parse().unwrap();
+                    let hit: f64 = row[5].trim_end_matches('%').parse().unwrap();
                     assert!(hit > 50.0, "hotspot should mostly hit: {row:?}");
                 }
                 _ => {}
             }
             if row[1].starts_with("tz") {
-                assert_eq!(row[7], "0", "TZ queries never fail: {row:?}");
+                assert_eq!(row[6], "0", "TZ queries never fail: {row:?}");
             }
         }
     }

@@ -27,7 +27,7 @@ pub use table::Table;
 pub use workloads::{QueryWorkload, Workload, WorkloadSpec};
 
 /// How [`serve_network`] should listen: the knobs both serving CLIs parse
-/// from their command lines, separate from the oracle and shard config.
+/// from their command lines, separate from the oracle and serve config.
 pub struct NetServeOptions<'a> {
     /// Number of connection-handling worker threads (clamped to ≥ 1).
     pub net_workers: usize,
@@ -41,7 +41,7 @@ pub struct NetServeOptions<'a> {
 
 /// Serve `oracle` on `options.listen` over TCP until `options.serve_seconds`
 /// elapses (0 = forever), then drain gracefully, print the final wire +
-/// dispatch counters, and exit the process.
+/// query counters, and exit the process.
 ///
 /// The shared tail of `dsketch-serve --listen` and `dsketch-store serve
 /// --listen`: both build/load an oracle their own way, then hand it here.

@@ -1,7 +1,7 @@
 //! Tier-1 coverage for the e18 chaos battery.
 //!
-//! e18 arms process-global failpoints (and deliberately panics serving
-//! shards), so it cannot share a test process with the rest of the suite:
+//! e18 arms process-global failpoints (and deliberately panics the query
+//! path), so it cannot share a test process with the rest of the suite:
 //! this test runs the `experiments` binary as a subprocess, exactly the
 //! way CI's chaos smoke step does, and checks both the exit status and
 //! the load-bearing rows of its table.
@@ -22,7 +22,7 @@ fn e18_quick_battery_passes_in_a_subprocess() {
     );
 
     // The experiment hard-asserts its invariants internally (zero wrong
-    // answers, restarts == injected panics, convergence, disarm); here we
+    // answers, counted == injected panics, convergence, disarm); here we
     // only pin the visible shape so a silently skipped phase fails loudly.
     assert!(stdout.contains("E18"), "banner missing:\n{stdout}");
     for phase in ["A panic storm", "B watch storm", "C net storm"] {
@@ -42,10 +42,10 @@ fn e18_quick_battery_passes_in_a_subprocess() {
         6,
         "every battery row reports recovery:\n{stdout}"
     );
-    // The injected shard panics unwind through real worker threads; their
-    // traces land on stderr and prove the storm actually fired.
+    // The injected panics unwind for real, up to the batch boundary that
+    // catches them; their traces land on stderr and prove the storm fired.
     assert!(
-        stderr.contains("injected fault: failpoint 'serve.shard.dispatch'"),
+        stderr.contains("injected fault: failpoint 'serve.dispatch'"),
         "expected injected-panic traces on stderr:\n{stderr}"
     );
 }

@@ -24,13 +24,12 @@ pub enum SketchError {
         /// The limit that was hit.
         limit: u64,
     },
-    /// A serving shard panicked while this query batch was in flight.  The
-    /// supervisor restarts the shard with a fresh cache, so retrying the
-    /// same query is expected to succeed.
-    ShardPanicked {
-        /// Index of the shard that panicked.
-        shard: usize,
-    },
+    /// Answering this query's batch panicked in the serving layer.  The
+    /// panic was caught at the batch boundary and cost the caller nothing
+    /// but its result cache; whether a retry succeeds depends on what
+    /// panicked.  (The name predates the inline serve path: it is the wire
+    /// protocol's `shard-panicked` code.)
+    ShardPanicked,
 }
 
 impl std::fmt::Display for SketchError {
@@ -44,10 +43,10 @@ impl std::fmt::Display for SketchError {
             SketchError::RoundLimitExceeded { limit } => {
                 write!(f, "round limit of {limit} exceeded before termination")
             }
-            SketchError::ShardPanicked { shard } => {
+            SketchError::ShardPanicked => {
                 write!(
                     f,
-                    "query shard {shard} panicked mid-batch; it has been restarted — retry"
+                    "answering this batch panicked; the server is still up — retry"
                 )
             }
         }
@@ -77,8 +76,6 @@ mod tests {
         assert!(SketchError::RoundLimitExceeded { limit: 10 }
             .to_string()
             .contains("10"));
-        assert!(SketchError::ShardPanicked { shard: 2 }
-            .to_string()
-            .contains("shard 2"));
+        assert!(SketchError::ShardPanicked.to_string().contains("retry"));
     }
 }

@@ -8,8 +8,8 @@
 //! captures the second half of that shape; [`crate::scheme::SketchScheme`]
 //! captures the first.  Everything downstream of construction — stretch
 //! evaluation, benchmarking, serving — operates on `&dyn DistanceOracle`
-//! and is completely scheme-agnostic, so a new sketch family (or a remote /
-//! sharded backend) only has to implement this trait to plug in.
+//! and is completely scheme-agnostic, so a new sketch family (or a remote
+//! backend) only has to implement this trait to plug in.
 
 #![deny(missing_docs)]
 
@@ -34,13 +34,13 @@ use netgraph::{Distance, NodeId};
 /// the queried nodes in argument order).  All four families satisfy this —
 /// the queries minimize over common landmarks, checking both directions —
 /// and downstream layers rely on it: the serve layer canonicalises
-/// `(u, v)`/`(v, u)` onto one shard and one cache entry.  A custom
+/// `(u, v)`/`(v, u)` onto one cache entry.  A custom
 /// implementation (e.g. a directed-graph backend) that cannot guarantee
 /// symmetry must not be served through `dsketch-serve`'s caching path.
 ///
 /// The trait requires `Send + Sync`: a built oracle is immutable label data,
-/// and the serving layer (`dsketch-serve`) shares one oracle across query
-/// shards behind an `Arc`.  All four sketch-set types are plain owned data,
+/// and the serving layer (`dsketch-serve`) shares one oracle across every
+/// querying thread behind an `Arc`.  All four sketch-set types are plain owned data,
 /// so the bound costs implementations nothing.
 ///
 /// ```
@@ -70,8 +70,8 @@ pub trait DistanceOracle: Send + Sync {
     /// The default implementation maps [`DistanceOracle::estimate`] over the
     /// slice; implementations with a cheaper amortized path (shared lookups,
     /// remote round-trip pooling) can override it.  Batches are the unit the
-    /// serving layer ships between client and shard threads, so keeping this
-    /// on the trait lets a remote backend answer a whole batch in one hop.
+    /// serving layer answers — one call per wire frame — so keeping this on
+    /// the trait lets a remote backend answer a whole batch in one hop.
     fn estimate_batch(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Result<Distance, SketchError>> {
         pairs.iter().map(|&(u, v)| self.estimate(u, v)).collect()
     }

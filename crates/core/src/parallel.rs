@@ -73,7 +73,7 @@ pub fn resolve_threads(threads: usize) -> usize {
 /// naming and failure policy live in one place).
 ///
 /// The name shows up in panic messages, debuggers and `/proc`, which is
-/// what makes a wedged serving shard diagnosable in production.
+/// what makes a wedged connection worker diagnosable in production.
 ///
 /// # Panics
 ///

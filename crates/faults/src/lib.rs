@@ -1,6 +1,6 @@
 //! `dsketch-faults` — deterministic, process-global fault injection.
 //!
-//! Robustness claims ("the server keeps answering through a shard panic",
+//! Robustness claims ("the server keeps answering through a kernel panic",
 //! "a torn snapshot write never poisons the next cold start") are only as
 //! good as the faults they were tested against.  This crate provides the
 //! faults: code under test declares **named failpoints** with
@@ -28,7 +28,7 @@
 //! | action       | effect at the failpoint                                   |
 //! |--------------|-----------------------------------------------------------|
 //! | `error`      | [`hit`] returns [`Fault::Error`]; the site maps it to its typed error |
-//! | `panic`      | [`hit`] panics (named after the point) — exercises supervisors |
+//! | `panic`      | [`hit`] panics (named after the point) — exercises panic isolation |
 //! | `delay:MS`   | [`hit`] sleeps `MS` milliseconds, then returns `None` — exercises deadlines |
 //! | `partial:N`  | [`hit`] returns [`Fault::Partial`]; IO wrappers cut the stream after `N` bytes |
 //!
@@ -683,7 +683,7 @@ mod tests {
     fn spec_round_trips_through_the_grammar() {
         let plan = FaultPlan::parse(
             "seed=7; store.save.rename=error,one_in=4 ;net.read.frame=delay:25,after=2,max=3;\
-             serve.shard.dispatch=panic;store.save.write=partial:100",
+             serve.dispatch=panic;store.save.write=partial:100",
         )
         .unwrap();
         assert_eq!(plan.seed, 7);
@@ -697,7 +697,7 @@ mod tests {
                 "net.read.frame",
                 PointPlan::new(FaultAction::Delay(25)).after(2).max(3),
             )
-            .with_point("serve.shard.dispatch", PointPlan::new(FaultAction::Panic))
+            .with_point("serve.dispatch", PointPlan::new(FaultAction::Panic))
             .with_point(
                 "store.save.write",
                 PointPlan::new(FaultAction::Partial(100)),

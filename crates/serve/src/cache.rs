@@ -1,10 +1,9 @@
 //! A fixed-capacity LRU map with index-linked recency order.
 //!
-//! Each query shard owns one [`LruCache`] outright — shard routing is
-//! deterministic per key, so a key lives in exactly one shard's cache and no
-//! locking is needed.  The recency list is threaded through a slab of
-//! entries by index (no pointers, no unsafe); every operation is `O(1)` plus
-//! one hash lookup.
+//! Each [`ServeClient`](crate::ServeClient) owns one [`LruCache`] outright
+//! and only its own thread touches it, so no locking is needed.  The recency
+//! list is threaded through a slab of entries by index (no pointers, no
+//! unsafe); every operation is `O(1)` plus one hash lookup.
 
 use std::collections::HashMap;
 use std::hash::Hash;

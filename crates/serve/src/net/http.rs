@@ -1,4 +1,4 @@
-//! A minimal hand-parsed HTTP/1.1 endpoint sharing the shard router.
+//! A minimal hand-parsed HTTP/1.1 endpoint beside the binary protocol.
 //!
 //! Query routes are `GET`; the one mutating route is `POST`.  Every
 //! route answers JSON (or Prometheus text) and closes the connection
@@ -388,7 +388,7 @@ fn distance_route(query: &str, ctx: &WorkerCtx) -> String {
             let (status, code) = match &e {
                 SketchError::UnknownNode(_) => (404, WireErrorCode::UnknownNode),
                 SketchError::NoCommonLandmark { .. } => (422, WireErrorCode::NoCommonLandmark),
-                SketchError::ShardPanicked { .. } => (503, WireErrorCode::ShardPanicked),
+                SketchError::ShardPanicked => (503, WireErrorCode::ShardPanicked),
                 _ => (500, WireErrorCode::Internal),
             };
             error_reply(status, code.name(), e.to_string())

@@ -1,4 +1,4 @@
-//! `dsketch-net`: the network-facing front end over the shard router.
+//! `dsketch-net`: the network-facing front end.
 //!
 //! This module turns the in-process [`crate::SketchServer`] into a TCP
 //! service without any dependency beyond `std::net`.  One listener serves

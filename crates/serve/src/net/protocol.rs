@@ -181,9 +181,9 @@ pub enum WireErrorCode {
     /// or did not match the serving scheme / node count.  The live
     /// generation is untouched.
     SwapRefused,
-    /// A query shard panicked with this batch in flight
-    /// ([`SketchError::ShardPanicked`]).  The supervisor restarts the
-    /// shard, so an immediate retry is expected to succeed.
+    /// Answering this batch panicked ([`SketchError::ShardPanicked`]).  The
+    /// panic was caught at the batch boundary: the connection stays open
+    /// and the server keeps serving, so a retry is in order.
     ShardPanicked,
 }
 
@@ -255,7 +255,7 @@ impl WireError {
         let code = match e {
             SketchError::UnknownNode(_) => WireErrorCode::UnknownNode,
             SketchError::NoCommonLandmark { .. } => WireErrorCode::NoCommonLandmark,
-            SketchError::ShardPanicked { .. } => WireErrorCode::ShardPanicked,
+            SketchError::ShardPanicked => WireErrorCode::ShardPanicked,
             _ => WireErrorCode::Internal,
         };
         WireError::new(code, e.to_string())
@@ -708,9 +708,9 @@ mod tests {
         let internal = WireError::from_sketch(&SketchError::InvalidParameters("k".into()));
         assert_eq!(internal.code, WireErrorCode::Internal);
         assert!(internal.to_string().contains("internal"));
-        let panicked = WireError::from_sketch(&SketchError::ShardPanicked { shard: 3 });
+        let panicked = WireError::from_sketch(&SketchError::ShardPanicked);
         assert_eq!(panicked.code, WireErrorCode::ShardPanicked);
-        assert!(panicked.detail.contains("shard 3"));
+        assert!(panicked.detail.contains("retry"));
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! The network front end: a TCP listener over the sharded query router.
+//! The network front end: a TCP listener whose connection workers answer
+//! queries where the bytes arrive.
 //!
 //! ```text
-//!                 TcpListener (accept loop thread, nonblocking poll)
+//!                 TcpListener (accept loop thread, blocking accept)
 //!                      │ accepted sockets
 //!                      ▼
 //!            [bounded hand-off queue]      ← full ⇒ connection refused
@@ -9,17 +10,15 @@
 //!        ▼           ▼               ▼
 //!    worker 0    worker 1   …   worker W−1     connection workers
 //!    sniff 4 bytes: "NETQ" ⇒ binary frames, else ⇒ HTTP/1.1
-//!        │           │               │
-//!        └───────────┴───────┬───────┘
-//!                            ▼
-//!                  SketchServer (shard router)   the PR-2 in-process layer
+//!    decode → ServeClient::query_batch on this thread → encode → write
 //! ```
 //!
-//! Each worker owns one connection at a time and speaks request–response:
-//! one frame in, one frame out.  Backpressure is layered — the hand-off
-//! queue bounds waiting connections, the shard queues bound dispatched
-//! batches, and [`NetConfig::max_batch_pairs`] bounds how much work one
-//! frame may demand.
+//! `W + 1` threads in all.  Each worker owns one connection at a time and
+//! speaks request–response: one frame in, one frame out, the kernel run in
+//! between on the worker's own thread through its own [`ServeClient`] (and
+//! so its own result cache).  Backpressure is the hand-off queue, which
+//! bounds waiting connections, and [`NetConfig::max_batch_pairs`], which
+//! bounds how much work one frame may demand.
 //!
 //! # Timeouts and shutdown
 //!
@@ -32,12 +31,16 @@
 //! [`NetServer::shutdown`] runs the graceful drain:
 //!
 //! ```text
-//! running ──flag──▶ draining ──join──▶ closed
+//! running ──flag, wake──▶ draining ──join──▶ closed
 //!   accept loop stops, listener closes   (late connects: ECONNREFUSED)
 //!   idle connections close at once       (abort flag between frames)
 //!   in-flight frames complete + answer   (drain, then close)
-//!   shard router shuts down last         (final counters returned)
+//!   final counters are read              (one registry snapshot each)
 //! ```
+//!
+//! The accept loop blocks in `accept`, so raising the flag is followed by
+//! one connect to the server's own address: the loop wakes, sees the flag,
+//! drops that socket uncounted and exits.
 
 use super::http;
 use super::protocol::{
@@ -50,7 +53,7 @@ use crate::stats::{NetCounters, NetStats, ServeStats};
 use dsketch::{DistanceOracle, SchemeSpec, SketchError};
 use dsketch_obs::{prometheus, MetricsRegistry, StdoutSink, Tracer};
 use netgraph::{Distance, GraphFingerprint, NodeId};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -179,11 +182,11 @@ impl From<SketchError> for NetStartError {
     }
 }
 
-/// Final counters returned by [`NetServer::shutdown`]: the shard router's
-/// dispatch accounting plus the wire-level accounting.
+/// Final counters returned by [`NetServer::shutdown`]: the query
+/// accounting plus the wire-level accounting.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetServerStats {
-    /// In-process dispatch counters (queries, cache, service latency).
+    /// Query counters (queries, cache, service latency).
     pub serve: ServeStats,
     /// Wire counters (connections, frames, bytes, timeouts).
     pub net: NetStats,
@@ -217,17 +220,15 @@ impl ServeMeta {
     }
 }
 
-/// Everything a connection worker needs: its own shard-router client, the
-/// shared counters, the shutdown flag, and the oracle metadata the stats
-/// document reports.
+/// Everything a connection worker needs: its own query client (and so its
+/// own result cache), the shared counters, the shutdown flag, and the
+/// oracle metadata the stats document reports.
 pub(super) struct WorkerCtx {
     server: Arc<SketchServer>,
     client: ServeClient,
     counters: Arc<NetCounters>,
     shutdown: Arc<AtomicBool>,
     config: NetConfig,
-    registry: Arc<MetricsRegistry>,
-    tracer: Arc<Tracer>,
     meta: Arc<ServeMeta>,
     started_at: Instant,
 }
@@ -244,14 +245,13 @@ pub struct NetServer {
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    server: Option<Arc<SketchServer>>,
-    registry: Arc<MetricsRegistry>,
+    server: Arc<SketchServer>,
     config: NetConfig,
 }
 
 impl NetServer {
     /// Bind `addr` (e.g. `"127.0.0.1:7421"`, port `0` for ephemeral) and
-    /// serve `oracle` through a fresh shard router.
+    /// serve `oracle` through a fresh [`SketchServer`].
     pub fn start(
         oracle: Arc<dyn DistanceOracle>,
         serve_config: ServeConfig,
@@ -291,22 +291,18 @@ impl NetServer {
         if net_config.log_json {
             tracer = tracer.with_sink(Arc::new(StdoutSink));
         }
-        let tracer = Arc::new(tracer);
+        let counters = Arc::new(NetCounters::register(&registry));
         let server = Arc::new(SketchServer::start_with_origin(
             oracle,
             serve_config,
-            Arc::clone(&registry),
-            Arc::clone(&tracer),
+            registry,
+            Arc::new(tracer),
             origin,
         )?);
         let listener = TcpListener::bind(addr).map_err(NetStartError::Bind)?;
-        listener
-            .set_nonblocking(true)
-            .map_err(NetStartError::Bind)?;
         let local_addr = listener.local_addr().map_err(NetStartError::Bind)?;
 
         let shutdown = Arc::new(AtomicBool::new(false));
-        let counters = Arc::new(NetCounters::register(&registry));
         let meta = Arc::new(meta);
         let started_at = Instant::now();
         let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(net_config.pending_connections);
@@ -320,8 +316,6 @@ impl NetServer {
                 counters: Arc::clone(&counters),
                 shutdown: Arc::clone(&shutdown),
                 config: net_config,
-                registry: Arc::clone(&registry),
-                tracer: Arc::clone(&tracer),
                 meta: Arc::clone(&meta),
                 started_at,
             };
@@ -343,8 +337,7 @@ impl NetServer {
             shutdown,
             accept_thread: Some(accept_thread),
             workers,
-            server: Some(server),
-            registry,
+            server,
             config: net_config,
         })
     }
@@ -359,36 +352,44 @@ impl NetServer {
         &self.config
     }
 
-    /// Snapshot the shard router's dispatch counters.
+    /// Snapshot the query counters.
     pub fn serve_stats(&self) -> ServeStats {
-        self.server.as_ref().map(|s| s.stats()).unwrap_or_default()
+        self.server.stats()
     }
 
     /// Snapshot the wire-level counters.
     pub fn net_stats(&self) -> NetStats {
-        NetStats::from_metrics(&self.registry.snapshot())
+        NetStats::from_metrics(&self.server.registry().snapshot())
     }
 
     /// Gracefully drain and stop: refuse new connections, let in-flight
-    /// frames complete and be answered, close every connection, stop the
-    /// shard router, and return the final counters.
+    /// frames complete and be answered, close every connection, and return
+    /// the final counters.
     pub fn shutdown(mut self) -> NetServerStats {
         self.stop_net();
-        let net = self.net_stats();
-        let serve = match self.server.take() {
-            Some(server) => match Arc::try_unwrap(server) {
-                Ok(server) => server.shutdown(),
-                Err(server) => server.stats(),
-            },
-            None => ServeStats::default(),
-        };
-        NetServerStats { serve, net }
+        NetServerStats {
+            serve: self.serve_stats(),
+            net: self.net_stats(),
+        }
     }
 
-    /// Raise the shutdown flag and join the accept loop and workers.
+    /// Raise the shutdown flag, wake the accept loop, and join it and the
+    /// workers.
     fn stop_net(&mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
         if let Some(accept) = self.accept_thread.take() {
+            // The loop is blocked in `accept`; one connection makes it look
+            // at the flag.  A listener bound to the unspecified address is
+            // reached through loopback.  If the connect fails the listener
+            // is already gone, and so is the loop.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake.ip() {
+                    IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                    IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+                });
+            }
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
             // dsketch-lint: allow(no-unwrap-in-hot-path): join propagates an accept-loop panic — there is no error to type
             accept.join().expect("net accept loop panicked");
         }
@@ -402,22 +403,26 @@ impl NetServer {
 impl Drop for NetServer {
     fn drop(&mut self) {
         self.stop_net();
-        // Dropping the SketchServer Arc (now unique) joins the shards.
-        self.server.take();
     }
 }
 
-/// The accept loop: poll-accept until shutdown, handing sockets to the
-/// workers through the bounded queue.  Exiting drops the listener, so
-/// late connects are refused at the TCP level.
+/// The accept loop: block in `accept`, handing sockets to the workers
+/// through the bounded queue, until a connection arrives with the shutdown
+/// flag up (the wake-up [`NetServer::stop_net`] sends, or a late client —
+/// either is dropped uncounted).  Exiting drops the listener, so later
+/// connects are refused at the TCP level.
 fn run_accept_loop(
     listener: TcpListener,
     conn_tx: mpsc::SyncSender<TcpStream>,
     shutdown: Arc<AtomicBool>,
     counters: Arc<NetCounters>,
 ) {
-    while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shutdown.load(Ordering::Relaxed) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 counters.connections_accepted.inc();
                 // The failpoint forces the Full path so the overload
@@ -440,9 +445,6 @@ fn run_accept_loop(
                         break;
                     }
                 }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
             }
             Err(_) => {
                 // Transient accept failure (e.g. EMFILE); back off briefly.
@@ -580,7 +582,7 @@ fn binary_session(stream: &TcpStream, ctx: &WorkerCtx) {
     }
 }
 
-/// Dispatch one decoded request through the shard router.
+/// Answer one decoded request on this worker's thread.
 fn answer_request(request: Request, ctx: &WorkerCtx) -> Response {
     match request {
         Request::Ping => Response::Pong,
@@ -633,7 +635,7 @@ fn write_response(stream: &TcpStream, response: &Response, ctx: &WorkerCtx) -> b
 }
 
 /// The stats document served by `GET /stats` and the binary stats frame:
-/// oracle metadata, shard-router totals, and wire counters in one JSON
+/// oracle metadata, query totals, and wire counters in one JSON
 /// object (hand-rolled — every value is a number or a short JSON string).
 ///
 /// Every number comes from **one** registry snapshot, so the `derived`
@@ -641,8 +643,8 @@ fn write_response(stream: &TcpStream, response: &Response, ctx: &WorkerCtx) -> b
 /// under concurrent load the document can never claim, say, more cache
 /// hits than queries.
 pub(crate) fn stats_json(ctx: &WorkerCtx) -> String {
-    let snap = ctx.registry.snapshot();
-    let serve = ServeStats::from_metrics(&snap, ctx.server.num_shards());
+    let snap = ctx.server.registry().snapshot();
+    let serve = ServeStats::from_metrics(&snap);
     let net = NetStats::from_metrics(&snap);
     // Oracle metadata comes from the *current* generation, so a hot swap
     // is reflected in the very next stats document.
@@ -672,7 +674,7 @@ pub(crate) fn stats_json(ctx: &WorkerCtx) -> String {
             "\"serve\":{{\"queries\":{},\"cache_hits\":{},\"cache_misses\":{},",
             "\"cache_invalidations\":{},",
             "\"errors\":{},\"batches\":{},\"busy_nanos\":{},\"max_latency_nanos\":{},",
-            "\"restarts\":{},\"shards\":{}}},",
+            "\"panics\":{}}},",
             "\"net\":{{\"connections_accepted\":{},\"connections_refused\":{},",
             "\"connections_closed\":{},\"frames_in\":{},\"frames_out\":{},",
             "\"http_requests\":{},\"bytes_in\":{},\"bytes_out\":{},",
@@ -695,8 +697,7 @@ pub(crate) fn stats_json(ctx: &WorkerCtx) -> String {
         serve.totals.batches,
         serve.totals.busy_nanos,
         serve.totals.max_latency_nanos,
-        serve.totals.restarts,
-        serve.num_shards(),
+        serve.totals.panics,
         net.connections_accepted,
         net.connections_refused,
         net.connections_closed,
@@ -748,13 +749,16 @@ impl WorkerCtx {
 
     /// The Prometheus text document for `GET /metrics`: the process-global
     /// registry (build, graph, store instruments) plus this server's own
-    /// (shard and wire instruments).
+    /// (query and wire instruments).
     pub(super) fn metrics_document(&self) -> String {
-        prometheus::encode(&[&dsketch_obs::global().snapshot(), &self.registry.snapshot()])
+        prometheus::encode(&[
+            &dsketch_obs::global().snapshot(),
+            &self.server.registry().snapshot(),
+        ])
     }
 
     /// The most recent `n` sampled trace events, oldest first.
     pub(super) fn trace_recent(&self, n: usize) -> Vec<String> {
-        self.tracer.recent(n)
+        self.server.tracer().recent(n)
     }
 }

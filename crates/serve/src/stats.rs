@@ -1,72 +1,59 @@
 //! Query-serving statistics, mirroring the construction-side accounting.
 //!
-//! Construction reports a [`dsketch::RunStats`] per build (total plus
-//! per-phase breakdown in [`dsketch::BuildOutcome`]); serving reports a
-//! [`ServeStats`] per server — the aggregate [`ShardStats`] plus the
-//! per-shard breakdown — so experiment tables can put build cost and serve
-//! cost side by side.
+//! Construction reports a [`dsketch::RunStats`] per build; serving reports
+//! a [`ServeStats`] per server, so experiment tables can put build cost and
+//! serve cost side by side.
 //!
 //! The live cells behind these snapshots are instruments in the server's
 //! [`MetricsRegistry`]: the internal counter structs hold cheap
-//! [`Counter`]/[`Gauge`]/[`Histogram`] handles registered under the
-//! `dsketch_serve_*` / `dsketch_net_*` families, and the public snapshot
-//! types here are *views* of those instruments.  There is one path from
-//! instruments to views: [`ServeStats::from_metrics`] /
-//! [`NetStats::from_metrics`] over one registry snapshot, behind
-//! `SketchServer::stats`, `NetServer::net_stats` and `GET /stats` alike, so
-//! every number in one view was read at one moment.
+//! [`Counter`]/[`Histogram`] handles registered under the `dsketch_serve_*`
+//! / `dsketch_net_*` families, and the public snapshot types here are
+//! *views* of those instruments.  There is one path from instruments to
+//! views: [`ServeStats::from_metrics`] / [`NetStats::from_metrics`] over one
+//! registry snapshot, behind `SketchServer::stats`, `NetServer::net_stats`
+//! and `GET /stats` alike, so every number in one view was read at one
+//! moment.
 
-use dsketch_obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
+use dsketch_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 
-/// Counters for one query shard (or, via [`ShardStats::absorb`], a sum over
-/// shards).  A plain snapshot value, like `RunStats` on the build side.
+/// Query counters of one server, summed over every `ServeClient` it handed
+/// out.  A plain snapshot value, like `RunStats` on the build side.
+///
+/// A batch that panicked counts in `batches` and `panics` only, so
+/// `cache_hits + cache_misses == queries` holds whatever is injected.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardStats {
+pub struct ServeTotals {
     /// Queries answered (including failed ones).
     pub queries: u64,
-    /// Queries answered from the shard's LRU cache.
+    /// Queries answered from the caller's LRU cache.
     pub cache_hits: u64,
     /// Queries that had to consult the oracle.
     pub cache_misses: u64,
-    /// Entries discarded when a shard picked up a new generation: the
-    /// worker drops its whole cache at the batch boundary where it saw the
-    /// version move, and adds the cache's size here.  The lookups that
-    /// follow are ordinary misses, so `cache_hits + cache_misses ==
-    /// queries` holds across swaps, and this counter says how much of a
-    /// post-swap miss burst is the swap's doing rather than a cold-cache
-    /// regression.
+    /// Entries discarded when a caller picked up a new generation: a batch
+    /// that loads a generation other than the one the caller's cache was
+    /// filled under drops the whole cache and adds its size here.  The
+    /// lookups that follow are ordinary misses, so `cache_hits +
+    /// cache_misses == queries` holds across swaps, and this counter says
+    /// how much of a post-swap miss burst is the swap's doing rather than a
+    /// cold-cache regression.
     pub cache_invalidations: u64,
     /// Queries that returned an error (unknown node, no common landmark).
     pub errors: u64,
-    /// Batches (channel messages) processed; `queries / batches` is the mean
-    /// batch size reaching this shard.
+    /// Non-empty batches submitted; `queries / batches` is the mean batch
+    /// size.
     pub batches: u64,
-    /// Total time spent answering queries, in nanoseconds (cache lookup plus
-    /// oracle estimate; excludes queueing).
+    /// Total time spent answering, in nanoseconds (cache probes plus the
+    /// oracle's `estimate_batch`, timed once per batch).
     pub busy_nanos: u64,
-    /// Largest single-query service time observed, in nanoseconds.
+    /// Largest single-batch service time observed, in nanoseconds.
     pub max_latency_nanos: u64,
-    /// Worker restarts performed by this shard's supervisor after a panic.
-    /// A restarted worker starts with a cold cache; the batch in flight at
-    /// crash time answered with `ShardPanicked`.
-    pub restarts: u64,
+    /// Batches that panicked (or were shed by the `serve.dispatch`
+    /// failpoint) and answered `ShardPanicked` for all their pairs.  The
+    /// caller that ran one goes on with a cold cache.
+    pub panics: u64,
 }
 
-impl ShardStats {
-    /// Merge another shard's counters into this one by summation (maximum
-    /// for `max_latency_nanos`), like `RunStats::absorb` on the build side.
-    pub fn absorb(&mut self, other: &ShardStats) {
-        self.queries += other.queries;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_invalidations += other.cache_invalidations;
-        self.errors += other.errors;
-        self.batches += other.batches;
-        self.busy_nanos += other.busy_nanos;
-        self.max_latency_nanos = self.max_latency_nanos.max(other.max_latency_nanos);
-        self.restarts += other.restarts;
-    }
-
+impl ServeTotals {
     /// Fraction of queries answered from cache (0 when no queries ran).
     pub fn hit_rate(&self) -> f64 {
         if self.queries == 0 {
@@ -86,15 +73,11 @@ impl ShardStats {
     }
 }
 
-/// A point-in-time snapshot of a running (or shut down) server's counters:
-/// the per-shard breakdown plus the aggregate, mirroring how
-/// [`dsketch::BuildOutcome`] pairs `stats` with `phase_stats`.
+/// A point-in-time snapshot of a server's counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Sum over all shards.
-    pub totals: ShardStats,
-    /// One entry per shard, in shard order.
-    pub per_shard: Vec<ShardStats>,
+    /// The query counters.
+    pub totals: ServeTotals,
     /// Snapshot generation serving when this snapshot was taken (1 = the
     /// startup oracle; each hot swap increments it).
     pub generation: u64,
@@ -103,74 +86,31 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Number of shards the server ran with.
-    pub fn num_shards(&self) -> usize {
-        self.per_shard.len()
-    }
-
-    /// Largest per-shard query count divided by the mean — 1.0 is a
-    /// perfectly balanced load, higher means hotter shards.
-    pub fn load_imbalance(&self) -> f64 {
-        let n = self.per_shard.len();
-        if n == 0 || self.totals.queries == 0 {
-            return 1.0;
-        }
-        let max = self.per_shard.iter().map(|s| s.queries).max().unwrap_or(0);
-        let mean = self.totals.queries as f64 / n as f64;
-        max as f64 / mean
-    }
-
-    /// Rebuild the per-shard view from one registry snapshot — every number
-    /// comes from the same [`MetricsSnapshot`], so the derived ratios
+    /// Rebuild the view from one registry snapshot — every number comes
+    /// from the same [`MetricsSnapshot`], so the derived ratios
     /// (`hit_rate`, queries-per-batch) are internally consistent no matter
-    /// how hard the workers are writing concurrently.
-    pub(crate) fn from_metrics(snap: &MetricsSnapshot, shards: usize) -> ServeStats {
-        let mut per_shard = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let labels = format!("shard=\"{shard}\"");
-            let latency = snap
-                .histogram("dsketch_serve_query_latency_nanos", &labels)
-                .cloned()
-                .unwrap_or_default();
-            per_shard.push(ShardStats {
-                queries: snap
-                    .counter("dsketch_serve_queries_total", &labels)
-                    .unwrap_or(0),
-                cache_hits: snap
-                    .counter("dsketch_serve_cache_hits_total", &labels)
-                    .unwrap_or(0),
-                cache_misses: snap
-                    .counter("dsketch_serve_cache_misses_total", &labels)
-                    .unwrap_or(0),
-                cache_invalidations: snap
-                    .counter("dsketch_serve_cache_invalidations_total", &labels)
-                    .unwrap_or(0),
-                errors: snap
-                    .counter("dsketch_serve_errors_total", &labels)
-                    .unwrap_or(0),
-                batches: snap
-                    .counter("dsketch_serve_batches_total", &labels)
-                    .unwrap_or(0),
+    /// how hard the callers are writing concurrently.
+    pub(crate) fn from_metrics(snap: &MetricsSnapshot) -> ServeStats {
+        let read = |name: &str| snap.counter(name, "").unwrap_or(0);
+        let latency = snap.histogram_total("dsketch_serve_batch_latency_nanos");
+        ServeStats {
+            totals: ServeTotals {
+                queries: read("dsketch_serve_queries_total"),
+                cache_hits: read("dsketch_serve_cache_hits_total"),
+                cache_misses: read("dsketch_serve_cache_misses_total"),
+                cache_invalidations: read("dsketch_serve_cache_invalidations_total"),
+                errors: read("dsketch_serve_errors_total"),
+                batches: read("dsketch_serve_batches_total"),
                 busy_nanos: latency.sum,
                 max_latency_nanos: latency.max,
-                restarts: snap
-                    .counter("dsketch_shard_restarts_total", &labels)
-                    .unwrap_or(0),
-            });
-        }
-        let mut totals = ShardStats::default();
-        for shard in &per_shard {
-            totals.absorb(shard);
-        }
-        ServeStats {
-            totals,
-            per_shard,
+                panics: read("dsketch_serve_panics_total"),
+            },
             generation: snap
                 // dsketch-lint: allow(metric-name-style): the generation gauge is a version number — unitless by design
                 .gauge("dsketch_serve_generation", "")
                 .unwrap_or(1)
                 .max(0) as u64,
-            swaps: snap.counter("dsketch_swap_total", "").unwrap_or(0),
+            swaps: read("dsketch_swap_total"),
         }
     }
 }
@@ -179,15 +119,15 @@ impl std::fmt::Display for ServeStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} queries over {} shards: {:.1}% cache hits, {} errors, \
-             avg {:.2} µs/query, max {:.2} µs, imbalance {:.2}, generation {} ({} swaps)",
+            "{} queries in {} batches: {:.1}% cache hits, {} errors, {} panics, \
+             avg {:.2} µs/query, max {:.2} µs/batch, generation {} ({} swaps)",
             self.totals.queries,
-            self.num_shards(),
+            self.totals.batches,
             100.0 * self.totals.hit_rate(),
             self.totals.errors,
+            self.totals.panics,
             self.totals.avg_latency_nanos() / 1_000.0,
             self.totals.max_latency_nanos as f64 / 1_000.0,
-            self.load_imbalance(),
             self.generation,
             self.swaps,
         )
@@ -195,13 +135,13 @@ impl std::fmt::Display for ServeStats {
 }
 
 /// Wire-level counters of the network front end ([`crate::net`]): what the
-/// in-process [`ShardStats`] cannot see because it begins at the shard
-/// queues — sockets, frames, bytes, timeouts.
+/// in-process [`ServeTotals`] cannot see because it begins at a decoded
+/// batch — sockets, frames, bytes, timeouts.
 ///
-/// A plain snapshot value like [`ShardStats`]; the live cells are
+/// A plain snapshot value like [`ServeTotals`]; the live cells are
 /// `dsketch_net_*` instruments in the server's registry.  `GET /stats`
-/// serves both this and the shard totals in one JSON document, so wire
-/// cost and dispatch cost can be read side by side.
+/// serves both in one JSON document, so wire cost and query cost can be
+/// read side by side.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Connections the listener accepted.
@@ -350,83 +290,60 @@ impl NetCounters {
     }
 }
 
-/// The live instrument handles one worker thread writes and
-/// [`ServeStats::from_metrics`] reads back by name.  Every handle is a
-/// registered `dsketch_serve_*` series labeled with the shard index.
+/// The live instrument handles every [`ServeClient`](crate::ServeClient)
+/// of one server writes — once per batch — and [`ServeStats::from_metrics`]
+/// reads back by name.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct ShardCounters {
+pub(crate) struct ServeCounters {
     pub queries: Counter,
     pub cache_hits: Counter,
     pub cache_misses: Counter,
     pub cache_invalidations: Counter,
     pub errors: Counter,
     pub batches: Counter,
-    /// Per-query service time; its sum and max are `busy_nanos` and
+    /// Service time of each batch; its sum and max are `busy_nanos` and
     /// `max_latency_nanos` in the snapshot view.
-    latency: Histogram,
-    /// Batches currently queued (sent but not yet drained by the worker).
-    pub queue_entries: Gauge,
-    /// Worker restarts performed by this shard's supervisor after a panic.
-    pub restarts: Counter,
+    pub latency: Histogram,
+    pub panics: Counter,
 }
 
-impl ShardCounters {
-    /// Register this shard's instruments in `registry` and return the
-    /// handles.
-    pub(crate) fn register(registry: &MetricsRegistry, shard: usize) -> ShardCounters {
-        let shard_label = shard.to_string();
-        let labels: &[(&str, &str)] = &[("shard", &shard_label)];
-        ShardCounters {
-            queries: registry.counter_with(
+impl ServeCounters {
+    /// Register the query instruments in `registry` and return the handles.
+    pub(crate) fn register(registry: &MetricsRegistry) -> ServeCounters {
+        ServeCounters {
+            queries: registry.counter(
                 "dsketch_serve_queries_total",
                 "Queries answered (including failed ones).",
-                labels,
             ),
-            cache_hits: registry.counter_with(
+            cache_hits: registry.counter(
                 "dsketch_serve_cache_hits_total",
-                "Queries answered from the shard's LRU cache.",
-                labels,
+                "Queries answered from the caller's LRU cache.",
             ),
-            cache_misses: registry.counter_with(
+            cache_misses: registry.counter(
                 "dsketch_serve_cache_misses_total",
                 "Queries that had to consult the oracle.",
-                labels,
             ),
-            cache_invalidations: registry.counter_with(
+            cache_invalidations: registry.counter(
                 "dsketch_serve_cache_invalidations_total",
-                "Cached entries discarded when the shard picked up a new generation.",
-                labels,
+                "Cached entries discarded when a caller picked up a new generation.",
             ),
-            errors: registry.counter_with(
+            errors: registry.counter(
                 "dsketch_serve_errors_total",
                 "Queries that returned an error.",
-                labels,
             ),
-            batches: registry.counter_with(
+            batches: registry.counter(
                 "dsketch_serve_batches_total",
-                "Batches (channel messages) processed.",
-                labels,
+                "Non-empty batches submitted.",
             ),
-            latency: registry.histogram_with(
-                "dsketch_serve_query_latency_nanos",
-                "Per-query service time: cache lookup plus oracle estimate.",
-                labels,
+            latency: registry.histogram(
+                "dsketch_serve_batch_latency_nanos",
+                "Service time of one batch: cache probes plus the oracle's estimate_batch.",
             ),
-            queue_entries: registry.gauge_with(
-                "dsketch_serve_queue_entries",
-                "Batches currently queued for this shard.",
-                labels,
-            ),
-            restarts: registry.counter_with(
-                "dsketch_shard_restarts_total",
-                "Worker restarts performed by the shard supervisor after a panic.",
-                labels,
+            panics: registry.counter(
+                "dsketch_serve_panics_total",
+                "Batches that panicked and answered ShardPanicked for all their pairs.",
             ),
         }
-    }
-
-    pub(crate) fn record_latency(&self, nanos: u64) {
-        self.latency.record(nanos);
     }
 }
 
@@ -435,91 +352,55 @@ mod tests {
     use super::*;
 
     #[test]
-    fn absorb_sums_and_maxes() {
-        let mut a = ShardStats {
-            queries: 10,
-            cache_hits: 4,
-            cache_misses: 6,
-            cache_invalidations: 2,
-            errors: 1,
-            batches: 2,
-            busy_nanos: 1000,
-            max_latency_nanos: 400,
-            restarts: 1,
-        };
-        let b = ShardStats {
-            queries: 5,
-            cache_hits: 5,
-            cache_misses: 0,
-            cache_invalidations: 1,
-            errors: 0,
-            batches: 1,
-            busy_nanos: 200,
-            max_latency_nanos: 900,
-            restarts: 2,
-        };
-        a.absorb(&b);
-        assert_eq!(a.queries, 15);
-        assert_eq!(a.cache_hits, 9);
-        assert_eq!(a.cache_misses, 6);
-        assert_eq!(a.cache_invalidations, 3);
-        assert_eq!(a.batches, 3);
-        assert_eq!(a.max_latency_nanos, 900);
-        assert_eq!(a.restarts, 3);
-        assert!((a.hit_rate() - 0.6).abs() < 1e-9);
-        assert!((a.avg_latency_nanos() - 80.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_stats_are_safe() {
-        let stats = ShardStats::default();
-        assert_eq!(stats.hit_rate(), 0.0);
-        assert_eq!(stats.avg_latency_nanos(), 0.0);
-        let serve = ServeStats::default();
-        assert_eq!(serve.num_shards(), 0);
-        assert_eq!(serve.load_imbalance(), 1.0);
-        assert!(serve.to_string().contains("0 queries"));
+        let totals = ServeTotals::default();
+        assert_eq!(totals.hit_rate(), 0.0);
+        assert_eq!(totals.avg_latency_nanos(), 0.0);
+        assert!(ServeStats::default().to_string().contains("0 queries"));
     }
 
     #[test]
     fn counters_snapshot_round_trips() {
         let registry = MetricsRegistry::new();
-        let counters = ShardCounters::register(&registry, 0);
+        let counters = ServeCounters::register(&registry);
         counters.queries.add(3);
-        counters.record_latency(50);
-        counters.record_latency(10);
-        let snap = &ServeStats::from_metrics(&registry.snapshot(), 1).per_shard[0];
-        assert_eq!(snap.queries, 3);
-        assert_eq!(snap.busy_nanos, 60);
-        assert_eq!(snap.max_latency_nanos, 50);
+        counters.latency.record(50);
+        counters.latency.record(10);
+        let totals = ServeStats::from_metrics(&registry.snapshot()).totals;
+        assert_eq!(totals.queries, 3);
+        assert_eq!(totals.busy_nanos, 60);
+        assert_eq!(totals.max_latency_nanos, 50);
     }
 
     #[test]
     fn serve_stats_rebuild_from_one_registry_snapshot() {
         let registry = MetricsRegistry::new();
-        let shard0 = ShardCounters::register(&registry, 0);
-        let shard1 = ShardCounters::register(&registry, 1);
-        shard0.queries.add(4);
-        shard0.cache_hits.add(1);
-        shard0.cache_misses.add(3);
-        shard0.batches.inc();
-        shard0.record_latency(100);
-        shard1.queries.add(2);
-        shard1.cache_misses.add(2);
-        shard1.cache_invalidations.inc();
-        shard1.errors.inc();
-        shard1.batches.inc();
-        shard1.record_latency(900);
-        let stats = ServeStats::from_metrics(&registry.snapshot(), 2);
-        assert_eq!(stats.num_shards(), 2);
-        assert_eq!(stats.per_shard[0].queries, 4);
-        assert_eq!(stats.per_shard[1].errors, 1);
-        assert_eq!(stats.per_shard[1].cache_invalidations, 1);
+        // Two callers of one server hold clones of the same handles.
+        let first = ServeCounters::register(&registry);
+        let second = first.clone();
+        first.queries.add(4);
+        first.cache_hits.add(1);
+        first.cache_misses.add(3);
+        first.batches.inc();
+        first.latency.record(100);
+        second.queries.add(2);
+        second.cache_misses.add(2);
+        second.cache_invalidations.inc();
+        second.errors.inc();
+        second.batches.inc();
+        second.latency.record(900);
+        second.panics.inc();
+        let stats = ServeStats::from_metrics(&registry.snapshot());
         assert_eq!(stats.totals.queries, 6);
         assert_eq!(stats.totals.cache_hits + stats.totals.cache_misses, 6);
         assert_eq!(stats.totals.cache_invalidations, 1);
+        assert_eq!(stats.totals.errors, 1);
+        assert_eq!(stats.totals.batches, 2);
         assert_eq!(stats.totals.busy_nanos, 1000);
         assert_eq!(stats.totals.max_latency_nanos, 900);
+        assert_eq!(stats.totals.panics, 1);
+        assert!((stats.totals.hit_rate() - 1.0 / 6.0).abs() < 1e-9);
+        assert!((stats.totals.avg_latency_nanos() - 1000.0 / 6.0).abs() < 1e-9);
         // No swap instruments registered: sensible defaults.
         assert_eq!(stats.generation, 1);
         assert_eq!(stats.swaps, 0);
@@ -567,7 +448,7 @@ mod tests {
     #[test]
     fn display_reports_the_headline_numbers() {
         let stats = ServeStats {
-            totals: ShardStats {
+            totals: ServeTotals {
                 queries: 100,
                 cache_hits: 25,
                 cache_misses: 75,
@@ -576,16 +457,15 @@ mod tests {
                 batches: 10,
                 busy_nanos: 100_000,
                 max_latency_nanos: 5_000,
-                restarts: 0,
+                panics: 1,
             },
-            per_shard: vec![ShardStats::default(); 4],
             generation: 3,
             swaps: 2,
         };
         let text = stats.to_string();
-        assert!(text.contains("100 queries over 4 shards"));
+        assert!(text.contains("100 queries in 10 batches"));
         assert!(text.contains("25.0% cache hits"));
-        assert!(text.contains("2 errors"));
+        assert!(text.contains("2 errors, 1 panics"));
         assert!(text.contains("generation 3 (2 swaps)"));
     }
 }

@@ -4,12 +4,12 @@
 //! The serving stack was built over one immutable `Arc<dyn
 //! DistanceOracle>` fixed at startup; this module makes that binding
 //! *replaceable while queries are in flight*.  A [`SwapCell`] is a version
-//! counter over a mutex-guarded `Arc`: a shard worker reads the counter
-//! (one atomic load) at every batch boundary and takes the lock — for the
-//! length of one `Arc::clone` — only when the number moved, which happens
-//! once per rebuild.  A writer publishes a fully built replacement; the
-//! retired generation is dropped exactly once, when the cell's reference
-//! and every outstanding reader clone are gone.
+//! counter over a mutex-guarded `Arc`: a caller takes the lock — for the
+//! length of one `Arc::clone` — once per batch, holds the clone while the
+//! batch runs, and lets go of it when the batch returns.  A writer
+//! publishes a fully built replacement; the retired generation is dropped
+//! exactly once, when the cell's reference and every outstanding reader
+//! clone are gone.
 
 use dsketch::{DistanceOracle, SchemeSpec};
 use netgraph::GraphFingerprint;
@@ -123,8 +123,8 @@ impl From<dsketch_store::StoreError> for SwapError {
 /// A shared cell holding an `Arc<T>`, replaceable while readers are
 /// loading: a version counter over a mutex-guarded `Arc`.
 ///
-/// * [`SwapCell::version`] is a single atomic load — the per-batch "has
-///   anything changed since I last looked?" check on hot loops.
+/// * [`SwapCell::version`] is a single atomic load — "which generation is
+///   live?" without touching the lock.
 /// * [`SwapCell::load`] clones the current `Arc` under the lock, which is
 ///   held for exactly that clone.
 /// * [`SwapCell::store`] publishes a replacement and drops the value it
@@ -136,12 +136,11 @@ impl From<dsketch_store::StoreError> for SwapError {
 ///    reader that saw version `v` and then calls `load` therefore gets
 ///    generation `≥ v` (its lock follows the store that wrote `v`), and a
 ///    `load` that returned generation `g` is followed by `version() ≥ g`.
-///    `run_worker`'s `if cell.version() != current.number { current =
-///    cell.load() }` depends on both halves: its reload must return the
-///    generation the version announced (or a newer one), and a generation
-///    it holds must never be ahead of the version, or the worker would
-///    reload — and drop its cache — for a swap it already has.  The mutex
-///    supplies the ordering; the counter only has to be atomic.
+///    A `ServeClient` tags a fresh cache with `version()` and compares the
+///    tag with the number of each generation it `load`s, and
+///    `SketchServer::generation` reports `version()` beside answers tagged
+///    by `load`; both halves keep those two views of "now" from crossing.
+///    The mutex supplies the ordering; the counter only has to be atomic.
 /// 2. **The displaced `Arc` is dropped after the guard is released.**
 ///    Dropping the cell's reference can free a 160 MB oracle, and a
 ///    payload's `Drop` may itself touch the cell; neither may happen while
@@ -168,8 +167,7 @@ impl<T> SwapCell<T> {
 
     /// The current version: 1 for the initial value, +1 per [`store`].
     ///
-    /// One atomic load — hot loops call this per batch and only pay for
-    /// [`load`](SwapCell::load) when the number moved.
+    /// One atomic load; no lock.
     ///
     /// [`store`]: SwapCell::store
     pub fn version(&self) -> u64 {
@@ -347,9 +345,9 @@ mod tests {
         );
     }
 
-    /// Condition 1 of the cell's contract, as `run_worker` uses it: a
-    /// version number read from `version()` is a lower bound on what the
-    /// next `load` returns, and an upper bound is the version read after.
+    /// Condition 1 of the cell's contract: a version number read from
+    /// `version()` is a lower bound on what the next `load` returns, and an
+    /// upper bound is the version read after.
     #[test]
     fn concurrent_loads_and_stores_never_yield_torn_or_stale_beyond_window() {
         let cell = Arc::new(SwapCell::new(Arc::new(1u64)));

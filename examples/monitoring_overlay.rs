@@ -7,12 +7,11 @@
 //! ε-density net is exactly a provably-good monitor placement (every client
 //! has a monitor within its ε-ball), the slack sketches — each client's
 //! distances to all monitors — answer client-pair latency queries within a
-//! factor 3 for all but the nearest pairs, and a sharded `SketchServer`
-//! answers the operators' query traffic concurrently with per-shard result
-//! caches.
+//! factor 3 for all but the nearest pairs, and a `SketchServer` answers
+//! the operators' query traffic in batches through a result cache.
 //!
 //! ```text
-//! cargo run --release --bin monitoring_overlay -- --nodes 300 --eps 0.1 --shards 4
+//! cargo run --release --bin monitoring_overlay -- --nodes 300 --eps 0.1
 //! ```
 
 use dsketch::prelude::*;
@@ -28,7 +27,6 @@ fn main() {
     let n: usize = arg_parse(&args, "nodes", 400);
     let eps: f64 = arg_parse(&args, "eps", 0.25);
     let seed: u64 = arg_parse(&args, "seed", 5);
-    let shards: usize = arg_parse(&args, "shards", 4);
 
     println!("== monitoring overlay: density-net monitors + 3-stretch slack sketches ==");
     // Geometric graph: latency correlates with position, like a real WAN.
@@ -54,19 +52,15 @@ fn main() {
         sketches.max_words()
     );
 
-    // Serve the operators' latency queries through the sharded query layer:
-    // the oracle is shared read-only across worker shards, each with its own
-    // LRU result cache (dashboards re-ask the same hot pairs constantly).
+    // Serve the operators' latency queries through the query layer: the
+    // oracle is shared read-only by every client, each with its own LRU
+    // result cache (dashboards re-ask the same hot pairs constantly).
     let oracle: Arc<dyn DistanceOracle> = sketches.clone();
-    let server = SketchServer::start(
-        Arc::clone(&oracle),
-        ServeConfig::default().with_shards(shards),
-    )
-    .expect("server start");
+    let server =
+        SketchServer::start(Arc::clone(&oracle), ServeConfig::default()).expect("server start");
     let client = server.client();
     println!(
-        "query server: {} shards, per-shard LRU cache of {} results",
-        server.num_shards(),
+        "query server: LRU cache of {} results per client",
         server.config().cache_capacity
     );
 
@@ -121,7 +115,7 @@ fn main() {
     );
 
     // A dashboard keeps re-asking its hot pairs: replay the first rows a few
-    // times and let the per-shard caches absorb the repeats.
+    // times and let the client's cache absorb the repeats.
     let hot: Vec<(NodeId, NodeId)> = pairs.iter().take(256).copied().collect();
     for _ in 0..4 {
         for result in client.query_batch(&hot) {
@@ -145,7 +139,6 @@ fn main() {
     }
     print_table(&["client", "closest monitor", "distance"], &rows);
 
-    drop(client);
     let stats = server.shutdown();
     println!("\nserving statistics: {stats}");
 }

@@ -6,9 +6,9 @@
 //! * Property test: a staging file torn at any byte boundary is rejected
 //!   by both the cold-start loader and the deep verifier — the filesystem
 //!   only ever holds the old state or the new state, never a third.
-//! * An injected shard panic surfaces as the typed retryable
-//!   `ShardPanicked` error, is followed by a recorded supervisor restart,
-//!   and the shard keeps serving afterwards.
+//! * An injected dispatch panic fails exactly its own batch with the typed
+//!   retryable `ShardPanicked` error (wire code 8, HTTP 503), is counted,
+//!   and costs the calling thread — and its connection — only its cache.
 //! * `connect_with_retry` rides out a listener that binds late and
 //!   returns a typed error once its deadline is spent.
 //! * A full accept hand-off queue answers plain HTTP `503` with
@@ -20,12 +20,13 @@
 //! failing assertion can never leak faults into a neighbouring test.
 
 use dsketch::prelude::*;
+use dsketch_serve::net::WireErrorCode;
 use dsketch_serve::{NetClient, NetConfig, NetServer, ServeConfig, SketchServer};
 use dsketch_store::{build_stored, load_frozen_oracle, save_snapshot, snapshot_tmp_path};
 use netgraph::generators::{erdos_renyi, GeneratorConfig};
 use netgraph::{Graph, NodeId};
 use proptest::prelude::*;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -81,6 +82,22 @@ fn sample_pairs(n: usize, count: u32) -> Vec<(NodeId, NodeId)> {
             )
         })
         .collect()
+}
+
+/// One raw HTTP request on a throwaway connection; the whole reply.
+fn http(addr: &str, method: &str, target: &str) -> String {
+    let mut stream = std::net::TcpStream::connect(addr).expect("http connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    write!(
+        stream,
+        "{method} {target} HTTP/1.1\r\nhost: dsketch\r\nconnection: close\r\n\r\n"
+    )
+    .expect("http write");
+    let mut body = String::new();
+    stream.read_to_string(&mut body).expect("http read");
+    body
 }
 
 // ---------------------------------------------------------------------------
@@ -188,70 +205,128 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Shard supervision: panic → typed error → restart → keep serving.
+// Panic isolation: panic → typed error for that batch → same thread serves on.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn an_injected_shard_panic_is_restarted_and_the_shard_keeps_serving() {
+fn an_injected_dispatch_panic_fails_only_its_batch_in_process_and_over_the_wire() {
     let graph = graph(48, 7);
     let outcome = SketchBuilder::new(SchemeSpec::thorup_zwick(2))
         .seed(3)
         .build(&graph)
         .expect("build");
     let oracle: Arc<dyn DistanceOracle> = Arc::from(outcome.sketches);
+    // Distinct unordered pairs that answer Ok, so hit counts are exact.
+    let mut seen = std::collections::BTreeSet::new();
+    let pairs: Vec<(NodeId, NodeId)> = sample_pairs(48, 256)
+        .into_iter()
+        .filter(|&(u, v)| oracle.estimate(u, v).is_ok() && seen.insert((u.min(v), u.max(v))))
+        .take(32)
+        .collect();
+    assert_eq!(pairs.len(), 32, "fixture too sparse");
+    let expected = oracle.estimate_batch(&pairs);
+    let all_panicked = |results: &[Result<u64, SketchError>]| {
+        results.len() == pairs.len()
+            && results
+                .iter()
+                .all(|r| matches!(r, Err(SketchError::ShardPanicked)))
+    };
+
+    // In process: one client, one thread — this one.
     let server =
         SketchServer::start(Arc::clone(&oracle), ServeConfig::default()).expect("server start");
     let client = server.client();
-    let pairs = sample_pairs(48, 256);
+    assert_eq!(client.query_batch(&pairs), expected);
+    assert_eq!(client.query_batch(&pairs), expected);
+    assert_eq!(server.stats().totals.cache_hits, 32, "the cache is warm");
 
-    let scope = ArmedScope::arm("seed=11;serve.shard.dispatch=panic,max=2");
-    let mut panicked = 0u32;
-    for chunk in pairs.chunks(32) {
-        for (mut result, &(u, v)) in client.query_batch(chunk).into_iter().zip(chunk) {
-            let mut retries = 0u32;
-            while let Err(SketchError::ShardPanicked { shard }) = result {
-                panicked += 1;
-                assert!(shard < 4, "the error names a real shard");
-                assert!(
-                    result.as_ref().unwrap_err().to_string().contains("retry"),
-                    "the typed error spells out the retry contract"
-                );
-                retries += 1;
-                assert!(retries <= 16, "retry budget exhausted for ({u}, {v})");
-                result = client.query(u, v);
-            }
-            match (result, oracle.estimate(u, v)) {
-                (Ok(got), Ok(want)) => assert_eq!(got, want, "wrong answer at ({u}, {v})"),
-                (Err(_), Err(_)) => {}
-                (got, want) => panic!("divergence at ({u}, {v}): {got:?} vs {want:?}"),
-            }
-        }
+    let scope = ArmedScope::arm("seed=11;serve.dispatch=panic,max=2");
+    for _ in 0..2 {
+        let shed = client.query_batch(&pairs);
+        assert!(
+            all_panicked(&shed),
+            "a panic fails its whole batch: {shed:?}"
+        );
+        assert!(
+            SketchError::ShardPanicked.to_string().contains("retry"),
+            "the typed error spells out the retry contract"
+        );
     }
-    assert!(
-        panicked >= 2,
-        "both armed panics must shed at least one in-flight pair"
+    // The trip budget is spent: the same thread's next batch is answered,
+    // correctly, from a cold cache — not one new hit.
+    assert_eq!(client.query_batch(&pairs), expected);
+    assert_eq!(dsketch_faults::registry().trips("serve.dispatch"), 2);
+    drop(scope);
+    let stats = server.stats();
+    assert_eq!(stats.totals.panics, 2, "every caught panic is counted");
+    assert_eq!(stats.totals.cache_hits, 32, "the panic dropped the cache");
+    assert_eq!(
+        stats.totals.queries, 96,
+        "a panicked batch answers no query"
     );
+    assert_eq!(stats.totals.batches, 5);
+    assert_eq!(client.query_batch(&pairs), expected);
+    assert_eq!(
+        server.shutdown().totals.cache_hits,
+        64,
+        "and it warms again"
+    );
+
+    // Over the wire: one connection, so one worker thread serves it all.
+    let server = NetServer::start(
+        Arc::clone(&oracle),
+        ServeConfig::default(),
+        NetConfig::default().with_workers(1),
+        "127.0.0.1:0",
+    )
+    .expect("net server start");
+    let addr = server.local_addr().to_string();
+    let mut wire = NetClient::connect(&addr, Duration::from_secs(10)).expect("connect");
+    let (u, v) = pairs[0];
+    let scope = ArmedScope::arm("seed=11;serve.dispatch=panic,max=2");
+    let shed = wire.query_batch(&pairs).expect("the frame is answered");
+    assert_eq!(shed.len(), pairs.len());
+    for answer in &shed {
+        let error = answer.as_ref().expect_err("every pair of the frame fails");
+        assert_eq!(error.code, WireErrorCode::ShardPanicked);
+    }
+    let single = wire.query(u, v).expect("the connection is still open");
+    assert_eq!(
+        single.expect_err("second armed panic").code,
+        WireErrorCode::ShardPanicked
+    );
+    // Same connection, same worker thread, budget spent: right answers.
+    let served = wire.query_batch(&pairs).expect("still the same connection");
+    for (answer, want) in served.iter().zip(&expected) {
+        assert_eq!(answer.as_ref().ok(), want.as_ref().ok());
+    }
+    drop(scope);
+    // The one worker is ours until the NETQ connection closes.
+    drop(wire);
+
+    // The bytes themselves: an error frame (kind 15) whose payload opens
+    // with wire code 8.
+    let scope = ArmedScope::arm("seed=11;serve.dispatch=panic,max=1");
+    let mut raw = std::net::TcpStream::connect(&addr).expect("raw connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    raw.write_all(&dsketch_serve::net::Request::Query { u, v }.to_frame())
+        .expect("raw request");
+    let mut head = [0u8; 13];
+    raw.read_exact(&mut head).expect("raw reply");
+    assert_eq!((&head[..4], head[5], head[12]), (&b"NETR"[..], 15, 8));
+    drop(raw);
     drop(scope);
 
-    // Disarmed sweep: the restarted shards answer everything correctly.
-    for chunk in pairs.chunks(64) {
-        for (result, &(u, v)) in client.query_batch(chunk).into_iter().zip(chunk) {
-            match (result, oracle.estimate(u, v)) {
-                (Ok(got), Ok(want)) => assert_eq!(got, want),
-                (Err(SketchError::ShardPanicked { .. }), _) => {
-                    panic!("no shard may stay panicked after the storm")
-                }
-                (Err(_), Err(_)) => {}
-                (got, want) => panic!("divergence at ({u}, {v}): {got:?} vs {want:?}"),
-            }
-        }
-    }
-    drop(client);
+    let scope = ArmedScope::arm("seed=11;serve.dispatch=panic,max=1");
+    let reply = http(&addr, "GET", &format!("/distance?u={}&v={}", u.0, v.0));
+    assert!(reply.starts_with("HTTP/1.1 503"), "{reply}");
+    assert!(reply.contains("\"error\":\"shard-panicked\""), "{reply}");
+    drop(scope);
+
     let stats = server.shutdown();
-    assert_eq!(
-        stats.totals.restarts, 2,
-        "every injected panic is followed by exactly one recorded restart"
-    );
+    assert_eq!(stats.serve.totals.panics, 4, "{stats}");
+    assert_eq!(stats.net.protocol_errors, 0, "{stats}");
 }
 
 // ---------------------------------------------------------------------------
@@ -349,23 +424,6 @@ fn a_full_accept_queue_answers_503_with_retry_after() {
 
 #[test]
 fn the_faults_endpoint_arms_reports_and_disarms() {
-    use std::io::Write;
-
-    fn http(addr: &str, method: &str, target: &str) -> String {
-        let mut stream = std::net::TcpStream::connect(addr).expect("http connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("read timeout");
-        write!(
-            stream,
-            "{method} {target} HTTP/1.1\r\nhost: dsketch\r\nconnection: close\r\n\r\n"
-        )
-        .expect("http write");
-        let mut body = String::new();
-        stream.read_to_string(&mut body).expect("http read");
-        body
-    }
-
     let _scope = ArmedScope::bare();
     let graph = graph(32, 11);
     let outcome = SketchBuilder::new(SchemeSpec::thorup_zwick(2))

@@ -160,7 +160,7 @@ impl Fixture {
         let oracle: Arc<dyn DistanceOracle> = Arc::from(outcome.sketches);
         let server = NetServer::start(
             Arc::clone(&oracle),
-            ServeConfig::default().with_shards(2),
+            ServeConfig::default(),
             NetConfig::default()
                 .with_workers(2)
                 .with_read_timeout(Duration::from_millis(1500)),

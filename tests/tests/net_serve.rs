@@ -2,8 +2,9 @@
 //! be identical to direct oracle calls for every scheme family and every
 //! access path (single frames, batch frames, HTTP), graceful shutdown must
 //! drain in-flight queries and refuse late connects, slow clients must hit
-//! the read deadline without pinning a pool worker, and the wire counters
-//! must account every frame exactly.
+//! the read deadline without pinning a pool worker, the wire counters must
+//! account every frame exactly, and the blocking accept loop must hand a
+//! fresh connection over at once and still wake up for shutdown.
 
 use dsketch::prelude::*;
 use dsketch_serve::{
@@ -89,9 +90,7 @@ fn wire_answers_match_direct_oracle_for_every_family() {
         let oracle = build_oracle(spec, n);
         let server = NetServer::start(
             Arc::clone(&oracle),
-            ServeConfig::default()
-                .with_shards(2)
-                .with_cache_capacity(64),
+            ServeConfig::default().with_cache_capacity(64),
             NetConfig::default().with_workers(4),
             "127.0.0.1:0",
         )
@@ -175,7 +174,7 @@ fn wire_answers_match_direct_oracle_for_every_family() {
         );
         assert!(
             stats.serve.totals.queries >= (300 + 300 + 40) as u64,
-            "{spec}: every wire query reaches the router: {stats}"
+            "{spec}: every wire query is counted: {stats}"
         );
     }
 }
@@ -219,7 +218,7 @@ fn shutdown_drains_in_flight_queries_then_refuses_connects() {
     });
     let server = NetServer::start(
         slow,
-        ServeConfig::default().with_shards(1),
+        ServeConfig::default(),
         NetConfig::default()
             .with_workers(2)
             .with_read_timeout(Duration::from_secs(5)),
@@ -262,7 +261,7 @@ fn slow_clients_hit_the_deadline_without_pinning_the_worker() {
     let oracle = build_oracle(SchemeSpec::thorup_zwick(2), n);
     let server = NetServer::start(
         Arc::clone(&oracle),
-        ServeConfig::default().with_shards(1),
+        ServeConfig::default(),
         NetConfig::default()
             .with_workers(1)
             .with_read_timeout(Duration::from_millis(250)),
@@ -368,7 +367,7 @@ fn wire_counters_account_every_frame_exactly() {
     let oracle = build_oracle(SchemeSpec::thorup_zwick(2), n);
     let server = NetServer::start(
         Arc::clone(&oracle),
-        ServeConfig::default().with_shards(1),
+        ServeConfig::default(),
         NetConfig::default().with_workers(2),
         "127.0.0.1:0",
     )
@@ -413,6 +412,73 @@ fn wire_counters_account_every_frame_exactly() {
     assert_eq!(stats.net.protocol_errors, 0, "{stats}");
     assert_eq!(stats.net.timeouts, 0, "{stats}");
     assert!(stats.net.bytes_in > 0 && stats.net.bytes_out > 0, "{stats}");
-    // Router-side: 2 singles + 3 batch slots + 1 HTTP distance = 6 queries.
+    // Query side: 2 singles + 3 batch slots + 1 HTTP distance = 6 queries.
     assert_eq!(stats.serve.totals.queries, 6, "{stats}");
+}
+
+/// The accept loop blocks in `accept`, so a fresh connection is served as
+/// soon as it arrives: a hundred connect + ping round trips, one after
+/// another, take a few tens of milliseconds.  (The 5 ms poll this replaced
+/// put every one of them to sleep: 480 ms or more for the hundred.)
+#[test]
+fn a_hundred_fresh_connections_are_served_without_a_poll_delay() {
+    let oracle = build_oracle(SchemeSpec::thorup_zwick(2), 32);
+    let server = NetServer::start(
+        oracle,
+        ServeConfig::default(),
+        NetConfig::default(),
+        "127.0.0.1:0",
+    )
+    .expect("server start");
+    let addr = server.local_addr().to_string();
+    let started = Instant::now();
+    for _ in 0..100 {
+        let mut client = NetClient::connect(&addr, Duration::from_secs(10)).expect("connect");
+        client.ping().expect("ping");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "100 connect + ping took {elapsed:?}"
+    );
+    let stats = server.shutdown();
+    assert_eq!(stats.net.connections_accepted, 100, "{stats}");
+}
+
+/// `shutdown` wakes the blocked accept loop itself (one connection to its
+/// own address, dropped uncounted) and returns, however many connections
+/// sit idle in the workers' hands at that moment.
+#[test]
+fn shutdown_returns_with_idle_connections_open() {
+    const WORKERS: usize = 3;
+    let oracle = build_oracle(SchemeSpec::thorup_zwick(2), 32);
+    for idle in [0, 1, WORKERS] {
+        let server = NetServer::start(
+            Arc::clone(&oracle),
+            ServeConfig::default(),
+            NetConfig::default().with_workers(WORKERS),
+            "127.0.0.1:0",
+        )
+        .expect("server start");
+        let addr = server.local_addr().to_string();
+        let mut held: Vec<NetClient> = (0..idle)
+            .map(|_| NetClient::connect(&addr, Duration::from_secs(10)).expect("connect"))
+            .collect();
+        for client in &mut held {
+            client.ping().expect("a worker holds this connection");
+        }
+        let started = Instant::now();
+        let stats = server.shutdown();
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "{idle} idle connections: shutdown took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(
+            (stats.net.connections_accepted, stats.net.connections_closed),
+            (idle as u64, idle as u64),
+            "{idle} idle connections, and the wake-up is not one of them: {stats}"
+        );
+        drop(held);
+    }
 }

@@ -274,7 +274,7 @@ fn metrics_endpoint_accounts_every_query_exactly() {
     let oracle: Arc<dyn DistanceOracle> = Arc::from(outcome.sketches);
     let server = NetServer::start(
         oracle,
-        ServeConfig::default().with_shards(2).with_trace_sample(16),
+        ServeConfig::default().with_trace_sample(16),
         NetConfig::default().with_workers(2),
         "127.0.0.1:0",
     )
@@ -308,7 +308,7 @@ fn metrics_endpoint_accounts_every_query_exactly() {
         "dsketch_build_phase_nanos",
         "dsketch_serve_queries_total",
         "dsketch_serve_cache_hits_total",
-        "dsketch_serve_query_latency_nanos",
+        "dsketch_serve_batch_latency_nanos",
         "dsketch_net_frames_in_total",
         "dsketch_net_connections_accepted_total",
     ] {
@@ -318,30 +318,26 @@ fn metrics_endpoint_accounts_every_query_exactly() {
         );
     }
 
-    // Exactness: per-shard query counters and latency histogram counts
-    // both total the queries sent (the /metrics request itself is HTTP and
-    // routes no queries).
-    let queries_total: i128 = parsed
-        .samples
-        .iter()
-        .filter(|(k, _)| k.starts_with("dsketch_serve_queries_total{"))
-        .map(|(_, v)| v)
-        .sum();
-    assert_eq!(queries_total, QUERIES as i128);
-    let latency_count: i128 = parsed
-        .samples
-        .iter()
-        .filter(|(k, _)| k.starts_with("dsketch_serve_query_latency_nanos_count{"))
-        .map(|(_, v)| v)
-        .sum();
-    assert_eq!(latency_count, QUERIES as i128);
+    // Exactness: the query counter totals the queries sent and the latency
+    // histogram holds one sample per batch frame (the /metrics request
+    // itself is HTTP and answers no query).
+    assert_eq!(
+        parsed.samples.get("dsketch_serve_queries_total"),
+        Some(&(QUERIES as i128))
+    );
+    assert_eq!(
+        parsed
+            .samples
+            .get("dsketch_serve_batch_latency_nanos_count"),
+        Some(&(QUERIES.div_ceil(37) as i128))
+    );
 
     // A second scrape is monotone in the counters.
     let reply2 = http_get(&addr, "/metrics");
     let body2 = reply2.split("\r\n\r\n").nth(1).expect("second body");
     let parsed2 = parse_exposition(body2);
     for (series, value) in &parsed.samples {
-        if series.starts_with("dsketch_serve_queries_total{")
+        if series.starts_with("dsketch_serve_queries_total")
             || series.starts_with("dsketch_net_frames_in_total")
         {
             let later = parsed2.samples.get(series).expect("series persists");

@@ -1,15 +1,15 @@
 //! Deterministic schedule-stress harness: hammer the workspace's two
-//! concurrency surfaces — `dsketch::parallel` and the sharded
-//! `SketchServer` — with seeded workloads designed to shuffle thread
-//! interleavings, and assert the results are bit-identical to the
+//! concurrency surfaces — `dsketch::parallel` and a `SketchServer` shared
+//! by several calling threads — with seeded workloads designed to shuffle
+//! thread interleavings, and assert the results are bit-identical to the
 //! sequential oracle every time.
 //!
 //! The point is not to *prove* the absence of races (every crate is
 //! `#![forbid(unsafe_code)]`, so the compiler already rules out data
 //! races); it is to make schedule-dependence **observable**: every
 //! assertion here compares a concurrent execution against a deterministic
-//! reference, so any lost batch or cross-wired reply channel shows up as a
-//! value mismatch under `cargo test` on any machine.
+//! reference, so any lost batch or miscounted query shows up as a value
+//! mismatch under `cargo test` on any machine.
 //!
 //! All workloads are seeded (a splitmix-style generator below) — a failure
 //! reproduces from the printed round/seed alone.
@@ -138,9 +138,9 @@ fn reference_answers(
 }
 
 /// The core stress: `clients` threads share one server, each replaying its
-/// own seeded batches; every reply must equal the direct oracle's answer
-/// for that client's own queries (a cross-wired reply channel or a
-/// corrupted cache entry surfaces as a mismatch).
+/// own seeded batches through its own client; every reply must equal the
+/// direct oracle's answer for that client's own queries (a corrupted cache
+/// entry surfaces as a mismatch, a lost counter update as a drifted total).
 fn stress_server(
     oracle: Arc<dyn DistanceOracle>,
     config: ServeConfig,
@@ -191,19 +191,15 @@ fn stress_server(
 #[test]
 fn concurrent_clients_match_the_direct_oracle() {
     let oracle: Arc<dyn DistanceOracle> = Arc::new(build_oracle(96, 21));
-    // Sweep the contention space: queue_depth = 1 maximizes backpressure
-    // (clients block on full shard queues — the tightest interleaving),
-    // cache off vs. tiny cache exercises the hit/miss races.
-    for (shards, queue_depth, cache) in [(1, 1, 0), (2, 1, 16), (4, 1, 0), (4, 4, 64), (8, 2, 1)] {
-        let config = ServeConfig::default()
-            .with_shards(shards)
-            .with_queue_depth(queue_depth)
-            .with_cache_capacity(cache);
+    // Callers share the labels and the counters, nothing else: sweep the
+    // caller count against cache off, a thrashing cache and a roomy one.
+    for (clients, cache) in [(1, 0), (2, 16), (6, 0), (6, 64), (8, 1)] {
+        let config = ServeConfig::default().with_cache_capacity(cache);
         stress_server(
             Arc::clone(&oracle),
             config,
-            6,
-            &format!("shards={shards} depth={queue_depth} cache={cache}"),
+            clients,
+            &format!("clients={clients} cache={cache}"),
         );
     }
 }
@@ -214,11 +210,8 @@ fn frozen_and_map_backed_servers_agree_under_contention() {
     let frozen: Arc<dyn DistanceOracle> = Arc::new(built.freeze());
     let map_backed: Arc<dyn DistanceOracle> = Arc::new(built);
 
-    // Same seeded workload against both representations, max contention.
-    let config = ServeConfig::default()
-        .with_shards(3)
-        .with_queue_depth(1)
-        .with_cache_capacity(8);
+    // Same seeded workload against both representations, thrashing caches.
+    let config = ServeConfig::default().with_cache_capacity(8);
     stress_server(Arc::clone(&map_backed), config, 4, "map-backed");
     stress_server(Arc::clone(&frozen), config, 4, "frozen");
 
@@ -244,18 +237,13 @@ fn repeated_rounds_are_reproducible() {
     let oracle: Arc<dyn DistanceOracle> = Arc::new(build_oracle(64, 5));
     let batches = client_batches(64, 99, 6, 16);
     let run = || {
-        let server = SketchServer::start(
-            Arc::clone(&oracle),
-            ServeConfig::default().with_shards(2).with_queue_depth(1),
-        )
-        .unwrap();
+        let server = SketchServer::start(Arc::clone(&oracle), ServeConfig::default()).unwrap();
         let client = server.client();
         let answers: Vec<Option<Distance>> = batches
             .iter()
             .flat_map(|batch| client.query_batch(batch))
             .map(Result::ok)
             .collect();
-        drop(client);
         server.shutdown();
         answers
     };

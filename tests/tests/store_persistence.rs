@@ -318,7 +318,7 @@ fn server_cold_started_from_snapshot_matches_direct_estimates() {
     let contents = build_stored(&g, SchemeSpec::three_stretch(0.3), &config(11)).unwrap();
     save_snapshot(&path, &contents).unwrap();
 
-    let server = SketchServer::from_snapshot(&path, ServeConfig::default().with_shards(2)).unwrap();
+    let server = SketchServer::from_snapshot(&path, ServeConfig::default()).unwrap();
     let client = server.client();
     let direct = contents.sketches.as_oracle();
     let pairs: Vec<_> = sample_pairs(n, 500).collect();

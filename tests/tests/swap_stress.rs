@@ -6,9 +6,11 @@
 //!
 //! * **Swap-under-fire** — client threads hammer single, batch, and HTTP
 //!   queries while the main thread alternates two swap-compatible
-//!   snapshots through the live server.  Every tagged answer must be
-//!   exactly correct for the generation that served it, with zero errors
-//!   and exact swap/invalidation accounting in `ServeStats`.
+//!   snapshots through the live server.  Every batch is tagged with one
+//!   generation and every answer in it must be exactly correct for that
+//!   generation, with zero errors and exact swap/invalidation accounting
+//!   in `ServeStats`.  Idle callers hold nothing: a retired generation is
+//!   freed by the swap that retires it.
 //! * **Cell linearizability** — interleaved `load`/`store` traffic on the
 //!   bare [`SwapCell`] never double-frees, never yields a generation
 //!   outside the window that was live during the call, and drops every
@@ -109,23 +111,20 @@ fn check_tagged(
 }
 
 /// The tentpole acceptance test: N threads of single + batch queries
-/// while M swaps publish alternating snapshots.  Every answer must be
-/// exactly correct for the generation that served it; zero errors; exact
-/// swap accounting; and no reader may ever have blocked on a publish
-/// (bounded worst-case latency during the swap storm).
+/// while M swaps publish alternating snapshots.  A batch carries one
+/// generation tag — never a mix — and every answer in it must be exactly
+/// correct for that generation; zero errors; exact swap accounting; and no
+/// reader may ever have blocked on a publish (bounded worst-case latency
+/// during the swap storm).
 #[test]
 fn swap_under_fire_every_answer_matches_its_serving_generation() {
     const THREADS: usize = 3;
     const SWAPS: u64 = 8;
     let n = 48;
     let (snap_a, snap_b, oracle_a, oracle_b) = two_snapshots(n, "under_fire");
-    let server = SketchServer::from_snapshot(
-        &snap_a,
-        ServeConfig::default()
-            .with_shards(2)
-            .with_cache_capacity(64),
-    )
-    .expect("cold start");
+    let server =
+        SketchServer::from_snapshot(&snap_a, ServeConfig::default().with_cache_capacity(64))
+            .expect("cold start");
     assert_eq!(server.generation(), 1);
 
     let stop = AtomicBool::new(false);
@@ -153,11 +152,11 @@ fn swap_under_fire_every_answer_matches_its_serving_generation() {
                             answered.fetch_add(1, Ordering::Relaxed);
                         }
                     } else {
-                        // Batch path.
-                        for ((result, generation), &(u, v)) in
-                            client.query_batch_tagged(&pairs).into_iter().zip(&pairs)
-                        {
-                            check_tagged(&result, generation, u, v, &a, &b);
+                        // Batch path: one generation answers the whole batch.
+                        let (results, generation) = client.query_batch_tagged(&pairs);
+                        assert_eq!(results.len(), pairs.len());
+                        for (result, &(u, v)) in results.iter().zip(&pairs) {
+                            check_tagged(result, generation, u, v, &a, &b);
                             answered.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -180,7 +179,7 @@ fn swap_under_fire_every_answer_matches_its_serving_generation() {
     let latency = server
         .registry()
         .snapshot()
-        .histogram_total("dsketch_serve_query_latency_nanos");
+        .histogram_total("dsketch_serve_batch_latency_nanos");
     let stats = server.shutdown();
     assert_eq!(stats.generation, SWAPS + 1);
     assert_eq!(stats.swaps, SWAPS);
@@ -193,9 +192,10 @@ fn swap_under_fire_every_answer_matches_its_serving_generation() {
         "lazy invalidation preserves hit/miss accounting"
     );
     // A reader that blocked on a publish would stall for the whole swap
-    // (milliseconds to seconds); per-query service time stays far below
+    // (milliseconds to seconds); per-batch service time stays far below
     // that even at p99.9 under the swap storm.  100ms is orders of
-    // magnitude above a cache-miss estimate and still catches blocking.
+    // magnitude above sixteen cache-miss estimates and still catches
+    // blocking.
     assert!(
         latency.quantile(0.999) < 100_000_000,
         "readers must never block on a swap (p99.9 = {} ns)",
@@ -219,7 +219,7 @@ fn http_queries_and_swaps_interleave_cleanly() {
     let (spec, fingerprint) = dsketch_store::peek_snapshot_meta(&snap_a).expect("peek");
     let server = NetServer::start_with_origin(
         oracle,
-        ServeConfig::default().with_shards(2),
+        ServeConfig::default(),
         NetConfig::default().with_workers(2),
         "127.0.0.1:0",
         dsketch_serve::ServeMeta::new(spec.to_string(), fingerprint.to_string()),
@@ -332,7 +332,7 @@ fn a_v1_versioned_snapshot_is_refused_over_http_swap() {
     let (spec, fingerprint) = dsketch_store::peek_snapshot_meta(&snap_a).expect("peek");
     let server = NetServer::start_with_origin(
         oracle,
-        ServeConfig::default().with_shards(2),
+        ServeConfig::default(),
         NetConfig::default().with_workers(2),
         "127.0.0.1:0",
         dsketch_serve::ServeMeta::new(spec.to_string(), fingerprint.to_string()),
@@ -504,8 +504,7 @@ fn strong_counts_track_cell_and_reader_ownership() {
 fn refused_swaps_leave_the_live_generation_untouched() {
     let n = 48;
     let (snap_a, snap_b, oracle_a, _oracle_b) = two_snapshots(n, "negative");
-    let server = SketchServer::from_snapshot(&snap_a, ServeConfig::default().with_shards(2))
-        .expect("cold start");
+    let server = SketchServer::from_snapshot(&snap_a, ServeConfig::default()).expect("cold start");
     let assert_still_generation_one = |label: &str| {
         assert_eq!(server.generation(), 1, "{label} must not publish");
         let client = server.client();
@@ -592,8 +591,7 @@ fn refused_swaps_leave_the_live_generation_untouched() {
 fn mid_swap_shutdown_drains_cleanly() {
     let n = 32;
     let (snap_a, snap_b, oracle_a, oracle_b) = two_snapshots(n, "shutdown");
-    let server = SketchServer::from_snapshot(&snap_a, ServeConfig::default().with_shards(2))
-        .expect("cold start");
+    let server = SketchServer::from_snapshot(&snap_a, ServeConfig::default()).expect("cold start");
     std::thread::scope(|scope| {
         for t in 0..2u32 {
             let client = server.client();
@@ -618,9 +616,9 @@ fn mid_swap_shutdown_drains_cleanly() {
     std::fs::remove_file(&snap_b).ok();
 }
 
-/// Satellite 4's exactness check: with one shard and a roomy cache, the
-/// per-shard `cache_invalidations` counter (and the hit/miss split)
-/// across one swap is predictable to the query.
+/// The exactness check: with one client and a roomy cache, the
+/// `cache_invalidations` counter (and the hit/miss split) across one swap
+/// is predictable to the query.
 #[test]
 fn cache_invalidation_accounting_is_exact_across_one_swap() {
     let n = 48;
@@ -634,13 +632,9 @@ fn cache_invalidation_accounting_is_exact_across_one_swap() {
         .collect();
     assert_eq!(pairs.len(), 10, "graph too sparse for the fixture");
 
-    let server = SketchServer::from_snapshot(
-        &snap_a,
-        ServeConfig::default()
-            .with_shards(1)
-            .with_cache_capacity(1024),
-    )
-    .expect("cold start");
+    let server =
+        SketchServer::from_snapshot(&snap_a, ServeConfig::default().with_cache_capacity(1024))
+            .expect("cold start");
     let client = server.client();
     let run_all_twice = || {
         for _ in 0..2 {
@@ -658,9 +652,9 @@ fn cache_invalidation_accounting_is_exact_across_one_swap() {
     assert_eq!(stats.totals.cache_hits, 10);
     assert_eq!(stats.totals.cache_invalidations, 0);
 
-    // One swap: every cached entry is now stale, invalidated lazily on
-    // its next touch — 10 invalidations that are *also* misses, then 10
-    // fresh hits.  No flush, no pause.
+    // One swap: every cached entry is now stale, and the client's next
+    // batch drops all 10 with the cache — 10 invalidations, 10 misses,
+    // then 10 fresh hits.  No flush of anyone else, no pause.
     server.swap_snapshot(&snap_b).expect("compatible snapshot");
     run_all_twice();
     let stats = server.stats();
@@ -670,10 +664,39 @@ fn cache_invalidation_accounting_is_exact_across_one_swap() {
     assert_eq!(stats.totals.cache_invalidations, 10);
     assert_eq!(stats.generation, 2);
     assert_eq!(stats.swaps, 1);
-    assert_eq!(stats.per_shard[0].cache_invalidations, 10);
 
-    drop(client);
     server.shutdown();
+    std::fs::remove_file(&snap_a).ok();
+    std::fs::remove_file(&snap_b).ok();
+}
+
+/// Nothing is held between batches: once a swap has been published, idle
+/// clients — alive, with warm caches — do not keep the retired oracle (a
+/// whole label set) in memory until they next see traffic.
+#[test]
+fn a_retired_generation_is_freed_while_its_callers_sit_idle() {
+    let (snap_a, snap_b, _oracle_a, oracle_b) = two_snapshots(32, "retired");
+    let server = SketchServer::from_snapshot(&snap_a, ServeConfig::default()).expect("cold start");
+    let first_generation = Arc::downgrade(&server.current_generation());
+    let clients = [server.client(), server.client()];
+    for client in &clients {
+        client
+            .query(NodeId(0), NodeId(1))
+            .expect("generation 1 answers");
+    }
+    assert!(first_generation.upgrade().is_some(), "live while it serves");
+
+    assert_eq!(server.swap_snapshot(&snap_b).expect("compatible"), 2);
+    assert!(
+        first_generation.upgrade().is_none(),
+        "two idle clients must not pin the retired generation"
+    );
+    // The clients are still usable, and serve the new generation.
+    for client in &clients {
+        let (result, generation) = client.query_tagged(NodeId(0), NodeId(1));
+        assert_eq!(generation, 2);
+        assert_eq!(result.ok(), oracle_b.estimate(NodeId(0), NodeId(1)).ok());
+    }
     std::fs::remove_file(&snap_a).ok();
     std::fs::remove_file(&snap_b).ok();
 }

@@ -5,10 +5,11 @@
 //!
 //! * [`lints`] — a hand-rolled, dependency-free lint pass (its own lexer,
 //!   no `syn`, no `rustc` internals) that walks every workspace source and
-//!   enforces the five project lints the compiler cannot express: no
+//!   enforces the six project lints the compiler cannot express: no
 //!   unwrap/panic in hot-path lib code, checked casts in byte-layout code,
-//!   `SAFETY:` comments on every `unsafe`, `#![deny(missing_docs)]` on
-//!   every lib crate root, and one blessed thread-spawn path.
+//!   `#![forbid(unsafe_code)]` on every crate root, `#![deny(missing_docs)]`
+//!   on every lib crate root, one blessed thread-spawn path, and the metric
+//!   naming convention.
 //! * [`verify`] — the `DSK1` snapshot deep verifier: an independent parse
 //!   of the container plus a byte-by-byte walk of the sketch payload,
 //!   checking the semantic invariants (sorted bunches, pivot-row

@@ -7,7 +7,7 @@
 //! |---|---|
 //! | `no-unwrap-in-hot-path` | no `unwrap()` / `expect()` / `panic!` in `core`/`store`/`serve`/`obs` lib code outside tests |
 //! | `checked-casts` | no bare integer `as` casts in codec/format/flat byte-layout code — use `dsketch::cast` |
-//! | `unsafe-needs-safety-comment` | every `unsafe` is preceded by a `// SAFETY:` comment |
+//! | `forbid-unsafe-everywhere` | every crate root (lib, bin, example) carries `#![forbid(unsafe_code)]` |
 //! | `deny-missing-docs-everywhere` | every lib crate root carries `#![deny(missing_docs)]` |
 //! | `no-raw-thread-spawn` | all thread spawning goes through `dsketch::parallel` |
 //! | `metric-name-style` | registered metric names are snake_case, `dsketch_`-prefixed, and unit-suffixed |
@@ -39,9 +39,11 @@ pub enum Lint {
     /// No bare integer `as` casts in byte-layout code (codec, DSK1 format,
     /// flat CSR); use the `dsketch::cast` checked helpers.
     CheckedCasts,
-    /// Every `unsafe` block or fn must be preceded by a `// SAFETY:`
-    /// comment within the three lines above it.
-    UnsafeNeedsSafetyComment,
+    /// Every crate root the linter scans (`*/src/lib.rs`,
+    /// `crates/*/src/bin/*.rs`, `examples/*.rs`) must carry
+    /// `#![forbid(unsafe_code)]` — the workspace has no `unsafe`, and the
+    /// attribute is what keeps that a compile error rather than a habit.
+    ForbidUnsafeEverywhere,
     /// Every lib crate root (`crates/*/src/lib.rs`) must carry
     /// `#![deny(missing_docs)]`.
     DenyMissingDocsEverywhere,
@@ -64,7 +66,7 @@ impl Lint {
         [
             Lint::NoUnwrapInHotPath,
             Lint::CheckedCasts,
-            Lint::UnsafeNeedsSafetyComment,
+            Lint::ForbidUnsafeEverywhere,
             Lint::DenyMissingDocsEverywhere,
             Lint::NoRawThreadSpawn,
             Lint::MetricNameStyle,
@@ -76,7 +78,7 @@ impl Lint {
         match self {
             Lint::NoUnwrapInHotPath => "no-unwrap-in-hot-path",
             Lint::CheckedCasts => "checked-casts",
-            Lint::UnsafeNeedsSafetyComment => "unsafe-needs-safety-comment",
+            Lint::ForbidUnsafeEverywhere => "forbid-unsafe-everywhere",
             Lint::DenyMissingDocsEverywhere => "deny-missing-docs-everywhere",
             Lint::NoRawThreadSpawn => "no-raw-thread-spawn",
             Lint::MetricNameStyle => "metric-name-style",
@@ -190,9 +192,9 @@ pub fn lint_file(path: &Path, source: &str) -> Vec<Finding> {
     if scope.cast_lint {
         lint_checked_casts(path, &tokens, &test_lines, &mut findings);
     }
-    // The safety-comment lint applies everywhere, tests included: a test
-    // exercising unsafe code needs its reasoning written down just as much.
-    lint_unsafe_safety_comment(path, &tokens, &mut findings);
+    if scope.crate_root {
+        lint_forbid_unsafe(path, &tokens, &mut findings);
+    }
     if scope.lib_root {
         lint_deny_missing_docs(path, &tokens, &mut findings);
     }
@@ -216,6 +218,7 @@ pub fn lint_file(path: &Path, source: &str) -> Vec<Finding> {
 struct Scope {
     unwrap_lint: bool,
     cast_lint: bool,
+    crate_root: bool,
     lib_root: bool,
     spawn_lint: bool,
     metric_lint: bool,
@@ -238,6 +241,13 @@ impl Scope {
             "crates/store/src/crc32.rs",
         ]
         .contains(&p.as_str());
+        // Every file rustc starts a (non-test) crate from: lib roots, the
+        // bin targets under `src/bin/`, and the example binaries, which sit
+        // directly under `examples/`.
+        let parent = p.rsplit_once('/').map_or("", |(dir, _)| dir);
+        let crate_root = p.ends_with("/src/lib.rs")
+            || (p.starts_with("crates/") && parent.ends_with("/src/bin"))
+            || parent == "examples";
         let lib_root = p.starts_with("crates/") && p.ends_with("/src/lib.rs");
         // `dsketch::parallel` is the one blessed spawn site; integration
         // test trees drive concurrency through the public APIs and are
@@ -252,6 +262,7 @@ impl Scope {
         Scope {
             unwrap_lint,
             cast_lint,
+            crate_root,
             lib_root,
             spawn_lint,
             metric_lint,
@@ -408,37 +419,28 @@ fn lint_checked_casts(
     }
 }
 
-fn lint_unsafe_safety_comment(path: &Path, tokens: &[Token<'_>], findings: &mut Vec<Finding>) {
-    for (i, token) in tokens.iter().enumerate() {
-        if token.kind != TokenKind::Ident || token.text != "unsafe" {
-            continue;
-        }
-        // A `// SAFETY:` comment within the three lines above (or on the
-        // same line) satisfies the lint.
-        let documented = tokens[..i]
-            .iter()
-            .rev()
-            .take_while(|t| t.line + 3 >= token.line)
-            .any(|t| t.is_comment() && t.text.contains("SAFETY:"));
-        if !documented {
-            findings.push(Finding {
-                lint: Lint::UnsafeNeedsSafetyComment,
-                file: path.to_path_buf(),
-                line: token.line,
-                message: "`unsafe` without a `// SAFETY:` comment explaining why it is sound"
-                    .to_string(),
-            });
-        }
+/// Does the file carry the inner attribute `#![<level>(<lint>)]`?
+fn has_inner_attribute(tokens: &[Token<'_>], level: &str, lint: &str) -> bool {
+    let code: Vec<&Token<'_>> = tokens.iter().filter(|t| !t.is_comment()).collect();
+    code.windows(8).any(|w| {
+        let texts: Vec<&str> = w.iter().map(|t| t.text).collect();
+        texts == ["#", "!", "[", level, "(", lint, ")", "]"]
+    })
+}
+
+fn lint_forbid_unsafe(path: &Path, tokens: &[Token<'_>], findings: &mut Vec<Finding>) {
+    if !has_inner_attribute(tokens, "forbid", "unsafe_code") {
+        findings.push(Finding {
+            lint: Lint::ForbidUnsafeEverywhere,
+            file: path.to_path_buf(),
+            line: 1,
+            message: "crate root lacks `#![forbid(unsafe_code)]`".to_string(),
+        });
     }
 }
 
 fn lint_deny_missing_docs(path: &Path, tokens: &[Token<'_>], findings: &mut Vec<Finding>) {
-    let code: Vec<&Token<'_>> = tokens.iter().filter(|t| !t.is_comment()).collect();
-    let has = code.windows(8).any(|w| {
-        let texts: Vec<&str> = w.iter().map(|t| t.text).collect();
-        texts == ["#", "!", "[", "deny", "(", "missing_docs", ")", "]"]
-    });
-    if !has {
+    if !has_inner_attribute(tokens, "deny", "missing_docs") {
         findings.push(Finding {
             lint: Lint::DenyMissingDocsEverywhere,
             file: path.to_path_buf(),
@@ -646,28 +648,47 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_requires_a_safety_comment() {
-        let bad = "fn f() { unsafe { work() } }";
-        let findings = lint_as("crates/graph/src/csr.rs", bad);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].lint, Lint::UnsafeNeedsSafetyComment);
-        let good = "fn f() {\n // SAFETY: bounds checked above\n unsafe { work() }\n}";
-        assert!(lint_as("crates/graph/src/csr.rs", good).is_empty());
-        // A SAFETY comment too far above does not count.
-        let far = "// SAFETY: stale\nfn a() {}\nfn b() {}\nfn c() {}\nfn f() { unsafe { w() } }";
-        assert_eq!(lint_as("crates/graph/src/csr.rs", far).len(), 1);
+    fn crate_roots_must_forbid_unsafe() {
+        let bare = "#![deny(missing_docs)]\npub fn f() {}";
+        let good = "#![forbid(unsafe_code)]\n#![deny(missing_docs)]\npub fn f() {}";
+        for root in [
+            "crates/graph/src/lib.rs",
+            "crates/bench/src/bin/dsketch_serve.rs",
+            "examples/src/lib.rs",
+            "examples/quickstart.rs",
+            "tests/src/lib.rs",
+        ] {
+            let findings = lint_as(root, bare);
+            assert_eq!(findings.len(), 1, "{root}: {findings:?}");
+            assert_eq!(findings[0].lint, Lint::ForbidUnsafeEverywhere);
+            assert!(lint_as(root, good).is_empty(), "{root}");
+        }
+        // A weaker level, or the attribute in a comment, does not count.
+        let deny = "#![deny(unsafe_code)]\npub fn f() {}";
+        assert_eq!(lint_as("examples/quickstart.rs", deny).len(), 1);
+        let comment = "// #![forbid(unsafe_code)]\npub fn f() {}";
+        assert_eq!(lint_as("examples/quickstart.rs", comment).len(), 1);
+        // Files that are not crate roots inherit the root's attribute.
+        for inner in [
+            "crates/graph/src/csr.rs",
+            "crates/bench/src/experiments.rs",
+            "tests/tests/serve_layer.rs",
+        ] {
+            assert!(lint_as(inner, bare).is_empty(), "{inner}");
+        }
     }
 
     #[test]
     fn lib_roots_must_deny_missing_docs() {
-        let bare = "pub fn f() {}";
+        let bare = "#![forbid(unsafe_code)]\npub fn f() {}";
         let findings = lint_as("crates/graph/src/lib.rs", bare);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].lint, Lint::DenyMissingDocsEverywhere);
-        let good = "#![deny(missing_docs)]\npub fn f() {}";
+        let good = "#![forbid(unsafe_code)]\n#![deny(missing_docs)]\npub fn f() {}";
         assert!(lint_as("crates/graph/src/lib.rs", good).is_empty());
-        // Non-root files are exempt.
+        // Non-root files are exempt, and so are roots outside `crates/`.
         assert!(lint_as("crates/graph/src/csr.rs", bare).is_empty());
+        assert!(lint_as("examples/src/lib.rs", bare).is_empty());
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //! (or `dsketch-store serve --listen`) exposes the binary `NETQ`/`NETR`
 //! protocol on a socket, this binary opens `--connections` concurrent
 //! clients, replays a seeded [`QueryWorkload`] through them, and reports
-//! throughput plus p50/p95/p99 per-request latency, writing the same
-//! numbers as machine-readable JSON (default `BENCH_serve.json`).  Every
-//! frame latency is also recorded into a client-side
-//! [`dsketch_obs::Histogram`], and the JSON carries its log₂ bucket
-//! counts (`latency_histogram`) so runs can be compared distribution-wise,
-//! not just by three percentile points.
+//! throughput plus p50/p95/p99 per-request latency — and, with `--json
+//! PATH`, writes the same numbers as machine-readable JSON.  Every frame
+//! latency is also recorded into a client-side [`dsketch_obs::Histogram`],
+//! and the JSON carries its log₂ bucket counts (`latency_histogram`) so
+//! runs can be compared distribution-wise, not just by three percentile
+//! points.
 //!
 //! ```text
 //! # terminal 1: serve a sketch on a port
@@ -27,7 +27,7 @@
 //! default 16; `1` uses single-query frames), `--workload
 //! uniform|hotspot|adversarial` (default uniform), `--seed N`,
 //! `--timeout-ms N` (per-frame deadline, default 5000) and `--json PATH`
-//! (default `BENCH_serve.json`; `-` disables the file).
+//! (default `-`: no file).
 //!
 //! The node count is discovered from the server's stats document, so the
 //! workload always matches whatever sketch the server is actually holding.
@@ -66,7 +66,7 @@ fn main() {
     let batch: usize = arg_parse_or_exit(&args, "batch", 16).max(1);
     let seed: u64 = arg_parse_or_exit(&args, "seed", 42);
     let timeout = Duration::from_millis(arg_parse_or_exit(&args, "timeout-ms", 5_000u64).max(1));
-    let json_path = arg_value(&args, "json").unwrap_or_else(|| "BENCH_serve.json".to_string());
+    let json_path = arg_value(&args, "json").filter(|path| path != "-");
     let workload_text = arg_value(&args, "workload").unwrap_or_else(|| "uniform".to_string());
     let shape = QueryWorkload::parse(&workload_text).unwrap_or_else(|| {
         eprintln!(
@@ -159,7 +159,7 @@ fn main() {
         p99 as f64 / 1e3
     );
 
-    if json_path != "-" {
+    if let Some(json_path) = json_path {
         let json = format!(
             "{{\n\"tool\": \"dsketch-loadgen\",\n\"addr\": \"{addr}\",\n\
              \"scheme\": \"{scheme}\",\n\"num_nodes\": {num_nodes},\n\

@@ -935,10 +935,6 @@ fn tz_phase_split(graph: &Graph, spec: SchemeSpec, config: &SchemeConfig) -> Str
 /// arrays).  The "identical" column replays a sample of the stream through
 /// both paths and compares results pairwise (errors included); the frozen
 /// path's whole claim is *same answers, faster*.
-///
-/// Besides the printed table, the measurements are written as
-/// machine-readable JSON to `BENCH_query.json` at the repository root, so
-/// later optimisation PRs have a baseline to diff against.
 fn e15_flat_query_throughput(quick: bool) -> ExperimentResult {
     use crate::workloads::QueryWorkload;
     use dsketch_store::build_stored;
@@ -996,7 +992,6 @@ fn e15_flat_query_throughput(quick: bool) -> ExperimentResult {
         "speedup",
         "identical",
     ]);
-    let mut json_rows = Vec::new();
     for (spec, n) in cases {
         let graph = WorkloadSpec::new(Workload::ErdosRenyi, n, 42).build();
         let config = SchemeConfig::default().with_seed(13).with_parallel_build();
@@ -1038,34 +1033,7 @@ fn e15_flat_query_throughput(quick: bool) -> ExperimentResult {
                 format!("{speedup:.2}x"),
                 if row_identical { "yes" } else { "NO" }.to_string(),
             ]);
-            json_rows.push(format!(
-                "  {{\"scheme\": \"{spec}\", \"n\": {n}, \"batch\": {batch}, \
-                 \"queries\": {queries}, \"btree_qps\": {btree_qps:.0}, \
-                 \"flat_qps\": {flat_qps:.0}, \"speedup\": {speedup:.3}, \
-                 \"identical\": {row_identical}}}"
-            ));
         }
-    }
-
-    // Machine-readable baseline for future perf PRs.  Default target is
-    // `BENCH_query.json` at the repo root (the committed baseline comes
-    // from an explicit full-mode run); `DSKETCH_BENCH_JSON` overrides the
-    // path so incidental runs — the unit-test smoke in particular — never
-    // clobber the committed full-mode numbers with quick-mode ones.
-    let json = format!(
-        "{{\n\"experiment\": \"e15\",\n\"mode\": \"{}\",\n\"workload\": \"uniform\",\n\
-         \"threads\": 1,\n\"rows\": [\n{}\n]\n}}\n",
-        if quick { "quick" } else { "full" },
-        json_rows.join(",\n")
-    );
-    let path = std::env::var_os("DSKETCH_BENCH_JSON")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_query.json")
-        });
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote machine-readable results to {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
 
     ExperimentResult {
@@ -1818,13 +1786,8 @@ mod tests {
     }
 
     #[test]
-    fn e15_quick_is_answer_identical_and_writes_the_json_baseline() {
-        // Divert the JSON to a temp path: a test run must never overwrite
-        // the committed full-mode BENCH_query.json at the repo root.
-        let json_path = std::env::temp_dir().join("dsketch_e15_test_BENCH_query.json");
-        std::env::set_var("DSKETCH_BENCH_JSON", &json_path);
+    fn e15_quick_is_answer_identical() {
         let result = run_experiment("e15", true).unwrap();
-        std::env::remove_var("DSKETCH_BENCH_JSON");
         assert_eq!(result.id, "e15");
         // 4 families × 2 batch sizes.
         assert_eq!(result.table.len(), 8);
@@ -1834,12 +1797,6 @@ mod tests {
                 "flat and btree answers must be identical: {row:?}"
             );
         }
-        let json = std::fs::read_to_string(&json_path).expect("BENCH_query.json written");
-        std::fs::remove_file(&json_path).ok();
-        assert!(json.contains("\"experiment\": \"e15\""));
-        assert!(json.contains("\"mode\": \"quick\""));
-        assert!(json.contains("\"flat_qps\""));
-        assert!(!json.contains("\"identical\": false"), "{json}");
     }
 
     #[test]

@@ -17,12 +17,30 @@
 //!    `(d(w, u), w) < key(u, A_{i+1})`; every vertex reached records `w` in
 //!    its bunch.  (Clusters and bunches are inverse relations: `u ∈ C(w)` iff
 //!    `w ∈ B(u)`, Section 3.2.)
+//!
+//! # One queue, two policies
+//!
+//! Both searches run on [`netgraph::shortest_path::RadixQueue`], the
+//! monotone radix heap the ground-truth Dijkstra uses: keys are distances,
+//! a search never pushes below the distance it popped last (weights are
+//! nonnegative — the queue `assert!`s it), and entries with equal distances
+//! pop in no particular order.  Neither result depends on that order.
+//! [`lexicographic_multi_source`] is label-correcting on the pair
+//! `(distance, source)`: every improvement of a node's key is pushed and
+//! every pushed key that is still the node's best is expanded, so whatever
+//! order equal distances leave the queue in, the fixed point is the
+//! lexicographic minimum.  Cluster growth settles a node on its first
+//! non-stale pop, as Dijkstra does, and the build's transpose
+//! ([`crate::build`]) scatters each `(u, w)` pair once, wherever in `C(w)`'s
+//! member list it sits.  The loops stay separate because their policies are
+//! what differ — what a label is, when a candidate beats it, which nodes may
+//! be expanded — and a generic search would take all of that as parameters;
+//! the queue is the part they share.
 
 use crate::hierarchy::Hierarchy;
 use crate::sketch::{DistKey, SketchSet};
+use netgraph::shortest_path::RadixQueue;
 use netgraph::{add_dist, Distance, Graph, NodeId, INFINITY};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Result of the centralized construction.
 #[derive(Debug, Clone)]
@@ -70,17 +88,16 @@ impl CentralizedTz {
 pub fn lexicographic_multi_source(graph: &Graph, sources: &[NodeId]) -> Vec<DistKey> {
     let n = graph.num_nodes();
     let mut best = vec![DistKey::INFINITE; n];
-    // Heap entries `(distance, source id, node)`; `Reverse` makes it a
-    // min-heap ordered exactly by the lexicographic key.
-    let mut heap: BinaryHeap<Reverse<(Distance, u32, u32)>> = BinaryHeap::new();
+    // Keyed on distance, carrying `(source id, node)`.
+    let mut queue: RadixQueue<(u32, u32)> = RadixQueue::new();
     for &s in sources {
         let key = DistKey::new(0, s);
         if key < best[s.index()] {
             best[s.index()] = key;
-            heap.push(Reverse((0, s.0, s.0)));
+            queue.push(0, (s.0, s.0));
         }
     }
-    while let Some(Reverse((d, src, u))) = heap.pop() {
+    while let Some((d, (src, u))) = queue.pop() {
         let u_node = NodeId(u);
         let key = DistKey::new(d, NodeId(src));
         if key > best[u as usize] {
@@ -92,7 +109,7 @@ pub fn lexicographic_multi_source(graph: &Graph, sources: &[NodeId]) -> Vec<Dist
             let cand = DistKey::new(nd, NodeId(src));
             if cand < best[v.index()] {
                 best[v.index()] = cand;
-                heap.push(Reverse((nd, src, v.0)));
+                queue.push(nd, (src, v.0));
             }
         }
     }
@@ -105,8 +122,9 @@ pub fn lexicographic_multi_source(graph: &Graph, sources: &[NodeId]) -> Vec<Dist
 pub(crate) struct ClusterScratch {
     dist: Vec<Distance>,
     touched: Vec<usize>,
-    /// Drained by every exploration, so only its capacity carries over.
-    heap: BinaryHeap<Reverse<(Distance, u32)>>,
+    /// Keyed on distance, carrying the node.  Drained by every exploration
+    /// and rewound by `reset`, so only its buckets' capacity carries over.
+    queue: RadixQueue<u32>,
 }
 
 impl ClusterScratch {
@@ -114,7 +132,7 @@ impl ClusterScratch {
         ClusterScratch {
             dist: vec![INFINITY; n],
             touched: Vec::new(),
-            heap: BinaryHeap::new(),
+            queue: RadixQueue::new(),
         }
     }
 
@@ -123,6 +141,7 @@ impl ClusterScratch {
             self.dist[t] = INFINITY;
         }
         self.touched.clear();
+        self.queue.reset();
     }
 }
 
@@ -142,10 +161,10 @@ pub(crate) fn grow_cluster(
     if start_key < next_keys[w.index()] {
         scratch.dist[w.index()] = 0;
         scratch.touched.push(w.index());
-        scratch.heap.push(Reverse((0, w.0)));
+        scratch.queue.push(0, w.0);
     }
 
-    while let Some(Reverse((d, u))) = scratch.heap.pop() {
+    while let Some((d, u)) = scratch.queue.pop() {
         if d > scratch.dist[u as usize] {
             continue; // stale
         }
@@ -159,7 +178,7 @@ pub(crate) fn grow_cluster(
                     scratch.touched.push(v.index());
                 }
                 scratch.dist[v.index()] = nd;
-                scratch.heap.push(Reverse((nd, v.0)));
+                scratch.queue.push(nd, v.0);
             }
         }
     }
@@ -316,6 +335,135 @@ mod tests {
             s.check_invariants().unwrap();
         }
         assert!(tz.total_cluster_size > 0);
+    }
+
+    /// The two searches as they were on `std::collections::BinaryHeap`,
+    /// whose `(distance, id, …)` pop order the radix queue does not have.
+    mod binary_heap {
+        use super::*;
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        pub fn lexicographic_multi_source(graph: &Graph, sources: &[NodeId]) -> Vec<DistKey> {
+            let mut best = vec![DistKey::INFINITE; graph.num_nodes()];
+            let mut heap: BinaryHeap<Reverse<(Distance, u32, u32)>> = BinaryHeap::new();
+            for &s in sources {
+                let key = DistKey::new(0, s);
+                if key < best[s.index()] {
+                    best[s.index()] = key;
+                    heap.push(Reverse((0, s.0, s.0)));
+                }
+            }
+            while let Some(Reverse((d, src, u))) = heap.pop() {
+                if DistKey::new(d, NodeId(src)) > best[u as usize] {
+                    continue; // stale
+                }
+                let (targets, weights) = graph.neighbor_slices(NodeId(u));
+                for (&v, &w) in targets.iter().zip(weights.iter()) {
+                    let nd = add_dist(d, w);
+                    let cand = DistKey::new(nd, NodeId(src));
+                    if cand < best[v.index()] {
+                        best[v.index()] = cand;
+                        heap.push(Reverse((nd, src, v.0)));
+                    }
+                }
+            }
+            best
+        }
+
+        pub fn grow_cluster(
+            graph: &Graph,
+            w: NodeId,
+            next_keys: &[DistKey],
+        ) -> Vec<(NodeId, Distance)> {
+            let mut dist = vec![INFINITY; graph.num_nodes()];
+            let mut heap: BinaryHeap<Reverse<(Distance, u32)>> = BinaryHeap::new();
+            let mut members = Vec::new();
+            if DistKey::new(0, w) < next_keys[w.index()] {
+                dist[w.index()] = 0;
+                heap.push(Reverse((0, w.0)));
+            }
+            while let Some(Reverse((d, u))) = heap.pop() {
+                if d > dist[u as usize] {
+                    continue; // stale
+                }
+                members.push((NodeId(u), d));
+                let (targets, weights) = graph.neighbor_slices(NodeId(u));
+                for (&v, &wt) in targets.iter().zip(weights.iter()) {
+                    let nd = add_dist(d, wt);
+                    if DistKey::new(nd, w) < next_keys[v.index()] && nd < dist[v.index()] {
+                        dist[v.index()] = nd;
+                        heap.push(Reverse((nd, v.0)));
+                    }
+                }
+            }
+            members
+        }
+    }
+
+    /// Pivot keys of every level and every landmark's cluster, new against
+    /// old.  Clusters are compared as sets: the member order follows the pop
+    /// order among equal distances, which nothing downstream reads.
+    fn assert_searches_match_the_binary_heap_ones(name: &str, graph: &Graph, h: &Hierarchy) {
+        let n = graph.num_nodes();
+        let mut scratch = ClusterScratch::new(n);
+        for level in 0..h.k() {
+            let keys = lexicographic_multi_source(graph, &h.level_members(level));
+            assert_eq!(
+                keys,
+                binary_heap::lexicographic_multi_source(graph, &h.level_members(level)),
+                "{name}: pivot keys of level {level}"
+            );
+            let next_keys = lexicographic_multi_source(graph, &h.level_members(level + 1));
+            for w in h.exact_level_members(level) {
+                // One scratch across all landmarks, as a build worker has.
+                let mut got = grow_cluster(graph, w, &next_keys, &mut scratch);
+                let mut want = binary_heap::grow_cluster(graph, w, &next_keys);
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "{name}: cluster of {w} at level {level}");
+            }
+        }
+    }
+
+    #[test]
+    fn searches_match_their_binary_heap_versions() {
+        for seed in 0..4u64 {
+            for k in 1..=3usize {
+                let params = TzParams::new(k).with_seed(seed);
+                // Few distinct weights, zeros among them: many equal keys.
+                for (name, config) in [
+                    ("weighted", GeneratorConfig::uniform(seed, 1, 30)),
+                    ("unit", GeneratorConfig::unit(seed)),
+                    ("zero-to-two", GeneratorConfig::uniform(seed, 0, 2)),
+                ] {
+                    let er = erdos_renyi(60, 0.08, config);
+                    let h = Hierarchy::sample(60, &params).unwrap();
+                    assert_searches_match_the_binary_heap_ones(&format!("er/{name}"), &er, &h);
+                    let g = grid(7, 8, config);
+                    let h = Hierarchy::sample(56, &params).unwrap();
+                    assert_searches_match_the_binary_heap_ones(&format!("grid/{name}"), &g, &h);
+                }
+
+                // Two components and an isolated node.
+                let mut b = GraphBuilder::new(23);
+                for i in 0..11 {
+                    b.add_edge_idx(i, (i + 1) % 12, 1 + (i as u64 * 7) % 5);
+                }
+                for i in 12..21 {
+                    b.add_edge_idx(i, i + 1, 3);
+                }
+                let disconnected = b.build();
+                let h = Hierarchy::sample(23, &params).unwrap();
+                assert_searches_match_the_binary_heap_ones("disconnected", &disconnected, &h);
+
+                // The CDG shape: only net nodes own clusters.
+                let er = erdos_renyi(48, 0.1, GeneratorConfig::uniform(seed, 1, 25));
+                let net: Vec<NodeId> = (0..48).step_by(3).map(NodeId).collect();
+                let h = Hierarchy::sample_on_ground_set(48, &net, k, 0.4, seed).unwrap();
+                assert_searches_match_the_binary_heap_ones("net-restricted", &er, &h);
+            }
+        }
     }
 
     #[test]

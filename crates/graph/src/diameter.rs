@@ -105,22 +105,19 @@ pub fn estimate_diameters(graph: &Graph, num_sources: usize, seed: u64) -> Diame
         sources.push(NodeId::from_index(far_idx));
     }
 
-    let mut hop_best = 0usize;
-    let mut sp_best = 0usize;
-    for &s in &sources {
-        let hops = bfs_hops(graph, s);
-        for &h in &hops {
-            if h != usize::MAX {
-                hop_best = hop_best.max(h);
-            }
-        }
-        let tree = multi_source_dijkstra(graph, &[s]);
-        for &h in &tree.hops {
-            if h != usize::MAX {
-                sp_best = sp_best.max(h);
-            }
-        }
-    }
+    let farthest = |hops: &[usize]| {
+        let reached = hops.iter().copied().filter(|&h| h != usize::MAX);
+        reached.max().unwrap_or(0)
+    };
+    let hop_best = sources
+        .iter()
+        .map(|&s| farthest(&bfs_hops(graph, s)))
+        .fold(0, usize::max);
+    // The sweep above already searched from the first source.
+    let sp_best = sources[1..]
+        .iter()
+        .map(|&s| farthest(&multi_source_dijkstra(graph, &[s]).hops))
+        .fold(farthest(&first_tree.hops), usize::max);
     DiameterReport {
         hop_diameter: hop_best,
         shortest_path_diameter: sp_best.max(hop_best),

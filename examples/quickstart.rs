@@ -30,6 +30,8 @@
 //! cargo run --release --bin quickstart -- --scheme tz:3 --threads 4 --save g.dsk
 //! ```
 
+#![forbid(unsafe_code)]
+
 use dsketch::prelude::*;
 use dsketch_examples::{arg_parse, arg_value, print_table};
 use netgraph::diameter::estimate_diameters;

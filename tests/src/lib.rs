@@ -1,1 +1,3 @@
 //! Integration-test crate: the tests live under `tests/tests/`.
+
+#![forbid(unsafe_code)]

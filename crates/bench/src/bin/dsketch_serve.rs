@@ -19,9 +19,9 @@
 //! `--workload uniform|hotspot|adversarial|all`, `--seed N`,
 //! `--threads N` (parallel-engine worker count, 0 = all cores),
 //! `--engine parallel|congest` (default `parallel`; `congest` runs the
-//! paper-faithful simulation and reports its round/message cost) and
-//! `--frozen true|false` (default `true`: serve from the flat CSR label
-//! layout; `false` serves the per-node `Sketch`es, for comparison).
+//! paper-faithful simulation and reports its round/message cost).  Either
+//! way the labels are served from the flat CSR layout
+//! (`dsketch::flat::FlatSketchSet`).
 //!
 //! With `--listen HOST:PORT` the binary serves the sketch over TCP instead
 //! of replaying local traffic: the length-prefixed binary protocol (drive
@@ -38,7 +38,7 @@
 
 use dsketch::prelude::*;
 use dsketch_bench::workloads::{QueryWorkload, Workload, WorkloadSpec};
-use dsketch_bench::{arg_engine, arg_frozen, arg_parse_or_exit, arg_value, serve_network, Table};
+use dsketch_bench::{arg_engine, arg_parse_or_exit, arg_value, serve_network, Table};
 use dsketch_serve::{ServeConfig, SketchServer};
 use std::sync::Arc;
 use std::time::Instant;
@@ -59,7 +59,6 @@ fn main() {
     let seed: u64 = arg_parse_or_exit(&args, "seed", 42);
     let threads: usize = arg_parse_or_exit(&args, "threads", 0);
     let engine = arg_engine(&args);
-    let frozen = arg_frozen(&args);
 
     let spec = SchemeSpec::parse(&scheme_text).unwrap_or_else(|e| {
         eprintln!("--scheme {scheme_text}: {e}");
@@ -112,21 +111,12 @@ fn main() {
         .seed(seed)
         .engine(engine)
         .threads(threads)
-        .frozen(frozen)
         .build(&graph)
         .unwrap_or_else(|e| {
             eprintln!("construction failed: {e}");
             std::process::exit(1);
         });
     println!("done in {:.1}s", build_started.elapsed().as_secs_f64());
-    println!(
-        "query layout: {}",
-        if frozen {
-            "frozen flat CSR labels (--frozen false serves the per-node sketches)"
-        } else {
-            "per-node sketch labels (--frozen true serves the flat CSR path)"
-        }
-    );
     match engine {
         BuildEngine::Parallel => println!(
             "construction: labels ≤ {} words/node (avg {:.1}); re-run with --engine congest \

@@ -43,15 +43,13 @@
 //! with `--nodes N`; plus `--seed N`, `--threads N` (parallel engine worker
 //! count, 0 = all cores) and `--engine parallel|congest` (default
 //! `parallel`).  `serve` flags: `--snapshot`, `--queries`,
-//! `--batch`, `--cache`, `--workload`, `--seed`, `--frozen true|false`;
+//! `--batch`, `--cache`, `--workload`, `--seed`;
 //! with `--listen HOST:PORT` (plus `--serve-seconds N`, `--net-workers N`)
 //! the cold-started server is exposed over TCP — binary protocol and HTTP
 //! on one port — instead of replaying a local workload.
-//! `query` and `serve` both default to `--frozen true`: the snapshot's
-//! label bytes are materialized straight into the flat CSR layout
-//! (`dsketch::flat::FlatSketchSet`) without rebuilding any per-node `Sketch`;
-//! `--frozen false` loads the map-backed sketches instead (the two answer
-//! identically — CI diffs them).
+//! `query` and `serve` materialize the snapshot's label bytes straight
+//! into the flat CSR layout (`dsketch::flat::FlatSketchSet`) without
+//! rebuilding any per-node `Sketch`.
 //! `watch` polls `--graph` every `--interval-ms` (default 2000),
 //! rebuilds `--snapshot` with the parallel engine whenever the graph's
 //! fingerprint changes, and — when `--server HOST:PORT` names a live
@@ -63,11 +61,11 @@
 
 use dsketch::prelude::*;
 use dsketch_bench::workloads::{QueryWorkload, Workload, WorkloadSpec};
-use dsketch_bench::{arg_engine, arg_frozen, arg_parse_or_exit, arg_value, serve_network, Table};
+use dsketch_bench::{arg_engine, arg_parse_or_exit, arg_value, serve_network, Table};
 use dsketch_serve::{ServeConfig, SketchServer};
 use dsketch_store::{
     build_and_save, build_and_save_from_edge_list, inspect_snapshot, load_frozen_oracle,
-    load_oracle,
+    SnapshotReader,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -87,9 +85,9 @@ fn usage() -> ! {
          \u{20}        [--threads N] [--engine parallel|congest]\n\
          inspect --snapshot FILE\n\
          verify  --snapshot FILE\n\
-         query   --snapshot FILE --u NODE --v NODE [--frozen true|false]\n\
+         query   --snapshot FILE --u NODE --v NODE\n\
          serve   --snapshot FILE [--queries N] [--batch N] [--cache N]\n\
-         \u{20}        [--workload uniform|hotspot|adversarial] [--seed N] [--frozen true|false]\n\
+         \u{20}        [--workload uniform|hotspot|adversarial] [--seed N]\n\
          \u{20}        [--listen HOST:PORT [--serve-seconds N] [--net-workers N]]\n\
          watch   --graph EDGE_LIST --scheme SPEC --snapshot FILE [--server HOST:PORT]\n\
          \u{20}        [--interval-ms N] [--iterations N] [--seed N] [--threads N]"
@@ -363,12 +361,7 @@ fn cmd_query(args: &[String]) {
     let path = required(args, "snapshot");
     let u = node("u");
     let v = node("v");
-    let oracle = if arg_frozen(args) {
-        load_frozen_oracle(&path)
-    } else {
-        load_oracle(&path)
-    }
-    .unwrap_or_else(|e| {
+    let oracle = load_frozen_oracle(&path).unwrap_or_else(|e| {
         eprintln!("load failed: {e}");
         std::process::exit(1);
     });
@@ -399,23 +392,22 @@ fn cmd_serve(args: &[String]) {
         std::process::exit(2);
     });
 
-    let frozen = arg_frozen(args);
     let trace_sample: u64 = arg_parse_or_exit(args, "trace-sample", 0);
     let load_started = Instant::now();
     let config = ServeConfig::default()
         .with_cache_capacity(cache)
         .with_trace_sample(trace_sample);
-    // The frozen path materializes the snapshot's label bytes straight into
-    // the flat CSR layout — no per-node Sketch is ever constructed between disk
-    // and the serving threads (SketchServer::from_snapshot is this same
-    // sequence; the oracle is loaded here so the node count is at hand for
-    // workload generation).
-    let oracle = if frozen {
-        load_frozen_oracle(&path)
-    } else {
-        dsketch_store::load_snapshot(&path).map(|contents| contents.into_oracle())
-    }
-    .unwrap_or_else(|e| {
+    // One read of the file: the header that names what is being served (and
+    // arms the swap compatibility gates) and the labels come from the same
+    // bytes, so a snapshot renamed into place meanwhile cannot pair one
+    // file's origin with another's labels.  (SketchServer::from_snapshot is
+    // this same sequence; the oracle is loaded here so the node count is at
+    // hand for workload generation.)
+    let cold_start = || -> Result<_, dsketch_store::StoreError> {
+        let raw = SnapshotReader::open(std::path::Path::new(&path))?.read()?;
+        Ok(((raw.spec(), raw.fingerprint()), raw.frozen_oracle()?))
+    };
+    let (origin, oracle) = cold_start().unwrap_or_else(|e| {
         eprintln!("cold start failed: {e}");
         std::process::exit(1);
     });
@@ -428,16 +420,8 @@ fn cmd_serve(args: &[String]) {
         let serve_seconds: u64 = arg_parse_or_exit(args, "serve-seconds", 0);
         let net_workers: usize = arg_parse_or_exit(args, "net-workers", 4);
         let log_json = args.iter().any(|a| a == "--log-json");
-        // The snapshot header names what is being served; read it without
-        // paying a second sketch decode.  The typed (spec, fingerprint)
-        // pair also arms the swap compatibility gates.
-        let origin = dsketch_store::peek_snapshot_meta(&path).ok();
-        let meta = match &origin {
-            Some((spec, fingerprint)) => {
-                dsketch_serve::ServeMeta::new(spec.to_string(), fingerprint.to_string())
-            }
-            None => dsketch_serve::ServeMeta::default(),
-        };
+        let (spec, fingerprint) = origin;
+        let meta = dsketch_serve::ServeMeta::new(spec.to_string(), fingerprint.to_string());
         println!(
             "cold-started from {path} in {:.1} ms; exposing it on the network",
             load_started.elapsed().as_secs_f64() * 1e3
@@ -452,20 +436,15 @@ fn cmd_serve(args: &[String]) {
                 log_json,
             },
             meta,
-            origin,
+            Some(origin),
         );
     }
 
     let server = SketchServer::start(Arc::from(oracle), config).expect("no ServeConfig is invalid");
     println!(
         "cold-started server from {path} in {:.1} ms \
-         (no construction rounds; {} labels)",
+         (no construction rounds; frozen flat CSR labels)",
         load_started.elapsed().as_secs_f64() * 1e3,
-        if frozen {
-            "frozen flat CSR"
-        } else {
-            "per-node sketches"
-        }
     );
 
     let pairs = shape.generate(num_nodes, queries, seed);

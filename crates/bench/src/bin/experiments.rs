@@ -19,6 +19,15 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .cloned()
         .collect();
+    // Checked before anything runs: a stale id in a script must fail the
+    // step, not turn it into a no-op that exits 0.
+    if let Some(unknown) = requested
+        .iter()
+        .find(|id| *id != "all" && !EXPERIMENT_IDS.contains(&id.as_str()))
+    {
+        eprintln!("unknown experiment id '{unknown}' (known: all, {EXPERIMENT_IDS:?})");
+        std::process::exit(2);
+    }
     if requested.is_empty() || requested.iter().any(|a| a == "all") {
         requested = EXPERIMENT_IDS.iter().map(|s| s.to_string()).collect();
     }
@@ -29,22 +38,18 @@ fn main() {
     );
     for id in &requested {
         let started = std::time::Instant::now();
-        match run_experiment(id, quick) {
-            Some(result) => {
-                if markdown {
-                    println!("{}", result.to_markdown());
-                } else {
-                    println!("== {} — {} ==", result.id.to_uppercase(), result.title);
-                    println!("paper claim: {}\n", result.claim);
-                    println!("{}", result.table.to_text());
-                }
-                println!(
-                    "[{} finished in {:.1}s]\n",
-                    result.id,
-                    started.elapsed().as_secs_f64()
-                );
-            }
-            None => eprintln!("unknown experiment id '{id}' (known: {EXPERIMENT_IDS:?})"),
+        let result = run_experiment(id, quick).expect("every id in EXPERIMENT_IDS resolves");
+        if markdown {
+            println!("{}", result.to_markdown());
+        } else {
+            println!("== {} — {} ==", result.id.to_uppercase(), result.title);
+            println!("paper claim: {}\n", result.claim);
+            println!("{}", result.table.to_text());
         }
+        println!(
+            "[{} finished in {:.1}s]\n",
+            result.id,
+            started.elapsed().as_secs_f64()
+        );
     }
 }

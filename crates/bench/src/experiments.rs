@@ -1,10 +1,11 @@
-//! One function per experiment of DESIGN.md's per-experiment index.
+//! One function per experiment of ARCHITECTURE.md's *Experiment index*.
 //!
-//! Each experiment prints a table whose rows are what EXPERIMENTS.md records
-//! as "measured", next to the theoretical prediction ("paper") from the
-//! corresponding theorem.  The `quick` flag shrinks node counts so the whole
-//! suite stays in CI-friendly territory; the full sizes are the ones quoted
-//! in EXPERIMENTS.md.
+//! Each experiment prints a table of what was measured next to the
+//! theoretical prediction ("paper") from the corresponding theorem, in the
+//! paper's own currency — stretch, words, rounds, messages — or, for the
+//! identity batteries (`e16`–`e18`), counts of wrong answers.  The `quick`
+//! flag shrinks node counts so the whole suite stays in CI-friendly
+//! territory.
 
 use crate::table::Table;
 use crate::workloads::{Workload, WorkloadSpec};
@@ -14,24 +15,21 @@ use dsketch::prelude::*;
 use netgraph::apsp::DistanceTable;
 use netgraph::{Graph, NodeId};
 
-/// The experiment identifiers, in DESIGN.md order (`e11` exercises the
-/// scheme-polymorphic API over every family, `e12` the serving
-/// layer built on top of it, `e13` the snapshot persistence layer under
-/// it, `e14` the parallel construction engine's thread scaling, `e15` the
-/// frozen flat query path's single-thread throughput vs the per-node
-/// path, `e16` the network front end's loopback answer identity, `e17`
+/// The experiment identifiers: `e1`–`e10` are the paper's theorems and
+/// lemmas, `e11` runs every family through the scheme-polymorphic API,
+/// `e16` checks the network front end's loopback answer identity, `e17`
 /// hot snapshot swapping under sustained query load, `e18` the
-/// deterministic fault-injection chaos battery over the whole serve
-/// stack).
-pub const EXPERIMENT_IDS: [&str; 18] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "e17", "e18",
+/// deterministic fault-injection chaos battery over the whole serve stack.
+/// (The numbers between were wall-clock tables; `dsketch-benchmark` owns
+/// those measurements now, and the ids are not reused.)
+pub const EXPERIMENT_IDS: [&str; 14] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e16", "e17", "e18",
 ];
 
 /// The output of one experiment.
 #[derive(Debug, Clone)]
 pub struct ExperimentResult {
-    /// Identifier (`e1` … `e10`).
+    /// Identifier (one of [`EXPERIMENT_IDS`]).
     pub id: &'static str,
     /// Human-readable title.
     pub title: &'static str,
@@ -68,10 +66,6 @@ pub fn run_experiment(id: &str, quick: bool) -> Option<ExperimentResult> {
         "e9" => Some(e9_termination_overhead(quick)),
         "e10" => Some(e10_rounds_scaling(quick)),
         "e11" => Some(e11_scheme_matrix(quick)),
-        "e12" => Some(e12_query_throughput(quick)),
-        "e13" => Some(e13_snapshot_cold_start(quick)),
-        "e14" => Some(e14_parallel_build_scaling(quick)),
-        "e15" => Some(e15_flat_query_throughput(quick)),
         "e16" => Some(e16_net_front_end(quick)),
         "e17" => Some(e17_swap_under_load(quick)),
         "e18" => Some(e18_chaos_battery(quick)),
@@ -644,406 +638,6 @@ fn e11_scheme_matrix(quick: bool) -> ExperimentResult {
         claim: "the four constructions are one family behind a build/query interface; \
                 slack schemes trade worst-case stretch on near pairs for far smaller labels \
                 (Sections 3–4)",
-        table,
-    }
-}
-
-/// E12 — serving throughput: the Section 2.1 query path under load.
-///
-/// Builds one oracle per scheme, starts a `dsketch-serve` server over it,
-/// and replays each [`QueryWorkload`] shape in batches from one caller.
-/// The interesting columns: the cache-hit rate spread between hotspot
-/// (Zipf) and adversarial (never-repeating) traffic, and the resulting
-/// throughput difference.
-fn e12_query_throughput(quick: bool) -> ExperimentResult {
-    use crate::workloads::QueryWorkload;
-    use dsketch_serve::{ServeConfig, SketchServer};
-    use std::sync::Arc;
-
-    // Keep `queries < n(n+1)/2` so the adversarial stream never wraps the
-    // unordered-pair space (its zero-hit guarantee only holds for the first
-    // n(n+1)/2 queries, since the serve cache canonicalises (u,v)/(v,u)).
-    let n = if quick { 128 } else { 512 };
-    let queries = if quick { 8_000 } else { 100_000 };
-    let batch = 256;
-    let config = ServeConfig::default(); // a 4096-entry cache per caller
-    let mut table = Table::new(&[
-        "workload",
-        "scheme",
-        "traffic",
-        "queries",
-        "queries/s",
-        "hit rate",
-        "errors",
-        "avg µs/query",
-    ]);
-    let spec = WorkloadSpec::new(Workload::ErdosRenyi, n, 42);
-    let graph = spec.build();
-    for scheme in [SchemeSpec::thorup_zwick(3), SchemeSpec::three_stretch(0.3)] {
-        let outcome = SketchBuilder::new(scheme)
-            .seed(13)
-            .build(&graph)
-            .expect("scheme construction");
-        let oracle: Arc<dyn dsketch::DistanceOracle> = Arc::from(outcome.sketches);
-        for shape in QueryWorkload::all() {
-            let server = SketchServer::start(Arc::clone(&oracle), config).expect("server start");
-            let client = server.client();
-            let pairs = shape.generate(n, queries, 7);
-            let started = std::time::Instant::now();
-            for chunk in pairs.chunks(batch) {
-                for _ in client.query_batch(chunk) {}
-            }
-            let elapsed = started.elapsed().as_secs_f64();
-            let stats = server.shutdown();
-            table.push(vec![
-                spec.label(),
-                scheme.to_string(),
-                shape.name().to_string(),
-                stats.totals.queries.to_string(),
-                format!("{:.0}", stats.totals.queries as f64 / elapsed),
-                format!("{:.1}%", 100.0 * stats.totals.hit_rate()),
-                stats.totals.errors.to_string(),
-                format!("{:.2}", stats.totals.avg_latency_nanos() / 1e3),
-            ]);
-        }
-    }
-    ExperimentResult {
-        id: "e12",
-        title: "Serving throughput: batched queries over one oracle",
-        claim: "after construction, distance queries need no communication and can be served \
-                at memory speed from labels alone (Section 2.1); an LRU cache converts traffic \
-                skew into hit rate",
-        table,
-    }
-}
-
-/// E13 — persistence: snapshot save/load throughput and the
-/// cold-start-from-snapshot vs rebuild speedup.
-///
-/// For every scheme family (and, for `tz:3`, growing graph sizes up to
-/// n = 4096 in full mode), build once in the CONGEST simulator, save the
-/// `DSK1` snapshot, reload it, and compare: the "speedup" column is
-/// rebuild time over load time — the factor a restarted query server
-/// gains by cold-starting from disk instead of re-running the
-/// construction.  The "identical" column verifies the loaded oracle
-/// returns bit-identical estimates to the freshly built one on sampled
-/// pairs.
-fn e13_snapshot_cold_start(quick: bool) -> ExperimentResult {
-    use dsketch_store::{build_stored, load_oracle_for_graph, save_snapshot};
-    use std::time::Instant;
-
-    let dir = std::env::temp_dir().join("dsketch_e13");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-
-    // (spec, graph sizes): every family at a base size, plus the size
-    // sweep for tz:3 — the scheme the acceptance bar (≥ 10× at n = 4096)
-    // is stated for.
-    let base = if quick { 96 } else { 256 };
-    let mut cases: Vec<(SchemeSpec, usize)> = SchemeSpec::all_families()
-        .into_iter()
-        .map(|spec| (spec, base))
-        .collect();
-    if !quick {
-        cases.push((SchemeSpec::thorup_zwick(3), 1024));
-        cases.push((SchemeSpec::thorup_zwick(3), 4096));
-    }
-
-    let mut table = Table::new(&[
-        "scheme",
-        "n",
-        "build ms",
-        "save ms",
-        "snapshot KB",
-        "load ms",
-        "speedup",
-        "identical",
-    ]);
-    for (index, (spec, n)) in cases.into_iter().enumerate() {
-        let graph = WorkloadSpec::new(Workload::ErdosRenyi, n, 42).build();
-        let config = SchemeConfig::default().with_seed(13);
-        let path = dir.join(format!("e13_{index}.dsk"));
-
-        let build_started = Instant::now();
-        let contents = build_stored(&graph, spec, &config).expect("construction");
-        let build_time = build_started.elapsed();
-
-        let save_started = Instant::now();
-        let bytes = save_snapshot(&path, &contents).expect("save");
-        let save_time = save_started.elapsed();
-
-        let load_started = Instant::now();
-        let loaded = load_oracle_for_graph(&path, &graph).expect("load");
-        let load_time = load_started.elapsed();
-
-        // Bit-identical estimates between the freshly built and the
-        // reloaded oracle, on a deterministic pair sample.
-        let built = contents.sketches.as_oracle();
-        let identical = (0..200u32).all(|i| {
-            let u = NodeId((i * 131) % n as u32);
-            let v = NodeId((i * 157 + 71) % n as u32);
-            match (built.estimate(u, v), loaded.estimate(u, v)) {
-                (Ok(a), Ok(b)) => a == b,
-                (Err(_), Err(_)) => true,
-                _ => false,
-            }
-        });
-        std::fs::remove_file(&path).ok();
-
-        let speedup = build_time.as_secs_f64() / load_time.as_secs_f64().max(1e-9);
-        table.push(vec![
-            spec.to_string(),
-            n.to_string(),
-            format!("{:.1}", build_time.as_secs_f64() * 1e3),
-            format!("{:.2}", save_time.as_secs_f64() * 1e3),
-            format!("{:.1}", bytes as f64 / 1024.0),
-            format!("{:.2}", load_time.as_secs_f64() * 1e3),
-            format!("{speedup:.0}x"),
-            if identical { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
-    ExperimentResult {
-        id: "e13",
-        title: "Snapshot persistence: cold start from disk vs rebuild",
-        claim: "the construction cost (Õ(n^{1/2+1/k}+D) rounds) is paid once; a snapshot-loaded \
-                oracle answers bit-identically to the freshly built one, and cold-starting from \
-                disk is orders of magnitude faster than rebuilding",
-        table,
-    }
-}
-
-/// E14 — parallel construction engine: thread scaling and determinism.
-///
-/// For every scheme family (and, for `tz:3`, growing graph sizes up to
-/// n = 4096 in full mode), build with the direct parallel engine at
-/// increasing worker-thread counts.  The "speedup" column is the
-/// single-thread build time over this thread count's build time; the
-/// "identical" column re-serializes the build as `DSK1` snapshot bytes and
-/// compares them against the 1-thread snapshot — the engine's determinism
-/// contract is that they are byte-for-byte equal.  The "cores" column
-/// records the host's available parallelism: wall-clock speedup can only
-/// materialize up to that limit (the determinism columns hold regardless).
-/// For the Thorup–Zwick rows the last column splits one more build into the
-/// direct engine's three phases (`tz/pivots`, `tz/clusters`, `tz/merge`), so
-/// a phase that stops scaling shows in the table, not just in the total.
-fn e14_parallel_build_scaling(quick: bool) -> ExperimentResult {
-    use dsketch_store::{build_stored, write_snapshot};
-    use std::time::Instant;
-
-    let cores = dsketch::parallel::available_parallelism();
-    let thread_axis: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
-    let repeats = if quick { 1 } else { 2 };
-
-    let base = if quick { 96 } else { 256 };
-    let mut cases: Vec<(SchemeSpec, usize)> = SchemeSpec::all_families()
-        .into_iter()
-        .map(|spec| (spec, base))
-        .collect();
-    if !quick {
-        cases.push((SchemeSpec::thorup_zwick(3), 1024));
-        cases.push((SchemeSpec::thorup_zwick(3), 4096));
-    }
-
-    let mut table = Table::new(&[
-        "scheme",
-        "n",
-        "threads",
-        "cores",
-        "build ms",
-        "speedup vs 1T",
-        "identical bytes",
-        "tz pivots/clusters/merge ms",
-    ]);
-    for (spec, n) in cases {
-        let graph = WorkloadSpec::new(Workload::ErdosRenyi, n, 42).build();
-        let mut reference: Option<(Vec<u8>, f64)> = None; // (t=1 bytes, t=1 secs)
-        for &threads in thread_axis {
-            let config = SchemeConfig::default()
-                .with_seed(13)
-                .with_parallel_build()
-                .with_threads(threads);
-            let mut best = f64::INFINITY;
-            let mut bytes = Vec::new();
-            for _ in 0..repeats {
-                let started = Instant::now();
-                let contents = build_stored(&graph, spec, &config).expect("parallel construction");
-                best = best.min(started.elapsed().as_secs_f64());
-                bytes.clear();
-                write_snapshot(&mut bytes, &contents).expect("serialize snapshot");
-            }
-            let (identical, speedup) = match &reference {
-                None => {
-                    reference = Some((std::mem::take(&mut bytes), best));
-                    (true, 1.0)
-                }
-                Some((reference_bytes, reference_secs)) => {
-                    (*reference_bytes == bytes, reference_secs / best.max(1e-12))
-                }
-            };
-            table.push(vec![
-                spec.to_string(),
-                n.to_string(),
-                threads.to_string(),
-                cores.to_string(),
-                format!("{:.1}", best * 1e3),
-                format!("{speedup:.2}x"),
-                if identical { "yes" } else { "NO" }.to_string(),
-                tz_phase_split(&graph, spec, &config),
-            ]);
-        }
-    }
-    ExperimentResult {
-        id: "e14",
-        title: "Parallel construction engine: thread scaling, bit-identical output",
-        claim: "per-seed explorations are independent, so construction parallelizes across \
-                worker threads with a deterministic merge: build(threads=k) is byte-identical \
-                to build(threads=1) and wall-clock falls toward 1/min(k, cores) \
-                (cf. Dinitz–Nazari 2018 on massively parallel sketch construction)",
-        table,
-    }
-}
-
-/// The wall-clock milliseconds of the direct engine's `tz/pivots`,
-/// `tz/clusters` and `tz/merge` phases for one build of a Thorup–Zwick
-/// `spec` (`-` for the other families, whose phases differ).
-fn tz_phase_split(graph: &Graph, spec: SchemeSpec, config: &SchemeConfig) -> String {
-    let SchemeSpec::ThorupZwick { k } = spec else {
-        return "-".to_string();
-    };
-    let timings = ThorupZwickScheme::new(k)
-        .build(graph, config)
-        .expect("parallel construction")
-        .timings;
-    ["tz/pivots", "tz/clusters", "tz/merge"]
-        .iter()
-        .map(|&label| {
-            let phase = timings.phases.iter().find(|p| p.phase == label);
-            phase.map_or("?".to_string(), |p| format!("{:.1}", p.seconds * 1e3))
-        })
-        .collect::<Vec<_>>()
-        .join("/")
-}
-
-/// E15 — the frozen flat query path: single-thread throughput of
-/// [`dsketch::flat::FlatSketchSet`] vs the per-node `Sketch` oracle.
-///
-/// For every scheme family (and, for `tz:3`, growing graph sizes up to
-/// n = 4096 in full mode), build once with the parallel engine, freeze the
-/// labels, and replay the same uniform query stream through both
-/// representations at each batch size — one thread, `estimate_batch` for
-/// both, so the columns isolate exactly the representation change (B-tree
-/// pointer chasing vs binary search / linear merge over contiguous
-/// arrays).  The "identical" column replays a sample of the stream through
-/// both paths and compares results pairwise (errors included); the frozen
-/// path's whole claim is *same answers, faster*.
-fn e15_flat_query_throughput(quick: bool) -> ExperimentResult {
-    use crate::workloads::QueryWorkload;
-    use dsketch_store::build_stored;
-    use std::time::Instant;
-
-    let base = if quick { 128 } else { 256 };
-    let queries = if quick { 40_000 } else { 400_000 };
-    // Wall-clock on shared hosts is noisy; report each cell's median over
-    // `repeats` replays (medians resist scheduler-steal outliers on both
-    // sides of the comparison equally).
-    let repeats = if quick { 1 } else { 9 };
-    let batches: &[usize] = &[1, 256];
-    let mut cases: Vec<(SchemeSpec, usize)> = SchemeSpec::all_families()
-        .into_iter()
-        .map(|spec| (spec, base))
-        .collect();
-    if !quick {
-        cases.push((SchemeSpec::thorup_zwick(3), 1024));
-        cases.push((SchemeSpec::thorup_zwick(3), 4096));
-    }
-
-    /// Replay `pairs` through the oracle — direct `estimate` calls at
-    /// batch size 1 (the single-query path), `estimate_batch` in
-    /// `batch`-sized chunks otherwise; returns (throughput in queries/s,
-    /// answer checksum).
-    fn replay(
-        oracle: &dyn dsketch::DistanceOracle,
-        pairs: &[(NodeId, NodeId)],
-        batch: usize,
-    ) -> (f64, u64) {
-        let started = Instant::now();
-        let mut checksum = 0u64;
-        if batch <= 1 {
-            for &(u, v) in pairs {
-                checksum = checksum.wrapping_add(oracle.estimate(u, v).unwrap_or(u64::MAX));
-            }
-        } else {
-            for chunk in pairs.chunks(batch) {
-                for result in oracle.estimate_batch(chunk) {
-                    checksum = checksum.wrapping_add(result.unwrap_or(u64::MAX));
-                }
-            }
-        }
-        let elapsed = started.elapsed().as_secs_f64().max(1e-12);
-        (pairs.len() as f64 / elapsed, checksum)
-    }
-
-    let mut table = Table::new(&[
-        "scheme",
-        "n",
-        "batch",
-        "queries",
-        "btree q/s",
-        "flat q/s",
-        "speedup",
-        "identical",
-    ]);
-    for (spec, n) in cases {
-        let graph = WorkloadSpec::new(Workload::ErdosRenyi, n, 42).build();
-        let config = SchemeConfig::default().with_seed(13).with_parallel_build();
-        let contents = build_stored(&graph, spec, &config).expect("construction");
-        let btree = contents.sketches.as_oracle();
-        let flat = contents.sketches.freeze();
-        let pairs = QueryWorkload::Uniform.generate(n, queries, 7);
-
-        // Answer-identity first, on a deterministic sample of the stream
-        // (the full proptest equivalence lives in tests/tests/flat_query.rs).
-        let sample = &pairs[..pairs.len().min(2_000)];
-        let identical = btree.estimate_batch(sample) == flat.estimate_batch(sample);
-
-        for &batch in batches {
-            fn median(samples: &mut [f64]) -> f64 {
-                samples.sort_by(f64::total_cmp);
-                samples[samples.len() / 2]
-            }
-            let (mut btree_samples, mut flat_samples) = (Vec::new(), Vec::new());
-            let (mut btree_sum, mut flat_sum) = (0, 0);
-            for _ in 0..repeats {
-                let (b_qps, b_sum) = replay(btree, &pairs, batch);
-                let (f_qps, f_sum) = replay(&flat, &pairs, batch);
-                btree_samples.push(b_qps);
-                flat_samples.push(f_qps);
-                (btree_sum, flat_sum) = (b_sum, f_sum);
-            }
-            let btree_qps = median(&mut btree_samples);
-            let flat_qps = median(&mut flat_samples);
-            let speedup = flat_qps / btree_qps.max(1e-12);
-            let row_identical = identical && btree_sum == flat_sum;
-            table.push(vec![
-                spec.to_string(),
-                n.to_string(),
-                batch.to_string(),
-                queries.to_string(),
-                format!("{btree_qps:.0}"),
-                format!("{flat_qps:.0}"),
-                format!("{speedup:.2}x"),
-                if row_identical { "yes" } else { "NO" }.to_string(),
-            ]);
-        }
-    }
-
-    ExperimentResult {
-        id: "e15",
-        title: "Flat query path: frozen CSR labels vs per-node sketches, one thread",
-        claim: "queries are answered locally in O(k) from two labels (Lemma 3.2); packing \
-                labels into contiguous sorted arrays turns every bunch probe into a binary \
-                search / linear merge over cache-resident memory, multiplying single-thread \
-                query throughput without changing a single answer (cf. Dinitz–Nazari's flat \
-                label arrays in massively parallel sketches)",
         table,
     }
 }
@@ -1742,64 +1336,6 @@ mod tests {
     }
 
     #[test]
-    fn e12_quick_shows_the_cache_hit_spread() {
-        let result = run_experiment("e12", true).unwrap();
-        assert_eq!(result.id, "e12");
-        // 2 schemes × 3 traffic shapes.
-        assert_eq!(result.table.len(), 6);
-        for row in &result.table.rows {
-            assert_eq!(row[3], "8000", "every replay answers all queries: {row:?}");
-            match row[2].as_str() {
-                // Never-repeating pairs defeat any LRU cache.
-                "adversarial" => assert_eq!(row[5], "0.0%", "{row:?}"),
-                // Zipf traffic concentrates on few pairs: hits dominate.
-                "hotspot" => {
-                    let hit: f64 = row[5].trim_end_matches('%').parse().unwrap();
-                    assert!(hit > 50.0, "hotspot should mostly hit: {row:?}");
-                }
-                _ => {}
-            }
-            if row[1].starts_with("tz") {
-                assert_eq!(row[6], "0", "TZ queries never fail: {row:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn e13_quick_round_trips_identically_and_loads_faster_than_rebuild() {
-        let result = run_experiment("e13", true).unwrap();
-        assert_eq!(result.id, "e13");
-        // One row per scheme family in quick mode.
-        assert_eq!(result.table.len(), 4);
-        for row in &result.table.rows {
-            assert_eq!(
-                row[7], "yes",
-                "loaded oracle must answer bit-identically: {row:?}"
-            );
-            let build_ms: f64 = row[2].parse().unwrap();
-            let load_ms: f64 = row[5].parse().unwrap();
-            assert!(
-                load_ms < build_ms,
-                "cold start must beat rebuild even at toy sizes: {row:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn e15_quick_is_answer_identical() {
-        let result = run_experiment("e15", true).unwrap();
-        assert_eq!(result.id, "e15");
-        // 4 families × 2 batch sizes.
-        assert_eq!(result.table.len(), 8);
-        for row in &result.table.rows {
-            assert_eq!(
-                row[7], "yes",
-                "flat and btree answers must be identical: {row:?}"
-            );
-        }
-    }
-
-    #[test]
     fn e17_quick_swaps_without_wrong_answers_or_errors() {
         let result = run_experiment("e17", true).unwrap();
         assert_eq!(result.id, "e17");
@@ -1832,25 +1368,6 @@ mod tests {
                 row[6], "0",
                 "clean clients cause no protocol errors: {row:?}"
             );
-        }
-    }
-
-    #[test]
-    fn e14_quick_is_bit_identical_across_thread_counts() {
-        let result = run_experiment("e14", true).unwrap();
-        assert_eq!(result.id, "e14");
-        // 4 scheme families × 3 thread counts.
-        assert_eq!(result.table.len(), 12);
-        for row in &result.table.rows {
-            assert_eq!(
-                row[6], "yes",
-                "snapshots must be byte-identical across thread counts: {row:?}"
-            );
-            let ms: f64 = row[4].parse().unwrap();
-            assert!(ms >= 0.0);
-            // Thorup–Zwick rows split the build into its three phases.
-            let phases = row[7].split('/').filter(|ms| ms.parse::<f64>().is_ok());
-            assert_eq!(phases.count(), if row[0] == "tz:3" { 3 } else { 0 });
         }
     }
 

@@ -3,10 +3,11 @@
 //! The paper is a theory paper: its "evaluation" is the set of theorems
 //! bounding stretch, sketch size, rounds, and messages.  Each experiment in
 //! this crate is the empirical counterpart of one theorem or lemma (the
-//! mapping is the per-experiment index in `DESIGN.md`); the harness measures
+//! mapping is ARCHITECTURE.md's *Experiment index*); the harness measures
 //! the quantities the theorem bounds on synthetic workloads and prints a
-//! table with both the measured value and the theoretical prediction, so
-//! EXPERIMENTS.md can record paper-vs-measured rows.
+//! table with both the measured value and the theoretical prediction.
+//! Wall-clock numbers are not this crate's business: they come from
+//! `dsketch-benchmark` (`benchmark/`), which reports spread and gates on it.
 //!
 //! Run everything with:
 //!
@@ -125,17 +126,9 @@ pub fn arg_value(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-/// Parse a `--name value` flag, falling back to `default` when the flag is
-/// absent or unparsable.
-pub fn arg_parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    arg_value(args, name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Like [`arg_parse`], but a flag that is *present* with an unparsable
-/// value is a usage error (exit code 2) instead of a silent fallback — an
-/// absent flag still yields `default`.
+/// Parse a `--name value` flag: an absent flag yields `default`, a flag
+/// that is *present* with an unparsable value is a usage error (exit code
+/// 2), never a silent fallback.
 pub fn arg_parse_or_exit<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
     match arg_value(args, name) {
         None => default,
@@ -160,38 +153,20 @@ pub fn arg_engine(args: &[String]) -> dsketch::BuildEngine {
     }
 }
 
-/// Parse the `--frozen true|false` flag shared by the serving binaries:
-/// whether to serve through the flat CSR representation
-/// (`dsketch::flat::FlatSketchSet`).  Defaults to `true` — serving always
-/// prefers the frozen layout; pass `--frozen false` to exercise the
-/// per-node `Sketch` path (e.g. for cross-checks).  An unrecognized value
-/// is a usage error (exit 2).
-pub fn arg_frozen(args: &[String]) -> bool {
-    match arg_value(args, "frozen").as_deref() {
-        None | Some("true") => true,
-        Some("false") => false,
-        Some(other) => {
-            eprintln!("--frozen {other}: expected true or false");
-            std::process::exit(2);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn arg_helpers_parse_flags_and_fall_back() {
-        let args: Vec<String> = ["prog", "--nodes", "128", "--bad", "x"]
+        let args: Vec<String> = ["prog", "--nodes", "128"]
             .iter()
             .map(|s| s.to_string())
             .collect();
         assert_eq!(arg_value(&args, "nodes"), Some("128".to_string()));
         assert_eq!(arg_value(&args, "missing"), None);
-        assert_eq!(arg_parse(&args, "nodes", 7usize), 128);
-        assert_eq!(arg_parse(&args, "bad", 7usize), 7);
-        assert_eq!(arg_parse(&args, "missing", 7usize), 7);
+        assert_eq!(arg_parse_or_exit(&args, "nodes", 7usize), 128);
+        assert_eq!(arg_parse_or_exit(&args, "missing", 7usize), 7);
     }
 
     #[test]
@@ -211,21 +186,5 @@ mod tests {
         assert_eq!(percentile_nanos(&mut four, 50.0), 20);
         assert_eq!(percentile_nanos(&mut four, 75.0), 30);
         assert_eq!(percentile_nanos(&mut four, 76.0), 40);
-    }
-
-    #[test]
-    fn frozen_flag_defaults_to_true() {
-        let absent: Vec<String> = vec!["prog".to_string()];
-        assert!(arg_frozen(&absent));
-        let off: Vec<String> = ["prog", "--frozen", "false"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(!arg_frozen(&off));
-        let on: Vec<String> = ["prog", "--frozen", "true"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(arg_frozen(&on));
     }
 }

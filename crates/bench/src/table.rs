@@ -1,5 +1,5 @@
-//! Minimal table rendering for experiment output (markdown-compatible, so
-//! rows can be pasted directly into EXPERIMENTS.md).
+//! Minimal table rendering for experiment output (plain text, or markdown
+//! with `experiments --markdown`, so rows can be pasted into a document).
 
 /// A simple header + rows table.
 #[derive(Debug, Clone, Default)]

@@ -2,10 +2,11 @@
 //!
 //! Two kinds of workload live here.  A [`WorkloadSpec`] is a named, seeded
 //! *topology* recipe — every experiment row records the graph it ran on, so
-//! EXPERIMENTS.md rows are reproducible verbatim.  A [`QueryWorkload`] is a
-//! named, seeded *traffic* recipe — a stream of `(u, v)` query pairs replayed
-//! against a built oracle by the serving experiments (`e12`), the
-//! `query_throughput` bench and the `dsketch-serve` binary.
+//! the tables of ARCHITECTURE.md's *Experiment index* are reproducible
+//! verbatim.  A [`QueryWorkload`] is a named, seeded *traffic* recipe — a
+//! stream of `(u, v)` query pairs replayed against a built oracle by the
+//! identity batteries (`e16`–`e18`) and the `dsketch-serve`,
+//! `dsketch-store serve` and `dsketch-loadgen` binaries.
 
 use netgraph::diameter::{diameters, DiameterReport};
 use netgraph::generators::{erdos_renyi, grid, preferential_attachment, ring, GeneratorConfig};

@@ -36,9 +36,9 @@
 //! storage ([`crate::sketch`]).  Where the cuts fall decides who writes a
 //! row, never what is written, which makes `threads = k` **bit-identical**
 //! to `threads = 1` — down to the serialized `DSK1` snapshot bytes (property
-//! tested in `tests/tests/parallel_build.rs`, measured in experiment `e14`;
-//! `tests/tests/build_differential.rs` holds the engine to an insert-based
-//! model label for label).
+//! tested in `tests/tests/parallel_build.rs`, measured by `dsketch-benchmark`'s
+//! `core.build.parallel_speedup` row; `tests/tests/build_differential.rs`
+//! holds the engine to an insert-based model label for label).
 //!
 //! The centralized Thorup–Zwick baseline ([`crate::centralized`]) is this
 //! engine at `threads = 1`: [`CentralizedTz::build`](crate::centralized::CentralizedTz::build)

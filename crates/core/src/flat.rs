@@ -26,8 +26,8 @@
 //! A frozen set is built two ways:
 //!
 //! * [`Freeze::freeze`] — from any in-memory sketch set (all four families
-//!   implement it), used by [`crate::scheme::SketchBuilder`]'s `frozen`
-//!   toggle.
+//!   implement it); every type-erased build
+//!   ([`crate::scheme::SchemeSpec::build`]) ends with it.
 //! * [`FlatSketchSet::from_family_bytes`] — straight from the `SKCH`
 //!   section bytes of a `dsketch-store` snapshot, so a cold-started server
 //!   never materializes a [`Sketch`] at all.  The label rows come from
@@ -103,7 +103,8 @@ struct FlatLayer {
 /// realistic bunch sizes); the parallel distance array is touched on a hit
 /// only.
 ///
-/// (Alternatives measured on the e15 matrix and rejected: two hand-rolled
+/// (Alternatives measured and rejected — the number to beat is
+/// `dsketch-benchmark`'s `core.flat.estimate_ns` row: two hand-rolled
 /// "branchless" binary searches, a blocked two-level search with per-node
 /// separators, and a vectorizable linear counting scan — every one lost to
 /// plain `slice::binary_search` by 2-3× on realistic bunch sizes.  The
@@ -332,8 +333,8 @@ impl Label<'_> {
 /// A frozen sketch set: every label of a build packed into contiguous
 /// CSR arrays, queried without allocation or pointer chasing.
 ///
-/// Build one with [`Freeze::freeze`] from any family's sketch set, with
-/// [`crate::scheme::SketchBuilder`]'s `frozen` toggle, or straight from
+/// Build one with [`Freeze::freeze`] from any family's sketch set (what
+/// [`crate::scheme::SketchBuilder::build`] hands back), or straight from
 /// snapshot bytes with [`FlatSketchSet::from_family_bytes`].  A frozen set
 /// is a first-class [`DistanceOracle`] whose answers (including errors) are
 /// identical to the sketch set it was frozen from.
@@ -344,11 +345,12 @@ impl Label<'_> {
 /// use netgraph::NodeId;
 ///
 /// let graph = erdos_renyi(32, 0.2, GeneratorConfig::uniform(1, 1, 9));
-/// let outcome = SketchBuilder::thorup_zwick(2).seed(3).build(&graph).unwrap();
-/// let frozen = SketchBuilder::thorup_zwick(2).seed(3).frozen(true).build(&graph).unwrap();
+/// let config = SchemeConfig::default().with_seed(3);
+/// let typed = ThorupZwickScheme::new(2).build(&graph, &config).unwrap();
+/// let frozen = typed.sketches.freeze();
 /// assert_eq!(
-///     frozen.sketches.estimate(NodeId(0), NodeId(9)).unwrap(),
-///     outcome.sketches.estimate(NodeId(0), NodeId(9)).unwrap(),
+///     frozen.estimate(NodeId(0), NodeId(9)).unwrap(),
+///     typed.sketches.estimate(NodeId(0), NodeId(9)).unwrap(),
 /// );
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -238,10 +238,10 @@ pub struct PhaseTiming {
 ///
 /// The CONGEST-simulated engine reports its cost in rounds/messages/words
 /// ([`congest_sim::RunStats`]); the parallel engine's currency is wall-clock
-/// time per batched phase, which is what experiment `e14` reports.  Timings
-/// are measurement metadata: they vary run to run and are **not** part of
-/// the persisted snapshot (snapshot bytes stay bit-identical across thread
-/// counts).
+/// time per batched phase, which `dsketch-benchmark` reports as its
+/// `core.build.{pivots,clusters,merge}_s` rows.  Timings are measurement
+/// metadata: they vary run to run and are **not** part of the persisted
+/// snapshot (snapshot bytes stay bit-identical across thread counts).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BuildTimings {
     /// Resolved worker-thread count the build ran with (`0` when the build

@@ -10,7 +10,8 @@
 //! scheme structs ([`ThorupZwickScheme`], [`ThreeStretchScheme`],
 //! [`CdgScheme`], [`DegradingScheme`]) and gets the concrete sketch-set type
 //! back; code that selects the scheme at runtime uses [`SchemeSpec`] /
-//! [`SketchBuilder`] and gets a `Box<dyn DistanceOracle>`.
+//! [`SketchBuilder`] and gets a `Box<dyn DistanceOracle>` over the frozen
+//! [`FlatSketchSet`] — the one representation queries are served from.
 //!
 //! ```
 //! use dsketch::prelude::*;
@@ -104,13 +105,6 @@ pub struct SchemeConfig {
     /// rounds.  Only used by [`BuildEngine::Congest`] (the parallel engine
     /// executes no rounds).
     pub max_rounds: u64,
-    /// Freeze the built sketches into the flat CSR query representation
-    /// ([`FlatSketchSet`]) before handing them back.  Only affects the
-    /// type-erased [`SchemeSpec::build`] / [`SketchBuilder::build`] path
-    /// (the typed [`SketchScheme`] builds keep their concrete sets, which
-    /// callers can [`Freeze::freeze`] themselves).  Default `false`; the
-    /// serving CLIs default it to `true`.
-    pub frozen: bool,
 }
 
 impl Default for SchemeConfig {
@@ -122,7 +116,6 @@ impl Default for SchemeConfig {
             sync: SyncMode::GlobalOracle,
             congest: CongestConfig::default(),
             max_rounds: 50_000_000,
-            frozen: false,
         }
     }
 }
@@ -177,10 +170,10 @@ impl SchemeConfig {
         self
     }
 
-    /// Freeze type-erased builds into the flat CSR representation
-    /// (see [`SchemeConfig::frozen`]).
-    pub fn with_frozen(mut self, frozen: bool) -> Self {
-        self.frozen = frozen;
+    /// No-op kept for the benchmark package's two callers: every
+    /// type-erased build is frozen, so there is nothing left to select.
+    #[doc(hidden)]
+    pub fn with_frozen(self, _: bool) -> Self {
         self
     }
 
@@ -216,21 +209,8 @@ pub struct BuildOutcome<O> {
     pub timings: BuildTimings,
 }
 
-impl<O: DistanceOracle + 'static> BuildOutcome<O> {
-    /// Erase the concrete sketch-set type, for code that treats schemes
-    /// polymorphically.
-    pub fn boxed(self) -> DynBuildOutcome {
-        BuildOutcome {
-            sketches: Box::new(self.sketches),
-            stats: self.stats,
-            phase_stats: self.phase_stats,
-            tree_stats: self.tree_stats,
-            timings: self.timings,
-        }
-    }
-}
-
-/// A [`BuildOutcome`] with the sketch-set type erased.
+/// A [`BuildOutcome`] with the sketch-set type erased: the sketches are the
+/// [`FlatSketchSet`] the typed set freezes into.
 pub type DynBuildOutcome = BuildOutcome<Box<dyn DistanceOracle>>;
 
 /// A distributed sketch construction: turns a graph and a [`SchemeConfig`]
@@ -794,26 +774,17 @@ impl SchemeSpec {
         }
     }
 
-    /// Run the construction, returning type-erased sketches.
-    ///
-    /// When [`SchemeConfig::frozen`] is set, the finished sketches are
-    /// [frozen](Freeze::freeze) into a [`FlatSketchSet`] before boxing, so
-    /// the returned oracle serves from the flat CSR layout.
+    /// Run the construction, returning type-erased sketches: the typed
+    /// set the scheme built, [frozen](Freeze::freeze) into the
+    /// [`FlatSketchSet`] every query is served from.
     pub fn build(
         &self,
         graph: &Graph,
         config: &SchemeConfig,
     ) -> Result<DynBuildOutcome, SketchError> {
-        /// Box the outcome, freezing the sketches first when asked to.
-        fn finish<O: DistanceOracle + Freeze + 'static>(
-            outcome: BuildOutcome<O>,
-            frozen: bool,
-        ) -> DynBuildOutcome {
-            if !frozen {
-                return outcome.boxed();
-            }
+        fn finish<O: Freeze>(outcome: BuildOutcome<O>) -> DynBuildOutcome {
             BuildOutcome {
-                sketches: Box::new(outcome.sketches.freeze()) as Box<dyn DistanceOracle>,
+                sketches: Box::new(outcome.sketches.freeze()),
                 stats: outcome.stats,
                 phase_stats: outcome.phase_stats,
                 tree_stats: outcome.tree_stats,
@@ -821,18 +792,16 @@ impl SchemeSpec {
             }
         }
         match *self {
-            SchemeSpec::ThorupZwick { k } => ThorupZwickScheme::new(k)
-                .build(graph, config)
-                .map(|o| finish(o, config.frozen)),
+            SchemeSpec::ThorupZwick { k } => {
+                ThorupZwickScheme::new(k).build(graph, config).map(finish)
+            }
             SchemeSpec::ThreeStretch { eps } => ThreeStretchScheme::new(eps)
                 .build(graph, config)
-                .map(|o| finish(o, config.frozen)),
-            SchemeSpec::Cdg { eps, k } => CdgScheme::new(eps, k)
-                .build(graph, config)
-                .map(|o| finish(o, config.frozen)),
+                .map(finish),
+            SchemeSpec::Cdg { eps, k } => CdgScheme::new(eps, k).build(graph, config).map(finish),
             SchemeSpec::Degrading { max_layers, max_k } => DegradingScheme { max_layers, max_k }
                 .build(graph, config)
-                .map(|o| finish(o, config.frozen)),
+                .map(finish),
         }
     }
 }
@@ -963,14 +932,6 @@ impl SketchBuilder {
     /// Replace the round limit.
     pub fn max_rounds(mut self, max_rounds: u64) -> Self {
         self.config.max_rounds = max_rounds;
-        self
-    }
-
-    /// Freeze the built sketches into the flat CSR representation
-    /// ([`FlatSketchSet`]) — the allocation-free query layout the serving
-    /// CLIs default to (see [`SchemeConfig::frozen`]).
-    pub fn frozen(mut self, frozen: bool) -> Self {
-        self.config.frozen = frozen;
         self
     }
 
@@ -1231,35 +1192,6 @@ mod tests {
             .with_threads(2);
         assert_eq!(config.engine, BuildEngine::Parallel);
         assert_eq!(config.threads, 2);
-    }
-
-    #[test]
-    fn frozen_builds_answer_identically_for_every_family() {
-        let graph = small_graph();
-        for spec in SchemeSpec::all_families() {
-            let plain = SketchBuilder::new(spec).seed(4).build(&graph).unwrap();
-            let frozen = SketchBuilder::new(spec)
-                .seed(4)
-                .frozen(true)
-                .build(&graph)
-                .unwrap();
-            assert_eq!(frozen.sketches.scheme_name(), spec.name(), "{spec}");
-            assert_eq!(
-                frozen.sketches.stretch_bound(),
-                plain.sketches.stretch_bound(),
-                "{spec}"
-            );
-            for u in graph.nodes().take(12) {
-                for v in graph.nodes().skip(12).take(12) {
-                    assert_eq!(
-                        frozen.sketches.estimate(u, v).ok(),
-                        plain.sketches.estimate(u, v).ok(),
-                        "{spec}: frozen estimate differs at ({u}, {v})"
-                    );
-                }
-                assert_eq!(frozen.sketches.words(u), plain.sketches.words(u), "{spec}");
-            }
-        }
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! `d(u, u')`, so the paper's separate "super-source Bellman–Ford" step is
 //! subsumed by phase 0 of the restricted construction.
 //!
-//! **Deviation from the paper (documented in DESIGN.md):** the paper defines
-//! the sketch of `u` as `(u', d(u, u'), L(u'))` — the label of the *net
-//! node* — which would require shipping `L(u')` from `u'` to `u`, a routing
-//! step the paper does not account for.  We instead keep `u`'s *own*
+//! **Deviation from the paper (ARCHITECTURE.md, *CDG deviation*):** the
+//! paper defines the sketch of `u` as `(u', d(u, u'), L(u'))` — the label
+//! of the *net node* — which would require shipping `L(u')` from `u'` to
+//! `u`, a routing step the paper does not account for.  We instead keep `u`'s *own*
 //! net-restricted label, which the construction already delivers to `u`, has
 //! the same asymptotic size, and satisfies the same `(8k − 1)`-stretch
 //! ε-slack guarantee (the triangle-inequality argument of Section 4 goes

@@ -1,5 +1,6 @@
 //! Summary statistics about generated networks, used in experiment reports
-//! (every EXPERIMENTS.md row records the workload it ran on).
+//! (every row of an experiment table records the workload it ran on; the
+//! experiments are indexed in ARCHITECTURE.md's *Experiment index*).
 
 use crate::csr::Graph;
 use crate::union_find::UnionFind;

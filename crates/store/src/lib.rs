@@ -84,7 +84,7 @@ pub use error::StoreError;
 pub use format::{SectionId, FORMAT_VERSION, MAGIC, SECTION_BUILD_STATS, SECTION_SKETCHES};
 pub use pipeline::{
     build_and_save, build_and_save_from_edge_list, build_stored, inspect_snapshot,
-    load_frozen_oracle, load_oracle, load_oracle_for_graph, load_snapshot, peek_snapshot_meta,
+    load_frozen_oracle, load_oracle_for_graph, load_snapshot, peek_snapshot_meta,
     read_frozen_oracle, read_snapshot, save_snapshot, snapshot_tmp_path, write_snapshot,
     SectionEntities, SnapshotContents, SnapshotSummary, StoredSketches,
 };

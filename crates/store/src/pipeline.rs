@@ -9,10 +9,11 @@
 //! * [`save_snapshot`] / [`write_snapshot`] — persist an already built
 //!   sketch set.
 //! * [`load_snapshot`] / [`read_snapshot`] — reload and CRC-verify.
-//! * [`load_oracle`] / [`load_oracle_for_graph`] — straight from a path to
-//!   a queryable `Box<dyn DistanceOracle>`, dispatching on the stored
-//!   [`SchemeSpec`]; the `for_graph` variant refuses to serve a snapshot
-//!   against a graph whose [`GraphFingerprint`] differs.
+//! * [`load_frozen_oracle`] / [`load_oracle_for_graph`] — straight from a
+//!   path to a queryable `Box<dyn DistanceOracle>` (the flat
+//!   [`FlatSketchSet`]), dispatching on the stored [`SchemeSpec`]; the
+//!   `for_graph` variant refuses to serve a snapshot against a graph whose
+//!   [`GraphFingerprint`] differs.
 //! * [`inspect_snapshot`] — header and section-table summary without
 //!   decoding the sketches.
 
@@ -58,16 +59,6 @@ impl StoredSketches {
             StoredSketches::ThreeStretch(s) => s,
             StoredSketches::Cdg(s) => s,
             StoredSketches::Degrading(s) => s,
-        }
-    }
-
-    /// Convert into a boxed oracle (the serving layer's currency).
-    pub fn into_oracle(self) -> Box<dyn DistanceOracle> {
-        match self {
-            StoredSketches::ThorupZwick(s) => Box::new(s),
-            StoredSketches::ThreeStretch(s) => Box::new(s),
-            StoredSketches::Cdg(s) => Box::new(s),
-            StoredSketches::Degrading(s) => Box::new(s),
         }
     }
 
@@ -154,25 +145,6 @@ pub struct SnapshotContents {
     /// Construction cost of the build that produced the snapshot, when
     /// recorded.
     pub build_stats: Option<RunStats>,
-}
-
-impl SnapshotContents {
-    /// Refuse to use these sketches with a graph they were not built on.
-    pub fn verify_graph(&self, graph: &Graph) -> Result<(), StoreError> {
-        let actual = graph.fingerprint();
-        if actual != self.fingerprint {
-            return Err(StoreError::FingerprintMismatch {
-                snapshot: self.fingerprint,
-                graph: actual,
-            });
-        }
-        Ok(())
-    }
-
-    /// Convert into a queryable oracle.
-    pub fn into_oracle(self) -> Box<dyn DistanceOracle> {
-        self.sketches.into_oracle()
-    }
 }
 
 /// Serialize `contents` to any writer.  Returns the bytes written.
@@ -317,8 +289,10 @@ pub fn load_snapshot<P: AsRef<Path>>(path: P) -> Result<SnapshotContents, StoreE
 
 /// Read just the header of the snapshot at `path` — its [`SchemeSpec`] and
 /// graph [`GraphFingerprint`] — verifying checksums but never decoding the
-/// sketch payload.  This is how a serving front end learns *what* it is
-/// about to serve without paying the decode twice.
+/// sketch payload.  This is a full read of the file: a caller that also
+/// wants the labels reads once ([`SnapshotReader`]) and takes header and
+/// [`RawSnapshot::frozen_oracle`] from the same [`RawSnapshot`], so the two
+/// cannot come from different files.
 pub fn peek_snapshot_meta<P: AsRef<Path>>(
     path: P,
 ) -> Result<(SchemeSpec, GraphFingerprint), StoreError> {
@@ -345,23 +319,16 @@ fn decode_raw(raw: RawSnapshot) -> Result<SnapshotContents, StoreError> {
     })
 }
 
-/// Load the snapshot at `path` straight into a queryable oracle.
-///
-/// The scheme is dispatched from the stored [`SchemeSpec`] — callers do not
-/// need to know which family the snapshot holds.  Use
-/// [`load_oracle_for_graph`] when the graph is at hand, so an oracle is
-/// never served against a topology it was not built for.
-pub fn load_oracle<P: AsRef<Path>>(path: P) -> Result<Box<dyn DistanceOracle>, StoreError> {
-    Ok(load_snapshot(path)?.into_oracle())
-}
-
 /// Load the snapshot at `path` straight into a **frozen** oracle: the
 /// `SKCH` section bytes are materialized directly into a
 /// [`FlatSketchSet`]'s CSR arrays, without ever constructing the mutable
-/// per-node `Sketch`es — the cold-start path `dsketch-serve` and
-/// `dsketch-store serve` default to.  Answers are identical to
-/// [`load_oracle`]'s (the equivalence property tests pin this); only the
-/// in-memory layout differs.
+/// per-node `Sketch`es — the cold-start path of every server and CLI.
+/// The scheme is dispatched from the stored [`SchemeSpec`] — callers do not
+/// need to know which family the snapshot holds — and the answers are
+/// identical to the decoded per-node sets' ([`load_snapshot`]; the
+/// equivalence property tests pin this).  Use [`load_oracle_for_graph`]
+/// when the graph is at hand, so an oracle is never served against a
+/// topology it was not built for.
 pub fn load_frozen_oracle<P: AsRef<Path>>(path: P) -> Result<Box<dyn DistanceOracle>, StoreError> {
     let reader = SnapshotReader::open(path.as_ref())?;
     let bytes = reader.available();
@@ -394,16 +361,27 @@ impl RawSnapshot {
     }
 }
 
-/// Like [`load_oracle`], but refuse with
+/// Like [`load_frozen_oracle`], but refuse with
 /// [`StoreError::FingerprintMismatch`] when `graph` is not the graph the
-/// snapshot was built on.
+/// snapshot was built on — decided from the header, before a single label
+/// is decoded.
 pub fn load_oracle_for_graph<P: AsRef<Path>>(
     path: P,
     graph: &Graph,
 ) -> Result<Box<dyn DistanceOracle>, StoreError> {
-    let contents = load_snapshot(path)?;
-    contents.verify_graph(graph)?;
-    Ok(contents.into_oracle())
+    let reader = SnapshotReader::open(path.as_ref())?;
+    let bytes = reader.available();
+    let raw = reader.read()?;
+    let actual = graph.fingerprint();
+    if actual != raw.fingerprint() {
+        return Err(StoreError::FingerprintMismatch {
+            snapshot: raw.fingerprint(),
+            graph: actual,
+        });
+    }
+    let oracle = raw.frozen_oracle()?;
+    record_snapshot_load_bytes(bytes);
+    Ok(oracle)
 }
 
 /// Run the construction for `spec` on `graph`, keeping the family-typed
@@ -672,7 +650,8 @@ mod tests {
             let config = SchemeConfig::default().with_seed(9).with_parallel_build();
             let (contents, _) = build_and_save(&graph, spec, &config, &path).unwrap();
 
-            let map_oracle = load_oracle(&path).unwrap();
+            let decoded = load_snapshot(&path).unwrap();
+            let map_oracle = decoded.sketches.as_oracle();
             let frozen = load_frozen_oracle(&path).unwrap();
             assert_eq!(frozen.scheme_name(), spec.name(), "{spec}");
             assert_eq!(frozen.num_nodes(), map_oracle.num_nodes(), "{spec}");
@@ -722,7 +701,30 @@ mod tests {
         );
         // But the untyped load still works (fingerprint checking is the
         // caller's choice when no graph is at hand).
-        assert!(load_oracle(&path).is_ok());
+        assert!(load_frozen_oracle(&path).is_ok());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn mismatched_graph_is_refused_before_any_label_is_decoded() {
+        // A CRC-valid container whose SKCH payload is not a label set: the
+        // right graph gets as far as the decoder, the wrong one must not.
+        let graph = graph();
+        let mut writer = SnapshotWriter::new(SchemeSpec::thorup_zwick(2), graph.fingerprint());
+        writer.add_section(SECTION_SKETCHES, vec![0xff; 8]);
+        let path = temp_path("fp_first.dsk");
+        writer
+            .write_to(std::fs::File::create(&path).unwrap())
+            .unwrap();
+        let other = erdos_renyi(49, 0.15, GeneratorConfig::uniform(5, 1, 20));
+        assert!(matches!(
+            load_oracle_for_graph(&path, &other),
+            Err(StoreError::FingerprintMismatch { .. })
+        ));
+        assert!(matches!(
+            load_oracle_for_graph(&path, &graph),
+            Err(StoreError::Codec { .. })
+        ));
         std::fs::remove_file(&path).ok();
     }
 
@@ -794,7 +796,7 @@ mod tests {
         let path = temp_path("empty.dsk");
         let file = std::fs::File::create(&path).unwrap();
         writer.write_to(file).unwrap();
-        let err = match load_oracle(&path) {
+        let err = match load_frozen_oracle(&path) {
             Ok(_) => panic!("snapshot without a SKCH section must be refused"),
             Err(e) => e,
         };

@@ -101,7 +101,7 @@ fn obtain_oracle(
             std::process::exit(2);
         });
         println!("saved snapshot {path}: {bytes} bytes (reload with --load {path})");
-        return contents.into_oracle();
+        return Box::new(contents.sketches.freeze());
     }
     let outcome = SketchBuilder::new(spec)
         .seed(seed)

@@ -231,24 +231,31 @@ fn asymmetric_k_labels_freeze_and_answer_identically() {
     assert_eq!(flat.estimate_walk(NodeId(0), NodeId(1)).unwrap(), 5);
 }
 
-/// Frozen builds through the type-erased builder answer like unfrozen ones
-/// under the serve layer's batch API (the end-to-end wiring of the
-/// `frozen` toggle).
+/// Every type-erased build hands back the flat oracle: for each family, on
+/// both engines, `SchemeSpec::build`'s output answers exactly like the
+/// per-node sets the same construction produces through `build_stored` —
+/// two representations of one build, not one build compared with itself.
 #[test]
 fn frozen_builder_output_serves_identically() {
     let g = connected_graph(40, 3);
-    for spec in SchemeSpec::all_families() {
-        let plain = SketchBuilder::new(spec).seed(8).build(&g).unwrap();
-        let frozen = SketchBuilder::new(spec)
-            .seed(8)
-            .frozen(true)
-            .build(&g)
-            .unwrap();
-        let pairs = all_pairs(40);
-        assert_eq!(
-            plain.sketches.estimate_batch(&pairs),
-            frozen.sketches.estimate_batch(&pairs),
-            "{spec}"
-        );
+    let pairs = all_pairs(40);
+    for engine in [BuildEngine::Congest, BuildEngine::Parallel] {
+        let config = SchemeConfig::default().with_seed(8).with_engine(engine);
+        for spec in SchemeSpec::all_families() {
+            let flat = spec.build(&g, &config).unwrap().sketches;
+            let stored = build_stored(&g, spec, &config).unwrap();
+            let per_node = stored.sketches.as_oracle();
+            let context = format!("{spec} on {engine:?}");
+            assert_eq!(
+                flat.estimate_batch(&pairs),
+                per_node.estimate_batch(&pairs),
+                "{context}"
+            );
+            for u in g.nodes() {
+                assert_eq!(flat.words(u), per_node.words(u), "{context} at {u}");
+            }
+            assert_eq!(flat.scheme_name(), per_node.scheme_name(), "{context}");
+            assert_eq!(flat.stretch_bound(), per_node.stretch_bound(), "{context}");
+        }
     }
 }

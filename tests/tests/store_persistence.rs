@@ -16,7 +16,9 @@
 use dsketch::codec::SketchCodec;
 use dsketch::prelude::*;
 use dsketch_serve::{ServeConfig, SketchServer};
-use dsketch_store::{build_stored, load_oracle, load_oracle_for_graph, save_snapshot, StoreError};
+use dsketch_store::{
+    build_stored, load_frozen_oracle, load_oracle_for_graph, save_snapshot, StoreError,
+};
 use netgraph::generators::{erdos_renyi, GeneratorConfig};
 use netgraph::{Graph, NodeId};
 use proptest::prelude::*;
@@ -286,8 +288,8 @@ fn other_format_versions_are_refused_by_version_not_by_accident() {
         let failures = [
             dsketch_store::read_snapshot(stamped.as_slice()).err(),
             dsketch_store::read_frozen_oracle(stamped.as_slice()).err(),
-            load_oracle(&path).err(),
-            dsketch_store::load_frozen_oracle(&path).err(),
+            dsketch_store::load_snapshot(&path).err(),
+            load_frozen_oracle(&path).err(),
             dsketch_store::inspect_snapshot(&path).err(),
             SketchServer::from_snapshot(&path, ServeConfig::default()).err(),
         ];
@@ -358,7 +360,7 @@ fn load_oracle_dispatches_on_the_stored_scheme() {
         let path = temp_path(&format!("dispatch_{i}.dsk"));
         let contents = build_stored(&g, spec, &config(2)).unwrap();
         save_snapshot(&path, &contents).unwrap();
-        let oracle = load_oracle(&path).unwrap();
+        let oracle = load_frozen_oracle(&path).unwrap();
         assert_eq!(oracle.scheme_name(), spec.name(), "{spec}");
         assert_eq!(oracle.num_nodes(), 64, "{spec}");
         assert!(oracle.max_words() > 0, "{spec}");

@@ -653,7 +653,7 @@ mod tests {
         let good = "#![forbid(unsafe_code)]\n#![deny(missing_docs)]\npub fn f() {}";
         for root in [
             "crates/graph/src/lib.rs",
-            "crates/bench/src/bin/dsketch_serve.rs",
+            "crates/bench/src/bin/dsketch_store.rs",
             "examples/src/lib.rs",
             "examples/quickstart.rs",
             "tests/src/lib.rs",

@@ -1,9 +1,9 @@
 //! `dsketch-loadgen` — drive a running network front end over the wire and
 //! report latency percentiles.
 //!
-//! The client side of the serving story: where `dsketch-serve --listen`
-//! (or `dsketch-store serve --listen`) exposes the binary `NETQ`/`NETR`
-//! protocol on a socket, this binary opens `--connections` concurrent
+//! The client side of the serving story: where `dsketch-store serve
+//! --listen` exposes the binary `NETQ`/`NETR` protocol on a socket, this
+//! binary opens `--connections` concurrent
 //! clients, replays a seeded [`QueryWorkload`] through them, and reports
 //! throughput plus p50/p95/p99 per-request latency — and, with `--json
 //! PATH`, writes the same numbers as machine-readable JSON.  Every frame
@@ -13,9 +13,9 @@
 //! points.
 //!
 //! ```text
-//! # terminal 1: serve a sketch on a port
-//! cargo run --release -p dsketch-bench --bin dsketch-serve -- \
-//!     --scheme tz:3 --nodes 512 --listen 127.0.0.1:7421 --serve-seconds 60
+//! # terminal 1: serve a snapshot on a port
+//! cargo run --release -p dsketch-bench --bin dsketch-store -- \
+//!     serve --snapshot g.dsk --listen 127.0.0.1:7421 --serve-seconds 60
 //!
 //! # terminal 2: measure it
 //! cargo run --release -p dsketch-bench --bin dsketch-loadgen -- \
@@ -83,7 +83,7 @@ fn main() {
 
     // One probe connection: liveness, then the node count from the stats
     // document so the generated pairs match the served sketch.  Retried
-    // with backoff so racing a just-spawned server (CI smoke) is not a
+    // with backoff so racing a just-spawned server is not a
     // coin flip.
     let mut probe = NetClient::connect_with_retry(&addr, timeout, timeout).unwrap_or_else(|e| {
         eprintln!("cannot connect to {addr}: {e}");

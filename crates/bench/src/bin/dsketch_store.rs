@@ -43,17 +43,20 @@
 //! with `--nodes N`; plus `--seed N`, `--threads N` (parallel engine worker
 //! count, 0 = all cores) and `--engine parallel|congest` (default
 //! `parallel`).  `serve` flags: `--snapshot`, `--queries`,
-//! `--batch`, `--cache`, `--workload`, `--seed`;
-//! with `--listen HOST:PORT` (plus `--serve-seconds N`, `--net-workers N`)
+//! `--batch`, `--cache`, `--workload`, `--seed`, `--trace-sample N` (sample
+//! every N-th query into the trace ring; default 0: off);
+//! with `--listen HOST:PORT` (plus `--serve-seconds N`, `--net-workers N`,
+//! and `--log-json` to mirror sampled trace events to stdout as JSON lines)
 //! the cold-started server is exposed over TCP — binary protocol and HTTP
-//! on one port — instead of replaying a local workload.
+//! on one port, `GET /trace?n=K` serving the sampled events — instead of
+//! replaying a local workload.
 //! `query` and `serve` materialize the snapshot's label bytes straight
 //! into the flat CSR layout (`dsketch::flat::FlatSketchSet`) without
 //! rebuilding any per-node `Sketch`.
 //! `watch` polls `--graph` every `--interval-ms` (default 2000),
 //! rebuilds `--snapshot` with the parallel engine whenever the graph's
 //! fingerprint changes, and — when `--server HOST:PORT` names a live
-//! `dsketch-serve`/`dsketch-store serve --listen` instance — sends it a
+//! `dsketch-store serve --listen` instance — sends it a
 //! binary-protocol swap request so the fresh snapshot goes live without a
 //! restart.  `--iterations N` bounds the loop (0 = run forever).
 
@@ -61,8 +64,8 @@
 
 use dsketch::prelude::*;
 use dsketch_bench::workloads::{QueryWorkload, Workload, WorkloadSpec};
-use dsketch_bench::{arg_engine, arg_parse_or_exit, arg_value, serve_network, Table};
-use dsketch_serve::{ServeConfig, SketchServer};
+use dsketch_bench::{arg_engine, arg_parse_or_exit, arg_value, Table};
+use dsketch_serve::{NetConfig, NetServer, ServeConfig, ServeMeta, SketchServer};
 use dsketch_store::{
     build_and_save, build_and_save_from_edge_list, inspect_snapshot, load_frozen_oracle,
     SnapshotReader,
@@ -87,8 +90,8 @@ fn usage() -> ! {
          verify  --snapshot FILE\n\
          query   --snapshot FILE --u NODE --v NODE\n\
          serve   --snapshot FILE [--queries N] [--batch N] [--cache N]\n\
-         \u{20}        [--workload uniform|hotspot|adversarial] [--seed N]\n\
-         \u{20}        [--listen HOST:PORT [--serve-seconds N] [--net-workers N]]\n\
+         \u{20}        [--workload uniform|hotspot|adversarial] [--seed N] [--trace-sample N]\n\
+         \u{20}        [--listen HOST:PORT [--serve-seconds N] [--net-workers N] [--log-json]]\n\
          watch   --graph EDGE_LIST --scheme SPEC --snapshot FILE [--server HOST:PORT]\n\
          \u{20}        [--interval-ms N] [--iterations N] [--seed N] [--threads N]"
     );
@@ -238,6 +241,13 @@ fn cmd_build(args: &[String]) {
                 );
                 std::process::exit(2);
             });
+        if n < topology.min_nodes() {
+            eprintln!(
+                "--nodes {n}: --topology {topology_text} needs at least {} nodes",
+                topology.min_nodes()
+            );
+            std::process::exit(2);
+        }
         let graph_spec = WorkloadSpec::new(topology, n, seed);
         let graph = graph_spec.build();
         let (contents, bytes) = build_and_save(&graph, spec, &config, &out).unwrap_or_else(|e| {
@@ -377,6 +387,56 @@ fn cmd_query(args: &[String]) {
     }
 }
 
+/// Serve `oracle` on `listen` over TCP until `--serve-seconds` elapses
+/// (0 = forever), then drain gracefully, print the final wire + query
+/// counters and exit 0; exit 1 when the listener cannot bind.  `origin` —
+/// the snapshot's scheme and graph fingerprint — is what `/stats` reports
+/// and what arms the hot-swap compatibility gates, so `POST /swap` refuses
+/// a snapshot built with a different scheme.
+fn serve_network(
+    args: &[String],
+    listen: &str,
+    oracle: Arc<dyn DistanceOracle>,
+    config: ServeConfig,
+    origin: (SchemeSpec, netgraph::GraphFingerprint),
+) -> ! {
+    let serve_seconds: u64 = arg_parse_or_exit(args, "serve-seconds", 0);
+    let net_workers = arg_parse_or_exit(args, "net-workers", 4usize).max(1);
+    let log_json = args.iter().any(|a| a == "--log-json");
+    let (spec, fingerprint) = origin;
+    let server = NetServer::start_with_origin(
+        oracle,
+        config,
+        NetConfig::default()
+            .with_workers(net_workers)
+            .with_log_json(log_json),
+        listen,
+        ServeMeta::new(spec.to_string(), fingerprint.to_string()),
+        Some(origin),
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("cannot listen on {listen}: {e}");
+        std::process::exit(1);
+    });
+    println!(
+        "listening on {} — binary NETQ protocol + HTTP/1.1 (GET /distance?u=..&v=.., \
+         GET /stats, GET /metrics, GET /trace?n=K, POST /swap?snapshot=..) on one port, \
+         {net_workers} connection workers",
+        server.local_addr(),
+    );
+    if serve_seconds == 0 {
+        println!("serving until killed (pass --serve-seconds N for a timed run)");
+        loop {
+            std::thread::sleep(std::time::Duration::from_secs(3600));
+        }
+    }
+    println!("serving for {serve_seconds}s…");
+    std::thread::sleep(std::time::Duration::from_secs(serve_seconds));
+    let stats = server.shutdown();
+    println!("drained and stopped.\n{stats}");
+    std::process::exit(0);
+}
+
 fn cmd_serve(args: &[String]) {
     let path = required(args, "snapshot");
     let queries: usize = arg_parse_or_exit(args, "queries", 100_000);
@@ -417,27 +477,11 @@ fn cmd_serve(args: &[String]) {
     // instead of a local replay: the paper's standby-server story end to
     // end (snapshot on disk → serving sockets, no construction rounds).
     if let Some(listen) = arg_value(args, "listen") {
-        let serve_seconds: u64 = arg_parse_or_exit(args, "serve-seconds", 0);
-        let net_workers: usize = arg_parse_or_exit(args, "net-workers", 4);
-        let log_json = args.iter().any(|a| a == "--log-json");
-        let (spec, fingerprint) = origin;
-        let meta = dsketch_serve::ServeMeta::new(spec.to_string(), fingerprint.to_string());
         println!(
             "cold-started from {path} in {:.1} ms; exposing it on the network",
             load_started.elapsed().as_secs_f64() * 1e3
         );
-        serve_network(
-            Arc::from(oracle),
-            config,
-            dsketch_bench::NetServeOptions {
-                net_workers,
-                listen: &listen,
-                serve_seconds,
-                log_json,
-            },
-            meta,
-            Some(origin),
-        );
+        serve_network(args, &listen, Arc::from(oracle), config, origin);
     }
 
     let server = SketchServer::start(Arc::from(oracle), config).expect("no ServeConfig is invalid");

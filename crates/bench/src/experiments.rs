@@ -2,8 +2,9 @@
 //!
 //! Each experiment prints a table of what was measured next to the
 //! theoretical prediction ("paper") from the corresponding theorem, in the
-//! paper's own currency — stretch, words, rounds, messages — or, for the
-//! identity batteries (`e16`–`e18`), counts of wrong answers.  The `quick`
+//! paper's own currency — stretch, words, rounds, messages.  Nothing here
+//! checks an invariant, reads a clock or opens a socket: invariants are
+//! `cargo test`'s, wall-clock numbers `dsketch-benchmark`'s.  The `quick`
 //! flag shrinks node counts so the whole suite stays in CI-friendly
 //! territory.
 
@@ -16,14 +17,11 @@ use netgraph::apsp::DistanceTable;
 use netgraph::{Graph, NodeId};
 
 /// The experiment identifiers: `e1`–`e10` are the paper's theorems and
-/// lemmas, `e11` runs every family through the scheme-polymorphic API,
-/// `e16` checks the network front end's loopback answer identity, `e17`
-/// hot snapshot swapping under sustained query load, `e18` the
-/// deterministic fault-injection chaos battery over the whole serve stack.
-/// (The numbers between were wall-clock tables; `dsketch-benchmark` owns
-/// those measurements now, and the ids are not reused.)
-pub const EXPERIMENT_IDS: [&str; 14] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e16", "e17", "e18",
+/// lemmas, `e11` runs every family through the scheme-polymorphic API.
+/// (Higher ids were wall-clock tables, now `dsketch-benchmark`'s, and
+/// identity batteries, now tier-1 tests; retired ids are not reused.)
+pub const EXPERIMENT_IDS: [&str; 11] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11",
 ];
 
 /// The output of one experiment.
@@ -66,9 +64,6 @@ pub fn run_experiment(id: &str, quick: bool) -> Option<ExperimentResult> {
         "e9" => Some(e9_termination_overhead(quick)),
         "e10" => Some(e10_rounds_scaling(quick)),
         "e11" => Some(e11_scheme_matrix(quick)),
-        "e16" => Some(e16_net_front_end(quick)),
-        "e17" => Some(e17_swap_under_load(quick)),
-        "e18" => Some(e18_chaos_battery(quick)),
         _ => None,
     }
 }
@@ -642,664 +637,6 @@ fn e11_scheme_matrix(quick: bool) -> ExperimentResult {
     }
 }
 
-/// E16 — the network front end: wire answers vs direct oracle calls.
-///
-/// Builds each scheme family, starts the TCP server ([`dsketch_serve::net`])
-/// on a loopback port, and drives the same query stream three ways — direct
-/// oracle calls, single-query frames, and batched frames — plus a handful
-/// of `GET /distance` HTTP requests.  The load-bearing columns are the two
-/// identity checks: every wire answer (and every typed wire error) must
-/// match the direct call exactly, or serving over the network would change
-/// the scheme's semantics.
-fn e16_net_front_end(quick: bool) -> ExperimentResult {
-    use crate::workloads::QueryWorkload;
-    use dsketch_serve::{NetClient, NetConfig, NetServer, ServeConfig};
-    use std::io::{Read, Write};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    /// One HTTP exchange against the same port the binary protocol uses.
-    fn http_get(addr: &str, path: &str) -> String {
-        let mut stream = std::net::TcpStream::connect(addr).expect("http connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("socket timeout");
-        write!(
-            stream,
-            "GET {path} HTTP/1.1\r\nhost: dsketch\r\nconnection: close\r\n\r\n"
-        )
-        .expect("http write");
-        let mut body = String::new();
-        stream.read_to_string(&mut body).expect("http read");
-        body
-    }
-
-    let n = if quick { 96 } else { 256 };
-    let queries = if quick { 600 } else { 5_000 };
-    let singles = if quick { 128 } else { 512 };
-    let mut table = Table::new(&[
-        "scheme",
-        "n",
-        "queries",
-        "wire=direct",
-        "http=direct",
-        "typed errors",
-        "protocol errors",
-        "p50 µs",
-        "p99 µs",
-    ]);
-    let graph = WorkloadSpec::new(Workload::ErdosRenyi, n, 42).build();
-    for scheme in SchemeSpec::all_families() {
-        let outcome = SketchBuilder::new(scheme)
-            .seed(13)
-            .build(&graph)
-            .expect("scheme construction");
-        let oracle: Arc<dyn dsketch::DistanceOracle> = Arc::from(outcome.sketches);
-        let server = NetServer::start(
-            Arc::clone(&oracle),
-            ServeConfig::default(),
-            NetConfig::default(),
-            "127.0.0.1:0",
-        )
-        .expect("net server start");
-        let addr = server.local_addr().to_string();
-        let mut client = NetClient::connect(&addr, Duration::from_secs(10)).expect("connect");
-        let pairs = QueryWorkload::Uniform.generate(n, queries, 7);
-
-        let mut wire_identical = true;
-        let mut typed_errors = 0u64;
-        let singles = pairs.len().min(singles);
-        let mut latencies = Vec::with_capacity(singles);
-        for &(u, v) in &pairs[..singles] {
-            let started = Instant::now();
-            let wire = client.query(u, v).expect("transport");
-            latencies.push(started.elapsed().as_nanos() as u64);
-            match (wire, oracle.estimate(u, v)) {
-                (Ok(w), Ok(d)) if w == d => {}
-                (Err(_), Err(_)) => typed_errors += 1,
-                _ => wire_identical = false,
-            }
-        }
-        for chunk in pairs[singles..].chunks(64) {
-            let wire = client.query_batch(chunk).expect("transport");
-            assert_eq!(wire.len(), chunk.len(), "one answer slot per pair");
-            for (w, d) in wire.iter().zip(oracle.estimate_batch(chunk)) {
-                match (w, d) {
-                    (Ok(w), Ok(d)) if *w == d => {}
-                    (Err(_), Err(_)) => typed_errors += 1,
-                    _ => wire_identical = false,
-                }
-            }
-        }
-
-        let mut http_identical = true;
-        for &(u, v) in pairs.iter().take(8) {
-            let response = http_get(&addr, &format!("/distance?u={}&v={}", u.0, v.0));
-            let matched = match oracle.estimate(u, v) {
-                Ok(d) => response.contains(&format!("\"distance\":{d}")),
-                Err(_) => response.contains("\"error\""),
-            };
-            if !matched {
-                http_identical = false;
-            }
-        }
-        let stats_doc = http_get(&addr, "/stats");
-        if !stats_doc.contains(&format!("\"num_nodes\":{n}")) {
-            http_identical = false;
-        }
-
-        drop(client);
-        let stats = server.shutdown();
-        let p50 = crate::percentile_nanos(&mut latencies, 50.0);
-        let p99 = crate::percentile_nanos(&mut latencies, 99.0);
-        table.push(vec![
-            scheme.to_string(),
-            n.to_string(),
-            queries.to_string(),
-            if wire_identical { "yes" } else { "NO" }.to_string(),
-            if http_identical { "yes" } else { "NO" }.to_string(),
-            typed_errors.to_string(),
-            stats.net.protocol_errors.to_string(),
-            format!("{:.1}", p50 as f64 / 1e3),
-            format!("{:.1}", p99 as f64 / 1e3),
-        ]);
-    }
-    ExperimentResult {
-        id: "e16",
-        title: "Network front end: loopback wire answers vs direct oracle calls",
-        claim: "once sketches are built, any node answers queries from two labels with no \
-                further communication (Section 2.1) — so a network hop in front of the \
-                oracle can relay answers but never change them: every wire answer and \
-                every typed wire error must equal the direct call, over every scheme \
-                family and both frame shapes",
-        table,
-    }
-}
-
-/// E17 — hot snapshot swap under sustained load.
-///
-/// Two swap-compatible snapshots (same graph, same scheme, different
-/// construction seeds) alternate through a live [`SketchServer`] while
-/// client threads hammer tagged batch queries.  Each answer is checked
-/// against the offline oracle of the generation that served it — swapping
-/// must never produce a wrong, torn, or failed answer — and the server's
-/// own per-batch latency histogram yields the p99 to compare against a
-/// swap-free baseline run of the same workload.  The load-bearing columns:
-/// `wrong` and `errors` must be 0 in both rows, and the swapping row's p99
-/// should stay within small-constant reach of the baseline's (readers never
-/// block on a swap; the only extra cost is cache re-misses).
-fn e17_swap_under_load(quick: bool) -> ExperimentResult {
-    use crate::workloads::QueryWorkload;
-    use dsketch_serve::{ServeConfig, SketchServer};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    let n = if quick { 96 } else { 256 };
-    let swap_rounds = if quick { 6 } else { 40 };
-    let client_threads = if quick { 2 } else { 4 };
-    let batch = 64;
-
-    let graph_spec = WorkloadSpec::new(Workload::ErdosRenyi, n, 42);
-    let graph = graph_spec.build();
-    let scheme = SchemeSpec::thorup_zwick(2);
-    let dir = std::env::temp_dir().join("dsketch_e17_swap");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let snap_a = dir.join(format!("e17_a_{n}.dsk"));
-    let snap_b = dir.join(format!("e17_b_{n}.dsk"));
-    // Same graph + scheme, different seeds: swap-compatible by the
-    // server's gates, but with different sampled hierarchies — so a
-    // stale answer checked against the wrong generation's oracle is
-    // actually detectable.
-    let build = |seed: u64, path: &std::path::Path| {
-        dsketch_store::build_and_save(
-            &graph,
-            scheme,
-            &SchemeConfig::default()
-                .with_seed(seed)
-                .with_parallel_build(),
-            path,
-        )
-        .expect("snapshot build");
-    };
-    build(11, &snap_a);
-    build(23, &snap_b);
-    // Offline ground truth per generation: odd generations serve snapshot
-    // A (the server starts at generation 1 on A; each swap increments).
-    let oracle_a: Arc<dyn DistanceOracle> =
-        Arc::from(dsketch_store::load_frozen_oracle(&snap_a).expect("load a"));
-    let oracle_b: Arc<dyn DistanceOracle> =
-        Arc::from(dsketch_store::load_frozen_oracle(&snap_b).expect("load b"));
-
-    let pairs = Arc::new(
-        QueryWorkload::parse("uniform")
-            .expect("uniform workload")
-            .generate(n, 4096, 7),
-    );
-
-    let mut table = Table::new(&[
-        "mode",
-        "queries",
-        "wrong",
-        "errors",
-        "swaps",
-        "invalidations",
-        "qps",
-        "batch p50 µs",
-        "batch p99 µs",
-    ]);
-    let mut baseline_p99 = 0u64;
-    for swapping in [false, true] {
-        let server = Arc::new(
-            SketchServer::from_snapshot(&snap_a, ServeConfig::default())
-                .expect("cold start from snapshot A"),
-        );
-        let stop = Arc::new(AtomicBool::new(false));
-        let wrong = Arc::new(AtomicU64::new(0));
-        let errors = Arc::new(AtomicU64::new(0));
-        let started = Instant::now();
-        let workers: Vec<_> = (0..client_threads)
-            .map(|worker| {
-                let server = Arc::clone(&server);
-                let stop = Arc::clone(&stop);
-                let wrong = Arc::clone(&wrong);
-                let errors = Arc::clone(&errors);
-                let pairs = Arc::clone(&pairs);
-                let (oracle_a, oracle_b) = (Arc::clone(&oracle_a), Arc::clone(&oracle_b));
-                dsketch::parallel::spawn_named(&format!("e17-client-{worker}"), move || {
-                    let client = server.client();
-                    while !stop.load(Ordering::Relaxed) {
-                        for chunk in pairs.chunks(batch) {
-                            // One generation answers a whole batch.
-                            let (results, generation) = client.query_batch_tagged(chunk);
-                            let oracle = if generation % 2 == 1 {
-                                &oracle_a
-                            } else {
-                                &oracle_b
-                            };
-                            for (result, &(u, v)) in results.into_iter().zip(chunk) {
-                                match (result, oracle.estimate(u, v)) {
-                                    (Ok(got), Ok(want)) if got == want => {}
-                                    (Err(_), Err(_)) => {}
-                                    (Err(_), Ok(_)) => {
-                                        errors.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    _ => {
-                                        wrong.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        if swapping {
-            // Alternate B, A, B, … — every publish lands mid-traffic.
-            for round in 0..swap_rounds {
-                let next = if round % 2 == 0 { &snap_b } else { &snap_a };
-                server
-                    .swap_snapshot(next)
-                    .expect("swap-compatible snapshot");
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        } else {
-            std::thread::sleep(Duration::from_millis(10 * swap_rounds as u64));
-        }
-        stop.store(true, Ordering::Relaxed);
-        for worker in workers {
-            worker.join().expect("client thread panicked");
-        }
-        let elapsed = started.elapsed().as_secs_f64();
-        let latency = server
-            .registry()
-            .snapshot()
-            .histogram_total("dsketch_serve_batch_latency_nanos");
-        let stats = server.stats();
-        let p99 = latency.quantile(0.99);
-        if !swapping {
-            baseline_p99 = p99;
-        }
-        table.push(vec![
-            if swapping { "swapping" } else { "baseline" }.to_string(),
-            stats.totals.queries.to_string(),
-            wrong.load(Ordering::Relaxed).to_string(),
-            errors.load(Ordering::Relaxed).to_string(),
-            stats.swaps.to_string(),
-            stats.totals.cache_invalidations.to_string(),
-            format!("{:.0}", stats.totals.queries as f64 / elapsed),
-            format!("{:.1}", latency.quantile(0.5) as f64 / 1e3),
-            format!("{:.1}", p99 as f64 / 1e3),
-        ]);
-        assert_eq!(
-            wrong.load(Ordering::Relaxed),
-            0,
-            "swapped answers must match some live generation"
-        );
-        assert_eq!(
-            errors.load(Ordering::Relaxed),
-            0,
-            "no query may fail during swaps"
-        );
-    }
-    let _ = baseline_p99; // the table carries the comparison; CI reads both rows
-    std::fs::remove_file(&snap_a).ok();
-    std::fs::remove_file(&snap_b).ok();
-    ExperimentResult {
-        id: "e17",
-        title: "Hot snapshot swap: correctness and tail latency under sustained load",
-        claim: "the serving layer's generation cell lets a rebuilt sketch set go live \
-                without stopping traffic: readers never block on a publish, every answer \
-                is exactly correct for a generation that was live during its call, and \
-                the p99 under sustained swapping stays within small-constant reach of \
-                the swap-free baseline (the only added cost is cache re-misses)",
-        table,
-    }
-}
-
-/// E18 — the chaos battery: deterministic fault injection end to end.
-///
-/// Three storms, each against a different layer of the serve stack, all
-/// driven by seeded [`dsketch_faults`] plans so every run injects the
-/// same faults at the same points:
-///
-/// * **Phase A** panics the query path mid-dispatch, once per scheme
-///   family.  The pairs of a panicked batch must come back as the typed
-///   retryable `ShardPanicked` error (never a wrong distance), the server
-///   must count exactly one panic per injected one, and a disarmed
-///   recovery sweep on the same caller must answer every query
-///   oracle-identically.
-/// * **Phase B** fails the watch loop's rebuild and then the snapshot
-///   save's fsync and rename.  The loop must back off inside the jittered
-///   exponential window, leave no torn `.tmp` staging file behind, and
-///   converge to a loadable, fingerprint-correct snapshot the first tick
-///   after the fault budget is spent.
-/// * **Phase C** corrupts the TCP front end: dropped reads, broken
-///   response writes, and shed accepts (counted as overloads).  A client
-///   using `connect_with_retry` must ride through every fault with
-///   reconnects alone — zero wrong answers — and a clean sweep must
-///   succeed once the faults exhaust.
-///
-/// The battery asserts it armed at least six distinct failpoints spanning
-/// the store, serve, net, and watch layers, and that it leaves the
-/// process fully disarmed.
-fn e18_chaos_battery(quick: bool) -> ExperimentResult {
-    use crate::workloads::QueryWorkload;
-    use dsketch_serve::{NetClient, NetConfig, NetServer, ServeConfig, SketchServer};
-    use std::collections::BTreeSet;
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    let n = if quick { 64 } else { 128 };
-    let storm_queries = if quick { 512 } else { 2_048 };
-    let net_queries = if quick { 160 } else { 800 };
-
-    dsketch_faults::disarm_all();
-    let mut armed_points: BTreeSet<&'static str> = BTreeSet::new();
-    let mut table = Table::new(&[
-        "phase",
-        "target",
-        "queries",
-        "injected",
-        "wrong",
-        "panics",
-        "recovered",
-        "detail",
-    ]);
-
-    // ---- Phase A: dispatch panic storm, one pass per scheme family. ----
-    let graph = WorkloadSpec::new(Workload::ErdosRenyi, n, 42).build();
-    let pairs = QueryWorkload::Uniform.generate(n, storm_queries, 7);
-    for scheme in SchemeSpec::all_families() {
-        let outcome = SketchBuilder::new(scheme)
-            .seed(13)
-            .build(&graph)
-            .expect("scheme construction");
-        let oracle: Arc<dyn DistanceOracle> = Arc::from(outcome.sketches);
-        let server =
-            SketchServer::start(Arc::clone(&oracle), ServeConfig::default()).expect("server start");
-        let client = server.client();
-
-        // Hits 0..3 dispatch cleanly, hits 3 and 4 panic inside the
-        // caller's batch — so the storm lands inside the first batches
-        // and is over (trip budget spent) well before the sweep ends.
-        dsketch_faults::arm_from_spec("seed=101;serve.dispatch=panic,after=3,max=2")
-            .expect("valid fault spec");
-        armed_points.insert("serve.dispatch");
-
-        let mut wrong = 0u64;
-        let mut shed = 0u64;
-        for chunk in pairs.chunks(32) {
-            for (mut result, &(u, v)) in client.query_batch(chunk).into_iter().zip(chunk) {
-                // A panicked batch answers `ShardPanicked` for all its
-                // pairs.  The error's contract is "retry": the panic was
-                // caught and this caller is still serving, so a bounded
-                // retry loop must settle (the trip budget caps repeats).
-                let mut retries = 0u32;
-                while matches!(result, Err(SketchError::ShardPanicked)) {
-                    shed += 1;
-                    retries += 1;
-                    assert!(
-                        retries <= 64,
-                        "{scheme}: retry budget exhausted for ({u}, {v})"
-                    );
-                    result = client.query(u, v);
-                }
-                match (result, oracle.estimate(u, v)) {
-                    (Ok(got), Ok(want)) if got == want => {}
-                    (Err(_), Err(_)) => {}
-                    _ => wrong += 1,
-                }
-            }
-        }
-        let injected = dsketch_faults::registry().trips("serve.dispatch");
-        dsketch_faults::disarm_all();
-        assert!(injected >= 1, "{scheme}: the storm must panic a batch");
-        assert!(
-            shed >= injected,
-            "{scheme}: every panic sheds at least its own batch"
-        );
-
-        // Disarmed recovery sweep: the same caller serves from a fresh
-        // cache and every answer must again match the oracle exactly.
-        let mut recovery_wrong = 0u64;
-        for chunk in pairs.chunks(64) {
-            for (result, &(u, v)) in client.query_batch(chunk).into_iter().zip(chunk) {
-                match (result, oracle.estimate(u, v)) {
-                    (Ok(got), Ok(want)) if got == want => {}
-                    (Err(SketchError::ShardPanicked), _) => recovery_wrong += 1,
-                    (Err(_), Err(_)) => {}
-                    _ => recovery_wrong += 1,
-                }
-            }
-        }
-        let stats = server.shutdown();
-        assert_eq!(wrong, 0, "{scheme}: a panic storm may shed, never corrupt");
-        assert_eq!(recovery_wrong, 0, "{scheme}: recovery must be complete");
-        assert_eq!(
-            stats.totals.panics, injected,
-            "{scheme}: every injected panic is counted, and nothing else is"
-        );
-        table.push(vec![
-            "A panic storm".to_string(),
-            scheme.to_string(),
-            (pairs.len() as u64 * 2 + shed).to_string(),
-            injected.to_string(),
-            (wrong + recovery_wrong).to_string(),
-            stats.totals.panics.to_string(),
-            "yes".to_string(),
-            format!("{shed} shed answers retried to success"),
-        ]);
-    }
-
-    // ---- Phase B: watch-loop convergence under store faults. ----
-    let dir = std::env::temp_dir().join("dsketch_e18_chaos");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let edges = dir.join("e18.edges");
-    let snap = dir.join("e18.dsk");
-    std::fs::remove_file(&snap).ok();
-    let watch_graph = WorkloadSpec::new(Workload::ErdosRenyi, 32, 9).build();
-    netgraph::io::save_edge_list(&watch_graph, &edges).expect("edge list");
-    let mut core = dsketch_store::WatchCore::new(
-        &edges,
-        &snap,
-        SchemeSpec::thorup_zwick(2),
-        SchemeConfig::default().with_seed(5).with_parallel_build(),
-    );
-    // Two rebuild faults, then one fsync fault and one rename fault inside
-    // the crash-safe save: four failed ticks, then convergence.
-    dsketch_faults::arm_from_spec(
-        "seed=7;watch.rebuild=error,max=2;store.save.fsync=error,max=1;store.save.rename=error,max=1",
-    )
-    .expect("valid fault spec");
-    armed_points.extend(["watch.rebuild", "store.save.fsync", "store.save.rename"]);
-
-    let base = Duration::from_millis(10);
-    let cap = Duration::from_millis(160);
-    let mut failed_ticks = 0u32;
-    let mut ticks = 0u32;
-    let converged = loop {
-        ticks += 1;
-        assert!(
-            ticks <= 16,
-            "watch must converge once the fault budget is spent"
-        );
-        match core.check_once() {
-            Ok(outcome) => break outcome,
-            Err(_) => {
-                failed_ticks += 1;
-                assert_eq!(core.consecutive_failures(), failed_ticks);
-                let raw = base.saturating_mul(2u32.pow(failed_ticks.min(16))).min(cap);
-                let delay = core.next_delay(base, cap);
-                assert!(
-                    delay >= raw / 2 && delay <= raw,
-                    "failed tick {failed_ticks}: backoff {delay:?} outside [{:?}, {raw:?}]",
-                    raw / 2
-                );
-                // A failed save must never leave a torn staging file.
-                let litter = dir
-                    .read_dir()
-                    .expect("temp dir listing")
-                    .filter_map(|entry| entry.ok())
-                    .any(|entry| entry.path().extension().is_some_and(|ext| ext == "tmp"));
-                assert!(!litter, "no .tmp staging litter after a failed tick");
-            }
-        }
-    };
-    let watch_injected = dsketch_faults::registry().total_trips();
-    dsketch_faults::disarm_all();
-    assert!(
-        matches!(converged, dsketch_store::WatchOutcome::Rebuilt { nodes, .. } if nodes == 32),
-        "convergence tick rebuilds the watched graph"
-    );
-    assert_eq!(
-        failed_ticks, 4,
-        "two rebuild faults + fsync + rename cost one tick each"
-    );
-    assert_eq!(core.consecutive_failures(), 0);
-    assert_eq!(core.next_delay(base, cap), base, "healthy cadence restored");
-    let (_, stored) = dsketch_store::peek_snapshot_meta(&snap).expect("converged snapshot header");
-    assert_eq!(
-        stored,
-        watch_graph.fingerprint(),
-        "snapshot tracks the graph"
-    );
-    dsketch_store::load_frozen_oracle(&snap).expect("converged snapshot loads");
-    table.push(vec![
-        "B watch storm".to_string(),
-        "rebuild loop".to_string(),
-        ticks.to_string(),
-        watch_injected.to_string(),
-        "0".to_string(),
-        "-".to_string(),
-        "yes".to_string(),
-        format!("{failed_ticks} failed ticks, converged on tick {ticks}, no .tmp litter"),
-    ]);
-
-    // ---- Phase C: TCP front end under read/write/accept faults. ----
-    let outcome = SketchBuilder::new(SchemeSpec::thorup_zwick(2))
-        .seed(13)
-        .build(&graph)
-        .expect("scheme construction");
-    let oracle: Arc<dyn DistanceOracle> = Arc::from(outcome.sketches);
-    let server = NetServer::start(
-        Arc::clone(&oracle),
-        ServeConfig::default(),
-        NetConfig::default(),
-        "127.0.0.1:0",
-    )
-    .expect("net server start");
-    let addr = server.local_addr().to_string();
-    // The first two accepted connections are shed with a 503 (overload
-    // path), every ~4th frame read drops the connection, and two response
-    // writes break mid-storm.
-    dsketch_faults::arm_from_spec(
-        "seed=13;net.read.frame=error,one_in=4,max=6;net.write.frame=error,after=20,max=2;net.accept.handoff=error,max=2",
-    )
-    .expect("valid fault spec");
-    armed_points.extend(["net.read.frame", "net.write.frame", "net.accept.handoff"]);
-
-    let timeout = Duration::from_secs(5);
-    let deadline = Duration::from_secs(10);
-    let mut client = NetClient::connect_with_retry(&addr, timeout, deadline).expect("connect");
-    let net_pairs = QueryWorkload::Uniform.generate(n, net_queries, 21);
-    let mut reconnects = 0u64;
-    let mut net_wrong = 0u64;
-    for &(u, v) in &net_pairs {
-        let answer = loop {
-            match client.query(u, v) {
-                Ok(answer) => break answer,
-                Err(_) => {
-                    // Transport faults (dropped reads, broken writes, shed
-                    // accepts) surface as connection errors; ride through
-                    // with the backoff-retrying reconnect.
-                    reconnects += 1;
-                    assert!(reconnects <= 256, "transport retry budget exhausted");
-                    client = NetClient::connect_with_retry(&addr, timeout, deadline)
-                        .expect("reconnect within deadline");
-                }
-            }
-        };
-        match (answer, oracle.estimate(u, v)) {
-            (Ok(got), Ok(want)) if got == want => {}
-            (Err(_), Err(_)) => {}
-            _ => net_wrong += 1,
-        }
-    }
-    let read_trips = dsketch_faults::registry().trips("net.read.frame");
-    let write_trips = dsketch_faults::registry().trips("net.write.frame");
-    let handoff_trips = dsketch_faults::registry().trips("net.accept.handoff");
-    dsketch_faults::disarm_all();
-    assert!(
-        read_trips >= 1,
-        "the storm must drop at least one frame read"
-    );
-    assert_eq!(handoff_trips, 2, "both shed-accept trips must fire");
-    assert!(
-        reconnects >= read_trips,
-        "every dropped read costs (at least) one reconnect"
-    );
-
-    // Clean sweep with the faults disarmed: one connection, no errors.
-    let mut client =
-        NetClient::connect_with_retry(&addr, timeout, deadline).expect("clean reconnect");
-    client.ping().expect("ping after the storm");
-    for &(u, v) in net_pairs.iter().take(64) {
-        let answer = client.query(u, v).expect("clean transport");
-        match (answer, oracle.estimate(u, v)) {
-            (Ok(got), Ok(want)) if got == want => {}
-            (Err(_), Err(_)) => {}
-            other => panic!("post-storm answer diverged for ({u}, {v}): {other:?}"),
-        }
-    }
-    drop(client);
-    let net_stats = server.shutdown();
-    assert_eq!(net_wrong, 0, "net faults cost availability, never answers");
-    assert_eq!(
-        net_stats.net.overloads, handoff_trips,
-        "every shed accept is counted as an overload"
-    );
-    table.push(vec![
-        "C net storm".to_string(),
-        "tcp front end".to_string(),
-        (net_pairs.len() as u64 + 64).to_string(),
-        (read_trips + write_trips + handoff_trips).to_string(),
-        net_wrong.to_string(),
-        "-".to_string(),
-        "yes".to_string(),
-        format!("{reconnects} reconnects, {handoff_trips} overload 503s"),
-    ]);
-
-    assert!(
-        armed_points.len() >= 6,
-        "the battery must span at least six distinct failpoints: {armed_points:?}"
-    );
-    for layer in ["store.", "serve.", "net.", "watch."] {
-        assert!(
-            armed_points.iter().any(|point| point.starts_with(layer)),
-            "the battery must cover the {layer} layer: {armed_points:?}"
-        );
-    }
-    assert_eq!(
-        dsketch_faults::registry().armed_points(),
-        0,
-        "e18 must leave the process disarmed"
-    );
-    std::fs::remove_file(&edges).ok();
-    std::fs::remove_file(&snap).ok();
-    ExperimentResult {
-        id: "e18",
-        title: "Chaos battery: deterministic fault injection across the serve stack",
-        claim: "a deterministic, label-only serving stack degrades only in availability, \
-                never in correctness: injected dispatch panics, torn saves, failed rebuild \
-                ticks, dropped frames, and shed accepts each surface as typed, retryable \
-                errors while every answer that is delivered — during the storm and after \
-                recovery — exactly matches the offline oracle, with every panic caught \
-                and counted",
-        table,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1332,42 +669,6 @@ mod tests {
         for row in &result.table.rows {
             assert_eq!(row[3], "0", "pivot mismatch: {row:?}");
             assert_eq!(row[4], "0", "bunch mismatch: {row:?}");
-        }
-    }
-
-    #[test]
-    fn e17_quick_swaps_without_wrong_answers_or_errors() {
-        let result = run_experiment("e17", true).unwrap();
-        assert_eq!(result.id, "e17");
-        assert_eq!(result.table.len(), 2, "baseline row + swapping row");
-        let baseline = &result.table.rows[0];
-        let swapping = &result.table.rows[1];
-        assert_eq!(baseline[0], "baseline");
-        assert_eq!(swapping[0], "swapping");
-        for row in [baseline, swapping] {
-            assert_eq!(row[2], "0", "wrong answers: {row:?}");
-            assert_eq!(row[3], "0", "failed queries: {row:?}");
-        }
-        assert_eq!(baseline[4], "0", "baseline performs no swaps");
-        assert!(
-            swapping[4].parse::<u64>().unwrap() >= 6,
-            "swapping row records every publish: {swapping:?}"
-        );
-    }
-
-    #[test]
-    fn e16_quick_serves_wire_answers_identical_to_direct_calls() {
-        let result = run_experiment("e16", true).unwrap();
-        assert_eq!(result.id, "e16");
-        // One row per scheme family.
-        assert_eq!(result.table.len(), 4);
-        for row in &result.table.rows {
-            assert_eq!(row[3], "yes", "wire answers must equal direct: {row:?}");
-            assert_eq!(row[4], "yes", "http answers must equal direct: {row:?}");
-            assert_eq!(
-                row[6], "0",
-                "clean clients cause no protocol errors: {row:?}"
-            );
         }
     }
 

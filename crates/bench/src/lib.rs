@@ -8,6 +8,9 @@
 //! table with both the measured value and the theoretical prediction.
 //! Wall-clock numbers are not this crate's business: they come from
 //! `dsketch-benchmark` (`benchmark/`), which reports spread and gates on it.
+//! Neither are invariants: answer identity across every serving path, hot
+//! swap and fault recovery are held by the tier-1 tests (`tests/tests/`),
+//! and the binaries' own wiring by `tests/cli_smoke.rs`.
 //!
 //! Run everything with:
 //!
@@ -27,78 +30,6 @@ pub use experiments::{run_experiment, ExperimentResult, EXPERIMENT_IDS};
 pub use table::Table;
 pub use workloads::{QueryWorkload, Workload, WorkloadSpec};
 
-/// How [`serve_network`] should listen: the knobs both serving CLIs parse
-/// from their command lines, separate from the oracle and serve config.
-pub struct NetServeOptions<'a> {
-    /// Number of connection-handling worker threads (clamped to ≥ 1).
-    pub net_workers: usize,
-    /// `HOST:PORT` to bind.
-    pub listen: &'a str,
-    /// Stop draining after this many seconds; 0 means serve forever.
-    pub serve_seconds: u64,
-    /// Emit structured JSON log lines instead of plain text.
-    pub log_json: bool,
-}
-
-/// Serve `oracle` on `options.listen` over TCP until `options.serve_seconds`
-/// elapses (0 = forever), then drain gracefully, print the final wire +
-/// query counters, and exit the process.
-///
-/// The shared tail of `dsketch-serve --listen` and `dsketch-store serve
-/// --listen`: both build/load an oracle their own way, then hand it here.
-/// `origin` is the oracle's typed provenance (scheme spec + graph
-/// fingerprint) when the caller knows it — it arms the hot-swap
-/// compatibility gates, so `POST /swap` refuses snapshots built with a
-/// different scheme.  Exit code 0 after a timed run, 1 when the listener
-/// cannot bind.
-pub fn serve_network(
-    oracle: std::sync::Arc<dyn dsketch::DistanceOracle>,
-    config: dsketch_serve::ServeConfig,
-    options: NetServeOptions<'_>,
-    meta: dsketch_serve::ServeMeta,
-    origin: Option<(dsketch::SchemeSpec, netgraph::GraphFingerprint)>,
-) -> ! {
-    use dsketch_serve::{NetConfig, NetServer};
-    let NetServeOptions {
-        net_workers,
-        listen,
-        serve_seconds,
-        log_json,
-    } = options;
-    let net_workers = net_workers.max(1);
-    let server = NetServer::start_with_origin(
-        oracle,
-        config,
-        NetConfig::default()
-            .with_workers(net_workers)
-            .with_log_json(log_json),
-        listen,
-        meta,
-        origin,
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("cannot listen on {listen}: {e}");
-        std::process::exit(1);
-    });
-    println!(
-        "listening on {} — binary NETQ protocol + HTTP/1.1 (GET /distance?u=..&v=.., \
-         GET /stats, GET /metrics, GET /trace?n=K, POST /swap?snapshot=..) on one port, \
-         {net_workers} connection workers",
-        server.local_addr(),
-    );
-    if serve_seconds == 0 {
-        println!("serving until killed (pass --serve-seconds N for a timed run)");
-        loop {
-            std::thread::sleep(std::time::Duration::from_secs(3600));
-        }
-    }
-    println!("serving for {serve_seconds}s…");
-    std::thread::sleep(std::time::Duration::from_secs(serve_seconds));
-    let stats = server.shutdown();
-    println!("drained and stopped.\n{stats}");
-    std::process::exit(0);
-}
-
 /// Nearest-rank percentile over raw latency samples, `p` in `[0, 100]`.
 ///
 /// Sorts `samples` in place and returns the value at the ceiling rank, the
@@ -117,7 +48,7 @@ pub fn percentile_nanos(samples: &mut [u64], p: f64) -> u64 {
 }
 
 /// Look up a `--name value` style flag in raw `std::env::args` output
-/// (shared by the `dsketch-serve` / `dsketch-store` binaries).
+/// (shared by the `dsketch-store` / `dsketch-loadgen` binaries).
 pub fn arg_value(args: &[String], name: &str) -> Option<String> {
     let flag = format!("--{name}");
     args.iter()
@@ -139,9 +70,9 @@ pub fn arg_parse_or_exit<T: std::str::FromStr>(args: &[String], name: &str, defa
     }
 }
 
-/// Parse the `--engine parallel|congest` flag shared by the
-/// `dsketch-store` and `dsketch-serve` binaries (default: the parallel
-/// production engine); an unknown engine name is a usage error (exit 2).
+/// Parse `dsketch-store`'s `--engine parallel|congest` flag (default: the
+/// parallel production engine); an unknown engine name is a usage error
+/// (exit 2).
 pub fn arg_engine(args: &[String]) -> dsketch::BuildEngine {
     match arg_value(args, "engine").as_deref() {
         None | Some("parallel") => dsketch::BuildEngine::Parallel,

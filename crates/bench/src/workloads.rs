@@ -5,7 +5,6 @@
 //! the tables of ARCHITECTURE.md's *Experiment index* are reproducible
 //! verbatim.  A [`QueryWorkload`] is a named, seeded *traffic* recipe — a
 //! stream of `(u, v)` query pairs replayed against a built oracle by the
-//! identity batteries (`e16`–`e18`) and the `dsketch-serve`,
 //! `dsketch-store serve` and `dsketch-loadgen` binaries.
 
 use netgraph::diameter::{diameters, DiameterReport};
@@ -47,6 +46,20 @@ impl Workload {
             Workload::Ring,
             Workload::PowerLaw,
         ]
+    }
+
+    /// The smallest `n` [`WorkloadSpec::build`] can generate with this
+    /// family's fixed parameters (below it the generator's own
+    /// precondition panics).
+    pub fn min_nodes(self) -> usize {
+        match self {
+            // p = 8/n must be a probability.
+            Workload::ErdosRenyi => 8,
+            Workload::Grid => 1,
+            Workload::Ring => 3,
+            // More nodes than the attachment degree m = 3.
+            Workload::PowerLaw => 4,
+        }
     }
 }
 
@@ -261,10 +274,14 @@ mod tests {
     #[test]
     fn all_families_build_connected_graphs() {
         for family in Workload::all() {
-            let spec = WorkloadSpec::new(family, 100, 7);
-            let g = spec.build();
-            assert!(is_connected(&g), "{} should be connected", spec.label());
-            assert!(g.num_nodes() >= 95, "{}", spec.label());
+            // `min_nodes` is the floor the CLI enforces: the generator
+            // must accept it.
+            for n in [family.min_nodes(), 100] {
+                let spec = WorkloadSpec::new(family, n, 7);
+                let g = spec.build();
+                assert!(is_connected(&g), "{} should be connected", spec.label());
+                assert!(g.num_nodes() * 100 >= n * 95, "{}", spec.label());
+            }
         }
     }
 

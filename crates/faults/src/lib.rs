@@ -13,7 +13,8 @@
 //! 1. **Zero cost when disarmed.**  A disarmed [`fail_point!`] is one
 //!    relaxed load of a process-global atomic (no lock, no allocation, no
 //!    string hash).  Production binaries keep their failpoints compiled in;
-//!    the chaos battery (`e18`) proves the disarmed counter stays at zero.
+//!    `cli_smoke.rs` holds that a normally started server reports zero armed
+//!    points and zero trips on `GET /faults`.
 //! 2. **Deterministic.**  Whether hit number `i` of point `p` trips is a
 //!    pure function of `(plan seed, p, i)` — a SplitMix64 draw over the
 //!    FNV-1a hash of the point name — so a failing chaos run replays

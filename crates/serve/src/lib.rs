@@ -97,12 +97,13 @@
 //! println!("{stats}");
 //! ```
 //!
-//! The `dsketch-serve` binary (in `crates/bench`, which owns the workload
-//! generators) wires this into an end-to-end traffic replay:
+//! `dsketch-store serve` (in `crates/bench`, which owns the workload
+//! generators) wires this into an end-to-end traffic replay over a
+//! snapshot, or with `--listen` into a network service:
 //!
 //! ```text
-//! cargo run --release -p dsketch-bench --bin dsketch-serve -- \
-//!     --scheme tz:3 --nodes 512 --queries 100000
+//! cargo run --release -p dsketch-bench --bin dsketch-store -- \
+//!     serve --snapshot g.dsk --queries 100000
 //! ```
 
 #![forbid(unsafe_code)]

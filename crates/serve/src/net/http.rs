@@ -107,7 +107,12 @@ fn read_request_head(
                 counters.protocol_errors.inc();
                 return None;
             }
-            Ok(n) => head.extend_from_slice(&chunk[..n]),
+            Ok(n) => {
+                // Charged as consumed, so every exit path has counted what
+                // it read.
+                counters.bytes_in.add(n as u64);
+                head.extend_from_slice(&chunk[..n]);
+            }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -187,8 +192,8 @@ fn route(method: &str, target: &str, ctx: &WorkerCtx) -> String {
 }
 
 /// The `GET /faults` body: every armed failpoint with its plan and
-/// counters, plus the two headline numbers the chaos battery and the CI
-/// `faults-disarmed` assert key on.
+/// counters, plus the two headline numbers (`armed_points`, `total_trips`)
+/// that read zero on a normally started server.
 fn faults_status_json() -> String {
     let registry = dsketch_faults::registry();
     let points: Vec<String> = registry

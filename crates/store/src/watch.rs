@@ -4,7 +4,7 @@
 //! edge-list file: every poll it re-loads the graph, compares its
 //! [`GraphFingerprint`] to the one the current snapshot was built on, and
 //! rebuilds + re-saves only when they differ.  The CLI (and any embedding)
-//! then tells a live [`SketchServer`](https://docs.rs) to hot-swap the
+//! then tells a live `dsketch_serve::SketchServer` to hot-swap the
 //! fresh snapshot in — see ARCHITECTURE.md's *Live snapshots* section.
 //!
 //! The loop itself (sleep cadence, signal handling, the network swap call)

@@ -8,7 +8,15 @@
 //!   only ever holds the old state or the new state, never a third.
 //! * An injected dispatch panic fails exactly its own batch with the typed
 //!   retryable `ShardPanicked` error (wire code 8, HTTP 503), is counted,
-//!   and costs the calling thread — and its connection — only its cache.
+//!   and costs the calling thread — and its connection — only its cache;
+//!   in process, for every scheme family.
+//! * A snapshot read that fails mid-swap refuses the swap and leaves the
+//!   live generation serving; the retry publishes.
+//! * The watch loop backs off through failed rebuilds and failed saves
+//!   inside its jittered window, litters nothing, and converges the first
+//!   tick after the fault budget is spent.
+//! * Dropped frame reads, broken frame writes and shed accepts cost a
+//!   retrying client reconnects, never an answer.
 //! * `connect_with_retry` rides out a listener that binds late and
 //!   returns a typed error once its deadline is spent.
 //! * A full accept hand-off queue answers plain HTTP `503` with
@@ -17,12 +25,18 @@
 //!
 //! Failpoints are process-global, so every test that arms (or must see a
 //! disarmed registry) serializes on one lock and disarms on drop — a
-//! failing assertion can never leak faults into a neighbouring test.
+//! failing assertion can never leak faults into a neighbouring test.  The
+//! lock is held across everything that crosses a point some test arms
+//! (every snapshot save and load, every connection to a `NetServer`), so
+//! one test's traffic can neither spend nor suffer another's trips.
 
 use dsketch::prelude::*;
 use dsketch_serve::net::WireErrorCode;
-use dsketch_serve::{NetClient, NetConfig, NetServer, ServeConfig, SketchServer};
-use dsketch_store::{build_stored, load_frozen_oracle, save_snapshot, snapshot_tmp_path};
+use dsketch_serve::{NetClient, NetConfig, NetServer, ServeConfig, SketchServer, SwapError};
+use dsketch_store::{
+    build_and_save, build_stored, load_frozen_oracle, peek_snapshot_meta, save_snapshot,
+    snapshot_tmp_path, WatchCore, WatchOutcome,
+};
 use netgraph::generators::{erdos_renyi, GeneratorConfig};
 use netgraph::{Graph, NodeId};
 use proptest::prelude::*;
@@ -43,8 +57,14 @@ impl ArmedScope {
     /// Serialize and arm `spec`.
     fn arm(spec: &str) -> ArmedScope {
         let scope = ArmedScope::bare();
-        dsketch_faults::arm_from_spec(spec).expect("valid fault spec");
+        scope.rearm(spec);
         scope
+    }
+
+    /// Replace whatever is armed with `spec` (counters restart at zero),
+    /// without letting go of the lock.
+    fn rearm(&self, spec: &str) {
+        dsketch_faults::arm_from_spec(spec).expect("valid fault spec");
     }
 
     /// Serialize with the registry disarmed (for tests that need to *see*
@@ -82,6 +102,11 @@ fn sample_pairs(n: usize, count: u32) -> Vec<(NodeId, NodeId)> {
             )
         })
         .collect()
+}
+
+/// Times the armed `point` has tripped.
+fn trips(point: &str) -> u64 {
+    dsketch_faults::registry().trips(point)
 }
 
 /// One raw HTTP request on a throwaway connection; the whole reply.
@@ -208,82 +233,92 @@ proptest! {
 // Panic isolation: panic → typed error for that batch → same thread serves on.
 // ---------------------------------------------------------------------------
 
-#[test]
-fn an_injected_dispatch_panic_fails_only_its_batch_in_process_and_over_the_wire() {
-    let graph = graph(48, 7);
-    let outcome = SketchBuilder::new(SchemeSpec::thorup_zwick(2))
+/// A `spec` oracle over one graph, 32 distinct unordered pairs it answers
+/// `Ok` (so hit counts are exact), and its answers to them.
+#[allow(clippy::type_complexity)]
+fn panic_fixture(
+    spec: SchemeSpec,
+) -> (
+    Arc<dyn DistanceOracle>,
+    Vec<(NodeId, NodeId)>,
+    Vec<Result<u64, SketchError>>,
+) {
+    let outcome = SketchBuilder::new(spec)
         .seed(3)
-        .build(&graph)
+        .build(&graph(48, 7))
         .expect("build");
     let oracle: Arc<dyn DistanceOracle> = Arc::from(outcome.sketches);
-    // Distinct unordered pairs that answer Ok, so hit counts are exact.
     let mut seen = std::collections::BTreeSet::new();
     let pairs: Vec<(NodeId, NodeId)> = sample_pairs(48, 256)
         .into_iter()
         .filter(|&(u, v)| oracle.estimate(u, v).is_ok() && seen.insert((u.min(v), u.max(v))))
         .take(32)
         .collect();
-    assert_eq!(pairs.len(), 32, "fixture too sparse");
+    assert_eq!(pairs.len(), 32, "{spec}: fixture too sparse");
     let expected = oracle.estimate_batch(&pairs);
-    let all_panicked = |results: &[Result<u64, SketchError>]| {
-        results.len() == pairs.len()
-            && results
-                .iter()
-                .all(|r| matches!(r, Err(SketchError::ShardPanicked)))
-    };
+    (oracle, pairs, expected)
+}
 
-    // In process: one client, one thread — this one.
-    let server =
-        SketchServer::start(Arc::clone(&oracle), ServeConfig::default()).expect("server start");
-    let client = server.client();
-    assert_eq!(client.query_batch(&pairs), expected);
-    assert_eq!(client.query_batch(&pairs), expected);
-    assert_eq!(server.stats().totals.cache_hits, 32, "the cache is warm");
+#[test]
+fn an_injected_dispatch_panic_fails_only_its_batch_in_process_and_over_the_wire() {
+    // In process: one client, one thread — this one; every family.
+    for spec in SchemeSpec::all_families() {
+        let (oracle, pairs, expected) = panic_fixture(spec);
+        let server = SketchServer::start(oracle, ServeConfig::default()).expect("server start");
+        let client = server.client();
+        assert_eq!(client.query_batch(&pairs), expected);
+        assert_eq!(client.query_batch(&pairs), expected);
+        assert_eq!(server.stats().totals.cache_hits, 32, "the cache is warm");
 
-    let scope = ArmedScope::arm("seed=11;serve.dispatch=panic,max=2");
-    for _ in 0..2 {
-        let shed = client.query_batch(&pairs);
-        assert!(
-            all_panicked(&shed),
-            "a panic fails its whole batch: {shed:?}"
+        let scope = ArmedScope::arm("seed=11;serve.dispatch=panic,max=2");
+        for _ in 0..2 {
+            let shed = client.query_batch(&pairs);
+            assert!(
+                shed.len() == pairs.len()
+                    && shed
+                        .iter()
+                        .all(|r| matches!(r, Err(SketchError::ShardPanicked))),
+                "{spec}: a panic fails its whole batch: {shed:?}"
+            );
+            assert!(
+                SketchError::ShardPanicked.to_string().contains("retry"),
+                "the typed error spells out the retry contract"
+            );
+        }
+        // The trip budget is spent: the same thread's next batch is
+        // answered, correctly, from a cold cache — not one new hit.
+        assert_eq!(client.query_batch(&pairs), expected);
+        assert_eq!(dsketch_faults::registry().trips("serve.dispatch"), 2);
+        drop(scope);
+        let stats = server.stats();
+        assert_eq!(stats.totals.panics, 2, "every caught panic is counted");
+        assert_eq!(stats.totals.cache_hits, 32, "the panic dropped the cache");
+        assert_eq!(
+            stats.totals.queries, 96,
+            "a panicked batch answers no query"
         );
-        assert!(
-            SketchError::ShardPanicked.to_string().contains("retry"),
-            "the typed error spells out the retry contract"
+        assert_eq!(stats.totals.batches, 5);
+        assert_eq!(client.query_batch(&pairs), expected);
+        assert_eq!(
+            server.shutdown().totals.cache_hits,
+            64,
+            "and it warms again"
         );
     }
-    // The trip budget is spent: the same thread's next batch is answered,
-    // correctly, from a cold cache — not one new hit.
-    assert_eq!(client.query_batch(&pairs), expected);
-    assert_eq!(dsketch_faults::registry().trips("serve.dispatch"), 2);
-    drop(scope);
-    let stats = server.stats();
-    assert_eq!(stats.totals.panics, 2, "every caught panic is counted");
-    assert_eq!(stats.totals.cache_hits, 32, "the panic dropped the cache");
-    assert_eq!(
-        stats.totals.queries, 96,
-        "a panicked batch answers no query"
-    );
-    assert_eq!(stats.totals.batches, 5);
-    assert_eq!(client.query_batch(&pairs), expected);
-    assert_eq!(
-        server.shutdown().totals.cache_hits,
-        64,
-        "and it warms again"
-    );
 
     // Over the wire: one connection, so one worker thread serves it all.
+    let (oracle, pairs, expected) = panic_fixture(SchemeSpec::thorup_zwick(2));
     let server = NetServer::start(
-        Arc::clone(&oracle),
+        oracle,
         ServeConfig::default(),
         NetConfig::default().with_workers(1),
         "127.0.0.1:0",
     )
     .expect("net server start");
     let addr = server.local_addr().to_string();
+    let scope = ArmedScope::arm("seed=11;serve.dispatch=panic,max=2");
     let mut wire = NetClient::connect(&addr, Duration::from_secs(10)).expect("connect");
     let (u, v) = pairs[0];
-    let scope = ArmedScope::arm("seed=11;serve.dispatch=panic,max=2");
     let shed = wire.query_batch(&pairs).expect("the frame is answered");
     assert_eq!(shed.len(), pairs.len());
     for answer in &shed {
@@ -300,13 +335,12 @@ fn an_injected_dispatch_panic_fails_only_its_batch_in_process_and_over_the_wire(
     for (answer, want) in served.iter().zip(&expected) {
         assert_eq!(answer.as_ref().ok(), want.as_ref().ok());
     }
-    drop(scope);
     // The one worker is ours until the NETQ connection closes.
     drop(wire);
 
     // The bytes themselves: an error frame (kind 15) whose payload opens
     // with wire code 8.
-    let scope = ArmedScope::arm("seed=11;serve.dispatch=panic,max=1");
+    scope.rearm("seed=11;serve.dispatch=panic,max=1");
     let mut raw = std::net::TcpStream::connect(&addr).expect("raw connect");
     raw.set_read_timeout(Some(Duration::from_secs(10)))
         .expect("read timeout");
@@ -316,17 +350,210 @@ fn an_injected_dispatch_panic_fails_only_its_batch_in_process_and_over_the_wire(
     raw.read_exact(&mut head).expect("raw reply");
     assert_eq!((&head[..4], head[5], head[12]), (&b"NETR"[..], 15, 8));
     drop(raw);
-    drop(scope);
 
-    let scope = ArmedScope::arm("seed=11;serve.dispatch=panic,max=1");
+    scope.rearm("seed=11;serve.dispatch=panic,max=1");
     let reply = http(&addr, "GET", &format!("/distance?u={}&v={}", u.0, v.0));
     assert!(reply.starts_with("HTTP/1.1 503"), "{reply}");
     assert!(reply.contains("\"error\":\"shard-panicked\""), "{reply}");
-    drop(scope);
 
     let stats = server.shutdown();
+    drop(scope);
     assert_eq!(stats.serve.totals.panics, 4, "{stats}");
     assert_eq!(stats.net.protocol_errors, 0, "{stats}");
+}
+
+// ---------------------------------------------------------------------------
+// A failed snapshot read refuses the swap; the live generation serves on.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_failed_snapshot_read_refuses_the_swap_and_the_retry_publishes() {
+    let scope = ArmedScope::bare();
+    let graph = graph(48, 5);
+    let (snap_a, snap_b) = (temp_path("load_read_a.dsk"), temp_path("load_read_b.dsk"));
+    // Same graph and scheme, different seeds: swap-compatible, and the
+    // answers tell the two generations apart.
+    for (seed, path) in [(3, &snap_a), (4, &snap_b)] {
+        let config = SchemeConfig::default().with_seed(seed);
+        build_and_save(&graph, SchemeSpec::thorup_zwick(2), &config, path).expect("build");
+    }
+    let pairs = sample_pairs(48, 64);
+    let answers = |path| {
+        load_frozen_oracle(path)
+            .expect("snapshot loads")
+            .estimate_batch(&pairs)
+    };
+    let (from_a, from_b) = (answers(&snap_a), answers(&snap_b));
+    assert_ne!(
+        from_a, from_b,
+        "fixture: the seeds must differ in an answer"
+    );
+    let server = SketchServer::from_snapshot(&snap_a, ServeConfig::default()).expect("cold start");
+    let client = server.client();
+
+    scope.rearm("seed=3;store.load.read=error,max=1");
+    assert!(
+        matches!(server.swap_snapshot(&snap_b), Err(SwapError::Store(_))),
+        "the armed read must refuse the swap with the store's error"
+    );
+    assert_eq!(trips("store.load.read"), 1);
+    assert_eq!(server.generation(), 1, "a refused swap publishes nothing");
+    assert_eq!(client.query_batch_tagged(&pairs), (from_a, 1));
+
+    // The trip budget is spent: the identical call publishes.
+    assert_eq!(server.swap_snapshot(&snap_b).expect("retry"), 2);
+    assert_eq!(client.query_batch_tagged(&pairs), (from_b, 2));
+    std::fs::remove_file(&snap_a).ok();
+    std::fs::remove_file(&snap_b).ok();
+}
+
+// ---------------------------------------------------------------------------
+// The watch loop: back off through failed ticks, litter nothing, converge.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn the_watch_loop_backs_off_through_rebuild_and_save_faults_then_converges() {
+    let graph = graph(32, 9);
+    let (edges, snap) = (temp_path("watch_storm.edges"), temp_path("watch_storm.dsk"));
+    std::fs::remove_file(&snap).ok();
+    netgraph::io::save_edge_list(&graph, &edges).expect("edge list");
+    let mut core = WatchCore::new(
+        &edges,
+        &snap,
+        SchemeSpec::thorup_zwick(2),
+        SchemeConfig::default().with_seed(5).with_parallel_build(),
+    );
+
+    // Two rebuild faults, then one fsync fault and one rename fault inside
+    // the crash-safe save: four failed ticks, then convergence.
+    let scope = ArmedScope::arm(
+        "seed=7;watch.rebuild=error,max=2;store.save.fsync=error,max=1;store.save.rename=error,max=1",
+    );
+    let (base, cap) = (Duration::from_millis(10), Duration::from_millis(160));
+    for failed in 1..=4u32 {
+        assert!(core.check_once().is_err(), "tick {failed} is armed to fail");
+        assert_eq!(core.consecutive_failures(), failed);
+        let raw = base.saturating_mul(2u32.pow(failed)).min(cap);
+        let delay = core.next_delay(base, cap);
+        assert!(
+            delay >= raw / 2 && delay <= raw,
+            "failed tick {failed}: backoff {delay:?} outside [{:?}, {raw:?}]",
+            raw / 2
+        );
+        assert!(
+            !snapshot_tmp_path(&snap).exists(),
+            "failed tick {failed}: a failed save must not litter *.tmp"
+        );
+    }
+    assert_eq!(
+        (
+            trips("watch.rebuild"),
+            trips("store.save.fsync"),
+            trips("store.save.rename")
+        ),
+        (2, 1, 1),
+        "each fault cost exactly one tick"
+    );
+
+    // The fault budget is spent: the very next tick rebuilds.
+    let converged = core.check_once().expect("the fifth tick converges");
+    assert!(
+        matches!(converged, WatchOutcome::Rebuilt { nodes: 32, .. }),
+        "{converged:?}"
+    );
+    assert_eq!(core.consecutive_failures(), 0);
+    assert_eq!(core.next_delay(base, cap), base, "healthy cadence restored");
+    let (_, stored) = peek_snapshot_meta(&snap).expect("converged snapshot header");
+    assert_eq!(stored, graph.fingerprint(), "the snapshot tracks the graph");
+    load_frozen_oracle(&snap).expect("converged snapshot loads");
+    drop(scope);
+    std::fs::remove_file(&edges).ok();
+    std::fs::remove_file(&snap).ok();
+}
+
+// ---------------------------------------------------------------------------
+// The TCP front end under read, write and accept faults: reconnects, never
+// a wrong answer.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_retrying_client_rides_out_read_write_and_accept_faults_without_a_wrong_answer() {
+    let n = 64;
+    let outcome = SketchBuilder::new(SchemeSpec::thorup_zwick(2))
+        .seed(13)
+        .build(&graph(n, 13))
+        .expect("build");
+    let oracle: Arc<dyn DistanceOracle> = Arc::from(outcome.sketches);
+    let server = NetServer::start(
+        Arc::clone(&oracle),
+        ServeConfig::default(),
+        NetConfig::default(),
+        "127.0.0.1:0",
+    )
+    .expect("net server start");
+    let addr = server.local_addr().to_string();
+    let connect = || {
+        NetClient::connect_with_retry(&addr, Duration::from_secs(5), Duration::from_secs(10))
+            .expect("connect within the deadline")
+    };
+    let matches_oracle = |answer: Result<u64, _>, (u, v): (NodeId, NodeId)| {
+        assert_eq!(
+            answer.ok(),
+            oracle.estimate(u, v).ok(),
+            "({u}, {v}): a fault may cost the connection, never the answer"
+        );
+    };
+
+    // The first two accepted connections are shed with a 503, about every
+    // fourth frame read drops its connection, and two frame writes break
+    // mid-storm.  Client and server share `wire.rs`, so either side may
+    // take a read or write trip.
+    let scope = ArmedScope::arm(
+        "seed=13;net.read.frame=error,one_in=4,max=6;net.write.frame=error,after=20,max=2;net.accept.handoff=error,max=2",
+    );
+    let mut client = connect();
+    let pairs = sample_pairs(n, 160);
+    let mut reconnects = 0u64;
+    for &(u, v) in &pairs {
+        let answer = loop {
+            match client.query(u, v) {
+                Ok(answer) => break answer,
+                Err(_) => {
+                    reconnects += 1;
+                    assert!(reconnects <= 256, "transport retry budget exhausted");
+                    client = connect();
+                }
+            }
+        };
+        matches_oracle(answer, (u, v));
+    }
+    let read_trips = trips("net.read.frame");
+    assert!(read_trips >= 1, "the storm must drop a frame read");
+    assert_eq!(trips("net.write.frame"), 2, "both write trips must fire");
+    assert_eq!(
+        trips("net.accept.handoff"),
+        2,
+        "both shed accepts must fire"
+    );
+    assert!(
+        reconnects >= read_trips,
+        "every dropped read costs at least one reconnect: {reconnects} < {read_trips}"
+    );
+
+    // Clean sweep with the faults disarmed: one connection, no errors.
+    dsketch_faults::disarm_all();
+    let mut client = connect();
+    client.ping().expect("ping after the storm");
+    for &(u, v) in pairs.iter().take(64) {
+        matches_oracle(client.query(u, v).expect("clean transport"), (u, v));
+    }
+    drop(client);
+    let stats = server.shutdown();
+    drop(scope);
+    assert_eq!(
+        stats.net.overloads, 2,
+        "every shed accept is counted as an overload"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -406,15 +633,16 @@ fn a_full_accept_queue_answers_503_with_retry_after() {
     );
     assert!(reply.contains("Retry-After: 1"), "{reply:?}");
     assert!(reply.contains("\"error\":\"overloaded\""), "{reply:?}");
-    drop(scope);
 
-    // The next connection is accepted and served normally.
+    // The one trip is spent: the next connection is accepted and served
+    // normally.
     let mut client =
         NetClient::connect_with_retry(&addr, Duration::from_secs(5), Duration::from_secs(5))
             .expect("post-shed connect");
     client.ping().expect("ping after the shed");
     drop(client);
     let stats = server.shutdown();
+    drop(scope);
     assert_eq!(stats.net.overloads, 1, "one shed accept, one overload");
 }
 
@@ -440,7 +668,7 @@ fn the_faults_endpoint_arms_reports_and_disarms() {
     .expect("net server start");
     let addr = server.local_addr().to_string();
 
-    // Disarmed process: the CI `faults-disarmed` assert keys on this.
+    // Disarmed process: nothing armed, nothing ever tripped.
     let clean = http(&addr, "GET", "/faults");
     assert!(clean.contains("\"armed_points\":0"), "{clean:?}");
     assert!(clean.contains("\"total_trips\":0"), "{clean:?}");

@@ -67,6 +67,11 @@ fn assert_wire_matches(
     }
 }
 
+/// The request head [`http_get`] sends, byte for byte.
+fn http_request(path_and_query: &str) -> String {
+    format!("GET {path_and_query} HTTP/1.1\r\nhost: t\r\n\r\n")
+}
+
 /// One raw HTTP GET on a throwaway connection (`Connection: close` is the
 /// server's policy, so read-to-EOF yields the whole reply).
 fn http_get(addr: &str, path_and_query: &str) -> String {
@@ -74,7 +79,9 @@ fn http_get(addr: &str, path_and_query: &str) -> String {
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("timeout");
-    write!(stream, "GET {path_and_query} HTTP/1.1\r\nhost: t\r\n\r\n").expect("request");
+    stream
+        .write_all(http_request(path_and_query).as_bytes())
+        .expect("request");
     let mut reply = String::new();
     stream.read_to_string(&mut reply).expect("reply");
     reply
@@ -380,13 +387,12 @@ fn wire_counters_account_every_frame_exactly() {
     client.ping().expect("ping");
     assert!(client.query(NodeId(0), NodeId(1)).expect("q1").is_ok());
     assert!(client.query(NodeId(1), NodeId(2)).expect("q2").is_ok());
-    let batch = client
-        .query_batch(&[
-            (NodeId(2), NodeId(3)),
-            (NodeId(3), NodeId(4)),
-            (NodeId(4), NodeId(5)),
-        ])
-        .expect("batch");
+    let pairs = vec![
+        (NodeId(2), NodeId(3)),
+        (NodeId(3), NodeId(4)),
+        (NodeId(4), NodeId(5)),
+    ];
+    let batch = client.query_batch(&pairs).expect("batch");
     assert_eq!(batch.len(), 3);
     let stats_doc = client.stats_json().expect("stats frame");
     assert!(
@@ -411,7 +417,21 @@ fn wire_counters_account_every_frame_exactly() {
     assert_eq!(stats.net.http_requests, 2, "{stats}");
     assert_eq!(stats.net.protocol_errors, 0, "{stats}");
     assert_eq!(stats.net.timeouts, 0, "{stats}");
-    assert!(stats.net.bytes_in > 0 && stats.net.bytes_out > 0, "{stats}");
+    // Every byte sent: the five request frames and the two HTTP heads.
+    use dsketch_serve::net::Request;
+    let (u, v) = (NodeId(0), NodeId(1));
+    let frames = [
+        Request::Ping,
+        Request::Query { u, v },
+        Request::Query { u, v },
+        Request::QueryBatch { pairs },
+        Request::Stats,
+    ];
+    let sent = frames.iter().map(|r| r.to_frame().len()).sum::<usize>()
+        + http_request("/distance?u=0&v=1").len()
+        + http_request("/stats").len();
+    assert_eq!(stats.net.bytes_in, sent as u64, "{stats}");
+    assert!(stats.net.bytes_out > 0, "{stats}");
     // Query side: 2 singles + 3 batch slots + 1 HTTP distance = 6 queries.
     assert_eq!(stats.serve.totals.queries, 6, "{stats}");
 }

@@ -960,6 +960,26 @@ impl SketchCodec for CdgSketchSet {
     }
 }
 
+/// Refuse a degrading payload whose layer `layer` covers `nodes` nodes when
+/// layer 0 (if already decoded) covers another count: a node of the larger
+/// layer would have no label in the smaller one, and every query indexes
+/// all layers.  Shared by the map decoder below and
+/// [`crate::flat::FlatSketchSet::from_family_bytes`], so both refuse the
+/// same bytes with the same error.
+pub(crate) fn check_layer_nodes(
+    layer: usize,
+    nodes: usize,
+    first: Option<usize>,
+) -> Result<(), CodecError> {
+    match first {
+        Some(first) if first != nodes => Err(CodecError::Invalid {
+            context: "DegradingSketchSet",
+            message: format!("layer {layer} covers {nodes} nodes but layer 0 covers {first}"),
+        }),
+        _ => Ok(()),
+    }
+}
+
 impl SketchCodec for DegradingSketchSet {
     fn encode(&self, out: &mut Encoder) {
         out.put_usize(self.layers.len());
@@ -973,9 +993,12 @@ impl SketchCodec for DegradingSketchSet {
         // A layer is at least params (24) + empty net (24) + hierarchy
         // header (24) + empty sketch set (8) + stats (48).
         let count = input.len_prefix(128, "DegradingSketchSet layers length")?;
-        let mut layers = Vec::with_capacity(count);
-        for _ in 0..count {
-            layers.push(CdgSketchSet::decode(input)?);
+        let mut layers: Vec<CdgSketchSet> = Vec::with_capacity(count);
+        for index in 0..count {
+            let layer = CdgSketchSet::decode(input)?;
+            let first = layers.first().map(|first| first.sketches.len());
+            check_layer_nodes(index, layer.sketches.len(), first)?;
+            layers.push(layer);
         }
         let stats = RunStats::decode(input)?;
         Ok(DegradingSketchSet { layers, stats })

@@ -23,6 +23,28 @@
 //! consults them (the level walk reads levels off the pivot slot index),
 //! they only matter during construction.
 //!
+//! Thorup–Zwick, 3-stretch and CDG sets are one such layer.  The gracefully
+//! degrading family (Theorem 4.8: `⌈log n⌉` CDG layers, minimum over the
+//! per-layer estimates) is served from **one merged row per node** instead
+//! of `L` layers walked one after another — the union of the node's `L`
+//! bunches, each landmark once, with a bit mask naming the layers it came
+//! from:
+//!
+//! ```text
+//!   row offsets ─┐
+//!                ▼
+//!   nodes  [ 3   17   41   88  … | next node … ]   ids strictly ascending
+//!   dists  [ d    d    d    d  … ]                 the exact distance (the same in every layer)
+//!   masks  [ 011  001  110  100 … ]                bit l set ⇔ the landmark is in B_l(u)
+//! ```
+//!
+//! The per-layer pivot rows stay beside it (the level walk, the word
+//! accounting and the layer count read them); the per-layer bunch columns
+//! are dropped.  The private `MergedRows` type explains why one masked
+//! merge of two rows is the minimum over layers, and which facts about the
+//! data it checks before a set takes this form
+//! ([`FlatSketchSet::merged_entries`] tells which form a set took).
+//!
 //! A frozen set is built two ways:
 //!
 //! * [`Freeze::freeze`] — from any in-memory sketch set (all four families
@@ -44,7 +66,7 @@
 #![deny(missing_docs)]
 
 use crate::cast;
-use crate::codec::{CodecError, Decoder, LabelRows, SketchCodec};
+use crate::codec::{check_layer_nodes, CodecError, Decoder, LabelRows, SketchCodec};
 use crate::error::SketchError;
 use crate::hierarchy::Hierarchy;
 use crate::oracle::{check_nodes, DistanceOracle};
@@ -74,8 +96,10 @@ pub enum QueryRule {
 }
 
 /// One layer of labels in CSR form: per-node pivot and bunch ranges over
-/// four contiguous arrays.  Single-layer for Thorup–Zwick, 3-stretch and
-/// CDG sets; one per CDG layer for the gracefully degrading family.
+/// four contiguous arrays.  A Thorup–Zwick, 3-stretch or CDG set is served
+/// as one of these; the gracefully degrading family's CDG layers pass
+/// through this form on their way into [`MergedRows`], and are served from
+/// it only when the data does not allow the merge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct FlatLayer {
     num_nodes: usize,
@@ -117,6 +141,48 @@ fn slice_distance(nodes: &[NodeId], dists: &[Distance], w: NodeId) -> Option<Dis
         Ok(i) => Some(dists[i]),
         Err(_) => None,
     }
+}
+
+/// Pivot slots of one row that hold a pivot.
+fn present_pivots(row: &[(NodeId, Distance)]) -> usize {
+    row.iter().filter(|&&(p, _)| p != NO_PIVOT).count()
+}
+
+/// The Lemma 3.2 level walk over two pivot rows: mirrors
+/// [`crate::query::estimate_distance`] candidate-for-candidate (both
+/// directions per level, smaller estimate wins, first level with a hit
+/// answers).  `in_u` / `in_v` answer "distance to `w` if `w` is in that
+/// side's bunch".  `None` means no common landmark.
+#[inline]
+fn level_walk(
+    pivots_u: &[(NodeId, Distance)],
+    pivots_v: &[(NodeId, Distance)],
+    in_u: impl Fn(NodeId) -> Option<Distance>,
+    in_v: impl Fn(NodeId) -> Option<Distance>,
+) -> Option<Distance> {
+    let k = pivots_u.len().max(pivots_v.len());
+    for i in 0..k {
+        let mut best: Option<Distance> = None;
+        if let Some(&(p, dp)) = pivots_u.get(i) {
+            if p != NO_PIVOT {
+                if let Some(dv) = in_v(p) {
+                    best = Some(add_dist(dp, dv));
+                }
+            }
+        }
+        if let Some(&(p, dp)) = pivots_v.get(i) {
+            if p != NO_PIVOT {
+                if let Some(du) = in_u(p) {
+                    let cand = add_dist(dp, du);
+                    best = Some(best.map_or(cand, |b| b.min(cand)));
+                }
+            }
+        }
+        if best.is_some() {
+            return best;
+        }
+    }
+    None
 }
 
 impl FlatLayer {
@@ -175,19 +241,27 @@ impl FlatLayer {
     /// flat layout relies on (owners are the node indices, `k ≥ 1`, bunch
     /// ids strictly ascending), and the header totals size the arrays.
     fn decode_sketch_set(input: &mut Decoder<'_>) -> Result<FlatLayer, CodecError> {
-        let mut rows = LabelRows::begin(input)?;
+        let mut rows = FlatLayer::begin_rows(input)?;
         let (nodes, pivot_slots, bunch_entries) = rows.totals();
+        let mut layer = FlatLayer::with_capacity(nodes, pivot_slots, bunch_entries);
+        while let Some(row) = rows.next_row()? {
+            layer.push_row(row.pivots, row.bunch);
+        }
+        Ok(layer)
+    }
+
+    /// Open the label set at `input`, refusing totals the `u32` offsets of
+    /// either served form cannot address.
+    fn begin_rows<'d, 'a>(input: &'d mut Decoder<'a>) -> Result<LabelRows<'d, 'a>, CodecError> {
+        let rows = LabelRows::begin(input)?;
+        let (_, pivot_slots, bunch_entries) = rows.totals();
         if u32::try_from(pivot_slots.max(bunch_entries)).is_err() {
             return Err(CodecError::Invalid {
                 context: "FlatSketchSet",
                 message: "label set exceeds the u32 offset range".to_string(),
             });
         }
-        let mut layer = FlatLayer::with_capacity(nodes, pivot_slots, bunch_entries);
-        while let Some(row) = rows.next_row()? {
-            layer.push_row(row.pivots, row.bunch);
-        }
-        Ok(layer)
+        Ok(rows)
     }
 
     /// Resolve node `u`'s pivot row and bunch slices in one offset lookup.
@@ -210,10 +284,7 @@ impl FlatLayer {
         }
     }
 
-    /// The Lemma 3.2 level walk over slices: mirrors
-    /// [`crate::query::estimate_distance`] candidate-for-candidate (both
-    /// directions per level, smaller estimate wins, first level with a hit
-    /// answers).  `None` means no common landmark.
+    /// The Lemma 3.2 level walk over this layer's slices ([`level_walk`]).
     fn walk(&self, u: usize, v: usize) -> Option<Distance> {
         let lu = self.label(u);
         let lv = self.label(v);
@@ -223,35 +294,25 @@ impl FlatLayer {
         // of serializing behind the pivot reads.
         lu.warm();
         lv.warm();
-        let k = lu.pivots.len().max(lv.pivots.len());
-        for i in 0..k {
-            let mut best: Option<Distance> = None;
-            if let Some(&(p, dp)) = lu.pivots.get(i) {
-                if p != NO_PIVOT {
-                    if let Some(dv) = lv.distance_to(p) {
-                        best = Some(add_dist(dp, dv));
-                    }
-                }
-            }
-            if let Some(&(p, dp)) = lv.pivots.get(i) {
-                if p != NO_PIVOT {
-                    if let Some(du) = lu.distance_to(p) {
-                        let cand = add_dist(dp, du);
-                        best = Some(best.map_or(cand, |b| b.min(cand)));
-                    }
-                }
-            }
-            if best.is_some() {
-                return best;
-            }
-        }
-        None
+        level_walk(
+            lu.pivots,
+            lv.pivots,
+            |w| lu.distance_to(w),
+            |w| lv.distance_to(w),
+        )
     }
 
     /// Best common landmark over slices: a linear merge intersection of the
     /// two sorted bunch runs plus the pivot probes, mirroring
     /// [`crate::query::estimate_distance_best_common`]'s candidate set
     /// exactly (the minimum over an identical set is identical).
+    ///
+    /// On every label an engine builds the probes add nothing: a pivot is
+    /// the lexicographic minimum of its level, so it sits in its owner's
+    /// bunch at the pivot's distance and the merge has already met it.
+    /// [`MergedRows`] checks exactly that and then skips the probes; here
+    /// — the kernel of `cdg` and `3stretch`, and of a layered set whose
+    /// data failed that check — nothing was checked, so they still run.
     fn best_common(&self, u: usize, v: usize) -> Option<Distance> {
         let lu = self.label(u);
         let lv = self.label(v);
@@ -287,8 +348,7 @@ impl FlatLayer {
     /// [`Sketch::words`]: two words per present pivot, two per bunch entry).
     fn words(&self, u: usize) -> usize {
         let label = self.label(u);
-        let present = label.pivots.iter().filter(|&&(p, _)| p != NO_PIVOT).count();
-        2 * present + 2 * label.bunch_nodes.len()
+        2 * present_pivots(label.pivots) + 2 * label.bunch_nodes.len()
     }
 
     /// Largest per-node `k` in this layer (pivot range length).
@@ -297,6 +357,71 @@ impl FlatLayer {
             .map(|u| cast::usize_from_u32(self.offsets[u + 1].0 - self.offsets[u].0))
             .max()
             .unwrap_or(0)
+    }
+
+    /// This layer's share of [`FlatSketchSet::check_invariants`].
+    fn check_invariants(&self) -> Result<(), String> {
+        ensure(
+            self.offsets.len() == self.num_nodes + 1,
+            format!(
+                "{} offset entries for {} nodes",
+                self.offsets.len(),
+                self.num_nodes
+            ),
+        )?;
+        ensure(
+            self.offsets.first() == Some(&(0, 0)),
+            "offset array does not start at (0, 0)".to_string(),
+        )?;
+        ensure(
+            self.bunch_nodes.len() == self.bunch_dists.len(),
+            format!(
+                "{} bunch keys but {} bunch distances",
+                self.bunch_nodes.len(),
+                self.bunch_dists.len()
+            ),
+        )?;
+        for (node, pair) in self.offsets.windows(2).enumerate() {
+            let (pivot_lo, bunch_lo) = pair[0];
+            let (pivot_hi, bunch_hi) = pair[1];
+            ensure(
+                pivot_lo <= pivot_hi && bunch_lo <= bunch_hi,
+                format!("offsets decrease at node {node}"),
+            )?;
+            ensure(
+                pivot_lo < pivot_hi,
+                format!("node {node} has an empty pivot row (k = 0)"),
+            )?;
+            ensure(
+                cast::usize_from_u32(pivot_hi) <= self.pivots.len()
+                    && cast::usize_from_u32(bunch_hi) <= self.bunch_nodes.len(),
+                format!("offsets of node {node} point past the end of the arrays"),
+            )?;
+            let bunch =
+                &self.bunch_nodes[cast::usize_from_u32(bunch_lo)..cast::usize_from_u32(bunch_hi)];
+            ensure(
+                bunch.windows(2).all(|w| w[0] < w[1]),
+                format!("bunch of node {node} is not strictly ascending"),
+            )?;
+        }
+        let last = self.offsets[self.num_nodes];
+        ensure(
+            cast::usize_from_u32(last.0) == self.pivots.len(),
+            format!(
+                "offsets terminate at pivot {} but {} pivot slots exist",
+                last.0,
+                self.pivots.len()
+            ),
+        )?;
+        ensure(
+            cast::usize_from_u32(last.1) == self.bunch_nodes.len(),
+            format!(
+                "offsets terminate at bunch {} but {} bunch entries exist",
+                last.1,
+                self.bunch_nodes.len()
+            ),
+        )?;
+        Ok(())
     }
 }
 
@@ -330,6 +455,424 @@ impl Label<'_> {
     }
 }
 
+/// Most layers a set can have and still be served from merged rows: one
+/// bit of a row entry's `u32` mask per layer.
+const MAX_MERGED_LAYERS: usize = 32;
+
+/// The pivot rows of one layer of a merged set — a [`FlatLayer`] without
+/// its bunch columns.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct PivotRows {
+    /// `num_nodes + 1` offsets into `slots`.
+    offsets: Vec<u32>,
+    /// `(pivot node, distance)` per level slot, `(NO_PIVOT, INFINITY)`
+    /// where the level has none.
+    slots: Vec<(NodeId, Distance)>,
+}
+
+impl PivotRows {
+    #[inline]
+    fn row(&self, u: usize) -> &[(NodeId, Distance)] {
+        &self.slots
+            [cast::usize_from_u32(self.offsets[u])..cast::usize_from_u32(self.offsets[u + 1])]
+    }
+}
+
+/// The served form of a multi-layer set: per node **one row**, the union
+/// of its `L` per-layer bunches — landmark ids strictly ascending, each
+/// with its exact distance and a mask whose bit `l` says "in `B_l(u)`" —
+/// plus the per-layer pivot rows.
+///
+/// The Theorem 4.8 query is the minimum over layers of the per-layer
+/// best-common estimates.  One merge of two rows computes it candidate for
+/// candidate:
+///
+/// * `w` is a common-bunch candidate of layer `l` iff it is in both rows
+///   with bit `l` set in both masks, so "a candidate of some layer" is
+///   `mask_u & mask_v != 0` — without the mask a landmark that `u` holds in
+///   layer 0 and `v` only in layer 1 would become a candidate no layer has;
+/// * its estimate `d(u, w) + d(w, v)` does not depend on the layer, because
+///   a bunch distance is the exact graph distance in every layer;
+/// * the per-layer pivot probes never add a candidate, because a pivot is
+///   the lexicographic minimum of its level and so sits in its owner's
+///   bunch of that layer, at the pivot's distance.
+///
+/// The last two are facts about what both engines build, not about the
+/// type, so [`RowBuilder`] **checks** them: a set takes this form only when
+/// it has 2 to 32 layers over one node count, no node holds one landmark at
+/// two distances, every present pivot is in its owner's same-layer bunch at
+/// the pivot's distance, and every landmark is one of the set's nodes (the
+/// merge indexes a table by it).  Anything else — only hand-assembled sets
+/// and hostile payloads — stays layered and is answered by the per-layer
+/// loop.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct MergedRows {
+    /// One entry per layer, in layer order.
+    pivots: Vec<PivotRows>,
+    /// `num_nodes + 1` offsets into the three parallel columns below.
+    offsets: Vec<u32>,
+    /// Landmarks, strictly ascending within a row — the merge key.
+    nodes: Vec<NodeId>,
+    /// Exact distance to each landmark.
+    dists: Vec<Distance>,
+    /// Bit `l` set iff the landmark is in the node's layer-`l` bunch; never
+    /// zero, no bit at or above the layer count.
+    masks: Vec<u32>,
+}
+
+/// One node's merged row: slice views into the three columns.
+struct Row<'a> {
+    nodes: &'a [NodeId],
+    dists: &'a [Distance],
+    masks: &'a [u32],
+}
+
+impl Row<'_> {
+    /// Distance to `w` if `w` is in this node's bunch of the layer `bit`
+    /// names.
+    #[inline]
+    fn distance_in_layer(&self, w: NodeId, bit: u32) -> Option<Distance> {
+        match self.nodes.binary_search(&w) {
+            Ok(i) if self.masks[i] & bit != 0 => Some(self.dists[i]),
+            _ => None,
+        }
+    }
+}
+
+impl MergedRows {
+    /// Freeze per-layer label sets, or `None` when they must stay layered.
+    fn from_sketch_sets(sets: &[&SketchSet]) -> Option<MergedRows> {
+        let num_nodes = sets.first()?.len();
+        if sets.iter().any(|set| set.len() != num_nodes) {
+            return None;
+        }
+        let entries = sets
+            .iter()
+            .flat_map(|set| set.iter())
+            .map(Sketch::bunch_size)
+            .sum();
+        let mut builder = RowBuilder::new(sets.len(), num_nodes, entries)?;
+        for u in (0..num_nodes).map(NodeId::from_index) {
+            for (layer, set) in sets.iter().enumerate() {
+                let sketch = set.sketch(u);
+                builder.push(layer, sketch.pivots(), sketch.bunch())?;
+            }
+            builder.seal_node()?;
+        }
+        Some(builder.finish())
+    }
+
+    /// Decode the label sets starting at `starts` in `bytes` — already
+    /// validated, all over `num_nodes` nodes, `entries` bunch entries in
+    /// total — with one cursor per layer advancing in step, or `Ok(None)`
+    /// when they must stay layered.
+    fn decode(
+        bytes: &[u8],
+        starts: &[usize],
+        num_nodes: usize,
+        entries: usize,
+    ) -> Result<Option<MergedRows>, CodecError> {
+        let Some(mut builder) = RowBuilder::new(starts.len(), num_nodes, entries) else {
+            return Ok(None);
+        };
+        let mut cursors: Vec<Decoder<'_>> = starts
+            .iter()
+            .map(|&start| Decoder::new(&bytes[start..]))
+            .collect();
+        let mut layers = cursors
+            .iter_mut()
+            .map(LabelRows::begin)
+            .collect::<Result<Vec<_>, _>>()?;
+        for _ in 0..num_nodes {
+            for (layer, rows) in layers.iter_mut().enumerate() {
+                let pushed = rows
+                    .next_row()?
+                    .and_then(|row| builder.push(layer, row.pivots, row.bunch));
+                if pushed.is_none() {
+                    return Ok(None);
+                }
+            }
+            if builder.seal_node().is_none() {
+                return Ok(None);
+            }
+        }
+        Ok(Some(builder.finish()))
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    #[inline]
+    fn row(&self, u: usize) -> Row<'_> {
+        let range =
+            cast::usize_from_u32(self.offsets[u])..cast::usize_from_u32(self.offsets[u + 1]);
+        Row {
+            nodes: &self.nodes[range.clone()],
+            dists: &self.dists[range.clone()],
+            masks: &self.masks[range],
+        }
+    }
+
+    /// Minimum over layers of the per-layer level walks; `INFINITY` when
+    /// no layer has a common landmark.
+    fn walk(&self, u: usize, v: usize) -> Distance {
+        let (ru, rv) = (self.row(u), self.row(v));
+        let mut best = INFINITY;
+        for (l, pivots) in self.pivots.iter().enumerate() {
+            let bit = 1u32 << l;
+            let estimate = level_walk(
+                pivots.row(u),
+                pivots.row(v),
+                |w| ru.distance_in_layer(w, bit),
+                |w| rv.distance_in_layer(w, bit),
+            );
+            best = best.min(estimate.unwrap_or(INFINITY));
+        }
+        best
+    }
+
+    /// Minimum over layers of the per-layer best-common estimates, as one
+    /// merge of the two rows; `INFINITY` when no layer has a common
+    /// landmark.  The loop body has no data-dependent branch — a hit is a
+    /// select, the cursors advance by comparison results — because what a
+    /// step costs is the `index → load → compare → index` chain, and a
+    /// mispredicted branch on top of it is what the per-layer merge pays.
+    fn best_common(&self, u: usize, v: usize) -> Distance {
+        let (ru, rv) = (self.row(u), self.row(v));
+        let (mut i, mut j) = (0usize, 0usize);
+        let mut best = INFINITY;
+        while i < ru.nodes.len() && j < rv.nodes.len() {
+            let (x, y) = (ru.nodes[i], rv.nodes[j]);
+            let hit = (x == y) & (ru.masks[i] & rv.masks[j] != 0);
+            let candidate = add_dist(ru.dists[i], rv.dists[j]);
+            best = best.min(if hit { candidate } else { INFINITY });
+            i += usize::from(x <= y);
+            j += usize::from(y <= x);
+        }
+        best
+    }
+
+    /// Label size of node `u` in CONGEST words: what the `L` per-layer
+    /// labels add up to — a landmark in three layers' bunches is three
+    /// entries, as in [`Sketch::words`] summed over layers.
+    fn words(&self, u: usize) -> usize {
+        let present: usize = self
+            .pivots
+            .iter()
+            .map(|pivots| present_pivots(pivots.row(u)))
+            .sum();
+        let entries: u32 = self.row(u).masks.iter().map(|mask| mask.count_ones()).sum();
+        2 * present + 2 * cast::usize_from_u32(entries)
+    }
+
+    /// The structural invariants the two kernels above index by; see
+    /// [`FlatSketchSet::check_invariants`].
+    fn check_invariants(&self) -> Result<(), String> {
+        let layers = self.pivots.len();
+        ensure(
+            (2..=MAX_MERGED_LAYERS).contains(&layers),
+            format!("merged rows over {layers} layers"),
+        )?;
+        ensure(
+            self.nodes.len() == self.dists.len() && self.nodes.len() == self.masks.len(),
+            format!(
+                "row columns are not parallel: {} landmarks, {} distances, {} masks",
+                self.nodes.len(),
+                self.dists.len(),
+                self.masks.len()
+            ),
+        )?;
+        check_offsets(&self.offsets, self.nodes.len(), "row")?;
+        let num_nodes = self.num_nodes();
+        for (index, pivots) in self.pivots.iter().enumerate() {
+            ensure(
+                pivots.offsets.len() == num_nodes + 1,
+                format!(
+                    "layer {index}: pivot rows for {} nodes, merged rows for {num_nodes}",
+                    pivots.offsets.len().saturating_sub(1)
+                ),
+            )?;
+            check_offsets(&pivots.offsets, pivots.slots.len(), "pivot")
+                .map_err(|message| format!("layer {index}: {message}"))?;
+            ensure(
+                pivots.offsets.windows(2).all(|w| w[0] < w[1]),
+                format!("layer {index}: a node has an empty pivot row (k = 0)"),
+            )?;
+        }
+        for node in 0..num_nodes {
+            let row = self.row(node);
+            ensure(
+                row.nodes.windows(2).all(|w| w[0] < w[1]),
+                format!("row of node {node} is not strictly ascending"),
+            )?;
+            ensure(
+                row.masks
+                    .iter()
+                    .all(|&mask| mask != 0 && u64::from(mask) >> layers == 0),
+                format!(
+                    "row of node {node} has a mask naming no layer, or one past layer {layers}"
+                ),
+            )?;
+        }
+        Ok(())
+    }
+}
+
+/// Builds [`MergedRows`] one label at a time — node-major, layer-minor —
+/// straight from wherever the labels live (per-node sketches at freeze,
+/// `L` byte cursors at decode), so the `L` per-layer bunch columns are
+/// never materialized beside the rows.  The one place the conditions on
+/// [`MergedRows`] are checked: `push` and `seal_node` answer `None` the
+/// moment the data breaks one, and the caller builds the layered form
+/// instead.
+///
+/// Runs at every freeze, cold start and hot swap, so the merge itself is
+/// one pass with no comparison in it: landmarks are node ids, so a node's
+/// `L` runs are scattered into a table indexed by landmark (distance, layer
+/// bits, and a bitmap of the touched slots) and the bitmap is read back in
+/// ascending order — which is the merged row.  That costs `n / 64` bitmap
+/// words a node on top of the entries themselves; a k-way merge over the
+/// `L` run heads was measured at six times the time (CHANGES.md, PR 21),
+/// most of it spent telling which heads show the smallest id.
+struct RowBuilder {
+    rows: MergedRows,
+    /// Per landmark, its distance and layer bits in the row being built
+    /// (`mask_at` zero: not in the row) and one `touched` bit per slot; all
+    /// zero again after every `seal_node`.
+    dist_at: Vec<Distance>,
+    mask_at: Vec<u32>,
+    touched: Vec<u64>,
+    /// Some landmark of the current node came with two distances.
+    two_distances: bool,
+}
+
+impl RowBuilder {
+    /// A builder for `layers` layers over `num_nodes` nodes whose bunches
+    /// total `entries` (the union is at most that; `finish` gives the slack
+    /// back), or `None` when the layer count rules the merged form out.
+    fn new(layers: usize, num_nodes: usize, entries: usize) -> Option<RowBuilder> {
+        if !(2..=MAX_MERGED_LAYERS).contains(&layers) {
+            return None;
+        }
+        let pivots = PivotRows {
+            offsets: vec![0],
+            slots: Vec::new(),
+        };
+        let mut offsets = Vec::with_capacity(num_nodes + 1);
+        offsets.push(0);
+        Some(RowBuilder {
+            rows: MergedRows {
+                pivots: vec![pivots; layers],
+                offsets,
+                nodes: Vec::with_capacity(entries),
+                dists: Vec::with_capacity(entries),
+                masks: Vec::with_capacity(entries),
+            },
+            dist_at: vec![0; num_nodes],
+            mask_at: vec![0; num_nodes],
+            touched: vec![0; num_nodes.div_ceil(64)],
+            two_distances: false,
+        })
+    }
+
+    /// Add the current node's label of layer `layer`.
+    fn push(
+        &mut self,
+        layer: usize,
+        pivots: &[Option<(NodeId, Distance)>],
+        bunch: &[(NodeId, BunchEntry)],
+    ) -> Option<()> {
+        let in_bunch = |p: NodeId| match bunch.binary_search_by_key(&p, |&(w, _)| w) {
+            Ok(at) => Some(bunch[at].1.distance),
+            Err(_) => None,
+        };
+        let kept = &mut self.rows.pivots[layer];
+        for &pivot in pivots {
+            if pivot.is_some_and(|(p, dp)| p != NO_PIVOT && in_bunch(p) != Some(dp)) {
+                return None;
+            }
+            kept.slots.push(pivot.unwrap_or((NO_PIVOT, INFINITY)));
+        }
+        kept.offsets.push(u32::try_from(kept.slots.len()).ok()?);
+        for &(w, entry) in bunch {
+            let w = w.index();
+            if w >= self.mask_at.len() {
+                return None;
+            }
+            self.two_distances |= (self.mask_at[w] != 0) & (self.dist_at[w] != entry.distance);
+            self.dist_at[w] = entry.distance;
+            self.mask_at[w] |= 1 << layer;
+            self.touched[w / 64] |= 1 << (w % 64);
+        }
+        Some(())
+    }
+
+    /// Close the current node: its row is the touched slots in id order.
+    fn seal_node(&mut self) -> Option<()> {
+        if std::mem::take(&mut self.two_distances) {
+            return None;
+        }
+        let rows = &mut self.rows;
+        for (block, word) in self.touched.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let w = 64 * block + cast::usize_from_u32(bits.trailing_zeros());
+                bits &= bits - 1;
+                rows.nodes.push(NodeId::from_index(w));
+                rows.dists.push(self.dist_at[w]);
+                rows.masks.push(std::mem::take(&mut self.mask_at[w]));
+            }
+        }
+        rows.offsets.push(u32::try_from(rows.nodes.len()).ok()?);
+        Some(())
+    }
+
+    fn finish(mut self) -> MergedRows {
+        self.rows.nodes.shrink_to_fit();
+        self.rows.dists.shrink_to_fit();
+        self.rows.masks.shrink_to_fit();
+        self.rows
+    }
+}
+
+/// `Err(message)` unless `ok`: one line of a `check_invariants`.
+fn ensure(ok: bool, message: String) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(message)
+    }
+}
+
+/// `offsets` is a CSR offset array over a column of `len` entries: starts
+/// at 0, never decreases, ends exactly at `len`.
+fn check_offsets(offsets: &[u32], len: usize, what: &str) -> Result<(), String> {
+    if offsets.first() != Some(&0) {
+        return Err(format!("{what} offsets do not start at 0"));
+    }
+    if let Some(node) = offsets.windows(2).position(|w| w[0] > w[1]) {
+        return Err(format!("{what} offsets decrease at node {node}"));
+    }
+    match offsets.last() {
+        Some(&last) if cast::usize_from_u32(last) == len => Ok(()),
+        last => Err(format!(
+            "{what} offsets terminate at {last:?} but {len} entries exist"
+        )),
+    }
+}
+
+/// How a set's labels are laid out for serving — decided by what
+/// [`RowBuilder`] finds in the data, never by the caller.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Labels {
+    /// Per-layer CSR arrays: every single-layer set, and a multi-layer set
+    /// whose data does not allow the merge.
+    Layered(Vec<FlatLayer>),
+    /// One merged row per node: every degrading set an engine builds.
+    Merged(MergedRows),
+}
+
 /// A frozen sketch set: every label of a build packed into contiguous
 /// CSR arrays, queried without allocation or pointer chasing.
 ///
@@ -355,8 +898,10 @@ impl Label<'_> {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatSketchSet {
-    /// One layer for TZ/3-stretch/CDG, one per CDG layer for degrading.
-    layers: Vec<FlatLayer>,
+    /// One layer for TZ/3-stretch/CDG; for degrading, the `L` CDG layers
+    /// merged into one row per node (or, failing [`MergedRows`]'s
+    /// conditions, the `L` layers).
+    labels: Labels,
     rule: QueryRule,
     scheme_name: &'static str,
     stretch_bound: Option<u64>,
@@ -383,7 +928,7 @@ impl Freeze for SketchSet {
         let stretch = (layer.num_nodes > 0)
             .then(|| (2 * cast::u64_from_usize(layer.max_k())).saturating_sub(1));
         FlatSketchSet {
-            layers: vec![layer],
+            labels: Labels::Layered(vec![layer]),
             rule: QueryRule::LevelWalk,
             scheme_name: "thorup-zwick",
             stretch_bound: stretch,
@@ -401,7 +946,7 @@ impl FlatSketchSet {
         stretch_bound: Option<u64>,
     ) -> FlatSketchSet {
         FlatSketchSet {
-            layers: vec![FlatLayer::from_sketch_set(set)],
+            labels: Labels::Layered(vec![FlatLayer::from_sketch_set(set)]),
             rule,
             scheme_name,
             stretch_bound,
@@ -410,8 +955,17 @@ impl FlatSketchSet {
 
     /// Freeze the layered degrading family from its per-layer label sets.
     pub(crate) fn layered<'a>(sets: impl Iterator<Item = &'a SketchSet>) -> FlatSketchSet {
+        let sets: Vec<&SketchSet> = sets.collect();
+        let labels = match MergedRows::from_sketch_sets(&sets) {
+            Some(rows) => Labels::Merged(rows),
+            None => Labels::Layered(
+                sets.iter()
+                    .map(|set| FlatLayer::from_sketch_set(set))
+                    .collect(),
+            ),
+        };
         FlatSketchSet {
-            layers: sets.map(FlatLayer::from_sketch_set).collect(),
+            labels,
             rule: QueryRule::BestCommon,
             scheme_name: "degrading",
             stretch_bound: None,
@@ -433,7 +987,7 @@ impl FlatSketchSet {
                 let hierarchy = Hierarchy::decode(&mut input)?;
                 let stretch = (2 * cast::u64_from_usize(hierarchy.k())).saturating_sub(1);
                 FlatSketchSet {
-                    layers: vec![layer],
+                    labels: Labels::Layered(vec![layer]),
                     rule: QueryRule::LevelWalk,
                     scheme_name: "thorup-zwick",
                     stretch_bound: Some(stretch),
@@ -445,16 +999,16 @@ impl FlatSketchSet {
                 let layer = FlatLayer::decode_sketch_set(&mut input)?;
                 RunStats::decode(&mut input)?;
                 FlatSketchSet {
-                    layers: vec![layer],
+                    labels: Labels::Layered(vec![layer]),
                     rule: QueryRule::BestCommon,
                     scheme_name: "three-stretch",
                     stretch_bound: Some(3),
                 }
             }
             SchemeSpec::Cdg { .. } => {
-                let (layer, params) = decode_cdg_layer(&mut input)?;
+                let (layer, params) = decode_cdg_layer(&mut input, FlatLayer::decode_sketch_set)?;
                 FlatSketchSet {
-                    layers: vec![layer],
+                    labels: Labels::Layered(vec![layer]),
                     rule: QueryRule::BestCommon,
                     scheme_name: "cdg",
                     stretch_bound: Some(params.stretch()),
@@ -462,14 +1016,38 @@ impl FlatSketchSet {
             }
             SchemeSpec::Degrading { .. } => {
                 // Layout of DegradingSketchSet: layer count, CDG layers, stats.
+                // The bytes are layer-major and the rows node-major, so the
+                // payload is read twice: once to validate every layer and
+                // note where its labels start, once with a cursor per layer.
                 let count = input.len_prefix(128, "DegradingSketchSet layers length")?;
-                let mut layers = Vec::with_capacity(count);
-                for _ in 0..count {
-                    layers.push(decode_cdg_layer(&mut input)?.0);
+                let mut starts = Vec::with_capacity(count);
+                let (mut num_nodes, mut bunch_entries) = (None, 0usize);
+                for index in 0..count {
+                    let ((start, totals), _) = decode_cdg_layer(&mut input, |input| {
+                        let start = input.position();
+                        let mut rows = FlatLayer::begin_rows(input)?;
+                        let totals = rows.totals();
+                        while rows.next_row()?.is_some() {}
+                        Ok((start, totals))
+                    })?;
+                    check_layer_nodes(index, totals.0, num_nodes)?;
+                    num_nodes = Some(totals.0);
+                    bunch_entries = bunch_entries.saturating_add(totals.2);
+                    starts.push(start);
                 }
                 RunStats::decode(&mut input)?;
+                let num_nodes = num_nodes.unwrap_or(0);
+                let layered = || {
+                    let layer =
+                        |&start| FlatLayer::decode_sketch_set(&mut Decoder::new(&bytes[start..]));
+                    starts.iter().map(layer).collect::<Result<_, _>>()
+                };
+                let labels = match MergedRows::decode(bytes, &starts, num_nodes, bunch_entries)? {
+                    Some(rows) => Labels::Merged(rows),
+                    None => Labels::Layered(layered()?),
+                };
                 FlatSketchSet {
-                    layers,
+                    labels,
                     rule: QueryRule::BestCommon,
                     scheme_name: "degrading",
                     stretch_bound: None,
@@ -487,106 +1065,78 @@ impl FlatSketchSet {
 
     /// Number of layers (one except for the degrading family).
     pub fn num_layers(&self) -> usize {
-        self.layers.len()
+        match &self.labels {
+            Labels::Layered(layers) => layers.len(),
+            Labels::Merged(rows) => rows.pivots.len(),
+        }
     }
 
-    /// Check the CSR structural invariants every query path relies on:
-    /// per layer, the offset array has `num_nodes + 1` monotone entries
-    /// starting at `(0, 0)` and terminating exactly at the pivot/bunch
-    /// array lengths, the two bunch arrays are parallel, and every node's
-    /// bunch keys are strictly ascending (the binary-search contract).
+    /// Total entries of the merged rows when this set is served from one
+    /// merged row per node (every multi-layer set an engine builds), `None`
+    /// when it is served layer by layer.  Read-only: the form is chosen
+    /// from the data at freeze and decode time; tests use this to see that
+    /// the one-merge kernel is the one that ran.
+    pub fn merged_entries(&self) -> Option<usize> {
+        match &self.labels {
+            Labels::Layered(_) => None,
+            Labels::Merged(rows) => Some(rows.nodes.len()),
+        }
+    }
+
+    /// Check the CSR structural invariants every query path relies on.
+    ///
+    /// Layered sets: every layer covers the same nodes, and per layer the
+    /// offset array has `num_nodes + 1` monotone entries starting at
+    /// `(0, 0)` and terminating exactly at the pivot/bunch array lengths,
+    /// the two bunch arrays are parallel, and every node's bunch keys are
+    /// strictly ascending (the binary-search contract).
+    ///
+    /// Merged sets: the row offsets are monotone from 0 to the column
+    /// length, the three row columns are parallel, landmarks are strictly
+    /// ascending within a row (the merge and binary-search contract), every
+    /// mask names at least one layer and none past the layer count, and
+    /// every layer has a non-empty pivot row for every node.
     ///
     /// Freezing and the validated snapshot decoders cannot produce a
     /// violating value; this exists for the deep verifier (`dsketch-analyze
     /// verify`), which re-checks serving state instead of trusting the
     /// code that built it.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (index, layer) in self.layers.iter().enumerate() {
-            let check = |ok: bool, message: String| -> Result<(), String> {
-                if ok {
-                    Ok(())
-                } else {
-                    Err(format!("layer {index}: {message}"))
+        match &self.labels {
+            Labels::Merged(rows) => rows.check_invariants(),
+            Labels::Layered(layers) => {
+                // A node of a larger layer has no label in a smaller one.
+                let first = layers.first().map_or(0, |layer| layer.num_nodes);
+                if let Some(index) = layers.iter().position(|l| l.num_nodes != first) {
+                    let nodes = layers[index].num_nodes;
+                    return Err(format!(
+                        "layer {index} covers {nodes} nodes but layer 0 covers {first}"
+                    ));
                 }
-            };
-            check(
-                layer.offsets.len() == layer.num_nodes + 1,
-                format!(
-                    "{} offset entries for {} nodes",
-                    layer.offsets.len(),
-                    layer.num_nodes
-                ),
-            )?;
-            check(
-                layer.offsets.first() == Some(&(0, 0)),
-                "offset array does not start at (0, 0)".to_string(),
-            )?;
-            check(
-                layer.bunch_nodes.len() == layer.bunch_dists.len(),
-                format!(
-                    "{} bunch keys but {} bunch distances",
-                    layer.bunch_nodes.len(),
-                    layer.bunch_dists.len()
-                ),
-            )?;
-            for (node, pair) in layer.offsets.windows(2).enumerate() {
-                let (pivot_lo, bunch_lo) = pair[0];
-                let (pivot_hi, bunch_hi) = pair[1];
-                check(
-                    pivot_lo <= pivot_hi && bunch_lo <= bunch_hi,
-                    format!("offsets decrease at node {node}"),
-                )?;
-                check(
-                    pivot_lo < pivot_hi,
-                    format!("node {node} has an empty pivot row (k = 0)"),
-                )?;
-                check(
-                    cast::usize_from_u32(pivot_hi) <= layer.pivots.len()
-                        && cast::usize_from_u32(bunch_hi) <= layer.bunch_nodes.len(),
-                    format!("offsets of node {node} point past the end of the arrays"),
-                )?;
-                let bunch = &layer.bunch_nodes
-                    [cast::usize_from_u32(bunch_lo)..cast::usize_from_u32(bunch_hi)];
-                check(
-                    bunch.windows(2).all(|w| w[0] < w[1]),
-                    format!("bunch of node {node} is not strictly ascending"),
-                )?;
+                layers.iter().enumerate().try_for_each(|(index, layer)| {
+                    layer
+                        .check_invariants()
+                        .map_err(|message| format!("layer {index}: {message}"))
+                })
             }
-            let last = layer.offsets[layer.num_nodes];
-            check(
-                cast::usize_from_u32(last.0) == layer.pivots.len(),
-                format!(
-                    "offsets terminate at pivot {} but {} pivot slots exist",
-                    last.0,
-                    layer.pivots.len()
-                ),
-            )?;
-            check(
-                cast::usize_from_u32(last.1) == layer.bunch_nodes.len(),
-                format!(
-                    "offsets terminate at bunch {} but {} bunch entries exist",
-                    last.1,
-                    layer.bunch_nodes.len()
-                ),
-            )?;
         }
-        Ok(())
     }
 
     /// The Lemma 3.2 level walk, answered from the flat arrays.  Identical
     /// to [`crate::query::estimate_distance`] over the source sketches (on
     /// multi-layer sets: the minimum over per-layer walks).
     pub fn estimate_walk(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
-        self.query(u, v, FlatLayer::walk)
+        self.query(u, v, FlatLayer::walk, MergedRows::walk)
     }
 
     /// The best-common-landmark estimate, answered by merge intersection
     /// over the flat arrays.  Identical to
     /// [`crate::query::estimate_distance_best_common`] over the source
     /// sketches (on multi-layer sets: the minimum over layers, i.e. the
-    /// Theorem 4.8 degrading query).
+    /// Theorem 4.8 degrading query — one merge of two rows when the set is
+    /// merged).
     pub fn estimate_best_common(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
-        self.query(u, v, FlatLayer::best_common)
+        self.query(u, v, FlatLayer::best_common, MergedRows::best_common)
     }
 
     #[inline]
@@ -595,25 +1145,31 @@ impl FlatSketchSet {
         u: NodeId,
         v: NodeId,
         per_layer: impl Fn(&FlatLayer, usize, usize) -> Option<Distance>,
+        merged: impl Fn(&MergedRows, usize, usize) -> Distance,
     ) -> Result<Distance, SketchError> {
         check_nodes(self.num_nodes(), u, v)?;
         if u == v {
             return Ok(0);
         }
         let (ui, vi) = (u.index(), v.index());
-        if let [layer] = self.layers.as_slice() {
-            // Single layer: the per-layer answer is the answer (no INFINITY
-            // conflation — an explicit Ok(INFINITY) entry, while no real
-            // construction produces one, round-trips like the map path).
-            return per_layer(layer, ui, vi).ok_or(SketchError::NoCommonLandmark { u, v });
-        }
-        // Multi-layer: the degrading rule — minimum over layers.
-        let mut best = INFINITY;
-        for layer in &self.layers {
-            if let Some(est) = per_layer(layer, ui, vi) {
-                best = best.min(est);
+        // Multi-layer, either form: the degrading rule — minimum over
+        // layers, `INFINITY` standing for "no layer has a landmark".
+        let best = match &self.labels {
+            Labels::Merged(rows) => merged(rows, ui, vi),
+            Labels::Layered(layers) => {
+                if let [layer] = layers.as_slice() {
+                    // Single layer: the per-layer answer is the answer (no
+                    // INFINITY conflation — an explicit Ok(INFINITY) entry,
+                    // while no real construction produces one, round-trips
+                    // like the map path).
+                    return per_layer(layer, ui, vi).ok_or(SketchError::NoCommonLandmark { u, v });
+                }
+                layers
+                    .iter()
+                    .filter_map(|layer| per_layer(layer, ui, vi))
+                    .fold(INFINITY, Distance::min)
             }
-        }
+        };
         if best == INFINITY {
             Err(SketchError::NoCommonLandmark { u, v })
         } else {
@@ -622,16 +1178,19 @@ impl FlatSketchSet {
     }
 }
 
-/// Decode one `CdgSketchSet` payload, keeping only the flat layer and the
-/// params (for the stretch bound); the net, hierarchy and stats are
-/// validated and discarded.
-fn decode_cdg_layer(input: &mut Decoder<'_>) -> Result<(FlatLayer, CdgParams), CodecError> {
+/// Decode one `CdgSketchSet` payload, keeping only what `labels` makes of
+/// the label set and the params (for the stretch bound); the net, hierarchy
+/// and stats are validated and discarded.
+fn decode_cdg_layer<'a, T>(
+    input: &mut Decoder<'a>,
+    labels: impl FnOnce(&mut Decoder<'a>) -> Result<T, CodecError>,
+) -> Result<(T, CdgParams), CodecError> {
     let params = CdgParams::decode(input)?;
     DensityNet::decode(input)?;
     Hierarchy::decode(input)?;
-    let layer = FlatLayer::decode_sketch_set(input)?;
+    let labels = labels(input)?;
     RunStats::decode(input)?;
-    Ok((layer, params))
+    Ok((labels, params))
 }
 
 impl DistanceOracle for FlatSketchSet {
@@ -665,11 +1224,17 @@ impl DistanceOracle for FlatSketchSet {
     }
 
     fn num_nodes(&self) -> usize {
-        self.layers.first().map_or(0, |layer| layer.num_nodes)
+        match &self.labels {
+            Labels::Layered(layers) => layers.first().map_or(0, |layer| layer.num_nodes),
+            Labels::Merged(rows) => rows.num_nodes(),
+        }
     }
 
     fn words(&self, u: NodeId) -> usize {
-        self.layers.iter().map(|layer| layer.words(u.index())).sum()
+        match &self.labels {
+            Labels::Layered(layers) => layers.iter().map(|layer| layer.words(u.index())).sum(),
+            Labels::Merged(rows) => rows.words(u.index()),
+        }
     }
 
     fn scheme_name(&self) -> &'static str {
@@ -836,6 +1401,141 @@ mod tests {
             matches!(flat_err, CodecError::Invalid { context, .. } if context.contains("node")),
             "{flat_err}"
         );
+    }
+
+    /// A real two-engine-shaped degrading build on `n` nodes.
+    fn degrading_set(n: usize, seed: u64) -> crate::slack::degrading::DegradingSketchSet {
+        use crate::scheme::{DegradingScheme, SchemeConfig, SketchScheme};
+        use netgraph::generators::{erdos_renyi, GeneratorConfig};
+        let graph = erdos_renyi(n, 0.3, GeneratorConfig::uniform(seed, 1, 9));
+        let config = SchemeConfig::default().with_seed(seed);
+        let scheme = DegradingScheme::new().with_max_k(2);
+        scheme.build(&graph, &config).unwrap().sketches
+    }
+
+    #[test]
+    fn ragged_degrading_layers_are_refused_by_both_decoders_and_reported_by_the_invariants() {
+        // Layer 0 over 24 nodes, layer 1 over 10: node 15 has a label in
+        // one layer only, and every query indexes all of them.
+        let mut ragged = degrading_set(24, 5);
+        ragged.layers.truncate(1);
+        ragged
+            .layers
+            .push(degrading_set(10, 5).layers.swap_remove(1));
+        let bytes = ragged.to_bytes();
+        let flat_err =
+            FlatSketchSet::from_family_bytes(&SchemeSpec::degrading(), &bytes).unwrap_err();
+        let map_err = crate::slack::degrading::DegradingSketchSet::from_bytes(&bytes).unwrap_err();
+        assert_eq!(flat_err, map_err);
+        assert!(
+            matches!(&flat_err, CodecError::Invalid { message, .. }
+                if message == "layer 1 covers 10 nodes but layer 0 covers 24"),
+            "{flat_err}"
+        );
+        // Freezing cannot refuse (it mirrors the per-node set, which is as
+        // unusable); the set stays layered and the verifier's check names it.
+        let frozen = ragged.freeze();
+        assert_eq!(frozen.merged_entries(), None);
+        assert_eq!(
+            frozen.check_invariants().unwrap_err(),
+            "layer 1 covers 10 nodes but layer 0 covers 24"
+        );
+    }
+
+    #[test]
+    fn a_built_degrading_set_is_served_from_merged_rows_and_decodes_to_the_same_value() {
+        let set = degrading_set(24, 7);
+        let flat = set.freeze();
+        let per_layer: usize = set
+            .layers
+            .iter()
+            .flat_map(|layer| layer.sketches.iter().map(Sketch::bunch_size))
+            .sum();
+        assert!(flat.merged_entries().unwrap() < per_layer);
+        assert_eq!(flat.num_layers(), set.num_layers());
+        assert_eq!(flat.check_invariants(), Ok(()));
+        let decoded = FlatSketchSet::from_family_bytes(&SchemeSpec::degrading(), &set.to_bytes());
+        assert_eq!(decoded.unwrap(), flat);
+        for u in (0..24).map(NodeId) {
+            assert_eq!(flat.words(u), set.words(u));
+            for v in (0..25).map(NodeId) {
+                assert_eq!(flat.estimate(u, v), DistanceOracle::estimate(&set, u, v));
+            }
+        }
+    }
+
+    /// `check_invariants` of a valid merged set after `corrupt` edited it.
+    fn corrupted(corrupt: impl FnOnce(&mut MergedRows)) -> String {
+        let mut flat = degrading_set(24, 7).freeze();
+        let Labels::Merged(rows) = &mut flat.labels else {
+            panic!("a built degrading set is merged");
+        };
+        assert!(rows.offsets[1] >= 2, "node 0 holds at least two landmarks");
+        corrupt(rows);
+        flat.check_invariants().unwrap_err()
+    }
+
+    #[test]
+    fn merged_invariants_row_offsets_are_monotone() {
+        let message = corrupted(|rows| rows.offsets[1] = rows.offsets[2] + 1);
+        assert_eq!(message, "row offsets decrease at node 1");
+    }
+
+    #[test]
+    fn merged_invariants_row_offsets_terminate_at_the_column_lengths() {
+        let message = corrupted(|rows| {
+            rows.nodes.push(NodeId(0));
+            rows.dists.push(0);
+            rows.masks.push(1);
+        });
+        assert!(message.starts_with("row offsets terminate at"), "{message}");
+    }
+
+    #[test]
+    fn merged_invariants_row_columns_are_parallel() {
+        for message in [
+            corrupted(|rows| rows.dists.truncate(rows.dists.len() - 1)),
+            corrupted(|rows| rows.masks.truncate(rows.masks.len() - 1)),
+        ] {
+            assert!(
+                message.starts_with("row columns are not parallel"),
+                "{message}"
+            );
+        }
+    }
+
+    #[test]
+    fn merged_invariants_landmarks_ascend_strictly_within_a_row() {
+        let message = corrupted(|rows| rows.nodes.swap(0, 1));
+        assert_eq!(message, "row of node 0 is not strictly ascending");
+        let message = corrupted(|rows| rows.nodes[1] = rows.nodes[0]);
+        assert_eq!(message, "row of node 0 is not strictly ascending");
+    }
+
+    #[test]
+    fn merged_invariants_masks_name_a_layer_that_exists() {
+        let message = corrupted(|rows| rows.masks[0] = 0);
+        assert!(message.starts_with("row of node 0 has a mask"), "{message}");
+        let message = corrupted(|rows| rows.masks[0] |= 1 << rows.pivots.len());
+        assert!(message.starts_with("row of node 0 has a mask"), "{message}");
+    }
+
+    #[test]
+    fn merged_invariants_every_layer_has_a_pivot_row_for_every_node() {
+        let message = corrupted(|rows| rows.pivots[1].offsets.truncate(24));
+        assert_eq!(
+            message,
+            "layer 1: pivot rows for 23 nodes, merged rows for 24"
+        );
+        let message = corrupted(|rows| rows.pivots[1].offsets[3] = rows.pivots[1].offsets[2]);
+        assert_eq!(message, "layer 1: a node has an empty pivot row (k = 0)");
+        let message = corrupted(|rows| rows.pivots[1].slots.truncate(1));
+        assert!(
+            message.starts_with("layer 1: pivot offsets terminate at"),
+            "{message}"
+        );
+        let message = corrupted(|rows| rows.pivots.truncate(1));
+        assert_eq!(message, "merged rows over 1 layers");
     }
 
     #[test]

@@ -181,7 +181,7 @@ pub(crate) fn build(
     params.validate()?;
     let n = graph.num_nodes();
     let net = DensityNet::sample_nonempty(n, params.eps, params.seed)?;
-    let hierarchy = sample_net_hierarchy(n, &net, params, graph)?;
+    let hierarchy = sample_net_hierarchy(n, &net, params)?;
     let result = distributed::build_with_hierarchy(graph, hierarchy, config)?;
     Ok(CdgSketchSet {
         params,
@@ -205,7 +205,7 @@ pub(crate) fn build_direct(
     params.validate()?;
     let n = graph.num_nodes();
     let net = DensityNet::sample_nonempty(n, params.eps, params.seed)?;
-    let hierarchy = sample_net_hierarchy(n, &net, params, graph)?;
+    let hierarchy = sample_net_hierarchy(n, &net, params)?;
     let built = crate::build::thorup_zwick(graph, &hierarchy, threads);
     Ok((
         CdgSketchSet {
@@ -226,7 +226,6 @@ fn sample_net_hierarchy(
     num_nodes: usize,
     net: &DensityNet,
     params: CdgParams,
-    _graph: &Graph,
 ) -> Result<Hierarchy, SketchError> {
     let mut k = params.k;
     loop {

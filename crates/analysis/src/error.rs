@@ -1,4 +1,4 @@
-//! Typed failures for the analysis engines.
+//! Typed failures for the snapshot verifier.
 //!
 //! Every verifier failure names *where* (section, node, byte offset) and
 //! *what contract* was violated, so a corrupt snapshot can be diagnosed
@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 
-/// A failure from the lint pass or the snapshot verifier.
+/// A failure from the snapshot verifier.
 #[derive(Debug)]
 pub enum AnalysisError {
     /// Reading a file failed.

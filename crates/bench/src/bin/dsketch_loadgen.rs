@@ -33,8 +33,6 @@
 //! workload always matches whatever sketch the server is actually holding.
 //! Exit status is nonzero on any transport error or any non-typed failure.
 
-#![forbid(unsafe_code)]
-
 use dsketch_bench::workloads::QueryWorkload;
 use dsketch_bench::{arg_parse_or_exit, arg_value, percentile_nanos};
 use dsketch_obs::Histogram;
@@ -125,7 +123,6 @@ fn main() {
     }
     let mut reports = Vec::with_capacity(connections);
     for handle in handles {
-        // dsketch-lint: allow(no-unwrap-in-hot-path): CLI tool — a panicked driver thread should abort the run
         reports.push(handle.join().expect("loadgen connection panicked"));
     }
     let elapsed = started.elapsed();

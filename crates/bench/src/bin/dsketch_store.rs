@@ -20,7 +20,7 @@
 //! cargo run --release -p dsketch-bench --bin dsketch-store -- inspect --snapshot g.dsk
 //!
 //! # deep semantic verification beyond the checksums (bunch ordering,
-//! # pivot-row contracts, hierarchy consistency — see `dsketch-analyze`)
+//! # pivot-row contracts, hierarchy consistency — see `dsketch_analysis::verify`)
 //! cargo run --release -p dsketch-bench --bin dsketch-store -- verify --snapshot g.dsk
 //!
 //! # answer one query from the snapshot alone
@@ -60,8 +60,6 @@
 //! binary-protocol swap request so the fresh snapshot goes live without a
 //! restart.  `--iterations N` bounds the loop (0 = run forever).
 
-#![forbid(unsafe_code)]
-
 use dsketch::prelude::*;
 use dsketch_bench::workloads::{QueryWorkload, Workload, WorkloadSpec};
 use dsketch_bench::{arg_engine, arg_parse_or_exit, arg_value, Table};
@@ -78,6 +76,25 @@ fn required(args: &[String], name: &str) -> String {
         eprintln!("missing required flag --{name}");
         std::process::exit(2);
     })
+}
+
+/// The whole command line of `inspect` and `verify`: exactly one
+/// `--snapshot FILE`.  A stray positional, a repeated or an unknown flag is
+/// a usage error naming it, so neither ever reports on one file while
+/// ignoring another it was handed.
+fn only_snapshot(args: &[String]) -> String {
+    let unexpected = match &args[2..] {
+        [flag, path] if flag == "--snapshot" => return path.clone(),
+        [] => return required(args, "snapshot"),
+        [flag] if flag == "--snapshot" => "--snapshot without a FILE",
+        [flag, _, extra, ..] if flag == "--snapshot" => extra,
+        [other, ..] => other,
+    };
+    eprintln!(
+        "{} takes exactly one --snapshot FILE; unexpected argument: {unexpected}",
+        args[1]
+    );
+    std::process::exit(2);
 }
 
 fn usage() -> ! {
@@ -290,7 +307,7 @@ fn cmd_build(args: &[String]) {
 }
 
 fn cmd_inspect(args: &[String]) {
-    let path = required(args, "snapshot");
+    let path = only_snapshot(args);
     let summary = inspect_snapshot(&path).unwrap_or_else(|e| {
         eprintln!("inspect failed: {e}");
         std::process::exit(1);
@@ -336,7 +353,7 @@ fn cmd_inspect(args: &[String]) {
 }
 
 fn cmd_verify(args: &[String]) {
-    let path = required(args, "snapshot");
+    let path = only_snapshot(args);
     match dsketch_analysis::verify_snapshot_file(std::path::Path::new(&path)) {
         Ok(report) => {
             println!(

@@ -6,8 +6,6 @@
 //! cargo run --release -p dsketch-bench --bin experiments -- all --markdown
 //! ```
 
-#![forbid(unsafe_code)]
-
 use dsketch_bench::{run_experiment, EXPERIMENT_IDS};
 
 fn main() {

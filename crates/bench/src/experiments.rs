@@ -581,7 +581,7 @@ fn e10_rounds_scaling(quick: bool) -> ExperimentResult {
 
 /// E11 — the unified API: every scheme family, one code path.
 ///
-/// Builds each [`SchemeSpec`] family through [`SketchBuilder`] and evaluates
+/// Builds each [`SchemeSpec`] family through [`SchemeSpec::build`] and evaluates
 /// it through `Box<dyn DistanceOracle>`: the whole row — construction cost,
 /// label size, stretch distribution — is produced by scheme-agnostic code.
 /// This is the scenario-diverse comparison matrix the per-scheme entry
@@ -605,9 +605,8 @@ fn e11_scheme_matrix(quick: bool) -> ExperimentResult {
         let graph = spec.build();
         let pairs = exact_or_sampled_pairs(&graph, 4);
         for scheme in SchemeSpec::all_families() {
-            let outcome = SketchBuilder::new(scheme)
-                .seed(13)
-                .build(&graph)
+            let outcome = scheme
+                .build(&graph, &SchemeConfig::default().with_seed(13))
                 .expect("scheme construction");
             let oracle = &outcome.sketches;
             let report = evaluate_pairs(&pairs, |u, v| oracle.estimate(u, v));

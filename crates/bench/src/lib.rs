@@ -19,9 +19,6 @@
 //! cargo run --release -p dsketch-bench --bin experiments -- e1 --quick
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod experiments;
 pub mod table;
 pub mod workloads;

@@ -1,7 +1,8 @@
 //! Tier-1 coverage for the command-line binaries: the README quickstart
 //! (`dsketch-store build → inspect → query → verify → serve`),
-//! `dsketch-store serve --listen` driven over its socket by plain HTTP and
-//! `dsketch-loadgen`, and the `experiments` id handling, each run as a
+//! `build → inspect → verify` for every family with the command line the
+//! two single-flag subcommands accept, `dsketch-store serve --listen`
+//! driven over its socket by plain HTTP and `dsketch-loadgen`, and the `experiments` id handling, each run as a
 //! subprocess the way a user runs them.  What the served answers *are* is
 //! held in-process (`tests/tests/`); these cases hold the binaries' wiring.
 //! Each works in a per-process temp directory and the server binds an
@@ -112,6 +113,67 @@ fn readme_quickstart_runs_end_to_end() {
         assert!(stderr.contains("--nodes"), "{nodes:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{nodes:?}: {stderr}");
         assert!(!bad.exists(), "{nodes:?} wrote a snapshot");
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every family through `build → inspect → verify`, and the two
+/// single-flag subcommands' command line: `verify` is the one verifier CLI,
+/// so it must never print "ok" beside a file it did not open.
+#[test]
+fn every_family_builds_inspects_and_verifies_and_verify_reads_its_whole_command_line() {
+    let dir = temp_dir("families");
+    let mut snapshots = Vec::new();
+    for (index, spec) in ["tz:3", "3stretch:0.4", "cdg:0.25,2", "degrading"]
+        .into_iter()
+        .enumerate()
+    {
+        let path = dir.join(format!("{index}.dsk"));
+        let g = path.to_str().expect("utf-8 temp path").to_string();
+        store(&["build", "--scheme", spec, "--nodes", "256", "--out", &g]);
+        let inspect = store(&["inspect", "--snapshot", &g]);
+        assert!(
+            inspect.contains("format:      DSK1 v2"),
+            "{spec}: {inspect}"
+        );
+        let verify = store(&["verify", "--snapshot", &g]);
+        assert!(verify.starts_with(&format!("{g}: ok")), "{spec}: {verify}");
+        snapshots.push(g);
+    }
+
+    let (g, other) = (snapshots[0].as_str(), snapshots[1].as_str());
+    let nope = dir.join("nope.dsk");
+    let nope = nope.to_str().expect("utf-8 temp path");
+    for command in ["verify", "inspect"] {
+        for (rest, named) in [
+            (&["--snapshot", g, "--snapshot", nope][..], "--snapshot"),
+            (&["--snapshot", g, other], other),
+            (&[other, "--snapshot", g], other),
+            (&["--snapshot", g, "--deep"], "--deep"),
+            (&[], "--snapshot"),
+            (&["--snapshot"], "--snapshot"),
+        ] {
+            let output = run(STORE, &[&[command], rest].concat());
+            let stdout = String::from_utf8_lossy(&output.stdout);
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(
+                output.status.code(),
+                Some(2),
+                "{command} {rest:?}: {stderr}"
+            );
+            assert!(stderr.contains(named), "{command} {rest:?}: {stderr}");
+            assert!(stdout.is_empty(), "{command} {rest:?} reported: {stdout}");
+        }
+        // A file that is not there is a failure of the check, not of the
+        // command line.
+        let output = run(STORE, &[command, "--snapshot", nope]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{command}: {stderr}");
+        assert!(
+            command != "verify" || stderr.contains("FAILED [io]"),
+            "{stderr}"
+        );
     }
 
     std::fs::remove_dir_all(&dir).ok();

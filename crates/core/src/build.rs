@@ -60,8 +60,6 @@
 //! assert!(four.timings.is_recorded());
 //! ```
 
-#![deny(missing_docs)]
-
 use crate::centralized::{grow_cluster, lexicographic_multi_source, ClusterScratch};
 use crate::hierarchy::Hierarchy;
 use crate::parallel::{

@@ -15,9 +15,9 @@
 //!
 //! This module gives each its own named helper: fallible narrowing returns
 //! a typed [`CastError`], widening helpers are infallible `const fn`s with
-//! a compile-time witness, and the `checked-casts` project lint
-//! (`dsketch-analyze lint`) keeps bare `as` casts out of the byte-layout
-//! files so every conversion states which case it is.
+//! a compile-time witness, and `#![deny(clippy::as_conversions)]` at the
+//! top of the byte-layout modules keeps bare `as` casts out of them, so
+//! every conversion states which case it is.
 
 /// A narrowing conversion whose value did not fit the target type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +66,6 @@ pub fn to_usize(v: u64) -> Result<usize, CastError> {
 /// guarantees `usize` is at least 32 bits.
 #[inline]
 pub const fn usize_from_u32(v: u32) -> usize {
-    // dsketch-lint: allow(checked-casts): this module is the blessed home of the raw casts
     v as usize
 }
 
@@ -74,7 +73,6 @@ pub const fn usize_from_u32(v: u32) -> usize {
 /// guarantees `usize` is at most 64 bits.
 #[inline]
 pub const fn u64_from_usize(v: usize) -> u64 {
-    // dsketch-lint: allow(checked-casts): this module is the blessed home of the raw casts
     v as u64
 }
 
@@ -89,7 +87,6 @@ pub const fn u8_from_bool(v: bool) -> u8 {
 /// conversion.
 #[inline]
 pub const fn low_byte(v: u32) -> u8 {
-    // dsketch-lint: allow(checked-casts): this module is the blessed home of the raw casts
     (v & 0xFF) as u8
 }
 

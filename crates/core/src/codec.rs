@@ -66,6 +66,8 @@
 //! assert_eq!(SketchSet::from_bytes(&bytes).unwrap(), set);
 //! ```
 
+#![deny(clippy::as_conversions)]
+
 use crate::cast;
 use crate::hierarchy::Hierarchy;
 use crate::scheme::{SchemeSpec, TzSketchSet};
@@ -1353,6 +1355,9 @@ mod tests {
         let mut d = Decoder::new(e.as_bytes());
         // On 64-bit targets u64::MAX fits in usize; the interesting part is
         // that it round-trips without wrapping.
-        assert_eq!(d.usize("count").unwrap(), u64::MAX as usize);
+        assert_eq!(
+            d.usize("count").unwrap(),
+            usize::try_from(u64::MAX).unwrap()
+        );
     }
 }

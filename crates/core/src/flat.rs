@@ -63,7 +63,7 @@
 //! property tests in `tests/tests/flat_query.rs` compare them
 //! result-for-result, errors included, across all four families.
 
-#![deny(missing_docs)]
+#![deny(clippy::as_conversions)]
 
 use crate::cast;
 use crate::codec::{check_layer_nodes, CodecError, Decoder, LabelRows, SketchCodec};
@@ -186,8 +186,11 @@ fn level_walk(
 }
 
 impl FlatLayer {
+    #[expect(
+        clippy::expect_used,
+        reason = "capacity contract — layers over u32::MAX entries are unrepresentable by design, checked at freeze time"
+    )]
     fn offset(len: usize) -> u32 {
-        // dsketch-lint: allow(no-unwrap-in-hot-path): capacity contract — layers over u32::MAX entries are unrepresentable by design, checked at freeze time
         u32::try_from(len).expect("flat sketch arrays exceed u32 offset range")
     }
 
@@ -877,7 +880,7 @@ enum Labels {
 /// CSR arrays, queried without allocation or pointer chasing.
 ///
 /// Build one with [`Freeze::freeze`] from any family's sketch set (what
-/// [`crate::scheme::SketchBuilder::build`] hands back), or straight from
+/// [`crate::scheme::SchemeSpec::build`] hands back), or straight from
 /// snapshot bytes with [`FlatSketchSet::from_family_bytes`].  A frozen set
 /// is a first-class [`DistanceOracle`] whose answers (including errors) are
 /// identical to the sketch set it was frozen from.
@@ -1098,7 +1101,7 @@ impl FlatSketchSet {
     /// every layer has a non-empty pivot row for every node.
     ///
     /// Freezing and the validated snapshot decoders cannot produce a
-    /// violating value; this exists for the deep verifier (`dsketch-analyze
+    /// violating value; this exists for the deep verifier (`dsketch-store
     /// verify`), which re-checks serving state instead of trusting the
     /// code that built it.
     pub fn check_invariants(&self) -> Result<(), String> {

@@ -29,11 +29,11 @@
 //! * [`DistanceOracle`] — the query side.  Every
 //!   sketch-set type answers `estimate(u, v)` from the two labels alone and
 //!   reports its per-node size in CONGEST words.
-//! * [`SchemeSpec`] / [`SketchBuilder`]
-//!   — runtime scheme selection.  A spec can be parsed from a string
-//!   (`"tz:3"`, `"cdg:0.2,2"`), built fluently, and queried through
-//!   `Box<dyn DistanceOracle>`, so evaluation harnesses, benches and serving
-//!   layers are scheme-agnostic.
+//! * [`SchemeSpec`] — runtime scheme selection.  A spec can be parsed from
+//!   a string (`"tz:3"`, `"cdg:0.2,2"`), built with
+//!   [`SchemeSpec::build`], and queried through `Box<dyn DistanceOracle>`,
+//!   so evaluation harnesses, benches and serving layers are
+//!   scheme-agnostic.
 //!
 //! # Quick start
 //!
@@ -47,7 +47,8 @@
 //!
 //! // Build Thorup–Zwick sketches (k = 3 ⇒ stretch ≤ 5) with the
 //! // distributed CONGEST construction.
-//! let outcome = SketchBuilder::thorup_zwick(3).seed(42).build(&graph).unwrap();
+//! let config = SchemeConfig::default().with_seed(42);
+//! let outcome = SchemeSpec::thorup_zwick(3).build(&graph, &config).unwrap();
 //! println!(
 //!     "built in {} rounds, {} messages; ≤ {} words per node",
 //!     outcome.stats.rounds,
@@ -63,7 +64,7 @@
 //!
 //! // The same code drives any scheme — pick one at runtime:
 //! let spec = SchemeSpec::parse("cdg:0.3,2").unwrap();
-//! let slack = SketchBuilder::new(spec).seed(42).build(&graph).unwrap();
+//! let slack = spec.build(&graph, &config).unwrap();
 //! assert!(slack.sketches.estimate(NodeId(0), NodeId(40)).unwrap() >= exact);
 //! ```
 //!
@@ -85,7 +86,7 @@
 //! # Crate layout
 //!
 //! * [`scheme`] — the unified construction API: `SketchScheme`, the four
-//!   scheme types, `SchemeSpec`, `SchemeConfig`, `SketchBuilder`.
+//!   scheme types, `SchemeSpec`, `SchemeConfig`.
 //! * [`oracle`] — the unified query API: `DistanceOracle`.
 //! * [`hierarchy`] — the sampled level hierarchy `A_0 ⊇ A_1 ⊇ … ⊇ A_{k-1}`
 //!   shared by the centralized and distributed constructions.
@@ -118,11 +119,18 @@
 //!   ([`SketchCodec`]), the payload layer under the `dsketch-store`
 //!   snapshot format (build once, save, serve from disk forever).
 //! * [`cast`] — checked and intent-bearing integer conversions; the
-//!   `checked-casts` project lint keeps bare `as` casts out of the
-//!   byte-layout code in favor of these helpers.
+//!   byte-layout modules deny `clippy::as_conversions` in favor of these
+//!   helpers.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+// No panics on the served path; an exemption is `#[expect(.., reason)]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod baseline;
 pub mod build;
@@ -158,8 +166,7 @@ pub mod prelude {
     pub use crate::query::{estimate_distance, estimate_distance_slack};
     pub use crate::scheme::{
         BuildEngine, BuildOutcome, CdgScheme, DegradingScheme, DynBuildOutcome, SchemeConfig,
-        SchemeSpec, SketchBuilder, SketchScheme, ThorupZwickScheme, ThreeStretchScheme,
-        TzSketchSet,
+        SchemeSpec, SketchScheme, ThorupZwickScheme, ThreeStretchScheme, TzSketchSet,
     };
     pub use crate::sketch::{Sketch, SketchSet};
     pub use crate::slack::cdg::{CdgParams, CdgSketchSet};

@@ -11,8 +11,6 @@
 //! and is completely scheme-agnostic, so a new sketch family (or a remote
 //! backend) only has to implement this trait to plug in.
 
-#![deny(missing_docs)]
-
 use crate::error::SketchError;
 use crate::query::estimate_distance;
 use crate::sketch::SketchSet;
@@ -49,7 +47,9 @@ use netgraph::{Distance, NodeId};
 /// use netgraph::NodeId;
 ///
 /// let graph = erdos_renyi(32, 0.2, GeneratorConfig::uniform(1, 1, 9));
-/// let outcome = SketchBuilder::thorup_zwick(2).seed(4).build(&graph).unwrap();
+/// let outcome = SchemeSpec::thorup_zwick(2)
+///     .build(&graph, &SchemeConfig::default().with_seed(4))
+///     .unwrap();
 ///
 /// // Single queries and batches answer from labels alone.
 /// let one = outcome.sketches.estimate(NodeId(0), NodeId(9)).unwrap();

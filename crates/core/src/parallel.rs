@@ -42,8 +42,6 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16, 25]); // input order, always
 //! ```
 
-#![deny(missing_docs)]
-
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -68,9 +66,9 @@ pub fn resolve_threads(threads: usize) -> usize {
 }
 
 /// Spawn a named, long-lived worker thread — the one blessed spawn path of
-/// the workspace (the `no-raw-thread-spawn` project lint keeps
-/// `std::thread` spawns out of everything but this module, so thread
-/// naming and failure policy live in one place).
+/// the workspace (`clippy.toml` disallows `std::thread::spawn` and
+/// `std::thread::Builder::new` everywhere else, so thread naming and
+/// failure policy live in one place).
 ///
 /// The name shows up in panic messages, debuggers and `/proc`, which is
 /// what makes a wedged connection worker diagnosable in production.
@@ -79,6 +77,14 @@ pub fn resolve_threads(threads: usize) -> usize {
 ///
 /// Panics if the OS refuses to spawn the thread (resource exhaustion) —
 /// there is no meaningful recovery for a worker that never existed.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the blessed spawn site: every other thread in the workspace is spawned through this function"
+)]
+#[expect(
+    clippy::panic,
+    reason = "OS spawn failure is resource exhaustion — no recovery without a thread"
+)]
 pub fn spawn_named<T, F>(name: &str, f: F) -> std::thread::JoinHandle<T>
 where
     T: Send + 'static,
@@ -87,7 +93,6 @@ where
     std::thread::Builder::new()
         .name(name.to_string())
         .spawn(f)
-        // dsketch-lint: allow(no-unwrap-in-hot-path): OS spawn failure is resource exhaustion — no recovery without a thread
         .unwrap_or_else(|e| panic!("failed to spawn thread `{name}`: {e}"))
 }
 
@@ -152,9 +157,12 @@ where
                 })
             })
             .collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "join propagates a worker panic — there is no error to type"
+        )]
         handles
             .into_iter()
-            // dsketch-lint: allow(no-unwrap-in-hot-path): join propagates a worker panic — there is no error to type
             .map(|h| h.join().expect("parallel_map worker panicked"))
             .collect()
     });
@@ -167,9 +175,12 @@ where
             slots[index] = Some(result);
         }
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "merge invariant — every index in 0..n is claimed by exactly one worker"
+    )]
     slots
         .into_iter()
-        // dsketch-lint: allow(no-unwrap-in-hot-path): merge invariant — every index in 0..n is claimed by exactly one worker
         .map(|slot| slot.expect("every index computed exactly once"))
         .collect()
 }
@@ -216,7 +227,10 @@ where
             .map(|(index, piece)| scope.spawn(move || f(index, piece)))
             .collect();
         for handle in handles {
-            // dsketch-lint: allow(no-unwrap-in-hot-path): join propagates a worker panic — there is no error to type
+            #[expect(
+                clippy::expect_used,
+                reason = "join propagates a worker panic — there is no error to type"
+            )]
             handle.join().expect("parallel_split_mut worker panicked");
         }
     });

@@ -1,6 +1,5 @@
-//! The [`SketchScheme`] trait, the [`SchemeSpec`] runtime selector and the
-//! [`SketchBuilder`] fluent constructor: the uniform *construction* surface
-//! over all four sketch families.
+//! The [`SketchScheme`] trait and the [`SchemeSpec`] runtime selector: the
+//! uniform *construction* surface over all four sketch families.
 //!
 //! Every scheme builds the same way — run a distributed construction on a
 //! graph under a shared [`SchemeConfig`] (seed, synchronization mode,
@@ -9,8 +8,8 @@
 //! statistics.  Code that knows the scheme at compile time uses the typed
 //! scheme structs ([`ThorupZwickScheme`], [`ThreeStretchScheme`],
 //! [`CdgScheme`], [`DegradingScheme`]) and gets the concrete sketch-set type
-//! back; code that selects the scheme at runtime uses [`SchemeSpec`] /
-//! [`SketchBuilder`] and gets a `Box<dyn DistanceOracle>` over the frozen
+//! back; code that selects the scheme at runtime uses
+//! [`SchemeSpec::build`] and gets a `Box<dyn DistanceOracle>` over the frozen
 //! [`FlatSketchSet`] — the one representation queries are served from.
 //!
 //! ```
@@ -22,7 +21,8 @@
 //!
 //! // Pick any scheme at runtime; query through the shared oracle trait.
 //! for spec in [SchemeSpec::thorup_zwick(3), SchemeSpec::three_stretch(0.3)] {
-//!     let outcome = SketchBuilder::new(spec).seed(42).build(&graph).unwrap();
+//!     let config = SchemeConfig::default().with_seed(42);
+//!     let outcome = spec.build(&graph, &config).unwrap();
 //!     let estimate = outcome.sketches.estimate(NodeId(0), NodeId(40)).unwrap();
 //!     println!(
 //!         "{}: estimate {estimate}, {} rounds, ≤ {} words/node",
@@ -32,8 +32,6 @@
 //!     );
 //! }
 //! ```
-
-#![deny(missing_docs)]
 
 use crate::distributed::{self, SyncMode};
 use crate::error::SketchError;
@@ -143,12 +141,6 @@ impl SchemeConfig {
     /// available parallelism).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Set the synchronization mode.
-    pub fn with_sync(mut self, sync: SyncMode) -> Self {
-        self.sync = sync;
         self
     }
 
@@ -834,123 +826,6 @@ impl std::fmt::Display for SchemeSpec {
     }
 }
 
-/// Fluent constructor over [`SchemeSpec`] + [`SchemeConfig`]: pick a scheme,
-/// chain configuration, build, query through `Box<dyn DistanceOracle>`.
-///
-/// ```
-/// use dsketch::prelude::*;
-/// use netgraph::generators::{erdos_renyi, GeneratorConfig};
-/// use netgraph::NodeId;
-///
-/// let graph = erdos_renyi(48, 0.15, GeneratorConfig::uniform(5, 1, 20));
-/// let outcome = SketchBuilder::thorup_zwick(2)
-///     .seed(7)
-///     .max_rounds(1_000_000)
-///     .build(&graph)
-///     .unwrap();
-/// assert_eq!(outcome.sketches.scheme_name(), "thorup-zwick");
-/// assert!(outcome.sketches.estimate(NodeId(0), NodeId(1)).unwrap() > 0);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct SketchBuilder {
-    spec: SchemeSpec,
-    config: SchemeConfig,
-}
-
-impl SketchBuilder {
-    /// Start from a runtime-chosen spec.
-    pub fn new(spec: SchemeSpec) -> Self {
-        SketchBuilder {
-            spec,
-            config: SchemeConfig::default(),
-        }
-    }
-
-    /// Thorup–Zwick with `k` levels.
-    pub fn thorup_zwick(k: usize) -> Self {
-        Self::new(SchemeSpec::thorup_zwick(k))
-    }
-
-    /// 3-stretch slack sketches with slack `eps`.
-    pub fn three_stretch(eps: f64) -> Self {
-        Self::new(SchemeSpec::three_stretch(eps))
-    }
-
-    /// (ε, k)-CDG sketches.
-    pub fn cdg(eps: f64, k: usize) -> Self {
-        Self::new(SchemeSpec::cdg(eps, k))
-    }
-
-    /// Gracefully degrading sketches.
-    pub fn degrading() -> Self {
-        Self::new(SchemeSpec::degrading())
-    }
-
-    /// Replace the sampling seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Select the construction engine.
-    pub fn engine(mut self, engine: BuildEngine) -> Self {
-        self.config.engine = engine;
-        self
-    }
-
-    /// Use the direct parallel engine ([`BuildEngine::Parallel`]).
-    pub fn parallel(mut self) -> Self {
-        self.config.engine = BuildEngine::Parallel;
-        self
-    }
-
-    /// Set the worker-thread count for the parallel engine (`0` = all
-    /// available parallelism).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
-    /// Set the synchronization mode.
-    pub fn sync(mut self, sync: SyncMode) -> Self {
-        self.config.sync = sync;
-        self
-    }
-
-    /// Use the Section 3.3 termination-detection protocol.
-    pub fn termination_detection(mut self) -> Self {
-        self.config.sync = SyncMode::TerminationDetection;
-        self
-    }
-
-    /// Replace the CONGEST engine configuration.
-    pub fn congest(mut self, congest: CongestConfig) -> Self {
-        self.config.congest = congest;
-        self
-    }
-
-    /// Replace the round limit.
-    pub fn max_rounds(mut self, max_rounds: u64) -> Self {
-        self.config.max_rounds = max_rounds;
-        self
-    }
-
-    /// The spec this builder will construct.
-    pub fn spec(&self) -> &SchemeSpec {
-        &self.spec
-    }
-
-    /// The accumulated configuration.
-    pub fn config(&self) -> &SchemeConfig {
-        &self.config
-    }
-
-    /// Run the construction.
-    pub fn build(&self, graph: &Graph) -> Result<DynBuildOutcome, SketchError> {
-        self.spec.build(graph, &self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -964,7 +839,9 @@ mod tests {
     fn every_family_builds_through_the_builder() {
         let graph = small_graph();
         for spec in SchemeSpec::all_families() {
-            let outcome = SketchBuilder::new(spec).seed(9).build(&graph).unwrap();
+            let outcome = spec
+                .build(&graph, &SchemeConfig::default().with_seed(9))
+                .unwrap();
             assert_eq!(outcome.sketches.num_nodes(), 48, "{spec}");
             assert_eq!(outcome.sketches.scheme_name(), spec.name(), "{spec}");
             assert!(outcome.stats.rounds > 0, "{spec}");
@@ -1003,14 +880,14 @@ mod tests {
     #[test]
     fn builder_config_flows_through() {
         let graph = small_graph();
-        let builder = SketchBuilder::thorup_zwick(2)
-            .seed(7)
-            .termination_detection()
-            .congest(CongestConfig::default())
-            .max_rounds(1_000_000);
-        assert_eq!(builder.config().seed, 7);
-        assert_eq!(builder.config().sync, SyncMode::TerminationDetection);
-        let outcome = builder.build(&graph).unwrap();
+        let config = SchemeConfig::default()
+            .with_seed(7)
+            .with_termination_detection()
+            .with_congest(CongestConfig::default())
+            .with_max_rounds(1_000_000);
+        assert_eq!(config.seed, 7);
+        assert_eq!(config.sync, SyncMode::TerminationDetection);
+        let outcome = SchemeSpec::thorup_zwick(2).build(&graph, &config).unwrap();
         assert!(
             outcome.tree_stats.is_some(),
             "termination detection builds a BFS tree"
@@ -1021,7 +898,7 @@ mod tests {
     fn round_limit_propagates_to_all_schemes() {
         let graph = netgraph::generators::ring(64, GeneratorConfig::unit(1));
         for spec in SchemeSpec::all_families() {
-            let result = SketchBuilder::new(spec).max_rounds(1).build(&graph);
+            let result = spec.build(&graph, &SchemeConfig::default().with_max_rounds(1));
             assert!(
                 matches!(result, Err(SketchError::RoundLimitExceeded { .. })),
                 "{spec} should hit the round limit"
@@ -1148,12 +1025,10 @@ mod tests {
     fn parallel_engine_builds_identical_sketches_for_every_family() {
         let graph = small_graph();
         for spec in SchemeSpec::all_families() {
-            let simulated = SketchBuilder::new(spec).seed(9).build(&graph).unwrap();
-            let parallel = SketchBuilder::new(spec)
-                .seed(9)
-                .parallel()
-                .threads(2)
-                .build(&graph)
+            let config = SchemeConfig::default().with_seed(9);
+            let simulated = spec.build(&graph, &config).unwrap();
+            let parallel = spec
+                .build(&graph, &config.with_parallel_build().with_threads(2))
                 .unwrap();
             assert_eq!(parallel.sketches.scheme_name(), spec.name());
             assert_eq!(parallel.stats.rounds, 0, "parallel engine runs no rounds");
@@ -1179,32 +1054,22 @@ mod tests {
     #[test]
     fn parallel_engine_thread_count_flows_through_the_builder() {
         let graph = small_graph();
-        let builder = SketchBuilder::thorup_zwick(2)
-            .seed(5)
-            .engine(BuildEngine::Parallel)
-            .threads(3);
-        assert_eq!(builder.config().engine, BuildEngine::Parallel);
-        assert_eq!(builder.config().threads, 3);
-        let outcome = builder.build(&graph).unwrap();
-        assert_eq!(outcome.timings.threads, 3);
         let config = SchemeConfig::default()
+            .with_seed(5)
             .with_parallel_build()
-            .with_threads(2);
+            .with_threads(3);
         assert_eq!(config.engine, BuildEngine::Parallel);
-        assert_eq!(config.threads, 2);
+        assert_eq!(config.threads, 3);
+        let outcome = SchemeSpec::thorup_zwick(2).build(&graph, &config).unwrap();
+        assert_eq!(outcome.timings.threads, 3);
     }
 
     #[test]
     fn same_seed_same_estimates() {
         let graph = small_graph();
-        let a = SketchBuilder::thorup_zwick(3)
-            .seed(11)
-            .build(&graph)
-            .unwrap();
-        let b = SketchBuilder::thorup_zwick(3)
-            .seed(11)
-            .build(&graph)
-            .unwrap();
+        let config = SchemeConfig::default().with_seed(11);
+        let a = SchemeSpec::thorup_zwick(3).build(&graph, &config).unwrap();
+        let b = SchemeSpec::thorup_zwick(3).build(&graph, &config).unwrap();
         for u in graph.nodes().take(10) {
             for v in graph.nodes().skip(20).take(10) {
                 assert_eq!(

@@ -52,9 +52,6 @@
 //! assert!(!dsketch_faults::armed());
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -35,9 +35,6 @@
 //! randomized generators take an explicit seed so experiments are exactly
 //! reproducible.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod apsp;
 pub mod builder;
 pub mod completion;

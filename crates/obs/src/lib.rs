@@ -27,8 +27,8 @@
 //!
 //! Every instrument name is `snake_case`, starts with `dsketch_`, and ends
 //! with a unit suffix (`_total`, `_nanos`, `_seconds`, `_bytes`, `_ratio`,
-//! `_entries`, `_info`).  The `metric-name-style` project lint
-//! (`dsketch-analyze lint`) enforces this at every registration site.
+//! `_entries`, `_info`).  `tests/tests/obs_registry.rs` holds every
+//! family a live server exports to it.
 //!
 //! # Registry scoping
 //!
@@ -52,8 +52,15 @@
 //! assert!(text.contains("dsketch_serve_queries_total 1"));
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+// No panics on the served path; an exemption is `#[expect(.., reason)]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 mod histogram;
 pub mod prometheus;

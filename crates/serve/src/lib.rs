@@ -78,7 +78,9 @@
 //!
 //! // Build any scheme (here Thorup–Zwick, k = 2), then serve it.
 //! let graph = erdos_renyi(48, 0.15, GeneratorConfig::uniform(5, 1, 20));
-//! let outcome = SketchBuilder::thorup_zwick(2).seed(7).build(&graph).unwrap();
+//! let outcome = SchemeSpec::thorup_zwick(2)
+//!     .build(&graph, &SchemeConfig::default().with_seed(7))
+//!     .unwrap();
 //! let oracle: Arc<dyn DistanceOracle> = Arc::from(outcome.sketches);
 //!
 //! let server = SketchServer::start(Arc::clone(&oracle), ServeConfig::default()).unwrap();
@@ -106,8 +108,15 @@
 //!     serve --snapshot g.dsk --queries 100000
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+// No panics on the served path; an exemption is `#[expect(.., reason)]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod cache;
 pub mod net;

@@ -130,7 +130,6 @@ impl NetClient {
 
     /// A batched query; the server answers in input order, one slot per
     /// pair.
-    #[allow(clippy::type_complexity)]
     pub fn query_batch(
         &mut self,
         pairs: &[(NodeId, NodeId)],

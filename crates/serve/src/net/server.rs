@@ -390,11 +390,17 @@ impl NetServer {
                 });
             }
             let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
-            // dsketch-lint: allow(no-unwrap-in-hot-path): join propagates an accept-loop panic — there is no error to type
+            #[expect(
+                clippy::expect_used,
+                reason = "join propagates an accept-loop panic — there is no error to type"
+            )]
             accept.join().expect("net accept loop panicked");
         }
         for worker in self.workers.drain(..) {
-            // dsketch-lint: allow(no-unwrap-in-hot-path): join propagates a worker panic — there is no error to type
+            #[expect(
+                clippy::expect_used,
+                reason = "join propagates a worker panic — there is no error to type"
+            )]
             worker.join().expect("net connection worker panicked");
         }
     }

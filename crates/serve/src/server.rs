@@ -183,7 +183,6 @@ impl SketchServer {
             fingerprint,
         ))));
         let generation_gauge = registry.gauge(
-            // dsketch-lint: allow(metric-name-style): the generation gauge is a version number — unitless by design
             "dsketch_serve_generation",
             "Snapshot generation currently serving (1 = startup oracle).",
         );
@@ -274,7 +273,10 @@ impl SketchServer {
         let oracle: Arc<dyn DistanceOracle> = Arc::from(raw.frozen_oracle()?);
         // Serialize publication: concurrent swappers validate against a
         // stable current generation and numbers advance without gaps.
-        // dsketch-lint: allow(no-unwrap-in-hot-path): a poisoned swap lock means a swapper panicked — propagate
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned swap lock means a swapper panicked — propagate"
+        )]
         let _publish = self.swap_lock.lock().expect("swap lock poisoned");
         let current = self.cell.load();
         if let Some(current_spec) = current.spec {
@@ -386,7 +388,10 @@ impl ServeClient {
     /// snapshot that produced it.
     pub fn query_tagged(&self, u: NodeId, v: NodeId) -> (Result<Distance, SketchError>, u64) {
         let (mut results, generation) = self.query_batch_tagged(&[(u, v)]);
-        // dsketch-lint: allow(no-unwrap-in-hot-path): a one-pair batch returns exactly one result by construction
+        #[expect(
+            clippy::expect_used,
+            reason = "a one-pair batch returns exactly one result by construction"
+        )]
         (results.pop().expect("one result"), generation)
     }
 
@@ -501,14 +506,13 @@ impl ServeClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsketch::{SchemeSpec, SketchBuilder};
+    use dsketch::{SchemeConfig, SchemeSpec};
     use netgraph::generators::{erdos_renyi, GeneratorConfig};
 
     fn oracle() -> Arc<dyn DistanceOracle> {
         let graph = erdos_renyi(40, 0.2, GeneratorConfig::uniform(3, 1, 9));
-        let outcome = SketchBuilder::new(SchemeSpec::thorup_zwick(2))
-            .seed(5)
-            .build(&graph)
+        let outcome = SchemeSpec::thorup_zwick(2)
+            .build(&graph, &SchemeConfig::default().with_seed(5))
             .unwrap();
         Arc::from(outcome.sketches)
     }

@@ -106,7 +106,6 @@ impl ServeStats {
                 panics: read("dsketch_serve_panics_total"),
             },
             generation: snap
-                // dsketch-lint: allow(metric-name-style): the generation gauge is a version number — unitless by design
                 .gauge("dsketch_serve_generation", "")
                 .unwrap_or(1)
                 .max(0) as u64,

@@ -327,7 +327,7 @@ mod tests {
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let swapper = {
             let cell = Arc::clone(&cell);
-            std::thread::spawn(move || {
+            dsketch::parallel::spawn_named("swap-test-swapper", move || {
                 // Generation 1 has no other owner: this store drops it.
                 let version = cell.store(next);
                 let _ = done_tx.send(version);
@@ -356,7 +356,7 @@ mod tests {
             .map(|_| {
                 let cell = Arc::clone(&cell);
                 let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
+                dsketch::parallel::spawn_named("swap-test-reader", move || {
                     let mut last = 0u64;
                     let mut loads = 0u64;
                     // Loop-with-exit-at-bottom so every reader performs at

@@ -12,11 +12,16 @@
 //! zero bytes.  The tail (and the reference the tests compare against) is
 //! the classic one-byte-per-step loop over table 0.
 
+#![deny(clippy::as_conversions)]
+
 const fn build_tables() -> [[u32; 256]; 8] {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
-        // dsketch-lint: allow(checked-casts): const context — `From` impls are not const-callable on this toolchain
+        #[expect(
+            clippy::as_conversions,
+            reason = "const context — `From` impls are not const-callable on this toolchain"
+        )]
         let mut c = i as u32;
         let mut bit = 0;
         while bit < 8 {
@@ -35,8 +40,12 @@ const fn build_tables() -> [[u32; 256]; 8] {
         let mut i = 0;
         while i < 256 {
             let previous = tables[t - 1][i];
-            // dsketch-lint: allow(checked-casts): const context — masked to one byte, `From` impls are not const-callable on this toolchain
-            tables[t][i] = (previous >> 8) ^ tables[0][(previous & 0xFF) as usize];
+            #[expect(
+                clippy::as_conversions,
+                reason = "const context — masked to one byte, `From` impls are not const-callable on this toolchain"
+            )]
+            let low = (previous & 0xFF) as usize;
+            tables[t][i] = (previous >> 8) ^ tables[0][low];
             i += 1;
         }
         t += 1;

@@ -37,6 +37,8 @@
 //! * Any change to an existing section's payload encoding (see
 //!   `dsketch::codec`) is a major bump.
 
+#![deny(clippy::as_conversions)]
+
 use crate::crc32::crc32;
 use crate::error::StoreError;
 use dsketch::cast;
@@ -66,7 +68,7 @@ impl std::fmt::Display for SectionId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         for &b in &self.0 {
             if b.is_ascii_graphic() {
-                write!(f, "{}", b as char)?;
+                write!(f, "{}", char::from(b))?;
             } else {
                 write!(f, "\\x{b:02x}")?;
             }

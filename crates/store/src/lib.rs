@@ -70,8 +70,15 @@
 //! # std::fs::remove_file(&path).ok();
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+// No panics on the served path; an exemption is `#[expect(.., reason)]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod crc32;
 pub mod error;

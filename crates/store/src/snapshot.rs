@@ -8,6 +8,8 @@
 //! out as slices of it (no per-section copies), which is what makes loading
 //! a large snapshot cheap next to rebuilding it.
 
+#![deny(clippy::as_conversions)]
+
 use crate::crc32::crc32;
 use crate::error::StoreError;
 use crate::format::{Header, SectionEntry, SectionId, FORMAT_VERSION};
@@ -320,7 +322,7 @@ mod tests {
         writer.add_section(SECTION_BUILD_STATS, vec![9; 48]);
         let mut out = Vec::new();
         let written = writer.write_to(&mut out).unwrap();
-        assert_eq!(written as usize, out.len());
+        assert_eq!(written, cast::u64_from_usize(out.len()));
         out
     }
 
@@ -350,7 +352,7 @@ mod tests {
             Some(&[1, 2, 3, 4, 5][..])
         );
         assert_eq!(snapshot.section(SECTION_BUILD_STATS).unwrap().len(), 48);
-        assert_eq!(snapshot.total_bytes(), bytes.len() as u64);
+        assert_eq!(snapshot.total_bytes(), cast::u64_from_usize(bytes.len()));
         assert!(snapshot.section(SectionId(*b"NOPE")).is_none());
         assert!(matches!(
             snapshot.require_section(SectionId(*b"NOPE")),
@@ -439,7 +441,7 @@ mod tests {
     fn a_sized_source_reserves_the_payload_once_and_never_past_itself() {
         let bytes = sample_bytes();
         let sized = SnapshotReader::new(bytes.as_slice())
-            .with_available(bytes.len() as u64)
+            .with_available(cast::u64_from_usize(bytes.len()))
             .read()
             .unwrap();
         // Reserved once at the declared payload length (5 + 48), not grown
@@ -463,7 +465,7 @@ mod tests {
         };
         let lying = header.to_bytes().unwrap();
         let err = SnapshotReader::new(lying.as_slice())
-            .with_available(lying.len() as u64)
+            .with_available(cast::u64_from_usize(lying.len()))
             .read()
             .unwrap_err();
         assert!(matches!(err, StoreError::Truncated { .. }), "{err}");

@@ -11,8 +11,6 @@
 //! cargo run --release --bin degrading_demo -- --nodes 200
 //! ```
 
-#![forbid(unsafe_code)]
-
 use dsketch::prelude::*;
 use dsketch_examples::{arg_parse, print_table};
 use netgraph::apsp::DistanceTable;

@@ -14,8 +14,6 @@
 //! cargo run --release --bin monitoring_overlay -- --nodes 300 --eps 0.1
 //! ```
 
-#![forbid(unsafe_code)]
-
 use dsketch::prelude::*;
 use dsketch_examples::{arg_parse, print_table};
 use dsketch_serve::{ServeConfig, SketchServer};

@@ -15,8 +15,6 @@
 //! cargo run --release --bin p2p_overlay -- --nodes 200 --queries 10
 //! ```
 
-#![forbid(unsafe_code)]
-
 use congest_sim::programs::bellman_ford::BellmanFordProgram;
 use congest_sim::{CongestConfig, Network};
 use dsketch::prelude::*;

@@ -2,7 +2,7 @@
 //! answer distance queries from the sketches alone.
 //!
 //! The scheme is chosen at runtime — every family runs through the same
-//! `SketchBuilder` / `DistanceOracle` code path:
+//! `SchemeSpec::build` / `DistanceOracle` code path:
 //!
 //! ```text
 //! cargo run --release --bin quickstart -- --nodes 256 --scheme tz:3
@@ -29,8 +29,6 @@
 //! ```text
 //! cargo run --release --bin quickstart -- --scheme tz:3 --threads 4 --save g.dsk
 //! ```
-
-#![forbid(unsafe_code)]
 
 use dsketch::prelude::*;
 use dsketch_examples::{arg_parse, arg_value, print_table};
@@ -103,15 +101,10 @@ fn obtain_oracle(
         println!("saved snapshot {path}: {bytes} bytes (reload with --load {path})");
         return Box::new(contents.sketches.freeze());
     }
-    let outcome = SketchBuilder::new(spec)
-        .seed(seed)
-        .engine(config.engine)
-        .threads(config.threads)
-        .build(graph)
-        .unwrap_or_else(|e| {
-            eprintln!("construction failed: {e}");
-            std::process::exit(2);
-        });
+    let outcome = spec.build(graph, &config).unwrap_or_else(|e| {
+        eprintln!("construction failed: {e}");
+        std::process::exit(2);
+    });
     report(&outcome.stats);
     outcome.sketches
 }

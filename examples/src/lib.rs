@@ -6,8 +6,6 @@
 //! queries).  Everything here is small glue: argument parsing without extra
 //! dependencies, and a tiny table printer for human-readable output.
 
-#![forbid(unsafe_code)]
-
 /// Parse `--name value` style arguments from `std::env::args`, returning the
 /// value for `name` if present.
 pub fn arg_value(args: &[String], name: &str) -> Option<String> {

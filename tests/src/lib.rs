@@ -1,3 +1,1 @@
 //! Integration-test crate: the tests live under `tests/tests/`.
-
-#![forbid(unsafe_code)]

@@ -12,10 +12,14 @@
 //!   either decodes to a set that re-encodes to exactly those bytes, or
 //!   fails with a `CodecError`, identically through the map decoder and
 //!   the frozen one.  Never a panic, never a hang.
+//! * **Size**: a saved snapshot of any family spends under 6 `SKCH` bytes
+//!   on a bunch entry (v1 spent 16).
 
 use dsketch::codec::SketchCodec;
 use dsketch::prelude::*;
-use dsketch_store::{build_stored, StoreError, StoredSketches};
+use dsketch_store::{
+    build_and_save, build_stored, inspect_snapshot, SectionEntities, StoreError, StoredSketches,
+};
 use netgraph::generators::{erdos_renyi, GeneratorConfig};
 use netgraph::{Graph, NodeId};
 use proptest::prelude::*;
@@ -183,4 +187,34 @@ fn every_single_byte_mutation_is_canonical_or_a_codec_error() {
     // sets (a distance off by one); the property is that those re-encode
     // to themselves.  The count shows the `Ok` arm was really exercised.
     assert!(accepted > 100, "only {accepted} mutations decoded");
+}
+
+/// The format-size tripwire: v1 spent 16 fixed bytes on a bunch entry, v2's
+/// gap-coded varints about 3.  A codec change that re-inflates the labels
+/// fails here, not at the next benchmark run.
+#[test]
+fn a_saved_snapshot_spends_under_six_skch_bytes_per_bunch_entry() {
+    let path = std::env::temp_dir().join(format!("dsketch_codec_v2_{}.dsk", std::process::id()));
+    let config = SchemeConfig::default().with_seed(42).with_parallel_build();
+    for spec in ["tz:3", "3stretch:0.4", "cdg:0.25,2", "degrading"] {
+        let spec = SchemeSpec::parse(spec).expect("a scheme");
+        build_and_save(&graph(256, 42), spec, &config, &path).expect("build and save");
+        let summary = inspect_snapshot(&path).expect("inspect");
+        assert_eq!(summary.version, 2, "{spec}");
+        let mut sections = summary.sections.iter().zip(&summary.section_entities);
+        let (bytes, entries) = sections
+            .find_map(|(entry, entities)| match entities {
+                SectionEntities::Sketches { bunch_entries, .. } => {
+                    Some((entry.len, *bunch_entries))
+                }
+                _ => None,
+            })
+            .expect("a SKCH section");
+        let per_entry = bytes as f64 / entries.max(1) as f64;
+        assert!(
+            per_entry < 6.0,
+            "{spec}: {per_entry:.2} SKCH bytes per bunch entry"
+        );
+    }
+    std::fs::remove_file(&path).ok();
 }

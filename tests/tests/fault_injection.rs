@@ -243,9 +243,8 @@ fn panic_fixture(
     Vec<(NodeId, NodeId)>,
     Vec<Result<u64, SketchError>>,
 ) {
-    let outcome = SketchBuilder::new(spec)
-        .seed(3)
-        .build(&graph(48, 7))
+    let outcome = spec
+        .build(&graph(48, 7), &SchemeConfig::default().with_seed(3))
         .expect("build");
     let oracle: Arc<dyn DistanceOracle> = Arc::from(outcome.sketches);
     let mut seen = std::collections::BTreeSet::new();
@@ -479,9 +478,8 @@ fn the_watch_loop_backs_off_through_rebuild_and_save_faults_then_converges() {
 #[test]
 fn a_retrying_client_rides_out_read_write_and_accept_faults_without_a_wrong_answer() {
     let n = 64;
-    let outcome = SketchBuilder::new(SchemeSpec::thorup_zwick(2))
-        .seed(13)
-        .build(&graph(n, 13))
+    let outcome = SchemeSpec::thorup_zwick(2)
+        .build(&graph(n, 13), &SchemeConfig::default().with_seed(13))
         .expect("build");
     let oracle: Arc<dyn DistanceOracle> = Arc::from(outcome.sketches);
     let server = NetServer::start(
@@ -606,9 +604,8 @@ fn connect_with_retry_rides_out_a_late_listener_and_times_out_cleanly() {
 #[test]
 fn a_full_accept_queue_answers_503_with_retry_after() {
     let graph = graph(32, 9);
-    let outcome = SketchBuilder::new(SchemeSpec::thorup_zwick(2))
-        .seed(3)
-        .build(&graph)
+    let outcome = SchemeSpec::thorup_zwick(2)
+        .build(&graph, &SchemeConfig::default().with_seed(3))
         .expect("build");
     let oracle: Arc<dyn DistanceOracle> = Arc::from(outcome.sketches);
     let server = NetServer::start(
@@ -654,9 +651,8 @@ fn a_full_accept_queue_answers_503_with_retry_after() {
 fn the_faults_endpoint_arms_reports_and_disarms() {
     let _scope = ArmedScope::bare();
     let graph = graph(32, 11);
-    let outcome = SketchBuilder::new(SchemeSpec::thorup_zwick(2))
-        .seed(3)
-        .build(&graph)
+    let outcome = SchemeSpec::thorup_zwick(2)
+        .build(&graph, &SchemeConfig::default().with_seed(3))
         .expect("build");
     let oracle: Arc<dyn DistanceOracle> = Arc::from(outcome.sketches);
     let server = NetServer::start(

@@ -153,9 +153,8 @@ impl Fixture {
     fn start() -> Fixture {
         let n = 32;
         let graph = erdos_renyi(n, 0.2, GeneratorConfig::uniform(5, 1, 20));
-        let outcome = SketchBuilder::thorup_zwick(2)
-            .seed(3)
-            .build(&graph)
+        let outcome = SchemeSpec::thorup_zwick(2)
+            .build(&graph, &SchemeConfig::default().with_seed(3))
             .expect("construction");
         let oracle: Arc<dyn DistanceOracle> = Arc::from(outcome.sketches);
         let server = NetServer::start(
@@ -516,7 +515,7 @@ fn malformed_traffic_does_not_stall_other_connections() {
 
     let abuser_addr = addr.clone();
     let abuser_stop = Arc::clone(&stop);
-    let abuser = std::thread::spawn(move || {
+    let abuser = dsketch::parallel::spawn_named("abuser", move || {
         let mut round = 0u8;
         while !abuser_stop.load(std::sync::atomic::Ordering::Relaxed) {
             let garbage = [round; 16];

@@ -20,9 +20,8 @@ use std::time::{Duration, Instant};
 
 fn build_oracle(spec: SchemeSpec, n: usize) -> Arc<dyn DistanceOracle> {
     let graph = erdos_renyi(n, 0.15, GeneratorConfig::uniform(7, 1, 20));
-    let outcome = SketchBuilder::new(spec)
-        .seed(11)
-        .build(&graph)
+    let outcome = spec
+        .build(&graph, &SchemeConfig::default().with_seed(11))
         .expect("construction");
     Arc::from(outcome.sketches)
 }
@@ -234,7 +233,7 @@ fn shutdown_drains_in_flight_queries_then_refuses_connects() {
     .expect("server start");
     let addr = server.local_addr().to_string();
 
-    let in_flight = std::thread::spawn(move || {
+    let in_flight = dsketch::parallel::spawn_named("in-flight", move || {
         let mut client = NetClient::connect(&addr, Duration::from_secs(10)).expect("connect");
         client.query(NodeId(0), NodeId(1)).expect("transport")
     });
@@ -279,7 +278,7 @@ fn slow_clients_hit_the_deadline_without_pinning_the_worker() {
 
     // Round 1: a byte-at-a-time client slower than the deadline.
     let dribble_addr = addr.clone();
-    let dribbler = std::thread::spawn(move || {
+    let dribbler = dsketch::parallel::spawn_named("dribbler", move || {
         let mut stream = TcpStream::connect(&dribble_addr).expect("connect");
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))

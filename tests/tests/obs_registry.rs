@@ -264,12 +264,11 @@ fn metrics_endpoint_accounts_every_query_exactly() {
     const QUERIES: usize = 333;
     let n = 32;
     let graph = erdos_renyi(n, 0.2, GeneratorConfig::uniform(9, 1, 12));
-    let outcome = SketchBuilder::new(SchemeSpec::thorup_zwick(2))
-        .seed(5)
-        // The parallel engine is the one that feeds the global registry's
-        // build-phase instruments (and is what the serving CLIs default to).
-        .engine(BuildEngine::Parallel)
-        .build(&graph)
+    // The parallel engine is the one that feeds the global registry's
+    // build-phase instruments (and is what the serving CLIs default to).
+    let config = SchemeConfig::default().with_seed(5).with_parallel_build();
+    let outcome = SchemeSpec::thorup_zwick(2)
+        .build(&graph, &config)
         .expect("construction");
     let oracle: Arc<dyn DistanceOracle> = Arc::from(outcome.sketches);
     let server = NetServer::start(
@@ -315,6 +314,28 @@ fn metrics_endpoint_accounts_every_query_exactly() {
         assert!(
             parsed.types.contains_key(family),
             "family `{family}` missing"
+        );
+    }
+
+    // The naming convention of `dsketch_obs`, held on what a live server
+    // exports after a build rather than on how a registration is spelled.
+    const UNITS: [&str; 7] = [
+        "_total", "_nanos", "_seconds", "_bytes", "_ratio", "_entries", "_info",
+    ];
+    // A version number — unitless by design.
+    const UNITLESS: &str = "dsketch_serve_generation";
+    for family in parsed.types.keys() {
+        let charset = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_';
+        assert!(
+            family.starts_with("dsketch_")
+                && family.chars().all(charset)
+                && !family.contains("__")
+                && !family.ends_with('_'),
+            "family `{family}` is not dsketch_-prefixed snake_case"
+        );
+        assert!(
+            family == UNITLESS || UNITS.iter().any(|unit| family.ends_with(unit)),
+            "family `{family}` has no unit suffix (one of {UNITS:?})"
         );
     }
 

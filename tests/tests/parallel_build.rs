@@ -72,12 +72,10 @@ proptest! {
 fn parallel_engine_matches_the_congest_simulation() {
     let g = graph(128, 7);
     for spec in SchemeSpec::all_families() {
-        let simulated = SketchBuilder::new(spec).seed(7).build(&g).unwrap();
-        let parallel = SketchBuilder::new(spec)
-            .seed(7)
-            .parallel()
-            .threads(4)
-            .build(&g)
+        let config = SchemeConfig::default().with_seed(7);
+        let simulated = spec.build(&g, &config).unwrap();
+        let parallel = spec
+            .build(&g, &config.with_parallel_build().with_threads(4))
             .unwrap();
         for u in g.nodes() {
             assert_eq!(

@@ -36,7 +36,9 @@ fn estimates_are_upper_bounds_for_every_family() {
     let graph = workload();
     let table = DistanceTable::exact(&graph);
     for spec in SchemeSpec::all_families() {
-        let outcome = SketchBuilder::new(spec).seed(3).build(&graph).unwrap();
+        let outcome = spec
+            .build(&graph, &SchemeConfig::default().with_seed(3))
+            .unwrap();
         for (u, v, exact) in table.pairs() {
             match outcome.sketches.estimate(u, v) {
                 Ok(est) => assert!(
@@ -62,7 +64,9 @@ fn stretch_bound_holds_on_covered_pairs_for_every_family() {
     let graph = workload();
     let table = DistanceTable::exact(&graph);
     for spec in SchemeSpec::all_families() {
-        let outcome = SketchBuilder::new(spec).seed(5).build(&graph).unwrap();
+        let outcome = spec
+            .build(&graph, &SchemeConfig::default().with_seed(5))
+            .unwrap();
         let oracle = &outcome.sketches;
         let Some(bound) = oracle.stretch_bound() else {
             continue; // the degrading curve is checked separately below
@@ -92,7 +96,9 @@ fn degrading_stretch_degrades_gracefully() {
         max_layers: None,
         max_k: Some(3),
     };
-    let outcome = SketchBuilder::new(spec).seed(7).build(&graph).unwrap();
+    let outcome = spec
+        .build(&graph, &SchemeConfig::default().with_seed(7))
+        .unwrap();
 
     // Theorem 4.8's contract: for every ε_i = 2^{-i}, every ε_i-far pair is
     // estimated within the layer's 8k_i − 1 bound (the union query can only
@@ -127,7 +133,9 @@ fn degrading_stretch_degrades_gracefully() {
 fn size_accounting_is_consistent_for_every_family() {
     let graph = workload();
     for spec in SchemeSpec::all_families() {
-        let outcome = SketchBuilder::new(spec).seed(11).build(&graph).unwrap();
+        let outcome = spec
+            .build(&graph, &SchemeConfig::default().with_seed(11))
+            .unwrap();
         let oracle = &outcome.sketches;
         assert_eq!(oracle.num_nodes(), graph.num_nodes(), "{spec}");
         let per_node: Vec<usize> = graph.nodes().map(|u| oracle.words(u)).collect();
@@ -147,7 +155,9 @@ fn size_accounting_is_consistent_for_every_family() {
 fn unknown_nodes_are_rejected_for_every_family() {
     let graph = workload();
     for spec in SchemeSpec::all_families() {
-        let outcome = SketchBuilder::new(spec).seed(13).build(&graph).unwrap();
+        let outcome = spec
+            .build(&graph, &SchemeConfig::default().with_seed(13))
+            .unwrap();
         let bad = NodeId(10_000);
         assert!(
             matches!(
@@ -163,8 +173,9 @@ fn unknown_nodes_are_rejected_for_every_family() {
 fn builds_are_deterministic_in_the_seed_for_every_family() {
     let graph = workload();
     for spec in SchemeSpec::all_families() {
-        let a = SketchBuilder::new(spec).seed(17).build(&graph).unwrap();
-        let b = SketchBuilder::new(spec).seed(17).build(&graph).unwrap();
+        let config = SchemeConfig::default().with_seed(17);
+        let a = spec.build(&graph, &config).unwrap();
+        let b = spec.build(&graph, &config).unwrap();
         assert_eq!(a.stats, b.stats, "{spec}");
         for u in graph.nodes() {
             assert_eq!(a.sketches.words(u), b.sketches.words(u), "{spec}");
@@ -183,7 +194,9 @@ fn builds_are_deterministic_in_the_seed_for_every_family() {
 fn self_distance_is_zero_for_every_family() {
     let graph = workload();
     for spec in SchemeSpec::all_families() {
-        let outcome = SketchBuilder::new(spec).seed(19).build(&graph).unwrap();
+        let outcome = spec
+            .build(&graph, &SchemeConfig::default().with_seed(19))
+            .unwrap();
         for u in graph.nodes().step_by(11) {
             assert_eq!(outcome.sketches.estimate(u, u).unwrap(), 0, "{spec}");
         }

@@ -10,9 +10,8 @@ use std::sync::Arc;
 
 fn build_oracle(spec: SchemeSpec, n: usize) -> Arc<dyn DistanceOracle> {
     let graph = erdos_renyi(n, 0.15, GeneratorConfig::uniform(7, 1, 20));
-    let outcome = SketchBuilder::new(spec)
-        .seed(11)
-        .build(&graph)
+    let outcome = spec
+        .build(&graph, &SchemeConfig::default().with_seed(11))
         .expect("construction");
     Arc::from(outcome.sketches)
 }

@@ -22,19 +22,16 @@
 //!     --addr 127.0.0.1:7421 --queries 50000 --connections 4 --batch 16
 //! ```
 //!
-//! Flags: `--addr HOST:PORT` (required), `--queries N` (total, default
-//! 10000), `--connections N` (default 4), `--batch N` (pairs per frame,
-//! default 16; `1` uses single-query frames), `--workload
-//! uniform|hotspot|adversarial` (default uniform), `--seed N`,
-//! `--timeout-ms N` (per-frame deadline, default 5000) and `--json PATH`
-//! (default `-`: no file).
+//! Flags are [`USAGE`]'s (anything else is refused before connecting):
+//! `--batch 1` uses single-query frames, `--timeout-ms` is the per-frame
+//! deadline, and `--json -` (the default) writes no file.
 //!
 //! The node count is discovered from the server's stats document, so the
 //! workload always matches whatever sketch the server is actually holding.
 //! Exit status is nonzero on any transport error or any non-typed failure.
 
 use dsketch_bench::workloads::QueryWorkload;
-use dsketch_bench::{arg_parse_or_exit, arg_value, percentile_nanos};
+use dsketch_bench::{arg_parse_or_exit, arg_value, check_args_or_exit, percentile_nanos};
 use dsketch_obs::Histogram;
 use dsketch_serve::NetClient;
 use netgraph::NodeId;
@@ -49,14 +46,17 @@ struct ConnReport {
     transport_error: Option<String>,
 }
 
+/// Every flag the binary accepts; [`check_args_or_exit`] holds the command
+/// line to it.
+const USAGE: &str = "--addr HOST:PORT [--queries N] [--connections N] [--batch N] \
+                     [--workload uniform|hotspot|adversarial] [--seed N] [--timeout-ms N] \
+                     [--json PATH|-]";
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    check_args_or_exit(&args[1..], USAGE);
     let addr = arg_value(&args, "addr").unwrap_or_else(|| {
-        eprintln!(
-            "usage: dsketch-loadgen --addr HOST:PORT [--queries N] [--connections N] \
-             [--batch N] [--workload uniform|hotspot|adversarial] [--seed N] \
-             [--timeout-ms N] [--json PATH|-]"
-        );
+        eprintln!("usage: dsketch-loadgen {USAGE}");
         std::process::exit(2);
     });
     let queries: usize = arg_parse_or_exit(&args, "queries", 10_000);

@@ -38,31 +38,19 @@
 //!     --server 127.0.0.1:7421 --interval-ms 2000
 //! ```
 //!
-//! `build` flags: `--scheme`, `--out`, and either `--edges <path>` (load a
-//! `netgraph::io` edge list) or `--topology erdos-renyi|grid|ring|power-law`
-//! with `--nodes N`; plus `--seed N`, `--threads N` (parallel engine worker
-//! count, 0 = all cores) and `--engine parallel|congest` (default
-//! `parallel`).  `serve` flags: `--snapshot`, `--queries`,
-//! `--batch`, `--cache`, `--workload`, `--seed`, `--trace-sample N` (sample
-//! every N-th query into the trace ring; default 0: off);
-//! with `--listen HOST:PORT` (plus `--serve-seconds N`, `--net-workers N`,
-//! and `--log-json` to mirror sampled trace events to stdout as JSON lines)
-//! the cold-started server is exposed over TCP — binary protocol and HTTP
-//! on one port, `GET /trace?n=K` serving the sampled events — instead of
-//! replaying a local workload.
-//! `query` and `serve` materialize the snapshot's label bytes straight
-//! into the flat CSR layout (`dsketch::flat::FlatSketchSet`) without
-//! rebuilding any per-node `Sketch`.
-//! `watch` polls `--graph` every `--interval-ms` (default 2000),
-//! rebuilds `--snapshot` with the parallel engine whenever the graph's
-//! fingerprint changes, and — when `--server HOST:PORT` names a live
-//! `dsketch-store serve --listen` instance — sends it a
-//! binary-protocol swap request so the fresh snapshot goes live without a
-//! restart.  `--iterations N` bounds the loop (0 = run forever).
+//! Every flag of every subcommand is in [`USAGE`], and a command line
+//! with anything else is refused before it acts.  What is not obvious
+//! there: `--threads 0` means all cores; `--engine` defaults to
+//! `parallel`; `--trace-sample N` samples every N-th query into the trace
+//! ring (`GET /trace?n=K`), and `--log-json` mirrors those events to stdout;
+//! `--listen` exposes the cold-started server over TCP (binary protocol
+//! and HTTP on one port) instead of replaying a local workload; `watch`
+//! rebuilds `--snapshot` whenever the graph's fingerprint moves and sends
+//! `--server` a swap request (`--iterations 0` runs forever).
 
 use dsketch::prelude::*;
 use dsketch_bench::workloads::{QueryWorkload, Workload, WorkloadSpec};
-use dsketch_bench::{arg_engine, arg_parse_or_exit, arg_value, Table};
+use dsketch_bench::{arg_engine, arg_parse_or_exit, arg_value, check_args_or_exit, Table};
 use dsketch_serve::{NetConfig, NetServer, ServeConfig, ServeMeta, SketchServer};
 use dsketch_store::{
     build_and_save, build_and_save_from_edge_list, inspect_snapshot, load_frozen_oracle,
@@ -78,40 +66,36 @@ fn required(args: &[String], name: &str) -> String {
     })
 }
 
-/// The whole command line of `inspect` and `verify`: exactly one
-/// `--snapshot FILE`.  A stray positional, a repeated or an unknown flag is
-/// a usage error naming it, so neither ever reports on one file while
-/// ignoring another it was handed.
-fn only_snapshot(args: &[String]) -> String {
-    let unexpected = match &args[2..] {
-        [flag, path] if flag == "--snapshot" => return path.clone(),
-        [] => return required(args, "snapshot"),
-        [flag] if flag == "--snapshot" => "--snapshot without a FILE",
-        [flag, _, extra, ..] if flag == "--snapshot" => extra,
-        [other, ..] => other,
-    };
-    eprintln!(
-        "{} takes exactly one --snapshot FILE; unexpected argument: {unexpected}",
-        args[1]
-    );
-    std::process::exit(2);
+/// What each subcommand accepts: [`check_args_or_exit`] holds every
+/// command line to its subcommand's lines here, so the usage text is the
+/// one list of flags.
+const USAGE: &str = "\
+build   --scheme SPEC --out FILE [--edges FILE | --topology T --nodes N] [--seed N]
+        [--threads N] [--engine parallel|congest]
+inspect --snapshot FILE
+verify  --snapshot FILE
+query   --snapshot FILE --u NODE --v NODE
+serve   --snapshot FILE [--queries N] [--batch N] [--cache N]
+        [--workload uniform|hotspot|adversarial] [--seed N] [--trace-sample N]
+        [--listen HOST:PORT [--serve-seconds N] [--net-workers N] [--log-json]]
+watch   --graph EDGE_LIST --scheme SPEC --snapshot FILE [--server HOST:PORT]
+        [--interval-ms N] [--iterations N] [--seed N] [--threads N]";
+
+/// The lines of [`USAGE`] that document `command`.
+fn synopsis(command: &str) -> String {
+    let mut lines = USAGE
+        .lines()
+        .skip_while(|line| line.split_whitespace().next() != Some(command));
+    let first = lines.next().unwrap_or_default();
+    let rest = lines.take_while(|line| line.starts_with(' '));
+    std::iter::once(first)
+        .chain(rest)
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: dsketch-store <build|inspect|query|serve|verify|watch> [flags]\n\
-         \n\
-         build   --scheme SPEC --out FILE [--edges FILE | --topology T --nodes N] [--seed N]\n\
-         \u{20}        [--threads N] [--engine parallel|congest]\n\
-         inspect --snapshot FILE\n\
-         verify  --snapshot FILE\n\
-         query   --snapshot FILE --u NODE --v NODE\n\
-         serve   --snapshot FILE [--queries N] [--batch N] [--cache N]\n\
-         \u{20}        [--workload uniform|hotspot|adversarial] [--seed N] [--trace-sample N]\n\
-         \u{20}        [--listen HOST:PORT [--serve-seconds N] [--net-workers N] [--log-json]]\n\
-         watch   --graph EDGE_LIST --scheme SPEC --snapshot FILE [--server HOST:PORT]\n\
-         \u{20}        [--interval-ms N] [--iterations N] [--seed N] [--threads N]"
-    );
+    eprintln!("usage: dsketch-store <build|inspect|query|serve|verify|watch> [flags]\n\n{USAGE}");
     std::process::exit(2);
 }
 
@@ -121,15 +105,17 @@ fn main() {
         eprintln!("DSKETCH_FAULTS: {e}");
         std::process::exit(2);
     }
-    match args.get(1).map(String::as_str) {
-        Some("build") => cmd_build(&args),
-        Some("inspect") => cmd_inspect(&args),
-        Some("verify") => cmd_verify(&args),
-        Some("query") => cmd_query(&args),
-        Some("serve") => cmd_serve(&args),
-        Some("watch") => cmd_watch(&args),
+    let run: fn(&[String]) = match args.get(1).map(String::as_str) {
+        Some("build") => cmd_build,
+        Some("inspect") => cmd_inspect,
+        Some("verify") => cmd_verify,
+        Some("query") => cmd_query,
+        Some("serve") => cmd_serve,
+        Some("watch") => cmd_watch,
         _ => usage(),
-    }
+    };
+    check_args_or_exit(&args[2..], &synopsis(&args[1]));
+    run(&args);
 }
 
 /// The rebuild-and-swap loop: poll an edge list for fingerprint changes,
@@ -307,7 +293,7 @@ fn cmd_build(args: &[String]) {
 }
 
 fn cmd_inspect(args: &[String]) {
-    let path = only_snapshot(args);
+    let path = required(args, "snapshot");
     let summary = inspect_snapshot(&path).unwrap_or_else(|e| {
         eprintln!("inspect failed: {e}");
         std::process::exit(1);
@@ -353,7 +339,7 @@ fn cmd_inspect(args: &[String]) {
 }
 
 fn cmd_verify(args: &[String]) {
-    let path = only_snapshot(args);
+    let path = required(args, "snapshot");
     match dsketch_analysis::verify_snapshot_file(std::path::Path::new(&path)) {
         Ok(report) => {
             println!(

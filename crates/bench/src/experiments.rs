@@ -11,6 +11,7 @@
 use crate::table::Table;
 use crate::workloads::{Workload, WorkloadSpec};
 use dsketch::baseline::LandmarkSketch;
+use dsketch::distributed::build_with_hierarchy;
 use dsketch::eval::{evaluate_oracle_with_slack, evaluate_pairs};
 use dsketch::prelude::*;
 use netgraph::apsp::DistanceTable;
@@ -96,7 +97,7 @@ fn e1_tradeoff(quick: bool) -> ExperimentResult {
         let pairs = exact_or_sampled_pairs(&graph, 1);
         let max_k = if quick { 3 } else { 5 };
         for k in 1..=max_k {
-            let result = ThorupZwickScheme::new(k)
+            let result = SchemeSpec::thorup_zwick(k)
                 .build(&graph, &SchemeConfig::default().with_seed(7))
                 .expect("TZ construction");
             let report = evaluate_pairs(&pairs, |u, v| result.sketches.estimate(u, v));
@@ -144,7 +145,7 @@ fn e2_bunch_sizes(quick: bool) -> ExperimentResult {
             500,
         )
         .unwrap();
-        let tz = CentralizedTz::build(&graph, &h);
+        let tz = dsketch::build::thorup_zwick(&graph, &h, 1);
         let sizes: Vec<usize> = tz.sketches.iter().map(|s| s.bunch_size()).collect();
         let mean = sizes.iter().sum::<usize>() as f64 / sizes.len() as f64;
         let max = *sizes.iter().max().unwrap();
@@ -186,10 +187,12 @@ fn e3_three_stretch_slack(quick: bool) -> ExperimentResult {
         let spec = WorkloadSpec::new(family, n, 21);
         let graph = spec.build();
         for &eps in &[0.4, 0.2, 0.1] {
-            let outcome = ThreeStretchScheme::new(eps)
-                .build(&graph, &SchemeConfig::default().with_seed(9))
+            let outcome = SchemeSpec::three_stretch(eps)
+                .build_sketches(&graph, &SchemeConfig::default().with_seed(9))
                 .unwrap();
-            let sketches = &outcome.sketches;
+            let StoredSketches::ThreeStretch(sketches) = &outcome.sketches else {
+                unreachable!("a 3-stretch spec builds 3-stretch sketches")
+            };
             let report = evaluate_oracle_with_slack(&graph, eps, sketches);
             table.push(vec![
                 spec.label(),
@@ -229,10 +232,12 @@ fn e4_cdg(quick: bool) -> ExperimentResult {
         let spec = WorkloadSpec::new(family, n, 33);
         let graph = spec.build();
         for &(eps, k) in &[(0.2, 1), (0.2, 2), (0.1, 2), (0.05, 3)] {
-            let outcome = CdgScheme::new(eps, k)
-                .build(&graph, &SchemeConfig::default().with_seed(3))
+            let outcome = SchemeSpec::cdg(eps, k)
+                .build_sketches(&graph, &SchemeConfig::default().with_seed(3))
                 .unwrap();
-            let result = &outcome.sketches;
+            let StoredSketches::Cdg(result) = &outcome.sketches else {
+                unreachable!("a CDG spec builds CDG sketches")
+            };
             let report = evaluate_oracle_with_slack(&graph, eps, result);
             table.push(vec![
                 spec.label(),
@@ -271,11 +276,16 @@ fn e5_degrading(quick: bool) -> ExperimentResult {
     for family in [Workload::ErdosRenyi, Workload::Grid, Workload::PowerLaw] {
         let spec = WorkloadSpec::new(family, n, 17);
         let graph = spec.build();
-        let outcome = DegradingScheme::new()
-            .with_max_k(3)
-            .build(&graph, &SchemeConfig::default().with_seed(3))
+        let scheme = SchemeSpec::Degrading {
+            max_layers: None,
+            max_k: Some(3),
+        };
+        let outcome = scheme
+            .build_sketches(&graph, &SchemeConfig::default().with_seed(3))
             .unwrap();
-        let sketches = &outcome.sketches;
+        let StoredSketches::Degrading(sketches) = &outcome.sketches else {
+            unreachable!("a degrading spec builds degrading sketches")
+        };
         let pairs = exact_or_sampled_pairs(&graph, 2);
         let report = evaluate_pairs(&pairs, |u, v| sketches.estimate(u, v));
         let logn = (graph.num_nodes() as f64).log2();
@@ -379,13 +389,16 @@ fn e7_query_vs_ondemand(quick: bool) -> ExperimentResult {
         let ondemand = net.run_until_quiescent(u64::MAX);
         // Preprocessed sketches, plus a fully simulated online exchange of
         // the farthest node's sketch back to node 0 (Section 2.1).
-        let result = ThorupZwickScheme::new(3)
-            .build(&graph, &SchemeConfig::default().with_seed(5))
+        let result = SchemeSpec::thorup_zwick(3)
+            .build_sketches(&graph, &SchemeConfig::default().with_seed(5))
             .expect("TZ construction");
+        let StoredSketches::ThorupZwick(sketches) = &result.sketches else {
+            unreachable!("a TZ spec builds TZ sketches")
+        };
         let target = NodeId::from_index(graph.num_nodes() - 1);
         let (_, exchange_stats) = dsketch::distributed::run_sketch_exchange(
             &graph,
-            &result.sketches,
+            sketches,
             NodeId(0),
             target,
             CongestConfig::default(),
@@ -399,7 +412,7 @@ fn e7_query_vs_ondemand(quick: bool) -> ExperimentResult {
             ondemand.stats.messages.to_string(),
             exchange_stats.rounds.to_string(),
             exchange_stats.messages.to_string(),
-            result.sketches.max_words().to_string(),
+            sketches.max_words().to_string(),
             result.stats.rounds.to_string(),
             landmark.words_per_node().to_string(),
         ]);
@@ -434,10 +447,9 @@ fn e8_equivalence(quick: bool) -> ExperimentResult {
                 500,
             )
             .unwrap();
-            let centralized = CentralizedTz::build(&graph, &h);
-            let distributed = ThorupZwickScheme::new(k)
-                .build_with_hierarchy(&graph, h, &SchemeConfig::default())
-                .expect("TZ construction");
+            let centralized = dsketch::build::thorup_zwick(&graph, &h, 1);
+            let distributed =
+                build_with_hierarchy(&graph, h, &SchemeConfig::default()).expect("TZ construction");
             let mut pivot_mismatches = 0usize;
             let mut bunch_mismatches = 0usize;
             for u in graph.nodes() {
@@ -491,17 +503,14 @@ fn e9_termination_overhead(quick: bool) -> ExperimentResult {
                 500,
             )
             .unwrap();
-            let scheme = ThorupZwickScheme::new(k);
-            let oracle = scheme
-                .build_with_hierarchy(&graph, h.clone(), &SchemeConfig::default())
+            let oracle = build_with_hierarchy(&graph, h.clone(), &SchemeConfig::default())
                 .expect("TZ construction");
-            let td = scheme
-                .build_with_hierarchy(
-                    &graph,
-                    h,
-                    &SchemeConfig::default().with_termination_detection(),
-                )
-                .expect("TZ construction");
+            let td = build_with_hierarchy(
+                &graph,
+                h,
+                &SchemeConfig::default().with_termination_detection(),
+            )
+            .expect("TZ construction");
             table.push(vec![
                 spec.label(),
                 k.to_string(),
@@ -551,7 +560,7 @@ fn e10_rounds_scaling(quick: bool) -> ExperimentResult {
         for &n in sizes {
             let spec = WorkloadSpec::new(family, n, 77);
             let (graph, diam) = spec.build_with_diameters();
-            let result = ThorupZwickScheme::new(k)
+            let result = SchemeSpec::thorup_zwick(k)
                 .build(&graph, &SchemeConfig::default().with_seed(3))
                 .expect("TZ construction");
             let s = diam.shortest_path_diameter.max(1) as f64;

@@ -44,8 +44,44 @@ pub fn percentile_nanos(samples: &mut [u64], p: f64) -> u64 {
     samples[rank.max(1) - 1]
 }
 
+/// Check a command line against the usage synopsis that documents it,
+/// before any flag is read: `args` are the arguments after the program (and
+/// subcommand) name.  In `synopsis`, `--name WORD` is a flag that takes a
+/// value and a flag that closes a bracket (`[--name]`) is a bare switch, so
+/// the usage text is the one list of what a command accepts.  An unknown
+/// flag, a repeated flag, a flag missing its value or a stray positional is
+/// a usage error (exit 2) naming the argument — reported before anything is
+/// built, loaded or bound.
+pub fn check_args_or_exit(args: &[String], synopsis: &str) {
+    let flags: Vec<(&str, bool)> = synopsis
+        .split_whitespace()
+        .map(|token| token.trim_start_matches('['))
+        .filter(|token| token.starts_with("--"))
+        .map(|token| (token.trim_end_matches(']'), !token.ends_with(']')))
+        .collect();
+    let mut seen = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let problem = match flags.iter().find(|(name, _)| name == arg) {
+            None if arg.starts_with("--") => format!("unknown flag {arg}"),
+            None => format!("unexpected argument {arg}"),
+            Some(_) if seen.contains(&arg) => format!("{arg} given more than once"),
+            Some(&(_, takes_value)) => {
+                seen.push(arg);
+                if !takes_value || rest.next().is_some_and(|value| !value.starts_with("--")) {
+                    continue;
+                }
+                format!("{arg} is missing its value")
+            }
+        };
+        eprintln!("{problem}\nusage: {synopsis}");
+        std::process::exit(2);
+    }
+}
+
 /// Look up a `--name value` style flag in raw `std::env::args` output
-/// (shared by the `dsketch-store` / `dsketch-loadgen` binaries).
+/// (shared by the `dsketch-store` / `dsketch-loadgen` binaries, which run
+/// [`check_args_or_exit`] first).
 pub fn arg_value(args: &[String], name: &str) -> Option<String> {
     let flag = format!("--{name}");
     args.iter()

@@ -1,7 +1,7 @@
 //! Tier-1 coverage for the command-line binaries: the README quickstart
 //! (`dsketch-store build → inspect → query → verify → serve`),
-//! `build → inspect → verify` for every family with the command line the
-//! two single-flag subcommands accept, `dsketch-store serve --listen`
+//! `build → inspect → verify` for every family, the command line every
+//! subcommand (and loadgen) accepts, `dsketch-store serve --listen`
 //! driven over its socket by plain HTTP and `dsketch-loadgen`, and the `experiments` id handling, each run as a
 //! subprocess the way a user runs them.  What the served answers *are* is
 //! held in-process (`tests/tests/`); these cases hold the binaries' wiring.
@@ -118,9 +118,10 @@ fn readme_quickstart_runs_end_to_end() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Every family through `build → inspect → verify`, and the two
-/// single-flag subcommands' command line: `verify` is the one verifier CLI,
-/// so it must never print "ok" beside a file it did not open.
+/// Every family through `build → inspect → verify`, and every subcommand's
+/// command line: `verify` is the one verifier CLI, so it must never print
+/// "ok" beside a file it did not open, and no command may act on a command
+/// line it only half read.
 #[test]
 fn every_family_builds_inspects_and_verifies_and_verify_reads_its_whole_command_line() {
     let dir = temp_dir("families");
@@ -145,26 +146,54 @@ fn every_family_builds_inspects_and_verifies_and_verify_reads_its_whole_command_
     let (g, other) = (snapshots[0].as_str(), snapshots[1].as_str());
     let nope = dir.join("nope.dsk");
     let nope = nope.to_str().expect("utf-8 temp path");
+    // Every subcommand, and loadgen, holds its whole command line to its
+    // usage lines before it builds, loads or binds anything: an unknown,
+    // repeated or valueless flag or a stray positional is exit 2 naming it,
+    // with nothing reported and nothing written.  `$G` is a built snapshot,
+    // `$OTHER` another, `$NOPE` a path that must stay unwritten.
+    let expand = |text: &str| {
+        let text = text.replace("$OTHER", other).replace("$NOPE", nope);
+        text.replace("$G", g)
+    };
+    for case in [
+        "verify --snapshot $G --snapshot $NOPE => --snapshot given more than once",
+        "verify --snapshot $G $OTHER => unexpected argument $OTHER",
+        "verify $OTHER --snapshot $G => unexpected argument $OTHER",
+        "verify --snapshot $G --deep => unknown flag --deep",
+        "verify => missing required flag --snapshot",
+        "verify --snapshot => --snapshot is missing its value",
+        "inspect --snapshot $G --snapshot $NOPE => --snapshot given more than once",
+        "inspect --snapshot $G $OTHER => unexpected argument $OTHER",
+        "inspect $OTHER --snapshot $G => unexpected argument $OTHER",
+        "inspect --snapshot $G --deep => unknown flag --deep",
+        "inspect => missing required flag --snapshot",
+        "inspect --snapshot => --snapshot is missing its value",
+        "build --scheme tz:3 --nodes 64 --out $NOPE --bogus 1 => unknown flag --bogus",
+        "build --scheme degrading:layers=0 --out $NOPE => invalid layer cap '0'",
+        "serve --snapshot $G --quries 10 => unknown flag --quries",
+        "serve --snapshot $G --log-json --listen => --listen is missing its value",
+        "query --snapshot $G --u 0 --v 5 --v 6 => --v given more than once",
+        "query --snapshot $G --u 0 --v 5 extra => unexpected argument extra",
+        "watch --graph $NOPE --snapshot $NOPE --interval 5 => unknown flag --interval",
+        "loadgen --addr 127.0.0.1:9 --batch 16 --batch 4 => --batch given more than once",
+    ] {
+        let (line, named) = case
+            .split_once(" => ")
+            .expect("each case names its culprit");
+        let (exe, line) = match line.strip_prefix("loadgen ") {
+            Some(flags) => (env!("CARGO_BIN_EXE_dsketch-loadgen"), flags),
+            None => (STORE, line),
+        };
+        let args: Vec<String> = line.split_whitespace().map(expand).collect();
+        let output = run(exe, &args.iter().map(String::as_str).collect::<Vec<_>>());
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{line}: {stderr}");
+        assert!(stderr.contains(&expand(named)), "{line}: {stderr}");
+        assert!(stdout.is_empty(), "{line} reported: {stdout}");
+        assert!(!Path::new(nope).exists(), "{line} wrote {nope}");
+    }
     for command in ["verify", "inspect"] {
-        for (rest, named) in [
-            (&["--snapshot", g, "--snapshot", nope][..], "--snapshot"),
-            (&["--snapshot", g, other], other),
-            (&[other, "--snapshot", g], other),
-            (&["--snapshot", g, "--deep"], "--deep"),
-            (&[], "--snapshot"),
-            (&["--snapshot"], "--snapshot"),
-        ] {
-            let output = run(STORE, &[&[command], rest].concat());
-            let stdout = String::from_utf8_lossy(&output.stdout);
-            let stderr = String::from_utf8_lossy(&output.stderr);
-            assert_eq!(
-                output.status.code(),
-                Some(2),
-                "{command} {rest:?}: {stderr}"
-            );
-            assert!(stderr.contains(named), "{command} {rest:?}: {stderr}");
-            assert!(stdout.is_empty(), "{command} {rest:?} reported: {stdout}");
-        }
         // A file that is not there is a failure of the check, not of the
         // command line.
         let output = run(STORE, &[command, "--snapshot", nope]);

@@ -41,9 +41,8 @@
 //! holds the engine to an insert-based model label for label).
 //!
 //! The centralized Thorup–Zwick baseline ([`crate::centralized`]) is this
-//! engine at `threads = 1`: [`CentralizedTz::build`](crate::centralized::CentralizedTz::build)
-//! delegates here, so the correctness oracle and the fast path can never
-//! drift apart.
+//! engine at `threads = 1` — `thorup_zwick(graph, &hierarchy, 1)` — so the
+//! correctness oracle and the fast path can never drift apart.
 //!
 //! ```
 //! use dsketch::build;
@@ -212,8 +211,9 @@ fn balanced_cuts(offsets: &[usize], pieces: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributed::build_with_hierarchy;
     use crate::hierarchy::TzParams;
-    use crate::scheme::{SchemeConfig, ThorupZwickScheme};
+    use crate::scheme::SchemeConfig;
     use netgraph::generators::{erdos_renyi, grid, GeneratorConfig};
 
     fn hierarchy_for(n: usize, k: usize, seed: u64) -> Hierarchy {
@@ -226,13 +226,11 @@ mod tests {
     fn direct_build_matches_the_congest_simulation() {
         let g = erdos_renyi(72, 0.09, GeneratorConfig::uniform(3, 1, 25));
         let h = hierarchy_for(72, 3, 5);
-        let simulated = ThorupZwickScheme::new(3)
-            .build_with_hierarchy(&g, h.clone(), &SchemeConfig::default())
-            .unwrap();
+        let simulated = build_with_hierarchy(&g, h.clone(), &SchemeConfig::default()).unwrap();
         let direct = thorup_zwick(&g, &h, 2);
         for u in g.nodes() {
             assert_eq!(
-                simulated.sketches.sketches.sketch(u),
+                simulated.sketches.sketch(u),
                 direct.sketches.sketch(u),
                 "label mismatch at {u}"
             );

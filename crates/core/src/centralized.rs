@@ -2,10 +2,13 @@
 //!
 //! The centralized algorithm is the baseline the paper distributes.  It is
 //! implemented here for two reasons: (1) it is the correctness oracle — given
-//! the *same* sampled [`Hierarchy`], the distributed construction of
-//! Section 3.2 must produce exactly the same pivots and bunches (experiment
-//! E8 asserts this bit-for-bit); and (2) the experiment harness compares the
-//! centralized construction cost against the distributed round/message cost.
+//! the *same* sampled [`Hierarchy`](crate::hierarchy::Hierarchy), the
+//! distributed construction of Section 3.2 must produce exactly the same
+//! pivots and bunches (experiment E8 asserts this bit-for-bit); and (2) the
+//! experiment harness compares the centralized construction cost against the
+//! distributed round/message cost.  The baseline is the direct engine on one
+//! thread, `build::thorup_zwick(graph, &hierarchy, 1)`
+//! ([`crate::build::thorup_zwick`]); this module holds its two searches.
 //!
 //! The construction follows \[TZ05\]:
 //!
@@ -37,51 +40,9 @@
 //! be expanded — and a generic search would take all of that as parameters;
 //! the queue is the part they share.
 
-use crate::hierarchy::Hierarchy;
-use crate::sketch::{DistKey, SketchSet};
+use crate::sketch::DistKey;
 use netgraph::shortest_path::RadixQueue;
 use netgraph::{add_dist, Distance, Graph, NodeId, INFINITY};
-
-/// Result of the centralized construction.
-#[derive(Debug, Clone)]
-pub struct CentralizedTz {
-    /// The per-node labels.
-    pub sketches: SketchSet,
-    /// `pivot_keys[i][u]` — the lexicographic key of `d(u, A_i)` (index `k`
-    /// holds the all-infinite row for `A_k = ∅`).
-    pub pivot_keys: Vec<Vec<DistKey>>,
-    /// Total number of cluster-membership pairs (`Σ_w |C(w)|`), a proxy for
-    /// the centralized work performed.
-    pub total_cluster_size: usize,
-}
-
-impl CentralizedTz {
-    /// Build Thorup–Zwick labels for every node of `graph` using the sampled
-    /// `hierarchy`.
-    ///
-    /// This is the single-threaded instance of the shared direct engine
-    /// ([`crate::build::thorup_zwick`]): the baseline the distributed
-    /// construction is compared against and the parallel production build
-    /// path are the same code, so they can never drift apart.
-    pub fn build(graph: &Graph, hierarchy: &Hierarchy) -> Self {
-        let built = crate::build::thorup_zwick(graph, hierarchy, 1);
-        CentralizedTz {
-            sketches: built.sketches,
-            pivot_keys: built.pivot_keys,
-            total_cluster_size: built.total_cluster_size,
-        }
-    }
-
-    /// The per-node labels (convenience accessor).
-    pub fn sketches(&self) -> &SketchSet {
-        &self.sketches
-    }
-
-    /// The lexicographic key of `d(u, A_i)`.
-    pub fn pivot_key(&self, level: usize, u: NodeId) -> DistKey {
-        self.pivot_keys[level][u.index()]
-    }
-}
 
 /// Multi-source Dijkstra minimizing the lexicographic `(distance, source)`
 /// key: for every node the result is `min_{s ∈ sources} (d(u, s), s)`.
@@ -188,13 +149,14 @@ pub(crate) fn grow_cluster(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hierarchy::TzParams;
+    use crate::build::{thorup_zwick, DirectTzBuild};
+    use crate::hierarchy::{Hierarchy, TzParams};
     use crate::query::estimate_distance;
     use netgraph::apsp::DistanceTable;
     use netgraph::generators::{erdos_renyi, grid, ring, GeneratorConfig};
     use netgraph::GraphBuilder;
 
-    fn check_stretch(graph: &Graph, tz: &CentralizedTz, k: usize) {
+    fn check_stretch(graph: &Graph, tz: &DirectTzBuild, k: usize) {
         let table = DistanceTable::exact(graph);
         let stretch = (2 * k - 1) as u64;
         for (u, v, exact) in table.pairs() {
@@ -216,7 +178,7 @@ mod tests {
     fn k1_is_exact_all_pairs() {
         let g = erdos_renyi(40, 0.15, GeneratorConfig::uniform(3, 1, 10));
         let h = Hierarchy::sample(40, &TzParams::new(1)).unwrap();
-        let tz = CentralizedTz::build(&g, &h);
+        let tz = thorup_zwick(&g, &h, 1);
         let table = DistanceTable::exact(&g);
         for (u, v, exact) in table.pairs() {
             let est = estimate_distance(tz.sketches.sketch(u), tz.sketches.sketch(v)).unwrap();
@@ -232,7 +194,7 @@ mod tests {
     fn stretch_bound_holds_on_random_graph_k2() {
         let g = erdos_renyi(60, 0.1, GeneratorConfig::uniform(5, 1, 20));
         let h = Hierarchy::sample(60, &TzParams::new(2).with_seed(1)).unwrap();
-        let tz = CentralizedTz::build(&g, &h);
+        let tz = thorup_zwick(&g, &h, 1);
         check_stretch(&g, &tz, 2);
     }
 
@@ -241,7 +203,7 @@ mod tests {
         let g = grid(7, 7, GeneratorConfig::uniform(2, 1, 10));
         let (h, _) =
             Hierarchy::sample_until_top_nonempty(49, &TzParams::new(3).with_seed(4), 100).unwrap();
-        let tz = CentralizedTz::build(&g, &h);
+        let tz = thorup_zwick(&g, &h, 1);
         check_stretch(&g, &tz, 3);
     }
 
@@ -250,7 +212,7 @@ mod tests {
         let g = ring(50, GeneratorConfig::uniform(8, 1, 5));
         let (h, _) =
             Hierarchy::sample_until_top_nonempty(50, &TzParams::new(3).with_seed(0), 100).unwrap();
-        let tz = CentralizedTz::build(&g, &h);
+        let tz = thorup_zwick(&g, &h, 1);
         check_stretch(&g, &tz, 3);
     }
 
@@ -259,7 +221,7 @@ mod tests {
         let g = erdos_renyi(50, 0.12, GeneratorConfig::uniform(11, 1, 9));
         let (h, _) =
             Hierarchy::sample_until_top_nonempty(50, &TzParams::new(3).with_seed(7), 100).unwrap();
-        let tz = CentralizedTz::build(&g, &h);
+        let tz = thorup_zwick(&g, &h, 1);
         let table = DistanceTable::exact(&g);
         for u in g.nodes() {
             for i in 0..3 {
@@ -269,7 +231,7 @@ mod tests {
                     .map(|&w| DistKey::new(table.distance(u, w), w))
                     .min()
                     .unwrap();
-                assert_eq!(tz.pivot_key(i, u), expected, "node {u} level {i}");
+                assert_eq!(tz.pivot_keys[i][u.index()], expected, "node {u} level {i}");
                 let (p, d) = tz.sketches.sketch(u).pivot(i).unwrap();
                 assert_eq!(DistKey::new(d, p), expected);
             }
@@ -282,12 +244,12 @@ mod tests {
         let g = erdos_renyi(40, 0.15, GeneratorConfig::uniform(21, 1, 12));
         let (h, _) =
             Hierarchy::sample_until_top_nonempty(40, &TzParams::new(2).with_seed(3), 100).unwrap();
-        let tz = CentralizedTz::build(&g, &h);
+        let tz = thorup_zwick(&g, &h, 1);
         let table = DistanceTable::exact(&g);
         for u in g.nodes() {
             let sketch = tz.sketches.sketch(u);
             for i in 0..2u32 {
-                let next_key = tz.pivot_key(i as usize + 1, u);
+                let next_key = tz.pivot_keys[i as usize + 1][u.index()];
                 for &w in &h.exact_level_members(i as usize) {
                     let key = DistKey::new(table.distance(u, w), w);
                     let should_be_member = key < next_key;
@@ -311,7 +273,7 @@ mod tests {
         let g = erdos_renyi(n, 8.0 / n as f64, GeneratorConfig::uniform(31, 1, 50));
         let (h, _) =
             Hierarchy::sample_until_top_nonempty(n, &TzParams::new(3).with_seed(5), 100).unwrap();
-        let tz = CentralizedTz::build(&g, &h);
+        let tz = thorup_zwick(&g, &h, 1);
         let avg_bunch: f64 = tz
             .sketches
             .iter()
@@ -330,7 +292,7 @@ mod tests {
         let g = grid(6, 6, GeneratorConfig::uniform(9, 1, 7));
         let (h, _) =
             Hierarchy::sample_until_top_nonempty(36, &TzParams::new(2).with_seed(2), 100).unwrap();
-        let tz = CentralizedTz::build(&g, &h);
+        let tz = thorup_zwick(&g, &h, 1);
         for s in tz.sketches.iter() {
             s.check_invariants().unwrap();
         }

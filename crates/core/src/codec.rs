@@ -1307,22 +1307,24 @@ mod tests {
 
     #[test]
     fn encoded_len_is_exact_for_every_family() {
-        use crate::scheme::{
-            CdgScheme, DegradingScheme, SchemeConfig, SketchScheme, ThorupZwickScheme,
-            ThreeStretchScheme,
-        };
+        use crate::scheme::{SchemeConfig, StoredSketches};
         use netgraph::generators::{erdos_renyi, GeneratorConfig};
 
         let graph = erdos_renyi(48, 0.15, GeneratorConfig::uniform(4, 1, 30));
         let config = SchemeConfig::default().with_seed(6).with_parallel_build();
-        let tz = ThorupZwickScheme::new(3).build(&graph, &config).unwrap();
-        assert_len_is_exact(&tz.sketches);
-        let three = ThreeStretchScheme::new(0.4).build(&graph, &config).unwrap();
-        assert_len_is_exact(&three.sketches);
-        let cdg = CdgScheme::new(0.4, 2).build(&graph, &config).unwrap();
-        assert_len_is_exact(&cdg.sketches);
-        let degrading = DegradingScheme::new().build(&graph, &config).unwrap();
-        assert_len_is_exact(&degrading.sketches);
+        for spec in [
+            SchemeSpec::thorup_zwick(3),
+            SchemeSpec::three_stretch(0.4),
+            SchemeSpec::cdg(0.4, 2),
+            SchemeSpec::degrading(),
+        ] {
+            match spec.build_sketches(&graph, &config).unwrap().sketches {
+                StoredSketches::ThorupZwick(set) => assert_len_is_exact(&set),
+                StoredSketches::ThreeStretch(set) => assert_len_is_exact(&set),
+                StoredSketches::Cdg(set) => assert_len_is_exact(&set),
+                StoredSketches::Degrading(set) => assert_len_is_exact(&set),
+            }
+        }
     }
 
     #[test]

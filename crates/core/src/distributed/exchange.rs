@@ -267,17 +267,18 @@ pub fn run_sketch_exchange(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{SchemeConfig, SketchScheme, ThorupZwickScheme};
+    use crate::scheme::{SchemeConfig, SchemeSpec, StoredSketches};
     use congest_sim::CongestConfig;
     use netgraph::generators::{erdos_renyi, grid, ring_with_chords, GeneratorConfig};
     use netgraph::shortest_path::dijkstra;
 
     fn build_sketches(graph: &netgraph::Graph, k: usize) -> crate::sketch::SketchSet {
-        ThorupZwickScheme::new(k)
-            .build(graph, &SchemeConfig::default().with_seed(7))
-            .unwrap()
-            .sketches
-            .sketches
+        let config = SchemeConfig::default().with_seed(7);
+        let outcome = SchemeSpec::thorup_zwick(k).build_sketches(graph, &config);
+        let StoredSketches::ThorupZwick(tz) = outcome.unwrap().sketches else {
+            panic!("tz:{k} built another family")
+        };
+        tz.sketches
     }
 
     #[test]

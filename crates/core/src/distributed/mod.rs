@@ -37,9 +37,10 @@ pub use termination::TerminationTzProgram;
 
 use crate::error::SketchError;
 use crate::hierarchy::Hierarchy;
+use crate::scheme::SchemeConfig;
 use crate::sketch::{BunchEntry, DistKey, Sketch, SketchSet};
 use congest_sim::programs::bfs_tree::build_bfs_tree;
-use congest_sim::{CongestConfig, Network, RunStats};
+use congest_sim::{Network, RunStats};
 use netgraph::{Graph, NodeId};
 use std::time::Instant;
 
@@ -54,39 +55,10 @@ pub enum SyncMode {
     TerminationDetection,
 }
 
-/// Configuration of a distributed construction run.
-#[derive(Debug, Clone, Copy)]
-pub struct DistributedTzConfig {
-    /// Phase-boundary detection mode.
-    pub sync: SyncMode,
-    /// CONGEST engine configuration (threads, bandwidth budget).
-    pub congest: CongestConfig,
-    /// Safety valve: abort if a single run exceeds this many rounds.
-    pub max_rounds: u64,
-}
-
-impl Default for DistributedTzConfig {
-    fn default() -> Self {
-        DistributedTzConfig {
-            sync: SyncMode::GlobalOracle,
-            congest: CongestConfig::default(),
-            max_rounds: 50_000_000,
-        }
-    }
-}
-
-impl DistributedTzConfig {
-    /// Use the Section 3.3 termination-detection protocol.
-    pub fn with_termination_detection(mut self) -> Self {
-        self.sync = SyncMode::TerminationDetection;
-        self
-    }
-}
-
 /// Everything produced by one distributed construction.
 ///
-/// What the distributed engine hands back; the
-/// [`crate::scheme::ThorupZwickScheme`] API repackages it as a
+/// What the distributed engine hands back;
+/// [`crate::scheme::SchemeSpec::build_sketches`] repackages it as a
 /// [`crate::scheme::BuildOutcome`].
 #[derive(Debug, Clone)]
 pub struct TzBuildResult {
@@ -106,13 +78,16 @@ pub struct TzBuildResult {
 }
 
 /// Run the distributed Thorup–Zwick construction with an explicit
-/// hierarchy.  This is the crate-internal engine behind both
-/// [`crate::scheme::ThorupZwickScheme`] and the net-restricted CDG
-/// construction.
-pub(crate) fn build_with_hierarchy(
+/// hierarchy, under `config`'s phase synchronization, CONGEST settings and
+/// round limit (its seed and engine choice do not apply: the hierarchy is
+/// given, and this *is* the CONGEST engine).  The engine behind the
+/// Thorup–Zwick and the net-restricted CDG constructions; the equivalence
+/// tests call it directly with the hierarchy they hand the centralized
+/// baseline ([`crate::build::thorup_zwick`]).
+pub fn build_with_hierarchy(
     graph: &Graph,
     hierarchy: Hierarchy,
-    config: DistributedTzConfig,
+    config: &SchemeConfig,
 ) -> Result<TzBuildResult, SketchError> {
     match config.sync {
         SyncMode::GlobalOracle => run_global_oracle(graph, hierarchy, config),
@@ -129,7 +104,7 @@ pub(crate) fn build_with_hierarchy(
 fn run_global_oracle(
     graph: &Graph,
     hierarchy: Hierarchy,
-    config: DistributedTzConfig,
+    config: &SchemeConfig,
 ) -> Result<TzBuildResult, SketchError> {
     let n = graph.num_nodes();
     let k = hierarchy.k();
@@ -222,7 +197,7 @@ fn record_phase(phase: usize, stats: &RunStats, started: Instant) {
 fn run_termination_detection(
     graph: &Graph,
     hierarchy: Hierarchy,
-    config: DistributedTzConfig,
+    config: &SchemeConfig,
 ) -> Result<TzBuildResult, SketchError> {
     // Leader election + BFS tree (paper: O(D) rounds, O(|E| log n) messages).
     let (trees, tree_stats) = build_bfs_tree(graph, config.congest);
@@ -255,10 +230,9 @@ fn run_termination_detection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::centralized::CentralizedTz;
     use crate::hierarchy::TzParams;
     use crate::oracle::DistanceOracle;
-    use crate::scheme::{SchemeConfig, SketchScheme, ThorupZwickScheme};
+    use crate::scheme::SchemeSpec;
     use netgraph::apsp::DistanceTable;
     use netgraph::generators::{erdos_renyi, grid, ring, GeneratorConfig};
 
@@ -269,10 +243,8 @@ mod tests {
             200,
         )
         .unwrap();
-        let centralized = CentralizedTz::build(graph, &h);
-        let distributed = ThorupZwickScheme::new(k)
-            .build_with_hierarchy(graph, h, &config)
-            .unwrap();
+        let centralized = crate::build::thorup_zwick(graph, &h, 1);
+        let distributed = build_with_hierarchy(graph, h, &config).unwrap();
         for u in graph.nodes() {
             let c = centralized.sketches.sketch(u);
             let d = distributed.sketches.sketch(u);
@@ -315,12 +287,8 @@ mod tests {
         let g = grid(6, 6, GeneratorConfig::uniform(8, 1, 12));
         let (h, _) =
             Hierarchy::sample_until_top_nonempty(36, &TzParams::new(3).with_seed(1), 200).unwrap();
-        let scheme = ThorupZwickScheme::new(3);
-        let oracle = scheme
-            .build_with_hierarchy(&g, h.clone(), &SchemeConfig::default())
-            .unwrap();
-        let td = scheme
-            .build_with_hierarchy(&g, h, &SchemeConfig::default().with_termination_detection())
+        let oracle = build_with_hierarchy(&g, h.clone(), &SchemeConfig::default()).unwrap();
+        let td = build_with_hierarchy(&g, h, &SchemeConfig::default().with_termination_detection())
             .unwrap();
         for u in g.nodes() {
             assert_eq!(
@@ -340,7 +308,7 @@ mod tests {
     fn stretch_guarantee_end_to_end() {
         let g = erdos_renyi(64, 0.1, GeneratorConfig::uniform(23, 1, 30));
         let k = 3;
-        let result = ThorupZwickScheme::new(k)
+        let result = SchemeSpec::thorup_zwick(k)
             .build(&g, &SchemeConfig::default().with_seed(7))
             .unwrap();
         let table = DistanceTable::exact(&g);
@@ -356,7 +324,7 @@ mod tests {
     #[test]
     fn invalid_k_is_rejected() {
         let g = ring(10, GeneratorConfig::unit(1));
-        let err = ThorupZwickScheme::new(0).build(&g, &SchemeConfig::default());
+        let err = SchemeSpec::thorup_zwick(0).build(&g, &SchemeConfig::default());
         assert!(err.is_err());
     }
 
@@ -364,7 +332,7 @@ mod tests {
     fn round_limit_is_enforced() {
         let g = ring(60, GeneratorConfig::unit(1));
         let config = SchemeConfig::default().with_seed(1).with_max_rounds(2);
-        let err = ThorupZwickScheme::new(2).build(&g, &config);
+        let err = SchemeSpec::thorup_zwick(2).build(&g, &config);
         assert!(matches!(err, Err(SketchError::RoundLimitExceeded { .. })));
     }
 
@@ -375,7 +343,7 @@ mod tests {
         let n = 64;
         let expander = erdos_renyi(n, 0.2, GeneratorConfig::unit(3));
         let cycle = ring(n, GeneratorConfig::unit(3));
-        let scheme = ThorupZwickScheme::new(2);
+        let scheme = SchemeSpec::thorup_zwick(2);
         let config = SchemeConfig::default().with_seed(11);
         let a = scheme.build(&expander, &config).unwrap();
         let b = scheme.build(&cycle, &config).unwrap();

@@ -463,26 +463,26 @@ impl NodeProgram for TerminationTzProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributed::{build_with_hierarchy, TzBuildResult};
     use crate::hierarchy::{Hierarchy, TzParams};
-    use crate::scheme::{BuildOutcome, SchemeConfig, ThorupZwickScheme, TzSketchSet};
+    use crate::scheme::SchemeConfig;
     use congest_sim::programs::bfs_tree::build_bfs_tree;
     use congest_sim::{CongestConfig, Network};
     use netgraph::generators::{erdos_renyi, grid, preferential_attachment, ring, GeneratorConfig};
 
-    fn run_td(graph: &netgraph::Graph, k: usize, seed: u64) -> BuildOutcome<TzSketchSet> {
+    fn run_td(graph: &netgraph::Graph, k: usize, seed: u64) -> TzBuildResult {
         let (h, _) = Hierarchy::sample_until_top_nonempty(
             graph.num_nodes(),
             &TzParams::new(k).with_seed(seed),
             200,
         )
         .unwrap();
-        ThorupZwickScheme::new(k)
-            .build_with_hierarchy(
-                graph,
-                h,
-                &SchemeConfig::default().with_termination_detection(),
-            )
-            .unwrap()
+        build_with_hierarchy(
+            graph,
+            h,
+            &SchemeConfig::default().with_termination_detection(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -546,12 +546,8 @@ mod tests {
         let g = erdos_renyi(60, 0.08, GeneratorConfig::uniform(19, 1, 10));
         let (h, _) =
             Hierarchy::sample_until_top_nonempty(60, &TzParams::new(2).with_seed(4), 200).unwrap();
-        let scheme = ThorupZwickScheme::new(2);
-        let oracle = scheme
-            .build_with_hierarchy(&g, h.clone(), &SchemeConfig::default())
-            .unwrap();
-        let td = scheme
-            .build_with_hierarchy(&g, h, &SchemeConfig::default().with_termination_detection())
+        let oracle = build_with_hierarchy(&g, h.clone(), &SchemeConfig::default()).unwrap();
+        let td = build_with_hierarchy(&g, h, &SchemeConfig::default().with_termination_detection())
             .unwrap();
         let k = 2u64;
         let n = 60u64;

@@ -170,7 +170,6 @@ pub struct SlackReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::centralized::CentralizedTz;
     use crate::hierarchy::{Hierarchy, TzParams};
     use crate::sketch::SketchSet;
     use netgraph::generators::{erdos_renyi, GeneratorConfig};
@@ -179,7 +178,7 @@ mod tests {
         let g = erdos_renyi(n, 0.1, GeneratorConfig::uniform(3, 1, 15));
         let (h, _) =
             Hierarchy::sample_until_top_nonempty(n, &TzParams::new(k).with_seed(1), 200).unwrap();
-        let tz = CentralizedTz::build(&g, &h);
+        let tz = crate::build::thorup_zwick(&g, &h, 1);
         (g, tz.sketches)
     }
 

@@ -47,8 +47,9 @@
 //!
 //! A frozen set is built two ways:
 //!
-//! * [`Freeze::freeze`] — from any in-memory sketch set (all four families
-//!   implement it); every type-erased build
+//! * [`StoredSketches::freeze`](crate::scheme::StoredSketches::freeze) —
+//!   from any family's in-memory sketch set (and [`SketchSet::freeze`] from
+//!   a raw label set); every type-erased build
 //!   ([`crate::scheme::SchemeSpec::build`]) ends with it.
 //! * [`FlatSketchSet::from_family_bytes`] — straight from the `SKCH`
 //!   section bytes of a `dsketch-store` snapshot, so a cold-started server
@@ -352,14 +353,6 @@ impl FlatLayer {
     fn words(&self, u: usize) -> usize {
         let label = self.label(u);
         2 * present_pivots(label.pivots) + 2 * label.bunch_nodes.len()
-    }
-
-    /// Largest per-node `k` in this layer (pivot range length).
-    fn max_k(&self) -> usize {
-        (0..self.num_nodes)
-            .map(|u| cast::usize_from_u32(self.offsets[u + 1].0 - self.offsets[u].0))
-            .max()
-            .unwrap_or(0)
     }
 
     /// This layer's share of [`FlatSketchSet::check_invariants`].
@@ -879,11 +872,12 @@ enum Labels {
 /// A frozen sketch set: every label of a build packed into contiguous
 /// CSR arrays, queried without allocation or pointer chasing.
 ///
-/// Build one with [`Freeze::freeze`] from any family's sketch set (what
-/// [`crate::scheme::SchemeSpec::build`] hands back), or straight from
-/// snapshot bytes with [`FlatSketchSet::from_family_bytes`].  A frozen set
-/// is a first-class [`DistanceOracle`] whose answers (including errors) are
-/// identical to the sketch set it was frozen from.
+/// Build one with [`StoredSketches::freeze`](crate::scheme::StoredSketches::freeze)
+/// from any family's sketch set (what [`crate::scheme::SchemeSpec::build`]
+/// hands back), or straight from snapshot bytes with
+/// [`FlatSketchSet::from_family_bytes`].  A frozen set is a first-class
+/// [`DistanceOracle`] whose answers (including errors) are identical to the
+/// sketch set it was frozen from.
 ///
 /// ```
 /// use dsketch::prelude::*;
@@ -892,11 +886,11 @@ enum Labels {
 ///
 /// let graph = erdos_renyi(32, 0.2, GeneratorConfig::uniform(1, 1, 9));
 /// let config = SchemeConfig::default().with_seed(3);
-/// let typed = ThorupZwickScheme::new(2).build(&graph, &config).unwrap();
+/// let typed = SchemeSpec::thorup_zwick(2).build_sketches(&graph, &config).unwrap();
 /// let frozen = typed.sketches.freeze();
 /// assert_eq!(
 ///     frozen.estimate(NodeId(0), NodeId(9)).unwrap(),
-///     typed.sketches.estimate(NodeId(0), NodeId(9)).unwrap(),
+///     typed.sketches.as_oracle().estimate(NodeId(0), NodeId(9)).unwrap(),
 /// );
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -910,32 +904,13 @@ pub struct FlatSketchSet {
     stretch_bound: Option<u64>,
 }
 
-/// Freeze a finished, mutable sketch set into its [`FlatSketchSet`] form.
-///
-/// Implemented by the raw [`SketchSet`] and all four family sketch sets;
-/// freezing copies the labels once and drops construction-only state
-/// (per-node allocations, bunch levels), after which queries run over
-/// contiguous slices.  Freezing never changes an answer:
-/// `frozen.estimate(u, v)` equals the source oracle's `estimate(u, v)` for
-/// every pair, errors included.
-pub trait Freeze {
-    /// Pack this set's labels into the frozen CSR representation.
-    fn freeze(&self) -> FlatSketchSet;
-}
-
-impl Freeze for SketchSet {
-    /// A raw label set freezes to a level-walk oracle — the same query rule
-    /// and stretch accounting as its own [`DistanceOracle`] impl.
-    fn freeze(&self) -> FlatSketchSet {
-        let layer = FlatLayer::from_sketch_set(self);
-        let stretch = (layer.num_nodes > 0)
-            .then(|| (2 * cast::u64_from_usize(layer.max_k())).saturating_sub(1));
-        FlatSketchSet {
-            labels: Labels::Layered(vec![layer]),
-            rule: QueryRule::LevelWalk,
-            scheme_name: "thorup-zwick",
-            stretch_bound: stretch,
-        }
+impl SketchSet {
+    /// Freeze a raw label set into its [`FlatSketchSet`] form: a level-walk
+    /// oracle with the same query rule and stretch accounting as its own
+    /// [`DistanceOracle`] impl, answering every pair as it does.
+    pub fn freeze(&self) -> FlatSketchSet {
+        let stretch = DistanceOracle::stretch_bound(self);
+        FlatSketchSet::single_layer(self, QueryRule::LevelWalk, "thorup-zwick", stretch)
     }
 }
 
@@ -1253,6 +1228,7 @@ impl DistanceOracle for FlatSketchSet {
 mod tests {
     use super::*;
     use crate::query::{estimate_distance, estimate_distance_best_common};
+    use crate::slack::degrading::DegradingSketchSet;
 
     /// The toy pair from `query.rs`: landmark 9 with d(0,9)=2, d(1,9)=3.
     fn toy_set() -> SketchSet {
@@ -1375,12 +1351,12 @@ mod tests {
 
         // A valid TzSketchSet payload decodes flat and equals the freeze of
         // the map decode: the two are consumers of the same rows.
-        let tz = crate::scheme::TzSketchSet {
+        let tz = crate::scheme::StoredSketches::ThorupZwick(crate::scheme::TzSketchSet {
             sketches: set.clone(),
             hierarchy: Hierarchy::sample(2, &crate::hierarchy::TzParams::new(2).with_seed(1))
                 .unwrap(),
-        };
-        let bytes = tz.to_bytes();
+        });
+        let bytes = tz.encode_payload();
         let flat = FlatSketchSet::from_family_bytes(&spec, &bytes).unwrap();
         assert_eq!(flat, tz.freeze());
         assert_eq!(
@@ -1407,13 +1383,20 @@ mod tests {
     }
 
     /// A real two-engine-shaped degrading build on `n` nodes.
-    fn degrading_set(n: usize, seed: u64) -> crate::slack::degrading::DegradingSketchSet {
-        use crate::scheme::{DegradingScheme, SchemeConfig, SketchScheme};
+    fn degrading_set(n: usize, seed: u64) -> DegradingSketchSet {
+        use crate::slack::degrading::{build, DegradingParams};
         use netgraph::generators::{erdos_renyi, GeneratorConfig};
         let graph = erdos_renyi(n, 0.3, GeneratorConfig::uniform(seed, 1, 9));
-        let config = SchemeConfig::default().with_seed(seed);
-        let scheme = DegradingScheme::new().with_max_k(2);
-        scheme.build(&graph, &config).unwrap().sketches
+        let params = DegradingParams {
+            max_k: Some(2),
+            ..DegradingParams::new(seed)
+        };
+        build(&graph, params, &crate::scheme::SchemeConfig::default()).unwrap()
+    }
+
+    /// Freeze a degrading set, as `StoredSketches::freeze` does.
+    fn freeze_layers(set: &DegradingSketchSet) -> FlatSketchSet {
+        FlatSketchSet::layered(set.layers.iter().map(|layer| &layer.sketches))
     }
 
     #[test]
@@ -1428,7 +1411,7 @@ mod tests {
         let bytes = ragged.to_bytes();
         let flat_err =
             FlatSketchSet::from_family_bytes(&SchemeSpec::degrading(), &bytes).unwrap_err();
-        let map_err = crate::slack::degrading::DegradingSketchSet::from_bytes(&bytes).unwrap_err();
+        let map_err = DegradingSketchSet::from_bytes(&bytes).unwrap_err();
         assert_eq!(flat_err, map_err);
         assert!(
             matches!(&flat_err, CodecError::Invalid { message, .. }
@@ -1437,7 +1420,7 @@ mod tests {
         );
         // Freezing cannot refuse (it mirrors the per-node set, which is as
         // unusable); the set stays layered and the verifier's check names it.
-        let frozen = ragged.freeze();
+        let frozen = freeze_layers(&ragged);
         assert_eq!(frozen.merged_entries(), None);
         assert_eq!(
             frozen.check_invariants().unwrap_err(),
@@ -1448,7 +1431,7 @@ mod tests {
     #[test]
     fn a_built_degrading_set_is_served_from_merged_rows_and_decodes_to_the_same_value() {
         let set = degrading_set(24, 7);
-        let flat = set.freeze();
+        let flat = freeze_layers(&set);
         let per_layer: usize = set
             .layers
             .iter()
@@ -1469,7 +1452,7 @@ mod tests {
 
     /// `check_invariants` of a valid merged set after `corrupt` edited it.
     fn corrupted(corrupt: impl FnOnce(&mut MergedRows)) -> String {
-        let mut flat = degrading_set(24, 7).freeze();
+        let mut flat = freeze_layers(&degrading_set(24, 7));
         let Labels::Merged(rows) = &mut flat.labels else {
             panic!("a built degrading set is merged");
         };

@@ -8,10 +8,10 @@
 //!
 //! | scheme | stretch | size (words) | rounds | paper |
 //! |---|---|---|---|---|
-//! | [`ThorupZwickScheme`] | `2k − 1` | `O(k n^{1/k} log n)` | `O(k n^{1/k} S log n)` | Thm 1.1 / 3.8 |
-//! | [`ThreeStretchScheme`] | `3` with ε-slack | `O((1/ε) log n)` | `O(S (1/ε) log n)` | Thm 4.3 |
-//! | [`CdgScheme`] | `8k − 1` with ε-slack | `O(k (1/ε log n)^{1/k} log n)` | `O(k S (1/ε log n)^{1/k} log n)` | Thm 1.2 / 4.6 |
-//! | [`DegradingScheme`] | `O(log 1/ε)` for every ε | `O(log^4 n)` | `O(S log^4 n)` | Thm 1.3 / 4.8 |
+//! | [`SchemeSpec::ThorupZwick`] | `2k − 1` | `O(k n^{1/k} log n)` | `O(k n^{1/k} S log n)` | Thm 1.1 / 3.8 |
+//! | [`SchemeSpec::ThreeStretch`] | `3` with ε-slack | `O((1/ε) log n)` | `O(S (1/ε) log n)` | Thm 4.3 |
+//! | [`SchemeSpec::Cdg`] | `8k − 1` with ε-slack | `O(k (1/ε log n)^{1/k} log n)` | `O(k S (1/ε log n)^{1/k} log n)` | Thm 1.2 / 4.6 |
+//! | [`SchemeSpec::Degrading`] | `O(log 1/ε)` for every ε | `O(log^4 n)` | `O(S log^4 n)` | Thm 1.3 / 4.8 |
 //!
 //! where `S` is the shortest-path diameter and a *word* is `O(log n)` bits.
 //!
@@ -21,19 +21,19 @@
 //! rounds, then answer distance queries from two labels alone* — and the
 //! public API is organized around exactly that shape:
 //!
-//! * [`SketchScheme`] — the construction side.  Each
-//!   scheme is a cheap value type (`ThorupZwickScheme { k: 3 }`) whose
-//!   `build(&graph, &SchemeConfig)` runs the distributed construction and
-//!   returns a [`BuildOutcome`]: the sketches plus the
-//!   shared round/message/word statistics every theorem is stated in.
+//! * [`SchemeSpec`] — *what* to build: one value names a family and its
+//!   parameters (`SchemeSpec::ThorupZwick { k: 3 }`, or parsed from
+//!   `"tz:3"`, `"cdg:0.2,2"`).  [`SchemeSpec::build`] runs the construction
+//!   and returns a [`BuildOutcome`]: the sketches, queried through
+//!   `Box<dyn DistanceOracle>`, plus the shared round/message/word
+//!   statistics every theorem is stated in — so evaluation harnesses,
+//!   benches and serving layers are scheme-agnostic.
+//! * [`SchemeConfig`] — *how* to build it: the seed, the engine (CONGEST
+//!   simulation or direct parallel), the phase synchronization and the
+//!   round limit, shared by every family.
 //! * [`DistanceOracle`] — the query side.  Every
 //!   sketch-set type answers `estimate(u, v)` from the two labels alone and
 //!   reports its per-node size in CONGEST words.
-//! * [`SchemeSpec`] — runtime scheme selection.  A spec can be parsed from
-//!   a string (`"tz:3"`, `"cdg:0.2,2"`), built with
-//!   [`SchemeSpec::build`], and queried through `Box<dyn DistanceOracle>`,
-//!   so evaluation harnesses, benches and serving layers are
-//!   scheme-agnostic.
 //!
 //! # Quick start
 //!
@@ -68,32 +68,35 @@
 //! assert!(slack.sketches.estimate(NodeId(0), NodeId(40)).unwrap() >= exact);
 //! ```
 //!
-//! Code that knows the scheme at compile time uses the typed scheme structs
-//! and gets the concrete sketch-set type back (with scheme-specific extras
-//! like the sampled hierarchy or density net):
+//! Code that needs a family's own state — the sampled hierarchy, density
+//! net or layers — builds with [`SchemeSpec::build_sketches`] and matches
+//! on the family-typed [`StoredSketches`] it returns:
 //!
 //! ```
 //! use dsketch::prelude::*;
 //! use netgraph::generators::{erdos_renyi, GeneratorConfig};
 //!
 //! let graph = erdos_renyi(64, 0.1, GeneratorConfig::uniform(7, 1, 20));
-//! let outcome = ThreeStretchScheme::new(0.3)
-//!     .build(&graph, &SchemeConfig::default().with_seed(9))
+//! let outcome = SchemeSpec::three_stretch(0.3)
+//!     .build_sketches(&graph, &SchemeConfig::default().with_seed(9))
 //!     .unwrap();
-//! println!("{} monitors sampled", outcome.sketches.net.len());
+//! if let StoredSketches::ThreeStretch(set) = &outcome.sketches {
+//!     println!("{} monitors sampled", set.net.len());
+//! }
 //! ```
 //!
 //! # Crate layout
 //!
-//! * [`scheme`] — the unified construction API: `SketchScheme`, the four
-//!   scheme types, `SchemeSpec`, `SchemeConfig`.
+//! * [`scheme`] — the unified construction API: `SchemeSpec`,
+//!   `SchemeConfig`, and the family-typed `StoredSketches` they build.
 //! * [`oracle`] — the unified query API: `DistanceOracle`.
 //! * [`hierarchy`] — the sampled level hierarchy `A_0 ⊇ A_1 ⊇ … ⊇ A_{k-1}`
 //!   shared by the centralized and distributed constructions.
 //! * [`sketch`] — the label data structure `L(u)` (pivots, bunch, distances)
 //!   and its word-size accounting.
-//! * [`centralized`] — the centralized Thorup–Zwick construction, used as the
-//!   correctness baseline the distributed algorithm is compared against.
+//! * [`centralized`] — the searches of the centralized Thorup–Zwick
+//!   construction, the correctness baseline the distributed algorithm is
+//!   compared against (the direct engine [`build`] on one thread).
 //! * [`distributed`] — the paper's contribution: the phased modified
 //!   Bellman–Ford construction (Algorithm 2), the known-`S` synchronizer of
 //!   Section 3.2 and the ECHO/COMPLETE termination detection of Section 3.3.
@@ -151,22 +154,21 @@ pub mod slack;
 
 /// Convenient re-exports of the most common types.
 pub mod prelude {
-    pub use crate::centralized::CentralizedTz;
     pub use crate::codec::{CodecError, Decoder, Encoder, SketchCodec};
-    pub use crate::distributed::{DistributedTzConfig, SyncMode, TzBuildResult};
+    pub use crate::distributed::{SyncMode, TzBuildResult};
     pub use crate::error::SketchError;
     pub use crate::eval::{
         evaluate_oracle, evaluate_oracle_sampled, evaluate_oracle_with_slack, SlackReport,
         StretchReport,
     };
-    pub use crate::flat::{FlatSketchSet, Freeze, QueryRule};
+    pub use crate::flat::{FlatSketchSet, QueryRule};
     pub use crate::hierarchy::{Hierarchy, TzParams};
     pub use crate::oracle::DistanceOracle;
     pub use crate::parallel::{BuildTimings, PhaseTiming};
     pub use crate::query::{estimate_distance, estimate_distance_slack};
     pub use crate::scheme::{
-        BuildEngine, BuildOutcome, CdgScheme, DegradingScheme, DynBuildOutcome, SchemeConfig,
-        SchemeSpec, SketchScheme, ThorupZwickScheme, ThreeStretchScheme, TzSketchSet,
+        BuildEngine, BuildOutcome, DynBuildOutcome, SchemeConfig, SchemeSpec, StoredSketches,
+        TzSketchSet,
     };
     pub use crate::sketch::{Sketch, SketchSet};
     pub use crate::slack::cdg::{CdgParams, CdgSketchSet};

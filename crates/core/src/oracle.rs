@@ -5,8 +5,8 @@
 //! 3-stretch slack (Theorem 4.3), (ε, k)-CDG (Theorem 1.2) and gracefully
 //! degrading (Theorem 1.3) — that share one shape: *build labels in CONGEST
 //! rounds, then answer distance queries from two labels alone*.  The trait
-//! captures the second half of that shape; [`crate::scheme::SketchScheme`]
-//! captures the first.  Everything downstream of construction — stretch
+//! captures the second half of that shape;
+//! [`crate::scheme::SchemeSpec::build_sketches`] is the first.  Everything downstream of construction — stretch
 //! evaluation, benchmarking, serving — operates on `&dyn DistanceOracle`
 //! and is completely scheme-agnostic, so a new sketch family (or a remote
 //! backend) only has to implement this trait to plug in.

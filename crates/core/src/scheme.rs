@@ -1,15 +1,15 @@
-//! The [`SketchScheme`] trait and the [`SchemeSpec`] runtime selector: the
-//! uniform *construction* surface over all four sketch families.
+//! The one construction API: a [`SchemeSpec`] says *what* to build, a
+//! [`SchemeConfig`] says *how*.
 //!
-//! Every scheme builds the same way — run a distributed construction on a
-//! graph under a shared [`SchemeConfig`] (seed, synchronization mode,
-//! CONGEST engine settings, round limit) and return a [`BuildOutcome`]:
-//! the sketches (a [`DistanceOracle`]) plus the shared round/message/word
-//! statistics.  Code that knows the scheme at compile time uses the typed
-//! scheme structs ([`ThorupZwickScheme`], [`ThreeStretchScheme`],
-//! [`CdgScheme`], [`DegradingScheme`]) and gets the concrete sketch-set type
-//! back; code that selects the scheme at runtime uses
-//! [`SchemeSpec::build`] and gets a `Box<dyn DistanceOracle>` over the frozen
+//! Every family builds the same way — sample its hierarchy or density net
+//! from [`SchemeConfig::seed`], run the construction on the engine
+//! [`SchemeConfig::engine`] selects, and return a [`BuildOutcome`]: the
+//! sketches plus the shared round/message/word statistics.
+//! [`SchemeSpec::build_sketches`] is the one place that does this; it
+//! returns the family-typed [`StoredSketches`] (the sampled hierarchy or
+//! density net included — what a snapshot persists).
+//! [`SchemeSpec::build`] hands back the same build
+//! [frozen](StoredSketches::freeze) into a `Box<dyn DistanceOracle>` over the
 //! [`FlatSketchSet`] — the one representation queries are served from.
 //!
 //! ```
@@ -33,14 +33,16 @@
 //! }
 //! ```
 
+use crate::build;
+use crate::codec::{CodecError, SketchCodec};
 use crate::distributed::{self, SyncMode};
 use crate::error::SketchError;
-use crate::flat::{FlatSketchSet, Freeze, QueryRule};
+use crate::flat::{FlatSketchSet, QueryRule};
 use crate::hierarchy::{Hierarchy, TzParams};
 use crate::oracle::{check_nodes, DistanceOracle};
 use crate::parallel::BuildTimings;
 use crate::query::estimate_distance;
-use crate::sketch::SketchSet;
+use crate::sketch::{Sketch, SketchSet};
 use crate::slack::cdg::{self, CdgParams, CdgSketchSet};
 use crate::slack::degrading::{self, DegradingParams, DegradingSketchSet};
 use crate::slack::three_stretch::{self, ThreeStretchSketchSet};
@@ -91,10 +93,11 @@ pub struct SchemeConfig {
     /// How phase boundaries are detected (Section 3.2 vs Section 3.3).
     ///
     /// Only meaningful for the phased constructions (Thorup–Zwick, CDG,
-    /// degrading) on the [`BuildEngine::Congest`] engine.
-    /// [`ThreeStretchScheme`] is a single k-source flood with no phase
-    /// boundaries to detect, so it ignores this field (see its `build`
-    /// docs), and the parallel engine has no phases to synchronize.
+    /// degrading) on the [`BuildEngine::Congest`] engine.  The 3-stretch
+    /// construction is a single k-source flood with no phase boundaries to
+    /// detect, so it ignores this field (its
+    /// [`BuildOutcome::tree_stats`] is always `None`), and the parallel
+    /// engine has no phases to synchronize.
     pub sync: SyncMode,
     /// CONGEST engine configuration (compute-step threads, bandwidth
     /// budget).  Only used by [`BuildEngine::Congest`].
@@ -168,22 +171,15 @@ impl SchemeConfig {
     pub fn with_frozen(self, _: bool) -> Self {
         self
     }
-
-    /// The per-run engine parameters (everything except the seed).
-    pub(crate) fn run_config(&self) -> distributed::DistributedTzConfig {
-        distributed::DistributedTzConfig {
-            sync: self.sync,
-            congest: self.congest,
-            max_rounds: self.max_rounds,
-        }
-    }
 }
 
 /// Everything a scheme build produces: the queryable sketches plus the
 /// shared cost statistics every theorem of the paper is stated in.
 #[derive(Debug, Clone)]
 pub struct BuildOutcome<O> {
-    /// The built sketches (a [`DistanceOracle`]).
+    /// The built sketches: the family-typed [`StoredSketches`]
+    /// ([`SchemeSpec::build_sketches`]) or the frozen `Box<dyn
+    /// DistanceOracle>` ([`SchemeSpec::build`]).
     pub sketches: O,
     /// Total construction cost: rounds, messages, words on the wire.
     pub stats: RunStats,
@@ -205,33 +201,6 @@ pub struct BuildOutcome<O> {
 /// [`FlatSketchSet`] the typed set freezes into.
 pub type DynBuildOutcome = BuildOutcome<Box<dyn DistanceOracle>>;
 
-/// A distributed sketch construction: turns a graph and a [`SchemeConfig`]
-/// into a [`DistanceOracle`].
-///
-/// Implementations are cheap value types holding the scheme's own
-/// parameters (`k`, ε, layer caps); everything run-specific lives in the
-/// config.  See [`SchemeSpec`] for the type-erased, runtime-selected
-/// counterpart.
-pub trait SketchScheme {
-    /// The concrete sketch-set type the scheme produces.
-    type Sketches: DistanceOracle + 'static;
-
-    /// Short scheme identifier (matches the output's
-    /// [`DistanceOracle::scheme_name`]).
-    fn name(&self) -> &'static str;
-
-    /// Run the distributed construction on `graph`.
-    fn build(
-        &self,
-        graph: &Graph,
-        config: &SchemeConfig,
-    ) -> Result<BuildOutcome<Self::Sketches>, SketchError>;
-}
-
-// ---------------------------------------------------------------------------
-// Thorup–Zwick
-// ---------------------------------------------------------------------------
-
 /// The Thorup–Zwick labels built by the distributed construction: the
 /// per-node [`SketchSet`] plus the sampled level hierarchy (the
 /// construction's shared randomness, kept so results can be replayed and
@@ -251,18 +220,6 @@ impl std::ops::Deref for TzSketchSet {
 
     fn deref(&self) -> &SketchSet {
         &self.sketches
-    }
-}
-
-impl Freeze for TzSketchSet {
-    /// Freeze to a level-walk oracle with the hierarchy's `2k − 1` bound.
-    fn freeze(&self) -> FlatSketchSet {
-        FlatSketchSet::single_layer(
-            &self.sketches,
-            QueryRule::LevelWalk,
-            "thorup-zwick",
-            Some((2 * self.hierarchy.k() as u64).saturating_sub(1)),
-        )
     }
 }
 
@@ -289,311 +246,190 @@ impl DistanceOracle for TzSketchSet {
     }
 }
 
-/// Theorem 1.1 / 3.8: Thorup–Zwick sketches with `k` levels — stretch
-/// `2k − 1`, `O(k n^{1/k} log n)` words, `O(k n^{1/k} S log n)` rounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThorupZwickScheme {
-    /// The level count `k ≥ 1`.
-    pub k: usize,
+/// A family-typed, persistable sketch set: the concrete result of any of
+/// the four scheme constructions ([`SchemeSpec::build_sketches`]).  Callers
+/// that need a family's own fields — the hierarchy, the density net, the
+/// layers — match on the variant.
+#[derive(Debug, Clone)]
+pub enum StoredSketches {
+    /// Thorup–Zwick labels plus their sampled hierarchy.
+    ThorupZwick(TzSketchSet),
+    /// 3-stretch slack sketches plus their density net.
+    ThreeStretch(ThreeStretchSketchSet),
+    /// (ε, k)-CDG sketches.
+    Cdg(CdgSketchSet),
+    /// Gracefully degrading layered sketches.
+    Degrading(DegradingSketchSet),
 }
 
-impl ThorupZwickScheme {
-    /// A scheme with `k` levels.
-    pub fn new(k: usize) -> Self {
-        ThorupZwickScheme { k }
+impl StoredSketches {
+    /// The scheme identifier of the wrapped family.
+    pub fn scheme_name(&self) -> &'static str {
+        self.as_oracle().scheme_name()
     }
 
-    /// The paper's `k = ⌈log₂ n⌉` choice for a graph of `n` nodes.
-    pub fn log_n(n: usize) -> Self {
-        ThorupZwickScheme {
-            k: TzParams::log_n(n).k,
+    /// Number of nodes covered.
+    pub fn num_nodes(&self) -> usize {
+        self.as_oracle().num_nodes()
+    }
+
+    /// Borrow as the uniform query interface.
+    pub fn as_oracle(&self) -> &dyn DistanceOracle {
+        match self {
+            StoredSketches::ThorupZwick(s) => s,
+            StoredSketches::ThreeStretch(s) => s,
+            StoredSketches::Cdg(s) => s,
+            StoredSketches::Degrading(s) => s,
         }
     }
 
-    /// Run the construction with an explicitly provided hierarchy instead of
-    /// sampling one from the config seed.  Used by the equivalence
-    /// experiments, which hand the same hierarchy to the centralized
-    /// construction and compare labels bit-for-bit.
-    pub fn build_with_hierarchy(
-        &self,
-        graph: &Graph,
-        hierarchy: Hierarchy,
-        config: &SchemeConfig,
-    ) -> Result<BuildOutcome<TzSketchSet>, SketchError> {
-        if config.engine == BuildEngine::Parallel {
-            let built = crate::build::thorup_zwick(graph, &hierarchy, config.threads);
-            return Ok(BuildOutcome {
-                sketches: TzSketchSet {
-                    sketches: built.sketches,
-                    hierarchy,
-                },
-                stats: RunStats::default(),
-                phase_stats: Vec::new(),
-                tree_stats: None,
-                timings: built.timings,
-            });
+    /// Freeze the wrapped family into the flat CSR query representation
+    /// (see [`crate::flat`]).  Freezing copies the labels once and drops
+    /// construction-only state (per-node allocations, bunch levels); it
+    /// never changes an answer — the frozen set's `estimate(u, v)` equals
+    /// [`StoredSketches::as_oracle`]'s for every pair, errors included.
+    pub fn freeze(&self) -> FlatSketchSet {
+        // The Thorup–Zwick labels answer with the Lemma 3.2 level walk, the
+        // slack families with the best common landmark (Theorems 4.3 and
+        // 4.6); the degrading layers freeze into one merged row per node.
+        let (set, rule) = match self {
+            StoredSketches::ThorupZwick(s) => (&s.sketches, QueryRule::LevelWalk),
+            StoredSketches::ThreeStretch(s) => (&s.sketches, QueryRule::BestCommon),
+            StoredSketches::Cdg(s) => (&s.sketches, QueryRule::BestCommon),
+            StoredSketches::Degrading(s) => {
+                return FlatSketchSet::layered(s.layers.iter().map(|layer| &layer.sketches))
+            }
+        };
+        let oracle = self.as_oracle();
+        FlatSketchSet::single_layer(set, rule, oracle.scheme_name(), oracle.stretch_bound())
+    }
+
+    /// Encode the family payload (the `SKCH` section body of a snapshot).
+    pub fn encode_payload(&self) -> Vec<u8> {
+        match self {
+            StoredSketches::ThorupZwick(s) => s.to_bytes(),
+            StoredSketches::ThreeStretch(s) => s.to_bytes(),
+            StoredSketches::Cdg(s) => s.to_bytes(),
+            StoredSketches::Degrading(s) => s.to_bytes(),
         }
-        let raw = distributed::build_with_hierarchy(graph, hierarchy, config.run_config())?;
-        Ok(BuildOutcome {
-            sketches: TzSketchSet {
-                sketches: raw.sketches,
-                hierarchy: raw.hierarchy,
-            },
-            stats: raw.stats,
-            phase_stats: raw.phase_stats,
-            tree_stats: raw.tree_stats,
-            timings: BuildTimings::default(),
+    }
+
+    /// Decoded entity counts of the family payload — what the `SKCH`
+    /// section's bytes actually contain: `(layers, nodes, bunch_entries)`.
+    /// Single-layer families report `layers == 1`; `bunch_entries` is the
+    /// total across every sketch of every layer.
+    pub fn entity_counts(&self) -> (usize, usize, usize) {
+        let layers: Vec<&SketchSet> = match self {
+            StoredSketches::ThorupZwick(s) => vec![&s.sketches],
+            StoredSketches::ThreeStretch(s) => vec![&s.sketches],
+            StoredSketches::Cdg(s) => vec![&s.sketches],
+            StoredSketches::Degrading(s) => s.layers.iter().map(|l| &l.sketches).collect(),
+        };
+        let nodes = layers.first().map_or(0, |set| set.len());
+        let bunches = layers.iter().flat_map(|set| set.iter());
+        (layers.len(), nodes, bunches.map(Sketch::bunch_size).sum())
+    }
+
+    /// Decode the family payload, dispatching on the stored scheme spec.
+    pub fn decode_payload(spec: &SchemeSpec, bytes: &[u8]) -> Result<Self, CodecError> {
+        Ok(match spec {
+            SchemeSpec::ThorupZwick { .. } => {
+                StoredSketches::ThorupZwick(TzSketchSet::from_bytes(bytes)?)
+            }
+            SchemeSpec::ThreeStretch { .. } => {
+                StoredSketches::ThreeStretch(ThreeStretchSketchSet::from_bytes(bytes)?)
+            }
+            SchemeSpec::Cdg { .. } => StoredSketches::Cdg(CdgSketchSet::from_bytes(bytes)?),
+            SchemeSpec::Degrading { .. } => {
+                StoredSketches::Degrading(DegradingSketchSet::from_bytes(bytes)?)
+            }
         })
     }
 }
 
-impl SketchScheme for ThorupZwickScheme {
-    type Sketches = TzSketchSet;
-
-    fn name(&self) -> &'static str {
-        "thorup-zwick"
-    }
-
-    fn build(
-        &self,
-        graph: &Graph,
-        config: &SchemeConfig,
-    ) -> Result<BuildOutcome<TzSketchSet>, SketchError> {
-        let params = TzParams::new(self.k).with_seed(config.seed);
-        params.validate()?;
-        let (hierarchy, _) =
-            Hierarchy::sample_until_top_nonempty(graph.num_nodes(), &params, 1000)?;
-        self.build_with_hierarchy(graph, hierarchy, config)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// 3-stretch slack
-// ---------------------------------------------------------------------------
-
-/// Theorem 4.3: stretch 3 with ε-slack, `O((1/ε) log n)` words,
-/// `O(S (1/ε) log n)` rounds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThreeStretchScheme {
-    /// Slack parameter ε ∈ (0, 1].
-    pub eps: f64,
-}
-
-impl ThreeStretchScheme {
-    /// A scheme with slack `eps`.
-    pub fn new(eps: f64) -> Self {
-        ThreeStretchScheme { eps }
-    }
-}
-
-impl SketchScheme for ThreeStretchScheme {
-    type Sketches = ThreeStretchSketchSet;
-
-    fn name(&self) -> &'static str {
-        "three-stretch"
-    }
-
-    /// Run the Theorem 4.3 construction: one k-source Bellman–Ford from the
-    /// sampled density net.
-    ///
-    /// The construction is a single phase, so [`SchemeConfig::sync`] does
-    /// not apply and is ignored: there are no phase boundaries for the
-    /// Section 3.3 termination-detection protocol to detect, and the
-    /// returned [`BuildOutcome::tree_stats`] is always `None`.
-    fn build(
-        &self,
-        graph: &Graph,
-        config: &SchemeConfig,
-    ) -> Result<BuildOutcome<ThreeStretchSketchSet>, SketchError> {
-        if config.engine == BuildEngine::Parallel {
-            let (set, timings) =
-                three_stretch::build_direct(graph, self.eps, config.seed, config.threads)?;
-            return Ok(BuildOutcome {
-                sketches: set,
-                stats: RunStats::default(),
-                phase_stats: Vec::new(),
-                tree_stats: None,
-                timings,
-            });
-        }
-        let set = three_stretch::build(
-            graph,
-            self.eps,
-            config.seed,
-            config.congest,
-            config.max_rounds,
-        )?;
-        let stats = set.stats.clone();
-        Ok(BuildOutcome {
-            sketches: set,
-            stats,
-            phase_stats: Vec::new(),
-            tree_stats: None,
-            timings: BuildTimings::default(),
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// (ε, k)-CDG
-// ---------------------------------------------------------------------------
-
-/// Theorem 1.2 / 4.6: the (ε, k)-CDG sketch — stretch `8k − 1` with ε-slack,
-/// `O(k (1/ε log n)^{1/k} log n)` words.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CdgScheme {
-    /// Slack parameter ε ∈ (0, 1].
-    pub eps: f64,
-    /// Level count `k ≥ 1`; the ε-far stretch guarantee is `8k − 1`.
-    pub k: usize,
-}
-
-impl CdgScheme {
-    /// A scheme with slack `eps` and `k` levels.
-    pub fn new(eps: f64, k: usize) -> Self {
-        CdgScheme { eps, k }
-    }
-}
-
-impl SketchScheme for CdgScheme {
-    type Sketches = CdgSketchSet;
-
-    fn name(&self) -> &'static str {
-        "cdg"
-    }
-
-    fn build(
-        &self,
-        graph: &Graph,
-        config: &SchemeConfig,
-    ) -> Result<BuildOutcome<CdgSketchSet>, SketchError> {
-        let params = CdgParams::new(self.eps, self.k).with_seed(config.seed);
-        if config.engine == BuildEngine::Parallel {
-            let (set, timings) = cdg::build_direct(graph, params, config.threads)?;
-            return Ok(BuildOutcome {
-                sketches: set,
-                stats: RunStats::default(),
-                phase_stats: Vec::new(),
-                tree_stats: None,
-                timings,
-            });
-        }
-        let set = cdg::build(graph, params, config.run_config())?;
-        let stats = set.stats.clone();
-        Ok(BuildOutcome {
-            sketches: set,
-            stats,
-            phase_stats: Vec::new(),
-            tree_stats: None,
-            timings: BuildTimings::default(),
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Gracefully degrading
-// ---------------------------------------------------------------------------
-
-/// Theorem 1.3 / 4.8: gracefully degrading sketches — a union of CDG layers,
-/// `O(log 1/ε)` stretch for every ε simultaneously, `O(log^4 n)` words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DegradingScheme {
-    /// Optional cap on the number of layers (default `⌈log₂ n⌉`).
-    pub max_layers: Option<usize>,
-    /// Optional cap on each layer's `k` (default: the paper's `k_i = i`).
-    pub max_k: Option<usize>,
-}
-
-impl DegradingScheme {
-    /// The paper's construction with no caps.
-    pub fn new() -> Self {
-        DegradingScheme::default()
-    }
-
-    /// Cap each layer's `k` (useful to keep small-graph runs fast).
-    pub fn with_max_k(mut self, max_k: usize) -> Self {
-        self.max_k = Some(max_k.max(1));
-        self
-    }
-
-    /// Cap the number of layers.
-    pub fn with_max_layers(mut self, layers: usize) -> Self {
-        self.max_layers = Some(layers.max(1));
-        self
-    }
-}
-
-impl SketchScheme for DegradingScheme {
-    type Sketches = DegradingSketchSet;
-
-    fn name(&self) -> &'static str {
-        "degrading"
-    }
-
-    fn build(
-        &self,
-        graph: &Graph,
-        config: &SchemeConfig,
-    ) -> Result<BuildOutcome<DegradingSketchSet>, SketchError> {
-        let mut params = DegradingParams::new(config.seed);
-        params.max_layers = self.max_layers;
-        params.max_k = self.max_k.map(|k| k.max(1));
-        if config.engine == BuildEngine::Parallel {
-            let (set, timings) = degrading::build_direct(graph, params, config.threads)?;
-            return Ok(BuildOutcome {
-                sketches: set,
-                stats: RunStats::default(),
-                phase_stats: Vec::new(),
-                tree_stats: None,
-                timings,
-            });
-        }
-        let set = degrading::build(graph, params, config.run_config())?;
-        let stats = set.stats.clone();
-        let phase_stats = set.layers.iter().map(|l| l.stats.clone()).collect();
-        Ok(BuildOutcome {
-            sketches: set,
-            stats,
-            phase_stats,
-            tree_stats: None,
-            timings: BuildTimings::default(),
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Runtime selection
-// ---------------------------------------------------------------------------
-
-/// A runtime-chosen scheme: the type-erased counterpart of the typed scheme
-/// structs, used wherever the scheme comes from configuration (CLI flags,
-/// experiment matrices, serving-layer requests).
+/// A runtime-chosen scheme: which of the paper's four constructions to run,
+/// with its own parameters (`k`, ε, layer caps).  Parsed from every CLI
+/// flag, stored in every snapshot header, built by
+/// [`SchemeSpec::build_sketches`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SchemeSpec {
-    /// [`ThorupZwickScheme`].
+    /// Theorem 1.1 / 3.8: Thorup–Zwick sketches with `k` levels — stretch
+    /// `2k − 1`, `O(k n^{1/k} log n)` words, `O(k n^{1/k} S log n)` rounds.
     ThorupZwick {
         /// Level count `k ≥ 1` (stretch `2k − 1`).
         k: usize,
     },
-    /// [`ThreeStretchScheme`].
+    /// Theorem 4.3: stretch 3 with ε-slack, `O((1/ε) log n)` words,
+    /// `O(S (1/ε) log n)` rounds.
     ThreeStretch {
         /// Slack parameter ε ∈ (0, 1].
         eps: f64,
     },
-    /// [`CdgScheme`].
+    /// Theorem 1.2 / 4.6: the (ε, k)-CDG sketch — stretch `8k − 1` with
+    /// ε-slack, `O(k (1/ε log n)^{1/k} log n)` words.
     Cdg {
         /// Slack parameter ε ∈ (0, 1].
         eps: f64,
         /// Level count `k ≥ 1` (ε-far stretch `8k − 1`).
         k: usize,
     },
-    /// [`DegradingScheme`].
+    /// Theorem 1.3 / 4.8: gracefully degrading sketches — a union of CDG
+    /// layers, `O(log 1/ε)` stretch for every ε simultaneously,
+    /// `O(log^4 n)` words.
     Degrading {
-        /// Optional cap on the number of layers.
+        /// Optional cap `≥ 1` on the number of layers (default `⌈log₂ n⌉`).
         max_layers: Option<usize>,
-        /// Optional cap on each layer's `k`.
+        /// Optional cap `≥ 1` on each layer's `k` (default: the paper's
+        /// `k_i = i`).
         max_k: Option<usize>,
     },
+}
+
+/// What the CONGEST simulation reports next to the sketches it built.
+#[derive(Default)]
+struct RunCost {
+    stats: RunStats,
+    phase_stats: Vec<RunStats>,
+    tree_stats: Option<RunStats>,
+}
+
+impl RunCost {
+    /// A construction with no per-phase breakdown and no BFS tree.
+    fn total(stats: &RunStats) -> Self {
+        RunCost {
+            stats: stats.clone(),
+            ..RunCost::default()
+        }
+    }
+}
+
+/// Run one family's construction on the engine `config` selects —
+/// `simulated` on [`BuildEngine::Congest`], `direct` on
+/// [`BuildEngine::Parallel`] — and assemble its outcome, the sketches
+/// wrapped in their family's variant.
+fn on_engine<S>(
+    config: &SchemeConfig,
+    wrap: fn(S) -> StoredSketches,
+    simulated: impl FnOnce() -> Result<(RunCost, S), SketchError>,
+    direct: impl FnOnce() -> Result<(S, BuildTimings), SketchError>,
+) -> Result<BuildOutcome<StoredSketches>, SketchError> {
+    let (cost, sketches, timings) = match config.engine {
+        BuildEngine::Congest => {
+            let (cost, sketches) = simulated()?;
+            (cost, sketches, BuildTimings::default())
+        }
+        BuildEngine::Parallel => {
+            let (sketches, timings) = direct()?;
+            (RunCost::default(), sketches, timings)
+        }
+    };
+    Ok(BuildOutcome {
+        sketches: wrap(sketches),
+        stats: cost.stats,
+        phase_stats: cost.phase_stats,
+        tree_stats: cost.tree_stats,
+        timings,
+    })
 }
 
 impl SchemeSpec {
@@ -653,7 +489,8 @@ impl SchemeSpec {
     /// * `degrading`, `degrading:4` (cap `k`), or keyed caps in any order:
     ///   `degrading:k=4`, `degrading:layers=3`, `degrading:k=4,layers=3`
     ///
-    /// Unrecognized scheme names and malformed parameters are rejected with
+    /// Unrecognized scheme names and malformed parameters — a degrading cap
+    /// of zero included — are rejected with
     /// [`SketchError::InvalidParameters`] whose message names the offending
     /// token and lists the valid scheme forms; every spec's [`Display`] form
     /// parses back to the same spec.
@@ -730,29 +567,27 @@ impl SchemeSpec {
                 ))
             }
             "degrading" => {
+                let cap = |what: &str, raw: &str| match raw.trim().parse() {
+                    Ok(cap) if cap > 0 => Ok(Some(cap)),
+                    _ => Err(invalid(format!(
+                        "invalid {what} '{}' for scheme 'degrading': expected a positive integer",
+                        raw.trim()
+                    ))),
+                };
                 let (mut max_layers, mut max_k) = (None, None);
-                if let Some(a) = args {
-                    for part in a.split(',') {
-                        match part.trim().split_once('=') {
-                            Some(("k", v)) => {
-                                max_k = Some(v.parse().map_err(|_| {
-                                    invalid(format!("invalid k cap '{v}' for scheme 'degrading': expected a positive integer"))
-                                })?)
-                            }
-                            Some(("layers", v)) => {
-                                max_layers = Some(v.parse().map_err(|_| {
-                                    invalid(format!("invalid layer cap '{v}' for scheme 'degrading': expected a positive integer"))
-                                })?)
-                            }
-                            // Bare integer: the `degrading:4` shorthand for k.
-                            None => {
-                                max_k = Some(part.trim().parse().map_err(|_| {
-                                    invalid(format!("invalid option '{}' for scheme 'degrading': expected k=<k>, layers=<l>, or a bare integer cap for k", part.trim()))
-                                })?)
-                            }
-                            Some((key, _)) => {
-                                return Err(invalid(format!("unknown option '{key}' for scheme 'degrading': expected k=<k> or layers=<l>")))
-                            }
+                for part in args.into_iter().flat_map(|a| a.split(',')) {
+                    match part.trim().split_once('=') {
+                        Some(("k", v)) => max_k = cap("k cap", v)?,
+                        Some(("layers", v)) => max_layers = cap("layer cap", v)?,
+                        // Bare integer: the `degrading:4` shorthand for k.
+                        None if part.trim().parse::<usize>().is_ok() => {
+                            max_k = cap("k cap", part)?
+                        }
+                        None => {
+                            return Err(invalid(format!("invalid option '{}' for scheme 'degrading': expected k=<k>, layers=<l>, or a bare integer cap for k", part.trim())))
+                        }
+                        Some((key, _)) => {
+                            return Err(invalid(format!("unknown option '{key}' for scheme 'degrading': expected k=<k> or layers=<l>")))
                         }
                     }
                 }
@@ -766,35 +601,129 @@ impl SchemeSpec {
         }
     }
 
-    /// Run the construction, returning type-erased sketches: the typed
-    /// set the scheme built, [frozen](Freeze::freeze) into the
-    /// [`FlatSketchSet`] every query is served from.
+    /// Run the construction on the engine `config` selects, keeping the
+    /// family-typed result — the one place a spec becomes sketches.
+    ///
+    /// Each family validates its parameters (a zero `k` or degrading cap,
+    /// an ε outside `(0, 1]` is [`SketchError::InvalidParameters`]),
+    /// samples its hierarchy or density net from [`SchemeConfig::seed`],
+    /// and runs its construction: the CONGEST simulation records the
+    /// round/message cost, the direct parallel engine the wall-clock
+    /// timings, and both build identical sketches.
+    pub fn build_sketches(
+        &self,
+        graph: &Graph,
+        config: &SchemeConfig,
+    ) -> Result<BuildOutcome<StoredSketches>, SketchError> {
+        match *self {
+            SchemeSpec::ThorupZwick { k } => {
+                let params = TzParams::new(k).with_seed(config.seed);
+                params.validate()?;
+                // Only one engine runs, so the hierarchy is sampled once.
+                let sample = || {
+                    Hierarchy::sample_until_top_nonempty(graph.num_nodes(), &params, 1000)
+                        .map(|(hierarchy, _)| hierarchy)
+                };
+                on_engine(
+                    config,
+                    StoredSketches::ThorupZwick,
+                    || {
+                        let run = distributed::build_with_hierarchy(graph, sample()?, config)?;
+                        let cost = RunCost {
+                            stats: run.stats,
+                            phase_stats: run.phase_stats,
+                            tree_stats: run.tree_stats,
+                        };
+                        let (sketches, hierarchy) = (run.sketches, run.hierarchy);
+                        Ok((
+                            cost,
+                            TzSketchSet {
+                                sketches,
+                                hierarchy,
+                            },
+                        ))
+                    },
+                    || {
+                        let hierarchy = sample()?;
+                        let built = build::thorup_zwick(graph, &hierarchy, config.threads);
+                        let sketches = built.sketches;
+                        Ok((
+                            TzSketchSet {
+                                sketches,
+                                hierarchy,
+                            },
+                            built.timings,
+                        ))
+                    },
+                )
+            }
+            // ε is validated where the density net is sampled.
+            SchemeSpec::ThreeStretch { eps } => on_engine(
+                config,
+                StoredSketches::ThreeStretch,
+                || {
+                    let set = three_stretch::build(graph, eps, config)?;
+                    Ok((RunCost::total(&set.stats), set))
+                },
+                || three_stretch::build_direct(graph, eps, config),
+            ),
+            SchemeSpec::Cdg { eps, k } => {
+                let params = CdgParams::new(eps, k).with_seed(config.seed);
+                params.validate()?;
+                on_engine(
+                    config,
+                    StoredSketches::Cdg,
+                    || {
+                        let set = cdg::build(graph, params, config)?;
+                        Ok((RunCost::total(&set.stats), set))
+                    },
+                    || cdg::build_direct(graph, params, config),
+                )
+            }
+            SchemeSpec::Degrading { max_layers, max_k } => {
+                if max_layers == Some(0) || max_k == Some(0) {
+                    return Err(SketchError::InvalidParameters(format!(
+                        "degrading caps must be at least 1, got {self}"
+                    )));
+                }
+                let params = DegradingParams {
+                    seed: config.seed,
+                    max_layers,
+                    max_k,
+                };
+                on_engine(
+                    config,
+                    StoredSketches::Degrading,
+                    || {
+                        let set = degrading::build(graph, params, config)?;
+                        let cost = RunCost {
+                            phase_stats: set.layers.iter().map(|l| l.stats.clone()).collect(),
+                            ..RunCost::total(&set.stats)
+                        };
+                        Ok((cost, set))
+                    },
+                    || degrading::build_direct(graph, params, config),
+                )
+            }
+        }
+    }
+
+    /// Run the construction ([`SchemeSpec::build_sketches`]), returning
+    /// type-erased sketches: the typed set, [frozen](StoredSketches::freeze)
+    /// into the [`FlatSketchSet`] every query is served from.
     pub fn build(
         &self,
         graph: &Graph,
         config: &SchemeConfig,
     ) -> Result<DynBuildOutcome, SketchError> {
-        fn finish<O: Freeze>(outcome: BuildOutcome<O>) -> DynBuildOutcome {
-            BuildOutcome {
-                sketches: Box::new(outcome.sketches.freeze()),
-                stats: outcome.stats,
-                phase_stats: outcome.phase_stats,
-                tree_stats: outcome.tree_stats,
-                timings: outcome.timings,
-            }
-        }
-        match *self {
-            SchemeSpec::ThorupZwick { k } => {
-                ThorupZwickScheme::new(k).build(graph, config).map(finish)
-            }
-            SchemeSpec::ThreeStretch { eps } => ThreeStretchScheme::new(eps)
-                .build(graph, config)
-                .map(finish),
-            SchemeSpec::Cdg { eps, k } => CdgScheme::new(eps, k).build(graph, config).map(finish),
-            SchemeSpec::Degrading { max_layers, max_k } => DegradingScheme { max_layers, max_k }
-                .build(graph, config)
-                .map(finish),
-        }
+        let outcome = self.build_sketches(graph, config)?;
+        Ok(BuildOutcome {
+            sketches: Box::new(outcome.sketches.freeze()),
+            stats: outcome.stats,
+            phase_stats: outcome.phase_stats,
+            tree_stats: outcome.tree_stats,
+            timings: outcome.timings,
+        })
     }
 }
 
@@ -853,25 +782,23 @@ mod tests {
 
     #[test]
     fn typed_builds_expose_concrete_types() {
+        use StoredSketches as S;
         let graph = small_graph();
         let config = SchemeConfig::default().with_seed(3);
+        let build = |spec: &str| {
+            let spec = SchemeSpec::parse(spec).unwrap();
+            spec.build_sketches(&graph, &config).unwrap()
+        };
 
-        let tz = ThorupZwickScheme::new(2).build(&graph, &config).unwrap();
-        assert_eq!(tz.sketches.hierarchy.k(), 2);
+        let tz = build("tz:2");
+        assert!(matches!(&tz.sketches, S::ThorupZwick(set) if set.hierarchy.k() == 2));
         assert_eq!(tz.phase_stats.len(), 2, "one entry per phase");
-
-        let three = ThreeStretchScheme::new(0.4).build(&graph, &config).unwrap();
-        assert!(!three.sketches.net.is_empty());
-
-        let cdg = CdgScheme::new(0.4, 2).build(&graph, &config).unwrap();
-        assert_eq!(cdg.sketches.params.k, 2);
-
-        let deg = DegradingScheme::new()
-            .with_max_k(2)
-            .with_max_layers(2)
-            .build(&graph, &config)
-            .unwrap();
-        assert_eq!(deg.sketches.num_layers(), 2);
+        let three = build("3stretch:0.4").sketches;
+        assert!(matches!(three, S::ThreeStretch(set) if !set.net.is_empty()));
+        let cdg = build("cdg:0.4,2").sketches;
+        assert!(matches!(cdg, S::Cdg(set) if set.params.k == 2));
+        let deg = build("degrading:k=2,layers=2");
+        assert!(matches!(&deg.sketches, S::Degrading(set) if set.num_layers() == 2));
         assert_eq!(deg.phase_stats.len(), 2, "one entry per layer");
         let layer_rounds: u64 = deg.phase_stats.iter().map(|s| s.rounds).sum();
         assert_eq!(layer_rounds, deg.stats.rounds);
@@ -916,6 +843,18 @@ mod tests {
             .is_err());
         assert!(SchemeSpec::cdg(1.5, 2).build(&graph, &config).is_err());
         assert!(SchemeSpec::cdg(0.3, 0).build(&graph, &config).is_err());
+        // A zero degrading cap is refused, not clamped to 1 (a spec that
+        // claims `layers=0` must not store a one-layer set).
+        for (max_layers, max_k) in [(Some(0), None), (None, Some(0))] {
+            let spec = SchemeSpec::Degrading { max_layers, max_k };
+            assert!(
+                matches!(
+                    spec.build_sketches(&graph, &config),
+                    Err(SketchError::InvalidParameters(_))
+                ),
+                "{spec}"
+            );
+        }
     }
 
     #[test]
@@ -1006,6 +945,12 @@ mod tests {
             (
                 "degrading:1.5",
                 "invalid option '1.5' for scheme 'degrading'",
+            ),
+            ("degrading:0", "invalid k cap '0' for scheme 'degrading'"),
+            ("degrading:k=0", "invalid k cap '0' for scheme 'degrading'"),
+            (
+                "degrading:layers=0",
+                "invalid layer cap '0' for scheme 'degrading'",
             ),
         ];
         for (input, fragment) in cases {

@@ -19,12 +19,13 @@
 //! ε-slack guarantee (the triangle-inequality argument of Section 4 goes
 //! through verbatim with `u`'s own pivots in place of `u'`'s).
 
-use crate::distributed::{self, DistributedTzConfig};
+use crate::distributed;
 use crate::error::SketchError;
-use crate::flat::{FlatSketchSet, Freeze, QueryRule};
 use crate::hierarchy::Hierarchy;
 use crate::oracle::{check_nodes, DistanceOracle};
+use crate::parallel::BuildTimings;
 use crate::query::{estimate_distance, estimate_distance_best_common};
+use crate::scheme::SchemeConfig;
 use crate::sketch::SketchSet;
 use crate::slack::density_net::DensityNet;
 use congest_sim::RunStats;
@@ -130,19 +131,6 @@ impl CdgSketchSet {
     }
 }
 
-impl Freeze for CdgSketchSet {
-    /// Freeze to a best-common-landmark oracle, matching the map-path
-    /// [`DistanceOracle`] impl ([`CdgSketchSet::estimate_best`]).
-    fn freeze(&self) -> FlatSketchSet {
-        FlatSketchSet::single_layer(
-            &self.sketches,
-            QueryRule::BestCommon,
-            "cdg",
-            Some(self.params.stretch()),
-        )
-    }
-}
-
 impl DistanceOracle for CdgSketchSet {
     /// Queries use the best-common-landmark rule
     /// ([`CdgSketchSet::estimate_best`]), which is never worse than the
@@ -170,15 +158,16 @@ impl DistanceOracle for CdgSketchSet {
     }
 }
 
-/// The Theorem 4.6 construction: sample the net, restrict the hierarchy to
-/// it, run the distributed Thorup–Zwick engine.  Crate-internal engine
-/// behind [`crate::scheme::CdgScheme`].
+/// The Theorem 4.6 construction on the CONGEST engine: sample the net,
+/// restrict the hierarchy to it, run the distributed Thorup–Zwick engine.
+/// `params` are valid ([`CdgParams::validate`]) and carry the seed; `config`
+/// the engine settings.  The engine behind [`crate::scheme::SchemeSpec::Cdg`]
+/// (and each degrading layer) on [`crate::scheme::BuildEngine::Congest`].
 pub(crate) fn build(
     graph: &Graph,
     params: CdgParams,
-    config: DistributedTzConfig,
+    config: &SchemeConfig,
 ) -> Result<CdgSketchSet, SketchError> {
-    params.validate()?;
     let n = graph.num_nodes();
     let net = DensityNet::sample_nonempty(n, params.eps, params.seed)?;
     let hierarchy = sample_net_hierarchy(n, &net, params)?;
@@ -195,18 +184,17 @@ pub(crate) fn build(
 /// The direct parallel counterpart of [`build`]: identical sampling (net +
 /// net-restricted hierarchy from the same seed), then the shared parallel
 /// Thorup–Zwick engine [`crate::build::thorup_zwick`] instead of the
-/// CONGEST simulation.  Construction engine behind
-/// [`crate::scheme::BuildEngine::Parallel`] for [`crate::scheme::CdgScheme`].
+/// CONGEST simulation.  The engine behind [`crate::scheme::SchemeSpec::Cdg`]
+/// (and each degrading layer) on [`crate::scheme::BuildEngine::Parallel`].
 pub(crate) fn build_direct(
     graph: &Graph,
     params: CdgParams,
-    threads: usize,
-) -> Result<(CdgSketchSet, crate::parallel::BuildTimings), SketchError> {
-    params.validate()?;
+    config: &SchemeConfig,
+) -> Result<(CdgSketchSet, BuildTimings), SketchError> {
     let n = graph.num_nodes();
     let net = DensityNet::sample_nonempty(n, params.eps, params.seed)?;
     let hierarchy = sample_net_hierarchy(n, &net, params)?;
-    let built = crate::build::thorup_zwick(graph, &hierarchy, threads);
+    let built = crate::build::thorup_zwick(graph, &hierarchy, config.threads);
     Ok((
         CdgSketchSet {
             params,
@@ -254,16 +242,12 @@ fn sample_net_hierarchy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{CdgScheme, SchemeConfig, SketchScheme};
     use crate::slack::is_eps_far;
     use netgraph::apsp::DistanceTable;
     use netgraph::generators::{erdos_renyi, grid, ring, GeneratorConfig};
 
     fn build_scheme(graph: &Graph, params: CdgParams) -> CdgSketchSet {
-        CdgScheme::new(params.eps, params.k)
-            .build(graph, &SchemeConfig::default().with_seed(params.seed))
-            .unwrap()
-            .sketches
+        build(graph, params, &SchemeConfig::default()).unwrap()
     }
 
     fn check_cdg(graph: &Graph, params: CdgParams) -> CdgSketchSet {

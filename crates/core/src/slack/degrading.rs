@@ -9,10 +9,10 @@
 //! that `O(log 1/ε)`-stretch graceful degradation implies `O(log n)`
 //! worst-case stretch and `O(1)` average stretch.
 
-use crate::distributed::DistributedTzConfig;
 use crate::error::SketchError;
-use crate::flat::{FlatSketchSet, Freeze};
 use crate::oracle::{check_nodes, DistanceOracle};
+use crate::parallel::{resolve_threads, BuildTimings};
+use crate::scheme::SchemeConfig;
 use crate::slack::cdg::{self, CdgParams, CdgSketchSet};
 use congest_sim::RunStats;
 use netgraph::{Distance, Graph, NodeId, INFINITY};
@@ -37,18 +37,6 @@ impl DegradingParams {
             max_layers: None,
             max_k: None,
         }
-    }
-
-    /// Cap the per-layer `k`.
-    pub fn with_max_k(mut self, max_k: usize) -> Self {
-        self.max_k = Some(max_k.max(1));
-        self
-    }
-
-    /// Cap the number of layers.
-    pub fn with_max_layers(mut self, layers: usize) -> Self {
-        self.max_layers = Some(layers.max(1));
-        self
     }
 
     /// The layer specifications `(ε_i, k_i)` for a graph of `n` nodes.
@@ -122,14 +110,6 @@ impl DegradingSketchSet {
     }
 }
 
-impl Freeze for DegradingSketchSet {
-    /// Freeze every CDG layer into one multi-layer flat set; the query is
-    /// the Theorem 4.8 rule (minimum over per-layer best-common estimates).
-    fn freeze(&self) -> FlatSketchSet {
-        FlatSketchSet::layered(self.layers.iter().map(|layer| &layer.sketches))
-    }
-}
-
 impl DistanceOracle for DegradingSketchSet {
     fn estimate(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
         let n = self.layers.first().map_or(0, |l| l.sketches.len());
@@ -156,12 +136,14 @@ impl DistanceOracle for DegradingSketchSet {
     }
 }
 
-/// The Theorem 4.8 layered construction.  Crate-internal engine behind
-/// [`crate::scheme::DegradingScheme`].
+/// The Theorem 4.8 layered construction on the CONGEST engine, one
+/// [`cdg::build`] per layer.  The engine behind
+/// [`crate::scheme::SchemeSpec::Degrading`] on
+/// [`crate::scheme::BuildEngine::Congest`].
 pub(crate) fn build(
     graph: &Graph,
     params: DegradingParams,
-    config: DistributedTzConfig,
+    config: &SchemeConfig,
 ) -> Result<DegradingSketchSet, SketchError> {
     let n = graph.num_nodes();
     let mut layers = Vec::new();
@@ -176,19 +158,19 @@ pub(crate) fn build(
 
 /// The direct parallel counterpart of [`build`]: the same layer schedule,
 /// each layer built by [`cdg::build_direct`] (layers share the seed
-/// derivation, so sampling is identical to the simulated path).
-/// Construction engine behind [`crate::scheme::BuildEngine::Parallel`] for
-/// [`crate::scheme::DegradingScheme`].
+/// derivation, so sampling is identical to the simulated path).  The engine
+/// behind [`crate::scheme::SchemeSpec::Degrading`] on
+/// [`crate::scheme::BuildEngine::Parallel`].
 pub(crate) fn build_direct(
     graph: &Graph,
     params: DegradingParams,
-    threads: usize,
-) -> Result<(DegradingSketchSet, crate::parallel::BuildTimings), SketchError> {
+    config: &SchemeConfig,
+) -> Result<(DegradingSketchSet, BuildTimings), SketchError> {
     let n = graph.num_nodes();
     let mut layers = Vec::new();
-    let mut timings = crate::parallel::BuildTimings::new(crate::parallel::resolve_threads(threads));
+    let mut timings = BuildTimings::new(resolve_threads(config.threads));
     for (index, layer_params) in params.layers(n).into_iter().enumerate() {
-        let (layer, layer_timings) = cdg::build_direct(graph, layer_params, threads)?;
+        let (layer, layer_timings) = cdg::build_direct(graph, layer_params, config)?;
         timings.absorb_prefixed(&format!("layer{index}/"), layer_timings);
         layers.push(layer);
     }
@@ -204,15 +186,11 @@ pub(crate) fn build_direct(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{DegradingScheme, SchemeConfig, SketchScheme};
     use netgraph::apsp::DistanceTable;
     use netgraph::generators::{erdos_renyi, grid, GeneratorConfig};
 
-    fn build_scheme(graph: &Graph, scheme: DegradingScheme, seed: u64) -> DegradingSketchSet {
-        scheme
-            .build(graph, &SchemeConfig::default().with_seed(seed))
-            .unwrap()
-            .sketches
+    fn build_scheme(graph: &Graph, params: DegradingParams) -> DegradingSketchSet {
+        build(graph, params, &SchemeConfig::default()).unwrap()
     }
 
     fn average_and_worst_stretch(graph: &Graph, sketches: &DegradingSketchSet) -> (f64, f64) {
@@ -241,17 +219,31 @@ mod tests {
         assert_eq!(layers[0].k, 1);
         assert_eq!(layers[5].k, 6);
         // max_k caps each layer's k.
-        let capped = DegradingParams::new(3).with_max_k(3).layers(256);
+        let capped = DegradingParams {
+            max_k: Some(3),
+            ..p
+        }
+        .layers(256);
         assert!(capped.iter().all(|l| l.k <= 3));
         // max_layers caps the layer count.
-        let fewer = DegradingParams::new(3).with_max_layers(4).layers(256);
+        let fewer = DegradingParams {
+            max_layers: Some(4),
+            ..p
+        }
+        .layers(256);
         assert_eq!(fewer.len(), 4);
     }
 
     #[test]
     fn average_stretch_is_small_on_random_graph() {
         let g = erdos_renyi(80, 0.08, GeneratorConfig::uniform(13, 1, 20));
-        let sketches = build_scheme(&g, DegradingScheme::new().with_max_k(3), 5);
+        let sketches = build_scheme(
+            &g,
+            DegradingParams {
+                max_k: Some(3),
+                ..DegradingParams::new(5)
+            },
+        );
         let (avg, worst) = average_and_worst_stretch(&g, &sketches);
         // Corollary 4.9: O(1) average stretch, O(log n) worst case.  For an
         // 80-node graph "O(1)" should comfortably be below 4 and the worst
@@ -263,7 +255,13 @@ mod tests {
     #[test]
     fn average_stretch_is_small_on_grid() {
         let g = grid(8, 8, GeneratorConfig::uniform(7, 1, 10));
-        let sketches = build_scheme(&g, DegradingScheme::new().with_max_k(3), 2);
+        let sketches = build_scheme(
+            &g,
+            DegradingParams {
+                max_k: Some(3),
+                ..DegradingParams::new(2)
+            },
+        );
         let (avg, worst) = average_and_worst_stretch(&g, &sketches);
         assert!(avg < 4.0, "average stretch too large: {avg}");
         assert!(worst < 48.0, "worst-case stretch too large: {worst}");
@@ -272,7 +270,13 @@ mod tests {
     #[test]
     fn degrading_estimate_never_worse_than_coarsest_layer() {
         let g = erdos_renyi(60, 0.1, GeneratorConfig::uniform(3, 1, 12));
-        let sketches = build_scheme(&g, DegradingScheme::new().with_max_k(2), 9);
+        let sketches = build_scheme(
+            &g,
+            DegradingParams {
+                max_k: Some(2),
+                ..DegradingParams::new(9)
+            },
+        );
         for u in g.nodes().take(10) {
             for v in g.nodes().skip(30).take(10) {
                 if u == v {
@@ -293,8 +297,11 @@ mod tests {
         let g = erdos_renyi(64, 0.1, GeneratorConfig::uniform(21, 1, 8));
         let sketches = build_scheme(
             &g,
-            DegradingScheme::new().with_max_k(2).with_max_layers(3),
-            4,
+            DegradingParams {
+                max_k: Some(2),
+                max_layers: Some(3),
+                ..DegradingParams::new(4)
+            },
         );
         assert_eq!(sketches.num_layers(), 3);
         let u = NodeId(5);

@@ -8,14 +8,14 @@
 //! `3 · d(u, v)` whenever `v` is ε-far from `u`.
 
 use crate::error::SketchError;
-use crate::flat::{FlatSketchSet, Freeze, QueryRule};
 use crate::oracle::{check_nodes, DistanceOracle};
 use crate::parallel::{parallel_map, resolve_threads, BuildTimings};
 use crate::query::estimate_distance_slack;
+use crate::scheme::SchemeConfig;
 use crate::sketch::{BunchEntry, Sketch, SketchSet};
 use crate::slack::density_net::DensityNet;
 use congest_sim::programs::bellman_ford::KSourceBellmanFord;
-use congest_sim::{CongestConfig, Network, RunStats};
+use congest_sim::{Network, RunStats};
 use netgraph::shortest_path::multi_source_dijkstra;
 use netgraph::{Distance, Graph, NodeId, INFINITY};
 use std::time::Instant;
@@ -44,20 +44,6 @@ impl ThreeStretchSketchSet {
     }
 }
 
-impl Freeze for ThreeStretchSketchSet {
-    /// Freeze to a best-common-landmark oracle (the Theorem 4.3 query is
-    /// `min_{w ∈ N} d(u, w) + d(w, v)` — an intersection over the net, which
-    /// the flat layout answers with a linear merge of two sorted runs).
-    fn freeze(&self) -> FlatSketchSet {
-        FlatSketchSet::single_layer(
-            &self.sketches,
-            QueryRule::BestCommon,
-            "three-stretch",
-            Some(3),
-        )
-    }
-}
-
 impl DistanceOracle for ThreeStretchSketchSet {
     fn estimate(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
         check_nodes(self.sketches.len(), u, v)?;
@@ -82,24 +68,26 @@ impl DistanceOracle for ThreeStretchSketchSet {
     }
 }
 
-/// The Theorem 4.3 construction: sample the net, run the k-source
-/// Bellman–Ford from it, assemble per-node sketches.  Crate-internal engine
-/// behind [`crate::scheme::ThreeStretchScheme`].
+/// The Theorem 4.3 construction on the CONGEST engine: sample the net, run
+/// the k-source Bellman–Ford from it, assemble per-node sketches.  A single
+/// flood, so `config.sync` does not apply.  The engine behind
+/// [`crate::scheme::SchemeSpec::ThreeStretch`] on
+/// [`crate::scheme::BuildEngine::Congest`].
 pub(crate) fn build(
     graph: &Graph,
     eps: f64,
-    seed: u64,
-    congest: CongestConfig,
-    max_rounds: u64,
+    config: &SchemeConfig,
 ) -> Result<ThreeStretchSketchSet, SketchError> {
     let n = graph.num_nodes();
-    let net = DensityNet::sample_nonempty(n, eps, seed)?;
-    let mut network = Network::new(graph, congest, |u| {
+    let net = DensityNet::sample_nonempty(n, eps, config.seed)?;
+    let mut network = Network::new(graph, config.congest, |u| {
         KSourceBellmanFord::new(u, net.contains(u))
     });
-    let outcome = network.run_until_quiescent(max_rounds);
+    let outcome = network.run_until_quiescent(config.max_rounds);
     if !outcome.completed {
-        return Err(SketchError::RoundLimitExceeded { limit: max_rounds });
+        return Err(SketchError::RoundLimitExceeded {
+            limit: config.max_rounds,
+        });
     }
 
     let sketches: Vec<Sketch> = network
@@ -130,20 +118,19 @@ pub(crate) fn build(
 /// Produces exactly the sketches of the simulated k-source Bellman–Ford —
 /// both record, at every node, the exact distance to every reachable net
 /// node, with ties between closest net nodes broken toward the smaller id.
-/// Construction engine behind [`crate::scheme::BuildEngine::Parallel`] for
-/// [`crate::scheme::ThreeStretchScheme`].
+/// The engine behind [`crate::scheme::SchemeSpec::ThreeStretch`] on
+/// [`crate::scheme::BuildEngine::Parallel`].
 pub(crate) fn build_direct(
     graph: &Graph,
     eps: f64,
-    seed: u64,
-    threads: usize,
+    config: &SchemeConfig,
 ) -> Result<(ThreeStretchSketchSet, BuildTimings), SketchError> {
     let n = graph.num_nodes();
-    let net = DensityNet::sample_nonempty(n, eps, seed)?;
-    let mut timings = BuildTimings::new(resolve_threads(threads));
+    let net = DensityNet::sample_nonempty(n, eps, config.seed)?;
+    let mut timings = BuildTimings::new(resolve_threads(config.threads));
 
     let started = Instant::now();
-    let distances: Vec<Vec<Distance>> = parallel_map(threads, net.members(), |_, &w| {
+    let distances: Vec<Vec<Distance>> = parallel_map(config.threads, net.members(), |_, &w| {
         multi_source_dijkstra(graph, &[w]).dist
     });
     timings.record("3stretch/net-explorations", net.len(), started);
@@ -184,8 +171,8 @@ pub(crate) fn build_direct(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{SchemeConfig, SketchScheme, ThreeStretchScheme};
     use crate::slack::is_eps_far;
+    use congest_sim::CongestConfig;
     use netgraph::apsp::DistanceTable;
     use netgraph::generators::{erdos_renyi, grid, GeneratorConfig};
 
@@ -195,15 +182,10 @@ mod tests {
         seed: u64,
         congest: CongestConfig,
     ) -> ThreeStretchSketchSet {
-        ThreeStretchScheme::new(eps)
-            .build(
-                graph,
-                &SchemeConfig::default()
-                    .with_seed(seed)
-                    .with_congest(congest),
-            )
-            .unwrap()
-            .sketches
+        let config = SchemeConfig::default()
+            .with_seed(seed)
+            .with_congest(congest);
+        build(graph, eps, &config).unwrap()
     }
 
     fn check_slack_stretch(graph: &Graph, eps: f64, seed: u64) {
@@ -260,16 +242,18 @@ mod tests {
     #[test]
     fn invalid_epsilon_is_rejected() {
         let g = grid(3, 3, GeneratorConfig::unit(1));
-        assert!(ThreeStretchScheme::new(0.0)
-            .build(&g, &SchemeConfig::default())
-            .is_err());
+        assert!(build(&g, 0.0, &SchemeConfig::default()).is_err());
+        assert!(build_direct(&g, 0.0, &SchemeConfig::default()).is_err());
     }
 
     #[test]
     fn round_limit_is_enforced() {
         let g = grid(8, 8, GeneratorConfig::unit(1));
-        let err = ThreeStretchScheme::new(0.2)
-            .build(&g, &SchemeConfig::default().with_seed(1).with_max_rounds(1));
+        let err = build(
+            &g,
+            0.2,
+            &SchemeConfig::default().with_seed(1).with_max_rounds(1),
+        );
         assert!(matches!(err, Err(SketchError::RoundLimitExceeded { .. })));
     }
 }

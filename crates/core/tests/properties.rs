@@ -5,6 +5,8 @@
 //! the distributed/centralized equivalence (Section 3.2), and the size
 //! accounting of Lemma 3.1.
 
+use dsketch::build::thorup_zwick;
+use dsketch::distributed::build_with_hierarchy;
 use dsketch::prelude::*;
 use dsketch::query::estimate_distance_best_common;
 use netgraph::apsp::DistanceTable;
@@ -33,7 +35,7 @@ proptest! {
     fn centralized_tz_respects_stretch_bound((g, k, seed) in (arb_graph(), 1usize..4, 0u64..1_000)) {
         let n = g.num_nodes();
         let (h, _) = Hierarchy::sample_until_top_nonempty(n, &TzParams::new(k).with_seed(seed), 500).unwrap();
-        let tz = CentralizedTz::build(&g, &h);
+        let tz = thorup_zwick(&g, &h, 1);
         let table = DistanceTable::exact(&g);
         let bound = (2 * k - 1) as u64;
         for (u, v, exact) in table.pairs() {
@@ -49,10 +51,8 @@ proptest! {
     fn distributed_equals_centralized((g, k, seed) in (arb_graph(), 1usize..4, 0u64..1_000)) {
         let n = g.num_nodes();
         let (h, _) = Hierarchy::sample_until_top_nonempty(n, &TzParams::new(k).with_seed(seed), 500).unwrap();
-        let centralized = CentralizedTz::build(&g, &h);
-        let distributed = ThorupZwickScheme::new(k)
-            .build_with_hierarchy(&g, h, &SchemeConfig::default())
-            .unwrap();
+        let centralized = thorup_zwick(&g, &h, 1);
+        let distributed = build_with_hierarchy(&g, h, &SchemeConfig::default()).unwrap();
         for u in g.nodes() {
             prop_assert_eq!(centralized.sketches.sketch(u), distributed.sketches.sketch(u));
         }
@@ -64,7 +64,7 @@ proptest! {
     fn best_common_query_is_sandwiched((g, seed) in (arb_graph(), 0u64..1_000)) {
         let n = g.num_nodes();
         let (h, _) = Hierarchy::sample_until_top_nonempty(n, &TzParams::new(2).with_seed(seed), 500).unwrap();
-        let tz = CentralizedTz::build(&g, &h);
+        let tz = thorup_zwick(&g, &h, 1);
         let table = DistanceTable::exact(&g);
         for (u, v, exact) in table.pairs() {
             let walk = dsketch::query::estimate_distance(tz.sketches.sketch(u), tz.sketches.sketch(v)).unwrap();
@@ -80,7 +80,7 @@ proptest! {
     fn sketch_word_accounting_is_consistent((g, k, seed) in (arb_graph(), 1usize..4, 0u64..1_000)) {
         let n = g.num_nodes();
         let (h, _) = Hierarchy::sample_until_top_nonempty(n, &TzParams::new(k).with_seed(seed), 500).unwrap();
-        let tz = CentralizedTz::build(&g, &h);
+        let tz = thorup_zwick(&g, &h, 1);
         for s in tz.sketches.iter() {
             let pivots = s.pivots().iter().filter(|p| p.is_some()).count();
             prop_assert_eq!(s.words(), 2 * (pivots + s.bunch_size()));
@@ -95,7 +95,7 @@ proptest! {
     fn every_node_is_in_its_own_bunch((g, k, seed) in (arb_graph(), 1usize..4, 0u64..1_000)) {
         let n = g.num_nodes();
         let (h, _) = Hierarchy::sample_until_top_nonempty(n, &TzParams::new(k).with_seed(seed), 500).unwrap();
-        let tz = CentralizedTz::build(&g, &h);
+        let tz = thorup_zwick(&g, &h, 1);
         for u in g.nodes() {
             let s = tz.sketches.sketch(u);
             // u's own level may be any i; it appears in its bunch at that
@@ -111,7 +111,7 @@ proptest! {
     fn query_is_symmetric((g, seed) in (arb_graph(), 0u64..1_000)) {
         let n = g.num_nodes();
         let (h, _) = Hierarchy::sample_until_top_nonempty(n, &TzParams::new(3).with_seed(seed), 500).unwrap();
-        let tz = CentralizedTz::build(&g, &h);
+        let tz = thorup_zwick(&g, &h, 1);
         for u in g.nodes() {
             for v in g.nodes() {
                 let a = dsketch::query::estimate_distance(tz.sketches.sketch(u), tz.sketches.sketch(v)).unwrap();
@@ -141,7 +141,7 @@ proptest! {
     fn three_stretch_slack_guarantee((g, seed) in (arb_graph(), 0u64..1_000)) {
         let eps = 0.4;
         let table = DistanceTable::exact(&g);
-        let sketches = ThreeStretchScheme::new(eps)
+        let sketches = SchemeSpec::three_stretch(eps)
             .build(&g, &SchemeConfig::default().with_seed(seed))
             .unwrap()
             .sketches;

@@ -87,13 +87,16 @@ pub mod pipeline;
 pub mod snapshot;
 pub mod watch;
 
+/// The family-typed sketches a snapshot holds (built and defined in
+/// `dsketch::scheme`; re-exported because every snapshot carries one).
+pub use dsketch::StoredSketches;
 pub use error::StoreError;
 pub use format::{SectionId, FORMAT_VERSION, MAGIC, SECTION_BUILD_STATS, SECTION_SKETCHES};
 pub use pipeline::{
     build_and_save, build_and_save_from_edge_list, build_stored, inspect_snapshot,
     load_frozen_oracle, load_oracle_for_graph, load_snapshot, peek_snapshot_meta,
     read_frozen_oracle, read_snapshot, save_snapshot, snapshot_tmp_path, write_snapshot,
-    SectionEntities, SnapshotContents, SnapshotSummary, StoredSketches,
+    SectionEntities, SnapshotContents, SnapshotSummary,
 };
 pub use snapshot::{RawSnapshot, SnapshotReader, SnapshotWriter};
 pub use watch::{WatchCore, WatchOutcome};

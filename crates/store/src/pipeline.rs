@@ -27,112 +27,6 @@ use netgraph::{Graph, GraphFingerprint};
 use std::io::{Read, Write};
 use std::path::Path;
 
-/// A family-typed, persistable sketch set: the concrete result of any of
-/// the four scheme constructions.
-#[derive(Debug, Clone)]
-pub enum StoredSketches {
-    /// Thorup–Zwick labels plus their sampled hierarchy.
-    ThorupZwick(TzSketchSet),
-    /// 3-stretch slack sketches plus their density net.
-    ThreeStretch(ThreeStretchSketchSet),
-    /// (ε, k)-CDG sketches.
-    Cdg(CdgSketchSet),
-    /// Gracefully degrading layered sketches.
-    Degrading(DegradingSketchSet),
-}
-
-impl StoredSketches {
-    /// The scheme identifier of the wrapped family.
-    pub fn scheme_name(&self) -> &'static str {
-        self.as_oracle().scheme_name()
-    }
-
-    /// Number of nodes covered.
-    pub fn num_nodes(&self) -> usize {
-        self.as_oracle().num_nodes()
-    }
-
-    /// Borrow as the uniform query interface.
-    pub fn as_oracle(&self) -> &dyn DistanceOracle {
-        match self {
-            StoredSketches::ThorupZwick(s) => s,
-            StoredSketches::ThreeStretch(s) => s,
-            StoredSketches::Cdg(s) => s,
-            StoredSketches::Degrading(s) => s,
-        }
-    }
-
-    /// Freeze the wrapped family into the flat CSR query representation
-    /// (see [`dsketch::flat`]).
-    pub fn freeze(&self) -> FlatSketchSet {
-        match self {
-            StoredSketches::ThorupZwick(s) => s.freeze(),
-            StoredSketches::ThreeStretch(s) => s.freeze(),
-            StoredSketches::Cdg(s) => s.freeze(),
-            StoredSketches::Degrading(s) => s.freeze(),
-        }
-    }
-
-    /// Encode the family payload (the `SKCH` section body).
-    pub fn encode_payload(&self) -> Vec<u8> {
-        match self {
-            StoredSketches::ThorupZwick(s) => s.to_bytes(),
-            StoredSketches::ThreeStretch(s) => s.to_bytes(),
-            StoredSketches::Cdg(s) => s.to_bytes(),
-            StoredSketches::Degrading(s) => s.to_bytes(),
-        }
-    }
-
-    /// Decoded entity counts of the family payload — what the `SKCH`
-    /// section's bytes actually contain: `(layers, nodes, bunch_entries)`.
-    /// Single-layer families report `layers == 1`; `bunch_entries` is the
-    /// total across every sketch of every layer.
-    pub fn entity_counts(&self) -> (usize, usize, usize) {
-        let count = |set: &SketchSet| (set.len(), set.iter().map(Sketch::bunch_size).sum());
-        match self {
-            StoredSketches::ThorupZwick(s) => {
-                let (nodes, bunches) = count(&s.sketches);
-                (1, nodes, bunches)
-            }
-            StoredSketches::ThreeStretch(s) => {
-                let (nodes, bunches) = count(&s.sketches);
-                (1, nodes, bunches)
-            }
-            StoredSketches::Cdg(s) => {
-                let (nodes, bunches) = count(&s.sketches);
-                (1, nodes, bunches)
-            }
-            StoredSketches::Degrading(s) => {
-                let nodes = s.layers.first().map_or(0, |l| l.sketches.len());
-                let bunches = s.layers.iter().map(|l| count(&l.sketches).1).sum();
-                (s.layers.len(), nodes, bunches)
-            }
-        }
-    }
-
-    /// Decode the family payload, dispatching on the stored scheme spec.
-    pub fn decode_payload(spec: &SchemeSpec, bytes: &[u8]) -> Result<Self, StoreError> {
-        let wrap = |source| StoreError::Codec {
-            section: SECTION_SKETCHES,
-            source,
-        };
-        Ok(match spec {
-            SchemeSpec::ThorupZwick { .. } => {
-                StoredSketches::ThorupZwick(TzSketchSet::from_bytes(bytes).map_err(wrap)?)
-            }
-            SchemeSpec::ThreeStretch { .. } => StoredSketches::ThreeStretch(
-                ThreeStretchSketchSet::from_bytes(bytes).map_err(wrap)?,
-            ),
-            SchemeSpec::Cdg { .. } => {
-                StoredSketches::Cdg(CdgSketchSet::from_bytes(bytes).map_err(wrap)?)
-            }
-            SchemeSpec::Degrading { .. } => {
-                StoredSketches::Degrading(DegradingSketchSet::from_bytes(bytes).map_err(wrap)?)
-            }
-        })
-    }
-}
-
 /// The logical content of one snapshot.
 #[derive(Debug, Clone)]
 pub struct SnapshotContents {
@@ -302,7 +196,11 @@ pub fn peek_snapshot_meta<P: AsRef<Path>>(
 
 fn decode_raw(raw: RawSnapshot) -> Result<SnapshotContents, StoreError> {
     let spec = raw.spec();
-    let sketches = StoredSketches::decode_payload(&spec, raw.require_section(SECTION_SKETCHES)?)?;
+    let sketches = StoredSketches::decode_payload(&spec, raw.require_section(SECTION_SKETCHES)?)
+        .map_err(|source| StoreError::Codec {
+            section: SECTION_SKETCHES,
+            source,
+        })?;
     let build_stats = raw
         .section(SECTION_BUILD_STATS)
         .map(RunStats::from_bytes)
@@ -384,9 +282,10 @@ pub fn load_oracle_for_graph<P: AsRef<Path>>(
     Ok(oracle)
 }
 
-/// Run the construction for `spec` on `graph`, keeping the family-typed
-/// result (the build half of [`build_and_save`], exposed so callers can
-/// time or stage the two halves separately).
+/// Run the construction for `spec` on `graph`
+/// ([`SchemeSpec::build_sketches`]), keeping the family-typed result with
+/// the graph's fingerprint (the build half of [`build_and_save`], exposed so
+/// callers can time or stage the two halves separately).
 ///
 /// The engine comes from [`SchemeConfig::engine`]: the CONGEST simulation
 /// (default — records round/message stats) or the direct parallel engine
@@ -398,32 +297,12 @@ pub fn build_stored(
     config: &SchemeConfig,
 ) -> Result<SnapshotContents, StoreError> {
     let fingerprint = graph.fingerprint();
-    let (sketches, stats) = match spec {
-        SchemeSpec::ThorupZwick { k } => {
-            let outcome = ThorupZwickScheme::new(k).build(graph, config)?;
-            (StoredSketches::ThorupZwick(outcome.sketches), outcome.stats)
-        }
-        SchemeSpec::ThreeStretch { eps } => {
-            let outcome = ThreeStretchScheme::new(eps).build(graph, config)?;
-            (
-                StoredSketches::ThreeStretch(outcome.sketches),
-                outcome.stats,
-            )
-        }
-        SchemeSpec::Cdg { eps, k } => {
-            let outcome = CdgScheme::new(eps, k).build(graph, config)?;
-            (StoredSketches::Cdg(outcome.sketches), outcome.stats)
-        }
-        SchemeSpec::Degrading { max_layers, max_k } => {
-            let outcome = DegradingScheme { max_layers, max_k }.build(graph, config)?;
-            (StoredSketches::Degrading(outcome.sketches), outcome.stats)
-        }
-    };
+    let outcome = spec.build_sketches(graph, config)?;
     Ok(SnapshotContents {
         spec,
         fingerprint,
-        sketches,
-        build_stats: Some(stats),
+        sketches: outcome.sketches,
+        build_stats: Some(outcome.stats),
     })
 }
 

@@ -30,11 +30,16 @@ fn main() {
     );
 
     // Layered CDG construction.
-    let outcome = DegradingScheme::new()
-        .with_max_k(max_k)
-        .build(&graph, &SchemeConfig::default().with_seed(seed))
+    let scheme = SchemeSpec::Degrading {
+        max_layers: None,
+        max_k: Some(max_k),
+    };
+    let outcome = scheme
+        .build_sketches(&graph, &SchemeConfig::default().with_seed(seed))
         .expect("construction");
-    let degrading = &outcome.sketches;
+    let StoredSketches::Degrading(degrading) = &outcome.sketches else {
+        unreachable!("a degrading spec builds degrading sketches")
+    };
     println!("\nlayers (ε_i = 2^-i, k_i = min(i, {max_k})):");
     let mut rows = Vec::new();
     for (i, layer) in degrading.layers.iter().enumerate() {
@@ -59,8 +64,8 @@ fn main() {
     );
 
     // Baseline: plain TZ with k = log n (the smallest-sketch point of Thm 1.1).
-    let tz_scheme = ThorupZwickScheme::log_n(n);
-    let plain = tz_scheme
+    let tz_k = TzParams::log_n(n).k;
+    let plain = SchemeSpec::thorup_zwick(tz_k)
         .build(&graph, &SchemeConfig::default().with_seed(seed))
         .expect("construction");
 
@@ -93,7 +98,7 @@ fn main() {
                 degrading.max_words().to_string(),
             ],
             vec![
-                format!("Thorup–Zwick k = {}", tz_scheme.k),
+                format!("Thorup–Zwick k = {tz_k}"),
                 format!("{tz_worst:.2}"),
                 format!("{tz_avg:.2}"),
                 plain.sketches.max_words().to_string(),

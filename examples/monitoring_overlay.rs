@@ -36,10 +36,13 @@ fn main() {
         graph.num_edges()
     );
 
-    let outcome = ThreeStretchScheme::new(eps)
-        .build(&graph, &SchemeConfig::default().with_seed(seed))
+    let outcome = SchemeSpec::three_stretch(eps)
+        .build_sketches(&graph, &SchemeConfig::default().with_seed(seed))
         .expect("construction");
-    let sketches = Arc::new(outcome.sketches);
+    let StoredSketches::ThreeStretch(set) = outcome.sketches else {
+        unreachable!("a 3-stretch spec builds 3-stretch sketches")
+    };
+    let sketches = Arc::new(set);
     println!(
         "\nmonitor placement: |N| = {} monitors sampled (bound {:.0}), zero rounds",
         sketches.net.len(),

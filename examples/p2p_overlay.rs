@@ -47,9 +47,12 @@ fn main() {
     );
 
     // --- preprocessing: build sketches once ---
-    let result = ThorupZwickScheme::new(k)
-        .build(&graph, &SchemeConfig::default().with_seed(seed))
+    let result = SchemeSpec::thorup_zwick(k)
+        .build_sketches(&graph, &SchemeConfig::default().with_seed(seed))
         .expect("construction");
+    let StoredSketches::ThorupZwick(sketches) = &result.sketches else {
+        unreachable!("a TZ spec builds TZ sketches")
+    };
     println!(
         "\npreprocessing: {} rounds, {} messages (one-time cost, stretch ≤ {})",
         result.stats.rounds,
@@ -58,7 +61,7 @@ fn main() {
     );
     println!(
         "per-node sketch: max {} words — this is what a peer ships when queried",
-        result.sketches.max_words()
+        sketches.max_words()
     );
 
     // --- queries ---
@@ -87,7 +90,7 @@ fn main() {
         // path, and u computes the estimate locally (Section 2.1).
         let (estimate, exchange_stats) = dsketch::distributed::run_sketch_exchange(
             &graph,
-            &result.sketches,
+            sketches,
             u,
             v,
             CongestConfig::default(),
@@ -98,7 +101,7 @@ fn main() {
         assert_eq!(exact, exact_via_bf, "simulator sanity check");
         assert_eq!(
             estimate,
-            result.sketches.estimate(u, v).unwrap(),
+            sketches.estimate(u, v).unwrap(),
             "the shipped sketch must answer exactly like a local query"
         );
 

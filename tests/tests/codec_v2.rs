@@ -18,7 +18,7 @@
 use dsketch::codec::SketchCodec;
 use dsketch::prelude::*;
 use dsketch_store::{
-    build_and_save, build_stored, inspect_snapshot, SectionEntities, StoreError, StoredSketches,
+    build_and_save, build_stored, inspect_snapshot, SectionEntities, StoredSketches,
 };
 use netgraph::generators::{erdos_renyi, GeneratorConfig};
 use netgraph::{Graph, NodeId};
@@ -53,9 +53,9 @@ fn decode_both_ways(spec: &SchemeSpec, bytes: &[u8]) -> Option<StoredSketches> {
             assert!(flat == map.freeze(), "{spec}: the two decoders disagree");
             Some(map)
         }
-        (Err(StoreError::Codec { source, .. }), Err(flat_error)) => {
+        (Err(map_error), Err(flat_error)) => {
             assert_eq!(
-                source, flat_error,
+                map_error, flat_error,
                 "{spec}: the two decoders refuse differently"
             );
             None

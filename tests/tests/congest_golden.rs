@@ -90,12 +90,14 @@ fn scheme_config(config: CongestConfig) -> SchemeConfig {
 }
 
 fn build_tz(graph: &Graph, k: usize, config: &SchemeConfig) -> (String, RunStats) {
-    let outcome = ThorupZwickScheme::new(k).build(graph, config).unwrap();
+    let outcome = SchemeSpec::thorup_zwick(k)
+        .build_sketches(graph, config)
+        .unwrap();
     let phases: u64 = outcome.phase_stats.iter().map(|s| s.messages).sum();
     if outcome.tree_stats.is_none() {
         assert_eq!(phases, outcome.stats.messages);
     }
-    (format!("{:?}", outcome.sketches.sketches), outcome.stats)
+    (format!("{:?}", outcome.sketches), outcome.stats)
 }
 
 /// Every `(program, input)` case with its statistics.
@@ -129,8 +131,8 @@ fn measure() -> Vec<(String, Golden)> {
         row("tz:2", &|c| build_tz(graph, 2, &scheme_config(c)));
         row("tz:3", &|c| build_tz(graph, 3, &scheme_config(c)));
         row("cdg:0.3,2", &|c| {
-            let outcome = CdgScheme::new(0.3, 2)
-                .build(graph, &scheme_config(c))
+            let outcome = SchemeSpec::cdg(0.3, 2)
+                .build_sketches(graph, &scheme_config(c))
                 .unwrap();
             (format!("{:?}", outcome.sketches), outcome.stats)
         });
@@ -138,11 +140,10 @@ fn measure() -> Vec<(String, Golden)> {
             build_tz(graph, 2, &scheme_config(c).with_termination_detection())
         });
         row("exchange", &|c| {
-            let labels = ThorupZwickScheme::new(2)
-                .build(graph, &scheme_config(c))
-                .unwrap()
-                .sketches
-                .sketches;
+            let built = SchemeSpec::thorup_zwick(2).build_sketches(graph, &scheme_config(c));
+            let StoredSketches::ThorupZwick(labels) = built.unwrap().sketches else {
+                panic!("tz:2 built another family")
+            };
             let (estimate, stats) =
                 run_sketch_exchange(graph, &labels, NodeId(1), NodeId::from_index(n / 2), c);
             (format!("{estimate:?}"), stats)

@@ -11,7 +11,7 @@ use netgraph::generators::{erdos_renyi, GeneratorConfig};
 fn per_phase_counters_equal_the_outcomes_phase_stats() {
     let graph = erdos_renyi(120, 0.06, GeneratorConfig::uniform(29, 1, 15));
     let k = 3;
-    let outcome = ThorupZwickScheme::new(k)
+    let outcome = SchemeSpec::thorup_zwick(k)
         .build(&graph, &SchemeConfig::default().with_seed(5))
         .unwrap();
     assert_eq!(outcome.phase_stats.len(), k);

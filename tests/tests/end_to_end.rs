@@ -2,6 +2,7 @@
 //! through the CONGEST simulation to sketch queries, exercised end-to-end on
 //! every workload family through the unified scheme API.
 
+use dsketch::distributed::build_with_hierarchy;
 use dsketch::prelude::*;
 use dsketch::query::estimate_distance_best_common;
 use netgraph::apsp::DistanceTable;
@@ -41,7 +42,7 @@ fn workload_suite() -> Vec<(&'static str, Graph)> {
 fn tz_stretch_guarantee_holds_on_every_family() {
     for (name, graph) in workload_suite() {
         let k = 3;
-        let result = ThorupZwickScheme::new(k)
+        let result = SchemeSpec::thorup_zwick(k)
             .build(&graph, &SchemeConfig::default().with_seed(11))
             .unwrap();
         let table = DistanceTable::exact(&graph);
@@ -67,18 +68,14 @@ fn distributed_equals_centralized_on_every_family() {
             500,
         )
         .unwrap();
-        let centralized = CentralizedTz::build(&graph, &h);
-        let scheme = ThorupZwickScheme::new(3);
-        let oracle = scheme
-            .build_with_hierarchy(&graph, h.clone(), &SchemeConfig::default())
-            .unwrap();
-        let td = scheme
-            .build_with_hierarchy(
-                &graph,
-                h,
-                &SchemeConfig::default().with_termination_detection(),
-            )
-            .unwrap();
+        let centralized = dsketch::build::thorup_zwick(&graph, &h, 1);
+        let oracle = build_with_hierarchy(&graph, h.clone(), &SchemeConfig::default()).unwrap();
+        let td = build_with_hierarchy(
+            &graph,
+            h,
+            &SchemeConfig::default().with_termination_detection(),
+        )
+        .unwrap();
         for u in graph.nodes() {
             assert_eq!(
                 centralized.sketches.sketch(u),
@@ -102,7 +99,7 @@ fn construction_rounds_exceed_shortest_path_diameter_only_moderately() {
     // factor of the Theorem 3.8 bound.
     for (name, graph) in workload_suite() {
         let d = diameters(&graph);
-        let result = ThorupZwickScheme::new(2)
+        let result = SchemeSpec::thorup_zwick(2)
             .build(&graph, &SchemeConfig::default().with_seed(3))
             .unwrap();
         let n = graph.num_nodes() as f64;
@@ -118,13 +115,15 @@ fn construction_rounds_exceed_shortest_path_diameter_only_moderately() {
 #[test]
 fn best_common_query_always_at_least_as_good_as_level_walk() {
     let graph = erdos_renyi(96, 0.08, GeneratorConfig::uniform(17, 1, 30));
-    let result = ThorupZwickScheme::new(3)
-        .build(&graph, &SchemeConfig::default().with_seed(5))
+    let result = SchemeSpec::thorup_zwick(3)
+        .build_sketches(&graph, &SchemeConfig::default().with_seed(5))
         .unwrap();
-    let sketches = &result.sketches;
+    let StoredSketches::ThorupZwick(sketches) = &result.sketches else {
+        panic!("tz:3 built {}", result.sketches.scheme_name())
+    };
     let table = DistanceTable::exact(&graph);
     for (u, v, exact) in table.pairs() {
-        let walk = result.sketches.estimate(u, v).unwrap();
+        let walk = sketches.estimate(u, v).unwrap();
         let best = estimate_distance_best_common(sketches.sketch(u), sketches.sketch(v)).unwrap();
         assert!(best <= walk);
         assert!(best >= exact);
@@ -138,16 +137,22 @@ fn slack_constructions_work_on_multiple_families() {
         let eps = 0.3;
         let config = SchemeConfig::default().with_seed(7);
 
-        let three = ThreeStretchScheme::new(eps).build(&graph, &config).unwrap();
-        let cdg = CdgScheme::new(eps, 2).build(&graph, &config).unwrap();
+        let three = SchemeSpec::three_stretch(eps).build_sketches(&graph, &config);
+        let StoredSketches::ThreeStretch(three) = three.unwrap().sketches else {
+            panic!("[{name}] 3stretch built another family")
+        };
+        let cdg = SchemeSpec::cdg(eps, 2).build_sketches(&graph, &config);
+        let StoredSketches::Cdg(cdg) = cdg.unwrap().sketches else {
+            panic!("[{name}] cdg built another family")
+        };
 
         for (u, v, exact) in table.pairs() {
             if !table.is_eps_far(u, v, eps) {
                 continue;
             }
-            let t = three.sketches.estimate(u, v).unwrap();
+            let t = three.estimate(u, v).unwrap();
             assert!(t >= exact && t <= 3 * exact, "[{name}] 3-stretch violated");
-            let c = cdg.sketches.estimate(u, v).unwrap();
+            let c = cdg.estimate(u, v).unwrap();
             assert!(
                 c >= exact && c <= 15 * exact,
                 "[{name}] CDG (8k-1 = 15) stretch violated: {c} vs {exact}"
@@ -155,7 +160,7 @@ fn slack_constructions_work_on_multiple_families() {
         }
         // The CDG sketch only references net nodes, so it is never larger
         // than the 3-stretch sketch that stores the whole net.
-        assert!(cdg.sketches.max_words() <= three.sketches.max_words() + 2 * cdg.sketches.params.k);
+        assert!(cdg.max_words() <= three.max_words() + 2 * cdg.params.k);
     }
 }
 
@@ -165,7 +170,7 @@ fn exact_oracle_and_landmarks_bracket_tz_accuracy() {
     let graph = erdos_renyi(80, 0.1, GeneratorConfig::uniform(31, 1, 20));
     let oracle = ExactOracle::build(&graph);
     let landmarks = LandmarkSketch::build(&graph, 8, 2);
-    let tz = ThorupZwickScheme::new(2)
+    let tz = SchemeSpec::thorup_zwick(2)
         .build(&graph, &SchemeConfig::default().with_seed(2))
         .unwrap();
     let table = DistanceTable::exact(&graph);

@@ -352,11 +352,16 @@ fn degrading_of(layers: Vec<Vec<Sketch>>) -> DegradingSketchSet {
     }
 }
 
+/// The frozen form of a hand-built degrading set.
+fn frozen(set: &DegradingSketchSet) -> FlatSketchSet {
+    StoredSketches::Degrading(set.clone()).freeze()
+}
+
 /// Freeze and cold-decode `set`, require the two to be one value served in
 /// the `merged` form or not, and require every answer — errors and
 /// out-of-range probes included — to be the per-node set's.
 fn assert_hand_built(set: &DegradingSketchSet, merged: bool, context: &str) {
-    let flat = set.freeze();
+    let flat = frozen(set);
     let decoded = FlatSketchSet::from_family_bytes(&SchemeSpec::degrading(), &set.to_bytes());
     assert_eq!(decoded.as_ref(), Ok(&flat), "{context}");
     assert_eq!(flat.merged_entries().is_some(), merged, "{context}");
@@ -403,8 +408,8 @@ fn hand_built_layers_that_meet_the_conditions_are_merged() {
     let set = degrading_of(two_layer_base());
     assert_hand_built(&set, true, "base");
     // Layer 1 wins for (0, 1): 4 + 0 against 5 + 7 through node 2.
-    assert_eq!(set.freeze().estimate(NodeId(0), NodeId(1)), Ok(4));
-    assert_eq!(set.freeze().merged_entries(), Some(6));
+    assert_eq!(frozen(&set).estimate(NodeId(0), NodeId(1)), Ok(4));
+    assert_eq!(frozen(&set).merged_entries(), Some(6));
 
     // 32 layers is the last count a `u32` mask can name.
     let mut layers = two_layer_base();
@@ -433,7 +438,7 @@ fn a_landmark_held_in_different_layers_is_not_a_candidate() {
     ]);
     assert_hand_built(&set, true, "mask");
     assert_eq!(
-        set.freeze().estimate_best_common(NodeId(0), NodeId(1)),
+        frozen(&set).estimate_best_common(NodeId(0), NodeId(1)),
         Err(SketchError::NoCommonLandmark {
             u: NodeId(0),
             v: NodeId(1)
@@ -452,7 +457,7 @@ fn sets_that_break_a_merge_condition_stay_layered_and_answer_identically() {
     layers[0][0] = label(0, (2, 5), &[(0, 0)]);
     let set = degrading_of(layers);
     assert_hand_built(&set, false, "pivot missing from its owner's bunch");
-    assert_eq!(set.freeze().estimate(NodeId(0), NodeId(2)), Ok(5));
+    assert_eq!(frozen(&set).estimate(NodeId(0), NodeId(2)), Ok(5));
 
     // A pivot in the bunch at another distance: the probe's 5 + 0 beats the
     // bunch's 6 + 0, which is all a merged row would know.
@@ -460,7 +465,7 @@ fn sets_that_break_a_merge_condition_stay_layered_and_answer_identically() {
     layers[0][0] = label(0, (2, 5), &[(2, 6)]);
     let set = degrading_of(layers);
     assert_hand_built(&set, false, "pivot at a different distance");
-    assert_eq!(set.freeze().estimate(NodeId(0), NodeId(2)), Ok(5));
+    assert_eq!(frozen(&set).estimate(NodeId(0), NodeId(2)), Ok(5));
 
     // One landmark at two distances in two layers: a row has one distance
     // column, so one of 5 + 7 (layer 0) and 6 + 0 (layer 1) would be lost.
@@ -468,7 +473,7 @@ fn sets_that_break_a_merge_condition_stay_layered_and_answer_identically() {
     layers[1][0] = label(0, (0, 0), &[(0, 0), (1, 4), (2, 6)]);
     let set = degrading_of(layers);
     assert_hand_built(&set, false, "one landmark at two distances");
-    assert_eq!(set.freeze().estimate(NodeId(0), NodeId(2)), Ok(5));
+    assert_eq!(frozen(&set).estimate(NodeId(0), NodeId(2)), Ok(5));
 
     // A landmark that is not one of the set's nodes.
     let mut layers = two_layer_base();
@@ -476,7 +481,7 @@ fn sets_that_break_a_merge_condition_stay_layered_and_answer_identically() {
     layers[1][1] = label(1, (1, 0), &[(1, 0), (9, 2)]);
     let set = degrading_of(layers);
     assert_hand_built(&set, false, "landmark outside the node range");
-    assert_eq!(set.freeze().estimate(NodeId(0), NodeId(1)), Ok(3));
+    assert_eq!(frozen(&set).estimate(NodeId(0), NodeId(1)), Ok(3));
 
     // 33 layers: one more than a mask has bits.
     let mut layers = two_layer_base();

@@ -17,10 +17,11 @@ use netgraph::{Graph, NodeId};
 
 fn check_lemma_4_5(graph: &Graph, eps: f64, k: usize, seed: u64) {
     // 1. Run the distributed net-restricted construction on G.
-    let cdg = CdgScheme::new(eps, k)
-        .build(graph, &SchemeConfig::default().with_seed(seed))
-        .unwrap()
-        .sketches;
+    let built =
+        SchemeSpec::cdg(eps, k).build_sketches(graph, &SchemeConfig::default().with_seed(seed));
+    let StoredSketches::Cdg(cdg) = built.unwrap().sketches else {
+        panic!("cdg:{eps},{k} built another family")
+    };
     let net_members: Vec<NodeId> = cdg.net.members().to_vec();
     assert!(!net_members.is_empty());
 
@@ -35,7 +36,7 @@ fn check_lemma_4_5(graph: &Graph, eps: f64, k: usize, seed: u64) {
     let local_hierarchy = Hierarchy::from_levels(levels, cdg.hierarchy.k()).unwrap();
 
     // 3. Centralized Thorup–Zwick on the metric completion.
-    let on_completion = CentralizedTz::build(&completion.graph, &local_hierarchy);
+    let on_completion = dsketch::build::thorup_zwick(&completion.graph, &local_hierarchy, 1);
 
     // 4. The net nodes' sketches must agree (after relabelling): same pivots
     //    (as original ids and distances) and same bunches.

@@ -103,10 +103,12 @@ fn graph(n: usize, seed: u64) -> Graph {
 }
 
 fn build_oracle(n: usize, seed: u64) -> TzSketchSet {
-    ThorupZwickScheme::new(2)
-        .build(&graph(n, seed), &SchemeConfig::default().with_seed(seed))
-        .unwrap()
-        .sketches
+    let config = SchemeConfig::default().with_seed(seed);
+    let built = SchemeSpec::thorup_zwick(2).build_sketches(&graph(n, seed), &config);
+    let StoredSketches::ThorupZwick(set) = built.unwrap().sketches else {
+        panic!("tz:2 built another family")
+    };
+    set
 }
 
 /// Seeded query batches for one client thread.
@@ -207,7 +209,7 @@ fn concurrent_clients_match_the_direct_oracle() {
 #[test]
 fn frozen_and_map_backed_servers_agree_under_contention() {
     let built = build_oracle(96, 33);
-    let frozen: Arc<dyn DistanceOracle> = Arc::new(built.freeze());
+    let frozen: Arc<dyn DistanceOracle> = Arc::new(built.sketches.freeze());
     let map_backed: Arc<dyn DistanceOracle> = Arc::new(built);
 
     // Same seeded workload against both representations, thrashing caches.

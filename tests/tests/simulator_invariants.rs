@@ -4,6 +4,7 @@
 use congest_sim::programs::bellman_ford::KSourceBellmanFord;
 use congest_sim::programs::bfs_tree::build_bfs_tree;
 use congest_sim::{CongestConfig, Network};
+use dsketch::distributed::build_with_hierarchy;
 use dsketch::prelude::*;
 use netgraph::generators::{erdos_renyi, grid, GeneratorConfig};
 use netgraph::shortest_path::multi_source_dijkstra;
@@ -23,11 +24,7 @@ fn thread_count_does_not_change_results_or_stats() {
             num_threads: threads,
             ..Default::default()
         });
-        results.push(
-            ThorupZwickScheme::new(3)
-                .build_with_hierarchy(&graph, h.clone(), &config)
-                .unwrap(),
-        );
+        results.push(build_with_hierarchy(&graph, h.clone(), &config).unwrap());
     }
     for pair in results.windows(2) {
         assert_eq!(
@@ -46,7 +43,7 @@ fn thread_count_does_not_change_results_or_stats() {
 #[test]
 fn stats_are_internally_consistent() {
     let graph = grid(10, 10, GeneratorConfig::uniform(3, 1, 10));
-    let result = ThorupZwickScheme::new(2)
+    let result = SchemeSpec::thorup_zwick(2)
         .build(&graph, &SchemeConfig::default().with_seed(9))
         .unwrap();
     let stats = &result.stats;
@@ -101,7 +98,7 @@ fn oracle_mode_runs_under_strict_bandwidth() {
     let config = SchemeConfig::default()
         .with_seed(2)
         .with_congest(CongestConfig::strict());
-    let result = ThorupZwickScheme::new(3).build(&graph, &config).unwrap();
+    let result = SchemeSpec::thorup_zwick(3).build(&graph, &config).unwrap();
     assert_eq!(result.stats.bandwidth_violations, 0);
     assert!(result.sketches.max_words() > 0);
 }
@@ -111,7 +108,7 @@ fn oracle_mode_runs_under_strict_bandwidth() {
 #[test]
 fn word_accounting_matches_message_types() {
     let graph = erdos_renyi(64, 0.1, GeneratorConfig::uniform(21, 1, 10));
-    let result = ThorupZwickScheme::new(2)
+    let result = SchemeSpec::thorup_zwick(2)
         .build(&graph, &SchemeConfig::default().with_seed(6))
         .unwrap();
     // Oracle mode sends only SourcedAnnouncement messages (2 words each).

@@ -69,10 +69,10 @@ proptest! {
     #[test]
     fn tz_codec_round_trips((n, seed, k) in (24usize..64, 0u64..1_000, 1usize..4)) {
         let g = graph(n, seed);
-        let built = ThorupZwickScheme::new(k)
-            .build(&g, &config(seed))
-            .unwrap()
-            .sketches;
+        let built = SchemeSpec::thorup_zwick(k).build_sketches(&g, &config(seed));
+        let StoredSketches::ThorupZwick(built) = built.unwrap().sketches else {
+            panic!("tz:{k} built another family")
+        };
         let bytes = built.to_bytes();
         let decoded = TzSketchSet::from_bytes(&bytes).unwrap();
         prop_assert_eq!(&decoded.sketches, &built.sketches);
@@ -84,10 +84,10 @@ proptest! {
     #[test]
     fn three_stretch_codec_round_trips((n, seed) in (24usize..64, 0u64..1_000)) {
         let g = graph(n, seed);
-        let built = ThreeStretchScheme::new(0.4)
-            .build(&g, &config(seed))
-            .unwrap()
-            .sketches;
+        let built = SchemeSpec::three_stretch(0.4).build_sketches(&g, &config(seed));
+        let StoredSketches::ThreeStretch(built) = built.unwrap().sketches else {
+            panic!("3stretch:0.4 built another family")
+        };
         let bytes = built.to_bytes();
         let decoded = ThreeStretchSketchSet::from_bytes(&bytes).unwrap();
         prop_assert_eq!(&decoded.net, &built.net);
@@ -99,10 +99,10 @@ proptest! {
     #[test]
     fn cdg_codec_round_trips((n, seed, k) in (24usize..64, 0u64..1_000, 1usize..3)) {
         let g = graph(n, seed);
-        let built = CdgScheme::new(0.4, k)
-            .build(&g, &config(seed))
-            .unwrap()
-            .sketches;
+        let built = SchemeSpec::cdg(0.4, k).build_sketches(&g, &config(seed));
+        let StoredSketches::Cdg(built) = built.unwrap().sketches else {
+            panic!("cdg:0.4,{k} built another family")
+        };
         let bytes = built.to_bytes();
         let decoded = CdgSketchSet::from_bytes(&bytes).unwrap();
         prop_assert_eq!(&decoded.params, &built.params);
@@ -115,12 +115,10 @@ proptest! {
     #[test]
     fn degrading_codec_round_trips((n, seed) in (24usize..64, 0u64..1_000)) {
         let g = graph(n, seed);
-        let built = DegradingScheme::new()
-            .with_max_k(2)
-            .with_max_layers(2)
-            .build(&g, &config(seed))
-            .unwrap()
-            .sketches;
+        let spec = SchemeSpec::Degrading { max_layers: Some(2), max_k: Some(2) };
+        let StoredSketches::Degrading(built) = spec.build_sketches(&g, &config(seed)).unwrap().sketches else {
+            panic!("{spec} built another family")
+        };
         let bytes = built.to_bytes();
         let decoded = DegradingSketchSet::from_bytes(&bytes).unwrap();
         prop_assert_eq!(decoded.num_layers(), built.num_layers());

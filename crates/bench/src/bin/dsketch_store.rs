@@ -16,11 +16,14 @@
 //! cargo run --release -p dsketch-bench --bin dsketch-store -- \
 //!     build --scheme tz:3 --nodes 512 --engine congest --out g.dsk
 //!
-//! # what is in the file? (also verifies every checksum)
+//! # what is in the file? (decoded as a load decodes it: checksums and
+//! # every label contract checked)
 //! cargo run --release -p dsketch-bench --bin dsketch-store -- inspect --snapshot g.dsk
 //!
-//! # deep semantic verification beyond the checksums (bunch ordering,
-//! # pivot-row contracts, hierarchy consistency — see `dsketch_analysis::verify`)
+//! # the same read and decode, plus a structural re-check of the decoded
+//! # arrays; a refusal prints FAILED [kind] naming the broken contract
+//! # (pivot-row, hierarchy-contract, layer-contract, trailing-bytes, … —
+//! # see `dsketch_store::verify_snapshot_file`)
 //! cargo run --release -p dsketch-bench --bin dsketch-store -- verify --snapshot g.dsk
 //!
 //! # answer one query from the snapshot alone
@@ -54,7 +57,7 @@ use dsketch_bench::{arg_engine, arg_parse_or_exit, arg_value, check_args_or_exit
 use dsketch_serve::{NetConfig, NetServer, ServeConfig, ServeMeta, SketchServer};
 use dsketch_store::{
     build_and_save, build_and_save_from_edge_list, inspect_snapshot, load_frozen_oracle,
-    SnapshotReader,
+    SectionEntities, SnapshotReader,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -316,7 +319,7 @@ fn cmd_inspect(args: &[String]) {
     }
     println!("total bytes: {}", summary.total_bytes);
     for (entry, entities) in summary.sections.iter().zip(&summary.section_entities) {
-        if let dsketch_store::SectionEntities::Sketches { bunch_entries, .. } = entities {
+        if let SectionEntities::Sketches { bunch_entries, .. } = entities {
             println!(
                 "on disk:     {:.2} {} bytes per bunch entry",
                 entry.len as f64 / (*bunch_entries).max(1) as f64,
@@ -340,21 +343,28 @@ fn cmd_inspect(args: &[String]) {
 
 fn cmd_verify(args: &[String]) {
     let path = required(args, "snapshot");
-    match dsketch_analysis::verify_snapshot_file(std::path::Path::new(&path)) {
-        Ok(report) => {
-            println!(
-                "{path}: ok — {} snapshot, {} nodes, {} layer(s), {} bunch entries, {} pivots",
-                report.spec.name(),
-                report.nodes,
-                report.layers,
-                report.bunch_entries,
-                report.pivots_present,
-            );
-            for section in &report.sections {
-                println!(
-                    "  section {}: {} bytes at offset {}, crc ok",
-                    section.id, section.len, section.file_offset
-                );
+    match dsketch_store::verify_snapshot_file(&path) {
+        Ok(summary) => {
+            let (name, nodes) = (summary.spec.name(), summary.num_nodes);
+            for entities in &summary.section_entities {
+                if let SectionEntities::Sketches {
+                    layers,
+                    bunch_entries,
+                    pivots,
+                    ..
+                } = entities
+                {
+                    println!(
+                        "{path}: ok — {name} snapshot, {nodes} nodes, {layers} layer(s), \
+                         {bunch_entries} bunch entries, {pivots} pivots"
+                    );
+                }
+            }
+            let payload: u64 = summary.sections.iter().map(|section| section.len).sum();
+            for section in &summary.sections {
+                let at = summary.total_bytes - payload + section.offset;
+                let (id, len) = (section.id, section.len);
+                println!("  section {id}: {len} bytes at offset {at}, crc ok");
             }
         }
         Err(e) => {

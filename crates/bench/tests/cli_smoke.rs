@@ -114,6 +114,29 @@ fn readme_quickstart_runs_end_to_end() {
         assert!(!stderr.contains("panicked"), "{nodes:?}: {stderr}");
         assert!(!bad.exists(), "{nodes:?} wrote a snapshot");
     }
+    // A level count past ⌈log₂ n⌉ is refused before anything is sampled —
+    // at once, not after k × n passes per sampling attempt.
+    let started = Instant::now();
+    let out = bad.to_str().expect("utf-8 temp path");
+    let tz = [
+        "build",
+        "--scheme",
+        "tz:99999999999",
+        "--nodes",
+        "64",
+        "--out",
+        out,
+    ];
+    let output = run(STORE, &tz);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "{stderr}");
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "{:?}",
+        started.elapsed()
+    );
+    assert!(stderr.contains("k = 99999999999"), "{stderr}");
+    assert!(!bad.exists(), "an over-deep build wrote a snapshot");
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -438,6 +461,52 @@ fn unknown_experiment_id_is_a_usage_error_before_anything_runs() {
         assert_eq!(output.status.code(), Some(2), "e{retired}");
     }
 
-    let stdout = run_ok(experiments, &["e6", "--quick"]);
-    assert!(stdout.contains("== E6"), "{stdout}");
+    // The tables only `--quick` runs in the test suite: e9 is the one entry
+    // to termination-detection mode, e10 the Theorem 3.8 scaling sweep.
+    let stdout = run_ok(experiments, &["e6", "e8", "e9", "e10", "e11", "--quick"]);
+    for id in ["E6", "E8", "E11"] {
+        assert!(!table_rows(&stdout, id).is_empty(), "{id}:\n{stdout}");
+    }
+    // e9: two families × k ∈ {2, 3}.
+    let e9: Vec<(String, String)> = table_rows(&stdout, "E9")
+        .into_iter()
+        .map(|row| (family(&row[0]), row[1].clone()))
+        .collect();
+    let expected: Vec<(String, String)> = ["erdos-renyi", "grid"]
+        .into_iter()
+        .flat_map(|f| ["2", "3"].map(|k| (f.to_string(), k.to_string())))
+        .collect();
+    assert_eq!(e9, expected, "{stdout}");
+    // e10: three families × two sizes.
+    let e10: Vec<String> = table_rows(&stdout, "E10")
+        .iter()
+        .map(|row| family(&row[0]))
+        .collect();
+    let expected = ["erdos-renyi", "erdos-renyi", "grid", "grid", "ring", "ring"];
+    assert_eq!(e10, expected, "{stdout}");
+}
+
+/// The rows of table `id` (`E9`, …) in `experiments` output: the lines
+/// under its `== E9 —` heading that start with a graph like `grid(n=96)`,
+/// split into cells.
+fn table_rows(stdout: &str, id: &str) -> Vec<Vec<String>> {
+    let heading = format!("== {id} ");
+    let mut lines = stdout
+        .lines()
+        .skip_while(|line| !line.starts_with(&heading));
+    lines.next();
+    lines
+        .take_while(|line| !line.starts_with("== "))
+        .map(|line| {
+            line.split_whitespace()
+                .map(str::to_string)
+                .collect::<Vec<_>>()
+        })
+        .filter(|cells| cells.first().is_some_and(|graph| graph.contains("(n=")))
+        .collect()
+}
+
+/// `grid(n=96)` → `grid`.
+fn family(graph: &str) -> String {
+    graph.split('(').next().unwrap_or_default().to_string()
 }

@@ -35,9 +35,19 @@
 //! bytes anyway; a distance is a plain varint, so any `u64` round-trips
 //! with no escape path.  The totals are held against the bytes that remain
 //! and against the rows, and let a reader size its arrays once.
-//! [`LabelRows`] is the only reader of this layout: [`SketchSet`]'s decoder,
-//! the frozen decoder in [`crate::flat`] and the deep verifier in
-//! `dsketch-analysis` all consume its rows.
+//! [`LabelRows`] is the only reader of this layout.
+//!
+//! # Family payloads
+//!
+//! A family payload (a snapshot's `SKCH` section) is a family's label sets
+//! with the hierarchy, density net, params and stats they were built from,
+//! in the order of the family's struct fields.  One function reads all four
+//! layouts and both decoders drive it — per-node sketches for
+//! [`StoredSketches::decode_payload`](crate::scheme::StoredSketches::decode_payload),
+//! served arrays for [`crate::flat`] — holding every label set to what its
+//! bytes cannot express (pivot rows nested like `A_0 ⊇ A_1 ⊇ …`, levels
+//! backed by the stored hierarchy, layer and spec parameters).  So the two
+//! accept the same payloads, and only ones the stretch bounds hold for.
 //!
 //! # Stability rules
 //!
@@ -70,14 +80,14 @@
 
 use crate::cast;
 use crate::hierarchy::Hierarchy;
-use crate::scheme::{SchemeSpec, TzSketchSet};
+use crate::scheme::{SchemeSpec, StoredSketches, TzSketchSet};
 use crate::sketch::{BunchEntry, Sketch, SketchSet};
 use crate::slack::cdg::{CdgParams, CdgSketchSet};
 use crate::slack::degrading::DegradingSketchSet;
 use crate::slack::density_net::DensityNet;
 use crate::slack::three_stretch::ThreeStretchSketchSet;
 use congest_sim::RunStats;
-use netgraph::{Distance, NodeId};
+use netgraph::{Distance, NodeId, INFINITY};
 
 /// Errors produced while decoding a binary payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,6 +114,15 @@ pub enum CodecError {
         /// Number of unconsumed bytes.
         remaining: usize,
     },
+    /// A label's pivot row breaks the nesting `A_0 ⊇ A_1 ⊇ …` it is read
+    /// off (see the [module docs](self), "Family payloads"): whose, where
+    /// and how.
+    PivotRow(String),
+    /// A label set disagrees with the sampling hierarchy stored beside it.
+    HierarchyContract(String),
+    /// A layer's parameters disagree with the layer before it, or with the
+    /// scheme spec the payload is read against.
+    LayerContract(String),
 }
 
 impl std::fmt::Display for CodecError {
@@ -124,11 +143,25 @@ impl std::fmt::Display for CodecError {
             CodecError::TrailingBytes { remaining } => {
                 write!(f, "{remaining} trailing bytes after decoding finished")
             }
+            CodecError::PivotRow(message) => write!(f, "pivot row broken: {message}"),
+            CodecError::HierarchyContract(message) => {
+                write!(f, "labels disagree with the hierarchy: {message}")
+            }
+            CodecError::LayerContract(message) => write!(f, "layer contract broken: {message}"),
         }
     }
 }
 
 impl std::error::Error for CodecError {}
+
+impl CodecError {
+    /// A [`CodecError::Invalid`]: `context` decoded to a value its type
+    /// refuses, for the reason `message` gives.
+    pub fn invalid(context: &'static str, message: impl Into<String>) -> CodecError {
+        let message = message.into();
+        CodecError::Invalid { context, message }
+    }
+}
 
 /// Little-endian payload builder.  All [`SketchCodec`] encodings go through
 /// this type, so the byte layout is defined in exactly one place.
@@ -422,11 +455,6 @@ impl<'a> Decoder<'a> {
         self.bytes.len() - self.pos
     }
 
-    /// Bytes consumed so far: the offset of the next unread byte.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
     /// Assert the whole payload was consumed.
     pub fn finish(self) -> Result<(), CodecError> {
         if self.remaining() > 0 {
@@ -580,12 +608,6 @@ impl<'d, 'a> LabelRows<'d, 'a> {
     /// the rows are held to: what a consumer sizes its arrays by.
     pub fn totals(&self) -> (usize, usize, usize) {
         self.totals
-    }
-
-    /// Offset of the next unread byte in the underlying [`Decoder`] —
-    /// after an error, where decoding stopped.
-    pub fn position(&self) -> usize {
-        self.input.position()
     }
 
     /// Decode the next label, or `None` after the last — at which point
@@ -894,6 +916,347 @@ impl SketchCodec for SchemeSpec {
     }
 }
 
+/// A family payload's label set as the family reader hands it to a
+/// decoder: the rows of [`LabelRows`], each held on its way out to the
+/// contracts a family's labels keep and their bytes alone cannot express —
+///
+/// * every label has the set's one `k` (a CDG layer's params fix it; in
+///   the other families the first label does);
+/// * every node a label names, as pivot or bunch member, is one of the
+///   set's nodes;
+/// * a pivot row is the nesting `A_0 ⊇ A_1 ⊇ …` seen from its owner:
+///   present pivots have finite distances, non-decreasing in level (the
+///   nearest member of a smaller set is no nearer), and a level without a
+///   pivot has none above it (a level with no reachable member cannot
+///   regrow one);
+/// * a pivot that is also in its owner's bunch is there at the same
+///   distance: both record `d(owner, pivot)`.
+pub(crate) struct CheckedRows<'d, 'a> {
+    rows: LabelRows<'d, 'a>,
+    claims: Claims,
+}
+
+/// What a label set says about the sampling hierarchy stored beside it:
+/// its one `k`, and per node one past the highest level a label claims for
+/// it — as pivot or bunch member — with that label's owner (`0`: none).
+struct Claims {
+    k: Option<usize>,
+    levels: Vec<(u32, NodeId)>,
+}
+
+impl<'d, 'a> CheckedRows<'d, 'a> {
+    /// Open the label set at `input`'s position; `k`, when given, is the
+    /// level count every label must have.
+    pub(crate) fn begin(input: &'d mut Decoder<'a>, k: Option<usize>) -> Result<Self, CodecError> {
+        let rows = LabelRows::begin(input)?;
+        let levels = vec![(0, NodeId(0)); rows.totals().0];
+        let claims = Claims { k, levels };
+        Ok(CheckedRows { rows, claims })
+    }
+
+    /// The set header's totals ([`LabelRows::totals`]).
+    pub(crate) fn totals(&self) -> (usize, usize, usize) {
+        self.rows.totals()
+    }
+
+    /// The next label, checked, or `None` after the last.
+    pub(crate) fn next_row(&mut self) -> Result<Option<LabelRow<'_>>, CodecError> {
+        let Some(row) = self.rows.next_row()? else {
+            return Ok(None);
+        };
+        self.claims.check_row(&row)?;
+        Ok(Some(row))
+    }
+}
+
+impl Claims {
+    /// The row contracts of [`CheckedRows`], and the row's claims noted.
+    fn check_row(&mut self, row: &LabelRow<'_>) -> Result<(), CodecError> {
+        let owner = row.owner;
+        let k = row.pivots.len();
+        let fixed = *self.k.get_or_insert(k);
+        if k != fixed {
+            let message = format!("label of {owner} has k = {k} but the set's k is {fixed}");
+            return Err(CodecError::invalid("Sketch.k", message));
+        }
+        let nodes = self.levels.len();
+        let mut claim = |member: NodeId, level: u32| match self.levels.get_mut(member.index()) {
+            Some(slot) => {
+                if slot.0 <= level {
+                    *slot = (level + 1, owner);
+                }
+                Ok(())
+            }
+            None => Err(CodecError::invalid(
+                "label node",
+                format!("label of {owner} names {member}, out of range for {nodes} nodes"),
+            )),
+        };
+        for &(member, entry) in row.bunch {
+            claim(member, entry.level)?;
+        }
+        let (mut last, mut absent_since) = (0, None);
+        for (level, &pivot) in (0u32..).zip(row.pivots) {
+            let Some((pivot, distance)) = pivot else {
+                absent_since.get_or_insert(level);
+                continue;
+            };
+            claim(pivot, level)?;
+            let broken = |what: String| {
+                CodecError::PivotRow(format!("label of {owner}, level {level}: {what}"))
+            };
+            if let Some(since) = absent_since {
+                let nesting = format!("A_{since} ⊇ A_{level}");
+                return Err(broken(format!(
+                    "pivot present although level {since} had none ({nesting})"
+                )));
+            }
+            if distance == INFINITY {
+                return Err(broken("present pivot with infinite distance".to_string()));
+            }
+            if distance < last {
+                let below = level.saturating_sub(1);
+                return Err(broken(format!(
+                    "pivot distance {distance} decreases from level {below}'s {last}"
+                )));
+            }
+            last = distance;
+            if let Ok(at) = row
+                .bunch
+                .binary_search_by_key(&pivot, |&(member, _)| member)
+            {
+                let recorded = row.bunch[at].1.distance;
+                if recorded != distance {
+                    return Err(broken(format!(
+                        "pivot {pivot} at distance {distance} but the bunch records {recorded}"
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The hierarchy stored beside the labels covers their nodes, has their
+    /// `k`, and samples every node at least to the highest level a label
+    /// claims for it: a level-`i` bunch entry or pivot names a member of
+    /// `A_i`.
+    fn check_hierarchy(&self, hierarchy: &Hierarchy) -> Result<(), CodecError> {
+        let (covers, nodes) = (hierarchy.num_nodes(), self.levels.len());
+        if covers != nodes {
+            return Err(CodecError::invalid(
+                "Hierarchy",
+                format!("hierarchy covers {covers} nodes but the labels cover {nodes}"),
+            ));
+        }
+        if let Some(k) = self.k.filter(|&k| k != hierarchy.k()) {
+            let message = format!(
+                "labels have k = {k} but the hierarchy has {}",
+                hierarchy.k()
+            );
+            return Err(CodecError::HierarchyContract(message));
+        }
+        let mut levels = self.levels.iter().zip(hierarchy.levels()).enumerate();
+        match levels
+            .find(|(_, (&(claimed, _), &sampled))| i64::from(claimed) > i64::from(sampled) + 1)
+        {
+            Some((member, (&(claimed, owner), &sampled))) => {
+                let (member, level) = (NodeId::from_index(member), claimed - 1);
+                Err(CodecError::HierarchyContract(format!(
+                    "the label of {owner} holds {member} at level {level}, but the hierarchy \
+                     samples it only to level {sampled}"
+                )))
+            }
+            None => Ok(()),
+        }
+    }
+
+    /// The density net stored beside the labels covers their nodes, and
+    /// only them.
+    fn check_net(&self, net: &DensityNet) -> Result<(), CodecError> {
+        let (covers, nodes) = (net.num_nodes(), self.levels.len());
+        let message = if covers != nodes {
+            format!("density net covers {covers} nodes but the labels cover {nodes}")
+        } else if let Some(member) = net.members().iter().find(|m| m.index() >= covers) {
+            format!("net member {member} out of range for {covers} nodes")
+        } else {
+            return Ok(());
+        };
+        Err(CodecError::invalid("DensityNet", message))
+    }
+}
+
+/// Read one label set through `labels`, then every row it left, so each is
+/// checked whatever the decoder took.
+fn read_labels<'a, S>(
+    input: &mut Decoder<'a>,
+    k: Option<usize>,
+    labels: &mut impl FnMut(&mut CheckedRows<'_, 'a>) -> Result<S, CodecError>,
+) -> Result<(S, Claims), CodecError> {
+    let mut rows = CheckedRows::begin(input, k)?;
+    let set = labels(&mut rows)?;
+    while rows.next_row()?.is_some() {}
+    Ok((set, rows.claims))
+}
+
+/// The map decoder's label set: one [`Sketch`] per row.
+pub(crate) fn collect_sketches(rows: &mut CheckedRows<'_, '_>) -> Result<SketchSet, CodecError> {
+    let mut sketches = Vec::with_capacity(rows.totals().0);
+    while let Some(row) = rows.next_row()? {
+        let (pivots, bunch) = (row.pivots.to_vec(), row.bunch.to_vec());
+        sketches.push(Sketch::from_sorted_parts(row.owner, pivots, bunch));
+    }
+    Ok(SketchSet::new(sketches))
+}
+
+/// Read the family payload of `spec`'s scheme at `input`, handing each
+/// label set to `labels` as [`CheckedRows`] — the one reader of the four
+/// family layouts, which the map decoder and the frozen decoder both
+/// drive, so the two accept the same bytes and refuse the rest with the
+/// same [`CodecError`].  Beyond each set's rows it checks the parts around
+/// them (stored hierarchy, density net, degrading layers) and that the
+/// payload is the one `spec` names: its `k`, its CDG params, at most its
+/// layer cap.
+pub(crate) fn read_family<'a, S>(
+    spec: &SchemeSpec,
+    input: &mut Decoder<'a>,
+    mut labels: impl FnMut(&mut CheckedRows<'_, 'a>) -> Result<S, CodecError>,
+) -> Result<StoredSketches<S>, CodecError> {
+    let unlike_spec = |message| Err(CodecError::LayerContract(message));
+    Ok(match *spec {
+        SchemeSpec::ThorupZwick { k } => {
+            let set = read_tz(input, &mut labels)?;
+            let stored = set.hierarchy.k();
+            if stored != k {
+                return unlike_spec(format!(
+                    "the payload has k = {stored} but the spec says {k}"
+                ));
+            }
+            StoredSketches::ThorupZwick(set)
+        }
+        SchemeSpec::ThreeStretch { .. } => {
+            StoredSketches::ThreeStretch(read_three_stretch(input, &mut labels)?)
+        }
+        SchemeSpec::Cdg { eps, k } => {
+            let set = read_cdg(input, &mut labels)?;
+            let stored = set.params;
+            if stored.eps != eps || stored.k != k {
+                let stored = format!("(eps = {}, k = {})", stored.eps, stored.k);
+                let spec = format!("(eps = {eps}, k = {k})");
+                return unlike_spec(format!(
+                    "stored CdgParams {stored} but the spec says {spec}"
+                ));
+            }
+            StoredSketches::Cdg(set)
+        }
+        SchemeSpec::Degrading { max_layers, .. } => {
+            let set = read_degrading(input, &mut labels)?;
+            let count = set.layers.len();
+            if let Some(cap) = max_layers.filter(|&cap| count > cap) {
+                let message = format!("{count} layers exceed the spec's max_layers = {cap}");
+                return unlike_spec(message);
+            }
+            StoredSketches::Degrading(set)
+        }
+    })
+}
+
+fn read_tz<'a, S>(
+    input: &mut Decoder<'a>,
+    labels: &mut impl FnMut(&mut CheckedRows<'_, 'a>) -> Result<S, CodecError>,
+) -> Result<TzSketchSet<S>, CodecError> {
+    let (sketches, claims) = read_labels(input, None, labels)?;
+    let hierarchy = Hierarchy::decode(input)?;
+    claims.check_hierarchy(&hierarchy)?;
+    Ok(TzSketchSet {
+        sketches,
+        hierarchy,
+    })
+}
+
+fn read_three_stretch<'a, S>(
+    input: &mut Decoder<'a>,
+    labels: &mut impl FnMut(&mut CheckedRows<'_, 'a>) -> Result<S, CodecError>,
+) -> Result<ThreeStretchSketchSet<S>, CodecError> {
+    let net = DensityNet::decode(input)?;
+    let (sketches, claims) = read_labels(input, None, labels)?;
+    claims.check_net(&net)?;
+    let stats = RunStats::decode(input)?;
+    Ok(ThreeStretchSketchSet {
+        net,
+        sketches,
+        stats,
+    })
+}
+
+fn read_cdg<'a, S>(
+    input: &mut Decoder<'a>,
+    labels: &mut impl FnMut(&mut CheckedRows<'_, 'a>) -> Result<S, CodecError>,
+) -> Result<CdgSketchSet<S>, CodecError> {
+    let (params, net) = (CdgParams::decode(input)?, DensityNet::decode(input)?);
+    let hierarchy = Hierarchy::decode(input)?;
+    let (sketches, claims) = read_labels(input, Some(params.k), labels)?;
+    claims.check_net(&net)?;
+    claims.check_hierarchy(&hierarchy)?;
+    let stats = RunStats::decode(input)?;
+    Ok(CdgSketchSet {
+        params,
+        net,
+        hierarchy,
+        sketches,
+        stats,
+    })
+}
+
+/// The gracefully degrading layers: at least one, all over one node count
+/// (every query indexes all of them), ε halving and `k` growing layer over
+/// layer — the trade-off of Theorem 4.8.
+fn read_degrading<'a, S>(
+    input: &mut Decoder<'a>,
+    labels: &mut impl FnMut(&mut CheckedRows<'_, 'a>) -> Result<S, CodecError>,
+) -> Result<DegradingSketchSet<S>, CodecError> {
+    // A layer is at least params (24) + empty net (24) + hierarchy
+    // header (24) + empty sketch set (8) + stats (48).
+    let count = input.len_prefix(128, "DegradingSketchSet layers length")?;
+    if count == 0 {
+        let message = "degrading set has no layers".to_string();
+        return Err(CodecError::LayerContract(message));
+    }
+    let mut layers: Vec<CdgSketchSet<S>> = Vec::with_capacity(count);
+    for index in 0..count {
+        let layer = read_cdg(input, labels)?;
+        if let (Some(first), Some(previous)) = (layers.first(), layers.last()) {
+            let (nodes, first) = (layer.net.num_nodes(), first.net.num_nodes());
+            if nodes != first {
+                return Err(CodecError::invalid(
+                    "DegradingSketchSet",
+                    format!("layer {index} covers {nodes} nodes but layer 0 covers {first}"),
+                ));
+            }
+            let ((e0, k0), (e1, k1)) = (
+                (previous.params.eps, previous.params.k),
+                (layer.params.eps, layer.params.k),
+            );
+            let broken = if e1 >= e0 {
+                Some(format!(
+                    "eps {e1} does not decrease from the previous layer's {e0}"
+                ))
+            } else if k1 < k0 {
+                Some(format!("k {k1} decreases from the previous layer's {k0}"))
+            } else {
+                None
+            };
+            if let Some(message) = broken {
+                return Err(CodecError::LayerContract(format!(
+                    "layer {index}: {message}"
+                )));
+            }
+        }
+        layers.push(layer);
+    }
+    let stats = RunStats::decode(input)?;
+    Ok(DegradingSketchSet { layers, stats })
+}
+
 impl SketchCodec for TzSketchSet {
     fn encode(&self, out: &mut Encoder) {
         self.sketches.encode(out);
@@ -901,12 +1264,7 @@ impl SketchCodec for TzSketchSet {
     }
 
     fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let sketches = SketchSet::decode(input)?;
-        let hierarchy = Hierarchy::decode(input)?;
-        Ok(TzSketchSet {
-            sketches,
-            hierarchy,
-        })
+        read_tz(input, &mut collect_sketches)
     }
 
     fn encoded_len(&self) -> usize {
@@ -922,11 +1280,7 @@ impl SketchCodec for ThreeStretchSketchSet {
     }
 
     fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(ThreeStretchSketchSet {
-            net: DensityNet::decode(input)?,
-            sketches: SketchSet::decode(input)?,
-            stats: RunStats::decode(input)?,
-        })
+        read_three_stretch(input, &mut collect_sketches)
     }
 
     fn encoded_len(&self) -> usize {
@@ -944,13 +1298,7 @@ impl SketchCodec for CdgSketchSet {
     }
 
     fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(CdgSketchSet {
-            params: CdgParams::decode(input)?,
-            net: DensityNet::decode(input)?,
-            hierarchy: Hierarchy::decode(input)?,
-            sketches: SketchSet::decode(input)?,
-            stats: RunStats::decode(input)?,
-        })
+        read_cdg(input, &mut collect_sketches)
     }
 
     fn encoded_len(&self) -> usize {
@@ -959,26 +1307,6 @@ impl SketchCodec for CdgSketchSet {
             + self.hierarchy.encoded_len()
             + self.sketches.encoded_len()
             + self.stats.encoded_len()
-    }
-}
-
-/// Refuse a degrading payload whose layer `layer` covers `nodes` nodes when
-/// layer 0 (if already decoded) covers another count: a node of the larger
-/// layer would have no label in the smaller one, and every query indexes
-/// all layers.  Shared by the map decoder below and
-/// [`crate::flat::FlatSketchSet::from_family_bytes`], so both refuse the
-/// same bytes with the same error.
-pub(crate) fn check_layer_nodes(
-    layer: usize,
-    nodes: usize,
-    first: Option<usize>,
-) -> Result<(), CodecError> {
-    match first {
-        Some(first) if first != nodes => Err(CodecError::Invalid {
-            context: "DegradingSketchSet",
-            message: format!("layer {layer} covers {nodes} nodes but layer 0 covers {first}"),
-        }),
-        _ => Ok(()),
     }
 }
 
@@ -992,18 +1320,7 @@ impl SketchCodec for DegradingSketchSet {
     }
 
     fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        // A layer is at least params (24) + empty net (24) + hierarchy
-        // header (24) + empty sketch set (8) + stats (48).
-        let count = input.len_prefix(128, "DegradingSketchSet layers length")?;
-        let mut layers: Vec<CdgSketchSet> = Vec::with_capacity(count);
-        for index in 0..count {
-            let layer = CdgSketchSet::decode(input)?;
-            let first = layers.first().map(|first| first.sketches.len());
-            check_layer_nodes(index, layer.sketches.len(), first)?;
-            layers.push(layer);
-        }
-        let stats = RunStats::decode(input)?;
-        Ok(DegradingSketchSet { layers, stats })
+        read_degrading(input, &mut collect_sketches)
     }
 
     fn encoded_len(&self) -> usize {
@@ -1325,6 +1642,53 @@ mod tests {
                 StoredSketches::Degrading(set) => assert_len_is_exact(&set),
             }
         }
+    }
+
+    #[test]
+    fn degrading_payloads_keep_the_layer_schedule_and_the_spec_cap() {
+        use crate::scheme::{SchemeConfig, StoredSketches};
+        use netgraph::generators::{erdos_renyi, GeneratorConfig};
+
+        let graph = erdos_renyi(32, 0.2, GeneratorConfig::uniform(3, 1, 30));
+        let config = SchemeConfig::default().with_seed(4).with_parallel_build();
+        let spec = SchemeSpec::parse("degrading:k=2,layers=2").unwrap();
+        let StoredSketches::Degrading(built) =
+            spec.build_sketches(&graph, &config).unwrap().sketches
+        else {
+            panic!("a degrading build");
+        };
+        let decode = |set: &DegradingSketchSet, spec: &SchemeSpec| {
+            StoredSketches::decode_payload(spec, &set.to_bytes()).map(drop)
+        };
+        assert_eq!(decode(&built, &spec), Ok(()));
+        let broken = |edit: fn(&mut DegradingSketchSet)| {
+            let mut set = built.clone();
+            edit(&mut set);
+            decode(&set, &SchemeSpec::degrading()).unwrap_err()
+        };
+        for (what, err) in [
+            (
+                "eps not halving",
+                broken(|set| set.layers[1].params.eps = set.layers[0].params.eps),
+            ),
+            (
+                "k shrinking",
+                broken(|set| {
+                    // Layer 1 (k = 2) first, then layer 0 (k = 1) at a smaller ε.
+                    set.layers.swap(0, 1);
+                    set.layers[1].params.eps = set.layers[0].params.eps / 2.0;
+                }),
+            ),
+            ("no layers", broken(|set| set.layers.clear())),
+        ] {
+            assert!(matches!(err, CodecError::LayerContract(_)), "{what}: {err}");
+        }
+        let capped = SchemeSpec::Degrading {
+            max_layers: Some(1),
+            max_k: None,
+        };
+        let err = decode(&built, &capped).unwrap_err();
+        assert!(matches!(err, CodecError::LayerContract(_)), "{err}");
     }
 
     #[test]

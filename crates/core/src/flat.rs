@@ -54,9 +54,10 @@
 //! * [`FlatSketchSet::from_family_bytes`] — straight from the `SKCH`
 //!   section bytes of a `dsketch-store` snapshot, so a cold-started server
 //!   never materializes a [`Sketch`] at all.  The label rows come from
-//!   [`LabelRows`], the codec's one reader of those bytes (the map decoder
-//!   and the deep verifier consume the same cursor); this module only
-//!   appends each row to the arrays, which the set header sized up front.
+//!   the codec's one family reader (see [`crate::codec`], "Family
+//!   payloads"), which the map decoder drives too and which checks every
+//!   contract of the family's labels on the way; this module only appends
+//!   each row to the arrays, which the set header sized up front.
 //!
 //! Both paths produce the same value (`freeze(decode(bytes)) ==
 //! from_family_bytes(bytes)`, pinned by tests), and every query function is
@@ -67,15 +68,11 @@
 #![deny(clippy::as_conversions)]
 
 use crate::cast;
-use crate::codec::{check_layer_nodes, CodecError, Decoder, LabelRows, SketchCodec};
+use crate::codec::{read_family, CheckedRows, CodecError, Decoder};
 use crate::error::SketchError;
-use crate::hierarchy::Hierarchy;
 use crate::oracle::{check_nodes, DistanceOracle};
 use crate::scheme::SchemeSpec;
 use crate::sketch::{BunchEntry, Sketch, SketchSet};
-use crate::slack::cdg::CdgParams;
-use crate::slack::density_net::DensityNet;
-use congest_sim::RunStats;
 use netgraph::{add_dist, Distance, NodeId, INFINITY};
 
 /// Sentinel stored in a pivot slot whose level has no pivot (`A_i`
@@ -239,33 +236,18 @@ impl FlatLayer {
         layer
     }
 
-    /// Decode one `SketchSet` payload directly into CSR arrays, never
-    /// building a [`Sketch`]: the rows come from [`LabelRows`], the one
-    /// reader of those bytes, which has already enforced everything the
-    /// flat layout relies on (owners are the node indices, `k ≥ 1`, bunch
-    /// ids strictly ascending), and the header totals size the arrays.
-    fn decode_sketch_set(input: &mut Decoder<'_>) -> Result<FlatLayer, CodecError> {
-        let mut rows = FlatLayer::begin_rows(input)?;
-        let (nodes, pivot_slots, bunch_entries) = rows.totals();
+    /// Decode one label set directly into CSR arrays, never building a
+    /// [`Sketch`]: the rows come checked from the codec's family reader
+    /// (owners are the node indices, `k ≥ 1`, bunch ids strictly ascending
+    /// and below the node count — everything the flat layout relies on),
+    /// and the header totals size the arrays.
+    fn from_rows(rows: &mut CheckedRows<'_, '_>) -> Result<FlatLayer, CodecError> {
+        let (nodes, pivot_slots, bunch_entries) = addressable(rows.totals())?;
         let mut layer = FlatLayer::with_capacity(nodes, pivot_slots, bunch_entries);
         while let Some(row) = rows.next_row()? {
             layer.push_row(row.pivots, row.bunch);
         }
         Ok(layer)
-    }
-
-    /// Open the label set at `input`, refusing totals the `u32` offsets of
-    /// either served form cannot address.
-    fn begin_rows<'d, 'a>(input: &'d mut Decoder<'a>) -> Result<LabelRows<'d, 'a>, CodecError> {
-        let rows = LabelRows::begin(input)?;
-        let (_, pivot_slots, bunch_entries) = rows.totals();
-        if u32::try_from(pivot_slots.max(bunch_entries)).is_err() {
-            return Err(CodecError::Invalid {
-                context: "FlatSketchSet",
-                message: "label set exceeds the u32 offset range".to_string(),
-            });
-        }
-        Ok(rows)
     }
 
     /// Resolve node `u`'s pivot row and bunch slices in one offset lookup.
@@ -536,63 +518,38 @@ impl Row<'_> {
 }
 
 impl MergedRows {
-    /// Freeze per-layer label sets, or `None` when they must stay layered.
-    fn from_sketch_sets(sets: &[&SketchSet]) -> Option<MergedRows> {
-        let num_nodes = sets.first()?.len();
-        if sets.iter().any(|set| set.len() != num_nodes) {
-            return None;
-        }
-        let entries = sets
-            .iter()
-            .flat_map(|set| set.iter())
-            .map(Sketch::bunch_size)
-            .sum();
-        let mut builder = RowBuilder::new(sets.len(), num_nodes, entries)?;
-        for u in (0..num_nodes).map(NodeId::from_index) {
-            for (layer, set) in sets.iter().enumerate() {
-                let sketch = set.sketch(u);
-                builder.push(layer, sketch.pivots(), sketch.bunch())?;
+    /// Merge per-layer label arrays into one row per node, or hand them
+    /// back when they must stay layered.
+    fn merge(layers: Vec<FlatLayer>) -> Result<MergedRows, Vec<FlatLayer>> {
+        let num_nodes = layers.first().map_or(0, |layer| layer.num_nodes);
+        let entries = layers.iter().map(|layer| layer.bunch_nodes.len()).sum();
+        let merged = RowBuilder::new(layers.len(), num_nodes, entries).and_then(|mut builder| {
+            if layers.iter().any(|layer| layer.num_nodes != num_nodes) {
+                return None;
             }
-            builder.seal_node()?;
-        }
-        Some(builder.finish())
-    }
-
-    /// Decode the label sets starting at `starts` in `bytes` — already
-    /// validated, all over `num_nodes` nodes, `entries` bunch entries in
-    /// total — with one cursor per layer advancing in step, or `Ok(None)`
-    /// when they must stay layered.
-    fn decode(
-        bytes: &[u8],
-        starts: &[usize],
-        num_nodes: usize,
-        entries: usize,
-    ) -> Result<Option<MergedRows>, CodecError> {
-        let Some(mut builder) = RowBuilder::new(starts.len(), num_nodes, entries) else {
-            return Ok(None);
-        };
-        let mut cursors: Vec<Decoder<'_>> = starts
-            .iter()
-            .map(|&start| Decoder::new(&bytes[start..]))
-            .collect();
-        let mut layers = cursors
-            .iter_mut()
-            .map(LabelRows::begin)
-            .collect::<Result<Vec<_>, _>>()?;
-        for _ in 0..num_nodes {
-            for (layer, rows) in layers.iter_mut().enumerate() {
-                let pushed = rows
-                    .next_row()?
-                    .and_then(|row| builder.push(layer, row.pivots, row.bunch));
-                if pushed.is_none() {
-                    return Ok(None);
+            for u in 0..num_nodes {
+                for (index, layer) in layers.iter().enumerate() {
+                    builder.push(index, &layer.label(u))?;
                 }
+                builder.seal_node()?;
             }
-            if builder.seal_node().is_none() {
-                return Ok(None);
-            }
-        }
-        Ok(Some(builder.finish()))
+            Some(builder.rows)
+        });
+        let Some(mut rows) = merged else {
+            return Err(layers);
+        };
+        rows.nodes.shrink_to_fit();
+        rows.dists.shrink_to_fit();
+        rows.masks.shrink_to_fit();
+        // The pivot rows stay as each layer has them; its bunch columns go.
+        rows.pivots = layers
+            .into_iter()
+            .map(|layer| PivotRows {
+                offsets: layer.offsets.iter().map(|&(pivot, _)| pivot).collect(),
+                slots: layer.pivots,
+            })
+            .collect();
+        Ok(rows)
     }
 
     fn num_nodes(&self) -> usize {
@@ -715,13 +672,11 @@ impl MergedRows {
     }
 }
 
-/// Builds [`MergedRows`] one label at a time — node-major, layer-minor —
-/// straight from wherever the labels live (per-node sketches at freeze,
-/// `L` byte cursors at decode), so the `L` per-layer bunch columns are
-/// never materialized beside the rows.  The one place the conditions on
-/// [`MergedRows`] are checked: `push` and `seal_node` answer `None` the
-/// moment the data breaks one, and the caller builds the layered form
-/// instead.
+/// Builds the rows of [`MergedRows`] one label at a time — node-major,
+/// layer-minor — from the `L` per-layer arrays that freezing and decoding
+/// both build first.  The one place the conditions on [`MergedRows`] are
+/// checked: `push` and `seal_node` answer `None` the moment the data breaks
+/// one, and the layers are served as they are instead.
 ///
 /// Runs at every freeze, cold start and hot swap, so the merge itself is
 /// one pass with no comparison in it: landmarks are node ids, so a node's
@@ -751,15 +706,11 @@ impl RowBuilder {
         if !(2..=MAX_MERGED_LAYERS).contains(&layers) {
             return None;
         }
-        let pivots = PivotRows {
-            offsets: vec![0],
-            slots: Vec::new(),
-        };
         let mut offsets = Vec::with_capacity(num_nodes + 1);
         offsets.push(0);
         Some(RowBuilder {
             rows: MergedRows {
-                pivots: vec![pivots; layers],
+                pivots: Vec::new(),
                 offsets,
                 nodes: Vec::with_capacity(entries),
                 dists: Vec::with_capacity(entries),
@@ -773,31 +724,19 @@ impl RowBuilder {
     }
 
     /// Add the current node's label of layer `layer`.
-    fn push(
-        &mut self,
-        layer: usize,
-        pivots: &[Option<(NodeId, Distance)>],
-        bunch: &[(NodeId, BunchEntry)],
-    ) -> Option<()> {
-        let in_bunch = |p: NodeId| match bunch.binary_search_by_key(&p, |&(w, _)| w) {
-            Ok(at) => Some(bunch[at].1.distance),
-            Err(_) => None,
-        };
-        let kept = &mut self.rows.pivots[layer];
-        for &pivot in pivots {
-            if pivot.is_some_and(|(p, dp)| p != NO_PIVOT && in_bunch(p) != Some(dp)) {
-                return None;
-            }
-            kept.slots.push(pivot.unwrap_or((NO_PIVOT, INFINITY)));
+    fn push(&mut self, layer: usize, label: &Label<'_>) -> Option<()> {
+        let in_bunch =
+            |&(p, dp): &(NodeId, Distance)| p == NO_PIVOT || label.distance_to(p) == Some(dp);
+        if !label.pivots.iter().all(in_bunch) {
+            return None;
         }
-        kept.offsets.push(u32::try_from(kept.slots.len()).ok()?);
-        for &(w, entry) in bunch {
+        for (&w, &distance) in label.bunch_nodes.iter().zip(label.bunch_dists) {
             let w = w.index();
             if w >= self.mask_at.len() {
                 return None;
             }
-            self.two_distances |= (self.mask_at[w] != 0) & (self.dist_at[w] != entry.distance);
-            self.dist_at[w] = entry.distance;
+            self.two_distances |= (self.mask_at[w] != 0) & (self.dist_at[w] != distance);
+            self.dist_at[w] = distance;
             self.mask_at[w] |= 1 << layer;
             self.touched[w / 64] |= 1 << (w % 64);
         }
@@ -823,13 +762,17 @@ impl RowBuilder {
         rows.offsets.push(u32::try_from(rows.nodes.len()).ok()?);
         Some(())
     }
+}
 
-    fn finish(mut self) -> MergedRows {
-        self.rows.nodes.shrink_to_fit();
-        self.rows.dists.shrink_to_fit();
-        self.rows.masks.shrink_to_fit();
-        self.rows
+/// A label set's totals, refused when the `u32` offsets of either served
+/// form cannot address them.
+fn addressable(totals: (usize, usize, usize)) -> Result<(usize, usize, usize), CodecError> {
+    let (_, pivot_slots, bunch_entries) = totals;
+    if u32::try_from(pivot_slots.max(bunch_entries)).is_err() {
+        let message = "label set exceeds the u32 offset range";
+        return Err(CodecError::invalid("FlatSketchSet", message));
     }
+    Ok(totals)
 }
 
 /// `Err(message)` unless `ok`: one line of a `check_invariants`.
@@ -910,130 +853,65 @@ impl SketchSet {
     /// [`DistanceOracle`] impl, answering every pair as it does.
     pub fn freeze(&self) -> FlatSketchSet {
         let stretch = DistanceOracle::stretch_bound(self);
-        FlatSketchSet::single_layer(self, QueryRule::LevelWalk, "thorup-zwick", stretch)
+        FlatSketchSet::frozen((QueryRule::LevelWalk, "thorup-zwick", stretch), &[self])
     }
 }
 
 impl FlatSketchSet {
-    /// Freeze a single-layer family: one [`SketchSet`] plus its query rule
-    /// and reporting metadata.
-    pub(crate) fn single_layer(
-        set: &SketchSet,
-        rule: QueryRule,
-        scheme_name: &'static str,
-        stretch_bound: Option<u64>,
+    /// Freeze a family's label sets, one per layer, served the way `served`
+    /// — the family's query rule, name and stretch bound — says: several
+    /// layers as one merged row per node when their data allow it, any
+    /// other set layer by layer.
+    pub(crate) fn frozen(
+        served: (QueryRule, &'static str, Option<u64>),
+        sets: &[&SketchSet],
     ) -> FlatSketchSet {
+        let layers = sets.iter().map(|set| FlatLayer::from_sketch_set(set));
+        FlatSketchSet::from_layers(served, layers.collect())
+    }
+
+    /// [`FlatSketchSet::frozen`] from the per-layer arrays themselves.
+    fn from_layers(
+        (rule, scheme_name, stretch_bound): (QueryRule, &'static str, Option<u64>),
+        layers: Vec<FlatLayer>,
+    ) -> FlatSketchSet {
+        let labels = match MergedRows::merge(layers) {
+            Ok(rows) => Labels::Merged(rows),
+            Err(layers) => Labels::Layered(layers),
+        };
         FlatSketchSet {
-            labels: Labels::Layered(vec![FlatLayer::from_sketch_set(set)]),
+            labels,
             rule,
             scheme_name,
             stretch_bound,
         }
     }
 
-    /// Freeze the layered degrading family from its per-layer label sets.
-    pub(crate) fn layered<'a>(sets: impl Iterator<Item = &'a SketchSet>) -> FlatSketchSet {
-        let sets: Vec<&SketchSet> = sets.collect();
-        let labels = match MergedRows::from_sketch_sets(&sets) {
-            Some(rows) => Labels::Merged(rows),
-            None => Labels::Layered(
-                sets.iter()
-                    .map(|set| FlatLayer::from_sketch_set(set))
-                    .collect(),
-            ),
-        };
-        FlatSketchSet {
-            labels,
-            rule: QueryRule::BestCommon,
-            scheme_name: "degrading",
-            stretch_bound: None,
-        }
-    }
-
     /// Materialize a frozen set directly from the `SKCH` section payload of
     /// a `DSK1` snapshot, dispatching on the stored [`SchemeSpec`] — the
-    /// cold-start path: no mutable [`Sketch`] is ever constructed.  Accepts
-    /// exactly the bytes the family's [`SketchCodec`] encoding produces and
-    /// enforces the same validity checks, so corrupt payloads fail with a
-    /// [`CodecError`], not a panic.
+    /// cold-start path: no mutable [`Sketch`] is ever constructed.  Reads
+    /// through the codec's one family reader, as
+    /// [`StoredSketches::decode_payload`](crate::scheme::StoredSketches::decode_payload)
+    /// does, so it accepts exactly the bytes the family's
+    /// [`SketchCodec`](crate::codec::SketchCodec) encoding produces from
+    /// labels that keep their family's contracts, and refuses anything else
+    /// with the same [`CodecError`], never a panic.
     pub fn from_family_bytes(spec: &SchemeSpec, bytes: &[u8]) -> Result<FlatSketchSet, CodecError> {
         let mut input = Decoder::new(bytes);
-        let set = match spec {
-            SchemeSpec::ThorupZwick { .. } => {
-                // Layout of TzSketchSet: sketches, hierarchy.
-                let layer = FlatLayer::decode_sketch_set(&mut input)?;
-                let hierarchy = Hierarchy::decode(&mut input)?;
-                let stretch = (2 * cast::u64_from_usize(hierarchy.k())).saturating_sub(1);
-                FlatSketchSet {
-                    labels: Labels::Layered(vec![layer]),
-                    rule: QueryRule::LevelWalk,
-                    scheme_name: "thorup-zwick",
-                    stretch_bound: Some(stretch),
-                }
-            }
-            SchemeSpec::ThreeStretch { .. } => {
-                // Layout of ThreeStretchSketchSet: net, sketches, stats.
-                DensityNet::decode(&mut input)?;
-                let layer = FlatLayer::decode_sketch_set(&mut input)?;
-                RunStats::decode(&mut input)?;
-                FlatSketchSet {
-                    labels: Labels::Layered(vec![layer]),
-                    rule: QueryRule::BestCommon,
-                    scheme_name: "three-stretch",
-                    stretch_bound: Some(3),
-                }
-            }
-            SchemeSpec::Cdg { .. } => {
-                let (layer, params) = decode_cdg_layer(&mut input, FlatLayer::decode_sketch_set)?;
-                FlatSketchSet {
-                    labels: Labels::Layered(vec![layer]),
-                    rule: QueryRule::BestCommon,
-                    scheme_name: "cdg",
-                    stretch_bound: Some(params.stretch()),
-                }
-            }
-            SchemeSpec::Degrading { .. } => {
-                // Layout of DegradingSketchSet: layer count, CDG layers, stats.
-                // The bytes are layer-major and the rows node-major, so the
-                // payload is read twice: once to validate every layer and
-                // note where its labels start, once with a cursor per layer.
-                let count = input.len_prefix(128, "DegradingSketchSet layers length")?;
-                let mut starts = Vec::with_capacity(count);
-                let (mut num_nodes, mut bunch_entries) = (None, 0usize);
-                for index in 0..count {
-                    let ((start, totals), _) = decode_cdg_layer(&mut input, |input| {
-                        let start = input.position();
-                        let mut rows = FlatLayer::begin_rows(input)?;
-                        let totals = rows.totals();
-                        while rows.next_row()?.is_some() {}
-                        Ok((start, totals))
-                    })?;
-                    check_layer_nodes(index, totals.0, num_nodes)?;
-                    num_nodes = Some(totals.0);
-                    bunch_entries = bunch_entries.saturating_add(totals.2);
-                    starts.push(start);
-                }
-                RunStats::decode(&mut input)?;
-                let num_nodes = num_nodes.unwrap_or(0);
-                let layered = || {
-                    let layer =
-                        |&start| FlatLayer::decode_sketch_set(&mut Decoder::new(&bytes[start..]));
-                    starts.iter().map(layer).collect::<Result<_, _>>()
-                };
-                let labels = match MergedRows::decode(bytes, &starts, num_nodes, bunch_entries)? {
-                    Some(rows) => Labels::Merged(rows),
-                    None => Labels::Layered(layered()?),
-                };
-                FlatSketchSet {
-                    labels,
-                    rule: QueryRule::BestCommon,
-                    scheme_name: "degrading",
-                    stretch_bound: None,
-                }
-            }
-        };
+        let family = read_family(spec, &mut input, FlatLayer::from_rows)?;
         input.finish()?;
-        Ok(set)
+        Ok(FlatSketchSet::from_layers(
+            family.served_as(),
+            family.into_label_sets(),
+        ))
+    }
+
+    /// Pivot slots holding a pivot, over every node of every layer.
+    pub fn present_pivots(&self) -> usize {
+        match &self.labels {
+            Labels::Layered(layers) => layers.iter().map(|l| present_pivots(&l.pivots)).sum(),
+            Labels::Merged(rows) => rows.pivots.iter().map(|p| present_pivots(&p.slots)).sum(),
+        }
     }
 
     /// The query rule [`DistanceOracle::estimate`] dispatches to.
@@ -1075,10 +953,9 @@ impl FlatSketchSet {
     /// mask names at least one layer and none past the layer count, and
     /// every layer has a non-empty pivot row for every node.
     ///
-    /// Freezing and the validated snapshot decoders cannot produce a
-    /// violating value; this exists for the deep verifier (`dsketch-store
-    /// verify`), which re-checks serving state instead of trusting the
-    /// code that built it.
+    /// Freezing and the checked snapshot decoder cannot produce a violating
+    /// value; `dsketch-store verify` runs this on the set it decoded, to
+    /// re-check serving state instead of trusting the code that built it.
     pub fn check_invariants(&self) -> Result<(), String> {
         match &self.labels {
             Labels::Merged(rows) => rows.check_invariants(),
@@ -1156,21 +1033,6 @@ impl FlatSketchSet {
     }
 }
 
-/// Decode one `CdgSketchSet` payload, keeping only what `labels` makes of
-/// the label set and the params (for the stretch bound); the net, hierarchy
-/// and stats are validated and discarded.
-fn decode_cdg_layer<'a, T>(
-    input: &mut Decoder<'a>,
-    labels: impl FnOnce(&mut Decoder<'a>) -> Result<T, CodecError>,
-) -> Result<(T, CdgParams), CodecError> {
-    let params = CdgParams::decode(input)?;
-    DensityNet::decode(input)?;
-    Hierarchy::decode(input)?;
-    let labels = labels(input)?;
-    RunStats::decode(input)?;
-    Ok((labels, params))
-}
-
 impl DistanceOracle for FlatSketchSet {
     fn estimate(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
         match self.rule {
@@ -1227,6 +1089,7 @@ impl DistanceOracle for FlatSketchSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::SketchCodec;
     use crate::query::{estimate_distance, estimate_distance_best_common};
     use crate::slack::degrading::DegradingSketchSet;
 
@@ -1344,24 +1207,28 @@ mod tests {
         ));
     }
 
+    /// A real Thorup–Zwick build with `k = 2` on 16 nodes.
+    fn tz_family() -> crate::scheme::StoredSketches {
+        use netgraph::generators::{erdos_renyi, GeneratorConfig};
+        let graph = erdos_renyi(16, 0.3, GeneratorConfig::uniform(3, 1, 9));
+        let config = crate::scheme::SchemeConfig::default().with_parallel_build();
+        let built = SchemeSpec::thorup_zwick(2).build_sketches(&graph, &config);
+        built.unwrap().sketches
+    }
+
     #[test]
     fn flat_decode_equals_the_freeze_and_rejects_what_the_cursor_rejects() {
-        let set = toy_set();
         let spec = SchemeSpec::thorup_zwick(2);
 
         // A valid TzSketchSet payload decodes flat and equals the freeze of
         // the map decode: the two are consumers of the same rows.
-        let tz = crate::scheme::StoredSketches::ThorupZwick(crate::scheme::TzSketchSet {
-            sketches: set.clone(),
-            hierarchy: Hierarchy::sample(2, &crate::hierarchy::TzParams::new(2).with_seed(1))
-                .unwrap(),
-        });
+        let tz = tz_family();
         let bytes = tz.encode_payload();
         let flat = FlatSketchSet::from_family_bytes(&spec, &bytes).unwrap();
         assert_eq!(flat, tz.freeze());
         assert_eq!(
             flat.estimate(NodeId(0), NodeId(1)),
-            DistanceOracle::estimate(&set, NodeId(0), NodeId(1))
+            tz.as_oracle().estimate(NodeId(0), NodeId(1))
         );
 
         // Owners and bunch order are structural on the wire; what a hostile
@@ -1373,7 +1240,11 @@ mod tests {
         for v in [1, 1, 2, 1, 0, 2, u64::from(u32::MAX), 0, 0, 0] {
             out.put_varint(v);
         }
-        let flat_err = FlatLayer::decode_sketch_set(&mut Decoder::new(out.as_bytes())).unwrap_err();
+        let mut input = Decoder::new(out.as_bytes());
+        let rows = CheckedRows::begin(&mut input, None);
+        let flat_err = rows
+            .and_then(|mut rows| FlatLayer::from_rows(&mut rows))
+            .unwrap_err();
         let map_err = SketchSet::from_bytes(out.as_bytes()).unwrap_err();
         assert_eq!(flat_err, map_err);
         assert!(
@@ -1396,7 +1267,7 @@ mod tests {
 
     /// Freeze a degrading set, as `StoredSketches::freeze` does.
     fn freeze_layers(set: &DegradingSketchSet) -> FlatSketchSet {
-        FlatSketchSet::layered(set.layers.iter().map(|layer| &layer.sketches))
+        crate::scheme::StoredSketches::Degrading(set.clone()).freeze()
     }
 
     #[test]
@@ -1419,7 +1290,7 @@ mod tests {
             "{flat_err}"
         );
         // Freezing cannot refuse (it mirrors the per-node set, which is as
-        // unusable); the set stays layered and the verifier's check names it.
+        // unusable); the set stays layered and check_invariants names it.
         let frozen = freeze_layers(&ragged);
         assert_eq!(frozen.merged_entries(), None);
         assert_eq!(
@@ -1526,12 +1397,7 @@ mod tests {
 
     #[test]
     fn truncated_family_payloads_fail_with_codec_errors() {
-        let tz = crate::scheme::TzSketchSet {
-            sketches: toy_set(),
-            hierarchy: Hierarchy::sample(2, &crate::hierarchy::TzParams::new(2).with_seed(1))
-                .unwrap(),
-        };
-        let bytes = tz.to_bytes();
+        let bytes = tz_family().encode_payload();
         let spec = SchemeSpec::thorup_zwick(2);
         for cut in 0..bytes.len() {
             assert!(

@@ -34,7 +34,7 @@
 //! ```
 
 use crate::build;
-use crate::codec::{CodecError, SketchCodec};
+use crate::codec::{collect_sketches, read_family, CodecError, Decoder, SketchCodec};
 use crate::distributed::{self, SyncMode};
 use crate::error::SketchError;
 use crate::flat::{FlatSketchSet, QueryRule};
@@ -42,7 +42,7 @@ use crate::hierarchy::{Hierarchy, TzParams};
 use crate::oracle::{check_nodes, DistanceOracle};
 use crate::parallel::BuildTimings;
 use crate::query::estimate_distance;
-use crate::sketch::{Sketch, SketchSet};
+use crate::sketch::SketchSet;
 use crate::slack::cdg::{self, CdgParams, CdgSketchSet};
 use crate::slack::degrading::{self, DegradingParams, DegradingSketchSet};
 use crate::slack::three_stretch::{self, ThreeStretchSketchSet};
@@ -204,11 +204,12 @@ pub type DynBuildOutcome = BuildOutcome<Box<dyn DistanceOracle>>;
 /// The Thorup–Zwick labels built by the distributed construction: the
 /// per-node [`SketchSet`] plus the sampled level hierarchy (the
 /// construction's shared randomness, kept so results can be replayed and
-/// compared against the centralized oracle).
+/// compared against the centralized oracle).  Generic over its label set
+/// like [`StoredSketches`].
 #[derive(Debug, Clone)]
-pub struct TzSketchSet {
+pub struct TzSketchSet<S = SketchSet> {
     /// The per-node labels.
-    pub sketches: SketchSet,
+    pub sketches: S,
     /// The hierarchy the labels were built from.
     pub hierarchy: Hierarchy,
 }
@@ -250,16 +251,21 @@ impl DistanceOracle for TzSketchSet {
 /// the four scheme constructions ([`SchemeSpec::build_sketches`]).  Callers
 /// that need a family's own fields — the hierarchy, the density net, the
 /// layers — match on the variant.
+///
+/// The family types are generic over their label set: per-node
+/// [`SketchSet`]s (the default, what builds produce), or what a decoder
+/// makes of the rows the codec's family reader hands it (see
+/// [`crate::codec`], "Family payloads").
 #[derive(Debug, Clone)]
-pub enum StoredSketches {
+pub enum StoredSketches<S = SketchSet> {
     /// Thorup–Zwick labels plus their sampled hierarchy.
-    ThorupZwick(TzSketchSet),
+    ThorupZwick(TzSketchSet<S>),
     /// 3-stretch slack sketches plus their density net.
-    ThreeStretch(ThreeStretchSketchSet),
+    ThreeStretch(ThreeStretchSketchSet<S>),
     /// (ε, k)-CDG sketches.
-    Cdg(CdgSketchSet),
+    Cdg(CdgSketchSet<S>),
     /// Gracefully degrading layered sketches.
-    Degrading(DegradingSketchSet),
+    Degrading(DegradingSketchSet<S>),
 }
 
 impl StoredSketches {
@@ -289,19 +295,13 @@ impl StoredSketches {
     /// never changes an answer — the frozen set's `estimate(u, v)` equals
     /// [`StoredSketches::as_oracle`]'s for every pair, errors included.
     pub fn freeze(&self) -> FlatSketchSet {
-        // The Thorup–Zwick labels answer with the Lemma 3.2 level walk, the
-        // slack families with the best common landmark (Theorems 4.3 and
-        // 4.6); the degrading layers freeze into one merged row per node.
-        let (set, rule) = match self {
-            StoredSketches::ThorupZwick(s) => (&s.sketches, QueryRule::LevelWalk),
-            StoredSketches::ThreeStretch(s) => (&s.sketches, QueryRule::BestCommon),
-            StoredSketches::Cdg(s) => (&s.sketches, QueryRule::BestCommon),
-            StoredSketches::Degrading(s) => {
-                return FlatSketchSet::layered(s.layers.iter().map(|layer| &layer.sketches))
-            }
+        let sets = match self {
+            StoredSketches::ThorupZwick(s) => vec![&s.sketches],
+            StoredSketches::ThreeStretch(s) => vec![&s.sketches],
+            StoredSketches::Cdg(s) => vec![&s.sketches],
+            StoredSketches::Degrading(s) => s.layers.iter().map(|l| &l.sketches).collect(),
         };
-        let oracle = self.as_oracle();
-        FlatSketchSet::single_layer(set, rule, oracle.scheme_name(), oracle.stretch_bound())
+        FlatSketchSet::frozen(self.served_as(), &sets)
     }
 
     /// Encode the family payload (the `SKCH` section body of a snapshot).
@@ -314,36 +314,45 @@ impl StoredSketches {
         }
     }
 
-    /// Decoded entity counts of the family payload — what the `SKCH`
-    /// section's bytes actually contain: `(layers, nodes, bunch_entries)`.
-    /// Single-layer families report `layers == 1`; `bunch_entries` is the
-    /// total across every sketch of every layer.
-    pub fn entity_counts(&self) -> (usize, usize, usize) {
-        let layers: Vec<&SketchSet> = match self {
-            StoredSketches::ThorupZwick(s) => vec![&s.sketches],
-            StoredSketches::ThreeStretch(s) => vec![&s.sketches],
-            StoredSketches::Cdg(s) => vec![&s.sketches],
-            StoredSketches::Degrading(s) => s.layers.iter().map(|l| &l.sketches).collect(),
-        };
-        let nodes = layers.first().map_or(0, |set| set.len());
-        let bunches = layers.iter().flat_map(|set| set.iter());
-        (layers.len(), nodes, bunches.map(Sketch::bunch_size).sum())
+    /// Decode the family payload of `spec`'s scheme into per-node sketches:
+    /// the map-side twin of
+    /// [`FlatSketchSet::from_family_bytes`](crate::flat::FlatSketchSet::from_family_bytes),
+    /// reading through the same family reader (see [`crate::codec`],
+    /// "Family payloads"), so the two accept the same bytes and refuse the
+    /// rest with the same [`CodecError`].
+    pub fn decode_payload(spec: &SchemeSpec, bytes: &[u8]) -> Result<Self, CodecError> {
+        let mut input = Decoder::new(bytes);
+        let sketches = read_family(spec, &mut input, collect_sketches)?;
+        input.finish()?;
+        Ok(sketches)
+    }
+}
+
+impl<S> StoredSketches<S> {
+    /// How the family is served, whatever its labels are held in: its query
+    /// rule — the Lemma 3.2 level walk for Thorup–Zwick, the best common
+    /// landmark for the slack families (Theorems 4.3 and 4.6) and the
+    /// degrading layers — its name and its stretch bound.
+    pub(crate) fn served_as(&self) -> (QueryRule, &'static str, Option<u64>) {
+        match self {
+            StoredSketches::ThorupZwick(s) => {
+                let stretch = (2 * s.hierarchy.k() as u64).saturating_sub(1);
+                (QueryRule::LevelWalk, "thorup-zwick", Some(stretch))
+            }
+            StoredSketches::ThreeStretch(_) => (QueryRule::BestCommon, "three-stretch", Some(3)),
+            StoredSketches::Cdg(s) => (QueryRule::BestCommon, "cdg", Some(s.params.stretch())),
+            StoredSketches::Degrading(_) => (QueryRule::BestCommon, "degrading", None),
+        }
     }
 
-    /// Decode the family payload, dispatching on the stored scheme spec.
-    pub fn decode_payload(spec: &SchemeSpec, bytes: &[u8]) -> Result<Self, CodecError> {
-        Ok(match spec {
-            SchemeSpec::ThorupZwick { .. } => {
-                StoredSketches::ThorupZwick(TzSketchSet::from_bytes(bytes)?)
-            }
-            SchemeSpec::ThreeStretch { .. } => {
-                StoredSketches::ThreeStretch(ThreeStretchSketchSet::from_bytes(bytes)?)
-            }
-            SchemeSpec::Cdg { .. } => StoredSketches::Cdg(CdgSketchSet::from_bytes(bytes)?),
-            SchemeSpec::Degrading { .. } => {
-                StoredSketches::Degrading(DegradingSketchSet::from_bytes(bytes)?)
-            }
-        })
+    /// The label sets, one per layer.
+    pub(crate) fn into_label_sets(self) -> Vec<S> {
+        match self {
+            StoredSketches::ThorupZwick(s) => vec![s.sketches],
+            StoredSketches::ThreeStretch(s) => vec![s.sketches],
+            StoredSketches::Cdg(s) => vec![s.sketches],
+            StoredSketches::Degrading(s) => s.layers.into_iter().map(|l| l.sketches).collect(),
+        }
     }
 }
 
@@ -605,7 +614,8 @@ impl SchemeSpec {
     /// family-typed result — the one place a spec becomes sketches.
     ///
     /// Each family validates its parameters (a zero `k` or degrading cap,
-    /// an ε outside `(0, 1]` is [`SketchError::InvalidParameters`]),
+    /// a `k` above `max(1, ⌈log₂ n⌉)`, an ε outside `(0, 1]` is
+    /// [`SketchError::InvalidParameters`]),
     /// samples its hierarchy or density net from [`SchemeConfig::seed`],
     /// and runs its construction: the CONGEST simulation records the
     /// round/message cost, the direct parallel engine the wall-clock
@@ -615,10 +625,24 @@ impl SchemeSpec {
         graph: &Graph,
         config: &SchemeConfig,
     ) -> Result<BuildOutcome<StoredSketches>, SketchError> {
+        // Past ⌈log₂ n⌉ levels, labels of O(k·n^{1/k}) words stop shrinking
+        // while the stretch bound keeps growing — and sampling, a k × n pass
+        // per attempt, runs as long as k says.  (The degrading layer count
+        // stops at the same value.)
+        let levels = |k: usize| {
+            let (n, cap) = (graph.num_nodes(), TzParams::log_n(graph.num_nodes()).k);
+            if k <= cap {
+                return Ok(());
+            }
+            Err(SketchError::InvalidParameters(format!(
+                "k = {k} exceeds max(1, ⌈log₂ n⌉) = {cap} for n = {n}"
+            )))
+        };
         match *self {
             SchemeSpec::ThorupZwick { k } => {
                 let params = TzParams::new(k).with_seed(config.seed);
                 params.validate()?;
+                levels(k)?;
                 // Only one engine runs, so the hierarchy is sampled once.
                 let sample = || {
                     Hierarchy::sample_until_top_nonempty(graph.num_nodes(), &params, 1000)
@@ -670,6 +694,7 @@ impl SchemeSpec {
             SchemeSpec::Cdg { eps, k } => {
                 let params = CdgParams::new(eps, k).with_seed(config.seed);
                 params.validate()?;
+                levels(k)?;
                 on_engine(
                     config,
                     StoredSketches::Cdg,
@@ -843,6 +868,25 @@ mod tests {
             .is_err());
         assert!(SchemeSpec::cdg(1.5, 2).build(&graph, &config).is_err());
         assert!(SchemeSpec::cdg(0.3, 0).build(&graph, &config).is_err());
+        // ⌈log₂ 48⌉ = 6 levels is the most a 48-node build may ask for.
+        for (spec, fits) in [
+            (SchemeSpec::thorup_zwick(7), false),
+            (SchemeSpec::cdg(0.3, 7), false),
+            (SchemeSpec::thorup_zwick(6), true),
+        ] {
+            let built = spec.build_sketches(&graph, &config.with_parallel_build());
+            match built {
+                Err(SketchError::InvalidParameters(message)) => {
+                    assert!(!fits, "{spec}: {message}");
+                    assert!(
+                        message.contains("k = 7") && message.contains("n = 48"),
+                        "{message}"
+                    );
+                    assert!(message.contains("= 6"), "{message}");
+                }
+                other => assert!(fits && other.is_ok(), "{spec}: {:?}", other.err()),
+            }
+        }
         // A zero degrading cap is refused, not clamped to 1 (a spec that
         // claims `layers=0` must not store a one-layer set).
         for (max_layers, max_k) in [(Some(0), None), (None, Some(0))] {

@@ -87,9 +87,10 @@ impl CdgParams {
     }
 }
 
-/// The result of a CDG construction.
+/// The result of a CDG construction (generic over its label set like
+/// [`StoredSketches`](crate::scheme::StoredSketches)).
 #[derive(Debug, Clone)]
-pub struct CdgSketchSet {
+pub struct CdgSketchSet<S = SketchSet> {
     /// Parameters the sketches were built with.
     pub params: CdgParams,
     /// The sampled density net.
@@ -97,7 +98,7 @@ pub struct CdgSketchSet {
     /// The net-restricted hierarchy.
     pub hierarchy: Hierarchy,
     /// Per-node labels (pivots and bunches live inside the net).
-    pub sketches: SketchSet,
+    pub sketches: S,
     /// Simulation cost.
     pub stats: RunStats,
 }

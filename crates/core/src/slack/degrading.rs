@@ -13,6 +13,7 @@ use crate::error::SketchError;
 use crate::oracle::{check_nodes, DistanceOracle};
 use crate::parallel::{resolve_threads, BuildTimings};
 use crate::scheme::SchemeConfig;
+use crate::sketch::SketchSet;
 use crate::slack::cdg::{self, CdgParams, CdgSketchSet};
 use congest_sim::RunStats;
 use netgraph::{Distance, Graph, NodeId, INFINITY};
@@ -58,11 +59,12 @@ impl DegradingParams {
     }
 }
 
-/// The union-of-layers sketch set.
+/// The union-of-layers sketch set (generic over its label sets like
+/// [`StoredSketches`](crate::scheme::StoredSketches)).
 #[derive(Debug, Clone)]
-pub struct DegradingSketchSet {
+pub struct DegradingSketchSet<S = SketchSet> {
     /// One CDG sketch set per slack scale `ε_i = 2^{-i}`.
-    pub layers: Vec<CdgSketchSet>,
+    pub layers: Vec<CdgSketchSet<S>>,
     /// Total simulation cost (sum over layers).
     pub stats: RunStats,
 }

@@ -20,14 +20,15 @@ use netgraph::shortest_path::multi_source_dijkstra;
 use netgraph::{Distance, Graph, NodeId, INFINITY};
 use std::time::Instant;
 
-/// Result of the Theorem 4.3 construction.
+/// Result of the Theorem 4.3 construction (generic over its label set like
+/// [`StoredSketches`](crate::scheme::StoredSketches)).
 #[derive(Debug, Clone)]
-pub struct ThreeStretchSketchSet {
+pub struct ThreeStretchSketchSet<S = SketchSet> {
     /// The sampled density net.
     pub net: DensityNet,
     /// Per-node sketches: every node stores its distance to every net node.
     /// (Represented with the shared [`Sketch`] type using a single level.)
-    pub sketches: SketchSet,
+    pub sketches: S,
     /// Simulation cost of the construction.
     pub stats: RunStats,
 }

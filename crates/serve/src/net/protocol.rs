@@ -177,8 +177,8 @@ pub enum WireErrorCode {
     ShuttingDown,
     /// Any other server-side failure.
     Internal,
-    /// A snapshot swap was refused: the snapshot failed deep verification
-    /// or did not match the serving scheme / node count.  The live
+    /// A snapshot swap was refused: the snapshot did not read and decode
+    /// cleanly, or did not match the serving scheme / node count.  The live
     /// generation is untouched.
     SwapRefused,
     /// Answering this batch panicked ([`SketchError::ShardPanicked`]).  The

@@ -215,8 +215,10 @@ impl SketchServer {
     /// restarted server is back to serving in the time it takes to read
     /// and checksum the file.
     ///
-    /// Corrupted, truncated, or version-incompatible snapshots fail with
-    /// the typed [`StoreError`](dsketch_store::StoreError).
+    /// Corrupted, truncated, contract-violating or version-incompatible
+    /// snapshots fail with the typed
+    /// [`StoreError`](dsketch_store::StoreError) — the same refusal a hot
+    /// swap or `dsketch-store verify` gives the same file.
     /// A server started this way knows its origin (scheme + graph
     /// fingerprint from the snapshot header), so later
     /// [`SketchServer::swap_snapshot`] calls can refuse incompatible
@@ -241,12 +243,16 @@ impl SketchServer {
     /// Hot-swap the serving oracle to the snapshot at `path`, without
     /// pausing queries.  Returns the new generation number.
     ///
-    /// The snapshot is read once and must clear three gates before
-    /// anything is published:
+    /// The snapshot is read and decoded once, and must clear three gates
+    /// before the set it decoded is published:
     ///
-    /// 1. **Deep verification** — the full `DSK1` semantic verifier
-    ///    ([`dsketch_analysis::verify_snapshot_bytes`]); corrupted or
-    ///    contract-violating bytes fail with [`SwapError::Verify`].
+    /// 1. **One read, every contract** — one [`SnapshotReader::read`] and
+    ///    one [`RawSnapshot::frozen_oracle`] decode, the cold start's: the
+    ///    checksums, and every contract of the family's labels that
+    ///    `dsketch-store verify` checks (pivot rows, levels against the
+    ///    stored hierarchy, layer and spec parameters, node count).
+    ///    Corrupted, truncated or contract-violating bytes fail with
+    ///    [`SwapError::Store`], whose kind names the contract.
     /// 2. **Scheme match** — when the live generation knows its
     ///    [`SchemeSpec`], a snapshot built with a different scheme fails
     ///    with [`SwapError::SchemeMismatch`] (clients reasoning about the
@@ -263,12 +269,11 @@ impl SketchServer {
     /// every batch that arrives afterwards loads it (and its caller drops
     /// the old cache there), and the retired oracle is freed when the last
     /// batch that was in flight at the swap returns.
+    ///
+    /// [`SnapshotReader::read`]: dsketch_store::SnapshotReader::read
+    /// [`RawSnapshot::frozen_oracle`]: dsketch_store::RawSnapshot::frozen_oracle
     pub fn swap_snapshot<P: AsRef<std::path::Path>>(&self, path: P) -> Result<u64, SwapError> {
-        let bytes = std::fs::read(path).map_err(|e| SwapError::Store(e.into()))?;
-        dsketch_analysis::verify_snapshot_bytes(&bytes)?;
-        let raw = dsketch_store::SnapshotReader::new(&bytes[..])
-            .with_available(bytes.len() as u64)
-            .read()?;
+        let raw = dsketch_store::SnapshotReader::open(path.as_ref())?.read()?;
         let (spec, fingerprint) = (raw.spec(), raw.fingerprint());
         let oracle: Arc<dyn DistanceOracle> = Arc::from(raw.frozen_oracle()?);
         // Serialize publication: concurrent swappers validate against a

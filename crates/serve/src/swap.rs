@@ -66,10 +66,9 @@ impl std::fmt::Debug for Generation {
 /// generation.  Every refusal leaves the live generation untouched.
 #[derive(Debug)]
 pub enum SwapError {
-    /// The snapshot failed the deep semantic verifier (corrupted,
-    /// truncated, or contract-violating `DSK1` bytes).
-    Verify(dsketch_analysis::AnalysisError),
-    /// Reading or decoding the snapshot failed at the store layer.
+    /// Reading or decoding the snapshot failed: corrupted, truncated or
+    /// contract-violating `DSK1` bytes, or an unreadable file
+    /// ([`StoreError::kind`](dsketch_store::StoreError::kind) names which).
     Store(dsketch_store::StoreError),
     /// The snapshot holds a different scheme than the one being served.
     SchemeMismatch {
@@ -92,7 +91,6 @@ pub enum SwapError {
 impl std::fmt::Display for SwapError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SwapError::Verify(e) => write!(f, "snapshot failed deep verification: {e}"),
             SwapError::Store(e) => write!(f, "snapshot could not be loaded: {e}"),
             SwapError::SchemeMismatch { current, offered } => write!(
                 f,
@@ -107,12 +105,6 @@ impl std::fmt::Display for SwapError {
 }
 
 impl std::error::Error for SwapError {}
-
-impl From<dsketch_analysis::AnalysisError> for SwapError {
-    fn from(e: dsketch_analysis::AnalysisError) -> Self {
-        SwapError::Verify(e)
-    }
-}
 
 impl From<dsketch_store::StoreError> for SwapError {
     fn from(e: dsketch_store::StoreError) -> Self {

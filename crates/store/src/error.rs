@@ -5,7 +5,7 @@
 //! snapshot is always reported, never a panic and never a silently wrong
 //! oracle.
 
-use crate::format::SectionId;
+use crate::format::{SectionId, HEADER};
 use dsketch::codec::CodecError;
 use dsketch::SketchError;
 use netgraph::GraphFingerprint;
@@ -56,6 +56,12 @@ pub enum StoreError {
     MalformedSectionTable {
         /// Description of the inconsistency.
         message: String,
+    },
+    /// Bytes follow the payload area the section table declares: no
+    /// section claims them and no checksum covers them.
+    TrailingBytes {
+        /// Length of the declared payload area.
+        declared: u64,
     },
     /// A section required to reconstruct the oracle is absent.
     MissingSection {
@@ -121,6 +127,10 @@ impl std::fmt::Display for StoreError {
             StoreError::MalformedSectionTable { message } => {
                 write!(f, "malformed section table: {message}")
             }
+            StoreError::TrailingBytes { declared } => write!(
+                f,
+                "bytes follow the {declared}-byte payload area the section table declares"
+            ),
             StoreError::MissingSection { section } => {
                 write!(f, "required section {section} is missing")
             }
@@ -146,6 +156,36 @@ impl std::error::Error for StoreError {
             StoreError::Sketch(e) => Some(e),
             StoreError::EdgeList(e) => Some(e),
             _ => None,
+        }
+    }
+}
+
+impl StoreError {
+    /// The failure's kebab-case name: what `dsketch-store verify` prints
+    /// after `FAILED [`, and what the mutation tests assert.  A decode
+    /// failure is named by the contract it broke.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            StoreError::Io(_) => "io",
+            StoreError::Truncated { .. } => "truncated",
+            StoreError::BadMagic { .. } => "bad-magic",
+            StoreError::UnsupportedVersion { .. } => "unsupported-version",
+            StoreError::HeaderChecksumMismatch { .. } => "header-checksum",
+            StoreError::SectionChecksumMismatch { .. } => "section-checksum",
+            StoreError::MalformedSectionTable { .. } => "section-table",
+            StoreError::TrailingBytes { .. } => "trailing-bytes",
+            StoreError::MissingSection { .. } => "missing-section",
+            StoreError::Codec { section, .. } if *section == HEADER => "header-decode",
+            StoreError::Codec { source, .. } => match source {
+                CodecError::TrailingBytes { .. } => "trailing-bytes",
+                CodecError::PivotRow(_) => "pivot-row",
+                CodecError::HierarchyContract(_) => "hierarchy-contract",
+                CodecError::LayerContract(_) => "layer-contract",
+                CodecError::UnexpectedEof { .. } | CodecError::Invalid { .. } => "section-decode",
+            },
+            StoreError::FingerprintMismatch { .. } => "fingerprint-mismatch",
+            StoreError::Sketch(_) => "sketch",
+            StoreError::EdgeList(_) => "edge-list",
         }
     }
 }

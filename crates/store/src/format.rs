@@ -61,8 +61,12 @@ pub struct SectionId(pub [u8; 4]);
 pub const SECTION_SKETCHES: SectionId = SectionId(*b"SKCH");
 
 /// The construction cost ([`congest_sim::RunStats`]) of the build that
-/// produced the snapshot.  Optional: informational only.
+/// produced the snapshot.  Optional, but it must decode when present.
 pub const SECTION_BUILD_STATS: SectionId = SectionId(*b"STAT");
+
+/// The id a header-body decode failure names: the header is not a section,
+/// but its failures are reported like one.
+pub(crate) const HEADER: SectionId = SectionId(*b"HDR\0");
 
 impl std::fmt::Display for SectionId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -150,20 +154,8 @@ impl Header {
     /// `prelude` is the 12 fixed bytes (magic, version, header_len);
     /// `block` is the `header_len` bytes that follow.
     pub fn from_parts(prelude: &[u8; 12], block: &[u8]) -> Result<Header, StoreError> {
-        // A [u8; 12] prelude always splits into three 4-byte fields; the
-        // array constructors below make that a type-level fact instead of
-        // a panicking slice conversion.
-        let found = [prelude[0], prelude[1], prelude[2], prelude[3]];
-        if found != MAGIC {
-            return Err(StoreError::BadMagic { found });
-        }
-        let version = u32::from_le_bytes([prelude[4], prelude[5], prelude[6], prelude[7]]);
-        if version != FORMAT_VERSION {
-            return Err(StoreError::UnsupportedVersion {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
+        Header::check_prelude(prelude)?;
+        let version = FORMAT_VERSION;
         if block.len() < 4 {
             return Err(StoreError::Truncated {
                 context: "header checksum",
@@ -215,11 +207,11 @@ impl Header {
             })
         })()
         .map_err(|source| StoreError::Codec {
-            section: SectionId(*b"HDR\0"),
+            section: HEADER,
             source,
         })?;
         input.finish().map_err(|source| StoreError::Codec {
-            section: SectionId(*b"HDR\0"),
+            section: HEADER,
             source,
         })?;
 
@@ -243,6 +235,29 @@ impl Header {
                     })?;
         }
         Ok(header)
+    }
+
+    /// Check the prelude's magic and version and return the header length
+    /// it declares — checked first, so a file that is not a snapshot fails
+    /// as one, before its garbage length is trusted with a read.
+    pub(crate) fn check_prelude(prelude: &[u8; 12]) -> Result<usize, StoreError> {
+        // A [u8; 12] prelude always splits into three 4-byte fields; the
+        // array constructors below make that a type-level fact instead of
+        // a panicking slice conversion.
+        let [m0, m1, m2, m3, v0, v1, v2, v3, l0, l1, l2, l3] = *prelude;
+        if [m0, m1, m2, m3] != MAGIC {
+            return Err(StoreError::BadMagic {
+                found: [m0, m1, m2, m3],
+            });
+        }
+        let version = u32::from_le_bytes([v0, v1, v2, v3]);
+        if version != FORMAT_VERSION {
+            return Err(StoreError::UnsupportedVersion {
+                found: version,
+                supported: FORMAT_VERSION,
+            });
+        }
+        Ok(cast::usize_from_u32(u32::from_le_bytes([l0, l1, l2, l3])))
     }
 
     /// Total payload bytes described by the section table.

@@ -16,6 +16,15 @@
 //!  once)                           oracle)
 //! ```
 //!
+//! There is one snapshot reader.  A load, a hot swap, `inspect` and
+//! `verify` all parse the container once ([`SnapshotReader`]) and decode
+//! the labels once, through the codec's one family reader, which holds
+//! them to every contract their bytes cannot express (pivot rows nested
+//! like `A_0 ⊇ A_1 ⊇ …`, levels backed by the stored hierarchy, layer and
+//! spec parameters); [`verify_snapshot_file`] adds a structural re-check
+//! of the arrays the decode built.  So they accept the same files and
+//! refuse the rest with the same [`StoreError::kind`].
+//!
 //! # Format at a glance
 //!
 //! A snapshot is a [`format::Header`] (magic `DSK1`, major version, the
@@ -31,8 +40,9 @@
 //!
 //! # Safety properties
 //!
-//! * **Corruption is detected, never served**: truncation, bit flips, and
-//!   inconsistent section tables all fail with a typed [`StoreError`].
+//! * **Corruption is detected, never served**: truncation, bit flips,
+//!   trailing bytes, inconsistent section tables and labels that break
+//!   their family's contracts all fail with a typed [`StoreError`].
 //! * **Wrong-graph loads are refused**: [`load_oracle_for_graph`] compares
 //!   the snapshot's stored fingerprint against the supplied graph.
 //! * **Round trips are exact**: a loaded oracle returns bit-identical
@@ -95,8 +105,8 @@ pub use format::{SectionId, FORMAT_VERSION, MAGIC, SECTION_BUILD_STATS, SECTION_
 pub use pipeline::{
     build_and_save, build_and_save_from_edge_list, build_stored, inspect_snapshot,
     load_frozen_oracle, load_oracle_for_graph, load_snapshot, peek_snapshot_meta,
-    read_frozen_oracle, read_snapshot, save_snapshot, snapshot_tmp_path, write_snapshot,
-    SectionEntities, SnapshotContents, SnapshotSummary,
+    read_frozen_oracle, read_snapshot, save_snapshot, snapshot_tmp_path, verify_snapshot_bytes,
+    verify_snapshot_file, write_snapshot, SectionEntities, SnapshotContents, SnapshotSummary,
 };
 pub use snapshot::{RawSnapshot, SnapshotReader, SnapshotWriter};
 pub use watch::{WatchCore, WatchOutcome};

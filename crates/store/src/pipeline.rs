@@ -14,14 +14,21 @@
 //!   [`FlatSketchSet`]), dispatching on the stored [`SchemeSpec`]; the
 //!   `for_graph` variant refuses to serve a snapshot against a graph whose
 //!   [`GraphFingerprint`] differs.
-//! * [`inspect_snapshot`] — header and section-table summary without
-//!   decoding the sketches.
+//! * [`inspect_snapshot`] / [`verify_snapshot_file`] — what a snapshot
+//!   holds, from the decode a load runs (`verify` re-checks the decoded
+//!   arrays too).
+//!
+//! Every path from bytes to labels — cold start, hot swap, the map loader,
+//! `inspect`, `verify` — parses the container once with
+//! [`SnapshotReader`] and decodes the `SKCH` section once through the
+//! codec's one family reader, so they accept the same files and refuse the
+//! rest with the same [`StoreError::kind`].
 
 use crate::error::StoreError;
 use crate::format::{SectionEntry, SECTION_BUILD_STATS, SECTION_SKETCHES};
 use crate::snapshot::{RawSnapshot, SnapshotReader, SnapshotWriter};
 use congest_sim::RunStats;
-use dsketch::codec::SketchCodec;
+use dsketch::codec::{CodecError, SketchCodec};
 use dsketch::prelude::*;
 use netgraph::{Graph, GraphFingerprint};
 use std::io::{Read, Write};
@@ -197,18 +204,8 @@ pub fn peek_snapshot_meta<P: AsRef<Path>>(
 fn decode_raw(raw: RawSnapshot) -> Result<SnapshotContents, StoreError> {
     let spec = raw.spec();
     let sketches = StoredSketches::decode_payload(&spec, raw.require_section(SECTION_SKETCHES)?)
-        .map_err(|source| StoreError::Codec {
-            section: SECTION_SKETCHES,
-            source,
-        })?;
-    let build_stats = raw
-        .section(SECTION_BUILD_STATS)
-        .map(RunStats::from_bytes)
-        .transpose()
-        .map_err(|source| StoreError::Codec {
-            section: SECTION_BUILD_STATS,
-            source,
-        })?;
+        .map_err(skch_error)?;
+    let build_stats = raw.check_labels(sketches.num_nodes())?;
     Ok(SnapshotContents {
         spec,
         fingerprint: raw.fingerprint(),
@@ -245,17 +242,54 @@ impl RawSnapshot {
     /// CRC-verified container into a frozen oracle — the decode half of
     /// [`read_frozen_oracle`], for callers that also need the header
     /// (origin checks before a swap) and must not parse the bytes twice.
-    /// Charges the load, timed from the start of the container read, to
+    /// The decode checks every contract [`verify_snapshot_bytes`] does but
+    /// the structural re-check of the arrays it built.  Charges the load,
+    /// timed from the start of the container read, to
     /// `dsketch_store_snapshot_load_nanos`.
     pub fn frozen_oracle(&self) -> Result<Box<dyn DistanceOracle>, StoreError> {
-        let flat =
-            FlatSketchSet::from_family_bytes(&self.spec(), self.require_section(SECTION_SKETCHES)?)
-                .map_err(|source| StoreError::Codec {
-                    section: SECTION_SKETCHES,
-                    source,
-                })?;
+        let (flat, _) = self.decode_flat()?;
         record_snapshot_load(self.read_started);
         Ok(Box::new(flat))
+    }
+
+    /// The one decode every reader of the served form runs: the `SKCH`
+    /// section into a [`FlatSketchSet`], held to its family's contracts
+    /// ([`FlatSketchSet::from_family_bytes`]) and to the header's
+    /// ([`RawSnapshot::check_labels`]).
+    fn decode_flat(&self) -> Result<(FlatSketchSet, Option<RunStats>), StoreError> {
+        let flat =
+            FlatSketchSet::from_family_bytes(&self.spec(), self.require_section(SECTION_SKETCHES)?)
+                .map_err(skch_error)?;
+        let build_stats = self.check_labels(flat.num_nodes())?;
+        Ok((flat, build_stats))
+    }
+
+    /// What a snapshot holds its decoded labels to beyond their payload:
+    /// they cover the node count of the graph the header names, and a
+    /// `STAT` section, when present, decodes (to what is returned).
+    fn check_labels(&self, labels: usize) -> Result<Option<RunStats>, StoreError> {
+        let says = self.fingerprint().nodes;
+        if u64::try_from(labels).ok() != Some(says) {
+            return Err(skch_error(CodecError::invalid(
+                "SketchSet length",
+                format!("the labels cover {labels} nodes but the fingerprint says {says}"),
+            )));
+        }
+        self.section(SECTION_BUILD_STATS)
+            .map(RunStats::from_bytes)
+            .transpose()
+            .map_err(|source| StoreError::Codec {
+                section: SECTION_BUILD_STATS,
+                source,
+            })
+    }
+}
+
+/// A failure decoding the `SKCH` section.
+fn skch_error(source: CodecError) -> StoreError {
+    StoreError::Codec {
+        section: SECTION_SKETCHES,
+        source,
     }
 }
 
@@ -350,6 +384,8 @@ pub enum SectionEntities {
         nodes: usize,
         /// Total bunch entries across every sketch of every layer.
         bunch_entries: usize,
+        /// Pivot slots holding a pivot, across every layer.
+        pivots: usize,
     },
     /// The `STAT` section: decoded construction-cost records.
     BuildStats {
@@ -368,6 +404,7 @@ impl std::fmt::Display for SectionEntities {
                 layers,
                 nodes,
                 bunch_entries,
+                ..
             } if *layers == 1 => {
                 write!(f, "{nodes} nodes, {bunch_entries} bunch entries")
             }
@@ -375,6 +412,7 @@ impl std::fmt::Display for SectionEntities {
                 layers,
                 nodes,
                 bunch_entries,
+                ..
             } => write!(
                 f,
                 "{layers} layers × {nodes} nodes, {bunch_entries} bunch entries"
@@ -413,44 +451,73 @@ pub struct SnapshotSummary {
 }
 
 /// Summarize the snapshot at `path`: header fields, section table, label
-/// statistics.  Verifies all checksums along the way (an `inspect` that
-/// says "ok" means the snapshot will load).
+/// statistics.  Runs the decode a load runs, so an `inspect` that says
+/// "ok" means the snapshot will load.
 pub fn inspect_snapshot<P: AsRef<Path>>(path: P) -> Result<SnapshotSummary, StoreError> {
     let raw = SnapshotReader::open(path.as_ref())?.read()?;
+    Ok(summarize(&raw)?.0)
+}
+
+/// Verify the snapshot at `path` — what `dsketch-store verify` runs: the
+/// container read and the decode every load runs, with every contract they
+/// check, plus [`FlatSketchSet::check_invariants`] on the arrays the decode
+/// built.  A refusal's [`StoreError::kind`] names the contract.
+pub fn verify_snapshot_file<P: AsRef<Path>>(path: P) -> Result<SnapshotSummary, StoreError> {
+    verify(&SnapshotReader::open(path.as_ref())?.read()?)
+}
+
+/// [`verify_snapshot_file`] over a snapshot in memory.
+pub fn verify_snapshot_bytes(bytes: &[u8]) -> Result<SnapshotSummary, StoreError> {
+    let available = u64::try_from(bytes.len()).unwrap_or(u64::MAX);
+    verify(
+        &SnapshotReader::new(bytes)
+            .with_available(available)
+            .read()?,
+    )
+}
+
+fn verify(raw: &RawSnapshot) -> Result<SnapshotSummary, StoreError> {
+    let (summary, flat) = summarize(raw)?;
+    flat.check_invariants()
+        .map_err(|message| skch_error(CodecError::invalid("FlatSketchSet", message)))?;
+    Ok(summary)
+}
+
+/// Decode `raw` as a load does and describe it.  The label counts come from
+/// the decoded set: a bunch entry and a present pivot are two words each.
+fn summarize(raw: &RawSnapshot) -> Result<(SnapshotSummary, FlatSketchSet), StoreError> {
+    let (flat, build_stats) = raw.decode_flat()?;
+    let pivots = flat.present_pivots();
+    let sketches = SectionEntities::Sketches {
+        layers: flat.num_layers(),
+        nodes: flat.num_nodes(),
+        bunch_entries: flat.total_words() / 2 - pivots,
+        pivots,
+    };
     let sections = raw.header().sections.clone();
-    let version = raw.header().version;
-    let total_bytes = raw.total_bytes();
-    let contents = decode_raw(raw)?;
-    let oracle = contents.sketches.as_oracle();
     let section_entities = sections
         .iter()
         .map(|entry| match entry.id {
-            SECTION_SKETCHES => {
-                let (layers, nodes, bunch_entries) = contents.sketches.entity_counts();
-                SectionEntities::Sketches {
-                    layers,
-                    nodes,
-                    bunch_entries,
-                }
-            }
+            SECTION_SKETCHES => sketches.clone(),
             SECTION_BUILD_STATS => SectionEntities::BuildStats {
-                records: usize::from(contents.build_stats.is_some()),
+                records: usize::from(build_stats.is_some()),
             },
             _ => SectionEntities::Opaque,
         })
         .collect();
-    Ok(SnapshotSummary {
-        version,
-        spec: contents.spec,
-        fingerprint: contents.fingerprint,
+    let summary = SnapshotSummary {
+        version: raw.header().version,
+        spec: raw.spec(),
+        fingerprint: raw.fingerprint(),
         sections,
         section_entities,
-        total_bytes,
-        num_nodes: oracle.num_nodes(),
-        max_words: oracle.max_words(),
-        avg_words: oracle.avg_words(),
-        build_stats: contents.build_stats,
-    })
+        total_bytes: raw.total_bytes(),
+        num_nodes: flat.num_nodes(),
+        max_words: flat.max_words(),
+        avg_words: flat.avg_words(),
+        build_stats,
+    };
+    Ok((summary, flat))
 }
 
 #[cfg(test)]
@@ -631,8 +698,9 @@ mod tests {
                 SectionEntities::Sketches {
                     layers: 1,
                     nodes: 48,
-                    bunch_entries
-                } if bunch_entries > 0
+                    bunch_entries,
+                    pivots,
+                } if bunch_entries > 0 && pivots >= 48
             ),
             "{:?}",
             summary.section_entities[0]
@@ -681,5 +749,35 @@ mod tests {
         };
         assert!(matches!(err, StoreError::MissingSection { .. }), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn empty_and_garbage_inputs_fail_typed() {
+        let kind = |bytes: &[u8]| verify_snapshot_bytes(bytes).unwrap_err().kind();
+        assert_eq!(kind(&[]), "truncated");
+        assert_eq!(kind(b"not a snapshot at all"), "bad-magic");
+        let mut prelude = crate::format::MAGIC.to_vec();
+        prelude.extend_from_slice(&99u32.to_le_bytes());
+        prelude.extend_from_slice(&0u32.to_le_bytes());
+        assert!(matches!(
+            verify_snapshot_bytes(&prelude),
+            Err(StoreError::UnsupportedVersion { found: 99, .. })
+        ));
+    }
+
+    #[test]
+    fn other_versions_are_refused_in_both_directions() {
+        let supported = crate::format::FORMAT_VERSION;
+        for version in [supported - 1, supported + 1] {
+            let mut prelude = crate::format::MAGIC.to_vec();
+            prelude.extend_from_slice(&version.to_le_bytes());
+            prelude.extend_from_slice(&0u32.to_le_bytes());
+            let err = verify_snapshot_bytes(&prelude).unwrap_err();
+            assert!(
+                matches!(err, StoreError::UnsupportedVersion { found, supported: s }
+                    if found == version && s == supported),
+                "{err}"
+            );
+        }
     }
 }

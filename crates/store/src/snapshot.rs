@@ -190,8 +190,9 @@ impl<R: Read> SnapshotReader<R> {
     }
 
     /// Read the whole snapshot: parse and CRC-check the header, read the
-    /// payload area, CRC-check every section.  Fails with a typed
-    /// [`StoreError`] on truncation, corruption, or version mismatch.
+    /// payload area, CRC-check every section, and require the source to
+    /// end there.  Fails with a typed [`StoreError`] on truncation,
+    /// corruption, trailing bytes, or version mismatch.
     pub fn read(mut self) -> Result<RawSnapshot, StoreError> {
         let read_started = std::time::Instant::now();
         if let Some(fault) = dsketch_faults::fail_point!("store.load.read") {
@@ -199,29 +200,7 @@ impl<R: Read> SnapshotReader<R> {
         }
         let mut prelude = [0u8; 12];
         read_exact(&mut self.inner, &mut prelude, "prelude")?;
-        // Check magic and version *before* trusting the header length, so a
-        // non-snapshot file fails as "not a snapshot", not as a huge
-        // garbage-length read.
-        // A [u8; 12] prelude always splits into three 4-byte fields; the
-        // array constructors below make that a type-level fact instead of
-        // a panicking slice conversion.
-        let magic = [prelude[0], prelude[1], prelude[2], prelude[3]];
-        if magic != crate::format::MAGIC {
-            return Err(StoreError::BadMagic { found: magic });
-        }
-        let version = u32::from_le_bytes([prelude[4], prelude[5], prelude[6], prelude[7]]);
-        if version != crate::format::FORMAT_VERSION {
-            return Err(StoreError::UnsupportedVersion {
-                found: version,
-                supported: crate::format::FORMAT_VERSION,
-            });
-        }
-        let header_len = cast::usize_from_u32(u32::from_le_bytes([
-            prelude[8],
-            prelude[9],
-            prelude[10],
-            prelude[11],
-        ]));
+        let header_len = Header::check_prelude(&prelude)?;
         // Same streaming discipline as the payload below: never allocate
         // the untrusted declared length up front.  A crafted prelude
         // claiming a ~4 GiB header costs only as much memory as the stream
@@ -257,7 +236,6 @@ impl<R: Read> SnapshotReader<R> {
                 context: "section payload",
             });
         }
-
         for entry in &header.sections {
             let malformed = |what: &str| StoreError::MalformedSectionTable {
                 message: format!("section {} {what}", entry.id),
@@ -278,6 +256,13 @@ impl<R: Read> SnapshotReader<R> {
                     actual,
                 });
             }
+        }
+
+        // The payload area ends the snapshot: no section claims a byte
+        // after it and no checksum covers one.
+        if self.inner.by_ref().take(1).read_to_end(&mut Vec::new())? > 0 {
+            let declared = payload_len;
+            return Err(StoreError::TrailingBytes { declared });
         }
 
         Ok(RawSnapshot {

@@ -1,24 +1,33 @@
-//! The deep verifier versus hostile snapshots.
+//! The one snapshot reader versus hostile snapshots.
 //!
-//! Two halves, mirroring the verifier's contract (`dsketch-analysis`):
+//! Four ingresses reach a snapshot's labels — `verify_snapshot_bytes`, the
+//! cold-start loader `read_frozen_oracle`, the map loader `read_snapshot`
+//! and `inspect_snapshot` — and all four run one container read and one
+//! decode through the codec's family reader.  Every case here holds them to
+//! one verdict:
 //!
 //! * **Soundness on valid input** — every snapshot the pipeline produces,
-//!   for every family over random graphs and seeds, passes deep
-//!   verification and reports the right entity counts (property-tested).
+//!   for every family over random graphs and seeds, is accepted everywhere
+//!   and reports the right entity counts (property-tested).
 //! * **Rejection of corrupted input** — a mutation sweep.  Unsigned
 //!   single-bit flips anywhere in the file must be rejected (the CRCs'
 //!   job).  Then the adversarial half: targeted semantic corruptions with
-//!   the CRCs **re-signed**, which the container accepts and only the
-//!   semantic walk can catch — each must fail with the *specific*
-//!   [`dsketch_analysis::AnalysisError`] variant for the violated
-//!   contract, asserted via `AnalysisError::kind()`.
+//!   the CRCs **re-signed**, which the container accepts and only the label
+//!   contracts can catch — each must be refused on all four ingresses with
+//!   the `StoreError::kind()` that names the violated contract.
+//! * **Seeded mutation fuzz** — random edits inside `SKCH`, re-signed:
+//!   never a panic, the verifier and the cold start always agree, and what
+//!   they accept answers every pair.
 
 use dsketch::prelude::*;
-use dsketch_analysis::verify_snapshot_bytes;
-use dsketch_store::{build_stored, write_snapshot, SnapshotWriter, SECTION_BUILD_STATS};
+use dsketch_store::{
+    build_stored, inspect_snapshot, read_frozen_oracle, read_snapshot, verify_snapshot_bytes,
+    write_snapshot, SectionEntities, SnapshotWriter, StoreError, SECTION_BUILD_STATS,
+};
 use netgraph::generators::{erdos_renyi, GeneratorConfig};
-use netgraph::Graph;
+use netgraph::{Graph, NodeId};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn graph(n: usize, seed: u64) -> Graph {
     erdos_renyi(n, 8.0 / n as f64, GeneratorConfig::uniform(seed, 1, 50))
@@ -263,10 +272,31 @@ impl<'a> TzSketchCursor<'a> {
     }
 }
 
+/// What each ingress makes of `bytes`: the verifier, the cold start, the
+/// map loader, and `inspect` on a file holding them.
+fn verdicts(bytes: &[u8]) -> [(&'static str, Result<(), StoreError>); 4] {
+    static FILES: AtomicUsize = AtomicUsize::new(0);
+    let file = FILES.fetch_add(1, Ordering::Relaxed);
+    let name = format!("dsketch_one_reader_{}_{file}.dsk", std::process::id());
+    let path = std::env::temp_dir().join(name);
+    std::fs::write(&path, bytes).expect("temp snapshot");
+    let verdicts = [
+        ("verify", verify_snapshot_bytes(bytes).map(drop)),
+        ("cold start", read_frozen_oracle(bytes).map(drop)),
+        ("map loader", read_snapshot(bytes).map(drop)),
+        ("inspect", inspect_snapshot(&path).map(drop)),
+    ];
+    std::fs::remove_file(&path).ok();
+    verdicts
+}
+
+/// Every ingress refuses `bytes`, naming the same broken contract.
 fn expect_kind(bytes: &[u8], kind: &str, what: &str) {
-    match verify_snapshot_bytes(bytes) {
-        Ok(_) => panic!("{what}: corrupted snapshot verified clean"),
-        Err(e) => assert_eq!(e.kind(), kind, "{what}: wrong error: {e}"),
+    for (ingress, verdict) in verdicts(bytes) {
+        match verdict {
+            Ok(()) => panic!("{what}: {ingress} accepted a corrupted snapshot"),
+            Err(e) => assert_eq!(e.kind(), kind, "{what}: {ingress} refused wrongly: {e}"),
+        }
     }
 }
 
@@ -281,15 +311,26 @@ proptest! {
     fn every_family_snapshot_deep_verifies((n, seed) in (24usize..56, 0u64..1_000)) {
         for spec in SchemeSpec::all_families() {
             let bytes = snapshot_bytes(spec, n, seed);
-            let report = verify_snapshot_bytes(&bytes)
-                .unwrap_or_else(|e| panic!("{spec}: valid snapshot rejected: {e}"));
-            prop_assert_eq!(report.nodes, n);
-            prop_assert!(report.layers >= 1);
-            prop_assert!(report.bunch_entries > 0, "{}: no bunch entries", spec);
-            prop_assert!(
-                report.sections.iter().any(|s| s.id == "SKCH"),
-                "{}: no SKCH section reported", spec
+            for (ingress, verdict) in verdicts(&bytes) {
+                verdict.unwrap_or_else(|e| panic!("{spec}: {ingress} refused a valid snapshot: {e}"));
+            }
+            let summary = verify_snapshot_bytes(&bytes).expect("verified above");
+            prop_assert_eq!(summary.num_nodes, n);
+            let sketches = summary.sections.iter().zip(&summary.section_entities).find_map(
+                |(entry, entities)| match *entities {
+                    SectionEntities::Sketches { layers, nodes, bunch_entries, pivots } => {
+                        Some((entry.id.to_string(), layers, nodes, bunch_entries, pivots))
+                    }
+                    _ => None,
+                },
             );
+            let (id, layers, nodes, bunch_entries, pivots) =
+                sketches.unwrap_or_else(|| panic!("{spec}: no SKCH section reported"));
+            prop_assert_eq!(id, "SKCH");
+            prop_assert_eq!(nodes, n);
+            prop_assert!(layers >= 1);
+            prop_assert!(bunch_entries > 0, "{}: no bunch entries", spec);
+            prop_assert!(pivots >= n * layers, "{}: {} pivots", spec, pivots);
         }
     }
 }
@@ -359,6 +400,18 @@ fn container_level_mutations_fail_with_their_own_kinds() {
 }
 
 #[test]
+fn a_byte_appended_after_the_payload_area_is_refused_everywhere() {
+    // `printf '\xab' >> g.dsk` on a file of every family: no section claims
+    // the byte and no checksum covers it, so only the reader's end-of-file
+    // check sees it — and every ingress runs that reader.
+    for spec in SchemeSpec::all_families() {
+        let mut bytes = snapshot_bytes(spec, 24, 21);
+        bytes.push(0xAB);
+        expect_kind(&bytes, "trailing-bytes", &format!("{spec} + one byte"));
+    }
+}
+
+#[test]
 fn missing_sketch_section_is_reported_as_such() {
     let contents = build_stored(
         &graph(24, 5),
@@ -408,13 +461,9 @@ fn resigned_bunch_order_violation_is_caught() {
         second.len,
         &varint_bytes((gap << 1) | level),
     );
-    match verify_snapshot_bytes(&bytes) {
-        Ok(_) => panic!("id overflow: corrupted snapshot verified clean"),
-        Err(e) => {
-            assert_eq!(e.kind(), "section-decode", "{e}");
-            assert!(e.to_string().contains("past u32::MAX"), "{e}");
-        }
-    }
+    expect_kind(&bytes, "section-decode", "id overflow");
+    let err = verify_snapshot_bytes(&bytes).unwrap_err();
+    assert!(err.to_string().contains("past u32::MAX"), "{err}");
 }
 
 #[test]
@@ -426,13 +475,9 @@ fn resigned_bunch_level_violation_is_caught() {
     // A bunch entry claiming level `k`: impossible, levels index A_0..A_{k-1}.
     bytes[sites.entries[0].at] |= 0b11;
     resign(&mut bytes);
-    match verify_snapshot_bytes(&bytes) {
-        Ok(_) => panic!("level >= k: corrupted snapshot verified clean"),
-        Err(e) => {
-            assert_eq!(e.kind(), "section-decode", "{e}");
-            assert!(e.to_string().contains("level 3 out of range"), "{e}");
-        }
-    }
+    expect_kind(&bytes, "section-decode", "level >= k");
+    let err = verify_snapshot_bytes(&bytes).unwrap_err();
+    assert!(err.to_string().contains("level 3 out of range"), "{err}");
 }
 
 #[test]
@@ -486,17 +531,36 @@ fn resigned_decreasing_pivot_distances_are_caught() {
 
 #[test]
 fn resigned_hierarchy_k_mismatch_is_caught() {
-    let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(2), 32, 13);
+    let bytes = snapshot_bytes(SchemeSpec::thorup_zwick(3), 32, 13);
     let (mut cursor, header) = TzSketchCursor::new(&bytes);
-    for _ in 0..header[0].value {
-        cursor.next_sketch();
-    }
-    // The hierarchy trails the sketch set; its first field is k.
+    let rows: Vec<SketchSites> = (0..header[0].value).map(|_| cursor.next_sketch()).collect();
+    // The hierarchy trails the sketch set: k, probability, level count,
+    // then one i32 level per node.
     let hierarchy_k_at = cursor.position();
-    assert_eq!(le_u64(&bytes, hierarchy_k_at), 2, "hierarchy k field");
-    bytes[hierarchy_k_at..hierarchy_k_at + 8].copy_from_slice(&3u64.to_le_bytes());
-    resign(&mut bytes);
-    expect_kind(&bytes, "hierarchy-contract", "hierarchy k != sketch k");
+    assert_eq!(le_u64(&bytes, hierarchy_k_at), 3, "hierarchy k field");
+    let mut mutated = bytes.clone();
+    mutated[hierarchy_k_at..hierarchy_k_at + 8].copy_from_slice(&4u64.to_le_bytes());
+    resign(&mut mutated);
+    expect_kind(&mutated, "hierarchy-contract", "hierarchy k != sketch k");
+
+    // A bunch entry raised to level 2 names a member of A_2; a node the
+    // hierarchy samples only to level 0 or 1 is not one.  (k = 3: the level
+    // is the low two bits of the entry's first varint byte, and a first
+    // entry's gap is its node id.)
+    let level_of = |node: u64| le_u32(&bytes, hierarchy_k_at + 24 + 4 * node as usize) as i32;
+    let entry = rows
+        .iter()
+        .filter_map(|row| row.entries.first().copied())
+        .find(|entry| entry.value & 0b11 < 2 && level_of(entry.value >> 2) < 2)
+        .expect("a first bunch entry below level 2 whose node is below A_2");
+    let mut mutated = bytes.clone();
+    mutated[entry.at] = (mutated[entry.at] & !0b11) | 0b10;
+    resign(&mut mutated);
+    expect_kind(
+        &mutated,
+        "hierarchy-contract",
+        "bunch level above the hierarchy's",
+    );
 }
 
 #[test]
@@ -537,4 +601,89 @@ fn a_v1_versioned_snapshot_is_refused_by_version() {
     expect_kind(&bytes, "unsupported-version", "v1 version field");
     let err = verify_snapshot_bytes(&bytes).unwrap_err();
     assert!(err.to_string().contains("version 1"), "{err}");
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation fuzz over whole files
+// ---------------------------------------------------------------------------
+
+/// SplitMix64: the fuzz case's edit stream.
+fn next_u64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Random edits inside `SKCH` — a byte xor, a varint written over a byte, a
+/// byte inserted or deleted — each re-signed, so the container accepts the
+/// file and only the label contracts stand between it and a served oracle.
+/// After each: no panic, the verifier and the cold start give one verdict,
+/// and what they accept passed `check_invariants` (the verifier runs it) and
+/// answers every pair.
+#[test]
+fn seeded_resigned_edits_inside_skch_get_one_verdict() {
+    const EDITS: usize = 1_000;
+    let mut state = 0x0DD5_EED5;
+    for (index, spec) in SchemeSpec::all_families().into_iter().enumerate() {
+        let n = 24 + 2 * index;
+        let pristine = snapshot_bytes(spec, n, 31 + index as u64);
+        let (skch_at, skch_len) = skch_range(&pristine);
+        let mut accepted = 0usize;
+        for edit in 0..EDITS {
+            let mut bytes = pristine.clone();
+            let at = skch_at + (next_u64(&mut state) % skch_len as u64) as usize;
+            let value = next_u64(&mut state);
+            let what = match next_u64(&mut state) % 4 {
+                0 => {
+                    bytes[at] ^= (value % 255) as u8 + 1;
+                    resign(&mut bytes);
+                    "xor"
+                }
+                1 => {
+                    let varint = varint_bytes(value >> (value % 64));
+                    splice_skch(&mut bytes, at, 1, &varint);
+                    "varint"
+                }
+                2 => {
+                    splice_skch(&mut bytes, at, 0, &[value as u8]);
+                    "insert"
+                }
+                _ => {
+                    splice_skch(&mut bytes, at, 1, &[]);
+                    "delete"
+                }
+            };
+            let context = format!("{spec}, edit {edit} ({what} at {at})");
+            match (
+                verify_snapshot_bytes(&bytes),
+                read_frozen_oracle(bytes.as_slice()),
+            ) {
+                (Ok(summary), Ok(oracle)) => {
+                    accepted += 1;
+                    assert_eq!(summary.num_nodes, n, "{context}");
+                    for u in (0..n).map(NodeId::from_index) {
+                        for v in (0..n).map(NodeId::from_index) {
+                            let _ = oracle.estimate(u, v);
+                        }
+                    }
+                }
+                (Err(verify), Err(cold)) => {
+                    assert_eq!(verify.kind(), cold.kind(), "{context}: {verify} / {cold}")
+                }
+                (verify, cold) => panic!(
+                    "{context}: verify {:?}, cold start {:?}",
+                    verify.map(drop).map_err(|e| e.to_string()),
+                    cold.map(drop).map_err(|e| e.to_string())
+                ),
+            }
+        }
+        // Some edits are other valid labels (a distance nudged up), most are
+        // refusals; both arms must really run.
+        assert!(
+            0 < accepted && accepted < EDITS,
+            "{spec}: {accepted} edits accepted"
+        );
+    }
 }

@@ -6,7 +6,9 @@
 //!   the frozen decode equals the freeze of the map decode (they are two
 //!   consumers of the same rows), and both answer like the set that was
 //!   built.  Hand-drawn labels stretch the numbers: any `u64` distance,
-//!   ids up to `u32::MAX`, `k` up to 9.
+//!   ids up to `u32::MAX`, `k` up to 9 — as a bare label set; as a family
+//!   payload their ids name no node of the hierarchy, and both decoders
+//!   refuse them for it.
 //! * **Hostile bytes**, on a *bare* payload — no container, so no CRC to
 //!   hide behind: every truncation point and every single-byte mutation
 //!   either decodes to a set that re-encodes to exactly those bytes, or
@@ -15,7 +17,7 @@
 //! * **Size**: a saved snapshot of any family spends under 6 `SKCH` bytes
 //!   on a bunch entry (v1 spent 16).
 
-use dsketch::codec::SketchCodec;
+use dsketch::codec::{CodecError, SketchCodec};
 use dsketch::prelude::*;
 use dsketch_store::{
     build_and_save, build_stored, inspect_snapshot, SectionEntities, StoredSketches,
@@ -130,11 +132,18 @@ proptest! {
             prop_assert_eq!(&decoded, &set);
             prop_assert_eq!(decoded.to_bytes(), bytes);
 
-            // The same labels through the family payload and the frozen decoder.
+            // The same labels as a family payload name nodes far past the
+            // hierarchy's `rows`, which no family's labels may: both
+            // decoders refuse them, alike, for exactly that.
             let spec = SchemeSpec::thorup_zwick(k);
             let hierarchy = Hierarchy::sample(rows, &TzParams::new(k).with_seed(seed)).unwrap();
-            let family = TzSketchSet { sketches: set, hierarchy };
-            prop_assert!(decode_both_ways(&spec, &family.to_bytes()).is_some());
+            let family = TzSketchSet { sketches: set, hierarchy }.to_bytes();
+            prop_assert!(decode_both_ways(&spec, &family).is_none());
+            let err = FlatSketchSet::from_family_bytes(&spec, &family).unwrap_err();
+            prop_assert!(
+                matches!(&err, CodecError::Invalid { message, .. } if message.contains("out of range")),
+                "{}", err
+            );
         }
     }
 }

@@ -4,7 +4,7 @@
 //! * A save that fails at **any** `store.save.*` failpoint leaves the old
 //!   snapshot byte-identical and loadable, and no `*.tmp` litter.
 //! * Property test: a staging file torn at any byte boundary is rejected
-//!   by both the cold-start loader and the deep verifier — the filesystem
+//!   by both the cold-start loader and the verifier — the filesystem
 //!   only ever holds the old state or the new state, never a third.
 //! * An injected dispatch panic fails exactly its own batch with the typed
 //!   retryable `ShardPanicked` error (wire code 8, HTTP 503), is counted,
@@ -214,14 +214,14 @@ proptest! {
         // Old state: intact and loadable.
         load_frozen_oracle(&path).expect("published snapshot unaffected");
         // Third state: impossible.  The torn staging file is rejected by
-        // the cold-start loader and by the independent deep verifier.
+        // the cold-start loader and by the verifier.
         prop_assert!(
             SketchServer::from_snapshot(&tmp, ServeConfig::default()).is_err(),
             "cold start must reject a torn staging file"
         );
         prop_assert!(
-            dsketch_analysis::verify_snapshot_file(&tmp).is_err(),
-            "deep verify must reject a torn staging file"
+            dsketch_store::verify_snapshot_file(&tmp).is_err(),
+            "verify must reject a torn staging file"
         );
 
         std::fs::remove_file(&tmp).ok();

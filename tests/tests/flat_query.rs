@@ -16,6 +16,7 @@
 //! that never builds a `Sketch`) yields the same value as freezing the
 //! decoded sketches.
 
+use dsketch::codec::CodecError;
 use dsketch::prelude::*;
 use dsketch_store::{build_stored, read_frozen_oracle, write_snapshot, StoredSketches};
 use netgraph::builder::GraphBuilder;
@@ -331,14 +332,15 @@ fn label(owner: u32, pivot: (u32, Distance), bunch: &[(u32, Distance)]) -> Sketc
 }
 
 /// A degrading set over hand-built layers (net, hierarchy and params are
-/// along for the encoding; no query reads them).
+/// along for the encoding; no query reads them).  The params keep the
+/// degrading contract the decoders check — ε halving layer over layer.
 fn degrading_of(layers: Vec<Vec<Sketch>>) -> DegradingSketchSet {
-    let layers = layers
-        .into_iter()
-        .map(|sketches| {
+    let layers = (1..)
+        .zip(layers)
+        .map(|(i, sketches)| {
             let n = sketches.len();
             CdgSketchSet {
-                params: CdgParams::new(0.5, 1),
+                params: CdgParams::new(0.5f64.powi(i), 1),
                 net: DensityNet::from_members(n, 0.5, (0..n).map(NodeId::from_index).collect()),
                 hierarchy: Hierarchy::from_levels(vec![0; n], 1).unwrap(),
                 sketches: SketchSet::new(sketches),
@@ -357,13 +359,32 @@ fn frozen(set: &DegradingSketchSet) -> FlatSketchSet {
     StoredSketches::Degrading(set.clone()).freeze()
 }
 
-/// Freeze and cold-decode `set`, require the two to be one value served in
-/// the `merged` form or not, and require every answer — errors and
-/// out-of-range probes included — to be the per-node set's.
-fn assert_hand_built(set: &DegradingSketchSet, merged: bool, context: &str) {
+/// Freeze `set` and require the frozen value to be served in the `merged`
+/// form or not, and every answer — errors and out-of-range probes included
+/// — to be the per-node set's.  `refused` is how the decoders meet its
+/// bytes: `None`, they decode to the same value; or the error both return,
+/// for a set that breaks a contract of the family's labels.
+fn assert_hand_built(
+    set: &DegradingSketchSet,
+    merged: bool,
+    refused: Option<fn(&CodecError) -> bool>,
+    context: &str,
+) {
     let flat = frozen(set);
-    let decoded = FlatSketchSet::from_family_bytes(&SchemeSpec::degrading(), &set.to_bytes());
-    assert_eq!(decoded.as_ref(), Ok(&flat), "{context}");
+    let bytes = set.to_bytes();
+    let decoded = FlatSketchSet::from_family_bytes(&SchemeSpec::degrading(), &bytes);
+    let map = StoredSketches::decode_payload(&SchemeSpec::degrading(), &bytes).map(drop);
+    match refused {
+        None => {
+            assert_eq!(decoded.as_ref(), Ok(&flat), "{context}");
+            assert_eq!(map, Ok(()), "{context}");
+        }
+        Some(expected) => {
+            let err = decoded.expect_err(context);
+            assert!(expected(&err), "{context}: refused with {err}");
+            assert_eq!(map, Err(err), "{context}: the map decoder refuses alike");
+        }
+    }
     assert_eq!(flat.merged_entries().is_some(), merged, "{context}");
     assert_eq!(flat.check_invariants(), Ok(()), "{context}");
     let layers: Vec<&SketchSet> = set.layers.iter().map(|l| &l.sketches).collect();
@@ -406,7 +427,7 @@ fn two_layer_base() -> Vec<Vec<Sketch>> {
 #[test]
 fn hand_built_layers_that_meet_the_conditions_are_merged() {
     let set = degrading_of(two_layer_base());
-    assert_hand_built(&set, true, "base");
+    assert_hand_built(&set, true, None, "base");
     // Layer 1 wins for (0, 1): 4 + 0 against 5 + 7 through node 2.
     assert_eq!(frozen(&set).estimate(NodeId(0), NodeId(1)), Ok(4));
     assert_eq!(frozen(&set).merged_entries(), Some(6));
@@ -415,7 +436,7 @@ fn hand_built_layers_that_meet_the_conditions_are_merged() {
     let mut layers = two_layer_base();
     let last = layers[1].clone();
     layers.resize(32, last);
-    assert_hand_built(&degrading_of(layers), true, "32 layers");
+    assert_hand_built(&degrading_of(layers), true, None, "32 layers");
 }
 
 /// The case the mask exists for: node 0 holds landmark 2 in layer 0 only,
@@ -436,7 +457,7 @@ fn a_landmark_held_in_different_layers_is_not_a_candidate() {
             label(2, (2, 0), &[(2, 0)]),
         ],
     ]);
-    assert_hand_built(&set, true, "mask");
+    assert_hand_built(&set, true, None, "mask");
     assert_eq!(
         frozen(&set).estimate_best_common(NodeId(0), NodeId(1)),
         Err(SketchError::NoCommonLandmark {
@@ -456,15 +477,22 @@ fn sets_that_break_a_merge_condition_stay_layered_and_answer_identically() {
     let mut layers = two_layer_base();
     layers[0][0] = label(0, (2, 5), &[(0, 0)]);
     let set = degrading_of(layers);
-    assert_hand_built(&set, false, "pivot missing from its owner's bunch");
+    assert_hand_built(&set, false, None, "pivot missing from its owner's bunch");
     assert_eq!(frozen(&set).estimate(NodeId(0), NodeId(2)), Ok(5));
 
     // A pivot in the bunch at another distance: the probe's 5 + 0 beats the
-    // bunch's 6 + 0, which is all a merged row would know.
+    // bunch's 6 + 0, which is all a merged row would know.  Both record
+    // d(0, 2), so no snapshot may say this: the decoders refuse it.
     let mut layers = two_layer_base();
     layers[0][0] = label(0, (2, 5), &[(2, 6)]);
     let set = degrading_of(layers);
-    assert_hand_built(&set, false, "pivot at a different distance");
+    let pivot_row = |e: &CodecError| matches!(e, CodecError::PivotRow(_));
+    assert_hand_built(
+        &set,
+        false,
+        Some(pivot_row),
+        "pivot at a different distance",
+    );
     assert_eq!(frozen(&set).estimate(NodeId(0), NodeId(2)), Ok(5));
 
     // One landmark at two distances in two layers: a row has one distance
@@ -472,15 +500,22 @@ fn sets_that_break_a_merge_condition_stay_layered_and_answer_identically() {
     let mut layers = two_layer_base();
     layers[1][0] = label(0, (0, 0), &[(0, 0), (1, 4), (2, 6)]);
     let set = degrading_of(layers);
-    assert_hand_built(&set, false, "one landmark at two distances");
+    assert_hand_built(&set, false, None, "one landmark at two distances");
     assert_eq!(frozen(&set).estimate(NodeId(0), NodeId(2)), Ok(5));
 
-    // A landmark that is not one of the set's nodes.
+    // A landmark that is not one of the set's nodes: no snapshot may say
+    // this either.
     let mut layers = two_layer_base();
     layers[1][0] = label(0, (0, 0), &[(0, 0), (9, 1)]);
     layers[1][1] = label(1, (1, 0), &[(1, 0), (9, 2)]);
     let set = degrading_of(layers);
-    assert_hand_built(&set, false, "landmark outside the node range");
+    let out_of_range = |e: &CodecError| matches!(e, CodecError::Invalid { message, .. } if message.contains("names v9, out of range"));
+    assert_hand_built(
+        &set,
+        false,
+        Some(out_of_range),
+        "landmark outside the node range",
+    );
     assert_eq!(frozen(&set).estimate(NodeId(0), NodeId(1)), Ok(3));
 
     // 33 layers: one more than a mask has bits.
@@ -488,7 +523,7 @@ fn sets_that_break_a_merge_condition_stay_layered_and_answer_identically() {
     let last = layers[1].clone();
     layers.resize(33, last);
     let set = degrading_of(layers);
-    assert_hand_built(&set, false, "33 layers");
+    assert_hand_built(&set, false, None, "33 layers");
 }
 
 /// SplitMix64: the seeded pair streams below.

@@ -516,15 +516,15 @@ fn refused_swaps_leave_the_live_generation_untouched() {
         }
     };
 
-    // Corrupted DSK1: flip a payload byte — the deep verifier refuses.
+    // Corrupted DSK1: flip a payload byte — the one read refuses it.
     let corrupt = temp_path("negative_corrupt.dsk");
     let mut bytes = std::fs::read(&snap_b).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xff;
     std::fs::write(&corrupt, &bytes).unwrap();
     match server.swap_snapshot(&corrupt) {
-        Err(SwapError::Verify(_)) => {}
-        other => panic!("corrupted snapshot must fail verification, got {other:?}"),
+        Err(SwapError::Store(e)) if e.kind() == "section-checksum" => {}
+        other => panic!("corrupted snapshot must fail its checksum, got {other:?}"),
     }
     assert_still_generation_one("corrupted snapshot");
 

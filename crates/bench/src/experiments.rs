@@ -190,15 +190,14 @@ fn e3_three_stretch_slack(quick: bool) -> ExperimentResult {
             let outcome = SchemeSpec::three_stretch(eps)
                 .build_sketches(&graph, &SchemeConfig::default().with_seed(9))
                 .unwrap();
-            let StoredSketches::ThreeStretch(sketches) = &outcome.sketches else {
-                unreachable!("a 3-stretch spec builds 3-stretch sketches")
-            };
+            let sketches = &outcome.sketches;
+            let net = sketches.layers.iter().find_map(|layer| layer.net.as_ref());
             let report = evaluate_oracle_with_slack(&graph, eps, sketches);
             table.push(vec![
                 spec.label(),
                 format!("{eps}"),
-                sketches.net.len().to_string(),
-                format!("{:.0}", sketches.net.size_bound()),
+                net.map_or(0, DensityNet::len).to_string(),
+                format!("{:.0}", net.map_or(0.0, DensityNet::size_bound)),
                 sketches.max_words().to_string(),
                 format!("{:.2}", report.far.worst),
                 format!("{:.2}", report.near.worst),
@@ -235,15 +234,13 @@ fn e4_cdg(quick: bool) -> ExperimentResult {
             let outcome = SchemeSpec::cdg(eps, k)
                 .build_sketches(&graph, &SchemeConfig::default().with_seed(3))
                 .unwrap();
-            let StoredSketches::Cdg(result) = &outcome.sketches else {
-                unreachable!("a CDG spec builds CDG sketches")
-            };
+            let result = &outcome.sketches;
             let report = evaluate_oracle_with_slack(&graph, eps, result);
             table.push(vec![
                 spec.label(),
                 format!("{eps}"),
                 k.to_string(),
-                result.params.stretch().to_string(),
+                CdgParams::new(eps, k).stretch().to_string(),
                 format!("{:.2}", report.far.worst),
                 result.max_words().to_string(),
                 outcome.stats.rounds.to_string(),
@@ -283,15 +280,13 @@ fn e5_degrading(quick: bool) -> ExperimentResult {
         let outcome = scheme
             .build_sketches(&graph, &SchemeConfig::default().with_seed(3))
             .unwrap();
-        let StoredSketches::Degrading(sketches) = &outcome.sketches else {
-            unreachable!("a degrading spec builds degrading sketches")
-        };
+        let sketches = &outcome.sketches;
         let pairs = exact_or_sampled_pairs(&graph, 2);
         let report = evaluate_pairs(&pairs, |u, v| sketches.estimate(u, v));
         let logn = (graph.num_nodes() as f64).log2();
         table.push(vec![
             spec.label(),
-            sketches.num_layers().to_string(),
+            sketches.layers.len().to_string(),
             sketches.max_words().to_string(),
             format!("{:.0}", logn.powi(4)),
             format!("{:.2}", report.worst),
@@ -392,13 +387,11 @@ fn e7_query_vs_ondemand(quick: bool) -> ExperimentResult {
         let result = SchemeSpec::thorup_zwick(3)
             .build_sketches(&graph, &SchemeConfig::default().with_seed(5))
             .expect("TZ construction");
-        let StoredSketches::ThorupZwick(sketches) = &result.sketches else {
-            unreachable!("a TZ spec builds TZ sketches")
-        };
+        let sketches = &result.sketches;
         let target = NodeId::from_index(graph.num_nodes() - 1);
         let (_, exchange_stats) = dsketch::distributed::run_sketch_exchange(
             &graph,
-            sketches,
+            &sketches.layers[0].sketches,
             NodeId(0),
             target,
             CongestConfig::default(),

@@ -28,14 +28,17 @@ pub struct RunStats {
 impl RunStats {
     /// Merge another stats object into this one by summation (used when a
     /// construction is composed of several sequential sub-protocols, e.g.
-    /// BFS-tree construction followed by the sketch phases).
+    /// BFS-tree construction followed by the sketch phases).  Sums saturate,
+    /// so records read from untrusted bytes cannot overflow.
     pub fn absorb(&mut self, other: &RunStats) {
-        self.rounds += other.rounds;
-        self.messages += other.messages;
-        self.words += other.words;
+        self.rounds = self.rounds.saturating_add(other.rounds);
+        self.messages = self.messages.saturating_add(other.messages);
+        self.words = self.words.saturating_add(other.words);
         self.max_messages_in_round = self.max_messages_in_round.max(other.max_messages_in_round);
-        self.active_rounds += other.active_rounds;
-        self.bandwidth_violations += other.bandwidth_violations;
+        self.active_rounds = self.active_rounds.saturating_add(other.active_rounds);
+        self.bandwidth_violations = self
+            .bandwidth_violations
+            .saturating_add(other.bandwidth_violations);
     }
 
     /// Average messages per round (0 if no rounds ran).

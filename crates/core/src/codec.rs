@@ -5,10 +5,10 @@
 //! is paid **once**: labels must outlive the process that built them.  This
 //! module defines [`SketchCodec`], a hand-rolled, dependency-free binary
 //! codec implemented for every piece of label state — [`SketchSet`],
-//! [`Hierarchy`], [`DensityNet`], [`RunStats`] — and for all four sketch-set
-//! families, so that a decoded sketch set is **bit-identical** to the one
-//! that was encoded: same pivots, same bunches, same estimates for every
-//! query.
+//! [`Hierarchy`], [`DensityNet`], [`CdgParams`], [`RunStats`] — and the one
+//! writer and one reader of the four family payloads built from them, so
+//! that a decoded sketch set is **bit-identical** to the one that was
+//! encoded: same pivots, same bunches, same estimates for every query.
 //!
 //! The encoding is *payload only*: framing, versioning, checksums and
 //! corruption detection live one layer up, in the `dsketch-store` snapshot
@@ -39,15 +39,27 @@
 //!
 //! # Family payloads
 //!
-//! A family payload (a snapshot's `SKCH` section) is a family's label sets
-//! with the hierarchy, density net, params and stats they were built from,
-//! in the order of the family's struct fields.  One function reads all four
-//! layouts and both decoders drive it — per-node sketches for
+//! A family payload (a snapshot's `SKCH` section) is the
+//! [`Layer`]s of a [`StoredSketches`] — each a label set with the
+//! hierarchy, density net, params and stats it was built from — laid out
+//! as its spec's family says:
+//!
+//! ```text
+//! tz        := set · hierarchy
+//! 3stretch  := net · set · stats
+//! cdg       := params · net · hierarchy · set · stats
+//! degrading := count · cdg × count · stats      (stats: the layers' total)
+//! ```
+//!
+//! One function writes all four layouts and one reads them, and both
+//! decoders drive the reader — per-node sketches for
 //! [`StoredSketches::decode_payload`](crate::scheme::StoredSketches::decode_payload),
 //! served arrays for [`crate::flat`] — holding every label set to what its
 //! bytes cannot express (pivot rows nested like `A_0 ⊇ A_1 ⊇ …`, levels
-//! backed by the stored hierarchy, layer and spec parameters).  So the two
-//! accept the same payloads, and only ones the stretch bounds hold for.
+//! backed by the stored hierarchy, a 3-stretch set one level over its net,
+//! nets sampled for the ε of their params or spec, layer and spec
+//! parameters, the degrading total).  So the two accept the same payloads,
+//! and only ones the stretch bounds hold for.
 //!
 //! # Stability rules
 //!
@@ -80,12 +92,10 @@
 
 use crate::cast;
 use crate::hierarchy::Hierarchy;
-use crate::scheme::{SchemeSpec, StoredSketches, TzSketchSet};
+use crate::scheme::{total_stats, Layer, SchemeSpec, StoredSketches};
 use crate::sketch::{BunchEntry, Sketch, SketchSet};
-use crate::slack::cdg::{CdgParams, CdgSketchSet};
-use crate::slack::degrading::DegradingSketchSet;
+use crate::slack::cdg::CdgParams;
 use crate::slack::density_net::DensityNet;
-use crate::slack::three_stretch::ThreeStretchSketchSet;
 use congest_sim::RunStats;
 use netgraph::{Distance, NodeId, INFINITY};
 
@@ -118,7 +128,8 @@ pub enum CodecError {
     /// off (see the [module docs](self), "Family payloads"): whose, where
     /// and how.
     PivotRow(String),
-    /// A label set disagrees with the sampling hierarchy stored beside it.
+    /// A label set disagrees with the sampling stored beside it: its
+    /// hierarchy, or the density net a 3-stretch set is one level over.
     HierarchyContract(String),
     /// A layer's parameters disagree with the layer before it, or with the
     /// scheme spec the payload is read against.
@@ -145,7 +156,7 @@ impl std::fmt::Display for CodecError {
             }
             CodecError::PivotRow(message) => write!(f, "pivot row broken: {message}"),
             CodecError::HierarchyContract(message) => {
-                write!(f, "labels disagree with the hierarchy: {message}")
+                write!(f, "labels disagree with their sampling: {message}")
             }
             CodecError::LayerContract(message) => write!(f, "layer contract broken: {message}"),
         }
@@ -1048,21 +1059,38 @@ impl Claims {
                 format!("hierarchy covers {covers} nodes but the labels cover {nodes}"),
             ));
         }
-        if let Some(k) = self.k.filter(|&k| k != hierarchy.k()) {
-            let message = format!(
-                "labels have k = {k} but the hierarchy has {}",
-                hierarchy.k()
-            );
+        self.check_levels(hierarchy.k(), hierarchy.levels(), "hierarchy")
+    }
+
+    /// Labels whose density net has no hierarchy beside it (3-stretch) are
+    /// one level over the net: `k = 1`, and every node a label names is a
+    /// member.  The net already covers the labels' nodes.
+    fn check_members(&self, net: &DensityNet) -> Result<(), CodecError> {
+        let mut levels = vec![-1; self.levels.len()];
+        for member in net.members() {
+            if let Some(level) = levels.get_mut(member.index()) {
+                *level = 0;
+            }
+        }
+        self.check_levels(1, &levels, "density net")
+    }
+
+    /// The labels have the sampling's `k`, and `levels` — per node the
+    /// highest level the sampling (`what`) puts it in, `-1` for none —
+    /// reaches every level a label claims for the node.
+    fn check_levels(&self, k: usize, levels: &[i32], what: &str) -> Result<(), CodecError> {
+        if let Some(labels) = self.k.filter(|&labels| labels != k) {
+            let message = format!("labels have k = {labels} but the {what} has {k}");
             return Err(CodecError::HierarchyContract(message));
         }
-        let mut levels = self.levels.iter().zip(hierarchy.levels()).enumerate();
+        let mut levels = self.levels.iter().zip(levels).enumerate();
         match levels
             .find(|(_, (&(claimed, _), &sampled))| i64::from(claimed) > i64::from(sampled) + 1)
         {
             Some((member, (&(claimed, owner), &sampled))) => {
                 let (member, level) = (NodeId::from_index(member), claimed - 1);
                 Err(CodecError::HierarchyContract(format!(
-                    "the label of {owner} holds {member} at level {level}, but the hierarchy \
+                    "the label of {owner} holds {member} at level {level}, but the {what} \
                      samples it only to level {sampled}"
                 )))
             }
@@ -1108,224 +1136,266 @@ pub(crate) fn collect_sketches(rows: &mut CheckedRows<'_, '_>) -> Result<SketchS
     Ok(SketchSet::new(sketches))
 }
 
+/// A part of a layer's bytes besides its label set.
+#[derive(Debug, Clone, Copy)]
+enum Part {
+    Params,
+    Net,
+    Hierarchy,
+    Stats,
+}
+
+/// The layout of `spec`'s family payload (see "Family payloads" in the
+/// [module docs](self)): the parts of a layer before its label set and
+/// after it, and whether the payload is a count of such layers closed by
+/// their total stats (degrading) rather than one layer.
+fn layout(spec: &SchemeSpec) -> (&'static [Part], &'static [Part], bool) {
+    use Part::{Hierarchy, Net, Params, Stats};
+    const CDG: &[Part] = &[Params, Net, Hierarchy];
+    match spec {
+        SchemeSpec::ThorupZwick { .. } => (&[], &[Hierarchy], false),
+        SchemeSpec::ThreeStretch { .. } => (&[Net], &[Stats], false),
+        SchemeSpec::Cdg { .. } => (CDG, &[Stats], false),
+        SchemeSpec::Degrading { .. } => (CDG, &[Stats], true),
+    }
+}
+
+/// Encode `value` into `out` or, with no encoder, only measure it: the
+/// bytes it takes either way.
+fn put<T: SketchCodec>(value: &T, out: &mut Option<&mut Encoder>) -> usize {
+    match out {
+        Some(out) => {
+            let start = out.len();
+            value.encode(out);
+            out.len() - start
+        }
+        None => value.encoded_len(),
+    }
+}
+
+/// Encode one part of `layer` (nothing for a part the layer lacks).
+fn put_part(layer: &Layer, part: Part, out: &mut Option<&mut Encoder>) -> usize {
+    match part {
+        Part::Params => layer.params.as_ref().map_or(0, |params| put(params, out)),
+        Part::Net => layer.net.as_ref().map_or(0, |net| put(net, out)),
+        Part::Hierarchy => layer.hierarchy.as_ref().map_or(0, |h| put(h, out)),
+        Part::Stats => put(&layer.stats, out),
+    }
+}
+
+/// The one writer of the family layouts: `stored`'s layers in its spec's
+/// layout into `out` or, with no encoder, the exact length that takes.
+fn put_family(stored: &StoredSketches, mut out: Option<&mut Encoder>) -> usize {
+    let (before, after, counted) = layout(&stored.spec);
+    let mut len = 0;
+    if counted {
+        if let Some(out) = out.as_deref_mut() {
+            out.put_usize(stored.layers.len());
+        }
+        len += 8;
+    }
+    for layer in &stored.layers {
+        for &part in before {
+            len += put_part(layer, part, &mut out);
+        }
+        len += put(&layer.sketches, &mut out);
+        for &part in after {
+            len += put_part(layer, part, &mut out);
+        }
+    }
+    if counted {
+        len += put(&total_stats(&stored.layers), &mut out);
+    }
+    len
+}
+
+/// `stored`'s family payload, allocated once at its exact length.
+pub(crate) fn write_family(stored: &StoredSketches) -> Vec<u8> {
+    let mut out = Encoder::with_capacity(put_family(stored, None));
+    put_family(stored, Some(&mut out));
+    out.into_bytes()
+}
+
+/// Decode one part into `layer`.
+fn read_part<S>(
+    layer: &mut Layer<S>,
+    part: Part,
+    input: &mut Decoder<'_>,
+) -> Result<(), CodecError> {
+    match part {
+        Part::Params => layer.params = Some(CdgParams::decode(input)?),
+        Part::Net => layer.net = Some(DensityNet::decode(input)?),
+        Part::Hierarchy => layer.hierarchy = Some(Hierarchy::decode(input)?),
+        Part::Stats => layer.stats = RunStats::decode(input)?,
+    }
+    Ok(())
+}
+
+/// Read one layer — the parts `before` its label set, the set through
+/// `labels`, the parts `after` — and hold the set to the sampling beside
+/// it: the net covers the labels' nodes, a hierarchy samples every node to
+/// the levels the labels claim for it, and a net with no hierarchy beside
+/// it (3-stretch) is the labels' one level.  A net sampled for another ε
+/// than the layer's params is a [`CodecError::LayerContract`].
+fn read_layer<'a, S>(
+    input: &mut Decoder<'a>,
+    (before, after): (&[Part], &[Part]),
+    labels: &mut impl FnMut(&mut CheckedRows<'_, 'a>) -> Result<S, CodecError>,
+) -> Result<Layer<S>, CodecError> {
+    let mut sampling = Layer {
+        sketches: (),
+        hierarchy: None,
+        net: None,
+        params: None,
+        stats: RunStats::default(),
+    };
+    for &part in before {
+        read_part(&mut sampling, part, input)?;
+    }
+    let (sketches, claims) = read_labels(input, sampling.params.map(|p| p.k), labels)?;
+    for &part in after {
+        read_part(&mut sampling, part, input)?;
+    }
+    if let Some(net) = &sampling.net {
+        claims.check_net(net)?;
+        if sampling.hierarchy.is_none() {
+            claims.check_members(net)?;
+        }
+        if let Some(params) = sampling.params.filter(|p| !net.sampled_for(p.eps)) {
+            return Err(CodecError::LayerContract(format!(
+                "the density net was sampled for eps = {} but the layer's params say {}",
+                net.eps(),
+                params.eps
+            )));
+        }
+    }
+    if let Some(hierarchy) = &sampling.hierarchy {
+        claims.check_hierarchy(hierarchy)?;
+    }
+    Ok(Layer {
+        sketches,
+        hierarchy: sampling.hierarchy,
+        net: sampling.net,
+        params: sampling.params,
+        stats: sampling.stats,
+    })
+}
+
 /// Read the family payload of `spec`'s scheme at `input`, handing each
 /// label set to `labels` as [`CheckedRows`] — the one reader of the four
 /// family layouts, which the map decoder and the frozen decoder both
 /// drive, so the two accept the same bytes and refuse the rest with the
 /// same [`CodecError`].  Beyond each set's rows it checks the parts around
-/// them (stored hierarchy, density net, degrading layers) and that the
-/// payload is the one `spec` names: its `k`, its CDG params, at most its
-/// layer cap.
+/// them (`read_layer`), the degrading layers' schedule, and that the
+/// payload is the one `spec` names: its `k`, its ε, its CDG params, at
+/// most its layer cap.
 pub(crate) fn read_family<'a, S>(
     spec: &SchemeSpec,
     input: &mut Decoder<'a>,
     mut labels: impl FnMut(&mut CheckedRows<'_, 'a>) -> Result<S, CodecError>,
 ) -> Result<StoredSketches<S>, CodecError> {
-    let unlike_spec = |message| Err(CodecError::LayerContract(message));
-    Ok(match *spec {
-        SchemeSpec::ThorupZwick { k } => {
-            let set = read_tz(input, &mut labels)?;
-            let stored = set.hierarchy.k();
-            if stored != k {
-                return unlike_spec(format!(
-                    "the payload has k = {stored} but the spec says {k}"
-                ));
-            }
-            StoredSketches::ThorupZwick(set)
-        }
-        SchemeSpec::ThreeStretch { .. } => {
-            StoredSketches::ThreeStretch(read_three_stretch(input, &mut labels)?)
-        }
-        SchemeSpec::Cdg { eps, k } => {
-            let set = read_cdg(input, &mut labels)?;
-            let stored = set.params;
-            if stored.eps != eps || stored.k != k {
-                let stored = format!("(eps = {}, k = {})", stored.eps, stored.k);
-                let spec = format!("(eps = {eps}, k = {k})");
-                return unlike_spec(format!(
-                    "stored CdgParams {stored} but the spec says {spec}"
-                ));
-            }
-            StoredSketches::Cdg(set)
-        }
-        SchemeSpec::Degrading { max_layers, .. } => {
-            let set = read_degrading(input, &mut labels)?;
-            let count = set.layers.len();
-            if let Some(cap) = max_layers.filter(|&cap| count > cap) {
-                let message = format!("{count} layers exceed the spec's max_layers = {cap}");
-                return unlike_spec(message);
-            }
-            StoredSketches::Degrading(set)
-        }
-    })
-}
-
-fn read_tz<'a, S>(
-    input: &mut Decoder<'a>,
-    labels: &mut impl FnMut(&mut CheckedRows<'_, 'a>) -> Result<S, CodecError>,
-) -> Result<TzSketchSet<S>, CodecError> {
-    let (sketches, claims) = read_labels(input, None, labels)?;
-    let hierarchy = Hierarchy::decode(input)?;
-    claims.check_hierarchy(&hierarchy)?;
-    Ok(TzSketchSet {
-        sketches,
-        hierarchy,
-    })
-}
-
-fn read_three_stretch<'a, S>(
-    input: &mut Decoder<'a>,
-    labels: &mut impl FnMut(&mut CheckedRows<'_, 'a>) -> Result<S, CodecError>,
-) -> Result<ThreeStretchSketchSet<S>, CodecError> {
-    let net = DensityNet::decode(input)?;
-    let (sketches, claims) = read_labels(input, None, labels)?;
-    claims.check_net(&net)?;
-    let stats = RunStats::decode(input)?;
-    Ok(ThreeStretchSketchSet {
-        net,
-        sketches,
-        stats,
-    })
-}
-
-fn read_cdg<'a, S>(
-    input: &mut Decoder<'a>,
-    labels: &mut impl FnMut(&mut CheckedRows<'_, 'a>) -> Result<S, CodecError>,
-) -> Result<CdgSketchSet<S>, CodecError> {
-    let (params, net) = (CdgParams::decode(input)?, DensityNet::decode(input)?);
-    let hierarchy = Hierarchy::decode(input)?;
-    let (sketches, claims) = read_labels(input, Some(params.k), labels)?;
-    claims.check_net(&net)?;
-    claims.check_hierarchy(&hierarchy)?;
-    let stats = RunStats::decode(input)?;
-    Ok(CdgSketchSet {
-        params,
-        net,
-        hierarchy,
-        sketches,
-        stats,
-    })
-}
-
-/// The gracefully degrading layers: at least one, all over one node count
-/// (every query indexes all of them), ε halving and `k` growing layer over
-/// layer — the trade-off of Theorem 4.8.
-fn read_degrading<'a, S>(
-    input: &mut Decoder<'a>,
-    labels: &mut impl FnMut(&mut CheckedRows<'_, 'a>) -> Result<S, CodecError>,
-) -> Result<DegradingSketchSet<S>, CodecError> {
-    // A layer is at least params (24) + empty net (24) + hierarchy
-    // header (24) + empty sketch set (8) + stats (48).
-    let count = input.len_prefix(128, "DegradingSketchSet layers length")?;
+    let (before, after, counted) = layout(spec);
+    // A degrading layer over one node or more is at least params (24) + net
+    // (24) + hierarchy (28) + label set (6) + stats (48).
+    let count = if counted {
+        input.len_prefix(128, "degrading layers length")?
+    } else {
+        1
+    };
     if count == 0 {
         let message = "degrading set has no layers".to_string();
         return Err(CodecError::LayerContract(message));
     }
-    let mut layers: Vec<CdgSketchSet<S>> = Vec::with_capacity(count);
+    let mut layers: Vec<Layer<S>> = Vec::with_capacity(count);
     for index in 0..count {
-        let layer = read_cdg(input, labels)?;
-        if let (Some(first), Some(previous)) = (layers.first(), layers.last()) {
-            let (nodes, first) = (layer.net.num_nodes(), first.net.num_nodes());
-            if nodes != first {
-                return Err(CodecError::invalid(
-                    "DegradingSketchSet",
-                    format!("layer {index} covers {nodes} nodes but layer 0 covers {first}"),
-                ));
-            }
-            let ((e0, k0), (e1, k1)) = (
-                (previous.params.eps, previous.params.k),
-                (layer.params.eps, layer.params.k),
-            );
-            let broken = if e1 >= e0 {
-                Some(format!(
-                    "eps {e1} does not decrease from the previous layer's {e0}"
-                ))
-            } else if k1 < k0 {
-                Some(format!("k {k1} decreases from the previous layer's {k0}"))
-            } else {
-                None
-            };
-            if let Some(message) = broken {
-                return Err(CodecError::LayerContract(format!(
-                    "layer {index}: {message}"
-                )));
-            }
+        let layer = read_layer(input, (before, after), &mut labels)?;
+        if let Some(previous) = layers.last() {
+            check_schedule(index, previous, &layer)?;
         }
         layers.push(layer);
     }
-    let stats = RunStats::decode(input)?;
-    Ok(DegradingSketchSet { layers, stats })
+    if counted && RunStats::decode(input)? != total_stats(&layers) {
+        let message = "the total RunStats is not the sum of the layers'".to_string();
+        return Err(CodecError::LayerContract(message));
+    }
+    let stored = StoredSketches {
+        spec: *spec,
+        layers,
+    };
+    check_spec(&stored)?;
+    Ok(stored)
 }
 
-impl SketchCodec for TzSketchSet {
-    fn encode(&self, out: &mut Encoder) {
-        self.sketches.encode(out);
-        self.hierarchy.encode(out);
+/// The gracefully degrading layers: all over one node count (every query
+/// indexes all of them), ε halving and `k` growing layer over layer — the
+/// trade-off of Theorem 4.8.  `layer` is layer `index`, read after
+/// `previous`.
+fn check_schedule<S>(
+    index: usize,
+    previous: &Layer<S>,
+    layer: &Layer<S>,
+) -> Result<(), CodecError> {
+    let nodes = |layer: &Layer<S>| layer.net.as_ref().map_or(0, DensityNet::num_nodes);
+    let (covers, first) = (nodes(layer), nodes(previous));
+    if covers != first {
+        return Err(CodecError::invalid(
+            "degrading layers",
+            format!("layer {index} covers {covers} nodes but layer 0 covers {first}"),
+        ));
     }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        read_tz(input, &mut collect_sketches)
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.sketches.encoded_len() + self.hierarchy.encoded_len()
-    }
+    let (Some(p0), Some(p1)) = (previous.params, layer.params) else {
+        return Ok(());
+    };
+    let broken = if p1.eps >= p0.eps {
+        format!(
+            "eps {} does not decrease from the previous layer's {}",
+            p1.eps, p0.eps
+        )
+    } else if p1.k < p0.k {
+        format!("k {} decreases from the previous layer's {}", p1.k, p0.k)
+    } else {
+        return Ok(());
+    };
+    Err(CodecError::LayerContract(format!(
+        "layer {index}: {broken}"
+    )))
 }
 
-impl SketchCodec for ThreeStretchSketchSet {
-    fn encode(&self, out: &mut Encoder) {
-        self.net.encode(out);
-        self.sketches.encode(out);
-        self.stats.encode(out);
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        read_three_stretch(input, &mut collect_sketches)
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.net.encoded_len() + self.sketches.encoded_len() + self.stats.encoded_len()
-    }
-}
-
-impl SketchCodec for CdgSketchSet {
-    fn encode(&self, out: &mut Encoder) {
-        self.params.encode(out);
-        self.net.encode(out);
-        self.hierarchy.encode(out);
-        self.sketches.encode(out);
-        self.stats.encode(out);
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        read_cdg(input, &mut collect_sketches)
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.params.encoded_len()
-            + self.net.encoded_len()
-            + self.hierarchy.encoded_len()
-            + self.sketches.encoded_len()
-            + self.stats.encoded_len()
-    }
-}
-
-impl SketchCodec for DegradingSketchSet {
-    fn encode(&self, out: &mut Encoder) {
-        out.put_usize(self.layers.len());
-        for layer in &self.layers {
-            layer.encode(out);
-        }
-        self.stats.encode(out);
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        read_degrading(input, &mut collect_sketches)
-    }
-
-    fn encoded_len(&self) -> usize {
-        let layers: usize = self.layers.iter().map(CdgSketchSet::encoded_len).sum();
-        8 + layers + self.stats.encoded_len()
+/// The payload is the one its spec names: Thorup–Zwick's hierarchy has the
+/// spec's `k`, a 3-stretch net was sampled for the spec's ε, CDG params
+/// are the spec's, and a degrading set has at most the spec's layer cap.
+fn check_spec<S>(stored: &StoredSketches<S>) -> Result<(), CodecError> {
+    let unlike = |message: String| Err(CodecError::LayerContract(message));
+    let (first, count) = (stored.layers.first(), stored.layers.len());
+    match (stored.spec, first) {
+        (SchemeSpec::ThorupZwick { k }, Some(layer)) => match &layer.hierarchy {
+            Some(h) if h.k() != k => unlike(format!(
+                "the payload has k = {} but the spec says {k}",
+                h.k()
+            )),
+            _ => Ok(()),
+        },
+        (SchemeSpec::ThreeStretch { eps }, Some(layer)) => match &layer.net {
+            Some(net) if !net.sampled_for(eps) => unlike(format!(
+                "the density net was sampled for eps = {} but the spec says {eps}",
+                net.eps()
+            )),
+            _ => Ok(()),
+        },
+        (SchemeSpec::Cdg { eps, k }, Some(layer)) => match layer.params {
+            Some(p) if p.eps != eps || p.k != k => unlike(format!(
+                "stored CdgParams (eps = {}, k = {}) but the spec says (eps = {eps}, k = {k})",
+                p.eps, p.k
+            )),
+            _ => Ok(()),
+        },
+        (SchemeSpec::Degrading { max_layers, .. }, _) => match max_layers {
+            Some(cap) if count > cap => unlike(format!(
+                "{count} layers exceed the spec's max_layers = {cap}"
+            )),
+            _ => Ok(()),
+        },
+        _ => Ok(()),
     }
 }
 
@@ -1624,7 +1694,7 @@ mod tests {
 
     #[test]
     fn encoded_len_is_exact_for_every_family() {
-        use crate::scheme::{SchemeConfig, StoredSketches};
+        use crate::scheme::SchemeConfig;
         use netgraph::generators::{erdos_renyi, GeneratorConfig};
 
         let graph = erdos_renyi(48, 0.15, GeneratorConfig::uniform(4, 1, 30));
@@ -1635,59 +1705,84 @@ mod tests {
             SchemeSpec::cdg(0.4, 2),
             SchemeSpec::degrading(),
         ] {
-            match spec.build_sketches(&graph, &config).unwrap().sketches {
-                StoredSketches::ThorupZwick(set) => assert_len_is_exact(&set),
-                StoredSketches::ThreeStretch(set) => assert_len_is_exact(&set),
-                StoredSketches::Cdg(set) => assert_len_is_exact(&set),
-                StoredSketches::Degrading(set) => assert_len_is_exact(&set),
-            }
+            let stored = spec.build_sketches(&graph, &config).unwrap().sketches;
+            let len = put_family(&stored, None);
+            assert_eq!(stored.encode_payload().len(), len, "{spec}");
         }
     }
 
     #[test]
     fn degrading_payloads_keep_the_layer_schedule_and_the_spec_cap() {
-        use crate::scheme::{SchemeConfig, StoredSketches};
+        use crate::scheme::SchemeConfig;
         use netgraph::generators::{erdos_renyi, GeneratorConfig};
 
         let graph = erdos_renyi(32, 0.2, GeneratorConfig::uniform(3, 1, 30));
         let config = SchemeConfig::default().with_seed(4).with_parallel_build();
         let spec = SchemeSpec::parse("degrading:k=2,layers=2").unwrap();
-        let StoredSketches::Degrading(built) =
-            spec.build_sketches(&graph, &config).unwrap().sketches
-        else {
-            panic!("a degrading build");
-        };
-        let decode = |set: &DegradingSketchSet, spec: &SchemeSpec| {
-            StoredSketches::decode_payload(spec, &set.to_bytes()).map(drop)
+        let built = spec.build_sketches(&graph, &config).unwrap().sketches;
+        let decode = |set: &StoredSketches, spec: &SchemeSpec| {
+            StoredSketches::decode_payload(spec, &set.encode_payload()).map(drop)
         };
         assert_eq!(decode(&built, &spec), Ok(()));
-        let broken = |edit: fn(&mut DegradingSketchSet)| {
+        let broken = |edit: fn(&mut Vec<Layer>)| {
             let mut set = built.clone();
-            edit(&mut set);
-            decode(&set, &SchemeSpec::degrading()).unwrap_err()
+            edit(&mut set.layers);
+            decode(&set, &SchemeSpec::degrading())
+                .unwrap_err()
+                .to_string()
         };
+        /// The layer's ε, and its net re-stamped with it.
+        fn eps(layer: &mut Layer, eps: Option<f64>) -> f64 {
+            let params = layer.params.as_mut().unwrap();
+            if let Some(eps) = eps {
+                params.eps = eps;
+                let net = layer.net.as_ref().unwrap();
+                let members = net.members().to_vec();
+                layer.net = Some(DensityNet::from_members(net.num_nodes(), eps, members));
+            }
+            layer.params.unwrap().eps
+        }
         for (what, err) in [
             (
-                "eps not halving",
-                broken(|set| set.layers[1].params.eps = set.layers[0].params.eps),
-            ),
-            (
-                "k shrinking",
-                broken(|set| {
-                    // Layer 1 (k = 2) first, then layer 0 (k = 1) at a smaller ε.
-                    set.layers.swap(0, 1);
-                    set.layers[1].params.eps = set.layers[0].params.eps / 2.0;
+                "eps 0.5 does not decrease",
+                broken(|layers| {
+                    let first = eps(&mut layers[0], None);
+                    eps(&mut layers[1], Some(first));
                 }),
             ),
-            ("no layers", broken(|set| set.layers.clear())),
+            (
+                "k 1 decreases",
+                broken(|layers| {
+                    // Layer 1 (k = 2) first, then layer 0 (k = 1) at a smaller ε.
+                    layers.swap(0, 1);
+                    let first = eps(&mut layers[0], None);
+                    eps(&mut layers[1], Some(first / 2.0));
+                }),
+            ),
+            ("no layers", broken(|layers| layers.clear())),
+            (
+                "sampled for eps = 0.25 but the layer's params say 0.2",
+                broken(|layers| layers[1].params.as_mut().unwrap().eps = 0.2),
+            ),
         ] {
-            assert!(matches!(err, CodecError::LayerContract(_)), "{what}: {err}");
+            assert!(
+                err.starts_with("layer contract broken") && err.contains(what),
+                "{err}"
+            );
         }
         let capped = SchemeSpec::Degrading {
             max_layers: Some(1),
             max_k: None,
         };
         let err = decode(&built, &capped).unwrap_err();
+        assert!(matches!(err, CodecError::LayerContract(_)), "{err}");
+
+        // The closing total is the layers' sum: bytes that say otherwise
+        // would not re-encode to themselves.
+        let mut bytes = built.encode_payload();
+        let total_rounds = bytes.len() - 48;
+        bytes[total_rounds] ^= 1;
+        let err = StoredSketches::decode_payload(&spec, &bytes).unwrap_err();
         assert!(matches!(err, CodecError::LayerContract(_)), "{err}");
     }
 

@@ -267,7 +267,7 @@ pub fn run_sketch_exchange(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{SchemeConfig, SchemeSpec, StoredSketches};
+    use crate::scheme::{SchemeConfig, SchemeSpec};
     use congest_sim::CongestConfig;
     use netgraph::generators::{erdos_renyi, grid, ring_with_chords, GeneratorConfig};
     use netgraph::shortest_path::dijkstra;
@@ -275,10 +275,7 @@ mod tests {
     fn build_sketches(graph: &netgraph::Graph, k: usize) -> crate::sketch::SketchSet {
         let config = SchemeConfig::default().with_seed(7);
         let outcome = SchemeSpec::thorup_zwick(k).build_sketches(graph, &config);
-        let StoredSketches::ThorupZwick(tz) = outcome.unwrap().sketches else {
-            panic!("tz:{k} built another family")
-        };
-        tz.sketches
+        outcome.unwrap().sketches.layers.remove(0).sketches
     }
 
     #[test]

@@ -48,7 +48,7 @@
 //! A frozen set is built two ways:
 //!
 //! * [`StoredSketches::freeze`](crate::scheme::StoredSketches::freeze) —
-//!   from any family's in-memory sketch set (and [`SketchSet::freeze`] from
+//!   from the in-memory layers of any build (and [`SketchSet::freeze`] from
 //!   a raw label set); every type-erased build
 //!   ([`crate::scheme::SchemeSpec::build`]) ends with it.
 //! * [`FlatSketchSet::from_family_bytes`] — straight from the `SKCH`
@@ -816,7 +816,7 @@ enum Labels {
 /// CSR arrays, queried without allocation or pointer chasing.
 ///
 /// Build one with [`StoredSketches::freeze`](crate::scheme::StoredSketches::freeze)
-/// from any family's sketch set (what [`crate::scheme::SchemeSpec::build`]
+/// from any build's layers (what [`crate::scheme::SchemeSpec::build`]
 /// hands back), or straight from snapshot bytes with
 /// [`FlatSketchSet::from_family_bytes`].  A frozen set is a first-class
 /// [`DistanceOracle`] whose answers (including errors) are identical to the
@@ -853,7 +853,8 @@ impl SketchSet {
     /// [`DistanceOracle`] impl, answering every pair as it does.
     pub fn freeze(&self) -> FlatSketchSet {
         let stretch = DistanceOracle::stretch_bound(self);
-        FlatSketchSet::frozen((QueryRule::LevelWalk, "thorup-zwick", stretch), &[self])
+        let served = (QueryRule::LevelWalk, "thorup-zwick", stretch);
+        FlatSketchSet::frozen(served, std::iter::once(self))
     }
 }
 
@@ -862,12 +863,11 @@ impl FlatSketchSet {
     /// — the family's query rule, name and stretch bound — says: several
     /// layers as one merged row per node when their data allow it, any
     /// other set layer by layer.
-    pub(crate) fn frozen(
+    pub(crate) fn frozen<'s>(
         served: (QueryRule, &'static str, Option<u64>),
-        sets: &[&SketchSet],
+        sets: impl Iterator<Item = &'s SketchSet>,
     ) -> FlatSketchSet {
-        let layers = sets.iter().map(|set| FlatLayer::from_sketch_set(set));
-        FlatSketchSet::from_layers(served, layers.collect())
+        FlatSketchSet::from_layers(served, sets.map(FlatLayer::from_sketch_set).collect())
     }
 
     /// [`FlatSketchSet::frozen`] from the per-layer arrays themselves.
@@ -892,17 +892,18 @@ impl FlatSketchSet {
     /// cold-start path: no mutable [`Sketch`] is ever constructed.  Reads
     /// through the codec's one family reader, as
     /// [`StoredSketches::decode_payload`](crate::scheme::StoredSketches::decode_payload)
-    /// does, so it accepts exactly the bytes the family's
-    /// [`SketchCodec`](crate::codec::SketchCodec) encoding produces from
-    /// labels that keep their family's contracts, and refuses anything else
-    /// with the same [`CodecError`], never a panic.
+    /// does, so it accepts exactly the bytes
+    /// [`StoredSketches::encode_payload`](crate::scheme::StoredSketches::encode_payload)
+    /// produces from labels that keep their family's contracts, and refuses
+    /// anything else with the same [`CodecError`], never a panic.
     pub fn from_family_bytes(spec: &SchemeSpec, bytes: &[u8]) -> Result<FlatSketchSet, CodecError> {
         let mut input = Decoder::new(bytes);
         let family = read_family(spec, &mut input, FlatLayer::from_rows)?;
         input.finish()?;
+        let layers = family.layers.into_iter().map(|layer| layer.sketches);
         Ok(FlatSketchSet::from_layers(
-            family.served_as(),
-            family.into_label_sets(),
+            spec.served_as(),
+            layers.collect(),
         ))
     }
 
@@ -1091,7 +1092,7 @@ mod tests {
     use super::*;
     use crate::codec::SketchCodec;
     use crate::query::{estimate_distance, estimate_distance_best_common};
-    use crate::slack::degrading::DegradingSketchSet;
+    use crate::scheme::StoredSketches;
 
     /// The toy pair from `query.rs`: landmark 9 with d(0,9)=2, d(1,9)=3.
     fn toy_set() -> SketchSet {
@@ -1220,7 +1221,7 @@ mod tests {
     fn flat_decode_equals_the_freeze_and_rejects_what_the_cursor_rejects() {
         let spec = SchemeSpec::thorup_zwick(2);
 
-        // A valid TzSketchSet payload decodes flat and equals the freeze of
+        // A valid Thorup–Zwick payload decodes flat and equals the freeze of
         // the map decode: the two are consumers of the same rows.
         let tz = tz_family();
         let bytes = tz.encode_payload();
@@ -1253,21 +1254,13 @@ mod tests {
         );
     }
 
-    /// A real two-engine-shaped degrading build on `n` nodes.
-    fn degrading_set(n: usize, seed: u64) -> DegradingSketchSet {
-        use crate::slack::degrading::{build, DegradingParams};
+    /// A real degrading build on `n` nodes.
+    fn degrading_set(n: usize, seed: u64) -> StoredSketches {
         use netgraph::generators::{erdos_renyi, GeneratorConfig};
         let graph = erdos_renyi(n, 0.3, GeneratorConfig::uniform(seed, 1, 9));
-        let params = DegradingParams {
-            max_k: Some(2),
-            ..DegradingParams::new(seed)
-        };
-        build(&graph, params, &crate::scheme::SchemeConfig::default()).unwrap()
-    }
-
-    /// Freeze a degrading set, as `StoredSketches::freeze` does.
-    fn freeze_layers(set: &DegradingSketchSet) -> FlatSketchSet {
-        crate::scheme::StoredSketches::Degrading(set.clone()).freeze()
+        let config = crate::scheme::SchemeConfig::default().with_seed(seed);
+        let spec = SchemeSpec::parse("degrading:2").unwrap();
+        spec.build_sketches(&graph, &config).unwrap().sketches
     }
 
     #[test]
@@ -1279,10 +1272,10 @@ mod tests {
         ragged
             .layers
             .push(degrading_set(10, 5).layers.swap_remove(1));
-        let bytes = ragged.to_bytes();
-        let flat_err =
-            FlatSketchSet::from_family_bytes(&SchemeSpec::degrading(), &bytes).unwrap_err();
-        let map_err = DegradingSketchSet::from_bytes(&bytes).unwrap_err();
+        let bytes = ragged.encode_payload();
+        let spec = ragged.spec;
+        let flat_err = FlatSketchSet::from_family_bytes(&spec, &bytes).unwrap_err();
+        let map_err = StoredSketches::decode_payload(&spec, &bytes).unwrap_err();
         assert_eq!(flat_err, map_err);
         assert!(
             matches!(&flat_err, CodecError::Invalid { message, .. }
@@ -1291,7 +1284,7 @@ mod tests {
         );
         // Freezing cannot refuse (it mirrors the per-node set, which is as
         // unusable); the set stays layered and check_invariants names it.
-        let frozen = freeze_layers(&ragged);
+        let frozen = ragged.freeze();
         assert_eq!(frozen.merged_entries(), None);
         assert_eq!(
             frozen.check_invariants().unwrap_err(),
@@ -1302,16 +1295,16 @@ mod tests {
     #[test]
     fn a_built_degrading_set_is_served_from_merged_rows_and_decodes_to_the_same_value() {
         let set = degrading_set(24, 7);
-        let flat = freeze_layers(&set);
+        let flat = set.freeze();
         let per_layer: usize = set
             .layers
             .iter()
             .flat_map(|layer| layer.sketches.iter().map(Sketch::bunch_size))
             .sum();
         assert!(flat.merged_entries().unwrap() < per_layer);
-        assert_eq!(flat.num_layers(), set.num_layers());
+        assert_eq!(flat.num_layers(), set.layers.len());
         assert_eq!(flat.check_invariants(), Ok(()));
-        let decoded = FlatSketchSet::from_family_bytes(&SchemeSpec::degrading(), &set.to_bytes());
+        let decoded = FlatSketchSet::from_family_bytes(&set.spec, &set.encode_payload());
         assert_eq!(decoded.unwrap(), flat);
         for u in (0..24).map(NodeId) {
             assert_eq!(flat.words(u), set.words(u));
@@ -1323,7 +1316,7 @@ mod tests {
 
     /// `check_invariants` of a valid merged set after `corrupt` edited it.
     fn corrupted(corrupt: impl FnOnce(&mut MergedRows)) -> String {
-        let mut flat = freeze_layers(&degrading_set(24, 7));
+        let mut flat = degrading_set(24, 7).freeze();
         let Labels::Merged(rows) = &mut flat.labels else {
             panic!("a built degrading set is merged");
         };

@@ -68,9 +68,9 @@
 //! assert!(slack.sketches.estimate(NodeId(0), NodeId(40)).unwrap() >= exact);
 //! ```
 //!
-//! Code that needs a family's own state — the sampled hierarchy, density
-//! net or layers — builds with [`SchemeSpec::build_sketches`] and matches
-//! on the family-typed [`StoredSketches`] it returns:
+//! Code that needs what a build sampled — the hierarchy or density net of
+//! each layer — builds with [`SchemeSpec::build_sketches`], whose
+//! [`StoredSketches`] are the spec plus a list of [`Layer`]s:
 //!
 //! ```
 //! use dsketch::prelude::*;
@@ -80,15 +80,16 @@
 //! let outcome = SchemeSpec::three_stretch(0.3)
 //!     .build_sketches(&graph, &SchemeConfig::default().with_seed(9))
 //!     .unwrap();
-//! if let StoredSketches::ThreeStretch(set) = &outcome.sketches {
-//!     println!("{} monitors sampled", set.net.len());
+//! for net in outcome.sketches.layers.iter().filter_map(|l| l.net.as_ref()) {
+//!     println!("{} monitors sampled", net.len());
 //! }
 //! ```
 //!
 //! # Crate layout
 //!
 //! * [`scheme`] — the unified construction API: `SchemeSpec`,
-//!   `SchemeConfig`, and the family-typed `StoredSketches` they build.
+//!   `SchemeConfig`, and the `StoredSketches` they build — the spec plus
+//!   its layers, each a label set with the sampling it was built from.
 //! * [`oracle`] — the unified query API: `DistanceOracle`.
 //! * [`hierarchy`] — the sampled level hierarchy `A_0 ⊇ A_1 ⊇ … ⊇ A_{k-1}`
 //!   shared by the centralized and distributed constructions.
@@ -113,8 +114,8 @@
 //!   labels packed into contiguous arrays at `freeze()` time, answering the
 //!   same queries allocation-free at hardware speed — the serving layers'
 //!   default in-memory layout.
-//! * [`slack`] — Section 4: ε-density nets, 3-stretch slack sketches,
-//!   (ε, k)-CDG sketches, and gracefully degrading sketches.
+//! * [`slack`] — Section 4: ε-density nets and the constructions of the
+//!   3-stretch slack, (ε, k)-CDG and gracefully degrading layers.
 //! * [`eval`] — stretch evaluation over any `DistanceOracle` (worst-case /
 //!   average / percentiles, slack-aware variants).
 //! * [`baseline`] — exact-oracle and landmark baselines for comparison.
@@ -165,16 +166,14 @@ pub mod prelude {
     pub use crate::hierarchy::{Hierarchy, TzParams};
     pub use crate::oracle::DistanceOracle;
     pub use crate::parallel::{BuildTimings, PhaseTiming};
-    pub use crate::query::{estimate_distance, estimate_distance_slack};
+    pub use crate::query::{estimate_distance, estimate_distance_best_common};
     pub use crate::scheme::{
-        BuildEngine, BuildOutcome, DynBuildOutcome, SchemeConfig, SchemeSpec, StoredSketches,
-        TzSketchSet,
+        BuildEngine, BuildOutcome, DynBuildOutcome, Layer, SchemeConfig, SchemeSpec, StoredSketches,
     };
     pub use crate::sketch::{Sketch, SketchSet};
-    pub use crate::slack::cdg::{CdgParams, CdgSketchSet};
-    pub use crate::slack::degrading::{DegradingParams, DegradingSketchSet};
+    pub use crate::slack::cdg::CdgParams;
+    pub use crate::slack::degrading::DegradingParams;
     pub use crate::slack::density_net::DensityNet;
-    pub use crate::slack::three_stretch::ThreeStretchSketchSet;
     // The CONGEST engine types every SchemeConfig embeds, re-exported so
     // downstream crates don't need a congest-sim dependency just to
     // configure a build.

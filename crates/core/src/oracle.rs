@@ -38,7 +38,7 @@ use netgraph::{Distance, NodeId};
 ///
 /// The trait requires `Send + Sync`: a built oracle is immutable label data,
 /// and the serving layer (`dsketch-serve`) shares one oracle across every
-/// querying thread behind an `Arc`.  All four sketch-set types are plain owned data,
+/// querying thread behind an `Arc`.  Every sketch set is plain owned data,
 /// so the bound costs implementations nothing.
 ///
 /// ```
@@ -131,9 +131,8 @@ pub(crate) fn check_nodes(n: usize, u: NodeId, v: NodeId) -> Result<(), SketchEr
 }
 
 /// A raw [`SketchSet`] answers queries with the Lemma 3.2 level walk — this
-/// is the Thorup–Zwick oracle.  (The scheme-built wrapper
-/// [`crate::scheme::TzSketchSet`] adds the sampled hierarchy; both share
-/// this query path.)
+/// is the Thorup–Zwick oracle.  (A Thorup–Zwick
+/// [`crate::scheme::StoredSketches`] answers through the same query path.)
 impl DistanceOracle for SketchSet {
     fn estimate(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
         check_nodes(self.len(), u, v)?;

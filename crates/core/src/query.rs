@@ -95,15 +95,6 @@ pub fn estimate_distance_best_common(u: &Sketch, v: &Sketch) -> Result<Distance,
     })
 }
 
-/// Query used by the slack sketches of Theorem 4.3: both sketches store the
-/// distance to every node of the density net, and the estimate is
-/// `min_{w ∈ N} d(u, w) + d(w, v)`.  Implemented for any pair of sketches by
-/// minimizing over the common bunch members; provided as a named alias so
-/// call sites read like the paper.
-pub fn estimate_distance_slack(u: &Sketch, v: &Sketch) -> Result<Distance, SketchError> {
-    estimate_distance_best_common(u, v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,7 +132,6 @@ mod tests {
         assert_eq!(estimate_distance(&u, &v).unwrap(), 5);
         assert_eq!(estimate_distance(&v, &u).unwrap(), 5);
         assert_eq!(estimate_distance_best_common(&u, &v).unwrap(), 5);
-        assert_eq!(estimate_distance_slack(&u, &v).unwrap(), 5);
     }
 
     #[test]

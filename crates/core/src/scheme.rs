@@ -6,8 +6,9 @@
 //! [`SchemeConfig::engine`] selects, and return a [`BuildOutcome`]: the
 //! sketches plus the shared round/message/word statistics.
 //! [`SchemeSpec::build_sketches`] is the one place that does this; it
-//! returns the family-typed [`StoredSketches`] (the sampled hierarchy or
-//! density net included — what a snapshot persists).
+//! returns the [`StoredSketches`] — the spec plus its layers, each a label
+//! set with the hierarchy or density net it was sampled from: what a
+//! snapshot persists.
 //! [`SchemeSpec::build`] hands back the same build
 //! [frozen](StoredSketches::freeze) into a `Box<dyn DistanceOracle>` over the
 //! [`FlatSketchSet`] — the one representation queries are served from.
@@ -34,20 +35,21 @@
 //! ```
 
 use crate::build;
-use crate::codec::{collect_sketches, read_family, CodecError, Decoder, SketchCodec};
+use crate::codec::{collect_sketches, read_family, write_family, CodecError, Decoder};
 use crate::distributed::{self, SyncMode};
 use crate::error::SketchError;
 use crate::flat::{FlatSketchSet, QueryRule};
 use crate::hierarchy::{Hierarchy, TzParams};
 use crate::oracle::{check_nodes, DistanceOracle};
 use crate::parallel::BuildTimings;
-use crate::query::estimate_distance;
+use crate::query::{estimate_distance, estimate_distance_best_common};
 use crate::sketch::SketchSet;
-use crate::slack::cdg::{self, CdgParams, CdgSketchSet};
-use crate::slack::degrading::{self, DegradingParams, DegradingSketchSet};
-use crate::slack::three_stretch::{self, ThreeStretchSketchSet};
+use crate::slack::cdg::{self, CdgParams};
+use crate::slack::degrading::{self, DegradingParams};
+use crate::slack::density_net::DensityNet;
+use crate::slack::three_stretch;
 use congest_sim::{CongestConfig, RunStats};
-use netgraph::{Distance, Graph, NodeId};
+use netgraph::{Distance, Graph, NodeId, INFINITY};
 
 /// Which construction engine a build runs on.
 ///
@@ -177,7 +179,7 @@ impl SchemeConfig {
 /// shared cost statistics every theorem of the paper is stated in.
 #[derive(Debug, Clone)]
 pub struct BuildOutcome<O> {
-    /// The built sketches: the family-typed [`StoredSketches`]
+    /// The built sketches: the [`StoredSketches`] layers
     /// ([`SchemeSpec::build_sketches`]) or the frozen `Box<dyn
     /// DistanceOracle>` ([`SchemeSpec::build`]).
     pub sketches: O,
@@ -198,120 +200,71 @@ pub struct BuildOutcome<O> {
 }
 
 /// A [`BuildOutcome`] with the sketch-set type erased: the sketches are the
-/// [`FlatSketchSet`] the typed set freezes into.
+/// [`FlatSketchSet`] the [`StoredSketches`] freeze into.
 pub type DynBuildOutcome = BuildOutcome<Box<dyn DistanceOracle>>;
 
-/// The Thorup–Zwick labels built by the distributed construction: the
-/// per-node [`SketchSet`] plus the sampled level hierarchy (the
-/// construction's shared randomness, kept so results can be replayed and
-/// compared against the centralized oracle).  Generic over its label set
-/// like [`StoredSketches`].
-#[derive(Debug, Clone)]
-pub struct TzSketchSet<S = SketchSet> {
+/// One layer of labels: a label set plus the sampling it was built from.
+///
+/// Every family is Thorup–Zwick labels over a sampled hierarchy, and a
+/// layer keeps what its family sampled: the hierarchy over all nodes
+/// (Thorup–Zwick), the density net the labels are one level over
+/// (3-stretch, Theorem 4.3), or the net with the hierarchy restricted to it
+/// and the parameters it was sampled with (CDG, Lemma 4.5; each gracefully
+/// degrading layer).  Generic over its label set like [`StoredSketches`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Layer<S = SketchSet> {
     /// The per-node labels.
     pub sketches: S,
-    /// The hierarchy the labels were built from.
-    pub hierarchy: Hierarchy,
+    /// The sampled level hierarchy (Thorup–Zwick, CDG).
+    pub hierarchy: Option<Hierarchy>,
+    /// The sampled ε-density net (3-stretch, CDG).
+    pub net: Option<DensityNet>,
+    /// The parameters the net and hierarchy were sampled with (CDG).
+    pub params: Option<CdgParams>,
+    /// The simulation cost the 3-stretch and CDG payloads record per layer
+    /// (empty for Thorup–Zwick, whose payload has no such record).
+    pub stats: RunStats,
 }
 
-/// Deref to the label set, so typed callers reach [`SketchSet`] accessors
-/// (`sketch(u)`, `iter()`, …) without spelling out `.sketches.sketches`.
-impl std::ops::Deref for TzSketchSet {
-    type Target = SketchSet;
-
-    fn deref(&self) -> &SketchSet {
-        &self.sketches
-    }
-}
-
-impl DistanceOracle for TzSketchSet {
-    fn estimate(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
-        check_nodes(self.sketches.len(), u, v)?;
-        estimate_distance(self.sketches.sketch(u), self.sketches.sketch(v))
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.sketches.len()
-    }
-
-    fn words(&self, u: NodeId) -> usize {
-        self.sketches.sketch(u).words()
-    }
-
-    fn scheme_name(&self) -> &'static str {
-        "thorup-zwick"
-    }
-
-    fn stretch_bound(&self) -> Option<u64> {
-        Some((2 * self.hierarchy.k() as u64).saturating_sub(1))
-    }
-}
-
-/// A family-typed, persistable sketch set: the concrete result of any of
-/// the four scheme constructions ([`SchemeSpec::build_sketches`]).  Callers
-/// that need a family's own fields — the hierarchy, the density net, the
-/// layers — match on the variant.
+/// A persistable sketch set: the spec it was built for plus its layers —
+/// one for Thorup–Zwick, 3-stretch and CDG, one per slack scale for the
+/// gracefully degrading family ([`SchemeSpec::build_sketches`] fills them).
 ///
-/// The family types are generic over their label set: per-node
-/// [`SketchSet`]s (the default, what builds produce), or what a decoder
-/// makes of the rows the codec's family reader hands it (see
-/// [`crate::codec`], "Family payloads").
-#[derive(Debug, Clone)]
-pub enum StoredSketches<S = SketchSet> {
-    /// Thorup–Zwick labels plus their sampled hierarchy.
-    ThorupZwick(TzSketchSet<S>),
-    /// 3-stretch slack sketches plus their density net.
-    ThreeStretch(ThreeStretchSketchSet<S>),
-    /// (ε, k)-CDG sketches.
-    Cdg(CdgSketchSet<S>),
-    /// Gracefully degrading layered sketches.
-    Degrading(DegradingSketchSet<S>),
+/// It is also the per-node reference oracle every served answer is held
+/// to: the spec's query rule on each layer — the Lemma 3.2 level walk for
+/// Thorup–Zwick, the best common landmark otherwise — and over several
+/// layers the minimum of their answers (Theorem 4.8).
+///
+/// Generic over its label sets: per-node [`SketchSet`]s (the default, what
+/// builds produce), or what a decoder makes of the rows the codec's family
+/// reader hands it (see [`crate::codec`], "Family payloads").
+#[derive(Debug, Clone, PartialEq)]
+pub struct StoredSketches<S = SketchSet> {
+    /// The scheme the layers were built for.
+    pub spec: SchemeSpec,
+    /// The layers, in the order the payload stores them.
+    pub layers: Vec<Layer<S>>,
 }
 
 impl StoredSketches {
-    /// The scheme identifier of the wrapped family.
-    pub fn scheme_name(&self) -> &'static str {
-        self.as_oracle().scheme_name()
-    }
-
-    /// Number of nodes covered.
-    pub fn num_nodes(&self) -> usize {
-        self.as_oracle().num_nodes()
-    }
-
     /// Borrow as the uniform query interface.
     pub fn as_oracle(&self) -> &dyn DistanceOracle {
-        match self {
-            StoredSketches::ThorupZwick(s) => s,
-            StoredSketches::ThreeStretch(s) => s,
-            StoredSketches::Cdg(s) => s,
-            StoredSketches::Degrading(s) => s,
-        }
+        self
     }
 
-    /// Freeze the wrapped family into the flat CSR query representation
-    /// (see [`crate::flat`]).  Freezing copies the labels once and drops
+    /// Freeze the layers into the flat CSR query representation (see
+    /// [`crate::flat`]).  Freezing copies the labels once and drops
     /// construction-only state (per-node allocations, bunch levels); it
     /// never changes an answer — the frozen set's `estimate(u, v)` equals
-    /// [`StoredSketches::as_oracle`]'s for every pair, errors included.
+    /// this set's for every pair, errors included.
     pub fn freeze(&self) -> FlatSketchSet {
-        let sets = match self {
-            StoredSketches::ThorupZwick(s) => vec![&s.sketches],
-            StoredSketches::ThreeStretch(s) => vec![&s.sketches],
-            StoredSketches::Cdg(s) => vec![&s.sketches],
-            StoredSketches::Degrading(s) => s.layers.iter().map(|l| &l.sketches).collect(),
-        };
-        FlatSketchSet::frozen(self.served_as(), &sets)
+        let sets = self.layers.iter().map(|layer| &layer.sketches);
+        FlatSketchSet::frozen(self.spec.served_as(), sets)
     }
 
     /// Encode the family payload (the `SKCH` section body of a snapshot).
     pub fn encode_payload(&self) -> Vec<u8> {
-        match self {
-            StoredSketches::ThorupZwick(s) => s.to_bytes(),
-            StoredSketches::ThreeStretch(s) => s.to_bytes(),
-            StoredSketches::Cdg(s) => s.to_bytes(),
-            StoredSketches::Degrading(s) => s.to_bytes(),
-        }
+        write_family(self)
     }
 
     /// Decode the family payload of `spec`'s scheme into per-node sketches:
@@ -328,31 +281,55 @@ impl StoredSketches {
     }
 }
 
-impl<S> StoredSketches<S> {
-    /// How the family is served, whatever its labels are held in: its query
-    /// rule — the Lemma 3.2 level walk for Thorup–Zwick, the best common
-    /// landmark for the slack families (Theorems 4.3 and 4.6) and the
-    /// degrading layers — its name and its stretch bound.
-    pub(crate) fn served_as(&self) -> (QueryRule, &'static str, Option<u64>) {
-        match self {
-            StoredSketches::ThorupZwick(s) => {
-                let stretch = (2 * s.hierarchy.k() as u64).saturating_sub(1);
-                (QueryRule::LevelWalk, "thorup-zwick", Some(stretch))
-            }
-            StoredSketches::ThreeStretch(_) => (QueryRule::BestCommon, "three-stretch", Some(3)),
-            StoredSketches::Cdg(s) => (QueryRule::BestCommon, "cdg", Some(s.params.stretch())),
-            StoredSketches::Degrading(_) => (QueryRule::BestCommon, "degrading", None),
+/// The cost of `layers` together: the total a degrading payload closes
+/// with, and a degrading build's.
+pub(crate) fn total_stats<S>(layers: &[Layer<S>]) -> RunStats {
+    let mut total = RunStats::default();
+    layers.iter().for_each(|layer| total.absorb(&layer.stats));
+    total
+}
+
+impl DistanceOracle for StoredSketches {
+    fn estimate(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
+        check_nodes(self.num_nodes(), u, v)?;
+        let rule = match self.spec.served_as().0 {
+            QueryRule::LevelWalk => estimate_distance,
+            QueryRule::BestCommon => estimate_distance_best_common,
+        };
+        let answer = |layer: &Layer| rule(layer.sketches.sketch(u), layer.sketches.sketch(v));
+        if let [layer] = self.layers.as_slice() {
+            return answer(layer);
+        }
+        // `INFINITY` stands for "no layer answered".
+        let best = self
+            .layers
+            .iter()
+            .filter_map(|layer| answer(layer).ok())
+            .fold(INFINITY, Distance::min);
+        if best == INFINITY {
+            Err(SketchError::NoCommonLandmark { u, v })
+        } else {
+            Ok(best)
         }
     }
 
-    /// The label sets, one per layer.
-    pub(crate) fn into_label_sets(self) -> Vec<S> {
-        match self {
-            StoredSketches::ThorupZwick(s) => vec![s.sketches],
-            StoredSketches::ThreeStretch(s) => vec![s.sketches],
-            StoredSketches::Cdg(s) => vec![s.sketches],
-            StoredSketches::Degrading(s) => s.layers.into_iter().map(|l| l.sketches).collect(),
-        }
+    fn num_nodes(&self) -> usize {
+        self.layers.first().map_or(0, |layer| layer.sketches.len())
+    }
+
+    fn words(&self, u: NodeId) -> usize {
+        self.layers
+            .iter()
+            .map(|l| l.sketches.sketch(u).words())
+            .sum()
+    }
+
+    fn scheme_name(&self) -> &'static str {
+        self.spec.name()
+    }
+
+    fn stretch_bound(&self) -> Option<u64> {
+        self.spec.served_as().2
     }
 }
 
@@ -412,28 +389,30 @@ impl RunCost {
     }
 }
 
-/// Run one family's construction on the engine `config` selects —
-/// `simulated` on [`BuildEngine::Congest`], `direct` on
-/// [`BuildEngine::Parallel`] — and assemble its outcome, the sketches
-/// wrapped in their family's variant.
-fn on_engine<S>(
+/// Run `spec`'s construction on the engine `config` selects — `simulated`
+/// on [`BuildEngine::Congest`], `direct` on [`BuildEngine::Parallel`] — and
+/// assemble its outcome from the layers it built.
+fn on_engine(
+    spec: &SchemeSpec,
     config: &SchemeConfig,
-    wrap: fn(S) -> StoredSketches,
-    simulated: impl FnOnce() -> Result<(RunCost, S), SketchError>,
-    direct: impl FnOnce() -> Result<(S, BuildTimings), SketchError>,
+    simulated: impl FnOnce() -> Result<(RunCost, Vec<Layer>), SketchError>,
+    direct: impl FnOnce() -> Result<(Vec<Layer>, BuildTimings), SketchError>,
 ) -> Result<BuildOutcome<StoredSketches>, SketchError> {
-    let (cost, sketches, timings) = match config.engine {
+    let (cost, layers, timings) = match config.engine {
         BuildEngine::Congest => {
-            let (cost, sketches) = simulated()?;
-            (cost, sketches, BuildTimings::default())
+            let (cost, layers) = simulated()?;
+            (cost, layers, BuildTimings::default())
         }
         BuildEngine::Parallel => {
-            let (sketches, timings) = direct()?;
-            (RunCost::default(), sketches, timings)
+            let (layers, timings) = direct()?;
+            (RunCost::default(), layers, timings)
         }
     };
     Ok(BuildOutcome {
-        sketches: wrap(sketches),
+        sketches: StoredSketches {
+            spec: *spec,
+            layers,
+        },
         stats: cost.stats,
         phase_stats: cost.phase_stats,
         tree_stats: cost.tree_stats,
@@ -473,6 +452,23 @@ impl SchemeSpec {
             SchemeSpec::Cdg { .. } => "cdg",
             SchemeSpec::Degrading { .. } => "degrading",
         }
+    }
+
+    /// How the family is served: its query rule — the Lemma 3.2 level walk
+    /// for Thorup–Zwick, the best common landmark for the slack families
+    /// (Theorems 4.3 and 4.6) and the degrading layers — its name, and its
+    /// stretch bound (`2k − 1`; `3` and `8k − 1` on ε-far pairs; none for
+    /// the degrading curve).  The decoders hold a payload's hierarchy `k`
+    /// and CDG params to the spec, so the spec's parameters are the labels'.
+    pub(crate) fn served_as(&self) -> (QueryRule, &'static str, Option<u64>) {
+        let times = |k: usize, factor: u64| (k as u64).saturating_mul(factor).saturating_sub(1);
+        let (rule, stretch) = match *self {
+            SchemeSpec::ThorupZwick { k } => (QueryRule::LevelWalk, Some(times(k, 2))),
+            SchemeSpec::ThreeStretch { .. } => (QueryRule::BestCommon, Some(3)),
+            SchemeSpec::Cdg { k, .. } => (QueryRule::BestCommon, Some(times(k, 8))),
+            SchemeSpec::Degrading { .. } => (QueryRule::BestCommon, None),
+        };
+        (rule, self.name(), stretch)
     }
 
     /// One representative spec per family, with parameters suited to small
@@ -610,14 +606,15 @@ impl SchemeSpec {
         }
     }
 
-    /// Run the construction on the engine `config` selects, keeping the
-    /// family-typed result — the one place a spec becomes sketches.
+    /// Run the construction on the engine `config` selects, keeping its
+    /// layers — the one place a spec becomes sketches.
     ///
     /// Each family validates its parameters (a zero `k` or degrading cap,
     /// a `k` above `max(1, ⌈log₂ n⌉)`, an ε outside `(0, 1]` is
     /// [`SketchError::InvalidParameters`]),
     /// samples its hierarchy or density net from [`SchemeConfig::seed`],
-    /// and runs its construction: the CONGEST simulation records the
+    /// and runs its construction, which fills the [`Layer`]s of the
+    /// returned [`StoredSketches`]: the CONGEST simulation records the
     /// round/message cost, the direct parallel engine the wall-clock
     /// timings, and both build identical sketches.
     pub fn build_sketches(
@@ -648,9 +645,17 @@ impl SchemeSpec {
                     Hierarchy::sample_until_top_nonempty(graph.num_nodes(), &params, 1000)
                         .map(|(hierarchy, _)| hierarchy)
                 };
+                // The payload records no cost for a Thorup–Zwick layer.
+                let layer = |sketches, hierarchy| Layer {
+                    sketches,
+                    hierarchy: Some(hierarchy),
+                    net: None,
+                    params: None,
+                    stats: RunStats::default(),
+                };
                 on_engine(
+                    self,
                     config,
-                    StoredSketches::ThorupZwick,
                     || {
                         let run = distributed::build_with_hierarchy(graph, sample()?, config)?;
                         let cost = RunCost {
@@ -658,51 +663,37 @@ impl SchemeSpec {
                             phase_stats: run.phase_stats,
                             tree_stats: run.tree_stats,
                         };
-                        let (sketches, hierarchy) = (run.sketches, run.hierarchy);
-                        Ok((
-                            cost,
-                            TzSketchSet {
-                                sketches,
-                                hierarchy,
-                            },
-                        ))
+                        Ok((cost, vec![layer(run.sketches, run.hierarchy)]))
                     },
                     || {
                         let hierarchy = sample()?;
                         let built = build::thorup_zwick(graph, &hierarchy, config.threads);
-                        let sketches = built.sketches;
-                        Ok((
-                            TzSketchSet {
-                                sketches,
-                                hierarchy,
-                            },
-                            built.timings,
-                        ))
+                        Ok((vec![layer(built.sketches, hierarchy)], built.timings))
                     },
                 )
             }
             // ε is validated where the density net is sampled.
             SchemeSpec::ThreeStretch { eps } => on_engine(
+                self,
                 config,
-                StoredSketches::ThreeStretch,
                 || {
-                    let set = three_stretch::build(graph, eps, config)?;
-                    Ok((RunCost::total(&set.stats), set))
+                    three_stretch::build(graph, eps, config)
+                        .map(|l| (RunCost::total(&l.stats), vec![l]))
                 },
-                || three_stretch::build_direct(graph, eps, config),
+                || three_stretch::build_direct(graph, eps, config).map(|(l, t)| (vec![l], t)),
             ),
             SchemeSpec::Cdg { eps, k } => {
                 let params = CdgParams::new(eps, k).with_seed(config.seed);
                 params.validate()?;
                 levels(k)?;
                 on_engine(
+                    self,
                     config,
-                    StoredSketches::Cdg,
                     || {
-                        let set = cdg::build(graph, params, config)?;
-                        Ok((RunCost::total(&set.stats), set))
+                        cdg::build(graph, params, config)
+                            .map(|l| (RunCost::total(&l.stats), vec![l]))
                     },
-                    || cdg::build_direct(graph, params, config),
+                    || cdg::build_direct(graph, params, config).map(|(l, t)| (vec![l], t)),
                 )
             }
             SchemeSpec::Degrading { max_layers, max_k } => {
@@ -717,15 +708,15 @@ impl SchemeSpec {
                     max_k,
                 };
                 on_engine(
+                    self,
                     config,
-                    StoredSketches::Degrading,
                     || {
-                        let set = degrading::build(graph, params, config)?;
+                        let layers = degrading::build(graph, params, config)?;
                         let cost = RunCost {
-                            phase_stats: set.layers.iter().map(|l| l.stats.clone()).collect(),
-                            ..RunCost::total(&set.stats)
+                            phase_stats: layers.iter().map(|l| l.stats.clone()).collect(),
+                            ..RunCost::total(&total_stats(&layers))
                         };
-                        Ok((cost, set))
+                        Ok((cost, layers))
                     },
                     || degrading::build_direct(graph, params, config),
                 )
@@ -734,7 +725,7 @@ impl SchemeSpec {
     }
 
     /// Run the construction ([`SchemeSpec::build_sketches`]), returning
-    /// type-erased sketches: the typed set, [frozen](StoredSketches::freeze)
+    /// type-erased sketches: the layers, [frozen](StoredSketches::freeze)
     /// into the [`FlatSketchSet`] every query is served from.
     pub fn build(
         &self,
@@ -807,23 +798,42 @@ mod tests {
 
     #[test]
     fn typed_builds_expose_concrete_types() {
-        use StoredSketches as S;
         let graph = small_graph();
         let config = SchemeConfig::default().with_seed(3);
         let build = |spec: &str| {
             let spec = SchemeSpec::parse(spec).unwrap();
-            spec.build_sketches(&graph, &config).unwrap()
+            let outcome = spec.build_sketches(&graph, &config).unwrap();
+            assert_eq!(outcome.sketches.spec, spec);
+            outcome
+        };
+        // Which of (hierarchy, net, params) a layer keeps.
+        let parts = |layer: &Layer| {
+            let (h, n, p) = (&layer.hierarchy, &layer.net, &layer.params);
+            (h.is_some(), n.is_some(), p.is_some())
         };
 
         let tz = build("tz:2");
-        assert!(matches!(&tz.sketches, S::ThorupZwick(set) if set.hierarchy.k() == 2));
+        let [layer] = tz.sketches.layers.as_slice() else {
+            panic!("one Thorup–Zwick layer");
+        };
+        assert_eq!(parts(layer), (true, false, false));
+        assert_eq!(layer.hierarchy.as_ref().unwrap().k(), 2);
         assert_eq!(tz.phase_stats.len(), 2, "one entry per phase");
         let three = build("3stretch:0.4").sketches;
-        assert!(matches!(three, S::ThreeStretch(set) if !set.net.is_empty()));
+        assert_eq!(three.layers.len(), 1);
+        assert_eq!(parts(&three.layers[0]), (false, true, false));
+        assert!(!three.layers[0].net.as_ref().unwrap().is_empty());
         let cdg = build("cdg:0.4,2").sketches;
-        assert!(matches!(cdg, S::Cdg(set) if set.params.k == 2));
+        assert_eq!(cdg.layers.len(), 1);
+        assert_eq!(parts(&cdg.layers[0]), (true, true, true));
+        assert_eq!(cdg.layers[0].params.unwrap().k, 2);
         let deg = build("degrading:k=2,layers=2");
-        assert!(matches!(&deg.sketches, S::Degrading(set) if set.num_layers() == 2));
+        assert_eq!(deg.sketches.layers.len(), 2);
+        assert!(deg
+            .sketches
+            .layers
+            .iter()
+            .all(|l| parts(l) == (true, true, true)));
         assert_eq!(deg.phase_stats.len(), 2, "one entry per layer");
         let layer_rounds: u64 = deg.phase_stats.iter().map(|s| s.rounds).sum();
         assert_eq!(layer_rounds, deg.stats.rounds);

@@ -271,36 +271,10 @@ impl SketchSet {
         &self.sketches[node.index()]
     }
 
-    /// Iterator over all sketches in node order.
+    /// Iterator over all sketches in node order.  (Label-size totals are
+    /// the set's [`DistanceOracle`](crate::oracle::DistanceOracle) methods.)
     pub fn iter(&self) -> impl Iterator<Item = &Sketch> {
         self.sketches.iter()
-    }
-
-    /// Maximum label size over all nodes, in words.
-    pub fn max_words(&self) -> usize {
-        self.sketches.iter().map(Sketch::words).max().unwrap_or(0)
-    }
-
-    /// Mean label size, in words.
-    pub fn avg_words(&self) -> f64 {
-        if self.sketches.is_empty() {
-            return 0.0;
-        }
-        self.sketches.iter().map(Sketch::words).sum::<usize>() as f64 / self.sketches.len() as f64
-    }
-
-    /// Total size of all labels, in words.
-    pub fn total_words(&self) -> usize {
-        self.sketches.iter().map(Sketch::words).sum()
-    }
-
-    /// Maximum bunch size over all nodes.
-    pub fn max_bunch_size(&self) -> usize {
-        self.sketches
-            .iter()
-            .map(Sketch::bunch_size)
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -442,6 +416,7 @@ mod tests {
 
     #[test]
     fn sketch_set_statistics() {
+        use crate::oracle::DistanceOracle;
         let mut a = Sketch::new(NodeId(0), 2);
         a.set_pivot(0, NodeId(0), 0);
         a.insert_bunch(NodeId(1), 0, 1);
@@ -456,12 +431,12 @@ mod tests {
         assert_eq!(set.max_words(), 6);
         assert_eq!(set.total_words(), 10);
         assert!((set.avg_words() - 5.0).abs() < 1e-9);
-        assert_eq!(set.max_bunch_size(), 2);
         assert_eq!(set.iter().count(), 2);
     }
 
     #[test]
     fn empty_sketch_set() {
+        use crate::oracle::DistanceOracle;
         let set = SketchSet::new(vec![]);
         assert!(set.is_empty());
         assert_eq!(set.max_words(), 0);

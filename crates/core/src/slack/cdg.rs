@@ -22,14 +22,11 @@
 use crate::distributed;
 use crate::error::SketchError;
 use crate::hierarchy::Hierarchy;
-use crate::oracle::{check_nodes, DistanceOracle};
 use crate::parallel::BuildTimings;
-use crate::query::{estimate_distance, estimate_distance_best_common};
-use crate::scheme::SchemeConfig;
-use crate::sketch::SketchSet;
+use crate::scheme::{Layer, SchemeConfig};
 use crate::slack::density_net::DensityNet;
 use congest_sim::RunStats;
-use netgraph::{Distance, Graph, NodeId};
+use netgraph::Graph;
 
 /// Parameters of a CDG sketch construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,97 +84,26 @@ impl CdgParams {
     }
 }
 
-/// The result of a CDG construction (generic over its label set like
-/// [`StoredSketches`](crate::scheme::StoredSketches)).
-#[derive(Debug, Clone)]
-pub struct CdgSketchSet<S = SketchSet> {
-    /// Parameters the sketches were built with.
-    pub params: CdgParams,
-    /// The sampled density net.
-    pub net: DensityNet,
-    /// The net-restricted hierarchy.
-    pub hierarchy: Hierarchy,
-    /// Per-node labels (pivots and bunches live inside the net).
-    pub sketches: S,
-    /// Simulation cost.
-    pub stats: RunStats,
-}
-
-impl CdgSketchSet {
-    /// Estimate `d(u, v)` with the Lemma 3.2 level walk over the
-    /// net-restricted labels.
-    pub fn estimate(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
-        estimate_distance(self.sketches.sketch(u), self.sketches.sketch(v))
-    }
-
-    /// Estimate using the best common landmark (never worse than
-    /// [`CdgSketchSet::estimate`]).
-    pub fn estimate_best(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
-        estimate_distance_best_common(self.sketches.sketch(u), self.sketches.sketch(v))
-    }
-
-    /// The closest net node to `u` and its distance (`p_0(u)`).
-    pub fn closest_net_node(&self, u: NodeId) -> Option<(NodeId, Distance)> {
-        self.sketches.sketch(u).pivot(0)
-    }
-
-    /// Maximum label size in words.
-    pub fn max_words(&self) -> usize {
-        self.sketches.max_words()
-    }
-
-    /// Average label size in words.
-    pub fn avg_words(&self) -> f64 {
-        self.sketches.avg_words()
-    }
-}
-
-impl DistanceOracle for CdgSketchSet {
-    /// Queries use the best-common-landmark rule
-    /// ([`CdgSketchSet::estimate_best`]), which is never worse than the
-    /// Lemma 3.2 level walk and satisfies the same `(8k − 1)` ε-slack bound.
-    fn estimate(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
-        check_nodes(self.sketches.len(), u, v)?;
-        self.estimate_best(u, v)
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.sketches.len()
-    }
-
-    fn words(&self, u: NodeId) -> usize {
-        self.sketches.sketch(u).words()
-    }
-
-    fn scheme_name(&self) -> &'static str {
-        "cdg"
-    }
-
-    /// Theorem 4.6's `8k − 1` bound, covering the ε-far pairs.
-    fn stretch_bound(&self) -> Option<u64> {
-        Some(self.params.stretch())
-    }
-}
-
 /// The Theorem 4.6 construction on the CONGEST engine: sample the net,
 /// restrict the hierarchy to it, run the distributed Thorup–Zwick engine.
 /// `params` are valid ([`CdgParams::validate`]) and carry the seed; `config`
 /// the engine settings.  The engine behind [`crate::scheme::SchemeSpec::Cdg`]
 /// (and each degrading layer) on [`crate::scheme::BuildEngine::Congest`].
+/// The layer's pivots and bunches live inside the net.
 pub(crate) fn build(
     graph: &Graph,
     params: CdgParams,
     config: &SchemeConfig,
-) -> Result<CdgSketchSet, SketchError> {
+) -> Result<Layer, SketchError> {
     let n = graph.num_nodes();
     let net = DensityNet::sample_nonempty(n, params.eps, params.seed)?;
     let hierarchy = sample_net_hierarchy(n, &net, params)?;
     let result = distributed::build_with_hierarchy(graph, hierarchy, config)?;
-    Ok(CdgSketchSet {
-        params,
-        net,
-        hierarchy: result.hierarchy,
+    Ok(Layer {
         sketches: result.sketches,
+        hierarchy: Some(result.hierarchy),
+        net: Some(net),
+        params: Some(params),
         stats: result.stats,
     })
 }
@@ -191,21 +117,19 @@ pub(crate) fn build_direct(
     graph: &Graph,
     params: CdgParams,
     config: &SchemeConfig,
-) -> Result<(CdgSketchSet, BuildTimings), SketchError> {
+) -> Result<(Layer, BuildTimings), SketchError> {
     let n = graph.num_nodes();
     let net = DensityNet::sample_nonempty(n, params.eps, params.seed)?;
     let hierarchy = sample_net_hierarchy(n, &net, params)?;
     let built = crate::build::thorup_zwick(graph, &hierarchy, config.threads);
-    Ok((
-        CdgSketchSet {
-            params,
-            net,
-            hierarchy,
-            sketches: built.sketches,
-            stats: RunStats::default(),
-        },
-        built.timings,
-    ))
+    let layer = Layer {
+        sketches: built.sketches,
+        hierarchy: Some(hierarchy),
+        net: Some(net),
+        params: Some(params),
+        stats: RunStats::default(),
+    };
+    Ok((layer, built.timings))
 }
 
 /// Sample the net-restricted hierarchy, retrying seeds (and, as a last
@@ -243,20 +167,24 @@ fn sample_net_hierarchy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::DistanceOracle;
+    use crate::query::estimate_distance;
     use crate::slack::is_eps_far;
     use netgraph::apsp::DistanceTable;
     use netgraph::generators::{erdos_renyi, grid, ring, GeneratorConfig};
 
-    fn build_scheme(graph: &Graph, params: CdgParams) -> CdgSketchSet {
+    fn build_scheme(graph: &Graph, params: CdgParams) -> Layer {
         build(graph, params, &SchemeConfig::default()).unwrap()
     }
 
-    fn check_cdg(graph: &Graph, params: CdgParams) -> CdgSketchSet {
+    /// The Lemma 3.2 level walk over the net-restricted labels holds the
+    /// `8k − 1` bound on ε-far pairs.
+    fn check_cdg(graph: &Graph, params: CdgParams) {
         let table = DistanceTable::exact(graph);
-        let result = build_scheme(graph, params);
+        let sketches = build_scheme(graph, params).sketches;
         let bound = params.stretch();
         for (u, v, exact) in table.pairs() {
-            if let Ok(est) = result.estimate(u, v) {
+            if let Ok(est) = estimate_distance(sketches.sketch(u), sketches.sketch(v)) {
                 assert!(est >= exact, "underestimate for ({u},{v})");
                 if is_eps_far(&table, u, v, params.eps) {
                     assert!(
@@ -270,7 +198,6 @@ mod tests {
                 assert!(!is_eps_far(&table, u, v, params.eps));
             }
         }
-        result
     }
 
     #[test]
@@ -297,17 +224,18 @@ mod tests {
         let table = DistanceTable::exact(&g);
         let params = CdgParams::new(0.3, 2).with_seed(3);
         let result = build_scheme(&g, params);
+        let net = result.net.unwrap();
         for u in g.nodes() {
-            let (closest, dist) = result.closest_net_node(u).expect("net is nonempty");
-            let exact_min = result
-                .net
+            // p_0(u) is the closest net node.
+            let (closest, dist) = result.sketches.sketch(u).pivot(0).expect("net is nonempty");
+            let exact_min = net
                 .members()
                 .iter()
                 .map(|&w| table.distance(u, w))
                 .min()
                 .unwrap();
             assert_eq!(dist, exact_min, "closest-net distance wrong at {u}");
-            assert!(result.net.contains(closest));
+            assert!(net.contains(closest));
         }
     }
 
@@ -319,10 +247,11 @@ mod tests {
         let g = erdos_renyi(n, 0.05, GeneratorConfig::uniform(11, 1, 10));
         let params = CdgParams::new(0.2, 2).with_seed(5);
         let result = build_scheme(&g, params);
-        assert!(result.max_words() <= 2 * (result.net.len() + params.k));
+        let net = result.net.unwrap();
+        assert!(result.sketches.max_words() <= 2 * (net.len() + params.k));
         for s in result.sketches.iter() {
             for &(member, _) in s.bunch() {
-                assert!(result.net.contains(member), "bunch member outside the net");
+                assert!(net.contains(member), "bunch member outside the net");
             }
         }
     }

@@ -10,13 +10,10 @@
 //! worst-case stretch and `O(1)` average stretch.
 
 use crate::error::SketchError;
-use crate::oracle::{check_nodes, DistanceOracle};
 use crate::parallel::{resolve_threads, BuildTimings};
-use crate::scheme::SchemeConfig;
-use crate::sketch::SketchSet;
-use crate::slack::cdg::{self, CdgParams, CdgSketchSet};
-use congest_sim::RunStats;
-use netgraph::{Distance, Graph, NodeId, INFINITY};
+use crate::scheme::{Layer, SchemeConfig};
+use crate::slack::cdg::{self, CdgParams};
+use netgraph::Graph;
 
 /// Parameters of the gracefully degrading construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,103 +56,19 @@ impl DegradingParams {
     }
 }
 
-/// The union-of-layers sketch set (generic over its label sets like
-/// [`StoredSketches`](crate::scheme::StoredSketches)).
-#[derive(Debug, Clone)]
-pub struct DegradingSketchSet<S = SketchSet> {
-    /// One CDG sketch set per slack scale `ε_i = 2^{-i}`.
-    pub layers: Vec<CdgSketchSet<S>>,
-    /// Total simulation cost (sum over layers).
-    pub stats: RunStats,
-}
-
-impl DegradingSketchSet {
-    /// Estimate `d(u, v)`: the minimum over the per-layer estimates
-    /// (Theorem 4.8's query rule).
-    pub fn estimate(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
-        let mut best = INFINITY;
-        for layer in &self.layers {
-            if let Ok(est) = layer.estimate_best(u, v) {
-                best = best.min(est);
-            }
-        }
-        if best == INFINITY {
-            Err(SketchError::NoCommonLandmark { u, v })
-        } else {
-            Ok(best)
-        }
-    }
-
-    /// Total sketch size of node `u` in words (summed over layers).
-    pub fn words(&self, u: NodeId) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.sketches.sketch(u).words())
-            .sum()
-    }
-
-    /// Maximum per-node total sketch size in words.
-    pub fn max_words(&self) -> usize {
-        if self.layers.is_empty() {
-            return 0;
-        }
-        let n = self.layers[0].sketches.len();
-        (0..n)
-            .map(|u| self.words(NodeId::from_index(u)))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-}
-
-impl DistanceOracle for DegradingSketchSet {
-    fn estimate(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
-        let n = self.layers.first().map_or(0, |l| l.sketches.len());
-        check_nodes(n, u, v)?;
-        DegradingSketchSet::estimate(self, u, v)
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.layers.first().map_or(0, |l| l.sketches.len())
-    }
-
-    fn words(&self, u: NodeId) -> usize {
-        DegradingSketchSet::words(self, u)
-    }
-
-    fn scheme_name(&self) -> &'static str {
-        "degrading"
-    }
-
-    /// No single multiplicative bound: the guarantee is the curve
-    /// `O(log 1/ε)` for every ε simultaneously (Theorem 4.8).
-    fn stretch_bound(&self) -> Option<u64> {
-        None
-    }
-}
-
 /// The Theorem 4.8 layered construction on the CONGEST engine, one
-/// [`cdg::build`] per layer.  The engine behind
+/// [`cdg::build`] per slack scale `ε_i = 2^{-i}`.  The engine behind
 /// [`crate::scheme::SchemeSpec::Degrading`] on
 /// [`crate::scheme::BuildEngine::Congest`].
 pub(crate) fn build(
     graph: &Graph,
     params: DegradingParams,
     config: &SchemeConfig,
-) -> Result<DegradingSketchSet, SketchError> {
-    let n = graph.num_nodes();
-    let mut layers = Vec::new();
-    let mut stats = RunStats::default();
-    for layer_params in params.layers(n) {
-        let layer = cdg::build(graph, layer_params, config)?;
-        stats.absorb(&layer.stats);
-        layers.push(layer);
-    }
-    Ok(DegradingSketchSet { layers, stats })
+) -> Result<Vec<Layer>, SketchError> {
+    let layers = params.layers(graph.num_nodes()).into_iter();
+    layers
+        .map(|layer| cdg::build(graph, layer, config))
+        .collect()
 }
 
 /// The direct parallel counterpart of [`build`]: the same layer schedule,
@@ -167,7 +80,7 @@ pub(crate) fn build_direct(
     graph: &Graph,
     params: DegradingParams,
     config: &SchemeConfig,
-) -> Result<(DegradingSketchSet, BuildTimings), SketchError> {
+) -> Result<(Vec<Layer>, BuildTimings), SketchError> {
     let n = graph.num_nodes();
     let mut layers = Vec::new();
     let mut timings = BuildTimings::new(resolve_threads(config.threads));
@@ -176,26 +89,27 @@ pub(crate) fn build_direct(
         timings.absorb_prefixed(&format!("layer{index}/"), layer_timings);
         layers.push(layer);
     }
-    Ok((
-        DegradingSketchSet {
-            layers,
-            stats: RunStats::default(),
-        },
-        timings,
-    ))
+    Ok((layers, timings))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::DistanceOracle;
+    use crate::query::estimate_distance_best_common;
+    use crate::scheme::{SchemeSpec, StoredSketches};
     use netgraph::apsp::DistanceTable;
     use netgraph::generators::{erdos_renyi, grid, GeneratorConfig};
+    use netgraph::NodeId;
 
-    fn build_scheme(graph: &Graph, params: DegradingParams) -> DegradingSketchSet {
-        build(graph, params, &SchemeConfig::default()).unwrap()
+    fn build_scheme(graph: &Graph, params: DegradingParams) -> StoredSketches {
+        let layers = build(graph, params, &SchemeConfig::default()).unwrap();
+        let (max_layers, max_k) = (params.max_layers, params.max_k);
+        let spec = SchemeSpec::Degrading { max_layers, max_k };
+        StoredSketches { spec, layers }
     }
 
-    fn average_and_worst_stretch(graph: &Graph, sketches: &DegradingSketchSet) -> (f64, f64) {
+    fn average_and_worst_stretch(graph: &Graph, sketches: &StoredSketches) -> (f64, f64) {
         let table = DistanceTable::exact(graph);
         let mut total = 0.0;
         let mut count = 0usize;
@@ -286,7 +200,8 @@ mod tests {
                 }
                 let combined = sketches.estimate(u, v).unwrap();
                 for layer in &sketches.layers {
-                    if let Ok(layer_est) = layer.estimate_best(u, v) {
+                    let (su, sv) = (layer.sketches.sketch(u), layer.sketches.sketch(v));
+                    if let Ok(layer_est) = estimate_distance_best_common(su, sv) {
                         assert!(combined <= layer_est);
                     }
                 }
@@ -305,7 +220,7 @@ mod tests {
                 ..DegradingParams::new(4)
             },
         );
-        assert_eq!(sketches.num_layers(), 3);
+        assert_eq!(sketches.layers.len(), 3);
         let u = NodeId(5);
         let manual: usize = sketches
             .layers
@@ -314,6 +229,6 @@ mod tests {
             .sum();
         assert_eq!(sketches.words(u), manual);
         assert!(sketches.max_words() >= manual);
-        assert!(sketches.stats.rounds > 0);
+        assert!(sketches.layers.iter().all(|l| l.stats.rounds > 0));
     }
 }

@@ -46,11 +46,7 @@ impl DensityNet {
             .filter(|_| rng.gen_bool(p))
             .map(NodeId::from_index)
             .collect();
-        Ok(DensityNet {
-            eps_times_1000: (eps * 1000.0).round() as u64,
-            members,
-            num_nodes,
-        })
+        Ok(DensityNet::from_members(num_nodes, eps, members))
     }
 
     /// Sample, retrying with successive seeds until the net is non-empty
@@ -81,6 +77,12 @@ impl DensityNet {
     /// The slack parameter ε.
     pub fn eps(&self) -> f64 {
         self.eps_times_1000 as f64 / 1000.0
+    }
+
+    /// Whether the net was sampled for `eps`, as far as its own unit —
+    /// thousandths — tells.
+    pub(crate) fn sampled_for(&self, eps: f64) -> bool {
+        eps.is_finite() && (eps * 1000.0).round() as u64 == self.eps_times_1000
     }
 
     /// The net nodes.

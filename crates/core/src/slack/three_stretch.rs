@@ -8,10 +8,8 @@
 //! `3 · d(u, v)` whenever `v` is ε-far from `u`.
 
 use crate::error::SketchError;
-use crate::oracle::{check_nodes, DistanceOracle};
 use crate::parallel::{parallel_map, resolve_threads, BuildTimings};
-use crate::query::estimate_distance_slack;
-use crate::scheme::SchemeConfig;
+use crate::scheme::{Layer, SchemeConfig};
 use crate::sketch::{BunchEntry, Sketch, SketchSet};
 use crate::slack::density_net::DensityNet;
 use congest_sim::programs::bellman_ford::KSourceBellmanFord;
@@ -20,52 +18,16 @@ use netgraph::shortest_path::multi_source_dijkstra;
 use netgraph::{Distance, Graph, NodeId, INFINITY};
 use std::time::Instant;
 
-/// Result of the Theorem 4.3 construction (generic over its label set like
-/// [`StoredSketches`](crate::scheme::StoredSketches)).
-#[derive(Debug, Clone)]
-pub struct ThreeStretchSketchSet<S = SketchSet> {
-    /// The sampled density net.
-    pub net: DensityNet,
-    /// Per-node sketches: every node stores its distance to every net node.
-    /// (Represented with the shared [`Sketch`] type using a single level.)
-    pub sketches: S,
-    /// Simulation cost of the construction.
-    pub stats: RunStats,
-}
-
-impl ThreeStretchSketchSet {
-    /// Estimate `d(u, v)` from the two nodes' sketches.
-    pub fn estimate(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
-        estimate_distance_slack(self.sketches.sketch(u), self.sketches.sketch(v))
-    }
-
-    /// Maximum sketch size in words.
-    pub fn max_words(&self) -> usize {
-        self.sketches.max_words()
-    }
-}
-
-impl DistanceOracle for ThreeStretchSketchSet {
-    fn estimate(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
-        check_nodes(self.sketches.len(), u, v)?;
-        ThreeStretchSketchSet::estimate(self, u, v)
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.sketches.len()
-    }
-
-    fn words(&self, u: NodeId) -> usize {
-        self.sketches.sketch(u).words()
-    }
-
-    fn scheme_name(&self) -> &'static str {
-        "three-stretch"
-    }
-
-    /// Theorem 4.3's bound, covering the ε-far pairs.
-    fn stretch_bound(&self) -> Option<u64> {
-        Some(3)
+/// The one layer of a Theorem 4.3 set: per-node labels of a single level —
+/// every node's distance to every net node, the nearest as its pivot —
+/// over the sampled net, with the construction's cost.
+fn layer(net: DensityNet, sketches: Vec<Sketch>, stats: RunStats) -> Layer {
+    Layer {
+        sketches: SketchSet::new(sketches),
+        hierarchy: None,
+        net: Some(net),
+        params: None,
+        stats,
     }
 }
 
@@ -74,11 +36,7 @@ impl DistanceOracle for ThreeStretchSketchSet {
 /// flood, so `config.sync` does not apply.  The engine behind
 /// [`crate::scheme::SchemeSpec::ThreeStretch`] on
 /// [`crate::scheme::BuildEngine::Congest`].
-pub(crate) fn build(
-    graph: &Graph,
-    eps: f64,
-    config: &SchemeConfig,
-) -> Result<ThreeStretchSketchSet, SketchError> {
+pub(crate) fn build(graph: &Graph, eps: f64, config: &SchemeConfig) -> Result<Layer, SketchError> {
     let n = graph.num_nodes();
     let net = DensityNet::sample_nonempty(n, eps, config.seed)?;
     let mut network = Network::new(graph, config.congest, |u| {
@@ -106,11 +64,7 @@ pub(crate) fn build(
         })
         .collect();
 
-    Ok(ThreeStretchSketchSet {
-        net,
-        sketches: SketchSet::new(sketches),
-        stats: outcome.stats,
-    })
+    Ok(layer(net, sketches, outcome.stats))
 }
 
 /// The direct parallel counterpart of [`build`]: one exact exploration per
@@ -125,7 +79,7 @@ pub(crate) fn build_direct(
     graph: &Graph,
     eps: f64,
     config: &SchemeConfig,
-) -> Result<(ThreeStretchSketchSet, BuildTimings), SketchError> {
+) -> Result<(Layer, BuildTimings), SketchError> {
     let n = graph.num_nodes();
     let net = DensityNet::sample_nonempty(n, eps, config.seed)?;
     let mut timings = BuildTimings::new(resolve_threads(config.threads));
@@ -159,30 +113,20 @@ pub(crate) fn build_direct(
         .collect();
     timings.record("3stretch/merge", n, started);
 
-    Ok((
-        ThreeStretchSketchSet {
-            net,
-            sketches: SketchSet::new(sketches),
-            stats: RunStats::default(),
-        },
-        timings,
-    ))
+    Ok((layer(net, sketches, RunStats::default()), timings))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::DistanceOracle;
+    use crate::query::estimate_distance_best_common;
     use crate::slack::is_eps_far;
     use congest_sim::CongestConfig;
     use netgraph::apsp::DistanceTable;
     use netgraph::generators::{erdos_renyi, grid, GeneratorConfig};
 
-    fn build_scheme(
-        graph: &Graph,
-        eps: f64,
-        seed: u64,
-        congest: CongestConfig,
-    ) -> ThreeStretchSketchSet {
+    fn build_scheme(graph: &Graph, eps: f64, seed: u64, congest: CongestConfig) -> Layer {
         let config = SchemeConfig::default()
             .with_seed(seed)
             .with_congest(congest);
@@ -191,9 +135,11 @@ mod tests {
 
     fn check_slack_stretch(graph: &Graph, eps: f64, seed: u64) {
         let table = DistanceTable::exact(graph);
-        let sketches = build_scheme(graph, eps, seed, CongestConfig::strict());
+        let layer = build_scheme(graph, eps, seed, CongestConfig::strict());
+        let sketches = &layer.sketches;
         for (u, v, exact) in table.pairs() {
-            let est = sketches.estimate(u, v).unwrap();
+            let est =
+                estimate_distance_best_common(sketches.sketch(u), sketches.sketch(v)).unwrap();
             assert!(est >= exact, "underestimate for ({u},{v})");
             if is_eps_far(&table, u, v, eps) {
                 assert!(
@@ -220,11 +166,11 @@ mod tests {
     fn sketch_size_tracks_net_size() {
         let g = erdos_renyi(150, 0.06, GeneratorConfig::uniform(9, 1, 15));
         let result = build_scheme(&g, 0.3, 2, CongestConfig::strict());
+        let (net, max_words) = (result.net.unwrap(), result.sketches.max_words());
         // Every sketch stores one entry per reachable net node: 2 words each,
         // plus 2 pivot words.
-        let expected = 2 * result.net.len() + 2;
-        assert!(result.max_words() <= expected);
-        assert!(result.max_words() >= result.net.len());
+        assert!(max_words <= 2 * net.len() + 2);
+        assert!(max_words >= net.len());
     }
 
     #[test]
@@ -234,7 +180,7 @@ mod tests {
         let result = build_scheme(&g, 0.4, 3, CongestConfig::strict());
         for u in g.nodes() {
             let sketch = result.sketches.sketch(u);
-            for &w in result.net.members() {
+            for &w in result.net.as_ref().unwrap().members() {
                 assert_eq!(sketch.bunch_distance(w), Some(table.distance(u, w)));
             }
         }

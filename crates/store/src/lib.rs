@@ -97,8 +97,9 @@ pub mod pipeline;
 pub mod snapshot;
 pub mod watch;
 
-/// The family-typed sketches a snapshot holds (built and defined in
-/// `dsketch::scheme`; re-exported because every snapshot carries one).
+/// The sketches a snapshot holds — its scheme spec plus a list of layers
+/// (built and defined in `dsketch::scheme`; re-exported because every
+/// snapshot carries one).
 pub use dsketch::StoredSketches;
 pub use error::StoreError;
 pub use format::{SectionId, FORMAT_VERSION, MAGIC, SECTION_BUILD_STATS, SECTION_SKETCHES};

@@ -1,8 +1,9 @@
 //! The artifact lifecycle: **build → save → inspect → load → serve**.
 //!
-//! [`SnapshotContents`] is a snapshot's logical content — the scheme spec,
-//! the graph fingerprint, the family-typed sketches, and (optionally) the
-//! construction cost.  The functions here move it between memory and bytes:
+//! [`SnapshotContents`] is a snapshot's logical content — the graph
+//! fingerprint, the sketches (their scheme spec and layers), and
+//! (optionally) the construction cost.  The functions here move it between
+//! memory and bytes:
 //!
 //! * [`build_and_save`] — run a scheme's CONGEST construction and persist
 //!   the result in one step (the "pay once" half of the paper's bargain).
@@ -37,11 +38,9 @@ use std::path::Path;
 /// The logical content of one snapshot.
 #[derive(Debug, Clone)]
 pub struct SnapshotContents {
-    /// The scheme the sketches were built with.
-    pub spec: SchemeSpec,
     /// Fingerprint of the graph the sketches were built on.
     pub fingerprint: GraphFingerprint,
-    /// The sketches themselves.
+    /// The sketches themselves, with the scheme spec they were built for.
     pub sketches: StoredSketches,
     /// Construction cost of the build that produced the snapshot, when
     /// recorded.
@@ -51,7 +50,7 @@ pub struct SnapshotContents {
 /// Serialize `contents` to any writer.  Returns the bytes written.
 pub fn write_snapshot<W: Write>(writer: W, contents: &SnapshotContents) -> Result<u64, StoreError> {
     let started = std::time::Instant::now();
-    let mut snapshot = SnapshotWriter::new(contents.spec, contents.fingerprint);
+    let mut snapshot = SnapshotWriter::new(contents.sketches.spec, contents.fingerprint);
     snapshot.add_section(SECTION_SKETCHES, contents.sketches.encode_payload());
     if let Some(stats) = &contents.build_stats {
         snapshot.add_section(SECTION_BUILD_STATS, stats.to_bytes());
@@ -202,12 +201,10 @@ pub fn peek_snapshot_meta<P: AsRef<Path>>(
 }
 
 fn decode_raw(raw: RawSnapshot) -> Result<SnapshotContents, StoreError> {
-    let spec = raw.spec();
-    let sketches = StoredSketches::decode_payload(&spec, raw.require_section(SECTION_SKETCHES)?)
-        .map_err(skch_error)?;
+    let payload = raw.require_section(SECTION_SKETCHES)?;
+    let sketches = StoredSketches::decode_payload(&raw.spec(), payload).map_err(skch_error)?;
     let build_stats = raw.check_labels(sketches.num_nodes())?;
     Ok(SnapshotContents {
-        spec,
         fingerprint: raw.fingerprint(),
         sketches,
         build_stats,
@@ -317,9 +314,9 @@ pub fn load_oracle_for_graph<P: AsRef<Path>>(
 }
 
 /// Run the construction for `spec` on `graph`
-/// ([`SchemeSpec::build_sketches`]), keeping the family-typed result with
-/// the graph's fingerprint (the build half of [`build_and_save`], exposed so
-/// callers can time or stage the two halves separately).
+/// ([`SchemeSpec::build_sketches`]), keeping its layers with the graph's
+/// fingerprint (the build half of [`build_and_save`], exposed so callers can
+/// time or stage the two halves separately).
 ///
 /// The engine comes from [`SchemeConfig::engine`]: the CONGEST simulation
 /// (default — records round/message stats) or the direct parallel engine
@@ -333,7 +330,6 @@ pub fn build_stored(
     let fingerprint = graph.fingerprint();
     let outcome = spec.build_sketches(graph, config)?;
     Ok(SnapshotContents {
-        spec,
         fingerprint,
         sketches: outcome.sketches,
         build_stats: Some(outcome.stats),

@@ -37,20 +37,21 @@ fn main() {
     let outcome = scheme
         .build_sketches(&graph, &SchemeConfig::default().with_seed(seed))
         .expect("construction");
-    let StoredSketches::Degrading(degrading) = &outcome.sketches else {
-        unreachable!("a degrading spec builds degrading sketches")
-    };
+    let degrading = &outcome.sketches;
     println!("\nlayers (ε_i = 2^-i, k_i = min(i, {max_k})):");
     let mut rows = Vec::new();
     for (i, layer) in degrading.layers.iter().enumerate() {
-        rows.push(vec![
-            format!("{}", i + 1),
-            format!("{:.4}", layer.params.eps),
-            layer.params.k.to_string(),
-            layer.net.len().to_string(),
-            layer.stats.rounds.to_string(),
-            layer.max_words().to_string(),
-        ]);
+        // Each layer is a CDG layer: its params and net are there.
+        if let (Some(params), Some(net)) = (layer.params, &layer.net) {
+            rows.push(vec![
+                format!("{}", i + 1),
+                format!("{:.4}", params.eps),
+                params.k.to_string(),
+                net.len().to_string(),
+                layer.stats.rounds.to_string(),
+                layer.sketches.max_words().to_string(),
+            ]);
+        }
     }
     print_table(
         &["layer", "eps", "k", "|net|", "rounds", "max words"],

@@ -39,15 +39,16 @@ fn main() {
     let outcome = SchemeSpec::three_stretch(eps)
         .build_sketches(&graph, &SchemeConfig::default().with_seed(seed))
         .expect("construction");
-    let StoredSketches::ThreeStretch(set) = outcome.sketches else {
-        unreachable!("a 3-stretch spec builds 3-stretch sketches")
-    };
-    let sketches = Arc::new(set);
-    println!(
-        "\nmonitor placement: |N| = {} monitors sampled (bound {:.0}), zero rounds",
-        sketches.net.len(),
-        sketches.net.size_bound()
-    );
+    let sketches = Arc::new(outcome.sketches);
+    // The one layer: the clients' labels over the monitors' net.
+    let layer = &sketches.layers[0];
+    if let Some(net) = &layer.net {
+        println!(
+            "\nmonitor placement: |N| = {} monitors sampled (bound {:.0}), zero rounds",
+            net.len(),
+            net.size_bound()
+        );
+    }
     println!(
         "sketch construction: {} rounds, {} messages; per-client sketch ≤ {} words",
         outcome.stats.rounds,
@@ -131,7 +132,7 @@ fn main() {
     let mut rows = Vec::new();
     for i in (0..n).step_by((n / 6).max(1)).take(6) {
         let client_node = NodeId::from_index(i);
-        let sketch = sketches.sketches.sketch(client_node);
+        let sketch = layer.sketches.sketch(client_node);
         if let Some((monitor, dist)) = sketch.pivot(0) {
             rows.push(vec![
                 client_node.to_string(),

@@ -50,9 +50,8 @@ fn main() {
     let result = SchemeSpec::thorup_zwick(k)
         .build_sketches(&graph, &SchemeConfig::default().with_seed(seed))
         .expect("construction");
-    let StoredSketches::ThorupZwick(sketches) = &result.sketches else {
-        unreachable!("a TZ spec builds TZ sketches")
-    };
+    // Thorup–Zwick builds one layer of labels.
+    let sketches = &result.sketches.layers[0].sketches;
     println!(
         "\npreprocessing: {} rounds, {} messages (one-time cost, stretch ≤ {})",
         result.stats.rounds,

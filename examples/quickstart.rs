@@ -87,8 +87,8 @@ fn obtain_oracle(
         }
     };
     if let Some(path) = save {
-        // Build through the store pipeline, which keeps the family-typed
-        // sketches, so the same build is both saved and queried.
+        // Build through the store pipeline, which keeps the unfrozen
+        // layers, so the same build is both saved and queried.
         let contents = dsketch_store::build_stored(graph, spec, &config).unwrap_or_else(|e| {
             eprintln!("construction failed: {e}");
             std::process::exit(2);

@@ -187,10 +187,10 @@ fn varint_bytes(mut v: u64) -> Vec<u8> {
     out
 }
 
-/// A cursor over the v2 label-set bytes of a Thorup–Zwick snapshot's
-/// `SKCH` section, yielding the file positions the targeted mutations
-/// need.  Hand-rolled on purpose: it must not share code with the reader
-/// it is used against.
+/// A cursor over the v2 label-set bytes of a snapshot's `SKCH` section —
+/// at its start for Thorup–Zwick, past the density net for 3-stretch —
+/// yielding the file positions the targeted mutations need.  Hand-rolled
+/// on purpose: it must not share code with the reader it is used against.
 struct TzSketchCursor<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -218,7 +218,12 @@ impl<'a> TzSketchCursor<'a> {
     /// the set header: node count, pivot slots, bunch entries), returning
     /// the header's three varints too.
     fn new(bytes: &'a [u8]) -> (Self, [Site; 3]) {
-        let (start, _) = skch_range(bytes);
+        Self::at(bytes, skch_range(bytes).0)
+    }
+
+    /// [`TzSketchCursor::new`] for a label set starting at file offset
+    /// `start`.
+    fn at(bytes: &'a [u8], start: usize) -> (Self, [Site; 3]) {
         let mut cursor = TzSketchCursor { bytes, pos: start };
         let header = [cursor.varint(), cursor.varint(), cursor.varint()];
         (cursor, header)
@@ -421,7 +426,7 @@ fn missing_sketch_section_is_reported_as_such() {
     .unwrap();
     // A container with only the STAT section: structurally immaculate,
     // semantically useless.
-    let mut writer = SnapshotWriter::new(contents.spec, contents.fingerprint);
+    let mut writer = SnapshotWriter::new(contents.sketches.spec, contents.fingerprint);
     writer.add_section(
         SECTION_BUILD_STATS,
         contents.build_stats.unwrap().to_bytes(),
@@ -577,6 +582,59 @@ fn resigned_spec_params_mismatch_is_caught() {
     bytes[eps_at..eps_at + 8].copy_from_slice(&0.26f64.to_le_bytes());
     resign(&mut bytes);
     expect_kind(&bytes, "layer-contract", "header eps != stored CdgParams");
+}
+
+#[test]
+fn resigned_three_stretch_label_outside_its_net_is_caught() {
+    // At n = 1024, ε = 0.5 the net is a small sample (at n = 64, ε = 0.25
+    // every node is in it).  A 3-stretch payload opens with its net:
+    // node count, ε, member count, then one u32 per member.
+    let mut bytes = snapshot_bytes(SchemeSpec::three_stretch(0.5), 1024, 3);
+    let (skch_at, _) = skch_range(&bytes);
+    let members = le_u64(&bytes, skch_at + 16) as usize;
+    let member = |i: usize| le_u32(&bytes, skch_at + 24 + 4 * i);
+    assert_eq!((members, member(0), member(1), member(2)), (83, 0, 9, 14));
+    // v0's label: one level, the net as its bunch.  Re-point its first
+    // entry from member 0 to node 1, which is no member, keeping the next
+    // entry's id (its gap shrinks by one).
+    let (mut cursor, _) = TzSketchCursor::at(&bytes, skch_at + 24 + 4 * members);
+    let row = cursor.next_sketch();
+    assert_eq!(row.k, 1);
+    let (first, second) = (row.entries[0], row.entries[1]);
+    assert_eq!(
+        (first.value, second.value),
+        (0, 8),
+        "v0 holds members 0 and 9"
+    );
+    bytes[second.at] = 7;
+    bytes[first.at] = 1;
+    resign(&mut bytes);
+    expect_kind(
+        &bytes,
+        "hierarchy-contract",
+        "3-stretch label names a non-member",
+    );
+}
+
+#[test]
+fn resigned_net_eps_unlike_the_spec_or_params_is_caught() {
+    // The header spec of a 3-stretch snapshot is `tag u8, eps f64`: claim
+    // 0.9 for a net sampled at 0.25.
+    let mut bytes = snapshot_bytes(SchemeSpec::three_stretch(0.25), 32, 5);
+    assert_eq!(bytes[12], 1, "ThreeStretch spec tag");
+    assert_eq!(bytes[13..21], 0.25f64.to_le_bytes());
+    bytes[13..21].copy_from_slice(&0.9f64.to_le_bytes());
+    resign(&mut bytes);
+    expect_kind(&bytes, "layer-contract", "header eps != the net's");
+
+    // A CDG payload opens with its params (24 bytes), then the net: node
+    // count, then ε.  Claim 0.9 for the net the params sampled at 0.25.
+    let mut bytes = snapshot_bytes(SchemeSpec::cdg(0.25, 2), 28, 19);
+    let net_eps_at = skch_range(&bytes).0 + 24 + 8;
+    assert_eq!(bytes[net_eps_at..net_eps_at + 8], 0.25f64.to_le_bytes());
+    bytes[net_eps_at..net_eps_at + 8].copy_from_slice(&0.9f64.to_le_bytes());
+    resign(&mut bytes);
+    expect_kind(&bytes, "layer-contract", "net eps != the CdgParams'");
 }
 
 #[test]

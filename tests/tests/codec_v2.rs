@@ -137,7 +137,14 @@ proptest! {
             // decoders refuse them, alike, for exactly that.
             let spec = SchemeSpec::thorup_zwick(k);
             let hierarchy = Hierarchy::sample(rows, &TzParams::new(k).with_seed(seed)).unwrap();
-            let family = TzSketchSet { sketches: set, hierarchy }.to_bytes();
+            let layer = Layer {
+                sketches: set,
+                hierarchy: Some(hierarchy),
+                net: None,
+                params: None,
+                stats: RunStats::default(),
+            };
+            let family = StoredSketches { spec, layers: vec![layer] }.encode_payload();
             prop_assert!(decode_both_ways(&spec, &family).is_none());
             let err = FlatSketchSet::from_family_bytes(&spec, &family).unwrap_err();
             prop_assert!(

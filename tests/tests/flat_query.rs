@@ -82,12 +82,12 @@ fn min_over_layers(
 /// is served from merged rows, with fewer entries than its per-layer
 /// bunches add up to (layers share landmarks); every other family keeps its
 /// one layer.
-fn assert_served_form(flat: &FlatSketchSet, sketches: &StoredSketches, context: &str) {
-    let StoredSketches::Degrading(set) = sketches else {
+fn assert_served_form(flat: &FlatSketchSet, set: &StoredSketches, context: &str) {
+    if set.layers.len() == 1 {
         assert_eq!(flat.merged_entries(), None, "{context}");
         assert_eq!(flat.num_layers(), 1, "{context}");
         return;
-    };
+    }
     let per_layer: usize = set
         .layers
         .iter()
@@ -97,7 +97,7 @@ fn assert_served_form(flat: &FlatSketchSet, sketches: &StoredSketches, context: 
         .merged_entries()
         .unwrap_or_else(|| panic!("{context}: a built degrading set is served layered"));
     assert!(merged < per_layer, "{context}: {merged} row entries");
-    assert_eq!(flat.num_layers(), set.num_layers(), "{context}");
+    assert_eq!(flat.num_layers(), set.layers.len(), "{context}");
     assert_eq!(flat.check_invariants(), Ok(()), "{context}");
 }
 
@@ -140,12 +140,7 @@ fn assert_equivalent(
     // the Lemma 3.2 walk and the best-common intersection must match their
     // slice reimplementations, whichever one the family's oracle uses — on
     // the layered family, the minimum over its per-node layers.
-    let layers: Vec<&SketchSet> = match sketches {
-        StoredSketches::ThorupZwick(s) => vec![&s.sketches],
-        StoredSketches::ThreeStretch(s) => vec![&s.sketches],
-        StoredSketches::Cdg(s) => vec![&s.sketches],
-        StoredSketches::Degrading(s) => s.layers.iter().map(|l| &l.sketches).collect(),
-    };
+    let layers: Vec<&SketchSet> = sketches.layers.iter().map(|l| &l.sketches).collect();
     for u in (0..n).map(NodeId::from_index) {
         for v in (0..n).map(NodeId::from_index) {
             assert_eq!(
@@ -165,7 +160,6 @@ fn assert_equivalent(
     // The store contract: snapshot bytes → FlatSketchSet directly (no
     // `Sketch` on the way) is the same oracle.
     let contents = dsketch_store::SnapshotContents {
-        spec,
         fingerprint,
         sketches: sketches.clone(),
         build_stats: None,
@@ -333,30 +327,25 @@ fn label(owner: u32, pivot: (u32, Distance), bunch: &[(u32, Distance)]) -> Sketc
 
 /// A degrading set over hand-built layers (net, hierarchy and params are
 /// along for the encoding; no query reads them).  The params keep the
-/// degrading contract the decoders check — ε halving layer over layer.
-fn degrading_of(layers: Vec<Vec<Sketch>>) -> DegradingSketchSet {
+/// degrading contract the decoders check — ε halving layer over layer, each
+/// net sampled for its layer's ε.
+fn degrading_of(layers: Vec<Vec<Sketch>>) -> StoredSketches {
     let layers = (1..)
         .zip(layers)
         .map(|(i, sketches)| {
-            let n = sketches.len();
-            CdgSketchSet {
-                params: CdgParams::new(0.5f64.powi(i), 1),
-                net: DensityNet::from_members(n, 0.5, (0..n).map(NodeId::from_index).collect()),
-                hierarchy: Hierarchy::from_levels(vec![0; n], 1).unwrap(),
+            let (n, eps) = (sketches.len(), 0.5f64.powi(i));
+            let members = (0..n).map(NodeId::from_index).collect();
+            Layer {
+                params: Some(CdgParams::new(eps, 1)),
+                net: Some(DensityNet::from_members(n, eps, members)),
+                hierarchy: Some(Hierarchy::from_levels(vec![0; n], 1).unwrap()),
                 sketches: SketchSet::new(sketches),
                 stats: RunStats::default(),
             }
         })
         .collect();
-    DegradingSketchSet {
-        layers,
-        stats: RunStats::default(),
-    }
-}
-
-/// The frozen form of a hand-built degrading set.
-fn frozen(set: &DegradingSketchSet) -> FlatSketchSet {
-    StoredSketches::Degrading(set.clone()).freeze()
+    let spec = SchemeSpec::degrading();
+    StoredSketches { spec, layers }
 }
 
 /// Freeze `set` and require the frozen value to be served in the `merged`
@@ -365,13 +354,13 @@ fn frozen(set: &DegradingSketchSet) -> FlatSketchSet {
 /// bytes: `None`, they decode to the same value; or the error both return,
 /// for a set that breaks a contract of the family's labels.
 fn assert_hand_built(
-    set: &DegradingSketchSet,
+    set: &StoredSketches,
     merged: bool,
     refused: Option<fn(&CodecError) -> bool>,
     context: &str,
 ) {
-    let flat = frozen(set);
-    let bytes = set.to_bytes();
+    let flat = set.freeze();
+    let bytes = set.encode_payload();
     let decoded = FlatSketchSet::from_family_bytes(&SchemeSpec::degrading(), &bytes);
     let map = StoredSketches::decode_payload(&SchemeSpec::degrading(), &bytes).map(drop);
     match refused {
@@ -429,8 +418,8 @@ fn hand_built_layers_that_meet_the_conditions_are_merged() {
     let set = degrading_of(two_layer_base());
     assert_hand_built(&set, true, None, "base");
     // Layer 1 wins for (0, 1): 4 + 0 against 5 + 7 through node 2.
-    assert_eq!(frozen(&set).estimate(NodeId(0), NodeId(1)), Ok(4));
-    assert_eq!(frozen(&set).merged_entries(), Some(6));
+    assert_eq!(set.freeze().estimate(NodeId(0), NodeId(1)), Ok(4));
+    assert_eq!(set.freeze().merged_entries(), Some(6));
 
     // 32 layers is the last count a `u32` mask can name.
     let mut layers = two_layer_base();
@@ -459,7 +448,7 @@ fn a_landmark_held_in_different_layers_is_not_a_candidate() {
     ]);
     assert_hand_built(&set, true, None, "mask");
     assert_eq!(
-        frozen(&set).estimate_best_common(NodeId(0), NodeId(1)),
+        set.freeze().estimate_best_common(NodeId(0), NodeId(1)),
         Err(SketchError::NoCommonLandmark {
             u: NodeId(0),
             v: NodeId(1)
@@ -478,7 +467,7 @@ fn sets_that_break_a_merge_condition_stay_layered_and_answer_identically() {
     layers[0][0] = label(0, (2, 5), &[(0, 0)]);
     let set = degrading_of(layers);
     assert_hand_built(&set, false, None, "pivot missing from its owner's bunch");
-    assert_eq!(frozen(&set).estimate(NodeId(0), NodeId(2)), Ok(5));
+    assert_eq!(set.freeze().estimate(NodeId(0), NodeId(2)), Ok(5));
 
     // A pivot in the bunch at another distance: the probe's 5 + 0 beats the
     // bunch's 6 + 0, which is all a merged row would know.  Both record
@@ -493,7 +482,7 @@ fn sets_that_break_a_merge_condition_stay_layered_and_answer_identically() {
         Some(pivot_row),
         "pivot at a different distance",
     );
-    assert_eq!(frozen(&set).estimate(NodeId(0), NodeId(2)), Ok(5));
+    assert_eq!(set.freeze().estimate(NodeId(0), NodeId(2)), Ok(5));
 
     // One landmark at two distances in two layers: a row has one distance
     // column, so one of 5 + 7 (layer 0) and 6 + 0 (layer 1) would be lost.
@@ -501,7 +490,7 @@ fn sets_that_break_a_merge_condition_stay_layered_and_answer_identically() {
     layers[1][0] = label(0, (0, 0), &[(0, 0), (1, 4), (2, 6)]);
     let set = degrading_of(layers);
     assert_hand_built(&set, false, None, "one landmark at two distances");
-    assert_eq!(frozen(&set).estimate(NodeId(0), NodeId(2)), Ok(5));
+    assert_eq!(set.freeze().estimate(NodeId(0), NodeId(2)), Ok(5));
 
     // A landmark that is not one of the set's nodes: no snapshot may say
     // this either.
@@ -516,7 +505,7 @@ fn sets_that_break_a_merge_condition_stay_layered_and_answer_identically() {
         Some(out_of_range),
         "landmark outside the node range",
     );
-    assert_eq!(frozen(&set).estimate(NodeId(0), NodeId(1)), Ok(3));
+    assert_eq!(set.freeze().estimate(NodeId(0), NodeId(1)), Ok(3));
 
     // 33 layers: one more than a mask has bits.
     let mut layers = two_layer_base();

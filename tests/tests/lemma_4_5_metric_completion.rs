@@ -19,10 +19,9 @@ fn check_lemma_4_5(graph: &Graph, eps: f64, k: usize, seed: u64) {
     // 1. Run the distributed net-restricted construction on G.
     let built =
         SchemeSpec::cdg(eps, k).build_sketches(graph, &SchemeConfig::default().with_seed(seed));
-    let StoredSketches::Cdg(cdg) = built.unwrap().sketches else {
-        panic!("cdg:{eps},{k} built another family")
-    };
-    let net_members: Vec<NodeId> = cdg.net.members().to_vec();
+    let cdg = built.unwrap().sketches.layers.remove(0);
+    let (net, hierarchy) = (cdg.net.unwrap(), cdg.hierarchy.unwrap());
+    let net_members: Vec<NodeId> = net.members().to_vec();
     assert!(!net_members.is_empty());
 
     // 2. Build the metric completion of the net and relabel the hierarchy
@@ -31,9 +30,9 @@ fn check_lemma_4_5(graph: &Graph, eps: f64, k: usize, seed: u64) {
     let levels: Vec<i32> = completion
         .original
         .iter()
-        .map(|&orig| cdg.hierarchy.level_of(orig))
+        .map(|&orig| hierarchy.level_of(orig))
         .collect();
-    let local_hierarchy = Hierarchy::from_levels(levels, cdg.hierarchy.k()).unwrap();
+    let local_hierarchy = Hierarchy::from_levels(levels, hierarchy.k()).unwrap();
 
     // 3. Centralized Thorup–Zwick on the metric completion.
     let on_completion = dsketch::build::thorup_zwick(&completion.graph, &local_hierarchy, 1);
@@ -46,7 +45,7 @@ fn check_lemma_4_5(graph: &Graph, eps: f64, k: usize, seed: u64) {
         let from_completion = on_completion.sketches.sketch(local);
 
         // Pivots.
-        for level in 0..cdg.hierarchy.k() {
+        for level in 0..hierarchy.k() {
             let a = from_g.pivot(level);
             let b = from_completion
                 .pivot(level)

@@ -102,13 +102,10 @@ fn graph(n: usize, seed: u64) -> Graph {
     erdos_renyi(n, 8.0 / n as f64, GeneratorConfig::uniform(seed, 1, 50))
 }
 
-fn build_oracle(n: usize, seed: u64) -> TzSketchSet {
+fn build_oracle(n: usize, seed: u64) -> StoredSketches {
     let config = SchemeConfig::default().with_seed(seed);
     let built = SchemeSpec::thorup_zwick(2).build_sketches(&graph(n, seed), &config);
-    let StoredSketches::ThorupZwick(set) = built.unwrap().sketches else {
-        panic!("tz:2 built another family")
-    };
-    set
+    built.unwrap().sketches
 }
 
 /// Seeded query batches for one client thread.
@@ -209,7 +206,7 @@ fn concurrent_clients_match_the_direct_oracle() {
 #[test]
 fn frozen_and_map_backed_servers_agree_under_contention() {
     let built = build_oracle(96, 33);
-    let frozen: Arc<dyn DistanceOracle> = Arc::new(built.sketches.freeze());
+    let frozen: Arc<dyn DistanceOracle> = Arc::new(built.freeze());
     let map_backed: Arc<dyn DistanceOracle> = Arc::new(built);
 
     // Same seeded workload against both representations, thrashing caches.

@@ -4,7 +4,7 @@
 //!
 //! * Codec round trips (`decode(encode(x)) == x`, and the encoding is
 //!   canonical: `encode(decode(bytes)) == bytes`) — property-tested over
-//!   random graphs, seeds, and parameters for all four families.
+//!   random graphs and seeds for all four families, on both engines.
 //! * A snapshot-loaded oracle answers **bit-identically** to the freshly
 //!   built one on a 1000-node graph, for all four families.
 //! * Truncations and bit flips anywhere in a snapshot are rejected with a
@@ -13,7 +13,6 @@
 //!   (fingerprint check), and `SketchServer::from_snapshot` cold-starts a
 //!   server whose answers match the in-memory oracle.
 
-use dsketch::codec::SketchCodec;
 use dsketch::prelude::*;
 use dsketch_serve::{ServeConfig, SketchServer};
 use dsketch_store::{
@@ -63,72 +62,49 @@ fn assert_estimates_identical(a: &dyn DistanceOracle, b: &dyn DistanceOracle, n:
 // Property tests: encode/decode round trips per family
 // ---------------------------------------------------------------------------
 
+/// `decode(encode(x)) == x` for the family's layers — labels, hierarchy,
+/// net, params and recorded cost — on both engines, and the encoding is
+/// canonical: re-encoding reproduces the same bytes.
+fn check_codec_round_trip(spec: SchemeSpec, n: usize, seed: u64) {
+    let g = graph(n, seed);
+    for engine in [BuildEngine::Congest, BuildEngine::Parallel] {
+        let built = spec.build_sketches(&g, &config(seed).with_engine(engine));
+        let built = built.unwrap().sketches;
+        let bytes = built.encode_payload();
+        let decoded = StoredSketches::decode_payload(&spec, &bytes).unwrap();
+        assert!(
+            decoded == built,
+            "{spec} on {engine:?}: decoded value differs"
+        );
+        assert!(
+            decoded.encode_payload() == bytes,
+            "{spec} on {engine:?}: not canonical"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
     fn tz_codec_round_trips((n, seed, k) in (24usize..64, 0u64..1_000, 1usize..4)) {
-        let g = graph(n, seed);
-        let built = SchemeSpec::thorup_zwick(k).build_sketches(&g, &config(seed));
-        let StoredSketches::ThorupZwick(built) = built.unwrap().sketches else {
-            panic!("tz:{k} built another family")
-        };
-        let bytes = built.to_bytes();
-        let decoded = TzSketchSet::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(&decoded.sketches, &built.sketches);
-        prop_assert_eq!(&decoded.hierarchy, &built.hierarchy);
-        // Canonical: re-encoding reproduces the same bytes.
-        prop_assert_eq!(decoded.to_bytes(), bytes);
+        check_codec_round_trip(SchemeSpec::thorup_zwick(k), n, seed);
     }
 
     #[test]
     fn three_stretch_codec_round_trips((n, seed) in (24usize..64, 0u64..1_000)) {
-        let g = graph(n, seed);
-        let built = SchemeSpec::three_stretch(0.4).build_sketches(&g, &config(seed));
-        let StoredSketches::ThreeStretch(built) = built.unwrap().sketches else {
-            panic!("3stretch:0.4 built another family")
-        };
-        let bytes = built.to_bytes();
-        let decoded = ThreeStretchSketchSet::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(&decoded.net, &built.net);
-        prop_assert_eq!(&decoded.sketches, &built.sketches);
-        prop_assert_eq!(&decoded.stats, &built.stats);
-        prop_assert_eq!(decoded.to_bytes(), bytes);
+        check_codec_round_trip(SchemeSpec::three_stretch(0.4), n, seed);
     }
 
     #[test]
     fn cdg_codec_round_trips((n, seed, k) in (24usize..64, 0u64..1_000, 1usize..3)) {
-        let g = graph(n, seed);
-        let built = SchemeSpec::cdg(0.4, k).build_sketches(&g, &config(seed));
-        let StoredSketches::Cdg(built) = built.unwrap().sketches else {
-            panic!("cdg:0.4,{k} built another family")
-        };
-        let bytes = built.to_bytes();
-        let decoded = CdgSketchSet::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(&decoded.params, &built.params);
-        prop_assert_eq!(&decoded.net, &built.net);
-        prop_assert_eq!(&decoded.hierarchy, &built.hierarchy);
-        prop_assert_eq!(&decoded.sketches, &built.sketches);
-        prop_assert_eq!(decoded.to_bytes(), bytes);
+        check_codec_round_trip(SchemeSpec::cdg(0.4, k), n, seed);
     }
 
     #[test]
     fn degrading_codec_round_trips((n, seed) in (24usize..64, 0u64..1_000)) {
-        let g = graph(n, seed);
         let spec = SchemeSpec::Degrading { max_layers: Some(2), max_k: Some(2) };
-        let StoredSketches::Degrading(built) = spec.build_sketches(&g, &config(seed)).unwrap().sketches else {
-            panic!("{spec} built another family")
-        };
-        let bytes = built.to_bytes();
-        let decoded = DegradingSketchSet::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(decoded.num_layers(), built.num_layers());
-        for (a, b) in decoded.layers.iter().zip(built.layers.iter()) {
-            prop_assert_eq!(&a.sketches, &b.sketches);
-            prop_assert_eq!(&a.net, &b.net);
-            prop_assert_eq!(&a.hierarchy, &b.hierarchy);
-        }
-        prop_assert_eq!(&decoded.stats, &built.stats);
-        prop_assert_eq!(decoded.to_bytes(), bytes);
+        check_codec_round_trip(spec, n, seed);
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //!   whatever was armed; `POST /faults?disarm=all` disarms everything.
 //!
 //! Errors map onto conventional status codes: an unparsable request line
-//! or missing/garbled parameters is `400`, an unknown node is `404`, a
-//! pair with no common landmark is `422`, a refused swap is `409`, a
-//! method the path does not support is `405`, an unknown path is `404`,
+//! or missing, repeated or garbled parameters is `400`, an unknown node is
+//! `404`, a pair with no common landmark is `422`, a refused swap is `409`,
+//! a method the path does not support is `405`, an unknown path is `404`,
 //! an oversized request head is `431`, and anything else server-side is
 //! `500`.  Every error body is
 //! `{"error":"<kebab-case class>","detail":"…"}`.
@@ -227,11 +227,11 @@ fn faults_status_json() -> String {
 fn faults_route(query: &str) -> String {
     let mut spec = None;
     let mut disarm = false;
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (key, value) = match pair.split_once('=') {
-            Some(kv) => kv,
-            None => return error_reply(400, "bad-request", "parameters must be key=value"),
-        };
+    let pairs = match query_pairs(query) {
+        Ok(pairs) => pairs,
+        Err(reply) => return reply,
+    };
+    for (key, value) in pairs {
         match key {
             "spec" => {
                 spec = match percent_decode(value) {
@@ -272,11 +272,11 @@ fn faults_route(query: &str) -> String {
 /// untouched.
 fn swap_route(query: &str, ctx: &WorkerCtx) -> String {
     let mut snapshot = None;
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (key, value) = match pair.split_once('=') {
-            Some(kv) => kv,
-            None => return error_reply(400, "bad-request", "parameters must be key=value"),
-        };
+    let pairs = match query_pairs(query) {
+        Ok(pairs) => pairs,
+        Err(reply) => return reply,
+    };
+    for (key, value) in pairs {
         if key != "snapshot" {
             return error_reply(400, "bad-request", format!("unknown parameter '{key}'"));
         }
@@ -299,6 +299,31 @@ fn swap_route(query: &str, ctx: &WorkerCtx) -> String {
         Ok(generation) => json_reply(200, &format!("{{\"generation\":{generation}}}")),
         Err(e) => error_reply(409, "swap-refused", e.to_string()),
     }
+}
+
+/// Split a query string into its `key=value` pairs, or produce the full
+/// `400` reply for a pair without `=` or a key given twice — which of two
+/// values was meant is the client's to say, as with a repeated CLI flag.
+fn query_pairs(query: &str) -> Result<Vec<(&str, &str)>, String> {
+    let mut pairs: Vec<(&str, &str)> = Vec::new();
+    for pair in query.split('&').filter(|p| !p.is_empty()) {
+        let Some((key, value)) = pair.split_once('=') else {
+            return Err(error_reply(
+                400,
+                "bad-request",
+                "parameters must be key=value",
+            ));
+        };
+        if pairs.iter().any(|&(seen, _)| seen == key) {
+            return Err(error_reply(
+                400,
+                "bad-request",
+                format!("repeated parameter '{key}'"),
+            ));
+        }
+        pairs.push((key, value));
+    }
+    Ok(pairs)
 }
 
 /// Decode `%XX` escapes (the query-string subset: no `+`-for-space, since
@@ -328,11 +353,11 @@ fn percent_decode(s: &str) -> Option<String> {
 /// the events joined inside brackets.
 fn trace_route(query: &str, ctx: &WorkerCtx) -> String {
     let mut n = 32usize;
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (key, value) = match pair.split_once('=') {
-            Some(kv) => kv,
-            None => return error_reply(400, "bad-request", "parameters must be key=value"),
-        };
+    let pairs = match query_pairs(query) {
+        Ok(pairs) => pairs,
+        Err(reply) => return reply,
+    };
+    for (key, value) in pairs {
         if key != "n" {
             return error_reply(400, "bad-request", format!("unknown parameter '{key}'"));
         }
@@ -353,11 +378,11 @@ fn trace_route(query: &str, ctx: &WorkerCtx) -> String {
 /// `GET /distance?u=..&v=..`
 fn distance_route(query: &str, ctx: &WorkerCtx) -> String {
     let (mut u, mut v) = (None, None);
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (key, value) = match pair.split_once('=') {
-            Some(kv) => kv,
-            None => return error_reply(400, "bad-request", "parameters must be key=value"),
-        };
+    let pairs = match query_pairs(query) {
+        Ok(pairs) => pairs,
+        Err(reply) => return reply,
+    };
+    for (key, value) in pairs {
         let parsed: u32 = match value.parse() {
             Ok(id) => id,
             Err(_) => {
@@ -522,6 +547,17 @@ mod tests {
         assert_eq!(percent_decode("%2"), None, "dangling escape");
         assert_eq!(percent_decode("%zz"), None, "non-hex escape");
         assert_eq!(percent_decode("%ff"), None, "not UTF-8");
+    }
+
+    #[test]
+    fn query_pairs_refuse_a_repeated_key_and_a_bare_key() {
+        assert_eq!(query_pairs("u=1&&v=2"), Ok(vec![("u", "1"), ("v", "2")]));
+        assert_eq!(query_pairs(""), Ok(vec![]));
+        let repeated = query_pairs("u=1&v=2&u=3").unwrap_err();
+        assert!(repeated.starts_with("HTTP/1.1 400"), "{repeated}");
+        assert!(repeated.contains("repeated parameter 'u'"), "{repeated}");
+        let bare = query_pairs("snapshot").unwrap_err();
+        assert!(bare.contains("parameters must be key=value"), "{bare}");
     }
 
     #[test]

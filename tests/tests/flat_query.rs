@@ -8,8 +8,10 @@
 //! The gracefully degrading family is served from one merged row per node
 //! (`dsketch::flat`); the cases below also pin that every set an engine
 //! builds takes that form, that every hand-built way out of it still answers
-//! like the per-node layers, and that the layer mask is what keeps a
-//! landmark two nodes hold in different layers from becoming a candidate.
+//! like the per-node layers, that the layer mask is what keeps a landmark
+//! two nodes hold in different layers from becoming a candidate, and that
+//! the join table a thread keeps across queries never carries an answer
+//! from one set into another.
 //!
 //! Also pins the store contract: materializing a `FlatSketchSet` straight
 //! from `DSK1` snapshot bytes (`load_frozen_oracle`, the cold-start path
@@ -528,30 +530,62 @@ fn next_u64(state: &mut u64) -> u64 {
 /// At n = 512 the nets differ by layer and layers share only some of their
 /// landmarks — the shape the merged rows are for.  20 000 seeded pairs,
 /// uniform and skewed towards low ids (the served traffic's two shapes).
+///
+/// A second set (n = 200, another seed) is queried pair-interleaved with
+/// the first, on one thread and then on two at once: the join table each
+/// thread keeps is never cleared, so every query after the first meets
+/// positions left behind by another row, another set and another `n`.
 #[test]
 fn merged_rows_answer_identically_where_layers_really_share_landmarks() {
-    let n = 512;
-    let g = connected_graph(n, 11);
     let spec = SchemeSpec::parse("degrading:3").unwrap();
-    let config = SchemeConfig::default().with_seed(11).with_parallel_build();
-    let stored = build_stored(&g, spec, &config).unwrap();
-    let per_node = stored.sketches.as_oracle();
-    let flat = stored.sketches.freeze();
-    assert_served_form(&flat, &stored.sketches, "n = 512");
-    for u in g.nodes() {
-        assert_eq!(flat.words(u), per_node.words(u), "words at {u}");
-    }
+    let sets: Vec<_> = [(512, 11), (200, 5)]
+        .into_iter()
+        .map(|(n, seed)| {
+            let g = connected_graph(n, seed);
+            let config = SchemeConfig::default()
+                .with_seed(seed)
+                .with_parallel_build();
+            let stored = build_stored(&g, spec, &config).unwrap();
+            let per_node = stored.sketches.as_oracle();
+            let flat = stored.sketches.freeze();
+            assert_served_form(&flat, &stored.sketches, &format!("n = {n}"));
+            for u in g.nodes() {
+                assert_eq!(flat.words(u), per_node.words(u), "words at {u}, n = {n}");
+            }
 
-    let mut state = 0x5eed;
-    let mut uniform = || (next_u64(&mut state) % n as u64) as usize;
-    let mut pairs: Vec<(NodeId, NodeId)> = (0..10_000)
-        .map(|_| (NodeId::from_index(uniform()), NodeId::from_index(uniform())))
+            let mut state = 0x5eed;
+            let mut uniform = || (next_u64(&mut state) % n as u64) as usize;
+            let mut pairs: Vec<(NodeId, NodeId)> = (0..10_000)
+                .map(|_| (NodeId::from_index(uniform()), NodeId::from_index(uniform())))
+                .collect();
+            let mut state = 0xfeed;
+            let mut skewed = || {
+                let unit = (next_u64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+                (n as f64 * unit.powi(4)) as usize
+            };
+            pairs.extend(
+                (0..10_000).map(|_| (NodeId::from_index(skewed()), NodeId::from_index(skewed()))),
+            );
+            let expected = per_node.estimate_batch(&pairs);
+            assert_eq!(flat.estimate_batch(&pairs), expected, "n = {n}");
+            (flat, pairs, expected)
+        })
         .collect();
-    let mut state = 0xfeed;
-    let mut skewed = || {
-        let unit = (next_u64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
-        (n as f64 * unit.powi(4)) as usize
+
+    // Pair i of every set, then pair i + 1 of every set, starting at set
+    // `first`: each query's table holds the other set's last row.
+    let interleaved = |first: usize| {
+        for i in 0..10_000 * 2 {
+            for s in (0..sets.len()).map(|s| (s + first) % sets.len()) {
+                let (flat, pairs, expected) = &sets[s];
+                let (u, v) = pairs[i];
+                assert_eq!(flat.estimate(u, v), expected[i], "set {s}, pair {i}");
+            }
+        }
     };
-    pairs.extend((0..10_000).map(|_| (NodeId::from_index(skewed()), NodeId::from_index(skewed()))));
-    assert_eq!(flat.estimate_batch(&pairs), per_node.estimate_batch(&pairs));
+    interleaved(0);
+    std::thread::scope(|scope| {
+        scope.spawn(|| interleaved(0));
+        scope.spawn(|| interleaved(1));
+    });
 }

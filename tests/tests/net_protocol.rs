@@ -379,6 +379,8 @@ fn garbage_http_request_lines_get_4xx_not_crashes() {
             false,
         ),
         (b"GET /distance?u=1&w=2 HTTP/1.1\r\n\r\n", "400", false),
+        // A repeated key is refused, not decided by whichever came last.
+        (b"GET /distance?u=1&v=2&u=3 HTTP/1.1\r\n\r\n", "400", false),
         (b"GET /stats SPDY/9\r\n\r\n", "400", true),
         (
             b"\xff\xfe\xfd\xfc binary garbage, not NETQ\r\n\r\n",

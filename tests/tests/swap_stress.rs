@@ -239,10 +239,11 @@ fn http_queries_and_swaps_interleave_cleanly() {
         reply
     };
     let get = |path: &str| http(format!("GET {path} HTTP/1.1\r\nhost: t\r\n\r\n"));
+    let encoded = |path: &Path| path.display().to_string().replace('/', "%2F");
     let swap = |path: &Path| {
         http(format!(
             "POST /swap?snapshot={} HTTP/1.1\r\nhost: t\r\n\r\n",
-            path.display().to_string().replace('/', "%2F")
+            encoded(path)
         ))
     };
 
@@ -300,6 +301,17 @@ fn http_queries_and_swaps_interleave_cleanly() {
     let refused = swap(Path::new("/nonexistent/missing.dsk"));
     assert!(refused.starts_with("HTTP/1.1 409"), "{refused}");
     assert!(refused.contains("swap-refused"), "{refused}");
+    assert!(get("/stats").contains("\"generation\":2"));
+
+    // Two `snapshot=` parameters name two snapshots: the request is
+    // refused before either is read, rather than the last one winning.
+    let twice = http(format!(
+        "POST /swap?snapshot={}&snapshot={} HTTP/1.1\r\nhost: t\r\n\r\n",
+        encoded(&snap_a),
+        encoded(&snap_b)
+    ));
+    assert!(twice.starts_with("HTTP/1.1 400"), "{twice}");
+    assert!(twice.contains("repeated parameter 'snapshot'"), "{twice}");
     assert!(get("/stats").contains("\"generation\":2"));
 
     server.shutdown();

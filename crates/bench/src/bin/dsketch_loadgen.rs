@@ -99,6 +99,10 @@ fn main() {
         eprintln!("server stats carry no num_nodes field: {stats}");
         std::process::exit(1);
     });
+    if num_nodes < 2 {
+        eprintln!("target {addr} serves {num_nodes} node(s): a query workload needs at least two");
+        std::process::exit(1);
+    }
     let scheme = json_string_field(&stats, "scheme").unwrap_or_else(|| "?".to_string());
     drop(probe);
     println!(

@@ -496,6 +496,10 @@ fn cmd_serve(args: &[String]) {
         );
         serve_network(args, &listen, Arc::from(oracle), config, origin);
     }
+    if num_nodes < 2 {
+        eprintln!("{path} holds {num_nodes} node(s): a query workload needs at least two");
+        std::process::exit(1);
+    }
 
     let server = SketchServer::start(Arc::from(oracle), config).expect("no ServeConfig is invalid");
     println!(

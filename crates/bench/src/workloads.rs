@@ -220,16 +220,16 @@ impl QueryWorkload {
             }
             QueryWorkload::Adversarial => {
                 // Visit unordered-pair indices `first + t·step (mod T)`,
-                // `T = n(n+1)/2`, with `step` coprime to `T`: a full cycle,
+                // `T = n(n+1)/2`, with `step` a unit mod `T`: a full cycle,
                 // so no unordered pair repeats within T queries.  Index
                 // `t = a(a+1)/2 + b` (with `b ≤ a`) decodes to the pair
-                // `(b, a)` by triangular root.
+                // `(b, a)` by triangular root.  The step walks `1..T` from
+                // a random start to the first unit; `1` is one, so it ends.
                 let space = (n as u64) * (n as u64 + 1) / 2;
                 let first = rng.gen_range(0..space);
-                let mut step = rng.gen_range(1..space) | 1;
+                let mut step = rng.gen_range(1..space);
                 while gcd(step, space) != 1 {
-                    step = (step + 2) % space.max(3);
-                    step |= 1;
+                    step = step % (space - 1) + 1;
                 }
                 let mut pair = first;
                 (0..count)
@@ -329,6 +329,27 @@ mod tests {
             "2000 < 2080 unordered pairs, all distinct"
         );
         assert!(pairs.iter().all(|&(u, v)| u.index() < 64 && v.index() < 64));
+    }
+
+    /// The smallest targets: every shape returns, and the adversarial walk
+    /// uses each unordered pair (self-pairs included) once per cycle — on
+    /// two nodes the pair space is 3, whose only units are 1 and 2.
+    #[test]
+    fn every_shape_terminates_on_tiny_targets() {
+        for n in 2..=6usize {
+            let space = n * (n + 1) / 2;
+            for seed in 0..32 {
+                for shape in QueryWorkload::all() {
+                    let pairs = shape.generate(n, 2 * space, seed);
+                    assert_eq!(pairs.len(), 2 * space, "{} n={n}", shape.name());
+                    assert!(pairs.iter().all(|&(u, v)| u.index() < n && v.index() < n));
+                }
+                let pairs = QueryWorkload::Adversarial.generate(n, space, seed);
+                let unordered: std::collections::HashSet<_> =
+                    pairs.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
+                assert_eq!(unordered.len(), space, "n={n} seed={seed}");
+            }
+        }
     }
 
     #[test]

@@ -114,6 +114,29 @@ fn readme_quickstart_runs_end_to_end() {
         assert!(!stderr.contains("panicked"), "{nodes:?}: {stderr}");
         assert!(!bad.exists(), "{nodes:?} wrote a snapshot");
     }
+    // A one-node graph builds, but no query stream fits it: `serve` refuses
+    // the snapshot, and loadgen a server holding it, in one line — exit 1,
+    // no panic.
+    let one = dir.join("one.dsk");
+    let one_path = one.to_str().expect("utf-8 temp path");
+    let tiny = ["--scheme", "tz:1", "--topology", "grid", "--nodes", "1"];
+    store(&[&["build"][..], &tiny, &["--out", one_path]].concat());
+    let server = ServeChild::spawn(&one, &[]);
+    let loadgen = env!("CARGO_BIN_EXE_dsketch-loadgen");
+    for (exe, args) in [
+        (
+            STORE,
+            &["serve", "--snapshot", one_path, "--queries", "10"][..],
+        ),
+        (loadgen, &["--addr", &server.addr, "--queries", "10"]),
+    ] {
+        let output = run(exe, args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.contains("at least two"), "{args:?}: {stderr}");
+    }
+    drop(server);
     // A level count past ⌈log₂ n⌉ is refused before anything is sampled —
     // at once, not after k × n passes per sampling attempt.
     let started = Instant::now();

@@ -24,9 +24,10 @@
 //! * [`RunStats`] — rounds, messages, and word counts: the exact quantities
 //!   the paper's theorems bound.
 //! * [`programs`] — reusable CONGEST building blocks used by the paper's
-//!   constructions: distributed Bellman–Ford (Algorithm 1), leader election +
-//!   BFS-tree construction, and tree broadcast/convergecast (used by the
-//!   Section 3.3 termination-detection protocol).
+//!   constructions: distributed Bellman–Ford (Algorithm 1), the per-source
+//!   state of its k-source variant, and leader election + BFS-tree
+//!   construction (the preamble of the Section 3.3 termination-detection
+//!   protocol).
 //!
 //! # Bandwidth accounting
 //!

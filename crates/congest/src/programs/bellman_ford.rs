@@ -1,23 +1,19 @@
-//! Distributed Bellman–Ford (the paper's Algorithm 1) and its multi-source
-//! variants.
+//! Distributed Bellman–Ford (the paper's Algorithm 1) and the per-source
+//! state of its k-source variant.
 //!
 //! * [`BellmanFordProgram`] computes, at every node, the distance to the
 //!   closest node of a *source set* (the "super source" construction used in
 //!   Lemma 4.5 to find each node's nearest density-net node).  With a
 //!   singleton source set it is exactly Algorithm 1.
-//! * [`KSourceBellmanFord`] computes, at every node, its distance to *each*
-//!   of `k` sources (the k-Source Shortest Paths problem used for phase
-//!   `k − 1` of the Thorup–Zwick construction and for the Theorem 4.3
-//!   sketches).  To respect the CONGEST bandwidth constraint it keeps one
-//!   outgoing queue per source and serves the non-empty queues round-robin,
-//!   exactly as described for Algorithm 2; the round complexity is
-//!   `O(|sources| · S)` as in Lemma 3.4.
-//! * [`SourceTable`] is that relax-and-round-robin state (Algorithm 2 lines
-//!   10–20) as one type: a run of `(source, distance, queued)` ascending by
-//!   source plus the FIFO of sources with an unannounced improvement.
-//!   [`KSourceBellmanFord`] and both Algorithm-2 programs of
-//!   `dsketch::distributed` relax into it straight from `ctx.incoming()`,
-//!   and the finished run is what the label is built from.
+//! * [`SourceTable`] is the state of the k-source variant (Algorithm 2
+//!   lines 10–20), where every node learns its distance to *each* source:
+//!   a run of `(source, distance, queued)` ascending by source plus the FIFO
+//!   of sources with an unannounced improvement, served round-robin so at
+//!   most one message crosses an edge per round — `O(|sources| · S)` rounds
+//!   as in Lemma 3.4.  Both Algorithm-2 programs of `dsketch::distributed`
+//!   relax into it straight from `ctx.incoming()`, and the finished run is
+//!   what the label is built from; a phase with no threshold is the plain
+//!   k-source flood (Theorem 4.3's sketch).
 
 use crate::message::MessageSize;
 use crate::node::{NodeContext, NodeProgram};
@@ -188,78 +184,6 @@ impl SourceTable {
     }
 }
 
-/// k-Source Shortest Paths: every node learns its distance to each source.
-///
-/// Outgoing announcements are queued per source and served round-robin, one
-/// per round, so the program sends at most one message per edge per round.
-#[derive(Debug, Clone)]
-pub struct KSourceBellmanFord {
-    me: NodeId,
-    is_source: bool,
-    table: SourceTable,
-}
-
-impl KSourceBellmanFord {
-    /// Create the program for node `me`; `is_source` marks membership in the
-    /// source set.
-    pub fn new(me: NodeId, is_source: bool) -> Self {
-        let mut table = SourceTable::default();
-        if is_source {
-            table.set_origin(me, 0);
-        }
-        KSourceBellmanFord {
-            me,
-            is_source,
-            table,
-        }
-    }
-
-    /// The node this program runs on.
-    pub fn node(&self) -> NodeId {
-        self.me
-    }
-
-    /// Distance to `source` discovered so far.
-    pub fn distance_to(&self, source: NodeId) -> Distance {
-        self.table.distance(source)
-    }
-
-    /// All `(source, distance)` pairs discovered so far, ascending by source.
-    pub fn distances(&self) -> &SourceTable {
-        &self.table
-    }
-}
-
-impl NodeProgram for KSourceBellmanFord {
-    type Message = SourcedAnnouncement;
-
-    fn on_start(&mut self, ctx: &mut NodeContext<'_, Self::Message>) {
-        if self.is_source {
-            ctx.broadcast(SourcedAnnouncement {
-                source: self.me,
-                distance: 0,
-            });
-        }
-    }
-
-    fn on_round(&mut self, ctx: &mut NodeContext<'_, Self::Message>) {
-        // Relax incoming announcements; queue improved sources.
-        for inc in ctx.incoming() {
-            let candidate = add_dist(inc.message.distance, inc.edge_weight);
-            self.table.relax(inc.message.source, candidate);
-        }
-        // Serve one queued source per round (round-robin over non-empty
-        // queues, exactly one outgoing message per edge per round).
-        if let Some((source, distance)) = self.table.pop_announcement() {
-            ctx.broadcast(SourcedAnnouncement { source, distance });
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.table.is_idle()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,52 +302,6 @@ mod tests {
             outcome.stats.rounds,
             s
         );
-    }
-
-    #[test]
-    fn k_source_matches_per_source_dijkstra() {
-        let g = erdos_renyi(60, 0.1, GeneratorConfig::uniform(9, 1, 15));
-        let sources = [NodeId(3), NodeId(20), NodeId(45), NodeId(59)];
-        let mut net = Network::new(&g, CongestConfig::strict(), |u| {
-            KSourceBellmanFord::new(u, sources.contains(&u))
-        });
-        let outcome = net.run_until_quiescent(1_000_000);
-        assert!(outcome.completed);
-        for &s in &sources {
-            let exact = multi_source_dijkstra(&g, &[s]);
-            for (i, p) in net.programs().iter().enumerate() {
-                assert_eq!(p.distance_to(s), exact.dist[i], "node {i}, source {s}");
-            }
-        }
-    }
-
-    #[test]
-    fn k_source_respects_strict_bandwidth() {
-        // Strict config panics on violation, so completing proves the
-        // round-robin queueing keeps within one message per edge per round.
-        let g = ring(30, GeneratorConfig::unit(4));
-        let sources: Vec<NodeId> = (0..10).map(|i| NodeId(i * 3)).collect();
-        let mut net = Network::new(&g, CongestConfig::strict(), |u| {
-            KSourceBellmanFord::new(u, sources.contains(&u))
-        });
-        let outcome = net.run_until_quiescent(1_000_000);
-        assert!(outcome.completed);
-        assert_eq!(outcome.stats.bandwidth_violations, 0);
-    }
-
-    #[test]
-    fn k_source_distances_accessor() {
-        let g = weighted_path(4);
-        let mut net = Network::new(&g, CongestConfig::strict(), |u| {
-            KSourceBellmanFord::new(u, u == NodeId(0) || u == NodeId(3))
-        });
-        net.run_until_quiescent(10_000);
-        let p = net.program(NodeId(1));
-        assert_eq!(p.distances().iter().len(), 2);
-        assert_eq!(p.distance_to(NodeId(0)), 1);
-        assert_eq!(p.distance_to(NodeId(3)), 5);
-        assert_eq!(p.distance_to(NodeId(2)), INFINITY); // not a source
-        assert_eq!(p.node(), NodeId(1));
     }
 
     #[test]

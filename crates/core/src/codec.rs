@@ -59,7 +59,9 @@
 //! backed by the stored hierarchy, a 3-stretch set one level over its net,
 //! nets sampled for the ε of their params or spec, layer and spec
 //! parameters, the degrading total).  So the two accept the same payloads,
-//! and only ones the stretch bounds hold for.
+//! and only ones the stretch bounds hold for.  The same layout tells a
+//! build what each layer keeps (`keep_stored`), so a built set equals the
+//! decode of its own bytes.
 //!
 //! # Stability rules
 //!
@@ -92,7 +94,7 @@
 
 use crate::cast;
 use crate::hierarchy::Hierarchy;
-use crate::scheme::{total_stats, Layer, SchemeSpec, StoredSketches};
+use crate::scheme::{Layer, SchemeSpec, StoredSketches};
 use crate::sketch::{BunchEntry, Sketch, SketchSet};
 use crate::slack::cdg::CdgParams;
 use crate::slack::density_net::DensityNet;
@@ -1137,7 +1139,7 @@ pub(crate) fn collect_sketches(rows: &mut CheckedRows<'_, '_>) -> Result<SketchS
 }
 
 /// A part of a layer's bytes besides its label set.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Part {
     Params,
     Net,
@@ -1158,6 +1160,28 @@ fn layout(spec: &SchemeSpec) -> (&'static [Part], &'static [Part], bool) {
         SchemeSpec::Cdg { .. } => (CDG, &[Stats], false),
         SchemeSpec::Degrading { .. } => (CDG, &[Stats], true),
     }
+}
+
+/// Drop from a freshly built `layer` what `spec`'s payload does not store —
+/// a 3-stretch layer's one-level hierarchy and params, a Thorup–Zwick
+/// layer's run cost — so the layer equals the decode of its own bytes.
+pub(crate) fn keep_stored(spec: &SchemeSpec, layer: &mut Layer) {
+    let (before, after, _) = layout(spec);
+    let stores = |part| before.iter().chain(after).any(|&p| p == part);
+    layer.params = layer.params.filter(|_| stores(Part::Params));
+    layer.net = layer.net.take().filter(|_| stores(Part::Net));
+    layer.hierarchy = layer.hierarchy.take().filter(|_| stores(Part::Hierarchy));
+    if !stores(Part::Stats) {
+        layer.stats = RunStats::default();
+    }
+}
+
+/// The cost of `layers` together: the total a degrading payload closes
+/// with.
+fn total_stats<S>(layers: &[Layer<S>]) -> RunStats {
+    let mut total = RunStats::default();
+    layers.iter().for_each(|layer| total.absorb(&layer.stats));
+    total
 }
 
 /// Encode `value` into `out` or, with no encoder, only measure it: the

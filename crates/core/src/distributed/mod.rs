@@ -80,8 +80,9 @@ pub struct TzBuildResult {
 /// Run the distributed Thorup–Zwick construction with an explicit
 /// hierarchy, under `config`'s phase synchronization, CONGEST settings and
 /// round limit (its seed and engine choice do not apply: the hierarchy is
-/// given, and this *is* the CONGEST engine).  The engine behind the
-/// Thorup–Zwick and the net-restricted CDG constructions; the equivalence
+/// given, and this *is* the CONGEST engine).  The CONGEST engine behind
+/// every family — each is labels over a sampled hierarchy, the 3-stretch,
+/// CDG and degrading ones restricted to a density net; the equivalence
 /// tests call it directly with the hierarchy they hand the centralized
 /// baseline ([`crate::build::thorup_zwick`]).
 pub fn build_with_hierarchy(

@@ -92,12 +92,9 @@
 //!   its layers, each a label set with the sampling it was built from.
 //! * [`oracle`] — the unified query API: `DistanceOracle`.
 //! * [`hierarchy`] — the sampled level hierarchy `A_0 ⊇ A_1 ⊇ … ⊇ A_{k-1}`
-//!   shared by the centralized and distributed constructions.
+//!   every family's labels are built over, by either engine.
 //! * [`sketch`] — the label data structure `L(u)` (pivots, bunch, distances)
 //!   and its word-size accounting.
-//! * [`centralized`] — the searches of the centralized Thorup–Zwick
-//!   construction, the correctness baseline the distributed algorithm is
-//!   compared against (the direct engine [`build`] on one thread).
 //! * [`distributed`] — the paper's contribution: the phased modified
 //!   Bellman–Ford construction (Algorithm 2), the known-`S` synchronizer of
 //!   Section 3.2 and the ECHO/COMPLETE termination detection of Section 3.3.
@@ -105,7 +102,9 @@
 //!   sketches as the CONGEST simulation, computed by batching the
 //!   independent per-seed explorations across worker threads
 //!   (`SchemeConfig::engine = BuildEngine::Parallel`, `threads` knob);
-//!   bit-identical output for every thread count.
+//!   bit-identical output for every thread count.  On one thread it is the
+//!   centralized Thorup–Zwick construction, the correctness baseline the
+//!   distributed algorithm is compared against.
 //! * [`parallel`] — the dependency-free worker pool under [`build`]
 //!   (deterministic-merge `parallel_map`, per-phase wall-clock timings).
 //! * [`query`] — distance estimation from two sketches (Lemma 3.2 and the
@@ -114,8 +113,9 @@
 //!   labels packed into contiguous arrays at `freeze()` time, answering the
 //!   same queries allocation-free at hardware speed — the serving layers'
 //!   default in-memory layout.
-//! * [`slack`] — Section 4: ε-density nets and the constructions of the
-//!   3-stretch slack, (ε, k)-CDG and gracefully degrading layers.
+//! * [`slack`] — Section 4: ε-density nets and the net-restricted
+//!   hierarchies the 3-stretch slack, (ε, k)-CDG and gracefully degrading
+//!   layers are sampled from.
 //! * [`eval`] — stretch evaluation over any `DistanceOracle` (worst-case /
 //!   average / percentiles, slack-aware variants).
 //! * [`baseline`] — exact-oracle and landmark baselines for comparison.
@@ -139,7 +139,6 @@
 pub mod baseline;
 pub mod build;
 pub mod cast;
-pub mod centralized;
 pub mod codec;
 pub mod distributed;
 pub mod error;

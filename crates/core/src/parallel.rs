@@ -239,7 +239,8 @@ where
 /// Wall-clock timing of one batched phase of a parallel build.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseTiming {
-    /// Phase label, e.g. `"tz/clusters"` or `"3stretch/net-explorations"`.
+    /// Phase label, e.g. `"tz/clusters"` or, in a multi-layer build,
+    /// `"layer2/tz/clusters"`.
     pub phase: String,
     /// Number of independent explorations batched in this phase.
     pub items: usize,

@@ -1,14 +1,17 @@
 //! The one construction API: a [`SchemeSpec`] says *what* to build, a
 //! [`SchemeConfig`] says *how*.
 //!
-//! Every family builds the same way — sample its hierarchy or density net
-//! from [`SchemeConfig::seed`], run the construction on the engine
-//! [`SchemeConfig::engine`] selects, and return a [`BuildOutcome`]: the
-//! sketches plus the shared round/message/word statistics.
-//! [`SchemeSpec::build_sketches`] is the one place that does this; it
-//! returns the [`StoredSketches`] — the spec plus its layers, each a label
-//! set with the hierarchy or density net it was sampled from: what a
-//! snapshot persists.
+//! Every family is Thorup–Zwick labels over a list of sampled hierarchies,
+//! and builds in two steps: sample the hierarchies from
+//! [`SchemeConfig::seed`] — one over all nodes (Thorup–Zwick), one
+//! restricted to an ε-density net (CDG; 3-stretch is CDG at `k = 1`), one
+//! such net per slack scale (gracefully degrading) — then build every
+//! layer on the engine [`SchemeConfig::engine`] selects and return a
+//! [`BuildOutcome`]: the sketches plus the shared round/message/word
+//! statistics.  [`SchemeSpec::build_sketches`] is the one place that does
+//! this; it returns the [`StoredSketches`] — the spec plus its layers, each
+//! a label set with what its payload keeps of the sampling: what a snapshot
+//! persists.
 //! [`SchemeSpec::build`] hands back the same build
 //! [frozen](StoredSketches::freeze) into a `Box<dyn DistanceOracle>` over the
 //! [`FlatSketchSet`] — the one representation queries are served from.
@@ -35,7 +38,7 @@
 //! ```
 
 use crate::build;
-use crate::codec::{collect_sketches, read_family, write_family, CodecError, Decoder};
+use crate::codec::{collect_sketches, keep_stored, read_family, write_family, CodecError, Decoder};
 use crate::distributed::{self, SyncMode};
 use crate::error::SketchError;
 use crate::flat::{FlatSketchSet, QueryRule};
@@ -45,9 +48,8 @@ use crate::parallel::BuildTimings;
 use crate::query::{estimate_distance, estimate_distance_best_common};
 use crate::sketch::SketchSet;
 use crate::slack::cdg::{self, CdgParams};
-use crate::slack::degrading::{self, DegradingParams};
+use crate::slack::degrading::DegradingParams;
 use crate::slack::density_net::DensityNet;
-use crate::slack::three_stretch;
 use congest_sim::{CongestConfig, RunStats};
 use netgraph::{Distance, Graph, NodeId, INFINITY};
 
@@ -94,11 +96,7 @@ pub struct SchemeConfig {
     pub threads: usize,
     /// How phase boundaries are detected (Section 3.2 vs Section 3.3).
     ///
-    /// Only meaningful for the phased constructions (Thorup–Zwick, CDG,
-    /// degrading) on the [`BuildEngine::Congest`] engine.  The 3-stretch
-    /// construction is a single k-source flood with no phase boundaries to
-    /// detect, so it ignores this field (its
-    /// [`BuildOutcome::tree_stats`] is always `None`), and the parallel
+    /// Only meaningful on the [`BuildEngine::Congest`] engine; the parallel
     /// engine has no phases to synchronize.
     pub sync: SyncMode,
     /// CONGEST engine configuration (compute-step threads, bandwidth
@@ -183,19 +181,26 @@ pub struct BuildOutcome<O> {
     /// ([`SchemeSpec::build_sketches`]) or the frozen `Box<dyn
     /// DistanceOracle>` ([`SchemeSpec::build`]).
     pub sketches: O,
-    /// Total construction cost: rounds, messages, words on the wire.
+    /// Total construction cost: rounds, messages, words on the wire — the
+    /// sum of the layers' simulated runs (empty on
+    /// [`BuildEngine::Parallel`]).
     pub stats: RunStats,
-    /// Per-unit cost in execution order, when the construction has natural
-    /// units: one entry per phase for Thorup–Zwick in
-    /// [`SyncMode::GlobalOracle`] mode, one entry per layer for the
-    /// gracefully degrading construction.  Empty otherwise.
+    /// Per-unit cost in execution order.  A one-layer build (Thorup–Zwick,
+    /// 3-stretch, CDG) reports its run's phases — one entry per phase in
+    /// [`SyncMode::GlobalOracle`] mode, none under termination detection;
+    /// a multi-layer build (gracefully degrading) one entry per layer.
+    /// Empty on [`BuildEngine::Parallel`].
     pub phase_stats: Vec<RunStats>,
-    /// Cost of the BFS-tree preamble (termination-detection mode only).
+    /// Cost of the BFS-tree preamble: a one-layer build's run under
+    /// termination detection; `None` otherwise (a multi-layer build counts
+    /// each layer's tree in that layer's entry of
+    /// [`BuildOutcome::phase_stats`]).
     pub tree_stats: Option<RunStats>,
     /// Per-phase wall-clock timings when the build ran on the
-    /// [`BuildEngine::Parallel`] engine ([`BuildTimings::is_recorded`] is
-    /// `false` for simulated builds, whose cost currency is
-    /// [`BuildOutcome::stats`] instead).
+    /// [`BuildEngine::Parallel`] engine — a multi-layer build's under a
+    /// `layer{i}/` prefix ([`BuildTimings::is_recorded`] is `false` for
+    /// simulated builds, whose cost currency is [`BuildOutcome::stats`]
+    /// instead).
     pub timings: BuildTimings,
 }
 
@@ -206,11 +211,13 @@ pub type DynBuildOutcome = BuildOutcome<Box<dyn DistanceOracle>>;
 /// One layer of labels: a label set plus the sampling it was built from.
 ///
 /// Every family is Thorup–Zwick labels over a sampled hierarchy, and a
-/// layer keeps what its family sampled: the hierarchy over all nodes
-/// (Thorup–Zwick), the density net the labels are one level over
-/// (3-stretch, Theorem 4.3), or the net with the hierarchy restricted to it
-/// and the parameters it was sampled with (CDG, Lemma 4.5; each gracefully
-/// degrading layer).  Generic over its label set like [`StoredSketches`].
+/// layer keeps what its family's payload stores of that sampling: the
+/// hierarchy over all nodes (Thorup–Zwick), the density net the labels are
+/// one level over (3-stretch, Theorem 4.3 — CDG at `k = 1`, whose
+/// one-level hierarchy the net already is), or the net with the hierarchy
+/// restricted to it and the parameters it was sampled with (CDG, Lemma
+/// 4.5; each gracefully degrading layer).  Generic over its label set like
+/// [`StoredSketches`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Layer<S = SketchSet> {
     /// The per-node labels.
@@ -279,14 +286,6 @@ impl StoredSketches {
         input.finish()?;
         Ok(sketches)
     }
-}
-
-/// The cost of `layers` together: the total a degrading payload closes
-/// with, and a degrading build's.
-pub(crate) fn total_stats<S>(layers: &[Layer<S>]) -> RunStats {
-    let mut total = RunStats::default();
-    layers.iter().for_each(|layer| total.absorb(&layer.stats));
-    total
 }
 
 impl DistanceOracle for StoredSketches {
@@ -371,53 +370,68 @@ pub enum SchemeSpec {
     },
 }
 
-/// What the CONGEST simulation reports next to the sketches it built.
-#[derive(Default)]
-struct RunCost {
-    stats: RunStats,
-    phase_stats: Vec<RunStats>,
-    tree_stats: Option<RunStats>,
-}
+/// What one layer is built from: the hierarchy its labels are Thorup–Zwick
+/// labels over and, for a net-restricted layer, the density net and the
+/// parameters both were sampled with.
+type Sampled = (Hierarchy, Option<(DensityNet, CdgParams)>);
 
-impl RunCost {
-    /// A construction with no per-phase breakdown and no BFS tree.
-    fn total(stats: &RunStats) -> Self {
-        RunCost {
-            stats: stats.clone(),
-            ..RunCost::default()
-        }
-    }
-}
-
-/// Run `spec`'s construction on the engine `config` selects — `simulated`
-/// on [`BuildEngine::Congest`], `direct` on [`BuildEngine::Parallel`] — and
-/// assemble its outcome from the layers it built.
-fn on_engine(
+/// Build every `sampled` layer of `spec` on the engine `config` selects —
+/// the CONGEST simulation or the direct parallel engine, identical labels
+/// either way — and assemble the outcome (see [`BuildOutcome`] for how the
+/// layers' costs add up).  Each layer keeps what `spec`'s payload stores.
+fn build_layers(
     spec: &SchemeSpec,
+    graph: &Graph,
+    sampled: Vec<Sampled>,
     config: &SchemeConfig,
-    simulated: impl FnOnce() -> Result<(RunCost, Vec<Layer>), SketchError>,
-    direct: impl FnOnce() -> Result<(Vec<Layer>, BuildTimings), SketchError>,
 ) -> Result<BuildOutcome<StoredSketches>, SketchError> {
-    let (cost, layers, timings) = match config.engine {
-        BuildEngine::Congest => {
-            let (cost, layers) = simulated()?;
-            (cost, layers, BuildTimings::default())
-        }
-        BuildEngine::Parallel => {
-            let (layers, timings) = direct()?;
-            (RunCost::default(), layers, timings)
-        }
-    };
-    Ok(BuildOutcome {
+    let single = sampled.len() == 1;
+    let mut outcome = BuildOutcome {
         sketches: StoredSketches {
             spec: *spec,
-            layers,
+            layers: Vec::with_capacity(sampled.len()),
         },
-        stats: cost.stats,
-        phase_stats: cost.phase_stats,
-        tree_stats: cost.tree_stats,
-        timings,
-    })
+        stats: RunStats::default(),
+        phase_stats: Vec::new(),
+        tree_stats: None,
+        timings: BuildTimings::default(),
+    };
+    for (index, (hierarchy, restricted)) in sampled.into_iter().enumerate() {
+        let (sketches, hierarchy, stats) = match config.engine {
+            BuildEngine::Congest => {
+                let run = distributed::build_with_hierarchy(graph, hierarchy, config)?;
+                if single {
+                    outcome.phase_stats = run.phase_stats;
+                    outcome.tree_stats = run.tree_stats;
+                } else {
+                    outcome.phase_stats.push(run.stats.clone());
+                }
+                (run.sketches, run.hierarchy, run.stats)
+            }
+            BuildEngine::Parallel => {
+                let built = build::thorup_zwick(graph, &hierarchy, config.threads);
+                let prefix = match single {
+                    true => String::new(),
+                    false => format!("layer{index}/"),
+                };
+                outcome.timings.threads = built.timings.threads;
+                outcome.timings.absorb_prefixed(&prefix, built.timings);
+                (built.sketches, hierarchy, RunStats::default())
+            }
+        };
+        outcome.stats.absorb(&stats);
+        let (net, params) = restricted.unzip();
+        let mut layer = Layer {
+            sketches,
+            hierarchy: Some(hierarchy),
+            net,
+            params,
+            stats,
+        };
+        keep_stored(spec, &mut layer);
+        outcome.sketches.layers.push(layer);
+    }
+    Ok(outcome)
 }
 
 impl SchemeSpec {
@@ -611,23 +625,23 @@ impl SchemeSpec {
     ///
     /// Each family validates its parameters (a zero `k` or degrading cap,
     /// a `k` above `max(1, ⌈log₂ n⌉)`, an ε outside `(0, 1]` is
-    /// [`SketchError::InvalidParameters`]),
-    /// samples its hierarchy or density net from [`SchemeConfig::seed`],
-    /// and runs its construction, which fills the [`Layer`]s of the
-    /// returned [`StoredSketches`]: the CONGEST simulation records the
-    /// round/message cost, the direct parallel engine the wall-clock
+    /// [`SketchError::InvalidParameters`]) and samples its hierarchies from
+    /// [`SchemeConfig::seed`]; one engine dispatch then builds every layer
+    /// of the returned [`StoredSketches`]: the CONGEST simulation records
+    /// the round/message cost, the direct parallel engine the wall-clock
     /// timings, and both build identical sketches.
     pub fn build_sketches(
         &self,
         graph: &Graph,
         config: &SchemeConfig,
     ) -> Result<BuildOutcome<StoredSketches>, SketchError> {
+        let n = graph.num_nodes();
         // Past ⌈log₂ n⌉ levels, labels of O(k·n^{1/k}) words stop shrinking
         // while the stretch bound keeps growing — and sampling, a k × n pass
         // per attempt, runs as long as k says.  (The degrading layer count
         // stops at the same value.)
         let levels = |k: usize| {
-            let (n, cap) = (graph.num_nodes(), TzParams::log_n(graph.num_nodes()).k);
+            let cap = TzParams::log_n(n).k;
             if k <= cap {
                 return Ok(());
             }
@@ -635,66 +649,31 @@ impl SchemeSpec {
                 "k = {k} exceeds max(1, ⌈log₂ n⌉) = {cap} for n = {n}"
             )))
         };
-        match *self {
+        // A hierarchy restricted to an ε-density net (Lemma 4.5).
+        let net_restricted = |params: CdgParams| -> Result<Sampled, SketchError> {
+            let (net, hierarchy) = cdg::sample_net_hierarchy(n, params)?;
+            Ok((hierarchy, Some((net, params))))
+        };
+        let sampled = match *self {
             SchemeSpec::ThorupZwick { k } => {
                 let params = TzParams::new(k).with_seed(config.seed);
                 params.validate()?;
                 levels(k)?;
-                // Only one engine runs, so the hierarchy is sampled once.
-                let sample = || {
-                    Hierarchy::sample_until_top_nonempty(graph.num_nodes(), &params, 1000)
-                        .map(|(hierarchy, _)| hierarchy)
-                };
-                // The payload records no cost for a Thorup–Zwick layer.
-                let layer = |sketches, hierarchy| Layer {
-                    sketches,
-                    hierarchy: Some(hierarchy),
-                    net: None,
-                    params: None,
-                    stats: RunStats::default(),
-                };
-                on_engine(
-                    self,
-                    config,
-                    || {
-                        let run = distributed::build_with_hierarchy(graph, sample()?, config)?;
-                        let cost = RunCost {
-                            stats: run.stats,
-                            phase_stats: run.phase_stats,
-                            tree_stats: run.tree_stats,
-                        };
-                        Ok((cost, vec![layer(run.sketches, run.hierarchy)]))
-                    },
-                    || {
-                        let hierarchy = sample()?;
-                        let built = build::thorup_zwick(graph, &hierarchy, config.threads);
-                        Ok((vec![layer(built.sketches, hierarchy)], built.timings))
-                    },
-                )
+                let (hierarchy, _) = Hierarchy::sample_until_top_nonempty(n, &params, 1000)?;
+                vec![(hierarchy, None)]
             }
-            // ε is validated where the density net is sampled.
-            SchemeSpec::ThreeStretch { eps } => on_engine(
-                self,
-                config,
-                || {
-                    three_stretch::build(graph, eps, config)
-                        .map(|l| (RunCost::total(&l.stats), vec![l]))
-                },
-                || three_stretch::build_direct(graph, eps, config).map(|(l, t)| (vec![l], t)),
-            ),
+            // Theorem 4.3's sketch is CDG's at k = 1: one phase, a single
+            // flood from the net.  ε is validated where the net is sampled.
+            SchemeSpec::ThreeStretch { eps } => {
+                vec![net_restricted(
+                    CdgParams::new(eps, 1).with_seed(config.seed),
+                )?]
+            }
             SchemeSpec::Cdg { eps, k } => {
                 let params = CdgParams::new(eps, k).with_seed(config.seed);
                 params.validate()?;
                 levels(k)?;
-                on_engine(
-                    self,
-                    config,
-                    || {
-                        cdg::build(graph, params, config)
-                            .map(|l| (RunCost::total(&l.stats), vec![l]))
-                    },
-                    || cdg::build_direct(graph, params, config).map(|(l, t)| (vec![l], t)),
-                )
+                vec![net_restricted(params)?]
             }
             SchemeSpec::Degrading { max_layers, max_k } => {
                 if max_layers == Some(0) || max_k == Some(0) {
@@ -707,21 +686,11 @@ impl SchemeSpec {
                     max_layers,
                     max_k,
                 };
-                on_engine(
-                    self,
-                    config,
-                    || {
-                        let layers = degrading::build(graph, params, config)?;
-                        let cost = RunCost {
-                            phase_stats: layers.iter().map(|l| l.stats.clone()).collect(),
-                            ..RunCost::total(&total_stats(&layers))
-                        };
-                        Ok((cost, layers))
-                    },
-                    || degrading::build_direct(graph, params, config),
-                )
+                let layers = params.layers(n).into_iter();
+                layers.map(net_restricted).collect::<Result<_, _>>()?
             }
-        }
+        };
+        build_layers(self, graph, sampled, config)
     }
 
     /// Run the construction ([`SchemeSpec::build_sketches`]), returning
@@ -837,6 +806,116 @@ mod tests {
         assert_eq!(deg.phase_stats.len(), 2, "one entry per layer");
         let layer_rounds: u64 = deg.phase_stats.iter().map(|s| s.rounds).sum();
         assert_eq!(layer_rounds, deg.stats.rounds);
+    }
+
+    /// One rule assembles every outcome: `stats` sums the layers' runs; a
+    /// one-layer build reports its run's phases and BFS tree, a multi-layer
+    /// build one entry per layer and no tree; the parallel engine reports
+    /// timings instead, a multi-layer build's under `layer{i}/`.
+    #[test]
+    fn run_costs_assemble_by_layer_count() {
+        let graph = small_graph();
+        let sum = |entries: &[RunStats]| {
+            let mut total = RunStats::default();
+            entries.iter().for_each(|s| total.absorb(s));
+            total
+        };
+        // (spec, layers, phases of a layer's oracle-synchronized run)
+        for (spec, layers, phases) in [
+            ("tz:2", 1, 2),
+            ("3stretch:0.4", 1, 1),
+            ("cdg:0.4,2", 1, 2),
+            ("degrading:k=2,layers=2", 2, 0),
+        ] {
+            let spec = SchemeSpec::parse(spec).unwrap();
+            let config = SchemeConfig::default().with_seed(3);
+            let build = |config: &SchemeConfig| spec.build_sketches(&graph, config).unwrap();
+
+            let oracle = build(&config);
+            assert_eq!(oracle.sketches.layers.len(), layers, "{spec}");
+            assert_eq!(oracle.stats, sum(&oracle.phase_stats), "{spec}");
+            assert!(oracle.tree_stats.is_none(), "{spec}");
+            let detected = build(&config.with_termination_detection());
+            if layers == 1 {
+                assert_eq!(oracle.phase_stats.len(), phases, "{spec}: one per phase");
+                let tree = detected.tree_stats.as_ref().expect("a BFS tree");
+                assert!(detected.phase_stats.is_empty(), "{spec}");
+                assert!(detected.stats.messages > tree.messages, "{spec}");
+            } else {
+                let per_layer = |outcome: &BuildOutcome<StoredSketches>| {
+                    let layers = outcome.sketches.layers.iter();
+                    layers.map(|l| l.stats.clone()).collect::<Vec<_>>()
+                };
+                assert_eq!(oracle.phase_stats, per_layer(&oracle), "{spec}");
+                assert_eq!(detected.phase_stats, per_layer(&detected), "{spec}");
+                assert!(detected.tree_stats.is_none(), "{spec}");
+                assert_eq!(detected.stats, sum(&detected.phase_stats), "{spec}");
+            }
+
+            let direct = build(&config.with_parallel_build().with_threads(2));
+            assert_eq!(direct.stats, RunStats::default(), "{spec}");
+            assert!(direct.phase_stats.is_empty() && direct.tree_stats.is_none());
+            assert_eq!(direct.timings.threads, 2, "{spec}");
+            let names: Vec<&str> = direct.timings.phases.iter().map(|p| &p.phase[..]).collect();
+            let tz = ["tz/pivots", "tz/clusters", "tz/merge"];
+            let want: Vec<String> = match layers {
+                1 => tz.map(String::from).to_vec(),
+                _ => (0..layers)
+                    .flat_map(|i| tz.map(|phase| format!("layer{i}/{phase}")))
+                    .collect(),
+            };
+            assert_eq!(names, want, "{spec}");
+        }
+    }
+
+    /// Builds Theorem 4.3's labels on a grid and a random graph, on both
+    /// engines, and hands each graph with its one 3-stretch layer to `check`.
+    fn for_each_three_stretch_layer(mut check: impl FnMut(&Graph, &Layer, BuildEngine)) {
+        let grid = netgraph::generators::grid(6, 6, GeneratorConfig::uniform(7, 1, 6));
+        let er = erdos_renyi(150, 0.06, GeneratorConfig::uniform(9, 1, 15));
+        for (graph, eps, seed) in [(grid, 0.4, 3), (er, 0.3, 2)] {
+            for engine in [BuildEngine::Congest, BuildEngine::Parallel] {
+                let config = SchemeConfig::default()
+                    .with_seed(seed)
+                    .with_engine(engine)
+                    .with_congest(CongestConfig::strict());
+                let built = SchemeSpec::three_stretch(eps)
+                    .build_sketches(&graph, &config)
+                    .unwrap()
+                    .sketches;
+                let [layer] = built.layers.as_slice() else {
+                    panic!("one 3-stretch layer");
+                };
+                check(&graph, layer, engine);
+            }
+        }
+    }
+
+    /// Every node knows its exact distance to every net node.
+    #[test]
+    fn three_stretch_distances_to_net_nodes_are_exact() {
+        for_each_three_stretch_layer(|graph, layer, engine| {
+            let table = netgraph::apsp::DistanceTable::exact(graph);
+            let net = layer.net.as_ref().expect("a density net");
+            for u in graph.nodes() {
+                let sketch = layer.sketches.sketch(u);
+                for &w in net.members() {
+                    let want = Some(table.distance(u, w));
+                    assert_eq!(sketch.bunch_distance(w), want, "{engine:?}");
+                }
+            }
+        });
+    }
+
+    /// A label is two words an entry per net node plus its one pivot.
+    #[test]
+    fn three_stretch_sketch_size_tracks_net_size() {
+        for_each_three_stretch_layer(|_, layer, engine| {
+            let net = layer.net.as_ref().expect("a density net");
+            let max_words = layer.sketches.max_words();
+            assert!(max_words <= 2 * net.len() + 2, "{engine:?}: {max_words}");
+            assert!(max_words >= net.len(), "{engine:?}: {max_words}");
+        });
     }
 
     #[test]

@@ -1,14 +1,22 @@
 //! The (ε, k)-CDG sketch (Theorem 4.6, after Chan–Dinitz–Gupta).
 //!
 //! Construction (Lemma 4.5): sample an ε-density net `N`, then run the
-//! distributed Thorup–Zwick construction with the level hierarchy restricted
-//! to `N` (ground set `A_0 = N`, per-level sampling probability
+//! Thorup–Zwick construction with the level hierarchy restricted to `N`
+//! (ground set `A_0 = N`, per-level sampling probability
 //! `((10/ε) ln n)^{-1/k}`).  Every node `u ∈ V` — not just the net nodes —
 //! ends up with a well-defined label: its pivots `p_i(u) ∈ A_i ⊆ N`, its
 //! bunches `B_i(u) ⊆ N`, and the exact distances to them.  In particular
 //! `p_0(u)` is exactly the closest net node `u'` with its distance
 //! `d(u, u')`, so the paper's separate "super-source Bellman–Ford" step is
 //! subsumed by phase 0 of the restricted construction.
+//!
+//! This module holds the parameters and the sampler
+//! (`sample_net_hierarchy`); [`crate::scheme::SchemeSpec::build_sketches`]
+//! builds the labels on the sampled hierarchy with the engine every family
+//! shares.  At `k = 1` the hierarchy is the net alone and its one phase is
+//! a single flood from every net node with no threshold — the 3-stretch
+//! sketch of Theorem 4.3, which is built exactly so; each gracefully
+//! degrading layer ([`super::degrading`]) is one more sampling.
 //!
 //! **Deviation from the paper (ARCHITECTURE.md, *CDG deviation*):** the
 //! paper defines the sketch of `u` as `(u', d(u, u'), L(u'))` — the label
@@ -19,14 +27,9 @@
 //! ε-slack guarantee (the triangle-inequality argument of Section 4 goes
 //! through verbatim with `u`'s own pivots in place of `u'`'s).
 
-use crate::distributed;
 use crate::error::SketchError;
 use crate::hierarchy::Hierarchy;
-use crate::parallel::BuildTimings;
-use crate::scheme::{Layer, SchemeConfig};
 use crate::slack::density_net::DensityNet;
-use congest_sim::RunStats;
-use netgraph::Graph;
 
 /// Parameters of a CDG sketch construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,84 +87,38 @@ impl CdgParams {
     }
 }
 
-/// The Theorem 4.6 construction on the CONGEST engine: sample the net,
-/// restrict the hierarchy to it, run the distributed Thorup–Zwick engine.
-/// `params` are valid ([`CdgParams::validate`]) and carry the seed; `config`
-/// the engine settings.  The engine behind [`crate::scheme::SchemeSpec::Cdg`]
-/// (and each degrading layer) on [`crate::scheme::BuildEngine::Congest`].
-/// The layer's pivots and bunches live inside the net.
-pub(crate) fn build(
-    graph: &Graph,
-    params: CdgParams,
-    config: &SchemeConfig,
-) -> Result<Layer, SketchError> {
-    let n = graph.num_nodes();
-    let net = DensityNet::sample_nonempty(n, params.eps, params.seed)?;
-    let hierarchy = sample_net_hierarchy(n, &net, params)?;
-    let result = distributed::build_with_hierarchy(graph, hierarchy, config)?;
-    Ok(Layer {
-        sketches: result.sketches,
-        hierarchy: Some(result.hierarchy),
-        net: Some(net),
-        params: Some(params),
-        stats: result.stats,
-    })
-}
-
-/// The direct parallel counterpart of [`build`]: identical sampling (net +
-/// net-restricted hierarchy from the same seed), then the shared parallel
-/// Thorup–Zwick engine [`crate::build::thorup_zwick`] instead of the
-/// CONGEST simulation.  The engine behind [`crate::scheme::SchemeSpec::Cdg`]
-/// (and each degrading layer) on [`crate::scheme::BuildEngine::Parallel`].
-pub(crate) fn build_direct(
-    graph: &Graph,
-    params: CdgParams,
-    config: &SchemeConfig,
-) -> Result<(Layer, BuildTimings), SketchError> {
-    let n = graph.num_nodes();
-    let net = DensityNet::sample_nonempty(n, params.eps, params.seed)?;
-    let hierarchy = sample_net_hierarchy(n, &net, params)?;
-    let built = crate::build::thorup_zwick(graph, &hierarchy, config.threads);
-    let layer = Layer {
-        sketches: built.sketches,
-        hierarchy: Some(hierarchy),
-        net: Some(net),
-        params: Some(params),
-        stats: RunStats::default(),
-    };
-    Ok((layer, built.timings))
-}
-
-/// Sample the net-restricted hierarchy, retrying seeds (and, as a last
-/// resort, lowering `k`) until the top level is non-empty, as the paper's
-/// high-probability analysis assumes.
-fn sample_net_hierarchy(
+/// Sample one layer of the construction from `params.seed`: the ε-density
+/// net, then the `k`-level hierarchy restricted to it, retrying seeds until
+/// the top level is non-empty, as the paper's high-probability analysis
+/// assumes — and refusing, like the Thorup–Zwick sampler, when no attempt
+/// gets there (a lower `k` would be labels the spec does not describe).
+/// The labels built on the hierarchy keep their pivots and bunches inside
+/// the net.
+pub(crate) fn sample_net_hierarchy(
     num_nodes: usize,
-    net: &DensityNet,
     params: CdgParams,
-) -> Result<Hierarchy, SketchError> {
-    let mut k = params.k;
-    loop {
-        let probability = CdgParams { k, ..params }.level_probability(num_nodes);
-        for attempt in 0..200u64 {
-            let h = Hierarchy::sample_on_ground_set(
-                num_nodes,
-                net.members(),
-                k,
-                probability,
-                params.seed.wrapping_add(attempt).wrapping_mul(0x9E37_79B9),
-            )?;
-            if h.top_level_nonempty() {
-                return Ok(h);
-            }
+) -> Result<(DensityNet, Hierarchy), SketchError> {
+    const ATTEMPTS: u64 = 200;
+    let net = DensityNet::sample_nonempty(num_nodes, params.eps, params.seed)?;
+    let probability = params.level_probability(num_nodes);
+    for attempt in 0..ATTEMPTS {
+        let h = Hierarchy::sample_on_ground_set(
+            num_nodes,
+            net.members(),
+            params.k,
+            probability,
+            params.seed.wrapping_add(attempt).wrapping_mul(0x9E37_79B9),
+        )?;
+        if h.top_level_nonempty() {
+            return Ok((net, h));
         }
-        if k == 1 {
-            return Err(SketchError::InvalidParameters(
-                "could not sample a usable net hierarchy".into(),
-            ));
-        }
-        k -= 1;
     }
+    Err(SketchError::InvalidParameters(format!(
+        "could not sample a non-empty top level of a k = {} hierarchy over a \
+         {}-node density net in {ATTEMPTS} attempts",
+        params.k,
+        net.len()
+    )))
 }
 
 #[cfg(test)]
@@ -169,12 +126,17 @@ mod tests {
     use super::*;
     use crate::oracle::DistanceOracle;
     use crate::query::estimate_distance;
+    use crate::scheme::{Layer, SchemeConfig, SchemeSpec};
     use crate::slack::is_eps_far;
     use netgraph::apsp::DistanceTable;
     use netgraph::generators::{erdos_renyi, grid, ring, GeneratorConfig};
+    use netgraph::Graph;
 
     fn build_scheme(graph: &Graph, params: CdgParams) -> Layer {
-        build(graph, params, &SchemeConfig::default()).unwrap()
+        let spec = SchemeSpec::cdg(params.eps, params.k);
+        let config = SchemeConfig::default().with_seed(params.seed);
+        let mut built = spec.build_sketches(graph, &config).unwrap().sketches;
+        built.layers.remove(0)
     }
 
     /// The Lemma 3.2 level walk over the net-restricted labels holds the

@@ -8,12 +8,13 @@
 //! query takes the minimum of the per-layer estimates.  Lemma 4.7 then shows
 //! that `O(log 1/ε)`-stretch graceful degradation implies `O(log n)`
 //! worst-case stretch and `O(1)` average stretch.
+//!
+//! This module holds the layer schedule ([`DegradingParams::layers`]);
+//! [`crate::scheme::SchemeSpec::build_sketches`] samples one CDG layer per
+//! entry (`cdg::sample_net_hierarchy`) and builds them all with the
+//! engine every family shares.
 
-use crate::error::SketchError;
-use crate::parallel::{resolve_threads, BuildTimings};
-use crate::scheme::{Layer, SchemeConfig};
-use crate::slack::cdg::{self, CdgParams};
-use netgraph::Graph;
+use crate::slack::cdg::CdgParams;
 
 /// Parameters of the gracefully degrading construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,57 +57,21 @@ impl DegradingParams {
     }
 }
 
-/// The Theorem 4.8 layered construction on the CONGEST engine, one
-/// [`cdg::build`] per slack scale `ε_i = 2^{-i}`.  The engine behind
-/// [`crate::scheme::SchemeSpec::Degrading`] on
-/// [`crate::scheme::BuildEngine::Congest`].
-pub(crate) fn build(
-    graph: &Graph,
-    params: DegradingParams,
-    config: &SchemeConfig,
-) -> Result<Vec<Layer>, SketchError> {
-    let layers = params.layers(graph.num_nodes()).into_iter();
-    layers
-        .map(|layer| cdg::build(graph, layer, config))
-        .collect()
-}
-
-/// The direct parallel counterpart of [`build`]: the same layer schedule,
-/// each layer built by [`cdg::build_direct`] (layers share the seed
-/// derivation, so sampling is identical to the simulated path).  The engine
-/// behind [`crate::scheme::SchemeSpec::Degrading`] on
-/// [`crate::scheme::BuildEngine::Parallel`].
-pub(crate) fn build_direct(
-    graph: &Graph,
-    params: DegradingParams,
-    config: &SchemeConfig,
-) -> Result<(Vec<Layer>, BuildTimings), SketchError> {
-    let n = graph.num_nodes();
-    let mut layers = Vec::new();
-    let mut timings = BuildTimings::new(resolve_threads(config.threads));
-    for (index, layer_params) in params.layers(n).into_iter().enumerate() {
-        let (layer, layer_timings) = cdg::build_direct(graph, layer_params, config)?;
-        timings.absorb_prefixed(&format!("layer{index}/"), layer_timings);
-        layers.push(layer);
-    }
-    Ok((layers, timings))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle::DistanceOracle;
     use crate::query::estimate_distance_best_common;
-    use crate::scheme::{SchemeSpec, StoredSketches};
+    use crate::scheme::{SchemeConfig, SchemeSpec, StoredSketches};
     use netgraph::apsp::DistanceTable;
     use netgraph::generators::{erdos_renyi, grid, GeneratorConfig};
-    use netgraph::NodeId;
+    use netgraph::{Graph, NodeId};
 
     fn build_scheme(graph: &Graph, params: DegradingParams) -> StoredSketches {
-        let layers = build(graph, params, &SchemeConfig::default()).unwrap();
         let (max_layers, max_k) = (params.max_layers, params.max_k);
         let spec = SchemeSpec::Degrading { max_layers, max_k };
-        StoredSketches { spec, layers }
+        let config = SchemeConfig::default().with_seed(params.seed);
+        spec.build_sketches(graph, &config).unwrap().sketches
     }
 
     fn average_and_worst_stretch(graph: &Graph, sketches: &StoredSketches) -> (f64, f64) {

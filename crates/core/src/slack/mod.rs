@@ -6,18 +6,22 @@
 //! pairs buys dramatically smaller sketches and faster construction:
 //!
 //! * [`density_net`] — Lemma 4.2: an ε-density net sampled in constant time.
-//! * [`three_stretch`] — Theorem 4.3: stretch 3 with ε-slack, size
-//!   `O((1/ε) log n)` words.
 //! * [`cdg`] — Theorem 4.6: the (ε, k)-CDG sketch, stretch `8k − 1` with
-//!   ε-slack, size `O(k (1/ε log n)^{1/k} log n)` words.
+//!   ε-slack, size `O(k (1/ε log n)^{1/k} log n)` words: Thorup–Zwick on a
+//!   hierarchy restricted to the net.  At `k = 1` it is Theorem 4.3's
+//!   3-stretch sketch — one phase, a single flood from the net, size
+//!   `O((1/ε) log n)` words.
 //! * [`degrading`] — Theorem 4.8 / Corollary 4.9: gracefully degrading
 //!   sketches (a union of CDG sketches for every power-of-two ε) with
 //!   `O(log n)` worst-case stretch and `O(1)` average stretch.
+//!
+//! What is here is sampling: the nets, the net-restricted hierarchies and
+//! the degrading layer schedule.  The labels are built on them by the one
+//! engine dispatch of [`crate::scheme::SchemeSpec::build_sketches`].
 
 pub mod cdg;
 pub mod degrading;
 pub mod density_net;
-pub mod three_stretch;
 
 use netgraph::apsp::DistanceTable;
 use netgraph::NodeId;

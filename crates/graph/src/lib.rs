@@ -25,8 +25,6 @@
 //!   snapshot against the wrong graph.
 //! * [`apsp`] — all-pairs (or sampled-pairs) ground-truth distance tables.
 //! * [`io`] — a plain-text edge-list format for persisting generated networks.
-//! * [`metrics`] — degree/weight/connectivity summaries used in experiment
-//!   reports.
 //!
 //! # Conventions
 //!
@@ -43,7 +41,6 @@ pub mod diameter;
 pub mod fingerprint;
 pub mod generators;
 pub mod io;
-pub mod metrics;
 pub mod shortest_path;
 pub mod union_find;
 

@@ -24,8 +24,8 @@
 //! included).  Entries with equal keys pop in no particular order.
 //!
 //! Three searches share the queue — [`multi_source_dijkstra`] here, and the
-//! cluster growth and the lexicographic pivot search of
-//! `dsketch::centralized` — and nothing else: each keeps its own loop,
+//! cluster growth and the lexicographic pivot search of `dsketch::build`
+//! — and nothing else: each keeps its own loop,
 //! because what differs between them is not the queue but the policy around
 //! it (what a label is, when a candidate beats it, when an entry is stale,
 //! which nodes may be expanded at all).  One generic search would take those

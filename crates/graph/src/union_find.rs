@@ -1,8 +1,7 @@
 //! Disjoint-set (union–find) structure with union by rank and path halving.
 //!
 //! Used by the generators to guarantee connectivity (the paper assumes a
-//! connected network) and by [`crate::metrics`] to report connected
-//! components.
+//! connected network).
 
 /// Union–find over `0..n`.
 #[derive(Debug, Clone)]

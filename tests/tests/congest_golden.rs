@@ -6,12 +6,12 @@
 //! 8: the statistics must equal the pinned row and the final program state
 //! must be the same at every thread count.
 
-use congest_sim::programs::aggregation::{AggregateOp, ConvergecastProgram};
-use congest_sim::programs::bellman_ford::{BellmanFordProgram, KSourceBellmanFord};
+use congest_sim::programs::bellman_ford::BellmanFordProgram;
 use congest_sim::programs::bfs_tree::build_bfs_tree;
 use congest_sim::{CongestConfig, Network, NodeProgram, RunStats};
-use dsketch::distributed::run_sketch_exchange;
+use dsketch::distributed::{run_sketch_exchange, PhaseProgram};
 use dsketch::prelude::*;
+use dsketch::sketch::DistKey;
 use netgraph::generators::{erdos_renyi, grid, ring, GeneratorConfig};
 use netgraph::{Graph, GraphBuilder, NodeId};
 
@@ -115,18 +115,15 @@ fn measure() -> Vec<(String, Golden)> {
             let (trees, stats) = build_bfs_tree(graph, c);
             (format!("{trees:?}"), stats)
         });
-        row("convergecast", &|c| {
-            let (trees, _) = build_bfs_tree(graph, c);
-            run_programs(graph, c, |u| {
-                let value = (u.index() as u64 * 37 + 11) % 101;
-                ConvergecastProgram::new(u, trees[u.index()].clone(), value, AggregateOp::Sum)
-            })
-        });
         row("bellman-ford", &|c| {
             run_programs(graph, c, |u| BellmanFordProgram::new(u, u == NodeId(0)))
         });
+        // The k-source flood: one Algorithm-2 phase with no threshold.
         row("k-source", &|c| {
-            run_programs(graph, c, |u| KSourceBellmanFord::new(u, u.index() % 7 == 0))
+            run_programs(graph, c, |u| {
+                let level = if u.index() % 7 == 0 { 0 } else { -1 };
+                PhaseProgram::new(u, 0, level, DistKey::INFINITE)
+            })
         });
         row("tz:2", &|c| build_tz(graph, 2, &scheme_config(c)));
         row("tz:3", &|c| build_tz(graph, 3, &scheme_config(c)));
@@ -154,7 +151,6 @@ fn measure() -> Vec<(String, Golden)> {
 /// `deliver`).
 const PINNED: &[(&str, Golden)] = &[
     ("bfs-tree/er", (4, 2413, 4511, 736, 3)),
-    ("convergecast/er", (6, 190, 190, 64, 5)),
     ("bellman-ford/er", (7, 1203, 1203, 406, 6)),
     ("k-source/er", (32, 14662, 29324, 688, 31)),
     ("tz:2/er", (77, 20507, 41014, 688, 75)),
@@ -163,7 +159,6 @@ const PINNED: &[(&str, Golden)] = &[
     ("tz:2+termination/er", (108, 43441, 86187, 1371, 106)),
     ("exchange/er", (57, 838, 1673, 427, 56)),
     ("bfs-tree/grid", (15, 2240, 4032, 285, 14)),
-    ("convergecast/grid", (28, 126, 126, 8, 27)),
     ("bellman-ford/grid", (15, 229, 229, 29, 14)),
     ("k-source/grid", (24, 3436, 6872, 216, 23)),
     ("tz:2/grid", (38, 3100, 6200, 208, 36)),
@@ -172,7 +167,6 @@ const PINNED: &[(&str, Golden)] = &[
     ("tz:2+termination/grid", (121, 8692, 16684, 285, 119)),
     ("exchange/grid", (26, 306, 607, 32, 25)),
     ("bfs-tree/ring", (21, 1298, 2178, 117, 20)),
-    ("convergecast/ring", (40, 78, 78, 2, 39)),
     ("bellman-ford/ring", (21, 80, 80, 4, 20)),
     ("k-source/ring", (26, 496, 992, 24, 25)),
     ("tz:2/ring", (42, 858, 1716, 72, 40)),
@@ -181,7 +175,6 @@ const PINNED: &[(&str, Golden)] = &[
     ("tz:2+termination/ring", (170, 3170, 5766, 117, 168)),
     ("exchange/ring", (47, 268, 517, 10, 46)),
     ("bfs-tree/disconnected", (12, 495, 836, 83, 11)),
-    ("convergecast/disconnected", (22, 56, 56, 3, 21)),
     ("bellman-ford/disconnected", (10, 36, 36, 4, 9)),
     ("k-source/disconnected", (11, 154, 308, 19, 10)),
     ("tz:2/disconnected", (21, 329, 658, 48, 19)),

@@ -8,8 +8,8 @@ use dsketch::query::estimate_distance_best_common;
 use netgraph::apsp::DistanceTable;
 use netgraph::diameter::diameters;
 use netgraph::generators::{
-    balanced_tree, erdos_renyi, grid, preferential_attachment, random_geometric, ring, waxman,
-    GeneratorConfig,
+    balanced_tree, erdos_renyi, grid, preferential_attachment, random_geometric, ring,
+    standard_suite, waxman, GeneratorConfig,
 };
 use netgraph::Graph;
 
@@ -88,6 +88,39 @@ fn distributed_equals_centralized_on_every_family() {
                 "[{name}] termination-detection mismatch at {u}"
             );
         }
+    }
+}
+
+/// 3-stretch is CDG at `k = 1`, built by the same engine, so it honours
+/// `SchemeConfig::sync` like every other family: under the Section 3.3
+/// protocol the labels are the oracle-synchronized run's, and the cost adds
+/// the BFS tree and the detection traffic.
+#[test]
+fn three_stretch_under_termination_detection_keeps_its_labels() {
+    for (name, graph) in standard_suite(64, 5) {
+        let spec = SchemeSpec::three_stretch(0.3);
+        let config = SchemeConfig::default().with_seed(13);
+        let oracle = spec.build_sketches(&graph, &config).unwrap();
+        let detected = spec
+            .build_sketches(&graph, &config.with_termination_detection())
+            .unwrap();
+        let (oracle_layer, detected_layer) =
+            (&oracle.sketches.layers[0], &detected.sketches.layers[0]);
+        assert_eq!(
+            detected_layer.sketches, oracle_layer.sketches,
+            "[{name}] labels"
+        );
+        assert_eq!(detected_layer.net, oracle_layer.net, "[{name}] net");
+        // The layer records its own run's cost, which now includes the tree.
+        assert_eq!(detected_layer.stats, detected.stats, "[{name}] layer cost");
+        assert!(detected.tree_stats.is_some(), "[{name}] no BFS tree");
+        assert!(oracle.tree_stats.is_none(), "[{name}]");
+        assert!(
+            detected.stats.messages >= oracle.stats.messages,
+            "[{name}] {} < {} messages",
+            detected.stats.messages,
+            oracle.stats.messages
+        );
     }
 }
 

@@ -1,11 +1,11 @@
 //! Integration tests of the CONGEST simulator invariants under the real
 //! sketch workloads (not just the toy programs of the unit tests).
 
-use congest_sim::programs::bellman_ford::KSourceBellmanFord;
 use congest_sim::programs::bfs_tree::build_bfs_tree;
 use congest_sim::{CongestConfig, Network};
-use dsketch::distributed::build_with_hierarchy;
+use dsketch::distributed::{build_with_hierarchy, PhaseProgram};
 use dsketch::prelude::*;
+use dsketch::sketch::DistKey;
 use netgraph::generators::{erdos_renyi, grid, GeneratorConfig};
 use netgraph::shortest_path::multi_source_dijkstra;
 use netgraph::NodeId;
@@ -62,8 +62,8 @@ fn stats_are_internally_consistent() {
 }
 
 /// The BFS tree used by termination detection must be a valid spanning tree
-/// on every workload family, and the k-source primitive must agree with
-/// Dijkstra when run over the tree's root set.
+/// on every workload family, and the k-source primitive — an Algorithm-2
+/// phase with no threshold — must agree with Dijkstra from every source.
 #[test]
 fn bfs_tree_and_k_source_agree_with_centralized_computations() {
     let graph = erdos_renyi(90, 0.07, GeneratorConfig::uniform(13, 1, 30));
@@ -78,14 +78,15 @@ fn bfs_tree_and_k_source_agree_with_centralized_computations() {
     // k-source Bellman-Ford vs Dijkstra from a handful of sources.
     let sources = [NodeId(0), NodeId(30), NodeId(60), NodeId(89)];
     let mut net = Network::new(&graph, CongestConfig::strict(), |u| {
-        KSourceBellmanFord::new(u, sources.contains(&u))
+        let level = if sources.contains(&u) { 0 } else { -1 };
+        PhaseProgram::new(u, 0, level, DistKey::INFINITE)
     });
     let outcome = net.run_until_quiescent(u64::MAX);
     assert!(outcome.completed);
     for &s in &sources {
         let exact = multi_source_dijkstra(&graph, &[s]);
         for (i, p) in net.programs().iter().enumerate() {
-            assert_eq!(p.distance_to(s), exact.dist[i]);
+            assert_eq!(p.distances().distance(s), exact.dist[i]);
         }
     }
 }

@@ -942,8 +942,13 @@ impl SketchCodec for SchemeSpec {
 ///   nearest member of a smaller set is no nearer), and a level without a
 ///   pivot has none above it (a level with no reachable member cannot
 ///   regrow one);
-/// * a pivot that is also in its owner's bunch is there at the same
-///   distance: both record `d(owner, pivot)`.
+/// * every present pivot is in its owner's bunch, at its distance: `p_i(u)`
+///   is the nearest member of `A_i` (ties to the smaller id), so it is in
+///   `B_i(u)` or is `p_{i+1}(u)`, and both record `d(owner, pivot)`.  The
+///   served rows of the slack families hold no pivot probe
+///   ([`crate::flat`]), so this is what keeps a pivot a candidate.
+///
+/// [`check_rows`] holds an in-memory label set to the same contracts.
 pub(crate) struct CheckedRows<'d, 'a> {
     rows: LabelRows<'d, 'a>,
     claims: Claims,
@@ -1034,16 +1039,18 @@ impl Claims {
                 )));
             }
             last = distance;
-            if let Ok(at) = row
+            match row
                 .bunch
                 .binary_search_by_key(&pivot, |&(member, _)| member)
             {
-                let recorded = row.bunch[at].1.distance;
-                if recorded != distance {
+                Ok(at) if row.bunch[at].1.distance == distance => {}
+                Ok(at) => {
+                    let recorded = row.bunch[at].1.distance;
                     return Err(broken(format!(
                         "pivot {pivot} at distance {distance} but the bunch records {recorded}"
                     )));
                 }
+                Err(_) => return Err(broken(format!("pivot {pivot} is not in its owner's bunch"))),
             }
         }
         Ok(())
@@ -1113,6 +1120,47 @@ impl Claims {
         };
         Err(CodecError::invalid("DensityNet", message))
     }
+}
+
+/// Hold a label set no decoder has read — what `freeze` is handed — to the
+/// row contracts of [`CheckedRows`], with the same [`CodecError`] the
+/// decoders give its bytes.
+pub(crate) fn check_rows(set: &SketchSet) -> Result<(), CodecError> {
+    let levels = vec![(0, NodeId(0)); set.len()];
+    let mut claims = Claims { k: None, levels };
+    set.iter().try_for_each(|sketch| {
+        claims.check_row(&LabelRow {
+            owner: sketch.owner,
+            pivots: sketch.pivots(),
+            bunch: sketch.bunch(),
+        })
+    })
+}
+
+/// Most layers a set may have: one bit of a served row's layer mask each
+/// ([`crate::flat`]).  Builders stop at `⌈log₂ n⌉`.
+pub(crate) const MAX_LAYERS: usize = 32;
+
+/// A set has 1 to [`MAX_LAYERS`] layers.
+pub(crate) fn check_layer_count(count: usize) -> Result<(), CodecError> {
+    let broken = match count {
+        0 => "the set has no layers".to_string(),
+        1..=MAX_LAYERS => return Ok(()),
+        _ => format!("{count} layers exceed the {MAX_LAYERS} a row's layer mask can name"),
+    };
+    Err(CodecError::LayerContract(broken))
+}
+
+/// Layer `index` covers as many nodes as layer 0: every query indexes all
+/// of a set's layers.
+pub(crate) fn check_covers(index: usize, covers: usize, first: usize) -> Result<(), CodecError> {
+    if covers == first {
+        return Ok(());
+    }
+    Err(CodecError::invalid(
+        "degrading layers",
+        format!("layer {index} covers {covers} nodes but layer 0 covers {first}"),
+    ))
 }
 
 /// Read one label set through `labels`, then every row it left, so each is
@@ -1310,9 +1358,9 @@ fn read_layer<'a, S>(
 /// family layouts, which the map decoder and the frozen decoder both
 /// drive, so the two accept the same bytes and refuse the rest with the
 /// same [`CodecError`].  Beyond each set's rows it checks the parts around
-/// them (`read_layer`), the degrading layers' schedule, and that the
-/// payload is the one `spec` names: its `k`, its ε, its CDG params, at
-/// most its layer cap.
+/// them (`read_layer`), the degrading layers' count ([`MAX_LAYERS`]) and
+/// schedule, and that the payload is the one `spec` names: its `k`, its ε,
+/// its CDG params, at most its layer cap.
 pub(crate) fn read_family<'a, S>(
     spec: &SchemeSpec,
     input: &mut Decoder<'a>,
@@ -1326,10 +1374,7 @@ pub(crate) fn read_family<'a, S>(
     } else {
         1
     };
-    if count == 0 {
-        let message = "degrading set has no layers".to_string();
-        return Err(CodecError::LayerContract(message));
-    }
+    check_layer_count(count)?;
     let mut layers: Vec<Layer<S>> = Vec::with_capacity(count);
     for index in 0..count {
         let layer = read_layer(input, (before, after), &mut labels)?;
@@ -1360,13 +1405,7 @@ fn check_schedule<S>(
     layer: &Layer<S>,
 ) -> Result<(), CodecError> {
     let nodes = |layer: &Layer<S>| layer.net.as_ref().map_or(0, DensityNet::num_nodes);
-    let (covers, first) = (nodes(layer), nodes(previous));
-    if covers != first {
-        return Err(CodecError::invalid(
-            "degrading layers",
-            format!("layer {index} covers {covers} nodes but layer 0 covers {first}"),
-        ));
-    }
+    check_covers(index, nodes(layer), nodes(previous))?;
     let (Some(p0), Some(p1)) = (previous.params, layer.params) else {
         return Ok(());
     };

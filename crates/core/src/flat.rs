@@ -18,17 +18,18 @@
 //!
 //! — so a membership probe is a branch-light binary search over one
 //! contiguous `u32` slice (typically one or two cache lines for realistic
-//! bunch sizes), and the best-common-landmark query is a linear merge over
-//! two sorted runs.  Bunch *levels* are dropped at freeze time: no query
+//! bunch sizes).  Bunch *levels* are dropped at freeze time: no query
 //! consults them (the level walk reads levels off the pivot slot index),
 //! they only matter during construction.
 //!
-//! Thorup–Zwick, 3-stretch and CDG sets are one such layer.  The gracefully
-//! degrading family (Theorem 4.8: `⌈log n⌉` CDG layers, minimum over the
-//! per-layer estimates) is served from **one merged row per node** instead
-//! of `L` layers walked one after another — the union of the node's `L`
-//! bunches, each landmark once, with a bit mask naming the layers it came
-//! from:
+//! Each family is served in one form with one kernel.  A Thorup–Zwick set
+//! is one such layer, answered by the Lemma 3.2 level walk.  The slack
+//! families — 3-stretch, CDG and the gracefully degrading union of CDG
+//! layers — answer with one rule, the smallest `d(u, w) + d(w, v)` over
+//! landmarks `w` the two labels share in some layer (Theorems 4.3, 4.6,
+//! 4.8), and are served from **one row per node**: the union of the node's
+//! bunches over the set's 1 to 32 layers, each landmark once, with a bit
+//! mask naming the layers it came from:
 //!
 //! ```text
 //!   row offsets ─┐
@@ -39,20 +40,20 @@
 //!              └ landmark id, strictly ascending within a row
 //! ```
 //!
-//! The per-layer pivot rows stay beside it (the level walk, the word
-//! accounting and the layer count read them); the per-layer bunch columns
-//! are dropped.  The private `MergedRows` type explains why one masked
-//! join of two rows — a scatter of `u`'s row into a per-thread table
-//! indexed by landmark, a gather of `v`'s — is the minimum over layers,
-//! and which facts about the data it checks before a set takes this form
-//! ([`FlatSketchSet::merged_entries`] tells which form a set took).
+//! A one-layer set is rows whose masks are bit 0.  The per-layer pivot rows
+//! stay beside them (the word accounting and the layer count read them);
+//! the per-layer bunch columns are dropped.  The private `MergedRows` type
+//! explains why one masked join of two rows — a scatter of `u`'s row into
+//! a per-thread table indexed by landmark, a gather of `v`'s — is the rule,
+//! and which facts about the labels that rests on.  A set that breaks one
+//! is refused with a [`CodecError`], by `freeze` and both decoders alike;
+//! no set is served another way.
 //!
 //! A frozen set is built two ways:
 //!
-//! * [`StoredSketches::freeze`](crate::scheme::StoredSketches::freeze) —
-//!   from the in-memory layers of any build (and [`SketchSet::freeze`] from
-//!   a raw label set); every type-erased build
-//!   ([`crate::scheme::SchemeSpec::build`]) ends with it.
+//! * [`StoredSketches::freeze`] — from the in-memory layers of any build
+//!   (and [`SketchSet::freeze`] from a raw label set, as a level-walk
+//!   oracle); every type-erased build ([`SchemeSpec::build`]) ends with it.
 //! * [`FlatSketchSet::from_family_bytes`] — straight from the `SKCH`
 //!   section bytes of a `dsketch-store` snapshot, so a cold-started server
 //!   never materializes a [`Sketch`] at all.  The label rows come from
@@ -62,18 +63,21 @@
 //!   each row to the arrays, which the set header sized up front.
 //!
 //! Both paths produce the same value (`freeze(decode(bytes)) ==
-//! from_family_bytes(bytes)`, pinned by tests), and every query function is
-//! answer-identical to the per-node [`Sketch`] path — the equivalence
-//! property tests in `tests/tests/flat_query.rs` compare them
-//! result-for-result, errors included, across all four families.
+//! from_family_bytes(bytes)`, pinned by tests), and every answer is
+//! identical to the per-node [`Sketch`] path's — the equivalence property
+//! tests in `tests/tests/flat_query.rs` compare them result-for-result,
+//! errors included, across all four families.
 
 #![deny(clippy::as_conversions)]
 
 use crate::cast;
-use crate::codec::{read_family, CheckedRows, CodecError, Decoder};
+use crate::codec::{
+    check_covers, check_layer_count, check_rows, read_family, CheckedRows, CodecError, Decoder,
+    MAX_LAYERS,
+};
 use crate::error::SketchError;
 use crate::oracle::{check_nodes, DistanceOracle};
-use crate::scheme::SchemeSpec;
+use crate::scheme::{SchemeSpec, StoredSketches};
 use crate::sketch::{BunchEntry, Sketch, SketchSet};
 use netgraph::{add_dist, Distance, NodeId, INFINITY};
 use std::cell::Cell;
@@ -82,25 +86,10 @@ use std::cell::Cell;
 /// unreachable or empty) — the flat encoding of `Option::None`.
 const NO_PIVOT: NodeId = NodeId(u32::MAX);
 
-/// Which query rule [`DistanceOracle::estimate`] runs on a frozen set.
-///
-/// Chosen at freeze time to match the family's unfrozen oracle:
-/// Thorup–Zwick labels answer with the Lemma 3.2 level walk, the slack and
-/// degrading families with the best-common-landmark minimum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryRule {
-    /// The Lemma 3.2 level walk ([`FlatSketchSet::estimate_walk`]).
-    LevelWalk,
-    /// The best-common-landmark minimum
-    /// ([`FlatSketchSet::estimate_best_common`]).
-    BestCommon,
-}
-
 /// One layer of labels in CSR form: per-node pivot and bunch ranges over
-/// four contiguous arrays.  A Thorup–Zwick, 3-stretch or CDG set is served
-/// as one of these; the gracefully degrading family's CDG layers pass
-/// through this form on their way into [`MergedRows`], and are served from
-/// it only when the data does not allow the merge.
+/// four contiguous arrays.  A Thorup–Zwick set is served as one of these;
+/// a slack family's layers pass through this form on their way into
+/// [`MergedRows`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct FlatLayer {
     num_nodes: usize,
@@ -291,48 +280,6 @@ impl FlatLayer {
         )
     }
 
-    /// Best common landmark over slices: a linear merge intersection of the
-    /// two sorted bunch runs plus the pivot probes, mirroring
-    /// [`crate::query::estimate_distance_best_common`]'s candidate set
-    /// exactly (the minimum over an identical set is identical).
-    ///
-    /// On every label an engine builds the probes add nothing: a pivot is
-    /// the lexicographic minimum of its level, so it sits in its owner's
-    /// bunch at the pivot's distance and the merge has already met it.
-    /// [`MergedRows`] checks exactly that and then skips the probes; here
-    /// — the kernel of `cdg` and `3stretch`, and of a layered set whose
-    /// data failed that check — nothing was checked, so they still run.
-    fn best_common(&self, u: usize, v: usize) -> Option<Distance> {
-        let lu = self.label(u);
-        let lv = self.label(v);
-        let mut best: Option<Distance> = None;
-        let mut fold = |candidate: Distance| {
-            best = Some(best.map_or(candidate, |b| b.min(candidate)));
-        };
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < lu.bunch_nodes.len() && j < lv.bunch_nodes.len() {
-            match lu.bunch_nodes[i].cmp(&lv.bunch_nodes[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    fold(add_dist(lu.bunch_dists[i], lv.bunch_dists[j]));
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        for (pivot_row, bunch_side) in [(lu.pivots, &lv), (lv.pivots, &lu)] {
-            for &(p, dp) in pivot_row {
-                if p != NO_PIVOT {
-                    if let Some(d) = bunch_side.distance_to(p) {
-                        fold(add_dist(dp, d));
-                    }
-                }
-            }
-        }
-        best
-    }
-
     /// Label size of node `u` in CONGEST words (same accounting as
     /// [`Sketch::words`]: two words per present pivot, two per bunch entry).
     fn words(&self, u: usize) -> usize {
@@ -436,10 +383,6 @@ impl Label<'_> {
     }
 }
 
-/// Most layers a set can have and still be served from merged rows: one
-/// bit of a row entry's `u32` mask per layer.
-const MAX_MERGED_LAYERS: usize = 32;
-
 /// The pivot rows of one layer of a merged set — a [`FlatLayer`] without
 /// its bunch columns.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -459,14 +402,15 @@ impl PivotRows {
     }
 }
 
-/// The served form of a multi-layer set: per node **one row**, the union
-/// of its `L` per-layer bunches — landmark ids strictly ascending, each
-/// with its exact distance and a mask whose bit `l` says "in `B_l(u)`" —
-/// plus the per-layer pivot rows.
+/// The served form of a slack family's set: per node **one row**, the
+/// union of its bunches over the set's `L` layers (1 to 32) — landmark ids
+/// strictly ascending, each with its exact distance and a mask whose bit
+/// `l` says "in `B_l(u)`" — plus the per-layer pivot rows.
 ///
-/// The Theorem 4.8 query is the minimum over layers of the per-layer
-/// best-common estimates.  One join of two rows on the landmark computes it
-/// candidate for candidate:
+/// The slack query is the minimum over layers of the best common landmark,
+/// pivots of one label found in the other's bunch included (one layer for
+/// Theorems 4.3 and 4.6, the union for 4.8).  One join of two rows on the
+/// landmark computes it candidate for candidate:
 ///
 /// * `w` is a common-bunch candidate of layer `l` iff it is in both rows
 ///   with bit `l` set in both masks, so "a candidate of some layer" is
@@ -474,18 +418,18 @@ impl PivotRows {
 ///   layer 0 and `v` only in layer 1 would become a candidate no layer has;
 /// * its estimate `d(u, w) + d(w, v)` does not depend on the layer, because
 ///   a bunch distance is the exact graph distance in every layer;
-/// * the per-layer pivot probes never add a candidate, because a pivot is
-///   the lexicographic minimum of its level and so sits in its owner's
-///   bunch of that layer, at the pivot's distance.
+/// * the pivot probes never add a candidate, because a pivot is the nearest
+///   member of its level and so sits in its owner's bunch of that layer, at
+///   the pivot's distance.
 ///
 /// The last two are facts about what both engines build, not about the
-/// type, so [`RowBuilder`] **checks** them: a set takes this form only when
-/// it has 2 to 32 layers over one node count, no node holds one landmark at
-/// two distances, every present pivot is in its owner's same-layer bunch at
-/// the pivot's distance, and every landmark is one of the set's nodes (both
-/// the builder and the query index a table by it).  Anything else — only
-/// hand-assembled sets and hostile payloads — stays layered and is answered
-/// by the per-layer loop.
+/// type, so they are **checked**, and so are the shape the arrays need — 1
+/// to 32 layers (one mask bit each) over one node count, every landmark one
+/// of the set's nodes (the builder and the query index a table by it).
+/// The one that spans layers, one distance per landmark, is
+/// [`RowBuilder`]'s; the rest are the codec's contracts, which the decoders
+/// hold bytes to and `freeze` holds in-memory labels to.  A set that breaks
+/// one is refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct MergedRows {
     /// One entry per layer, in layer order.
@@ -501,16 +445,6 @@ struct MergedRows {
 
 /// One landmark of a merged row: `(landmark, mask, distance)`.
 type RowEntry = (NodeId, u32, Distance);
-
-/// Distance to `w` if `w` is in the bunch of the layer `bit` names, given
-/// one node's merged row.
-#[inline]
-fn distance_in_layer(row: &[RowEntry], w: NodeId, bit: u32) -> Option<Distance> {
-    match row.binary_search_by_key(&w, |&(landmark, _, _)| landmark) {
-        Ok(i) if row[i].1 & bit != 0 => Some(row[i].2),
-        _ => None,
-    }
-}
 
 /// The kernel of [`MergedRows::best_common`]: scatter `ru`'s positions
 /// into `table` (indexed by landmark, longer than the largest landmark of
@@ -549,26 +483,26 @@ thread_local! {
 }
 
 impl MergedRows {
-    /// Merge per-layer label arrays into one row per node, or hand them
-    /// back when they must stay layered.
-    fn merge(layers: Vec<FlatLayer>) -> Result<MergedRows, Vec<FlatLayer>> {
+    /// Merge a slack family's per-layer arrays into one row per node.  Their
+    /// rows keep the codec's row contracts (the decoders and `freeze` check
+    /// those first); what is checked here is what spans layers: their
+    /// count, their node count and, in [`RowBuilder`], one distance per
+    /// landmark.
+    fn merge(layers: Vec<FlatLayer>) -> Result<MergedRows, CodecError> {
+        check_layer_count(layers.len())?;
         let num_nodes = layers.first().map_or(0, |layer| layer.num_nodes);
+        for (index, layer) in layers.iter().enumerate() {
+            check_covers(index, layer.num_nodes, num_nodes)?;
+        }
         let entries = layers.iter().map(|layer| layer.bunch_nodes.len()).sum();
-        let merged = RowBuilder::new(layers.len(), num_nodes, entries).and_then(|mut builder| {
-            if layers.iter().any(|layer| layer.num_nodes != num_nodes) {
-                return None;
+        let mut builder = RowBuilder::new(num_nodes, entries);
+        for u in 0..num_nodes {
+            for (index, layer) in layers.iter().enumerate() {
+                builder.push(index, &layer.label(u));
             }
-            for u in 0..num_nodes {
-                for (index, layer) in layers.iter().enumerate() {
-                    builder.push(index, &layer.label(u))?;
-                }
-                builder.seal_node()?;
-            }
-            Some(builder.rows)
-        });
-        let Some(mut rows) = merged else {
-            return Err(layers);
-        };
+            builder.seal_node(u)?;
+        }
+        let mut rows = builder.rows;
         rows.entries.shrink_to_fit();
         // The pivot rows stay as each layer has them; its bunch columns go.
         rows.pivots = layers
@@ -589,24 +523,6 @@ impl MergedRows {
     fn row(&self, u: usize) -> &[RowEntry] {
         &self.entries
             [cast::usize_from_u32(self.offsets[u])..cast::usize_from_u32(self.offsets[u + 1])]
-    }
-
-    /// Minimum over layers of the per-layer level walks; `INFINITY` when
-    /// no layer has a common landmark.
-    fn walk(&self, u: usize, v: usize) -> Distance {
-        let (ru, rv) = (self.row(u), self.row(v));
-        let mut best = INFINITY;
-        for (l, pivots) in self.pivots.iter().enumerate() {
-            let bit = 1u32 << l;
-            let estimate = level_walk(
-                pivots.row(u),
-                pivots.row(v),
-                |w| distance_in_layer(ru, w, bit),
-                |w| distance_in_layer(rv, w, bit),
-            );
-            best = best.min(estimate.unwrap_or(INFINITY));
-        }
-        best
     }
 
     /// Minimum over layers of the per-layer best-common estimates, as one
@@ -650,12 +566,12 @@ impl MergedRows {
         2 * present + 2 * cast::usize_from_u32(entries)
     }
 
-    /// The structural invariants the two kernels above index by; see
+    /// The structural invariants the join indexes by; see
     /// [`FlatSketchSet::check_invariants`].
     fn check_invariants(&self) -> Result<(), String> {
         let layers = self.pivots.len();
         ensure(
-            (2..=MAX_MERGED_LAYERS).contains(&layers),
+            (1..=MAX_LAYERS).contains(&layers),
             format!("merged rows over {layers} layers"),
         )?;
         check_offsets(&self.offsets, self.entries.len(), "row")?;
@@ -703,9 +619,8 @@ impl MergedRows {
 
 /// Builds the rows of [`MergedRows`] one label at a time — node-major,
 /// layer-minor — from the `L` per-layer arrays that freezing and decoding
-/// both build first.  The one place the conditions on [`MergedRows`] are
-/// checked: `push` and `seal_node` answer `None` the moment the data breaks
-/// one, and the layers are served as they are instead.
+/// both build first, and checks the one fact the merge needs that no row
+/// alone can break: no node holds one landmark at two distances.
 ///
 /// Runs at every freeze, cold start and hot swap, so the merge itself is
 /// one pass with no comparison in it: landmarks are node ids, so a node's
@@ -728,16 +643,12 @@ struct RowBuilder {
 }
 
 impl RowBuilder {
-    /// A builder for `layers` layers over `num_nodes` nodes whose bunches
-    /// total `entries` (the union is at most that; `finish` gives the slack
-    /// back), or `None` when the layer count rules the merged form out.
-    fn new(layers: usize, num_nodes: usize, entries: usize) -> Option<RowBuilder> {
-        if !(2..=MAX_MERGED_LAYERS).contains(&layers) {
-            return None;
-        }
+    /// A builder over `num_nodes` nodes whose bunches total `entries` over
+    /// all layers (the union is at most that; `merge` gives the slack back).
+    fn new(num_nodes: usize, entries: usize) -> RowBuilder {
         let mut offsets = Vec::with_capacity(num_nodes + 1);
         offsets.push(0);
-        Some(RowBuilder {
+        RowBuilder {
             rows: MergedRows {
                 pivots: Vec::new(),
                 offsets,
@@ -747,33 +658,28 @@ impl RowBuilder {
             mask_at: vec![0; num_nodes],
             touched: vec![0; num_nodes.div_ceil(64)],
             two_distances: false,
-        })
+        }
     }
 
-    /// Add the current node's label of layer `layer`.
-    fn push(&mut self, layer: usize, label: &Label<'_>) -> Option<()> {
-        let in_bunch =
-            |&(p, dp): &(NodeId, Distance)| p == NO_PIVOT || label.distance_to(p) == Some(dp);
-        if !label.pivots.iter().all(in_bunch) {
-            return None;
-        }
+    /// Add the current node's label of layer `layer`, whose landmarks are
+    /// nodes of the set (a row contract of the codec).
+    fn push(&mut self, layer: usize, label: &Label<'_>) {
         for (&w, &distance) in label.bunch_nodes.iter().zip(label.bunch_dists) {
             let w = w.index();
-            if w >= self.mask_at.len() {
-                return None;
-            }
             self.two_distances |= (self.mask_at[w] != 0) & (self.dist_at[w] != distance);
             self.dist_at[w] = distance;
             self.mask_at[w] |= 1 << layer;
             self.touched[w / 64] |= 1 << (w % 64);
         }
-        Some(())
     }
 
-    /// Close the current node: its row is the touched slots in id order.
-    fn seal_node(&mut self) -> Option<()> {
-        if std::mem::take(&mut self.two_distances) {
-            return None;
+    /// Close node `u`: its row is the touched slots in id order.
+    fn seal_node(&mut self, u: usize) -> Result<(), CodecError> {
+        if self.two_distances {
+            return Err(CodecError::LayerContract(format!(
+                "{} holds one landmark at two distances in two of its layers",
+                NodeId::from_index(u)
+            )));
         }
         let rows = &mut self.rows;
         for (block, word) in self.touched.iter_mut().enumerate() {
@@ -786,8 +692,9 @@ impl RowBuilder {
                     .push((NodeId::from_index(w), mask, self.dist_at[w]));
             }
         }
-        rows.offsets.push(u32::try_from(rows.entries.len()).ok()?);
-        Some(())
+        let end = u32::try_from(rows.entries.len()).map_err(|_| unaddressable())?;
+        rows.offsets.push(end);
+        Ok(())
     }
 }
 
@@ -796,10 +703,14 @@ impl RowBuilder {
 fn addressable(totals: (usize, usize, usize)) -> Result<(usize, usize, usize), CodecError> {
     let (_, pivot_slots, bunch_entries) = totals;
     if u32::try_from(pivot_slots.max(bunch_entries)).is_err() {
-        let message = "label set exceeds the u32 offset range";
-        return Err(CodecError::invalid("FlatSketchSet", message));
+        return Err(unaddressable());
     }
     Ok(totals)
+}
+
+/// The refusal of a set whose arrays `u32` offsets cannot address.
+fn unaddressable() -> CodecError {
+    CodecError::invalid("FlatSketchSet", "label set exceeds the u32 offset range")
 }
 
 /// `Err(message)` unless `ok`: one line of a `check_invariants`.
@@ -828,23 +739,23 @@ fn check_offsets(offsets: &[u32], len: usize, what: &str) -> Result<(), String> 
     }
 }
 
-/// How a set's labels are laid out for serving — decided by what
-/// [`RowBuilder`] finds in the data, never by the caller.
+/// How a set's labels are laid out for serving — chosen by its family,
+/// one kernel each.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Labels {
-    /// Per-layer CSR arrays: every single-layer set, and a multi-layer set
-    /// whose data does not allow the merge.
-    Layered(Vec<FlatLayer>),
-    /// One merged row per node: every degrading set an engine builds.
+    /// Thorup–Zwick: one layer of CSR arrays, answered by the Lemma 3.2
+    /// level walk.
+    Layer(FlatLayer),
+    /// 3-stretch, CDG and degrading: one merged row per node over 1 to 32
+    /// layers, answered by the join.
     Merged(MergedRows),
 }
 
 /// A frozen sketch set: every label of a build packed into contiguous
-/// CSR arrays, queried without allocation or pointer chasing.
+/// arrays, queried without allocation or pointer chasing.
 ///
-/// Build one with [`StoredSketches::freeze`](crate::scheme::StoredSketches::freeze)
-/// from any build's layers (what [`crate::scheme::SchemeSpec::build`]
-/// hands back), or straight from snapshot bytes with
+/// Build one with [`StoredSketches::freeze`] from any build's layers (what
+/// [`SchemeSpec::build`] hands back), or straight from snapshot bytes with
 /// [`FlatSketchSet::from_family_bytes`].  A frozen set is a first-class
 /// [`DistanceOracle`] whose answers (including errors) are identical to the
 /// sketch set it was frozen from.
@@ -857,7 +768,7 @@ enum Labels {
 /// let graph = erdos_renyi(32, 0.2, GeneratorConfig::uniform(1, 1, 9));
 /// let config = SchemeConfig::default().with_seed(3);
 /// let typed = SchemeSpec::thorup_zwick(2).build_sketches(&graph, &config).unwrap();
-/// let frozen = typed.sketches.freeze();
+/// let frozen = typed.sketches.freeze().unwrap();
 /// assert_eq!(
 ///     frozen.estimate(NodeId(0), NodeId(9)).unwrap(),
 ///     typed.sketches.as_oracle().estimate(NodeId(0), NodeId(9)).unwrap(),
@@ -865,243 +776,183 @@ enum Labels {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatSketchSet {
-    /// One layer for TZ/3-stretch/CDG; for degrading, the `L` CDG layers
-    /// merged into one row per node (or, failing [`MergedRows`]'s
-    /// conditions, the `L` layers).
     labels: Labels,
-    rule: QueryRule,
     scheme_name: &'static str,
     stretch_bound: Option<u64>,
 }
 
 impl SketchSet {
-    /// Freeze a raw label set into its [`FlatSketchSet`] form: a level-walk
-    /// oracle with the same query rule and stretch accounting as its own
-    /// [`DistanceOracle`] impl, answering every pair as it does.
+    /// Freeze a raw label set into its [`FlatSketchSet`] form: one layer
+    /// answered by the level walk, with the same stretch accounting as its
+    /// own [`DistanceOracle`] impl, answering every pair as it does.
     pub fn freeze(&self) -> FlatSketchSet {
-        let stretch = DistanceOracle::stretch_bound(self);
-        let served = (QueryRule::LevelWalk, "thorup-zwick", stretch);
-        FlatSketchSet::frozen(served, std::iter::once(self))
+        FlatSketchSet {
+            labels: Labels::Layer(FlatLayer::from_sketch_set(self)),
+            scheme_name: "thorup-zwick",
+            stretch_bound: DistanceOracle::stretch_bound(self),
+        }
+    }
+}
+
+impl StoredSketches {
+    /// Freeze the layers into the form the family is served in (see the
+    /// [module docs](self)).  Freezing copies the labels once and drops
+    /// construction-only state (per-node allocations, bunch levels); it
+    /// never changes an answer — the frozen set's `estimate(u, v)` equals
+    /// this set's for every pair, errors included.
+    ///
+    /// A set that cannot take its family's form is refused with the
+    /// [`CodecError`] the decoders give its bytes: a Thorup–Zwick set of
+    /// other than one layer, or slack-family labels that break a row
+    /// contract of the codec (checked here as the decoders check bytes), a
+    /// layer count outside 1 to 32, layers over different node counts, or a
+    /// node holding one landmark at two distances.  Every set an engine
+    /// builds is accepted.
+    pub fn freeze(&self) -> Result<FlatSketchSet, CodecError> {
+        let walked = matches!(self.spec, SchemeSpec::ThorupZwick { .. });
+        let layers = self.layers.iter().map(|layer| {
+            if !walked {
+                check_rows(&layer.sketches)?;
+            }
+            Ok(FlatLayer::from_sketch_set(&layer.sketches))
+        });
+        FlatSketchSet::from_layers(&self.spec, layers.collect::<Result<_, _>>()?)
     }
 }
 
 impl FlatSketchSet {
-    /// Freeze a family's label sets, one per layer, served the way `served`
-    /// — the family's query rule, name and stretch bound — says: several
-    /// layers as one merged row per node when their data allow it, any
-    /// other set layer by layer.
-    pub(crate) fn frozen<'s>(
-        served: (QueryRule, &'static str, Option<u64>),
-        sets: impl Iterator<Item = &'s SketchSet>,
-    ) -> FlatSketchSet {
-        FlatSketchSet::from_layers(served, sets.map(FlatLayer::from_sketch_set).collect())
-    }
-
-    /// [`FlatSketchSet::frozen`] from the per-layer arrays themselves.
+    /// A family's per-layer arrays in the form `spec` is served in:
+    /// Thorup–Zwick's one layer as it is, any other family's layers merged
+    /// into rows.
     fn from_layers(
-        (rule, scheme_name, stretch_bound): (QueryRule, &'static str, Option<u64>),
-        layers: Vec<FlatLayer>,
-    ) -> FlatSketchSet {
-        let labels = match MergedRows::merge(layers) {
-            Ok(rows) => Labels::Merged(rows),
-            Err(layers) => Labels::Layered(layers),
+        spec: &SchemeSpec,
+        mut layers: Vec<FlatLayer>,
+    ) -> Result<FlatSketchSet, CodecError> {
+        let labels = match spec {
+            SchemeSpec::ThorupZwick { .. } => {
+                let count = layers.len();
+                match layers.pop() {
+                    Some(layer) if count == 1 => Labels::Layer(layer),
+                    _ => {
+                        return Err(CodecError::LayerContract(format!(
+                            "a Thorup–Zwick set has one layer, not {count}"
+                        )))
+                    }
+                }
+            }
+            _ => Labels::Merged(MergedRows::merge(layers)?),
         };
-        FlatSketchSet {
+        let (scheme_name, stretch_bound) = spec.served_as();
+        Ok(FlatSketchSet {
             labels,
-            rule,
             scheme_name,
             stretch_bound,
-        }
+        })
     }
 
     /// Materialize a frozen set directly from the `SKCH` section payload of
     /// a `DSK1` snapshot, dispatching on the stored [`SchemeSpec`] — the
     /// cold-start path: no mutable [`Sketch`] is ever constructed.  Reads
     /// through the codec's one family reader, as
-    /// [`StoredSketches::decode_payload`](crate::scheme::StoredSketches::decode_payload)
-    /// does, so it accepts exactly the bytes
-    /// [`StoredSketches::encode_payload`](crate::scheme::StoredSketches::encode_payload)
-    /// produces from labels that keep their family's contracts, and refuses
-    /// anything else with the same [`CodecError`], never a panic.
+    /// [`StoredSketches::decode_payload`] does, so it accepts exactly the
+    /// bytes [`StoredSketches::encode_payload`] produces from labels that
+    /// keep their family's contracts, and refuses anything else with the
+    /// same [`CodecError`], never a panic.
     pub fn from_family_bytes(spec: &SchemeSpec, bytes: &[u8]) -> Result<FlatSketchSet, CodecError> {
         let mut input = Decoder::new(bytes);
         let family = read_family(spec, &mut input, FlatLayer::from_rows)?;
         input.finish()?;
         let layers = family.layers.into_iter().map(|layer| layer.sketches);
-        Ok(FlatSketchSet::from_layers(
-            spec.served_as(),
-            layers.collect(),
-        ))
+        FlatSketchSet::from_layers(spec, layers.collect())
     }
 
     /// Pivot slots holding a pivot, over every node of every layer.
     pub fn present_pivots(&self) -> usize {
         match &self.labels {
-            Labels::Layered(layers) => layers.iter().map(|l| present_pivots(&l.pivots)).sum(),
+            Labels::Layer(layer) => present_pivots(&layer.pivots),
             Labels::Merged(rows) => rows.pivots.iter().map(|p| present_pivots(&p.slots)).sum(),
         }
-    }
-
-    /// The query rule [`DistanceOracle::estimate`] dispatches to.
-    pub fn rule(&self) -> QueryRule {
-        self.rule
     }
 
     /// Number of layers (one except for the degrading family).
     pub fn num_layers(&self) -> usize {
         match &self.labels {
-            Labels::Layered(layers) => layers.len(),
+            Labels::Layer(_) => 1,
             Labels::Merged(rows) => rows.pivots.len(),
         }
     }
 
-    /// Total entries of the merged rows when this set is served from one
-    /// merged row per node (every multi-layer set an engine builds), `None`
-    /// when it is served layer by layer.  Read-only: the form is chosen
-    /// from the data at freeze and decode time; tests use this to see that
-    /// the one-join kernel is the one that ran.
-    pub fn merged_entries(&self) -> Option<usize> {
-        match &self.labels {
-            Labels::Layered(_) => None,
-            Labels::Merged(rows) => Some(rows.entries.len()),
-        }
-    }
-
-    /// Check the CSR structural invariants every query path relies on.
+    /// Check the structural invariants the query relies on.
     ///
-    /// Layered sets: every layer covers the same nodes, and per layer the
-    /// offset array has `num_nodes + 1` monotone entries starting at
-    /// `(0, 0)` and terminating exactly at the pivot/bunch array lengths,
-    /// the two bunch arrays are parallel, and every node's bunch keys are
-    /// strictly ascending (the binary-search contract).
+    /// A Thorup–Zwick layer: the offset array has `num_nodes + 1` monotone
+    /// entries starting at `(0, 0)` and terminating exactly at the
+    /// pivot/bunch array lengths, the two bunch arrays are parallel, and
+    /// every node's bunch keys are strictly ascending (the binary-search
+    /// contract).
     ///
-    /// Merged sets: the row offsets are monotone from 0 to the entry
-    /// count, landmarks are strictly ascending within a row (the
-    /// binary-search contract) and each is one of the set's nodes (the
-    /// join-table contract), every mask names at least one layer and none
-    /// past the layer count, and every layer has a non-empty pivot row for
-    /// every node.
+    /// Merged rows: the row offsets are monotone from 0 to the entry count,
+    /// landmarks are strictly ascending within a row and each is one of the
+    /// set's nodes (the join-table contract), every mask names at least one
+    /// layer and none past the layer count, and each of the 1 to 32 layers
+    /// has a non-empty pivot row for every node.
     ///
     /// Freezing and the checked snapshot decoder cannot produce a violating
     /// value; `dsketch-store verify` runs this on the set it decoded, to
     /// re-check serving state instead of trusting the code that built it.
     pub fn check_invariants(&self) -> Result<(), String> {
         match &self.labels {
+            Labels::Layer(layer) => layer.check_invariants(),
             Labels::Merged(rows) => rows.check_invariants(),
-            Labels::Layered(layers) => {
-                // A node of a larger layer has no label in a smaller one.
-                let first = layers.first().map_or(0, |layer| layer.num_nodes);
-                if let Some(index) = layers.iter().position(|l| l.num_nodes != first) {
-                    let nodes = layers[index].num_nodes;
-                    return Err(format!(
-                        "layer {index} covers {nodes} nodes but layer 0 covers {first}"
-                    ));
-                }
-                layers.iter().enumerate().try_for_each(|(index, layer)| {
-                    layer
-                        .check_invariants()
-                        .map_err(|message| format!("layer {index}: {message}"))
-                })
-            }
         }
     }
+}
 
-    /// The Lemma 3.2 level walk, answered from the flat arrays.  Identical
-    /// to [`crate::query::estimate_distance`] over the source sketches (on
-    /// multi-layer sets: the minimum over per-layer walks).
-    pub fn estimate_walk(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
-        self.query(u, v, FlatLayer::walk, MergedRows::walk)
-    }
-
-    /// The best-common-landmark estimate, answered by merge intersection
-    /// over the flat arrays.  Identical to
-    /// [`crate::query::estimate_distance_best_common`] over the source
-    /// sketches (on multi-layer sets: the minimum over layers, i.e. the
-    /// Theorem 4.8 degrading query — one join of two rows when the set is
-    /// merged).
-    pub fn estimate_best_common(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
-        self.query(u, v, FlatLayer::best_common, MergedRows::best_common)
-    }
-
+impl DistanceOracle for FlatSketchSet {
+    /// The family's one kernel: the level walk on a Thorup–Zwick layer, the
+    /// join on merged rows.
     #[inline]
-    fn query(
-        &self,
-        u: NodeId,
-        v: NodeId,
-        per_layer: impl Fn(&FlatLayer, usize, usize) -> Option<Distance>,
-        merged: impl Fn(&MergedRows, usize, usize) -> Distance,
-    ) -> Result<Distance, SketchError> {
+    fn estimate(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
         check_nodes(self.num_nodes(), u, v)?;
         if u == v {
             return Ok(0);
         }
         let (ui, vi) = (u.index(), v.index());
-        // Multi-layer, either form: the degrading rule — minimum over
-        // layers, `INFINITY` standing for "no layer has a landmark".
         let best = match &self.labels {
-            Labels::Merged(rows) => merged(rows, ui, vi),
-            Labels::Layered(layers) => {
-                if let [layer] = layers.as_slice() {
-                    // Single layer: the per-layer answer is the answer (no
-                    // INFINITY conflation — an explicit Ok(INFINITY) entry,
-                    // while no real construction produces one, round-trips
-                    // like the map path).
-                    return per_layer(layer, ui, vi).ok_or(SketchError::NoCommonLandmark { u, v });
-                }
-                layers
-                    .iter()
-                    .filter_map(|layer| per_layer(layer, ui, vi))
-                    .fold(INFINITY, Distance::min)
+            // The walk's answer is the answer — an explicit `INFINITY`
+            // entry included, as on the per-node path.
+            Labels::Layer(layer) => {
+                return layer
+                    .walk(ui, vi)
+                    .ok_or(SketchError::NoCommonLandmark { u, v })
             }
+            Labels::Merged(rows) => rows.best_common(ui, vi),
         };
+        // `INFINITY` stands for "no layer has a common landmark".
         if best == INFINITY {
             Err(SketchError::NoCommonLandmark { u, v })
         } else {
             Ok(best)
         }
     }
-}
-
-impl DistanceOracle for FlatSketchSet {
-    fn estimate(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
-        match self.rule {
-            QueryRule::LevelWalk => self.estimate_walk(u, v),
-            QueryRule::BestCommon => self.estimate_best_common(u, v),
-        }
-    }
 
     /// The batch path the serve layer and benches drive: one pre-sized
     /// output vector, zero further allocation per pair, and the per-pair
-    /// work is the slice walk/merge itself (no per-node label lookups and no
-    /// per-pair virtual dispatch — `estimate` resolves statically here).
-    ///
+    /// work is the kernel itself (no per-node label lookups and no per-pair
+    /// virtual dispatch — `estimate` resolves statically here).
     fn estimate_batch(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Result<Distance, SketchError>> {
-        let mut results = Vec::with_capacity(pairs.len());
-        match self.rule {
-            QueryRule::LevelWalk => {
-                for &(u, v) in pairs {
-                    results.push(self.estimate_walk(u, v));
-                }
-            }
-            QueryRule::BestCommon => {
-                for &(u, v) in pairs {
-                    results.push(self.estimate_best_common(u, v));
-                }
-            }
-        }
-        results
+        pairs.iter().map(|&(u, v)| self.estimate(u, v)).collect()
     }
 
     fn num_nodes(&self) -> usize {
         match &self.labels {
-            Labels::Layered(layers) => layers.first().map_or(0, |layer| layer.num_nodes),
+            Labels::Layer(layer) => layer.num_nodes,
             Labels::Merged(rows) => rows.num_nodes(),
         }
     }
 
     fn words(&self, u: NodeId) -> usize {
         match &self.labels {
-            Labels::Layered(layers) => layers.iter().map(|layer| layer.words(u.index())).sum(),
+            Labels::Layer(layer) => layer.words(u.index()),
             Labels::Merged(rows) => rows.words(u.index()),
         }
     }
@@ -1120,39 +971,64 @@ mod tests {
     use super::*;
     use crate::codec::SketchCodec;
     use crate::query::{estimate_distance, estimate_distance_best_common};
-    use crate::scheme::StoredSketches;
+    use crate::scheme::Layer;
 
-    /// The toy pair from `query.rs`: landmark 9 with d(0,9)=2, d(1,9)=3.
+    /// The toy pair from `query.rs`, its landmark renamed 2: d(0,2)=2,
+    /// d(1,2)=3; node 2's label is its own.
     fn toy_set() -> SketchSet {
         let mut u = Sketch::new(NodeId(0), 2);
         u.set_pivot(0, NodeId(0), 0);
-        u.set_pivot(1, NodeId(9), 2);
+        u.set_pivot(1, NodeId(2), 2);
         u.insert_bunch(NodeId(0), 0, 0);
-        u.insert_bunch(NodeId(9), 1, 2);
+        u.insert_bunch(NodeId(2), 1, 2);
         let mut v = Sketch::new(NodeId(1), 2);
         v.set_pivot(0, NodeId(1), 0);
-        v.set_pivot(1, NodeId(9), 3);
+        v.set_pivot(1, NodeId(2), 3);
         v.insert_bunch(NodeId(1), 0, 0);
-        v.insert_bunch(NodeId(9), 1, 3);
-        SketchSet::new(vec![u, v])
+        v.insert_bunch(NodeId(2), 1, 3);
+        let mut w = Sketch::new(NodeId(2), 2);
+        w.set_pivot(0, NodeId(2), 0);
+        w.set_pivot(1, NodeId(2), 0);
+        w.insert_bunch(NodeId(2), 1, 0);
+        SketchSet::new(vec![u, v, w])
+    }
+
+    /// `set` as the one layer of a CDG set, frozen: served as merged rows.
+    fn frozen_as_slack(set: &SketchSet) -> FlatSketchSet {
+        let layer = Layer {
+            sketches: set.clone(),
+            hierarchy: None,
+            net: None,
+            params: None,
+            stats: congest_sim::RunStats::default(),
+        };
+        let spec = SchemeSpec::cdg(0.5, 2);
+        let stored = StoredSketches {
+            spec,
+            layers: vec![layer],
+        };
+        stored.freeze().unwrap()
     }
 
     #[test]
     fn frozen_walk_and_best_common_match_the_map_path() {
         let set = toy_set();
         let flat = set.freeze();
-        assert_eq!(flat.num_nodes(), 2);
+        assert_eq!(flat.num_nodes(), 3);
         assert_eq!(flat.num_layers(), 1);
-        assert_eq!(flat.rule(), QueryRule::LevelWalk);
         let (u, v) = (NodeId(0), NodeId(1));
         assert_eq!(
-            flat.estimate_walk(u, v).unwrap(),
+            flat.estimate(u, v).unwrap(),
             estimate_distance(set.sketch(u), set.sketch(v)).unwrap()
         );
+        let rows = frozen_as_slack(&set);
+        assert!(matches!(rows.labels, Labels::Merged(_)));
+        assert_eq!(rows.num_layers(), 1);
         assert_eq!(
-            flat.estimate_best_common(u, v).unwrap(),
+            rows.estimate(u, v).unwrap(),
             estimate_distance_best_common(set.sketch(u), set.sketch(v)).unwrap()
         );
+        assert_eq!(rows.words(u), flat.words(u));
         assert_eq!(flat.estimate(u, u).unwrap(), 0);
         assert_eq!(flat.estimate(u, v), DistanceOracle::estimate(&set, u, v));
         assert_eq!(flat.words(u), set.sketch(u).words());
@@ -1177,8 +1053,8 @@ mod tests {
         let flat = set.freeze();
         let expected = estimate_distance(set.sketch(NodeId(0)), set.sketch(NodeId(1)));
         assert_eq!(expected.as_ref().unwrap(), &5);
-        assert_eq!(flat.estimate_walk(NodeId(0), NodeId(1)), expected);
-        assert_eq!(flat.estimate_walk(NodeId(1), NodeId(0)), expected);
+        assert_eq!(flat.estimate(NodeId(0), NodeId(1)), expected);
+        assert_eq!(flat.estimate(NodeId(1), NodeId(0)), expected);
     }
 
     #[test]
@@ -1196,15 +1072,16 @@ mod tests {
         let mut b = Sketch::new(NodeId(1), 1);
         b.set_pivot(0, NodeId(1), 0);
         b.insert_bunch(NodeId(1), 0, 0);
-        let disjoint = SketchSet::new(vec![a, b]).freeze();
-        assert_eq!(
-            disjoint.estimate(NodeId(1), NodeId(0)),
-            Err(SketchError::NoCommonLandmark {
-                u: NodeId(1),
-                v: NodeId(0)
-            })
-        );
-        assert!(disjoint.estimate_best_common(NodeId(0), NodeId(1)).is_err());
+        let disjoint = SketchSet::new(vec![a, b]);
+        for flat in [disjoint.freeze(), frozen_as_slack(&disjoint)] {
+            assert_eq!(
+                flat.estimate(NodeId(1), NodeId(0)),
+                Err(SketchError::NoCommonLandmark {
+                    u: NodeId(1),
+                    v: NodeId(0)
+                })
+            );
+        }
     }
 
     #[test]
@@ -1254,7 +1131,7 @@ mod tests {
         let tz = tz_family();
         let bytes = tz.encode_payload();
         let flat = FlatSketchSet::from_family_bytes(&spec, &bytes).unwrap();
-        assert_eq!(flat, tz.freeze());
+        assert_eq!(tz.freeze().as_ref(), Ok(&flat));
         assert_eq!(
             flat.estimate(NodeId(0), NodeId(1)),
             tz.as_oracle().estimate(NodeId(0), NodeId(1))
@@ -1292,6 +1169,31 @@ mod tests {
     }
 
     #[test]
+    fn a_built_degrading_set_is_served_from_merged_rows_and_decodes_to_the_same_value() {
+        let set = degrading_set(24, 7);
+        let flat = set.freeze().unwrap();
+        let per_layer: usize = set
+            .layers
+            .iter()
+            .flat_map(|layer| layer.sketches.iter().map(Sketch::bunch_size))
+            .sum();
+        let Labels::Merged(rows) = &flat.labels else {
+            panic!("a built degrading set is merged");
+        };
+        assert!(rows.entries.len() < per_layer);
+        assert_eq!(flat.num_layers(), set.layers.len());
+        assert_eq!(flat.check_invariants(), Ok(()));
+        let decoded = FlatSketchSet::from_family_bytes(&set.spec, &set.encode_payload());
+        assert_eq!(decoded.unwrap(), flat);
+        for u in (0..24).map(NodeId) {
+            assert_eq!(flat.words(u), set.words(u));
+            for v in (0..25).map(NodeId) {
+                assert_eq!(flat.estimate(u, v), DistanceOracle::estimate(&set, u, v));
+            }
+        }
+    }
+
+    #[test]
     fn ragged_degrading_layers_are_refused_by_both_decoders_and_reported_by_the_invariants() {
         // Layer 0 over 24 nodes, layer 1 over 10: node 15 has a label in
         // one layer only, and every query indexes all of them.
@@ -1305,46 +1207,24 @@ mod tests {
         let flat_err = FlatSketchSet::from_family_bytes(&spec, &bytes).unwrap_err();
         let map_err = StoredSketches::decode_payload(&spec, &bytes).unwrap_err();
         assert_eq!(flat_err, map_err);
+        assert_eq!(ragged.freeze().unwrap_err(), flat_err);
         assert!(
             matches!(&flat_err, CodecError::Invalid { message, .. }
                 if message == "layer 1 covers 10 nodes but layer 0 covers 24"),
             "{flat_err}"
         );
-        // Freezing cannot refuse (it mirrors the per-node set, which is as
-        // unusable); the set stays layered and check_invariants names it.
-        let frozen = ragged.freeze();
-        assert_eq!(frozen.merged_entries(), None);
+        // Served rows of that shape — layer 1's pivot rows over 10 of the
+        // 24 nodes — are what `check_invariants` names.
+        let message = corrupted(|rows| rows.pivots[1].offsets.truncate(11));
         assert_eq!(
-            frozen.check_invariants().unwrap_err(),
-            "layer 1 covers 10 nodes but layer 0 covers 24"
+            message,
+            "layer 1: pivot rows for 10 nodes, merged rows for 24"
         );
-    }
-
-    #[test]
-    fn a_built_degrading_set_is_served_from_merged_rows_and_decodes_to_the_same_value() {
-        let set = degrading_set(24, 7);
-        let flat = set.freeze();
-        let per_layer: usize = set
-            .layers
-            .iter()
-            .flat_map(|layer| layer.sketches.iter().map(Sketch::bunch_size))
-            .sum();
-        assert!(flat.merged_entries().unwrap() < per_layer);
-        assert_eq!(flat.num_layers(), set.layers.len());
-        assert_eq!(flat.check_invariants(), Ok(()));
-        let decoded = FlatSketchSet::from_family_bytes(&set.spec, &set.encode_payload());
-        assert_eq!(decoded.unwrap(), flat);
-        for u in (0..24).map(NodeId) {
-            assert_eq!(flat.words(u), set.words(u));
-            for v in (0..25).map(NodeId) {
-                assert_eq!(flat.estimate(u, v), DistanceOracle::estimate(&set, u, v));
-            }
-        }
     }
 
     /// `check_invariants` of a valid merged set after `corrupt` edited it.
     fn corrupted(corrupt: impl FnOnce(&mut MergedRows)) -> String {
-        let mut flat = degrading_set(24, 7).freeze();
+        let mut flat = degrading_set(24, 7).freeze().unwrap();
         let Labels::Merged(rows) = &mut flat.labels else {
             panic!("a built degrading set is merged");
         };
@@ -1406,8 +1286,8 @@ mod tests {
             message.starts_with("layer 1: pivot offsets terminate at"),
             "{message}"
         );
-        let message = corrupted(|rows| rows.pivots.truncate(1));
-        assert_eq!(message, "merged rows over 1 layers");
+        let message = corrupted(|rows| rows.pivots.clear());
+        assert_eq!(message, "merged rows over 0 layers");
     }
 
     #[test]

@@ -110,9 +110,10 @@
 //! * [`query`] — distance estimation from two sketches (Lemma 3.2 and the
 //!   slack/degrading variants).
 //! * [`flat`] — the frozen CSR query representation ([`FlatSketchSet`]):
-//!   labels packed into contiguous arrays at `freeze()` time, answering the
-//!   same queries allocation-free at hardware speed — the serving layers'
-//!   default in-memory layout.
+//!   labels packed into contiguous arrays at `freeze()` time — one layer
+//!   for the Thorup–Zwick level walk, one row per node for the slack
+//!   families' join — answering the same queries allocation-free at
+//!   hardware speed; the serving layers' in-memory layout.
 //! * [`slack`] — Section 4: ε-density nets and the net-restricted
 //!   hierarchies the 3-stretch slack, (ε, k)-CDG and gracefully degrading
 //!   layers are sampled from.
@@ -161,7 +162,7 @@ pub mod prelude {
         evaluate_oracle, evaluate_oracle_sampled, evaluate_oracle_with_slack, SlackReport,
         StretchReport,
     };
-    pub use crate::flat::{FlatSketchSet, QueryRule};
+    pub use crate::flat::FlatSketchSet;
     pub use crate::hierarchy::{Hierarchy, TzParams};
     pub use crate::oracle::DistanceOracle;
     pub use crate::parallel::{BuildTimings, PhaseTiming};

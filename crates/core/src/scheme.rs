@@ -14,7 +14,8 @@
 //! persists.
 //! [`SchemeSpec::build`] hands back the same build
 //! [frozen](StoredSketches::freeze) into a `Box<dyn DistanceOracle>` over the
-//! [`FlatSketchSet`] — the one representation queries are served from.
+//! [`FlatSketchSet`](crate::flat::FlatSketchSet) — the one representation
+//! queries are served from.
 //!
 //! ```
 //! use dsketch::prelude::*;
@@ -41,12 +42,11 @@ use crate::build;
 use crate::codec::{collect_sketches, keep_stored, read_family, write_family, CodecError, Decoder};
 use crate::distributed::{self, SyncMode};
 use crate::error::SketchError;
-use crate::flat::{FlatSketchSet, QueryRule};
 use crate::hierarchy::{Hierarchy, TzParams};
 use crate::oracle::{check_nodes, DistanceOracle};
 use crate::parallel::BuildTimings;
 use crate::query::{estimate_distance, estimate_distance_best_common};
-use crate::sketch::SketchSet;
+use crate::sketch::{Sketch, SketchSet};
 use crate::slack::cdg::{self, CdgParams};
 use crate::slack::degrading::DegradingParams;
 use crate::slack::density_net::DensityNet;
@@ -205,7 +205,8 @@ pub struct BuildOutcome<O> {
 }
 
 /// A [`BuildOutcome`] with the sketch-set type erased: the sketches are the
-/// [`FlatSketchSet`] the [`StoredSketches`] freeze into.
+/// [`FlatSketchSet`](crate::flat::FlatSketchSet) the [`StoredSketches`]
+/// freeze into.
 pub type DynBuildOutcome = BuildOutcome<Box<dyn DistanceOracle>>;
 
 /// One layer of labels: a label set plus the sampling it was built from.
@@ -238,9 +239,9 @@ pub struct Layer<S = SketchSet> {
 /// gracefully degrading family ([`SchemeSpec::build_sketches`] fills them).
 ///
 /// It is also the per-node reference oracle every served answer is held
-/// to: the spec's query rule on each layer — the Lemma 3.2 level walk for
-/// Thorup–Zwick, the best common landmark otherwise — and over several
-/// layers the minimum of their answers (Theorem 4.8).
+/// to: the Lemma 3.2 level walk on a Thorup–Zwick set's layer, and for the
+/// slack families the best common landmark, minimum over the layers
+/// (Theorem 4.8 over several).
 ///
 /// Generic over its label sets: per-node [`SketchSet`]s (the default, what
 /// builds produce), or what a decoder makes of the rows the codec's family
@@ -259,16 +260,6 @@ impl StoredSketches {
         self
     }
 
-    /// Freeze the layers into the flat CSR query representation (see
-    /// [`crate::flat`]).  Freezing copies the labels once and drops
-    /// construction-only state (per-node allocations, bunch levels); it
-    /// never changes an answer — the frozen set's `estimate(u, v)` equals
-    /// this set's for every pair, errors included.
-    pub fn freeze(&self) -> FlatSketchSet {
-        let sets = self.layers.iter().map(|layer| &layer.sketches);
-        FlatSketchSet::frozen(self.spec.served_as(), sets)
-    }
-
     /// Encode the family payload (the `SKCH` section body of a snapshot).
     pub fn encode_payload(&self) -> Vec<u8> {
         write_family(self)
@@ -279,11 +270,17 @@ impl StoredSketches {
     /// [`FlatSketchSet::from_family_bytes`](crate::flat::FlatSketchSet::from_family_bytes),
     /// reading through the same family reader (see [`crate::codec`],
     /// "Family payloads"), so the two accept the same bytes and refuse the
-    /// rest with the same [`CodecError`].
+    /// rest with the same [`CodecError`].  The one contract no row or layer
+    /// can break alone — a node holds each landmark at one distance over
+    /// all its layers — is the merge's, so a multi-layer set is frozen
+    /// here, and the frozen value dropped, to ask it.
     pub fn decode_payload(spec: &SchemeSpec, bytes: &[u8]) -> Result<Self, CodecError> {
         let mut input = Decoder::new(bytes);
         let sketches = read_family(spec, &mut input, collect_sketches)?;
         input.finish()?;
+        if sketches.layers.len() > 1 {
+            sketches.freeze()?;
+        }
         Ok(sketches)
     }
 }
@@ -291,19 +288,17 @@ impl StoredSketches {
 impl DistanceOracle for StoredSketches {
     fn estimate(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
         check_nodes(self.num_nodes(), u, v)?;
-        let rule = match self.spec.served_as().0 {
-            QueryRule::LevelWalk => estimate_distance,
-            QueryRule::BestCommon => estimate_distance_best_common,
+        let answer = |layer: &Layer, rule: fn(&Sketch, &Sketch) -> _| {
+            rule(layer.sketches.sketch(u), layer.sketches.sketch(v))
         };
-        let answer = |layer: &Layer| rule(layer.sketches.sketch(u), layer.sketches.sketch(v));
-        if let [layer] = self.layers.as_slice() {
-            return answer(layer);
+        if let (SchemeSpec::ThorupZwick { .. }, [layer]) = (self.spec, self.layers.as_slice()) {
+            return answer(layer, estimate_distance);
         }
         // `INFINITY` stands for "no layer answered".
         let best = self
             .layers
             .iter()
-            .filter_map(|layer| answer(layer).ok())
+            .filter_map(|layer| answer(layer, estimate_distance_best_common).ok())
             .fold(INFINITY, Distance::min);
         if best == INFINITY {
             Err(SketchError::NoCommonLandmark { u, v })
@@ -328,7 +323,7 @@ impl DistanceOracle for StoredSketches {
     }
 
     fn stretch_bound(&self) -> Option<u64> {
-        self.spec.served_as().2
+        self.spec.served_as().1
     }
 }
 
@@ -468,21 +463,19 @@ impl SchemeSpec {
         }
     }
 
-    /// How the family is served: its query rule — the Lemma 3.2 level walk
-    /// for Thorup–Zwick, the best common landmark for the slack families
-    /// (Theorems 4.3 and 4.6) and the degrading layers — its name, and its
-    /// stretch bound (`2k − 1`; `3` and `8k − 1` on ε-far pairs; none for
-    /// the degrading curve).  The decoders hold a payload's hierarchy `k`
-    /// and CDG params to the spec, so the spec's parameters are the labels'.
-    pub(crate) fn served_as(&self) -> (QueryRule, &'static str, Option<u64>) {
+    /// How the family is served: its name and its stretch bound (`2k − 1`;
+    /// `3` and `8k − 1` on ε-far pairs; none for the degrading curve).  The
+    /// decoders hold a payload's hierarchy `k` and CDG params to the spec,
+    /// so the spec's parameters are the labels'.
+    pub(crate) fn served_as(&self) -> (&'static str, Option<u64>) {
         let times = |k: usize, factor: u64| (k as u64).saturating_mul(factor).saturating_sub(1);
-        let (rule, stretch) = match *self {
-            SchemeSpec::ThorupZwick { k } => (QueryRule::LevelWalk, Some(times(k, 2))),
-            SchemeSpec::ThreeStretch { .. } => (QueryRule::BestCommon, Some(3)),
-            SchemeSpec::Cdg { k, .. } => (QueryRule::BestCommon, Some(times(k, 8))),
-            SchemeSpec::Degrading { .. } => (QueryRule::BestCommon, None),
+        let stretch = match *self {
+            SchemeSpec::ThorupZwick { k } => Some(times(k, 2)),
+            SchemeSpec::ThreeStretch { .. } => Some(3),
+            SchemeSpec::Cdg { k, .. } => Some(times(k, 8)),
+            SchemeSpec::Degrading { .. } => None,
         };
-        (rule, self.name(), stretch)
+        (self.name(), stretch)
     }
 
     /// One representative spec per family, with parameters suited to small
@@ -695,15 +688,23 @@ impl SchemeSpec {
 
     /// Run the construction ([`SchemeSpec::build_sketches`]), returning
     /// type-erased sketches: the layers, [frozen](StoredSketches::freeze)
-    /// into the [`FlatSketchSet`] every query is served from.
+    /// into the [`FlatSketchSet`](crate::flat::FlatSketchSet) every query is
+    /// served from.  (Freezing accepts every set an engine builds; a refusal
+    /// would be reported as [`SketchError::InvalidParameters`], never a
+    /// panic.)
     pub fn build(
         &self,
         graph: &Graph,
         config: &SchemeConfig,
     ) -> Result<DynBuildOutcome, SketchError> {
         let outcome = self.build_sketches(graph, config)?;
+        let frozen = outcome.sketches.freeze().map_err(|e| {
+            SketchError::InvalidParameters(format!(
+                "{self}: the built labels cannot be served: {e}"
+            ))
+        })?;
         Ok(BuildOutcome {
-            sketches: Box::new(outcome.sketches.freeze()),
+            sketches: Box::new(frozen),
             stats: outcome.stats,
             phase_stats: outcome.phase_stats,
             tree_stats: outcome.tree_stats,

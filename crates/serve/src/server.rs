@@ -40,7 +40,7 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Ignored: there are no shards.  Kept because `benchmark/src/drive.rs`
-    /// builds this struct as a four-field literal; ROADMAP 7(iv) deletes the
+    /// builds this struct as a four-field literal; ROADMAP item 1 deletes the
     /// field together with that literal.
     #[doc(hidden)]
     pub shards: usize,

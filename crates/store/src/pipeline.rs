@@ -611,7 +611,7 @@ mod tests {
 
             // The bytes-direct decode and the freeze of the decoded set are
             // the same value — two roads to one representation.
-            let via_freeze = contents.sketches.freeze();
+            let via_freeze = contents.sketches.freeze().unwrap();
             let raw_bytes = contents.sketches.encode_payload();
             let via_bytes = FlatSketchSet::from_family_bytes(&spec, &raw_bytes).unwrap();
             assert_eq!(via_bytes, via_freeze, "{spec}");

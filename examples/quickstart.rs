@@ -99,7 +99,11 @@ fn obtain_oracle(
             std::process::exit(2);
         });
         println!("saved snapshot {path}: {bytes} bytes (reload with --load {path})");
-        return Box::new(contents.sketches.freeze());
+        let frozen = contents.sketches.freeze().unwrap_or_else(|e| {
+            eprintln!("freeze failed: {e}");
+            std::process::exit(2);
+        });
+        return Box::new(frozen);
     }
     let outcome = spec.build(graph, &config).unwrap_or_else(|e| {
         eprintln!("construction failed: {e}");

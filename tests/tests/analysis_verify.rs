@@ -207,10 +207,14 @@ struct Site {
 struct SketchSites {
     /// `k` of this sketch.
     k: usize,
+    /// The node varint (`id + 1`) of each *present* pivot, by level.
+    pivot_nodes: Vec<Site>,
     /// The distance varint of each *present* pivot, by level.
     pivot_distances: Vec<Site>,
     /// The first varint — `(gap << ⌈log₂k⌉) | level` — of each bunch entry.
     entries: Vec<Site>,
+    /// Each bunch entry's node id and its distance varint.
+    members: Vec<(u64, Site)>,
 }
 
 impl<'a> TzSketchCursor<'a> {
@@ -249,24 +253,30 @@ impl<'a> TzSketchCursor<'a> {
     /// Walk one row, returning its mutation sites.
     fn next_sketch(&mut self) -> SketchSites {
         let k = self.varint().value as usize;
-        let mut pivot_distances = Vec::new();
+        let (mut pivot_nodes, mut pivot_distances) = (Vec::new(), Vec::new());
         for _ in 0..k {
-            if self.varint().value != 0 {
+            let node = self.varint();
+            if node.value != 0 {
+                pivot_nodes.push(node);
                 pivot_distances.push(self.varint());
             }
         }
         let bunch_len = self.varint().value as usize;
-        let entries = (0..bunch_len)
-            .map(|_| {
-                let packed = self.varint();
-                self.varint(); // distance
-                packed
-            })
-            .collect();
+        let level_bits = usize::BITS - (k - 1).leading_zeros();
+        let (mut entries, mut members, mut floor) = (Vec::new(), Vec::new(), 0);
+        for _ in 0..bunch_len {
+            let packed = self.varint();
+            let id = floor + (packed.value >> level_bits);
+            floor = id + 1;
+            entries.push(packed);
+            members.push((id, self.varint()));
+        }
         SketchSites {
             k,
+            pivot_nodes,
             pivot_distances,
             entries,
+            members,
         }
     }
 
@@ -594,20 +604,23 @@ fn resigned_three_stretch_label_outside_its_net_is_caught() {
     let members = le_u64(&bytes, skch_at + 16) as usize;
     let member = |i: usize| le_u32(&bytes, skch_at + 24 + 4 * i);
     assert_eq!((members, member(0), member(1), member(2)), (83, 0, 9, 14));
-    // v0's label: one level, the net as its bunch.  Re-point its first
-    // entry from member 0 to node 1, which is no member, keeping the next
-    // entry's id (its gap shrinks by one).
+    // v0's label: one level, the net as its bunch, itself its pivot.
+    // Re-point its second entry from member 9 to node 10, which is no
+    // member, keeping the third entry's id (its gap shrinks by one).  (The
+    // first entry is v0's pivot: moving it would leave the pivot outside
+    // the bunch, a broken pivot row before any net is consulted.)
     let (mut cursor, _) = TzSketchCursor::at(&bytes, skch_at + 24 + 4 * members);
     let row = cursor.next_sketch();
     assert_eq!(row.k, 1);
-    let (first, second) = (row.entries[0], row.entries[1]);
+    assert_eq!(row.pivot_nodes[0].value, 1, "v0 is its own pivot");
+    let (first, second, third) = (row.entries[0], row.entries[1], row.entries[2]);
     assert_eq!(
-        (first.value, second.value),
-        (0, 8),
-        "v0 holds members 0 and 9"
+        (first.value, second.value, third.value),
+        (0, 8, 4),
+        "v0 holds members 0, 9 and 14"
     );
-    bytes[second.at] = 7;
-    bytes[first.at] = 1;
+    bytes[second.at] = 9;
+    bytes[third.at] = 3;
     resign(&mut bytes);
     expect_kind(
         &bytes,
@@ -635,6 +648,103 @@ fn resigned_net_eps_unlike_the_spec_or_params_is_caught() {
     bytes[net_eps_at..net_eps_at + 8].copy_from_slice(&0.9f64.to_le_bytes());
     resign(&mut bytes);
     expect_kind(&bytes, "layer-contract", "net eps != the CdgParams'");
+}
+
+#[test]
+fn resigned_pivot_outside_its_owners_bunch_is_caught() {
+    // v0's level-0 pivot is v0 itself, at distance 0.  Name instead the
+    // smallest node outside v0's bunch: the row stays nested, and the
+    // served rows would hold no candidate the pivot stands for.
+    let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(3), 32, 13);
+    let (mut cursor, _) = TzSketchCursor::new(&bytes);
+    let row = cursor.next_sketch();
+    let pivot = row.pivot_nodes[0];
+    assert_eq!((pivot.value, row.pivot_distances[0].value), (1, 0));
+    let outside = (0..32u64)
+        .find(|id| row.members.iter().all(|&(member, _)| member != *id))
+        .expect("a node outside v0's bunch");
+    bytes[pivot.at] = outside as u8 + 1;
+    resign(&mut bytes);
+    expect_kind(&bytes, "pivot-row", "pivot outside its owner's bunch");
+    let err = verify_snapshot_bytes(&bytes).unwrap_err();
+    assert!(
+        err.to_string().contains("is not in its owner's bunch"),
+        "{err}"
+    );
+}
+
+/// File offsets of each layer's label set in a degrading snapshot's `SKCH`
+/// payload: a `u64` layer count, then per layer params (24 bytes), net
+/// (node count, ε, member count, a `u32` per member), hierarchy (`k`,
+/// probability, level count, an `i32` per node), label set, stats (48).
+fn degrading_label_sets(bytes: &[u8]) -> Vec<usize> {
+    let (skch_at, _) = skch_range(bytes);
+    let mut at = skch_at + 8;
+    (0..le_u64(bytes, skch_at))
+        .map(|_| {
+            at += 24;
+            at += 24 + 4 * le_u64(bytes, at + 16) as usize;
+            at += 24 + 4 * le_u64(bytes, at + 16) as usize;
+            let set = at;
+            let (mut cursor, header) = TzSketchCursor::at(bytes, set);
+            (0..header[0].value).for_each(|_| drop(cursor.next_sketch()));
+            at = cursor.position() + 48;
+            set
+        })
+        .collect()
+}
+
+#[test]
+fn resigned_degrading_landmark_at_two_distances_is_caught() {
+    // Some node holds a landmark in layers 0 and 1 that is none of its
+    // layer-1 pivots: one more on its layer-1 distance breaks no row, and
+    // the node's served row has one distance column.
+    let mut bytes = snapshot_bytes(SchemeSpec::parse("degrading:2").unwrap(), 32, 13);
+    let sets = degrading_label_sets(&bytes);
+    assert!(sets.len() >= 2, "{} layers", sets.len());
+    let rows = |set: usize| {
+        let (mut cursor, header) = TzSketchCursor::at(&bytes, set);
+        (0..header[0].value)
+            .map(|_| cursor.next_sketch())
+            .collect::<Vec<_>>()
+    };
+    let (layer0, layer1) = (rows(sets[0]), rows(sets[1]));
+    let site = layer0
+        .iter()
+        .zip(&layer1)
+        .find_map(|(row0, row1)| {
+            let pivots: Vec<u64> = row1.pivot_nodes.iter().map(|p| p.value - 1).collect();
+            row1.members.iter().find_map(|&(id, distance)| {
+                let shared = row0.members.iter().any(|&(other, _)| other == id);
+                let editable = distance.len == 1 && distance.value < 127;
+                (shared && editable && !pivots.contains(&id)).then_some(distance)
+            })
+        })
+        .expect("a shared landmark that is no layer-1 pivot");
+    bytes[site.at] += 1;
+    resign(&mut bytes);
+    expect_kind(&bytes, "layer-contract", "one landmark at two distances");
+    let err = verify_snapshot_bytes(&bytes).unwrap_err();
+    assert!(err.to_string().contains("at two distances"), "{err}");
+}
+
+#[test]
+fn a_degrading_snapshot_of_33_layers_is_caught() {
+    // One layer more than a row's mask has bits, written whole so every
+    // checksum holds; nothing but the layer count is wrong.
+    let mut contents = build_stored(
+        &graph(24, 5),
+        SchemeSpec::degrading(),
+        &SchemeConfig::default().with_seed(5).with_parallel_build(),
+    )
+    .unwrap();
+    let layers = &mut contents.sketches.layers;
+    *layers = layers.iter().cycle().take(33).cloned().collect();
+    let mut bytes = Vec::new();
+    write_snapshot(&mut bytes, &contents).unwrap();
+    expect_kind(&bytes, "layer-contract", "33 layers");
+    let err = verify_snapshot_bytes(&bytes).unwrap_err();
+    assert!(err.to_string().contains("33 layers exceed"), "{err}");
 }
 
 #[test]

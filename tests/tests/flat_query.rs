@@ -1,17 +1,17 @@
 //! Cross-crate equivalence contract of the frozen flat query path: for
 //! every sketch family, [`FlatSketchSet`] answers **identically** to the
 //! per-node `Sketch` oracle it was frozen from — same estimates, same
-//! errors, same label-size accounting — for every query function, on
-//! random graphs, on disconnected graphs (the `NoCommonLandmark` cases),
-//! and on hand-built labels with asymmetric per-node `k`.
+//! errors, same label-size accounting — on random graphs, on disconnected
+//! graphs (the `NoCommonLandmark` cases), and on hand-built labels with
+//! asymmetric per-node `k`.
 //!
-//! The gracefully degrading family is served from one merged row per node
+//! The slack families are served from one merged row per node
 //! (`dsketch::flat`); the cases below also pin that every set an engine
-//! builds takes that form, that every hand-built way out of it still answers
-//! like the per-node layers, that the layer mask is what keeps a landmark
-//! two nodes hold in different layers from becoming a candidate, and that
-//! the join table a thread keeps across queries never carries an answer
-//! from one set into another.
+//! builds is accepted in that form, that every hand-built way out of it is
+//! refused — by `freeze` and both decoders, with one `CodecError` — that
+//! the layer mask is what keeps a landmark two nodes hold in different
+//! layers from becoming a candidate, and that the join table a thread keeps
+//! across queries never carries an answer from one set into another.
 //!
 //! Also pins the store contract: materializing a `FlatSketchSet` straight
 //! from `DSK1` snapshot bytes (`load_frozen_oracle`, the cold-start path
@@ -23,7 +23,7 @@ use dsketch::prelude::*;
 use dsketch_store::{build_stored, read_frozen_oracle, write_snapshot, StoredSketches};
 use netgraph::builder::GraphBuilder;
 use netgraph::generators::{erdos_renyi, GeneratorConfig};
-use netgraph::{Distance, Graph, NodeId, INFINITY};
+use netgraph::{Distance, Graph, NodeId};
 use proptest::prelude::*;
 
 fn connected_graph(n: usize, seed: u64) -> Graph {
@@ -57,54 +57,14 @@ fn all_pairs(n: usize) -> Vec<(NodeId, NodeId)> {
     pairs
 }
 
-/// The per-node reference for a raw query function on a family's layers:
-/// a single layer answers as it is; several answer with the Theorem 4.8
-/// rule — the minimum over the layers that have a common landmark.
-fn min_over_layers(
-    layers: &[&SketchSet],
-    u: NodeId,
-    v: NodeId,
-    rule: fn(&Sketch, &Sketch) -> Result<Distance, SketchError>,
-) -> Result<Distance, SketchError> {
-    if let [set] = layers {
-        return rule(set.sketch(u), set.sketch(v));
-    }
-    let best = layers
-        .iter()
-        .filter_map(|set| rule(set.sketch(u), set.sketch(v)).ok())
-        .fold(INFINITY, Distance::min);
-    if best == INFINITY {
-        Err(SketchError::NoCommonLandmark { u, v })
-    } else {
-        Ok(best)
-    }
-}
-
-/// The fast path cannot silently fall away: a degrading set an engine built
-/// is served from merged rows, with fewer entries than its per-layer
-/// bunches add up to (layers share landmarks); every other family keeps its
-/// one layer.
+/// The served form keeps every layer and the arrays the kernel indexes by.
 fn assert_served_form(flat: &FlatSketchSet, set: &StoredSketches, context: &str) {
-    if set.layers.len() == 1 {
-        assert_eq!(flat.merged_entries(), None, "{context}");
-        assert_eq!(flat.num_layers(), 1, "{context}");
-        return;
-    }
-    let per_layer: usize = set
-        .layers
-        .iter()
-        .flat_map(|layer| layer.sketches.iter().map(Sketch::bunch_size))
-        .sum();
-    let merged = flat
-        .merged_entries()
-        .unwrap_or_else(|| panic!("{context}: a built degrading set is served layered"));
-    assert!(merged < per_layer, "{context}: {merged} row entries");
     assert_eq!(flat.num_layers(), set.layers.len(), "{context}");
     assert_eq!(flat.check_invariants(), Ok(()), "{context}");
 }
 
-/// The core contract: the frozen set equals the map-backed oracle on every
-/// query function, result-for-result (errors included).
+/// The core contract: the frozen set equals the map-backed oracle,
+/// result-for-result (errors included).
 fn assert_equivalent(
     spec: SchemeSpec,
     sketches: &StoredSketches,
@@ -112,7 +72,7 @@ fn assert_equivalent(
     context: &str,
 ) {
     let oracle = sketches.as_oracle();
-    let flat = sketches.freeze();
+    let flat = sketches.freeze().expect("an engine-built set is accepted");
     let n = oracle.num_nodes();
 
     assert_eq!(flat.num_nodes(), n, "{context}");
@@ -138,25 +98,6 @@ fn assert_equivalent(
         assert_eq!(flat.words(u), oracle.words(u), "{context}: {spec} at {u}");
     }
 
-    // Per-family raw query functions over the underlying label sets: both
-    // the Lemma 3.2 walk and the best-common intersection must match their
-    // slice reimplementations, whichever one the family's oracle uses — on
-    // the layered family, the minimum over its per-node layers.
-    let layers: Vec<&SketchSet> = sketches.layers.iter().map(|l| &l.sketches).collect();
-    for u in (0..n).map(NodeId::from_index) {
-        for v in (0..n).map(NodeId::from_index) {
-            assert_eq!(
-                flat.estimate_walk(u, v),
-                min_over_layers(&layers, u, v, dsketch::query::estimate_distance),
-                "{context}: {spec} walk differs at ({u}, {v})"
-            );
-            assert_eq!(
-                flat.estimate_best_common(u, v),
-                min_over_layers(&layers, u, v, dsketch::query::estimate_distance_best_common),
-                "{context}: {spec} best-common differs at ({u}, {v})"
-            );
-        }
-    }
     assert_served_form(&flat, sketches, context);
 
     // The store contract: snapshot bytes → FlatSketchSet directly (no
@@ -184,8 +125,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// The acceptance-criterion property: on random connected graphs, every
-    /// family's frozen oracle is answer-identical to the map path for every
-    /// query function.
+    /// family's frozen oracle is answer-identical to the map path.
     #[test]
     fn flat_answers_are_identical_on_random_graphs(
         (n, seed) in (20usize..44, 0u64..1_000)
@@ -259,14 +199,9 @@ fn asymmetric_k_labels_freeze_and_answer_identically() {
     for u in (0..3).map(NodeId::from_index) {
         for v in (0..3).map(NodeId::from_index) {
             assert_eq!(
-                flat.estimate_walk(u, v),
+                flat.estimate(u, v),
                 dsketch::query::estimate_distance(set.sketch(u), set.sketch(v)),
                 "walk differs at ({u}, {v})"
-            );
-            assert_eq!(
-                flat.estimate_best_common(u, v),
-                dsketch::query::estimate_distance_best_common(set.sketch(u), set.sketch(v)),
-                "best-common differs at ({u}, {v})"
             );
             assert_eq!(
                 flat.estimate(u, v),
@@ -277,7 +212,7 @@ fn asymmetric_k_labels_freeze_and_answer_identically() {
     }
     // The walk really does cross the k boundary: (0, 1) answers at level 2
     // of the longer side.
-    assert_eq!(flat.estimate_walk(NodeId(0), NodeId(1)).unwrap(), 5);
+    assert_eq!(flat.estimate(NodeId(0), NodeId(1)).unwrap(), 5);
 }
 
 /// Every type-erased build hands back the flat oracle: for each family, on
@@ -310,7 +245,11 @@ fn frozen_builder_output_serves_identically() {
                 assert_eq!(flat.stretch_bound(), per_node.stretch_bound(), "{context}");
                 // The boxed oracle hides its form; the freeze it ended with
                 // is this one.
-                assert_served_form(&stored.sketches.freeze(), &stored.sketches, &context);
+                let frozen = stored
+                    .sketches
+                    .freeze()
+                    .expect("an engine-built set is accepted");
+                assert_served_form(&frozen, &stored.sketches, &context);
             }
         }
     }
@@ -327,11 +266,11 @@ fn label(owner: u32, pivot: (u32, Distance), bunch: &[(u32, Distance)]) -> Sketc
     sketch
 }
 
-/// A degrading set over hand-built layers (net, hierarchy and params are
-/// along for the encoding; no query reads them).  The params keep the
-/// degrading contract the decoders check — ε halving layer over layer, each
-/// net sampled for its layer's ε.
-fn degrading_of(layers: Vec<Vec<Sketch>>) -> StoredSketches {
+/// A `spec` set over hand-built layers (net, hierarchy and params are along
+/// for the encoding; no query reads them).  The params keep the degrading
+/// contract the decoders check — ε halving layer over layer, each net
+/// sampled for its layer's ε — and a one-layer set's are `cdg:0.5,1`'s.
+fn slack_set(spec: SchemeSpec, layers: Vec<Vec<Sketch>>) -> StoredSketches {
     let layers = (1..)
         .zip(layers)
         .map(|(i, sketches)| {
@@ -346,56 +285,55 @@ fn degrading_of(layers: Vec<Vec<Sketch>>) -> StoredSketches {
             }
         })
         .collect();
-    let spec = SchemeSpec::degrading();
     StoredSketches { spec, layers }
 }
 
-/// Freeze `set` and require the frozen value to be served in the `merged`
-/// form or not, and every answer — errors and out-of-range probes included
-/// — to be the per-node set's.  `refused` is how the decoders meet its
-/// bytes: `None`, they decode to the same value; or the error both return,
-/// for a set that breaks a contract of the family's labels.
-fn assert_hand_built(
-    set: &StoredSketches,
-    merged: bool,
-    refused: Option<fn(&CodecError) -> bool>,
-    context: &str,
-) {
-    let flat = set.freeze();
+/// [`slack_set`] for the degrading family.
+fn degrading_of(layers: Vec<Vec<Sketch>>) -> StoredSketches {
+    slack_set(SchemeSpec::degrading(), layers)
+}
+
+/// Freeze `set`, require both decoders to meet its bytes with the same
+/// value, and every answer — errors and out-of-range probes included — to
+/// be the per-node set's.
+fn assert_accepted(set: &StoredSketches, context: &str) {
+    let flat = set.freeze().expect(context);
     let bytes = set.encode_payload();
-    let decoded = FlatSketchSet::from_family_bytes(&SchemeSpec::degrading(), &bytes);
-    let map = StoredSketches::decode_payload(&SchemeSpec::degrading(), &bytes).map(drop);
-    match refused {
-        None => {
-            assert_eq!(decoded.as_ref(), Ok(&flat), "{context}");
-            assert_eq!(map, Ok(()), "{context}");
-        }
-        Some(expected) => {
-            let err = decoded.expect_err(context);
-            assert!(expected(&err), "{context}: refused with {err}");
-            assert_eq!(map, Err(err), "{context}: the map decoder refuses alike");
-        }
-    }
-    assert_eq!(flat.merged_entries().is_some(), merged, "{context}");
-    assert_eq!(flat.check_invariants(), Ok(()), "{context}");
-    let layers: Vec<&SketchSet> = set.layers.iter().map(|l| &l.sketches).collect();
+    let decoded = FlatSketchSet::from_family_bytes(&set.spec, &bytes);
+    assert_eq!(decoded.as_ref(), Ok(&flat), "{context}");
+    let map = StoredSketches::decode_payload(&set.spec, &bytes);
+    assert_eq!(map.err(), None, "{context}");
+    assert_served_form(&flat, set, context);
     for (u, v) in all_pairs(set.num_nodes()) {
         assert_eq!(
             flat.estimate(u, v),
             DistanceOracle::estimate(set, u, v),
             "{context}: estimate differs at ({u}, {v})"
         );
-        if u.index() < set.num_nodes() && v.index() < set.num_nodes() {
-            assert_eq!(
-                flat.estimate_walk(u, v),
-                min_over_layers(&layers, u, v, dsketch::query::estimate_distance),
-                "{context}: walk differs at ({u}, {v})"
-            );
-        }
     }
     for u in (0..set.num_nodes()).map(NodeId::from_index) {
         assert_eq!(flat.words(u), set.words(u), "{context}: words at {u}");
     }
+}
+
+/// `freeze` refuses `set` with an error `expected` accepts, and both
+/// decoders refuse its bytes with that same error.
+fn assert_refused(set: &StoredSketches, expected: fn(&CodecError) -> bool, context: &str) {
+    let refused = set.freeze().expect_err(context);
+    assert!(expected(&refused), "{context}: refused with {refused}");
+    let bytes = set.encode_payload();
+    let flat = FlatSketchSet::from_family_bytes(&set.spec, &bytes);
+    assert_eq!(
+        flat.err().as_ref(),
+        Some(&refused),
+        "{context}: the flat decoder"
+    );
+    let map = StoredSketches::decode_payload(&set.spec, &bytes);
+    assert_eq!(
+        map.err().as_ref(),
+        Some(&refused),
+        "{context}: the map decoder"
+    );
 }
 
 /// Node 2 is everyone's landmark in layer 0; layer 1 holds near neighbours.
@@ -418,16 +356,15 @@ fn two_layer_base() -> Vec<Vec<Sketch>> {
 #[test]
 fn hand_built_layers_that_meet_the_conditions_are_merged() {
     let set = degrading_of(two_layer_base());
-    assert_hand_built(&set, true, None, "base");
+    assert_accepted(&set, "base");
     // Layer 1 wins for (0, 1): 4 + 0 against 5 + 7 through node 2.
-    assert_eq!(set.freeze().estimate(NodeId(0), NodeId(1)), Ok(4));
-    assert_eq!(set.freeze().merged_entries(), Some(6));
+    assert_eq!(set.freeze().unwrap().estimate(NodeId(0), NodeId(1)), Ok(4));
 
     // 32 layers is the last count a `u32` mask can name.
     let mut layers = two_layer_base();
     let last = layers[1].clone();
     layers.resize(32, last);
-    assert_hand_built(&degrading_of(layers), true, None, "32 layers");
+    assert_accepted(&degrading_of(layers), "32 layers");
 }
 
 /// The case the mask exists for: node 0 holds landmark 2 in layer 0 only,
@@ -448,9 +385,9 @@ fn a_landmark_held_in_different_layers_is_not_a_candidate() {
             label(2, (2, 0), &[(2, 0)]),
         ],
     ]);
-    assert_hand_built(&set, true, None, "mask");
+    assert_accepted(&set, "mask");
     assert_eq!(
-        set.freeze().estimate_best_common(NodeId(0), NodeId(1)),
+        set.freeze().unwrap().estimate(NodeId(0), NodeId(1)),
         Err(SketchError::NoCommonLandmark {
             u: NodeId(0),
             v: NodeId(1)
@@ -458,63 +395,130 @@ fn a_landmark_held_in_different_layers_is_not_a_candidate() {
     );
 }
 
-/// Each way out of the merged form: the set stays layered and answers like
-/// its per-node layers.  In every case the merged kernel, had it been taken
-/// without the check, would answer differently (noted per case).
+/// Each way out of the merged form is refused, one error from `freeze` and
+/// both decoders.  Served regardless, each would answer unlike its per-node
+/// layers (noted per case).
 #[test]
-fn sets_that_break_a_merge_condition_stay_layered_and_answer_identically() {
+fn every_way_out_of_the_merged_form_is_refused_alike() {
+    let pivot_row = |e: &CodecError| matches!(e, CodecError::PivotRow(_));
+    let layer_contract = |e: &CodecError| matches!(e, CodecError::LayerContract(_));
+
     // A pivot missing from its owner's bunch: the per-layer pivot probe
-    // finds 5 + 7 through node 2; node 0's merged row would not hold it.
+    // finds 5 + 7 through node 2; node 0's merged row does not hold it.
     let mut layers = two_layer_base();
     layers[0][0] = label(0, (2, 5), &[(0, 0)]);
-    let set = degrading_of(layers);
-    assert_hand_built(&set, false, None, "pivot missing from its owner's bunch");
-    assert_eq!(set.freeze().estimate(NodeId(0), NodeId(2)), Ok(5));
+    assert_refused(
+        &degrading_of(layers),
+        pivot_row,
+        "pivot missing from its owner's bunch",
+    );
 
     // A pivot in the bunch at another distance: the probe's 5 + 0 beats the
-    // bunch's 6 + 0, which is all a merged row would know.  Both record
-    // d(0, 2), so no snapshot may say this: the decoders refuse it.
+    // bunch's 6 + 0, which is all a merged row knows.
     let mut layers = two_layer_base();
     layers[0][0] = label(0, (2, 5), &[(2, 6)]);
-    let set = degrading_of(layers);
-    let pivot_row = |e: &CodecError| matches!(e, CodecError::PivotRow(_));
-    assert_hand_built(
-        &set,
-        false,
-        Some(pivot_row),
+    assert_refused(
+        &degrading_of(layers),
+        pivot_row,
         "pivot at a different distance",
     );
-    assert_eq!(set.freeze().estimate(NodeId(0), NodeId(2)), Ok(5));
 
     // One landmark at two distances in two layers: a row has one distance
     // column, so one of 5 + 7 (layer 0) and 6 + 0 (layer 1) would be lost.
     let mut layers = two_layer_base();
     layers[1][0] = label(0, (0, 0), &[(0, 0), (1, 4), (2, 6)]);
-    let set = degrading_of(layers);
-    assert_hand_built(&set, false, None, "one landmark at two distances");
-    assert_eq!(set.freeze().estimate(NodeId(0), NodeId(2)), Ok(5));
-
-    // A landmark that is not one of the set's nodes: no snapshot may say
-    // this either.
-    let mut layers = two_layer_base();
-    layers[1][0] = label(0, (0, 0), &[(0, 0), (9, 1)]);
-    layers[1][1] = label(1, (1, 0), &[(1, 0), (9, 2)]);
-    let set = degrading_of(layers);
-    let out_of_range = |e: &CodecError| matches!(e, CodecError::Invalid { message, .. } if message.contains("names v9, out of range"));
-    assert_hand_built(
-        &set,
-        false,
-        Some(out_of_range),
-        "landmark outside the node range",
+    assert_refused(
+        &degrading_of(layers),
+        layer_contract,
+        "one landmark at two distances",
     );
-    assert_eq!(set.freeze().estimate(NodeId(0), NodeId(1)), Ok(3));
 
     // 33 layers: one more than a mask has bits.
     let mut layers = two_layer_base();
     let last = layers[1].clone();
     layers.resize(33, last);
-    let set = degrading_of(layers);
-    assert_hand_built(&set, false, None, "33 layers");
+    assert_refused(&degrading_of(layers), layer_contract, "33 layers");
+
+    // Layers over different node counts: node 2 has a label in one layer
+    // only, and every query indexes all of them.
+    let mut layers = two_layer_base();
+    layers[1].truncate(2);
+    let ragged = |e: &CodecError| matches!(e, CodecError::Invalid { message, .. } if message == "layer 1 covers 2 nodes but layer 0 covers 3");
+    assert_refused(&degrading_of(layers), ragged, "ragged layers");
+
+    // A landmark that is not one of the set's nodes: the join table has no
+    // slot for it.
+    let mut layers = two_layer_base();
+    layers[1][0] = label(0, (0, 0), &[(0, 0), (9, 1)]);
+    layers[1][1] = label(1, (1, 0), &[(1, 0), (9, 2)]);
+    let out_of_range = |e: &CodecError| matches!(e, CodecError::Invalid { message, .. } if message.contains("names v9, out of range"));
+    assert_refused(
+        &degrading_of(layers),
+        out_of_range,
+        "landmark outside the node range",
+    );
+}
+
+/// A set `freeze` refuses stays in its layered form, the `StoredSketches`
+/// value, and the per-node reference answers it as it did when such sets
+/// were served layered.  Each pinned answer is one the merged form would
+/// lose (see the cases above), which is why the set is refused.
+#[test]
+fn sets_that_break_a_merge_condition_stay_layered_and_answer_identically() {
+    let layered = |layers: Vec<Vec<Sketch>>, context: &str| {
+        let set = degrading_of(layers);
+        assert!(set.freeze().is_err(), "{context}: freeze refuses");
+        set
+    };
+    let (v0, v1, v2) = (NodeId(0), NodeId(1), NodeId(2));
+
+    // The pivot probe's 5 + 7 through node 2 loses to layer 1's 4 + 0 for
+    // (0, 1); for (0, 2) it finds 5 + 0.
+    let mut layers = two_layer_base();
+    layers[0][0] = label(0, (2, 5), &[(0, 0)]);
+    let set = layered(layers, "pivot missing from its owner's bunch");
+    assert_eq!(DistanceOracle::estimate(&set, v0, v2), Ok(5));
+
+    let mut layers = two_layer_base();
+    layers[0][0] = label(0, (2, 5), &[(2, 6)]);
+    let set = layered(layers, "pivot at a different distance");
+    assert_eq!(DistanceOracle::estimate(&set, v0, v2), Ok(5));
+
+    let mut layers = two_layer_base();
+    layers[1][0] = label(0, (0, 0), &[(0, 0), (1, 4), (2, 6)]);
+    let set = layered(layers, "one landmark at two distances");
+    assert_eq!(DistanceOracle::estimate(&set, v0, v2), Ok(5));
+
+    // Landmark 9 is common to nodes 0 and 1 in layer 1: 1 + 2.
+    let mut layers = two_layer_base();
+    layers[1][0] = label(0, (0, 0), &[(0, 0), (9, 1)]);
+    layers[1][1] = label(1, (1, 0), &[(1, 0), (9, 2)]);
+    let set = layered(layers, "landmark outside the node range");
+    assert_eq!(DistanceOracle::estimate(&set, v0, v1), Ok(3));
+
+    let mut layers = two_layer_base();
+    let last = layers[1].clone();
+    layers.resize(33, last);
+    let set = layered(layers, "33 layers");
+    assert_eq!(DistanceOracle::estimate(&set, v0, v1), Ok(4));
+}
+
+/// One layer is merged rows too: a CDG set whose pivot is missing from its
+/// owner's bunch is refused, where a merge of bunch runs plus pivot probes
+/// would answer 5 + 0 for (0, 2) and the rows hold no common landmark.
+#[test]
+fn a_one_layer_cdg_set_with_a_pivot_outside_its_bunch_is_refused() {
+    let base = vec![
+        label(0, (0, 0), &[(0, 0)]),
+        label(1, (2, 7), &[(2, 7)]),
+        label(2, (2, 0), &[(2, 0)]),
+    ];
+    let cdg = SchemeSpec::cdg(0.5, 1);
+    assert_accepted(&slack_set(cdg, vec![base.clone()]), "one-layer base");
+    let mut broken = base;
+    broken[0] = label(0, (2, 5), &[(0, 0)]);
+    let pivot_row = |e: &CodecError| matches!(e, CodecError::PivotRow(_));
+    assert_refused(&slack_set(cdg, vec![broken]), pivot_row, "one-layer CDG");
 }
 
 /// SplitMix64: the seeded pair streams below.
@@ -547,7 +551,10 @@ fn merged_rows_answer_identically_where_layers_really_share_landmarks() {
                 .with_parallel_build();
             let stored = build_stored(&g, spec, &config).unwrap();
             let per_node = stored.sketches.as_oracle();
-            let flat = stored.sketches.freeze();
+            let flat = stored
+                .sketches
+                .freeze()
+                .expect("an engine-built set is accepted");
             assert_served_form(&flat, &stored.sketches, &format!("n = {n}"));
             for u in g.nodes() {
                 assert_eq!(flat.words(u), per_node.words(u), "words at {u}, n = {n}");

@@ -206,7 +206,7 @@ fn concurrent_clients_match_the_direct_oracle() {
 #[test]
 fn frozen_and_map_backed_servers_agree_under_contention() {
     let built = build_oracle(96, 33);
-    let frozen: Arc<dyn DistanceOracle> = Arc::new(built.freeze());
+    let frozen: Arc<dyn DistanceOracle> = Arc::new(built.freeze().expect("a built set freezes"));
     let map_backed: Arc<dyn DistanceOracle> = Arc::new(built);
 
     // Same seeded workload against both representations, thrashing caches.

@@ -441,13 +441,13 @@ fn e8_equivalence(quick: bool) -> ExperimentResult {
             )
             .unwrap();
             let centralized = dsketch::build::thorup_zwick(&graph, &h, 1);
-            let distributed =
-                build_with_hierarchy(&graph, h, &SchemeConfig::default()).expect("TZ construction");
+            let (distributed, _) = build_with_hierarchy(&graph, &h, &SchemeConfig::default())
+                .expect("TZ construction");
             let mut pivot_mismatches = 0usize;
             let mut bunch_mismatches = 0usize;
             for u in graph.nodes() {
                 let c = centralized.sketches.sketch(u);
-                let d = distributed.sketches.sketch(u);
+                let d = distributed.sketch(u);
                 if c.pivots() != d.pivots() {
                     pivot_mismatches += 1;
                 }
@@ -496,29 +496,19 @@ fn e9_termination_overhead(quick: bool) -> ExperimentResult {
                 500,
             )
             .unwrap();
-            let oracle = build_with_hierarchy(&graph, h.clone(), &SchemeConfig::default())
+            let config = SchemeConfig::default();
+            let (_, oracle) = build_with_hierarchy(&graph, &h, &config).expect("TZ construction");
+            let (_, td) = build_with_hierarchy(&graph, &h, &config.with_termination_detection())
                 .expect("TZ construction");
-            let td = build_with_hierarchy(
-                &graph,
-                h,
-                &SchemeConfig::default().with_termination_detection(),
-            )
-            .expect("TZ construction");
             table.push(vec![
                 spec.label(),
                 k.to_string(),
-                oracle.stats.rounds.to_string(),
-                td.stats.rounds.to_string(),
-                format!(
-                    "{:.2}x",
-                    td.stats.rounds as f64 / oracle.stats.rounds.max(1) as f64
-                ),
-                oracle.stats.messages.to_string(),
-                td.stats.messages.to_string(),
-                format!(
-                    "{:.2}x",
-                    td.stats.messages as f64 / oracle.stats.messages.max(1) as f64
-                ),
+                oracle.rounds.to_string(),
+                td.rounds.to_string(),
+                format!("{:.2}x", td.rounds as f64 / oracle.rounds.max(1) as f64),
+                oracle.messages.to_string(),
+                td.messages.to_string(),
+                format!("{:.2}x", td.messages as f64 / oracle.messages.max(1) as f64),
             ]);
         }
     }

@@ -93,7 +93,6 @@
 //! let one = build::thorup_zwick(&graph, &hierarchy, 1);
 //! let four = build::thorup_zwick(&graph, &hierarchy, 4);
 //! assert_eq!(one.sketches, four.sketches); // bit-identical labels
-//! assert!(four.timings.is_recorded());
 //! ```
 
 use crate::hierarchy::Hierarchy;
@@ -368,11 +367,11 @@ mod tests {
     fn direct_build_matches_the_congest_simulation() {
         let g = erdos_renyi(72, 0.09, GeneratorConfig::uniform(3, 1, 25));
         let h = hierarchy_for(72, 3, 5);
-        let simulated = build_with_hierarchy(&g, h.clone(), &SchemeConfig::default()).unwrap();
+        let (simulated, _) = build_with_hierarchy(&g, &h, &SchemeConfig::default()).unwrap();
         let direct = thorup_zwick(&g, &h, 2);
         for u in g.nodes() {
             assert_eq!(
-                simulated.sketches.sketch(u),
+                simulated.sketch(u),
                 direct.sketches.sketch(u),
                 "label mismatch at {u}"
             );
@@ -426,7 +425,6 @@ mod tests {
             build.timings.phases[0].items, 2,
             "one exploration per level"
         );
-        assert!(build.timings.is_recorded());
     }
 
     fn check_stretch(graph: &Graph, tz: &DirectTzBuild, k: usize) {

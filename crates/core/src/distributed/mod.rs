@@ -18,14 +18,22 @@
 //!   execution and the simulator's global quiescence oracle ends it.  This
 //!   models the Section 3.2 assumption that phases can be synchronized
 //!   externally (there: by waiting out a known upper bound in terms of `S`);
-//!   the measured rounds are the rounds the phase actually needed, also
-//!   exported per phase as the `dsketch_congest_*` metric families.
+//!   the measured rounds are the rounds the phase actually needed.
 //! * [`SyncMode::TerminationDetection`] — the full Section 3.3 protocol: a
 //!   BFS tree is built first, every data message is ECHOed, sources detect
 //!   when their announcement has stopped propagating, COMPLETE messages
 //!   converge up the tree and the root STARTs the next phase.  The measured
 //!   rounds and messages include all of that overhead (experiment E9
 //!   quantifies it).
+//!
+//! A build returns its labels and one [`RunStats`], the sum of its runs.
+//! What each run cost is a row of the process-global
+//! [`dsketch_obs::global`] registry — `dsketch_congest_{rounds,messages,
+//! words}_total` and the wall time `dsketch_congest_phase_nanos`, keyed by
+//! `phase`: one row per Algorithm-2 phase (`"0"` … `"k-1"`) under the
+//! oracle, and under termination detection the BFS preamble (`"tree"`) and
+//! the one run that carries all `k` phases with their ECHO/COMPLETE/START
+//! traffic (`"detected"`).
 
 mod exchange;
 mod phase;
@@ -55,41 +63,20 @@ pub enum SyncMode {
     TerminationDetection,
 }
 
-/// Everything produced by one distributed construction.
-///
-/// What the distributed engine hands back;
-/// [`crate::scheme::SchemeSpec::build_sketches`] repackages it as a
-/// [`crate::scheme::BuildOutcome`].
-#[derive(Debug, Clone)]
-pub struct TzBuildResult {
-    /// The per-node labels.
-    pub sketches: SketchSet,
-    /// The hierarchy that was sampled (or supplied).
-    pub hierarchy: Hierarchy,
-    /// Total cost: all phases plus (in termination-detection mode) the BFS
-    /// tree construction.
-    pub stats: RunStats,
-    /// Per-phase cost, in execution order (phase `k − 1` first).  Only
-    /// populated in [`SyncMode::GlobalOracle`] mode, where phases are
-    /// separate runs.
-    pub phase_stats: Vec<RunStats>,
-    /// Cost of building the BFS tree (termination-detection mode only).
-    pub tree_stats: Option<RunStats>,
-}
-
 /// Run the distributed Thorup–Zwick construction with an explicit
 /// hierarchy, under `config`'s phase synchronization, CONGEST settings and
 /// round limit (its seed and engine choice do not apply: the hierarchy is
-/// given, and this *is* the CONGEST engine).  The CONGEST engine behind
+/// given, and this *is* the CONGEST engine); returns the labels and the
+/// total cost of the runs.  The CONGEST engine behind
 /// every family — each is labels over a sampled hierarchy, the 3-stretch,
 /// CDG and degrading ones restricted to a density net; the equivalence
 /// tests call it directly with the hierarchy they hand the centralized
 /// baseline ([`crate::build::thorup_zwick`]).
 pub fn build_with_hierarchy(
     graph: &Graph,
-    hierarchy: Hierarchy,
+    hierarchy: &Hierarchy,
     config: &SchemeConfig,
-) -> Result<TzBuildResult, SketchError> {
+) -> Result<(SketchSet, RunStats), SketchError> {
     match config.sync {
         SyncMode::GlobalOracle => run_global_oracle(graph, hierarchy, config),
         SyncMode::TerminationDetection => run_termination_detection(graph, hierarchy, config),
@@ -104,9 +91,9 @@ pub fn build_with_hierarchy(
 /// sorted bunch when the last phase is over.
 fn run_global_oracle(
     graph: &Graph,
-    hierarchy: Hierarchy,
+    hierarchy: &Hierarchy,
     config: &SchemeConfig,
-) -> Result<TzBuildResult, SketchError> {
+) -> Result<(SketchSet, RunStats), SketchError> {
     let n = graph.num_nodes();
     let k = hierarchy.k();
 
@@ -117,7 +104,6 @@ fn run_global_oracle(
     let mut thresholds = vec![DistKey::INFINITE; n];
 
     let mut total = RunStats::default();
-    let mut phase_stats = Vec::with_capacity(k);
 
     for phase in (0..k).rev() {
         let started = Instant::now();
@@ -146,9 +132,8 @@ fn run_global_oracle(
             thresholds[u] = best;
         }
 
-        record_phase(phase, &outcome.stats, started);
+        record_phase(&phase.to_string(), &outcome.stats, started);
         total.absorb(&outcome.stats);
-        phase_stats.push(outcome.stats);
     }
 
     let sketches = pivots
@@ -162,24 +147,18 @@ fn run_global_oracle(
         })
         .collect();
 
-    Ok(TzBuildResult {
-        sketches: SketchSet::new(sketches),
-        hierarchy,
-        stats: total,
-        phase_stats,
-        tree_stats: None,
-    })
+    Ok((SketchSet::new(sketches), total))
 }
 
-/// Feed one finished phase to the process-global [`dsketch_obs::global`]
+/// Feed one finished run to the process-global [`dsketch_obs::global`]
 /// registry: its wall time next to `dsketch_build_phase_nanos`, and its cost
-/// in the paper's currency (`phase` is the label on all four families).
-fn record_phase(phase: usize, stats: &RunStats, started: Instant) {
+/// in the paper's currency (`phase` is the label on all four families; see
+/// the [module docs](self) for its values).
+fn record_phase(phase: &str, stats: &RunStats, started: Instant) {
     let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let registry = dsketch_obs::global();
-    let phase = phase.to_string();
-    let labels: &[(&str, &str)] = &[("phase", &phase)];
-    let help = "Cost of the simulated Algorithm-2 phases, by phase.";
+    let labels: &[(&str, &str)] = &[("phase", phase)];
+    let help = "Cost of the simulated CONGEST runs, by phase.";
     registry
         .histogram_with("dsketch_congest_phase_nanos", help, labels)
         .record(nanos);
@@ -197,12 +176,15 @@ fn record_phase(phase: usize, stats: &RunStats, started: Instant) {
 /// Fully distributed execution with Section 3.3 termination detection.
 fn run_termination_detection(
     graph: &Graph,
-    hierarchy: Hierarchy,
+    hierarchy: &Hierarchy,
     config: &SchemeConfig,
-) -> Result<TzBuildResult, SketchError> {
+) -> Result<(SketchSet, RunStats), SketchError> {
     // Leader election + BFS tree (paper: O(D) rounds, O(|E| log n) messages).
-    let (trees, tree_stats) = build_bfs_tree(graph, config.congest);
+    let started = Instant::now();
+    let (trees, mut total) = build_bfs_tree(graph, config.congest);
+    record_phase("tree", &total, started);
 
+    let started = Instant::now();
     let k = hierarchy.k();
     let mut net = Network::new(graph, config.congest, |u| {
         TerminationTzProgram::new(u, k, hierarchy.level_of(u), trees[u.index()].clone())
@@ -214,18 +196,10 @@ fn run_termination_detection(
         });
     }
 
-    let sketches: Vec<Sketch> = net.programs().iter().map(|p| p.build_sketch()).collect();
-
-    let mut total = tree_stats.clone();
+    record_phase("detected", &outcome.stats, started);
     total.absorb(&outcome.stats);
-
-    Ok(TzBuildResult {
-        sketches: SketchSet::new(sketches),
-        hierarchy,
-        stats: total,
-        phase_stats: Vec::new(),
-        tree_stats: Some(tree_stats),
-    })
+    let sketches = net.programs().iter().map(|p| p.build_sketch()).collect();
+    Ok((SketchSet::new(sketches), total))
 }
 
 #[cfg(test)]
@@ -245,10 +219,10 @@ mod tests {
         )
         .unwrap();
         let centralized = crate::build::thorup_zwick(graph, &h, 1);
-        let distributed = build_with_hierarchy(graph, h, &config).unwrap();
+        let (distributed, _) = build_with_hierarchy(graph, &h, &config).unwrap();
         for u in graph.nodes() {
             let c = centralized.sketches.sketch(u);
-            let d = distributed.sketches.sketch(u);
+            let d = distributed.sketch(u);
             assert_eq!(c.pivots(), d.pivots(), "pivot mismatch at {u}");
             assert_eq!(c.bunch(), d.bunch(), "bunch mismatch at {u}");
         }
@@ -288,21 +262,13 @@ mod tests {
         let g = grid(6, 6, GeneratorConfig::uniform(8, 1, 12));
         let (h, _) =
             Hierarchy::sample_until_top_nonempty(36, &TzParams::new(3).with_seed(1), 200).unwrap();
-        let oracle = build_with_hierarchy(&g, h.clone(), &SchemeConfig::default()).unwrap();
-        let td = build_with_hierarchy(&g, h, &SchemeConfig::default().with_termination_detection())
-            .unwrap();
-        for u in g.nodes() {
-            assert_eq!(
-                oracle.sketches.sketch(u),
-                td.sketches.sketch(u),
-                "sketch mismatch at {u}"
-            );
-        }
+        let config = SchemeConfig::default();
+        let (oracle, oracle_cost) = build_with_hierarchy(&g, &h, &config).unwrap();
+        let detected = config.with_termination_detection();
+        let (td, td_cost) = build_with_hierarchy(&g, &h, &detected).unwrap();
+        assert_eq!(oracle, td, "labels");
         // Termination detection costs extra rounds and messages (the point of E9).
-        assert!(td.stats.messages >= oracle.stats.messages);
-        assert!(td.tree_stats.is_some());
-        assert!(oracle.tree_stats.is_none());
-        assert_eq!(oracle.phase_stats.len(), 3);
+        assert!(td_cost.messages >= oracle_cost.messages);
     }
 
     #[test]

@@ -463,14 +463,15 @@ impl NodeProgram for TerminationTzProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distributed::{build_with_hierarchy, TzBuildResult};
+    use crate::distributed::build_with_hierarchy;
     use crate::hierarchy::{Hierarchy, TzParams};
     use crate::scheme::SchemeConfig;
+    use crate::sketch::SketchSet;
     use congest_sim::programs::bfs_tree::build_bfs_tree;
-    use congest_sim::{CongestConfig, Network};
+    use congest_sim::{CongestConfig, Network, RunStats};
     use netgraph::generators::{erdos_renyi, grid, preferential_attachment, ring, GeneratorConfig};
 
-    fn run_td(graph: &netgraph::Graph, k: usize, seed: u64) -> TzBuildResult {
+    fn run_td(graph: &netgraph::Graph, k: usize, seed: u64) -> (SketchSet, RunStats) {
         let (h, _) = Hierarchy::sample_until_top_nonempty(
             graph.num_nodes(),
             &TzParams::new(k).with_seed(seed),
@@ -479,7 +480,7 @@ mod tests {
         .unwrap();
         build_with_hierarchy(
             graph,
-            h,
+            &h,
             &SchemeConfig::default().with_termination_detection(),
         )
         .unwrap()
@@ -513,9 +514,9 @@ mod tests {
     #[test]
     fn terminates_and_all_nodes_finish_on_small_ring() {
         let g = ring(12, GeneratorConfig::uniform(1, 1, 4));
-        let result = run_td(&g, 2, 7);
-        assert_eq!(result.sketches.len(), 12);
-        for s in result.sketches.iter() {
+        let (sketches, _) = run_td(&g, 2, 7);
+        assert_eq!(sketches.len(), 12);
+        for s in sketches.iter() {
             s.check_invariants().unwrap();
             assert!(s.pivot(0).is_some());
         }
@@ -526,8 +527,8 @@ mod tests {
         // k = 1: a single phase with every node a source; the labels are the
         // full distance vectors.
         let g = grid(4, 4, GeneratorConfig::uniform(2, 1, 5));
-        let result = run_td(&g, 1, 3);
-        for s in result.sketches.iter() {
+        let (sketches, _) = run_td(&g, 1, 3);
+        for s in sketches.iter() {
             assert_eq!(s.bunch_size(), 16);
         }
     }
@@ -535,8 +536,8 @@ mod tests {
     #[test]
     fn terminates_on_power_law_graph() {
         let g = preferential_attachment(60, 2, GeneratorConfig::uniform(5, 1, 9));
-        let result = run_td(&g, 3, 11);
-        assert_eq!(result.sketches.len(), 60);
+        let (sketches, _) = run_td(&g, 3, 11);
+        assert_eq!(sketches.len(), 60);
     }
 
     #[test]
@@ -546,18 +547,18 @@ mod tests {
         let g = erdos_renyi(60, 0.08, GeneratorConfig::uniform(19, 1, 10));
         let (h, _) =
             Hierarchy::sample_until_top_nonempty(60, &TzParams::new(2).with_seed(4), 200).unwrap();
-        let oracle = build_with_hierarchy(&g, h.clone(), &SchemeConfig::default()).unwrap();
-        let td = build_with_hierarchy(&g, h, &SchemeConfig::default().with_termination_detection())
-            .unwrap();
+        let config = SchemeConfig::default();
+        let (_, oracle) = build_with_hierarchy(&g, &h, &config).unwrap();
+        let (_, td) = build_with_hierarchy(&g, &h, &config.with_termination_detection()).unwrap();
         let k = 2u64;
         let n = 60u64;
-        let tree_messages = td.tree_stats.as_ref().unwrap().messages;
-        let control_budget = k * 3 * n + tree_messages;
+        let (_, tree) = build_bfs_tree(&g, config.congest);
+        let control_budget = k * 3 * n + tree.messages;
         assert!(
-            td.stats.messages <= 2 * oracle.stats.messages + control_budget,
+            td.messages <= 2 * oracle.messages + control_budget,
             "termination-detection messages {} exceed 2x oracle {} + control {}",
-            td.stats.messages,
-            oracle.stats.messages,
+            td.messages,
+            oracle.messages,
             control_budget
         );
     }
@@ -565,8 +566,8 @@ mod tests {
     #[test]
     fn no_bandwidth_violations_under_default_budget() {
         let g = erdos_renyi(50, 0.12, GeneratorConfig::uniform(31, 1, 12));
-        let result = run_td(&g, 3, 13);
-        assert_eq!(result.stats.bandwidth_violations, 0);
+        let (_, stats) = run_td(&g, 3, 13);
+        assert_eq!(stats.bandwidth_violations, 0);
     }
 
     #[test]

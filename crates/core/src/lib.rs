@@ -27,7 +27,8 @@
 //!   and returns a [`BuildOutcome`]: the sketches, queried through
 //!   `Box<dyn DistanceOracle>`, plus the shared round/message/word
 //!   statistics every theorem is stated in — so evaluation harnesses,
-//!   benches and serving layers are scheme-agnostic.
+//!   benches and serving layers are scheme-agnostic.  What each phase
+//!   cost is on the `dsketch-obs` registry, not the outcome.
 //! * [`SchemeConfig`] — *how* to build it: the seed, the engine (CONGEST
 //!   simulation or direct parallel), the phase synchronization and the
 //!   round limit, shared by every family.
@@ -106,7 +107,8 @@
 //!   centralized Thorup–Zwick construction, the correctness baseline the
 //!   distributed algorithm is compared against.
 //! * [`parallel`] — the dependency-free worker pool under [`build`]
-//!   (deterministic-merge `parallel_map`, per-phase wall-clock timings).
+//!   (deterministic-merge `parallel_map`, per-phase wall-clock timings that
+//!   also land on the registry).
 //! * [`query`] — distance estimation from two sketches (Lemma 3.2 and the
 //!   slack/degrading variants).
 //! * [`flat`] — the frozen CSR query representation ([`FlatSketchSet`]):
@@ -156,7 +158,7 @@ pub mod slack;
 /// Convenient re-exports of the most common types.
 pub mod prelude {
     pub use crate::codec::{CodecError, Decoder, Encoder, SketchCodec};
-    pub use crate::distributed::{SyncMode, TzBuildResult};
+    pub use crate::distributed::SyncMode;
     pub use crate::error::SketchError;
     pub use crate::eval::{
         evaluate_oracle, evaluate_oracle_sampled, evaluate_oracle_with_slack, SlackReport,

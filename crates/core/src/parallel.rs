@@ -239,8 +239,7 @@ where
 /// Wall-clock timing of one batched phase of a parallel build.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseTiming {
-    /// Phase label, e.g. `"tz/clusters"` or, in a multi-layer build,
-    /// `"layer2/tz/clusters"`.
+    /// Phase label, e.g. `"tz/clusters"`.
     pub phase: String,
     /// Number of independent explorations batched in this phase.
     pub items: usize,
@@ -248,19 +247,21 @@ pub struct PhaseTiming {
     pub seconds: f64,
 }
 
-/// Per-phase wall-clock timings of one parallel build, surfaced in
-/// [`crate::scheme::BuildOutcome::timings`].
+/// Per-phase wall-clock timings of one direct Thorup–Zwick build
+/// ([`crate::build::DirectTzBuild::timings`]).
 ///
 /// The CONGEST-simulated engine reports its cost in rounds/messages/words
 /// ([`congest_sim::RunStats`]); the parallel engine's currency is wall-clock
 /// time per batched phase, which `dsketch-benchmark` reports as its
-/// `core.build.{pivots,clusters,merge}_s` rows.  Timings are measurement
-/// metadata: they vary run to run and are **not** part of the persisted
-/// snapshot (snapshot bytes stay bit-identical across thread counts).
+/// `core.build.{pivots,clusters,merge}_s` rows.  A scheme build keeps no
+/// timings of its own: every [`BuildTimings::record`] also lands on the
+/// registry, which is where a multi-layer build's phases add up.  Timings
+/// are measurement metadata: they vary run to run and are **not** part of
+/// the persisted snapshot (snapshot bytes stay bit-identical across thread
+/// counts).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BuildTimings {
-    /// Resolved worker-thread count the build ran with (`0` when the build
-    /// went through the CONGEST simulator and recorded no phase timings).
+    /// Resolved worker-thread count the build ran with.
     pub threads: usize,
     /// One entry per batched phase, in execution order.
     pub phases: Vec<PhaseTiming>,
@@ -305,26 +306,6 @@ impl BuildTimings {
             items,
             seconds: elapsed.as_secs_f64(),
         });
-    }
-
-    /// Append another build's phases under a `prefix/` label (used by the
-    /// layered gracefully-degrading build to keep per-layer phases apart).
-    pub fn absorb_prefixed(&mut self, prefix: &str, other: BuildTimings) {
-        for mut timing in other.phases {
-            timing.phase = format!("{prefix}{}", timing.phase);
-            self.phases.push(timing);
-        }
-    }
-
-    /// Total wall-clock seconds across all recorded phases.
-    pub fn total_seconds(&self) -> f64 {
-        self.phases.iter().map(|p| p.seconds).sum()
-    }
-
-    /// True if this build recorded phase timings (i.e. it ran on the
-    /// parallel engine).
-    pub fn is_recorded(&self) -> bool {
-        !self.phases.is_empty()
     }
 }
 
@@ -403,20 +384,5 @@ mod tests {
     #[should_panic(expected = "span the whole slice")]
     fn split_rejects_cuts_that_do_not_cover_the_slice() {
         parallel_split_mut(&mut [0u8; 4], &[0, 3], |_, _| {});
-    }
-
-    #[test]
-    fn timings_accumulate_and_prefix() {
-        let mut t = BuildTimings::new(4);
-        assert!(!t.is_recorded());
-        t.record("pivots", 3, Instant::now());
-        let mut layered = BuildTimings::new(4);
-        layered.record("clusters", 9, Instant::now());
-        t.absorb_prefixed("layer0/", layered);
-        assert!(t.is_recorded());
-        assert_eq!(t.phases.len(), 2);
-        assert_eq!(t.phases[1].phase, "layer0/clusters");
-        assert_eq!(t.phases[1].items, 9);
-        assert!(t.total_seconds() >= 0.0);
     }
 }

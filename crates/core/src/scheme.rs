@@ -44,7 +44,6 @@ use crate::distributed::{self, SyncMode};
 use crate::error::SketchError;
 use crate::hierarchy::{Hierarchy, TzParams};
 use crate::oracle::{check_nodes, DistanceOracle};
-use crate::parallel::BuildTimings;
 use crate::query::{estimate_distance, estimate_distance_best_common};
 use crate::sketch::{Sketch, SketchSet};
 use crate::slack::cdg::{self, CdgParams};
@@ -72,9 +71,9 @@ pub enum BuildEngine {
     /// [`SchemeConfig::threads`] worker threads and merged
     /// deterministically.  Orders of magnitude faster wall-clock — the
     /// production path behind `build → save → serve` — but it does not
-    /// simulate the network, so [`BuildOutcome::stats`] is empty and
-    /// [`BuildOutcome::timings`] carries the per-phase wall-clock cost
-    /// instead.
+    /// simulate the network, so [`BuildOutcome::stats`] is empty; its cost
+    /// is wall-clock time per batched phase, recorded on the registry as
+    /// `dsketch_build_phase_nanos{phase}`.
     Parallel,
 }
 
@@ -175,6 +174,12 @@ impl SchemeConfig {
 
 /// Everything a scheme build produces: the queryable sketches plus the
 /// shared cost statistics every theorem of the paper is stated in.
+///
+/// What each phase cost is not a field: both engines record it on the
+/// process-global [`dsketch_obs::global`] registry as it runs —
+/// `dsketch_congest_*{phase}` for the CONGEST runs (see
+/// [`crate::distributed`]), `dsketch_build_phase_nanos{phase}` for the
+/// direct engine's batched phases.
 #[derive(Debug, Clone)]
 pub struct BuildOutcome<O> {
     /// The built sketches: the [`StoredSketches`] layers
@@ -185,23 +190,6 @@ pub struct BuildOutcome<O> {
     /// sum of the layers' simulated runs (empty on
     /// [`BuildEngine::Parallel`]).
     pub stats: RunStats,
-    /// Per-unit cost in execution order.  A one-layer build (Thorup–Zwick,
-    /// 3-stretch, CDG) reports its run's phases — one entry per phase in
-    /// [`SyncMode::GlobalOracle`] mode, none under termination detection;
-    /// a multi-layer build (gracefully degrading) one entry per layer.
-    /// Empty on [`BuildEngine::Parallel`].
-    pub phase_stats: Vec<RunStats>,
-    /// Cost of the BFS-tree preamble: a one-layer build's run under
-    /// termination detection; `None` otherwise (a multi-layer build counts
-    /// each layer's tree in that layer's entry of
-    /// [`BuildOutcome::phase_stats`]).
-    pub tree_stats: Option<RunStats>,
-    /// Per-phase wall-clock timings when the build ran on the
-    /// [`BuildEngine::Parallel`] engine — a multi-layer build's under a
-    /// `layer{i}/` prefix ([`BuildTimings::is_recorded`] is `false` for
-    /// simulated builds, whose cost currency is [`BuildOutcome::stats`]
-    /// instead).
-    pub timings: BuildTimings,
 }
 
 /// A [`BuildOutcome`] with the sketch-set type erased: the sketches are the
@@ -372,47 +360,28 @@ type Sampled = (Hierarchy, Option<(DensityNet, CdgParams)>);
 
 /// Build every `sampled` layer of `spec` on the engine `config` selects —
 /// the CONGEST simulation or the direct parallel engine, identical labels
-/// either way — and assemble the outcome (see [`BuildOutcome`] for how the
-/// layers' costs add up).  Each layer keeps what `spec`'s payload stores.
+/// either way — and sum the layers' costs.  Each layer keeps what `spec`'s
+/// payload stores.
 fn build_layers(
     spec: &SchemeSpec,
     graph: &Graph,
     sampled: Vec<Sampled>,
     config: &SchemeConfig,
 ) -> Result<BuildOutcome<StoredSketches>, SketchError> {
-    let single = sampled.len() == 1;
     let mut outcome = BuildOutcome {
         sketches: StoredSketches {
             spec: *spec,
             layers: Vec::with_capacity(sampled.len()),
         },
         stats: RunStats::default(),
-        phase_stats: Vec::new(),
-        tree_stats: None,
-        timings: BuildTimings::default(),
     };
-    for (index, (hierarchy, restricted)) in sampled.into_iter().enumerate() {
-        let (sketches, hierarchy, stats) = match config.engine {
-            BuildEngine::Congest => {
-                let run = distributed::build_with_hierarchy(graph, hierarchy, config)?;
-                if single {
-                    outcome.phase_stats = run.phase_stats;
-                    outcome.tree_stats = run.tree_stats;
-                } else {
-                    outcome.phase_stats.push(run.stats.clone());
-                }
-                (run.sketches, run.hierarchy, run.stats)
-            }
-            BuildEngine::Parallel => {
-                let built = build::thorup_zwick(graph, &hierarchy, config.threads);
-                let prefix = match single {
-                    true => String::new(),
-                    false => format!("layer{index}/"),
-                };
-                outcome.timings.threads = built.timings.threads;
-                outcome.timings.absorb_prefixed(&prefix, built.timings);
-                (built.sketches, hierarchy, RunStats::default())
-            }
+    for (hierarchy, restricted) in sampled {
+        let (sketches, stats) = match config.engine {
+            BuildEngine::Congest => distributed::build_with_hierarchy(graph, &hierarchy, config)?,
+            BuildEngine::Parallel => (
+                build::thorup_zwick(graph, &hierarchy, config.threads).sketches,
+                RunStats::default(),
+            ),
         };
         outcome.stats.absorb(&stats);
         let (net, params) = restricted.unzip();
@@ -620,9 +589,10 @@ impl SchemeSpec {
     /// a `k` above `max(1, ⌈log₂ n⌉)`, an ε outside `(0, 1]` is
     /// [`SketchError::InvalidParameters`]) and samples its hierarchies from
     /// [`SchemeConfig::seed`]; one engine dispatch then builds every layer
-    /// of the returned [`StoredSketches`]: the CONGEST simulation records
-    /// the round/message cost, the direct parallel engine the wall-clock
-    /// timings, and both build identical sketches.
+    /// of the returned [`StoredSketches`]: the CONGEST simulation returns
+    /// the round/message cost, both engines record their per-phase cost on
+    /// the registry (see [`BuildOutcome`]), and both build identical
+    /// sketches.
     pub fn build_sketches(
         &self,
         graph: &Graph,
@@ -706,9 +676,6 @@ impl SchemeSpec {
         Ok(BuildOutcome {
             sketches: Box::new(frozen),
             stats: outcome.stats,
-            phase_stats: outcome.phase_stats,
-            tree_stats: outcome.tree_stats,
-            timings: outcome.timings,
         })
     }
 }
@@ -788,7 +755,6 @@ mod tests {
         };
         assert_eq!(parts(layer), (true, false, false));
         assert_eq!(layer.hierarchy.as_ref().unwrap().k(), 2);
-        assert_eq!(tz.phase_stats.len(), 2, "one entry per phase");
         let three = build("3stretch:0.4").sketches;
         assert_eq!(three.layers.len(), 1);
         assert_eq!(parts(&three.layers[0]), (false, true, false));
@@ -804,68 +770,43 @@ mod tests {
             .layers
             .iter()
             .all(|l| parts(l) == (true, true, true)));
-        assert_eq!(deg.phase_stats.len(), 2, "one entry per layer");
-        let layer_rounds: u64 = deg.phase_stats.iter().map(|s| s.rounds).sum();
-        assert_eq!(layer_rounds, deg.stats.rounds);
     }
 
-    /// One rule assembles every outcome: `stats` sums the layers' runs; a
-    /// one-layer build reports its run's phases and BFS tree, a multi-layer
-    /// build one entry per layer and no tree; the parallel engine reports
-    /// timings instead, a multi-layer build's under `layer{i}/`.
+    /// One rule assembles every outcome: `stats` sums the layers' runs,
+    /// which the slack families also keep per layer (Thorup–Zwick's payload
+    /// has no such record); the Section 3.3 protocol costs more messages
+    /// than the oracle, and the direct engine simulates nothing.
     #[test]
     fn run_costs_assemble_by_layer_count() {
         let graph = small_graph();
-        let sum = |entries: &[RunStats]| {
-            let mut total = RunStats::default();
-            entries.iter().for_each(|s| total.absorb(s));
-            total
-        };
-        // (spec, layers, phases of a layer's oracle-synchronized run)
-        for (spec, layers, phases) in [
-            ("tz:2", 1, 2),
-            ("3stretch:0.4", 1, 1),
-            ("cdg:0.4,2", 1, 2),
-            ("degrading:k=2,layers=2", 2, 0),
+        for (spec, layers) in [
+            ("tz:2", 1),
+            ("3stretch:0.4", 1),
+            ("cdg:0.4,2", 1),
+            ("degrading:k=2,layers=2", 2),
         ] {
             let spec = SchemeSpec::parse(spec).unwrap();
             let config = SchemeConfig::default().with_seed(3);
             let build = |config: &SchemeConfig| spec.build_sketches(&graph, config).unwrap();
 
             let oracle = build(&config);
-            assert_eq!(oracle.sketches.layers.len(), layers, "{spec}");
-            assert_eq!(oracle.stats, sum(&oracle.phase_stats), "{spec}");
-            assert!(oracle.tree_stats.is_none(), "{spec}");
             let detected = build(&config.with_termination_detection());
-            if layers == 1 {
-                assert_eq!(oracle.phase_stats.len(), phases, "{spec}: one per phase");
-                let tree = detected.tree_stats.as_ref().expect("a BFS tree");
-                assert!(detected.phase_stats.is_empty(), "{spec}");
-                assert!(detected.stats.messages > tree.messages, "{spec}");
-            } else {
-                let per_layer = |outcome: &BuildOutcome<StoredSketches>| {
-                    let layers = outcome.sketches.layers.iter();
-                    layers.map(|l| l.stats.clone()).collect::<Vec<_>>()
-                };
-                assert_eq!(oracle.phase_stats, per_layer(&oracle), "{spec}");
-                assert_eq!(detected.phase_stats, per_layer(&detected), "{spec}");
-                assert!(detected.tree_stats.is_none(), "{spec}");
-                assert_eq!(detected.stats, sum(&detected.phase_stats), "{spec}");
+            assert_eq!(oracle.sketches.layers.len(), layers, "{spec}");
+            assert!(detected.stats.messages > oracle.stats.messages, "{spec}");
+            if !matches!(spec, SchemeSpec::ThorupZwick { .. }) {
+                for outcome in [&oracle, &detected] {
+                    let mut sum = RunStats::default();
+                    outcome
+                        .sketches
+                        .layers
+                        .iter()
+                        .for_each(|l| sum.absorb(&l.stats));
+                    assert_eq!(outcome.stats, sum, "{spec}");
+                }
             }
 
             let direct = build(&config.with_parallel_build().with_threads(2));
             assert_eq!(direct.stats, RunStats::default(), "{spec}");
-            assert!(direct.phase_stats.is_empty() && direct.tree_stats.is_none());
-            assert_eq!(direct.timings.threads, 2, "{spec}");
-            let names: Vec<&str> = direct.timings.phases.iter().map(|p| &p.phase[..]).collect();
-            let tz = ["tz/pivots", "tz/clusters", "tz/merge"];
-            let want: Vec<String> = match layers {
-                1 => tz.map(String::from).to_vec(),
-                _ => (0..layers)
-                    .flat_map(|i| tz.map(|phase| format!("layer{i}/{phase}")))
-                    .collect(),
-            };
-            assert_eq!(names, want, "{spec}");
         }
     }
 
@@ -930,10 +871,10 @@ mod tests {
         assert_eq!(config.seed, 7);
         assert_eq!(config.sync, SyncMode::TerminationDetection);
         let outcome = SchemeSpec::thorup_zwick(2).build(&graph, &config).unwrap();
-        assert!(
-            outcome.tree_stats.is_some(),
-            "termination detection builds a BFS tree"
-        );
+        assert!(outcome.stats.rounds > 0);
+        let snapshot = dsketch_obs::global().snapshot();
+        let tree = snapshot.counter("dsketch_congest_rounds_total", "phase=\"tree\"");
+        assert!(tree > Some(0), "termination detection builds a BFS tree");
     }
 
     #[test]
@@ -1111,8 +1052,6 @@ mod tests {
                 .unwrap();
             assert_eq!(parallel.sketches.scheme_name(), spec.name());
             assert_eq!(parallel.stats.rounds, 0, "parallel engine runs no rounds");
-            assert!(parallel.timings.is_recorded(), "{spec}: timings missing");
-            assert!(!simulated.timings.is_recorded());
             for u in graph.nodes() {
                 for v in graph.nodes() {
                     assert_eq!(
@@ -1128,19 +1067,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn parallel_engine_thread_count_flows_through_the_builder() {
-        let graph = small_graph();
-        let config = SchemeConfig::default()
-            .with_seed(5)
-            .with_parallel_build()
-            .with_threads(3);
-        assert_eq!(config.engine, BuildEngine::Parallel);
-        assert_eq!(config.threads, 3);
-        let outcome = SchemeSpec::thorup_zwick(2).build(&graph, &config).unwrap();
-        assert_eq!(outcome.timings.threads, 3);
     }
 
     #[test]

@@ -24,16 +24,11 @@ fn thread_count_does_not_change_results_or_stats() {
             num_threads: threads,
             ..Default::default()
         });
-        results.push(build_with_hierarchy(&graph, h.clone(), &config).unwrap());
+        results.push(build_with_hierarchy(&graph, &h, &config).unwrap());
     }
     for pair in results.windows(2) {
-        assert_eq!(
-            pair[0].stats, pair[1].stats,
-            "stats differ across thread counts"
-        );
-        for u in graph.nodes() {
-            assert_eq!(pair[0].sketches.sketch(u), pair[1].sketches.sketch(u));
-        }
+        assert_eq!(pair[0].1, pair[1].1, "stats differ across thread counts");
+        assert_eq!(pair[0].0, pair[1].0, "labels differ across thread counts");
     }
 }
 
@@ -54,11 +49,6 @@ fn stats_are_internally_consistent() {
         "every message carries at least one word"
     );
     assert_eq!(stats.bandwidth_violations, 0);
-    // Phase stats sum to the total in oracle mode.
-    let phase_total: u64 = result.phase_stats.iter().map(|s| s.messages).sum();
-    assert_eq!(phase_total, stats.messages);
-    let phase_rounds: u64 = result.phase_stats.iter().map(|s| s.rounds).sum();
-    assert_eq!(phase_rounds, stats.rounds);
 }
 
 /// The BFS tree used by termination detection must be a valid spanning tree

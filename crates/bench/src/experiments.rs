@@ -146,7 +146,7 @@ fn e2_bunch_sizes(quick: bool) -> ExperimentResult {
         )
         .unwrap();
         let tz = dsketch::build::thorup_zwick(&graph, &h, 1);
-        let sizes: Vec<usize> = tz.sketches.iter().map(|s| s.bunch_size()).collect();
+        let sizes: Vec<usize> = tz.sketches.labels().map(|s| s.bunch_size()).collect();
         let mean = sizes.iter().sum::<usize>() as f64 / sizes.len() as f64;
         let max = *sizes.iter().max().unwrap();
         let nn = graph.num_nodes() as f64;
@@ -446,12 +446,12 @@ fn e8_equivalence(quick: bool) -> ExperimentResult {
             let mut pivot_mismatches = 0usize;
             let mut bunch_mismatches = 0usize;
             for u in graph.nodes() {
-                let c = centralized.sketches.sketch(u);
-                let d = distributed.sketch(u);
-                if c.pivots() != d.pivots() {
+                let c = centralized.sketches.label(u);
+                let d = distributed.label(u);
+                if c.pivots != d.pivots {
                     pivot_mismatches += 1;
                 }
-                if c.bunch() != d.bunch() {
+                if !c.bunch().eq(d.bunch()) {
                     bunch_mismatches += 1;
                 }
             }

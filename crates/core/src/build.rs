@@ -31,13 +31,14 @@
 //! [`crate::parallel`] worker pool, and so does the step that turns its
 //! results into labels.  Clusters and bunches are inverse relations
 //! (`u ∈ C(w)` iff `w ∈ B(u)`, Section 3.2), so that step is a transpose: count
-//! `|B(u)|`, size every row exactly, cut the nodes into one consecutive
-//! range per worker, and let each worker scatter the `(w, level, d(u, w))`
-//! of its own rows out of the shared cluster list ([`parallel_split_mut`] —
-//! disjoint pieces, no atomics).  Every landmark owns exactly one cluster
-//! and the clusters are walked in ascending landmark id, so each row comes
-//! out strictly ascending with no sort — and that sorted run is the label's
-//! storage ([`crate::sketch`]).  Where the cuts fall decides who writes a
+//! `|B(u)|`, size the label columns exactly, cut the nodes into one
+//! consecutive range per worker, and let each worker scatter the
+//! `(w, d(u, w))` of its own rows out of the shared cluster list straight
+//! into its piece of the bunch columns ([`parallel_split_mut`] — disjoint
+//! pieces, no atomics).  Every landmark owns exactly one cluster and the
+//! clusters are walked in ascending landmark id, so each row comes out
+//! strictly ascending with no sort — and those columns are the
+//! [`SketchSet`] itself ([`crate::sketch`]).  Where the cuts fall decides who writes a
 //! row, never what is written, which makes `threads = k` **bit-identical**
 //! to `threads = 1` — down to the serialized `DSK1` snapshot bytes (property
 //! tested in `tests/tests/parallel_build.rs`, measured by `dsketch-benchmark`'s
@@ -99,7 +100,7 @@ use crate::hierarchy::Hierarchy;
 use crate::parallel::{
     parallel_map, parallel_map_with, parallel_split_mut, resolve_threads, BuildTimings,
 };
-use crate::sketch::{BunchEntry, DistKey, Sketch, SketchSet};
+use crate::sketch::{offset, DistKey, SketchSet, NO_PIVOT};
 use netgraph::shortest_path::RadixQueue;
 use netgraph::{add_dist, Distance, Graph, NodeId, INFINITY};
 use std::time::Instant;
@@ -165,8 +166,8 @@ pub fn thorup_zwick(graph: &Graph, hierarchy: &Hierarchy, threads: usize) -> Dir
     timings.record("tz/clusters", work.len(), started);
 
     // Phase 3: transpose clusters into bunches (`u ∈ C(w)` iff `w ∈ B(u)`).
-    // Count `|B(u)|`, size every row exactly, then scatter every
-    // `(w, level, d(u, w))` into row `u`.
+    // Count `|B(u)|`, size the columns exactly, then scatter every
+    // `(w, d(u, w))` into row `u`.
     let started = Instant::now();
     let mut offsets = vec![0usize; n + 1];
     for cluster in &clusters {
@@ -178,52 +179,66 @@ pub fn thorup_zwick(graph: &Graph, hierarchy: &Hierarchy, threads: usize) -> Dir
         offsets[u + 1] += offsets[u];
     }
     let total_cluster_size = offsets[n];
-    let mut rows: Vec<Vec<(NodeId, BunchEntry)>> = offsets
-        .windows(2)
-        .map(|row| Vec::with_capacity(row[1] - row[0]))
-        .collect();
+    let mut sketches = SketchSet::with_capacity(n, n * k, 0);
+    sketches
+        .offsets
+        .extend((1..=n).map(|u| (offset(u * k), offset(offsets[u]))));
+    for u in 0..n {
+        sketches.pivots.extend(pivot_keys[..k].iter().map(|keys| {
+            let key = keys[u];
+            if key.is_infinite() {
+                (NO_PIVOT, INFINITY)
+            } else {
+                (key.node, key.distance)
+            }
+        }));
+    }
+    sketches.bunch_nodes = vec![NodeId(0); total_cluster_size];
+    sketches.bunch_dists = vec![0; total_cluster_size];
     // Each landmark owns exactly one cluster; walking them in ascending id
     // makes every row come out sorted, whoever fills it.
     let mut by_landmark: Vec<usize> = (0..work.len()).collect();
     by_landmark.sort_unstable_by_key(|&i| work[i].1);
     // Workers own disjoint node ranges, cut so each holds an equal share of
-    // the entries; every worker reads all clusters and keeps its own rows.
+    // the entries, and the matching pieces of both bunch columns; every
+    // worker reads all clusters and keeps its own rows.
     let cuts = balanced_cuts(&offsets, threads.clamp(1, n.max(1)));
-    parallel_split_mut(&mut rows, &cuts, |piece, rows| {
+    let ends = || cuts[1..].iter().map(|&cut| offsets[cut]);
+    let mut pieces: Vec<_> = split_at_ends(&mut sketches.bunch_nodes, ends())
+        .into_iter()
+        .zip(split_at_ends(&mut sketches.bunch_dists, ends()))
+        .collect();
+    let whole: Vec<usize> = (0..=pieces.len()).collect();
+    // One pair of column pieces to a worker.
+    parallel_split_mut(&mut pieces, &whole, |piece, columns| {
         let (lo, hi) = (cuts[piece], cuts[piece + 1]);
-        for &i in &by_landmark {
-            let (level, w) = work[i];
-            let level = level as u32;
-            for &(u, distance) in &clusters[i] {
-                if (lo..hi).contains(&u.index()) {
-                    rows[u.index() - lo].push((w, BunchEntry { level, distance }));
+        let base = offsets[lo];
+        // The next free slot of each of this piece's rows.
+        let mut next: Vec<usize> = offsets[lo..hi].iter().map(|&o| o - base).collect();
+        for (nodes, dists) in columns {
+            for &i in &by_landmark {
+                let w = work[i].1;
+                for &(u, distance) in &clusters[i] {
+                    if (lo..hi).contains(&u.index()) {
+                        let at = &mut next[u.index() - lo];
+                        nodes[*at] = w;
+                        dists[*at] = distance;
+                        *at += 1;
+                    }
                 }
             }
         }
+        // Every (u, w) pair landed exactly once: each row is full.
+        debug_assert!(next
+            .iter()
+            .zip(&offsets[lo + 1..=hi])
+            .all(|(&at, &end)| at == end - base));
     });
-    // Every (u, w) pair landed exactly once: each row holds its count.
-    debug_assert!(rows
-        .iter()
-        .zip(offsets.windows(2))
-        .all(|(row, o)| row.len() == o[1] - o[0]));
     drop(clusters);
-
-    let sketches: Vec<Sketch> = rows
-        .into_iter()
-        .enumerate()
-        .map(|(u, row)| {
-            let pivots = pivot_keys[..k]
-                .iter()
-                .map(|keys| keys[u])
-                .map(|key| (!key.is_infinite()).then_some((key.node, key.distance)))
-                .collect();
-            Sketch::from_sorted_parts(NodeId::from_index(u), pivots, row)
-        })
-        .collect();
     timings.record("tz/merge", n, started);
 
     DirectTzBuild {
-        sketches: SketchSet::new(sketches),
+        sketches,
         pivot_keys,
         total_cluster_size,
         timings,
@@ -242,6 +257,19 @@ fn balanced_cuts(offsets: &[usize], pieces: usize) -> Vec<usize> {
         .collect();
     cuts.push(n);
     cuts
+}
+
+/// Cut `column` into consecutive pieces ending at `ends` (non-decreasing,
+/// the last at `column.len()`).
+fn split_at_ends<T>(mut column: &mut [T], ends: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
+    let mut start = 0;
+    ends.map(|end| {
+        let (piece, rest) = std::mem::take(&mut column).split_at_mut(end - start);
+        column = rest;
+        start = end;
+        piece
+    })
+    .collect()
 }
 
 /// Multi-source Dijkstra minimizing the lexicographic `(distance, source)`
@@ -371,11 +399,12 @@ mod tests {
         let direct = thorup_zwick(&g, &h, 2);
         for u in g.nodes() {
             assert_eq!(
-                simulated.sketch(u),
-                direct.sketches.sketch(u),
+                simulated.label(u),
+                direct.sketches.label(u),
                 "label mismatch at {u}"
             );
         }
+        assert_eq!(simulated, direct.sketches);
     }
 
     #[test]
@@ -431,7 +460,7 @@ mod tests {
         let table = DistanceTable::exact(graph);
         let stretch = (2 * k - 1) as u64;
         for (u, v, exact) in table.pairs() {
-            let est = estimate_distance(tz.sketches.sketch(u), tz.sketches.sketch(v))
+            let est = estimate_distance(tz.sketches.label(u), tz.sketches.label(v))
                 .expect("connected graph must produce an estimate");
             assert!(
                 est >= exact,
@@ -452,11 +481,11 @@ mod tests {
         let tz = thorup_zwick(&g, &h, 1);
         let table = DistanceTable::exact(&g);
         for (u, v, exact) in table.pairs() {
-            let est = estimate_distance(tz.sketches.sketch(u), tz.sketches.sketch(v)).unwrap();
+            let est = estimate_distance(tz.sketches.label(u), tz.sketches.label(v)).unwrap();
             assert_eq!(est, exact);
         }
         // With k = 1 every bunch is all of V.
-        for s in tz.sketches.iter() {
+        for s in tz.sketches.labels() {
             assert_eq!(s.bunch_size(), 40);
         }
     }
@@ -503,7 +532,7 @@ mod tests {
                     .min()
                     .unwrap();
                 assert_eq!(tz.pivot_keys[i][u.index()], expected, "node {u} level {i}");
-                let (p, d) = tz.sketches.sketch(u).pivot(i).unwrap();
+                let (p, d) = tz.sketches.label(u).pivot(i).unwrap();
                 assert_eq!(DistKey::new(d, p), expected);
             }
         }
@@ -518,19 +547,21 @@ mod tests {
         let tz = thorup_zwick(&g, &h, 1);
         let table = DistanceTable::exact(&g);
         for u in g.nodes() {
-            let sketch = tz.sketches.sketch(u);
-            for i in 0..2u32 {
-                let next_key = tz.pivot_keys[i as usize + 1][u.index()];
-                for &w in &h.exact_level_members(i as usize) {
+            let label = tz.sketches.label(u);
+            for i in 0..2 {
+                let next_key = tz.pivot_keys[i + 1][u.index()];
+                // A member of A_i \ A_{i+1} in B(u) is in B_i(u).
+                for &w in &h.exact_level_members(i) {
                     let key = DistKey::new(table.distance(u, w), w);
                     let should_be_member = key < next_key;
-                    let is_member = sketch.bunch_entry(w).is_some_and(|e| e.level == i);
+                    let recorded = label.distance_to(w);
                     assert_eq!(
-                        should_be_member, is_member,
+                        should_be_member,
+                        recorded.is_some(),
                         "membership mismatch u={u} w={w} level={i}"
                     );
-                    if is_member {
-                        assert_eq!(sketch.bunch_distance(w), Some(table.distance(u, w)));
+                    if let Some(distance) = recorded {
+                        assert_eq!(distance, table.distance(u, w));
                     }
                 }
             }
@@ -545,12 +576,7 @@ mod tests {
         let (h, _) =
             Hierarchy::sample_until_top_nonempty(n, &TzParams::new(3).with_seed(5), 100).unwrap();
         let tz = thorup_zwick(&g, &h, 1);
-        let avg_bunch: f64 = tz
-            .sketches
-            .iter()
-            .map(|s| s.bunch_size() as f64)
-            .sum::<f64>()
-            / n as f64;
+        let avg_bunch = tz.sketches.bunch_entries() as f64 / n as f64;
         // Generous bound: 4x the expectation.
         assert!(
             avg_bunch < 4.0 * 3.0 * 8.0,
@@ -564,9 +590,9 @@ mod tests {
         let (h, _) =
             Hierarchy::sample_until_top_nonempty(36, &TzParams::new(2).with_seed(2), 100).unwrap();
         let tz = thorup_zwick(&g, &h, 1);
-        for s in tz.sketches.iter() {
-            s.check_invariants().unwrap();
-        }
+        tz.sketches.check_invariants().unwrap();
+        assert_eq!(tz.sketches.len(), 36);
+        assert_eq!(tz.total_cluster_size, tz.sketches.bunch_entries());
         assert!(tz.total_cluster_size > 0);
     }
 

@@ -4,11 +4,12 @@
 //! The paper's economics only pay off if the expensive CONGEST construction
 //! is paid **once**: labels must outlive the process that built them.  This
 //! module defines [`SketchCodec`], a hand-rolled, dependency-free binary
-//! codec implemented for every piece of label state — [`SketchSet`],
-//! [`Hierarchy`], [`DensityNet`], [`CdgParams`], [`RunStats`] — and the one
-//! writer and one reader of the four family payloads built from them, so
-//! that a decoded sketch set is **bit-identical** to the one that was
-//! encoded: same pivots, same bunches, same estimates for every query.
+//! codec for the state a family stores beside its labels — [`Hierarchy`],
+//! [`DensityNet`], [`CdgParams`], [`RunStats`], [`SchemeSpec`] — and the one
+//! writer and one reader of the four family payloads built from them and
+//! the label sets, so that a decoded set is **bit-identical** to the one
+//! that was encoded: same pivots, same bunches, same estimates for every
+//! query.
 //!
 //! The encoding is *payload only*: framing, versioning, checksums and
 //! corruption detection live one layer up, in the `dsketch-store` snapshot
@@ -19,8 +20,8 @@
 //!
 //! Labels are nearly all of a snapshot, and a label is small numbers: ids
 //! ascending within a bunch, levels below `k`, distances far below
-//! `u64::MAX`.  A [`SketchSet`] is therefore LEB128 varints (7 value bits
-//! per byte, low group first, shortest form only):
+//! `u64::MAX`.  A [`SketchSet`]'s columns are therefore written as LEB128
+//! varints (7 value bits per byte, low group first, shortest form only):
 //!
 //! ```text
 //! set   := n · total pivot slots · total bunch entries · row × n
@@ -31,11 +32,14 @@
 //! ```
 //!
 //! The gap makes "strictly ascending by node id" a property of the bytes
-//! rather than a check; the level rides in a varint that is one or two
-//! bytes anyway; a distance is a plain varint, so any `u64` round-trips
-//! with no escape path.  The totals are held against the bytes that remain
-//! and against the rows, and let a reader size its arrays once.
-//! [`LabelRows`] is the only reader of this layout.
+//! rather than a check; a distance is a plain varint, so any `u64`
+//! round-trips with no escape path.  The totals are held against the bytes
+//! that remain and against the rows, and size the decoded columns once.
+//! An entry's level is not stored in memory: a member of `B_i(u)` lies in
+//! `A_i \ A_{i+1}`, so the writer reads it off the layer's hierarchy (0 for
+//! 3-stretch, whose one level is its net), and the reader refuses any level
+//! unlike its member's sampled one — so the bytes still say which level
+//! each entry is of, and `encode(decode(bytes)) == bytes` holds.
 //!
 //! # Family payloads
 //!
@@ -51,17 +55,18 @@
 //! degrading := count · cdg × count · stats      (stats: the layers' total)
 //! ```
 //!
-//! One function writes all four layouts and one reads them, and both
-//! decoders drive the reader — per-node sketches for
-//! [`StoredSketches::decode_payload`](crate::scheme::StoredSketches::decode_payload),
-//! served arrays for [`crate::flat`] — holding every label set to what its
-//! bytes cannot express (pivot rows nested like `A_0 ⊇ A_1 ⊇ …`, levels
-//! backed by the stored hierarchy, a 3-stretch set one level over its net,
-//! nets sampled for the ε of their params or spec, layer and spec
-//! parameters, the degrading total).  So the two accept the same payloads,
-//! and only ones the stretch bounds hold for.  The same layout tells a
-//! build what each layer keeps (`keep_stored`), so a built set equals the
-//! decode of its own bytes.
+//! One function writes all four layouts and one reads them, filling each
+//! layer's columns:
+//! [`StoredSketches::decode_payload`](crate::scheme::StoredSketches::decode_payload)
+//! returns the layers, [`crate::flat`] freezes them into the served form.
+//! The reader holds every label set to what its bytes cannot express
+//! (pivot rows nested like `A_0 ⊇ A_1 ⊇ …`, bunch levels exactly the stored
+//! hierarchy's and pivot levels backed by it, a 3-stretch set one level
+//! over its net, nets sampled for the ε of their params or spec, layer and
+//! spec parameters, the degrading total), so it accepts only payloads the
+//! stretch bounds hold for.  The same layout tells a build what each layer
+//! keeps (`keep_stored`), so a built set equals the decode of its own
+//! bytes.
 //!
 //! # Stability rules
 //!
@@ -77,17 +82,17 @@
 //!   container's major version in `dsketch-store`.
 //!
 //! ```
-//! use dsketch::codec::SketchCodec;
-//! use dsketch::sketch::{Sketch, SketchSet};
-//! use netgraph::NodeId;
+//! use dsketch::prelude::*;
+//! use netgraph::generators::{erdos_renyi, GeneratorConfig};
 //!
-//! let mut sketch = Sketch::new(NodeId(0), 2);
-//! sketch.set_pivot(0, NodeId(0), 0);
-//! sketch.insert_bunch(NodeId(5), 1, 9);
-//! let set = SketchSet::new(vec![sketch]);
+//! let graph = erdos_renyi(32, 0.2, GeneratorConfig::uniform(1, 1, 9));
+//! let config = SchemeConfig::default().with_seed(3).with_parallel_build();
+//! let built = SchemeSpec::thorup_zwick(2).build_sketches(&graph, &config).unwrap();
 //!
-//! let bytes = set.to_bytes();
-//! assert_eq!(SketchSet::from_bytes(&bytes).unwrap(), set);
+//! let bytes = built.sketches.encode_payload();
+//! let decoded = StoredSketches::decode_payload(&built.sketches.spec, &bytes).unwrap();
+//! assert_eq!(decoded, built.sketches);
+//! assert_eq!(decoded.encode_payload(), bytes);
 //! ```
 
 #![deny(clippy::as_conversions)]
@@ -95,11 +100,11 @@
 use crate::cast;
 use crate::hierarchy::Hierarchy;
 use crate::scheme::{Layer, SchemeSpec, StoredSketches};
-use crate::sketch::{BunchEntry, Sketch, SketchSet};
+use crate::sketch::{Label, SketchSet, NO_PIVOT};
 use crate::slack::cdg::CdgParams;
 use crate::slack::density_net::DensityNet;
 use congest_sim::RunStats;
-use netgraph::{Distance, NodeId, INFINITY};
+use netgraph::{NodeId, INFINITY};
 
 /// Errors produced while decoding a binary payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -523,206 +528,172 @@ fn level_bits(k: usize) -> u32 {
     usize::BITS - k.saturating_sub(1).leading_zeros()
 }
 
+/// The level a bunch entry of `member` carries on the wire: the level
+/// `levels` (the layer's hierarchy) samples it to — a member of `B_i(u)`
+/// lies in `A_i \ A_{i+1}` — or 0 where the layer keeps no hierarchy
+/// (3-stretch, `k = 1`).  Kept below `k`, so a label that disagrees with
+/// its hierarchy cannot spill into the gap bits; the reader refuses such a
+/// label either way.
+fn entry_level(levels: Option<&[i32]>, member: NodeId, k: usize) -> u64 {
+    let sampled = levels.and_then(|levels| levels.get(member.index()).copied());
+    let sampled = sampled.and_then(|level| u64::try_from(level).ok());
+    sampled
+        .unwrap_or(0)
+        .min(cast::u64_from_usize(k.saturating_sub(1)))
+}
+
 /// A label set's varints, in wire order (see "Label sets" in the
-/// [module docs](self)).  The encoder and `encoded_len` both fold over
-/// this, so the length is exact by construction.
-fn set_varints(set: &SketchSet, mut put: impl FnMut(u64)) {
-    let total = |per_label: fn(&Sketch) -> usize| -> u64 {
-        cast::u64_from_usize(set.iter().map(per_label).sum())
-    };
+/// [module docs](self)), each bunch entry at its [`entry_level`].  The
+/// writer and its length both fold over this, so the length is exact by
+/// construction.
+fn set_varints(set: &SketchSet, levels: Option<&[i32]>, mut put: impl FnMut(u64)) {
     put(cast::u64_from_usize(set.len()));
-    put(total(|sketch| sketch.pivots().len()));
-    put(total(Sketch::bunch_size));
-    for (index, sketch) in set.iter().enumerate() {
-        debug_assert_eq!(sketch.owner.index(), index, "owners are implicit");
-        let k = sketch.pivots().len();
+    put(cast::u64_from_usize(set.pivots.len()));
+    put(cast::u64_from_usize(set.bunch_entries()));
+    for label in set.labels() {
+        let k = label.k();
         put(cast::u64_from_usize(k));
-        for pivot in sketch.pivots() {
-            match *pivot {
-                Some((node, distance)) => {
-                    put(u64::from(node.0) + 1);
-                    put(distance);
-                }
-                None => put(0),
+        for &(node, distance) in label.pivots {
+            if node == NO_PIVOT {
+                put(0);
+            } else {
+                put(u64::from(node.0) + 1);
+                put(distance);
             }
         }
-        put(cast::u64_from_usize(sketch.bunch_size()));
+        put(cast::u64_from_usize(label.bunch_size()));
         let bits = level_bits(k);
         // The smallest id the next entry may carry; gaps count up from it.
         let mut floor = 0u64;
-        for &(node, entry) in sketch.bunch() {
-            debug_assert!(cast::usize_from_u32(entry.level) < k, "bunch level >= k");
-            put(((u64::from(node.0) - floor) << bits) | u64::from(entry.level));
-            put(entry.distance);
+        for (node, distance) in label.bunch() {
+            put(((u64::from(node.0) - floor) << bits) | entry_level(levels, node, k));
+            put(distance);
             floor = u64::from(node.0) + 1;
         }
     }
 }
 
-/// One label as [`LabelRows`] yields it: slices into the cursor's row
-/// buffer, valid until the next row is read.
-#[derive(Debug)]
-pub struct LabelRow<'r> {
-    /// The node the label belongs to — its index in the set.
-    pub owner: NodeId,
-    /// One slot per level (so `pivots.len()` is the label's `k ≥ 1`),
-    /// `None` where the level has no pivot.
-    pub pivots: &'r [Option<(NodeId, Distance)>],
-    /// The bunch, strictly ascending by node id, every level below `k`.
-    pub bunch: &'r [(NodeId, BunchEntry)],
-}
-
-/// The one reader of label-set bytes: a validating cursor over a
-/// [`SketchSet`] encoding that yields one [`LabelRow`] at a time.
+/// The one reader of label-set bytes: the set at `input`'s position, read
+/// straight into its columns, each row held on arrival to the contracts of
+/// [`Claims::check_row`]; `k`, when given, is the level count every label
+/// must have.  What the rows claim about the sampling comes back beside the
+/// set, for the parts stored after it to be checked against.
 ///
-/// Everything the layout promises is checked here, once, for every
-/// consumer: canonical varints, header totals that fit the remaining bytes
-/// and agree with the rows, `1 ≤ k`, levels below `k`, ids within `u32`.
-/// No count read from the input is trusted with more memory than the input
-/// itself could fill.
-#[derive(Debug)]
-pub struct LabelRows<'d, 'a> {
-    input: &'d mut Decoder<'a>,
-    /// The header: labels, pivot slots and bunch entries in the set.
-    totals: (usize, usize, usize),
-    next_owner: u32,
-    pivots_left: usize,
-    entries_left: usize,
-    pivots: Vec<Option<(NodeId, Distance)>>,
-    bunch: Vec<(NodeId, BunchEntry)>,
+/// Everything the layout promises is checked here, once: canonical
+/// varints, header totals that fit the remaining bytes and agree with the
+/// rows, `1 ≤ k`, levels below `k`, ids within `u32`.  No count read from
+/// the input is trusted with more memory than the input itself could fill.
+fn read_labels(
+    input: &mut Decoder<'_>,
+    k: Option<usize>,
+) -> Result<(SketchSet, Claims), CodecError> {
+    // A row is at least k, one pivot slot and the bunch length; a pivot
+    // slot at least one byte; a bunch entry at least two.
+    let nodes = input.varint_count(3, "SketchSet length")?;
+    let pivot_slots = input.varint_count(1, "SketchSet pivot slots")?;
+    let bunch_entries = input.varint_count(2, "SketchSet bunch entries")?;
+    if u32::try_from(nodes).is_err() {
+        let message = format!("{nodes} nodes exceed the u32 id range");
+        return Err(CodecError::invalid("SketchSet length", message));
+    }
+    if u32::try_from(pivot_slots.max(bunch_entries)).is_err() {
+        return Err(unaddressable());
+    }
+    let totals = (pivot_slots, bunch_entries);
+    let mut set = SketchSet::with_capacity(nodes, pivot_slots, bunch_entries);
+    let mut claims = Claims::new(k, nodes);
+    let mut levels = Vec::new();
+    for owner in (0..nodes).map(NodeId::from_index) {
+        read_row(input, &mut set, &mut levels, totals)?;
+        claims.check_row(set.label(owner), Some(&levels))?;
+    }
+    if set.pivots.len() != pivot_slots {
+        return Err(disagreeing_totals("pivot slots"));
+    }
+    if set.bunch_entries() != bunch_entries {
+        return Err(disagreeing_totals("bunch entries"));
+    }
+    Ok((set, claims))
 }
 
-impl<'d, 'a> LabelRows<'d, 'a> {
-    /// Read the set header at `input`'s position.
-    pub fn begin(input: &'d mut Decoder<'a>) -> Result<Self, CodecError> {
-        // A row is at least k, one pivot slot and the bunch length; a
-        // pivot slot at least one byte; a bunch entry at least two.
-        let nodes = input.varint_count(3, "SketchSet length")?;
-        let pivot_slots = input.varint_count(1, "SketchSet pivot slots")?;
-        let bunch_entries = input.varint_count(2, "SketchSet bunch entries")?;
-        if u32::try_from(nodes).is_err() {
-            return Err(CodecError::Invalid {
-                context: "SketchSet length",
-                message: format!("{nodes} nodes exceed the u32 id range"),
-            });
-        }
-        Ok(LabelRows {
-            input,
-            totals: (nodes, pivot_slots, bunch_entries),
-            next_owner: 0,
-            pivots_left: pivot_slots,
-            entries_left: bunch_entries,
-            pivots: Vec::new(),
-            bunch: Vec::new(),
-        })
+/// A header total the rows do not add up to.
+fn disagreeing_totals(what: &str) -> CodecError {
+    let message = format!("the header and the rows disagree on the number of {what}");
+    CodecError::invalid("SketchSet totals", message)
+}
+
+/// The refusal of a set whose columns `u32` offsets cannot address.
+pub(crate) fn unaddressable() -> CodecError {
+    CodecError::invalid("SketchSet", "label set exceeds the u32 offset range")
+}
+
+/// Append the next row of a set to `set`'s columns — within the header's
+/// `(pivot slots, bunch entries)` totals — and its entries' levels to
+/// `levels`.
+fn read_row(
+    input: &mut Decoder<'_>,
+    set: &mut SketchSet,
+    levels: &mut Vec<u32>,
+    (pivot_slots, bunch_entries): (usize, usize),
+) -> Result<(), CodecError> {
+    let invalid = CodecError::invalid;
+    // Levels are `u32`s below k.
+    let k = input.varint_count(1, "Sketch.k")?;
+    if k == 0 || u32::try_from(k).is_err() {
+        return Err(invalid(
+            "Sketch.k",
+            format!("k = {k} is outside 1..=u32::MAX"),
+        ));
     }
-
-    /// The header's totals — labels, pivot slots, bunch entries — which
-    /// the rows are held to: what a consumer sizes its arrays by.
-    pub fn totals(&self) -> (usize, usize, usize) {
-        self.totals
+    if pivot_slots - set.pivots.len() < k {
+        return Err(disagreeing_totals("pivot slots"));
     }
-
-    /// Decode the next label, or `None` after the last — at which point
-    /// the rows must have used up exactly the header's totals.
-    pub fn next_row(&mut self) -> Result<Option<LabelRow<'_>>, CodecError> {
-        let invalid = |context, message: String| CodecError::Invalid { context, message };
-        let totals = |what: &str| {
-            let message = format!("the header and the rows disagree on the number of {what}");
-            invalid("SketchSet totals", message)
-        };
-        if cast::usize_from_u32(self.next_owner) == self.totals.0 {
-            return match (self.pivots_left, self.entries_left) {
-                (0, 0) => Ok(None),
-                (0, _) => Err(totals("bunch entries")),
-                _ => Err(totals("pivot slots")),
-            };
-        }
-        let owner = NodeId(self.next_owner);
-        self.next_owner += 1;
-        let input = &mut *self.input;
-
-        // Levels are `u32`s below k.
-        let k = input.varint_count(1, "Sketch.k")?;
-        if k == 0 || u32::try_from(k).is_err() {
-            return Err(invalid(
-                "Sketch.k",
-                format!("k = {k} is outside 1..=u32::MAX"),
-            ));
-        }
-        self.pivots_left = self
-            .pivots_left
-            .checked_sub(k)
-            .ok_or_else(|| totals("pivot slots"))?;
-        self.pivots.clear();
-        for _ in 0..k {
-            let pivot = match input.varint("Sketch.pivot")?.checked_sub(1) {
-                None => None,
-                Some(node) => {
-                    let node = u32::try_from(node).map_err(|_| {
-                        invalid("Sketch.pivot", format!("node id {node} exceeds u32"))
-                    })?;
-                    Some((NodeId(node), input.varint("Sketch.pivot distance")?))
-                }
-            };
-            self.pivots.push(pivot);
-        }
-
-        let len = input.varint_count(2, "Sketch.bunch length")?;
-        self.entries_left = self
-            .entries_left
-            .checked_sub(len)
-            .ok_or_else(|| totals("bunch entries"))?;
-        let bits = level_bits(k);
-        let level_mask = (1u64 << bits) - 1;
-        self.bunch.clear();
-        self.bunch.reserve(len);
-        let mut floor = 0u64;
-        for _ in 0..len {
-            let packed = input.varint("BunchEntry")?;
-            let level = u32::try_from(packed & level_mask).unwrap_or(u32::MAX);
-            if cast::usize_from_u32(level) >= k {
-                let message = format!("level {} out of range for k = {k}", packed & level_mask);
-                return Err(invalid("BunchEntry.level", message));
+    for _ in 0..k {
+        let slot = match input.varint("Sketch.pivot")?.checked_sub(1) {
+            None => (NO_PIVOT, INFINITY),
+            Some(node) => {
+                // The last u32 is `NO_PIVOT`, which no node of a set is.
+                let Some(node) = u32::try_from(node)
+                    .ok()
+                    .filter(|&id| NodeId(id) != NO_PIVOT)
+                else {
+                    let message = format!("node id {node} is not below u32::MAX");
+                    return Err(invalid("Sketch.pivot", message));
+                };
+                (NodeId(node), input.varint("Sketch.pivot distance")?)
             }
-            let Ok(node) = u32::try_from(floor.saturating_add(packed >> bits)) else {
-                let gap = packed >> bits;
-                let message = format!("gap {gap} from {floor} carries the id past u32::MAX");
-                return Err(invalid("BunchEntry.node", message));
-            };
-            floor = u64::from(node) + 1;
-            let distance = input.varint("BunchEntry.distance")?;
-            self.bunch
-                .push((NodeId(node), BunchEntry { level, distance }));
+        };
+        set.pivots.push(slot);
+    }
+
+    let len = input.varint_count(2, "Sketch.bunch length")?;
+    if bunch_entries - set.bunch_entries() < len {
+        return Err(disagreeing_totals("bunch entries"));
+    }
+    let bits = level_bits(k);
+    let level_mask = (1u64 << bits) - 1;
+    levels.clear();
+    let mut floor = 0u64;
+    for _ in 0..len {
+        let packed = input.varint("BunchEntry")?;
+        let level = u32::try_from(packed & level_mask).unwrap_or(u32::MAX);
+        if cast::usize_from_u32(level) >= k {
+            let message = format!("level {} out of range for k = {k}", packed & level_mask);
+            return Err(invalid("BunchEntry.level", message));
         }
-        Ok(Some(LabelRow {
-            owner,
-            pivots: &self.pivots,
-            bunch: &self.bunch,
-        }))
+        let Ok(node) = u32::try_from(floor.saturating_add(packed >> bits)) else {
+            let gap = packed >> bits;
+            let message = format!("gap {gap} from {floor} carries the id past u32::MAX");
+            return Err(invalid("BunchEntry.node", message));
+        };
+        floor = u64::from(node) + 1;
+        let distance = input.varint("BunchEntry.distance")?;
+        set.bunch_nodes.push(NodeId(node));
+        set.bunch_dists.push(distance);
+        levels.push(level);
     }
-}
-
-impl SketchCodec for SketchSet {
-    fn encode(&self, out: &mut Encoder) {
-        set_varints(self, |v| out.put_varint(v));
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let mut rows = LabelRows::begin(input)?;
-        let mut sketches = Vec::with_capacity(rows.totals().0);
-        while let Some(row) = rows.next_row()? {
-            let (pivots, bunch) = (row.pivots.to_vec(), row.bunch.to_vec());
-            sketches.push(Sketch::from_sorted_parts(row.owner, pivots, bunch));
-        }
-        Ok(SketchSet::new(sketches))
-    }
-
-    fn encoded_len(&self) -> usize {
-        let mut len = 0;
-        set_varints(self, |v| len += varint_len(v));
-        len
-    }
+    set.seal_label();
+    Ok(())
 }
 
 impl SketchCodec for Hierarchy {
@@ -929,9 +900,10 @@ impl SketchCodec for SchemeSpec {
     }
 }
 
-/// A family payload's label set as the family reader hands it to a
-/// decoder: the rows of [`LabelRows`], each held on its way out to the
-/// contracts a family's labels keep and their bytes alone cannot express —
+/// What a label set says about the sampling stored beside it — its one
+/// `k`, and per node the level a label's bunch holds it at and the highest
+/// level a label's pivot row names it at — and the row contracts a
+/// family's labels keep and their bytes alone cannot express:
 ///
 /// * every label has the set's one `k` (a CDG layer's params fix it; in
 ///   the other families the first label does);
@@ -948,78 +920,80 @@ impl SketchCodec for SchemeSpec {
 ///   served rows of the slack families hold no pivot probe
 ///   ([`crate::flat`]), so this is what keeps a pivot a candidate.
 ///
-/// [`check_rows`] holds an in-memory label set to the same contracts.
-pub(crate) struct CheckedRows<'d, 'a> {
-    rows: LabelRows<'d, 'a>,
-    claims: Claims,
-}
-
-/// What a label set says about the sampling hierarchy stored beside it:
-/// its one `k`, and per node one past the highest level a label claims for
-/// it — as pivot or bunch member — with that label's owner (`0`: none).
+/// The reader holds every row it decodes to them, and [`check_rows`] an
+/// in-memory label set.
 struct Claims {
     k: Option<usize>,
-    levels: Vec<(u32, NodeId)>,
-}
-
-impl<'d, 'a> CheckedRows<'d, 'a> {
-    /// Open the label set at `input`'s position; `k`, when given, is the
-    /// level count every label must have.
-    pub(crate) fn begin(input: &'d mut Decoder<'a>, k: Option<usize>) -> Result<Self, CodecError> {
-        let rows = LabelRows::begin(input)?;
-        let levels = vec![(0, NodeId(0)); rows.totals().0];
-        let claims = Claims { k, levels };
-        Ok(CheckedRows { rows, claims })
-    }
-
-    /// The set header's totals ([`LabelRows::totals`]).
-    pub(crate) fn totals(&self) -> (usize, usize, usize) {
-        self.rows.totals()
-    }
-
-    /// The next label, checked, or `None` after the last.
-    pub(crate) fn next_row(&mut self) -> Result<Option<LabelRow<'_>>, CodecError> {
-        let Some(row) = self.rows.next_row()? else {
-            return Ok(None);
-        };
-        self.claims.check_row(&row)?;
-        Ok(Some(row))
-    }
+    /// Per node, one past the level a bunch entry of it carries (`0`: no
+    /// label's bunch holds it), with the owner of the first such label.
+    bunch: Vec<(u32, NodeId)>,
+    /// Per node, one past the highest level a label names it as pivot at
+    /// (`0`: none does), with that label's owner.
+    pivots: Vec<(u32, NodeId)>,
 }
 
 impl Claims {
-    /// The row contracts of [`CheckedRows`], and the row's claims noted.
-    fn check_row(&mut self, row: &LabelRow<'_>) -> Result<(), CodecError> {
-        let owner = row.owner;
-        let k = row.pivots.len();
+    /// No claims yet about a set of `nodes` labels, each to have `k` levels
+    /// when given.
+    fn new(k: Option<usize>, nodes: usize) -> Claims {
+        let none = vec![(0, NodeId(0)); nodes];
+        Claims {
+            k,
+            bunch: none.clone(),
+            pivots: none,
+        }
+    }
+
+    /// The row contracts, and the row's claims noted.  `levels` are the
+    /// levels its bunch entries carry on the wire — in-memory labels carry
+    /// none — and a member must carry one level in every label.
+    fn check_row(&mut self, label: Label<'_>, levels: Option<&[u32]>) -> Result<(), CodecError> {
+        let owner = label.owner;
+        let k = label.k();
         let fixed = *self.k.get_or_insert(k);
         if k != fixed {
             let message = format!("label of {owner} has k = {k} but the set's k is {fixed}");
             return Err(CodecError::invalid("Sketch.k", message));
         }
-        let nodes = self.levels.len();
-        let mut claim = |member: NodeId, level: u32| match self.levels.get_mut(member.index()) {
-            Some(slot) => {
-                if slot.0 <= level {
-                    *slot = (level + 1, owner);
-                }
-                Ok(())
-            }
-            None => Err(CodecError::invalid(
-                "label node",
-                format!("label of {owner} names {member}, out of range for {nodes} nodes"),
-            )),
+        let nodes = self.bunch.len();
+        let out_of_range = |member: NodeId| {
+            let message =
+                format!("label of {owner} names {member}, out of range for {nodes} nodes");
+            CodecError::invalid("label node", message)
         };
-        for &(member, entry) in row.bunch {
-            claim(member, entry.level)?;
-        }
-        let (mut last, mut absent_since) = (0, None);
-        for (level, &pivot) in (0u32..).zip(row.pivots) {
-            let Some((pivot, distance)) = pivot else {
-                absent_since.get_or_insert(level);
+        for (at, &member) in label.bunch_nodes.iter().enumerate() {
+            let slot = self
+                .bunch
+                .get_mut(member.index())
+                .ok_or_else(|| out_of_range(member))?;
+            let Some(&level) = levels.and_then(|levels| levels.get(at)) else {
                 continue;
             };
-            claim(pivot, level)?;
+            match *slot {
+                (0, _) => *slot = (level + 1, owner),
+                (claimed, first) if claimed != level + 1 => {
+                    return Err(CodecError::HierarchyContract(format!(
+                        "the labels of {first} and {owner} hold {member} at levels {} and \
+                         {level}, but a member has one sampled level",
+                        claimed - 1
+                    )))
+                }
+                _ => {}
+            }
+        }
+        let (mut last, mut absent_since) = (0, None);
+        for (level, &(pivot, distance)) in (0u32..).zip(label.pivots) {
+            if pivot == NO_PIVOT {
+                absent_since.get_or_insert(level);
+                continue;
+            }
+            let slot = self
+                .pivots
+                .get_mut(pivot.index())
+                .ok_or_else(|| out_of_range(pivot))?;
+            if slot.0 <= level {
+                *slot = (level + 1, owner);
+            }
             let broken = |what: String| {
                 CodecError::PivotRow(format!("label of {owner}, level {level}: {what}"))
             };
@@ -1039,29 +1013,25 @@ impl Claims {
                 )));
             }
             last = distance;
-            match row
-                .bunch
-                .binary_search_by_key(&pivot, |&(member, _)| member)
-            {
-                Ok(at) if row.bunch[at].1.distance == distance => {}
-                Ok(at) => {
-                    let recorded = row.bunch[at].1.distance;
+            match label.distance_to(pivot) {
+                Some(recorded) if recorded == distance => {}
+                Some(recorded) => {
                     return Err(broken(format!(
                         "pivot {pivot} at distance {distance} but the bunch records {recorded}"
                     )));
                 }
-                Err(_) => return Err(broken(format!("pivot {pivot} is not in its owner's bunch"))),
+                None => return Err(broken(format!("pivot {pivot} is not in its owner's bunch"))),
             }
         }
         Ok(())
     }
 
     /// The hierarchy stored beside the labels covers their nodes, has their
-    /// `k`, and samples every node at least to the highest level a label
-    /// claims for it: a level-`i` bunch entry or pivot names a member of
-    /// `A_i`.
+    /// `k`, and samples every node exactly to the level a bunch entry of it
+    /// carries (a member of `B_i(u)` lies in `A_i \ A_{i+1}`) and at least
+    /// to the highest level a label names it as pivot at (`p_i(u) ∈ A_i`).
     fn check_hierarchy(&self, hierarchy: &Hierarchy) -> Result<(), CodecError> {
-        let (covers, nodes) = (hierarchy.num_nodes(), self.levels.len());
+        let (covers, nodes) = (hierarchy.num_nodes(), self.bunch.len());
         if covers != nodes {
             return Err(CodecError::invalid(
                 "Hierarchy",
@@ -1075,7 +1045,7 @@ impl Claims {
     /// one level over the net: `k = 1`, and every node a label names is a
     /// member.  The net already covers the labels' nodes.
     fn check_members(&self, net: &DensityNet) -> Result<(), CodecError> {
-        let mut levels = vec![-1; self.levels.len()];
+        let mut levels = vec![-1; self.bunch.len()];
         for member in net.members() {
             if let Some(level) = levels.get_mut(member.index()) {
                 *level = 0;
@@ -1085,32 +1055,39 @@ impl Claims {
     }
 
     /// The labels have the sampling's `k`, and `levels` — per node the
-    /// highest level the sampling (`what`) puts it in, `-1` for none —
-    /// reaches every level a label claims for the node.
+    /// highest level the sampling (`what`) puts it in, `-1` for none — is
+    /// the level every bunch entry of the node carries, and reaches every
+    /// level a pivot row names it at.
     fn check_levels(&self, k: usize, levels: &[i32], what: &str) -> Result<(), CodecError> {
         if let Some(labels) = self.k.filter(|&labels| labels != k) {
             let message = format!("labels have k = {labels} but the {what} has {k}");
             return Err(CodecError::HierarchyContract(message));
         }
-        let mut levels = self.levels.iter().zip(levels).enumerate();
-        match levels
-            .find(|(_, (&(claimed, _), &sampled))| i64::from(claimed) > i64::from(sampled) + 1)
-        {
-            Some((member, (&(claimed, owner), &sampled))) => {
-                let (member, level) = (NodeId::from_index(member), claimed - 1);
-                Err(CodecError::HierarchyContract(format!(
-                    "the label of {owner} holds {member} at level {level}, but the {what} \
-                     samples it only to level {sampled}"
-                )))
+        let claims = self.bunch.iter().zip(&self.pivots).zip(levels);
+        for (member, ((&(bunch, holder), &(pivot, owner)), &sampled)) in claims.enumerate() {
+            let (member, sampled) = (NodeId::from_index(member), i64::from(sampled));
+            if bunch > 0 && i64::from(bunch) - 1 != sampled {
+                return Err(CodecError::HierarchyContract(format!(
+                    "the label of {holder} holds {member} at level {}, but the {what} \
+                     samples it to level {sampled}",
+                    bunch - 1
+                )));
             }
-            None => Ok(()),
+            if i64::from(pivot) - 1 > sampled {
+                return Err(CodecError::HierarchyContract(format!(
+                    "the label of {owner} names {member} as its level-{} pivot, but the \
+                     {what} samples it only to level {sampled}",
+                    pivot - 1
+                )));
+            }
         }
+        Ok(())
     }
 
     /// The density net stored beside the labels covers their nodes, and
     /// only them.
     fn check_net(&self, net: &DensityNet) -> Result<(), CodecError> {
-        let (covers, nodes) = (net.num_nodes(), self.levels.len());
+        let (covers, nodes) = (net.num_nodes(), self.bunch.len());
         let message = if covers != nodes {
             format!("density net covers {covers} nodes but the labels cover {nodes}")
         } else if let Some(member) = net.members().iter().find(|m| m.index() >= covers) {
@@ -1123,18 +1100,12 @@ impl Claims {
 }
 
 /// Hold a label set no decoder has read — what `freeze` is handed — to the
-/// row contracts of [`CheckedRows`], with the same [`CodecError`] the
-/// decoders give its bytes.
+/// row contracts of [`Claims`], with the same [`CodecError`] the decoder
+/// gives its bytes.
 pub(crate) fn check_rows(set: &SketchSet) -> Result<(), CodecError> {
-    let levels = vec![(0, NodeId(0)); set.len()];
-    let mut claims = Claims { k: None, levels };
-    set.iter().try_for_each(|sketch| {
-        claims.check_row(&LabelRow {
-            owner: sketch.owner,
-            pivots: sketch.pivots(),
-            bunch: sketch.bunch(),
-        })
-    })
+    let mut claims = Claims::new(None, set.len());
+    set.labels()
+        .try_for_each(|label| claims.check_row(label, None))
 }
 
 /// Most layers a set may have: one bit of a served row's layer mask each
@@ -1161,29 +1132,6 @@ pub(crate) fn check_covers(index: usize, covers: usize, first: usize) -> Result<
         "degrading layers",
         format!("layer {index} covers {covers} nodes but layer 0 covers {first}"),
     ))
-}
-
-/// Read one label set through `labels`, then every row it left, so each is
-/// checked whatever the decoder took.
-fn read_labels<'a, S>(
-    input: &mut Decoder<'a>,
-    k: Option<usize>,
-    labels: &mut impl FnMut(&mut CheckedRows<'_, 'a>) -> Result<S, CodecError>,
-) -> Result<(S, Claims), CodecError> {
-    let mut rows = CheckedRows::begin(input, k)?;
-    let set = labels(&mut rows)?;
-    while rows.next_row()?.is_some() {}
-    Ok((set, rows.claims))
-}
-
-/// The map decoder's label set: one [`Sketch`] per row.
-pub(crate) fn collect_sketches(rows: &mut CheckedRows<'_, '_>) -> Result<SketchSet, CodecError> {
-    let mut sketches = Vec::with_capacity(rows.totals().0);
-    while let Some(row) = rows.next_row()? {
-        let (pivots, bunch) = (row.pivots.to_vec(), row.bunch.to_vec());
-        sketches.push(Sketch::from_sorted_parts(row.owner, pivots, bunch));
-    }
-    Ok(SketchSet::new(sketches))
 }
 
 /// A part of a layer's bytes besides its label set.
@@ -1226,10 +1174,29 @@ pub(crate) fn keep_stored(spec: &SchemeSpec, layer: &mut Layer) {
 
 /// The cost of `layers` together: the total a degrading payload closes
 /// with.
-fn total_stats<S>(layers: &[Layer<S>]) -> RunStats {
+fn total_stats(layers: &[Layer]) -> RunStats {
     let mut total = RunStats::default();
     layers.iter().for_each(|layer| total.absorb(&layer.stats));
     total
+}
+
+/// Encode `layer`'s label set into `out` or, with no encoder, only measure
+/// it: the bytes it takes either way.  Its entries' levels come from the
+/// layer's hierarchy ([`entry_level`]).
+fn put_labels(layer: &Layer, out: &mut Option<&mut Encoder>) -> usize {
+    let levels = layer.hierarchy.as_ref().map(Hierarchy::levels);
+    match out {
+        Some(out) => {
+            let start = out.len();
+            set_varints(&layer.sketches, levels, |v| out.put_varint(v));
+            out.len() - start
+        }
+        None => {
+            let mut len = 0;
+            set_varints(&layer.sketches, levels, |v| len += varint_len(v));
+            len
+        }
+    }
 }
 
 /// Encode `value` into `out` or, with no encoder, only measure it: the
@@ -1270,7 +1237,7 @@ fn put_family(stored: &StoredSketches, mut out: Option<&mut Encoder>) -> usize {
         for &part in before {
             len += put_part(layer, part, &mut out);
         }
-        len += put(&layer.sketches, &mut out);
+        len += put_labels(layer, &mut out);
         for &part in after {
             len += put_part(layer, part, &mut out);
         }
@@ -1289,11 +1256,7 @@ pub(crate) fn write_family(stored: &StoredSketches) -> Vec<u8> {
 }
 
 /// Decode one part into `layer`.
-fn read_part<S>(
-    layer: &mut Layer<S>,
-    part: Part,
-    input: &mut Decoder<'_>,
-) -> Result<(), CodecError> {
+fn read_part(layer: &mut Layer, part: Part, input: &mut Decoder<'_>) -> Result<(), CodecError> {
     match part {
         Part::Params => layer.params = Some(CdgParams::decode(input)?),
         Part::Net => layer.net = Some(DensityNet::decode(input)?),
@@ -1303,37 +1266,37 @@ fn read_part<S>(
     Ok(())
 }
 
-/// Read one layer — the parts `before` its label set, the set through
-/// `labels`, the parts `after` — and hold the set to the sampling beside
-/// it: the net covers the labels' nodes, a hierarchy samples every node to
-/// the levels the labels claim for it, and a net with no hierarchy beside
-/// it (3-stretch) is the labels' one level.  A net sampled for another ε
-/// than the layer's params is a [`CodecError::LayerContract`].
-fn read_layer<'a, S>(
-    input: &mut Decoder<'a>,
+/// Read one layer — the parts `before` its label set, the set, the parts
+/// `after` — and hold the set to the sampling beside it: the net covers the
+/// labels' nodes, a hierarchy samples every node to the levels the labels
+/// claim for it, and a net with no hierarchy beside it (3-stretch) is the
+/// labels' one level.  A net sampled for another ε than the layer's params
+/// is a [`CodecError::LayerContract`].
+fn read_layer(
+    input: &mut Decoder<'_>,
     (before, after): (&[Part], &[Part]),
-    labels: &mut impl FnMut(&mut CheckedRows<'_, 'a>) -> Result<S, CodecError>,
-) -> Result<Layer<S>, CodecError> {
-    let mut sampling = Layer {
-        sketches: (),
+) -> Result<Layer, CodecError> {
+    let mut layer = Layer {
+        sketches: SketchSet::new(),
         hierarchy: None,
         net: None,
         params: None,
         stats: RunStats::default(),
     };
     for &part in before {
-        read_part(&mut sampling, part, input)?;
+        read_part(&mut layer, part, input)?;
     }
-    let (sketches, claims) = read_labels(input, sampling.params.map(|p| p.k), labels)?;
+    let (sketches, claims) = read_labels(input, layer.params.map(|p| p.k))?;
+    layer.sketches = sketches;
     for &part in after {
-        read_part(&mut sampling, part, input)?;
+        read_part(&mut layer, part, input)?;
     }
-    if let Some(net) = &sampling.net {
+    if let Some(net) = &layer.net {
         claims.check_net(net)?;
-        if sampling.hierarchy.is_none() {
+        if layer.hierarchy.is_none() {
             claims.check_members(net)?;
         }
-        if let Some(params) = sampling.params.filter(|p| !net.sampled_for(p.eps)) {
+        if let Some(params) = layer.params.filter(|p| !net.sampled_for(p.eps)) {
             return Err(CodecError::LayerContract(format!(
                 "the density net was sampled for eps = {} but the layer's params say {}",
                 net.eps(),
@@ -1341,31 +1304,23 @@ fn read_layer<'a, S>(
             )));
         }
     }
-    if let Some(hierarchy) = &sampling.hierarchy {
+    if let Some(hierarchy) = &layer.hierarchy {
         claims.check_hierarchy(hierarchy)?;
     }
-    Ok(Layer {
-        sketches,
-        hierarchy: sampling.hierarchy,
-        net: sampling.net,
-        params: sampling.params,
-        stats: sampling.stats,
-    })
+    Ok(layer)
 }
 
-/// Read the family payload of `spec`'s scheme at `input`, handing each
-/// label set to `labels` as [`CheckedRows`] — the one reader of the four
-/// family layouts, which the map decoder and the frozen decoder both
-/// drive, so the two accept the same bytes and refuse the rest with the
-/// same [`CodecError`].  Beyond each set's rows it checks the parts around
-/// them (`read_layer`), the degrading layers' count ([`MAX_LAYERS`]) and
-/// schedule, and that the payload is the one `spec` names: its `k`, its ε,
-/// its CDG params, at most its layer cap.
-pub(crate) fn read_family<'a, S>(
+/// Read the family payload of `spec`'s scheme at `input` — the one reader
+/// of the four family layouts, which both ingresses (the layers and the
+/// frozen set) drive, so the two accept the same bytes and refuse the rest
+/// with the same [`CodecError`].  Beyond each set's rows it checks the
+/// parts around them (`read_layer`), the degrading layers' count
+/// ([`MAX_LAYERS`]) and schedule, and that the payload is the one `spec`
+/// names: its `k`, its ε, its CDG params, at most its layer cap.
+pub(crate) fn read_family(
     spec: &SchemeSpec,
-    input: &mut Decoder<'a>,
-    mut labels: impl FnMut(&mut CheckedRows<'_, 'a>) -> Result<S, CodecError>,
-) -> Result<StoredSketches<S>, CodecError> {
+    input: &mut Decoder<'_>,
+) -> Result<StoredSketches, CodecError> {
     let (before, after, counted) = layout(spec);
     // A degrading layer over one node or more is at least params (24) + net
     // (24) + hierarchy (28) + label set (6) + stats (48).
@@ -1375,9 +1330,9 @@ pub(crate) fn read_family<'a, S>(
         1
     };
     check_layer_count(count)?;
-    let mut layers: Vec<Layer<S>> = Vec::with_capacity(count);
+    let mut layers: Vec<Layer> = Vec::with_capacity(count);
     for index in 0..count {
-        let layer = read_layer(input, (before, after), &mut labels)?;
+        let layer = read_layer(input, (before, after))?;
         if let Some(previous) = layers.last() {
             check_schedule(index, previous, &layer)?;
         }
@@ -1399,12 +1354,8 @@ pub(crate) fn read_family<'a, S>(
 /// indexes all of them), ε halving and `k` growing layer over layer — the
 /// trade-off of Theorem 4.8.  `layer` is layer `index`, read after
 /// `previous`.
-fn check_schedule<S>(
-    index: usize,
-    previous: &Layer<S>,
-    layer: &Layer<S>,
-) -> Result<(), CodecError> {
-    let nodes = |layer: &Layer<S>| layer.net.as_ref().map_or(0, DensityNet::num_nodes);
+fn check_schedule(index: usize, previous: &Layer, layer: &Layer) -> Result<(), CodecError> {
+    let nodes = |layer: &Layer| layer.net.as_ref().map_or(0, DensityNet::num_nodes);
     check_covers(index, nodes(layer), nodes(previous))?;
     let (Some(p0), Some(p1)) = (previous.params, layer.params) else {
         return Ok(());
@@ -1427,7 +1378,7 @@ fn check_schedule<S>(
 /// The payload is the one its spec names: Thorup–Zwick's hierarchy has the
 /// spec's `k`, a 3-stretch net was sampled for the spec's ε, CDG params
 /// are the spec's, and a degrading set has at most the spec's layer cap.
-fn check_spec<S>(stored: &StoredSketches<S>) -> Result<(), CodecError> {
+fn check_spec(stored: &StoredSketches) -> Result<(), CodecError> {
     let unlike = |message: String| Err(CodecError::LayerContract(message));
     let (first, count) = (stored.layers.first(), stored.layers.len());
     match (stored.spec, first) {
@@ -1466,14 +1417,45 @@ fn check_spec<S>(stored: &StoredSketches<S>) -> Result<(), CodecError> {
 mod tests {
     use super::*;
 
-    fn sample_sketch(owner: u32) -> Sketch {
-        let mut s = Sketch::new(NodeId(owner), 3);
-        s.set_pivot(0, NodeId(owner), 0);
-        s.set_pivot(2, NodeId(9), 14);
-        s.insert_bunch(NodeId(owner), 0, 0);
-        s.insert_bunch(NodeId(4), 1, 7);
-        s.insert_bunch(NodeId(9), 2, 14);
-        s
+    /// Three labels with `k = 2` over nodes 0, 1 and 2, the last the one
+    /// node of `A_1` (its hierarchy levels are [`TOY_LEVELS`]).
+    fn toy_set() -> SketchSet {
+        let mut set = SketchSet::new();
+        for (pivots, bunch) in [
+            (
+                [Some((NodeId(0), 0)), Some((NodeId(2), 5))],
+                &[(NodeId(0), 0), (NodeId(1), 3), (NodeId(2), 5)][..],
+            ),
+            (
+                [Some((NodeId(1), 0)), Some((NodeId(2), 4))],
+                &[(NodeId(0), 3), (NodeId(1), 0), (NodeId(2), 4)],
+            ),
+            (
+                [Some((NodeId(2), 0)), Some((NodeId(2), 0))],
+                &[(NodeId(2), 0)],
+            ),
+        ] {
+            set.push_label(&pivots, bunch).unwrap();
+        }
+        set
+    }
+
+    const TOY_LEVELS: &[i32] = &[0, 0, 1];
+
+    /// `set`'s label-set bytes, each entry at the level `levels` samples
+    /// its member to.
+    fn set_bytes(set: &SketchSet, levels: Option<&[i32]>) -> Vec<u8> {
+        let mut out = Encoder::new();
+        set_varints(set, levels, |v| out.put_varint(v));
+        out.into_bytes()
+    }
+
+    /// The label set `bytes` hold, and nothing else.
+    fn read_set(bytes: &[u8]) -> Result<SketchSet, CodecError> {
+        let mut input = Decoder::new(bytes);
+        let (set, _) = read_labels(&mut input, None)?;
+        input.finish()?;
+        Ok(set)
     }
 
     #[test]
@@ -1526,42 +1508,38 @@ mod tests {
 
     #[test]
     fn sketch_round_trip_is_exact_and_deterministic() {
-        let set = SketchSet::new(vec![sample_sketch(0)]);
-        let bytes = set.to_bytes();
-        // n, slots, entries; k, self pivot, absent, pivot 9 at 14; three
-        // entries of (gap << 2 | level, distance).
+        let set = toy_set();
+        let bytes = set_bytes(&set, Some(TOY_LEVELS));
+        // n, slots, entries; per row k, two pivots as (node + 1, distance),
+        // the bunch length and its entries as (gap << 1 | level, distance),
+        // the level read off the hierarchy: 1 for node 2, 0 for the others.
+        #[rustfmt::skip]
         assert_eq!(
             bytes,
             [
-                1,
-                3,
-                3,
-                3,
-                1,
-                0,
-                0,
-                10,
-                14,
-                3,
-                0,
-                0,
-                (3 << 2) | 1,
-                7,
-                (4 << 2) | 2,
-                14
+                3, 6, 7,
+                2, 1, 0, 3, 5, 3, 0, 0, 0, 3, 1, 5,
+                2, 2, 0, 3, 4, 3, 0, 3, 0, 0, 1, 4,
+                2, 3, 0, 3, 0, 1, (2 << 1) | 1, 0,
             ]
         );
-        let decoded = SketchSet::from_bytes(&bytes).unwrap();
+        let decoded = read_set(&bytes).unwrap();
         assert_eq!(decoded, set);
         // encode(decode(bytes)) == bytes: the representation is canonical.
-        assert_eq!(decoded.to_bytes(), bytes);
+        assert_eq!(set_bytes(&decoded, Some(TOY_LEVELS)), bytes);
     }
 
     #[test]
     fn sketch_set_round_trip() {
-        let set = SketchSet::new(vec![sample_sketch(0), sample_sketch(1)]);
-        let decoded = SketchSet::from_bytes(&set.to_bytes()).unwrap();
-        assert_eq!(decoded, set);
+        let set = toy_set();
+        // Without a hierarchy every entry is at level 0.
+        let flat = set_bytes(&set, None);
+        assert_eq!(read_set(&flat).unwrap(), set);
+        assert_ne!(flat, set_bytes(&set, Some(TOY_LEVELS)));
+        // A level a label's `k` cannot name is clamped, not spilled into
+        // the gap bits.
+        let high = set_bytes(&set, Some(&[0, 0, 7]));
+        assert_eq!(high, set_bytes(&set, Some(TOY_LEVELS)));
     }
 
     #[test]
@@ -1612,9 +1590,9 @@ mod tests {
 
     #[test]
     fn truncated_payloads_fail_with_eof_not_panic() {
-        let bytes = SketchSet::new(vec![sample_sketch(0), sample_sketch(1)]).to_bytes();
+        let bytes = set_bytes(&toy_set(), Some(TOY_LEVELS));
         for cut in 0..bytes.len() {
-            let err = SketchSet::from_bytes(&bytes[..cut]).unwrap_err();
+            let err = read_set(&bytes[..cut]).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1627,10 +1605,10 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut bytes = SketchSet::new(vec![sample_sketch(0)]).to_bytes();
+        let mut bytes = set_bytes(&toy_set(), Some(TOY_LEVELS));
         bytes.push(0xFF);
         assert!(matches!(
-            SketchSet::from_bytes(&bytes),
+            read_set(&bytes),
             Err(CodecError::TrailingBytes { remaining: 1 })
         ));
     }
@@ -1653,28 +1631,28 @@ mod tests {
             [0, u64::MAX, 0],
             [0, 0, 1 << 40],
         ] {
-            let err = SketchSet::from_bytes(&raw_set(&header)).unwrap_err();
+            let err = read_set(&raw_set(&header)).unwrap_err();
             assert!(matches!(err, CodecError::UnexpectedEof { .. }), "{err}");
         }
         // So is a row's k and its bunch length.
-        let err = SketchSet::from_bytes(&raw_set(&[1, 1, 0, 1 << 30, 0, 0])).unwrap_err();
+        let err = read_set(&raw_set(&[1, 1, 0, 1 << 30, 0, 0])).unwrap_err();
         assert!(matches!(err, CodecError::UnexpectedEof { .. }), "{err}");
-        let err = SketchSet::from_bytes(&raw_set(&[1, 1, 0, 1, 0, 1 << 30])).unwrap_err();
+        let err = read_set(&raw_set(&[1, 1, 0, 1, 0, 1 << 30])).unwrap_err();
         assert!(matches!(err, CodecError::UnexpectedEof { .. }), "{err}");
     }
 
     #[test]
     fn bunch_levels_are_validated_against_k() {
         // k = 3 leaves two level bits, so level 3 is writable but invalid.
-        let row = |level: u64| raw_set(&[1, 3, 1, 3, 0, 0, 0, 1, (2 << 2) | level, 1]);
-        assert!(SketchSet::from_bytes(&row(2)).is_ok());
-        let err = SketchSet::from_bytes(&row(3)).unwrap_err();
+        let row = |level: u64| raw_set(&[1, 3, 1, 3, 0, 0, 0, 1, level, 1]);
+        assert!(read_set(&row(2)).is_ok());
+        let err = read_set(&row(3)).unwrap_err();
         assert!(
             matches!(err, CodecError::Invalid { context, .. } if context.contains("level")),
             "{err}"
         );
         // k = 0 is refused outright.
-        let err = SketchSet::from_bytes(&raw_set(&[1, 0, 0, 0, 0, 0])).unwrap_err();
+        let err = read_set(&raw_set(&[1, 0, 0, 0, 0, 0])).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1685,13 +1663,29 @@ mod tests {
             ),
             "{err}"
         );
+        // Two labels holding one member at two levels cannot both be at
+        // its sampled level, whatever the hierarchy says.
+        // (k = 2, no pivots: node 0 at level 0 in one label, 1 in the other.)
+        let two = raw_set(&[2, 4, 2, 2, 0, 0, 1, 0, 1, 2, 0, 0, 1, 1, 1]);
+        let err = read_set(&two).unwrap_err();
+        assert!(matches!(err, CodecError::HierarchyContract(_)), "{err}");
     }
 
     #[test]
     fn gaps_cannot_carry_an_id_past_u32() {
         let max = u64::from(u32::MAX);
-        // One entry at u32::MAX is the last id there is ...
-        assert!(SketchSet::from_bytes(&raw_set(&[1, 1, 1, 1, 0, 1, max, 5])).is_ok());
+        // One entry at u32::MAX is an id, just not one of the set's nodes ...
+        let err = read_set(&raw_set(&[1, 1, 1, 1, 0, 1, max, 5])).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CodecError::Invalid {
+                    context: "label node",
+                    ..
+                }
+            ),
+            "{err}"
+        );
         // ... a larger first gap, any entry after it, or a gap that
         // overflows u64 once added, is not an id.
         for entries in [
@@ -1702,7 +1696,7 @@ mod tests {
             let count = entries[0];
             let mut varints = vec![1, 1, count, 1, 0];
             varints.extend(entries);
-            let err = SketchSet::from_bytes(&raw_set(&varints)).unwrap_err();
+            let err = read_set(&raw_set(&varints)).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1714,27 +1708,30 @@ mod tests {
                 "{err}"
             );
         }
-        // A pivot id is bounded the same way.
-        let err = SketchSet::from_bytes(&raw_set(&[1, 1, 0, 1, max + 2, 0, 0])).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CodecError::Invalid {
-                    context: "Sketch.pivot",
-                    ..
-                }
-            ),
-            "{err}"
-        );
+        // A pivot id is bounded the same way, and the last u32 is the
+        // absent pivot's, so no pivot's.
+        for id in [max, max + 1] {
+            let err = read_set(&raw_set(&[1, 1, 0, 1, id + 1, 0, 0])).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CodecError::Invalid {
+                        context: "Sketch.pivot",
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+        }
     }
 
     #[test]
     fn header_totals_must_agree_with_the_rows() {
         // One row with one pivot slot and one bunch entry.
-        let set = |slots: u64, entries: u64| raw_set(&[1, slots, entries, 1, 0, 1, 4, 9]);
-        assert!(SketchSet::from_bytes(&set(1, 1)).is_ok());
+        let set = |slots: u64, entries: u64| raw_set(&[1, slots, entries, 1, 0, 1, 0, 9]);
+        assert!(read_set(&set(1, 1)).is_ok());
         for (slots, entries) in [(0, 1), (2, 1), (1, 0), (1, 2)] {
-            let err = SketchSet::from_bytes(&set(slots, entries)).unwrap_err();
+            let err = read_set(&set(slots, entries)).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1851,9 +1848,6 @@ mod tests {
 
     #[test]
     fn encoded_len_is_exact_for_the_small_types() {
-        assert_len_is_exact(&SketchSet::new(vec![sample_sketch(0), sample_sketch(1)]));
-        assert_len_is_exact(&SketchSet::new(vec![Sketch::new(NodeId(0), 4)]));
-        assert_len_is_exact(&SketchSet::new(vec![]));
         assert_len_is_exact(&CdgParams::new(0.25, 2));
         assert_len_is_exact(&RunStats::default());
         for spec in [

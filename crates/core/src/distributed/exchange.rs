@@ -21,7 +21,7 @@
 //!    with the Lemma 3.2 query.
 
 use crate::query::estimate_distance;
-use crate::sketch::Sketch;
+use crate::sketch::{Label, SketchSet};
 use congest_sim::{MessageSize, NodeContext, NodeProgram};
 use netgraph::{Distance, NodeId};
 use std::collections::VecDeque;
@@ -45,10 +45,9 @@ pub enum ExchangeMessage {
         /// Distance from the target to the pivot.
         distance: Distance,
     },
-    /// One bunch entry of the reply.
+    /// One bunch entry of the reply (its level is the member's sampled
+    /// level, which the query does not read).
     ReplyBunch {
-        /// Level of the bunch entry.
-        level: u32,
         /// The bunch member.
         node: NodeId,
         /// Distance from the target to the member.
@@ -71,13 +70,13 @@ impl MessageSize for ExchangeMessage {
 /// Per-node program implementing the exchange for a single `(requester,
 /// target)` query.
 #[derive(Debug, Clone)]
-pub struct SketchExchangeProgram {
+pub struct SketchExchangeProgram<'a> {
     me: NodeId,
     requester: NodeId,
     target: NodeId,
-    /// This node's own sketch: the target streams it back, the requester
+    /// This node's own label: the target streams it back, the requester
     /// answers the query with it at the end.
-    own_sketch: Sketch,
+    own: Label<'a>,
     /// Parent pointer toward the requester, learned from the request flood.
     toward_requester: Option<NodeId>,
     seen_request: bool,
@@ -85,27 +84,30 @@ pub struct SketchExchangeProgram {
     /// Reply entries waiting to go toward the requester: the whole sketch at
     /// the target, entries being relayed everywhere else.
     reply_queue: VecDeque<ExchangeMessage>,
-    /// At the requester: the reassembled remote sketch.
-    received: Option<Sketch>,
+    /// At the requester: the remote label's pivot slots (as many as its
+    /// own) and bunch, as they arrive.
+    received_pivots: Vec<Option<(NodeId, Distance)>>,
+    received_bunch: Vec<(NodeId, Distance)>,
     reply_complete: bool,
     /// The final estimate, once computable at the requester.
     estimate: Option<Distance>,
 }
 
-impl SketchExchangeProgram {
-    /// Create the program for node `me` whose preprocessed sketch is
-    /// `own_sketch`, for the query `(requester, target)`.
-    pub fn new(me: NodeId, own_sketch: Sketch, requester: NodeId, target: NodeId) -> Self {
+impl<'a> SketchExchangeProgram<'a> {
+    /// Create the program for node `me` whose preprocessed label is `own`,
+    /// for the query `(requester, target)`.
+    pub fn new(me: NodeId, own: Label<'a>, requester: NodeId, target: NodeId) -> Self {
         SketchExchangeProgram {
             me,
             requester,
             target,
-            own_sketch,
+            own,
             toward_requester: None,
             seen_request: false,
             pending_flood: false,
             reply_queue: VecDeque::new(),
-            received: None,
+            received_pivots: vec![None; own.k().max(1)],
+            received_bunch: Vec::new(),
             reply_complete: false,
             estimate: None,
         }
@@ -124,58 +126,60 @@ impl SketchExchangeProgram {
 
     fn start_reply(&mut self) {
         // Stream pivots first, then bunch entries, then the terminator.
-        for (level, pivot) in self.own_sketch.pivots().iter().enumerate() {
-            if let Some((node, distance)) = pivot {
+        for level in 0..self.own.k() {
+            if let Some((node, distance)) = self.own.pivot(level) {
                 self.reply_queue.push_back(ExchangeMessage::ReplyPivot {
                     level: level as u32,
-                    node: *node,
-                    distance: *distance,
+                    node,
+                    distance,
                 });
             }
         }
-        for &(node, entry) in self.own_sketch.bunch() {
-            self.reply_queue.push_back(ExchangeMessage::ReplyBunch {
-                level: entry.level,
-                node,
-                distance: entry.distance,
-            });
+        for (node, distance) in self.own.bunch() {
+            self.reply_queue
+                .push_back(ExchangeMessage::ReplyBunch { node, distance });
         }
         self.reply_queue.push_back(ExchangeMessage::ReplyDone);
     }
 
     fn record_reply(&mut self, msg: ExchangeMessage) {
-        let sketch = self
-            .received
-            .get_or_insert_with(|| Sketch::new(self.target, self.own_sketch.k.max(1)));
         match msg {
             ExchangeMessage::ReplyPivot {
                 level,
                 node,
                 distance,
             } => {
-                if (level as usize) < sketch.k {
-                    sketch.set_pivot(level as usize, node, distance);
+                if let Some(slot) = self.received_pivots.get_mut(level as usize) {
+                    *slot = Some((node, distance));
                 }
             }
-            ExchangeMessage::ReplyBunch {
-                level,
-                node,
-                distance,
-            } => sketch.insert_bunch(node, level, distance),
+            ExchangeMessage::ReplyBunch { node, distance } => {
+                self.received_bunch.push((node, distance));
+            }
             ExchangeMessage::ReplyDone => {
                 self.reply_complete = true;
             }
             ExchangeMessage::Request { .. } => {}
         }
         if self.reply_complete && self.estimate.is_none() {
-            if let Some(remote) = &self.received {
-                self.estimate = estimate_distance(&self.own_sketch, remote).ok();
+            // The reply relays the target's bunch in order along one path.
+            self.received_bunch.sort_by_key(|&(node, _)| node);
+            let mut remote = SketchSet::new();
+            if remote
+                .push_label(&self.received_pivots, &self.received_bunch)
+                .is_ok()
+            {
+                let remote = Label {
+                    owner: self.target,
+                    ..remote.label(NodeId(0))
+                };
+                self.estimate = estimate_distance(self.own, remote).ok();
             }
         }
     }
 }
 
-impl NodeProgram for SketchExchangeProgram {
+impl NodeProgram for SketchExchangeProgram<'_> {
     type Message = ExchangeMessage;
 
     fn on_start(&mut self, ctx: &mut NodeContext<'_, Self::Message>) {
@@ -251,13 +255,13 @@ impl NodeProgram for SketchExchangeProgram {
 /// the CONGEST cost of the online phase.
 pub fn run_sketch_exchange(
     graph: &netgraph::Graph,
-    sketches: &crate::sketch::SketchSet,
+    sketches: &SketchSet,
     requester: NodeId,
     target: NodeId,
     config: congest_sim::CongestConfig,
 ) -> (Option<Distance>, congest_sim::RunStats) {
     let mut net = congest_sim::Network::new(graph, config, |u| {
-        SketchExchangeProgram::new(u, sketches.sketch(u).clone(), requester, target)
+        SketchExchangeProgram::new(u, sketches.label(u), requester, target)
     });
     let outcome = net.run_until_quiescent(u64::MAX);
     debug_assert!(outcome.completed);
@@ -272,7 +276,7 @@ mod tests {
     use netgraph::generators::{erdos_renyi, grid, ring_with_chords, GeneratorConfig};
     use netgraph::shortest_path::dijkstra;
 
-    fn build_sketches(graph: &netgraph::Graph, k: usize) -> crate::sketch::SketchSet {
+    fn build_sketches(graph: &netgraph::Graph, k: usize) -> SketchSet {
         let config = SchemeConfig::default().with_seed(7);
         let outcome = SchemeSpec::thorup_zwick(k).build_sketches(graph, &config);
         outcome.unwrap().sketches.layers.remove(0).sketches
@@ -283,7 +287,7 @@ mod tests {
         let g = erdos_renyi(60, 0.1, GeneratorConfig::uniform(3, 1, 20));
         let sketches = build_sketches(&g, 3);
         let (u, v) = (NodeId(5), NodeId(47));
-        let local = estimate_distance(sketches.sketch(u), sketches.sketch(v)).unwrap();
+        let local = estimate_distance(sketches.label(u), sketches.label(v)).unwrap();
         let (remote, stats) = run_sketch_exchange(&g, &sketches, u, v, CongestConfig::default());
         assert_eq!(remote, Some(local));
         assert!(stats.rounds > 0);
@@ -297,7 +301,7 @@ mod tests {
         let (estimate, stats) = run_sketch_exchange(&g, &sketches, u, v, CongestConfig::default());
         assert!(estimate.is_some());
         let hops = netgraph::shortest_path::bfs_hops(&g, u)[v.index()] as u64;
-        let entries = (sketches.sketch(v).bunch_size() + 2) as u64;
+        let entries = (sketches.label(v).bunch_size() + 2) as u64;
         // Request flood (≈ hops) + pipelined reply (≈ hops + entries), with a
         // small constant of slack for the final quiet round.
         assert!(
@@ -348,7 +352,6 @@ mod tests {
         );
         assert_eq!(
             ExchangeMessage::ReplyBunch {
-                level: 0,
                 node: NodeId(1),
                 distance: 3
             }

@@ -9,7 +9,8 @@
 //! are queued per source and served round-robin, so the program sends at most
 //! one data message per edge per round.  Both modes keep that state in the
 //! shared `SourceTable` of `congest_sim::programs::bellman_ford`, whose
-//! finished per-phase runs are merged once into the label's sorted bunch.
+//! finished per-phase runs are merged once into the label's sorted bunch
+//! and appended, row by row, to the one [`SketchSet`] the build returns.
 //!
 //! Two synchronization modes are provided, matching the two options the paper
 //! describes for detecting the end of a phase:
@@ -46,10 +47,10 @@ pub use termination::TerminationTzProgram;
 use crate::error::SketchError;
 use crate::hierarchy::Hierarchy;
 use crate::scheme::SchemeConfig;
-use crate::sketch::{BunchEntry, DistKey, Sketch, SketchSet};
+use crate::sketch::{DistKey, SketchSet};
 use congest_sim::programs::bfs_tree::build_bfs_tree;
 use congest_sim::{Network, RunStats};
-use netgraph::{Graph, NodeId};
+use netgraph::{Distance, Graph, NodeId};
 use std::time::Instant;
 
 /// How phase boundaries are detected.
@@ -87,8 +88,8 @@ pub fn build_with_hierarchy(
 ///
 /// Each phase leaves, at every node, a run of `(source, distance)` ascending
 /// by source.  The `k` runs of a node have disjoint sources (`A_i \ A_{i+1}`),
-/// so they are appended as they arrive and merged once into the label's
-/// sorted bunch when the last phase is over.
+/// so they are appended as they arrive, and merged once into the label's
+/// sorted bunch, which is appended to the set, when the last phase is over.
 fn run_global_oracle(
     graph: &Graph,
     hierarchy: &Hierarchy,
@@ -98,7 +99,7 @@ fn run_global_oracle(
     let k = hierarchy.k();
 
     let mut pivots = vec![vec![None; k]; n];
-    let mut bunches: Vec<Vec<(NodeId, BunchEntry)>> = vec![Vec::new(); n];
+    let mut bunches: Vec<Vec<(NodeId, Distance)>> = vec![Vec::new(); n];
     // key(u, A_{i+1}) for the phase currently being run; starts at the
     // all-infinite row for A_k = ∅.
     let mut thresholds = vec![DistKey::INFINITE; n];
@@ -107,9 +108,13 @@ fn run_global_oracle(
 
     for phase in (0..k).rev() {
         let started = Instant::now();
-        let level = phase as u32;
         let mut net = Network::new(graph, config.congest, |u| {
-            PhaseProgram::new(u, level, hierarchy.level_of(u), thresholds[u.index()])
+            PhaseProgram::new(
+                u,
+                phase as u32,
+                hierarchy.level_of(u),
+                thresholds[u.index()],
+            )
         });
         let outcome = net.run_until_quiescent(config.max_rounds);
         if !outcome.completed {
@@ -123,7 +128,7 @@ fn run_global_oracle(
             // key(u, A_i) = min(best new key, key(u, A_{i+1})).
             let mut best = thresholds[u];
             for (source, distance) in program.distances().iter() {
-                bunches[u].push((source, BunchEntry { level, distance }));
+                bunches[u].push((source, distance));
                 best = best.min(DistKey::new(distance, source));
             }
             if !best.is_infinite() {
@@ -136,18 +141,14 @@ fn run_global_oracle(
         total.absorb(&outcome.stats);
     }
 
-    let sketches = pivots
-        .into_iter()
-        .zip(bunches)
-        .enumerate()
-        .map(|(u, (pivots, mut bunch))| {
-            // k sorted runs back to back: the stable sort merges them.
-            bunch.sort_by_key(|&(node, _)| node);
-            Sketch::from_sorted_parts(NodeId::from_index(u), pivots, bunch)
-        })
-        .collect();
-
-    Ok((SketchSet::new(sketches), total))
+    let entries = bunches.iter().map(Vec::len).sum();
+    let mut sketches = SketchSet::with_capacity(n, n * k, entries);
+    for (pivots, mut bunch) in pivots.into_iter().zip(bunches) {
+        // k sorted runs back to back: the stable sort merges them.
+        bunch.sort_by_key(|&(node, _)| node);
+        sketches.push_label(&pivots, &bunch)?;
+    }
+    Ok((sketches, total))
 }
 
 /// Feed one finished run to the process-global [`dsketch_obs::global`]
@@ -198,8 +199,11 @@ fn run_termination_detection(
 
     record_phase("detected", &outcome.stats, started);
     total.absorb(&outcome.stats);
-    let sketches = net.programs().iter().map(|p| p.build_sketch()).collect();
-    Ok((SketchSet::new(sketches), total))
+    let mut sketches = SketchSet::new();
+    for program in net.programs() {
+        program.append_label(&mut sketches)?;
+    }
+    Ok((sketches, total))
 }
 
 #[cfg(test)]
@@ -221,10 +225,10 @@ mod tests {
         let centralized = crate::build::thorup_zwick(graph, &h, 1);
         let (distributed, _) = build_with_hierarchy(graph, &h, &config).unwrap();
         for u in graph.nodes() {
-            let c = centralized.sketches.sketch(u);
-            let d = distributed.sketch(u);
-            assert_eq!(c.pivots(), d.pivots(), "pivot mismatch at {u}");
-            assert_eq!(c.bunch(), d.bunch(), "bunch mismatch at {u}");
+            let c = centralized.sketches.label(u);
+            let d = distributed.label(u);
+            assert_eq!(c.pivots, d.pivots, "pivot mismatch at {u}");
+            assert!(c.bunch().eq(d.bunch()), "bunch mismatch at {u}");
         }
     }
 

@@ -20,7 +20,8 @@
 //! matching the paper's accounting; experiment E9 measures the observed
 //! overhead against the oracle-synchronized mode.
 
-use crate::sketch::{BunchEntry, DistKey, Sketch};
+use crate::error::SketchError;
+use crate::sketch::{DistKey, SketchSet};
 use congest_sim::programs::bellman_ford::SourceTable;
 use congest_sim::programs::bfs_tree::TreeInfo;
 use congest_sim::{MessageSize, NodeContext, NodeProgram};
@@ -98,8 +99,8 @@ pub struct TerminationTzProgram {
     // ---- accumulated results ----
     pivots: Vec<Option<(NodeId, Distance)>>,
     /// The finished phases' tables back to back: `k` runs ascending by node,
-    /// with disjoint nodes.
-    bunch: Vec<(NodeId, BunchEntry)>,
+    /// with disjoint nodes — merged into one once the construction is over.
+    bunch: Vec<(NodeId, Distance)>,
 
     // ---- current phase ----
     phase: u32,
@@ -164,11 +165,10 @@ impl TerminationTzProgram {
         self.me
     }
 
-    /// Assemble the final label from the accumulated pivots and bunch.
-    pub fn build_sketch(&self) -> Sketch {
-        let mut bunch = self.bunch.clone();
-        bunch.sort_by_key(|&(node, _)| node);
-        Sketch::from_sorted_parts(self.me, self.pivots.clone(), bunch)
+    /// Append this node's label — the accumulated pivots and bunch — to
+    /// `set`, as the label of node `set.len()`.
+    pub fn append_label(&self, set: &mut SketchSet) -> Result<(), SketchError> {
+        set.push_label(&self.pivots, &self.bunch)
     }
 
     fn is_source_for(&self, phase: u32) -> bool {
@@ -256,7 +256,7 @@ impl TerminationTzProgram {
         let level = self.phase;
         let mut best = self.threshold;
         for (source, distance) in self.table.iter() {
-            self.bunch.push((source, BunchEntry { level, distance }));
+            self.bunch.push((source, distance));
             best = best.min(DistKey::new(distance, source));
         }
         if !best.is_infinite() {
@@ -289,6 +289,8 @@ impl TerminationTzProgram {
     fn finish_construction(&mut self) {
         if !self.finished {
             self.finalize_phase();
+            // k sorted runs back to back: the stable sort merges them.
+            self.bunch.sort_by_key(|&(node, _)| node);
             self.finished = true;
         }
     }
@@ -466,7 +468,6 @@ mod tests {
     use crate::distributed::build_with_hierarchy;
     use crate::hierarchy::{Hierarchy, TzParams};
     use crate::scheme::SchemeConfig;
-    use crate::sketch::SketchSet;
     use congest_sim::programs::bfs_tree::build_bfs_tree;
     use congest_sim::{CongestConfig, Network, RunStats};
     use netgraph::generators::{erdos_renyi, grid, preferential_attachment, ring, GeneratorConfig};
@@ -516,8 +517,8 @@ mod tests {
         let g = ring(12, GeneratorConfig::uniform(1, 1, 4));
         let (sketches, _) = run_td(&g, 2, 7);
         assert_eq!(sketches.len(), 12);
-        for s in sketches.iter() {
-            s.check_invariants().unwrap();
+        sketches.check_invariants().unwrap();
+        for s in sketches.labels() {
             assert!(s.pivot(0).is_some());
         }
     }
@@ -528,7 +529,7 @@ mod tests {
         // full distance vectors.
         let g = grid(4, 4, GeneratorConfig::uniform(2, 1, 5));
         let (sketches, _) = run_td(&g, 1, 3);
-        for s in sketches.iter() {
+        for s in sketches.labels() {
             assert_eq!(s.bunch_size(), 16);
         }
     }
@@ -580,8 +581,9 @@ mod tests {
         let outcome = net.run_until_quiescent(100);
         assert!(outcome.completed);
         assert!(net.programs()[0].finished());
-        let sketch = net.programs()[0].build_sketch();
-        assert_eq!(sketch.bunch_size(), 1);
+        let mut set = SketchSet::new();
+        net.programs()[0].append_label(&mut set).unwrap();
+        assert_eq!(set.label(NodeId(0)).bunch_size(), 1);
     }
 
     #[test]
@@ -600,15 +602,12 @@ mod tests {
         assert_eq!(p.node(), NodeId(2));
         assert!(!p.finished());
         p.pivots[0] = Some((NodeId(2), 0));
-        p.bunch.push((
-            NodeId(3),
-            BunchEntry {
-                level: 1,
-                distance: 7,
-            },
-        ));
-        let s = p.build_sketch();
+        p.bunch.push((NodeId(3), 7));
+        let mut set = SketchSet::new();
+        p.append_label(&mut set).unwrap();
+        let s = set.label(NodeId(0));
         assert_eq!(s.pivot(0), Some((NodeId(2), 0)));
-        assert_eq!(s.bunch_distance(NodeId(3)), Some(7));
+        assert_eq!(s.pivot(1), None);
+        assert_eq!(s.distance_to(NodeId(3)), Some(7));
     }
 }

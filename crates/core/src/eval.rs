@@ -170,16 +170,14 @@ pub struct SlackReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hierarchy::{Hierarchy, TzParams};
-    use crate::sketch::SketchSet;
+    use crate::scheme::{SchemeConfig, SchemeSpec, StoredSketches};
     use netgraph::generators::{erdos_renyi, GeneratorConfig};
 
-    fn build_sketches(n: usize, k: usize) -> (Graph, SketchSet) {
+    fn build_sketches(n: usize, k: usize) -> (Graph, StoredSketches) {
         let g = erdos_renyi(n, 0.1, GeneratorConfig::uniform(3, 1, 15));
-        let (h, _) =
-            Hierarchy::sample_until_top_nonempty(n, &TzParams::new(k).with_seed(1), 200).unwrap();
-        let tz = crate::build::thorup_zwick(&g, &h, 1);
-        (g, tz.sketches)
+        let config = SchemeConfig::default().with_seed(1).with_parallel_build();
+        let built = SchemeSpec::thorup_zwick(k).build_sketches(&g, &config);
+        (g, built.unwrap().sketches)
     }
 
     #[test]

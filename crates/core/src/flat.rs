@@ -1,35 +1,18 @@
-//! Frozen, cache-friendly query representation: the CSR sketch layout.
+//! Frozen, cache-friendly query representation: the form each family is
+//! served in.
 //!
-//! The mutable [`Sketch`] owns its label: a pivot `Vec` and the bunch as one
-//! sorted `Vec<(NodeId, BunchEntry)>` per node — the right shape while the
-//! construction is still inserting and improving entries, and not the one
-//! to serve from: two allocations per node scattered over the heap, keys
-//! interleaved with levels no query reads, and nothing a snapshot can be
-//! decoded into without `2n` small allocations.  [`FlatSketchSet`] is the
-//! read-only counterpart a finished build is *frozen* into: all labels
-//! packed into contiguous CSR-style arrays —
-//!
-//! ```text
-//!   pivot_offsets ─┐                bunch_offsets ─┐
-//!                  ▼                               ▼
-//!   pivot_nodes  [p₀(0) p₁(0) … | p₀(1) … ]   bunch_nodes  [sorted ids of B(0) | B(1) | …]
-//!   pivot_dists  [d    d     … | d    … ]   bunch_dists  [matching distances          …]
-//! ```
-//!
-//! — so a membership probe is a branch-light binary search over one
-//! contiguous `u32` slice (typically one or two cache lines for realistic
-//! bunch sizes).  Bunch *levels* are dropped at freeze time: no query
-//! consults them (the level walk reads levels off the pivot slot index),
-//! they only matter during construction.
-//!
-//! Each family is served in one form with one kernel.  A Thorup–Zwick set
-//! is one such layer, answered by the Lemma 3.2 level walk.  The slack
-//! families — 3-stretch, CDG and the gracefully degrading union of CDG
-//! layers — answer with one rule, the smallest `d(u, w) + d(w, v)` over
-//! landmarks `w` the two labels share in some layer (Theorems 4.3, 4.6,
-//! 4.8), and are served from **one row per node**: the union of the node's
-//! bunches over the set's 1 to 32 layers, each landmark once, with a bit
-//! mask naming the layers it came from:
+//! A [`SketchSet`] is already the CSR columns a query wants (see
+//! [`crate::sketch`]): a membership probe is a branch-light binary search
+//! over one contiguous `u32` slice, typically one or two cache lines for
+//! realistic bunch sizes.  [`FlatSketchSet`] is a finished build *frozen*
+//! into the form its family is served in, one form and one kernel each.  A
+//! Thorup–Zwick set is its one layer as it is, answered by the Lemma 3.2
+//! level walk.  The slack families — 3-stretch, CDG and the gracefully
+//! degrading union of CDG layers — answer with one rule, the smallest
+//! `d(u, w) + d(w, v)` over landmarks `w` the two labels share in some layer
+//! (Theorems 4.3, 4.6, 4.8), and are served from **one row per node**: the
+//! union of the node's bunches over the set's 1 to 32 layers, each landmark
+//! once, with a bit mask naming the layers it came from:
 //!
 //! ```text
 //!   row offsets ─┐
@@ -46,97 +29,40 @@
 //! explains why one masked join of two rows — a scatter of `u`'s row into
 //! a per-thread table indexed by landmark, a gather of `v`'s — is the rule,
 //! and which facts about the labels that rests on.  A set that breaks one
-//! is refused with a [`CodecError`], by `freeze` and both decoders alike;
-//! no set is served another way.
+//! is refused with a [`CodecError`], by `freeze` and the decoder alike; no
+//! set is served another way.
 //!
 //! A frozen set is built two ways:
 //!
-//! * [`StoredSketches::freeze`] — from the in-memory layers of any build
-//!   (and [`SketchSet::freeze`] from a raw label set, as a level-walk
-//!   oracle); every type-erased build ([`SchemeSpec::build`]) ends with it.
+//! * [`StoredSketches::freeze`] — from the in-memory layers of any build;
+//!   every type-erased build ([`SchemeSpec::build`]) ends with it, moving a
+//!   Thorup–Zwick layer rather than copying it.
 //! * [`FlatSketchSet::from_family_bytes`] — straight from the `SKCH`
-//!   section bytes of a `dsketch-store` snapshot, so a cold-started server
-//!   never materializes a [`Sketch`] at all.  The label rows come from
-//!   the codec's one family reader (see [`crate::codec`], "Family
-//!   payloads"), which the map decoder drives too and which checks every
-//!   contract of the family's labels on the way; this module only appends
-//!   each row to the arrays, which the set header sized up front.
+//!   section bytes of a `dsketch-store` snapshot, through the codec's one
+//!   decoder (see [`crate::codec`], "Family payloads"), which checks every
+//!   contract of the family's labels on the way and fills the columns the
+//!   header sized up front; the slack families merge them once.
 //!
 //! Both paths produce the same value (`freeze(decode(bytes)) ==
 //! from_family_bytes(bytes)`, pinned by tests), and every answer is
-//! identical to the per-node [`Sketch`] path's — the equivalence property
-//! tests in `tests/tests/flat_query.rs` compare them result-for-result,
-//! errors included, across all four families.
+//! identical to the per-node reference rules of [`crate::query`] — the
+//! equivalence property tests in `tests/tests/flat_query.rs` compare them
+//! result-for-result, errors included, across all four families.
 
 #![deny(clippy::as_conversions)]
 
 use crate::cast;
 use crate::codec::{
-    check_covers, check_layer_count, check_rows, read_family, CheckedRows, CodecError, Decoder,
+    check_covers, check_layer_count, check_rows, read_family, unaddressable, CodecError, Decoder,
     MAX_LAYERS,
 };
 use crate::error::SketchError;
 use crate::oracle::{check_nodes, DistanceOracle};
 use crate::scheme::{SchemeSpec, StoredSketches};
-use crate::sketch::{BunchEntry, Sketch, SketchSet};
+use crate::sketch::{ensure, present_pivots, Label, SketchSet, NO_PIVOT};
 use netgraph::{add_dist, Distance, NodeId, INFINITY};
+use std::borrow::Cow;
 use std::cell::Cell;
-
-/// Sentinel stored in a pivot slot whose level has no pivot (`A_i`
-/// unreachable or empty) — the flat encoding of `Option::None`.
-const NO_PIVOT: NodeId = NodeId(u32::MAX);
-
-/// One layer of labels in CSR form: per-node pivot and bunch ranges over
-/// four contiguous arrays.  A Thorup–Zwick set is served as one of these;
-/// a slack family's layers pass through this form on their way into
-/// [`MergedRows`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct FlatLayer {
-    num_nodes: usize,
-    /// `num_nodes + 1` entries of `(pivot offset, bunch offset)`: node
-    /// `u`'s pivot slots are `offsets[u].0..offsets[u + 1].0` (one per
-    /// level, so the range length is `u`'s `k` — per-node `k` may differ)
-    /// and its bunch is `offsets[u].1..offsets[u + 1].1`.  One array for
-    /// both, so resolving a node's two ranges is a single pair of adjacent
-    /// loads (usually one cache line) instead of four scattered ones.
-    offsets: Vec<(u32, u32)>,
-    /// `(pivot node, distance)` per level slot, interleaved so a node's
-    /// whole pivot row sits on one or two cache lines;
-    /// `(NO_PIVOT, INFINITY)` where the level has none.
-    pivots: Vec<(NodeId, Distance)>,
-    /// Bunch members, sorted by node id within each node's range — the
-    /// binary-searched key array, kept separate from the distances so
-    /// probes (mostly misses) touch keys only.
-    bunch_nodes: Vec<NodeId>,
-    /// Exact distance to each bunch member, parallel to `bunch_nodes`.
-    bunch_dists: Vec<Distance>,
-}
-
-/// Binary-search `w` in one node's sorted bunch slice: the search walks
-/// only the contiguous `u32` key array (a handful of cache lines for
-/// realistic bunch sizes); the parallel distance array is touched on a hit
-/// only.
-///
-/// (Alternatives measured and rejected — the number to beat is
-/// `dsketch-benchmark`'s `core.flat.estimate_ns` row: two hand-rolled
-/// "branchless" binary searches, a blocked two-level search with per-node
-/// separators, and a vectorizable linear counting scan — every one lost to
-/// plain `slice::binary_search` by 2-3× on realistic bunch sizes.  The
-/// standard search's early exit plus well-tuned codegen wins; the flat
-/// layout's job is to keep its probes on a handful of resident lines,
-/// which [`Label::warm`] helps along.)
-#[inline]
-fn slice_distance(nodes: &[NodeId], dists: &[Distance], w: NodeId) -> Option<Distance> {
-    match nodes.binary_search(&w) {
-        Ok(i) => Some(dists[i]),
-        Err(_) => None,
-    }
-}
-
-/// Pivot slots of one row that hold a pivot.
-fn present_pivots(row: &[(NodeId, Distance)]) -> usize {
-    row.iter().filter(|&&(p, _)| p != NO_PIVOT).count()
-}
 
 /// The Lemma 3.2 level walk over two pivot rows: mirrors
 /// [`crate::query::estimate_distance`] candidate-for-candidate (both
@@ -175,215 +101,27 @@ fn level_walk(
     None
 }
 
-impl FlatLayer {
-    #[expect(
-        clippy::expect_used,
-        reason = "capacity contract — layers over u32::MAX entries are unrepresentable by design, checked at freeze time"
-    )]
-    fn offset(len: usize) -> u32 {
-        u32::try_from(len).expect("flat sketch arrays exceed u32 offset range")
-    }
-
-    /// Close out one node: record the end offsets.
-    fn seal_node(&mut self) {
-        self.num_nodes += 1;
-        self.offsets.push((
-            Self::offset(self.pivots.len()),
-            Self::offset(self.bunch_nodes.len()),
-        ));
-    }
-
-    /// An empty layer whose arrays are sized, once, for exactly this much.
-    fn with_capacity(nodes: usize, pivot_slots: usize, bunch_entries: usize) -> FlatLayer {
-        let mut offsets = Vec::with_capacity(nodes + 1);
-        offsets.push((0, 0));
-        FlatLayer {
-            num_nodes: 0,
-            offsets,
-            pivots: Vec::with_capacity(pivot_slots),
-            bunch_nodes: Vec::with_capacity(bunch_entries),
-            bunch_dists: Vec::with_capacity(bunch_entries),
-        }
-    }
-
-    /// Append one node's label: its pivot slots, and its bunch — already
-    /// one run sorted by node id, exactly what the binary search and merge
-    /// need — split into the two parallel arrays.
-    fn push_row(&mut self, pivots: &[Option<(NodeId, Distance)>], bunch: &[(NodeId, BunchEntry)]) {
-        self.pivots
-            .extend(pivots.iter().map(|p| p.unwrap_or((NO_PIVOT, INFINITY))));
-        self.bunch_nodes.extend(bunch.iter().map(|&(node, _)| node));
-        self.bunch_dists
-            .extend(bunch.iter().map(|&(_, entry)| entry.distance));
-        self.seal_node();
-    }
-
-    fn from_sketch_set(set: &SketchSet) -> FlatLayer {
-        let slots = set.iter().map(|sketch| sketch.pivots().len()).sum();
-        let entries = set.iter().map(Sketch::bunch_size).sum();
-        let mut layer = FlatLayer::with_capacity(set.len(), slots, entries);
-        for sketch in set.iter() {
-            layer.push_row(sketch.pivots(), sketch.bunch());
-        }
-        layer
-    }
-
-    /// Decode one label set directly into CSR arrays, never building a
-    /// [`Sketch`]: the rows come checked from the codec's family reader
-    /// (owners are the node indices, `k ≥ 1`, bunch ids strictly ascending
-    /// and below the node count — everything the flat layout relies on),
-    /// and the header totals size the arrays.
-    fn from_rows(rows: &mut CheckedRows<'_, '_>) -> Result<FlatLayer, CodecError> {
-        let (nodes, pivot_slots, bunch_entries) = addressable(rows.totals())?;
-        let mut layer = FlatLayer::with_capacity(nodes, pivot_slots, bunch_entries);
-        while let Some(row) = rows.next_row()? {
-            layer.push_row(row.pivots, row.bunch);
-        }
-        Ok(layer)
-    }
-
-    /// Resolve node `u`'s pivot row and bunch slices in one offset lookup.
-    #[inline]
-    fn label(&self, u: usize) -> Label<'_> {
-        let (pivot_start, bunch_start) = self.offsets[u];
-        let (pivot_end, bunch_end) = self.offsets[u + 1];
-        let (pivot_start, pivot_end) = (
-            cast::usize_from_u32(pivot_start),
-            cast::usize_from_u32(pivot_end),
-        );
-        let (bunch_start, bunch_end) = (
-            cast::usize_from_u32(bunch_start),
-            cast::usize_from_u32(bunch_end),
-        );
-        Label {
-            pivots: &self.pivots[pivot_start..pivot_end],
-            bunch_nodes: &self.bunch_nodes[bunch_start..bunch_end],
-            bunch_dists: &self.bunch_dists[bunch_start..bunch_end],
-        }
-    }
-
-    /// The Lemma 3.2 level walk over this layer's slices ([`level_walk`]).
-    fn walk(&self, u: usize, v: usize) -> Option<Distance> {
-        let lu = self.label(u);
-        let lv = self.label(v);
-        // Both bunches will be probed on essentially every query (the vast
-        // majority need at least one level on each side); starting their
-        // first-probe loads here lets the two cache misses overlap instead
-        // of serializing behind the pivot reads.
-        lu.warm();
-        lv.warm();
-        level_walk(
-            lu.pivots,
-            lv.pivots,
-            |w| lu.distance_to(w),
-            |w| lv.distance_to(w),
-        )
-    }
-
-    /// Label size of node `u` in CONGEST words (same accounting as
-    /// [`Sketch::words`]: two words per present pivot, two per bunch entry).
-    fn words(&self, u: usize) -> usize {
-        let label = self.label(u);
-        2 * present_pivots(label.pivots) + 2 * label.bunch_nodes.len()
-    }
-
-    /// This layer's share of [`FlatSketchSet::check_invariants`].
-    fn check_invariants(&self) -> Result<(), String> {
-        ensure(
-            self.offsets.len() == self.num_nodes + 1,
-            format!(
-                "{} offset entries for {} nodes",
-                self.offsets.len(),
-                self.num_nodes
-            ),
-        )?;
-        ensure(
-            self.offsets.first() == Some(&(0, 0)),
-            "offset array does not start at (0, 0)".to_string(),
-        )?;
-        ensure(
-            self.bunch_nodes.len() == self.bunch_dists.len(),
-            format!(
-                "{} bunch keys but {} bunch distances",
-                self.bunch_nodes.len(),
-                self.bunch_dists.len()
-            ),
-        )?;
-        for (node, pair) in self.offsets.windows(2).enumerate() {
-            let (pivot_lo, bunch_lo) = pair[0];
-            let (pivot_hi, bunch_hi) = pair[1];
-            ensure(
-                pivot_lo <= pivot_hi && bunch_lo <= bunch_hi,
-                format!("offsets decrease at node {node}"),
-            )?;
-            ensure(
-                pivot_lo < pivot_hi,
-                format!("node {node} has an empty pivot row (k = 0)"),
-            )?;
-            ensure(
-                cast::usize_from_u32(pivot_hi) <= self.pivots.len()
-                    && cast::usize_from_u32(bunch_hi) <= self.bunch_nodes.len(),
-                format!("offsets of node {node} point past the end of the arrays"),
-            )?;
-            let bunch =
-                &self.bunch_nodes[cast::usize_from_u32(bunch_lo)..cast::usize_from_u32(bunch_hi)];
-            ensure(
-                bunch.windows(2).all(|w| w[0] < w[1]),
-                format!("bunch of node {node} is not strictly ascending"),
-            )?;
-        }
-        let last = self.offsets[self.num_nodes];
-        ensure(
-            cast::usize_from_u32(last.0) == self.pivots.len(),
-            format!(
-                "offsets terminate at pivot {} but {} pivot slots exist",
-                last.0,
-                self.pivots.len()
-            ),
-        )?;
-        ensure(
-            cast::usize_from_u32(last.1) == self.bunch_nodes.len(),
-            format!(
-                "offsets terminate at bunch {} but {} bunch entries exist",
-                last.1,
-                self.bunch_nodes.len()
-            ),
-        )?;
-        Ok(())
-    }
+/// The Lemma 3.2 level walk over one Thorup–Zwick set's columns
+/// ([`level_walk`]).
+#[inline]
+fn walk(set: &SketchSet, u: NodeId, v: NodeId) -> Option<Distance> {
+    let lu = set.label(u);
+    let lv = set.label(v);
+    // Both bunches will be probed on essentially every query (the vast
+    // majority need at least one level on each side); starting their
+    // first-probe loads here lets the two cache misses overlap instead of
+    // serializing behind the pivot reads.
+    lu.warm();
+    lv.warm();
+    level_walk(
+        lu.pivots,
+        lv.pivots,
+        |w| lu.distance_to(w),
+        |w| lv.distance_to(w),
+    )
 }
 
-/// One node's resolved label: slice views into a layer's arrays.
-struct Label<'a> {
-    pivots: &'a [(NodeId, Distance)],
-    bunch_nodes: &'a [NodeId],
-    bunch_dists: &'a [Distance],
-}
-
-impl Label<'_> {
-    /// Distance to `w` if `w` is in this node's bunch.
-    #[inline]
-    fn distance_to(&self, w: NodeId) -> Option<Distance> {
-        slice_distance(self.bunch_nodes, self.bunch_dists, w)
-    }
-
-    /// Touch the start, middle and end of the bunch key run — for typical
-    /// bunch sizes that is every cache line a coming binary search can
-    /// probe — so the lines are all in flight, in parallel, before they
-    /// are needed.  `black_box` keeps the otherwise-dead loads alive; see
-    /// [`FlatLayer::walk`].
-    #[inline]
-    fn warm(&self) {
-        let nodes = self.bunch_nodes;
-        std::hint::black_box((
-            nodes.first().copied(),
-            nodes.get(nodes.len() / 2).copied(),
-            nodes.last().copied(),
-        ));
-    }
-}
-
-/// The pivot rows of one layer of a merged set — a [`FlatLayer`] without
+/// The pivot rows of one layer of a merged set — a [`SketchSet`] without
 /// its bunch columns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct PivotRows {
@@ -488,17 +226,17 @@ impl MergedRows {
     /// those first); what is checked here is what spans layers: their
     /// count, their node count and, in [`RowBuilder`], one distance per
     /// landmark.
-    fn merge(layers: Vec<FlatLayer>) -> Result<MergedRows, CodecError> {
+    fn merge(layers: &[&SketchSet]) -> Result<MergedRows, CodecError> {
         check_layer_count(layers.len())?;
-        let num_nodes = layers.first().map_or(0, |layer| layer.num_nodes);
+        let num_nodes = layers.first().map_or(0, |layer| layer.len());
         for (index, layer) in layers.iter().enumerate() {
-            check_covers(index, layer.num_nodes, num_nodes)?;
+            check_covers(index, layer.len(), num_nodes)?;
         }
-        let entries = layers.iter().map(|layer| layer.bunch_nodes.len()).sum();
+        let entries = layers.iter().map(|layer| layer.bunch_entries()).sum();
         let mut builder = RowBuilder::new(num_nodes, entries);
         for u in 0..num_nodes {
             for (index, layer) in layers.iter().enumerate() {
-                builder.push(index, &layer.label(u));
+                builder.push(index, &layer.label(NodeId::from_index(u)));
             }
             builder.seal_node(u)?;
         }
@@ -506,10 +244,10 @@ impl MergedRows {
         rows.entries.shrink_to_fit();
         // The pivot rows stay as each layer has them; its bunch columns go.
         rows.pivots = layers
-            .into_iter()
+            .iter()
             .map(|layer| PivotRows {
                 offsets: layer.offsets.iter().map(|&(pivot, _)| pivot).collect(),
-                slots: layer.pivots,
+                slots: layer.pivots.clone(),
             })
             .collect();
         Ok(rows)
@@ -551,7 +289,7 @@ impl MergedRows {
 
     /// Label size of node `u` in CONGEST words: what the `L` per-layer
     /// labels add up to — a landmark in three layers' bunches is three
-    /// entries, as in [`Sketch::words`] summed over layers.
+    /// entries, as in [`Label::words`] summed over layers.
     fn words(&self, u: usize) -> usize {
         let present: usize = self
             .pivots
@@ -618,8 +356,7 @@ impl MergedRows {
 }
 
 /// Builds the rows of [`MergedRows`] one label at a time — node-major,
-/// layer-minor — from the `L` per-layer arrays that freezing and decoding
-/// both build first, and checks the one fact the merge needs that no row
+/// layer-minor — from the `L` per-layer label sets, and checks the one fact the merge needs that no row
 /// alone can break: no node holds one landmark at two distances.
 ///
 /// Runs at every freeze, cold start and hot swap, so the merge itself is
@@ -698,30 +435,6 @@ impl RowBuilder {
     }
 }
 
-/// A label set's totals, refused when the `u32` offsets of either served
-/// form cannot address them.
-fn addressable(totals: (usize, usize, usize)) -> Result<(usize, usize, usize), CodecError> {
-    let (_, pivot_slots, bunch_entries) = totals;
-    if u32::try_from(pivot_slots.max(bunch_entries)).is_err() {
-        return Err(unaddressable());
-    }
-    Ok(totals)
-}
-
-/// The refusal of a set whose arrays `u32` offsets cannot address.
-fn unaddressable() -> CodecError {
-    CodecError::invalid("FlatSketchSet", "label set exceeds the u32 offset range")
-}
-
-/// `Err(message)` unless `ok`: one line of a `check_invariants`.
-fn ensure(ok: bool, message: String) -> Result<(), String> {
-    if ok {
-        Ok(())
-    } else {
-        Err(message)
-    }
-}
-
 /// `offsets` is a CSR offset array over a column of `len` entries: starts
 /// at 0, never decreases, ends exactly at `len`.
 fn check_offsets(offsets: &[u32], len: usize, what: &str) -> Result<(), String> {
@@ -743,9 +456,9 @@ fn check_offsets(offsets: &[u32], len: usize, what: &str) -> Result<(), String> 
 /// one kernel each.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Labels {
-    /// Thorup–Zwick: one layer of CSR arrays, answered by the Lemma 3.2
+    /// Thorup–Zwick: its one layer's columns, answered by the Lemma 3.2
     /// level walk.
-    Layer(FlatLayer),
+    Layer(SketchSet),
     /// 3-stretch, CDG and degrading: one merged row per node over 1 to 32
     /// layers, answered by the join.
     Merged(MergedRows),
@@ -781,58 +494,65 @@ pub struct FlatSketchSet {
     stretch_bound: Option<u64>,
 }
 
-impl SketchSet {
-    /// Freeze a raw label set into its [`FlatSketchSet`] form: one layer
-    /// answered by the level walk, with the same stretch accounting as its
-    /// own [`DistanceOracle`] impl, answering every pair as it does.
-    pub fn freeze(&self) -> FlatSketchSet {
-        FlatSketchSet {
-            labels: Labels::Layer(FlatLayer::from_sketch_set(self)),
-            scheme_name: "thorup-zwick",
-            stretch_bound: DistanceOracle::stretch_bound(self),
-        }
-    }
-}
-
 impl StoredSketches {
     /// Freeze the layers into the form the family is served in (see the
-    /// [module docs](self)).  Freezing copies the labels once and drops
-    /// construction-only state (per-node allocations, bunch levels); it
-    /// never changes an answer — the frozen set's `estimate(u, v)` equals
-    /// this set's for every pair, errors included.
+    /// [module docs](self)): a Thorup–Zwick layer's columns as they are,
+    /// a slack family's layers merged into rows.  Freezing never changes an
+    /// answer — the frozen set's `estimate(u, v)` equals this set's for
+    /// every pair, errors included.
     ///
     /// A set that cannot take its family's form is refused with the
-    /// [`CodecError`] the decoders give its bytes: a Thorup–Zwick set of
+    /// [`CodecError`] the decoder gives its bytes: a Thorup–Zwick set of
     /// other than one layer, or slack-family labels that break a row
-    /// contract of the codec (checked here as the decoders check bytes), a
+    /// contract of the codec (checked here as the decoder checks bytes), a
     /// layer count outside 1 to 32, layers over different node counts, or a
     /// node holding one landmark at two distances.  Every set an engine
     /// builds is accepted.
     pub fn freeze(&self) -> Result<FlatSketchSet, CodecError> {
-        let walked = matches!(self.spec, SchemeSpec::ThorupZwick { .. });
-        let layers = self.layers.iter().map(|layer| {
-            if !walked {
-                check_rows(&layer.sketches)?;
-            }
-            Ok(FlatLayer::from_sketch_set(&layer.sketches))
-        });
-        FlatSketchSet::from_layers(&self.spec, layers.collect::<Result<_, _>>()?)
+        self.check_rows()?;
+        let layers = self
+            .layers
+            .iter()
+            .map(|layer| Cow::Borrowed(&layer.sketches));
+        FlatSketchSet::from_layers(&self.spec, layers.collect())
+    }
+
+    /// [`StoredSketches::freeze`], moving a Thorup–Zwick layer's columns
+    /// instead of copying them.
+    pub(crate) fn into_frozen(self) -> Result<FlatSketchSet, CodecError> {
+        self.check_rows()?;
+        let layers = self
+            .layers
+            .into_iter()
+            .map(|layer| Cow::Owned(layer.sketches));
+        FlatSketchSet::from_layers(&self.spec, layers.collect())
+    }
+
+    /// Hold a slack family's in-memory labels to the codec's row contracts,
+    /// which the merge relies on.
+    fn check_rows(&self) -> Result<(), CodecError> {
+        if matches!(self.spec, SchemeSpec::ThorupZwick { .. }) {
+            return Ok(());
+        }
+        self.layers
+            .iter()
+            .try_for_each(|layer| check_rows(&layer.sketches))
     }
 }
 
 impl FlatSketchSet {
-    /// A family's per-layer arrays in the form `spec` is served in:
+    /// A family's label sets in the form `spec` is served in:
     /// Thorup–Zwick's one layer as it is, any other family's layers merged
     /// into rows.
     fn from_layers(
         spec: &SchemeSpec,
-        mut layers: Vec<FlatLayer>,
+        mut layers: Vec<Cow<'_, SketchSet>>,
     ) -> Result<FlatSketchSet, CodecError> {
         let labels = match spec {
             SchemeSpec::ThorupZwick { .. } => {
                 let count = layers.len();
                 match layers.pop() {
-                    Some(layer) if count == 1 => Labels::Layer(layer),
+                    Some(layer) if count == 1 => Labels::Layer(layer.into_owned()),
                     _ => {
                         return Err(CodecError::LayerContract(format!(
                             "a Thorup–Zwick set has one layer, not {count}"
@@ -840,7 +560,10 @@ impl FlatSketchSet {
                     }
                 }
             }
-            _ => Labels::Merged(MergedRows::merge(layers)?),
+            _ => {
+                let layers: Vec<&SketchSet> = layers.iter().map(AsRef::as_ref).collect();
+                Labels::Merged(MergedRows::merge(&layers)?)
+            }
         };
         let (scheme_name, stretch_bound) = spec.served_as();
         Ok(FlatSketchSet {
@@ -852,24 +575,26 @@ impl FlatSketchSet {
 
     /// Materialize a frozen set directly from the `SKCH` section payload of
     /// a `DSK1` snapshot, dispatching on the stored [`SchemeSpec`] — the
-    /// cold-start path: no mutable [`Sketch`] is ever constructed.  Reads
-    /// through the codec's one family reader, as
+    /// cold-start path.  Reads through the codec's one decoder, as
     /// [`StoredSketches::decode_payload`] does, so it accepts exactly the
     /// bytes [`StoredSketches::encode_payload`] produces from labels that
     /// keep their family's contracts, and refuses anything else with the
     /// same [`CodecError`], never a panic.
     pub fn from_family_bytes(spec: &SchemeSpec, bytes: &[u8]) -> Result<FlatSketchSet, CodecError> {
         let mut input = Decoder::new(bytes);
-        let family = read_family(spec, &mut input, FlatLayer::from_rows)?;
+        let family = read_family(spec, &mut input)?;
         input.finish()?;
-        let layers = family.layers.into_iter().map(|layer| layer.sketches);
+        let layers = family
+            .layers
+            .into_iter()
+            .map(|layer| Cow::Owned(layer.sketches));
         FlatSketchSet::from_layers(spec, layers.collect())
     }
 
     /// Pivot slots holding a pivot, over every node of every layer.
     pub fn present_pivots(&self) -> usize {
         match &self.labels {
-            Labels::Layer(layer) => present_pivots(&layer.pivots),
+            Labels::Layer(set) => present_pivots(&set.pivots),
             Labels::Merged(rows) => rows.pivots.iter().map(|p| present_pivots(&p.slots)).sum(),
         }
     }
@@ -884,11 +609,10 @@ impl FlatSketchSet {
 
     /// Check the structural invariants the query relies on.
     ///
-    /// A Thorup–Zwick layer: the offset array has `num_nodes + 1` monotone
-    /// entries starting at `(0, 0)` and terminating exactly at the
-    /// pivot/bunch array lengths, the two bunch arrays are parallel, and
-    /// every node's bunch keys are strictly ascending (the binary-search
-    /// contract).
+    /// A Thorup–Zwick layer: [`SketchSet::check_invariants`] — monotone
+    /// offsets from `(0, 0)` to the column lengths, parallel bunch columns,
+    /// `k ≥ 1` and strictly ascending bunch keys (the binary-search
+    /// contract), pivots at their bunch distance.
     ///
     /// Merged rows: the row offsets are monotone from 0 to the entry count,
     /// landmarks are strictly ascending within a row and each is one of the
@@ -901,7 +625,7 @@ impl FlatSketchSet {
     /// re-check serving state instead of trusting the code that built it.
     pub fn check_invariants(&self) -> Result<(), String> {
         match &self.labels {
-            Labels::Layer(layer) => layer.check_invariants(),
+            Labels::Layer(set) => set.check_invariants(),
             Labels::Merged(rows) => rows.check_invariants(),
         }
     }
@@ -916,16 +640,13 @@ impl DistanceOracle for FlatSketchSet {
         if u == v {
             return Ok(0);
         }
-        let (ui, vi) = (u.index(), v.index());
         let best = match &self.labels {
             // The walk's answer is the answer — an explicit `INFINITY`
             // entry included, as on the per-node path.
-            Labels::Layer(layer) => {
-                return layer
-                    .walk(ui, vi)
-                    .ok_or(SketchError::NoCommonLandmark { u, v })
+            Labels::Layer(set) => {
+                return walk(set, u, v).ok_or(SketchError::NoCommonLandmark { u, v })
             }
-            Labels::Merged(rows) => rows.best_common(ui, vi),
+            Labels::Merged(rows) => rows.best_common(u.index(), v.index()),
         };
         // `INFINITY` stands for "no layer has a common landmark".
         if best == INFINITY {
@@ -945,14 +666,14 @@ impl DistanceOracle for FlatSketchSet {
 
     fn num_nodes(&self) -> usize {
         match &self.labels {
-            Labels::Layer(layer) => layer.num_nodes,
+            Labels::Layer(set) => set.len(),
             Labels::Merged(rows) => rows.num_nodes(),
         }
     }
 
     fn words(&self, u: NodeId) -> usize {
         match &self.labels {
-            Labels::Layer(layer) => layer.words(u.index()),
+            Labels::Layer(set) => set.label(u).words(),
             Labels::Merged(rows) => rows.words(u.index()),
         }
     }
@@ -969,32 +690,42 @@ impl DistanceOracle for FlatSketchSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::SketchCodec;
     use crate::query::{estimate_distance, estimate_distance_best_common};
     use crate::scheme::Layer;
+
+    /// One hand-built label: its pivot slots and its ascending bunch.
+    type Row<'a> = (&'a [Option<(NodeId, Distance)>], &'a [(NodeId, Distance)]);
+
+    /// Labels of nodes `0..` from `(pivots, bunch)` rows.
+    fn set_of(rows: &[Row<'_>]) -> SketchSet {
+        let mut set = SketchSet::new();
+        for (pivots, bunch) in rows {
+            set.push_label(pivots, bunch).unwrap();
+        }
+        set
+    }
 
     /// The toy pair from `query.rs`, its landmark renamed 2: d(0,2)=2,
     /// d(1,2)=3; node 2's label is its own.
     fn toy_set() -> SketchSet {
-        let mut u = Sketch::new(NodeId(0), 2);
-        u.set_pivot(0, NodeId(0), 0);
-        u.set_pivot(1, NodeId(2), 2);
-        u.insert_bunch(NodeId(0), 0, 0);
-        u.insert_bunch(NodeId(2), 1, 2);
-        let mut v = Sketch::new(NodeId(1), 2);
-        v.set_pivot(0, NodeId(1), 0);
-        v.set_pivot(1, NodeId(2), 3);
-        v.insert_bunch(NodeId(1), 0, 0);
-        v.insert_bunch(NodeId(2), 1, 3);
-        let mut w = Sketch::new(NodeId(2), 2);
-        w.set_pivot(0, NodeId(2), 0);
-        w.set_pivot(1, NodeId(2), 0);
-        w.insert_bunch(NodeId(2), 1, 0);
-        SketchSet::new(vec![u, v, w])
+        set_of(&[
+            (
+                &[Some((NodeId(0), 0)), Some((NodeId(2), 2))],
+                &[(NodeId(0), 0), (NodeId(2), 2)],
+            ),
+            (
+                &[Some((NodeId(1), 0)), Some((NodeId(2), 3))],
+                &[(NodeId(1), 0), (NodeId(2), 3)],
+            ),
+            (
+                &[Some((NodeId(2), 0)), Some((NodeId(2), 0))],
+                &[(NodeId(2), 0)],
+            ),
+        ])
     }
 
-    /// `set` as the one layer of a CDG set, frozen: served as merged rows.
-    fn frozen_as_slack(set: &SketchSet) -> FlatSketchSet {
+    /// `set` as the one layer of a `spec` set.
+    fn stored(spec: SchemeSpec, set: &SketchSet) -> StoredSketches {
         let layer = Layer {
             sketches: set.clone(),
             hierarchy: None,
@@ -1002,56 +733,62 @@ mod tests {
             params: None,
             stats: congest_sim::RunStats::default(),
         };
-        let spec = SchemeSpec::cdg(0.5, 2);
-        let stored = StoredSketches {
+        StoredSketches {
             spec,
             layers: vec![layer],
-        };
-        stored.freeze().unwrap()
+        }
+    }
+
+    /// `set` as a Thorup–Zwick set, frozen: served by the level walk.
+    fn frozen_as_tz(set: &SketchSet) -> FlatSketchSet {
+        stored(SchemeSpec::thorup_zwick(2), set).freeze().unwrap()
+    }
+
+    /// `set` as the one layer of a CDG set, frozen: served as merged rows.
+    fn frozen_as_slack(set: &SketchSet) -> FlatSketchSet {
+        stored(SchemeSpec::cdg(0.5, 2), set).freeze().unwrap()
     }
 
     #[test]
     fn frozen_walk_and_best_common_match_the_map_path() {
         let set = toy_set();
-        let flat = set.freeze();
+        let flat = frozen_as_tz(&set);
         assert_eq!(flat.num_nodes(), 3);
         assert_eq!(flat.num_layers(), 1);
         let (u, v) = (NodeId(0), NodeId(1));
         assert_eq!(
             flat.estimate(u, v).unwrap(),
-            estimate_distance(set.sketch(u), set.sketch(v)).unwrap()
+            estimate_distance(set.label(u), set.label(v)).unwrap()
         );
         let rows = frozen_as_slack(&set);
         assert!(matches!(rows.labels, Labels::Merged(_)));
         assert_eq!(rows.num_layers(), 1);
         assert_eq!(
             rows.estimate(u, v).unwrap(),
-            estimate_distance_best_common(set.sketch(u), set.sketch(v)).unwrap()
+            estimate_distance_best_common(set.label(u), set.label(v)).unwrap()
         );
         assert_eq!(rows.words(u), flat.words(u));
         assert_eq!(flat.estimate(u, u).unwrap(), 0);
-        assert_eq!(flat.estimate(u, v), DistanceOracle::estimate(&set, u, v));
-        assert_eq!(flat.words(u), set.sketch(u).words());
-        assert_eq!(flat.stretch_bound(), DistanceOracle::stretch_bound(&set));
+        let reference = stored(SchemeSpec::thorup_zwick(2), &set);
+        assert_eq!(flat.estimate(u, v), reference.estimate(u, v));
+        assert_eq!(flat.words(u), set.label(u).words());
+        assert_eq!(flat.stretch_bound(), Some(3));
         assert_eq!(flat.scheme_name(), "thorup-zwick");
     }
 
     #[test]
     fn asymmetric_k_walks_the_longer_pivot_range() {
         // u has k = 1, v has k = 3 with the shared landmark at level 2: the
-        // walk must keep going past u's last level, like the map path does.
-        let mut u = Sketch::new(NodeId(0), 1);
-        u.set_pivot(0, NodeId(0), 0);
-        u.insert_bunch(NodeId(0), 0, 0);
-        u.insert_bunch(NodeId(9), 0, 2);
-        let mut v = Sketch::new(NodeId(1), 3);
-        v.set_pivot(0, NodeId(1), 0);
-        v.set_pivot(2, NodeId(9), 3);
-        v.insert_bunch(NodeId(1), 0, 0);
-        v.insert_bunch(NodeId(9), 2, 3);
-        let set = SketchSet::new(vec![u, v]);
-        let flat = set.freeze();
-        let expected = estimate_distance(set.sketch(NodeId(0)), set.sketch(NodeId(1)));
+        // walk must keep going past u's last level, like the per-node rule does.
+        let set = set_of(&[
+            (&[Some((NodeId(0), 0))], &[(NodeId(0), 0), (NodeId(9), 2)]),
+            (
+                &[Some((NodeId(1), 0)), None, Some((NodeId(9), 3))],
+                &[(NodeId(1), 0), (NodeId(9), 3)],
+            ),
+        ]);
+        let flat = frozen_as_tz(&set);
+        let expected = estimate_distance(set.label(NodeId(0)), set.label(NodeId(1)));
         assert_eq!(expected.as_ref().unwrap(), &5);
         assert_eq!(flat.estimate(NodeId(0), NodeId(1)), expected);
         assert_eq!(flat.estimate(NodeId(1), NodeId(0)), expected);
@@ -1059,21 +796,17 @@ mod tests {
 
     #[test]
     fn errors_match_the_map_path() {
-        let set = toy_set();
-        let flat = set.freeze();
+        let flat = frozen_as_tz(&toy_set());
         assert!(matches!(
             flat.estimate(NodeId(0), NodeId(7)),
             Err(SketchError::UnknownNode(NodeId(7)))
         ));
         // Disjoint labels: no common landmark, original argument order kept.
-        let mut a = Sketch::new(NodeId(0), 1);
-        a.set_pivot(0, NodeId(0), 0);
-        a.insert_bunch(NodeId(0), 0, 0);
-        let mut b = Sketch::new(NodeId(1), 1);
-        b.set_pivot(0, NodeId(1), 0);
-        b.insert_bunch(NodeId(1), 0, 0);
-        let disjoint = SketchSet::new(vec![a, b]);
-        for flat in [disjoint.freeze(), frozen_as_slack(&disjoint)] {
+        let disjoint = set_of(&[
+            (&[Some((NodeId(0), 0))], &[(NodeId(0), 0)]),
+            (&[Some((NodeId(1), 0))], &[(NodeId(1), 0)]),
+        ]);
+        for flat in [frozen_as_tz(&disjoint), frozen_as_slack(&disjoint)] {
             assert_eq!(
                 flat.estimate(NodeId(1), NodeId(0)),
                 Err(SketchError::NoCommonLandmark {
@@ -1086,8 +819,7 @@ mod tests {
 
     #[test]
     fn batch_matches_singles_without_reordering() {
-        let set = toy_set();
-        let flat = set.freeze();
+        let flat = frozen_as_tz(&toy_set());
         let pairs = [
             (NodeId(0), NodeId(1)),
             (NodeId(1), NodeId(1)),
@@ -1103,10 +835,9 @@ mod tests {
 
     #[test]
     fn empty_set_freezes_to_an_empty_oracle() {
-        let flat = SketchSet::new(vec![]).freeze();
+        let flat = frozen_as_tz(&SketchSet::new());
         assert_eq!(flat.num_nodes(), 0);
         assert_eq!(flat.max_words(), 0);
-        assert_eq!(flat.stretch_bound(), None);
         assert!(matches!(
             flat.estimate(NodeId(0), NodeId(0)),
             Err(SketchError::UnknownNode(_))
@@ -1127,32 +858,33 @@ mod tests {
         let spec = SchemeSpec::thorup_zwick(2);
 
         // A valid Thorup–Zwick payload decodes flat and equals the freeze of
-        // the map decode: the two are consumers of the same rows.
+        // the layers decode: one decoder, two ingresses.
         let tz = tz_family();
         let bytes = tz.encode_payload();
         let flat = FlatSketchSet::from_family_bytes(&spec, &bytes).unwrap();
         assert_eq!(tz.freeze().as_ref(), Ok(&flat));
+        let decoded = StoredSketches::decode_payload(&spec, &bytes).unwrap();
+        assert_eq!(decoded, tz);
+        assert_eq!(decoded.freeze().as_ref(), Ok(&flat));
         assert_eq!(
             flat.estimate(NodeId(0), NodeId(1)),
             tz.as_oracle().estimate(NodeId(0), NodeId(1))
         );
 
         // Owners and bunch order are structural on the wire; what a hostile
-        // payload can still say is an id past u32::MAX, and the flat decoder
-        // refuses it exactly as the map decoder does.
+        // payload can still say is an id past u32::MAX, and both ingresses
+        // refuse it alike.
         let mut out = crate::codec::Encoder::new();
         // n = 1, one pivot slot, two entries; k = 1, no pivot, two entries:
         // id u32::MAX, then a gap of 0 after it.
         for v in [1, 1, 2, 1, 0, 2, u64::from(u32::MAX), 0, 0, 0] {
             out.put_varint(v);
         }
-        let mut input = Decoder::new(out.as_bytes());
-        let rows = CheckedRows::begin(&mut input, None);
-        let flat_err = rows
-            .and_then(|mut rows| FlatLayer::from_rows(&mut rows))
-            .unwrap_err();
-        let map_err = SketchSet::from_bytes(out.as_bytes()).unwrap_err();
-        assert_eq!(flat_err, map_err);
+        let hierarchy = tz.layers[0].hierarchy.as_ref().unwrap();
+        crate::codec::SketchCodec::encode(hierarchy, &mut out);
+        let flat_err = FlatSketchSet::from_family_bytes(&spec, out.as_bytes()).unwrap_err();
+        let layers_err = StoredSketches::decode_payload(&spec, out.as_bytes()).unwrap_err();
+        assert_eq!(flat_err, layers_err);
         assert!(
             matches!(flat_err, CodecError::Invalid { context, .. } if context.contains("node")),
             "{flat_err}"
@@ -1175,7 +907,7 @@ mod tests {
         let per_layer: usize = set
             .layers
             .iter()
-            .flat_map(|layer| layer.sketches.iter().map(Sketch::bunch_size))
+            .map(|layer| layer.sketches.bunch_entries())
             .sum();
         let Labels::Merged(rows) = &flat.labels else {
             panic!("a built degrading set is merged");
@@ -1205,8 +937,8 @@ mod tests {
         let bytes = ragged.encode_payload();
         let spec = ragged.spec;
         let flat_err = FlatSketchSet::from_family_bytes(&spec, &bytes).unwrap_err();
-        let map_err = StoredSketches::decode_payload(&spec, &bytes).unwrap_err();
-        assert_eq!(flat_err, map_err);
+        let layers_err = StoredSketches::decode_payload(&spec, &bytes).unwrap_err();
+        assert_eq!(flat_err, layers_err);
         assert_eq!(ragged.freeze().unwrap_err(), flat_err);
         assert!(
             matches!(&flat_err, CodecError::Invalid { message, .. }

@@ -221,11 +221,6 @@ impl Hierarchy {
         self.level[v.index()]
     }
 
-    /// True if `v ∈ A_i`.
-    pub fn in_level(&self, v: NodeId, i: usize) -> bool {
-        self.level[v.index()] >= i as i32
-    }
-
     /// All nodes of `A_i`, in increasing id order.
     pub fn level_members(&self, i: usize) -> Vec<NodeId> {
         (0..self.level.len())
@@ -365,7 +360,6 @@ mod tests {
         assert!(h.level_of(NodeId(1)) >= 0);
         assert!(h.level_of(NodeId(3)) >= 0);
         assert_eq!(h.level_members(0), ground);
-        assert!(!h.in_level(NodeId(0), 0));
     }
 
     #[test]

@@ -95,7 +95,9 @@
 //! * [`hierarchy`] — the sampled level hierarchy `A_0 ⊇ A_1 ⊇ … ⊇ A_{k-1}`
 //!   every family's labels are built over, by either engine.
 //! * [`sketch`] — the label data structure `L(u)` (pivots, bunch, distances)
-//!   and its word-size accounting.
+//!   and its word-size accounting: a [`SketchSet`] is one layer's labels as
+//!   CSR columns — the one value a label is from engine to wire — and a
+//!   [`Label`] a borrowed view of one node's.
 //! * [`distributed`] — the paper's contribution: the phased modified
 //!   Bellman–Ford construction (Algorithm 2), the known-`S` synchronizer of
 //!   Section 3.2 and the ECHO/COMPLETE termination detection of Section 3.3.
@@ -109,22 +111,23 @@
 //! * [`parallel`] — the dependency-free worker pool under [`build`]
 //!   (deterministic-merge `parallel_map`, per-phase wall-clock timings that
 //!   also land on the registry).
-//! * [`query`] — distance estimation from two sketches (Lemma 3.2 and the
-//!   slack/degrading variants).
-//! * [`flat`] — the frozen CSR query representation ([`FlatSketchSet`]):
-//!   labels packed into contiguous arrays at `freeze()` time — one layer
-//!   for the Thorup–Zwick level walk, one row per node for the slack
-//!   families' join — answering the same queries allocation-free at
-//!   hardware speed; the serving layers' in-memory layout.
+//! * [`query`] — the per-node reference rules over two [`Label`] views
+//!   (Lemma 3.2 and the slack/degrading variants).
+//! * [`flat`] — the served form ([`FlatSketchSet`]): a Thorup–Zwick set's
+//!   columns as they are for the level walk, the slack families' layers
+//!   merged into one row per node for the join — answering the same
+//!   queries allocation-free at hardware speed; the serving layers'
+//!   in-memory layout.
 //! * [`slack`] — Section 4: ε-density nets and the net-restricted
 //!   hierarchies the 3-stretch slack, (ε, k)-CDG and gracefully degrading
 //!   layers are sampled from.
 //! * [`eval`] — stretch evaluation over any `DistanceOracle` (worst-case /
 //!   average / percentiles, slack-aware variants).
 //! * [`baseline`] — exact-oracle and landmark baselines for comparison.
-//! * [`codec`] — the stable binary encoding of every label type
-//!   ([`SketchCodec`]), the payload layer under the `dsketch-store`
-//!   snapshot format (build once, save, serve from disk forever).
+//! * [`codec`] — the stable binary encoding of the family payloads (label
+//!   sets and [`SketchCodec`] for the sampling beside them), the payload
+//!   layer under the `dsketch-store` snapshot format (build once, save,
+//!   serve from disk forever).
 //! * [`cast`] — checked and intent-bearing integer conversions; the
 //!   byte-layout modules deny `clippy::as_conversions` in favor of these
 //!   helpers.
@@ -172,7 +175,7 @@ pub mod prelude {
     pub use crate::scheme::{
         BuildEngine, BuildOutcome, DynBuildOutcome, Layer, SchemeConfig, SchemeSpec, StoredSketches,
     };
-    pub use crate::sketch::{Sketch, SketchSet};
+    pub use crate::sketch::{Label, SketchSet};
     pub use crate::slack::cdg::CdgParams;
     pub use crate::slack::degrading::DegradingParams;
     pub use crate::slack::density_net::DensityNet;

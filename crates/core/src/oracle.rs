@@ -12,8 +12,6 @@
 //! backend) only has to implement this trait to plug in.
 
 use crate::error::SketchError;
-use crate::query::estimate_distance;
-use crate::sketch::SketchSet;
 use netgraph::{Distance, NodeId};
 
 /// A built set of distance sketches, queryable without the graph.
@@ -130,36 +128,6 @@ pub(crate) fn check_nodes(n: usize, u: NodeId, v: NodeId) -> Result<(), SketchEr
     Ok(())
 }
 
-/// A raw [`SketchSet`] answers queries with the Lemma 3.2 level walk — this
-/// is the Thorup–Zwick oracle.  (A Thorup–Zwick
-/// [`crate::scheme::StoredSketches`] answers through the same query path.)
-impl DistanceOracle for SketchSet {
-    fn estimate(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
-        check_nodes(self.len(), u, v)?;
-        estimate_distance(self.sketch(u), self.sketch(v))
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.len()
-    }
-
-    fn words(&self, u: NodeId) -> usize {
-        self.sketch(u).words()
-    }
-
-    fn scheme_name(&self) -> &'static str {
-        "thorup-zwick"
-    }
-
-    fn stretch_bound(&self) -> Option<u64> {
-        // 2k − 1, with k the level count of the labels.
-        self.iter()
-            .map(|s| s.k)
-            .max()
-            .map(|k| (2 * k as u64).saturating_sub(1))
-    }
-}
-
 impl DistanceOracle for Box<dyn DistanceOracle> {
     fn estimate(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
         (**self).estimate(u, v)
@@ -201,19 +169,35 @@ impl DistanceOracle for Box<dyn DistanceOracle> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sketch::Sketch;
+    use crate::scheme::{Layer, SchemeSpec, StoredSketches};
+    use crate::sketch::SketchSet;
 
-    fn tiny_set() -> SketchSet {
-        let mut a = Sketch::new(NodeId(0), 2);
-        a.set_pivot(0, NodeId(0), 0);
-        a.set_pivot(1, NodeId(1), 3);
-        a.insert_bunch(NodeId(0), 0, 0);
-        a.insert_bunch(NodeId(1), 1, 3);
-        let mut b = Sketch::new(NodeId(1), 2);
-        b.set_pivot(0, NodeId(1), 0);
-        b.set_pivot(1, NodeId(1), 0);
-        b.insert_bunch(NodeId(1), 1, 0);
-        SketchSet::new(vec![a, b])
+    /// A two-node Thorup–Zwick set with `k = 2`, served by the per-node
+    /// reference oracle.
+    fn tiny_set() -> StoredSketches {
+        let mut labels = SketchSet::new();
+        labels
+            .push_label(
+                &[Some((NodeId(0), 0)), Some((NodeId(1), 3))],
+                &[(NodeId(0), 0), (NodeId(1), 3)],
+            )
+            .unwrap();
+        labels
+            .push_label(
+                &[Some((NodeId(1), 0)), Some((NodeId(1), 0))],
+                &[(NodeId(1), 0)],
+            )
+            .unwrap();
+        StoredSketches {
+            spec: SchemeSpec::thorup_zwick(2),
+            layers: vec![Layer {
+                sketches: labels,
+                hierarchy: None,
+                net: None,
+                params: None,
+                stats: congest_sim::RunStats::default(),
+            }],
+        }
     }
 
     #[test]
@@ -264,6 +248,7 @@ mod tests {
     fn oracles_are_shareable_across_threads() {
         fn assert_send_sync<T: Send + Sync + ?Sized>() {}
         assert_send_sync::<dyn DistanceOracle>();
+        assert_send_sync::<StoredSketches>();
         assert_send_sync::<SketchSet>();
     }
 
@@ -277,10 +262,11 @@ mod tests {
 
     #[test]
     fn empty_oracle_statistics() {
-        let set = SketchSet::new(vec![]);
+        let mut set = tiny_set();
+        set.layers[0].sketches = SketchSet::new();
         let oracle: &dyn DistanceOracle = &set;
+        assert_eq!(oracle.num_nodes(), 0);
         assert_eq!(oracle.max_words(), 0);
         assert_eq!(oracle.avg_words(), 0.0);
-        assert_eq!(oracle.stretch_bound(), None);
     }
 }

@@ -6,9 +6,15 @@
 //! exchanged over the network (at most `O(D · sketch size)` rounds, Section
 //! 2.1); the `examples/p2p_overlay` binary demonstrates that exchange on the
 //! simulator.
+//!
+//! Both rules take two borrowed [`Label`] views and are the per-node
+//! reference every served answer is held to
+//! ([`StoredSketches`](crate::scheme::StoredSketches) answers with them).
+//! They stay apart from the served kernels of [`crate::flat`] on purpose:
+//! `tests/tests/flat_query.rs` compares the two result for result.
 
 use crate::error::SketchError;
-use crate::sketch::Sketch;
+use crate::sketch::{Label, NO_PIVOT};
 use netgraph::{add_dist, Distance};
 
 /// The Thorup–Zwick query (Lemma 3.2).
@@ -22,11 +28,11 @@ use netgraph::{add_dist, Distance};
 /// Returns [`SketchError::NoCommonLandmark`] if no level produces a common
 /// node (impossible for Thorup–Zwick sketches of a connected graph with a
 /// non-empty top level, but possible for disconnected graphs).
-pub fn estimate_distance(u: &Sketch, v: &Sketch) -> Result<Distance, SketchError> {
+pub fn estimate_distance(u: Label<'_>, v: Label<'_>) -> Result<Distance, SketchError> {
     if u.owner == v.owner {
         return Ok(0);
     }
-    let k = u.k.max(v.k);
+    let k = u.k().max(v.k());
     for i in 0..k {
         // Check both directions at this level and keep the smaller estimate,
         // so the query is symmetric in its two arguments.  (The paper checks
@@ -35,12 +41,12 @@ pub fn estimate_distance(u: &Sketch, v: &Sketch) -> Result<Distance, SketchError
         // improve the estimate and preserves the 2k − 1 bound.)
         let mut best: Option<Distance> = None;
         if let Some((pu, du)) = u.pivot(i) {
-            if let Some(dv) = v.bunch_distance(pu) {
+            if let Some(dv) = v.distance_to(pu) {
                 best = Some(add_dist(du, dv));
             }
         }
         if let Some((pv, dv)) = v.pivot(i) {
-            if let Some(du) = u.bunch_distance(pv) {
+            if let Some(du) = u.distance_to(pv) {
                 let cand = add_dist(dv, du);
                 best = Some(best.map_or(cand, |b| b.min(cand)));
             }
@@ -62,7 +68,7 @@ pub fn estimate_distance(u: &Sketch, v: &Sketch) -> Result<Distance, SketchError
 /// cost of `O(|B(u)| + |B(v)|)` time instead of `O(k)`.  The experiment
 /// harness reports both so the gap between the guaranteed walk and the best
 /// available evidence in the sketches is visible.
-pub fn estimate_distance_best_common(u: &Sketch, v: &Sketch) -> Result<Distance, SketchError> {
+pub fn estimate_distance_best_common(u: Label<'_>, v: Label<'_>) -> Result<Distance, SketchError> {
     if u.owner == v.owner {
         return Ok(0);
     }
@@ -73,18 +79,18 @@ pub fn estimate_distance_best_common(u: &Sketch, v: &Sketch) -> Result<Distance,
     };
     let mut best: Option<Distance> = None;
     // Common bunch members.
-    for &(w, entry) in small.bunch() {
-        if let Some(d_other) = large.bunch_distance(w) {
-            let est = add_dist(entry.distance, d_other);
+    for (w, distance) in small.bunch() {
+        if let Some(d_other) = large.distance_to(w) {
+            let est = add_dist(distance, d_other);
             best = Some(best.map_or(est, |b| b.min(est)));
         }
     }
     // Pivots of one side found in the other side's bunch (the Lemma 3.2
     // candidates), so this is never worse than the level walk.
     for (pivot_side, bunch_side) in [(u, v), (v, u)] {
-        for p in pivot_side.pivots().iter().flatten() {
-            if let Some(d_other) = bunch_side.bunch_distance(p.0) {
-                let est = add_dist(p.1, d_other);
+        for &(p, dp) in pivot_side.pivots.iter().filter(|p| p.0 != NO_PIVOT) {
+            if let Some(d_other) = bunch_side.distance_to(p) {
+                let est = add_dist(dp, d_other);
                 best = Some(best.map_or(est, |b| b.min(est)));
             }
         }
@@ -98,71 +104,90 @@ pub fn estimate_distance_best_common(u: &Sketch, v: &Sketch) -> Result<Distance,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sketch::Sketch;
+    use crate::sketch::SketchSet;
     use netgraph::NodeId;
+
+    /// One hand-built label: its pivot slots and its ascending bunch.
+    type Row<'a> = (&'a [Option<(NodeId, Distance)>], &'a [(NodeId, Distance)]);
+
+    /// Labels of nodes `0..` from `(pivots, bunch)` rows.
+    fn set_of(rows: &[Row<'_>]) -> SketchSet {
+        let mut set = SketchSet::new();
+        for (pivots, bunch) in rows {
+            set.push_label(pivots, bunch).unwrap();
+        }
+        set
+    }
 
     /// Hand-built sketches for a toy metric:
     /// nodes 0, 1 and a "landmark" node 9 with d(0,9)=2, d(1,9)=3, d(0,1)=4.
-    fn toy_pair() -> (Sketch, Sketch) {
-        let mut u = Sketch::new(NodeId(0), 2);
-        u.set_pivot(0, NodeId(0), 0);
-        u.set_pivot(1, NodeId(9), 2);
-        u.insert_bunch(NodeId(0), 0, 0);
-        u.insert_bunch(NodeId(9), 1, 2);
-
-        let mut v = Sketch::new(NodeId(1), 2);
-        v.set_pivot(0, NodeId(1), 0);
-        v.set_pivot(1, NodeId(9), 3);
-        v.insert_bunch(NodeId(1), 0, 0);
-        v.insert_bunch(NodeId(9), 1, 3);
-        (u, v)
+    fn toy_pair() -> SketchSet {
+        set_of(&[
+            (
+                &[Some((NodeId(0), 0)), Some((NodeId(9), 2))],
+                &[(NodeId(0), 0), (NodeId(9), 2)],
+            ),
+            (
+                &[Some((NodeId(1), 0)), Some((NodeId(9), 3))],
+                &[(NodeId(1), 0), (NodeId(9), 3)],
+            ),
+        ])
     }
 
     #[test]
     fn identical_nodes_have_zero_distance() {
-        let (u, _) = toy_pair();
-        assert_eq!(estimate_distance(&u, &u).unwrap(), 0);
-        assert_eq!(estimate_distance_best_common(&u, &u).unwrap(), 0);
+        let set = toy_pair();
+        let u = set.label(NodeId(0));
+        assert_eq!(estimate_distance(u, u).unwrap(), 0);
+        assert_eq!(estimate_distance_best_common(u, u).unwrap(), 0);
     }
 
     #[test]
     fn query_uses_common_pivot() {
-        let (u, v) = toy_pair();
+        let set = toy_pair();
+        let (u, v) = (set.label(NodeId(0)), set.label(NodeId(1)));
         // Common landmark 9: estimate 2 + 3 = 5 >= d(0,1) = 4.
-        assert_eq!(estimate_distance(&u, &v).unwrap(), 5);
-        assert_eq!(estimate_distance(&v, &u).unwrap(), 5);
-        assert_eq!(estimate_distance_best_common(&u, &v).unwrap(), 5);
+        assert_eq!(estimate_distance(u, v).unwrap(), 5);
+        assert_eq!(estimate_distance(v, u).unwrap(), 5);
+        assert_eq!(estimate_distance_best_common(u, v).unwrap(), 5);
     }
 
     #[test]
     fn level_zero_shortcut_when_in_each_others_bunch() {
-        let (mut u, mut v) = toy_pair();
         // If 1 ∈ B(0) and 0 ∈ B(1) with the exact distance, level 0 already
         // answers exactly.
-        u.insert_bunch(NodeId(1), 0, 4);
-        v.insert_bunch(NodeId(0), 0, 4);
-        assert_eq!(estimate_distance(&u, &v).unwrap(), 4);
-        assert_eq!(estimate_distance_best_common(&u, &v).unwrap(), 4);
+        let set = set_of(&[
+            (
+                &[Some((NodeId(0), 0)), Some((NodeId(9), 2))],
+                &[(NodeId(0), 0), (NodeId(1), 4), (NodeId(9), 2)],
+            ),
+            (
+                &[Some((NodeId(1), 0)), Some((NodeId(9), 3))],
+                &[(NodeId(0), 4), (NodeId(1), 0), (NodeId(9), 3)],
+            ),
+        ]);
+        let (u, v) = (set.label(NodeId(0)), set.label(NodeId(1)));
+        assert_eq!(estimate_distance(u, v).unwrap(), 4);
+        assert_eq!(estimate_distance_best_common(u, v).unwrap(), 4);
     }
 
     #[test]
     fn best_common_can_beat_level_walk() {
         // Build sketches where the level walk stops at a worse pivot than the
         // best common bunch member.
-        let mut u = Sketch::new(NodeId(0), 3);
-        u.set_pivot(0, NodeId(0), 0);
-        u.set_pivot(1, NodeId(5), 10);
-        u.insert_bunch(NodeId(5), 1, 10);
-        u.insert_bunch(NodeId(6), 1, 1);
-
-        let mut v = Sketch::new(NodeId(1), 3);
-        v.set_pivot(0, NodeId(1), 0);
-        v.set_pivot(1, NodeId(5), 10);
-        v.insert_bunch(NodeId(5), 1, 10);
-        v.insert_bunch(NodeId(6), 1, 2);
-
-        let walk = estimate_distance(&u, &v).unwrap();
-        let best = estimate_distance_best_common(&u, &v).unwrap();
+        let set = set_of(&[
+            (
+                &[Some((NodeId(0), 0)), Some((NodeId(5), 10)), None],
+                &[(NodeId(5), 10), (NodeId(6), 1)],
+            ),
+            (
+                &[Some((NodeId(1), 0)), Some((NodeId(5), 10)), None],
+                &[(NodeId(5), 10), (NodeId(6), 2)],
+            ),
+        ]);
+        let (u, v) = (set.label(NodeId(0)), set.label(NodeId(1)));
+        let walk = estimate_distance(u, v).unwrap();
+        let best = estimate_distance_best_common(u, v).unwrap();
         assert_eq!(walk, 20);
         assert_eq!(best, 3);
         assert!(best <= walk);
@@ -170,24 +195,33 @@ mod tests {
 
     #[test]
     fn disjoint_sketches_report_no_common_landmark() {
-        let mut u = Sketch::new(NodeId(0), 1);
-        u.set_pivot(0, NodeId(0), 0);
-        u.insert_bunch(NodeId(0), 0, 0);
-        let mut v = Sketch::new(NodeId(1), 1);
-        v.set_pivot(0, NodeId(1), 0);
-        v.insert_bunch(NodeId(1), 0, 0);
+        let set = set_of(&[
+            (&[Some((NodeId(0), 0))], &[(NodeId(0), 0)]),
+            (&[Some((NodeId(1), 0))], &[(NodeId(1), 0)]),
+        ]);
+        let (u, v) = (set.label(NodeId(0)), set.label(NodeId(1)));
         assert!(matches!(
-            estimate_distance(&u, &v),
+            estimate_distance(u, v),
             Err(SketchError::NoCommonLandmark { .. })
         ));
-        assert!(estimate_distance_best_common(&u, &v).is_err());
+        assert!(estimate_distance_best_common(u, v).is_err());
     }
 
     #[test]
     fn asymmetric_k_values_are_handled() {
-        let (u, mut v) = toy_pair();
-        // Give v an extra empty level; the query must still find level 1.
-        v.k = 3;
-        assert_eq!(estimate_distance(&u, &v).unwrap(), 5);
+        // v has an extra empty level; the query must still find level 1.
+        let set = set_of(&[
+            (
+                &[Some((NodeId(0), 0)), Some((NodeId(9), 2))],
+                &[(NodeId(0), 0), (NodeId(9), 2)],
+            ),
+            (
+                &[Some((NodeId(1), 0)), Some((NodeId(9), 3)), None],
+                &[(NodeId(1), 0), (NodeId(9), 3)],
+            ),
+        ]);
+        let (u, v) = (set.label(NodeId(0)), set.label(NodeId(1)));
+        assert_eq!(v.k(), 3);
+        assert_eq!(estimate_distance(u, v).unwrap(), 5);
     }
 }

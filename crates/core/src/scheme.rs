@@ -39,13 +39,13 @@
 //! ```
 
 use crate::build;
-use crate::codec::{collect_sketches, keep_stored, read_family, write_family, CodecError, Decoder};
+use crate::codec::{keep_stored, read_family, write_family, CodecError, Decoder};
 use crate::distributed::{self, SyncMode};
 use crate::error::SketchError;
 use crate::hierarchy::{Hierarchy, TzParams};
 use crate::oracle::{check_nodes, DistanceOracle};
 use crate::query::{estimate_distance, estimate_distance_best_common};
-use crate::sketch::{Sketch, SketchSet};
+use crate::sketch::{Label, SketchSet};
 use crate::slack::cdg::{self, CdgParams};
 use crate::slack::degrading::DegradingParams;
 use crate::slack::density_net::DensityNet;
@@ -205,12 +205,11 @@ pub type DynBuildOutcome = BuildOutcome<Box<dyn DistanceOracle>>;
 /// one level over (3-stretch, Theorem 4.3 — CDG at `k = 1`, whose
 /// one-level hierarchy the net already is), or the net with the hierarchy
 /// restricted to it and the parameters it was sampled with (CDG, Lemma
-/// 4.5; each gracefully degrading layer).  Generic over its label set like
-/// [`StoredSketches`].
+/// 4.5; each gracefully degrading layer).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Layer<S = SketchSet> {
+pub struct Layer {
     /// The per-node labels.
-    pub sketches: S,
+    pub sketches: SketchSet,
     /// The sampled level hierarchy (Thorup–Zwick, CDG).
     pub hierarchy: Option<Hierarchy>,
     /// The sampled ε-density net (3-stretch, CDG).
@@ -230,16 +229,12 @@ pub struct Layer<S = SketchSet> {
 /// to: the Lemma 3.2 level walk on a Thorup–Zwick set's layer, and for the
 /// slack families the best common landmark, minimum over the layers
 /// (Theorem 4.8 over several).
-///
-/// Generic over its label sets: per-node [`SketchSet`]s (the default, what
-/// builds produce), or what a decoder makes of the rows the codec's family
-/// reader hands it (see [`crate::codec`], "Family payloads").
 #[derive(Debug, Clone, PartialEq)]
-pub struct StoredSketches<S = SketchSet> {
+pub struct StoredSketches {
     /// The scheme the layers were built for.
     pub spec: SchemeSpec,
     /// The layers, in the order the payload stores them.
-    pub layers: Vec<Layer<S>>,
+    pub layers: Vec<Layer>,
 }
 
 impl StoredSketches {
@@ -253,18 +248,17 @@ impl StoredSketches {
         write_family(self)
     }
 
-    /// Decode the family payload of `spec`'s scheme into per-node sketches:
-    /// the map-side twin of
-    /// [`FlatSketchSet::from_family_bytes`](crate::flat::FlatSketchSet::from_family_bytes),
-    /// reading through the same family reader (see [`crate::codec`],
-    /// "Family payloads"), so the two accept the same bytes and refuse the
-    /// rest with the same [`CodecError`].  The one contract no row or layer
-    /// can break alone — a node holds each landmark at one distance over
-    /// all its layers — is the merge's, so a multi-layer set is frozen
-    /// here, and the frozen value dropped, to ask it.
+    /// Decode the family payload of `spec`'s scheme into its layers — the
+    /// codec's one decoder (see [`crate::codec`], "Family payloads"), which
+    /// [`FlatSketchSet::from_family_bytes`](crate::flat::FlatSketchSet::from_family_bytes)
+    /// runs too, so the two accept the same bytes and refuse the rest with
+    /// the same [`CodecError`].  The one contract no row or layer can break
+    /// alone — a node holds each landmark at one distance over all its
+    /// layers — is the merge's, so a multi-layer set is frozen here, and
+    /// the frozen value dropped, to ask it.
     pub fn decode_payload(spec: &SchemeSpec, bytes: &[u8]) -> Result<Self, CodecError> {
         let mut input = Decoder::new(bytes);
-        let sketches = read_family(spec, &mut input, collect_sketches)?;
+        let sketches = read_family(spec, &mut input)?;
         input.finish()?;
         if sketches.layers.len() > 1 {
             sketches.freeze()?;
@@ -276,8 +270,8 @@ impl StoredSketches {
 impl DistanceOracle for StoredSketches {
     fn estimate(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
         check_nodes(self.num_nodes(), u, v)?;
-        let answer = |layer: &Layer, rule: fn(&Sketch, &Sketch) -> _| {
-            rule(layer.sketches.sketch(u), layer.sketches.sketch(v))
+        let answer = |layer: &Layer, rule: fn(Label<'_>, Label<'_>) -> _| {
+            rule(layer.sketches.label(u), layer.sketches.label(v))
         };
         if let (SchemeSpec::ThorupZwick { .. }, [layer]) = (self.spec, self.layers.as_slice()) {
             return answer(layer, estimate_distance);
@@ -302,7 +296,7 @@ impl DistanceOracle for StoredSketches {
     fn words(&self, u: NodeId) -> usize {
         self.layers
             .iter()
-            .map(|l| l.sketches.sketch(u).words())
+            .map(|l| l.sketches.label(u).words())
             .sum()
     }
 
@@ -471,7 +465,7 @@ impl SchemeSpec {
     ///   `degrading:k=4`, `degrading:layers=3`, `degrading:k=4,layers=3`
     ///
     /// Unrecognized scheme names and malformed parameters — a degrading cap
-    /// of zero included — are rejected with
+    /// of zero, or one given twice, included — are rejected with
     /// [`SketchError::InvalidParameters`] whose message names the offending
     /// token and lists the valid scheme forms; every spec's [`Display`] form
     /// parses back to the same spec.
@@ -557,20 +551,26 @@ impl SchemeSpec {
                 };
                 let (mut max_layers, mut max_k) = (None, None);
                 for part in args.into_iter().flat_map(|a| a.split(',')) {
-                    match part.trim().split_once('=') {
-                        Some(("k", v)) => max_k = cap("k cap", v)?,
-                        Some(("layers", v)) => max_layers = cap("layer cap", v)?,
+                    let (slot, what, raw) = match part.trim().split_once('=') {
+                        Some(("k", v)) => (&mut max_k, "k cap", v),
+                        Some(("layers", v)) => (&mut max_layers, "layer cap", v),
                         // Bare integer: the `degrading:4` shorthand for k.
-                        None if part.trim().parse::<usize>().is_ok() => {
-                            max_k = cap("k cap", part)?
-                        }
+                        None if part.trim().parse::<usize>().is_ok() => (&mut max_k, "k cap", part),
                         None => {
                             return Err(invalid(format!("invalid option '{}' for scheme 'degrading': expected k=<k>, layers=<l>, or a bare integer cap for k", part.trim())))
                         }
                         Some((key, _)) => {
                             return Err(invalid(format!("unknown option '{key}' for scheme 'degrading': expected k=<k> or layers=<l>")))
                         }
+                    };
+                    // The last of two values must not silently win.
+                    if slot.is_some() {
+                        return Err(invalid(format!(
+                            "{what} given twice for scheme 'degrading' (again as '{}')",
+                            part.trim()
+                        )));
                     }
+                    *slot = cap(what, raw)?;
                 }
                 Ok(SchemeSpec::Degrading { max_layers, max_k })
             }
@@ -668,7 +668,7 @@ impl SchemeSpec {
         config: &SchemeConfig,
     ) -> Result<DynBuildOutcome, SketchError> {
         let outcome = self.build_sketches(graph, config)?;
-        let frozen = outcome.sketches.freeze().map_err(|e| {
+        let frozen = outcome.sketches.into_frozen().map_err(|e| {
             SketchError::InvalidParameters(format!(
                 "{self}: the built labels cannot be served: {e}"
             ))
@@ -840,10 +840,10 @@ mod tests {
             let table = netgraph::apsp::DistanceTable::exact(graph);
             let net = layer.net.as_ref().expect("a density net");
             for u in graph.nodes() {
-                let sketch = layer.sketches.sketch(u);
+                let label = layer.sketches.label(u);
                 for &w in net.members() {
                     let want = Some(table.distance(u, w));
-                    assert_eq!(sketch.bunch_distance(w), want, "{engine:?}");
+                    assert_eq!(label.distance_to(w), want, "{engine:?}");
                 }
             }
         });
@@ -854,7 +854,7 @@ mod tests {
     fn three_stretch_sketch_size_tracks_net_size() {
         for_each_three_stretch_layer(|_, layer, engine| {
             let net = layer.net.as_ref().expect("a density net");
-            let max_words = layer.sketches.max_words();
+            let max_words = layer.sketches.labels().map(|l| l.words()).max().unwrap();
             assert!(max_words <= 2 * net.len() + 2, "{engine:?}: {max_words}");
             assert!(max_words >= net.len(), "{engine:?}: {max_words}");
         });
@@ -1027,6 +1027,9 @@ mod tests {
                 "degrading:layers=0",
                 "invalid layer cap '0' for scheme 'degrading'",
             ),
+            ("degrading:k=4,k=5", "k cap given twice"),
+            ("degrading:4,k=2", "k cap given twice"),
+            ("degrading:layers=2,layers=3", "layer cap given twice"),
         ];
         for (input, fragment) in cases {
             let message = SchemeSpec::parse(input).unwrap_err().to_string();

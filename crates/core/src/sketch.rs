@@ -1,12 +1,10 @@
-//! The sketch (label) data structure `L(u)`.
+//! The sketch (label) data structure `L(u)`, and the one value a set of
+//! labels is from engine to wire.
 //!
 //! Section 3.1: the label of `u` consists of the pivots `p_i(u)` for
 //! `0 ≤ i ≤ k − 1`, the bunch `B(u) = ∪_i B_i(u)`, and the distances from `u`
-//! to all of these nodes.  [`Sketch`] stores exactly that, plus the level of
-//! each bunch member (a single extra word that both the centralized and
-//! distributed constructions know anyway), and reports its size in CONGEST
-//! words using the same accounting as the paper (one word per node id, one
-//! word per distance).
+//! to all of these nodes.  Its size is counted in CONGEST words with the
+//! paper's accounting: one word per node id, one word per distance.
 //!
 //! # Tie-breaking
 //!
@@ -19,18 +17,34 @@
 //!
 //! # Storage
 //!
-//! The bunch is one sorted run: a `Vec<(NodeId, BunchEntry)>` strictly
-//! ascending by node id.  Both engines hand it over whole
-//! (`Sketch::from_sorted_parts`): the direct engine ([`crate::build`])
-//! produces every row already in that order, and the CONGEST programs end
-//! with per-phase tables that are sorted runs ([`crate::distributed`]);
-//! so does the codec, whose gap-coded rows can only be ascending.
-//! Whatever learns members one at a time (the sketch exchange, the direct
-//! 3-stretch build, tests) goes through
-//! [`Sketch::insert_bunch`], which keeps the run sorted by binary search.
-//! Readers — the queries, [`crate::flat`]'s freeze, the codec — walk or
-//! binary-search the slice.
+//! A [`SketchSet`] is every label of one layer in CSR form — per-node
+//! offsets into four contiguous columns:
+//!
+//! ```text
+//!   offsets ─┐ (pivot offset, bunch offset) per node
+//!            ▼
+//!   pivots       [(p₀(0), d) (p₁(0), d) … | (p₀(1), d) … ]   (NO_PIVOT, ∞) where a level has none
+//!   bunch_nodes  [sorted ids of B(0) | B(1) | …]
+//!   bunch_dists  [matching distances          …]
+//! ```
+//!
+//! That is the one shape a label has: both engines write it
+//! ([`crate::build`]'s transpose fills the columns straight from the
+//! clusters; the CONGEST programs append each finished row once), the
+//! codec encodes it and decodes into it, and a Thorup–Zwick set is served
+//! as it is ([`crate::flat`]).  A membership probe is a binary search over
+//! one contiguous `u32` slice.
+//!
+//! A bunch stores no levels: a member of `B_i(u)` lies in `A_i \ A_{i+1}`,
+//! so its level is the one its layer's hierarchy samples it to — the codec
+//! derives it there, and the decoder refuses any other.  [`Label`] is a
+//! borrowed view of one node's label, what the queries of [`crate::query`]
+//! take.
 
+#![deny(clippy::as_conversions)]
+
+use crate::cast;
+use crate::error::SketchError;
 use netgraph::{Distance, NodeId, INFINITY};
 
 /// Lexicographic `(distance, node)` key used for consistent tie-breaking.
@@ -60,221 +74,285 @@ impl DistKey {
     }
 }
 
-/// One entry of a bunch: a node `w ∈ B(u)` together with its hierarchy level
-/// and the exact distance `d(u, w)`.
+/// The node a pivot slot names when its level has no pivot (`A_i`
+/// unreachable or empty); such a slot is `(NO_PIVOT, INFINITY)`.  No node
+/// of a set has this id: a set covers at most `u32::MAX` nodes.
+pub const NO_PIVOT: NodeId = NodeId(u32::MAX);
+
+/// One node's label, borrowed from a [`SketchSet`]'s columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BunchEntry {
-    /// The level `i` such that `w ∈ B_i(u)`.
-    pub level: u32,
-    /// The exact distance `d(u, w)`.
-    pub distance: Distance,
-}
-
-/// The Thorup–Zwick label `L(u)` of one node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Sketch {
-    /// The node this sketch belongs to.
+pub struct Label<'a> {
+    /// The node the label belongs to.
     pub owner: NodeId,
-    /// Number of levels `k`.
-    pub k: usize,
-    /// `pivots[i]` is `(p_i(u), d(u, p_i(u)))`, or `None` when `A_i` is
-    /// unreachable/empty (can only happen on disconnected graphs or when the
-    /// sampled `A_i` is empty).
-    pivots: Vec<Option<(NodeId, Distance)>>,
-    /// The bunch `B(u)` with levels and distances, strictly ascending by
-    /// node id.
-    bunch: Vec<(NodeId, BunchEntry)>,
+    /// One `(p_i(u), d(u, p_i(u)))` slot per level, so `pivots.len()` is the
+    /// label's `k`; `(NO_PIVOT, INFINITY)` where the level has none.
+    pub pivots: &'a [(NodeId, Distance)],
+    /// The bunch `B(u)`, strictly ascending by node id.
+    pub bunch_nodes: &'a [NodeId],
+    /// The exact distance `d(u, w)` to each bunch member, parallel to
+    /// `bunch_nodes`.
+    pub bunch_dists: &'a [Distance],
 }
 
-impl Sketch {
-    /// Create an empty sketch for `owner` with `k` levels.
-    pub fn new(owner: NodeId, k: usize) -> Self {
-        Sketch {
-            owner,
-            k,
-            pivots: vec![None; k],
-            bunch: Vec::new(),
-        }
+impl<'a> Label<'a> {
+    /// Number of levels `k`.
+    pub fn k(&self) -> usize {
+        self.pivots.len()
     }
 
-    /// Assemble a sketch from finished parts: one pivot slot per level and
-    /// a bunch that is already strictly ascending by node id.
-    pub(crate) fn from_sorted_parts(
-        owner: NodeId,
-        pivots: Vec<Option<(NodeId, Distance)>>,
-        bunch: Vec<(NodeId, BunchEntry)>,
-    ) -> Self {
-        debug_assert!(
-            bunch.windows(2).all(|pair| pair[0].0 < pair[1].0),
-            "bunch of {owner} is not strictly ascending"
-        );
-        Sketch {
-            owner,
-            k: pivots.len(),
-            pivots,
-            bunch,
-        }
-    }
-
-    /// Set pivot `p_i(u)` and its distance.
-    pub fn set_pivot(&mut self, level: usize, pivot: NodeId, distance: Distance) {
-        assert!(
-            level < self.k,
-            "pivot level {level} out of range (k = {})",
-            self.k
-        );
-        self.pivots[level] = Some((pivot, distance));
-    }
-
-    /// The pivot at `level`, if known.
+    /// The pivot at `level`, if that level has one.
     pub fn pivot(&self, level: usize) -> Option<(NodeId, Distance)> {
-        self.pivots.get(level).copied().flatten()
+        self.pivots
+            .get(level)
+            .copied()
+            .filter(|&(pivot, _)| pivot != NO_PIVOT)
     }
 
-    /// All pivots, one slot per level.
-    pub fn pivots(&self) -> &[Option<(NodeId, Distance)>] {
-        &self.pivots
-    }
-
-    /// Insert (or improve) a bunch entry.
+    /// Distance to `w` if `w ∈ B(u)`: a binary search over the key column
+    /// alone, touching the distances on a hit only.
     ///
-    /// A strictly smaller distance replaces the entry outright.  On a
-    /// distance **tie** the lowest level wins, so the stored level is
-    /// deterministic regardless of insertion order — the centralized,
-    /// simulated and parallel constructions may discover the same member
-    /// through different levels in different orders, and the sketch must
-    /// not depend on which insertion happened last.
-    pub fn insert_bunch(&mut self, node: NodeId, level: u32, distance: Distance) {
-        // Ascending insertion — folding a sorted table — lands at the tail
-        // without a search.
-        let slot = if self.bunch.last().is_none_or(|&(last, _)| last < node) {
-            Err(self.bunch.len())
-        } else {
-            self.search(node)
-        };
-        match slot {
-            Ok(index) => {
-                let entry = &mut self.bunch[index].1;
-                if distance < entry.distance {
-                    *entry = BunchEntry { level, distance };
-                } else if distance == entry.distance {
-                    entry.level = entry.level.min(level);
-                }
-            }
-            Err(index) => self
-                .bunch
-                .insert(index, (node, BunchEntry { level, distance })),
+    /// (Alternatives measured and rejected — the number to beat is
+    /// `dsketch-benchmark`'s `core.flat.estimate_ns` row: two hand-rolled
+    /// "branchless" binary searches, a blocked two-level search with
+    /// per-node separators, and a vectorizable linear counting scan — every
+    /// one lost to plain `slice::binary_search` by 2-3× on realistic bunch
+    /// sizes.)
+    #[inline]
+    pub fn distance_to(&self, w: NodeId) -> Option<Distance> {
+        match self.bunch_nodes.binary_search(&w) {
+            Ok(i) => Some(self.bunch_dists[i]),
+            Err(_) => None,
         }
     }
 
-    /// Where `node` sits in the sorted bunch (`Ok`), or where it would be
-    /// inserted (`Err`).
-    fn search(&self, node: NodeId) -> Result<usize, usize> {
-        self.bunch
-            .binary_search_by_key(&node, |&(member, _)| member)
-    }
-
-    /// The bunch entry of `node`, if `node ∈ B(u)`.
-    pub fn bunch_entry(&self, node: NodeId) -> Option<BunchEntry> {
-        self.search(node).ok().map(|index| self.bunch[index].1)
-    }
-
-    /// Distance to `node` if it is in the bunch.
-    pub fn bunch_distance(&self, node: NodeId) -> Option<Distance> {
-        self.bunch_entry(node).map(|e| e.distance)
-    }
-
-    /// True if `node ∈ B(u)`.
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.bunch_entry(node).is_some()
-    }
-
-    /// The whole bunch, strictly ascending by node id.
-    pub fn bunch(&self) -> &[(NodeId, BunchEntry)] {
-        &self.bunch
-    }
-
-    /// Members of `B_i(u)` for a particular level `i`.
-    pub fn bunch_at_level(&self, level: u32) -> impl Iterator<Item = (NodeId, Distance)> + '_ {
-        self.bunch
+    /// The bunch as `(member, distance)` pairs, ascending by member.
+    pub fn bunch(&self) -> impl Iterator<Item = (NodeId, Distance)> + 'a {
+        self.bunch_nodes
             .iter()
-            .filter(move |(_, e)| e.level == level)
-            .map(|&(n, e)| (n, e.distance))
+            .copied()
+            .zip(self.bunch_dists.iter().copied())
     }
 
     /// Number of bunch entries `|B(u)|`.
     pub fn bunch_size(&self) -> usize {
-        self.bunch.len()
+        self.bunch_nodes.len()
     }
 
     /// Size of the label in CONGEST words, using the paper's accounting: one
-    /// id word plus one distance word per pivot, and the same per bunch
-    /// entry.
+    /// id word plus one distance word per present pivot, and the same per
+    /// bunch entry.
     pub fn words(&self) -> usize {
-        let pivot_words = 2 * self.pivots.iter().filter(|p| p.is_some()).count();
-        let bunch_words = 2 * self.bunch.len();
-        pivot_words + bunch_words
+        2 * present_pivots(self.pivots) + 2 * self.bunch_nodes.len()
     }
 
-    /// Sanity-check the internal invariants (used by tests and debug builds):
-    /// pivot distances are consistent with bunch entries when the pivot is in
-    /// the bunch, and bunch levels are below `k`.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        for (level, p) in self.pivots.iter().enumerate() {
-            if let Some((node, dist)) = p {
-                if let Some(e) = self.bunch_entry(*node) {
-                    if e.distance > *dist {
-                        return Err(format!(
-                            "pivot {node} at level {level} has distance {dist} but bunch says {}",
-                            e.distance
-                        ));
-                    }
-                }
-            }
-        }
-        for (node, e) in &self.bunch {
-            if e.level as usize >= self.k {
-                return Err(format!(
-                    "bunch member {node} has level {} >= k {}",
-                    e.level, self.k
-                ));
-            }
-        }
-        Ok(())
+    /// Touch the start, middle and end of the bunch key run — for typical
+    /// bunch sizes that is every cache line a coming binary search can
+    /// probe — so the lines are all in flight, in parallel, before they
+    /// are needed.  `black_box` keeps the otherwise-dead loads alive.
+    #[inline]
+    pub(crate) fn warm(&self) {
+        let nodes = self.bunch_nodes;
+        std::hint::black_box((
+            nodes.first().copied(),
+            nodes.get(nodes.len() / 2).copied(),
+            nodes.last().copied(),
+        ));
     }
 }
 
-/// The collection of sketches for every node of a network.
+/// Pivot slots of one row that hold a pivot.
+pub(crate) fn present_pivots(row: &[(NodeId, Distance)]) -> usize {
+    row.iter().filter(|&&(p, _)| p != NO_PIVOT).count()
+}
+
+/// `len` as a column offset.
+#[expect(
+    clippy::expect_used,
+    reason = "capacity contract — label sets over u32::MAX entries are unrepresentable by design; the decoder refuses larger totals"
+)]
+pub(crate) fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("label columns exceed the u32 offset range")
+}
+
+/// The labels of every node of a network, in CSR form (see the
+/// [module docs](self)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SketchSet {
-    sketches: Vec<Sketch>,
+    /// `len() + 1` entries of `(pivot offset, bunch offset)`: node `u`'s
+    /// pivot slots are `offsets[u].0..offsets[u + 1].0` (one per level, so
+    /// per-node `k` may differ) and its bunch is
+    /// `offsets[u].1..offsets[u + 1].1`.  One array for both, so resolving
+    /// a node's two ranges is a single pair of adjacent loads.
+    pub(crate) offsets: Vec<(u32, u32)>,
+    /// `(pivot node, distance)` per level slot, `(NO_PIVOT, INFINITY)` where
+    /// the level has none.
+    pub(crate) pivots: Vec<(NodeId, Distance)>,
+    /// Bunch members, strictly ascending within each node's range.
+    pub(crate) bunch_nodes: Vec<NodeId>,
+    /// Exact distance to each bunch member, parallel to `bunch_nodes`.
+    pub(crate) bunch_dists: Vec<Distance>,
+}
+
+impl Default for SketchSet {
+    fn default() -> Self {
+        SketchSet::new()
+    }
 }
 
 impl SketchSet {
-    /// Build from per-node sketches (indexed by node id).
-    pub fn new(sketches: Vec<Sketch>) -> Self {
-        SketchSet { sketches }
+    /// A set of no labels; [`SketchSet::push_label`] appends them.
+    pub fn new() -> Self {
+        SketchSet::with_capacity(0, 0, 0)
+    }
+
+    /// An empty set whose columns are sized, once, for this much.
+    pub(crate) fn with_capacity(nodes: usize, pivot_slots: usize, bunch_entries: usize) -> Self {
+        let mut offsets = Vec::with_capacity(nodes + 1);
+        offsets.push((0, 0));
+        SketchSet {
+            offsets,
+            pivots: Vec::with_capacity(pivot_slots),
+            bunch_nodes: Vec::with_capacity(bunch_entries),
+            bunch_dists: Vec::with_capacity(bunch_entries),
+        }
+    }
+
+    /// Append the label of node `len()`: one pivot slot per level (`None`
+    /// where the level has none) and its bunch, which must be strictly
+    /// ascending by node id — refused otherwise, with nothing appended.
+    pub fn push_label(
+        &mut self,
+        pivots: &[Option<(NodeId, Distance)>],
+        bunch: &[(NodeId, Distance)],
+    ) -> Result<(), SketchError> {
+        if let Some(pair) = bunch.windows(2).find(|pair| pair[0].0 >= pair[1].0) {
+            return Err(SketchError::InvalidParameters(format!(
+                "the bunch of {} is not strictly ascending: {} before {}",
+                NodeId::from_index(self.len()),
+                pair[0].0,
+                pair[1].0
+            )));
+        }
+        self.pivots
+            .extend(pivots.iter().map(|p| p.unwrap_or((NO_PIVOT, INFINITY))));
+        self.bunch_nodes.extend(bunch.iter().map(|&(w, _)| w));
+        self.bunch_dists.extend(bunch.iter().map(|&(_, d)| d));
+        self.seal_label();
+        Ok(())
+    }
+
+    /// Close the label whose slots and entries were appended last.
+    pub(crate) fn seal_label(&mut self) {
+        let end = (offset(self.pivots.len()), offset(self.bunch_nodes.len()));
+        self.offsets.push(end);
     }
 
     /// Number of nodes covered.
     pub fn len(&self) -> usize {
-        self.sketches.len()
+        self.offsets.len().saturating_sub(1)
     }
 
     /// True if the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.sketches.is_empty()
+        self.len() == 0
     }
 
-    /// The sketch of `node`.
-    pub fn sketch(&self, node: NodeId) -> &Sketch {
-        &self.sketches[node.index()]
+    /// The label of `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not one of the set's nodes.
+    #[inline]
+    pub fn label(&self, node: NodeId) -> Label<'_> {
+        let u = node.index();
+        let (pivot_start, bunch_start) = self.offsets[u];
+        let (pivot_end, bunch_end) = self.offsets[u + 1];
+        let range = |start, end| cast::usize_from_u32(start)..cast::usize_from_u32(end);
+        let bunch = range(bunch_start, bunch_end);
+        Label {
+            owner: node,
+            pivots: &self.pivots[range(pivot_start, pivot_end)],
+            bunch_nodes: &self.bunch_nodes[bunch.clone()],
+            bunch_dists: &self.bunch_dists[bunch],
+        }
     }
 
-    /// Iterator over all sketches in node order.  (Label-size totals are
-    /// the set's [`DistanceOracle`](crate::oracle::DistanceOracle) methods.)
-    pub fn iter(&self) -> impl Iterator<Item = &Sketch> {
-        self.sketches.iter()
+    /// Every label, in node order.
+    pub fn labels(&self) -> impl Iterator<Item = Label<'_>> {
+        (0..self.len()).map(|u| self.label(NodeId::from_index(u)))
+    }
+
+    /// Bunch entries over all labels.
+    pub fn bunch_entries(&self) -> usize {
+        self.bunch_nodes.len()
+    }
+
+    /// Check the structural invariants the queries rely on: the offsets
+    /// start at `(0, 0)`, never decrease and end at the column lengths, the
+    /// bunch columns are parallel, and every label has `k ≥ 1` and a
+    /// strictly ascending bunch (the binary-search contract).  What the
+    /// labels say — pivot rows, levels — is the codec's to check.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        ensure(
+            self.offsets.first() == Some(&(0, 0)),
+            "offset array does not start at (0, 0)".to_string(),
+        )?;
+        ensure(
+            self.bunch_nodes.len() == self.bunch_dists.len(),
+            format!(
+                "{} bunch keys but {} bunch distances",
+                self.bunch_nodes.len(),
+                self.bunch_dists.len()
+            ),
+        )?;
+        for (node, pair) in self.offsets.windows(2).enumerate() {
+            let (pivot_lo, bunch_lo) = pair[0];
+            let (pivot_hi, bunch_hi) = pair[1];
+            ensure(
+                pivot_lo <= pivot_hi && bunch_lo <= bunch_hi,
+                format!("offsets decrease at node {node}"),
+            )?;
+            ensure(
+                pivot_lo < pivot_hi,
+                format!("node {node} has an empty pivot row (k = 0)"),
+            )?;
+            ensure(
+                cast::usize_from_u32(pivot_hi) <= self.pivots.len()
+                    && cast::usize_from_u32(bunch_hi) <= self.bunch_nodes.len(),
+                format!("offsets of node {node} point past the end of the arrays"),
+            )?;
+            let bunch = self.label(NodeId::from_index(node)).bunch_nodes;
+            ensure(
+                bunch.windows(2).all(|w| w[0] < w[1]),
+                format!("bunch of node {node} is not strictly ascending"),
+            )?;
+        }
+        let last = self.offsets[self.len()];
+        ensure(
+            cast::usize_from_u32(last.0) == self.pivots.len(),
+            format!(
+                "offsets terminate at pivot {} but {} pivot slots exist",
+                last.0,
+                self.pivots.len()
+            ),
+        )?;
+        ensure(
+            cast::usize_from_u32(last.1) == self.bunch_nodes.len(),
+            format!(
+                "offsets terminate at bunch {} but {} bunch entries exist",
+                last.1,
+                self.bunch_nodes.len()
+            ),
+        )
+    }
+}
+
+/// `Err(message)` unless `ok`: one line of a `check_invariants`.
+pub(crate) fn ensure(ok: bool, message: String) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(message)
     }
 }
 
@@ -296,150 +374,118 @@ mod tests {
 
     #[test]
     fn sketch_pivot_and_bunch_basics() {
-        let mut s = Sketch::new(NodeId(7), 3);
-        assert_eq!(s.owner, NodeId(7));
-        assert_eq!(s.pivot(0), None);
-        s.set_pivot(0, NodeId(7), 0);
-        s.set_pivot(2, NodeId(3), 12);
-        assert_eq!(s.pivot(0), Some((NodeId(7), 0)));
-        assert_eq!(s.pivot(2), Some((NodeId(3), 12)));
+        let mut set = SketchSet::new();
+        let pivots = [Some((NodeId(0), 0)), None, Some((NodeId(3), 12))];
+        set.push_label(&pivots, &[(NodeId(0), 0), (NodeId(3), 12), (NodeId(4), 7)])
+            .unwrap();
+        let s = set.label(NodeId(0));
+        assert_eq!(s.owner, NodeId(0));
+        assert_eq!(s.k(), 3);
+        assert_eq!(s.pivot(0), Some((NodeId(0), 0)));
         assert_eq!(s.pivot(1), None);
-        assert_eq!(s.pivots().len(), 3);
-
-        s.insert_bunch(NodeId(7), 0, 0);
-        s.insert_bunch(NodeId(4), 1, 9);
-        s.insert_bunch(NodeId(4), 1, 7); // improvement kept
-        s.insert_bunch(NodeId(4), 1, 11); // regression ignored
-        assert_eq!(s.bunch_distance(NodeId(4)), Some(7));
-        assert!(s.contains(NodeId(4)));
-        assert!(!s.contains(NodeId(5)));
-        assert_eq!(s.bunch_size(), 2);
-        let level1: Vec<_> = s.bunch_at_level(1).collect();
-        assert_eq!(level1, vec![(NodeId(4), 7)]);
+        assert_eq!(s.pivot(2), Some((NodeId(3), 12)));
+        assert_eq!(s.pivot(3), None);
+        assert_eq!(s.pivots[1], (NO_PIVOT, INFINITY));
+        assert_eq!(s.distance_to(NodeId(4)), Some(7));
+        assert_eq!(s.distance_to(NodeId(5)), None);
+        assert_eq!(s.bunch_size(), 3);
+        let bunch: Vec<_> = s.bunch().collect();
+        assert_eq!(bunch, vec![(NodeId(0), 0), (NodeId(3), 12), (NodeId(4), 7)]);
+        assert_eq!(set.check_invariants(), Ok(()));
     }
 
     #[test]
-    fn bunch_distance_ties_keep_the_lowest_level() {
-        // The same member at the same distance, inserted through different
-        // levels in both orders: the stored level must be the minimum
-        // either way (insertion order must not leak into the sketch).
-        let mut ascending = Sketch::new(NodeId(0), 3);
-        ascending.insert_bunch(NodeId(4), 0, 7);
-        ascending.insert_bunch(NodeId(4), 2, 7);
-        let mut descending = Sketch::new(NodeId(0), 3);
-        descending.insert_bunch(NodeId(4), 2, 7);
-        descending.insert_bunch(NodeId(4), 0, 7);
-        for sketch in [&ascending, &descending] {
-            assert_eq!(sketch.bunch_entry(NodeId(4)).unwrap().level, 0);
-            assert_eq!(sketch.bunch_distance(NodeId(4)), Some(7));
+    fn a_label_push_refuses_a_bunch_out_of_order() {
+        let mut set = SketchSet::new();
+        for bunch in [
+            [(NodeId(4), 1), (NodeId(2), 1)],
+            [(NodeId(4), 1), (NodeId(4), 2)],
+        ] {
+            let err = set.push_label(&[None], &bunch).unwrap_err();
+            assert!(err.to_string().contains("not strictly ascending"), "{err}");
         }
-        assert_eq!(ascending, descending);
-        // A strictly smaller distance still replaces the level outright.
-        let mut improved = descending.clone();
-        improved.insert_bunch(NodeId(4), 1, 6);
-        assert_eq!(improved.bunch_entry(NodeId(4)).unwrap().level, 1);
-        assert_eq!(improved.bunch_distance(NodeId(4)), Some(6));
-    }
-
-    #[test]
-    fn bunch_is_one_sorted_run_whatever_the_insertion_order() {
-        let members = [9u32, 2, 7, 4, 11, 0];
-        let mut ascending = Sketch::new(NodeId(0), 2);
-        let mut sorted = members;
-        sorted.sort_unstable();
-        for w in sorted {
-            ascending.insert_bunch(NodeId(w), w % 2, u64::from(w) + 1);
-        }
-        let mut scattered = Sketch::new(NodeId(0), 2);
-        for w in members {
-            scattered.insert_bunch(NodeId(w), w % 2, u64::from(w) + 1);
-        }
-        assert_eq!(ascending, scattered);
-        let ids: Vec<u32> = scattered.bunch().iter().map(|&(w, _)| w.0).collect();
-        assert_eq!(ids, sorted);
-        assert_eq!(
-            scattered.bunch_entry(NodeId(7)),
-            Some(BunchEntry {
-                level: 1,
-                distance: 8
-            })
-        );
-        assert_eq!(scattered.bunch_entry(NodeId(8)), None);
+        assert!(set.is_empty(), "a refused label appends nothing");
+        assert_eq!(set, SketchSet::new());
     }
 
     #[test]
     fn word_accounting() {
-        let mut s = Sketch::new(NodeId(0), 2);
-        assert_eq!(s.words(), 0);
-        s.set_pivot(0, NodeId(0), 0);
-        assert_eq!(s.words(), 2);
-        s.insert_bunch(NodeId(1), 0, 3);
-        s.insert_bunch(NodeId(2), 1, 5);
-        assert_eq!(s.words(), 2 + 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn pivot_level_out_of_range_panics() {
-        let mut s = Sketch::new(NodeId(0), 2);
-        s.set_pivot(2, NodeId(1), 1);
+        let mut set = SketchSet::new();
+        set.push_label(&[None, None], &[]).unwrap();
+        set.push_label(&[Some((NodeId(1), 0)), None], &[]).unwrap();
+        set.push_label(
+            &[Some((NodeId(2), 0)), None],
+            &[(NodeId(1), 3), (NodeId(2), 0)],
+        )
+        .unwrap();
+        let words: Vec<usize> = set.labels().map(|label| label.words()).collect();
+        assert_eq!(words, vec![0, 2, 2 + 4]);
     }
 
     #[test]
     fn invariant_checker_catches_bad_levels() {
-        let mut s = Sketch::new(NodeId(0), 2);
-        s.insert_bunch(NodeId(1), 5, 3);
-        assert!(s.check_invariants().is_err());
+        // A label with no level at all: the walk has nothing to read.
+        let mut set = SketchSet::new();
+        set.push_label(&[], &[(NodeId(1), 3)]).unwrap();
+        let message = set.check_invariants().unwrap_err();
+        assert_eq!(message, "node 0 has an empty pivot row (k = 0)");
 
-        let mut ok = Sketch::new(NodeId(0), 2);
-        ok.set_pivot(1, NodeId(3), 4);
-        ok.insert_bunch(NodeId(3), 1, 4);
-        assert!(ok.check_invariants().is_ok());
+        let mut ok = SketchSet::new();
+        ok.push_label(&[None, Some((NodeId(3), 4))], &[(NodeId(3), 4)])
+            .unwrap();
+        assert_eq!(ok.check_invariants(), Ok(()));
     }
 
     #[test]
     fn invariant_checker_catches_inconsistent_pivot_distance() {
-        // A pivot that claims to be closer than the bunch's record of the
-        // same node is inconsistent.
-        let mut s = Sketch::new(NodeId(0), 2);
-        s.insert_bunch(NodeId(3), 1, 9);
-        s.set_pivot(1, NodeId(3), 2);
-        assert!(s.check_invariants().is_err());
+        // A pivot that disagrees with the bunch's record of the same node:
+        // structurally sound, and refused by the codec's row check, the one
+        // that holds in-memory labels to what the decoder holds bytes to.
+        use crate::codec::{check_rows, CodecError};
+        let mut set = SketchSet::new();
+        set.push_label(&[Some((NodeId(0), 9))], &[(NodeId(0), 9)])
+            .unwrap();
+        set.push_label(&[Some((NodeId(0), 2))], &[(NodeId(0), 9)])
+            .unwrap();
+        assert_eq!(set.check_invariants(), Ok(()));
+        let err = check_rows(&set).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::PivotRow(message)
+                if message.contains("pivot v0 at distance 2 but the bunch records 9")),
+            "{err}"
+        );
 
-        // The consistent direction (pivot at least as far as the bunch entry)
-        // is accepted.
-        let mut t = Sketch::new(NodeId(0), 2);
-        t.insert_bunch(NodeId(3), 1, 1);
-        t.set_pivot(1, NodeId(3), 1);
-        assert!(t.check_invariants().is_ok());
+        // The consistent direction is accepted.
+        let mut ok = SketchSet::new();
+        ok.push_label(&[Some((NodeId(0), 9))], &[(NodeId(0), 9)])
+            .unwrap();
+        assert_eq!(check_rows(&ok), Ok(()));
     }
 
     #[test]
     fn sketch_set_statistics() {
-        use crate::oracle::DistanceOracle;
-        let mut a = Sketch::new(NodeId(0), 2);
-        a.set_pivot(0, NodeId(0), 0);
-        a.insert_bunch(NodeId(1), 0, 1);
-        let mut b = Sketch::new(NodeId(1), 2);
-        b.set_pivot(0, NodeId(1), 0);
-        b.insert_bunch(NodeId(0), 0, 1);
-        b.insert_bunch(NodeId(2), 1, 2);
-        let set = SketchSet::new(vec![a, b]);
+        let mut set = SketchSet::new();
+        set.push_label(&[Some((NodeId(0), 0)), None], &[(NodeId(1), 1)])
+            .unwrap();
+        set.push_label(
+            &[Some((NodeId(1), 0)), None],
+            &[(NodeId(0), 1), (NodeId(2), 2)],
+        )
+        .unwrap();
         assert_eq!(set.len(), 2);
         assert!(!set.is_empty());
-        assert_eq!(set.sketch(NodeId(0)).owner, NodeId(0));
-        assert_eq!(set.max_words(), 6);
-        assert_eq!(set.total_words(), 10);
-        assert!((set.avg_words() - 5.0).abs() < 1e-9);
-        assert_eq!(set.iter().count(), 2);
+        assert_eq!(set.label(NodeId(1)).owner, NodeId(1));
+        assert_eq!(set.bunch_entries(), 3);
+        let words: Vec<usize> = set.labels().map(|label| label.words()).collect();
+        assert_eq!(words, vec![4, 6]);
     }
 
     #[test]
     fn empty_sketch_set() {
-        use crate::oracle::DistanceOracle;
-        let set = SketchSet::new(vec![]);
+        let set = SketchSet::new();
         assert!(set.is_empty());
-        assert_eq!(set.max_words(), 0);
-        assert_eq!(set.avg_words(), 0.0);
+        assert_eq!(set.labels().count(), 0);
+        assert_eq!(set.bunch_entries(), 0);
+        assert_eq!(set.check_invariants(), Ok(()));
     }
 }

@@ -124,7 +124,6 @@ pub(crate) fn sample_net_hierarchy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::DistanceOracle;
     use crate::query::estimate_distance;
     use crate::scheme::{Layer, SchemeConfig, SchemeSpec};
     use crate::slack::is_eps_far;
@@ -146,7 +145,7 @@ mod tests {
         let sketches = build_scheme(graph, params).sketches;
         let bound = params.stretch();
         for (u, v, exact) in table.pairs() {
-            if let Ok(est) = estimate_distance(sketches.sketch(u), sketches.sketch(v)) {
+            if let Ok(est) = estimate_distance(sketches.label(u), sketches.label(v)) {
                 assert!(est >= exact, "underestimate for ({u},{v})");
                 if is_eps_far(&table, u, v, params.eps) {
                     assert!(
@@ -189,7 +188,7 @@ mod tests {
         let net = result.net.unwrap();
         for u in g.nodes() {
             // p_0(u) is the closest net node.
-            let (closest, dist) = result.sketches.sketch(u).pivot(0).expect("net is nonempty");
+            let (closest, dist) = result.sketches.label(u).pivot(0).expect("net is nonempty");
             let exact_min = net
                 .members()
                 .iter()
@@ -210,9 +209,9 @@ mod tests {
         let params = CdgParams::new(0.2, 2).with_seed(5);
         let result = build_scheme(&g, params);
         let net = result.net.unwrap();
-        assert!(result.sketches.max_words() <= 2 * (net.len() + params.k));
-        for s in result.sketches.iter() {
-            for &(member, _) in s.bunch() {
+        for s in result.sketches.labels() {
+            assert!(s.words() <= 2 * (net.len() + params.k));
+            for &member in s.bunch_nodes {
                 assert!(net.contains(member), "bunch member outside the net");
             }
         }

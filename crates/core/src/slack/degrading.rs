@@ -165,7 +165,7 @@ mod tests {
                 }
                 let combined = sketches.estimate(u, v).unwrap();
                 for layer in &sketches.layers {
-                    let (su, sv) = (layer.sketches.sketch(u), layer.sketches.sketch(v));
+                    let (su, sv) = (layer.sketches.label(u), layer.sketches.label(v));
                     if let Ok(layer_est) = estimate_distance_best_common(su, sv) {
                         assert!(combined <= layer_est);
                     }
@@ -190,7 +190,7 @@ mod tests {
         let manual: usize = sketches
             .layers
             .iter()
-            .map(|l| l.sketches.sketch(u).words())
+            .map(|l| l.sketches.label(u).words())
             .sum();
         assert_eq!(sketches.words(u), manual);
         assert!(sketches.max_words() >= manual);

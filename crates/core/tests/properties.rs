@@ -39,7 +39,7 @@ proptest! {
         let table = DistanceTable::exact(&g);
         let bound = (2 * k - 1) as u64;
         for (u, v, exact) in table.pairs() {
-            let est = dsketch::query::estimate_distance(tz.sketches.sketch(u), tz.sketches.sketch(v)).unwrap();
+            let est = dsketch::query::estimate_distance(tz.sketches.label(u), tz.sketches.label(v)).unwrap();
             prop_assert!(est >= exact);
             prop_assert!(est <= bound * exact);
         }
@@ -54,7 +54,7 @@ proptest! {
         let centralized = thorup_zwick(&g, &h, 1);
         let (distributed, _) = build_with_hierarchy(&g, &h, &SchemeConfig::default()).unwrap();
         for u in g.nodes() {
-            prop_assert_eq!(centralized.sketches.sketch(u), distributed.sketch(u));
+            prop_assert_eq!(centralized.sketches.label(u), distributed.label(u));
         }
     }
 
@@ -67,8 +67,8 @@ proptest! {
         let tz = thorup_zwick(&g, &h, 1);
         let table = DistanceTable::exact(&g);
         for (u, v, exact) in table.pairs() {
-            let walk = dsketch::query::estimate_distance(tz.sketches.sketch(u), tz.sketches.sketch(v)).unwrap();
-            let best = estimate_distance_best_common(tz.sketches.sketch(u), tz.sketches.sketch(v)).unwrap();
+            let walk = dsketch::query::estimate_distance(tz.sketches.label(u), tz.sketches.label(v)).unwrap();
+            let best = estimate_distance_best_common(tz.sketches.label(u), tz.sketches.label(v)).unwrap();
             prop_assert!(best >= exact);
             prop_assert!(best <= walk);
         }
@@ -81,11 +81,11 @@ proptest! {
         let n = g.num_nodes();
         let (h, _) = Hierarchy::sample_until_top_nonempty(n, &TzParams::new(k).with_seed(seed), 500).unwrap();
         let tz = thorup_zwick(&g, &h, 1);
-        for s in tz.sketches.iter() {
-            let pivots = s.pivots().iter().filter(|p| p.is_some()).count();
+        tz.sketches.check_invariants().unwrap();
+        for s in tz.sketches.labels() {
+            let pivots = (0..s.k()).filter(|&level| s.pivot(level).is_some()).count();
             prop_assert_eq!(s.words(), 2 * (pivots + s.bunch_size()));
             prop_assert!(s.bunch_size() <= n);
-            s.check_invariants().unwrap();
         }
     }
 
@@ -97,11 +97,11 @@ proptest! {
         let (h, _) = Hierarchy::sample_until_top_nonempty(n, &TzParams::new(k).with_seed(seed), 500).unwrap();
         let tz = thorup_zwick(&g, &h, 1);
         for u in g.nodes() {
-            let s = tz.sketches.sketch(u);
+            let s = tz.sketches.label(u);
             // u's own level may be any i; it appears in its bunch at that
             // level unless an A_{i+1} node sits at distance 0 with a smaller
             // id (impossible with positive weights).
-            prop_assert_eq!(s.bunch_distance(u), Some(0));
+            prop_assert_eq!(s.distance_to(u), Some(0));
             prop_assert_eq!(s.pivot(0).map(|p| p.1), Some(0));
         }
     }
@@ -114,8 +114,8 @@ proptest! {
         let tz = thorup_zwick(&g, &h, 1);
         for u in g.nodes() {
             for v in g.nodes() {
-                let a = dsketch::query::estimate_distance(tz.sketches.sketch(u), tz.sketches.sketch(v)).unwrap();
-                let b = dsketch::query::estimate_distance(tz.sketches.sketch(v), tz.sketches.sketch(u)).unwrap();
+                let a = dsketch::query::estimate_distance(tz.sketches.label(u), tz.sketches.label(v)).unwrap();
+                let b = dsketch::query::estimate_distance(tz.sketches.label(v), tz.sketches.label(u)).unwrap();
                 prop_assert_eq!(a, b);
             }
         }

@@ -43,11 +43,6 @@ impl GraphBuilder {
         self.num_nodes
     }
 
-    /// Number of edge insertions accepted so far (before deduplication).
-    pub fn num_pending_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Number of self-loops that were silently dropped.
     pub fn dropped_self_loops(&self) -> usize {
         self.dropped_self_loops

@@ -5,7 +5,7 @@
 //! adjacency entries live in two parallel `Vec`s (`targets`, `weights`) and a
 //! node's neighborhood is the contiguous slice `offsets[u]..offsets[u + 1]`.
 
-use crate::{Weight, INFINITY};
+use crate::Weight;
 use std::fmt;
 
 /// Dense node identifier in `0..n`.
@@ -91,12 +91,6 @@ impl Graph {
         self.num_undirected_edges
     }
 
-    /// Total number of directed adjacency entries (= `2 |E|`).
-    #[inline]
-    pub fn num_directed_entries(&self) -> usize {
-        self.targets.len()
-    }
-
     /// Iterator over all node ids `0..n`.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.num_nodes()).map(NodeId::from_index)
@@ -143,34 +137,6 @@ impl Graph {
                 .map(move |e| (u, e.to, e.weight))
         })
     }
-
-    /// Maximum edge weight in the graph (0 for an edgeless graph).
-    pub fn max_weight(&self) -> Weight {
-        self.weights.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Minimum edge weight in the graph ([`INFINITY`] for an edgeless graph).
-    pub fn min_weight(&self) -> Weight {
-        self.weights.iter().copied().min().unwrap_or(INFINITY)
-    }
-
-    /// Sum of all undirected edge weights.
-    pub fn total_weight(&self) -> u128 {
-        // Each undirected edge appears twice in `weights`.
-        self.weights.iter().map(|&w| w as u128).sum::<u128>() / 2
-    }
-
-    /// A conservative upper bound on any finite shortest-path distance:
-    /// the sum of all edge weights plus one.  Useful as a "practically
-    /// infinite" but still finite radius.
-    pub fn weight_upper_bound(&self) -> Weight {
-        let total = self.total_weight();
-        if total >= (u64::MAX as u128) {
-            u64::MAX - 1
-        } else {
-            total as u64 + 1
-        }
-    }
 }
 
 #[cfg(test)]
@@ -191,7 +157,6 @@ mod tests {
         let g = triangle();
         assert_eq!(g.num_nodes(), 3);
         assert_eq!(g.num_edges(), 3);
-        assert_eq!(g.num_directed_entries(), 6);
     }
 
     #[test]
@@ -223,15 +188,6 @@ mod tests {
         for (u, v, _) in edges {
             assert!(u < v);
         }
-    }
-
-    #[test]
-    fn weight_stats() {
-        let g = triangle();
-        assert_eq!(g.max_weight(), 3);
-        assert_eq!(g.min_weight(), 1);
-        assert_eq!(g.total_weight(), 6);
-        assert_eq!(g.weight_upper_bound(), 7);
     }
 
     #[test]

@@ -315,16 +315,6 @@ pub fn bfs_hops(graph: &Graph, source: NodeId) -> Vec<usize> {
     hops
 }
 
-/// Distance from `u` to the closest node of `set` (the paper's `d(u, A)`),
-/// computed exactly.  Returns [`INFINITY`] if `set` is empty or unreachable.
-pub fn distance_to_set(graph: &Graph, u: NodeId, set: &[NodeId]) -> Distance {
-    if set.is_empty() {
-        return INFINITY;
-    }
-    let tree = multi_source_dijkstra(graph, set);
-    tree.distance(u)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,14 +394,6 @@ mod tests {
         let g = detour_graph();
         let hops = bfs_hops(&g, NodeId(0));
         assert_eq!(hops, vec![0, 1, 1]);
-    }
-
-    #[test]
-    fn distance_to_set_basic() {
-        let g = path_graph();
-        assert_eq!(distance_to_set(&g, NodeId(2), &[NodeId(0), NodeId(3)]), 3);
-        assert_eq!(distance_to_set(&g, NodeId(0), &[NodeId(0)]), 0);
-        assert_eq!(distance_to_set(&g, NodeId(0), &[]), INFINITY);
     }
 
     /// Drive a `RadixQueue` and a `BinaryHeap` model through the same seeded

@@ -88,11 +88,6 @@ impl NetClient {
         }
     }
 
-    /// Replace the per-operation deadline (connect kept its own).
-    pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = timeout;
-    }
-
     /// Send one request frame and wait for its response frame.
     pub fn round_trip(&mut self, request: &Request) -> Result<Response, NetError> {
         wire::write_all_deadline(&self.stream, &request.to_frame(), self.timeout)?;

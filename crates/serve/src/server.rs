@@ -205,9 +205,9 @@ impl SketchServer {
 
     /// Cold-start a server from a `DSK1` sketch snapshot on disk, without
     /// running the builder at all: load the snapshot (CRC-verified),
-    /// materialize the section bytes straight into the frozen
-    /// [`FlatSketchSet`](dsketch::flat::FlatSketchSet) CSR layout — no
-    /// per-node `Sketch` is ever constructed — and serve it.
+    /// decode the section bytes straight into the label columns of the
+    /// frozen [`FlatSketchSet`](dsketch::flat::FlatSketchSet), and serve
+    /// it.
     ///
     /// This is the warm-standby / instant-restart path: the expensive
     /// CONGEST construction was paid by whoever wrote the snapshot

@@ -212,9 +212,9 @@ fn decode_raw(raw: RawSnapshot) -> Result<SnapshotContents, StoreError> {
 }
 
 /// Load the snapshot at `path` straight into a **frozen** oracle: the
-/// `SKCH` section bytes are materialized directly into a
-/// [`FlatSketchSet`]'s CSR arrays, without ever constructing the mutable
-/// per-node `Sketch`es — the cold-start path of every server and CLI.
+/// `SKCH` section bytes are decoded straight into the label columns a
+/// [`FlatSketchSet`] serves (merged into rows for the slack families) —
+/// the cold-start path of every server and CLI.
 /// The scheme is dispatched from the stored [`SchemeSpec`] — callers do not
 /// need to know which family the snapshot holds — and the answers are
 /// identical to the decoded per-node sets' ([`load_snapshot`]; the

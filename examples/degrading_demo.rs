@@ -49,7 +49,13 @@ fn main() {
                 params.k.to_string(),
                 net.len().to_string(),
                 layer.stats.rounds.to_string(),
-                layer.sketches.max_words().to_string(),
+                layer
+                    .sketches
+                    .labels()
+                    .map(|label| label.words())
+                    .max()
+                    .unwrap_or(0)
+                    .to_string(),
             ]);
         }
     }

@@ -132,7 +132,7 @@ fn main() {
     let mut rows = Vec::new();
     for i in (0..n).step_by((n / 6).max(1)).take(6) {
         let client_node = NodeId::from_index(i);
-        let sketch = layer.sketches.sketch(client_node);
+        let sketch = layer.sketches.label(client_node);
         if let Some((monitor, dist)) = sketch.pivot(0) {
             rows.push(vec![
                 client_node.to_string(),

@@ -60,7 +60,7 @@ fn main() {
     );
     println!(
         "per-node sketch: max {} words — this is what a peer ships when queried",
-        sketches.max_words()
+        result.sketches.max_words()
     );
 
     // --- queries ---
@@ -100,7 +100,7 @@ fn main() {
         assert_eq!(exact, exact_via_bf, "simulator sanity check");
         assert_eq!(
             estimate,
-            sketches.estimate(u, v).unwrap(),
+            result.sketches.estimate(u, v).unwrap(),
             "the shipped sketch must answer exactly like a local query"
         );
 

@@ -578,6 +578,39 @@ fn resigned_hierarchy_k_mismatch_is_caught() {
     );
 }
 
+/// A member of `B_i(u)` lies in `A_i \ A_{i+1}`: an entry's level is its
+/// member's sampled level exactly, so one level *below* it is as wrong as
+/// one above — a level the labels no longer store, which the bytes still
+/// carry and the decoder holds to the hierarchy.
+#[test]
+fn resigned_bunch_level_below_the_hierarchys_is_caught() {
+    let bytes = snapshot_bytes(SchemeSpec::thorup_zwick(3), 32, 13);
+    let (mut cursor, header) = TzSketchCursor::new(&bytes);
+    let rows: Vec<SketchSites> = (0..header[0].value).map(|_| cursor.next_sketch()).collect();
+    let hierarchy_at = cursor.position();
+    let level_of = |node: u64| le_u32(&bytes, hierarchy_at + 24 + 4 * node as usize) as i32;
+    // A first bunch entry (its gap is its node id) at level 1 or 2 — the
+    // member's own level, as the writer derives it.
+    let entry = rows
+        .iter()
+        .filter_map(|row| row.entries.first().copied())
+        .find(|entry| entry.value & 0b11 > 0)
+        .expect("a first bunch entry above level 0");
+    assert_eq!(
+        i64::from(level_of(entry.value >> 2)),
+        (entry.value & 0b11) as i64,
+        "an entry carries its member's sampled level"
+    );
+    let mut mutated = bytes.clone();
+    mutated[entry.at] -= 1;
+    resign(&mut mutated);
+    expect_kind(
+        &mutated,
+        "hierarchy-contract",
+        "bunch level below the hierarchy's",
+    );
+}
+
 #[test]
 fn resigned_spec_params_mismatch_is_caught() {
     let mut bytes = snapshot_bytes(SchemeSpec::cdg(0.25, 2), 28, 19);

@@ -7,14 +7,16 @@
 //! clusters straight from the definition over exact all-pairs distances,
 //! merged one `(u, w)` pair at a time into a `BTreeMap` per node under the
 //! `insert_bunch` rule (smallest distance wins, lowest level on a tie).
-//! The two must agree label for label — pivots, members, levels, distances,
-//! order — for every generator, every `k`, every thread count, on
-//! disconnected inputs, with an empty top level and on a CDG net-restricted
-//! hierarchy.
+//! The two must agree label for label — pivots, members, distances, order —
+//! for every generator, every `k`, every thread count, on disconnected
+//! inputs, with an empty top level and on a CDG net-restricted hierarchy.
+//! The model also keeps the level it merged each member at, which the
+//! labels no longer store: it must be the member's sampled level, the one
+//! the codec writes.
 
 use dsketch::build::thorup_zwick;
 use dsketch::hierarchy::{Hierarchy, TzParams};
-use dsketch::sketch::{BunchEntry, DistKey};
+use dsketch::sketch::DistKey;
 use dsketch::slack::density_net::DensityNet;
 use netgraph::apsp::DistanceTable;
 use netgraph::generators::{
@@ -31,21 +33,18 @@ const THREADS: [usize; 4] = [1, 2, 3, 8];
 #[derive(Debug, Default)]
 struct ModelLabel {
     pivots: Vec<Option<(NodeId, Distance)>>,
-    bunch: BTreeMap<NodeId, BunchEntry>,
+    /// Per member, `(level, distance)`.
+    bunch: BTreeMap<NodeId, (u32, Distance)>,
 }
 
 impl ModelLabel {
     /// The map-based `insert_bunch` the labels used to be built with.
     fn insert_bunch(&mut self, node: NodeId, level: u32, distance: Distance) {
-        let entry = self
-            .bunch
-            .entry(node)
-            .or_insert(BunchEntry { level, distance });
-        if distance < entry.distance {
-            entry.distance = distance;
-            entry.level = level;
-        } else if distance == entry.distance {
-            entry.level = entry.level.min(level);
+        let entry = self.bunch.entry(node).or_insert((level, distance));
+        if distance < entry.1 {
+            *entry = (level, distance);
+        } else if distance == entry.1 {
+            entry.0 = entry.0.min(level);
         }
     }
 }
@@ -109,22 +108,26 @@ fn assert_engine_matches_model(name: &str, graph: &Graph, hierarchy: &Hierarchy)
         let context = format!("{name}, k = {}, threads = {threads}", hierarchy.k());
         assert_eq!(built.total_cluster_size, pairs, "{context}");
         assert_eq!(built.sketches.len(), model.len(), "{context}");
-        for (sketch, expected) in built.sketches.iter().zip(&model) {
+        built.sketches.check_invariants().expect("label invariants");
+        for (sketch, expected) in built.sketches.labels().zip(&model) {
             let owner = sketch.owner;
-            assert_eq!(sketch.k, hierarchy.k(), "{context}: k of {owner}");
+            assert_eq!(sketch.k(), hierarchy.k(), "{context}: k of {owner}");
+            let pivots: Vec<_> = (0..sketch.k()).map(|level| sketch.pivot(level)).collect();
+            assert_eq!(pivots, expected.pivots, "{context}: pivots of {owner}");
+            let bunch: Vec<(NodeId, Distance)> =
+                expected.bunch.iter().map(|(&w, &(_, d))| (w, d)).collect();
             assert_eq!(
-                sketch.pivots(),
-                expected.pivots.as_slice(),
-                "{context}: pivots of {owner}"
-            );
-            let bunch: Vec<(NodeId, BunchEntry)> =
-                expected.bunch.iter().map(|(&w, &e)| (w, e)).collect();
-            assert_eq!(
-                sketch.bunch(),
-                bunch.as_slice(),
+                sketch.bunch().collect::<Vec<_>>(),
+                bunch,
                 "{context}: bunch of {owner}"
             );
-            sketch.check_invariants().expect("label invariants");
+            for (&w, &(level, _)) in &expected.bunch {
+                assert_eq!(
+                    i64::from(level),
+                    i64::from(hierarchy.level_of(w)),
+                    "{context}: level of {w} in the bunch of {owner}"
+                );
+            }
         }
     }
 }

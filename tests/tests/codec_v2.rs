@@ -3,21 +3,20 @@
 //!
 //! * **Round trips** (property-tested over all four families): the `SKCH`
 //!   payload is canonical (`encode → decode → encode` is byte-identical),
-//!   the frozen decode equals the freeze of the map decode (they are two
-//!   consumers of the same rows), and both answer like the set that was
+//!   the frozen decode equals the freeze of the decoded layers (one
+//!   decoder, two ingresses), and both answer like the set that was
 //!   built.  Hand-drawn labels stretch the numbers: any `u64` distance,
-//!   ids up to `u32::MAX`, `k` up to 9 — as a bare label set; as a family
-//!   payload their ids name no node of the hierarchy, and both decoders
-//!   refuse them for it.
+//!   any bunch, `k` up to 9; one id past the hierarchy's nodes, and both
+//!   ingresses refuse them for it.
 //! * **Hostile bytes**, on a *bare* payload — no container, so no CRC to
 //!   hide behind: every truncation point and every single-byte mutation
 //!   either decodes to a set that re-encodes to exactly those bytes, or
-//!   fails with a `CodecError`, identically through the map decoder and
-//!   the frozen one.  Never a panic, never a hang.
+//!   fails with a `CodecError`, identically through both ingresses.  Never
+//!   a panic, never a hang.
 //! * **Size**: a saved snapshot of any family spends under 6 `SKCH` bytes
 //!   on a bunch entry (v1 spent 16).
 
-use dsketch::codec::{CodecError, SketchCodec};
+use dsketch::codec::CodecError;
 use dsketch::prelude::*;
 use dsketch_store::{
     build_and_save, build_stored, inspect_snapshot, SectionEntities, StoredSketches,
@@ -95,9 +94,11 @@ proptest! {
     }
 
     /// Labels no construction would produce, to reach the corners of the
-    /// number ranges: ids drawn from the whole `u32` range (so gaps of
-    /// every varint length), distances from the whole `u64` range, and
-    /// every `k` the level field changes width at.
+    /// number ranges: distances from the whole `u64` range, any subset of
+    /// the nodes as a bunch, and every `k` the level field changes width
+    /// at — each label keeping its family's contracts, so the payload
+    /// round-trips canonically.  One member past the nodes the hierarchy
+    /// covers, and both ingresses refuse it, alike, for exactly that.
     #[test]
     fn hand_drawn_labels_round_trip((seed, rows) in (0u64..u64::MAX, 1usize..6)) {
         let mut state = seed;
@@ -112,44 +113,58 @@ proptest! {
         // A magnitude first, then a value below it: small and huge alike.
         let mut sized = |bits: u32| next() >> (64 - 1 - next() % u64::from(bits));
         for k in 1..=9usize {
-            let sketches = (0..rows)
-                .map(|row| {
-                    let mut sketch = Sketch::new(NodeId(row as u32), k);
-                    for level in 0..k {
+            let hierarchy = Hierarchy::sample(rows, &TzParams::new(k).with_seed(seed)).unwrap();
+            let labels: Vec<_> = (0..rows)
+                .map(|_| {
+                    // Any subset of the nodes, at any finite distance.
+                    let mut bunch: Vec<(NodeId, u64)> = Vec::new();
+                    for w in (0..rows).map(NodeId::from_index) {
                         if sized(8) % 3 != 0 {
-                            sketch.set_pivot(level, NodeId(sized(32) as u32), sized(64));
+                            bunch.push((w, sized(64).min(u64::MAX - 1)));
                         }
                     }
-                    for _ in 0..sized(6) {
-                        let level = (sized(8) % k as u64) as u32;
-                        sketch.insert_bunch(NodeId(sized(32) as u32), level, sized(64));
-                    }
-                    sketch.insert_bunch(NodeId(u32::MAX), 0, u64::MAX - 1);
-                    sketch
+                    // Pivots as Thorup–Zwick picks them over that bunch: the
+                    // nearest member of each level, ties to the smaller id.
+                    let pivots: Vec<_> = (0..k)
+                        .map(|level| {
+                            let members = bunch.iter().filter(|&&(w, _)| {
+                                hierarchy.level_of(w) >= level as i32
+                            });
+                            members.min_by_key(|&&(w, d)| (d, w)).copied()
+                        })
+                        .collect();
+                    (pivots, bunch)
                 })
                 .collect();
-            let set = SketchSet::new(sketches);
-            let bytes = set.to_bytes();
-            prop_assert_eq!(bytes.len(), set.encoded_len());
-            let decoded = SketchSet::from_bytes(&bytes).expect("round trip");
-            prop_assert_eq!(&decoded, &set);
-            prop_assert_eq!(decoded.to_bytes(), bytes);
-
-            // The same labels as a family payload name nodes far past the
-            // hierarchy's `rows`, which no family's labels may: both
-            // decoders refuse them, alike, for exactly that.
-            let spec = SchemeSpec::thorup_zwick(k);
-            let hierarchy = Hierarchy::sample(rows, &TzParams::new(k).with_seed(seed)).unwrap();
-            let layer = Layer {
-                sketches: set,
-                hierarchy: Some(hierarchy),
-                net: None,
-                params: None,
-                stats: RunStats::default(),
+            let family = |far: bool| {
+                let mut set = SketchSet::new();
+                for (pivots, bunch) in &labels {
+                    let mut bunch = bunch.clone();
+                    if far {
+                        bunch.push((NodeId(u32::MAX - 1), 1));
+                    }
+                    set.push_label(pivots, &bunch).unwrap();
+                }
+                let layer = Layer {
+                    sketches: set,
+                    hierarchy: Some(hierarchy.clone()),
+                    net: None,
+                    params: None,
+                    stats: RunStats::default(),
+                };
+                let spec = SchemeSpec::thorup_zwick(k);
+                StoredSketches { spec, layers: vec![layer] }
             };
-            let family = StoredSketches { spec, layers: vec![layer] }.encode_payload();
-            prop_assert!(decode_both_ways(&spec, &family).is_none());
-            let err = FlatSketchSet::from_family_bytes(&spec, &family).unwrap_err();
+
+            let near = family(false);
+            let bytes = near.encode_payload();
+            let decoded = decode_both_ways(&near.spec, &bytes);
+            prop_assert!(decoded.is_some_and(|decoded| decoded.layers[0].sketches == near.layers[0].sketches));
+
+            let far = family(true);
+            let bytes = far.encode_payload();
+            prop_assert!(decode_both_ways(&far.spec, &bytes).is_none());
+            let err = FlatSketchSet::from_family_bytes(&far.spec, &bytes).unwrap_err();
             prop_assert!(
                 matches!(&err, CodecError::Invalid { message, .. } if message.contains("out of range")),
                 "{}", err

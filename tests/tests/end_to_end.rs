@@ -75,13 +75,13 @@ fn distributed_equals_centralized_on_every_family() {
             build_with_hierarchy(&graph, &h, &config.with_termination_detection()).unwrap();
         for u in graph.nodes() {
             assert_eq!(
-                centralized.sketches.sketch(u),
-                oracle.sketch(u),
+                centralized.sketches.label(u),
+                oracle.label(u),
                 "[{name}] oracle-mode mismatch at {u}"
             );
             assert_eq!(
-                centralized.sketches.sketch(u),
-                td.sketch(u),
+                centralized.sketches.label(u),
+                td.label(u),
                 "[{name}] termination-detection mismatch at {u}"
             );
         }
@@ -150,7 +150,7 @@ fn best_common_query_always_at_least_as_good_as_level_walk() {
     let table = DistanceTable::exact(&graph);
     for (u, v, exact) in table.pairs() {
         let walk = result.sketches.estimate(u, v).unwrap();
-        let best = estimate_distance_best_common(sketches.sketch(u), sketches.sketch(v)).unwrap();
+        let best = estimate_distance_best_common(sketches.label(u), sketches.label(v)).unwrap();
         assert!(best <= walk);
         assert!(best >= exact);
     }
@@ -176,7 +176,7 @@ fn slack_constructions_work_on_multiple_families() {
             let t = three.estimate(u, v).unwrap();
             assert!(t >= exact && t <= 3 * exact, "[{name}] 3-stretch violated");
             // The Lemma 3.2 level walk, which the bound is proved for.
-            let c = estimate_distance(cdg_labels.sketch(u), cdg_labels.sketch(v)).unwrap();
+            let c = estimate_distance(cdg_labels.label(u), cdg_labels.label(v)).unwrap();
             assert!(
                 c >= exact && c <= 15 * exact,
                 "[{name}] CDG (8k-1 = 15) stretch violated: {c} vs {exact}"

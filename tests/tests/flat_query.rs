@@ -1,6 +1,7 @@
 //! Cross-crate equivalence contract of the frozen flat query path: for
 //! every sketch family, [`FlatSketchSet`] answers **identically** to the
-//! per-node `Sketch` oracle it was frozen from — same estimates, same
+//! per-node reference oracle (`StoredSketches`, the `dsketch::query` rules
+//! over each node's label) it was frozen from — same estimates, same
 //! errors, same label-size accounting — on random graphs, on disconnected
 //! graphs (the `NoCommonLandmark` cases), and on hand-built labels with
 //! asymmetric per-node `k`.
@@ -8,15 +9,15 @@
 //! The slack families are served from one merged row per node
 //! (`dsketch::flat`); the cases below also pin that every set an engine
 //! builds is accepted in that form, that every hand-built way out of it is
-//! refused — by `freeze` and both decoders, with one `CodecError` — that
+//! refused — by `freeze` and both ingresses of the decoder, with one
+//! `CodecError` — that
 //! the layer mask is what keeps a landmark two nodes hold in different
 //! layers from becoming a candidate, and that the join table a thread keeps
 //! across queries never carries an answer from one set into another.
 //!
 //! Also pins the store contract: materializing a `FlatSketchSet` straight
-//! from `DSK1` snapshot bytes (`load_frozen_oracle`, the cold-start path
-//! that never builds a `Sketch`) yields the same value as freezing the
-//! decoded sketches.
+//! from `DSK1` snapshot bytes (`load_frozen_oracle`, the cold-start path)
+//! yields the same value as freezing the decoded layers.
 
 use dsketch::codec::CodecError;
 use dsketch::prelude::*;
@@ -100,8 +101,8 @@ fn assert_equivalent(
 
     assert_served_form(&flat, sketches, context);
 
-    // The store contract: snapshot bytes → FlatSketchSet directly (no
-    // `Sketch` on the way) is the same oracle.
+    // The store contract: snapshot bytes → FlatSketchSet directly is the
+    // same oracle.
     let contents = dsketch_store::SnapshotContents {
         fingerprint,
         sketches: sketches.clone(),
@@ -178,29 +179,32 @@ proptest! {
 fn asymmetric_k_labels_freeze_and_answer_identically() {
     // Node 0: k = 1.  Node 1: k = 3 with the shared landmark only at level
     // 2.  Node 2: k = 2, sharing a different landmark with both.
-    let mut a = Sketch::new(NodeId(0), 1);
-    a.set_pivot(0, NodeId(0), 0);
-    a.insert_bunch(NodeId(0), 0, 0);
-    a.insert_bunch(NodeId(9), 0, 2);
-    a.insert_bunch(NodeId(7), 0, 4);
-    let mut b = Sketch::new(NodeId(1), 3);
-    b.set_pivot(0, NodeId(1), 0);
-    b.set_pivot(2, NodeId(9), 3);
-    b.insert_bunch(NodeId(1), 0, 0);
-    b.insert_bunch(NodeId(9), 2, 3);
-    let mut c = Sketch::new(NodeId(2), 2);
-    c.set_pivot(0, NodeId(2), 0);
-    c.set_pivot(1, NodeId(7), 1);
-    c.insert_bunch(NodeId(2), 0, 0);
-    c.insert_bunch(NodeId(7), 1, 1);
-    let set = SketchSet::new(vec![a, b, c]);
-    let flat = set.freeze();
+    let (v0, v1, v2, v7, v9) = (NodeId(0), NodeId(1), NodeId(2), NodeId(7), NodeId(9));
+    let mut labels = SketchSet::new();
+    for (pivots, bunch) in [
+        (&[Some((v0, 0))][..], &[(v0, 0), (v7, 4), (v9, 2)][..]),
+        (&[Some((v1, 0)), None, Some((v9, 3))], &[(v1, 0), (v9, 3)]),
+        (&[Some((v2, 0)), Some((v7, 1))], &[(v2, 0), (v7, 1)]),
+    ] {
+        labels.push_label(pivots, bunch).unwrap();
+    }
+    let set = StoredSketches {
+        spec: SchemeSpec::thorup_zwick(3),
+        layers: vec![Layer {
+            sketches: labels.clone(),
+            hierarchy: None,
+            net: None,
+            params: None,
+            stats: RunStats::default(),
+        }],
+    };
+    let flat = set.freeze().unwrap();
 
     for u in (0..3).map(NodeId::from_index) {
         for v in (0..3).map(NodeId::from_index) {
             assert_eq!(
                 flat.estimate(u, v),
-                dsketch::query::estimate_distance(set.sketch(u), set.sketch(v)),
+                dsketch::query::estimate_distance(labels.label(u), labels.label(v)),
                 "walk differs at ({u}, {v})"
             );
             assert_eq!(
@@ -255,32 +259,36 @@ fn frozen_builder_output_serves_identically() {
     }
 }
 
-/// One node's label in a hand-built layer: `k = 1`, pivot `pivot`, and the
-/// bunch as `(landmark, distance)` pairs.
-fn label(owner: u32, pivot: (u32, Distance), bunch: &[(u32, Distance)]) -> Sketch {
-    let mut sketch = Sketch::new(NodeId(owner), 1);
-    sketch.set_pivot(0, NodeId(pivot.0), pivot.1);
-    for &(w, d) in bunch {
-        sketch.insert_bunch(NodeId(w), 0, d);
-    }
-    sketch
+/// One hand-built label: its pivot slots and its bunch, ascending.
+type Row = (Vec<Option<(NodeId, Distance)>>, Vec<(NodeId, Distance)>);
+
+/// One node's label in a hand-built layer (the node is its position):
+/// `k = 1`, pivot `pivot`, and the bunch as ascending `(landmark,
+/// distance)` pairs.
+fn label(pivot: (u32, Distance), bunch: &[(u32, Distance)]) -> Row {
+    let pivots = vec![Some((NodeId(pivot.0), pivot.1))];
+    (pivots, bunch.iter().map(|&(w, d)| (NodeId(w), d)).collect())
 }
 
 /// A `spec` set over hand-built layers (net, hierarchy and params are along
 /// for the encoding; no query reads them).  The params keep the degrading
 /// contract the decoders check — ε halving layer over layer, each net
 /// sampled for its layer's ε — and a one-layer set's are `cdg:0.5,1`'s.
-fn slack_set(spec: SchemeSpec, layers: Vec<Vec<Sketch>>) -> StoredSketches {
+fn slack_set(spec: SchemeSpec, layers: Vec<Vec<Row>>) -> StoredSketches {
     let layers = (1..)
         .zip(layers)
-        .map(|(i, sketches)| {
-            let (n, eps) = (sketches.len(), 0.5f64.powi(i));
+        .map(|(i, rows)| {
+            let (n, eps) = (rows.len(), 0.5f64.powi(i));
+            let mut sketches = SketchSet::new();
+            for (pivots, bunch) in &rows {
+                sketches.push_label(pivots, bunch).unwrap();
+            }
             let members = (0..n).map(NodeId::from_index).collect();
             Layer {
                 params: Some(CdgParams::new(eps, 1)),
                 net: Some(DensityNet::from_members(n, eps, members)),
                 hierarchy: Some(Hierarchy::from_levels(vec![0; n], 1).unwrap()),
-                sketches: SketchSet::new(sketches),
+                sketches,
                 stats: RunStats::default(),
             }
         })
@@ -289,11 +297,11 @@ fn slack_set(spec: SchemeSpec, layers: Vec<Vec<Sketch>>) -> StoredSketches {
 }
 
 /// [`slack_set`] for the degrading family.
-fn degrading_of(layers: Vec<Vec<Sketch>>) -> StoredSketches {
+fn degrading_of(layers: Vec<Vec<Row>>) -> StoredSketches {
     slack_set(SchemeSpec::degrading(), layers)
 }
 
-/// Freeze `set`, require both decoders to meet its bytes with the same
+/// Freeze `set`, require both ingresses of the decoder to meet its bytes with the same
 /// value, and every answer — errors and out-of-range probes included — to
 /// be the per-node set's.
 fn assert_accepted(set: &StoredSketches, context: &str) {
@@ -326,29 +334,29 @@ fn assert_refused(set: &StoredSketches, expected: fn(&CodecError) -> bool, conte
     assert_eq!(
         flat.err().as_ref(),
         Some(&refused),
-        "{context}: the flat decoder"
+        "{context}: the frozen ingress"
     );
     let map = StoredSketches::decode_payload(&set.spec, &bytes);
     assert_eq!(
         map.err().as_ref(),
         Some(&refused),
-        "{context}: the map decoder"
+        "{context}: the layers ingress"
     );
 }
 
 /// Node 2 is everyone's landmark in layer 0; layer 1 holds near neighbours.
 /// Meets every condition of the merged form.
-fn two_layer_base() -> Vec<Vec<Sketch>> {
+fn two_layer_base() -> Vec<Vec<Row>> {
     vec![
         vec![
-            label(0, (2, 5), &[(2, 5)]),
-            label(1, (2, 7), &[(2, 7)]),
-            label(2, (2, 0), &[(2, 0)]),
+            label((2, 5), &[(2, 5)]),
+            label((2, 7), &[(2, 7)]),
+            label((2, 0), &[(2, 0)]),
         ],
         vec![
-            label(0, (0, 0), &[(0, 0), (1, 4)]),
-            label(1, (1, 0), &[(1, 0)]),
-            label(2, (2, 0), &[(2, 0)]),
+            label((0, 0), &[(0, 0), (1, 4)]),
+            label((1, 0), &[(1, 0)]),
+            label((2, 0), &[(2, 0)]),
         ],
     ]
 }
@@ -375,14 +383,14 @@ fn hand_built_layers_that_meet_the_conditions_are_merged() {
 fn a_landmark_held_in_different_layers_is_not_a_candidate() {
     let set = degrading_of(vec![
         vec![
-            label(0, (2, 1), &[(2, 1)]),
-            label(1, (1, 0), &[(1, 0)]),
-            label(2, (2, 0), &[(2, 0)]),
+            label((2, 1), &[(2, 1)]),
+            label((1, 0), &[(1, 0)]),
+            label((2, 0), &[(2, 0)]),
         ],
         vec![
-            label(0, (0, 0), &[(0, 0)]),
-            label(1, (1, 0), &[(1, 0), (2, 1)]),
-            label(2, (2, 0), &[(2, 0)]),
+            label((0, 0), &[(0, 0)]),
+            label((1, 0), &[(1, 0), (2, 1)]),
+            label((2, 0), &[(2, 0)]),
         ],
     ]);
     assert_accepted(&set, "mask");
@@ -396,7 +404,7 @@ fn a_landmark_held_in_different_layers_is_not_a_candidate() {
 }
 
 /// Each way out of the merged form is refused, one error from `freeze` and
-/// both decoders.  Served regardless, each would answer unlike its per-node
+/// both ingresses of the decoder.  Served regardless, each would answer unlike its per-node
 /// layers (noted per case).
 #[test]
 fn every_way_out_of_the_merged_form_is_refused_alike() {
@@ -406,7 +414,7 @@ fn every_way_out_of_the_merged_form_is_refused_alike() {
     // A pivot missing from its owner's bunch: the per-layer pivot probe
     // finds 5 + 7 through node 2; node 0's merged row does not hold it.
     let mut layers = two_layer_base();
-    layers[0][0] = label(0, (2, 5), &[(0, 0)]);
+    layers[0][0] = label((2, 5), &[(0, 0)]);
     assert_refused(
         &degrading_of(layers),
         pivot_row,
@@ -416,7 +424,7 @@ fn every_way_out_of_the_merged_form_is_refused_alike() {
     // A pivot in the bunch at another distance: the probe's 5 + 0 beats the
     // bunch's 6 + 0, which is all a merged row knows.
     let mut layers = two_layer_base();
-    layers[0][0] = label(0, (2, 5), &[(2, 6)]);
+    layers[0][0] = label((2, 5), &[(2, 6)]);
     assert_refused(
         &degrading_of(layers),
         pivot_row,
@@ -426,7 +434,7 @@ fn every_way_out_of_the_merged_form_is_refused_alike() {
     // One landmark at two distances in two layers: a row has one distance
     // column, so one of 5 + 7 (layer 0) and 6 + 0 (layer 1) would be lost.
     let mut layers = two_layer_base();
-    layers[1][0] = label(0, (0, 0), &[(0, 0), (1, 4), (2, 6)]);
+    layers[1][0] = label((0, 0), &[(0, 0), (1, 4), (2, 6)]);
     assert_refused(
         &degrading_of(layers),
         layer_contract,
@@ -449,8 +457,8 @@ fn every_way_out_of_the_merged_form_is_refused_alike() {
     // A landmark that is not one of the set's nodes: the join table has no
     // slot for it.
     let mut layers = two_layer_base();
-    layers[1][0] = label(0, (0, 0), &[(0, 0), (9, 1)]);
-    layers[1][1] = label(1, (1, 0), &[(1, 0), (9, 2)]);
+    layers[1][0] = label((0, 0), &[(0, 0), (9, 1)]);
+    layers[1][1] = label((1, 0), &[(1, 0), (9, 2)]);
     let out_of_range = |e: &CodecError| matches!(e, CodecError::Invalid { message, .. } if message.contains("names v9, out of range"));
     assert_refused(
         &degrading_of(layers),
@@ -465,7 +473,7 @@ fn every_way_out_of_the_merged_form_is_refused_alike() {
 /// lose (see the cases above), which is why the set is refused.
 #[test]
 fn sets_that_break_a_merge_condition_stay_layered_and_answer_identically() {
-    let layered = |layers: Vec<Vec<Sketch>>, context: &str| {
+    let layered = |layers: Vec<Vec<Row>>, context: &str| {
         let set = degrading_of(layers);
         assert!(set.freeze().is_err(), "{context}: freeze refuses");
         set
@@ -475,24 +483,24 @@ fn sets_that_break_a_merge_condition_stay_layered_and_answer_identically() {
     // The pivot probe's 5 + 7 through node 2 loses to layer 1's 4 + 0 for
     // (0, 1); for (0, 2) it finds 5 + 0.
     let mut layers = two_layer_base();
-    layers[0][0] = label(0, (2, 5), &[(0, 0)]);
+    layers[0][0] = label((2, 5), &[(0, 0)]);
     let set = layered(layers, "pivot missing from its owner's bunch");
     assert_eq!(DistanceOracle::estimate(&set, v0, v2), Ok(5));
 
     let mut layers = two_layer_base();
-    layers[0][0] = label(0, (2, 5), &[(2, 6)]);
+    layers[0][0] = label((2, 5), &[(2, 6)]);
     let set = layered(layers, "pivot at a different distance");
     assert_eq!(DistanceOracle::estimate(&set, v0, v2), Ok(5));
 
     let mut layers = two_layer_base();
-    layers[1][0] = label(0, (0, 0), &[(0, 0), (1, 4), (2, 6)]);
+    layers[1][0] = label((0, 0), &[(0, 0), (1, 4), (2, 6)]);
     let set = layered(layers, "one landmark at two distances");
     assert_eq!(DistanceOracle::estimate(&set, v0, v2), Ok(5));
 
     // Landmark 9 is common to nodes 0 and 1 in layer 1: 1 + 2.
     let mut layers = two_layer_base();
-    layers[1][0] = label(0, (0, 0), &[(0, 0), (9, 1)]);
-    layers[1][1] = label(1, (1, 0), &[(1, 0), (9, 2)]);
+    layers[1][0] = label((0, 0), &[(0, 0), (9, 1)]);
+    layers[1][1] = label((1, 0), &[(1, 0), (9, 2)]);
     let set = layered(layers, "landmark outside the node range");
     assert_eq!(DistanceOracle::estimate(&set, v0, v1), Ok(3));
 
@@ -509,14 +517,14 @@ fn sets_that_break_a_merge_condition_stay_layered_and_answer_identically() {
 #[test]
 fn a_one_layer_cdg_set_with_a_pivot_outside_its_bunch_is_refused() {
     let base = vec![
-        label(0, (0, 0), &[(0, 0)]),
-        label(1, (2, 7), &[(2, 7)]),
-        label(2, (2, 0), &[(2, 0)]),
+        label((0, 0), &[(0, 0)]),
+        label((2, 7), &[(2, 7)]),
+        label((2, 0), &[(2, 0)]),
     ];
     let cdg = SchemeSpec::cdg(0.5, 1);
     assert_accepted(&slack_set(cdg, vec![base.clone()]), "one-layer base");
     let mut broken = base;
-    broken[0] = label(0, (2, 5), &[(0, 0)]);
+    broken[0] = label((2, 5), &[(0, 0)]);
     let pivot_row = |e: &CodecError| matches!(e, CodecError::PivotRow(_));
     assert_refused(&slack_set(cdg, vec![broken]), pivot_row, "one-layer CDG");
 }

@@ -41,8 +41,8 @@ fn check_lemma_4_5(graph: &Graph, eps: f64, k: usize, seed: u64) {
     //    (as original ids and distances) and same bunches.
     for (local_idx, &orig) in completion.original.iter().enumerate() {
         let local = NodeId::from_index(local_idx);
-        let from_g = cdg.sketches.sketch(orig);
-        let from_completion = on_completion.sketches.sketch(local);
+        let from_g = cdg.sketches.label(orig);
+        let from_completion = on_completion.sketches.label(local);
 
         // Pivots.
         for level in 0..hierarchy.k() {
@@ -59,13 +59,13 @@ fn check_lemma_4_5(graph: &Graph, eps: f64, k: usize, seed: u64) {
             from_completion.bunch_size(),
             "bunch size mismatch at net node {orig}"
         );
-        for &(member_local, entry) in from_completion.bunch() {
+        // (An entry's level is its member's, the same in both hierarchies.)
+        for (member_local, distance) in from_completion.bunch() {
             let member_orig = completion.original_id(member_local);
             let in_g = from_g
-                .bunch_entry(member_orig)
+                .distance_to(member_orig)
                 .unwrap_or_else(|| panic!("{member_orig} missing from {orig}'s bunch on G"));
-            assert_eq!(in_g.distance, entry.distance, "distance mismatch at {orig}");
-            assert_eq!(in_g.level, entry.level, "level mismatch at {orig}");
+            assert_eq!(in_g, distance, "distance mismatch at {orig}");
         }
     }
 }

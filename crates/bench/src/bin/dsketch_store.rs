@@ -317,6 +317,14 @@ fn cmd_inspect(args: &[String]) {
         Some(_) => println!("built in:    parallel engine (no simulated CONGEST rounds)"),
         None => println!("built in:    (not recorded)"),
     }
+    for table in &summary.tables {
+        println!(
+            "table:       {} landmarks × {} nodes ({:.1}% of label entries)",
+            table.landmarks,
+            table.nodes,
+            100.0 * table.cells as f64 / table.entries.max(1) as f64
+        );
+    }
     println!("total bytes: {}", summary.total_bytes);
     for (entry, entities) in summary.sections.iter().zip(&summary.section_entities) {
         if let SectionEntities::Sketches { bunch_entries, .. } = entities {

@@ -63,7 +63,7 @@ fn readme_quickstart_runs_end_to_end() {
     let build = ["build", "--scheme", "tz:3", "--nodes", "256", "--out"];
     store(&[&build[..], &[g, "--threads", "2"]].concat());
     let inspect = store(&["inspect", "--snapshot", g]);
-    assert!(inspect.contains("DSK1 v2"), "{inspect}");
+    assert!(inspect.contains("DSK1 v3"), "{inspect}");
 
     let answer = query_line(&snapshot, 0, 41);
     let distance = answer
@@ -181,9 +181,20 @@ fn every_family_builds_inspects_and_verifies_and_verify_reads_its_whole_command_
         store(&["build", "--scheme", spec, "--nodes", "256", "--out", &g]);
         let inspect = store(&["inspect", "--snapshot", &g]);
         assert!(
-            inspect.contains("format:      DSK1 v2"),
+            inspect.contains("format:      DSK1 v3"),
             "{spec}: {inspect}"
         );
+        // One line per layer's landmark table: its top level (the net for
+        // 3-stretch, whose every entry it holds).
+        let table = inspect.lines().any(|line| {
+            line.starts_with("table:       ")
+                && line.contains(" landmarks × 256 nodes (")
+                && line.ends_with("% of label entries)")
+        });
+        assert!(table, "{spec}: {inspect}");
+        if spec.starts_with("3stretch") {
+            assert!(inspect.contains("(100.0% of label entries)"), "{inspect}");
+        }
         let verify = store(&["verify", "--snapshot", &g]);
         assert!(verify.starts_with(&format!("{g}: ok")), "{spec}: {verify}");
         snapshots.push(g);

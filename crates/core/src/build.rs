@@ -37,7 +37,10 @@
 //! into its piece of the bunch columns ([`parallel_split_mut`] — disjoint
 //! pieces, no atomics).  Every landmark owns exactly one cluster and the
 //! clusters are walked in ascending landmark id, so each row comes out
-//! strictly ascending with no sort — and those columns are the
+//! strictly ascending with no sort.  A top-level cluster is different: with
+//! `A_k = ∅` its search is untruncated and its landmark is in every bunch
+//! it reaches, so it is scattered straight into its column of the landmark
+//! table, in the same worker pieces.  Those columns and that table are the
 //! [`SketchSet`] itself ([`crate::sketch`]).  Where the cuts fall decides who writes a
 //! row, never what is written, which makes `threads = k` **bit-identical**
 //! to `threads = 1` — down to the serialized `DSK1` snapshot bytes (property
@@ -166,11 +169,19 @@ pub fn thorup_zwick(graph: &Graph, hierarchy: &Hierarchy, threads: usize) -> Dir
     timings.record("tz/clusters", work.len(), started);
 
     // Phase 3: transpose clusters into bunches (`u ∈ C(w)` iff `w ∈ B(u)`).
-    // Count `|B(u)|`, size the columns exactly, then scatter every
+    // A top-level cluster is an untruncated search (`A_k = ∅`), and its
+    // landmark is in every bunch it reaches: it is a column of the table,
+    // scattered straight into it.  The rest go to the sparse rows: count
+    // `|B(u) \ A_{k−1}|`, size the columns exactly, then scatter every
     // `(w, d(u, w))` into row `u`.
     let started = Instant::now();
+    let mut sketches = SketchSet::over(hierarchy);
+    let width = sketches.table_nodes.len();
+    // The work list is level-major and ascending within a level, so the
+    // top level's clusters are its last `width`, in table order.
+    let (sparse, top) = clusters.split_at(clusters.len() - width);
     let mut offsets = vec![0usize; n + 1];
-    for cluster in &clusters {
+    for cluster in sparse {
         for &(u, _) in cluster {
             offsets[u.index() + 1] += 1;
         }
@@ -178,8 +189,7 @@ pub fn thorup_zwick(graph: &Graph, hierarchy: &Hierarchy, threads: usize) -> Dir
     for u in 0..n {
         offsets[u + 1] += offsets[u];
     }
-    let total_cluster_size = offsets[n];
-    let mut sketches = SketchSet::with_capacity(n, n * k, 0);
+    sketches.pivots.reserve_exact(n * k);
     sketches
         .offsets
         .extend((1..=n).map(|u| (offset(u * k), offset(offsets[u]))));
@@ -193,37 +203,47 @@ pub fn thorup_zwick(graph: &Graph, hierarchy: &Hierarchy, threads: usize) -> Dir
             }
         }));
     }
-    sketches.bunch_nodes = vec![NodeId(0); total_cluster_size];
-    sketches.bunch_dists = vec![0; total_cluster_size];
+    sketches.bunch_nodes = vec![NodeId(0); offsets[n]];
+    sketches.bunch_dists = vec![0; offsets[n]];
+    sketches.table_dists.resize(n * width, INFINITY);
     // Each landmark owns exactly one cluster; walking them in ascending id
     // makes every row come out sorted, whoever fills it.
-    let mut by_landmark: Vec<usize> = (0..work.len()).collect();
+    let mut by_landmark: Vec<usize> = (0..sparse.len()).collect();
     by_landmark.sort_unstable_by_key(|&i| work[i].1);
     // Workers own disjoint node ranges, cut so each holds an equal share of
-    // the entries, and the matching pieces of both bunch columns; every
-    // worker reads all clusters and keeps its own rows.
+    // the sparse entries, and the matching pieces of both bunch columns and
+    // of the table; every worker reads all clusters and keeps its own rows.
     let cuts = balanced_cuts(&offsets, threads.clamp(1, n.max(1)));
     let ends = || cuts[1..].iter().map(|&cut| offsets[cut]);
+    let rows = || cuts[1..].iter().map(|&cut| cut * width);
     let mut pieces: Vec<_> = split_at_ends(&mut sketches.bunch_nodes, ends())
         .into_iter()
         .zip(split_at_ends(&mut sketches.bunch_dists, ends()))
+        .zip(split_at_ends(&mut sketches.table_dists, rows()))
         .collect();
     let whole: Vec<usize> = (0..=pieces.len()).collect();
-    // One pair of column pieces to a worker.
+    // One set of column pieces to a worker.
     parallel_split_mut(&mut pieces, &whole, |piece, columns| {
         let (lo, hi) = (cuts[piece], cuts[piece + 1]);
         let base = offsets[lo];
         // The next free slot of each of this piece's rows.
         let mut next: Vec<usize> = offsets[lo..hi].iter().map(|&o| o - base).collect();
-        for (nodes, dists) in columns {
+        for ((nodes, dists), cells) in columns {
             for &i in &by_landmark {
                 let w = work[i].1;
-                for &(u, distance) in &clusters[i] {
+                for &(u, distance) in &sparse[i] {
                     if (lo..hi).contains(&u.index()) {
                         let at = &mut next[u.index() - lo];
                         nodes[*at] = w;
                         dists[*at] = distance;
                         *at += 1;
+                    }
+                }
+            }
+            for (column, cluster) in top.iter().enumerate() {
+                for &(u, distance) in cluster {
+                    if (lo..hi).contains(&u.index()) {
+                        cells[(u.index() - lo) * width + column] = distance;
                     }
                 }
             }
@@ -234,6 +254,7 @@ pub fn thorup_zwick(graph: &Graph, hierarchy: &Hierarchy, threads: usize) -> Dir
             .zip(&offsets[lo + 1..=hi])
             .all(|(&at, &end)| at == end - base));
     });
+    let total_cluster_size = clusters.iter().map(Vec::len).sum();
     drop(clusters);
     timings.record("tz/merge", n, started);
 

@@ -19,27 +19,44 @@
 //! # Label sets
 //!
 //! Labels are nearly all of a snapshot, and a label is small numbers: ids
-//! ascending within a bunch, levels below `k`, distances far below
-//! `u64::MAX`.  A [`SketchSet`]'s columns are therefore written as LEB128
-//! varints (7 value bits per byte, low group first, shortest form only):
+//! ascending within a bunch, distances far below `u64::MAX`.  A
+//! [`SketchSet`]'s columns are therefore written as LEB128 varints (7
+//! value bits per byte, low group first, shortest form only), its landmark
+//! table once:
 //!
 //! ```text
-//! set   := n · total pivot slots · total bunch entries · row × n
-//! row   := k · pivot × k · bunch length · entry × length   (owner = row index)
-//! pivot := 0 (none at this level)  |  node + 1 · distance
-//! entry := (gap << ⌈log₂ k⌉) | level · distance
-//!          gap = id for a row's first entry, id − previous id − 1 after it
+//! set      := n · total pivot slots · total sparse entries · width · landmark × width · row × n
+//! landmark := id                       (strictly ascending, below n)
+//! row      := pivot × k · sparse length · entry × length · cell × width   (owner = row index)
+//! pivot    := 0 (none at this level)  |  node + 1 · distance
+//! entry    := gap · distance
+//!             gap = id for a row's first entry, id − previous id − 1 after
+//! cell     := 0 (not in this bunch)  |  distance + 1
 //! ```
+//!
+//! The table is the layer's top level `A_{k−1}` — the landmarks every
+//! label holds (3-stretch: the whole net) — so its ids are written once and
+//! each row holds only their distances; the sparse row holds the rest of
+//! the bunch.  Each fact is said once:
+//!
+//! * a row has no `k`: the spec (Thorup–Zwick, 3-stretch's 1) or the
+//!   layer's params (CDG, degrading) fix it, and the reader takes it from
+//!   there;
+//! * an entry has no level: a member of `B_i(u)` lies in `A_i \ A_{i+1}`,
+//!   so its level is its member's sampled one — below the top level for a
+//!   sparse entry, the top level for a cell;
+//! * a table landmark is never a sparse entry, and the table is exactly
+//!   the sampling's top level, so one label has one encoding.
 //!
 //! The gap makes "strictly ascending by node id" a property of the bytes
 //! rather than a check; a distance is a plain varint, so any `u64`
-//! round-trips with no escape path.  The totals are held against the bytes
-//! that remain and against the rows, and size the decoded columns once.
-//! An entry's level is not stored in memory: a member of `B_i(u)` lies in
-//! `A_i \ A_{i+1}`, so the writer reads it off the layer's hierarchy (0 for
-//! 3-stretch, whose one level is its net), and the reader refuses any level
-//! unlike its member's sampled one — so the bytes still say which level
-//! each entry is of, and `encode(decode(bytes)) == bytes` holds.
+//! round-trips with no escape path (in a cell, any but `u64::MAX`, which is
+//! `INFINITY`).  The totals are held against the bytes that remain —
+//! `n × width` cells of a byte at least among them — and against the rows,
+//! and size the decoded columns once.  The writer takes the table from the layer's sampling, so
+//! labels assembled by hand with another split (or none) write the same
+//! bytes as the engines' labels, and `encode(decode(bytes)) == bytes`
+//! holds.
 //!
 //! # Family payloads
 //!
@@ -60,11 +77,12 @@
 //! [`StoredSketches::decode_payload`](crate::scheme::StoredSketches::decode_payload)
 //! returns the layers, [`crate::flat`] freezes them into the served form.
 //! The reader holds every label set to what its bytes cannot express
-//! (pivot rows nested like `A_0 ⊇ A_1 ⊇ …`, bunch levels exactly the stored
-//! hierarchy's and pivot levels backed by it, a 3-stretch set one level
-//! over its net, nets sampled for the ε of their params or spec, layer and
-//! spec parameters, the degrading total), so it accepts only payloads the
-//! stretch bounds hold for.  The same layout tells a build what each layer
+//! (pivot rows nested like `A_0 ⊇ A_1 ⊇ …`, the table exactly the stored
+//! hierarchy's top level, sparse members inside `A_0` and pivot levels
+//! backed by the hierarchy, a 3-stretch set one level over its net, nets
+//! sampled for the ε of their params or spec, layer and spec parameters,
+//! the degrading total), so it accepts only payloads the stretch bounds
+//! hold for.  The same layout tells a build what each layer
 //! keeps (`keep_stored`), so a built set equals the decode of its own
 //! bytes.
 //!
@@ -100,11 +118,12 @@
 use crate::cast;
 use crate::hierarchy::Hierarchy;
 use crate::scheme::{Layer, SchemeSpec, StoredSketches};
-use crate::sketch::{Label, SketchSet, NO_PIVOT};
+use crate::sketch::{Label, SketchSet, TableShape, NO_PIVOT};
 use crate::slack::cdg::CdgParams;
 use crate::slack::density_net::DensityNet;
 use congest_sim::RunStats;
 use netgraph::{NodeId, INFINITY};
+use std::borrow::Cow;
 
 /// Errors produced while decoding a binary payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -522,37 +541,18 @@ fn varint_len(v: u64) -> usize {
     cast::usize_from_u32((70 - (v | 1).leading_zeros()) / 7)
 }
 
-/// Low bits of a bunch entry's first varint that hold its level:
-/// `⌈log₂ k⌉`, the width of `k − 1`.
-fn level_bits(k: usize) -> u32 {
-    usize::BITS - k.saturating_sub(1).leading_zeros()
-}
-
-/// The level a bunch entry of `member` carries on the wire: the level
-/// `levels` (the layer's hierarchy) samples it to — a member of `B_i(u)`
-/// lies in `A_i \ A_{i+1}` — or 0 where the layer keeps no hierarchy
-/// (3-stretch, `k = 1`).  Kept below `k`, so a label that disagrees with
-/// its hierarchy cannot spill into the gap bits; the reader refuses such a
-/// label either way.
-fn entry_level(levels: Option<&[i32]>, member: NodeId, k: usize) -> u64 {
-    let sampled = levels.and_then(|levels| levels.get(member.index()).copied());
-    let sampled = sampled.and_then(|level| u64::try_from(level).ok());
-    sampled
-        .unwrap_or(0)
-        .min(cast::u64_from_usize(k.saturating_sub(1)))
-}
-
 /// A label set's varints, in wire order (see "Label sets" in the
-/// [module docs](self)), each bunch entry at its [`entry_level`].  The
-/// writer and its length both fold over this, so the length is exact by
-/// construction.
-fn set_varints(set: &SketchSet, levels: Option<&[i32]>, mut put: impl FnMut(u64)) {
+/// [module docs](self)).  The writer and its length both fold over this,
+/// so the length is exact by construction.
+fn set_varints(set: &SketchSet, mut put: impl FnMut(u64)) {
     put(cast::u64_from_usize(set.len()));
     put(cast::u64_from_usize(set.pivots.len()));
-    put(cast::u64_from_usize(set.bunch_entries()));
+    put(cast::u64_from_usize(set.bunch_nodes.len()));
+    put(cast::u64_from_usize(set.table_nodes.len()));
+    for &landmark in &set.table_nodes {
+        put(u64::from(landmark.0));
+    }
     for label in set.labels() {
-        let k = label.k();
-        put(cast::u64_from_usize(k));
         for &(node, distance) in label.pivots {
             if node == NO_PIVOT {
                 put(0);
@@ -561,56 +561,95 @@ fn set_varints(set: &SketchSet, levels: Option<&[i32]>, mut put: impl FnMut(u64)
                 put(distance);
             }
         }
-        put(cast::u64_from_usize(label.bunch_size()));
-        let bits = level_bits(k);
+        put(cast::u64_from_usize(label.bunch_nodes.len()));
         // The smallest id the next entry may carry; gaps count up from it.
         let mut floor = 0u64;
-        for (node, distance) in label.bunch() {
-            put(((u64::from(node.0) - floor) << bits) | entry_level(levels, node, k));
+        for (&node, &distance) in label.bunch_nodes.iter().zip(label.bunch_dists) {
+            put(u64::from(node.0) - floor);
             put(distance);
             floor = u64::from(node.0) + 1;
+        }
+        // A cell: 0 for "not in this bunch", else the distance plus one.
+        for &distance in label.table_dists {
+            put(if distance == INFINITY {
+                0
+            } else {
+                distance + 1
+            });
         }
     }
 }
 
-/// The one reader of label-set bytes: the set at `input`'s position, read
-/// straight into its columns, each row held on arrival to the contracts of
-/// [`Claims::check_row`]; `k`, when given, is the level count every label
-/// must have.  What the rows claim about the sampling comes back beside the
-/// set, for the parts stored after it to be checked against.
+/// The one reader of label-set bytes: the set at `input`'s position, every
+/// label `k` levels deep, read straight into its columns, each row held on
+/// arrival to the contracts of [`Claims::check_row`].  What the rows claim
+/// about the sampling comes back beside the set, for the parts stored
+/// after it to be checked against.
 ///
 /// Everything the layout promises is checked here, once: canonical
 /// varints, header totals that fit the remaining bytes and agree with the
-/// rows, `1 ≤ k`, levels below `k`, ids within `u32`.  No count read from
-/// the input is trusted with more memory than the input itself could fill.
-fn read_labels(
-    input: &mut Decoder<'_>,
-    k: Option<usize>,
-) -> Result<(SketchSet, Claims), CodecError> {
-    // A row is at least k, one pivot slot and the bunch length; a pivot
-    // slot at least one byte; a bunch entry at least two.
-    let nodes = input.varint_count(3, "SketchSet length")?;
+/// rows, `1 ≤ k`, ids within `u32`, a table of at most `n` strictly
+/// ascending landmarks below `n`, and sparse rows that name no table
+/// landmark.  No count read from the input is trusted with more memory
+/// than the input itself could fill.
+fn read_labels(input: &mut Decoder<'_>, k: usize) -> Result<(SketchSet, Claims), CodecError> {
+    if k == 0 || u32::try_from(k).is_err() {
+        let message = format!("k = {k} is outside 1..=u32::MAX");
+        return Err(CodecError::invalid("Sketch.k", message));
+    }
+    // A row is at least one pivot slot and the bunch length; a pivot slot
+    // at least one byte; a sparse entry at least two; a landmark and a
+    // table cell one each.
+    let nodes = input.varint_count(2, "SketchSet length")?;
     let pivot_slots = input.varint_count(1, "SketchSet pivot slots")?;
-    let bunch_entries = input.varint_count(2, "SketchSet bunch entries")?;
+    let sparse_entries = input.varint_count(2, "SketchSet bunch entries")?;
+    let width = input.varint_count(1, "SketchSet table width")?;
     if u32::try_from(nodes).is_err() {
         let message = format!("{nodes} nodes exceed the u32 id range");
         return Err(CodecError::invalid("SketchSet length", message));
     }
-    if u32::try_from(pivot_slots.max(bunch_entries)).is_err() {
+    if u32::try_from(pivot_slots.max(sparse_entries)).is_err() {
         return Err(unaddressable());
     }
-    let totals = (pivot_slots, bunch_entries);
-    let mut set = SketchSet::with_capacity(nodes, pivot_slots, bunch_entries);
-    let mut claims = Claims::new(k, nodes);
-    let mut levels = Vec::new();
+    if width > nodes {
+        let message = format!("{width} landmarks exceed the {nodes} nodes");
+        return Err(CodecError::invalid("SketchSet table width", message));
+    }
+    let cells = nodes.saturating_mul(width);
+    if cells > input.remaining() {
+        return Err(CodecError::UnexpectedEof {
+            context: "SketchSet table cells",
+            needed: cells,
+            remaining: input.remaining(),
+        });
+    }
+    let mut landmarks = Vec::with_capacity(width);
+    for _ in 0..width {
+        let id = input.varint("SketchSet table landmark")?;
+        let landmark = u32::try_from(id)
+            .ok()
+            .map(NodeId)
+            .filter(|w| w.index() < nodes && landmarks.last().is_none_or(|last: &NodeId| last < w));
+        let Some(landmark) = landmark else {
+            let message = match landmarks.last() {
+                Some(last) => format!("landmark v{id} after {last} is not ascending below {nodes}"),
+                None => format!("landmark v{id} is not one of the {nodes} nodes"),
+            };
+            return Err(CodecError::invalid("SketchSet table landmark", message));
+        };
+        landmarks.push(landmark);
+    }
+    let totals = (pivot_slots, sparse_entries);
+    let mut claims = Claims::new(Some(k), nodes, landmarks.clone());
+    let mut set = SketchSet::sized(nodes, landmarks, pivot_slots, sparse_entries);
     for owner in (0..nodes).map(NodeId::from_index) {
-        read_row(input, &mut set, &mut levels, totals)?;
-        claims.check_row(set.label(owner), Some(&levels))?;
+        read_row(input, &mut set, k, totals)?;
+        claims.check_row(set.label(owner))?;
     }
     if set.pivots.len() != pivot_slots {
         return Err(disagreeing_totals("pivot slots"));
     }
-    if set.bunch_entries() != bunch_entries {
+    if set.bunch_nodes.len() != sparse_entries {
         return Err(disagreeing_totals("bunch entries"));
     }
     Ok((set, claims))
@@ -627,24 +666,16 @@ pub(crate) fn unaddressable() -> CodecError {
     CodecError::invalid("SketchSet", "label set exceeds the u32 offset range")
 }
 
-/// Append the next row of a set to `set`'s columns — within the header's
-/// `(pivot slots, bunch entries)` totals — and its entries' levels to
-/// `levels`.
+/// Append the next row of a set — `k` pivot slots, its sparse row and its
+/// table cells — to `set`'s columns, within the header's
+/// `(pivot slots, sparse entries)` totals.
 fn read_row(
     input: &mut Decoder<'_>,
     set: &mut SketchSet,
-    levels: &mut Vec<u32>,
-    (pivot_slots, bunch_entries): (usize, usize),
+    k: usize,
+    (pivot_slots, sparse_entries): (usize, usize),
 ) -> Result<(), CodecError> {
     let invalid = CodecError::invalid;
-    // Levels are `u32`s below k.
-    let k = input.varint_count(1, "Sketch.k")?;
-    if k == 0 || u32::try_from(k).is_err() {
-        return Err(invalid(
-            "Sketch.k",
-            format!("k = {k} is outside 1..=u32::MAX"),
-        ));
-    }
     if pivot_slots - set.pivots.len() < k {
         return Err(disagreeing_totals("pivot slots"));
     }
@@ -667,30 +698,28 @@ fn read_row(
     }
 
     let len = input.varint_count(2, "Sketch.bunch length")?;
-    if bunch_entries - set.bunch_entries() < len {
+    if sparse_entries - set.bunch_nodes.len() < len {
         return Err(disagreeing_totals("bunch entries"));
     }
-    let bits = level_bits(k);
-    let level_mask = (1u64 << bits) - 1;
-    levels.clear();
     let mut floor = 0u64;
     for _ in 0..len {
-        let packed = input.varint("BunchEntry")?;
-        let level = u32::try_from(packed & level_mask).unwrap_or(u32::MAX);
-        if cast::usize_from_u32(level) >= k {
-            let message = format!("level {} out of range for k = {k}", packed & level_mask);
-            return Err(invalid("BunchEntry.level", message));
-        }
-        let Ok(node) = u32::try_from(floor.saturating_add(packed >> bits)) else {
-            let gap = packed >> bits;
+        let gap = input.varint("BunchEntry")?;
+        let Ok(node) = u32::try_from(floor.saturating_add(gap)) else {
             let message = format!("gap {gap} from {floor} carries the id past u32::MAX");
             return Err(invalid("BunchEntry.node", message));
         };
+        if set.position(NodeId(node)).is_some() {
+            let message = format!("v{node} is a table landmark: its distance is a table cell");
+            return Err(invalid("BunchEntry.node", message));
+        }
         floor = u64::from(node) + 1;
-        let distance = input.varint("BunchEntry.distance")?;
         set.bunch_nodes.push(NodeId(node));
-        set.bunch_dists.push(distance);
-        levels.push(level);
+        set.bunch_dists.push(input.varint("BunchEntry.distance")?);
+    }
+    for _ in 0..set.table_nodes.len() {
+        let cell = input.varint("SketchSet table cell")?;
+        set.table_dists
+            .push(cell.checked_sub(1).unwrap_or(INFINITY));
     }
     set.seal_label();
     Ok(())
@@ -901,12 +930,12 @@ impl SketchCodec for SchemeSpec {
 }
 
 /// What a label set says about the sampling stored beside it — its one
-/// `k`, and per node the level a label's bunch holds it at and the highest
+/// `k`, its table, per node whether a sparse row holds it and the highest
 /// level a label's pivot row names it at — and the row contracts a
 /// family's labels keep and their bytes alone cannot express:
 ///
-/// * every label has the set's one `k` (a CDG layer's params fix it; in
-///   the other families the first label does);
+/// * every label has the set's one `k` (on the wire the spec or the
+///   layer's params fix it; in memory the first label does);
 /// * every node a label names, as pivot or bunch member, is one of the
 ///   set's nodes;
 /// * a pivot row is the nesting `A_0 ⊇ A_1 ⊇ …` seen from its owner:
@@ -916,38 +945,38 @@ impl SketchCodec for SchemeSpec {
 ///   regrow one);
 /// * every present pivot is in its owner's bunch, at its distance: `p_i(u)`
 ///   is the nearest member of `A_i` (ties to the smaller id), so it is in
-///   `B_i(u)` or is `p_{i+1}(u)`, and both record `d(owner, pivot)`.  The
-///   served rows of the slack families hold no pivot probe
-///   ([`crate::flat`]), so this is what keeps a pivot a candidate.
+///   `B_i(u)` or is `p_{i+1}(u)`, and both record `d(owner, pivot)` — for
+///   a table landmark, its cell.  The served rows of the slack families
+///   hold no pivot probe ([`crate::flat`]), so this is what keeps a pivot
+///   a candidate.
 ///
 /// The reader holds every row it decodes to them, and [`check_rows`] an
 /// in-memory label set.
 struct Claims {
     k: Option<usize>,
-    /// Per node, one past the level a bunch entry of it carries (`0`: no
-    /// label's bunch holds it), with the owner of the first such label.
-    bunch: Vec<(u32, NodeId)>,
+    /// Per node, the owner of the first label whose sparse row holds it.
+    sparse: Vec<Option<NodeId>>,
     /// Per node, one past the highest level a label names it as pivot at
     /// (`0`: none does), with that label's owner.
     pivots: Vec<(u32, NodeId)>,
+    /// The set's table landmarks.
+    table: Vec<NodeId>,
 }
 
 impl Claims {
-    /// No claims yet about a set of `nodes` labels, each to have `k` levels
-    /// when given.
-    fn new(k: Option<usize>, nodes: usize) -> Claims {
-        let none = vec![(0, NodeId(0)); nodes];
+    /// No claims yet about a set of `nodes` labels over `table`, each to
+    /// have `k` levels when given.
+    fn new(k: Option<usize>, nodes: usize, table: Vec<NodeId>) -> Claims {
         Claims {
             k,
-            bunch: none.clone(),
-            pivots: none,
+            sparse: vec![None; nodes],
+            pivots: vec![(0, NodeId(0)); nodes],
+            table,
         }
     }
 
-    /// The row contracts, and the row's claims noted.  `levels` are the
-    /// levels its bunch entries carry on the wire — in-memory labels carry
-    /// none — and a member must carry one level in every label.
-    fn check_row(&mut self, label: Label<'_>, levels: Option<&[u32]>) -> Result<(), CodecError> {
+    /// The row contracts, and the row's claims noted.
+    fn check_row(&mut self, label: Label<'_>) -> Result<(), CodecError> {
         let owner = label.owner;
         let k = label.k();
         let fixed = *self.k.get_or_insert(k);
@@ -955,31 +984,21 @@ impl Claims {
             let message = format!("label of {owner} has k = {k} but the set's k is {fixed}");
             return Err(CodecError::invalid("Sketch.k", message));
         }
-        let nodes = self.bunch.len();
+        let nodes = self.sparse.len();
         let out_of_range = |member: NodeId| {
             let message =
                 format!("label of {owner} names {member}, out of range for {nodes} nodes");
             CodecError::invalid("label node", message)
         };
-        for (at, &member) in label.bunch_nodes.iter().enumerate() {
+        if let Some(&member) = label.table_nodes.last().filter(|w| w.index() >= nodes) {
+            return Err(out_of_range(member));
+        }
+        for &member in label.bunch_nodes {
             let slot = self
-                .bunch
+                .sparse
                 .get_mut(member.index())
                 .ok_or_else(|| out_of_range(member))?;
-            let Some(&level) = levels.and_then(|levels| levels.get(at)) else {
-                continue;
-            };
-            match *slot {
-                (0, _) => *slot = (level + 1, owner),
-                (claimed, first) if claimed != level + 1 => {
-                    return Err(CodecError::HierarchyContract(format!(
-                        "the labels of {first} and {owner} hold {member} at levels {} and \
-                         {level}, but a member has one sampled level",
-                        claimed - 1
-                    )))
-                }
-                _ => {}
-            }
+            slot.get_or_insert(owner);
         }
         let (mut last, mut absent_since) = (0, None);
         for (level, &(pivot, distance)) in (0u32..).zip(label.pivots) {
@@ -1026,12 +1045,10 @@ impl Claims {
         Ok(())
     }
 
-    /// The hierarchy stored beside the labels covers their nodes, has their
-    /// `k`, and samples every node exactly to the level a bunch entry of it
-    /// carries (a member of `B_i(u)` lies in `A_i \ A_{i+1}`) and at least
-    /// to the highest level a label names it as pivot at (`p_i(u) ∈ A_i`).
+    /// The hierarchy stored beside the labels covers their nodes and is
+    /// their sampling ([`Claims::check_levels`]).
     fn check_hierarchy(&self, hierarchy: &Hierarchy) -> Result<(), CodecError> {
-        let (covers, nodes) = (hierarchy.num_nodes(), self.bunch.len());
+        let (covers, nodes) = (hierarchy.num_nodes(), self.sparse.len());
         if covers != nodes {
             return Err(CodecError::invalid(
                 "Hierarchy",
@@ -1042,38 +1059,40 @@ impl Claims {
     }
 
     /// Labels whose density net has no hierarchy beside it (3-stretch) are
-    /// one level over the net: `k = 1`, and every node a label names is a
-    /// member.  The net already covers the labels' nodes.
+    /// one level over the net: `k = 1`, the net is their table, and every
+    /// node a label names is a member.  The net already covers the labels'
+    /// nodes.
     fn check_members(&self, net: &DensityNet) -> Result<(), CodecError> {
-        let mut levels = vec![-1; self.bunch.len()];
-        for member in net.members() {
-            if let Some(level) = levels.get_mut(member.index()) {
-                *level = 0;
-            }
-        }
-        self.check_levels(1, &levels, "density net")
+        self.check_levels(1, &net_levels(net), "density net")
     }
 
-    /// The labels have the sampling's `k`, and `levels` — per node the
-    /// highest level the sampling (`what`) puts it in, `-1` for none — is
-    /// the level every bunch entry of the node carries, and reaches every
-    /// level a pivot row names it at.
+    /// The labels have the sampling's `k` and its top level `A_{k−1}` as
+    /// their table, and `levels` — per node the highest level the sampling
+    /// (`what`) puts it in, `-1` for none — puts every member of a sparse
+    /// row in `A_0` (below the top level, which is the table), and reaches
+    /// every level a pivot row names a node at.
     fn check_levels(&self, k: usize, levels: &[i32], what: &str) -> Result<(), CodecError> {
         if let Some(labels) = self.k.filter(|&labels| labels != k) {
             let message = format!("labels have k = {labels} but the {what} has {k}");
             return Err(CodecError::HierarchyContract(message));
         }
-        let claims = self.bunch.iter().zip(&self.pivots).zip(levels);
-        for (member, ((&(bunch, holder), &(pivot, owner)), &sampled)) in claims.enumerate() {
-            let (member, sampled) = (NodeId::from_index(member), i64::from(sampled));
-            if bunch > 0 && i64::from(bunch) - 1 != sampled {
+        if self.table != top_level(k, levels) {
+            return Err(CodecError::HierarchyContract(format!(
+                "the table's {} landmarks are not the {what}'s top level A_{}",
+                self.table.len(),
+                k.saturating_sub(1)
+            )));
+        }
+        let claims = self.sparse.iter().zip(&self.pivots).zip(levels);
+        for (member, ((&holder, &(pivot, owner)), &sampled)) in claims.enumerate() {
+            let member = NodeId::from_index(member);
+            if let Some(holder) = holder.filter(|_| sampled < 0) {
                 return Err(CodecError::HierarchyContract(format!(
-                    "the label of {holder} holds {member} at level {}, but the {what} \
-                     samples it to level {sampled}",
-                    bunch - 1
+                    "the label of {holder} holds {member}, which the {what} samples to no \
+                     level (outside A_0)"
                 )));
             }
-            if i64::from(pivot) - 1 > sampled {
+            if i64::from(pivot) - 1 > i64::from(sampled) {
                 return Err(CodecError::HierarchyContract(format!(
                     "the label of {owner} names {member} as its level-{} pivot, but the \
                      {what} samples it only to level {sampled}",
@@ -1087,7 +1106,7 @@ impl Claims {
     /// The density net stored beside the labels covers their nodes, and
     /// only them.
     fn check_net(&self, net: &DensityNet) -> Result<(), CodecError> {
-        let (covers, nodes) = (net.num_nodes(), self.bunch.len());
+        let (covers, nodes) = (net.num_nodes(), self.sparse.len());
         let message = if covers != nodes {
             format!("density net covers {covers} nodes but the labels cover {nodes}")
         } else if let Some(member) = net.members().iter().find(|m| m.index() >= covers) {
@@ -1099,13 +1118,62 @@ impl Claims {
     }
 }
 
+/// The levels a density net is as a one-level hierarchy: `0` for a member
+/// (those in range), `-1` for the rest of its nodes.
+fn net_levels(net: &DensityNet) -> Vec<i32> {
+    let mut levels = vec![-1; net.num_nodes()];
+    for member in net.members() {
+        if let Some(level) = levels.get_mut(member.index()) {
+            *level = 0;
+        }
+    }
+    levels
+}
+
+/// The nodes `levels` puts in `A_{k−1}`, ascending: the landmarks every
+/// label over that sampling holds.
+fn top_level(k: usize, levels: &[i32]) -> Vec<NodeId> {
+    let top = i64::try_from(k).map_or(i64::MAX, |k| k - 1);
+    let nodes = levels.iter().enumerate();
+    let members = nodes.filter(|&(_, &level)| i64::from(level) == top);
+    members.map(|(node, _)| NodeId::from_index(node)).collect()
+}
+
+/// The landmarks every label of `layer` holds — its table on the wire: the
+/// top level of its hierarchy, or of the one level its density net is
+/// (3-stretch); none for a layer with neither.
+fn layer_top(layer: &Layer) -> Vec<NodeId> {
+    match (&layer.hierarchy, &layer.net) {
+        (Some(hierarchy), _) => top_level(hierarchy.k(), hierarchy.levels()),
+        (None, Some(net)) => top_level(1, &net_levels(net)),
+        (None, None) => Vec::new(),
+    }
+}
+
+/// `layer`'s labels with its top level as their table ([`layer_top`]):
+/// borrowed as they are where the table already is (every engine builds
+/// them so), otherwise — labels assembled by hand — re-split.
+fn canonical(layer: &Layer) -> Cow<'_, SketchSet> {
+    let set = &layer.sketches;
+    let top = layer_top(layer);
+    if set.table_nodes == top || top.last().is_some_and(|w| w.index() >= set.len()) {
+        Cow::Borrowed(set)
+    } else {
+        Cow::Owned(set.with_landmarks(top))
+    }
+}
+
+/// What `layer`'s table holds: its top level, against its bunch entries.
+pub(crate) fn table_shape(layer: &Layer) -> TableShape {
+    canonical(layer).table_shape()
+}
+
 /// Hold a label set no decoder has read — what `freeze` is handed — to the
 /// row contracts of [`Claims`], with the same [`CodecError`] the decoder
 /// gives its bytes.
 pub(crate) fn check_rows(set: &SketchSet) -> Result<(), CodecError> {
-    let mut claims = Claims::new(None, set.len());
-    set.labels()
-        .try_for_each(|label| claims.check_row(label, None))
+    let mut claims = Claims::new(None, set.len(), set.table_nodes.clone());
+    set.labels().try_for_each(|label| claims.check_row(label))
 }
 
 /// Most layers a set may have: one bit of a served row's layer mask each
@@ -1181,19 +1249,19 @@ fn total_stats(layers: &[Layer]) -> RunStats {
 }
 
 /// Encode `layer`'s label set into `out` or, with no encoder, only measure
-/// it: the bytes it takes either way.  Its entries' levels come from the
-/// layer's hierarchy ([`entry_level`]).
+/// it: the bytes it takes either way.  Its table is the layer's top level
+/// ([`canonical`]).
 fn put_labels(layer: &Layer, out: &mut Option<&mut Encoder>) -> usize {
-    let levels = layer.hierarchy.as_ref().map(Hierarchy::levels);
+    let set = canonical(layer);
     match out {
         Some(out) => {
             let start = out.len();
-            set_varints(&layer.sketches, levels, |v| out.put_varint(v));
+            set_varints(&set, |v| out.put_varint(v));
             out.len() - start
         }
         None => {
             let mut len = 0;
-            set_varints(&layer.sketches, levels, |v| len += varint_len(v));
+            set_varints(&set, |v| len += varint_len(v));
             len
         }
     }
@@ -1266,15 +1334,18 @@ fn read_part(layer: &mut Layer, part: Part, input: &mut Decoder<'_>) -> Result<(
     Ok(())
 }
 
-/// Read one layer — the parts `before` its label set, the set, the parts
-/// `after` — and hold the set to the sampling beside it: the net covers the
-/// labels' nodes, a hierarchy samples every node to the levels the labels
-/// claim for it, and a net with no hierarchy beside it (3-stretch) is the
-/// labels' one level.  A net sampled for another ε than the layer's params
-/// is a [`CodecError::LayerContract`].
+/// Read one layer — the parts `before` its label set, the set (`k` levels
+/// deep, the layer's params say otherwise), the parts `after` — and hold
+/// the set to the sampling beside it: the net covers the labels' nodes, a
+/// hierarchy is their sampling (its `k`, its top level their table, every
+/// node at the levels the labels claim for it), and a net with no
+/// hierarchy beside it (3-stretch) is the labels' one level.  A net
+/// sampled for another ε than the layer's params is a
+/// [`CodecError::LayerContract`].
 fn read_layer(
     input: &mut Decoder<'_>,
     (before, after): (&[Part], &[Part]),
+    k: usize,
 ) -> Result<Layer, CodecError> {
     let mut layer = Layer {
         sketches: SketchSet::new(),
@@ -1286,7 +1357,7 @@ fn read_layer(
     for &part in before {
         read_part(&mut layer, part, input)?;
     }
-    let (sketches, claims) = read_labels(input, layer.params.map(|p| p.k))?;
+    let (sketches, claims) = read_labels(input, layer.params.map_or(k, |p| p.k))?;
     layer.sketches = sketches;
     for &part in after {
         read_part(&mut layer, part, input)?;
@@ -1316,12 +1387,18 @@ fn read_layer(
 /// with the same [`CodecError`].  Beyond each set's rows it checks the
 /// parts around them (`read_layer`), the degrading layers' count
 /// ([`MAX_LAYERS`]) and schedule, and that the payload is the one `spec`
-/// names: its `k`, its ε, its CDG params, at most its layer cap.
+/// names: its ε, its CDG params, at most its layer cap — and, Thorup–Zwick's
+/// labels read at its `k`, its hierarchy's.
 pub(crate) fn read_family(
     spec: &SchemeSpec,
     input: &mut Decoder<'_>,
 ) -> Result<StoredSketches, CodecError> {
     let (before, after, counted) = layout(spec);
+    // The level count the spec fixes; a CDG layer's params fix their own.
+    let k = match *spec {
+        SchemeSpec::ThorupZwick { k } => k,
+        _ => 1,
+    };
     // A degrading layer over one node or more is at least params (24) + net
     // (24) + hierarchy (28) + label set (6) + stats (48).
     let count = if counted {
@@ -1332,7 +1409,7 @@ pub(crate) fn read_family(
     check_layer_count(count)?;
     let mut layers: Vec<Layer> = Vec::with_capacity(count);
     for index in 0..count {
-        let layer = read_layer(input, (before, after))?;
+        let layer = read_layer(input, (before, after), k)?;
         if let Some(previous) = layers.last() {
             check_schedule(index, previous, &layer)?;
         }
@@ -1375,20 +1452,14 @@ fn check_schedule(index: usize, previous: &Layer, layer: &Layer) -> Result<(), C
     )))
 }
 
-/// The payload is the one its spec names: Thorup–Zwick's hierarchy has the
-/// spec's `k`, a 3-stretch net was sampled for the spec's ε, CDG params
-/// are the spec's, and a degrading set has at most the spec's layer cap.
+/// The payload is the one its spec names: a 3-stretch net was sampled for
+/// the spec's ε, CDG params are the spec's, and a degrading set has at
+/// most the spec's layer cap.  (A Thorup–Zwick set is read at the spec's
+/// `k`, and its hierarchy held to the labels'.)
 fn check_spec(stored: &StoredSketches) -> Result<(), CodecError> {
     let unlike = |message: String| Err(CodecError::LayerContract(message));
     let (first, count) = (stored.layers.first(), stored.layers.len());
     match (stored.spec, first) {
-        (SchemeSpec::ThorupZwick { k }, Some(layer)) => match &layer.hierarchy {
-            Some(h) if h.k() != k => unlike(format!(
-                "the payload has k = {} but the spec says {k}",
-                h.k()
-            )),
-            _ => Ok(()),
-        },
         (SchemeSpec::ThreeStretch { eps }, Some(layer)) => match &layer.net {
             Some(net) if !net.sampled_for(eps) => unlike(format!(
                 "the density net was sampled for eps = {} but the spec says {eps}",
@@ -1418,10 +1489,21 @@ mod tests {
     use super::*;
 
     /// Three labels with `k = 2` over nodes 0, 1 and 2, the last the one
-    /// node of `A_1` (its hierarchy levels are [`TOY_LEVELS`]).
+    /// node of `A_1` and so the one table landmark.
     fn toy_set() -> SketchSet {
-        let mut set = SketchSet::new();
-        for (pivots, bunch) in [
+        let mut set = SketchSet::sized(3, vec![NodeId(2)], 0, 0);
+        for (pivots, bunch) in toy_rows() {
+            set.push_label(&pivots, bunch).unwrap();
+        }
+        set
+    }
+
+    /// One hand-built label: its two pivot slots and its ascending bunch.
+    type Row = ([Option<(NodeId, u64)>; 2], &'static [(NodeId, u64)]);
+
+    /// The toy labels' rows.
+    fn toy_rows() -> [Row; 3] {
+        [
             (
                 [Some((NodeId(0), 0)), Some((NodeId(2), 5))],
                 &[(NodeId(0), 0), (NodeId(1), 3), (NodeId(2), 5)][..],
@@ -1434,26 +1516,20 @@ mod tests {
                 [Some((NodeId(2), 0)), Some((NodeId(2), 0))],
                 &[(NodeId(2), 0)],
             ),
-        ] {
-            set.push_label(&pivots, bunch).unwrap();
-        }
-        set
+        ]
     }
 
-    const TOY_LEVELS: &[i32] = &[0, 0, 1];
-
-    /// `set`'s label-set bytes, each entry at the level `levels` samples
-    /// its member to.
-    fn set_bytes(set: &SketchSet, levels: Option<&[i32]>) -> Vec<u8> {
+    /// `set`'s label-set bytes, with the table it has.
+    fn set_bytes(set: &SketchSet) -> Vec<u8> {
         let mut out = Encoder::new();
-        set_varints(set, levels, |v| out.put_varint(v));
+        set_varints(set, |v| out.put_varint(v));
         out.into_bytes()
     }
 
-    /// The label set `bytes` hold, and nothing else.
-    fn read_set(bytes: &[u8]) -> Result<SketchSet, CodecError> {
+    /// The label set `bytes` hold at `k` levels, and nothing else.
+    fn read_set(bytes: &[u8], k: usize) -> Result<SketchSet, CodecError> {
         let mut input = Decoder::new(bytes);
-        let (set, _) = read_labels(&mut input, None)?;
+        let (set, _) = read_labels(&mut input, k)?;
         input.finish()?;
         Ok(set)
     }
@@ -1509,37 +1585,55 @@ mod tests {
     #[test]
     fn sketch_round_trip_is_exact_and_deterministic() {
         let set = toy_set();
-        let bytes = set_bytes(&set, Some(TOY_LEVELS));
-        // n, slots, entries; per row k, two pivots as (node + 1, distance),
-        // the bunch length and its entries as (gap << 1 | level, distance),
-        // the level read off the hierarchy: 1 for node 2, 0 for the others.
+        let bytes = set_bytes(&set);
+        // n, slots, sparse entries, table width and its one landmark; per
+        // row two pivots as (node + 1, distance), the sparse length and its
+        // entries as (gap, distance), then the cell as distance + 1.
         #[rustfmt::skip]
         assert_eq!(
             bytes,
             [
-                3, 6, 7,
-                2, 1, 0, 3, 5, 3, 0, 0, 0, 3, 1, 5,
-                2, 2, 0, 3, 4, 3, 0, 3, 0, 0, 1, 4,
-                2, 3, 0, 3, 0, 1, (2 << 1) | 1, 0,
+                3, 6, 4, 1, 2,
+                1, 0, 3, 5, 2, 0, 0, 0, 3, 6,
+                2, 0, 3, 4, 2, 0, 3, 0, 0, 5,
+                3, 0, 3, 0, 0, 1,
             ]
         );
-        let decoded = read_set(&bytes).unwrap();
+        let decoded = read_set(&bytes, 2).unwrap();
+        assert_eq!(decoded.table_nodes, [NodeId(2)]);
         assert_eq!(decoded, set);
         // encode(decode(bytes)) == bytes: the representation is canonical.
-        assert_eq!(set_bytes(&decoded, Some(TOY_LEVELS)), bytes);
+        assert_eq!(set_bytes(&decoded), bytes);
     }
 
     #[test]
     fn sketch_set_round_trip() {
         let set = toy_set();
-        // Without a hierarchy every entry is at level 0.
-        let flat = set_bytes(&set, None);
-        assert_eq!(read_set(&flat).unwrap(), set);
-        assert_ne!(flat, set_bytes(&set, Some(TOY_LEVELS)));
-        // A level a label's `k` cannot name is clamped, not spilled into
-        // the gap bits.
-        let high = set_bytes(&set, Some(&[0, 0, 7]));
-        assert_eq!(high, set_bytes(&set, Some(TOY_LEVELS)));
+        let mut sparse = SketchSet::new();
+        for (pivots, bunch) in toy_rows() {
+            sparse.push_label(&pivots, bunch).unwrap();
+        }
+        assert_eq!(sparse, set, "the same labels");
+        let bytes = set_bytes(&sparse);
+        assert_ne!(bytes, set_bytes(&set));
+        assert_eq!(read_set(&bytes, 2).unwrap(), set);
+        // Moved onto the toy's table, the table-less set is the toy set,
+        // byte for byte.
+        let moved = sparse.with_landmarks(vec![NodeId(2)]);
+        assert_eq!(set_bytes(&moved), set_bytes(&set));
+        assert_eq!(moved.check_invariants(), Ok(()));
+        // A layer writes its hierarchy's top level as the table, whatever
+        // the set in memory has.
+        let layer = Layer {
+            sketches: sparse,
+            hierarchy: Some(Hierarchy::from_levels(vec![0, 0, 1], 2).unwrap()),
+            net: None,
+            params: None,
+            stats: RunStats::default(),
+        };
+        assert_eq!(canonical(&layer).table_nodes, [NodeId(2)]);
+        let shape = table_shape(&layer);
+        assert_eq!((shape.landmarks, shape.cells, shape.entries), (1, 3, 7));
     }
 
     #[test]
@@ -1590,9 +1684,9 @@ mod tests {
 
     #[test]
     fn truncated_payloads_fail_with_eof_not_panic() {
-        let bytes = set_bytes(&toy_set(), Some(TOY_LEVELS));
+        let bytes = set_bytes(&toy_set());
         for cut in 0..bytes.len() {
-            let err = read_set(&bytes[..cut]).unwrap_err();
+            let err = read_set(&bytes[..cut], 2).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1605,10 +1699,10 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut bytes = set_bytes(&toy_set(), Some(TOY_LEVELS));
+        let mut bytes = set_bytes(&toy_set());
         bytes.push(0xFF);
         assert!(matches!(
-            read_set(&bytes),
+            read_set(&bytes, 2),
             Err(CodecError::TrailingBytes { remaining: 1 })
         ));
     }
@@ -1627,32 +1721,19 @@ mod tests {
         // Each header total is bounded by the bytes that remain, so a
         // corrupted count is refused before anything is sized by it.
         for header in [
-            [u64::from(u32::MAX), 0, 0],
-            [0, u64::MAX, 0],
-            [0, 0, 1 << 40],
+            [u64::from(u32::MAX), 0, 0, 0],
+            [0, u64::MAX, 0, 0],
+            [0, 0, 1 << 40, 0],
+            [0, 0, 0, 1 << 40],
         ] {
-            let err = read_set(&raw_set(&header)).unwrap_err();
+            let err = read_set(&raw_set(&header), 1).unwrap_err();
             assert!(matches!(err, CodecError::UnexpectedEof { .. }), "{err}");
         }
-        // So is a row's k and its bunch length.
-        let err = read_set(&raw_set(&[1, 1, 0, 1 << 30, 0, 0])).unwrap_err();
+        // So is a row's bunch length.
+        let err = read_set(&raw_set(&[1, 1, 0, 0, 0, 1 << 30]), 1).unwrap_err();
         assert!(matches!(err, CodecError::UnexpectedEof { .. }), "{err}");
-        let err = read_set(&raw_set(&[1, 1, 0, 1, 0, 1 << 30])).unwrap_err();
-        assert!(matches!(err, CodecError::UnexpectedEof { .. }), "{err}");
-    }
-
-    #[test]
-    fn bunch_levels_are_validated_against_k() {
-        // k = 3 leaves two level bits, so level 3 is writable but invalid.
-        let row = |level: u64| raw_set(&[1, 3, 1, 3, 0, 0, 0, 1, level, 1]);
-        assert!(read_set(&row(2)).is_ok());
-        let err = read_set(&row(3)).unwrap_err();
-        assert!(
-            matches!(err, CodecError::Invalid { context, .. } if context.contains("level")),
-            "{err}"
-        );
         // k = 0 is refused outright.
-        let err = read_set(&raw_set(&[1, 0, 0, 0, 0, 0])).unwrap_err();
+        let err = read_set(&raw_set(&[1, 0, 0, 0, 0]), 0).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1663,19 +1744,52 @@ mod tests {
             ),
             "{err}"
         );
-        // Two labels holding one member at two levels cannot both be at
-        // its sampled level, whatever the hierarchy says.
-        // (k = 2, no pivots: node 0 at level 0 in one label, 1 in the other.)
-        let two = raw_set(&[2, 4, 2, 2, 0, 0, 1, 0, 1, 2, 0, 0, 1, 1, 1]);
-        let err = read_set(&two).unwrap_err();
-        assert!(matches!(err, CodecError::HierarchyContract(_)), "{err}");
+    }
+
+    #[test]
+    fn a_table_is_at_most_n_ascending_landmarks_and_owns_its_entries() {
+        let invalid = |bytes: Vec<u8>, what: &str| {
+            let err = read_set(&bytes, 1).unwrap_err();
+            assert!(
+                matches!(&err, CodecError::Invalid { context, .. } if *context == what),
+                "{what}: {err}"
+            );
+        };
+        // Two nodes, no pivots, one landmark (node 1): a cell each.
+        assert!(read_set(&raw_set(&[2, 2, 0, 1, 1, 0, 0, 4, 0, 0, 1]), 1).is_ok());
+        // More landmarks than nodes, with the bytes to spare.
+        invalid(
+            raw_set(&[1, 1, 0, 2, 0, 0, 0, 0, 0, 0]),
+            "SketchSet table width",
+        );
+        // Landmarks out of order, repeated, or past the nodes.
+        invalid(
+            raw_set(&[2, 2, 0, 2, 1, 0, 0, 0, 1, 1, 0, 0, 1, 1]),
+            "SketchSet table landmark",
+        );
+        invalid(
+            raw_set(&[2, 2, 0, 2, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1]),
+            "SketchSet table landmark",
+        );
+        invalid(
+            raw_set(&[2, 2, 0, 1, 2, 0, 0, 1, 0, 0, 1]),
+            "SketchSet table landmark",
+        );
+        // n × width cells the bytes cannot hold.
+        let err = read_set(&raw_set(&[3, 3, 0, 3, 0, 1, 2]), 1).unwrap_err();
+        assert!(matches!(err, CodecError::UnexpectedEof { .. }), "{err}");
+        // A sparse entry naming the table landmark.
+        invalid(
+            raw_set(&[2, 2, 1, 1, 1, 0, 1, 1, 4, 0, 0, 0, 1]),
+            "BunchEntry.node",
+        );
     }
 
     #[test]
     fn gaps_cannot_carry_an_id_past_u32() {
         let max = u64::from(u32::MAX);
         // One entry at u32::MAX is an id, just not one of the set's nodes ...
-        let err = read_set(&raw_set(&[1, 1, 1, 1, 0, 1, max, 5])).unwrap_err();
+        let err = read_set(&raw_set(&[1, 1, 1, 0, 0, 1, max, 5]), 1).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1694,9 +1808,9 @@ mod tests {
             vec![2, 7, 5, u64::MAX, 5],
         ] {
             let count = entries[0];
-            let mut varints = vec![1, 1, count, 1, 0];
+            let mut varints = vec![1, 1, count, 0, 0];
             varints.extend(entries);
-            let err = read_set(&raw_set(&varints)).unwrap_err();
+            let err = read_set(&raw_set(&varints), 1).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1711,7 +1825,7 @@ mod tests {
         // A pivot id is bounded the same way, and the last u32 is the
         // absent pivot's, so no pivot's.
         for id in [max, max + 1] {
-            let err = read_set(&raw_set(&[1, 1, 0, 1, id + 1, 0, 0])).unwrap_err();
+            let err = read_set(&raw_set(&[1, 1, 0, 0, id + 1, 0, 0]), 1).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1728,10 +1842,10 @@ mod tests {
     #[test]
     fn header_totals_must_agree_with_the_rows() {
         // One row with one pivot slot and one bunch entry.
-        let set = |slots: u64, entries: u64| raw_set(&[1, slots, entries, 1, 0, 1, 0, 9]);
-        assert!(read_set(&set(1, 1)).is_ok());
+        let set = |slots: u64, entries: u64| raw_set(&[1, slots, entries, 0, 0, 1, 0, 9]);
+        assert!(read_set(&set(1, 1), 1).is_ok());
         for (slots, entries) in [(0, 1), (2, 1), (1, 0), (1, 2)] {
-            let err = read_set(&set(slots, entries)).unwrap_err();
+            let err = read_set(&set(slots, entries), 1).unwrap_err();
             assert!(
                 matches!(
                     err,

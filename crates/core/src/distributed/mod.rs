@@ -141,8 +141,7 @@ fn run_global_oracle(
         total.absorb(&outcome.stats);
     }
 
-    let entries = bunches.iter().map(Vec::len).sum();
-    let mut sketches = SketchSet::with_capacity(n, n * k, entries);
+    let mut sketches = SketchSet::over(hierarchy);
     for (pivots, mut bunch) in pivots.into_iter().zip(bunches) {
         // k sorted runs back to back: the stable sort merges them.
         bunch.sort_by_key(|&(node, _)| node);
@@ -199,7 +198,7 @@ fn run_termination_detection(
 
     record_phase("detected", &outcome.stats, started);
     total.absorb(&outcome.stats);
-    let mut sketches = SketchSet::new();
+    let mut sketches = SketchSet::over(hierarchy);
     for program in net.programs() {
         program.append_label(&mut sketches)?;
     }

@@ -53,13 +53,13 @@
 
 use crate::cast;
 use crate::codec::{
-    check_covers, check_layer_count, check_rows, read_family, unaddressable, CodecError, Decoder,
-    MAX_LAYERS,
+    check_covers, check_layer_count, check_rows, read_family, table_shape, unaddressable,
+    CodecError, Decoder, MAX_LAYERS,
 };
 use crate::error::SketchError;
 use crate::oracle::{check_nodes, DistanceOracle};
-use crate::scheme::{SchemeSpec, StoredSketches};
-use crate::sketch::{ensure, present_pivots, Label, SketchSet, NO_PIVOT};
+use crate::scheme::{Layer, SchemeSpec, StoredSketches};
+use crate::sketch::{ensure, present_pivots, Label, SketchSet, TableShape, NO_PIVOT};
 use netgraph::{add_dist, Distance, NodeId, INFINITY};
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -68,14 +68,15 @@ use std::cell::Cell;
 /// [`crate::query::estimate_distance`] candidate-for-candidate (both
 /// directions per level, smaller estimate wins, first level with a hit
 /// answers).  `in_u` / `in_v` answer "distance to `w` if `w` is in that
-/// side's bunch".  `None` means no common landmark.
+/// side's bunch".  The estimate comes with the level that answered it;
+/// `None` means no common landmark.
 #[inline]
 fn level_walk(
     pivots_u: &[(NodeId, Distance)],
     pivots_v: &[(NodeId, Distance)],
     in_u: impl Fn(NodeId) -> Option<Distance>,
     in_v: impl Fn(NodeId) -> Option<Distance>,
-) -> Option<Distance> {
+) -> Option<(Distance, usize)> {
     let k = pivots_u.len().max(pivots_v.len());
     for i in 0..k {
         let mut best: Option<Distance> = None;
@@ -94,17 +95,19 @@ fn level_walk(
                 }
             }
         }
-        if best.is_some() {
-            return best;
+        if let Some(best) = best {
+            return Some((best, i));
         }
     }
     None
 }
 
 /// The Lemma 3.2 level walk over one Thorup–Zwick set's columns
-/// ([`level_walk`]).
+/// ([`level_walk`]): a pivot that is a table landmark — every top-level
+/// pivot, and a lower one that is in `A_{k−1}` too — is one load from the
+/// other side's table row, any other a binary search of its sparse row.
 #[inline]
-fn walk(set: &SketchSet, u: NodeId, v: NodeId) -> Option<Distance> {
+fn walk(set: &SketchSet, u: NodeId, v: NodeId) -> Option<(Distance, usize)> {
     let lu = set.label(u);
     let lv = set.label(v);
     // Both bunches will be probed on essentially every query (the vast
@@ -401,7 +404,9 @@ impl RowBuilder {
     /// Add the current node's label of layer `layer`, whose landmarks are
     /// nodes of the set (a row contract of the codec).
     fn push(&mut self, layer: usize, label: &Label<'_>) {
-        for (&w, &distance) in label.bunch_nodes.iter().zip(label.bunch_dists) {
+        let sparse = label.bunch_nodes.iter().copied();
+        let entries = sparse.zip(label.bunch_dists.iter().copied());
+        for (w, distance) in entries.chain(label.table_entries()) {
             let w = w.index();
             self.two_distances |= (self.mask_at[w] != 0) & (self.dist_at[w] != distance);
             self.dist_at[w] = distance;
@@ -490,6 +495,7 @@ enum Labels {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatSketchSet {
     labels: Labels,
+    tables: Vec<TableShape>,
     scheme_name: &'static str,
     stretch_bound: Option<u64>,
 }
@@ -510,10 +516,7 @@ impl StoredSketches {
     /// builds is accepted.
     pub fn freeze(&self) -> Result<FlatSketchSet, CodecError> {
         self.check_rows()?;
-        let layers = self
-            .layers
-            .iter()
-            .map(|layer| Cow::Borrowed(&layer.sketches));
+        let layers = self.layers.iter().map(Cow::Borrowed);
         FlatSketchSet::from_layers(&self.spec, layers.collect())
     }
 
@@ -521,10 +524,7 @@ impl StoredSketches {
     /// instead of copying them.
     pub(crate) fn into_frozen(self) -> Result<FlatSketchSet, CodecError> {
         self.check_rows()?;
-        let layers = self
-            .layers
-            .into_iter()
-            .map(|layer| Cow::Owned(layer.sketches));
+        let layers = self.layers.into_iter().map(Cow::Owned);
         FlatSketchSet::from_layers(&self.spec, layers.collect())
     }
 
@@ -541,18 +541,18 @@ impl StoredSketches {
 }
 
 impl FlatSketchSet {
-    /// A family's label sets in the form `spec` is served in:
-    /// Thorup–Zwick's one layer as it is, any other family's layers merged
-    /// into rows.
+    /// A family's layers in the form `spec` is served in: Thorup–Zwick's
+    /// one layer's labels as they are, any other family's merged into rows.
     fn from_layers(
         spec: &SchemeSpec,
-        mut layers: Vec<Cow<'_, SketchSet>>,
+        mut layers: Vec<Cow<'_, Layer>>,
     ) -> Result<FlatSketchSet, CodecError> {
+        let tables = layers.iter().map(|layer| table_shape(layer)).collect();
         let labels = match spec {
             SchemeSpec::ThorupZwick { .. } => {
                 let count = layers.len();
                 match layers.pop() {
-                    Some(layer) if count == 1 => Labels::Layer(layer.into_owned()),
+                    Some(layer) if count == 1 => Labels::Layer(layer.into_owned().sketches),
                     _ => {
                         return Err(CodecError::LayerContract(format!(
                             "a Thorup–Zwick set has one layer, not {count}"
@@ -561,13 +561,14 @@ impl FlatSketchSet {
                 }
             }
             _ => {
-                let layers: Vec<&SketchSet> = layers.iter().map(AsRef::as_ref).collect();
+                let layers: Vec<&SketchSet> = layers.iter().map(|layer| &layer.sketches).collect();
                 Labels::Merged(MergedRows::merge(&layers)?)
             }
         };
         let (scheme_name, stretch_bound) = spec.served_as();
         Ok(FlatSketchSet {
             labels,
+            tables,
             scheme_name,
             stretch_bound,
         })
@@ -584,10 +585,7 @@ impl FlatSketchSet {
         let mut input = Decoder::new(bytes);
         let family = read_family(spec, &mut input)?;
         input.finish()?;
-        let layers = family
-            .layers
-            .into_iter()
-            .map(|layer| Cow::Owned(layer.sketches));
+        let layers = family.layers.into_iter().map(Cow::Owned);
         FlatSketchSet::from_layers(spec, layers.collect())
     }
 
@@ -605,6 +603,48 @@ impl FlatSketchSet {
             Labels::Layer(_) => 1,
             Labels::Merged(rows) => rows.pivots.len(),
         }
+    }
+
+    /// [`DistanceOracle::estimate`], with the level of the Thorup–Zwick
+    /// walk that answered.  By the proof of Lemma 3.2 a walk that first
+    /// hits at level `i` is within `2i + 1` of the distance: the misses
+    /// below `i` bound `max(d(u, A_i), d(v, A_i))` by `i · d(u, v)`.  The
+    /// level is `None` where no walk answered: for `u == v`, and for the
+    /// merged rows of the slack families, which answer by the join.
+    #[inline]
+    pub fn estimate_with_level(
+        &self,
+        u: NodeId,
+        v: NodeId,
+    ) -> Result<(Distance, Option<usize>), SketchError> {
+        check_nodes(self.num_nodes(), u, v)?;
+        if u == v {
+            return Ok((0, None));
+        }
+        let best = match &self.labels {
+            // The walk's answer is the answer — an explicit `INFINITY`
+            // entry included, as on the per-node path.
+            Labels::Layer(set) => {
+                return walk(set, u, v)
+                    .map(|(distance, level)| (distance, Some(level)))
+                    .ok_or(SketchError::NoCommonLandmark { u, v })
+            }
+            Labels::Merged(rows) => rows.best_common(u.index(), v.index()),
+        };
+        // `INFINITY` stands for "no layer has a common landmark".
+        if best == INFINITY {
+            Err(SketchError::NoCommonLandmark { u, v })
+        } else {
+            Ok((best, None))
+        }
+    }
+
+    /// Each layer's landmark table: its top level against the layer's
+    /// bunch entries, in layer order (what `dsketch-store inspect` shows).
+    /// The slack families serve their layers merged into rows, the table's
+    /// landmarks among them; this is what the tables held.
+    pub fn tables(&self) -> &[TableShape] {
+        &self.tables
     }
 
     /// Check the structural invariants the query relies on.
@@ -636,24 +676,7 @@ impl DistanceOracle for FlatSketchSet {
     /// join on merged rows.
     #[inline]
     fn estimate(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
-        check_nodes(self.num_nodes(), u, v)?;
-        if u == v {
-            return Ok(0);
-        }
-        let best = match &self.labels {
-            // The walk's answer is the answer — an explicit `INFINITY`
-            // entry included, as on the per-node path.
-            Labels::Layer(set) => {
-                return walk(set, u, v).ok_or(SketchError::NoCommonLandmark { u, v })
-            }
-            Labels::Merged(rows) => rows.best_common(u.index(), v.index()),
-        };
-        // `INFINITY` stands for "no layer has a common landmark".
-        if best == INFINITY {
-            Err(SketchError::NoCommonLandmark { u, v })
-        } else {
-            Ok(best)
-        }
+        self.estimate_with_level(u, v).map(|(distance, _)| distance)
     }
 
     /// The batch path the serve layer and benches drive: one pre-sized
@@ -691,7 +714,6 @@ impl DistanceOracle for FlatSketchSet {
 mod tests {
     use super::*;
     use crate::query::{estimate_distance, estimate_distance_best_common};
-    use crate::scheme::Layer;
 
     /// One hand-built label: its pivot slots and its ascending bunch.
     type Row<'a> = (&'a [Option<(NodeId, Distance)>], &'a [(NodeId, Distance)]);
@@ -875,9 +897,9 @@ mod tests {
         // payload can still say is an id past u32::MAX, and both ingresses
         // refuse it alike.
         let mut out = crate::codec::Encoder::new();
-        // n = 1, one pivot slot, two entries; k = 1, no pivot, two entries:
-        // id u32::MAX, then a gap of 0 after it.
-        for v in [1, 1, 2, 1, 0, 2, u64::from(u32::MAX), 0, 0, 0] {
+        // n = 1, two pivot slots, two sparse entries, no table; k = 2, no
+        // pivots, two entries: id u32::MAX, then a gap of 0 after it.
+        for v in [1, 2, 2, 0, 0, 0, 2, u64::from(u32::MAX), 0, 0, 0] {
             out.put_varint(v);
         }
         let hierarchy = tz.layers[0].hierarchy.as_ref().unwrap();

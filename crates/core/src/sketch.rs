@@ -18,33 +18,49 @@
 //! # Storage
 //!
 //! A [`SketchSet`] is every label of one layer in CSR form — per-node
-//! offsets into four contiguous columns:
+//! offsets into contiguous columns — beside one dense **landmark table**:
 //!
 //! ```text
 //!   offsets ─┐ (pivot offset, bunch offset) per node
 //!            ▼
 //!   pivots       [(p₀(0), d) (p₁(0), d) … | (p₀(1), d) … ]   (NO_PIVOT, ∞) where a level has none
-//!   bunch_nodes  [sorted ids of B(0) | B(1) | …]
-//!   bunch_dists  [matching distances          …]
+//!   bunch_nodes  [sorted ids of B(0) \ T | B(1) \ T | …]     the sparse rows
+//!   bunch_dists  [matching distances              …]
+//!
+//!   table_nodes  [t₀ t₁ … t_{w−1}]                            T, ascending
+//!   positions    [per node id: its index in T, or NOT_IN_TABLE]
+//!   table_dists  [d(0,t₀) … d(0,t_{w−1}) | d(1,t₀) … | …]     n × w, ∞ = not in B(u)
 //! ```
 //!
+//! The table `T` holds the landmarks every label of the layer holds: its
+//! top level `A_{k−1}`.  Since `d(u, A_k) = ∞`, the top bunch level
+//! `B_{k−1}(u)` is all of `A_{k−1}` that `u` reaches (§3.1) — for CDG the
+//! net-restricted top level, for 3-stretch (`k = 1`) the whole ε-net
+//! (Thm 4.3).  So those entries are a column each, with no ids repeated n
+//! times, and a probe for a table landmark is one load.  A bunch is the
+//! sparse row and the finite cells of the table row together; the sparse
+//! row never names a table landmark ([`SketchSet::push_label`] routes
+//! them), so each entry has one place.
+//!
 //! That is the one shape a label has: both engines write it
-//! ([`crate::build`]'s transpose fills the columns straight from the
-//! clusters; the CONGEST programs append each finished row once), the
-//! codec encodes it and decodes into it, and a Thorup–Zwick set is served
-//! as it is ([`crate::flat`]).  A membership probe is a binary search over
-//! one contiguous `u32` slice.
+//! ([`crate::build`]'s transpose scatters each top-level cluster straight
+//! into its table column and the rest into the rows; the CONGEST programs
+//! append each finished label once), the codec encodes it and decodes into
+//! it, and a Thorup–Zwick set is served as it is ([`crate::flat`]).  A
+//! membership probe is a position load, then, for a landmark outside the
+//! table, a binary search over one contiguous `u32` slice.
 //!
 //! A bunch stores no levels: a member of `B_i(u)` lies in `A_i \ A_{i+1}`,
-//! so its level is the one its layer's hierarchy samples it to — the codec
-//! derives it there, and the decoder refuses any other.  [`Label`] is a
-//! borrowed view of one node's label, what the queries of [`crate::query`]
-//! take.
+//! so its level is the one its layer's hierarchy samples it to.  [`Label`]
+//! is a borrowed view of one node's label, what the queries of
+//! [`crate::query`] take; it reads the same whichever of the two places an
+//! entry sits in.
 
 #![deny(clippy::as_conversions)]
 
 use crate::cast;
 use crate::error::SketchError;
+use crate::hierarchy::Hierarchy;
 use netgraph::{Distance, NodeId, INFINITY};
 
 /// Lexicographic `(distance, node)` key used for consistent tie-breaking.
@@ -79,19 +95,35 @@ impl DistKey {
 /// of a set has this id: a set covers at most `u32::MAX` nodes.
 pub const NO_PIVOT: NodeId = NodeId(u32::MAX);
 
-/// One node's label, borrowed from a [`SketchSet`]'s columns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A node's entry in a set's `positions` column when it is no table
+/// landmark.
+const NOT_IN_TABLE: u32 = u32::MAX;
+
+/// One node's label, borrowed from a [`SketchSet`]'s columns.  Two labels
+/// are equal when they hold the same pivots and the same bunch, whichever
+/// of its two places — sparse row or table row — each entry sits in.
+#[derive(Clone, Copy)]
 pub struct Label<'a> {
     /// The node the label belongs to.
     pub owner: NodeId,
     /// One `(p_i(u), d(u, p_i(u)))` slot per level, so `pivots.len()` is the
     /// label's `k`; `(NO_PIVOT, INFINITY)` where the level has none.
     pub pivots: &'a [(NodeId, Distance)],
-    /// The bunch `B(u)`, strictly ascending by node id.
+    /// The sparse part of the bunch `B(u)` — its members outside the
+    /// layer's table — strictly ascending by node id.
     pub bunch_nodes: &'a [NodeId],
-    /// The exact distance `d(u, w)` to each bunch member, parallel to
+    /// The exact distance `d(u, w)` to each sparse member, parallel to
     /// `bunch_nodes`.
     pub bunch_dists: &'a [Distance],
+    /// The layer's table landmarks, strictly ascending (shared by every
+    /// label of the set).
+    pub table_nodes: &'a [NodeId],
+    /// `d(u, t)` for each table landmark `t`, parallel to `table_nodes`;
+    /// `INFINITY` where `t` is not in `B(u)`.
+    pub table_dists: &'a [Distance],
+    /// Per node id of the set, its position in `table_nodes` or
+    /// [`NOT_IN_TABLE`]; empty when the table is.
+    pub(crate) positions: &'a [u32],
 }
 
 impl<'a> Label<'a> {
@@ -108,8 +140,9 @@ impl<'a> Label<'a> {
             .filter(|&(pivot, _)| pivot != NO_PIVOT)
     }
 
-    /// Distance to `w` if `w ∈ B(u)`: a binary search over the key column
-    /// alone, touching the distances on a hit only.
+    /// Distance to `w` if `w ∈ B(u)`: one load from the table row for a
+    /// table landmark, else a binary search over the sparse key column,
+    /// touching the distances on a hit only.
     ///
     /// (Alternatives measured and rejected — the number to beat is
     /// `dsketch-benchmark`'s `core.flat.estimate_ns` row: two hand-rolled
@@ -119,33 +152,56 @@ impl<'a> Label<'a> {
     /// sizes.)
     #[inline]
     pub fn distance_to(&self, w: NodeId) -> Option<Distance> {
-        match self.bunch_nodes.binary_search(&w) {
-            Ok(i) => Some(self.bunch_dists[i]),
-            Err(_) => None,
+        match position(self.positions, w) {
+            Some(at) => Some(self.table_dists[at]).filter(|&d| d != INFINITY),
+            None => match self.bunch_nodes.binary_search(&w) {
+                Ok(i) => Some(self.bunch_dists[i]),
+                Err(_) => None,
+            },
         }
     }
 
-    /// The bunch as `(member, distance)` pairs, ascending by member.
+    /// The bunch as `(member, distance)` pairs, ascending by member: the
+    /// sparse row and the table row's finite cells, merged.
     pub fn bunch(&self) -> impl Iterator<Item = (NodeId, Distance)> + 'a {
-        self.bunch_nodes
+        let mut sparse = self
+            .bunch_nodes
             .iter()
             .copied()
             .zip(self.bunch_dists.iter().copied())
+            .peekable();
+        let mut table = self.table_entries().peekable();
+        std::iter::from_fn(
+            move || match (sparse.peek().copied(), table.peek().copied()) {
+                (Some(s), Some(t)) if s.0 < t.0 => sparse.next(),
+                (Some(_), None) => sparse.next(),
+                _ => table.next(),
+            },
+        )
     }
 
-    /// Number of bunch entries `|B(u)|`.
+    /// The table landmarks in `B(u)`, with their distances, ascending.
+    pub(crate) fn table_entries(&self) -> impl Iterator<Item = (NodeId, Distance)> + 'a {
+        self.table_nodes
+            .iter()
+            .copied()
+            .zip(self.table_dists.iter().copied())
+            .filter(|&(_, distance)| distance != INFINITY)
+    }
+
+    /// Number of bunch entries `|B(u)|`, table cells included.
     pub fn bunch_size(&self) -> usize {
-        self.bunch_nodes.len()
+        self.bunch_nodes.len() + self.table_entries().count()
     }
 
     /// Size of the label in CONGEST words, using the paper's accounting: one
     /// id word plus one distance word per present pivot, and the same per
-    /// bunch entry.
+    /// bunch entry — a finite table cell is an entry like any other.
     pub fn words(&self) -> usize {
-        2 * present_pivots(self.pivots) + 2 * self.bunch_nodes.len()
+        2 * present_pivots(self.pivots) + 2 * self.bunch_size()
     }
 
-    /// Touch the start, middle and end of the bunch key run — for typical
+    /// Touch the start, middle and end of the sparse key run — for typical
     /// bunch sizes that is every cache line a coming binary search can
     /// probe — so the lines are all in flight, in parallel, before they
     /// are needed.  `black_box` keeps the otherwise-dead loads alive.
@@ -158,6 +214,32 @@ impl<'a> Label<'a> {
             nodes.last().copied(),
         ));
     }
+}
+
+impl PartialEq for Label<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.owner == other.owner && self.pivots == other.pivots && self.bunch().eq(other.bunch())
+    }
+}
+
+impl Eq for Label<'_> {}
+
+impl std::fmt::Debug for Label<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Label")
+            .field("owner", &self.owner)
+            .field("pivots", &self.pivots)
+            .field("bunch", &self.bunch().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+/// `w`'s index in a table whose `positions` column this is, if `w` is one
+/// of its landmarks.
+#[inline]
+fn position(positions: &[u32], w: NodeId) -> Option<usize> {
+    let at = *positions.get(w.index())?;
+    (at != NOT_IN_TABLE).then(|| cast::usize_from_u32(at))
 }
 
 /// Pivot slots of one row that hold a pivot.
@@ -174,24 +256,56 @@ pub(crate) fn offset(len: usize) -> u32 {
     u32::try_from(len).expect("label columns exceed the u32 offset range")
 }
 
-/// The labels of every node of a network, in CSR form (see the
-/// [module docs](self)).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What a layer's landmark table holds: its `landmarks × nodes` cells, and
+/// how many of the layer's bunch `entries` they are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TableShape {
+    /// Landmarks in the table (the layer's top level).
+    pub landmarks: usize,
+    /// Nodes, one table row each.
+    pub nodes: usize,
+    /// Finite cells: bunch entries the table holds.
+    pub cells: usize,
+    /// Bunch entries of the layer, table cells included.
+    pub entries: usize,
+}
+
+/// The labels of every node of a network, in CSR form beside one landmark
+/// table (see the [module docs](self)).  Two sets are equal when they hold
+/// the same labels.
+#[derive(Debug, Clone)]
 pub struct SketchSet {
     /// `len() + 1` entries of `(pivot offset, bunch offset)`: node `u`'s
     /// pivot slots are `offsets[u].0..offsets[u + 1].0` (one per level, so
-    /// per-node `k` may differ) and its bunch is
+    /// per-node `k` may differ) and its sparse row is
     /// `offsets[u].1..offsets[u + 1].1`.  One array for both, so resolving
     /// a node's two ranges is a single pair of adjacent loads.
     pub(crate) offsets: Vec<(u32, u32)>,
     /// `(pivot node, distance)` per level slot, `(NO_PIVOT, INFINITY)` where
     /// the level has none.
     pub(crate) pivots: Vec<(NodeId, Distance)>,
-    /// Bunch members, strictly ascending within each node's range.
+    /// Sparse bunch members, strictly ascending within each node's range,
+    /// never a table landmark.
     pub(crate) bunch_nodes: Vec<NodeId>,
-    /// Exact distance to each bunch member, parallel to `bunch_nodes`.
+    /// Exact distance to each sparse member, parallel to `bunch_nodes`.
     pub(crate) bunch_dists: Vec<Distance>,
+    /// The table landmarks, strictly ascending.
+    pub(crate) table_nodes: Vec<NodeId>,
+    /// Per node id, its position in `table_nodes` or [`NOT_IN_TABLE`];
+    /// empty when the table is.
+    pub(crate) positions: Vec<u32>,
+    /// `len() × table_nodes.len()` cells, node-major: node `u`'s distance
+    /// to each landmark, `INFINITY` where it is not in `B(u)`.
+    pub(crate) table_dists: Vec<Distance>,
 }
+
+impl PartialEq for SketchSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.labels().eq(other.labels())
+    }
+}
+
+impl Eq for SketchSet {}
 
 impl Default for SketchSet {
     fn default() -> Self {
@@ -200,26 +314,53 @@ impl Default for SketchSet {
 }
 
 impl SketchSet {
-    /// A set of no labels; [`SketchSet::push_label`] appends them.
+    /// A set of no labels and no table; [`SketchSet::push_label`] appends
+    /// labels.
     pub fn new() -> Self {
-        SketchSet::with_capacity(0, 0, 0)
+        SketchSet::sized(0, Vec::new(), 0, 0)
     }
 
-    /// An empty set whose columns are sized, once, for this much.
-    pub(crate) fn with_capacity(nodes: usize, pivot_slots: usize, bunch_entries: usize) -> Self {
-        let mut offsets = Vec::with_capacity(nodes + 1);
+    /// A set of no labels for a build over `hierarchy` — both engines start
+    /// from it: its table is the top level `A_{k−1}`.
+    pub(crate) fn over(hierarchy: &Hierarchy) -> Self {
+        let top = hierarchy.level_members(hierarchy.k().saturating_sub(1));
+        SketchSet::sized(hierarchy.num_nodes(), top, 0, 0)
+    }
+
+    /// An empty set over `num_nodes` nodes whose table holds `landmarks`
+    /// (strictly ascending, each below `num_nodes`), its columns sized,
+    /// once, for this much.
+    pub(crate) fn sized(
+        num_nodes: usize,
+        landmarks: Vec<NodeId>,
+        pivot_slots: usize,
+        sparse_entries: usize,
+    ) -> Self {
+        let mut offsets = Vec::with_capacity(num_nodes + 1);
         offsets.push((0, 0));
+        let mut positions = Vec::new();
+        if !landmarks.is_empty() {
+            positions = vec![NOT_IN_TABLE; num_nodes];
+            for (w, at) in landmarks.iter().zip(0u32..) {
+                positions[w.index()] = at;
+            }
+        }
         SketchSet {
             offsets,
             pivots: Vec::with_capacity(pivot_slots),
-            bunch_nodes: Vec::with_capacity(bunch_entries),
-            bunch_dists: Vec::with_capacity(bunch_entries),
+            bunch_nodes: Vec::with_capacity(sparse_entries),
+            bunch_dists: Vec::with_capacity(sparse_entries),
+            table_dists: Vec::with_capacity(num_nodes * landmarks.len()),
+            table_nodes: landmarks,
+            positions,
         }
     }
 
     /// Append the label of node `len()`: one pivot slot per level (`None`
     /// where the level has none) and its bunch, which must be strictly
-    /// ascending by node id — refused otherwise, with nothing appended.
+    /// ascending by node id — refused otherwise, with nothing appended.  A
+    /// table landmark's entry goes to the table row, the rest to the
+    /// sparse row.
     pub fn push_label(
         &mut self,
         pivots: &[Option<(NodeId, Distance)>],
@@ -235,13 +376,50 @@ impl SketchSet {
         }
         self.pivots
             .extend(pivots.iter().map(|p| p.unwrap_or((NO_PIVOT, INFINITY))));
-        self.bunch_nodes.extend(bunch.iter().map(|&(w, _)| w));
-        self.bunch_dists.extend(bunch.iter().map(|&(_, d)| d));
-        self.seal_label();
+        self.push_bunch(bunch.iter().copied());
         Ok(())
     }
 
-    /// Close the label whose slots and entries were appended last.
+    /// Append an ascending bunch as the next label's, routed between its
+    /// table row and its sparse row, and close the label.
+    fn push_bunch(&mut self, bunch: impl Iterator<Item = (NodeId, Distance)>) {
+        let row = self.table_dists.len();
+        self.table_dists
+            .resize(row + self.table_nodes.len(), INFINITY);
+        for (w, distance) in bunch {
+            match self.position(w) {
+                Some(at) => self.table_dists[row + at] = distance,
+                None => {
+                    self.bunch_nodes.push(w);
+                    self.bunch_dists.push(distance);
+                }
+            }
+        }
+        self.seal_label();
+    }
+
+    /// `w`'s position in the table, if it is a table landmark.
+    pub(crate) fn position(&self, w: NodeId) -> Option<usize> {
+        position(&self.positions, w)
+    }
+
+    /// The same labels over a table of `landmarks` (strictly ascending, each
+    /// below `len()`): each entry moved to where that table puts it.
+    pub(crate) fn with_landmarks(&self, landmarks: Vec<NodeId>) -> SketchSet {
+        let mut set = SketchSet::sized(
+            self.len(),
+            landmarks,
+            self.pivots.len(),
+            self.bunch_nodes.len(),
+        );
+        for label in self.labels() {
+            set.pivots.extend_from_slice(label.pivots);
+            set.push_bunch(label.bunch());
+        }
+        set
+    }
+
+    /// Close the label whose slots, entries and cells were appended last.
     pub(crate) fn seal_label(&mut self) {
         let end = (offset(self.pivots.len()), offset(self.bunch_nodes.len()));
         self.offsets.push(end);
@@ -269,11 +447,15 @@ impl SketchSet {
         let (pivot_end, bunch_end) = self.offsets[u + 1];
         let range = |start, end| cast::usize_from_u32(start)..cast::usize_from_u32(end);
         let bunch = range(bunch_start, bunch_end);
+        let width = self.table_nodes.len();
         Label {
             owner: node,
             pivots: &self.pivots[range(pivot_start, pivot_end)],
             bunch_nodes: &self.bunch_nodes[bunch.clone()],
             bunch_dists: &self.bunch_dists[bunch],
+            table_nodes: &self.table_nodes,
+            table_dists: &self.table_dists[u * width..(u + 1) * width],
+            positions: &self.positions,
         }
     }
 
@@ -282,16 +464,34 @@ impl SketchSet {
         (0..self.len()).map(|u| self.label(NodeId::from_index(u)))
     }
 
-    /// Bunch entries over all labels.
+    /// Bunch entries over all labels, table cells included.
     pub fn bunch_entries(&self) -> usize {
-        self.bunch_nodes.len()
+        self.bunch_nodes.len() + self.table_cells()
+    }
+
+    /// Finite table cells: the bunch entries the table holds.
+    fn table_cells(&self) -> usize {
+        self.table_dists.iter().filter(|&&d| d != INFINITY).count()
+    }
+
+    /// What the table holds, against the set's bunch entries.
+    pub(crate) fn table_shape(&self) -> TableShape {
+        let cells = self.table_cells();
+        TableShape {
+            landmarks: self.table_nodes.len(),
+            nodes: self.len(),
+            cells,
+            entries: self.bunch_nodes.len() + cells,
+        }
     }
 
     /// Check the structural invariants the queries rely on: the offsets
     /// start at `(0, 0)`, never decrease and end at the column lengths, the
-    /// bunch columns are parallel, and every label has `k ≥ 1` and a
-    /// strictly ascending bunch (the binary-search contract).  What the
-    /// labels say — pivot rows, levels — is the codec's to check.
+    /// bunch columns are parallel, every label has `k ≥ 1` and a strictly
+    /// ascending sparse row (the binary-search contract) that names no
+    /// table landmark, and the table's landmarks ascend below the node
+    /// count, each found at its position, over one row of cells per node.
+    /// What the labels say — pivot rows, levels — is the codec's to check.
     pub fn check_invariants(&self) -> Result<(), String> {
         ensure(
             self.offsets.first() == Some(&(0, 0)),
@@ -305,6 +505,7 @@ impl SketchSet {
                 self.bunch_dists.len()
             ),
         )?;
+        self.check_table()?;
         for (node, pair) in self.offsets.windows(2).enumerate() {
             let (pivot_lo, bunch_lo) = pair[0];
             let (pivot_hi, bunch_hi) = pair[1];
@@ -326,6 +527,10 @@ impl SketchSet {
                 bunch.windows(2).all(|w| w[0] < w[1]),
                 format!("bunch of node {node} is not strictly ascending"),
             )?;
+            ensure(
+                bunch.iter().all(|&w| self.position(w).is_none()),
+                format!("the sparse row of node {node} names a table landmark"),
+            )?;
         }
         let last = self.offsets[self.len()];
         ensure(
@@ -343,6 +548,33 @@ impl SketchSet {
                 last.1,
                 self.bunch_nodes.len()
             ),
+        )
+    }
+
+    /// The table half of [`SketchSet::check_invariants`]; checked before
+    /// any label is formed, since forming one slices the cells.
+    fn check_table(&self) -> Result<(), String> {
+        let (width, nodes) = (self.table_nodes.len(), self.len());
+        ensure(
+            self.table_dists.len() == nodes * width,
+            format!(
+                "{} table cells for {nodes} nodes × {width} landmarks",
+                self.table_dists.len()
+            ),
+        )?;
+        ensure(
+            self.table_nodes.windows(2).all(|w| w[0] < w[1]),
+            "table landmarks are not strictly ascending".to_string(),
+        )?;
+        ensure(
+            width == 0 || self.positions.len() == nodes,
+            format!("{} table positions for {nodes} nodes", self.positions.len()),
+        )?;
+        let placed = (0..width).all(|at| self.position(self.table_nodes[at]) == Some(at));
+        let landmarks = self.positions.iter().filter(|&&at| at != NOT_IN_TABLE);
+        ensure(
+            placed && landmarks.count() == width,
+            "table positions disagree with the landmarks".to_string(),
         )
     }
 }
@@ -478,6 +710,86 @@ mod tests {
         assert_eq!(set.bunch_entries(), 3);
         let words: Vec<usize> = set.labels().map(|label| label.words()).collect();
         assert_eq!(words, vec![4, 6]);
+    }
+
+    #[test]
+    fn a_table_landmark_goes_to_the_table_and_reads_like_any_entry() {
+        let pivots = [
+            [Some((NodeId(0), 0)), Some((NodeId(2), 4))],
+            [Some((NodeId(1), 0)), None],
+            [Some((NodeId(2), 0)), Some((NodeId(2), 0))],
+        ];
+        let bunches: [&[(NodeId, Distance)]; 3] = [
+            &[(NodeId(0), 0), (NodeId(1), 3), (NodeId(2), 4)],
+            &[(NodeId(1), 0)],
+            &[(NodeId(2), 0)],
+        ];
+        let mut table = SketchSet::sized(3, vec![NodeId(2)], 0, 0);
+        let mut plain = SketchSet::new();
+        for (pivots, bunch) in pivots.iter().zip(bunches) {
+            table.push_label(pivots, bunch).unwrap();
+            plain.push_label(pivots, bunch).unwrap();
+        }
+        assert_eq!(table.check_invariants(), Ok(()));
+        let label = table.label(NodeId(0));
+        assert_eq!(label.bunch_nodes, [NodeId(0), NodeId(1)]);
+        assert_eq!(
+            (label.table_nodes, label.table_dists),
+            (&[NodeId(2)][..], &[4][..])
+        );
+        assert_eq!(label.distance_to(NodeId(2)), Some(4));
+        assert_eq!(label.distance_to(NodeId(1)), Some(3));
+        // Not in v1's bunch: its cell is INFINITY, and reads as absent.
+        assert_eq!(table.label(NodeId(1)).table_dists, [INFINITY]);
+        assert_eq!(table.label(NodeId(1)).distance_to(NodeId(2)), None);
+        // The same labels, whichever place each entry sits in.
+        assert_eq!(table, plain);
+        assert_eq!(
+            label.bunch().collect::<Vec<_>>(),
+            plain.label(NodeId(0)).bunch().collect::<Vec<_>>()
+        );
+        assert_eq!((label.bunch_size(), label.words()), (3, 2 * 2 + 2 * 3));
+        assert_eq!(table.bunch_entries(), plain.bunch_entries());
+        let shape = table.table_shape();
+        assert_eq!(
+            (shape.landmarks, shape.nodes, shape.cells, shape.entries),
+            (1, 3, 2, 5)
+        );
+        assert_eq!(
+            plain.with_landmarks(vec![NodeId(2)]).table_dists,
+            table.table_dists
+        );
+    }
+
+    #[test]
+    fn invariant_checker_catches_a_table_the_walk_would_misread() {
+        // A sparse entry naming a table landmark, cells for the wrong node
+        // count, positions unlike the landmarks: each is what the query's
+        // one load would misread.
+        let built = || {
+            let mut set = SketchSet::sized(2, vec![NodeId(1)], 0, 0);
+            set.push_label(&[Some((NodeId(0), 0))], &[(NodeId(0), 0), (NodeId(1), 2)])
+                .unwrap();
+            set.push_label(&[Some((NodeId(1), 0))], &[(NodeId(1), 0)])
+                .unwrap();
+            assert_eq!(set.check_invariants(), Ok(()));
+            set
+        };
+        let mut set = built();
+        set.bunch_nodes[0] = NodeId(1);
+        assert_eq!(
+            set.check_invariants().unwrap_err(),
+            "the sparse row of node 0 names a table landmark"
+        );
+        let mut set = built();
+        set.table_dists.pop();
+        assert!(set.check_invariants().unwrap_err().contains("table cells"));
+        let mut set = built();
+        set.positions.swap(0, 1);
+        assert_eq!(
+            set.check_invariants().unwrap_err(),
+            "table positions disagree with the landmarks"
+        );
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //! built on, and a section table) followed by contiguous sections, each
 //! CRC-32 checked.  Payload encodings are the stable
 //! [`SketchCodec`](dsketch::codec::SketchCodec) layer in `dsketch::codec`
-//! (label sets as gap-coded varints, everything else little-endian and
-//! fixed-width).
+//! (label sets as gap-coded varints beside a landmark table, everything
+//! else little-endian and fixed-width).
 //! See `format` for the byte layout and the versioning policy, and
 //! ARCHITECTURE.md's *Persistence* section for the full diagram.
 //!

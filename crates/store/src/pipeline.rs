@@ -31,6 +31,7 @@ use crate::snapshot::{RawSnapshot, SnapshotReader, SnapshotWriter};
 use congest_sim::RunStats;
 use dsketch::codec::{CodecError, SketchCodec};
 use dsketch::prelude::*;
+use dsketch::sketch::TableShape;
 use netgraph::{Graph, GraphFingerprint};
 use std::io::{Read, Write};
 use std::path::Path;
@@ -444,6 +445,8 @@ pub struct SnapshotSummary {
     pub avg_words: f64,
     /// Construction cost, when the snapshot recorded it.
     pub build_stats: Option<RunStats>,
+    /// Each layer's landmark table, in layer order.
+    pub tables: Vec<TableShape>,
 }
 
 /// Summarize the snapshot at `path`: header fields, section table, label
@@ -512,6 +515,7 @@ fn summarize(raw: &RawSnapshot) -> Result<(SnapshotSummary, FlatSketchSet), Stor
         max_words: flat.max_words(),
         avg_words: flat.avg_words(),
         build_stats,
+        tables: flat.tables().to_vec(),
     };
     Ok((summary, flat))
 }

@@ -187,13 +187,19 @@ fn varint_bytes(mut v: u64) -> Vec<u8> {
     out
 }
 
-/// A cursor over the v2 label-set bytes of a snapshot's `SKCH` section —
+/// A cursor over the v3 label-set bytes of a snapshot's `SKCH` section —
 /// at its start for Thorup–Zwick, past the density net for 3-stretch —
-/// yielding the file positions the targeted mutations need.  Hand-rolled
-/// on purpose: it must not share code with the reader it is used against.
+/// yielding the file positions the targeted mutations need.  Rows carry no
+/// `k` (the spec or the layer's params fix it), so the cursor is told it.
+/// Hand-rolled on purpose: it must not share code with the reader it is
+/// used against.
 struct TzSketchCursor<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Levels per row.
+    k: usize,
+    /// The table landmarks' ids, in table order.
+    landmarks: Vec<u64>,
 }
 
 /// One varint in the file: where it starts, how many bytes, its value.
@@ -205,32 +211,62 @@ struct Site {
 }
 
 struct SketchSites {
-    /// `k` of this sketch.
-    k: usize,
     /// The node varint (`id + 1`) of each *present* pivot, by level.
     pivot_nodes: Vec<Site>,
     /// The distance varint of each *present* pivot, by level.
     pivot_distances: Vec<Site>,
-    /// The first varint — `(gap << ⌈log₂k⌉) | level` — of each bunch entry.
+    /// The sparse row's length varint.
+    sparse_len: Site,
+    /// The first varint — the id gap — of each sparse entry.
     entries: Vec<Site>,
-    /// Each bunch entry's node id and its distance varint.
+    /// Each sparse entry's node id and its distance varint.
     members: Vec<(u64, Site)>,
+    /// Each table landmark's id and its cell varint (`distance + 1`, `0`
+    /// for none), in table order.
+    cells: Vec<(u64, Site)>,
+}
+
+impl SketchSites {
+    /// Every bunch member — sparse entries and the table's finite cells —
+    /// with the varint that holds its distance.
+    fn bunch(&self) -> Vec<(u64, Site)> {
+        let table = self.cells.iter().filter(|(_, cell)| cell.value > 0);
+        self.members.iter().chain(table).copied().collect()
+    }
+}
+
+/// A label set's header: node count, pivot slots, sparse entries, table
+/// width, then the landmark ids.
+struct SetHeader {
+    totals: [Site; 4],
+    landmarks: Vec<Site>,
 }
 
 impl<'a> TzSketchCursor<'a> {
-    /// Position the cursor at the first row of the `SKCH` section (past
-    /// the set header: node count, pivot slots, bunch entries), returning
-    /// the header's three varints too.
-    fn new(bytes: &'a [u8]) -> (Self, [Site; 3]) {
-        Self::at(bytes, skch_range(bytes).0)
+    /// Position the cursor at the first row of the `SKCH` section's label
+    /// set, `k` levels deep (past its header), returning the header too.
+    fn new(bytes: &'a [u8], k: usize) -> (Self, SetHeader) {
+        Self::at(bytes, skch_range(bytes).0, k)
     }
 
     /// [`TzSketchCursor::new`] for a label set starting at file offset
     /// `start`.
-    fn at(bytes: &'a [u8], start: usize) -> (Self, [Site; 3]) {
-        let mut cursor = TzSketchCursor { bytes, pos: start };
-        let header = [cursor.varint(), cursor.varint(), cursor.varint()];
-        (cursor, header)
+    fn at(bytes: &'a [u8], start: usize, k: usize) -> (Self, SetHeader) {
+        let mut cursor = TzSketchCursor {
+            bytes,
+            pos: start,
+            k,
+            landmarks: Vec::new(),
+        };
+        let totals = [
+            cursor.varint(),
+            cursor.varint(),
+            cursor.varint(),
+            cursor.varint(),
+        ];
+        let landmarks: Vec<Site> = (0..totals[3].value).map(|_| cursor.varint()).collect();
+        cursor.landmarks = landmarks.iter().map(|site| site.value).collect();
+        (cursor, SetHeader { totals, landmarks })
     }
 
     fn varint(&mut self) -> Site {
@@ -252,31 +288,35 @@ impl<'a> TzSketchCursor<'a> {
 
     /// Walk one row, returning its mutation sites.
     fn next_sketch(&mut self) -> SketchSites {
-        let k = self.varint().value as usize;
         let (mut pivot_nodes, mut pivot_distances) = (Vec::new(), Vec::new());
-        for _ in 0..k {
+        for _ in 0..self.k {
             let node = self.varint();
             if node.value != 0 {
                 pivot_nodes.push(node);
                 pivot_distances.push(self.varint());
             }
         }
-        let bunch_len = self.varint().value as usize;
-        let level_bits = usize::BITS - (k - 1).leading_zeros();
+        let sparse_len = self.varint();
         let (mut entries, mut members, mut floor) = (Vec::new(), Vec::new(), 0);
-        for _ in 0..bunch_len {
-            let packed = self.varint();
-            let id = floor + (packed.value >> level_bits);
+        for _ in 0..sparse_len.value {
+            let gap = self.varint();
+            let id = floor + gap.value;
             floor = id + 1;
-            entries.push(packed);
+            entries.push(gap);
             members.push((id, self.varint()));
         }
+        let landmarks = self.landmarks.clone();
+        let cells = landmarks
+            .into_iter()
+            .map(|id| (id, self.varint()))
+            .collect();
         SketchSites {
-            k,
             pivot_nodes,
             pivot_distances,
+            sparse_len,
             entries,
             members,
+            cells,
         }
     }
 
@@ -446,62 +486,52 @@ fn missing_sketch_section_is_reported_as_such() {
     expect_kind(&bytes, "missing-section", "snapshot without SKCH");
 }
 
-/// Find the first sketch with at least two bunch entries and return its
-/// mutation sites (every connected non-trivial graph has one).
-fn first_sketch_with_bunch(bytes: &[u8]) -> SketchSites {
-    let (mut cursor, header) = TzSketchCursor::new(bytes);
-    for _ in 0..header[0].value {
-        let sites = cursor.next_sketch();
-        if sites.entries.len() >= 2 {
-            return sites;
-        }
-    }
-    panic!("no sketch with two bunch entries");
+/// Every row of the `SKCH` section's label set, `k` levels deep — with its
+/// header, and the file offset just past the rows, where a Thorup–Zwick
+/// payload's (fixed-width) hierarchy starts.
+fn tz_rows(bytes: &[u8], k: usize) -> (SetHeader, Vec<SketchSites>, usize) {
+    let (mut cursor, header) = TzSketchCursor::new(bytes, k);
+    let rows = (0..header.totals[0].value)
+        .map(|_| cursor.next_sketch())
+        .collect();
+    (header, rows, cursor.position())
+}
+
+/// The level a Thorup–Zwick snapshot's hierarchy, at file offset
+/// `hierarchy_at` (`k`, probability, level count, then one `i32` per
+/// node), samples `node` to, and that level's file offset.
+fn sampled_level(bytes: &[u8], hierarchy_at: usize, node: u64) -> (i32, usize) {
+    let at = hierarchy_at + 24 + 4 * node as usize;
+    (le_u32(bytes, at) as i32, at)
 }
 
 #[test]
 fn resigned_bunch_order_violation_is_caught() {
     let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(2), 32, 13);
-    let sites = first_sketch_with_bunch(&bytes);
+    let (_, rows, _) = tz_rows(&bytes, 2);
+    let sites = rows
+        .iter()
+        .find(|row| row.entries.len() >= 2)
+        .expect("a row with two sparse entries");
     // Gap coding makes "strictly ascending" structural: no bytes spell a
     // descending bunch.  What they can still spell is a bunch that leaves
     // the id space — a second entry whose gap carries it past u32::MAX —
     // and that is refused where v1 refused a swapped pair.
     let second = sites.entries[1];
-    let level = second.value & 1; // k = 2: one level bit
     let gap = u64::from(u32::MAX);
-    splice_skch(
-        &mut bytes,
-        second.at,
-        second.len,
-        &varint_bytes((gap << 1) | level),
-    );
+    splice_skch(&mut bytes, second.at, second.len, &varint_bytes(gap));
     expect_kind(&bytes, "section-decode", "id overflow");
     let err = verify_snapshot_bytes(&bytes).unwrap_err();
     assert!(err.to_string().contains("past u32::MAX"), "{err}");
 }
 
 #[test]
-fn resigned_bunch_level_violation_is_caught() {
-    // k = 3 leaves two level bits, so level 3 = k is writable.
-    let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(3), 32, 13);
-    let sites = first_sketch_with_bunch(&bytes);
-    assert_eq!(sites.k, 3);
-    // A bunch entry claiming level `k`: impossible, levels index A_0..A_{k-1}.
-    bytes[sites.entries[0].at] |= 0b11;
-    resign(&mut bytes);
-    expect_kind(&bytes, "section-decode", "level >= k");
-    let err = verify_snapshot_bytes(&bytes).unwrap_err();
-    assert!(err.to_string().contains("level 3 out of range"), "{err}");
-}
-
-#[test]
 fn resigned_header_totals_mismatch_is_caught() {
     let bytes = snapshot_bytes(SchemeSpec::thorup_zwick(2), 32, 13);
-    let (_, header) = TzSketchCursor::new(&bytes);
-    // Node count, pivot slots, bunch entries: each off by one either way
+    let (_, header) = TzSketchCursor::new(&bytes, 2);
+    // Node count, pivot slots, sparse entries: each off by one either way
     // must be refused — the totals size the serving arrays.
-    for site in header {
+    for site in &header.totals[..3] {
         for value in [site.value + 1, site.value - 1] {
             let mut mutated = bytes.clone();
             splice_skch(&mut mutated, site.at, site.len, &varint_bytes(value));
@@ -513,9 +543,10 @@ fn resigned_header_totals_mismatch_is_caught() {
 #[test]
 fn resigned_infinite_pivot_distance_is_caught() {
     let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(2), 32, 13);
-    let (mut cursor, header) = TzSketchCursor::new(&bytes);
-    let site = (0..header[0].value)
-        .find_map(|_| cursor.next_sketch().pivot_distances.first().copied())
+    let (_, rows, _) = tz_rows(&bytes, 2);
+    let site = rows
+        .iter()
+        .find_map(|row| row.pivot_distances.first().copied())
         .expect("a sketch with a present pivot");
     splice_skch(
         &mut bytes,
@@ -529,14 +560,15 @@ fn resigned_infinite_pivot_distance_is_caught() {
 #[test]
 fn resigned_decreasing_pivot_distances_are_caught() {
     let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(3), 48, 17);
-    let (mut cursor, header) = TzSketchCursor::new(&bytes);
+    let (_, rows, _) = tz_rows(&bytes, 3);
     // Level 0's pivot is the node itself at distance 0, so the first
     // place monotonicity can break is between levels 1 and 2: find a
     // sketch with all three pivots present and a positive level-1
     // distance, then zero out level 2's.
-    let site = (0..header[0].value)
-        .find_map(|_| {
-            let pivots = cursor.next_sketch().pivot_distances;
+    let site = rows
+        .iter()
+        .find_map(|row| {
+            let pivots = &row.pivot_distances;
             (pivots.len() >= 3 && pivots[1].value > 0).then(|| pivots[2])
         })
         .expect("a sketch with three present pivots and positive level-1 distance");
@@ -547,68 +579,122 @@ fn resigned_decreasing_pivot_distances_are_caught() {
 #[test]
 fn resigned_hierarchy_k_mismatch_is_caught() {
     let bytes = snapshot_bytes(SchemeSpec::thorup_zwick(3), 32, 13);
-    let (mut cursor, header) = TzSketchCursor::new(&bytes);
-    let rows: Vec<SketchSites> = (0..header[0].value).map(|_| cursor.next_sketch()).collect();
+    let (_, rows, hierarchy_at) = tz_rows(&bytes, 3);
     // The hierarchy trails the sketch set: k, probability, level count,
-    // then one i32 level per node.
-    let hierarchy_k_at = cursor.position();
-    assert_eq!(le_u64(&bytes, hierarchy_k_at), 3, "hierarchy k field");
+    // then one i32 level per node.  The labels are read at the spec's k.
+    assert_eq!(le_u64(&bytes, hierarchy_at), 3, "hierarchy k field");
     let mut mutated = bytes.clone();
-    mutated[hierarchy_k_at..hierarchy_k_at + 8].copy_from_slice(&4u64.to_le_bytes());
+    mutated[hierarchy_at..hierarchy_at + 8].copy_from_slice(&4u64.to_le_bytes());
     resign(&mut mutated);
     expect_kind(&mutated, "hierarchy-contract", "hierarchy k != sketch k");
 
-    // A bunch entry raised to level 2 names a member of A_2; a node the
-    // hierarchy samples only to level 0 or 1 is not one.  (k = 3: the level
-    // is the low two bits of the entry's first varint byte, and a first
-    // entry's gap is its node id.)
-    let level_of = |node: u64| le_u32(&bytes, hierarchy_k_at + 24 + 4 * node as usize) as i32;
-    let entry = rows
+    // A level-2 pivot names a member of A_2; a node the hierarchy samples
+    // only to level 1 is not one.  Re-point a level-2 pivot at the row's
+    // level-1 pivot, a sparse member at that pivot's distance: the row
+    // stays nested and its pivots in its bunch, and only the hierarchy
+    // can object.
+    let (node, distance, pivot) = rows
         .iter()
-        .filter_map(|row| row.entries.first().copied())
-        .find(|entry| entry.value & 0b11 < 2 && level_of(entry.value >> 2) < 2)
-        .expect("a first bunch entry below level 2 whose node is below A_2");
+        .find_map(|row| {
+            let (nodes, distances) = (&row.pivot_nodes, &row.pivot_distances);
+            let below = nodes.get(1)?.value - 1;
+            let sparse = row.members.iter().any(|&(member, _)| member == below);
+            (nodes.len() == 3 && sparse).then(|| (nodes[2], distances[2], (below, distances[1])))
+        })
+        .expect("a row whose level-1 pivot is below A_2");
+    assert_eq!(sampled_level(&bytes, hierarchy_at, pivot.0).0, 1);
     let mut mutated = bytes.clone();
-    mutated[entry.at] = (mutated[entry.at] & !0b11) | 0b10;
-    resign(&mut mutated);
+    // The distance first: it sits after the node, so the node's offset
+    // holds.
+    splice_skch(
+        &mut mutated,
+        distance.at,
+        distance.len,
+        &varint_bytes(pivot.1.value),
+    );
+    splice_skch(&mut mutated, node.at, node.len, &varint_bytes(pivot.0 + 1));
     expect_kind(
         &mutated,
         "hierarchy-contract",
-        "bunch level above the hierarchy's",
+        "level-2 pivot below the hierarchy's A_2",
     );
+    let err = verify_snapshot_bytes(&mutated).unwrap_err();
+    assert!(err.to_string().contains("as its level-2 pivot"), "{err}");
 }
 
-/// A member of `B_i(u)` lies in `A_i \ A_{i+1}`: an entry's level is its
-/// member's sampled level exactly, so one level *below* it is as wrong as
-/// one above — a level the labels no longer store, which the bytes still
-/// carry and the decoder holds to the hierarchy.
+/// The table is the hierarchy's top level `A_{k−1}`, and nothing else
+/// says which nodes that is: a hierarchy that raises a node the rows hold
+/// sparse to the top level, or lowers a table landmark below it, is
+/// unlike the table, and a table that names another node than a landmark
+/// is unlike the rows.
 #[test]
-fn resigned_bunch_level_below_the_hierarchys_is_caught() {
+fn resigned_table_landmarks_unlike_the_top_level_are_caught() {
     let bytes = snapshot_bytes(SchemeSpec::thorup_zwick(3), 32, 13);
-    let (mut cursor, header) = TzSketchCursor::new(&bytes);
-    let rows: Vec<SketchSites> = (0..header[0].value).map(|_| cursor.next_sketch()).collect();
-    let hierarchy_at = cursor.position();
-    let level_of = |node: u64| le_u32(&bytes, hierarchy_at + 24 + 4 * node as usize) as i32;
-    // A first bunch entry (its gap is its node id) at level 1 or 2 — the
-    // member's own level, as the writer derives it.
-    let entry = rows
-        .iter()
-        .filter_map(|row| row.entries.first().copied())
-        .find(|entry| entry.value & 0b11 > 0)
-        .expect("a first bunch entry above level 0");
-    assert_eq!(
-        i64::from(level_of(entry.value >> 2)),
-        (entry.value & 0b11) as i64,
-        "an entry carries its member's sampled level"
-    );
+    let (header, rows, hierarchy_at) = tz_rows(&bytes, 3);
+    let top: Vec<u64> = (0..32)
+        .filter(|&node| sampled_level(&bytes, hierarchy_at, node).0 == 2)
+        .collect();
+    let landmarks: Vec<u64> = header.landmarks.iter().map(|site| site.value).collect();
+    assert_eq!(landmarks, top, "the table is A_2");
+
+    let sparse = rows[0].members[0].0;
+    let (level, raise_at) = sampled_level(&bytes, hierarchy_at, sparse);
+    assert!(level < 2, "a sparse member is below A_2");
+    let (_, lower_at) = sampled_level(&bytes, hierarchy_at, top[0]);
+    for (at, level, what) in [
+        (raise_at, 2i32, "a sparse member raised to A_2"),
+        (lower_at, 1, "a table landmark lowered below A_2"),
+    ] {
+        let mut mutated = bytes.clone();
+        mutated[at..at + 4].copy_from_slice(&level.to_le_bytes());
+        resign(&mut mutated);
+        expect_kind(&mutated, "hierarchy-contract", what);
+        let err = verify_snapshot_bytes(&mutated).unwrap_err();
+        assert!(err.to_string().contains("top level A_2"), "{what}: {err}");
+    }
+
+    // The first landmark moved to a node the rows hold sparse (its own
+    // row does), still below the second landmark.
+    let first = header.landmarks[0];
+    let moved = (0..top[1])
+        .find(|node| !top.contains(node))
+        .expect("a node below the second landmark");
     let mut mutated = bytes.clone();
-    mutated[entry.at] -= 1;
-    resign(&mut mutated);
+    splice_skch(&mut mutated, first.at, first.len, &varint_bytes(moved));
     expect_kind(
         &mutated,
-        "hierarchy-contract",
-        "bunch level below the hierarchy's",
+        "section-decode",
+        "a table landmark moved to a sparse member",
     );
+    let err = verify_snapshot_bytes(&mutated).unwrap_err();
+    assert!(err.to_string().contains("is a table landmark"), "{err}");
+}
+
+/// A top-level pivot is a table landmark, so its distance is one cell of
+/// its owner's table row: a cell nudged off the pivot's distance leaves
+/// the pivot outside its bunch at that distance.
+#[test]
+fn resigned_top_level_pivot_unlike_its_table_cell_is_caught() {
+    let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(3), 32, 13);
+    let (_, rows, _) = tz_rows(&bytes, 3);
+    let cell = rows
+        .iter()
+        .find_map(|row| {
+            let pivot = row.pivot_nodes.get(2)?.value - 1;
+            let &(_, cell) = row.cells.iter().find(|&&(landmark, _)| landmark == pivot)?;
+            assert_eq!(
+                cell.value,
+                row.pivot_distances[2].value + 1,
+                "cell = distance + 1"
+            );
+            (cell.len == 1 && cell.value < 127).then_some(cell)
+        })
+        .expect("a one-byte table cell under a level-2 pivot");
+    bytes[cell.at] += 1;
+    resign(&mut bytes);
+    expect_kind(&bytes, "pivot-row", "top-level pivot unlike its table cell");
+    let err = verify_snapshot_bytes(&bytes).unwrap_err();
+    assert!(err.to_string().contains("but the bunch records"), "{err}");
 }
 
 #[test]
@@ -637,29 +723,32 @@ fn resigned_three_stretch_label_outside_its_net_is_caught() {
     let members = le_u64(&bytes, skch_at + 16) as usize;
     let member = |i: usize| le_u32(&bytes, skch_at + 24 + 4 * i);
     assert_eq!((members, member(0), member(1), member(2)), (83, 0, 9, 14));
-    // v0's label: one level, the net as its bunch, itself its pivot.
-    // Re-point its second entry from member 9 to node 10, which is no
-    // member, keeping the third entry's id (its gap shrinks by one).  (The
-    // first entry is v0's pivot: moving it would leave the pivot outside
-    // the bunch, a broken pivot row before any net is consulted.)
-    let (mut cursor, _) = TzSketchCursor::at(&bytes, skch_at + 24 + 4 * members);
+    // One level, and the net is the table: every entry is a cell, and no
+    // row is sparse.  v0 is its own pivot.
+    let (mut cursor, header) = TzSketchCursor::at(&bytes, skch_at + 24 + 4 * members, 1);
+    assert_eq!(header.landmarks.len(), members);
+    assert_eq!(header.totals[2].value, 0, "no sparse entries");
     let row = cursor.next_sketch();
-    assert_eq!(row.k, 1);
     assert_eq!(row.pivot_nodes[0].value, 1, "v0 is its own pivot");
-    let (first, second, third) = (row.entries[0], row.entries[1], row.entries[2]);
-    assert_eq!(
-        (first.value, second.value, third.value),
-        (0, 8, 4),
-        "v0 holds members 0, 9 and 14"
+    // Give v0 a sparse entry — node 10, no member, at distance 7 — and
+    // count it in the header (which sits before the row, so its offset
+    // holds).  A sparse entry can only name a node outside the table, and
+    // outside the net is outside A_0.
+    splice_skch(
+        &mut bytes,
+        row.sparse_len.at,
+        row.sparse_len.len,
+        &[1, 10, 7],
     );
-    bytes[second.at] = 9;
-    bytes[third.at] = 3;
-    resign(&mut bytes);
+    let total = header.totals[2];
+    splice_skch(&mut bytes, total.at, total.len, &[1]);
     expect_kind(
         &bytes,
         "hierarchy-contract",
         "3-stretch label names a non-member",
     );
+    let err = verify_snapshot_bytes(&bytes).unwrap_err();
+    assert!(err.to_string().contains("outside A_0"), "{err}");
 }
 
 #[test]
@@ -689,12 +778,13 @@ fn resigned_pivot_outside_its_owners_bunch_is_caught() {
     // smallest node outside v0's bunch: the row stays nested, and the
     // served rows would hold no candidate the pivot stands for.
     let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(3), 32, 13);
-    let (mut cursor, _) = TzSketchCursor::new(&bytes);
-    let row = cursor.next_sketch();
+    let (_, rows, _) = tz_rows(&bytes, 3);
+    let row = &rows[0];
     let pivot = row.pivot_nodes[0];
     assert_eq!((pivot.value, row.pivot_distances[0].value), (1, 0));
+    let bunch = row.bunch();
     let outside = (0..32u64)
-        .find(|id| row.members.iter().all(|&(member, _)| member != *id))
+        .find(|id| bunch.iter().all(|&(member, _)| member != *id))
         .expect("a node outside v0's bunch");
     bytes[pivot.at] = outside as u8 + 1;
     resign(&mut bytes);
@@ -706,23 +796,25 @@ fn resigned_pivot_outside_its_owners_bunch_is_caught() {
     );
 }
 
-/// File offsets of each layer's label set in a degrading snapshot's `SKCH`
-/// payload: a `u64` layer count, then per layer params (24 bytes), net
-/// (node count, ε, member count, a `u32` per member), hierarchy (`k`,
-/// probability, level count, an `i32` per node), label set, stats (48).
-fn degrading_label_sets(bytes: &[u8]) -> Vec<usize> {
+/// File offsets and `k` of each layer's label set in a degrading
+/// snapshot's `SKCH` payload: a `u64` layer count, then per layer params
+/// (`eps f64, k u64, seed u64`), net (node count, ε, member count, a `u32`
+/// per member), hierarchy (`k`, probability, level count, an `i32` per
+/// node), label set, stats (48).
+fn degrading_label_sets(bytes: &[u8]) -> Vec<(usize, usize)> {
     let (skch_at, _) = skch_range(bytes);
     let mut at = skch_at + 8;
     (0..le_u64(bytes, skch_at))
         .map(|_| {
+            let k = le_u64(bytes, at + 8) as usize;
             at += 24;
             at += 24 + 4 * le_u64(bytes, at + 16) as usize;
             at += 24 + 4 * le_u64(bytes, at + 16) as usize;
             let set = at;
-            let (mut cursor, header) = TzSketchCursor::at(bytes, set);
-            (0..header[0].value).for_each(|_| drop(cursor.next_sketch()));
+            let (mut cursor, header) = TzSketchCursor::at(bytes, set, k);
+            (0..header.totals[0].value).for_each(|_| drop(cursor.next_sketch()));
             at = cursor.position() + 48;
-            set
+            (set, k)
         })
         .collect()
 }
@@ -730,14 +822,15 @@ fn degrading_label_sets(bytes: &[u8]) -> Vec<usize> {
 #[test]
 fn resigned_degrading_landmark_at_two_distances_is_caught() {
     // Some node holds a landmark in layers 0 and 1 that is none of its
-    // layer-1 pivots: one more on its layer-1 distance breaks no row, and
-    // the node's served row has one distance column.
+    // layer-1 pivots: one more on its layer-1 distance — a sparse distance
+    // or a table cell — breaks no row, and the node's served row has one
+    // distance column.
     let mut bytes = snapshot_bytes(SchemeSpec::parse("degrading:2").unwrap(), 32, 13);
     let sets = degrading_label_sets(&bytes);
     assert!(sets.len() >= 2, "{} layers", sets.len());
-    let rows = |set: usize| {
-        let (mut cursor, header) = TzSketchCursor::at(&bytes, set);
-        (0..header[0].value)
+    let rows = |(set, k): (usize, usize)| {
+        let (mut cursor, header) = TzSketchCursor::at(&bytes, set, k);
+        (0..header.totals[0].value)
             .map(|_| cursor.next_sketch())
             .collect::<Vec<_>>()
     };
@@ -747,8 +840,9 @@ fn resigned_degrading_landmark_at_two_distances_is_caught() {
         .zip(&layer1)
         .find_map(|(row0, row1)| {
             let pivots: Vec<u64> = row1.pivot_nodes.iter().map(|p| p.value - 1).collect();
-            row1.members.iter().find_map(|&(id, distance)| {
-                let shared = row0.members.iter().any(|&(other, _)| other == id);
+            let held = row0.bunch();
+            row1.bunch().into_iter().find_map(|(id, distance)| {
+                let shared = held.iter().any(|&(other, _)| other == id);
                 let editable = distance.len == 1 && distance.value < 127;
                 (shared && editable && !pivots.contains(&id)).then_some(distance)
             })
@@ -793,10 +887,10 @@ fn resigned_trailing_bytes_inside_skch_are_caught() {
 #[test]
 fn a_v1_versioned_snapshot_is_refused_by_version() {
     // The file a v1 writer would have stamped: same container, version
-    // field 1, header CRC valid.  The verifier reads version 2 only and
+    // field 1, header CRC valid.  The verifier reads version 3 only and
     // must say so, not fail somewhere inside bytes it cannot parse.
     let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(2), 32, 13);
-    assert_eq!(le_u32(&bytes, 4), 2, "format version field");
+    assert_eq!(le_u32(&bytes, 4), 3, "format version field");
     bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
     resign(&mut bytes);
     expect_kind(&bytes, "unsupported-version", "v1 version field");

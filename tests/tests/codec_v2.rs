@@ -1,20 +1,23 @@
-//! The DSK1 v2 label bytes — gap-coded varints read by one row cursor —
-//! against every family and against hostile input.
+//! The DSK1 v3 label bytes — gap-coded varint rows beside a landmark
+//! table, read by one row cursor — against every family and against
+//! hostile input.
 //!
 //! * **Round trips** (property-tested over all four families): the `SKCH`
 //!   payload is canonical (`encode → decode → encode` is byte-identical),
 //!   the frozen decode equals the freeze of the decoded layers (one
 //!   decoder, two ingresses), and both answer like the set that was
 //!   built.  Hand-drawn labels stretch the numbers: any `u64` distance,
-//!   any bunch, `k` up to 9; one id past the hierarchy's nodes, and both
-//!   ingresses refuse them for it.
+//!   any bunch, `k` up to 9, held in memory with no table and written with
+//!   their hierarchy's top level as one; one id past the hierarchy's
+//!   nodes, and both ingresses refuse them for it.
 //! * **Hostile bytes**, on a *bare* payload — no container, so no CRC to
 //!   hide behind: every truncation point and every single-byte mutation
 //!   either decodes to a set that re-encodes to exactly those bytes, or
 //!   fails with a `CodecError`, identically through both ingresses.  Never
-//!   a panic, never a hang.
-//! * **Size**: a saved snapshot of any family spends under 6 `SKCH` bytes
-//!   on a bunch entry (v1 spent 16).
+//!   a panic, never a hang.  A table wider than its nodes or its bytes, or
+//!   with landmarks out of order or out of range, is refused by name.
+//! * **Size**: a saved snapshot of any family spends under 4 `SKCH` bytes
+//!   on a bunch entry (v1 spent 16, v2 up to 3.3).
 
 use dsketch::codec::CodecError;
 use dsketch::prelude::*;
@@ -95,9 +98,9 @@ proptest! {
 
     /// Labels no construction would produce, to reach the corners of the
     /// number ranges: distances from the whole `u64` range, any subset of
-    /// the nodes as a bunch, and every `k` the level field changes width
-    /// at — each label keeping its family's contracts, so the payload
-    /// round-trips canonically.  One member past the nodes the hierarchy
+    /// the nodes as a bunch, and `k` from 1 to 9 — each label keeping its
+    /// family's contracts, so the payload round-trips canonically, to the
+    /// same labels, now split between rows and table.  One member past the nodes the hierarchy
     /// covers, and both ingresses refuse it, alike, for exactly that.
     #[test]
     fn hand_drawn_labels_round_trip((seed, rows) in (0u64..u64::MAX, 1usize..6)) {
@@ -173,6 +176,141 @@ proptest! {
     }
 }
 
+/// One LEB128 varint of `bytes` at `at`: its value and its length.
+fn varint_at(bytes: &[u8], at: usize) -> (u64, usize) {
+    let mut value = 0u64;
+    for (i, &byte) in bytes[at..].iter().enumerate() {
+        value |= u64::from(byte & 0x7F) << (7 * i);
+        if byte < 0x80 {
+            return (value, i + 1);
+        }
+    }
+    panic!("a varint runs past the payload");
+}
+
+fn varint_bytes(mut v: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+    out
+}
+
+/// One varint of a payload: `(offset, length, value)`.
+type Site = (usize, usize, u64);
+
+/// The label-set header a Thorup–Zwick payload opens with — node count,
+/// pivot slots, sparse entries, table width, then the landmark ids — as
+/// one [`Site`] per varint.
+fn set_header(bytes: &[u8]) -> Vec<Site> {
+    let mut sites: Vec<Site> = Vec::new();
+    let mut at = 0;
+    while sites.len() < 4 || sites.len() < 4 + sites[3].2 as usize {
+        let (value, len) = varint_at(bytes, at);
+        sites.push((at, len, value));
+        at += len;
+    }
+    sites
+}
+
+/// `bytes` with the varint at `site` replaced by `value`.
+fn with_varint(bytes: &[u8], (at, len, _): Site, value: u64) -> Vec<u8> {
+    let mut edited = bytes.to_vec();
+    edited.splice(at..at + len, varint_bytes(value));
+    edited
+}
+
+/// A Thorup–Zwick payload (its label set first), the header sites
+/// [`set_header`] finds in it, and `n` and the table width.
+fn tz_payload() -> (Vec<u8>, Vec<Site>, u64, u64) {
+    let bytes = built(SchemeSpec::thorup_zwick(3), 256, 5).encode_payload();
+    let header = set_header(&bytes);
+    let (n, width) = (header[0].2, header[3].2);
+    assert_eq!(n, 256);
+    assert!(width >= 2, "{width} landmarks");
+    (bytes, header, n, width)
+}
+
+/// Both ingresses refuse `edited`, alike; the error.
+fn refused_both_ways(edited: &[u8], what: &str) -> CodecError {
+    let spec = SchemeSpec::thorup_zwick(3);
+    assert!(
+        decode_both_ways(&spec, edited).is_none(),
+        "{what}: accepted"
+    );
+    FlatSketchSet::from_family_bytes(&spec, edited).unwrap_err()
+}
+
+/// A table wider than the node count is refused before anything is sized
+/// by the width — here with the bytes to hold its ids.
+#[test]
+fn a_table_wider_than_its_nodes_is_refused_both_ways() {
+    let (bytes, header, n, _) = tz_payload();
+    let err = refused_both_ways(&with_varint(&bytes, header[3], n + 1), "width above n");
+    assert!(
+        matches!(
+            &err,
+            CodecError::Invalid {
+                context: "SketchSet table width",
+                ..
+            }
+        ),
+        "{err}"
+    );
+}
+
+/// `n × width` cells, a byte each at least, beyond the bytes that remain
+/// are refused before the table is sized.
+#[test]
+fn table_cells_beyond_the_bytes_are_refused_both_ways() {
+    let (bytes, header, n, _) = tz_payload();
+    assert!(n * n > bytes.len() as u64);
+    let err = refused_both_ways(&with_varint(&bytes, header[3], n), "cells beyond the bytes");
+    assert!(
+        matches!(
+            &err,
+            CodecError::UnexpectedEof {
+                context: "SketchSet table cells",
+                ..
+            }
+        ),
+        "{err}"
+    );
+}
+
+/// Table landmarks that do not strictly ascend — the first two swapped,
+/// or the second a repeat of the first — or that name no node (the last
+/// one at `n`) are refused as they are read.
+#[test]
+fn table_landmarks_out_of_order_or_range_are_refused_both_ways() {
+    let (bytes, header, n, _) = tz_payload();
+    let (first, second) = (header[4], header[5]);
+    let mut swapped = bytes.clone();
+    let (a, b) = (varint_bytes(first.2), varint_bytes(second.2));
+    swapped.splice(first.0..second.0 + second.1, b.into_iter().chain(a));
+    let repeated = with_varint(&bytes, second, first.2);
+    let past = with_varint(&bytes, header[header.len() - 1], n);
+    for (edited, what) in [
+        (swapped, "landmarks swapped"),
+        (repeated, "a landmark repeated"),
+        (past, "a landmark at n"),
+    ] {
+        let err = refused_both_ways(&edited, what);
+        assert!(
+            matches!(
+                &err,
+                CodecError::Invalid {
+                    context: "SketchSet table landmark",
+                    ..
+                }
+            ),
+            "{what}: {err}"
+        );
+    }
+}
+
 /// Every truncation point of a bare payload fails, both ways alike.
 #[test]
 fn every_truncation_of_a_bare_payload_is_a_codec_error() {
@@ -224,8 +362,10 @@ fn every_single_byte_mutation_is_canonical_or_a_codec_error() {
 }
 
 /// The format-size tripwire: v1 spent 16 fixed bytes on a bunch entry, v2's
-/// gap-coded varints about 3.  A codec change that re-inflates the labels
-/// fails here, not at the next benchmark run.
+/// gap-coded varints 2.1–3.3 on these builds, v3 1.1–2.6 (a table cell is a
+/// distance with no id; 3-stretch is all cells).  Under six still holds; the
+/// ceiling is four, the v3 maximum plus margin, so a codec change that
+/// re-inflates the labels fails here, not at the next benchmark run.
 #[test]
 fn a_saved_snapshot_spends_under_six_skch_bytes_per_bunch_entry() {
     let path = std::env::temp_dir().join(format!("dsketch_codec_v2_{}.dsk", std::process::id()));
@@ -234,7 +374,7 @@ fn a_saved_snapshot_spends_under_six_skch_bytes_per_bunch_entry() {
         let spec = SchemeSpec::parse(spec).expect("a scheme");
         build_and_save(&graph(256, 42), spec, &config, &path).expect("build and save");
         let summary = inspect_snapshot(&path).expect("inspect");
-        assert_eq!(summary.version, 2, "{spec}");
+        assert_eq!(summary.version, 3, "{spec}");
         let mut sections = summary.sections.iter().zip(&summary.section_entities);
         let (bytes, entries) = sections
             .find_map(|(entry, entities)| match entities {
@@ -246,7 +386,7 @@ fn a_saved_snapshot_spends_under_six_skch_bytes_per_bunch_entry() {
             .expect("a SKCH section");
         let per_entry = bytes as f64 / entries.max(1) as f64;
         assert!(
-            per_entry < 6.0,
+            per_entry < 4.0,
             "{spec}: {per_entry:.2} SKCH bytes per bunch entry"
         );
     }

@@ -150,15 +150,15 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// The `DSK1` bytes of a fixed build, pinned per family as
 /// `(length, FNV-1a 64)`, so "the bytes did not move" is a test: any change
 /// to label contents, label order, the payload codec or the container shows
-/// up here.  Pinned at format version 2 (gap-coded varint labels); re-pin
-/// only together with a `DSK1` format version bump.
+/// up here.  Pinned at format version 3 (gap-coded varint rows beside a
+/// landmark table); re-pin only together with a `DSK1` format version bump.
 #[test]
 fn snapshot_bytes_match_the_pinned_golden_digests() {
     let golden: [(usize, u64); 4] = [
-        (11_736, 0xde99_9457_f3f8_0eb1),
-        (52_988, 0x5a00_2f29_bbc0_0c63),
-        (15_024, 0x5775_1a46_0fb8_3f8f),
-        (140_913, 0x627e_d988_8e44_bc04),
+        (9_665, 0xe191_1fad_c290_9a1f),
+        (27_283, 0xa496_9132_e79c_cd00),
+        (12_513, 0x2db9_949e_9983_d799),
+        (117_940, 0x2a3d_68ef_19f5_6cc2),
     ];
     // What the same four builds weighed at format version 1, where every
     // bunch entry was 16 fixed bytes.

@@ -8,7 +8,9 @@
 //!
 //! Per-family stretch contracts (on pairs at finite distance):
 //!
-//! * `tz:k` — `estimate ≤ (2k − 1) · d(u, v)` for **every** pair (Thm 1.1)
+//! * `tz:k` — `estimate ≤ (2k − 1) · d(u, v)` for **every** pair (Thm 1.1),
+//!   and `≤ (2i + 1) · d(u, v)` where the walk answered at level `i` (the
+//!   proof of Lemma 3.2) — on every `netgraph` generator
 //! * `3stretch:ε` — `estimate ≤ 3 · d(u, v)` for every ε-far pair (Thm 4.3)
 //! * `cdg:ε,k` — `estimate ≤ (8k − 1) · d(u, v)` for every ε-far pair (Thm 4.6)
 //! * `degrading` — `estimate ≤ (8k_i − 1) · d(u, v)` for every pair that is
@@ -19,7 +21,10 @@
 
 use dsketch::prelude::*;
 use netgraph::apsp::DistanceTable;
-use netgraph::generators::{erdos_renyi, standard_suite, GeneratorConfig};
+use netgraph::generators::{
+    balanced_tree, erdos_renyi, erdos_renyi_gnm, random_geometric, random_tree, ring_with_chords,
+    standard_suite, torus, waxman, GeneratorConfig,
+};
 use netgraph::{Distance, Graph, GraphBuilder, NodeId, INFINITY};
 
 /// One conformance input: a graph, its exact distances, and the engine the
@@ -147,6 +152,86 @@ fn stretch_bound_holds_on_covered_pairs_for_every_family() {
             }
         }
     }
+}
+
+/// Every generator `netgraph` has, at 64 nodes: `standard_suite`'s five,
+/// the rest of the catalogue, and two components.
+fn every_generator() -> Vec<(&'static str, Graph)> {
+    let mut graphs = standard_suite(64, 23);
+    graphs.extend([
+        (
+            "erdos_renyi_gnm",
+            erdos_renyi_gnm(64, 256, GeneratorConfig::uniform(23, 1, 50)),
+        ),
+        (
+            "random_geometric",
+            random_geometric(64, 0.25, GeneratorConfig::unit(23)),
+        ),
+        ("torus", torus(8, 8, GeneratorConfig::uniform(23, 1, 10))),
+        (
+            "ring_with_chords",
+            ring_with_chords(64, 8, 40, GeneratorConfig::unit(23)),
+        ),
+        (
+            "balanced_tree",
+            balanced_tree(64, 3, GeneratorConfig::uniform(23, 1, 20)),
+        ),
+        (
+            "random_tree",
+            random_tree(64, GeneratorConfig::uniform(23, 1, 20)),
+        ),
+        (
+            "waxman",
+            waxman(64, 0.4, 0.2, GeneratorConfig::uniform(23, 1, 50)),
+        ),
+        ("two-components", two_components()),
+    ]);
+    graphs
+}
+
+/// The proof of Lemma 3.2 gives more than `2k − 1`: a walk that first hits
+/// at level `i` answers within `2i + 1`, because its misses below `i` bound
+/// `max(d(u, A_i), d(v, A_i))` by `i · d(u, v)`.  Held for the level each
+/// served answer reports, beside the global bound, for `k` = 2 to 4 on
+/// every generator and both engines — which also holds the walk's level
+/// order now that the top level is a table of its own.  A pivot search
+/// that returned the second-closest member of `A_1` keeps inside `2k − 1`
+/// and breaks this.
+#[test]
+fn every_thorup_zwick_answer_is_within_its_levels_bound() {
+    let mut answered = [0usize; 4];
+    for (name, graph) in every_generator() {
+        let table = DistanceTable::exact(&graph);
+        for engine in [BuildEngine::Congest, BuildEngine::Parallel] {
+            for k in 2..=4usize {
+                let spec = SchemeSpec::thorup_zwick(k);
+                let config = SchemeConfig::default().with_seed(29).with_engine(engine);
+                let label = format!("{spec} on {name} ({engine:?})");
+                let built = spec.build_sketches(&graph, &config).unwrap();
+                let flat = built.sketches.freeze().unwrap();
+                let global = 2 * k as u64 - 1;
+                for (u, v, exact) in table.pairs() {
+                    if exact == INFINITY || u == v {
+                        continue;
+                    }
+                    let (est, level) = flat
+                        .estimate_with_level(u, v)
+                        .unwrap_or_else(|e| panic!("[{label}] ({u},{v}) failed: {e}"));
+                    let level = level.expect("a Thorup–Zwick answer has a level");
+                    let bound = 2 * level as u64 + 1;
+                    assert!(
+                        est <= bound * exact,
+                        "[{label}] level-{level} bound {bound} violated for ({u},{v}): {est} vs {exact}"
+                    );
+                    assert!(est <= global * exact, "[{label}] ({u},{v})");
+                    answered[level] += 1;
+                }
+            }
+        }
+    }
+    // Every level a k = 4 walk has answered somewhere: the check is not
+    // held only at level 0.
+    assert!(answered.iter().all(|&count| count > 0), "{answered:?}");
 }
 
 #[test]

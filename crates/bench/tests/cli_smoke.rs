@@ -63,7 +63,7 @@ fn readme_quickstart_runs_end_to_end() {
     let build = ["build", "--scheme", "tz:3", "--nodes", "256", "--out"];
     store(&[&build[..], &[g, "--threads", "2"]].concat());
     let inspect = store(&["inspect", "--snapshot", g]);
-    assert!(inspect.contains("DSK1 v3"), "{inspect}");
+    assert!(inspect.contains("DSK1 v4"), "{inspect}");
 
     let answer = query_line(&snapshot, 0, 41);
     let distance = answer
@@ -181,9 +181,34 @@ fn every_family_builds_inspects_and_verifies_and_verify_reads_its_whole_command_
         store(&["build", "--scheme", spec, "--nodes", "256", "--out", &g]);
         let inspect = store(&["inspect", "--snapshot", &g]);
         assert!(
-            inspect.contains("format:      DSK1 v3"),
+            inspect.contains("format:      DSK1 v4"),
             "{spec}: {inspect}"
         );
+        // One byte split per layer, whose totals add up to the SKCH
+        // section's length in the section table.
+        let layer_bytes: Vec<usize> = inspect
+            .lines()
+            .filter(|line| line.starts_with("layer "))
+            .map(|line| {
+                let total = line
+                    .split(" = ")
+                    .nth(1)
+                    .and_then(|rest| rest.split(' ').next());
+                total
+                    .and_then(|total| total.parse().ok())
+                    .expect("a layer total")
+            })
+            .collect();
+        let skch: usize = inspect
+            .lines()
+            .find_map(|line| {
+                let cells: Vec<&str> = line.split_whitespace().collect();
+                (cells.first() == Some(&"SKCH")).then(|| cells[2].parse().expect("a length"))
+            })
+            .expect("a SKCH row");
+        let layers = if spec == "degrading" { 8 } else { 1 };
+        assert_eq!(layer_bytes.len(), layers, "{spec}: {inspect}");
+        assert_eq!(layer_bytes.iter().sum::<usize>(), skch, "{spec}: {inspect}");
         // One line per layer's landmark table: its top level (the net for
         // 3-stretch, whose every entry it holds).
         let table = inspect.lines().any(|line| {

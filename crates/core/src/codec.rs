@@ -5,7 +5,8 @@
 //! is paid **once**: labels must outlive the process that built them.  This
 //! module defines [`SketchCodec`], a hand-rolled, dependency-free binary
 //! codec for the state a family stores beside its labels — [`Hierarchy`],
-//! [`DensityNet`], [`CdgParams`], [`RunStats`], [`SchemeSpec`] — and the one
+//! [`DensityNet`], [`CdgParams`], [`SchemeSpec`] (and [`RunStats`], the
+//! container's `STAT` record) — and the one
 //! writer and one reader of the four family payloads built from them and
 //! the label sets, so that a decoded set is **bit-identical** to the one
 //! that was encoded: same pivots, same bunches, same estimates for every
@@ -18,84 +19,98 @@
 //!
 //! # Label sets
 //!
-//! Labels are nearly all of a snapshot, and a label is small numbers: ids
-//! ascending within a bunch, distances far below `u64::MAX`.  A
-//! [`SketchSet`]'s columns are therefore written as LEB128 varints (7
-//! value bits per byte, low group first, shortest form only), its landmark
-//! table once:
+//! Labels are nearly all of a snapshot, and a label is small numbers.  Format
+//! 4 writes a layer's sampling first and every label row relative to it, so
+//! a row says only what its sampling does not:
 //!
 //! ```text
-//! set      := n · total pivot slots · total sparse entries · width · landmark × width · row × n
-//! landmark := id                       (strictly ascending, below n)
-//! row      := pivot × k · sparse length · entry × length · cell × width   (owner = row index)
-//! pivot    := 0 (none at this level)  |  node + 1 · distance
-//! entry    := gap · distance
-//!             gap = id for a row's first entry, id − previous id − 1 after
-//! cell     := 0 (not in this bunch)  |  distance + 1
+//! set   := sparse entries · row × n                 (n and k: the sampling's)
+//! row   := run_0 … run_{k−2} · cells                (owner = row index)
+//! run_i := len · (rank gap · distance) × len
+//!          rank: the member's index among A_i \ A_{i+1}, ascending;
+//!          gap = rank for a run's first entry, rank − previous rank − 1 after
+//! cells := δ' · cell × width                        (width = |A_{k−1}|)
+//!          δ' = 0: every cell empty | δ + 1, δ the row's least cell
+//! cell  := 0 (not in this bunch) | d − δ + 1
 //! ```
 //!
-//! The table is the layer's top level `A_{k−1}` — the landmarks every
-//! label holds (3-stretch: the whole net) — so its ids are written once and
-//! each row holds only their distances; the sparse row holds the rest of
-//! the bunch.  Each fact is said once:
+//! Every value is a LEB128 varint (7 value bits per byte, low group first,
+//! shortest form only).  Each fact is said once:
 //!
-//! * a row has no `k`: the spec (Thorup–Zwick, 3-stretch's 1) or the
-//!   layer's params (CDG, degrading) fix it, and the reader takes it from
-//!   there;
-//! * an entry has no level: a member of `B_i(u)` lies in `A_i \ A_{i+1}`,
-//!   so its level is its member's sampled one — below the top level for a
-//!   sparse entry, the top level for a cell;
-//! * a table landmark is never a sparse entry, and the table is exactly
-//!   the sampling's top level, so one label has one encoding.
+//! * a row has no `k`, no node count and no table: the sampling stored
+//!   before the set fixes all three — the table is its top level `A_{k−1}`,
+//!   the landmarks every label holds (3-stretch: the whole net);
+//! * an entry has no level and no id: a member of `B_i(u)` lies in
+//!   `A_i \ A_{i+1}`, so its run names its level, and its rank within that
+//!   level's ascending member list names the node — a few bits where an id
+//!   over all `n` nodes took many;
+//! * a row has no pivots.  `p_i(u)` is the nearest member of `A_i`, ties to
+//!   the smaller id, so it lies in `B_i(u)` or is `p_{i+1}(u)`: the least
+//!   `(distance, id)` over the row's members of level `≥ i`, with
+//!   `(NO_PIVOT, INFINITY)` where there is none.  The reader derives it
+//!   while it reads (each run names its level, each cell is at the top),
+//!   with the one derivation [`Layer::check_invariants`] holds built labels
+//!   to;
+//! * a cell is relative to its row's least cell, which the row states once.
 //!
-//! The gap makes "strictly ascending by node id" a property of the bytes
-//! rather than a check; a distance is a plain varint, so any `u64`
-//! round-trips with no escape path (in a cell, any but `u64::MAX`, which is
-//! `INFINITY`).  The totals are held against the bytes that remain —
-//! `n × width` cells of a byte at least among them — and against the rows,
-//! and size the decoded columns once.  The writer takes the table from the layer's sampling, so
-//! labels assembled by hand with another split (or none) write the same
-//! bytes as the engines' labels, and `encode(decode(bytes)) == bytes`
-//! holds.
+//! So the bytes cannot say what the sampling rules out — a pivot off the
+//! nearest member, a sparse entry naming a table landmark or a node outside
+//! `A_0`, a table unlike the top level — and the reader has nothing of it to
+//! refuse.  What it refuses is what the bytes can still say: a rank at or
+//! past its level's member count, a `δ` no cell equals, a finite cell after
+//! `δ' = 0`, a cell past the distance range, and totals unlike the rows.
+//! Gap coding makes "strictly ascending" a property of the bytes; the
+//! reader merges a row's runs into the ascending sparse row the kernel
+//! searches.  The totals are held against the bytes that remain — `n` rows
+//! of `k` bytes at least, `n × width` cells of a byte at least — and size
+//! the decoded columns once.  The writer takes the table from the layer's
+//! sampling, so labels assembled by hand with another split (or none) write
+//! the same bytes as the engines' labels, and `encode(decode(bytes)) ==
+//! bytes` holds.  Labels that break [`Layer::check_invariants`] have no
+//! format-4 bytes: what is written for them decodes to other labels or not
+//! at all.
 //!
 //! # Family payloads
 //!
 //! A family payload (a snapshot's `SKCH` section) is the
 //! [`Layer`]s of a [`StoredSketches`] — each a label set with the
-//! hierarchy, density net, params and stats it was built from — laid out
-//! as its spec's family says:
+//! sampling it was built over — laid out as its spec's family says, the
+//! sampling before the labels:
 //!
 //! ```text
-//! tz        := set · hierarchy
-//! 3stretch  := net · set · stats
-//! cdg       := params · net · hierarchy · set · stats
-//! degrading := count · cdg × count · stats      (stats: the layers' total)
+//! tz        := hierarchy · set
+//! 3stretch  := net · set                        (the labels' one level)
+//! cdg       := params · hierarchy · set         (the net is the hierarchy's A_0)
+//! degrading := count · cdg × count
+//! hierarchy := k · probability · n · (level + 1) × n     (one varint a node)
 //! ```
 //!
 //! One function writes all four layouts and one reads them, filling each
 //! layer's columns:
 //! [`StoredSketches::decode_payload`](crate::scheme::StoredSketches::decode_payload)
 //! returns the layers, [`crate::flat`] freezes them into the served form.
-//! The reader holds every label set to what its bytes cannot express
-//! (pivot rows nested like `A_0 ⊇ A_1 ⊇ …`, the table exactly the stored
-//! hierarchy's top level, sparse members inside `A_0` and pivot levels
-//! backed by the hierarchy, a 3-stretch set one level over its net, nets
-//! sampled for the ε of their params or spec, layer and spec parameters,
-//! the degrading total), so it accepts only payloads the stretch bounds
-//! hold for.  The same layout tells a build what each layer
-//! keeps (`keep_stored`), so a built set equals the decode of its own
-//! bytes.
+//! Beyond each set's rows the reader holds a payload to what the sampling
+//! and the spec say together: a hierarchy of the spec's or the params' `k`,
+//! a 3-stretch net in range and sampled for the spec's ε, the degrading
+//! layers' count and schedule, the spec's CDG params and layer cap.  The
+//! same layout tells a build what each layer keeps (`keep_stored`), so a
+//! built set equals the decode of its own bytes.  A build's run cost is not
+//! in the payload: the container's `STAT` section and the `dsketch-obs`
+//! registry hold it.
 //!
 //! # Stability rules
 //!
-//! * Everything else — hierarchy, density net, params, stats, scheme
-//!   spec — is little-endian and fixed-width (`u8`/`u32`/`u64`, `f64` as
-//!   IEEE-754 bits), collections length-prefixed with `u64`.
-//! * Bunches encode in the label's own order and a value has exactly one
-//!   accepted form, so encoding is deterministic:
+//! * The hierarchy's levels and every label value are varints; everything
+//!   else — the hierarchy's `k`, probability and node count, density net,
+//!   params, scheme spec, the degrading layer count — is little-endian and
+//!   fixed-width (`u8`/`u32`/`u64`, `f64` as IEEE-754 bits), collections
+//!   length-prefixed with `u64`.
+//! * A value has exactly one accepted form, so encoding is deterministic:
 //!   `encode(decode(bytes)) == bytes`.
-//! * Every encoding's size is known before a byte is written
-//!   ([`SketchCodec::encoded_len`]), so a payload is allocated once.
+//! * Every [`SketchCodec`] encoding's size is known before a byte is
+//!   written ([`SketchCodec::encoded_len`]), so it is allocated once.  A
+//!   family payload is written in one pass: its exact length needs every
+//!   entry's rank, which costs what writing it does.
 //! * Changing any encoding below is a **format break** and must bump the
 //!   container's major version in `dsketch-store`.
 //!
@@ -118,11 +133,11 @@
 use crate::cast;
 use crate::hierarchy::Hierarchy;
 use crate::scheme::{Layer, SchemeSpec, StoredSketches};
-use crate::sketch::{Label, SketchSet, TableShape, NO_PIVOT};
+use crate::sketch::{self, DistKey, SketchSet, TableShape, NO_PIVOT};
 use crate::slack::cdg::CdgParams;
 use crate::slack::density_net::DensityNet;
 use congest_sim::RunStats;
-use netgraph::{NodeId, INFINITY};
+use netgraph::{Distance, NodeId, INFINITY};
 use std::borrow::Cow;
 
 /// Errors produced while decoding a binary payload.
@@ -150,11 +165,12 @@ pub enum CodecError {
         /// Number of unconsumed bytes.
         remaining: usize,
     },
-    /// A label's pivot row breaks the nesting `A_0 ⊇ A_1 ⊇ …` it is read
-    /// off (see the [module docs](self), "Family payloads"): whose, where
-    /// and how.
+    /// A label's pivot row is not the one its members determine — `p_i(u)`
+    /// the least `(distance, id)` it holds at a level `≥ i`
+    /// ([`Layer::check_invariants`]): whose, where and how.  Format 4 has
+    /// no pivot bytes, so only labels in memory can break it.
     PivotRow(String),
-    /// A label set disagrees with the sampling stored beside it: its
+    /// A label set disagrees with the sampling it is written against: its
     /// hierarchy, or the density net a 3-stretch set is one level over.
     HierarchyContract(String),
     /// A layer's parameters disagree with the layer before it, or with the
@@ -228,11 +244,6 @@ impl Encoder {
 
     /// Append a little-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `i32`.
-    pub fn put_i32(&mut self, v: i32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -351,11 +362,6 @@ impl<'a> Decoder<'a> {
     /// Read a little-endian `u32`.
     pub fn u32(&mut self, context: &'static str) -> Result<u32, CodecError> {
         Ok(u32::from_le_bytes(self.take_array(context)?))
-    }
-
-    /// Read a little-endian `i32`.
-    pub fn i32(&mut self, context: &'static str) -> Result<i32, CodecError> {
-        Ok(i32::from_le_bytes(self.take_array(context)?))
     }
 
     /// Read a little-endian `u64`.
@@ -541,79 +547,206 @@ fn varint_len(v: u64) -> usize {
     cast::usize_from_u32((70 - (v | 1).leading_zeros()) / 7)
 }
 
-/// A label set's varints, in wire order (see "Label sets" in the
-/// [module docs](self)).  The writer and its length both fold over this,
-/// so the length is exact by construction.
-fn set_varints(set: &SketchSet, mut put: impl FnMut(u64)) {
-    put(cast::u64_from_usize(set.len()));
-    put(cast::u64_from_usize(set.pivots.len()));
-    put(cast::u64_from_usize(set.bunch_nodes.len()));
-    put(cast::u64_from_usize(set.table_nodes.len()));
-    for &landmark in &set.table_nodes {
-        put(u64::from(landmark.0));
+/// Where a payload goes: an [`Encoder`], or a [`Measure`] that only
+/// counts.  The writer and the byte split both run the one fold that
+/// writes a payload, each monomorphized, so the split is exact by
+/// construction.
+trait Sink {
+    /// Append one varint.
+    fn varint(&mut self, v: u64);
+    /// Append one fixed-layout value.
+    fn value<T: SketchCodec>(&mut self, value: &T);
+    /// Append a `usize` as a `u64`.
+    fn usize(&mut self, v: usize);
+    /// Bytes appended so far.
+    fn len(&self) -> usize;
+}
+
+impl Sink for Encoder {
+    #[inline]
+    fn varint(&mut self, v: u64) {
+        self.put_varint(v);
     }
-    for label in set.labels() {
-        for &(node, distance) in label.pivots {
-            if node == NO_PIVOT {
-                put(0);
-            } else {
-                put(u64::from(node.0) + 1);
-                put(distance);
-            }
-        }
-        put(cast::u64_from_usize(label.bunch_nodes.len()));
-        // The smallest id the next entry may carry; gaps count up from it.
-        let mut floor = 0u64;
-        for (&node, &distance) in label.bunch_nodes.iter().zip(label.bunch_dists) {
-            put(u64::from(node.0) - floor);
-            put(distance);
-            floor = u64::from(node.0) + 1;
-        }
-        // A cell: 0 for "not in this bunch", else the distance plus one.
-        for &distance in label.table_dists {
-            put(if distance == INFINITY {
-                0
-            } else {
-                distance + 1
-            });
-        }
+
+    fn value<T: SketchCodec>(&mut self, value: &T) {
+        value.encode(self);
+    }
+
+    fn usize(&mut self, v: usize) {
+        self.put_usize(v);
+    }
+
+    fn len(&self) -> usize {
+        Encoder::len(self)
     }
 }
 
-/// The one reader of label-set bytes: the set at `input`'s position, every
-/// label `k` levels deep, read straight into its columns, each row held on
-/// arrival to the contracts of [`Claims::check_row`].  What the rows claim
-/// about the sampling comes back beside the set, for the parts stored
-/// after it to be checked against.
+/// A [`Sink`] that only counts the bytes.
+#[derive(Default)]
+struct Measure(usize);
+
+impl Sink for Measure {
+    #[inline]
+    fn varint(&mut self, v: u64) {
+        self.0 += varint_len(v);
+    }
+
+    fn value<T: SketchCodec>(&mut self, value: &T) {
+        self.0 += value.encoded_len();
+    }
+
+    fn usize(&mut self, _: usize) {
+        self.0 += 8;
+    }
+
+    fn len(&self) -> usize {
+        self.0
+    }
+}
+
+/// The sampling a label set is written against (see "Label sets" in the
+/// [module docs](self)): its `k`, per node its level and its rank among the
+/// members of exactly that level, and per level those members, ascending —
+/// the top level's are the table.
+struct Sampling {
+    k: usize,
+    /// Per node, its highest level (`-1` outside `A_0`) and its index among
+    /// the members of exactly that level.
+    slots: Vec<(i32, u32)>,
+    /// Per level that has members, `A_i \ A_{i+1}` ascending; a level past
+    /// the last is empty.
+    members: Vec<Vec<NodeId>>,
+}
+
+impl Sampling {
+    /// The sampling `levels` (per node its highest level, `-1` for none,
+    /// each below `k`) is, `k` levels deep.
+    fn new(k: usize, levels: &[i32]) -> Sampling {
+        let mut members: Vec<Vec<NodeId>> = Vec::new();
+        let slots = (0..).zip(levels).map(|(node, &level)| {
+            let Ok(at) = usize::try_from(level) else {
+                return (level, 0);
+            };
+            if members.len() <= at {
+                members.resize_with(at + 1, Vec::new);
+            }
+            let rank = sketch::offset(members[at].len());
+            members[at].push(NodeId(node));
+            (level, rank)
+        });
+        let slots = slots.collect();
+        Sampling { k, slots, members }
+    }
+
+    /// `layer`'s sampling: its hierarchy, or the one level its density net
+    /// is (3-stretch); none for a layer with neither.
+    fn of(layer: &Layer) -> Option<Sampling> {
+        match (&layer.hierarchy, &layer.net) {
+            (Some(hierarchy), _) => Some(Sampling::new(hierarchy.k(), hierarchy.levels())),
+            (None, Some(net)) => Some(Sampling::new(1, &net_levels(net))),
+            (None, None) => None,
+        }
+    }
+
+    /// Nodes the sampling covers.
+    fn nodes(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The members of exactly `level`, ascending.
+    fn members(&self, level: usize) -> &[NodeId] {
+        self.members.get(level).map_or(&[], Vec::as_slice)
+    }
+
+    /// The top level `A_{k−1}`: the table.
+    fn top(&self) -> &[NodeId] {
+        self.members(self.k.saturating_sub(1))
+    }
+
+    /// `w`'s level and rank, if it is one of the nodes and in `A_0`.
+    fn slot(&self, w: NodeId) -> Option<(usize, u32)> {
+        let &(level, rank) = self.slots.get(w.index())?;
+        Some((usize::try_from(level).ok()?, rank))
+    }
+}
+
+/// A label set's varints, in wire order (see "Label sets" in the
+/// [module docs](self)), into `sink`: the bytes the sparse runs and the
+/// table rows take.  The set's table must be `sampling`'s top level
+/// ([`canonical`]); a member the sampling puts outside `A_0` or at the top
+/// has no run, and is not written.
+fn set_varints(set: &SketchSet, sampling: &Sampling, sink: &mut impl Sink) -> (usize, usize) {
+    let (mut runs, mut cells) = (0, 0);
+    let start = sink.len();
+    sink.varint(cast::u64_from_usize(set.bunch_nodes.len()));
+    runs += sink.len() - start;
+    // Per level below the top, the row's (rank, distance) pairs.
+    let below = sampling.k.saturating_sub(1).min(sampling.members.len());
+    let mut levels: Vec<Vec<(u32, Distance)>> = vec![Vec::new(); below];
+    for label in set.labels() {
+        let start = sink.len();
+        levels.iter_mut().for_each(Vec::clear);
+        for (&w, &distance) in label.bunch_nodes.iter().zip(label.bunch_dists) {
+            if let Some((level, rank)) = sampling.slot(w) {
+                if let Some(run) = levels.get_mut(level) {
+                    run.push((rank, distance));
+                }
+            }
+        }
+        for level in 0..sampling.k.saturating_sub(1) {
+            let run = levels.get(level).map_or(&[][..], Vec::as_slice);
+            sink.varint(cast::u64_from_usize(run.len()));
+            // The smallest rank the next entry may carry; gaps count up
+            // from it.
+            let mut floor = 0;
+            for &(rank, distance) in run {
+                sink.varint(u64::from(rank - floor));
+                sink.varint(distance);
+                floor = rank + 1;
+            }
+        }
+        let middle = sink.len();
+        let finite = label.table_dists.iter().filter(|&&d| d != INFINITY);
+        match finite.min().copied() {
+            None => {
+                sink.varint(0);
+                label.table_dists.iter().for_each(|_| sink.varint(0));
+            }
+            Some(least) => {
+                sink.varint(least + 1);
+                for &distance in label.table_dists {
+                    sink.varint(if distance == INFINITY {
+                        0
+                    } else {
+                        distance - least + 1
+                    });
+                }
+            }
+        }
+        runs += middle - start;
+        cells += sink.len() - middle;
+    }
+    (runs, cells)
+}
+
+/// The one reader of label-set bytes: the set at `input`'s position, written
+/// against `sampling`, read straight into its columns — each row's runs
+/// merged into its sparse row, its cells into the table, its pivot row
+/// derived ([`sketch::derive_pivots`]).
 ///
 /// Everything the layout promises is checked here, once: canonical
-/// varints, header totals that fit the remaining bytes and agree with the
-/// rows, `1 ≤ k`, ids within `u32`, a table of at most `n` strictly
-/// ascending landmarks below `n`, and sparse rows that name no table
-/// landmark.  No count read from the input is trusted with more memory
-/// than the input itself could fill.
-fn read_labels(input: &mut Decoder<'_>, k: usize) -> Result<(SketchSet, Claims), CodecError> {
-    if k == 0 || u32::try_from(k).is_err() {
-        let message = format!("k = {k} is outside 1..=u32::MAX");
-        return Err(CodecError::invalid("Sketch.k", message));
-    }
-    // A row is at least one pivot slot and the bunch length; a pivot slot
-    // at least one byte; a sparse entry at least two; a landmark and a
-    // table cell one each.
-    let nodes = input.varint_count(2, "SketchSet length")?;
-    let pivot_slots = input.varint_count(1, "SketchSet pivot slots")?;
+/// varints, an entry total that fits the remaining bytes and agrees with the
+/// rows, ranks below their level's member count, a `δ` one cell equals and
+/// finite cells only under one, and cells within the distance range.  No
+/// count read from the input is trusted with more memory than the input
+/// itself could fill: `n` rows of `k` bytes at least (`read_layer` holds
+/// the sampling to that before building it), `n × width` cells of a byte.
+fn read_labels(input: &mut Decoder<'_>, sampling: &Sampling) -> Result<SketchSet, CodecError> {
+    let (nodes, k, width) = (sampling.nodes(), sampling.k, sampling.top().len());
+    // A sparse entry is at least two bytes: a rank gap and a distance.
     let sparse_entries = input.varint_count(2, "SketchSet bunch entries")?;
-    let width = input.varint_count(1, "SketchSet table width")?;
-    if u32::try_from(nodes).is_err() {
-        let message = format!("{nodes} nodes exceed the u32 id range");
-        return Err(CodecError::invalid("SketchSet length", message));
-    }
-    if u32::try_from(pivot_slots.max(sparse_entries)).is_err() {
+    if u32::try_from(sparse_entries).is_err() || u32::try_from(nodes.saturating_mul(k)).is_err() {
         return Err(unaddressable());
-    }
-    if width > nodes {
-        let message = format!("{width} landmarks exceed the {nodes} nodes");
-        return Err(CodecError::invalid("SketchSet table width", message));
     }
     let cells = nodes.saturating_mul(width);
     if cells > input.remaining() {
@@ -623,36 +756,16 @@ fn read_labels(input: &mut Decoder<'_>, k: usize) -> Result<(SketchSet, Claims),
             remaining: input.remaining(),
         });
     }
-    let mut landmarks = Vec::with_capacity(width);
-    for _ in 0..width {
-        let id = input.varint("SketchSet table landmark")?;
-        let landmark = u32::try_from(id)
-            .ok()
-            .map(NodeId)
-            .filter(|w| w.index() < nodes && landmarks.last().is_none_or(|last: &NodeId| last < w));
-        let Some(landmark) = landmark else {
-            let message = match landmarks.last() {
-                Some(last) => format!("landmark v{id} after {last} is not ascending below {nodes}"),
-                None => format!("landmark v{id} is not one of the {nodes} nodes"),
-            };
-            return Err(CodecError::invalid("SketchSet table landmark", message));
-        };
-        landmarks.push(landmark);
-    }
-    let totals = (pivot_slots, sparse_entries);
-    let mut claims = Claims::new(Some(k), nodes, landmarks.clone());
-    let mut set = SketchSet::sized(nodes, landmarks, pivot_slots, sparse_entries);
-    for owner in (0..nodes).map(NodeId::from_index) {
-        read_row(input, &mut set, k, totals)?;
-        claims.check_row(set.label(owner))?;
-    }
-    if set.pivots.len() != pivot_slots {
-        return Err(disagreeing_totals("pivot slots"));
+    let top = sampling.top().to_vec();
+    let mut set = SketchSet::sized(nodes, top, nodes * k, sparse_entries);
+    let mut row = Row::new(k);
+    for _ in 0..nodes {
+        row.read(input, &mut set, sampling, sparse_entries)?;
     }
     if set.bunch_nodes.len() != sparse_entries {
         return Err(disagreeing_totals("bunch entries"));
     }
-    Ok((set, claims))
+    Ok(set)
 }
 
 /// A header total the rows do not add up to.
@@ -666,63 +779,172 @@ pub(crate) fn unaddressable() -> CodecError {
     CodecError::invalid("SketchSet", "label set exceeds the u32 offset range")
 }
 
-/// Append the next row of a set — `k` pivot slots, its sparse row and its
-/// table cells — to `set`'s columns, within the header's
-/// `(pivot slots, sparse entries)` totals.
-fn read_row(
-    input: &mut Decoder<'_>,
-    set: &mut SketchSet,
-    k: usize,
-    (pivot_slots, sparse_entries): (usize, usize),
-) -> Result<(), CodecError> {
-    let invalid = CodecError::invalid;
-    if pivot_slots - set.pivots.len() < k {
-        return Err(disagreeing_totals("pivot slots"));
-    }
-    for _ in 0..k {
-        let slot = match input.varint("Sketch.pivot")?.checked_sub(1) {
-            None => (NO_PIVOT, INFINITY),
-            Some(node) => {
-                // The last u32 is `NO_PIVOT`, which no node of a set is.
-                let Some(node) = u32::try_from(node)
-                    .ok()
-                    .filter(|&id| NodeId(id) != NO_PIVOT)
-                else {
-                    let message = format!("node id {node} is not below u32::MAX");
-                    return Err(invalid("Sketch.pivot", message));
-                };
-                (NodeId(node), input.varint("Sketch.pivot distance")?)
-            }
-        };
-        set.pivots.push(slot);
+/// The reader's scratch for one row, kept across the rows of a set.
+struct Row {
+    /// The row's sparse entries, run after run.
+    entries: Vec<(NodeId, Distance)>,
+    /// Where each run ends in `entries`.
+    ends: Vec<usize>,
+    /// The runs merged so far, and the merge's spare buffer.
+    merged: Vec<(NodeId, Distance)>,
+    spare: Vec<(NodeId, Distance)>,
+    /// Per level, the least `(distance, id)` the row holds exactly there.
+    nearest: Vec<DistKey>,
+}
+
+impl Row {
+    fn new(k: usize) -> Row {
+        Row {
+            entries: Vec::new(),
+            ends: Vec::new(),
+            merged: Vec::new(),
+            spare: Vec::new(),
+            nearest: vec![DistKey::INFINITE; k],
+        }
     }
 
-    let len = input.varint_count(2, "Sketch.bunch length")?;
-    if sparse_entries - set.bunch_nodes.len() < len {
-        return Err(disagreeing_totals("bunch entries"));
-    }
-    let mut floor = 0u64;
-    for _ in 0..len {
-        let gap = input.varint("BunchEntry")?;
-        let Ok(node) = u32::try_from(floor.saturating_add(gap)) else {
-            let message = format!("gap {gap} from {floor} carries the id past u32::MAX");
-            return Err(invalid("BunchEntry.node", message));
-        };
-        if set.position(NodeId(node)).is_some() {
-            let message = format!("v{node} is a table landmark: its distance is a table cell");
-            return Err(invalid("BunchEntry.node", message));
+    /// Append the next row of a set — its runs, its cells — to `set`'s
+    /// columns, within the header's total of `sparse_entries`.
+    fn read(
+        &mut self,
+        input: &mut Decoder<'_>,
+        set: &mut SketchSet,
+        sampling: &Sampling,
+        sparse_entries: usize,
+    ) -> Result<(), CodecError> {
+        let invalid = CodecError::invalid;
+        let k = sampling.k;
+        self.entries.clear();
+        self.ends.clear();
+        self.nearest.fill(DistKey::INFINITE);
+        for level in 0..k.saturating_sub(1) {
+            let len = input.varint_count(2, "Sketch run length")?;
+            if sparse_entries - set.bunch_nodes.len() - self.entries.len() < len {
+                return Err(disagreeing_totals("bunch entries"));
+            }
+            let members = sampling.members(level);
+            let mut floor = 0u64;
+            for _ in 0..len {
+                let gap = input.varint("Sketch run rank")?;
+                let rank = floor.saturating_add(gap);
+                let Some(&node) = usize::try_from(rank).ok().and_then(|at| members.get(at)) else {
+                    let message = format!(
+                        "rank {rank} is not below the {} members of level {level}",
+                        members.len()
+                    );
+                    return Err(invalid("Sketch run rank", message));
+                };
+                floor = rank + 1;
+                let distance = input.varint("Sketch run distance")?;
+                self.entries.push((node, distance));
+                self.nearest[level] = self.nearest[level].min(DistKey::new(distance, node));
+            }
+            self.ends.push(self.entries.len());
         }
-        floor = u64::from(node) + 1;
-        set.bunch_nodes.push(NodeId(node));
-        set.bunch_dists.push(input.varint("BunchEntry.distance")?);
+        self.read_cells(input, set)?;
+        set.pivots.extend(sketch::derive_pivots(&mut self.nearest));
+        self.merge_runs(set);
+        set.seal_label();
+        Ok(())
     }
-    for _ in 0..set.table_nodes.len() {
-        let cell = input.varint("SketchSet table cell")?;
-        set.table_dists
-            .push(cell.checked_sub(1).unwrap_or(INFINITY));
+
+    /// The row's table cells, into `set`'s table.  The least cell is the
+    /// row's nearest top-level member: the first cell (ascending ids) that
+    /// equals it.
+    fn read_cells(
+        &mut self,
+        input: &mut Decoder<'_>,
+        set: &mut SketchSet,
+    ) -> Result<(), CodecError> {
+        let invalid = CodecError::invalid;
+        let least = input.varint("SketchSet least cell")?.checked_sub(1);
+        let mut nearest = None;
+        for at in 0..set.table_nodes.len() {
+            let cell = input.varint("SketchSet table cell")?;
+            let distance = match (cell, least) {
+                (0, _) => INFINITY,
+                (_, None) => {
+                    let message = format!("cell {at} is finite in a row with no least cell");
+                    return Err(invalid("SketchSet table cell", message));
+                }
+                (cell, Some(least)) => {
+                    if cell == 1 && nearest.is_none() {
+                        nearest = Some(at);
+                    }
+                    match least.checked_add(cell - 1).filter(|&d| d != INFINITY) {
+                        Some(distance) => distance,
+                        None => {
+                            let message = format!("cell {cell} over {least} is past the distances");
+                            return Err(invalid("SketchSet table cell", message));
+                        }
+                    }
+                }
+            };
+            set.table_dists.push(distance);
+        }
+        match (least, nearest) {
+            (Some(least), None) => {
+                let message = format!("no cell of the row is its least cell {least}");
+                Err(invalid("SketchSet least cell", message))
+            }
+            (Some(least), Some(at)) => {
+                // A table landmark is at the top level.
+                if let Some(top) = self.nearest.last_mut() {
+                    *top = (*top).min(DistKey::new(least, set.table_nodes[at]));
+                }
+                Ok(())
+            }
+            (None, _) => Ok(()),
+        }
     }
-    set.seal_label();
-    Ok(())
+
+    /// Merge the row's runs — each ascending, no node in two — into the
+    /// ascending sparse row of `set`: two runs (`k = 3`) straight into the
+    /// columns, more two at a time through scratch, the last merge into the
+    /// columns.
+    fn merge_runs(&mut self, set: &mut SketchSet) {
+        let (nodes, dists) = (&mut set.bunch_nodes, &mut set.bunch_dists);
+        let into_set = |(w, distance)| {
+            nodes.push(w);
+            dists.push(distance);
+        };
+        let entries = &self.entries;
+        match *self.ends.as_slice() {
+            [] => {}
+            [end] => entries[..end].iter().copied().for_each(into_set),
+            [first, end] => merge_two(&entries[..first], &entries[first..end], into_set),
+            [first, ref middle @ .., last] => {
+                self.merged.clear();
+                self.merged.extend_from_slice(&entries[..first]);
+                let mut start = first;
+                for &end in middle {
+                    self.spare.clear();
+                    let run = &entries[start..end];
+                    merge_two(&self.merged, run, |entry| self.spare.push(entry));
+                    std::mem::swap(&mut self.merged, &mut self.spare);
+                    start = end;
+                }
+                merge_two(&self.merged, &entries[start..last], into_set);
+            }
+        }
+    }
+}
+
+/// `a` and `b`, each ascending by node, merged into `push`.  Which run an
+/// id comes from is a coin flip, so the step is a select, not a branch.
+fn merge_two(
+    a: &[(NodeId, Distance)],
+    b: &[(NodeId, Distance)],
+    mut push: impl FnMut((NodeId, Distance)),
+) {
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        let from_a = x.0 < y.0;
+        push(if from_a { x } else { y });
+        i += usize::from(from_a);
+        j += usize::from(!from_a);
+    }
+    a[i..].iter().chain(&b[j..]).copied().for_each(push);
 }
 
 impl SketchCodec for Hierarchy {
@@ -731,17 +953,22 @@ impl SketchCodec for Hierarchy {
         out.put_f64(self.probability());
         out.put_usize(self.levels().len());
         for &level in self.levels() {
-            out.put_i32(level);
+            out.put_varint(level_byte(level));
         }
     }
 
     fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let k = input.usize("Hierarchy.k")?;
         let probability = input.f64("Hierarchy.probability")?;
-        let len = input.len_prefix(4, "Hierarchy levels length")?;
+        let len = input.len_prefix(1, "Hierarchy levels length")?;
         let mut levels = Vec::with_capacity(len);
         for _ in 0..len {
-            levels.push(input.i32("Hierarchy level")?);
+            let byte = input.varint("Hierarchy level")?;
+            let Some(level) = i32::try_from(byte).ok().map(|byte| byte - 1) else {
+                let message = format!("level byte {byte} is past every level");
+                return Err(CodecError::invalid("Hierarchy", message));
+            };
+            levels.push(level);
         }
         Hierarchy::from_parts(levels, k, probability).map_err(|e| CodecError::Invalid {
             context: "Hierarchy",
@@ -750,8 +977,17 @@ impl SketchCodec for Hierarchy {
     }
 
     fn encoded_len(&self) -> usize {
-        8 + 8 + 8 + 4 * self.levels().len()
+        let levels = self
+            .levels()
+            .iter()
+            .map(|&level| varint_len(level_byte(level)));
+        8 + 8 + 8 + levels.sum::<usize>()
     }
+}
+
+/// A level's varint: the level plus one, so `-1` (outside `A_0`) is `0`.
+fn level_byte(level: i32) -> u64 {
+    u64::try_from(i64::from(level) + 1).unwrap_or(0)
 }
 
 impl SketchCodec for DensityNet {
@@ -929,192 +1165,103 @@ impl SketchCodec for SchemeSpec {
     }
 }
 
-/// What a label set says about the sampling stored beside it — its one
-/// `k`, its table, per node whether a sparse row holds it and the highest
-/// level a label's pivot row names it at — and the row contracts a
-/// family's labels keep and their bytes alone cannot express:
-///
-/// * every label has the set's one `k` (on the wire the spec or the
-///   layer's params fix it; in memory the first label does);
-/// * every node a label names, as pivot or bunch member, is one of the
-///   set's nodes;
-/// * a pivot row is the nesting `A_0 ⊇ A_1 ⊇ …` seen from its owner:
-///   present pivots have finite distances, non-decreasing in level (the
-///   nearest member of a smaller set is no nearer), and a level without a
-///   pivot has none above it (a level with no reachable member cannot
-///   regrow one);
-/// * every present pivot is in its owner's bunch, at its distance: `p_i(u)`
-///   is the nearest member of `A_i` (ties to the smaller id), so it is in
-///   `B_i(u)` or is `p_{i+1}(u)`, and both record `d(owner, pivot)` — for
-///   a table landmark, its cell.  The served rows of the slack families
-///   hold no pivot probe ([`crate::flat`]), so this is what keeps a pivot
-///   a candidate.
-///
-/// The reader holds every row it decodes to them, and [`check_rows`] an
-/// in-memory label set.
-struct Claims {
-    k: Option<usize>,
-    /// Per node, the owner of the first label whose sparse row holds it.
-    sparse: Vec<Option<NodeId>>,
-    /// Per node, one past the highest level a label names it as pivot at
-    /// (`0`: none does), with that label's owner.
-    pivots: Vec<(u32, NodeId)>,
-    /// The set's table landmarks.
-    table: Vec<NodeId>,
-}
-
-impl Claims {
-    /// No claims yet about a set of `nodes` labels over `table`, each to
-    /// have `k` levels when given.
-    fn new(k: Option<usize>, nodes: usize, table: Vec<NodeId>) -> Claims {
-        Claims {
-            k,
-            sparse: vec![None; nodes],
-            pivots: vec![(0, NodeId(0)); nodes],
-            table,
-        }
+impl Layer {
+    /// Check the contracts a layer's labels keep with its sampling — the
+    /// ones format 4 writes them by (see "Label sets" in the
+    /// [module docs](self)), so a layer that keeps them is the decode of its
+    /// own bytes:
+    ///
+    /// * the set's structural invariants ([`SketchSet::check_invariants`]);
+    /// * a sampling — a hierarchy, or the density net a 3-stretch set is one
+    ///   level over — that covers the set's nodes;
+    /// * every label the sampling's `k` levels deep;
+    /// * every member a label holds one of the nodes, in `A_0`;
+    /// * every pivot row the one its members determine — the derivation
+    ///   the decoder fills rows from: `p_i(u)` the least
+    ///   `(distance, id)` the label holds at a level `≥ i`, else a
+    ///   [`CodecError::PivotRow`].
+    ///
+    /// Both engines build layers that keep them on every graph; freezing a
+    /// slack family holds each layer to them, since its merged rows keep no
+    /// pivot probe.
+    pub fn check_invariants(&self) -> Result<(), CodecError> {
+        self.sketches
+            .check_invariants()
+            .map_err(|message| CodecError::invalid("SketchSet", message))?;
+        self.check_sampling()
     }
 
-    /// The row contracts, and the row's claims noted.
-    fn check_row(&mut self, label: Label<'_>) -> Result<(), CodecError> {
-        let owner = label.owner;
-        let k = label.k();
-        let fixed = *self.k.get_or_insert(k);
-        if k != fixed {
-            let message = format!("label of {owner} has k = {k} but the set's k is {fixed}");
-            return Err(CodecError::invalid("Sketch.k", message));
-        }
-        let nodes = self.sparse.len();
-        let out_of_range = |member: NodeId| {
-            let message =
-                format!("label of {owner} names {member}, out of range for {nodes} nodes");
-            CodecError::invalid("label node", message)
+    /// [`Layer::check_invariants`] but the set's structural invariants,
+    /// which every way of building a [`SketchSet`] keeps: what freezing a
+    /// slack family checks.
+    pub(crate) fn check_sampling(&self) -> Result<(), CodecError> {
+        let set = &self.sketches;
+        let Some(sampling) = Sampling::of(self) else {
+            let message = "the layer has no sampling: no hierarchy and no density net";
+            return Err(CodecError::HierarchyContract(message.to_string()));
         };
-        if let Some(&member) = label.table_nodes.last().filter(|w| w.index() >= nodes) {
-            return Err(out_of_range(member));
+        let what = match self.hierarchy {
+            Some(_) => "hierarchy",
+            None => "density net",
+        };
+        let (covers, nodes) = (sampling.nodes(), set.len());
+        if covers != nodes {
+            let message = format!("the {what} covers {covers} nodes but the labels cover {nodes}");
+            return Err(CodecError::invalid("Hierarchy", message));
         }
-        for &member in label.bunch_nodes {
-            let slot = self
-                .sparse
-                .get_mut(member.index())
-                .ok_or_else(|| out_of_range(member))?;
-            slot.get_or_insert(owner);
-        }
-        let (mut last, mut absent_since) = (0, None);
-        for (level, &(pivot, distance)) in (0u32..).zip(label.pivots) {
-            if pivot == NO_PIVOT {
-                absent_since.get_or_insert(level);
-                continue;
+        let mut nearest = Vec::new();
+        for label in set.labels() {
+            let owner = label.owner;
+            if label.k() != sampling.k {
+                let message = format!(
+                    "label of {owner} has k = {} but the {what} has {}",
+                    label.k(),
+                    sampling.k
+                );
+                return Err(CodecError::invalid("Sketch.k", message));
             }
-            let slot = self
-                .pivots
-                .get_mut(pivot.index())
-                .ok_or_else(|| out_of_range(pivot))?;
-            if slot.0 <= level {
-                *slot = (level + 1, owner);
+            nearest.clear();
+            nearest.resize(sampling.k, DistKey::INFINITE);
+            let sparse = label.bunch_nodes.iter().zip(label.bunch_dists);
+            let cells = label.table_nodes.iter().zip(label.table_dists);
+            let cells = cells.filter(|&(_, &distance)| distance != INFINITY);
+            for (&member, &distance) in sparse.chain(cells) {
+                let Some(&(level, _)) = sampling.slots.get(member.index()) else {
+                    let message =
+                        format!("label of {owner} names {member}, out of range for {nodes} nodes");
+                    return Err(CodecError::invalid("label node", message));
+                };
+                let Some(nearest) = usize::try_from(level).ok().and_then(|l| nearest.get_mut(l))
+                else {
+                    return Err(CodecError::HierarchyContract(format!(
+                        "the label of {owner} holds {member}, which the {what} samples to no \
+                         level (outside A_0)"
+                    )));
+                };
+                *nearest = (*nearest).min(DistKey::new(distance, member));
             }
-            let broken = |what: String| {
-                CodecError::PivotRow(format!("label of {owner}, level {level}: {what}"))
-            };
-            if let Some(since) = absent_since {
-                let nesting = format!("A_{since} ⊇ A_{level}");
-                return Err(broken(format!(
-                    "pivot present although level {since} had none ({nesting})"
-                )));
-            }
-            if distance == INFINITY {
-                return Err(broken("present pivot with infinite distance".to_string()));
-            }
-            if distance < last {
-                let below = level.saturating_sub(1);
-                return Err(broken(format!(
-                    "pivot distance {distance} decreases from level {below}'s {last}"
-                )));
-            }
-            last = distance;
-            match label.distance_to(pivot) {
-                Some(recorded) if recorded == distance => {}
-                Some(recorded) => {
-                    return Err(broken(format!(
-                        "pivot {pivot} at distance {distance} but the bunch records {recorded}"
+            let derived = sketch::derive_pivots(&mut nearest);
+            for (level, (&held, derived)) in label.pivots.iter().zip(derived).enumerate() {
+                if held != derived {
+                    return Err(CodecError::PivotRow(format!(
+                        "label of {owner}, level {level}: pivot {} but the nearest member of \
+                         A_{level} it holds is {}",
+                        show_pivot(held),
+                        show_pivot(derived)
                     )));
                 }
-                None => return Err(broken(format!("pivot {pivot} is not in its owner's bunch"))),
             }
         }
         Ok(())
     }
+}
 
-    /// The hierarchy stored beside the labels covers their nodes and is
-    /// their sampling ([`Claims::check_levels`]).
-    fn check_hierarchy(&self, hierarchy: &Hierarchy) -> Result<(), CodecError> {
-        let (covers, nodes) = (hierarchy.num_nodes(), self.sparse.len());
-        if covers != nodes {
-            return Err(CodecError::invalid(
-                "Hierarchy",
-                format!("hierarchy covers {covers} nodes but the labels cover {nodes}"),
-            ));
-        }
-        self.check_levels(hierarchy.k(), hierarchy.levels(), "hierarchy")
-    }
-
-    /// Labels whose density net has no hierarchy beside it (3-stretch) are
-    /// one level over the net: `k = 1`, the net is their table, and every
-    /// node a label names is a member.  The net already covers the labels'
-    /// nodes.
-    fn check_members(&self, net: &DensityNet) -> Result<(), CodecError> {
-        self.check_levels(1, &net_levels(net), "density net")
-    }
-
-    /// The labels have the sampling's `k` and its top level `A_{k−1}` as
-    /// their table, and `levels` — per node the highest level the sampling
-    /// (`what`) puts it in, `-1` for none — puts every member of a sparse
-    /// row in `A_0` (below the top level, which is the table), and reaches
-    /// every level a pivot row names a node at.
-    fn check_levels(&self, k: usize, levels: &[i32], what: &str) -> Result<(), CodecError> {
-        if let Some(labels) = self.k.filter(|&labels| labels != k) {
-            let message = format!("labels have k = {labels} but the {what} has {k}");
-            return Err(CodecError::HierarchyContract(message));
-        }
-        if self.table != top_level(k, levels) {
-            return Err(CodecError::HierarchyContract(format!(
-                "the table's {} landmarks are not the {what}'s top level A_{}",
-                self.table.len(),
-                k.saturating_sub(1)
-            )));
-        }
-        let claims = self.sparse.iter().zip(&self.pivots).zip(levels);
-        for (member, ((&holder, &(pivot, owner)), &sampled)) in claims.enumerate() {
-            let member = NodeId::from_index(member);
-            if let Some(holder) = holder.filter(|_| sampled < 0) {
-                return Err(CodecError::HierarchyContract(format!(
-                    "the label of {holder} holds {member}, which the {what} samples to no \
-                     level (outside A_0)"
-                )));
-            }
-            if i64::from(pivot) - 1 > i64::from(sampled) {
-                return Err(CodecError::HierarchyContract(format!(
-                    "the label of {owner} names {member} as its level-{} pivot, but the \
-                     {what} samples it only to level {sampled}",
-                    pivot - 1
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// The density net stored beside the labels covers their nodes, and
-    /// only them.
-    fn check_net(&self, net: &DensityNet) -> Result<(), CodecError> {
-        let (covers, nodes) = (net.num_nodes(), self.sparse.len());
-        let message = if covers != nodes {
-            format!("density net covers {covers} nodes but the labels cover {nodes}")
-        } else if let Some(member) = net.members().iter().find(|m| m.index() >= covers) {
-            format!("net member {member} out of range for {covers} nodes")
-        } else {
-            return Ok(());
-        };
-        Err(CodecError::invalid("DensityNet", message))
+/// A pivot slot, as a refusal names it.
+fn show_pivot((pivot, distance): (NodeId, Distance)) -> String {
+    if pivot == NO_PIVOT {
+        "none".to_string()
+    } else {
+        format!("{pivot} at distance {distance}")
     }
 }
 
@@ -1130,50 +1277,23 @@ fn net_levels(net: &DensityNet) -> Vec<i32> {
     levels
 }
 
-/// The nodes `levels` puts in `A_{k−1}`, ascending: the landmarks every
-/// label over that sampling holds.
-fn top_level(k: usize, levels: &[i32]) -> Vec<NodeId> {
-    let top = i64::try_from(k).map_or(i64::MAX, |k| k - 1);
-    let nodes = levels.iter().enumerate();
-    let members = nodes.filter(|&(_, &level)| i64::from(level) == top);
-    members.map(|(node, _)| NodeId::from_index(node)).collect()
-}
-
-/// The landmarks every label of `layer` holds — its table on the wire: the
-/// top level of its hierarchy, or of the one level its density net is
-/// (3-stretch); none for a layer with neither.
-fn layer_top(layer: &Layer) -> Vec<NodeId> {
-    match (&layer.hierarchy, &layer.net) {
-        (Some(hierarchy), _) => top_level(hierarchy.k(), hierarchy.levels()),
-        (None, Some(net)) => top_level(1, &net_levels(net)),
-        (None, None) => Vec::new(),
-    }
-}
-
-/// `layer`'s labels with its top level as their table ([`layer_top`]):
-/// borrowed as they are where the table already is (every engine builds
-/// them so), otherwise — labels assembled by hand — re-split.
-fn canonical(layer: &Layer) -> Cow<'_, SketchSet> {
-    let set = &layer.sketches;
-    let top = layer_top(layer);
+/// `set` with `top` as its table: borrowed as it is where the table
+/// already is (every engine builds it so), otherwise — labels assembled by
+/// hand — re-split.
+fn canonical<'a>(set: &'a SketchSet, top: &[NodeId]) -> Cow<'a, SketchSet> {
     if set.table_nodes == top || top.last().is_some_and(|w| w.index() >= set.len()) {
         Cow::Borrowed(set)
     } else {
-        Cow::Owned(set.with_landmarks(top))
+        Cow::Owned(set.with_landmarks(top.to_vec()))
     }
 }
 
-/// What `layer`'s table holds: its top level, against its bunch entries.
+/// What `layer`'s table holds: its sampling's top level, against its bunch
+/// entries.
 pub(crate) fn table_shape(layer: &Layer) -> TableShape {
-    canonical(layer).table_shape()
-}
-
-/// Hold a label set no decoder has read — what `freeze` is handed — to the
-/// row contracts of [`Claims`], with the same [`CodecError`] the decoder
-/// gives its bytes.
-pub(crate) fn check_rows(set: &SketchSet) -> Result<(), CodecError> {
-    let mut claims = Claims::new(None, set.len(), set.table_nodes.clone());
-    set.labels().try_for_each(|label| claims.check_row(label))
+    let sampling = Sampling::of(layer);
+    let top = sampling.as_ref().map_or(&[][..], Sampling::top);
+    canonical(&layer.sketches, top).table_shape()
 }
 
 /// Most layers a set may have: one bit of a served row's layer mask each
@@ -1202,125 +1322,124 @@ pub(crate) fn check_covers(index: usize, covers: usize, first: usize) -> Result<
     ))
 }
 
-/// A part of a layer's bytes besides its label set.
+/// A part of a layer's sampling, written before its label set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Part {
     Params,
     Net,
     Hierarchy,
-    Stats,
 }
 
 /// The layout of `spec`'s family payload (see "Family payloads" in the
-/// [module docs](self)): the parts of a layer before its label set and
-/// after it, and whether the payload is a count of such layers closed by
-/// their total stats (degrading) rather than one layer.
-fn layout(spec: &SchemeSpec) -> (&'static [Part], &'static [Part], bool) {
-    use Part::{Hierarchy, Net, Params, Stats};
-    const CDG: &[Part] = &[Params, Net, Hierarchy];
+/// [module docs](self)): the parts of a layer before its label set, and
+/// whether the payload is a count of such layers (degrading) rather than
+/// one layer.
+fn layout(spec: &SchemeSpec) -> (&'static [Part], bool) {
+    use Part::{Hierarchy, Net, Params};
+    const CDG: &[Part] = &[Params, Hierarchy];
     match spec {
-        SchemeSpec::ThorupZwick { .. } => (&[], &[Hierarchy], false),
-        SchemeSpec::ThreeStretch { .. } => (&[Net], &[Stats], false),
-        SchemeSpec::Cdg { .. } => (CDG, &[Stats], false),
-        SchemeSpec::Degrading { .. } => (CDG, &[Stats], true),
+        SchemeSpec::ThorupZwick { .. } => (&[Hierarchy], false),
+        SchemeSpec::ThreeStretch { .. } => (&[Net], false),
+        SchemeSpec::Cdg { .. } => (CDG, false),
+        SchemeSpec::Degrading { .. } => (CDG, true),
     }
 }
 
 /// Drop from a freshly built `layer` what `spec`'s payload does not store —
 /// a 3-stretch layer's one-level hierarchy and params, a Thorup–Zwick
-/// layer's run cost — so the layer equals the decode of its own bytes.
+/// layer's net — so the layer equals the decode of its own bytes.  A CDG
+/// layer keeps its net, which the reader derives: the hierarchy's `A_0`,
+/// sampled for the params' ε.
 pub(crate) fn keep_stored(spec: &SchemeSpec, layer: &mut Layer) {
-    let (before, after, _) = layout(spec);
-    let stores = |part| before.iter().chain(after).any(|&p| p == part);
+    let (parts, _) = layout(spec);
+    let stores = |part| parts.contains(&part);
     layer.params = layer.params.filter(|_| stores(Part::Params));
-    layer.net = layer.net.take().filter(|_| stores(Part::Net));
+    layer.net = layer
+        .net
+        .take()
+        .filter(|_| stores(Part::Net) || stores(Part::Params));
     layer.hierarchy = layer.hierarchy.take().filter(|_| stores(Part::Hierarchy));
-    if !stores(Part::Stats) {
-        layer.stats = RunStats::default();
+}
+
+/// One layer's share of a family payload, by part: what `dsketch-store
+/// inspect` prints, so a format change reads its numbers from the tool.
+/// The parts of a payload's layers add up to the payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LayerBytes {
+    /// The sampling the labels are written against — params, density net
+    /// or hierarchy — and, for the first layer of a degrading payload, the
+    /// layer count before it.
+    pub sampling: usize,
+    /// The sparse runs: the set's entry total, each row's run lengths, and
+    /// the `(rank gap, distance)` entries.
+    pub runs: usize,
+    /// The table rows: each row's least cell and its cells.
+    pub cells: usize,
+}
+
+impl LayerBytes {
+    /// The layer's bytes, all parts.
+    pub fn total(&self) -> usize {
+        self.sampling + self.runs + self.cells
     }
 }
 
-/// The cost of `layers` together: the total a degrading payload closes
-/// with.
-fn total_stats(layers: &[Layer]) -> RunStats {
-    let mut total = RunStats::default();
-    layers.iter().for_each(|layer| total.absorb(&layer.stats));
-    total
-}
-
-/// Encode `layer`'s label set into `out` or, with no encoder, only measure
-/// it: the bytes it takes either way.  Its table is the layer's top level
-/// ([`canonical`]).
-fn put_labels(layer: &Layer, out: &mut Option<&mut Encoder>) -> usize {
-    let set = canonical(layer);
-    match out {
-        Some(out) => {
-            let start = out.len();
-            set_varints(&set, |v| out.put_varint(v));
-            out.len() - start
-        }
-        None => {
-            let mut len = 0;
-            set_varints(&set, |v| len += varint_len(v));
-            len
-        }
-    }
-}
-
-/// Encode `value` into `out` or, with no encoder, only measure it: the
-/// bytes it takes either way.
-fn put<T: SketchCodec>(value: &T, out: &mut Option<&mut Encoder>) -> usize {
-    match out {
-        Some(out) => {
-            let start = out.len();
-            value.encode(out);
-            out.len() - start
-        }
-        None => value.encoded_len(),
-    }
-}
-
-/// Encode one part of `layer` (nothing for a part the layer lacks).
-fn put_part(layer: &Layer, part: Part, out: &mut Option<&mut Encoder>) -> usize {
+/// Write one sampling part of `layer` (nothing for a part the layer lacks).
+fn put_part(layer: &Layer, part: Part, sink: &mut impl Sink) {
     match part {
-        Part::Params => layer.params.as_ref().map_or(0, |params| put(params, out)),
-        Part::Net => layer.net.as_ref().map_or(0, |net| put(net, out)),
-        Part::Hierarchy => layer.hierarchy.as_ref().map_or(0, |h| put(h, out)),
-        Part::Stats => put(&layer.stats, out),
+        Part::Params => layer.params.iter().for_each(|params| sink.value(params)),
+        Part::Net => layer.net.iter().for_each(|net| sink.value(net)),
+        Part::Hierarchy => layer.hierarchy.iter().for_each(|h| sink.value(h)),
     }
 }
 
 /// The one writer of the family layouts: `stored`'s layers in its spec's
-/// layout into `out` or, with no encoder, the exact length that takes.
-fn put_family(stored: &StoredSketches, mut out: Option<&mut Encoder>) -> usize {
-    let (before, after, counted) = layout(&stored.spec);
-    let mut len = 0;
+/// layout into `sink`, and each layer's bytes by part.  A layer's label set
+/// is written against its sampling, with its top level as the table
+/// ([`canonical`]); a layer with no sampling has no label bytes.
+fn put_family(stored: &StoredSketches, sink: &mut impl Sink) -> Vec<LayerBytes> {
+    let (parts, counted) = layout(&stored.spec);
+    let mut start = sink.len();
     if counted {
-        if let Some(out) = out.as_deref_mut() {
-            out.put_usize(stored.layers.len());
-        }
-        len += 8;
+        sink.usize(stored.layers.len());
     }
+    let mut split = Vec::with_capacity(stored.layers.len());
     for layer in &stored.layers {
-        for &part in before {
-            len += put_part(layer, part, &mut out);
-        }
-        len += put_labels(layer, &mut out);
-        for &part in after {
-            len += put_part(layer, part, &mut out);
-        }
+        parts.iter().for_each(|&part| put_part(layer, part, sink));
+        let sampling = sink.len() - start;
+        let (runs, cells) = match Sampling::of(layer) {
+            Some(over) => set_varints(&canonical(&layer.sketches, over.top()), &over, sink),
+            None => (0, 0),
+        };
+        split.push(LayerBytes {
+            sampling,
+            runs,
+            cells,
+        });
+        start = sink.len();
     }
-    if counted {
-        len += put(&total_stats(&stored.layers), &mut out);
-    }
-    len
+    split
 }
 
-/// `stored`'s family payload, allocated once at its exact length.
+/// `stored`'s family payload, in one pass.  Its exact length needs every
+/// entry's rank — a lookup an entry, as dear as writing it — so the
+/// encoder is sized by a guess read off the column lengths instead (two
+/// bytes an entry, a byte a cell, about what a row takes), and grows if
+/// that falls short.
 pub(crate) fn write_family(stored: &StoredSketches) -> Vec<u8> {
-    let mut out = Encoder::with_capacity(put_family(stored, None));
-    put_family(stored, Some(&mut out));
+    let guess = stored.layers.iter().map(|layer| {
+        let set = &layer.sketches;
+        64 + 2 * set.len() + 2 * set.bunch_nodes.len() + set.table_dists.len()
+    });
+    let mut out = Encoder::with_capacity(guess.sum());
+    put_family(stored, &mut out);
     out.into_bytes()
+}
+
+/// Each layer's share of `stored`'s family payload, by part, without
+/// writing it.
+pub(crate) fn layer_bytes(stored: &StoredSketches) -> Vec<LayerBytes> {
+    put_family(stored, &mut Measure::default())
 }
 
 /// Decode one part into `layer`.
@@ -1329,95 +1448,111 @@ fn read_part(layer: &mut Layer, part: Part, input: &mut Decoder<'_>) -> Result<(
         Part::Params => layer.params = Some(CdgParams::decode(input)?),
         Part::Net => layer.net = Some(DensityNet::decode(input)?),
         Part::Hierarchy => layer.hierarchy = Some(Hierarchy::decode(input)?),
-        Part::Stats => layer.stats = RunStats::decode(input)?,
     }
     Ok(())
 }
 
-/// Read one layer — the parts `before` its label set, the set (`k` levels
-/// deep, the layer's params say otherwise), the parts `after` — and hold
-/// the set to the sampling beside it: the net covers the labels' nodes, a
-/// hierarchy is their sampling (its `k`, its top level their table, every
-/// node at the levels the labels claim for it), and a net with no
-/// hierarchy beside it (3-stretch) is the labels' one level.  A net
-/// sampled for another ε than the layer's params is a
-/// [`CodecError::LayerContract`].
-fn read_layer(
-    input: &mut Decoder<'_>,
-    (before, after): (&[Part], &[Part]),
-    k: usize,
-) -> Result<Layer, CodecError> {
+/// Read one layer — its sampling `parts`, then the label set written
+/// against it — and hold the sampling to what the labels are read at: a
+/// hierarchy of `k` levels (the spec's; a CDG layer's params say
+/// otherwise), a density net whose members are its nodes, `n` rows of `k`
+/// bytes at least in the bytes that remain.  A CDG layer's net is its
+/// hierarchy's `A_0`, sampled for its params' ε.
+fn read_layer(input: &mut Decoder<'_>, parts: &[Part], k: usize) -> Result<Layer, CodecError> {
     let mut layer = Layer {
         sketches: SketchSet::new(),
         hierarchy: None,
         net: None,
         params: None,
-        stats: RunStats::default(),
     };
-    for &part in before {
+    for &part in parts {
         read_part(&mut layer, part, input)?;
     }
-    let (sketches, claims) = read_labels(input, layer.params.map_or(k, |p| p.k))?;
-    layer.sketches = sketches;
-    for &part in after {
-        read_part(&mut layer, part, input)?;
-    }
-    if let Some(net) = &layer.net {
-        claims.check_net(net)?;
-        if layer.hierarchy.is_none() {
-            claims.check_members(net)?;
+    let k = layer.params.map_or(k, |params| params.k);
+    let nodes = match (&layer.hierarchy, &layer.net) {
+        (Some(hierarchy), _) => {
+            if hierarchy.k() != k {
+                let message = format!(
+                    "labels have k = {k} but the hierarchy has {}",
+                    hierarchy.k()
+                );
+                return Err(CodecError::HierarchyContract(message));
+            }
+            if let Some(params) = layer.params {
+                let ground = hierarchy.level_members(0);
+                let net = DensityNet::from_members(hierarchy.num_nodes(), params.eps, ground);
+                layer.net = Some(net);
+            }
+            hierarchy.num_nodes()
         }
-        if let Some(params) = layer.params.filter(|p| !net.sampled_for(p.eps)) {
-            return Err(CodecError::LayerContract(format!(
-                "the density net was sampled for eps = {} but the layer's params say {}",
-                net.eps(),
-                params.eps
-            )));
+        (None, Some(net)) => {
+            check_net(net)?;
+            net.num_nodes()
         }
+        (None, None) => 0,
+    };
+    if u32::try_from(nodes).is_err() {
+        let message = format!("{nodes} nodes exceed the u32 id range");
+        return Err(CodecError::invalid("SketchSet length", message));
     }
-    if let Some(hierarchy) = &layer.hierarchy {
-        claims.check_hierarchy(hierarchy)?;
+    let rows = nodes.saturating_mul(k);
+    if rows > input.remaining() {
+        return Err(CodecError::UnexpectedEof {
+            context: "SketchSet rows",
+            needed: rows,
+            remaining: input.remaining(),
+        });
+    }
+    if let Some(sampling) = Sampling::of(&layer) {
+        layer.sketches = read_labels(input, &sampling)?;
     }
     Ok(layer)
+}
+
+/// A density net's members are among its nodes.
+fn check_net(net: &DensityNet) -> Result<(), CodecError> {
+    let covers = net.num_nodes();
+    match net.members().iter().find(|m| m.index() >= covers) {
+        Some(member) => Err(CodecError::invalid(
+            "DensityNet",
+            format!("net member {member} out of range for {covers} nodes"),
+        )),
+        None => Ok(()),
+    }
 }
 
 /// Read the family payload of `spec`'s scheme at `input` — the one reader
 /// of the four family layouts, which both ingresses (the layers and the
 /// frozen set) drive, so the two accept the same bytes and refuse the rest
-/// with the same [`CodecError`].  Beyond each set's rows it checks the
-/// parts around them (`read_layer`), the degrading layers' count
-/// ([`MAX_LAYERS`]) and schedule, and that the payload is the one `spec`
-/// names: its ε, its CDG params, at most its layer cap — and, Thorup–Zwick's
-/// labels read at its `k`, its hierarchy's.
+/// with the same [`CodecError`].  Beyond each layer (`read_layer`) it
+/// checks the degrading layers' count ([`MAX_LAYERS`]) and schedule, and
+/// that the payload is the one `spec` names: its ε, its CDG params, at most
+/// its layer cap — and, Thorup–Zwick's hierarchy read at its `k`.
 pub(crate) fn read_family(
     spec: &SchemeSpec,
     input: &mut Decoder<'_>,
 ) -> Result<StoredSketches, CodecError> {
-    let (before, after, counted) = layout(spec);
+    let (parts, counted) = layout(spec);
     // The level count the spec fixes; a CDG layer's params fix their own.
     let k = match *spec {
         SchemeSpec::ThorupZwick { k } => k,
         _ => 1,
     };
-    // A degrading layer over one node or more is at least params (24) + net
-    // (24) + hierarchy (28) + label set (6) + stats (48).
+    // A degrading layer is at least params (24) + hierarchy (24) + label
+    // set (1).
     let count = if counted {
-        input.len_prefix(128, "degrading layers length")?
+        input.len_prefix(49, "degrading layers length")?
     } else {
         1
     };
     check_layer_count(count)?;
     let mut layers: Vec<Layer> = Vec::with_capacity(count);
     for index in 0..count {
-        let layer = read_layer(input, (before, after), k)?;
+        let layer = read_layer(input, parts, k)?;
         if let Some(previous) = layers.last() {
             check_schedule(index, previous, &layer)?;
         }
         layers.push(layer);
-    }
-    if counted && RunStats::decode(input)? != total_stats(&layers) {
-        let message = "the total RunStats is not the sum of the layers'".to_string();
-        return Err(CodecError::LayerContract(message));
     }
     let stored = StoredSketches {
         spec: *spec,
@@ -1488,8 +1623,13 @@ fn check_spec(stored: &StoredSketches) -> Result<(), CodecError> {
 mod tests {
     use super::*;
 
-    /// Three labels with `k = 2` over nodes 0, 1 and 2, the last the one
-    /// node of `A_1` and so the one table landmark.
+    /// Three nodes sampled `k = 2` deep: nodes 0 and 1 at level 0, node 2
+    /// the one node of `A_1` and so the one table landmark.
+    fn toy_hierarchy() -> Hierarchy {
+        Hierarchy::from_parts(vec![0, 0, 1], 2, 0.5).unwrap()
+    }
+
+    /// The toy labels over [`toy_hierarchy`], with its top level as table.
     fn toy_set() -> SketchSet {
         let mut set = SketchSet::sized(3, vec![NodeId(2)], 0, 0);
         for (pivots, bunch) in toy_rows() {
@@ -1501,7 +1641,8 @@ mod tests {
     /// One hand-built label: its two pivot slots and its ascending bunch.
     type Row = ([Option<(NodeId, u64)>; 2], &'static [(NodeId, u64)]);
 
-    /// The toy labels' rows.
+    /// The toy labels' rows: each pivot the nearest member of its level or
+    /// above, as Thorup–Zwick picks it.
     fn toy_rows() -> [Row; 3] {
         [
             (
@@ -1519,17 +1660,22 @@ mod tests {
         ]
     }
 
-    /// `set`'s label-set bytes, with the table it has.
-    fn set_bytes(set: &SketchSet) -> Vec<u8> {
+    /// `hierarchy` as the sampling a set is written against.
+    fn sampling(hierarchy: &Hierarchy) -> Sampling {
+        Sampling::new(hierarchy.k(), hierarchy.levels())
+    }
+
+    /// `set`'s label-set bytes against `hierarchy`, with the table it has.
+    fn set_bytes(set: &SketchSet, hierarchy: &Hierarchy) -> Vec<u8> {
         let mut out = Encoder::new();
-        set_varints(set, |v| out.put_varint(v));
+        set_varints(set, &sampling(hierarchy), &mut out);
         out.into_bytes()
     }
 
-    /// The label set `bytes` hold at `k` levels, and nothing else.
-    fn read_set(bytes: &[u8], k: usize) -> Result<SketchSet, CodecError> {
+    /// The label set `bytes` hold against `hierarchy`, and nothing else.
+    fn read_set(bytes: &[u8], hierarchy: &Hierarchy) -> Result<SketchSet, CodecError> {
         let mut input = Decoder::new(bytes);
-        let (set, _) = read_labels(&mut input, k)?;
+        let set = read_labels(&mut input, &sampling(hierarchy))?;
         input.finish()?;
         Ok(set)
     }
@@ -1584,26 +1730,29 @@ mod tests {
 
     #[test]
     fn sketch_round_trip_is_exact_and_deterministic() {
-        let set = toy_set();
-        let bytes = set_bytes(&set);
-        // n, slots, sparse entries, table width and its one landmark; per
-        // row two pivots as (node + 1, distance), the sparse length and its
-        // entries as (gap, distance), then the cell as distance + 1.
+        let (set, hierarchy) = (toy_set(), toy_hierarchy());
+        let bytes = set_bytes(&set, &hierarchy);
+        // The sparse total; per row its one run (level 0: length, then
+        // (rank gap, distance) per entry — v0 is rank 0, v1 rank 1), then
+        // the least cell plus one and the one cell as d − δ + 1.  No pivot,
+        // no id, no table: the sampling says them.
         #[rustfmt::skip]
         assert_eq!(
             bytes,
             [
-                3, 6, 4, 1, 2,
-                1, 0, 3, 5, 2, 0, 0, 0, 3, 6,
-                2, 0, 3, 4, 2, 0, 3, 0, 0, 5,
-                3, 0, 3, 0, 0, 1,
+                4,
+                2, 0, 0, 0, 3, 6, 1,
+                2, 0, 3, 0, 0, 5, 1,
+                0, 1, 1,
             ]
         );
-        let decoded = read_set(&bytes, 2).unwrap();
+        let decoded = read_set(&bytes, &hierarchy).unwrap();
         assert_eq!(decoded.table_nodes, [NodeId(2)]);
         assert_eq!(decoded, set);
+        // The pivots came back derived, slot for slot.
+        assert_eq!(decoded.pivots, set.pivots);
         // encode(decode(bytes)) == bytes: the representation is canonical.
-        assert_eq!(set_bytes(&decoded), bytes);
+        assert_eq!(set_bytes(&decoded, &hierarchy), bytes);
     }
 
     #[test]
@@ -1614,26 +1763,40 @@ mod tests {
             sparse.push_label(&pivots, bunch).unwrap();
         }
         assert_eq!(sparse, set, "the same labels");
-        let bytes = set_bytes(&sparse);
-        assert_ne!(bytes, set_bytes(&set));
-        assert_eq!(read_set(&bytes, 2).unwrap(), set);
         // Moved onto the toy's table, the table-less set is the toy set,
         // byte for byte.
         let moved = sparse.with_landmarks(vec![NodeId(2)]);
-        assert_eq!(set_bytes(&moved), set_bytes(&set));
+        assert_eq!(
+            set_bytes(&moved, &toy_hierarchy()),
+            set_bytes(&set, &toy_hierarchy())
+        );
         assert_eq!(moved.check_invariants(), Ok(()));
         // A layer writes its hierarchy's top level as the table, whatever
         // the set in memory has.
         let layer = Layer {
             sketches: sparse,
-            hierarchy: Some(Hierarchy::from_levels(vec![0, 0, 1], 2).unwrap()),
+            hierarchy: Some(toy_hierarchy()),
             net: None,
             params: None,
-            stats: RunStats::default(),
         };
-        assert_eq!(canonical(&layer).table_nodes, [NodeId(2)]);
+        assert_eq!(layer.check_invariants(), Ok(()));
+        let top = Sampling::of(&layer).unwrap().top().to_vec();
+        assert_eq!(canonical(&layer.sketches, &top).table_nodes, [NodeId(2)]);
         let shape = table_shape(&layer);
         assert_eq!((shape.landmarks, shape.cells, shape.entries), (1, 3, 7));
+        let stored = StoredSketches {
+            spec: SchemeSpec::thorup_zwick(2),
+            layers: vec![layer],
+        };
+        let bytes = stored.encode_payload();
+        let split = stored.layer_bytes();
+        assert_eq!(split[0].sampling, Hierarchy::encoded_len(&toy_hierarchy()));
+        assert_eq!((split[0].runs, split[0].cells), (12, 6));
+        assert_eq!(split[0].total(), bytes.len());
+        assert_eq!(
+            StoredSketches::decode_payload(&stored.spec, &bytes),
+            Ok(stored)
+        );
     }
 
     #[test]
@@ -1643,6 +1806,40 @@ mod tests {
 
         let net = DensityNet::sample_nonempty(60, 0.3, 9).unwrap();
         assert_eq!(DensityNet::from_bytes(&net.to_bytes()).unwrap(), net);
+    }
+
+    #[test]
+    fn hierarchy_levels_are_one_varint_a_node_and_stay_below_k() {
+        let hierarchy = toy_hierarchy();
+        let bytes = hierarchy.to_bytes();
+        assert_eq!(bytes.len(), 24 + 3);
+        assert_eq!(bytes[24..], [1, 1, 2], "level + 1 per node");
+        // A level byte past k − 1 (here 3, level 2 of a k = 2 hierarchy)
+        // names no level.
+        let mut past = bytes.clone();
+        past[26] = 3;
+        let err = Hierarchy::from_bytes(&past).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::Invalid { context: "Hierarchy", message } if message.contains("out of range")),
+            "{err}"
+        );
+        // Nor does one past i32.
+        let mut huge = bytes[..26].to_vec();
+        huge.extend(varint_bytes(u64::from(u32::MAX)));
+        let err = Hierarchy::from_bytes(&huge).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CodecError::Invalid {
+                    context: "Hierarchy",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        // Level byte 0 is outside A_0.
+        past[26] = 0;
+        assert_eq!(Hierarchy::from_bytes(&past).unwrap().levels(), [0, 0, -1]);
     }
 
     #[test]
@@ -1684,9 +1881,9 @@ mod tests {
 
     #[test]
     fn truncated_payloads_fail_with_eof_not_panic() {
-        let bytes = set_bytes(&toy_set());
+        let bytes = set_bytes(&toy_set(), &toy_hierarchy());
         for cut in 0..bytes.len() {
-            let err = read_set(&bytes[..cut], 2).unwrap_err();
+            let err = read_set(&bytes[..cut], &toy_hierarchy()).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1699,12 +1896,19 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut bytes = set_bytes(&toy_set());
+        let mut bytes = set_bytes(&toy_set(), &toy_hierarchy());
         bytes.push(0xFF);
         assert!(matches!(
-            read_set(&bytes, 2),
+            read_set(&bytes, &toy_hierarchy()),
             Err(CodecError::TrailingBytes { remaining: 1 })
         ));
+    }
+
+    /// One varint's bytes.
+    fn varint_bytes(v: u64) -> Vec<u8> {
+        let mut out = Encoder::new();
+        out.put_varint(v);
+        out.into_bytes()
     }
 
     /// A label set from raw varints, for payloads the encoder cannot write.
@@ -1716,29 +1920,38 @@ mod tests {
         out.into_bytes()
     }
 
+    /// `bytes` must be refused as `what` (an `Invalid` context).
+    fn invalid(bytes: &[u8], hierarchy: &Hierarchy, what: &str) {
+        let err = read_set(bytes, hierarchy).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::Invalid { context, .. } if *context == what),
+            "{what}: {err}"
+        );
+    }
+
     #[test]
     fn absurd_length_prefixes_fail_fast() {
-        // Each header total is bounded by the bytes that remain, so a
-        // corrupted count is refused before anything is sized by it.
-        for header in [
-            [u64::from(u32::MAX), 0, 0, 0],
-            [0, u64::MAX, 0, 0],
-            [0, 0, 1 << 40, 0],
-            [0, 0, 0, 1 << 40],
-        ] {
-            let err = read_set(&raw_set(&header), 1).unwrap_err();
-            assert!(matches!(err, CodecError::UnexpectedEof { .. }), "{err}");
-        }
-        // So is a row's bunch length.
-        let err = read_set(&raw_set(&[1, 1, 0, 0, 0, 1 << 30]), 1).unwrap_err();
+        let hierarchy = toy_hierarchy();
+        // The sparse total is bounded by the bytes that remain, so a
+        // corrupted count is refused before anything is sized by it ...
+        let err = read_set(&raw_set(&[1 << 40]), &hierarchy).unwrap_err();
         assert!(matches!(err, CodecError::UnexpectedEof { .. }), "{err}");
-        // k = 0 is refused outright.
-        let err = read_set(&raw_set(&[1, 0, 0, 0, 0]), 0).unwrap_err();
+        // ... and so is a run's length.
+        let err = read_set(&raw_set(&[1, 1 << 30, 0, 0]), &hierarchy).unwrap_err();
+        assert!(matches!(err, CodecError::UnexpectedEof { .. }), "{err}");
+        // A hierarchy of k = 0 is refused outright.
+        let mut zero = Encoder::new();
+        Hierarchy::from_levels(vec![0], 1)
+            .unwrap()
+            .encode(&mut zero);
+        let mut bytes = zero.into_bytes();
+        bytes[..8].copy_from_slice(&0u64.to_le_bytes());
+        let err = Hierarchy::from_bytes(&bytes).unwrap_err();
         assert!(
             matches!(
                 err,
                 CodecError::Invalid {
-                    context: "Sketch.k",
+                    context: "Hierarchy",
                     ..
                 }
             ),
@@ -1746,106 +1959,117 @@ mod tests {
         );
     }
 
+    /// The table is the sampling's top level — ascending, among its nodes
+    /// by construction — and owns its entries: a top-level member has no
+    /// run, so a hand-made row that holds one sparse writes it as a cell.
     #[test]
     fn a_table_is_at_most_n_ascending_landmarks_and_owns_its_entries() {
-        let invalid = |bytes: Vec<u8>, what: &str| {
-            let err = read_set(&bytes, 1).unwrap_err();
-            assert!(
-                matches!(&err, CodecError::Invalid { context, .. } if *context == what),
-                "{what}: {err}"
-            );
-        };
-        // Two nodes, no pivots, one landmark (node 1): a cell each.
-        assert!(read_set(&raw_set(&[2, 2, 0, 1, 1, 0, 0, 4, 0, 0, 1]), 1).is_ok());
-        // More landmarks than nodes, with the bytes to spare.
-        invalid(
-            raw_set(&[1, 1, 0, 2, 0, 0, 0, 0, 0, 0]),
-            "SketchSet table width",
-        );
-        // Landmarks out of order, repeated, or past the nodes.
-        invalid(
-            raw_set(&[2, 2, 0, 2, 1, 0, 0, 0, 1, 1, 0, 0, 1, 1]),
-            "SketchSet table landmark",
-        );
-        invalid(
-            raw_set(&[2, 2, 0, 2, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1]),
-            "SketchSet table landmark",
-        );
-        invalid(
-            raw_set(&[2, 2, 0, 1, 2, 0, 0, 1, 0, 0, 1]),
-            "SketchSet table landmark",
-        );
-        // n × width cells the bytes cannot hold.
-        let err = read_set(&raw_set(&[3, 3, 0, 3, 0, 1, 2]), 1).unwrap_err();
-        assert!(matches!(err, CodecError::UnexpectedEof { .. }), "{err}");
-        // A sparse entry naming the table landmark.
-        invalid(
-            raw_set(&[2, 2, 1, 1, 1, 0, 1, 1, 4, 0, 0, 0, 1]),
-            "BunchEntry.node",
-        );
+        let hierarchy = Hierarchy::from_parts(vec![1, 0, 1, 0], 2, 0.5).unwrap();
+        assert_eq!(sampling(&hierarchy).top(), [NodeId(0), NodeId(2)]);
+        // Node 1's label, sparse throughout: v0 and v2 are the table's.
+        let mut sparse = SketchSet::new();
+        let rows: [(&[_], &[_]); 4] = [
+            (
+                &[Some((NodeId(0), 0)), Some((NodeId(0), 0))],
+                &[(NodeId(0), 0)],
+            ),
+            (
+                &[Some((NodeId(1), 0)), Some((NodeId(2), 2))],
+                &[(NodeId(0), 7), (NodeId(1), 0), (NodeId(2), 2)],
+            ),
+            (
+                &[Some((NodeId(2), 0)), Some((NodeId(2), 0))],
+                &[(NodeId(2), 0)],
+            ),
+            (&[Some((NodeId(3), 0)), None], &[(NodeId(3), 0)]),
+        ];
+        for (pivots, bunch) in rows {
+            sparse.push_label(pivots, bunch).unwrap();
+        }
+        let top = sampling(&hierarchy).top().to_vec();
+        let bytes = set_bytes(&canonical(&sparse, &top), &hierarchy);
+        let read = read_set(&bytes, &hierarchy).unwrap();
+        assert_eq!(read, sparse);
+        assert_eq!(read.table_nodes, [NodeId(0), NodeId(2)]);
+        assert_eq!(read.label(NodeId(1)).bunch_nodes, [NodeId(1)]);
+        assert_eq!(read.label(NodeId(1)).table_dists, [7, 2]);
+        assert_eq!(read.label(NodeId(3)).table_dists, [INFINITY, INFINITY]);
+        assert_eq!(read.check_invariants(), Ok(()));
     }
 
     #[test]
-    fn gaps_cannot_carry_an_id_past_u32() {
-        let max = u64::from(u32::MAX);
-        // One entry at u32::MAX is an id, just not one of the set's nodes ...
-        let err = read_set(&raw_set(&[1, 1, 1, 0, 0, 1, max, 5]), 1).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CodecError::Invalid {
-                    context: "label node",
-                    ..
-                }
-            ),
-            "{err}"
+    fn cells_are_relative_to_the_rows_least_cell() {
+        // Two nodes, one level, both in the table: a row is δ' and two
+        // cells.
+        let hierarchy = Hierarchy::from_levels(vec![0, 0], 1).unwrap();
+        let set = |rows: [[u64; 3]; 2]| {
+            let mut varints = vec![0];
+            rows.iter().for_each(|row| varints.extend(row));
+            raw_set(&varints)
+        };
+        // δ = 4 and 6 on row 0 (cells 1 and 3); row 1 holds only v1, at 0.
+        let read = read_set(&set([[5, 1, 3], [1, 0, 1]]), &hierarchy).unwrap();
+        assert_eq!(read.label(NodeId(0)).table_dists, [4, 6]);
+        assert_eq!(read.label(NodeId(1)).table_dists, [INFINITY, 0]);
+        assert_eq!(read.label(NodeId(1)).pivots, [(NodeId(1), 0)]);
+        // Every cell empty: δ' = 0, no pivot.
+        let empty = read_set(&set([[0, 0, 0], [1, 0, 1]]), &hierarchy).unwrap();
+        assert_eq!(empty.label(NodeId(0)).pivots, [(NO_PIVOT, INFINITY)]);
+        // A δ no cell equals: the least cell would be another row's.
+        invalid(
+            &set([[5, 2, 3], [1, 0, 1]]),
+            &hierarchy,
+            "SketchSet least cell",
         );
-        // ... a larger first gap, any entry after it, or a gap that
-        // overflows u64 once added, is not an id.
-        for entries in [
-            vec![1, max + 1, 5],
-            vec![2, max, 5, 0, 5],
-            vec![2, 7, 5, u64::MAX, 5],
+        invalid(
+            &set([[5, 0, 0], [1, 0, 1]]),
+            &hierarchy,
+            "SketchSet least cell",
+        );
+        // A finite cell in a row that says it has none.
+        invalid(
+            &set([[0, 1, 0], [1, 0, 1]]),
+            &hierarchy,
+            "SketchSet table cell",
+        );
+        // A cell past the distances (INFINITY is no distance).
+        let far = set([[u64::MAX, 1, 2], [1, 0, 1]]);
+        invalid(&far, &hierarchy, "SketchSet table cell");
+    }
+
+    /// A gap carries a rank, and a rank indexes its level's members: no
+    /// bytes carry an id past the sampling's nodes, let alone past `u32`.
+    #[test]
+    fn gaps_cannot_carry_an_id_past_u32() {
+        // Node 0 at level 0 with one member there (itself), node 1 the top
+        // level: a row is one run of level-0 ranks, then δ' and one cell.
+        let hierarchy = Hierarchy::from_levels(vec![0, 1], 2).unwrap();
+        let ok = raw_set(&[1, 1, 0, 0, 3, 1, 0, 1, 1]);
+        let read = read_set(&ok, &hierarchy).unwrap();
+        assert_eq!(read.label(NodeId(0)).bunch_nodes, [NodeId(0)]);
+        // The rank one past the level's one member, a gap after the first
+        // entry that lands there, and one that overflows u64 once added.
+        for run in [
+            vec![1, 1, 0],
+            vec![2, 0, 0, 0, 0],
+            vec![2, 0, 0, u64::MAX, 0],
         ] {
-            let count = entries[0];
-            let mut varints = vec![1, 1, count, 0, 0];
-            varints.extend(entries);
-            let err = read_set(&raw_set(&varints), 1).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    CodecError::Invalid {
-                        context: "BunchEntry.node",
-                        ..
-                    }
-                ),
-                "{err}"
-            );
-        }
-        // A pivot id is bounded the same way, and the last u32 is the
-        // absent pivot's, so no pivot's.
-        for id in [max, max + 1] {
-            let err = read_set(&raw_set(&[1, 1, 0, 0, id + 1, 0, 0]), 1).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    CodecError::Invalid {
-                        context: "Sketch.pivot",
-                        ..
-                    }
-                ),
-                "{err}"
-            );
+            let mut varints = vec![run[0]];
+            varints.extend(&run);
+            varints.extend([3, 1, 0, 1, 1]);
+            invalid(&raw_set(&varints), &hierarchy, "Sketch run rank");
         }
     }
 
     #[test]
     fn header_totals_must_agree_with_the_rows() {
-        // One row with one pivot slot and one bunch entry.
-        let set = |slots: u64, entries: u64| raw_set(&[1, slots, entries, 0, 0, 1, 0, 9]);
-        assert!(read_set(&set(1, 1), 1).is_ok());
-        for (slots, entries) in [(0, 1), (2, 1), (1, 0), (1, 2)] {
-            let err = read_set(&set(slots, entries), 1).unwrap_err();
+        // One level-0 node with a one-entry run, and the top-level node
+        // with none.
+        let hierarchy = Hierarchy::from_levels(vec![0, 1], 2).unwrap();
+        let set = |entries: u64| raw_set(&[entries, 1, 0, 0, 3, 1, 0, 1, 1]);
+        assert!(read_set(&set(1), &hierarchy).is_ok());
+        for entries in [0, 2] {
+            let err = read_set(&set(entries), &hierarchy).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1854,7 +2078,7 @@ mod tests {
                         ..
                     }
                 ),
-                "slots {slots}, entries {entries}: {err}"
+                "entries {entries}: {err}"
             );
         }
     }
@@ -1880,8 +2104,15 @@ mod tests {
             SchemeSpec::degrading(),
         ] {
             let stored = spec.build_sketches(&graph, &config).unwrap().sketches;
-            let len = put_family(&stored, None);
-            assert_eq!(stored.encode_payload().len(), len, "{spec}");
+            let mut measure = Measure::default();
+            let split = put_family(&stored, &mut measure);
+            let bytes = stored.encode_payload();
+            assert_eq!(bytes.len(), measure.len(), "{spec}");
+            let parts: usize = split.iter().map(LayerBytes::total).sum();
+            assert_eq!(parts, bytes.len(), "{spec}");
+            for layer in &stored.layers {
+                assert_eq!(layer.check_invariants(), Ok(()), "{spec}");
+            }
         }
     }
 
@@ -1934,10 +2165,6 @@ mod tests {
                 }),
             ),
             ("no layers", broken(|layers| layers.clear())),
-            (
-                "sampled for eps = 0.25 but the layer's params say 0.2",
-                broken(|layers| layers[1].params.as_mut().unwrap().eps = 0.2),
-            ),
         ] {
             assert!(
                 err.starts_with("layer contract broken") && err.contains(what),
@@ -1951,19 +2178,20 @@ mod tests {
         let err = decode(&built, &capped).unwrap_err();
         assert!(matches!(err, CodecError::LayerContract(_)), "{err}");
 
-        // The closing total is the layers' sum: bytes that say otherwise
-        // would not re-encode to themselves.
-        let mut bytes = built.encode_payload();
-        let total_rounds = bytes.len() - 48;
-        bytes[total_rounds] ^= 1;
-        let err = StoredSketches::decode_payload(&spec, &bytes).unwrap_err();
-        assert!(matches!(err, CodecError::LayerContract(_)), "{err}");
+        // A layer's net is its hierarchy's A_0 at its params' ε: the bytes
+        // hold no other, and the decode is the built layer's.
+        let decoded = StoredSketches::decode_payload(&spec, &built.encode_payload()).unwrap();
+        assert_eq!(decoded, built);
+        let net = decoded.layers[1].net.as_ref().unwrap();
+        let hierarchy = decoded.layers[1].hierarchy.as_ref().unwrap();
+        assert_eq!(net.members(), hierarchy.level_members(0));
     }
 
     #[test]
     fn encoded_len_is_exact_for_the_small_types() {
         assert_len_is_exact(&CdgParams::new(0.25, 2));
         assert_len_is_exact(&RunStats::default());
+        assert_len_is_exact(&toy_hierarchy());
         for spec in [
             SchemeSpec::thorup_zwick(3),
             SchemeSpec::three_stretch(0.25),

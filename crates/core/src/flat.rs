@@ -53,8 +53,8 @@
 
 use crate::cast;
 use crate::codec::{
-    check_covers, check_layer_count, check_rows, read_family, table_shape, unaddressable,
-    CodecError, Decoder, MAX_LAYERS,
+    check_covers, check_layer_count, read_family, table_shape, unaddressable, CodecError, Decoder,
+    MAX_LAYERS,
 };
 use crate::error::SketchError;
 use crate::oracle::{check_nodes, DistanceOracle};
@@ -507,13 +507,13 @@ impl StoredSketches {
     /// answer — the frozen set's `estimate(u, v)` equals this set's for
     /// every pair, errors included.
     ///
-    /// A set that cannot take its family's form is refused with the
-    /// [`CodecError`] the decoder gives its bytes: a Thorup–Zwick set of
-    /// other than one layer, or slack-family labels that break a row
-    /// contract of the codec (checked here as the decoder checks bytes), a
-    /// layer count outside 1 to 32, layers over different node counts, or a
-    /// node holding one landmark at two distances.  Every set an engine
-    /// builds is accepted.
+    /// A set that cannot take its family's form is refused with a
+    /// [`CodecError`]: a Thorup–Zwick set of other than one layer,
+    /// slack-family layers that break [`Layer::check_invariants`] (format 4
+    /// has no bytes for those), or — as the decoder refuses the same in
+    /// bytes — a layer count outside 1 to 32, layers over different node
+    /// counts, or a node holding one landmark at two distances.  Every set
+    /// an engine builds is accepted.
     pub fn freeze(&self) -> Result<FlatSketchSet, CodecError> {
         self.check_rows()?;
         let layers = self.layers.iter().map(Cow::Borrowed);
@@ -528,15 +528,22 @@ impl StoredSketches {
         FlatSketchSet::from_layers(&self.spec, layers.collect())
     }
 
-    /// Hold a slack family's in-memory labels to the codec's row contracts,
-    /// which the merge relies on.
+    /// Hold a slack family's in-memory layers to the contracts of
+    /// [`Layer::check_invariants`] — a pivot row the merge keeps is its
+    /// members' derivation, so every pivot is a candidate of the rows.
     fn check_rows(&self) -> Result<(), CodecError> {
         if matches!(self.spec, SchemeSpec::ThorupZwick { .. }) {
             return Ok(());
         }
-        self.layers
-            .iter()
-            .try_for_each(|layer| check_rows(&layer.sketches))
+        self.layers.iter().try_for_each(Layer::check_sampling)
+    }
+
+    /// Ask the merge what no row or layer can break alone — a node holding
+    /// one landmark at one distance over all its layers — of layers the
+    /// decoder read, whose rows it derived: merged and dropped.
+    pub(crate) fn check_merge(&self) -> Result<(), CodecError> {
+        let layers = self.layers.iter().map(Cow::Borrowed);
+        FlatSketchSet::from_layers(&self.spec, layers.collect()).map(drop)
     }
 }
 
@@ -746,14 +753,23 @@ mod tests {
         ])
     }
 
-    /// `set` as the one layer of a `spec` set.
+    /// `set` as the one layer of a `spec` set, over the hierarchy that puts
+    /// each node at the highest level a label names it pivot at.
     fn stored(spec: SchemeSpec, set: &SketchSet) -> StoredSketches {
+        let k = set.labels().next().map_or(1, |label| label.k());
+        let mut levels = vec![0; set.len()];
+        for label in set.labels() {
+            for (level, &(pivot, _)) in (0..).zip(label.pivots) {
+                if let Some(top) = levels.get_mut(pivot.index()) {
+                    *top = level.max(*top);
+                }
+            }
+        }
         let layer = Layer {
             sketches: set.clone(),
-            hierarchy: None,
+            hierarchy: Some(crate::hierarchy::Hierarchy::from_levels(levels, k).unwrap()),
             net: None,
             params: None,
-            stats: congest_sim::RunStats::default(),
         };
         StoredSketches {
             spec,
@@ -893,22 +909,25 @@ mod tests {
             tz.as_oracle().estimate(NodeId(0), NodeId(1))
         );
 
-        // Owners and bunch order are structural on the wire; what a hostile
-        // payload can still say is an id past u32::MAX, and both ingresses
-        // refuse it alike.
+        // Owners, ids and bunch order are structural on the wire; what a
+        // hostile payload can still say is a rank past its level's members,
+        // and both ingresses refuse it alike.
+        let hierarchy = tz.layers[0].hierarchy.as_ref().unwrap();
         let mut out = crate::codec::Encoder::new();
-        // n = 1, two pivot slots, two sparse entries, no table; k = 2, no
-        // pivots, two entries: id u32::MAX, then a gap of 0 after it.
-        for v in [1, 2, 2, 0, 0, 0, 2, u64::from(u32::MAX), 0, 0, 0] {
+        crate::codec::SketchCodec::encode(hierarchy, &mut out);
+        // One sparse entry; row 0's level-0 run holds it, at the rank one
+        // past the level's members; then zeros enough for every row.
+        let past = hierarchy.exact_level_members(0).len();
+        for v in [1, 1, u64::try_from(past).unwrap(), 0] {
             out.put_varint(v);
         }
-        let hierarchy = tz.layers[0].hierarchy.as_ref().unwrap();
-        crate::codec::SketchCodec::encode(hierarchy, &mut out);
+        let row = hierarchy.level_members(1).len() + 2;
+        (0..row * hierarchy.num_nodes()).for_each(|_| out.put_varint(0));
         let flat_err = FlatSketchSet::from_family_bytes(&spec, out.as_bytes()).unwrap_err();
         let layers_err = StoredSketches::decode_payload(&spec, out.as_bytes()).unwrap_err();
         assert_eq!(flat_err, layers_err);
         assert!(
-            matches!(flat_err, CodecError::Invalid { context, .. } if context.contains("node")),
+            matches!(flat_err, CodecError::Invalid { context, .. } if context.contains("rank")),
             "{flat_err}"
         );
     }

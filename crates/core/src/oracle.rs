@@ -195,7 +195,6 @@ mod tests {
                 hierarchy: None,
                 net: None,
                 params: None,
-                stats: congest_sim::RunStats::default(),
             }],
         }
     }

@@ -76,7 +76,7 @@ impl DistKey {
     /// A key that compares greater than every real key ("no node at all").
     pub const INFINITE: DistKey = DistKey {
         distance: INFINITY,
-        node: NodeId(u32::MAX),
+        node: NO_PIVOT,
     };
 
     /// Construct a key.
@@ -91,9 +91,32 @@ impl DistKey {
 }
 
 /// The node a pivot slot names when its level has no pivot (`A_i`
-/// unreachable or empty); such a slot is `(NO_PIVOT, INFINITY)`.  No node
-/// of a set has this id: a set covers at most `u32::MAX` nodes.
+/// unreachable or empty); such a slot is `(NO_PIVOT, INFINITY)` — the slot
+/// [`DistKey::INFINITE`] is.  No node of a set has this id: a set covers at
+/// most `u32::MAX` nodes.
 pub const NO_PIVOT: NodeId = NodeId(u32::MAX);
+
+/// The pivot row a label's members determine (§3.1, ties by [`DistKey`]).
+/// `p_i(u)` is the nearest member of `A_i`, which lies in `B_i(u)` or is
+/// `p_{i+1}(u)`: so it is the least `(distance, id)` the label holds at any
+/// level `≥ i`, and `(NO_PIVOT, INFINITY)` where it holds none.  `nearest[i]`
+/// is the least key among the label's members of exactly level `i`
+/// ([`DistKey::INFINITE`] for none); each becomes level `i`'s minimum from
+/// `i` up, and the slots come back in level order.
+///
+/// The one derivation: the codec's reader fills every pivot row it decodes
+/// from it, and [`Layer::check_invariants`](crate::scheme::Layer::check_invariants)
+/// holds a built row to it.
+pub(crate) fn derive_pivots(
+    nearest: &mut [DistKey],
+) -> impl Iterator<Item = (NodeId, Distance)> + '_ {
+    let mut least = DistKey::INFINITE;
+    for key in nearest.iter_mut().rev() {
+        least = least.min(*key);
+        *key = least;
+    }
+    nearest.iter().map(|key| (key.node, key.distance))
+}
 
 /// A node's entry in a set's `positions` column when it is no table
 /// landmark.
@@ -491,7 +514,9 @@ impl SketchSet {
     /// ascending sparse row (the binary-search contract) that names no
     /// table landmark, and the table's landmarks ascend below the node
     /// count, each found at its position, over one row of cells per node.
-    /// What the labels say — pivot rows, levels — is the codec's to check.
+    /// What the labels say about their sampling — levels, pivot rows — is
+    /// [`Layer::check_invariants`](crate::scheme::Layer::check_invariants)'s
+    /// to check.
     pub fn check_invariants(&self) -> Result<(), String> {
         ensure(
             self.offsets.first() == Some(&(0, 0)),
@@ -671,27 +696,47 @@ mod tests {
     #[test]
     fn invariant_checker_catches_inconsistent_pivot_distance() {
         // A pivot that disagrees with the bunch's record of the same node:
-        // structurally sound, and refused by the codec's row check, the one
-        // that holds in-memory labels to what the decoder holds bytes to.
-        use crate::codec::{check_rows, CodecError};
-        let mut set = SketchSet::new();
-        set.push_label(&[Some((NodeId(0), 9))], &[(NodeId(0), 9)])
-            .unwrap();
-        set.push_label(&[Some((NodeId(0), 2))], &[(NodeId(0), 9)])
-            .unwrap();
-        assert_eq!(set.check_invariants(), Ok(()));
-        let err = check_rows(&set).unwrap_err();
+        // structurally sound, and refused by the layer's check, which holds
+        // every pivot row to the one derivation the decoder fills rows from.
+        use crate::codec::CodecError;
+        use crate::scheme::Layer;
+        let layer = |pivot: Distance| {
+            let mut set = SketchSet::new();
+            set.push_label(&[Some((NodeId(0), 9))], &[(NodeId(0), 9)])
+                .unwrap();
+            set.push_label(&[Some((NodeId(0), pivot))], &[(NodeId(0), 9)])
+                .unwrap();
+            assert_eq!(set.check_invariants(), Ok(()));
+            Layer {
+                sketches: set,
+                hierarchy: Some(Hierarchy::from_levels(vec![0, -1], 1).unwrap()),
+                net: None,
+                params: None,
+            }
+        };
+        let err = layer(2).check_invariants().unwrap_err();
         assert!(
             matches!(&err, CodecError::PivotRow(message)
-                if message.contains("pivot v0 at distance 2 but the bunch records 9")),
+                if message.contains("pivot v0 at distance 2 but the nearest member of A_0 it holds is v0 at distance 9")),
             "{err}"
         );
 
         // The consistent direction is accepted.
-        let mut ok = SketchSet::new();
-        ok.push_label(&[Some((NodeId(0), 9))], &[(NodeId(0), 9)])
-            .unwrap();
-        assert_eq!(check_rows(&ok), Ok(()));
+        assert_eq!(layer(9).check_invariants(), Ok(()));
+    }
+
+    #[test]
+    fn pivots_derive_from_the_least_member_at_each_level_or_above() {
+        let key = |distance, node| DistKey::new(distance, NodeId(node));
+        // Level 0 holds v4 at 3; level 1 nothing; level 2 v7 and v1 at 5 —
+        // the tie goes to the smaller id.
+        let mut nearest = [key(3, 4), DistKey::INFINITE, key(5, 1)];
+        let row: Vec<_> = derive_pivots(&mut nearest).collect();
+        assert_eq!(row, [(NodeId(4), 3), (NodeId(1), 5), (NodeId(1), 5)]);
+        // A level above every member has no pivot.
+        let mut nearest = [key(0, 2), DistKey::INFINITE];
+        let row: Vec<_> = derive_pivots(&mut nearest).collect();
+        assert_eq!(row, [(NodeId(2), 0), (NO_PIVOT, INFINITY)]);
     }
 
     #[test]

@@ -177,14 +177,15 @@ mod tests {
     #[test]
     fn size_accounting_sums_layers() {
         let g = erdos_renyi(64, 0.1, GeneratorConfig::uniform(21, 1, 8));
-        let sketches = build_scheme(
-            &g,
-            DegradingParams {
-                max_k: Some(2),
-                max_layers: Some(3),
-                ..DegradingParams::new(4)
-            },
-        );
+        let spec = SchemeSpec::Degrading {
+            max_layers: Some(3),
+            max_k: Some(2),
+        };
+        let config = SchemeConfig::default().with_seed(4);
+        let outcome = spec.build_sketches(&g, &config).unwrap();
+        // The build's cost is the outcome's: no layer keeps its own.
+        assert!(outcome.stats.rounds > 0);
+        let sketches = outcome.sketches;
         assert_eq!(sketches.layers.len(), 3);
         let u = NodeId(5);
         let manual: usize = sketches
@@ -194,6 +195,5 @@ mod tests {
             .sum();
         assert_eq!(sketches.words(u), manual);
         assert!(sketches.max_words() >= manual);
-        assert!(sketches.layers.iter().all(|l| l.stats.rounds > 0));
     }
 }

@@ -18,20 +18,24 @@
 //!
 //! All container integers are little-endian and fixed-width.  Section
 //! offsets are relative to the start of the payload area, so the header can
-//! be any length without disturbing them.  Inside the `SKCH` payload the
-//! label sets are gap-coded varint rows beside each layer's landmark table
-//! (see `dsketch::codec`, "Label sets"); that is the payload's business,
-//! not the container's.
+//! be any length without disturbing them.  Inside the `SKCH` payload each
+//! layer's sampling comes first and its label rows are written relative to
+//! it — sparse entries as ranks within their level, table cells relative to
+//! the row's least cell, pivots derived (see `dsketch::codec`, "Label
+//! sets"); that is the payload's business, not the container's.
 //!
 //! # Versioning policy
 //!
 //! * The `version` field is the **major** format version, and a reader
 //!   reads exactly one: [`FORMAT_VERSION`].  Anything else — newer *or*
 //!   older — is refused with [`StoreError::UnsupportedVersion`].  There is
-//!   no v1 or v2 reader and no converter: v2 changed the label encoding
-//!   (fixed-width → gap-coded varints) and v3 the label set itself (each
-//!   layer's top level a table written once; no entry levels, no row `k`),
-//!   a snapshot is a cache of a deterministic build, and rebuilding it is
+//!   no v1, v2 or v3 reader and no converter: v2 changed the label encoding
+//!   (fixed-width → gap-coded varints), v3 the label set itself (each
+//!   layer's top level a table written once; no entry levels, no row `k`)
+//!   and v4 what a row says (no pivots, ranks within a level for ids, cells
+//!   relative to the row's least; the sampling first, one varint a node;
+//!   no per-layer run cost, no CDG net), a snapshot is a cache of a
+//!   deterministic build, and rebuilding it is
 //!   one `build_stored` call — cheaper to own than a second decoder for
 //!   every consumer of the bytes.
 //! * **Minor** evolution is new section ids: readers skip sections they do
@@ -53,7 +57,7 @@ use netgraph::GraphFingerprint;
 pub const MAGIC: [u8; 4] = *b"DSK1";
 
 /// The major format version this build writes, and the only one it reads.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// A four-byte section identifier (printable ASCII tag, e.g. `SKCH`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -18,10 +18,11 @@
 //!
 //! There is one snapshot reader.  A load, a hot swap, `inspect` and
 //! `verify` all parse the container once ([`SnapshotReader`]) and decode
-//! the labels once, through the codec's one family reader, which holds
-//! them to every contract their bytes cannot express (pivot rows nested
-//! like `A_0 ⊇ A_1 ⊇ …`, levels backed by the stored hierarchy, layer and
-//! spec parameters); [`verify_snapshot_file`] adds a structural re-check
+//! the labels once, through the codec's one family reader, which reads
+//! every row against the sampling stored before it (pivots derived, ids
+//! ranked within their level) and holds the payload to what the bytes can
+//! still say wrong (ranks past a level, cells unlike their row's least,
+//! layer and spec parameters); [`verify_snapshot_file`] adds a structural re-check
 //! of the arrays the decode built.  So they accept the same files and
 //! refuse the rest with the same [`StoreError::kind`].
 //!

@@ -3,7 +3,8 @@
 //! while still bounding the worst case by O(log n).
 //!
 //! The example builds the layered construction on a power-law overlay (the
-//! social/P2P topology of Section 2.1), prints the per-layer cost, and then
+//! social/P2P topology of Section 2.1), prints each layer and the build's
+//! total cost, and then
 //! compares worst-case and average stretch against a plain Thorup–Zwick
 //! sketch of comparable worst-case stretch.
 //!
@@ -48,7 +49,6 @@ fn main() {
                 format!("{:.4}", params.eps),
                 params.k.to_string(),
                 net.len().to_string(),
-                layer.stats.rounds.to_string(),
                 layer
                     .sketches
                     .labels()
@@ -59,10 +59,7 @@ fn main() {
             ]);
         }
     }
-    print_table(
-        &["layer", "eps", "k", "|net|", "rounds", "max words"],
-        &rows,
-    );
+    print_table(&["layer", "eps", "k", "|net|", "max words"], &rows);
     println!(
         "total: {} rounds, {} messages, combined sketch ≤ {} words per node",
         outcome.stats.rounds,

@@ -187,19 +187,19 @@ fn varint_bytes(mut v: u64) -> Vec<u8> {
     out
 }
 
-/// A cursor over the v3 label-set bytes of a snapshot's `SKCH` section —
-/// at its start for Thorup–Zwick, past the density net for 3-stretch —
-/// yielding the file positions the targeted mutations need.  Rows carry no
-/// `k` (the spec or the layer's params fix it), so the cursor is told it.
-/// Hand-rolled on purpose: it must not share code with the reader it is
-/// used against.
+/// A cursor over the v4 label-set bytes of a snapshot's `SKCH` section,
+/// from the hierarchy they are written against (Thorup–Zwick: the payload's
+/// start; CDG: past its params), yielding the file positions the targeted
+/// mutations need.  A row is its runs — per level below the top, a length
+/// and `(rank gap, distance)` entries, a rank indexing that level's
+/// ascending members — then its least cell (`δ + 1`, `0` for none) and one
+/// cell per top-level node (`d − δ + 1`, `0` for none).  Hand-rolled on
+/// purpose: it must not share code with the reader it is used against.
 struct TzSketchCursor<'a> {
     bytes: &'a [u8],
     pos: usize,
-    /// Levels per row.
-    k: usize,
-    /// The table landmarks' ids, in table order.
-    landmarks: Vec<u64>,
+    /// Per level, its members' ids, ascending.
+    members: Vec<Vec<u64>>,
 }
 
 /// One varint in the file: where it starts, how many bytes, its value.
@@ -210,63 +210,70 @@ struct Site {
     value: u64,
 }
 
+/// One run entry: the rank-gap varint, the node it names, the distance
+/// varint.
+type Entry = (Site, u64, Site);
+
 struct SketchSites {
-    /// The node varint (`id + 1`) of each *present* pivot, by level.
-    pivot_nodes: Vec<Site>,
-    /// The distance varint of each *present* pivot, by level.
-    pivot_distances: Vec<Site>,
-    /// The sparse row's length varint.
-    sparse_len: Site,
-    /// The first varint — the id gap — of each sparse entry.
-    entries: Vec<Site>,
-    /// Each sparse entry's node id and its distance varint.
-    members: Vec<(u64, Site)>,
-    /// Each table landmark's id and its cell varint (`distance + 1`, `0`
-    /// for none), in table order.
+    /// Per level below the top, the run's length varint and its entries.
+    runs: Vec<(Site, Vec<Entry>)>,
+    /// The least-cell varint (`δ + 1`, `0` for an empty table row).
+    least: Site,
+    /// Each table landmark's id and its cell varint, in table order.
     cells: Vec<(u64, Site)>,
 }
 
 impl SketchSites {
-    /// Every bunch member — sparse entries and the table's finite cells —
+    /// Every bunch member — run entries and the table's finite cells —
     /// with the varint that holds its distance.
     fn bunch(&self) -> Vec<(u64, Site)> {
+        let runs = self.runs.iter().flat_map(|(_, entries)| entries);
+        let sparse = runs.map(|&(_, node, distance)| (node, distance));
         let table = self.cells.iter().filter(|(_, cell)| cell.value > 0);
-        self.members.iter().chain(table).copied().collect()
+        sparse.chain(table.copied()).collect()
     }
 }
 
-/// A label set's header: node count, pivot slots, sparse entries, table
-/// width, then the landmark ids.
+/// The hierarchy a label set is written against: `k`, the node count and
+/// one level varint (`level + 1`) per node — and the set's entry total.
 struct SetHeader {
-    totals: [Site; 4],
-    landmarks: Vec<Site>,
+    /// File offset of the hierarchy.
+    at: usize,
+    k: u64,
+    levels: Vec<Site>,
+    total: Site,
 }
 
 impl<'a> TzSketchCursor<'a> {
-    /// Position the cursor at the first row of the `SKCH` section's label
-    /// set, `k` levels deep (past its header), returning the header too.
-    fn new(bytes: &'a [u8], k: usize) -> (Self, SetHeader) {
-        Self::at(bytes, skch_range(bytes).0, k)
+    /// Position the cursor at the first row of a Thorup–Zwick `SKCH`
+    /// section's label set, returning the header too.
+    fn new(bytes: &'a [u8]) -> (Self, SetHeader) {
+        Self::at(bytes, skch_range(bytes).0)
     }
 
-    /// [`TzSketchCursor::new`] for a label set starting at file offset
+    /// [`TzSketchCursor::new`] for a hierarchy starting at file offset
     /// `start`.
-    fn at(bytes: &'a [u8], start: usize, k: usize) -> (Self, SetHeader) {
+    fn at(bytes: &'a [u8], start: usize) -> (Self, SetHeader) {
+        let (k, n) = (le_u64(bytes, start), le_u64(bytes, start + 16));
         let mut cursor = TzSketchCursor {
             bytes,
-            pos: start,
-            k,
-            landmarks: Vec::new(),
+            pos: start + 24,
+            members: vec![Vec::new(); k as usize],
         };
-        let totals = [
-            cursor.varint(),
-            cursor.varint(),
-            cursor.varint(),
-            cursor.varint(),
-        ];
-        let landmarks: Vec<Site> = (0..totals[3].value).map(|_| cursor.varint()).collect();
-        cursor.landmarks = landmarks.iter().map(|site| site.value).collect();
-        (cursor, SetHeader { totals, landmarks })
+        let levels: Vec<Site> = (0..n).map(|_| cursor.varint()).collect();
+        for (node, level) in levels.iter().enumerate() {
+            if level.value > 0 {
+                cursor.members[level.value as usize - 1].push(node as u64);
+            }
+        }
+        let total = cursor.varint();
+        let header = SetHeader {
+            at: start,
+            k,
+            levels,
+            total,
+        };
+        (cursor, header)
     }
 
     fn varint(&mut self) -> Site {
@@ -288,40 +295,30 @@ impl<'a> TzSketchCursor<'a> {
 
     /// Walk one row, returning its mutation sites.
     fn next_sketch(&mut self) -> SketchSites {
-        let (mut pivot_nodes, mut pivot_distances) = (Vec::new(), Vec::new());
-        for _ in 0..self.k {
-            let node = self.varint();
-            if node.value != 0 {
-                pivot_nodes.push(node);
-                pivot_distances.push(self.varint());
-            }
-        }
-        let sparse_len = self.varint();
-        let (mut entries, mut members, mut floor) = (Vec::new(), Vec::new(), 0);
-        for _ in 0..sparse_len.value {
-            let gap = self.varint();
-            let id = floor + gap.value;
-            floor = id + 1;
-            entries.push(gap);
-            members.push((id, self.varint()));
-        }
-        let landmarks = self.landmarks.clone();
-        let cells = landmarks
-            .into_iter()
-            .map(|id| (id, self.varint()))
+        let below = self.members.len() - 1;
+        let runs = (0..below)
+            .map(|level| {
+                let len = self.varint();
+                let mut rank = 0;
+                let entries = (0..len.value)
+                    .map(|_| {
+                        let gap = self.varint();
+                        rank += gap.value;
+                        let node = self.members[level][rank as usize];
+                        rank += 1;
+                        (gap, node, self.varint())
+                    })
+                    .collect();
+                (len, entries)
+            })
             .collect();
-        SketchSites {
-            pivot_nodes,
-            pivot_distances,
-            sparse_len,
-            entries,
-            members,
-            cells,
-        }
+        let least = self.varint();
+        let top = self.members[below].clone();
+        let cells = top.into_iter().map(|id| (id, self.varint())).collect();
+        SketchSites { runs, least, cells }
     }
 
-    /// File offset just past the last row read — after all of them, where
-    /// the (fixed-width) hierarchy starts.
+    /// File offset just past the last row read.
     fn position(&self) -> usize {
         self.pos
     }
@@ -486,215 +483,146 @@ fn missing_sketch_section_is_reported_as_such() {
     expect_kind(&bytes, "missing-section", "snapshot without SKCH");
 }
 
-/// Every row of the `SKCH` section's label set, `k` levels deep — with its
-/// header, and the file offset just past the rows, where a Thorup–Zwick
-/// payload's (fixed-width) hierarchy starts.
-fn tz_rows(bytes: &[u8], k: usize) -> (SetHeader, Vec<SketchSites>, usize) {
-    let (mut cursor, header) = TzSketchCursor::new(bytes, k);
-    let rows = (0..header.totals[0].value)
+/// Every row of a Thorup–Zwick `SKCH` section's label set, with its
+/// header.
+fn tz_rows(bytes: &[u8]) -> (SetHeader, Vec<SketchSites>) {
+    let (mut cursor, header) = TzSketchCursor::new(bytes);
+    let rows = (0..header.levels.len())
         .map(|_| cursor.next_sketch())
         .collect();
-    (header, rows, cursor.position())
-}
-
-/// The level a Thorup–Zwick snapshot's hierarchy, at file offset
-/// `hierarchy_at` (`k`, probability, level count, then one `i32` per
-/// node), samples `node` to, and that level's file offset.
-fn sampled_level(bytes: &[u8], hierarchy_at: usize, node: u64) -> (i32, usize) {
-    let at = hierarchy_at + 24 + 4 * node as usize;
-    (le_u32(bytes, at) as i32, at)
+    (header, rows)
 }
 
 #[test]
 fn resigned_bunch_order_violation_is_caught() {
     let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(2), 32, 13);
-    let (_, rows, _) = tz_rows(&bytes, 2);
-    let sites = rows
+    let (_, rows) = tz_rows(&bytes);
+    let (_, entries) = rows
         .iter()
-        .find(|row| row.entries.len() >= 2)
+        .map(|row| &row.runs[0])
+        .find(|(_, entries)| entries.len() >= 2)
         .expect("a row with two sparse entries");
     // Gap coding makes "strictly ascending" structural: no bytes spell a
-    // descending bunch.  What they can still spell is a bunch that leaves
-    // the id space — a second entry whose gap carries it past u32::MAX —
-    // and that is refused where v1 refused a swapped pair.
-    let second = sites.entries[1];
+    // descending bunch.  What they can still spell is a run that leaves
+    // its level — a second entry whose gap carries its rank past the
+    // level's members — and that is refused where v1 refused a swapped
+    // pair.
+    let second = entries[1].0;
     let gap = u64::from(u32::MAX);
     splice_skch(&mut bytes, second.at, second.len, &varint_bytes(gap));
-    expect_kind(&bytes, "section-decode", "id overflow");
+    expect_kind(&bytes, "section-decode", "rank overflow");
     let err = verify_snapshot_bytes(&bytes).unwrap_err();
-    assert!(err.to_string().contains("past u32::MAX"), "{err}");
+    assert!(err.to_string().contains("members of level 0"), "{err}");
 }
 
 #[test]
 fn resigned_header_totals_mismatch_is_caught() {
     let bytes = snapshot_bytes(SchemeSpec::thorup_zwick(2), 32, 13);
-    let (_, header) = TzSketchCursor::new(&bytes, 2);
-    // Node count, pivot slots, sparse entries: each off by one either way
-    // must be refused — the totals size the serving arrays.
-    for site in &header.totals[..3] {
-        for value in [site.value + 1, site.value - 1] {
-            let mut mutated = bytes.clone();
-            splice_skch(&mut mutated, site.at, site.len, &varint_bytes(value));
-            expect_kind(&mutated, "section-decode", "header total off by one");
-        }
+    let (_, header) = TzSketchCursor::new(&bytes);
+    // The sparse entry total sizes the serving arrays: off by one either
+    // way must be refused.
+    let site = header.total;
+    for value in [site.value + 1, site.value - 1] {
+        let mut mutated = bytes.clone();
+        splice_skch(&mut mutated, site.at, site.len, &varint_bytes(value));
+        expect_kind(&mutated, "section-decode", "entry total off by one");
     }
 }
 
+/// A rank is the member's place among its level's members: the first rank
+/// of a level-0 run moved to the member count names no node.
 #[test]
-fn resigned_infinite_pivot_distance_is_caught() {
+fn resigned_rank_at_its_levels_member_count_is_caught() {
     let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(2), 32, 13);
-    let (_, rows, _) = tz_rows(&bytes, 2);
-    let site = rows
+    let (header, rows) = tz_rows(&bytes);
+    let level0 = header
+        .levels
         .iter()
-        .find_map(|row| row.pivot_distances.first().copied())
-        .expect("a sketch with a present pivot");
-    splice_skch(
-        &mut bytes,
-        site.at,
-        site.len,
-        &varint_bytes(netgraph::INFINITY),
-    );
-    expect_kind(&bytes, "pivot-row", "present pivot at infinite distance");
+        .filter(|level| level.value == 1)
+        .count();
+    let (gap, _, _) = rows
+        .iter()
+        .find_map(|row| row.runs[0].1.first().copied())
+        .expect("a row with a sparse entry");
+    splice_skch(&mut bytes, gap.at, gap.len, &varint_bytes(level0 as u64));
+    expect_kind(&bytes, "section-decode", "rank at the member count");
+    let err = verify_snapshot_bytes(&bytes).unwrap_err();
+    let named = format!("is not below the {level0} members of level 0");
+    assert!(err.to_string().contains(&named), "{err}");
 }
 
+/// A row's least cell is a distance one of its cells equals: the one cell
+/// that does nudged up leaves the least unlike every cell.
 #[test]
-fn resigned_decreasing_pivot_distances_are_caught() {
+fn resigned_least_cell_unlike_every_cell_is_caught() {
     let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(3), 48, 17);
-    let (_, rows, _) = tz_rows(&bytes, 3);
-    // Level 0's pivot is the node itself at distance 0, so the first
-    // place monotonicity can break is between levels 1 and 2: find a
-    // sketch with all three pivots present and a positive level-1
-    // distance, then zero out level 2's.
-    let site = rows
+    let (_, rows) = tz_rows(&bytes);
+    let cell = rows
         .iter()
         .find_map(|row| {
-            let pivots = &row.pivot_distances;
-            (pivots.len() >= 3 && pivots[1].value > 0).then(|| pivots[2])
+            let mut least = row.cells.iter().filter(|(_, cell)| cell.value == 1);
+            let (one, none) = (least.next(), least.next());
+            one.filter(|_| none.is_none()).map(|&(_, cell)| cell)
         })
-        .expect("a sketch with three present pivots and positive level-1 distance");
-    splice_skch(&mut bytes, site.at, site.len, &[0]);
-    expect_kind(&bytes, "pivot-row", "pivot distance decreasing in level");
+        .expect("a row with one least cell");
+    bytes[cell.at] = 2;
+    resign(&mut bytes);
+    expect_kind(&bytes, "section-decode", "least cell unlike every cell");
+    let err = verify_snapshot_bytes(&bytes).unwrap_err();
+    assert!(err.to_string().contains("is its least cell"), "{err}");
+}
+
+/// `δ' = 0` says a row's table cells are all empty: a finite cell after it
+/// has no distance to be relative to.
+#[test]
+fn resigned_finite_cell_without_a_least_cell_is_caught() {
+    let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(3), 32, 13);
+    let (_, rows) = tz_rows(&bytes);
+    let least = rows[0].least;
+    assert!(least.value > 0, "v0 reaches the top level");
+    splice_skch(&mut bytes, least.at, least.len, &[0]);
+    expect_kind(&bytes, "section-decode", "finite cell, no least cell");
+    let err = verify_snapshot_bytes(&bytes).unwrap_err();
+    assert!(err.to_string().contains("no least cell"), "{err}");
+}
+
+/// A level varint is `level + 1`, below `k + 1`: one past names no level
+/// of the hierarchy, whose node count and `k` stand.
+#[test]
+fn resigned_level_byte_past_k_is_caught() {
+    let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(3), 32, 13);
+    let (_, header) = TzSketchCursor::new(&bytes);
+    let level = header.levels[5];
+    assert_eq!(level.len, 1);
+    bytes[level.at] = header.k as u8 + 1;
+    resign(&mut bytes);
+    expect_kind(&bytes, "section-decode", "level byte past k");
+    let err = verify_snapshot_bytes(&bytes).unwrap_err();
+    assert!(err.to_string().contains("out of range for k = 3"), "{err}");
 }
 
 #[test]
 fn resigned_hierarchy_k_mismatch_is_caught() {
+    // A Thorup–Zwick payload opens with its hierarchy: k, probability,
+    // node count, then one level varint per node.  The labels are read at
+    // the spec's k.
     let bytes = snapshot_bytes(SchemeSpec::thorup_zwick(3), 32, 13);
-    let (_, rows, hierarchy_at) = tz_rows(&bytes, 3);
-    // The hierarchy trails the sketch set: k, probability, level count,
-    // then one i32 level per node.  The labels are read at the spec's k.
-    assert_eq!(le_u64(&bytes, hierarchy_at), 3, "hierarchy k field");
+    let (_, header) = TzSketchCursor::new(&bytes);
+    assert_eq!(le_u64(&bytes, header.at), 3, "hierarchy k field");
     let mut mutated = bytes.clone();
-    mutated[hierarchy_at..hierarchy_at + 8].copy_from_slice(&4u64.to_le_bytes());
+    mutated[header.at..header.at + 8].copy_from_slice(&4u64.to_le_bytes());
     resign(&mut mutated);
-    expect_kind(&mutated, "hierarchy-contract", "hierarchy k != sketch k");
+    expect_kind(&mutated, "hierarchy-contract", "hierarchy k != spec k");
 
-    // A level-2 pivot names a member of A_2; a node the hierarchy samples
-    // only to level 1 is not one.  Re-point a level-2 pivot at the row's
-    // level-1 pivot, a sparse member at that pivot's distance: the row
-    // stays nested and its pivots in its bunch, and only the hierarchy
-    // can object.
-    let (node, distance, pivot) = rows
-        .iter()
-        .find_map(|row| {
-            let (nodes, distances) = (&row.pivot_nodes, &row.pivot_distances);
-            let below = nodes.get(1)?.value - 1;
-            let sparse = row.members.iter().any(|&(member, _)| member == below);
-            (nodes.len() == 3 && sparse).then(|| (nodes[2], distances[2], (below, distances[1])))
-        })
-        .expect("a row whose level-1 pivot is below A_2");
-    assert_eq!(sampled_level(&bytes, hierarchy_at, pivot.0).0, 1);
-    let mut mutated = bytes.clone();
-    // The distance first: it sits after the node, so the node's offset
-    // holds.
-    splice_skch(
-        &mut mutated,
-        distance.at,
-        distance.len,
-        &varint_bytes(pivot.1.value),
-    );
-    splice_skch(&mut mutated, node.at, node.len, &varint_bytes(pivot.0 + 1));
-    expect_kind(
-        &mutated,
-        "hierarchy-contract",
-        "level-2 pivot below the hierarchy's A_2",
-    );
-    let err = verify_snapshot_bytes(&mutated).unwrap_err();
-    assert!(err.to_string().contains("as its level-2 pivot"), "{err}");
-}
-
-/// The table is the hierarchy's top level `A_{k−1}`, and nothing else
-/// says which nodes that is: a hierarchy that raises a node the rows hold
-/// sparse to the top level, or lowers a table landmark below it, is
-/// unlike the table, and a table that names another node than a landmark
-/// is unlike the rows.
-#[test]
-fn resigned_table_landmarks_unlike_the_top_level_are_caught() {
-    let bytes = snapshot_bytes(SchemeSpec::thorup_zwick(3), 32, 13);
-    let (header, rows, hierarchy_at) = tz_rows(&bytes, 3);
-    let top: Vec<u64> = (0..32)
-        .filter(|&node| sampled_level(&bytes, hierarchy_at, node).0 == 2)
-        .collect();
-    let landmarks: Vec<u64> = header.landmarks.iter().map(|site| site.value).collect();
-    assert_eq!(landmarks, top, "the table is A_2");
-
-    let sparse = rows[0].members[0].0;
-    let (level, raise_at) = sampled_level(&bytes, hierarchy_at, sparse);
-    assert!(level < 2, "a sparse member is below A_2");
-    let (_, lower_at) = sampled_level(&bytes, hierarchy_at, top[0]);
-    for (at, level, what) in [
-        (raise_at, 2i32, "a sparse member raised to A_2"),
-        (lower_at, 1, "a table landmark lowered below A_2"),
-    ] {
-        let mut mutated = bytes.clone();
-        mutated[at..at + 4].copy_from_slice(&level.to_le_bytes());
-        resign(&mut mutated);
-        expect_kind(&mutated, "hierarchy-contract", what);
-        let err = verify_snapshot_bytes(&mutated).unwrap_err();
-        assert!(err.to_string().contains("top level A_2"), "{what}: {err}");
-    }
-
-    // The first landmark moved to a node the rows hold sparse (its own
-    // row does), still below the second landmark.
-    let first = header.landmarks[0];
-    let moved = (0..top[1])
-        .find(|node| !top.contains(node))
-        .expect("a node below the second landmark");
-    let mut mutated = bytes.clone();
-    splice_skch(&mut mutated, first.at, first.len, &varint_bytes(moved));
-    expect_kind(
-        &mutated,
-        "section-decode",
-        "a table landmark moved to a sparse member",
-    );
-    let err = verify_snapshot_bytes(&mutated).unwrap_err();
-    assert!(err.to_string().contains("is a table landmark"), "{err}");
-}
-
-/// A top-level pivot is a table landmark, so its distance is one cell of
-/// its owner's table row: a cell nudged off the pivot's distance leaves
-/// the pivot outside its bunch at that distance.
-#[test]
-fn resigned_top_level_pivot_unlike_its_table_cell_is_caught() {
-    let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(3), 32, 13);
-    let (_, rows, _) = tz_rows(&bytes, 3);
-    let cell = rows
-        .iter()
-        .find_map(|row| {
-            let pivot = row.pivot_nodes.get(2)?.value - 1;
-            let &(_, cell) = row.cells.iter().find(|&&(landmark, _)| landmark == pivot)?;
-            assert_eq!(
-                cell.value,
-                row.pivot_distances[2].value + 1,
-                "cell = distance + 1"
-            );
-            (cell.len == 1 && cell.value < 127).then_some(cell)
-        })
-        .expect("a one-byte table cell under a level-2 pivot");
-    bytes[cell.at] += 1;
+    // A CDG payload's hierarchy follows its params (ε, k, seed), and is
+    // held to the params' k.
+    let mut bytes = snapshot_bytes(SchemeSpec::cdg(0.25, 2), 28, 19);
+    let (skch_at, _) = skch_range(&bytes);
+    assert_eq!(le_u64(&bytes, skch_at + 8), 2, "params k field");
+    assert_eq!(le_u64(&bytes, skch_at + 24), 2, "hierarchy k field");
+    bytes[skch_at + 24..skch_at + 32].copy_from_slice(&3u64.to_le_bytes());
     resign(&mut bytes);
-    expect_kind(&bytes, "pivot-row", "top-level pivot unlike its table cell");
-    let err = verify_snapshot_bytes(&bytes).unwrap_err();
-    assert!(err.to_string().contains("but the bunch records"), "{err}");
+    expect_kind(&bytes, "hierarchy-contract", "hierarchy k != params k");
 }
 
 #[test]
@@ -713,42 +641,24 @@ fn resigned_spec_params_mismatch_is_caught() {
     expect_kind(&bytes, "layer-contract", "header eps != stored CdgParams");
 }
 
+/// A 3-stretch payload opens with its net — node count, ε, member count,
+/// a `u32` per member — which is the labels' one level: its members are
+/// the table, so a member past the nodes is refused before a row is read.
 #[test]
-fn resigned_three_stretch_label_outside_its_net_is_caught() {
-    // At n = 1024, ε = 0.5 the net is a small sample (at n = 64, ε = 0.25
-    // every node is in it).  A 3-stretch payload opens with its net:
-    // node count, ε, member count, then one u32 per member.
+fn resigned_three_stretch_net_member_past_its_nodes_is_caught() {
     let mut bytes = snapshot_bytes(SchemeSpec::three_stretch(0.5), 1024, 3);
     let (skch_at, _) = skch_range(&bytes);
-    let members = le_u64(&bytes, skch_at + 16) as usize;
-    let member = |i: usize| le_u32(&bytes, skch_at + 24 + 4 * i);
-    assert_eq!((members, member(0), member(1), member(2)), (83, 0, 9, 14));
-    // One level, and the net is the table: every entry is a cell, and no
-    // row is sparse.  v0 is its own pivot.
-    let (mut cursor, header) = TzSketchCursor::at(&bytes, skch_at + 24 + 4 * members, 1);
-    assert_eq!(header.landmarks.len(), members);
-    assert_eq!(header.totals[2].value, 0, "no sparse entries");
-    let row = cursor.next_sketch();
-    assert_eq!(row.pivot_nodes[0].value, 1, "v0 is its own pivot");
-    // Give v0 a sparse entry — node 10, no member, at distance 7 — and
-    // count it in the header (which sits before the row, so its offset
-    // holds).  A sparse entry can only name a node outside the table, and
-    // outside the net is outside A_0.
-    splice_skch(
-        &mut bytes,
-        row.sparse_len.at,
-        row.sparse_len.len,
-        &[1, 10, 7],
-    );
-    let total = header.totals[2];
-    splice_skch(&mut bytes, total.at, total.len, &[1]);
-    expect_kind(
-        &bytes,
-        "hierarchy-contract",
-        "3-stretch label names a non-member",
-    );
+    let (nodes, members) = (le_u64(&bytes, skch_at), le_u64(&bytes, skch_at + 16));
+    assert_eq!(nodes, 1024);
+    let last = skch_at + 24 + 4 * (members as usize - 1);
+    bytes[last..last + 4].copy_from_slice(&(nodes as u32).to_le_bytes());
+    resign(&mut bytes);
+    expect_kind(&bytes, "section-decode", "a net member past the nodes");
     let err = verify_snapshot_bytes(&bytes).unwrap_err();
-    assert!(err.to_string().contains("outside A_0"), "{err}");
+    assert!(
+        err.to_string().contains("out of range for 1024 nodes"),
+        "{err}"
+    );
 }
 
 #[test]
@@ -762,75 +672,53 @@ fn resigned_net_eps_unlike_the_spec_or_params_is_caught() {
     resign(&mut bytes);
     expect_kind(&bytes, "layer-contract", "header eps != the net's");
 
-    // A CDG payload opens with its params (24 bytes), then the net: node
-    // count, then ε.  Claim 0.9 for the net the params sampled at 0.25.
+    // A CDG payload's net is not in its bytes: it is its hierarchy's A_0,
+    // sampled for its params' ε.  So the ε it is held to is the params':
+    // claim 0.9 there (the payload opens with them) for the spec's 0.25.
     let mut bytes = snapshot_bytes(SchemeSpec::cdg(0.25, 2), 28, 19);
-    let net_eps_at = skch_range(&bytes).0 + 24 + 8;
-    assert_eq!(bytes[net_eps_at..net_eps_at + 8], 0.25f64.to_le_bytes());
-    bytes[net_eps_at..net_eps_at + 8].copy_from_slice(&0.9f64.to_le_bytes());
+    let params_eps_at = skch_range(&bytes).0;
+    assert_eq!(
+        bytes[params_eps_at..params_eps_at + 8],
+        0.25f64.to_le_bytes()
+    );
+    bytes[params_eps_at..params_eps_at + 8].copy_from_slice(&0.9f64.to_le_bytes());
     resign(&mut bytes);
-    expect_kind(&bytes, "layer-contract", "net eps != the CdgParams'");
-}
-
-#[test]
-fn resigned_pivot_outside_its_owners_bunch_is_caught() {
-    // v0's level-0 pivot is v0 itself, at distance 0.  Name instead the
-    // smallest node outside v0's bunch: the row stays nested, and the
-    // served rows would hold no candidate the pivot stands for.
-    let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(3), 32, 13);
-    let (_, rows, _) = tz_rows(&bytes, 3);
-    let row = &rows[0];
-    let pivot = row.pivot_nodes[0];
-    assert_eq!((pivot.value, row.pivot_distances[0].value), (1, 0));
-    let bunch = row.bunch();
-    let outside = (0..32u64)
-        .find(|id| bunch.iter().all(|&(member, _)| member != *id))
-        .expect("a node outside v0's bunch");
-    bytes[pivot.at] = outside as u8 + 1;
-    resign(&mut bytes);
-    expect_kind(&bytes, "pivot-row", "pivot outside its owner's bunch");
-    let err = verify_snapshot_bytes(&bytes).unwrap_err();
-    assert!(
-        err.to_string().contains("is not in its owner's bunch"),
-        "{err}"
+    expect_kind(
+        &bytes,
+        "layer-contract",
+        "the params' (and net's) eps != the spec's",
     );
 }
 
-/// File offsets and `k` of each layer's label set in a degrading
-/// snapshot's `SKCH` payload: a `u64` layer count, then per layer params
-/// (`eps f64, k u64, seed u64`), net (node count, ε, member count, a `u32`
-/// per member), hierarchy (`k`, probability, level count, an `i32` per
-/// node), label set, stats (48).
-fn degrading_label_sets(bytes: &[u8]) -> Vec<(usize, usize)> {
+/// File offsets of each layer's hierarchy in a degrading snapshot's `SKCH`
+/// payload: a `u64` layer count, then per layer its params (`eps f64, k
+/// u64, seed u64`), its hierarchy and its label set.
+fn degrading_label_sets(bytes: &[u8]) -> Vec<usize> {
     let (skch_at, _) = skch_range(bytes);
     let mut at = skch_at + 8;
     (0..le_u64(bytes, skch_at))
         .map(|_| {
-            let k = le_u64(bytes, at + 8) as usize;
-            at += 24;
-            at += 24 + 4 * le_u64(bytes, at + 16) as usize;
-            at += 24 + 4 * le_u64(bytes, at + 16) as usize;
-            let set = at;
-            let (mut cursor, header) = TzSketchCursor::at(bytes, set, k);
-            (0..header.totals[0].value).for_each(|_| drop(cursor.next_sketch()));
-            at = cursor.position() + 48;
-            (set, k)
+            let hierarchy = at + 24;
+            let (mut cursor, header) = TzSketchCursor::at(bytes, hierarchy);
+            (0..header.levels.len()).for_each(|_| drop(cursor.next_sketch()));
+            at = cursor.position();
+            hierarchy
         })
         .collect()
 }
 
 #[test]
 fn resigned_degrading_landmark_at_two_distances_is_caught() {
-    // Some node holds a landmark in layers 0 and 1 that is none of its
-    // layer-1 pivots: one more on its layer-1 distance — a sparse distance
-    // or a table cell — breaks no row, and the node's served row has one
-    // distance column.
+    // Some node holds a landmark in layers 0 and 1: one more on its
+    // layer-1 distance — a sparse distance or a table cell other than the
+    // row's least — breaks no row (its pivots are derived from what the
+    // row holds), and the node's served row has one distance column.
     let mut bytes = snapshot_bytes(SchemeSpec::parse("degrading:2").unwrap(), 32, 13);
     let sets = degrading_label_sets(&bytes);
     assert!(sets.len() >= 2, "{} layers", sets.len());
-    let rows = |(set, k): (usize, usize)| {
-        let (mut cursor, header) = TzSketchCursor::at(&bytes, set, k);
-        (0..header.totals[0].value)
+    let rows = |set: usize| {
+        let (mut cursor, header) = TzSketchCursor::at(&bytes, set);
+        (0..header.levels.len())
             .map(|_| cursor.next_sketch())
             .collect::<Vec<_>>()
     };
@@ -839,15 +727,14 @@ fn resigned_degrading_landmark_at_two_distances_is_caught() {
         .iter()
         .zip(&layer1)
         .find_map(|(row0, row1)| {
-            let pivots: Vec<u64> = row1.pivot_nodes.iter().map(|p| p.value - 1).collect();
             let held = row0.bunch();
             row1.bunch().into_iter().find_map(|(id, distance)| {
                 let shared = held.iter().any(|&(other, _)| other == id);
-                let editable = distance.len == 1 && distance.value < 127;
-                (shared && editable && !pivots.contains(&id)).then_some(distance)
+                let editable = distance.len == 1 && (2..127).contains(&distance.value);
+                (shared && editable).then_some(distance)
             })
         })
-        .expect("a shared landmark that is no layer-1 pivot");
+        .expect("a shared landmark");
     bytes[site.at] += 1;
     resign(&mut bytes);
     expect_kind(&bytes, "layer-contract", "one landmark at two distances");
@@ -887,10 +774,10 @@ fn resigned_trailing_bytes_inside_skch_are_caught() {
 #[test]
 fn a_v1_versioned_snapshot_is_refused_by_version() {
     // The file a v1 writer would have stamped: same container, version
-    // field 1, header CRC valid.  The verifier reads version 3 only and
+    // field 1, header CRC valid.  The verifier reads version 4 only and
     // must say so, not fail somewhere inside bytes it cannot parse.
     let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(2), 32, 13);
-    assert_eq!(le_u32(&bytes, 4), 3, "format version field");
+    assert_eq!(le_u32(&bytes, 4), 4, "format version field");
     bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
     resign(&mut bytes);
     expect_kind(&bytes, "unsupported-version", "v1 version field");

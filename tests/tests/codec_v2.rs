@@ -1,23 +1,27 @@
-//! The DSK1 v3 label bytes — gap-coded varint rows beside a landmark
-//! table, read by one row cursor — against every family and against
-//! hostile input.
+//! The DSK1 v4 label bytes — each layer's sampling first, then rows of
+//! per-level rank runs and table cells relative to the row's least cell,
+//! with no pivots — against every family and against hostile input.
 //!
 //! * **Round trips** (property-tested over all four families): the `SKCH`
 //!   payload is canonical (`encode → decode → encode` is byte-identical),
 //!   the frozen decode equals the freeze of the decoded layers (one
 //!   decoder, two ingresses), and both answer like the set that was
-//!   built.  Hand-drawn labels stretch the numbers: any `u64` distance,
-//!   any bunch, `k` up to 9, held in memory with no table and written with
-//!   their hierarchy's top level as one; one id past the hierarchy's
-//!   nodes, and both ingresses refuse them for it.
+//!   built.  Hand-drawn labels stretch the numbers: any distance below
+//!   `u64::MAX`, any bunch, `k` up to 9, held in memory with no table and
+//!   written with their hierarchy's top level as one, their pivots derived
+//!   back.  One id past the hierarchy's nodes has no format-4 bytes: the
+//!   layer's check refuses it by name, and both ingresses the bytes
+//!   written for it.
 //! * **Hostile bytes**, on a *bare* payload — no container, so no CRC to
 //!   hide behind: every truncation point and every single-byte mutation
 //!   either decodes to a set that re-encodes to exactly those bytes, or
 //!   fails with a `CodecError`, identically through both ingresses.  Never
-//!   a panic, never a hang.  A table wider than its nodes or its bytes, or
-//!   with landmarks out of order or out of range, is refused by name.
-//! * **Size**: a saved snapshot of any family spends under 4 `SKCH` bytes
-//!   on a bunch entry (v1 spent 16, v2 up to 3.3).
+//!   a panic, never a hang.  A rank at or past its level's member count, a
+//!   least cell no cell equals, a finite cell in a row with none, a level
+//!   byte past `k`, and a table whose cells outgrow the bytes are refused
+//!   by name.
+//! * **Size**: a saved snapshot of any family spends under 3 `SKCH` bytes
+//!   on a bunch entry (v1 spent 16, v2 up to 3.3, v3 up to 2.6).
 
 use dsketch::codec::CodecError;
 use dsketch::prelude::*;
@@ -153,25 +157,27 @@ proptest! {
                     hierarchy: Some(hierarchy.clone()),
                     net: None,
                     params: None,
-                    stats: RunStats::default(),
                 };
                 let spec = SchemeSpec::thorup_zwick(k);
                 StoredSketches { spec, layers: vec![layer] }
             };
 
             let near = family(false);
+            prop_assert_eq!(near.layers[0].check_invariants(), Ok(()));
             let bytes = near.encode_payload();
             let decoded = decode_both_ways(&near.spec, &bytes);
-            prop_assert!(decoded.is_some_and(|decoded| decoded.layers[0].sketches == near.layers[0].sketches));
+            prop_assert!(decoded.is_some_and(|decoded| {
+                let (decoded, built) = (&decoded.layers[0].sketches, &near.layers[0].sketches);
+                decoded == built && decoded.labels().zip(built.labels()).all(|(a, b)| a.pivots == b.pivots)
+            }));
 
             let far = family(true);
-            let bytes = far.encode_payload();
-            prop_assert!(decode_both_ways(&far.spec, &bytes).is_none());
-            let err = FlatSketchSet::from_family_bytes(&far.spec, &bytes).unwrap_err();
+            let err = far.layers[0].check_invariants().unwrap_err();
             prop_assert!(
                 matches!(&err, CodecError::Invalid { message, .. } if message.contains("out of range")),
                 "{}", err
             );
+            prop_assert!(decode_both_ways(&far.spec, &far.encode_payload()).is_none());
         }
     }
 }
@@ -201,18 +207,67 @@ fn varint_bytes(mut v: u64) -> Vec<u8> {
 /// One varint of a payload: `(offset, length, value)`.
 type Site = (usize, usize, u64);
 
-/// The label-set header a Thorup–Zwick payload opens with — node count,
-/// pivot slots, sparse entries, table width, then the landmark ids — as
-/// one [`Site`] per varint.
-fn set_header(bytes: &[u8]) -> Vec<Site> {
-    let mut sites: Vec<Site> = Vec::new();
-    let mut at = 0;
-    while sites.len() < 4 || sites.len() < 4 + sites[3].2 as usize {
-        let (value, len) = varint_at(bytes, at);
-        sites.push((at, len, value));
-        at += len;
+/// The sites of one v4 row: per level below the top its run's length and
+/// `(rank gap, distance)` entries, then the least cell (`δ + 1`, `0` for
+/// none) and the cells (`d − δ + 1`, `0` for none).
+struct RowSites {
+    runs: Vec<(Site, Vec<(Site, Site)>)>,
+    least: Site,
+    cells: Vec<Site>,
+}
+
+/// A Thorup–Zwick payload, walked by hand: the hierarchy first (`k`,
+/// probability and node count, fixed-width, then `level + 1` per node),
+/// then the set's entry total and its rows.  Hand-rolled on purpose: it
+/// must not share code with the reader it is used against.
+struct TzPayload {
+    bytes: Vec<u8>,
+    k: u64,
+    levels: Vec<Site>,
+    rows: Vec<RowSites>,
+}
+
+impl TzPayload {
+    fn new(bytes: Vec<u8>) -> TzPayload {
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let (k, n) = (word(0), word(16));
+        let mut at = 24;
+        let mut next = || {
+            let (value, len) = varint_at(&bytes, at);
+            at += len;
+            (at - len, len, value)
+        };
+        let levels: Vec<Site> = (0..n).map(|_| next()).collect();
+        let width = levels.iter().filter(|&&(_, _, level)| level == k).count();
+        next(); // the entry total
+        let rows = (0..n)
+            .map(|_| {
+                let runs = (0..k - 1)
+                    .map(|_| {
+                        let len = next();
+                        (len, (0..len.2).map(|_| (next(), next())).collect())
+                    })
+                    .collect();
+                let least = next();
+                let cells = (0..width).map(|_| next()).collect();
+                RowSites { runs, least, cells }
+            })
+            .collect();
+        TzPayload {
+            bytes,
+            k,
+            levels,
+            rows,
+        }
     }
-    sites
+
+    /// Members of exactly `level`.
+    fn members(&self, level: u64) -> u64 {
+        self.levels
+            .iter()
+            .filter(|&&(_, _, l)| l == level + 1)
+            .count() as u64
+    }
 }
 
 /// `bytes` with the varint at `site` replaced by `value`.
@@ -222,15 +277,11 @@ fn with_varint(bytes: &[u8], (at, len, _): Site, value: u64) -> Vec<u8> {
     edited
 }
 
-/// A Thorup–Zwick payload (its label set first), the header sites
-/// [`set_header`] finds in it, and `n` and the table width.
-fn tz_payload() -> (Vec<u8>, Vec<Site>, u64, u64) {
-    let bytes = built(SchemeSpec::thorup_zwick(3), 256, 5).encode_payload();
-    let header = set_header(&bytes);
-    let (n, width) = (header[0].2, header[3].2);
-    assert_eq!(n, 256);
-    assert!(width >= 2, "{width} landmarks");
-    (bytes, header, n, width)
+/// A Thorup–Zwick payload of a fixed build, walked.
+fn tz_payload() -> TzPayload {
+    let payload = TzPayload::new(built(SchemeSpec::thorup_zwick(3), 256, 5).encode_payload());
+    assert_eq!((payload.k, payload.levels.len()), (3, 256));
+    payload
 }
 
 /// Both ingresses refuse `edited`, alike; the error.
@@ -243,31 +294,114 @@ fn refused_both_ways(edited: &[u8], what: &str) -> CodecError {
     FlatSketchSet::from_family_bytes(&spec, edited).unwrap_err()
 }
 
-/// A table wider than the node count is refused before anything is sized
-/// by the width — here with the bytes to hold its ids.
-#[test]
-fn a_table_wider_than_its_nodes_is_refused_both_ways() {
-    let (bytes, header, n, _) = tz_payload();
-    let err = refused_both_ways(&with_varint(&bytes, header[3], n + 1), "width above n");
+/// `err` is an `Invalid` of context `what`.
+fn assert_invalid(err: &CodecError, what: &str) {
     assert!(
-        matches!(
-            &err,
-            CodecError::Invalid {
-                context: "SketchSet table width",
-                ..
-            }
-        ),
-        "{err}"
+        matches!(err, CodecError::Invalid { context, .. } if *context == what),
+        "{what}: {err}"
     );
 }
 
-/// `n × width` cells, a byte each at least, beyond the bytes that remain
-/// are refused before the table is sized.
+/// A rank names a node by its place among its level's members: the first
+/// rank of a level-0 run moved to the member count, or a later gap that
+/// lands there, names none.
+#[test]
+fn a_rank_at_or_beyond_its_levels_member_count_is_refused_both_ways() {
+    let payload = tz_payload();
+    let members = payload.members(0);
+    let (_, entries) = payload
+        .rows
+        .iter()
+        .map(|row| &row.runs[0])
+        .find(|(_, entries)| entries.len() >= 2)
+        .expect("a level-0 run of two entries");
+    let first = entries[0].0;
+    let second = entries[1].0;
+    let landing = members - (first.2 + 1);
+    for (edited, what) in [
+        (
+            with_varint(&payload.bytes, first, members),
+            "a first rank at the count",
+        ),
+        (
+            with_varint(&payload.bytes, second, landing),
+            "a gap landing at the count",
+        ),
+        (
+            with_varint(&payload.bytes, first, u64::MAX),
+            "a gap past u64",
+        ),
+    ] {
+        assert_invalid(&refused_both_ways(&edited, what), "Sketch run rank");
+    }
+}
+
+/// A row's least cell is the distance one of its cells is relative to: the
+/// one cell that names it nudged off, every other cell stays relative to a
+/// least nothing equals.
+#[test]
+fn a_least_cell_no_cell_equals_is_refused_both_ways() {
+    let payload = tz_payload();
+    let site = payload
+        .rows
+        .iter()
+        .find_map(|row| {
+            let mut least = row.cells.iter().filter(|&&(_, _, cell)| cell == 1);
+            let (one, none) = (least.next(), least.next());
+            one.filter(|_| none.is_none()).copied()
+        })
+        .expect("a row with one least cell");
+    let edited = with_varint(&payload.bytes, site, 2);
+    assert_invalid(
+        &refused_both_ways(&edited, "least cell"),
+        "SketchSet least cell",
+    );
+}
+
+/// `δ' = 0` says every cell of the row is empty: a finite cell after it is
+/// refused, not read relative to nothing.
+#[test]
+fn a_finite_cell_without_a_least_cell_is_refused_both_ways() {
+    let payload = tz_payload();
+    let least = payload
+        .rows
+        .iter()
+        .map(|row| row.least)
+        .find(|&(_, _, least)| least > 0)
+        .expect("a row with a finite cell");
+    let edited = with_varint(&payload.bytes, least, 0);
+    assert_invalid(
+        &refused_both_ways(&edited, "no least cell"),
+        "SketchSet table cell",
+    );
+}
+
+/// A level varint is `level + 1` below `k`: `k + 1` and anything past
+/// `i32` name no level of the hierarchy.
+#[test]
+fn a_level_byte_outside_the_levels_is_refused_both_ways() {
+    let payload = tz_payload();
+    let site = payload.levels[7];
+    for value in [payload.k + 1, u64::from(u32::MAX)] {
+        let edited = with_varint(&payload.bytes, site, value);
+        assert_invalid(&refused_both_ways(&edited, "level byte"), "Hierarchy");
+    }
+}
+
+/// The table is the hierarchy's top level, a cell a node in every row:
+/// every node raised to it asks for `n × n` cells, a byte each at least,
+/// beyond the bytes that remain — refused before the table is sized.
 #[test]
 fn table_cells_beyond_the_bytes_are_refused_both_ways() {
-    let (bytes, header, n, _) = tz_payload();
-    assert!(n * n > bytes.len() as u64);
-    let err = refused_both_ways(&with_varint(&bytes, header[3], n), "cells beyond the bytes");
+    let payload = tz_payload();
+    let n = payload.levels.len() as u64;
+    assert!(n * n > payload.bytes.len() as u64);
+    let mut edited = payload.bytes.clone();
+    for &(at, len, _) in &payload.levels {
+        assert_eq!(len, 1);
+        edited[at] = payload.k as u8;
+    }
+    let err = refused_both_ways(&edited, "cells beyond the bytes");
     assert!(
         matches!(
             &err,
@@ -278,37 +412,6 @@ fn table_cells_beyond_the_bytes_are_refused_both_ways() {
         ),
         "{err}"
     );
-}
-
-/// Table landmarks that do not strictly ascend — the first two swapped,
-/// or the second a repeat of the first — or that name no node (the last
-/// one at `n`) are refused as they are read.
-#[test]
-fn table_landmarks_out_of_order_or_range_are_refused_both_ways() {
-    let (bytes, header, n, _) = tz_payload();
-    let (first, second) = (header[4], header[5]);
-    let mut swapped = bytes.clone();
-    let (a, b) = (varint_bytes(first.2), varint_bytes(second.2));
-    swapped.splice(first.0..second.0 + second.1, b.into_iter().chain(a));
-    let repeated = with_varint(&bytes, second, first.2);
-    let past = with_varint(&bytes, header[header.len() - 1], n);
-    for (edited, what) in [
-        (swapped, "landmarks swapped"),
-        (repeated, "a landmark repeated"),
-        (past, "a landmark at n"),
-    ] {
-        let err = refused_both_ways(&edited, what);
-        assert!(
-            matches!(
-                &err,
-                CodecError::Invalid {
-                    context: "SketchSet table landmark",
-                    ..
-                }
-            ),
-            "{what}: {err}"
-        );
-    }
 }
 
 /// Every truncation point of a bare payload fails, both ways alike.
@@ -363,8 +466,9 @@ fn every_single_byte_mutation_is_canonical_or_a_codec_error() {
 
 /// The format-size tripwire: v1 spent 16 fixed bytes on a bunch entry, v2's
 /// gap-coded varints 2.1–3.3 on these builds, v3 1.1–2.6 (a table cell is a
-/// distance with no id; 3-stretch is all cells).  Under six still holds; the
-/// ceiling is four, the v3 maximum plus margin, so a codec change that
+/// distance with no id; 3-stretch is all cells), v4 less (a rank for an id,
+/// a cell relative to its row's least, no pivots).  Under six still holds;
+/// the ceiling is three, the v3 maximum plus margin, so a codec change that
 /// re-inflates the labels fails here, not at the next benchmark run.
 #[test]
 fn a_saved_snapshot_spends_under_six_skch_bytes_per_bunch_entry() {
@@ -374,7 +478,7 @@ fn a_saved_snapshot_spends_under_six_skch_bytes_per_bunch_entry() {
         let spec = SchemeSpec::parse(spec).expect("a scheme");
         build_and_save(&graph(256, 42), spec, &config, &path).expect("build and save");
         let summary = inspect_snapshot(&path).expect("inspect");
-        assert_eq!(summary.version, 3, "{spec}");
+        assert_eq!(summary.version, 4, "{spec}");
         let mut sections = summary.sections.iter().zip(&summary.section_entities);
         let (bytes, entries) = sections
             .find_map(|(entry, entities)| match entities {
@@ -386,7 +490,7 @@ fn a_saved_snapshot_spends_under_six_skch_bytes_per_bunch_entry() {
             .expect("a SKCH section");
         let per_entry = bytes as f64 / entries.max(1) as f64;
         assert!(
-            per_entry < 4.0,
+            per_entry < 3.0,
             "{spec}: {per_entry:.2} SKCH bytes per bunch entry"
         );
     }

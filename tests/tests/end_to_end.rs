@@ -108,8 +108,7 @@ fn three_stretch_under_termination_detection_keeps_its_labels() {
             "[{name}] labels"
         );
         assert_eq!(detected_layer.net, oracle_layer.net, "[{name}] net");
-        // The layer records its own run's cost, which now includes the tree.
-        assert_eq!(detected_layer.stats, detected.stats, "[{name}] layer cost");
+        // The build's cost, which now includes the tree and the detection.
         assert!(
             detected.stats.messages >= oracle.stats.messages,
             "[{name}] {} < {} messages",

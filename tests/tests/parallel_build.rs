@@ -150,15 +150,16 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// The `DSK1` bytes of a fixed build, pinned per family as
 /// `(length, FNV-1a 64)`, so "the bytes did not move" is a test: any change
 /// to label contents, label order, the payload codec or the container shows
-/// up here.  Pinned at format version 3 (gap-coded varint rows beside a
-/// landmark table); re-pin only together with a `DSK1` format version bump.
+/// up here.  Pinned at format version 4 (the sampling first; rows of
+/// per-level rank runs and cells relative to their least, no pivots);
+/// re-pin only together with a `DSK1` format version bump.
 #[test]
 fn snapshot_bytes_match_the_pinned_golden_digests() {
     let golden: [(usize, u64); 4] = [
-        (9_665, 0xe191_1fad_c290_9a1f),
-        (27_283, 0xa496_9132_e79c_cd00),
-        (12_513, 0x2db9_949e_9983_d799),
-        (117_940, 0x2a3d_68ef_19f5_6cc2),
+        (7_614, 0x0c36_1a90_c894_4523),
+        (26_430, 0x66c6_2732_8282_6f69),
+        (10_159, 0xb931_165e_81ae_f51d),
+        (94_154, 0xc462_93a6_4f68_a925),
     ];
     // What the same four builds weighed at format version 1, where every
     // bunch entry was 16 fixed bytes.

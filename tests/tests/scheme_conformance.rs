@@ -22,8 +22,8 @@
 use dsketch::prelude::*;
 use netgraph::apsp::DistanceTable;
 use netgraph::generators::{
-    balanced_tree, erdos_renyi, erdos_renyi_gnm, random_geometric, random_tree, ring_with_chords,
-    standard_suite, torus, waxman, GeneratorConfig,
+    balanced_tree, erdos_renyi, erdos_renyi_gnm, grid, random_geometric, random_tree, ring,
+    ring_with_chords, standard_suite, torus, waxman, GeneratorConfig,
 };
 use netgraph::{Distance, Graph, GraphBuilder, NodeId, INFINITY};
 
@@ -232,6 +232,49 @@ fn every_thorup_zwick_answer_is_within_its_levels_bound() {
     // Every level a k = 4 walk has answered somewhere: the check is not
     // held only at level 0.
     assert!(answered.iter().all(|&count| count > 0), "{answered:?}");
+}
+
+/// Format 4 writes no pivots: the reader derives `p_i(u)` as the least
+/// `(distance, id)` a label holds at a level `≥ i`, ties to the smaller id.
+/// That is the engines' pivot only if both break every tie that way, so
+/// every built layer is held to the derivation (`Layer::check_invariants`)
+/// and to `decode(encode(x)) == x` — for tz:2–4, 3-stretch, CDG and
+/// degrading on every `netgraph` generator, unit-weight grid, ring and
+/// torus among them (where equal distances are everywhere), on both
+/// engines.
+#[test]
+fn built_pivots_are_their_derivation_and_round_trip_on_every_generator() {
+    let mut graphs = every_generator();
+    graphs.extend([
+        ("unit grid", grid(8, 8, GeneratorConfig::unit(31))),
+        ("unit ring", ring(64, GeneratorConfig::unit(31))),
+        ("unit torus", torus(8, 8, GeneratorConfig::unit(31))),
+    ]);
+    let specs = [
+        "tz:2",
+        "tz:3",
+        "tz:4",
+        "3stretch:0.3",
+        "cdg:0.3,2",
+        "degrading:k=3",
+    ];
+    for (name, graph) in graphs {
+        for engine in [BuildEngine::Congest, BuildEngine::Parallel] {
+            let config = SchemeConfig::default().with_seed(37).with_engine(engine);
+            for spec in specs.map(|spec| SchemeSpec::parse(spec).unwrap()) {
+                let label = format!("{spec} on {name} ({engine:?})");
+                let built = spec.build_sketches(&graph, &config).unwrap().sketches;
+                for (index, layer) in built.layers.iter().enumerate() {
+                    let checked = layer.check_invariants();
+                    assert_eq!(checked, Ok(()), "[{label}] layer {index}");
+                }
+                let bytes = built.encode_payload();
+                let decoded = StoredSketches::decode_payload(&spec, &bytes)
+                    .unwrap_or_else(|e| panic!("[{label}] refused its own bytes: {e}"));
+                assert!(decoded == built, "[{label}] decode(encode(x)) != x");
+            }
+        }
+    }
 }
 
 #[test]

@@ -244,7 +244,7 @@ fn restamp_version(bytes: &mut [u8], version: u32) {
 
 #[test]
 fn other_format_versions_are_refused_by_version_not_by_accident() {
-    // There is no v2 reader: a file stamped version 2 (or 4) is refused
+    // There is no v3 reader: a file stamped version 3 (or 5) is refused
     // with the typed version error on every load path, before a byte of
     // its payload is interpreted, and the message says which way it is off.
     let g = graph(24, 3);
@@ -252,9 +252,9 @@ fn other_format_versions_are_refused_by_version_not_by_accident() {
     let mut bytes = Vec::new();
     dsketch_store::write_snapshot(&mut bytes, &contents).unwrap();
     assert_eq!(bytes[4..8], dsketch_store::FORMAT_VERSION.to_le_bytes());
-    assert_eq!(dsketch_store::FORMAT_VERSION, 3);
+    assert_eq!(dsketch_store::FORMAT_VERSION, 4);
 
-    for (version, direction) in [(2u32, "older"), (4, "newer")] {
+    for (version, direction) in [(3u32, "older"), (5, "newer")] {
         let mut stamped = bytes.clone();
         restamp_version(&mut stamped, version);
         let path = temp_path(&format!("stamped_v{version}.dsk"));
@@ -272,7 +272,7 @@ fn other_format_versions_are_refused_by_version_not_by_accident() {
             assert!(
                 matches!(
                     error,
-                    StoreError::UnsupportedVersion { found, supported: 3 } if found == version
+                    StoreError::UnsupportedVersion { found, supported: 4 } if found == version
                 ),
                 "version {version}: {error}"
             );

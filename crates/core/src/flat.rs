@@ -23,14 +23,15 @@
 //!              └ landmark id, strictly ascending within a row
 //! ```
 //!
-//! A one-layer set is rows whose masks are bit 0.  The per-layer pivot rows
-//! stay beside them (the word accounting and the layer count read them);
-//! the per-layer bunch columns are dropped.  The private `MergedRows` type
-//! explains why one masked join of two rows — a scatter of `u`'s row into
-//! a per-thread table indexed by landmark, a gather of `v`'s — is the rule,
-//! and which facts about the labels that rests on.  A set that breaks one
-//! is refused with a [`CodecError`], by `freeze` and the decoder alike; no
-//! set is served another way.
+//! A one-layer set is rows whose masks are bit 0.  Beside the rows stay each
+//! node's count of pivots over its layers, and the layer count — what the
+//! word accounting reads; the per-layer pivot rows and bunch columns are
+//! dropped.  The private `MergedRows` type explains why one masked join of
+//! two rows — a scatter of `u`'s row into a per-thread table indexed by
+//! landmark, a gather of `v`'s — is the rule, and which facts about the
+//! labels that rests on.  A set that breaks one is refused with a
+//! [`CodecError`], by `freeze` and the decoder alike; no set is served
+//! another way.
 //!
 //! A frozen set is built two ways:
 //!
@@ -124,29 +125,10 @@ fn walk(set: &SketchSet, u: NodeId, v: NodeId) -> Option<(Distance, usize)> {
     )
 }
 
-/// The pivot rows of one layer of a merged set — a [`SketchSet`] without
-/// its bunch columns.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct PivotRows {
-    /// `num_nodes + 1` offsets into `slots`.
-    offsets: Vec<u32>,
-    /// `(pivot node, distance)` per level slot, `(NO_PIVOT, INFINITY)`
-    /// where the level has none.
-    slots: Vec<(NodeId, Distance)>,
-}
-
-impl PivotRows {
-    #[inline]
-    fn row(&self, u: usize) -> &[(NodeId, Distance)] {
-        &self.slots
-            [cast::usize_from_u32(self.offsets[u])..cast::usize_from_u32(self.offsets[u + 1])]
-    }
-}
-
 /// The served form of a slack family's set: per node **one row**, the
 /// union of its bunches over the set's `L` layers (1 to 32) — landmark ids
 /// strictly ascending, each with its exact distance and a mask whose bit
-/// `l` says "in `B_l(u)`" — plus the per-layer pivot rows.
+/// `l` says "in `B_l(u)`" — plus, per node, how many pivots its labels hold.
 ///
 /// The slack query is the minimum over layers of the best common landmark,
 /// pivots of one label found in the other's bunch included (one layer for
@@ -173,8 +155,10 @@ impl PivotRows {
 /// one is refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct MergedRows {
-    /// One entry per layer, in layer order.
-    pivots: Vec<PivotRows>,
+    /// The number of layers merged, 1 to 32.
+    layers: usize,
+    /// Per node, the pivot slots holding a pivot over all its layers.
+    present_pivots: Vec<u32>,
     /// `num_nodes + 1` offsets into `entries`.
     offsets: Vec<u32>,
     /// `(landmark, mask, distance)`: landmarks strictly ascending within a
@@ -238,21 +222,17 @@ impl MergedRows {
         let entries = layers.iter().map(|layer| layer.bunch_entries()).sum();
         let mut builder = RowBuilder::new(num_nodes, entries);
         for u in 0..num_nodes {
+            let mut pivots = 0;
             for (index, layer) in layers.iter().enumerate() {
-                builder.push(index, &layer.label(NodeId::from_index(u)));
+                let label = layer.label(NodeId::from_index(u));
+                pivots += present_pivots(label.pivots);
+                builder.push(index, &label);
             }
-            builder.seal_node(u)?;
+            builder.seal_node(u, pivots)?;
         }
         let mut rows = builder.rows;
+        rows.layers = layers.len();
         rows.entries.shrink_to_fit();
-        // The pivot rows stay as each layer has them; its bunch columns go.
-        rows.pivots = layers
-            .iter()
-            .map(|layer| PivotRows {
-                offsets: layer.offsets.iter().map(|&(pivot, _)| pivot).collect(),
-                slots: layer.pivots.clone(),
-            })
-            .collect();
         Ok(rows)
     }
 
@@ -294,44 +274,31 @@ impl MergedRows {
     /// labels add up to — a landmark in three layers' bunches is three
     /// entries, as in [`Label::words`] summed over layers.
     fn words(&self, u: usize) -> usize {
-        let present: usize = self
-            .pivots
-            .iter()
-            .map(|pivots| present_pivots(pivots.row(u)))
-            .sum();
         let entries: u32 = self
             .row(u)
             .iter()
             .map(|&(_, mask, _)| mask.count_ones())
             .sum();
-        2 * present + 2 * cast::usize_from_u32(entries)
+        2 * cast::usize_from_u32(self.present_pivots[u]) + 2 * cast::usize_from_u32(entries)
     }
 
     /// The structural invariants the join indexes by; see
     /// [`FlatSketchSet::check_invariants`].
     fn check_invariants(&self) -> Result<(), String> {
-        let layers = self.pivots.len();
+        let layers = self.layers;
         ensure(
             (1..=MAX_LAYERS).contains(&layers),
             format!("merged rows over {layers} layers"),
         )?;
         check_offsets(&self.offsets, self.entries.len(), "row")?;
         let num_nodes = self.num_nodes();
-        for (index, pivots) in self.pivots.iter().enumerate() {
-            ensure(
-                pivots.offsets.len() == num_nodes + 1,
-                format!(
-                    "layer {index}: pivot rows for {} nodes, merged rows for {num_nodes}",
-                    pivots.offsets.len().saturating_sub(1)
-                ),
-            )?;
-            check_offsets(&pivots.offsets, pivots.slots.len(), "pivot")
-                .map_err(|message| format!("layer {index}: {message}"))?;
-            ensure(
-                pivots.offsets.windows(2).all(|w| w[0] < w[1]),
-                format!("layer {index}: a node has an empty pivot row (k = 0)"),
-            )?;
-        }
+        ensure(
+            self.present_pivots.len() == num_nodes,
+            format!(
+                "pivot counts for {} nodes, merged rows for {num_nodes}",
+                self.present_pivots.len()
+            ),
+        )?;
         for node in 0..num_nodes {
             let row = self.row(node);
             ensure(
@@ -390,7 +357,8 @@ impl RowBuilder {
         offsets.push(0);
         RowBuilder {
             rows: MergedRows {
-                pivots: Vec::new(),
+                layers: 0,
+                present_pivots: Vec::with_capacity(num_nodes),
                 offsets,
                 entries: Vec::with_capacity(entries),
             },
@@ -415,8 +383,9 @@ impl RowBuilder {
         }
     }
 
-    /// Close node `u`: its row is the touched slots in id order.
-    fn seal_node(&mut self, u: usize) -> Result<(), CodecError> {
+    /// Close node `u`, whose labels hold `pivots` pivots: its row is the
+    /// touched slots in id order.
+    fn seal_node(&mut self, u: usize, pivots: usize) -> Result<(), CodecError> {
         if self.two_distances {
             return Err(CodecError::LayerContract(format!(
                 "{} holds one landmark at two distances in two of its layers",
@@ -436,6 +405,8 @@ impl RowBuilder {
         }
         let end = u32::try_from(rows.entries.len()).map_err(|_| unaddressable())?;
         rows.offsets.push(end);
+        let pivots = u32::try_from(pivots).map_err(|_| unaddressable())?;
+        rows.present_pivots.push(pivots);
         Ok(())
     }
 }
@@ -600,7 +571,11 @@ impl FlatSketchSet {
     pub fn present_pivots(&self) -> usize {
         match &self.labels {
             Labels::Layer(set) => present_pivots(&set.pivots),
-            Labels::Merged(rows) => rows.pivots.iter().map(|p| present_pivots(&p.slots)).sum(),
+            Labels::Merged(rows) => rows
+                .present_pivots
+                .iter()
+                .map(|&p| cast::usize_from_u32(p))
+                .sum(),
         }
     }
 
@@ -608,7 +583,7 @@ impl FlatSketchSet {
     pub fn num_layers(&self) -> usize {
         match &self.labels {
             Labels::Layer(_) => 1,
-            Labels::Merged(rows) => rows.pivots.len(),
+            Labels::Merged(rows) => rows.layers,
         }
     }
 
@@ -661,11 +636,11 @@ impl FlatSketchSet {
     /// `k ≥ 1` and strictly ascending bunch keys (the binary-search
     /// contract), pivots at their bunch distance.
     ///
-    /// Merged rows: the row offsets are monotone from 0 to the entry count,
-    /// landmarks are strictly ascending within a row and each is one of the
-    /// set's nodes (the join-table contract), every mask names at least one
-    /// layer and none past the layer count, and each of the 1 to 32 layers
-    /// has a non-empty pivot row for every node.
+    /// Merged rows: 1 to 32 layers, the row offsets are monotone from 0 to
+    /// the entry count, a pivot count for every node, landmarks are
+    /// strictly ascending within a row and each is one of the set's nodes
+    /// (the join-table contract), and every mask names at least one layer
+    /// and none past the layer count.
     ///
     /// Freezing and the checked snapshot decoder cannot produce a violating
     /// value; `dsketch-store verify` runs this on the set it decoded, to
@@ -986,13 +961,10 @@ mod tests {
                 if message == "layer 1 covers 10 nodes but layer 0 covers 24"),
             "{flat_err}"
         );
-        // Served rows of that shape — layer 1's pivot rows over 10 of the
-        // 24 nodes — are what `check_invariants` names.
-        let message = corrupted(|rows| rows.pivots[1].offsets.truncate(11));
-        assert_eq!(
-            message,
-            "layer 1: pivot rows for 10 nodes, merged rows for 24"
-        );
+        // Served rows of that shape — pivot counts for 10 of the 24 nodes —
+        // are what `check_invariants` names.
+        let message = corrupted(|rows| rows.present_pivots.truncate(10));
+        assert_eq!(message, "pivot counts for 10 nodes, merged rows for 24");
     }
 
     /// `check_invariants` of a valid merged set after `corrupt` edited it.
@@ -1041,26 +1013,18 @@ mod tests {
     fn merged_invariants_masks_name_a_layer_that_exists() {
         let message = corrupted(|rows| rows.entries[0].1 = 0);
         assert!(message.starts_with("row of node 0 has a mask"), "{message}");
-        let message = corrupted(|rows| rows.entries[0].1 |= 1 << rows.pivots.len());
+        let message = corrupted(|rows| rows.entries[0].1 |= 1 << rows.layers);
         assert!(message.starts_with("row of node 0 has a mask"), "{message}");
     }
 
     #[test]
-    fn merged_invariants_every_layer_has_a_pivot_row_for_every_node() {
-        let message = corrupted(|rows| rows.pivots[1].offsets.truncate(24));
-        assert_eq!(
-            message,
-            "layer 1: pivot rows for 23 nodes, merged rows for 24"
-        );
-        let message = corrupted(|rows| rows.pivots[1].offsets[3] = rows.pivots[1].offsets[2]);
-        assert_eq!(message, "layer 1: a node has an empty pivot row (k = 0)");
-        let message = corrupted(|rows| rows.pivots[1].slots.truncate(1));
-        assert!(
-            message.starts_with("layer 1: pivot offsets terminate at"),
-            "{message}"
-        );
-        let message = corrupted(|rows| rows.pivots.clear());
+    fn merged_invariants_name_1_to_32_layers_and_a_pivot_count_per_node() {
+        let message = corrupted(|rows| rows.present_pivots.truncate(23));
+        assert_eq!(message, "pivot counts for 23 nodes, merged rows for 24");
+        let message = corrupted(|rows| rows.layers = 0);
         assert_eq!(message, "merged rows over 0 layers");
+        let message = corrupted(|rows| rows.layers = MAX_LAYERS + 1);
+        assert_eq!(message, "merged rows over 33 layers");
     }
 
     #[test]

@@ -5,17 +5,16 @@
 //! binary opens one client per simulated connection; tests use it to
 //! compare wire answers against the in-process oracle byte for byte.
 
-use super::protocol::{
-    NetError, Request, Response, WireError, DEFAULT_MAX_PAYLOAD, RESPONSE_MAGIC,
-};
-use super::wire::{self, ReadOutcome};
+use super::protocol::{NetError, Request, Response, WireError, RESPONSE_MAGIC};
+use super::wire::Conn;
+use dsketch_obs::Counter;
 use netgraph::{Distance, NodeId};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// A connected wire client.
 pub struct NetClient {
-    stream: TcpStream,
+    conn: Conn,
     timeout: Duration,
 }
 
@@ -29,8 +28,9 @@ impl NetClient {
         {
             match TcpStream::connect_timeout(&addr, timeout) {
                 Ok(stream) => {
-                    let _ = stream.set_nodelay(true);
-                    return Ok(NetClient { stream, timeout });
+                    // Nothing reads the client's byte count.
+                    let conn = Conn::new(stream, &Counter::new());
+                    return Ok(NetClient { conn, timeout });
                 }
                 Err(e) => last = NetError::Io(e.kind()),
             }
@@ -90,17 +90,11 @@ impl NetClient {
 
     /// Send one request frame and wait for its response frame.
     pub fn round_trip(&mut self, request: &Request) -> Result<Response, NetError> {
-        wire::write_all_deadline(&self.stream, &request.to_frame(), self.timeout)?;
+        self.conn.write_all(&request.to_frame(), self.timeout)?;
         let deadline = Instant::now() + self.timeout;
-        match wire::read_frame(
-            &self.stream,
-            RESPONSE_MAGIC,
-            DEFAULT_MAX_PAYLOAD,
-            deadline,
-            None,
-        )? {
-            ReadOutcome::Frame(header, payload) => Response::decode(header.kind, &payload),
-            ReadOutcome::Closed => Err(NetError::Truncated { read: 0, needed: 1 }),
+        match self.conn.read_frame(RESPONSE_MAGIC, deadline, None)? {
+            Some((header, payload)) => Response::decode(header.kind, payload),
+            None => Err(NetError::Truncated { read: 0, needed: 1 }),
         }
     }
 
@@ -163,7 +157,7 @@ impl NetClient {
 
     /// The underlying stream (tests use this to misbehave on purpose).
     pub fn stream(&self) -> &TcpStream {
-        &self.stream
+        self.conn.stream()
     }
 }
 

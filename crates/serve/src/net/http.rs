@@ -33,98 +33,46 @@
 //! keep-alive.  It exists so `curl` and dashboards can hit the server
 //! without a client binary — the binary protocol is the real interface.
 
-use super::protocol::WireErrorCode;
-use super::server::WorkerCtx;
-use super::wire;
-use crate::stats::NetCounters;
+use super::protocol::{NetError, WireErrorCode};
+use super::server::{send, stats_json, WorkerCtx};
+use super::wire::Conn;
 use dsketch::SketchError;
+use dsketch_obs::prometheus;
 use netgraph::NodeId;
-use std::io::Read;
-use std::net::TcpStream;
-use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-/// Upper bound on the request head (request line + headers).
-const MAX_HEAD_BYTES: usize = 8 * 1024;
-
 /// Serve one HTTP exchange on a freshly sniffed connection, then return
-/// (the caller closes the socket).
-pub(super) fn http_session(stream: &TcpStream, ctx: &WorkerCtx) {
-    let counters = ctx.counters();
-    let head = match read_request_head(stream, ctx, counters) {
-        Some(head) => head,
-        None => return,
-    };
-    let reply = match parse_request_line(&head) {
-        Ok((method, target)) => {
-            counters.http_requests.inc();
-            route(&method, &target, ctx)
-        }
-        Err(reply) => {
-            counters.protocol_errors.inc();
-            reply
-        }
-    };
-    write_reply(stream, &reply, ctx, counters);
-}
-
-/// Read until the blank line ending the request head, the size bound, the
-/// deadline, or EOF.  Returns `None` when nothing useful arrived (the
-/// reply, if any, has already been written).
-fn read_request_head(
-    stream: &TcpStream,
-    ctx: &WorkerCtx,
-    counters: &NetCounters,
-) -> Option<Vec<u8>> {
-    let deadline = Instant::now() + ctx.read_timeout();
-    let mut head = Vec::with_capacity(256);
-    let mut chunk = [0u8; 512];
-    loop {
-        if head.windows(4).any(|w| w == b"\r\n\r\n") {
-            return Some(head);
-        }
-        if head.len() > MAX_HEAD_BYTES {
-            counters.protocol_errors.inc();
-            let reply = error_reply(431, "request-too-large", "request head exceeds 8 KiB");
-            write_reply(stream, &reply, ctx, counters);
-            return None;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            counters.timeouts.inc();
-            return None;
-        }
-        let slice = (deadline - now)
-            .min(std::time::Duration::from_millis(50))
-            .max(std::time::Duration::from_millis(1));
-        if stream.set_read_timeout(Some(slice)).is_err() {
-            return None;
-        }
-        match (&mut (&*stream)).read(&mut chunk) {
-            Ok(0) => {
-                // EOF before a complete head: a garbage or truncated
-                // request.  Anything counts once as a protocol error.
+/// (the caller closes the socket).  A head cut short by the peer counts
+/// once as a protocol error, like a truncated frame.
+pub(super) fn http_session(conn: &mut Conn, ctx: &WorkerCtx) {
+    let counters = &ctx.counters;
+    let deadline = Instant::now() + ctx.config.read_timeout;
+    let reply = match conn.read_head(deadline) {
+        Ok(Some(head)) => match parse_request_line(head) {
+            Ok((method, target)) => {
+                counters.http_requests.inc();
+                route(&method, &target, ctx)
+            }
+            Err(reply) => {
                 counters.protocol_errors.inc();
-                return None;
+                reply
             }
-            Ok(n) => {
-                // Charged as consumed, so every exit path has counted what
-                // it read.
-                counters.bytes_in.add(n as u64);
-                head.extend_from_slice(&chunk[..n]);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if ctx.shutdown_flag().load(Ordering::Relaxed) && head.is_empty() {
-                    return None;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return None,
+        },
+        Ok(None) => {
+            counters.protocol_errors.inc();
+            error_reply(431, "request-too-large", "request head exceeds 8 KiB")
         }
-    }
+        Err(NetError::Timeout) => {
+            counters.timeouts.inc();
+            return;
+        }
+        Err(NetError::Truncated { .. }) => {
+            counters.protocol_errors.inc();
+            return;
+        }
+        Err(_) => return,
+    };
+    send(conn, reply.as_bytes(), ctx);
 }
 
 /// Pull the method and request target out of the first line, or produce
@@ -167,8 +115,16 @@ fn route(method: &str, target: &str, ctx: &WorkerCtx) -> String {
     };
     match (method, path) {
         ("GET", "/distance") => distance_route(query, ctx),
-        ("GET", "/stats") => json_reply(200, &ctx.stats_document()),
-        ("GET", "/metrics") => text_reply(200, &ctx.metrics_document()),
+        ("GET", "/stats") => json_reply(200, &stats_json(ctx)),
+        // The process-global registry (build, graph, store instruments)
+        // plus this server's own (query and wire instruments).
+        ("GET", "/metrics") => text_reply(
+            200,
+            &prometheus::encode(&[
+                &dsketch_obs::global().snapshot(),
+                &ctx.server.registry().snapshot(),
+            ]),
+        ),
         ("GET", "/trace") => trace_route(query, ctx),
         ("POST", "/swap") => swap_route(query, ctx),
         ("GET", "/faults") => json_reply(200, &faults_status_json()),
@@ -295,7 +251,7 @@ fn swap_route(query: &str, ctx: &WorkerCtx) -> String {
         Some(path) if !path.is_empty() => path,
         _ => return error_reply(400, "bad-request", "snapshot=<path> is required"),
     };
-    match ctx.swap_snapshot(&path) {
+    match ctx.server.swap_snapshot(&path) {
         Ok(generation) => json_reply(200, &format!("{{\"generation\":{generation}}}")),
         Err(e) => error_reply(409, "swap-refused", e.to_string()),
     }
@@ -372,7 +328,10 @@ fn trace_route(query: &str, ctx: &WorkerCtx) -> String {
             }
         };
     }
-    json_reply(200, &format!("[{}]", ctx.trace_recent(n).join(",")))
+    json_reply(
+        200,
+        &format!("[{}]", ctx.server.tracer().recent(n).join(",")),
+    )
 }
 
 /// `GET /distance?u=..&v=..`
@@ -403,7 +362,7 @@ fn distance_route(query: &str, ctx: &WorkerCtx) -> String {
         (Some(u), Some(v)) => (u, v),
         _ => return error_reply(400, "bad-request", "both u= and v= are required"),
     };
-    match ctx.query(u, v) {
+    match ctx.client.query(u, v) {
         Ok(distance) => json_reply(
             200,
             &format!(
@@ -411,7 +370,7 @@ fn distance_route(query: &str, ctx: &WorkerCtx) -> String {
                 u.0,
                 v.0,
                 distance,
-                ctx.scheme_name()
+                ctx.server.current_generation().oracle.scheme_name()
             ),
         ),
         Err(e) => {
@@ -480,19 +439,6 @@ pub(super) fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// Write a reply, charging the byte counters.
-fn write_reply(stream: &TcpStream, reply: &str, ctx: &WorkerCtx, counters: &NetCounters) {
-    match wire::write_all_deadline(stream, reply.as_bytes(), ctx.read_timeout()) {
-        Ok(written) => {
-            counters.bytes_out.add(written as u64);
-        }
-        Err(super::protocol::NetError::Timeout) => {
-            counters.timeouts.inc();
-        }
-        Err(_) => {}
-    }
 }
 
 #[cfg(test)]

@@ -2,8 +2,9 @@
 //!
 //! This module turns the in-process [`crate::SketchServer`] into a TCP
 //! service without any dependency beyond `std::net`.  One listener serves
-//! two protocols, selected by peeking the first four bytes of each
-//! connection:
+//! two protocols, selected by the first four bytes of each connection,
+//! read into the buffer of the one reader every connection has (`Conn`,
+//! in `wire.rs`) and left there for the session they select:
 //!
 //! * the length-prefixed binary `NETQ`/`NETR` protocol ([`protocol`]) —
 //!   the efficient interface [`NetClient`] and the loadgen speak, and

@@ -9,7 +9,7 @@
 //!       4     1  version      currently 1
 //!       5     1  kind         frame type (see below)
 //!       6     2  reserved     must be zero (LE u16)
-//!       8     4  payload len  LE u32, bounded by `max_payload`
+//!       8     4  payload len  LE u32, at most `DEFAULT_MAX_PAYLOAD`
 //!      12     …  payload      SketchCodec-encoded body
 //! ```
 //!

@@ -9,16 +9,20 @@
 //!        ┌───────────┬─┴─────────────┐
 //!        ▼           ▼               ▼
 //!    worker 0    worker 1   …   worker W−1     connection workers
-//!    sniff 4 bytes: "NETQ" ⇒ binary frames, else ⇒ HTTP/1.1
+//!    read 4 bytes: "NETQ" ⇒ binary frames, else ⇒ HTTP/1.1
 //!    decode → ServeClient::query_batch on this thread → encode → write
 //! ```
 //!
 //! `W + 1` threads in all.  Each worker owns one connection at a time and
 //! speaks request–response: one frame in, one frame out, the kernel run in
 //! between on the worker's own thread through its own [`ServeClient`] (and
-//! so its own result cache).  Backpressure is the hand-off queue, which
-//! bounds waiting connections, and [`NetConfig::max_batch_pairs`], which
-//! bounds how much work one frame may demand.
+//! so its own result cache).  The protocol sniff, every frame and the HTTP
+//! request head are read through the connection's one buffered `Conn`
+//! (`wire.rs`), so the four sniffed bytes stay buffered for the session
+//! they select, and a frame costs one `read` and one `write`.
+//! Backpressure is the hand-off queue, which bounds waiting connections,
+//! and [`NetConfig::max_batch_pairs`], which bounds how much work one frame
+//! may demand.
 //!
 //! # Timeouts and shutdown
 //!
@@ -43,16 +47,13 @@
 //! drops that socket uncounted and exits.
 
 use super::http;
-use super::protocol::{
-    NetError, Request, Response, WireError, WireErrorCode, DEFAULT_MAX_PAYLOAD, HEADER_LEN,
-    REQUEST_MAGIC,
-};
-use super::wire::{self, ReadOutcome};
+use super::protocol::{NetError, Request, Response, WireError, WireErrorCode, REQUEST_MAGIC};
+use super::wire::Conn;
 use crate::server::{ServeClient, ServeConfig, SketchServer};
 use crate::stats::{NetCounters, NetStats, ServeStats};
 use dsketch::{DistanceOracle, SchemeSpec, SketchError};
-use dsketch_obs::{prometheus, MetricsRegistry, StdoutSink, Tracer};
-use netgraph::{Distance, GraphFingerprint, NodeId};
+use dsketch_obs::{MetricsRegistry, StdoutSink, Tracer};
+use netgraph::GraphFingerprint;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, TrySendError};
@@ -76,9 +77,6 @@ pub struct NetConfig {
     /// Largest number of pairs one batch frame may carry; larger batches
     /// are answered with a typed [`WireErrorCode::BatchTooLarge`] error.
     pub max_batch_pairs: usize,
-    /// Largest frame payload accepted, in bytes.  An oversized length
-    /// prefix is rejected before any allocation.
-    pub max_payload: u32,
     /// Mirror every sampled trace event to stdout as one JSON line (the
     /// `--log-json` flag).  Sampling itself is
     /// [`ServeConfig::trace_sample`].
@@ -92,7 +90,6 @@ impl Default for NetConfig {
             pending_connections: 32,
             read_timeout: Duration::from_secs(5),
             max_batch_pairs: 1 << 16,
-            max_payload: DEFAULT_MAX_PAYLOAD,
             log_json: false,
         }
     }
@@ -143,13 +140,6 @@ impl NetConfig {
         if self.max_batch_pairs == 0 {
             return Err(SketchError::InvalidParameters(
                 "NetConfig::max_batch_pairs must be >= 1".to_string(),
-            ));
-        }
-        // A payload bound below one query pair (8 bytes) could answer
-        // nothing but pings.
-        if (self.max_payload as usize) < 8 {
-            return Err(SketchError::InvalidParameters(
-                "NetConfig::max_payload must be >= 8 bytes".to_string(),
             ));
         }
         Ok(())
@@ -224,11 +214,11 @@ impl ServeMeta {
 /// own result cache), the shared counters, the shutdown flag, and the
 /// oracle metadata the stats document reports.
 pub(super) struct WorkerCtx {
-    server: Arc<SketchServer>,
-    client: ServeClient,
-    counters: Arc<NetCounters>,
+    pub(super) server: Arc<SketchServer>,
+    pub(super) client: ServeClient,
+    pub(super) counters: Arc<NetCounters>,
     shutdown: Arc<AtomicBool>,
-    config: NetConfig,
+    pub(super) config: NetConfig,
     meta: Arc<ServeMeta>,
     started_at: Instant,
 }
@@ -258,25 +248,15 @@ impl NetServer {
         net_config: NetConfig,
         addr: &str,
     ) -> Result<NetServer, NetStartError> {
-        NetServer::start_with_meta(oracle, serve_config, net_config, addr, ServeMeta::default())
-    }
-
-    /// [`NetServer::start`] plus the descriptive [`ServeMeta`] reported by
-    /// `GET /stats`.
-    pub fn start_with_meta(
-        oracle: Arc<dyn DistanceOracle>,
-        serve_config: ServeConfig,
-        net_config: NetConfig,
-        addr: &str,
-        meta: ServeMeta,
-    ) -> Result<NetServer, NetStartError> {
+        let meta = ServeMeta::default();
         NetServer::start_with_origin(oracle, serve_config, net_config, addr, meta, None)
     }
 
-    /// [`NetServer::start_with_meta`] plus the oracle's typed provenance
-    /// (scheme + graph fingerprint), which arms the swap compatibility
-    /// gates — [`SketchServer::swap_snapshot`] refuses a snapshot whose
-    /// scheme differs from `origin`'s.
+    /// [`NetServer::start`] plus the descriptive [`ServeMeta`] reported by
+    /// `GET /stats` and the oracle's typed provenance (scheme + graph
+    /// fingerprint), which arms the swap compatibility gates —
+    /// [`SketchServer::swap_snapshot`] refuses a snapshot whose scheme
+    /// differs from `origin`'s.
     pub fn start_with_origin(
         oracle: Arc<dyn DistanceOracle>,
         serve_config: ServeConfig,
@@ -444,7 +424,7 @@ fn run_accept_loop(
                     Err(TrySendError::Full(stream)) => {
                         counters.connections_refused.inc();
                         counters.overload.inc();
-                        shed_overload(stream);
+                        shed_overload(Conn::new(stream, &counters.bytes_in));
                     }
                     Err(TrySendError::Disconnected(stream)) => {
                         drop(stream);
@@ -466,7 +446,7 @@ fn run_accept_loop(
 /// deadline and ignored on failure.  HTTP clients get an actionable
 /// response instead of a bare RST; binary clients fail their frame read
 /// exactly as a plain drop would have made them.
-fn shed_overload(stream: TcpStream) {
+fn shed_overload(mut conn: Conn) {
     const BODY: &str = "{\"error\":\"overloaded\",\"detail\":\"accept queue full; retry shortly\"}";
     let response = format!(
         "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
@@ -474,8 +454,7 @@ fn shed_overload(stream: TcpStream) {
         BODY.len(),
         BODY
     );
-    let _ = wire::write_all_deadline(&stream, response.as_bytes(), Duration::from_millis(200));
-    drop(stream);
+    let _ = conn.write_all(response.as_bytes(), Duration::from_millis(200));
 }
 
 /// One connection worker: take sockets from the shared queue until the
@@ -500,63 +479,47 @@ fn run_conn_worker(rx: Arc<Mutex<Receiver<TcpStream>>>, ctx: WorkerCtx) {
 /// Serve one connection to completion: sniff the protocol from the first
 /// four bytes, then run the matching session loop.
 fn handle_connection(stream: TcpStream, ctx: &WorkerCtx) {
-    let _ = stream.set_nodelay(true);
+    let mut conn = Conn::new(stream, &ctx.counters.bytes_in);
     let deadline = Instant::now() + ctx.config.read_timeout;
-    match wire::peek_exact(&stream, 4, deadline, Some(&ctx.shutdown)) {
-        Ok(Some(prefix)) if prefix == REQUEST_MAGIC => binary_session(&stream, ctx),
-        Ok(Some(_)) => http::http_session(&stream, ctx),
-        Ok(None) => {
-            // Closed before speaking, or shutdown raised while idle.
-        }
-        Err(NetError::Timeout) => {
-            ctx.counters.timeouts.inc();
-        }
+    match conn.sniff(deadline, &ctx.shutdown) {
+        Ok(Some(prefix)) if prefix == REQUEST_MAGIC => binary_session(&mut conn, ctx),
+        Ok(Some(_)) => http::http_session(&mut conn, ctx),
+        // Closed before speaking, or shutdown raised while idle.
+        Ok(None) => {}
+        Err(NetError::Timeout) => ctx.counters.timeouts.inc(),
+        // Closed after fewer than four bytes: a request cut short.
+        Err(NetError::Truncated { .. }) => ctx.counters.protocol_errors.inc(),
         Err(_) => {}
     }
     ctx.counters.connections_closed.inc();
-    let _ = stream.shutdown(std::net::Shutdown::Both);
+    let _ = conn.stream().shutdown(std::net::Shutdown::Both);
 }
 
 /// The binary request–response loop: one `NETQ` frame in, one `NETR`
 /// frame out, until clean close, deadline, framing damage, or shutdown.
-fn binary_session(stream: &TcpStream, ctx: &WorkerCtx) {
+fn binary_session(conn: &mut Conn, ctx: &WorkerCtx) {
     loop {
         if ctx.shutdown.load(Ordering::Relaxed) {
             // Between frames: nothing in flight, close immediately.
             break;
         }
         let deadline = Instant::now() + ctx.config.read_timeout;
-        match wire::read_frame(
-            stream,
-            REQUEST_MAGIC,
-            ctx.config.max_payload,
-            deadline,
-            Some(&ctx.shutdown),
-        ) {
-            Ok(ReadOutcome::Closed) => break,
-            Ok(ReadOutcome::Frame(header, payload)) => {
+        match conn.read_frame(REQUEST_MAGIC, deadline, Some(&ctx.shutdown)) {
+            Ok(None) => break,
+            Ok(Some((header, payload))) => {
                 let roundtrip = Instant::now();
                 ctx.counters.frames_in.inc();
-                ctx.counters
-                    .bytes_in
-                    .add((HEADER_LEN + payload.len()) as u64);
-                match Request::decode(header.kind, &payload) {
-                    Ok(request) => {
-                        let response = answer_request(request, ctx);
-                        if !write_response(stream, &response, ctx) {
-                            break;
-                        }
-                    }
+                let response = match Request::decode(header.kind, payload) {
+                    Ok(request) => answer_request(request, ctx),
                     Err(e) => {
                         // The header (and so the framing) was fine — reply
                         // with a typed error and keep the connection.
                         ctx.counters.protocol_errors.inc();
-                        let error =
-                            Response::Error(WireError::new(WireErrorCode::BadFrame, e.to_string()));
-                        if !write_response(stream, &error, ctx) {
-                            break;
-                        }
+                        Response::Error(WireError::new(WireErrorCode::BadFrame, e.to_string()))
                     }
+                };
+                if !write_response(conn, &response, ctx) {
+                    break;
                 }
                 ctx.counters
                     .roundtrip
@@ -576,7 +539,7 @@ fn binary_session(stream: &TcpStream, ctx: &WorkerCtx) {
                 // the peer learns why, then close.
                 ctx.counters.protocol_errors.inc();
                 let error = Response::Error(WireError::new(WireErrorCode::BadFrame, e.to_string()));
-                let _ = write_response(stream, &error, ctx);
+                write_response(conn, &error, ctx);
                 break;
             }
             Err(NetError::Truncated { .. }) => {
@@ -624,11 +587,19 @@ fn answer_request(request: Request, ctx: &WorkerCtx) -> Response {
 }
 
 /// Write one response frame; `false` means the connection is unusable.
-fn write_response(stream: &TcpStream, response: &Response, ctx: &WorkerCtx) -> bool {
-    let frame = response.to_frame();
-    match wire::write_all_deadline(stream, &frame, ctx.config.read_timeout) {
+fn write_response(conn: &mut Conn, response: &Response, ctx: &WorkerCtx) -> bool {
+    let sent = send(conn, &response.to_frame(), ctx);
+    if sent {
+        ctx.counters.frames_out.inc();
+    }
+    sent
+}
+
+/// Write `bytes` under the connection deadline, charging `bytes_out` (or a
+/// timeout); `false` means the connection is unusable.
+pub(super) fn send(conn: &mut Conn, bytes: &[u8], ctx: &WorkerCtx) -> bool {
+    match conn.write_all(bytes, ctx.config.read_timeout) {
         Ok(written) => {
-            ctx.counters.frames_out.inc();
             ctx.counters.bytes_out.add(written as u64);
             true
         }
@@ -718,53 +689,4 @@ pub(crate) fn stats_json(ctx: &WorkerCtx) -> String {
         serve.totals.hit_rate(),
         frames_per_connection,
     )
-}
-
-/// Accessors `http.rs` needs on the worker context without exposing the
-/// struct fields outside the module tree.
-impl WorkerCtx {
-    pub(super) fn query(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
-        self.client.query(u, v)
-    }
-
-    pub(super) fn scheme_name(&self) -> &'static str {
-        self.server.current_generation().oracle.scheme_name()
-    }
-
-    /// Hot-swap the serving snapshot (the `POST /swap` and binary swap
-    /// paths); returns the new generation number.
-    pub(super) fn swap_snapshot(&self, path: &str) -> Result<u64, crate::swap::SwapError> {
-        self.server.swap_snapshot(path)
-    }
-
-    pub(super) fn read_timeout(&self) -> Duration {
-        self.config.read_timeout
-    }
-
-    pub(super) fn counters(&self) -> &NetCounters {
-        &self.counters
-    }
-
-    pub(super) fn shutdown_flag(&self) -> &AtomicBool {
-        &self.shutdown
-    }
-
-    pub(super) fn stats_document(&self) -> String {
-        stats_json(self)
-    }
-
-    /// The Prometheus text document for `GET /metrics`: the process-global
-    /// registry (build, graph, store instruments) plus this server's own
-    /// (query and wire instruments).
-    pub(super) fn metrics_document(&self) -> String {
-        prometheus::encode(&[
-            &dsketch_obs::global().snapshot(),
-            &self.server.registry().snapshot(),
-        ])
-    }
-
-    /// The most recent `n` sampled trace events, oldest first.
-    pub(super) fn trace_recent(&self, n: usize) -> Vec<String> {
-        self.server.tracer().recent(n)
-    }
 }

@@ -158,7 +158,9 @@ pub struct NetStats {
     /// HTTP requests parsed (the hand-rolled `GET /distance` + `GET /stats`
     /// endpoint).
     pub http_requests: u64,
-    /// Bytes read from sockets (frame headers + payloads + HTTP requests).
+    /// Bytes read from sockets: every byte any read returned, whether it
+    /// became a frame, an HTTP request head, or a sniff window or frame
+    /// the peer cut short.
     pub bytes_in: u64,
     /// Bytes written to sockets (frames + HTTP responses).
     pub bytes_out: u64,

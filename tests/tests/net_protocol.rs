@@ -274,8 +274,10 @@ fn truncations_at_every_length_get_typed_errors_or_clean_closes() {
         }
         .to_frame(),
     ];
+    let mut written = 0u64;
     for frame in &frames {
         for cut in 0..frame.len() {
+            written += cut as u64;
             match provoke(&addr, &frame[..cut], 3_000) {
                 Provoked::Closed => {}
                 Provoked::Reply(reply) => {
@@ -289,9 +291,40 @@ fn truncations_at_every_length_get_typed_errors_or_clean_closes() {
             }
         }
     }
+    // Every byte read from a socket is counted, a cut frame's and a cut
+    // sniff window's included.
+    assert_eq!(fixture.server.net_stats().bytes_in, written);
     fixture.assert_still_healthy();
     let stats = fixture.server.shutdown();
     assert_eq!(stats.net.connections_refused, 0);
+}
+
+/// A peer that sends fewer than the four bytes that select a protocol and
+/// then closes is closed at once — not held until the read deadline — and
+/// counted as a request cut short, not as a timeout.
+#[test]
+fn a_sniff_window_cut_short_closes_at_once_as_a_protocol_error() {
+    let fixture = Fixture::start();
+    let addr = fixture.addr();
+    let prefixes: [&[u8]; 6] = [b"N", b"NE", b"NET", b"G", b"GE", b"GET"];
+    for prefix in prefixes {
+        let started = Instant::now();
+        match provoke(&addr, prefix, 3_000) {
+            Provoked::Closed => {}
+            Provoked::Reply(reply) => panic!("{prefix:?}: unexpected reply {reply:?}"),
+        }
+        let closed_after = started.elapsed();
+        assert!(
+            closed_after < Duration::from_millis(250),
+            "{:?}: closed after {closed_after:?}, the 1.5 s read deadline is not the close",
+            String::from_utf8_lossy(prefix)
+        );
+    }
+    let stats = fixture.server.shutdown();
+    assert_eq!(stats.net.protocol_errors, prefixes.len() as u64, "{stats}");
+    assert_eq!(stats.net.timeouts, 0, "{stats}");
+    let written: usize = prefixes.iter().map(|p| p.len()).sum();
+    assert_eq!(stats.net.bytes_in, written as u64, "{stats}");
 }
 
 #[test]

@@ -191,13 +191,16 @@ fn e3_three_stretch_slack(quick: bool) -> ExperimentResult {
                 .build_sketches(&graph, &SchemeConfig::default().with_seed(9))
                 .unwrap();
             let sketches = &outcome.sketches;
-            let net = sketches.layers.iter().find_map(|layer| layer.net.as_ref());
+            // The one layer's one level is the net.
+            let hierarchy = &sketches.layers[0].hierarchy;
+            let members = hierarchy.level_members(0);
+            let net = DensityNet::from_members(hierarchy.num_nodes(), eps, members);
             let report = evaluate_oracle_with_slack(&graph, eps, sketches);
             table.push(vec![
                 spec.label(),
                 format!("{eps}"),
-                net.map_or(0, DensityNet::len).to_string(),
-                format!("{:.0}", net.map_or(0.0, DensityNet::size_bound)),
+                net.len().to_string(),
+                format!("{:.0}", net.size_bound()),
                 sketches.max_words().to_string(),
                 format!("{:.2}", report.far.worst),
                 format!("{:.2}", report.near.worst),

@@ -79,24 +79,29 @@
 //!
 //! ```text
 //! tz        := hierarchy · set
-//! 3stretch  := net · set                        (the labels' one level)
+//! 3stretch  := net · set                        (the hierarchy's one level, A_0)
 //! cdg       := params · hierarchy · set         (the net is the hierarchy's A_0)
 //! degrading := count · cdg × count
 //! hierarchy := k · probability · n · (level + 1) × n     (one varint a node)
+//! net       := n · ε · count · member × count   (u32 members, ascending)
 //! ```
 //!
-//! One function writes all four layouts and one reads them, filling each
-//! layer's columns:
+//! One `match` on the spec writes a layer's sampling and one reads it
+//! back; one function writes the label sets and one reads them, filling
+//! each layer's columns:
 //! [`StoredSketches::decode_payload`](crate::scheme::StoredSketches::decode_payload)
 //! returns the layers, [`crate::flat`] freezes them into the served form.
-//! Beyond each set's rows the reader holds a payload to what the sampling
-//! and the spec say together: a hierarchy of the spec's or the params' `k`,
-//! a 3-stretch net in range and sampled for the spec's ε, the degrading
-//! layers' count and schedule, the spec's CDG params and layer cap.  The
-//! same layout tells a build what each layer keeps (`keep_stored`), so a
-//! built set equals the decode of its own bytes.  A build's run cost is not
-//! in the payload: the container's `STAT` section and the `dsketch-obs`
-//! registry hold it.
+//! A 3-stretch layer's hierarchy is one level, its density net, so the
+//! payload writes that net — `A_0` at the spec's ε — and the reader turns
+//! it back into the one-level hierarchy the sampler draws: members
+//! strictly ascending and below `n`, no more nodes than bytes remain, ε
+//! the spec's.  Beyond each set's rows the reader holds a payload to what
+//! the sampling and the spec say together: a hierarchy of the spec's or
+//! the params' `k`, the degrading layers' count and schedule, the spec's
+//! CDG params and layer cap.  A layer holds exactly what its payload
+//! stores, so a built set equals the decode of its own bytes.  A build's
+//! run cost is not in the payload: the container's `STAT` section and the
+//! `dsketch-obs` registry hold it.
 //!
 //! # Stability rules
 //!
@@ -170,8 +175,7 @@ pub enum CodecError {
     /// ([`Layer::check_invariants`]): whose, where and how.  Format 4 has
     /// no pivot bytes, so only labels in memory can break it.
     PivotRow(String),
-    /// A label set disagrees with the sampling it is written against: its
-    /// hierarchy, or the density net a 3-stretch set is one level over.
+    /// A label set disagrees with the hierarchy it is written against.
     HierarchyContract(String),
     /// A layer's parameters disagree with the layer before it, or with the
     /// scheme spec the payload is read against.
@@ -619,11 +623,10 @@ struct Sampling {
 }
 
 impl Sampling {
-    /// The sampling `levels` (per node its highest level, `-1` for none,
-    /// each below `k`) is, `k` levels deep.
-    fn new(k: usize, levels: &[i32]) -> Sampling {
+    /// `hierarchy` as the sampling labels over it are written against.
+    fn of(hierarchy: &Hierarchy) -> Sampling {
         let mut members: Vec<Vec<NodeId>> = Vec::new();
-        let slots = (0..).zip(levels).map(|(node, &level)| {
+        let slots = (0..).zip(hierarchy.levels()).map(|(node, &level)| {
             let Ok(at) = usize::try_from(level) else {
                 return (level, 0);
             };
@@ -634,18 +637,8 @@ impl Sampling {
             members[at].push(NodeId(node));
             (level, rank)
         });
-        let slots = slots.collect();
+        let (k, slots) = (hierarchy.k(), slots.collect());
         Sampling { k, slots, members }
-    }
-
-    /// `layer`'s sampling: its hierarchy, or the one level its density net
-    /// is (3-stretch); none for a layer with neither.
-    fn of(layer: &Layer) -> Option<Sampling> {
-        match (&layer.hierarchy, &layer.net) {
-            (Some(hierarchy), _) => Some(Sampling::new(hierarchy.k(), hierarchy.levels())),
-            (None, Some(net)) => Some(Sampling::new(1, &net_levels(net))),
-            (None, None) => None,
-        }
     }
 
     /// Nodes the sampling covers.
@@ -1172,9 +1165,8 @@ impl Layer {
     /// own bytes:
     ///
     /// * the set's structural invariants ([`SketchSet::check_invariants`]);
-    /// * a sampling — a hierarchy, or the density net a 3-stretch set is one
-    ///   level over — that covers the set's nodes;
-    /// * every label the sampling's `k` levels deep;
+    /// * a hierarchy that covers the set's nodes;
+    /// * every label the hierarchy's `k` levels deep;
     /// * every member a label holds one of the nodes, in `A_0`;
     /// * every pivot row the one its members determine — the derivation
     ///   the decoder fills rows from: `p_i(u)` the least
@@ -1196,17 +1188,11 @@ impl Layer {
     /// slack family checks.
     pub(crate) fn check_sampling(&self) -> Result<(), CodecError> {
         let set = &self.sketches;
-        let Some(sampling) = Sampling::of(self) else {
-            let message = "the layer has no sampling: no hierarchy and no density net";
-            return Err(CodecError::HierarchyContract(message.to_string()));
-        };
-        let what = match self.hierarchy {
-            Some(_) => "hierarchy",
-            None => "density net",
-        };
+        let sampling = Sampling::of(&self.hierarchy);
         let (covers, nodes) = (sampling.nodes(), set.len());
         if covers != nodes {
-            let message = format!("the {what} covers {covers} nodes but the labels cover {nodes}");
+            let message =
+                format!("the hierarchy covers {covers} nodes but the labels cover {nodes}");
             return Err(CodecError::invalid("Hierarchy", message));
         }
         let mut nearest = Vec::new();
@@ -1214,7 +1200,7 @@ impl Layer {
             let owner = label.owner;
             if label.k() != sampling.k {
                 let message = format!(
-                    "label of {owner} has k = {} but the {what} has {}",
+                    "label of {owner} has k = {} but the hierarchy has {}",
                     label.k(),
                     sampling.k
                 );
@@ -1234,8 +1220,8 @@ impl Layer {
                 let Some(nearest) = usize::try_from(level).ok().and_then(|l| nearest.get_mut(l))
                 else {
                     return Err(CodecError::HierarchyContract(format!(
-                        "the label of {owner} holds {member}, which the {what} samples to no \
-                         level (outside A_0)"
+                        "the label of {owner} holds {member}, which the hierarchy samples to \
+                         no level (outside A_0)"
                     )));
                 };
                 *nearest = (*nearest).min(DistKey::new(distance, member));
@@ -1265,18 +1251,6 @@ fn show_pivot((pivot, distance): (NodeId, Distance)) -> String {
     }
 }
 
-/// The levels a density net is as a one-level hierarchy: `0` for a member
-/// (those in range), `-1` for the rest of its nodes.
-fn net_levels(net: &DensityNet) -> Vec<i32> {
-    let mut levels = vec![-1; net.num_nodes()];
-    for member in net.members() {
-        if let Some(level) = levels.get_mut(member.index()) {
-            *level = 0;
-        }
-    }
-    levels
-}
-
 /// `set` with `top` as its table: borrowed as it is where the table
 /// already is (every engine builds it so), otherwise — labels assembled by
 /// hand — re-split.
@@ -1291,9 +1265,8 @@ fn canonical<'a>(set: &'a SketchSet, top: &[NodeId]) -> Cow<'a, SketchSet> {
 /// What `layer`'s table holds: its sampling's top level, against its bunch
 /// entries.
 pub(crate) fn table_shape(layer: &Layer) -> TableShape {
-    let sampling = Sampling::of(layer);
-    let top = sampling.as_ref().map_or(&[][..], Sampling::top);
-    canonical(&layer.sketches, top).table_shape()
+    let sampling = Sampling::of(&layer.hierarchy);
+    canonical(&layer.sketches, sampling.top()).table_shape()
 }
 
 /// Most layers a set may have: one bit of a served row's layer mask each
@@ -1322,45 +1295,6 @@ pub(crate) fn check_covers(index: usize, covers: usize, first: usize) -> Result<
     ))
 }
 
-/// A part of a layer's sampling, written before its label set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Part {
-    Params,
-    Net,
-    Hierarchy,
-}
-
-/// The layout of `spec`'s family payload (see "Family payloads" in the
-/// [module docs](self)): the parts of a layer before its label set, and
-/// whether the payload is a count of such layers (degrading) rather than
-/// one layer.
-fn layout(spec: &SchemeSpec) -> (&'static [Part], bool) {
-    use Part::{Hierarchy, Net, Params};
-    const CDG: &[Part] = &[Params, Hierarchy];
-    match spec {
-        SchemeSpec::ThorupZwick { .. } => (&[Hierarchy], false),
-        SchemeSpec::ThreeStretch { .. } => (&[Net], false),
-        SchemeSpec::Cdg { .. } => (CDG, false),
-        SchemeSpec::Degrading { .. } => (CDG, true),
-    }
-}
-
-/// Drop from a freshly built `layer` what `spec`'s payload does not store —
-/// a 3-stretch layer's one-level hierarchy and params, a Thorup–Zwick
-/// layer's net — so the layer equals the decode of its own bytes.  A CDG
-/// layer keeps its net, which the reader derives: the hierarchy's `A_0`,
-/// sampled for the params' ε.
-pub(crate) fn keep_stored(spec: &SchemeSpec, layer: &mut Layer) {
-    let (parts, _) = layout(spec);
-    let stores = |part| parts.contains(&part);
-    layer.params = layer.params.filter(|_| stores(Part::Params));
-    layer.net = layer
-        .net
-        .take()
-        .filter(|_| stores(Part::Net) || stores(Part::Params));
-    layer.hierarchy = layer.hierarchy.take().filter(|_| stores(Part::Hierarchy));
-}
-
 /// One layer's share of a family payload, by part: what `dsketch-store
 /// inspect` prints, so a format change reads its numbers from the tool.
 /// The parts of a payload's layers add up to the payload.
@@ -1384,33 +1318,42 @@ impl LayerBytes {
     }
 }
 
-/// Write one sampling part of `layer` (nothing for a part the layer lacks).
-fn put_part(layer: &Layer, part: Part, sink: &mut impl Sink) {
-    match part {
-        Part::Params => layer.params.iter().for_each(|params| sink.value(params)),
-        Part::Net => layer.net.iter().for_each(|net| sink.value(net)),
-        Part::Hierarchy => layer.hierarchy.iter().for_each(|h| sink.value(h)),
+/// Write `layer`'s sampling as `spec`'s payload stores it (see "Family
+/// payloads" in the [module docs](self)): a 3-stretch layer's one level as
+/// its density net, at the spec's ε; otherwise the hierarchy, after the
+/// params of a CDG or degrading layer.
+fn put_sampling(spec: &SchemeSpec, layer: &Layer, sink: &mut impl Sink) {
+    let hierarchy = &layer.hierarchy;
+    match *spec {
+        SchemeSpec::ThorupZwick { .. } => sink.value(hierarchy),
+        SchemeSpec::ThreeStretch { eps } => {
+            let members = hierarchy.level_members(0);
+            let net = DensityNet::from_members(hierarchy.num_nodes(), eps, members);
+            sink.value(&net);
+        }
+        SchemeSpec::Cdg { .. } | SchemeSpec::Degrading { .. } => {
+            layer.params.iter().for_each(|params| sink.value(params));
+            sink.value(hierarchy);
+        }
     }
 }
 
 /// The one writer of the family layouts: `stored`'s layers in its spec's
 /// layout into `sink`, and each layer's bytes by part.  A layer's label set
-/// is written against its sampling, with its top level as the table
-/// ([`canonical`]); a layer with no sampling has no label bytes.
+/// is written against its hierarchy, with its top level as the table
+/// ([`canonical`]).
 fn put_family(stored: &StoredSketches, sink: &mut impl Sink) -> Vec<LayerBytes> {
-    let (parts, counted) = layout(&stored.spec);
     let mut start = sink.len();
-    if counted {
+    if let SchemeSpec::Degrading { .. } = stored.spec {
         sink.usize(stored.layers.len());
     }
     let mut split = Vec::with_capacity(stored.layers.len());
     for layer in &stored.layers {
-        parts.iter().for_each(|&part| put_part(layer, part, sink));
+        put_sampling(&stored.spec, layer, sink);
         let sampling = sink.len() - start;
-        let (runs, cells) = match Sampling::of(layer) {
-            Some(over) => set_varints(&canonical(&layer.sketches, over.top()), &over, sink),
-            None => (0, 0),
-        };
+        let over = Sampling::of(&layer.hierarchy);
+        let set = canonical(&layer.sketches, over.top());
+        let (runs, cells) = set_varints(&set, &over, sink);
         split.push(LayerBytes {
             sampling,
             runs,
@@ -1442,55 +1385,39 @@ pub(crate) fn layer_bytes(stored: &StoredSketches) -> Vec<LayerBytes> {
     put_family(stored, &mut Measure::default())
 }
 
-/// Decode one part into `layer`.
-fn read_part(layer: &mut Layer, part: Part, input: &mut Decoder<'_>) -> Result<(), CodecError> {
-    match part {
-        Part::Params => layer.params = Some(CdgParams::decode(input)?),
-        Part::Net => layer.net = Some(DensityNet::decode(input)?),
-        Part::Hierarchy => layer.hierarchy = Some(Hierarchy::decode(input)?),
-    }
-    Ok(())
-}
-
-/// Read one layer — its sampling `parts`, then the label set written
-/// against it — and hold the sampling to what the labels are read at: a
-/// hierarchy of `k` levels (the spec's; a CDG layer's params say
-/// otherwise), a density net whose members are its nodes, `n` rows of `k`
-/// bytes at least in the bytes that remain.  A CDG layer's net is its
-/// hierarchy's `A_0`, sampled for its params' ε.
-fn read_layer(input: &mut Decoder<'_>, parts: &[Part], k: usize) -> Result<Layer, CodecError> {
-    let mut layer = Layer {
-        sketches: SketchSet::new(),
-        hierarchy: None,
-        net: None,
-        params: None,
-    };
-    for &part in parts {
-        read_part(&mut layer, part, input)?;
-    }
-    let k = layer.params.map_or(k, |params| params.k);
-    let nodes = match (&layer.hierarchy, &layer.net) {
-        (Some(hierarchy), _) => {
-            if hierarchy.k() != k {
-                let message = format!(
-                    "labels have k = {k} but the hierarchy has {}",
-                    hierarchy.k()
-                );
-                return Err(CodecError::HierarchyContract(message));
+/// Read one layer — its sampling as `spec`'s payload stores it, then the
+/// label set written against it — holding the sampling to the spec (a CDG
+/// layer's params are the spec's, a 3-stretch net is sampled for its ε)
+/// and the hierarchy to what the labels are read at: `k` levels (the
+/// spec's, a degrading layer's params', one for a 3-stretch net), `n` rows
+/// of `k` bytes at least in the bytes that remain.
+fn read_layer(spec: &SchemeSpec, input: &mut Decoder<'_>) -> Result<Layer, CodecError> {
+    let (hierarchy, params, k) = match *spec {
+        SchemeSpec::ThorupZwick { k } => (Hierarchy::decode(input)?, None, k),
+        SchemeSpec::ThreeStretch { eps } => (read_net(input, eps)?, None, 1),
+        SchemeSpec::Cdg { eps, k } => {
+            let params = CdgParams::decode(input)?;
+            if params.eps != eps || params.k != k {
+                return Err(CodecError::LayerContract(format!(
+                    "stored CdgParams (eps = {}, k = {}) but the spec says (eps = {eps}, k = {k})",
+                    params.eps, params.k
+                )));
             }
-            if let Some(params) = layer.params {
-                let ground = hierarchy.level_members(0);
-                let net = DensityNet::from_members(hierarchy.num_nodes(), params.eps, ground);
-                layer.net = Some(net);
-            }
-            hierarchy.num_nodes()
+            (Hierarchy::decode(input)?, Some(params), k)
         }
-        (None, Some(net)) => {
-            check_net(net)?;
-            net.num_nodes()
+        SchemeSpec::Degrading { .. } => {
+            let params = CdgParams::decode(input)?;
+            (Hierarchy::decode(input)?, Some(params), params.k)
         }
-        (None, None) => 0,
     };
+    if hierarchy.k() != k {
+        let message = format!(
+            "labels have k = {k} but the hierarchy has {}",
+            hierarchy.k()
+        );
+        return Err(CodecError::HierarchyContract(message));
+    }
+    let nodes = hierarchy.num_nodes();
     if u32::try_from(nodes).is_err() {
         let message = format!("{nodes} nodes exceed the u32 id range");
         return Err(CodecError::invalid("SketchSet length", message));
@@ -1503,63 +1430,90 @@ fn read_layer(input: &mut Decoder<'_>, parts: &[Part], k: usize) -> Result<Layer
             remaining: input.remaining(),
         });
     }
-    if let Some(sampling) = Sampling::of(&layer) {
-        layer.sketches = read_labels(input, &sampling)?;
-    }
-    Ok(layer)
+    let sketches = read_labels(input, &Sampling::of(&hierarchy))?;
+    Ok(Layer {
+        sketches,
+        hierarchy,
+        params,
+    })
 }
 
-/// A density net's members are among its nodes.
-fn check_net(net: &DensityNet) -> Result<(), CodecError> {
-    let covers = net.num_nodes();
-    match net.members().iter().find(|m| m.index() >= covers) {
-        Some(member) => Err(CodecError::invalid(
-            "DensityNet",
-            format!("net member {member} out of range for {covers} nodes"),
-        )),
-        None => Ok(()),
+/// Read a 3-stretch layer's density net as the one-level hierarchy the
+/// sampler builds over it: `A_0` the net, probability
+/// `CdgParams::new(eps, 1).level_probability(n)`, which is `0`.  A net no
+/// sampling for the spec's `eps` writes is refused: more nodes than bytes
+/// remain (a row is a byte at least; checked before anything is sized by
+/// the count), another ε, members not strictly ascending or not among the
+/// nodes.
+fn read_net(input: &mut Decoder<'_>, eps: f64) -> Result<Hierarchy, CodecError> {
+    let net = DensityNet::decode(input)?;
+    let nodes = input.bounded(net.num_nodes(), 1, "DensityNet.num_nodes")?;
+    if !net.sampled_for(eps) {
+        return Err(CodecError::LayerContract(format!(
+            "the density net was sampled for eps = {} but the spec says {eps}",
+            net.eps()
+        )));
     }
+    let invalid = |message| Err(CodecError::invalid("DensityNet", message));
+    let mut levels = vec![-1; nodes];
+    // The least index the next member may have.
+    let mut floor = 0;
+    for &member in net.members() {
+        let at = member.index();
+        if at >= nodes {
+            return invalid(format!(
+                "net member {member} out of range for {nodes} nodes"
+            ));
+        }
+        if at < floor {
+            return invalid(format!(
+                "net member {member} is not above the member before it"
+            ));
+        }
+        levels[at] = 0;
+        floor = at + 1;
+    }
+    let probability = CdgParams::new(eps, 1).level_probability(nodes);
+    Hierarchy::from_parts(levels, 1, probability)
+        .map_err(|e| CodecError::invalid("DensityNet", e.to_string()))
 }
 
 /// Read the family payload of `spec`'s scheme at `input` — the one reader
 /// of the four family layouts, which both ingresses (the layers and the
 /// frozen set) drive, so the two accept the same bytes and refuse the rest
 /// with the same [`CodecError`].  Beyond each layer (`read_layer`) it
-/// checks the degrading layers' count ([`MAX_LAYERS`]) and schedule, and
-/// that the payload is the one `spec` names: its ε, its CDG params, at most
-/// its layer cap — and, Thorup–Zwick's hierarchy read at its `k`.
+/// checks the degrading layers' count — [`MAX_LAYERS`] and the spec's cap
+/// at most — and their schedule.
 pub(crate) fn read_family(
     spec: &SchemeSpec,
     input: &mut Decoder<'_>,
 ) -> Result<StoredSketches, CodecError> {
-    let (parts, counted) = layout(spec);
-    // The level count the spec fixes; a CDG layer's params fix their own.
-    let k = match *spec {
-        SchemeSpec::ThorupZwick { k } => k,
-        _ => 1,
-    };
     // A degrading layer is at least params (24) + hierarchy (24) + label
     // set (1).
-    let count = if counted {
-        input.len_prefix(49, "degrading layers length")?
-    } else {
-        1
+    let (count, cap) = match *spec {
+        SchemeSpec::Degrading { max_layers, .. } => {
+            (input.len_prefix(49, "degrading layers length")?, max_layers)
+        }
+        _ => (1, None),
     };
     check_layer_count(count)?;
+    if let Some(cap) = cap.filter(|&cap| count > cap) {
+        return Err(CodecError::LayerContract(format!(
+            "{count} layers exceed the spec's max_layers = {cap}"
+        )));
+    }
     let mut layers: Vec<Layer> = Vec::with_capacity(count);
     for index in 0..count {
-        let layer = read_layer(input, parts, k)?;
+        let layer = read_layer(spec, input)?;
         if let Some(previous) = layers.last() {
             check_schedule(index, previous, &layer)?;
         }
         layers.push(layer);
     }
-    let stored = StoredSketches {
+    Ok(StoredSketches {
         spec: *spec,
         layers,
-    };
-    check_spec(&stored)?;
-    Ok(stored)
+    })
 }
 
 /// The gracefully degrading layers: all over one node count (every query
@@ -1567,7 +1521,7 @@ pub(crate) fn read_family(
 /// trade-off of Theorem 4.8.  `layer` is layer `index`, read after
 /// `previous`.
 fn check_schedule(index: usize, previous: &Layer, layer: &Layer) -> Result<(), CodecError> {
-    let nodes = |layer: &Layer| layer.net.as_ref().map_or(0, DensityNet::num_nodes);
+    let nodes = |layer: &Layer| layer.hierarchy.num_nodes();
     check_covers(index, nodes(layer), nodes(previous))?;
     let (Some(p0), Some(p1)) = (previous.params, layer.params) else {
         return Ok(());
@@ -1585,38 +1539,6 @@ fn check_schedule(index: usize, previous: &Layer, layer: &Layer) -> Result<(), C
     Err(CodecError::LayerContract(format!(
         "layer {index}: {broken}"
     )))
-}
-
-/// The payload is the one its spec names: a 3-stretch net was sampled for
-/// the spec's ε, CDG params are the spec's, and a degrading set has at
-/// most the spec's layer cap.  (A Thorup–Zwick set is read at the spec's
-/// `k`, and its hierarchy held to the labels'.)
-fn check_spec(stored: &StoredSketches) -> Result<(), CodecError> {
-    let unlike = |message: String| Err(CodecError::LayerContract(message));
-    let (first, count) = (stored.layers.first(), stored.layers.len());
-    match (stored.spec, first) {
-        (SchemeSpec::ThreeStretch { eps }, Some(layer)) => match &layer.net {
-            Some(net) if !net.sampled_for(eps) => unlike(format!(
-                "the density net was sampled for eps = {} but the spec says {eps}",
-                net.eps()
-            )),
-            _ => Ok(()),
-        },
-        (SchemeSpec::Cdg { eps, k }, Some(layer)) => match layer.params {
-            Some(p) if p.eps != eps || p.k != k => unlike(format!(
-                "stored CdgParams (eps = {}, k = {}) but the spec says (eps = {eps}, k = {k})",
-                p.eps, p.k
-            )),
-            _ => Ok(()),
-        },
-        (SchemeSpec::Degrading { max_layers, .. }, _) => match max_layers {
-            Some(cap) if count > cap => unlike(format!(
-                "{count} layers exceed the spec's max_layers = {cap}"
-            )),
-            _ => Ok(()),
-        },
-        _ => Ok(()),
-    }
 }
 
 #[cfg(test)]
@@ -1660,22 +1582,17 @@ mod tests {
         ]
     }
 
-    /// `hierarchy` as the sampling a set is written against.
-    fn sampling(hierarchy: &Hierarchy) -> Sampling {
-        Sampling::new(hierarchy.k(), hierarchy.levels())
-    }
-
     /// `set`'s label-set bytes against `hierarchy`, with the table it has.
     fn set_bytes(set: &SketchSet, hierarchy: &Hierarchy) -> Vec<u8> {
         let mut out = Encoder::new();
-        set_varints(set, &sampling(hierarchy), &mut out);
+        set_varints(set, &Sampling::of(hierarchy), &mut out);
         out.into_bytes()
     }
 
     /// The label set `bytes` hold against `hierarchy`, and nothing else.
     fn read_set(bytes: &[u8], hierarchy: &Hierarchy) -> Result<SketchSet, CodecError> {
         let mut input = Decoder::new(bytes);
-        let set = read_labels(&mut input, &sampling(hierarchy))?;
+        let set = read_labels(&mut input, &Sampling::of(hierarchy))?;
         input.finish()?;
         Ok(set)
     }
@@ -1775,12 +1692,11 @@ mod tests {
         // the set in memory has.
         let layer = Layer {
             sketches: sparse,
-            hierarchy: Some(toy_hierarchy()),
-            net: None,
+            hierarchy: toy_hierarchy(),
             params: None,
         };
         assert_eq!(layer.check_invariants(), Ok(()));
-        let top = Sampling::of(&layer).unwrap().top().to_vec();
+        let top = Sampling::of(&layer.hierarchy).top().to_vec();
         assert_eq!(canonical(&layer.sketches, &top).table_nodes, [NodeId(2)]);
         let shape = table_shape(&layer);
         assert_eq!((shape.landmarks, shape.cells, shape.entries), (1, 3, 7));
@@ -1793,6 +1709,28 @@ mod tests {
         assert_eq!(split[0].sampling, Hierarchy::encoded_len(&toy_hierarchy()));
         assert_eq!((split[0].runs, split[0].cells), (12, 6));
         assert_eq!(split[0].total(), bytes.len());
+        assert_eq!(
+            StoredSketches::decode_payload(&stored.spec, &bytes),
+            Ok(stored)
+        );
+    }
+
+    /// A hand-built hierarchy's probability is NaN, and it still equals
+    /// itself, so a layer over one equals the decode of its own bytes.
+    #[test]
+    fn a_hand_built_layer_equals_its_own_decode() {
+        let hierarchy = Hierarchy::from_levels(vec![0, 0, 1], 2).unwrap();
+        assert!(hierarchy.probability().is_nan());
+        assert_eq!(hierarchy, hierarchy.clone());
+        let stored = StoredSketches {
+            spec: SchemeSpec::thorup_zwick(2),
+            layers: vec![Layer {
+                sketches: toy_set(),
+                hierarchy,
+                params: None,
+            }],
+        };
+        let bytes = stored.encode_payload();
         assert_eq!(
             StoredSketches::decode_payload(&stored.spec, &bytes),
             Ok(stored)
@@ -1965,7 +1903,7 @@ mod tests {
     #[test]
     fn a_table_is_at_most_n_ascending_landmarks_and_owns_its_entries() {
         let hierarchy = Hierarchy::from_parts(vec![1, 0, 1, 0], 2, 0.5).unwrap();
-        assert_eq!(sampling(&hierarchy).top(), [NodeId(0), NodeId(2)]);
+        assert_eq!(Sampling::of(&hierarchy).top(), [NodeId(0), NodeId(2)]);
         // Node 1's label, sparse throughout: v0 and v2 are the table's.
         let mut sparse = SketchSet::new();
         let rows: [(&[_], &[_]); 4] = [
@@ -1986,7 +1924,7 @@ mod tests {
         for (pivots, bunch) in rows {
             sparse.push_label(pivots, bunch).unwrap();
         }
-        let top = sampling(&hierarchy).top().to_vec();
+        let top = Sampling::of(&hierarchy).top().to_vec();
         let bytes = set_bytes(&canonical(&sparse, &top), &hierarchy);
         let read = read_set(&bytes, &hierarchy).unwrap();
         assert_eq!(read, sparse);
@@ -2136,16 +2074,13 @@ mod tests {
                 .unwrap_err()
                 .to_string()
         };
-        /// The layer's ε, and its net re-stamped with it.
+        /// The layer's ε, re-stamped first if `eps` names one.
         fn eps(layer: &mut Layer, eps: Option<f64>) -> f64 {
             let params = layer.params.as_mut().unwrap();
             if let Some(eps) = eps {
                 params.eps = eps;
-                let net = layer.net.as_ref().unwrap();
-                let members = net.members().to_vec();
-                layer.net = Some(DensityNet::from_members(net.num_nodes(), eps, members));
             }
-            layer.params.unwrap().eps
+            params.eps
         }
         for (what, err) in [
             (
@@ -2178,13 +2113,9 @@ mod tests {
         let err = decode(&built, &capped).unwrap_err();
         assert!(matches!(err, CodecError::LayerContract(_)), "{err}");
 
-        // A layer's net is its hierarchy's A_0 at its params' ε: the bytes
-        // hold no other, and the decode is the built layer's.
+        // The decode is the built layers: hierarchy, params and labels.
         let decoded = StoredSketches::decode_payload(&spec, &built.encode_payload()).unwrap();
         assert_eq!(decoded, built);
-        let net = decoded.layers[1].net.as_ref().unwrap();
-        let hierarchy = decoded.layers[1].hierarchy.as_ref().unwrap();
-        assert_eq!(net.members(), hierarchy.level_members(0));
     }
 
     #[test]

@@ -742,8 +742,7 @@ mod tests {
         }
         let layer = Layer {
             sketches: set.clone(),
-            hierarchy: Some(crate::hierarchy::Hierarchy::from_levels(levels, k).unwrap()),
-            net: None,
+            hierarchy: crate::hierarchy::Hierarchy::from_levels(levels, k).unwrap(),
             params: None,
         };
         StoredSketches {
@@ -887,7 +886,7 @@ mod tests {
         // Owners, ids and bunch order are structural on the wire; what a
         // hostile payload can still say is a rank past its level's members,
         // and both ingresses refuse it alike.
-        let hierarchy = tz.layers[0].hierarchy.as_ref().unwrap();
+        let hierarchy = &tz.layers[0].hierarchy;
         let mut out = crate::codec::Encoder::new();
         crate::codec::SketchCodec::encode(hierarchy, &mut out);
         // One sparse entry; row 0's level-0 run holds it, at the rank one

@@ -63,7 +63,7 @@ impl TzParams {
 }
 
 /// The sampled hierarchy: for every node, the highest level it belongs to.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Hierarchy {
     /// `level[v]` is the largest `i` with `v ∈ A_i`, or `-1` if `v` is not
     /// even in `A_0` (possible when the ground set is a strict subset of V,
@@ -73,6 +73,15 @@ pub struct Hierarchy {
     k: usize,
     /// The sampling probability used between consecutive levels.
     probability: f64,
+}
+
+/// Equal levels, `k` and probability bits: a hand-built hierarchy's NaN
+/// probability equals itself, so a layer over one equals its own decode.
+impl PartialEq for Hierarchy {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.level, self.k, self.probability.to_bits())
+            == (&other.level, other.k, other.probability.to_bits())
+    }
 }
 
 impl Hierarchy {

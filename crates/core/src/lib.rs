@@ -69,9 +69,10 @@
 //! assert!(slack.sketches.estimate(NodeId(0), NodeId(40)).unwrap() >= exact);
 //! ```
 //!
-//! Code that needs what a build sampled — the hierarchy or density net of
-//! each layer — builds with [`SchemeSpec::build_sketches`], whose
-//! [`StoredSketches`] are the spec plus a list of [`Layer`]s:
+//! Code that needs what a build sampled — the hierarchy each layer's labels
+//! are over, whose `A_0` is the density net of a slack family — builds with
+//! [`SchemeSpec::build_sketches`], whose [`StoredSketches`] are the spec
+//! plus a list of [`Layer`]s:
 //!
 //! ```
 //! use dsketch::prelude::*;
@@ -81,8 +82,8 @@
 //! let outcome = SchemeSpec::three_stretch(0.3)
 //!     .build_sketches(&graph, &SchemeConfig::default().with_seed(9))
 //!     .unwrap();
-//! for net in outcome.sketches.layers.iter().filter_map(|l| l.net.as_ref()) {
-//!     println!("{} monitors sampled", net.len());
+//! for layer in &outcome.sketches.layers {
+//!     println!("{} monitors sampled", layer.hierarchy.level_members(0).len());
 //! }
 //! ```
 //!
@@ -90,7 +91,7 @@
 //!
 //! * [`scheme`] — the unified construction API: `SchemeSpec`,
 //!   `SchemeConfig`, and the `StoredSketches` they build — the spec plus
-//!   its layers, each a label set with the sampling it was built from.
+//!   its layers, each a label set over the hierarchy it was built on.
 //! * [`oracle`] — the unified query API: `DistanceOracle`.
 //! * [`hierarchy`] — the sampled level hierarchy `A_0 ⊇ A_1 ⊇ … ⊇ A_{k-1}`
 //!   every family's labels are built over, by either engine.

@@ -169,11 +169,13 @@ impl DistanceOracle for Box<dyn DistanceOracle> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hierarchy::Hierarchy;
     use crate::scheme::{Layer, SchemeSpec, StoredSketches};
     use crate::sketch::SketchSet;
 
-    /// A two-node Thorup–Zwick set with `k = 2`, served by the per-node
-    /// reference oracle.
+    /// A two-node Thorup–Zwick set with `k = 2` over the hierarchy its
+    /// pivots say (v1 the top level), served by the per-node reference
+    /// oracle.
     fn tiny_set() -> StoredSketches {
         let mut labels = SketchSet::new();
         labels
@@ -192,8 +194,7 @@ mod tests {
             spec: SchemeSpec::thorup_zwick(2),
             layers: vec![Layer {
                 sketches: labels,
-                hierarchy: None,
-                net: None,
+                hierarchy: Hierarchy::from_levels(vec![0, 1], 2).unwrap(),
                 params: None,
             }],
         }

@@ -10,8 +10,8 @@
 //! [`BuildOutcome`]: the sketches plus the shared round/message/word
 //! statistics.  [`SchemeSpec::build_sketches`] is the one place that does
 //! this; it returns the [`StoredSketches`] — the spec plus its layers, each
-//! a label set with what its payload keeps of the sampling: what a snapshot
-//! persists.
+//! a label set over the hierarchy it was sampled from: what a snapshot
+//! persists, as it was built.
 //! [`SchemeSpec::build`] hands back the same build
 //! [frozen](StoredSketches::freeze) into a `Box<dyn DistanceOracle>` over the
 //! [`FlatSketchSet`](crate::flat::FlatSketchSet) — the one representation
@@ -39,9 +39,7 @@
 //! ```
 
 use crate::build;
-use crate::codec::{
-    keep_stored, layer_bytes, read_family, write_family, CodecError, Decoder, LayerBytes,
-};
+use crate::codec::{layer_bytes, read_family, write_family, CodecError, Decoder, LayerBytes};
 use crate::distributed::{self, SyncMode};
 use crate::error::SketchError;
 use crate::hierarchy::{Hierarchy, TzParams};
@@ -50,7 +48,6 @@ use crate::query::{estimate_distance, estimate_distance_best_common};
 use crate::sketch::{Label, SketchSet};
 use crate::slack::cdg::{self, CdgParams};
 use crate::slack::degrading::DegradingParams;
-use crate::slack::density_net::DensityNet;
 use congest_sim::{CongestConfig, RunStats};
 use netgraph::{Distance, Graph, NodeId, INFINITY};
 
@@ -199,24 +196,23 @@ pub struct BuildOutcome<O> {
 /// freeze into.
 pub type DynBuildOutcome = BuildOutcome<Box<dyn DistanceOracle>>;
 
-/// One layer of labels: a label set plus the sampling it was built from.
+/// One layer of labels: Thorup–Zwick labels over the hierarchy they were
+/// built on.
 ///
-/// Every family is Thorup–Zwick labels over a sampled hierarchy, and a
-/// layer keeps what its family's payload stores of that sampling: the
-/// hierarchy over all nodes (Thorup–Zwick), the density net the labels are
-/// one level over (3-stretch, Theorem 4.3 — CDG at `k = 1`, whose
-/// one-level hierarchy the net already is), or the net with the hierarchy
-/// restricted to it and the parameters it was sampled with (CDG, Lemma
-/// 4.5; each gracefully degrading layer).
+/// The hierarchy is over all nodes (Thorup–Zwick) or restricted to an
+/// ε-density net, its `A_0` (Lemma 4.5: CDG and each gracefully degrading
+/// layer; 3-stretch, Theorem 4.3, is CDG at `k = 1`, the net alone).  A
+/// layer is what its payload stores, so a built layer equals the decode
+/// of its own bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Layer {
     /// The per-node labels.
     pub sketches: SketchSet,
-    /// The sampled level hierarchy (Thorup–Zwick, CDG).
-    pub hierarchy: Option<Hierarchy>,
-    /// The sampled ε-density net (3-stretch, CDG).
-    pub net: Option<DensityNet>,
-    /// The parameters the net and hierarchy were sampled with (CDG).
+    /// The sampled level hierarchy; a net-restricted layer's net is
+    /// `hierarchy.level_members(0)`.
+    pub hierarchy: Hierarchy,
+    /// The parameters the net and hierarchy were sampled with: CDG and
+    /// degrading layers only, the ones whose payload stores them.
     pub params: Option<CdgParams>,
 }
 
@@ -352,19 +348,14 @@ pub enum SchemeSpec {
     },
 }
 
-/// What one layer is built from: the hierarchy its labels are Thorup–Zwick
-/// labels over and, for a net-restricted layer, the density net and the
-/// parameters both were sampled with.
-type Sampled = (Hierarchy, Option<(DensityNet, CdgParams)>);
-
-/// Build every `sampled` layer of `spec` on the engine `config` selects —
-/// the CONGEST simulation or the direct parallel engine, identical labels
-/// either way — and sum the layers' costs.  Each layer keeps what `spec`'s
-/// payload stores.
+/// Build every `sampled` layer of `spec` — a hierarchy, and a CDG or
+/// degrading layer's params — on the engine `config` selects, the CONGEST
+/// simulation or the direct parallel engine, identical labels either way,
+/// and sum the layers' costs.
 fn build_layers(
     spec: &SchemeSpec,
     graph: &Graph,
-    sampled: Vec<Sampled>,
+    sampled: Vec<(Hierarchy, Option<CdgParams>)>,
     config: &SchemeConfig,
 ) -> Result<BuildOutcome<StoredSketches>, SketchError> {
     let mut outcome = BuildOutcome {
@@ -374,7 +365,7 @@ fn build_layers(
         },
         stats: RunStats::default(),
     };
-    for (hierarchy, restricted) in sampled {
+    for (hierarchy, params) in sampled {
         let (sketches, stats) = match config.engine {
             BuildEngine::Congest => distributed::build_with_hierarchy(graph, &hierarchy, config)?,
             BuildEngine::Parallel => (
@@ -383,15 +374,11 @@ fn build_layers(
             ),
         };
         outcome.stats.absorb(&stats);
-        let (net, params) = restricted.unzip();
-        let mut layer = Layer {
+        outcome.sketches.layers.push(Layer {
             sketches,
-            hierarchy: Some(hierarchy),
-            net,
+            hierarchy,
             params,
-        };
-        keep_stored(spec, &mut layer);
-        outcome.sketches.layers.push(layer);
+        });
     }
     Ok(outcome)
 }
@@ -616,11 +603,10 @@ impl SchemeSpec {
                 "k = {k} exceeds max(1, ⌈log₂ n⌉) = {cap} for n = {n}"
             )))
         };
-        // A hierarchy restricted to an ε-density net (Lemma 4.5).
-        let net_restricted = |params: CdgParams| -> Result<Sampled, SketchError> {
-            let (net, hierarchy) = cdg::sample_net_hierarchy(n, params)?;
-            Ok((hierarchy, Some((net, params))))
-        };
+        // A hierarchy restricted to an ε-density net (Lemma 4.5), with the
+        // params it was sampled with.
+        let net_restricted =
+            |params: CdgParams| cdg::sample_net_hierarchy(n, params).map(|h| (h, Some(params)));
         let sampled = match *self {
             SchemeSpec::ThorupZwick { k } => {
                 let params = TzParams::new(k).with_seed(config.seed);
@@ -630,11 +616,11 @@ impl SchemeSpec {
                 vec![(hierarchy, None)]
             }
             // Theorem 4.3's sketch is CDG's at k = 1: one phase, a single
-            // flood from the net.  ε is validated where the net is sampled.
+            // flood from the net.  ε is validated where the net is sampled;
+            // the spec holds it, so the layer keeps no params.
             SchemeSpec::ThreeStretch { eps } => {
-                vec![net_restricted(
-                    CdgParams::new(eps, 1).with_seed(config.seed),
-                )?]
+                let params = CdgParams::new(eps, 1).with_seed(config.seed);
+                vec![(cdg::sample_net_hierarchy(n, params)?, None)]
             }
             SchemeSpec::Cdg { eps, k } => {
                 let params = CdgParams::new(eps, k).with_seed(config.seed);
@@ -715,6 +701,7 @@ impl std::fmt::Display for SchemeSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slack::density_net::DensityNet;
     use netgraph::generators::{erdos_renyi, GeneratorConfig};
 
     fn small_graph() -> Graph {
@@ -747,33 +734,58 @@ mod tests {
             assert_eq!(outcome.sketches.spec, spec);
             outcome
         };
-        // Which of (hierarchy, net, params) a layer keeps.
-        let parts = |layer: &Layer| {
-            let (h, n, p) = (&layer.hierarchy, &layer.net, &layer.params);
-            (h.is_some(), n.is_some(), p.is_some())
-        };
+        // A layer's hierarchy depth, and the params' `k` if it keeps them.
+        let parts = |layer: &Layer| (layer.hierarchy.k(), layer.params.map(|p| p.k));
 
         let tz = build("tz:2");
         let [layer] = tz.sketches.layers.as_slice() else {
             panic!("one Thorup–Zwick layer");
         };
-        assert_eq!(parts(layer), (true, false, false));
-        assert_eq!(layer.hierarchy.as_ref().unwrap().k(), 2);
+        assert_eq!(parts(layer), (2, None));
         let three = build("3stretch:0.4").sketches;
         assert_eq!(three.layers.len(), 1);
-        assert_eq!(parts(&three.layers[0]), (false, true, false));
-        assert!(!three.layers[0].net.as_ref().unwrap().is_empty());
+        assert_eq!(parts(&three.layers[0]), (1, None));
+        assert!(!three.layers[0].hierarchy.level_members(0).is_empty());
         let cdg = build("cdg:0.4,2").sketches;
         assert_eq!(cdg.layers.len(), 1);
-        assert_eq!(parts(&cdg.layers[0]), (true, true, true));
-        assert_eq!(cdg.layers[0].params.unwrap().k, 2);
+        assert_eq!(parts(&cdg.layers[0]), (2, Some(2)));
         let deg = build("degrading:k=2,layers=2");
-        assert_eq!(deg.sketches.layers.len(), 2);
-        assert!(deg
-            .sketches
-            .layers
-            .iter()
-            .all(|l| parts(l) == (true, true, true)));
+        let deg: Vec<_> = deg.sketches.layers.iter().map(parts).collect();
+        assert_eq!(deg, [(1, Some(1)), (2, Some(2))]);
+    }
+
+    /// A net-restricted layer keeps no net: its hierarchy's `A_0` is the
+    /// one the sampler drew, for the layer's ε and seed, on both engines.
+    #[test]
+    fn a_layers_net_is_the_one_the_sampler_drew() {
+        let graph = small_graph();
+        let n = graph.num_nodes();
+        for engine in [BuildEngine::Congest, BuildEngine::Parallel] {
+            let config = SchemeConfig::default().with_seed(5).with_engine(engine);
+            let build = |spec: &str| {
+                let spec = SchemeSpec::parse(spec).unwrap();
+                spec.build_sketches(&graph, &config)
+                    .unwrap()
+                    .sketches
+                    .layers
+            };
+            let three = build("3stretch:0.3");
+            let degrading = build("degrading:k=2,layers=2");
+            assert_eq!(degrading.len(), 2);
+            let drawn = [(0.3, config.seed)].into_iter().chain(
+                degrading
+                    .iter()
+                    .map(|layer| layer.params.map(|p| (p.eps, p.seed)).unwrap()),
+            );
+            for (layer, (eps, seed)) in three.iter().chain(&degrading).zip(drawn) {
+                let net = DensityNet::sample_nonempty(n, eps, seed).unwrap();
+                assert_eq!(
+                    net.members(),
+                    layer.hierarchy.level_members(0),
+                    "{engine:?}: eps {eps}"
+                );
+            }
+        }
     }
 
     /// One rule assembles every outcome: `stats` is the build's cost on the
@@ -836,10 +848,10 @@ mod tests {
     fn three_stretch_distances_to_net_nodes_are_exact() {
         for_each_three_stretch_layer(|graph, layer, engine| {
             let table = netgraph::apsp::DistanceTable::exact(graph);
-            let net = layer.net.as_ref().expect("a density net");
+            let net = layer.hierarchy.level_members(0);
             for u in graph.nodes() {
                 let label = layer.sketches.label(u);
-                for &w in net.members() {
+                for &w in &net {
                     let want = Some(table.distance(u, w));
                     assert_eq!(label.distance_to(w), want, "{engine:?}");
                 }
@@ -851,7 +863,7 @@ mod tests {
     #[test]
     fn three_stretch_sketch_size_tracks_net_size() {
         for_each_three_stretch_layer(|_, layer, engine| {
-            let net = layer.net.as_ref().expect("a density net");
+            let net = layer.hierarchy.level_members(0);
             let max_words = layer.sketches.labels().map(|l| l.words()).max().unwrap();
             assert!(max_words <= 2 * net.len() + 2, "{engine:?}: {max_words}");
             assert!(max_words >= net.len(), "{engine:?}: {max_words}");

@@ -709,8 +709,7 @@ mod tests {
             assert_eq!(set.check_invariants(), Ok(()));
             Layer {
                 sketches: set,
-                hierarchy: Some(Hierarchy::from_levels(vec![0, -1], 1).unwrap()),
-                net: None,
+                hierarchy: Hierarchy::from_levels(vec![0, -1], 1).unwrap(),
                 params: None,
             }
         };

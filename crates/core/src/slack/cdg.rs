@@ -88,16 +88,16 @@ impl CdgParams {
 }
 
 /// Sample one layer of the construction from `params.seed`: the ε-density
-/// net, then the `k`-level hierarchy restricted to it, retrying seeds until
-/// the top level is non-empty, as the paper's high-probability analysis
-/// assumes — and refusing, like the Thorup–Zwick sampler, when no attempt
-/// gets there (a lower `k` would be labels the spec does not describe).
-/// The labels built on the hierarchy keep their pivots and bunches inside
-/// the net.
+/// net, then the `k`-level hierarchy restricted to it — its `A_0` is the
+/// net — retrying seeds until the top level is non-empty, as the paper's
+/// high-probability analysis assumes, and refusing, like the Thorup–Zwick
+/// sampler, when no attempt gets there (a lower `k` would be labels the
+/// spec does not describe).  The labels built on the hierarchy keep their
+/// pivots and bunches inside the net.
 pub(crate) fn sample_net_hierarchy(
     num_nodes: usize,
     params: CdgParams,
-) -> Result<(DensityNet, Hierarchy), SketchError> {
+) -> Result<Hierarchy, SketchError> {
     const ATTEMPTS: u64 = 200;
     let net = DensityNet::sample_nonempty(num_nodes, params.eps, params.seed)?;
     let probability = params.level_probability(num_nodes);
@@ -110,7 +110,7 @@ pub(crate) fn sample_net_hierarchy(
             params.seed.wrapping_add(attempt).wrapping_mul(0x9E37_79B9),
         )?;
         if h.top_level_nonempty() {
-            return Ok((net, h));
+            return Ok(h);
         }
     }
     Err(SketchError::InvalidParameters(format!(
@@ -185,18 +185,13 @@ mod tests {
         let table = DistanceTable::exact(&g);
         let params = CdgParams::new(0.3, 2).with_seed(3);
         let result = build_scheme(&g, params);
-        let net = result.net.unwrap();
+        let net = result.hierarchy.level_members(0);
         for u in g.nodes() {
             // p_0(u) is the closest net node.
             let (closest, dist) = result.sketches.label(u).pivot(0).expect("net is nonempty");
-            let exact_min = net
-                .members()
-                .iter()
-                .map(|&w| table.distance(u, w))
-                .min()
-                .unwrap();
+            let exact_min = net.iter().map(|&w| table.distance(u, w)).min().unwrap();
             assert_eq!(dist, exact_min, "closest-net distance wrong at {u}");
-            assert!(net.contains(closest));
+            assert!(net.contains(&closest));
         }
     }
 
@@ -208,10 +203,10 @@ mod tests {
         let g = erdos_renyi(n, 0.05, GeneratorConfig::uniform(11, 1, 10));
         let params = CdgParams::new(0.2, 2).with_seed(5);
         let result = build_scheme(&g, params);
-        let net = result.net.unwrap();
+        let net = result.hierarchy.level_members(0);
         for s in result.sketches.labels() {
             assert!(s.words() <= 2 * (net.len() + params.k));
-            for &member in s.bunch_nodes {
+            for member in s.bunch_nodes {
                 assert!(net.contains(member), "bunch member outside the net");
             }
         }

@@ -42,13 +42,14 @@ fn main() {
     println!("\nlayers (ε_i = 2^-i, k_i = min(i, {max_k})):");
     let mut rows = Vec::new();
     for (i, layer) in degrading.layers.iter().enumerate() {
-        // Each layer is a CDG layer: its params and net are there.
-        if let (Some(params), Some(net)) = (layer.params, &layer.net) {
+        // Each layer is a CDG layer: its params are there, and its net is
+        // its hierarchy's A_0.
+        if let Some(params) = layer.params {
             rows.push(vec![
                 format!("{}", i + 1),
                 format!("{:.4}", params.eps),
                 params.k.to_string(),
-                net.len().to_string(),
+                layer.hierarchy.level_members(0).len().to_string(),
                 layer
                     .sketches
                     .labels()

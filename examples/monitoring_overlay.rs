@@ -40,15 +40,17 @@ fn main() {
         .build_sketches(&graph, &SchemeConfig::default().with_seed(seed))
         .expect("construction");
     let sketches = Arc::new(outcome.sketches);
-    // The one layer: the clients' labels over the monitors' net.
+    // The one layer: the clients' labels over the monitors' net, its
+    // hierarchy's one level.
     let layer = &sketches.layers[0];
-    if let Some(net) = &layer.net {
-        println!(
-            "\nmonitor placement: |N| = {} monitors sampled (bound {:.0}), zero rounds",
-            net.len(),
-            net.size_bound()
-        );
-    }
+    let hierarchy = &layer.hierarchy;
+    let members = hierarchy.level_members(0);
+    let net = DensityNet::from_members(hierarchy.num_nodes(), eps, members);
+    println!(
+        "\nmonitor placement: |N| = {} monitors sampled (bound {:.0}), zero rounds",
+        net.len(),
+        net.size_bound()
+    );
     println!(
         "sketch construction: {} rounds, {} messages; per-client sketch ≤ {} words",
         outcome.stats.rounds,

@@ -18,8 +18,9 @@
 //!   fails with a `CodecError`, identically through both ingresses.  Never
 //!   a panic, never a hang.  A rank at or past its level's member count, a
 //!   least cell no cell equals, a finite cell in a row with none, a level
-//!   byte past `k`, and a table whose cells outgrow the bytes are refused
-//!   by name.
+//!   byte past `k`, a 3-stretch net no sampler writes (a member twice, out
+//!   of order or past `n`, another ε, more nodes than bytes), and a table
+//!   whose cells outgrow the bytes are refused by name.
 //! * **Size**: a saved snapshot of any family spends under 3 `SKCH` bytes
 //!   on a bunch entry (v1 spent 16, v2 up to 3.3, v3 up to 2.6).
 
@@ -154,8 +155,7 @@ proptest! {
                 }
                 let layer = Layer {
                     sketches: set,
-                    hierarchy: Some(hierarchy.clone()),
-                    net: None,
+                    hierarchy: hierarchy.clone(),
                     params: None,
                 };
                 let spec = SchemeSpec::thorup_zwick(k);
@@ -412,6 +412,79 @@ fn table_cells_beyond_the_bytes_are_refused_both_ways() {
         ),
         "{err}"
     );
+}
+
+/// A 3-stretch payload opens with its net — node count, ε, member count,
+/// a `u32` per member — which the reader turns into the one-level
+/// hierarchy the sampler draws.  A member list no sampling writes, an ε
+/// not the spec's and a node count past the bytes are refused, both ways
+/// alike — the count before anything is sized by it.
+#[test]
+fn a_three_stretch_net_no_sampler_writes_is_refused_both_ways() {
+    let spec = SchemeSpec::three_stretch(0.3);
+    let bytes = built(spec, 64, 5).encode_payload();
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let (n, count) = (word(0), word(16) as usize);
+    assert_eq!(n, 64);
+    assert!(count >= 2, "{count} members");
+    let member = |i: usize| 24 + 4 * i;
+    let (first, second) = (
+        bytes[member(0)..member(1)].to_vec(),
+        bytes[member(1)..member(2)].to_vec(),
+    );
+    let with = |edits: &[(usize, &[u8])]| {
+        let mut edited = bytes.clone();
+        for &(at, value) in edits {
+            edited[at..at + value.len()].copy_from_slice(value);
+        }
+        edited
+    };
+    let refused = |edited: &[u8], what: &str| {
+        assert!(
+            decode_both_ways(&spec, edited).is_none(),
+            "{what}: accepted"
+        );
+        FlatSketchSet::from_family_bytes(&spec, edited).unwrap_err()
+    };
+    let invalid_net = |err: &CodecError, what: &str| matches!(err, CodecError::Invalid { context: "DensityNet", message } if message.contains(what));
+
+    for (edited, what) in [
+        (with(&[(member(1), &first)]), "a member listed twice"),
+        (
+            with(&[(member(0), &second), (member(1), &first)]),
+            "members out of order",
+        ),
+    ] {
+        let err = refused(&edited, what);
+        assert!(
+            invalid_net(&err, "is not above the member before it"),
+            "{what}: {err}"
+        );
+    }
+    let past = with(&[(member(count - 1), &(n as u32).to_le_bytes())]);
+    let err = refused(&past, "a member at n");
+    assert!(invalid_net(&err, "out of range for 64 nodes"), "{err}");
+
+    let other_eps = with(&[(8, &0.5f64.to_le_bytes())]);
+    let err = refused(&other_eps, "another eps");
+    assert!(
+        matches!(&err, CodecError::LayerContract(message) if message.contains("sampled for eps = 0.5")),
+        "{err}"
+    );
+
+    for nodes in [bytes.len() as u64, 1 << 50] {
+        let err = refused(&with(&[(0, &nodes.to_le_bytes())]), "n past the bytes");
+        assert!(
+            matches!(
+                &err,
+                CodecError::UnexpectedEof {
+                    context: "DensityNet.num_nodes",
+                    ..
+                }
+            ),
+            "{nodes} nodes: {err}"
+        );
+    }
 }
 
 /// Every truncation point of a bare payload fails, both ways alike.

@@ -107,7 +107,10 @@ fn three_stretch_under_termination_detection_keeps_its_labels() {
             detected_layer.sketches, oracle_layer.sketches,
             "[{name}] labels"
         );
-        assert_eq!(detected_layer.net, oracle_layer.net, "[{name}] net");
+        assert_eq!(
+            detected_layer.hierarchy, oracle_layer.hierarchy,
+            "[{name}] hierarchy"
+        );
         // The build's cost, which now includes the tree and the detection.
         assert!(
             detected.stats.messages >= oracle.stats.messages,

@@ -190,10 +190,10 @@ fn asymmetric_k_labels_freeze_and_answer_identically() {
     }
     let set = StoredSketches {
         spec: SchemeSpec::thorup_zwick(3),
+        // No node at the top level: the labels keep no table.
         layers: vec![Layer {
             sketches: labels.clone(),
-            hierarchy: None,
-            net: None,
+            hierarchy: Hierarchy::from_levels(vec![0; 3], 3).unwrap(),
             params: None,
         }],
     };
@@ -269,10 +269,10 @@ fn label(pivot: (u32, Distance), bunch: &[(u32, Distance)]) -> Row {
     (pivots, bunch.iter().map(|&(w, d)| (NodeId(w), d)).collect())
 }
 
-/// A `spec` set over hand-built layers (net, hierarchy and params are along
-/// for the encoding; no query reads them).  The params keep the degrading
-/// contract the decoders check — ε halving layer over layer, each net
-/// sampled for its layer's ε — and a one-layer set's are `cdg:0.5,1`'s.
+/// A `spec` set over hand-built layers (hierarchy and params are along for
+/// the encoding; no query reads them).  The params keep the degrading
+/// contract the decoders check — ε halving layer over layer — and a
+/// one-layer set's are `cdg:0.5,1`'s.
 fn slack_set(spec: SchemeSpec, layers: Vec<Vec<Row>>) -> StoredSketches {
     let layers = (1..)
         .zip(layers)
@@ -282,11 +282,9 @@ fn slack_set(spec: SchemeSpec, layers: Vec<Vec<Row>>) -> StoredSketches {
             for (pivots, bunch) in &rows {
                 sketches.push_label(pivots, bunch).unwrap();
             }
-            let members = (0..n).map(NodeId::from_index).collect();
             Layer {
                 params: Some(CdgParams::new(eps, 1)),
-                net: Some(DensityNet::from_members(n, eps, members)),
-                hierarchy: Some(Hierarchy::from_levels(vec![0; n], 1).unwrap()),
+                hierarchy: Hierarchy::from_levels(vec![0; n], 1).unwrap(),
                 sketches,
             }
         })

@@ -20,8 +20,8 @@ fn check_lemma_4_5(graph: &Graph, eps: f64, k: usize, seed: u64) {
     let built =
         SchemeSpec::cdg(eps, k).build_sketches(graph, &SchemeConfig::default().with_seed(seed));
     let cdg = built.unwrap().sketches.layers.remove(0);
-    let (net, hierarchy) = (cdg.net.unwrap(), cdg.hierarchy.unwrap());
-    let net_members: Vec<NodeId> = net.members().to_vec();
+    let hierarchy = &cdg.hierarchy;
+    let net_members: Vec<NodeId> = hierarchy.level_members(0);
     assert!(!net_members.is_empty());
 
     // 2. Build the metric completion of the net and relabel the hierarchy

@@ -189,10 +189,9 @@ pub fn thorup_zwick(graph: &Graph, hierarchy: &Hierarchy, threads: usize) -> Dir
     for u in 0..n {
         offsets[u + 1] += offsets[u];
     }
-    sketches.pivots.reserve_exact(n * k);
     sketches
         .offsets
-        .extend((1..=n).map(|u| (offset(u * k), offset(offsets[u]))));
+        .extend(offsets[1..].iter().map(|&end| offset(end)));
     for u in 0..n {
         sketches.pivots.extend(pivot_keys[..k].iter().map(|keys| {
             let key = keys[u];

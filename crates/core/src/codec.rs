@@ -63,12 +63,11 @@
 //! reader merges a row's runs into the ascending sparse row the kernel
 //! searches.  The totals are held against the bytes that remain — `n` rows
 //! of `k` bytes at least, `n × width` cells of a byte at least — and size
-//! the decoded columns once.  The writer takes the table from the layer's
-//! sampling, so labels assembled by hand with another split (or none) write
-//! the same bytes as the engines' labels, and `encode(decode(bytes)) ==
-//! bytes` holds.  Labels that break [`Layer::check_invariants`] have no
-//! format-4 bytes: what is written for them decodes to other labels or not
-//! at all.
+//! the decoded columns once.  A set's table is its sampling's top level
+//! from the start ([`SketchSet::over`]), so the writer writes the set as it
+//! is, and `encode(decode(bytes)) == bytes` holds.  Labels that break
+//! [`Layer::check_invariants`] have no format-4 bytes: what is written for
+//! them decodes to other labels or not at all.
 //!
 //! # Family payloads
 //!
@@ -138,12 +137,11 @@
 use crate::cast;
 use crate::hierarchy::Hierarchy;
 use crate::scheme::{Layer, SchemeSpec, StoredSketches};
-use crate::sketch::{self, DistKey, SketchSet, TableShape, NO_PIVOT};
+use crate::sketch::{self, DistKey, SketchSet, NO_PIVOT};
 use crate::slack::cdg::CdgParams;
 use crate::slack::density_net::DensityNet;
 use congest_sim::RunStats;
 use netgraph::{Distance, NodeId, INFINITY};
-use std::borrow::Cow;
 
 /// Errors produced while decoding a binary payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -665,9 +663,9 @@ impl Sampling {
 
 /// A label set's varints, in wire order (see "Label sets" in the
 /// [module docs](self)), into `sink`: the bytes the sparse runs and the
-/// table rows take.  The set's table must be `sampling`'s top level
-/// ([`canonical`]); a member the sampling puts outside `A_0` or at the top
-/// has no run, and is not written.
+/// table rows take.  The set's table is `sampling`'s top level
+/// ([`Layer::check_invariants`]); a member the sampling puts outside `A_0`
+/// or at the top has no run, and is not written.
 fn set_varints(set: &SketchSet, sampling: &Sampling, sink: &mut impl Sink) -> (usize, usize) {
     let (mut runs, mut cells) = (0, 0);
     let start = sink.len();
@@ -750,7 +748,7 @@ fn read_labels(input: &mut Decoder<'_>, sampling: &Sampling) -> Result<SketchSet
         });
     }
     let top = sampling.top().to_vec();
-    let mut set = SketchSet::sized(nodes, top, nodes * k, sparse_entries);
+    let mut set = SketchSet::sized(nodes, k, top, sparse_entries);
     let mut row = Row::new(k);
     for _ in 0..nodes {
         row.read(input, &mut set, sampling, sparse_entries)?;
@@ -1166,7 +1164,9 @@ impl Layer {
     ///
     /// * the set's structural invariants ([`SketchSet::check_invariants`]);
     /// * a hierarchy that covers the set's nodes;
-    /// * every label the hierarchy's `k` levels deep;
+    /// * the set's `k` and table the hierarchy's `k` and top level
+    ///   `A_{k−1}` — the set was started over this hierarchy
+    ///   ([`SketchSet::over`]), else a [`CodecError::HierarchyContract`];
     /// * every member a label holds one of the nodes, in `A_0`;
     /// * every pivot row the one its members determine — the derivation
     ///   the decoder fills rows from: `p_i(u)` the least
@@ -1195,17 +1195,20 @@ impl Layer {
                 format!("the hierarchy covers {covers} nodes but the labels cover {nodes}");
             return Err(CodecError::invalid("Hierarchy", message));
         }
+        if set.k != sampling.k {
+            let message = format!(
+                "the labels have k = {} but the hierarchy has {}",
+                set.k, sampling.k
+            );
+            return Err(CodecError::HierarchyContract(message));
+        }
+        if set.table_nodes != sampling.top() {
+            let message = "the labels' table is not the hierarchy's top level".to_string();
+            return Err(CodecError::HierarchyContract(message));
+        }
         let mut nearest = Vec::new();
         for label in set.labels() {
             let owner = label.owner;
-            if label.k() != sampling.k {
-                let message = format!(
-                    "label of {owner} has k = {} but the hierarchy has {}",
-                    label.k(),
-                    sampling.k
-                );
-                return Err(CodecError::invalid("Sketch.k", message));
-            }
             nearest.clear();
             nearest.resize(sampling.k, DistKey::INFINITE);
             let sparse = label.bunch_nodes.iter().zip(label.bunch_dists);
@@ -1249,24 +1252,6 @@ fn show_pivot((pivot, distance): (NodeId, Distance)) -> String {
     } else {
         format!("{pivot} at distance {distance}")
     }
-}
-
-/// `set` with `top` as its table: borrowed as it is where the table
-/// already is (every engine builds it so), otherwise — labels assembled by
-/// hand — re-split.
-fn canonical<'a>(set: &'a SketchSet, top: &[NodeId]) -> Cow<'a, SketchSet> {
-    if set.table_nodes == top || top.last().is_some_and(|w| w.index() >= set.len()) {
-        Cow::Borrowed(set)
-    } else {
-        Cow::Owned(set.with_landmarks(top.to_vec()))
-    }
-}
-
-/// What `layer`'s table holds: its sampling's top level, against its bunch
-/// entries.
-pub(crate) fn table_shape(layer: &Layer) -> TableShape {
-    let sampling = Sampling::of(&layer.hierarchy);
-    canonical(&layer.sketches, sampling.top()).table_shape()
 }
 
 /// Most layers a set may have: one bit of a served row's layer mask each
@@ -1340,8 +1325,7 @@ fn put_sampling(spec: &SchemeSpec, layer: &Layer, sink: &mut impl Sink) {
 
 /// The one writer of the family layouts: `stored`'s layers in its spec's
 /// layout into `sink`, and each layer's bytes by part.  A layer's label set
-/// is written against its hierarchy, with its top level as the table
-/// ([`canonical`]).
+/// is written against its hierarchy, whose top level is its table.
 fn put_family(stored: &StoredSketches, sink: &mut impl Sink) -> Vec<LayerBytes> {
     let mut start = sink.len();
     if let SchemeSpec::Degrading { .. } = stored.spec {
@@ -1352,8 +1336,7 @@ fn put_family(stored: &StoredSketches, sink: &mut impl Sink) -> Vec<LayerBytes> 
         put_sampling(&stored.spec, layer, sink);
         let sampling = sink.len() - start;
         let over = Sampling::of(&layer.hierarchy);
-        let set = canonical(&layer.sketches, over.top());
-        let (runs, cells) = set_varints(&set, &over, sink);
+        let (runs, cells) = set_varints(&layer.sketches, &over, sink);
         split.push(LayerBytes {
             sampling,
             runs,
@@ -1553,7 +1536,7 @@ mod tests {
 
     /// The toy labels over [`toy_hierarchy`], with its top level as table.
     fn toy_set() -> SketchSet {
-        let mut set = SketchSet::sized(3, vec![NodeId(2)], 0, 0);
+        let mut set = SketchSet::over(&toy_hierarchy());
         for (pivots, bunch) in toy_rows() {
             set.push_label(&pivots, bunch).unwrap();
         }
@@ -1675,30 +1658,20 @@ mod tests {
     #[test]
     fn sketch_set_round_trip() {
         let set = toy_set();
-        let mut sparse = SketchSet::new();
+        let mut sparse = SketchSet::sized(0, 2, Vec::new(), 0);
         for (pivots, bunch) in toy_rows() {
             sparse.push_label(&pivots, bunch).unwrap();
         }
         assert_eq!(sparse, set, "the same labels");
-        // Moved onto the toy's table, the table-less set is the toy set,
-        // byte for byte.
-        let moved = sparse.with_landmarks(vec![NodeId(2)]);
-        assert_eq!(
-            set_bytes(&moved, &toy_hierarchy()),
-            set_bytes(&set, &toy_hierarchy())
-        );
-        assert_eq!(moved.check_invariants(), Ok(()));
-        // A layer writes its hierarchy's top level as the table, whatever
-        // the set in memory has.
+        // A set over the hierarchy has its top level as the table.
         let layer = Layer {
-            sketches: sparse,
+            sketches: set,
             hierarchy: toy_hierarchy(),
             params: None,
         };
         assert_eq!(layer.check_invariants(), Ok(()));
-        let top = Sampling::of(&layer.hierarchy).top().to_vec();
-        assert_eq!(canonical(&layer.sketches, &top).table_nodes, [NodeId(2)]);
-        let shape = table_shape(&layer);
+        assert_eq!(layer.sketches.table_nodes, [NodeId(2)]);
+        let shape = layer.sketches.table_shape();
         assert_eq!((shape.landmarks, shape.cells, shape.entries), (1, 3, 7));
         let stored = StoredSketches {
             spec: SchemeSpec::thorup_zwick(2),
@@ -1713,6 +1686,37 @@ mod tests {
             StoredSketches::decode_payload(&stored.spec, &bytes),
             Ok(stored)
         );
+    }
+
+    /// A set started over one hierarchy and paired with another — another
+    /// `k`, or the same `k` with another top level — is refused once per
+    /// layer, by the layer check and by a slack family's freeze alike.
+    #[test]
+    fn a_set_paired_with_another_hierarchy_is_refused() {
+        for (other, expected) in [
+            (
+                Hierarchy::from_parts(vec![0, 0, 0], 1, 0.5).unwrap(),
+                "the labels have k = 2 but the hierarchy has 1",
+            ),
+            (
+                Hierarchy::from_parts(vec![0, 1, 0], 2, 0.5).unwrap(),
+                "the labels' table is not the hierarchy's top level",
+            ),
+        ] {
+            let k = other.k();
+            let layer = Layer {
+                sketches: toy_set(),
+                hierarchy: other,
+                params: None,
+            };
+            let err = layer.check_invariants().unwrap_err();
+            assert_eq!(err, CodecError::HierarchyContract(expected.to_string()));
+            let stored = StoredSketches {
+                spec: SchemeSpec::cdg(0.5, k),
+                layers: vec![layer],
+            };
+            assert_eq!(stored.freeze().unwrap_err(), err);
+        }
     }
 
     /// A hand-built hierarchy's probability is NaN, and it still equals
@@ -1904,8 +1908,9 @@ mod tests {
     fn a_table_is_at_most_n_ascending_landmarks_and_owns_its_entries() {
         let hierarchy = Hierarchy::from_parts(vec![1, 0, 1, 0], 2, 0.5).unwrap();
         assert_eq!(Sampling::of(&hierarchy).top(), [NodeId(0), NodeId(2)]);
-        // Node 1's label, sparse throughout: v0 and v2 are the table's.
-        let mut sparse = SketchSet::new();
+        // Node 1's label holds v0 and v2, the table's.
+        let mut sparse = SketchSet::sized(0, 2, Vec::new(), 0);
+        let mut set = SketchSet::over(&hierarchy);
         let rows: [(&[_], &[_]); 4] = [
             (
                 &[Some((NodeId(0), 0)), Some((NodeId(0), 0))],
@@ -1923,9 +1928,9 @@ mod tests {
         ];
         for (pivots, bunch) in rows {
             sparse.push_label(pivots, bunch).unwrap();
+            set.push_label(pivots, bunch).unwrap();
         }
-        let top = Sampling::of(&hierarchy).top().to_vec();
-        let bytes = set_bytes(&canonical(&sparse, &top), &hierarchy);
+        let bytes = set_bytes(&set, &hierarchy);
         let read = read_set(&bytes, &hierarchy).unwrap();
         assert_eq!(read, sparse);
         assert_eq!(read.table_nodes, [NodeId(0), NodeId(2)]);

@@ -17,13 +17,13 @@
 //! 2. the target streams its sketch back along the reverse path, one bunch
 //!    entry (two words) per round — pipelined, so the whole reply takes
 //!    `O(D + |sketch|)` rounds;
-//! 3. the requester reassembles the sketch and computes the estimate locally
-//!    with the Lemma 3.2 query.
+//! 3. the requester walks the received row and computes the estimate
+//!    locally with the Lemma 3.2 level walk.
 
-use crate::query::estimate_distance;
-use crate::sketch::{Label, SketchSet};
+use crate::flat::level_walk;
+use crate::sketch::{Label, SketchSet, NO_PIVOT};
 use congest_sim::{MessageSize, NodeContext, NodeProgram};
-use netgraph::{Distance, NodeId};
+use netgraph::{Distance, NodeId, INFINITY};
 use std::collections::VecDeque;
 
 /// Messages of the exchange protocol.
@@ -84,9 +84,9 @@ pub struct SketchExchangeProgram<'a> {
     /// Reply entries waiting to go toward the requester: the whole sketch at
     /// the target, entries being relayed everywhere else.
     reply_queue: VecDeque<ExchangeMessage>,
-    /// At the requester: the remote label's pivot slots (as many as its
-    /// own) and bunch, as they arrive.
-    received_pivots: Vec<Option<(NodeId, Distance)>>,
+    /// At the requester: the remote label's pivot row (as long as its own,
+    /// `(NO_PIVOT, INFINITY)` until a pivot arrives) and bunch.
+    received_pivots: Vec<(NodeId, Distance)>,
     received_bunch: Vec<(NodeId, Distance)>,
     reply_complete: bool,
     /// The final estimate, once computable at the requester.
@@ -106,7 +106,7 @@ impl<'a> SketchExchangeProgram<'a> {
             seen_request: false,
             pending_flood: false,
             reply_queue: VecDeque::new(),
-            received_pivots: vec![None; own.k().max(1)],
+            received_pivots: vec![(NO_PIVOT, INFINITY); own.k()],
             received_bunch: Vec::new(),
             reply_complete: false,
             estimate: None,
@@ -150,7 +150,7 @@ impl<'a> SketchExchangeProgram<'a> {
                 distance,
             } => {
                 if let Some(slot) = self.received_pivots.get_mut(level as usize) {
-                    *slot = Some((node, distance));
+                    *slot = (node, distance);
                 }
             }
             ExchangeMessage::ReplyBunch { node, distance } => {
@@ -164,17 +164,20 @@ impl<'a> SketchExchangeProgram<'a> {
         if self.reply_complete && self.estimate.is_none() {
             // The reply relays the target's bunch in order along one path.
             self.received_bunch.sort_by_key(|&(node, _)| node);
-            let mut remote = SketchSet::new();
-            if remote
-                .push_label(&self.received_pivots, &self.received_bunch)
-                .is_ok()
-            {
-                let remote = Label {
-                    owner: self.target,
-                    ..remote.label(NodeId(0))
-                };
-                self.estimate = estimate_distance(self.own, remote).ok();
-            }
+            let (own, bunch) = (self.own, &self.received_bunch);
+            let in_remote = |w| {
+                bunch
+                    .binary_search_by_key(&w, |&(node, _)| node)
+                    .ok()
+                    .map(|at| bunch[at].1)
+            };
+            let walk = level_walk(
+                own.pivots,
+                &self.received_pivots,
+                |w| own.distance_to(w),
+                in_remote,
+            );
+            self.estimate = walk.map(|(distance, _)| distance);
         }
     }
 }
@@ -271,6 +274,7 @@ pub fn run_sketch_exchange(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::estimate_distance;
     use crate::scheme::{SchemeConfig, SchemeSpec};
     use congest_sim::CongestConfig;
     use netgraph::generators::{erdos_renyi, grid, ring_with_chords, GeneratorConfig};
@@ -291,6 +295,39 @@ mod tests {
         let (remote, stats) = run_sketch_exchange(&g, &sketches, u, v, CongestConfig::default());
         assert_eq!(remote, Some(local));
         assert!(stats.rounds > 0);
+    }
+
+    /// Every ordered pair, at `k` = 1, 2 and 3, on a small random graph and
+    /// on a disconnected one: the exchange answers what the reference rule
+    /// answers on the two labels, and `None` on both sides of a pair across
+    /// components.
+    #[test]
+    fn exchange_answers_like_the_reference_on_every_pair() {
+        // A ring of 18 nodes and a path of 12 with no edge between them.
+        let mut disconnected = netgraph::GraphBuilder::new(30);
+        for i in 0..18 {
+            disconnected.add_edge_idx(i, (i + 1) % 18, 1 + (i as u64 * 7) % 5);
+        }
+        for i in 18..29 {
+            disconnected.add_edge_idx(i, i + 1, 1 + (i as u64 * 3) % 4);
+        }
+        let er = erdos_renyi(20, 0.2, GeneratorConfig::uniform(5, 1, 20));
+        for g in [er, disconnected.build()] {
+            for k in 1..=3 {
+                let sketches = build_sketches(&g, k);
+                for u in g.nodes() {
+                    for v in g.nodes() {
+                        let config = CongestConfig::sequential();
+                        let (remote, _) = run_sketch_exchange(&g, &sketches, u, v, config);
+                        let local = estimate_distance(sketches.label(u), sketches.label(v));
+                        assert_eq!(remote, local.ok(), "k = {k}, ({u}, {v})");
+                        if g.num_nodes() == 30 && (u.index() < 18) != (v.index() < 18) {
+                            assert_eq!(remote, None, "k = {k}, ({u}, {v}) across components");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -48,6 +48,7 @@ use crate::error::SketchError;
 use crate::hierarchy::Hierarchy;
 use crate::scheme::SchemeConfig;
 use crate::sketch::{DistKey, SketchSet};
+use congest_sim::programs::bellman_ford::SourceTable;
 use congest_sim::programs::bfs_tree::build_bfs_tree;
 use congest_sim::{Network, RunStats};
 use netgraph::{Distance, Graph, NodeId};
@@ -84,36 +85,69 @@ pub fn build_with_hierarchy(
     }
 }
 
-/// Oracle-synchronized execution: one simulator run per phase.
-///
-/// Each phase leaves, at every node, a run of `(source, distance)` ascending
-/// by source.  The `k` runs of a node have disjoint sources (`A_i \ A_{i+1}`),
-/// so they are appended as they arrive, and merged once into the label's
-/// sorted bunch, which is appended to the set, when the last phase is over.
+/// One node's label as its phases finish, `k − 1` down to `0`, in both
+/// synchronization modes.  A phase leaves a run of `(source, distance)`
+/// ascending by source; the `k` runs have disjoint sources
+/// (`A_i \ A_{i+1}`), so they are appended as they arrive and merged once.
+#[derive(Debug, Clone)]
+struct LabelFold {
+    pivots: Vec<Option<(NodeId, Distance)>>,
+    bunch: Vec<(NodeId, Distance)>,
+    /// `key(u, A_{i+1})` while phase `i` runs; infinite for `A_k = ∅`.
+    threshold: DistKey,
+}
+
+impl LabelFold {
+    /// The label of a node of a `k`-level hierarchy before any phase.
+    fn new(k: usize) -> LabelFold {
+        LabelFold {
+            pivots: vec![None; k],
+            bunch: Vec::new(),
+            threshold: DistKey::INFINITE,
+        }
+    }
+
+    /// Fold phase `level`'s finished table in as `B_level(u)`, and take
+    /// `key(u, A_level) = min(best new key, key(u, A_{level+1}))` as the
+    /// level's pivot and the next threshold.
+    fn fold(&mut self, level: usize, table: &SourceTable) {
+        let mut best = self.threshold;
+        for (source, distance) in table.iter() {
+            self.bunch.push((source, distance));
+            best = best.min(DistKey::new(distance, source));
+        }
+        if !best.is_infinite() {
+            self.pivots[level] = Some((best.node, best.distance));
+        }
+        self.threshold = best;
+    }
+
+    /// Append the finished label to `set`, as node `set.len()`'s.
+    fn append_to(mut self, set: &mut SketchSet) -> Result<(), SketchError> {
+        // k sorted runs back to back: the stable sort merges them.
+        self.bunch.sort_by_key(|&(node, _)| node);
+        set.push_label(&self.pivots, &self.bunch)
+    }
+}
+
+/// Oracle-synchronized execution: one simulator run per phase, each
+/// node's finished table folded into its label ([`LabelFold`]).
 fn run_global_oracle(
     graph: &Graph,
     hierarchy: &Hierarchy,
     config: &SchemeConfig,
 ) -> Result<(SketchSet, RunStats), SketchError> {
-    let n = graph.num_nodes();
-    let k = hierarchy.k();
-
-    let mut pivots = vec![vec![None; k]; n];
-    let mut bunches: Vec<Vec<(NodeId, Distance)>> = vec![Vec::new(); n];
-    // key(u, A_{i+1}) for the phase currently being run; starts at the
-    // all-infinite row for A_k = ∅.
-    let mut thresholds = vec![DistKey::INFINITE; n];
-
+    let mut labels = vec![LabelFold::new(hierarchy.k()); graph.num_nodes()];
     let mut total = RunStats::default();
 
-    for phase in (0..k).rev() {
+    for phase in (0..hierarchy.k()).rev() {
         let started = Instant::now();
         let mut net = Network::new(graph, config.congest, |u| {
             PhaseProgram::new(
                 u,
                 phase as u32,
                 hierarchy.level_of(u),
-                thresholds[u.index()],
+                labels[u.index()].threshold,
             )
         });
         let outcome = net.run_until_quiescent(config.max_rounds);
@@ -123,18 +157,8 @@ fn run_global_oracle(
             });
         }
 
-        for (u, program) in net.programs().iter().enumerate() {
-            // Append the learned B_i(u) and update the threshold/pivot:
-            // key(u, A_i) = min(best new key, key(u, A_{i+1})).
-            let mut best = thresholds[u];
-            for (source, distance) in program.distances().iter() {
-                bunches[u].push((source, distance));
-                best = best.min(DistKey::new(distance, source));
-            }
-            if !best.is_infinite() {
-                pivots[u][phase] = Some((best.node, best.distance));
-            }
-            thresholds[u] = best;
+        for (label, program) in labels.iter_mut().zip(net.programs()) {
+            label.fold(phase, program.distances());
         }
 
         record_phase(&phase.to_string(), &outcome.stats, started);
@@ -142,10 +166,8 @@ fn run_global_oracle(
     }
 
     let mut sketches = SketchSet::over(hierarchy);
-    for (pivots, mut bunch) in pivots.into_iter().zip(bunches) {
-        // k sorted runs back to back: the stable sort merges them.
-        bunch.sort_by_key(|&(node, _)| node);
-        sketches.push_label(&pivots, &bunch)?;
+    for label in labels {
+        label.append_to(&mut sketches)?;
     }
     Ok((sketches, total))
 }
@@ -199,8 +221,8 @@ fn run_termination_detection(
     record_phase("detected", &outcome.stats, started);
     total.absorb(&outcome.stats);
     let mut sketches = SketchSet::over(hierarchy);
-    for program in net.programs() {
-        program.append_label(&mut sketches)?;
+    for program in net.into_programs() {
+        program.label.append_to(&mut sketches)?;
     }
     Ok((sketches, total))
 }

@@ -20,8 +20,8 @@
 //! matching the paper's accounting; experiment E9 measures the observed
 //! overhead against the oracle-synchronized mode.
 
-use crate::error::SketchError;
-use crate::sketch::{DistKey, SketchSet};
+use super::LabelFold;
+use crate::sketch::DistKey;
 use congest_sim::programs::bellman_ford::SourceTable;
 use congest_sim::programs::bfs_tree::TreeInfo;
 use congest_sim::{MessageSize, NodeContext, NodeProgram};
@@ -97,15 +97,11 @@ pub struct TerminationTzProgram {
     tree: TreeInfo,
 
     // ---- accumulated results ----
-    pivots: Vec<Option<(NodeId, Distance)>>,
-    /// The finished phases' tables back to back: `k` runs ascending by node,
-    /// with disjoint nodes — merged into one once the construction is over.
-    bunch: Vec<(NodeId, Distance)>,
+    /// The finished phases, and `key(u, A_{phase+1})`.
+    pub(super) label: LabelFold,
 
     // ---- current phase ----
     phase: u32,
-    /// `key(u, A_{phase+1})`.
-    threshold: DistKey,
     /// Algorithm 2's per-source distances and announcement queue.
     table: SourceTable,
     /// For each queued (not yet broadcast) improvement, the neighbor and
@@ -138,10 +134,8 @@ impl TerminationTzProgram {
             me,
             level,
             tree,
-            pivots: vec![None; k],
-            bunch: Vec::new(),
+            label: LabelFold::new(k),
             phase: k as u32 - 1,
-            threshold: DistKey::INFINITE,
             table: SourceTable::default(),
             pending_ack: BTreeMap::new(),
             outstanding: Vec::new(),
@@ -163,12 +157,6 @@ impl TerminationTzProgram {
     /// The node this program runs on.
     pub fn node(&self) -> NodeId {
         self.me
-    }
-
-    /// Append this node's label — the accumulated pivots and bunch — to
-    /// `set`, as the label of node `set.len()`.
-    pub fn append_label(&self, set: &mut SketchSet) -> Result<(), SketchError> {
-        set.push_label(&self.pivots, &self.bunch)
     }
 
     fn is_source_for(&self, phase: u32) -> bool {
@@ -205,8 +193,8 @@ impl TerminationTzProgram {
             }
         }
         let candidate = add_dist(announced, edge_weight);
-        let improves =
-            DistKey::new(candidate, source) < self.threshold && self.table.relax(source, candidate);
+        let improves = DistKey::new(candidate, source) < self.label.threshold
+            && self.table.relax(source, candidate);
         if !improves {
             self.queue_echo(from, phase, source, announced);
             return;
@@ -245,24 +233,11 @@ impl TerminationTzProgram {
     /// tolerates skipping).
     fn advance_to_phase(&mut self, target: u32) {
         while self.phase > target {
-            self.finalize_phase();
+            self.label.fold(self.phase as usize, &self.table);
             self.phase -= 1;
             self.reset_phase_state();
             self.begin_phase();
         }
-    }
-
-    fn finalize_phase(&mut self) {
-        let level = self.phase;
-        let mut best = self.threshold;
-        for (source, distance) in self.table.iter() {
-            self.bunch.push((source, distance));
-            best = best.min(DistKey::new(distance, source));
-        }
-        if !best.is_infinite() {
-            self.pivots[level as usize] = Some((best.node, best.distance));
-        }
-        self.threshold = best;
     }
 
     fn reset_phase_state(&mut self) {
@@ -279,7 +254,7 @@ impl TerminationTzProgram {
     fn begin_phase(&mut self) {
         if self.is_source_for(self.phase) {
             let key = DistKey::new(0, self.me);
-            if key < self.threshold {
+            if key < self.label.threshold {
                 self.table.set_origin(self.me, 0);
             }
             self.origin_pending = true;
@@ -288,9 +263,7 @@ impl TerminationTzProgram {
 
     fn finish_construction(&mut self) {
         if !self.finished {
-            self.finalize_phase();
-            // k sorted runs back to back: the stable sort merges them.
-            self.bunch.sort_by_key(|&(node, _)| node);
+            self.label.fold(self.phase as usize, &self.table);
             self.finished = true;
         }
     }
@@ -468,6 +441,7 @@ mod tests {
     use crate::distributed::build_with_hierarchy;
     use crate::hierarchy::{Hierarchy, TzParams};
     use crate::scheme::SchemeConfig;
+    use crate::sketch::SketchSet;
     use congest_sim::programs::bfs_tree::build_bfs_tree;
     use congest_sim::{CongestConfig, Network, RunStats};
     use netgraph::generators::{erdos_renyi, grid, preferential_attachment, ring, GeneratorConfig};
@@ -581,8 +555,9 @@ mod tests {
         let outcome = net.run_until_quiescent(100);
         assert!(outcome.completed);
         assert!(net.programs()[0].finished());
-        let mut set = SketchSet::new();
-        net.programs()[0].append_label(&mut set).unwrap();
+        let mut set = SketchSet::over(&Hierarchy::from_levels(vec![0], 1).unwrap());
+        let program = net.into_programs().remove(0);
+        program.label.append_to(&mut set).unwrap();
         assert_eq!(set.label(NodeId(0)).bunch_size(), 1);
     }
 
@@ -601,10 +576,10 @@ mod tests {
         );
         assert_eq!(p.node(), NodeId(2));
         assert!(!p.finished());
-        p.pivots[0] = Some((NodeId(2), 0));
-        p.bunch.push((NodeId(3), 7));
-        let mut set = SketchSet::new();
-        p.append_label(&mut set).unwrap();
+        p.label.pivots[0] = Some((NodeId(2), 0));
+        p.label.bunch.push((NodeId(3), 7));
+        let mut set = SketchSet::sized(0, 2, Vec::new(), 0);
+        p.label.append_to(&mut set).unwrap();
         let s = set.label(NodeId(0));
         assert_eq!(s.pivot(0), Some((NodeId(2), 0)));
         assert_eq!(s.pivot(1), None);

@@ -7,12 +7,13 @@
 //! realistic bunch sizes.  [`FlatSketchSet`] is a finished build *frozen*
 //! into the form its family is served in, one form and one kernel each.  A
 //! Thorup–Zwick set is its one layer as it is, answered by the Lemma 3.2
-//! level walk.  The slack families — 3-stretch, CDG and the gracefully
-//! degrading union of CDG layers — answer with one rule, the smallest
-//! `d(u, w) + d(w, v)` over landmarks `w` the two labels share in some layer
-//! (Theorems 4.3, 4.6, 4.8), and are served from **one row per node**: the
-//! union of the node's bunches over the set's 1 to 32 layers, each landmark
-//! once, with a bit mask naming the layers it came from:
+//! level walk, which zips two pivot rows of the set's one `k`.  The slack
+//! families — 3-stretch, CDG and the gracefully degrading union of CDG
+//! layers — answer with one rule, the smallest `d(u, w) + d(w, v)` over
+//! landmarks `w` the two labels share in some layer (Theorems 4.3, 4.6,
+//! 4.8), and are served from **one row per node**: the union of the node's
+//! bunches over the set's 1 to 32 layers, each landmark once, with a bit
+//! mask naming the layers it came from:
 //!
 //! ```text
 //!   row offsets ─┐
@@ -54,8 +55,7 @@
 
 use crate::cast;
 use crate::codec::{
-    check_covers, check_layer_count, read_family, table_shape, unaddressable, CodecError, Decoder,
-    MAX_LAYERS,
+    check_covers, check_layer_count, read_family, unaddressable, CodecError, Decoder, MAX_LAYERS,
 };
 use crate::error::SketchError;
 use crate::oracle::{check_nodes, DistanceOracle};
@@ -65,35 +65,31 @@ use netgraph::{add_dist, Distance, NodeId, INFINITY};
 use std::borrow::Cow;
 use std::cell::Cell;
 
-/// The Lemma 3.2 level walk over two pivot rows: mirrors
+/// The Lemma 3.2 level walk over two pivot rows of one `k`: mirrors
 /// [`crate::query::estimate_distance`] candidate-for-candidate (both
 /// directions per level, smaller estimate wins, first level with a hit
 /// answers).  `in_u` / `in_v` answer "distance to `w` if `w` is in that
 /// side's bunch".  The estimate comes with the level that answered it;
-/// `None` means no common landmark.
+/// `None` means no common landmark.  The served walk and the §2.1
+/// exchange's requester both answer with it.
 #[inline]
-fn level_walk(
+pub(crate) fn level_walk(
     pivots_u: &[(NodeId, Distance)],
     pivots_v: &[(NodeId, Distance)],
     in_u: impl Fn(NodeId) -> Option<Distance>,
     in_v: impl Fn(NodeId) -> Option<Distance>,
 ) -> Option<(Distance, usize)> {
-    let k = pivots_u.len().max(pivots_v.len());
-    for i in 0..k {
+    for (i, (&(pu, du), &(pv, dv))) in pivots_u.iter().zip(pivots_v).enumerate() {
         let mut best: Option<Distance> = None;
-        if let Some(&(p, dp)) = pivots_u.get(i) {
-            if p != NO_PIVOT {
-                if let Some(dv) = in_v(p) {
-                    best = Some(add_dist(dp, dv));
-                }
+        if pu != NO_PIVOT {
+            if let Some(d) = in_v(pu) {
+                best = Some(add_dist(du, d));
             }
         }
-        if let Some(&(p, dp)) = pivots_v.get(i) {
-            if p != NO_PIVOT {
-                if let Some(du) = in_u(p) {
-                    let cand = add_dist(dp, du);
-                    best = Some(best.map_or(cand, |b| b.min(cand)));
-                }
+        if pv != NO_PIVOT {
+            if let Some(d) = in_u(pv) {
+                let cand = add_dist(dv, d);
+                best = Some(best.map_or(cand, |b| b.min(cand)));
             }
         }
         if let Some(best) = best {
@@ -525,7 +521,10 @@ impl FlatSketchSet {
         spec: &SchemeSpec,
         mut layers: Vec<Cow<'_, Layer>>,
     ) -> Result<FlatSketchSet, CodecError> {
-        let tables = layers.iter().map(|layer| table_shape(layer)).collect();
+        let tables = layers
+            .iter()
+            .map(|layer| layer.sketches.table_shape())
+            .collect();
         let labels = match spec {
             SchemeSpec::ThorupZwick { .. } => {
                 let count = layers.len();
@@ -700,9 +699,11 @@ mod tests {
     /// One hand-built label: its pivot slots and its ascending bunch.
     type Row<'a> = (&'a [Option<(NodeId, Distance)>], &'a [(NodeId, Distance)]);
 
-    /// Labels of nodes `0..` from `(pivots, bunch)` rows.
+    /// Labels of nodes `0..` from `(pivots, bunch)` rows of one `k`, in a
+    /// set with no table.
     fn set_of(rows: &[Row<'_>]) -> SketchSet {
-        let mut set = SketchSet::new();
+        let k = rows.first().map_or(1, |(pivots, _)| pivots.len());
+        let mut set = SketchSet::sized(0, k, Vec::new(), 0);
         for (pivots, bunch) in rows {
             set.push_label(pivots, bunch).unwrap();
         }
@@ -728,10 +729,9 @@ mod tests {
         ])
     }
 
-    /// `set` as the one layer of a `spec` set, over the hierarchy that puts
-    /// each node at the highest level a label names it pivot at.
+    /// `set`'s labels as the one layer of a `spec` set, over the hierarchy
+    /// that puts each node at the highest level a label names it pivot at.
     fn stored(spec: SchemeSpec, set: &SketchSet) -> StoredSketches {
-        let k = set.labels().next().map_or(1, |label| label.k());
         let mut levels = vec![0; set.len()];
         for label in set.labels() {
             for (level, &(pivot, _)) in (0..).zip(label.pivots) {
@@ -740,9 +740,16 @@ mod tests {
                 }
             }
         }
+        let hierarchy = crate::hierarchy::Hierarchy::from_levels(levels, set.k).unwrap();
+        let mut sketches = SketchSet::over(&hierarchy);
+        for label in set.labels() {
+            let pivots: Vec<_> = (0..label.k()).map(|level| label.pivot(level)).collect();
+            let bunch: Vec<_> = label.bunch().collect();
+            sketches.push_label(&pivots, &bunch).unwrap();
+        }
         let layer = Layer {
-            sketches: set.clone(),
-            hierarchy: crate::hierarchy::Hierarchy::from_levels(levels, k).unwrap(),
+            sketches,
+            hierarchy,
             params: None,
         };
         StoredSketches {
@@ -789,24 +796,6 @@ mod tests {
     }
 
     #[test]
-    fn asymmetric_k_walks_the_longer_pivot_range() {
-        // u has k = 1, v has k = 3 with the shared landmark at level 2: the
-        // walk must keep going past u's last level, like the per-node rule does.
-        let set = set_of(&[
-            (&[Some((NodeId(0), 0))], &[(NodeId(0), 0), (NodeId(9), 2)]),
-            (
-                &[Some((NodeId(1), 0)), None, Some((NodeId(9), 3))],
-                &[(NodeId(1), 0), (NodeId(9), 3)],
-            ),
-        ]);
-        let flat = frozen_as_tz(&set);
-        let expected = estimate_distance(set.label(NodeId(0)), set.label(NodeId(1)));
-        assert_eq!(expected.as_ref().unwrap(), &5);
-        assert_eq!(flat.estimate(NodeId(0), NodeId(1)), expected);
-        assert_eq!(flat.estimate(NodeId(1), NodeId(0)), expected);
-    }
-
-    #[test]
     fn errors_match_the_map_path() {
         let flat = frozen_as_tz(&toy_set());
         assert!(matches!(
@@ -847,7 +836,7 @@ mod tests {
 
     #[test]
     fn empty_set_freezes_to_an_empty_oracle() {
-        let flat = frozen_as_tz(&SketchSet::new());
+        let flat = frozen_as_tz(&set_of(&[]));
         assert_eq!(flat.num_nodes(), 0);
         assert_eq!(flat.max_words(), 0);
         assert!(matches!(

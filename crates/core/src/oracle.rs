@@ -177,7 +177,8 @@ mod tests {
     /// pivots say (v1 the top level), served by the per-node reference
     /// oracle.
     fn tiny_set() -> StoredSketches {
-        let mut labels = SketchSet::new();
+        let hierarchy = Hierarchy::from_levels(vec![0, 1], 2).unwrap();
+        let mut labels = SketchSet::over(&hierarchy);
         labels
             .push_label(
                 &[Some((NodeId(0), 0)), Some((NodeId(1), 3))],
@@ -194,7 +195,7 @@ mod tests {
             spec: SchemeSpec::thorup_zwick(2),
             layers: vec![Layer {
                 sketches: labels,
-                hierarchy: Hierarchy::from_levels(vec![0, 1], 2).unwrap(),
+                hierarchy,
                 params: None,
             }],
         }
@@ -263,7 +264,7 @@ mod tests {
     #[test]
     fn empty_oracle_statistics() {
         let mut set = tiny_set();
-        set.layers[0].sketches = SketchSet::new();
+        set.layers[0].sketches = SketchSet::over(&Hierarchy::from_levels(Vec::new(), 2).unwrap());
         let oracle: &dyn DistanceOracle = &set;
         assert_eq!(oracle.num_nodes(), 0);
         assert_eq!(oracle.max_words(), 0);

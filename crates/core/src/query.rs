@@ -110,9 +110,11 @@ mod tests {
     /// One hand-built label: its pivot slots and its ascending bunch.
     type Row<'a> = (&'a [Option<(NodeId, Distance)>], &'a [(NodeId, Distance)]);
 
-    /// Labels of nodes `0..` from `(pivots, bunch)` rows.
+    /// Labels of nodes `0..` from `(pivots, bunch)` rows of one `k`, in a
+    /// set with no table.
     fn set_of(rows: &[Row<'_>]) -> SketchSet {
-        let mut set = SketchSet::new();
+        let k = rows.first().map_or(1, |(pivots, _)| pivots.len());
+        let mut set = SketchSet::sized(0, k, Vec::new(), 0);
         for (pivots, bunch) in rows {
             set.push_label(pivots, bunch).unwrap();
         }
@@ -209,18 +211,21 @@ mod tests {
 
     #[test]
     fn asymmetric_k_values_are_handled() {
-        // v has an extra empty level; the query must still find level 1.
-        let set = set_of(&[
-            (
-                &[Some((NodeId(0), 0)), Some((NodeId(9), 2))],
-                &[(NodeId(0), 0), (NodeId(9), 2)],
-            ),
-            (
-                &[Some((NodeId(1), 0)), Some((NodeId(9), 3)), None],
-                &[(NodeId(1), 0), (NodeId(9), 3)],
-            ),
-        ]);
-        let (u, v) = (set.label(NodeId(0)), set.label(NodeId(1)));
+        // Labels from two sets: v has an extra empty level; the query must
+        // still find level 1.
+        let set_u = set_of(&[(
+            &[Some((NodeId(0), 0)), Some((NodeId(9), 2))],
+            &[(NodeId(0), 0), (NodeId(9), 2)],
+        )]);
+        let set_v = set_of(&[(
+            &[Some((NodeId(1), 0)), Some((NodeId(9), 3)), None],
+            &[(NodeId(1), 0), (NodeId(9), 3)],
+        )]);
+        let u = set_u.label(NodeId(0));
+        let v = Label {
+            owner: NodeId(1),
+            ..set_v.label(NodeId(0))
+        };
         assert_eq!(v.k(), 3);
         assert_eq!(estimate_distance(u, v).unwrap(), 5);
     }

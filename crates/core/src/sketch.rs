@@ -17,13 +17,16 @@
 //!
 //! # Storage
 //!
-//! A [`SketchSet`] is every label of one layer in CSR form — per-node
-//! offsets into contiguous columns — beside one dense **landmark table**:
+//! A [`SketchSet`] is every label of one layer, over its hierarchy
+//! ([`SketchSet::over`]), in CSR form — `k` pivot slots and one sparse
+//! offset per node into contiguous columns — beside one dense **landmark
+//! table**:
 //!
 //! ```text
-//!   offsets ─┐ (pivot offset, bunch offset) per node
+//!   pivots       [(p₀(0), d) … (p_{k−1}(0), d) | (p₀(1), d) … ]   k per node, (NO_PIVOT, ∞) for none
+//!
+//!   offsets ─┐ one sparse offset per node
 //!            ▼
-//!   pivots       [(p₀(0), d) (p₁(0), d) … | (p₀(1), d) … ]   (NO_PIVOT, ∞) where a level has none
 //!   bunch_nodes  [sorted ids of B(0) \ T | B(1) \ T | …]     the sparse rows
 //!   bunch_dists  [matching distances              …]
 //!
@@ -293,19 +296,18 @@ pub struct TableShape {
     pub entries: usize,
 }
 
-/// The labels of every node of a network, in CSR form beside one landmark
-/// table (see the [module docs](self)).  Two sets are equal when they hold
-/// the same labels.
+/// The labels of every node of a network over one hierarchy, in CSR form
+/// beside one landmark table (see the [module docs](self)).  Two sets are
+/// equal when they hold the same labels.
 #[derive(Debug, Clone)]
 pub struct SketchSet {
-    /// `len() + 1` entries of `(pivot offset, bunch offset)`: node `u`'s
-    /// pivot slots are `offsets[u].0..offsets[u + 1].0` (one per level, so
-    /// per-node `k` may differ) and its sparse row is
-    /// `offsets[u].1..offsets[u + 1].1`.  One array for both, so resolving
-    /// a node's two ranges is a single pair of adjacent loads.
-    pub(crate) offsets: Vec<(u32, u32)>,
-    /// `(pivot node, distance)` per level slot, `(NO_PIVOT, INFINITY)` where
-    /// the level has none.
+    /// Levels of every label: the hierarchy's `k`.
+    pub(crate) k: usize,
+    /// `len() + 1` sparse-row offsets: node `u`'s sparse row is
+    /// `offsets[u]..offsets[u + 1]`.
+    pub(crate) offsets: Vec<u32>,
+    /// `(pivot node, distance)` per level slot, node `u`'s at
+    /// `u·k..(u+1)·k`, `(NO_PIVOT, INFINITY)` where the level has none.
     pub(crate) pivots: Vec<(NodeId, Distance)>,
     /// Sparse bunch members, strictly ascending within each node's range,
     /// never a table landmark.
@@ -330,37 +332,27 @@ impl PartialEq for SketchSet {
 
 impl Eq for SketchSet {}
 
-impl Default for SketchSet {
-    fn default() -> Self {
-        SketchSet::new()
-    }
-}
-
 impl SketchSet {
-    /// A set of no labels and no table; [`SketchSet::push_label`] appends
-    /// labels.
-    pub fn new() -> Self {
-        SketchSet::sized(0, Vec::new(), 0, 0)
+    /// A set of no labels over `hierarchy`, for the labels of its nodes to
+    /// be appended to ([`SketchSet::push_label`]): `k` pivot slots a label,
+    /// the top level `A_{k−1}` as its table.  Both engines start from it.
+    pub fn over(hierarchy: &Hierarchy) -> Self {
+        let k = hierarchy.k();
+        let top = hierarchy.level_members(k.saturating_sub(1));
+        SketchSet::sized(hierarchy.num_nodes(), k, top, 0)
     }
 
-    /// A set of no labels for a build over `hierarchy` — both engines start
-    /// from it: its table is the top level `A_{k−1}`.
-    pub(crate) fn over(hierarchy: &Hierarchy) -> Self {
-        let top = hierarchy.level_members(hierarchy.k().saturating_sub(1));
-        SketchSet::sized(hierarchy.num_nodes(), top, 0, 0)
-    }
-
-    /// An empty set over `num_nodes` nodes whose table holds `landmarks`
-    /// (strictly ascending, each below `num_nodes`), its columns sized,
-    /// once, for this much.
+    /// An empty set of `k`-level labels over `num_nodes` nodes whose table
+    /// holds `landmarks` (strictly ascending, each below `num_nodes`), its
+    /// columns sized, once, for this much.
     pub(crate) fn sized(
         num_nodes: usize,
+        k: usize,
         landmarks: Vec<NodeId>,
-        pivot_slots: usize,
         sparse_entries: usize,
     ) -> Self {
         let mut offsets = Vec::with_capacity(num_nodes + 1);
-        offsets.push((0, 0));
+        offsets.push(0);
         let mut positions = Vec::new();
         if !landmarks.is_empty() {
             positions = vec![NOT_IN_TABLE; num_nodes];
@@ -369,8 +361,9 @@ impl SketchSet {
             }
         }
         SketchSet {
+            k,
             offsets,
-            pivots: Vec::with_capacity(pivot_slots),
+            pivots: Vec::with_capacity(num_nodes * k),
             bunch_nodes: Vec::with_capacity(sparse_entries),
             bunch_dists: Vec::with_capacity(sparse_entries),
             table_dists: Vec::with_capacity(num_nodes * landmarks.len()),
@@ -379,16 +372,20 @@ impl SketchSet {
         }
     }
 
-    /// Append the label of node `len()`: one pivot slot per level (`None`
-    /// where the level has none) and its bunch, which must be strictly
-    /// ascending by node id — refused otherwise, with nothing appended.  A
-    /// table landmark's entry goes to the table row, the rest to the
-    /// sparse row.
+    /// Append the label of node `len()`: one pivot slot for each of the
+    /// set's `k` levels (`None` where the level has none) and its bunch,
+    /// which must be strictly ascending by node id — refused otherwise,
+    /// with nothing appended.  A table landmark's entry goes to the table
+    /// row, the rest to the sparse row.
     pub fn push_label(
         &mut self,
         pivots: &[Option<(NodeId, Distance)>],
         bunch: &[(NodeId, Distance)],
     ) -> Result<(), SketchError> {
+        if pivots.len() != self.k {
+            let message = format!("{} pivot slots for labels of k = {}", pivots.len(), self.k);
+            return Err(SketchError::InvalidParameters(message));
+        }
         if let Some(pair) = bunch.windows(2).find(|pair| pair[0].0 >= pair[1].0) {
             return Err(SketchError::InvalidParameters(format!(
                 "the bunch of {} is not strictly ascending: {} before {}",
@@ -399,17 +396,10 @@ impl SketchSet {
         }
         self.pivots
             .extend(pivots.iter().map(|p| p.unwrap_or((NO_PIVOT, INFINITY))));
-        self.push_bunch(bunch.iter().copied());
-        Ok(())
-    }
-
-    /// Append an ascending bunch as the next label's, routed between its
-    /// table row and its sparse row, and close the label.
-    fn push_bunch(&mut self, bunch: impl Iterator<Item = (NodeId, Distance)>) {
         let row = self.table_dists.len();
         self.table_dists
             .resize(row + self.table_nodes.len(), INFINITY);
-        for (w, distance) in bunch {
+        for &(w, distance) in bunch {
             match self.position(w) {
                 Some(at) => self.table_dists[row + at] = distance,
                 None => {
@@ -419,6 +409,7 @@ impl SketchSet {
             }
         }
         self.seal_label();
+        Ok(())
     }
 
     /// `w`'s position in the table, if it is a table landmark.
@@ -426,26 +417,9 @@ impl SketchSet {
         position(&self.positions, w)
     }
 
-    /// The same labels over a table of `landmarks` (strictly ascending, each
-    /// below `len()`): each entry moved to where that table puts it.
-    pub(crate) fn with_landmarks(&self, landmarks: Vec<NodeId>) -> SketchSet {
-        let mut set = SketchSet::sized(
-            self.len(),
-            landmarks,
-            self.pivots.len(),
-            self.bunch_nodes.len(),
-        );
-        for label in self.labels() {
-            set.pivots.extend_from_slice(label.pivots);
-            set.push_bunch(label.bunch());
-        }
-        set
-    }
-
     /// Close the label whose slots, entries and cells were appended last.
     pub(crate) fn seal_label(&mut self) {
-        let end = (offset(self.pivots.len()), offset(self.bunch_nodes.len()));
-        self.offsets.push(end);
+        self.offsets.push(offset(self.bunch_nodes.len()));
     }
 
     /// Number of nodes covered.
@@ -466,14 +440,12 @@ impl SketchSet {
     #[inline]
     pub fn label(&self, node: NodeId) -> Label<'_> {
         let u = node.index();
-        let (pivot_start, bunch_start) = self.offsets[u];
-        let (pivot_end, bunch_end) = self.offsets[u + 1];
-        let range = |start, end| cast::usize_from_u32(start)..cast::usize_from_u32(end);
-        let bunch = range(bunch_start, bunch_end);
-        let width = self.table_nodes.len();
+        let bunch =
+            cast::usize_from_u32(self.offsets[u])..cast::usize_from_u32(self.offsets[u + 1]);
+        let (k, width) = (self.k, self.table_nodes.len());
         Label {
             owner: node,
-            pivots: &self.pivots[range(pivot_start, pivot_end)],
+            pivots: &self.pivots[u * k..(u + 1) * k],
             bunch_nodes: &self.bunch_nodes[bunch.clone()],
             bunch_dists: &self.bunch_dists[bunch],
             table_nodes: &self.table_nodes,
@@ -508,19 +480,28 @@ impl SketchSet {
         }
     }
 
-    /// Check the structural invariants the queries rely on: the offsets
-    /// start at `(0, 0)`, never decrease and end at the column lengths, the
-    /// bunch columns are parallel, every label has `k ≥ 1` and a strictly
-    /// ascending sparse row (the binary-search contract) that names no
-    /// table landmark, and the table's landmarks ascend below the node
-    /// count, each found at its position, over one row of cells per node.
+    /// Check the structural invariants the queries rely on: `k ≥ 1` slots
+    /// a node, offsets that start at `0`, never decrease and end at the
+    /// column lengths, parallel bunch columns, a strictly ascending sparse
+    /// row (the binary-search contract) that names no table landmark, and
+    /// the table's landmarks ascending below the node count, each found at
+    /// its position, over one row of cells per node.
     /// What the labels say about their sampling — levels, pivot rows — is
     /// [`Layer::check_invariants`](crate::scheme::Layer::check_invariants)'s
     /// to check.
     pub fn check_invariants(&self) -> Result<(), String> {
         ensure(
-            self.offsets.first() == Some(&(0, 0)),
-            "offset array does not start at (0, 0)".to_string(),
+            self.offsets.first() == Some(&0),
+            "offset array does not start at 0".to_string(),
+        )?;
+        let (k, nodes, slots) = (self.k, self.len(), self.pivots.len());
+        ensure(
+            k >= 1,
+            "the labels have an empty pivot row (k = 0)".to_string(),
+        )?;
+        ensure(
+            slots == nodes * k,
+            format!("{slots} pivot slots for {nodes} nodes of k = {k}"),
         )?;
         ensure(
             self.bunch_nodes.len() == self.bunch_dists.len(),
@@ -532,19 +513,12 @@ impl SketchSet {
         )?;
         self.check_table()?;
         for (node, pair) in self.offsets.windows(2).enumerate() {
-            let (pivot_lo, bunch_lo) = pair[0];
-            let (pivot_hi, bunch_hi) = pair[1];
             ensure(
-                pivot_lo <= pivot_hi && bunch_lo <= bunch_hi,
+                pair[0] <= pair[1],
                 format!("offsets decrease at node {node}"),
             )?;
             ensure(
-                pivot_lo < pivot_hi,
-                format!("node {node} has an empty pivot row (k = 0)"),
-            )?;
-            ensure(
-                cast::usize_from_u32(pivot_hi) <= self.pivots.len()
-                    && cast::usize_from_u32(bunch_hi) <= self.bunch_nodes.len(),
+                cast::usize_from_u32(pair[1]) <= self.bunch_nodes.len(),
                 format!("offsets of node {node} point past the end of the arrays"),
             )?;
             let bunch = self.label(NodeId::from_index(node)).bunch_nodes;
@@ -559,18 +533,9 @@ impl SketchSet {
         }
         let last = self.offsets[self.len()];
         ensure(
-            cast::usize_from_u32(last.0) == self.pivots.len(),
+            cast::usize_from_u32(last) == self.bunch_nodes.len(),
             format!(
-                "offsets terminate at pivot {} but {} pivot slots exist",
-                last.0,
-                self.pivots.len()
-            ),
-        )?;
-        ensure(
-            cast::usize_from_u32(last.1) == self.bunch_nodes.len(),
-            format!(
-                "offsets terminate at bunch {} but {} bunch entries exist",
-                last.1,
+                "offsets terminate at bunch {last} but {} bunch entries exist",
                 self.bunch_nodes.len()
             ),
         )
@@ -617,6 +582,12 @@ pub(crate) fn ensure(ok: bool, message: String) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    /// An empty set of `k`-level labels with no table, for hand-built
+    /// labels over any node ids.
+    fn plain(k: usize) -> SketchSet {
+        SketchSet::sized(0, k, Vec::new(), 0)
+    }
+
     #[test]
     fn dist_key_ordering() {
         let a = DistKey::new(5, NodeId(10));
@@ -631,7 +602,7 @@ mod tests {
 
     #[test]
     fn sketch_pivot_and_bunch_basics() {
-        let mut set = SketchSet::new();
+        let mut set = plain(3);
         let pivots = [Some((NodeId(0), 0)), None, Some((NodeId(3), 12))];
         set.push_label(&pivots, &[(NodeId(0), 0), (NodeId(3), 12), (NodeId(4), 7)])
             .unwrap();
@@ -653,7 +624,7 @@ mod tests {
 
     #[test]
     fn a_label_push_refuses_a_bunch_out_of_order() {
-        let mut set = SketchSet::new();
+        let mut set = plain(1);
         for bunch in [
             [(NodeId(4), 1), (NodeId(2), 1)],
             [(NodeId(4), 1), (NodeId(4), 2)],
@@ -662,12 +633,43 @@ mod tests {
             assert!(err.to_string().contains("not strictly ascending"), "{err}");
         }
         assert!(set.is_empty(), "a refused label appends nothing");
-        assert_eq!(set, SketchSet::new());
+        assert_eq!(set, plain(1));
+    }
+
+    #[test]
+    fn a_label_push_refuses_a_pivot_row_of_another_k() {
+        let hierarchy = Hierarchy::from_levels(vec![0, 1], 2).unwrap();
+        let mut set = SketchSet::over(&hierarchy);
+        set.push_label(
+            &[Some((NodeId(0), 0)), Some((NodeId(1), 3))],
+            &[(NodeId(0), 0), (NodeId(1), 3)],
+        )
+        .unwrap();
+        let columns = |set: &SketchSet| {
+            let set = set.clone();
+            (
+                set.offsets,
+                set.pivots,
+                set.bunch_nodes,
+                set.bunch_dists,
+                set.table_dists,
+            )
+        };
+        let before = columns(&set);
+        let slot = Some((NodeId(1), 0));
+        for pivots in [&[slot][..], &[slot; 3]] {
+            let err = set.push_label(pivots, &[(NodeId(1), 0)]).unwrap_err();
+            assert!(err.to_string().contains("labels of k = 2"), "{err}");
+            assert_eq!(set.len(), 1, "a refused label appends nothing");
+            assert_eq!(columns(&set), before);
+        }
+        set.push_label(&[slot; 2], &[(NodeId(1), 0)]).unwrap();
+        assert_eq!(set.check_invariants(), Ok(()));
     }
 
     #[test]
     fn word_accounting() {
-        let mut set = SketchSet::new();
+        let mut set = plain(2);
         set.push_label(&[None, None], &[]).unwrap();
         set.push_label(&[Some((NodeId(1), 0)), None], &[]).unwrap();
         set.push_label(
@@ -682,12 +684,12 @@ mod tests {
     #[test]
     fn invariant_checker_catches_bad_levels() {
         // A label with no level at all: the walk has nothing to read.
-        let mut set = SketchSet::new();
+        let mut set = plain(0);
         set.push_label(&[], &[(NodeId(1), 3)]).unwrap();
         let message = set.check_invariants().unwrap_err();
-        assert_eq!(message, "node 0 has an empty pivot row (k = 0)");
+        assert_eq!(message, "the labels have an empty pivot row (k = 0)");
 
-        let mut ok = SketchSet::new();
+        let mut ok = plain(2);
         ok.push_label(&[None, Some((NodeId(3), 4))], &[(NodeId(3), 4)])
             .unwrap();
         assert_eq!(ok.check_invariants(), Ok(()));
@@ -701,7 +703,8 @@ mod tests {
         use crate::codec::CodecError;
         use crate::scheme::Layer;
         let layer = |pivot: Distance| {
-            let mut set = SketchSet::new();
+            let hierarchy = Hierarchy::from_levels(vec![0, -1], 1).unwrap();
+            let mut set = SketchSet::over(&hierarchy);
             set.push_label(&[Some((NodeId(0), 9))], &[(NodeId(0), 9)])
                 .unwrap();
             set.push_label(&[Some((NodeId(0), pivot))], &[(NodeId(0), 9)])
@@ -709,7 +712,7 @@ mod tests {
             assert_eq!(set.check_invariants(), Ok(()));
             Layer {
                 sketches: set,
-                hierarchy: Hierarchy::from_levels(vec![0, -1], 1).unwrap(),
+                hierarchy,
                 params: None,
             }
         };
@@ -740,7 +743,7 @@ mod tests {
 
     #[test]
     fn sketch_set_statistics() {
-        let mut set = SketchSet::new();
+        let mut set = plain(2);
         set.push_label(&[Some((NodeId(0), 0)), None], &[(NodeId(1), 1)])
             .unwrap();
         set.push_label(
@@ -768,8 +771,8 @@ mod tests {
             &[(NodeId(1), 0)],
             &[(NodeId(2), 0)],
         ];
-        let mut table = SketchSet::sized(3, vec![NodeId(2)], 0, 0);
-        let mut plain = SketchSet::new();
+        let mut table = SketchSet::sized(3, 2, vec![NodeId(2)], 0);
+        let mut plain = plain(2);
         for (pivots, bunch) in pivots.iter().zip(bunches) {
             table.push_label(pivots, bunch).unwrap();
             plain.push_label(pivots, bunch).unwrap();
@@ -799,10 +802,6 @@ mod tests {
             (shape.landmarks, shape.nodes, shape.cells, shape.entries),
             (1, 3, 2, 5)
         );
-        assert_eq!(
-            plain.with_landmarks(vec![NodeId(2)]).table_dists,
-            table.table_dists
-        );
     }
 
     #[test]
@@ -811,7 +810,7 @@ mod tests {
         // count, positions unlike the landmarks: each is what the query's
         // one load would misread.
         let built = || {
-            let mut set = SketchSet::sized(2, vec![NodeId(1)], 0, 0);
+            let mut set = SketchSet::sized(2, 1, vec![NodeId(1)], 0);
             set.push_label(&[Some((NodeId(0), 0))], &[(NodeId(0), 0), (NodeId(1), 2)])
                 .unwrap();
             set.push_label(&[Some((NodeId(1), 0))], &[(NodeId(1), 0)])
@@ -838,7 +837,7 @@ mod tests {
 
     #[test]
     fn empty_sketch_set() {
-        let set = SketchSet::new();
+        let set = SketchSet::over(&Hierarchy::from_levels(Vec::new(), 1).unwrap());
         assert!(set.is_empty());
         assert_eq!(set.labels().count(), 0);
         assert_eq!(set.bunch_entries(), 0);

@@ -145,7 +145,7 @@ proptest! {
                 })
                 .collect();
             let family = |far: bool| {
-                let mut set = SketchSet::new();
+                let mut set = SketchSet::over(&hierarchy);
                 for (pivots, bunch) in &labels {
                     let mut bunch = bunch.clone();
                     if far {

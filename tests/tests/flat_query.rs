@@ -2,9 +2,8 @@
 //! every sketch family, [`FlatSketchSet`] answers **identically** to the
 //! per-node reference oracle (`StoredSketches`, the `dsketch::query` rules
 //! over each node's label) it was frozen from — same estimates, same
-//! errors, same label-size accounting — on random graphs, on disconnected
-//! graphs (the `NoCommonLandmark` cases), and on hand-built labels with
-//! asymmetric per-node `k`.
+//! errors, same label-size accounting — on random graphs and on
+//! disconnected graphs (the `NoCommonLandmark` cases).
 //!
 //! The slack families are served from one merged row per node
 //! (`dsketch::flat`); the cases below also pin that every set an engine
@@ -172,52 +171,6 @@ proptest! {
     }
 }
 
-/// The asymmetric-`k` path: labels whose per-node level counts differ
-/// (possible for hand-assembled or merged label sets) must walk the longer
-/// pivot range, exactly like `estimate_distance`'s `k = max(ku, kv)`.
-#[test]
-fn asymmetric_k_labels_freeze_and_answer_identically() {
-    // Node 0: k = 1.  Node 1: k = 3 with the shared landmark only at level
-    // 2.  Node 2: k = 2, sharing a different landmark with both.
-    let (v0, v1, v2, v7, v9) = (NodeId(0), NodeId(1), NodeId(2), NodeId(7), NodeId(9));
-    let mut labels = SketchSet::new();
-    for (pivots, bunch) in [
-        (&[Some((v0, 0))][..], &[(v0, 0), (v7, 4), (v9, 2)][..]),
-        (&[Some((v1, 0)), None, Some((v9, 3))], &[(v1, 0), (v9, 3)]),
-        (&[Some((v2, 0)), Some((v7, 1))], &[(v2, 0), (v7, 1)]),
-    ] {
-        labels.push_label(pivots, bunch).unwrap();
-    }
-    let set = StoredSketches {
-        spec: SchemeSpec::thorup_zwick(3),
-        // No node at the top level: the labels keep no table.
-        layers: vec![Layer {
-            sketches: labels.clone(),
-            hierarchy: Hierarchy::from_levels(vec![0; 3], 3).unwrap(),
-            params: None,
-        }],
-    };
-    let flat = set.freeze().unwrap();
-
-    for u in (0..3).map(NodeId::from_index) {
-        for v in (0..3).map(NodeId::from_index) {
-            assert_eq!(
-                flat.estimate(u, v),
-                dsketch::query::estimate_distance(labels.label(u), labels.label(v)),
-                "walk differs at ({u}, {v})"
-            );
-            assert_eq!(
-                flat.estimate(u, v),
-                DistanceOracle::estimate(&set, u, v),
-                "oracle estimate differs at ({u}, {v})"
-            );
-        }
-    }
-    // The walk really does cross the k boundary: (0, 1) answers at level 2
-    // of the longer side.
-    assert_eq!(flat.estimate(NodeId(0), NodeId(1)).unwrap(), 5);
-}
-
 /// Every type-erased build hands back the flat oracle: for each family, on
 /// both engines, `SchemeSpec::build`'s output answers exactly like the
 /// per-node sets the same construction produces through `build_stored` —
@@ -278,13 +231,14 @@ fn slack_set(spec: SchemeSpec, layers: Vec<Vec<Row>>) -> StoredSketches {
         .zip(layers)
         .map(|(i, rows)| {
             let (n, eps) = (rows.len(), 0.5f64.powi(i));
-            let mut sketches = SketchSet::new();
+            let hierarchy = Hierarchy::from_levels(vec![0; n], 1).unwrap();
+            let mut sketches = SketchSet::over(&hierarchy);
             for (pivots, bunch) in &rows {
                 sketches.push_label(pivots, bunch).unwrap();
             }
             Layer {
                 params: Some(CdgParams::new(eps, 1)),
-                hierarchy: Hierarchy::from_levels(vec![0; n], 1).unwrap(),
+                hierarchy,
                 sketches,
             }
         })

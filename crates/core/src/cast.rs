@@ -10,8 +10,8 @@
 //! * **narrowing** (`usize → u32`, `u64 → usize`) — can truncate, and a
 //!   silent wrap in offset arithmetic corrupts a snapshot without any
 //!   error until query time;
-//! * **representation** (`bool → u8`) — a definition, not an arithmetic
-//!   conversion.
+//! * **truncation** (the low byte of a `u32`) — deliberate, never a
+//!   lossless conversion in disguise.
 //!
 //! This module gives each its own named helper: fallible narrowing returns
 //! a typed [`CastError`], widening helpers are infallible `const fn`s with
@@ -76,12 +76,6 @@ pub const fn u64_from_usize(v: usize) -> u64 {
     v as u64
 }
 
-/// A bool as its one-byte wire form (`0` / `1`).
-#[inline]
-pub const fn u8_from_bool(v: bool) -> u8 {
-    v as u8
-}
-
 /// The low byte of a `u32` — *deliberate* truncation (table indexing,
 /// byte extraction), named so it cannot be mistaken for a lossless
 /// conversion.
@@ -114,7 +108,5 @@ mod tests {
     fn widening_round_trips() {
         assert_eq!(usize_from_u32(u32::MAX), u32::MAX as usize);
         assert_eq!(u64_from_usize(usize::MAX), usize::MAX as u64);
-        assert_eq!(u8_from_bool(true), 1);
-        assert_eq!(u8_from_bool(false), 0);
     }
 }

@@ -111,10 +111,9 @@
 //!   length-prefixed with `u64`.
 //! * A value has exactly one accepted form, so encoding is deterministic:
 //!   `encode(decode(bytes)) == bytes`.
-//! * Every [`SketchCodec`] encoding's size is known before a byte is
-//!   written ([`SketchCodec::encoded_len`]), so it is allocated once.  A
-//!   family payload is written in one pass: its exact length needs every
-//!   entry's rank, which costs what writing it does.
+//! * Each layout has one writer; a size is what writing takes.  A family
+//!   payload is written in one pass, and its byte split is read off that
+//!   same writer.
 //! * Changing any encoding below is a **format break** and must bump the
 //!   container's major version in `dsketch-store`.
 //!
@@ -231,8 +230,8 @@ impl Encoder {
         Encoder::default()
     }
 
-    /// An empty encoder with room for `bytes` bytes, so a payload whose size
-    /// is known up front ([`SketchCodec::encoded_len`]) never re-allocates.
+    /// An empty encoder with room for `bytes` bytes, so a payload no larger
+    /// never re-allocates.
     pub fn with_capacity(bytes: usize) -> Self {
         Encoder {
             buf: Vec::with_capacity(bytes),
@@ -274,11 +273,6 @@ impl Encoder {
     /// bits round-trip).
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
-    }
-
-    /// Append a bool as one byte (`0` / `1`).
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u8(crate::cast::u8_from_bool(v));
     }
 
     /// Append a length-prefixed byte string (`u64` length, then the raw
@@ -524,12 +518,9 @@ pub trait SketchCodec: Sized {
     /// Decode one value, consuming exactly the bytes `encode` produced.
     fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError>;
 
-    /// Exactly the number of bytes `encode` appends.
-    fn encoded_len(&self) -> usize;
-
-    /// Encode into a fresh byte vector, allocated once at its final size.
+    /// Encode into a fresh byte vector.
     fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Encoder::with_capacity(self.encoded_len());
+        let mut out = Encoder::new();
         self.encode(&mut out);
         out.into_bytes()
     }
@@ -541,68 +532,6 @@ pub trait SketchCodec: Sized {
         let value = Self::decode(&mut input)?;
         input.finish()?;
         Ok(value)
-    }
-}
-
-/// Bytes [`Encoder::put_varint`] writes for `v`.
-fn varint_len(v: u64) -> usize {
-    cast::usize_from_u32((70 - (v | 1).leading_zeros()) / 7)
-}
-
-/// Where a payload goes: an [`Encoder`], or a [`Measure`] that only
-/// counts.  The writer and the byte split both run the one fold that
-/// writes a payload, each monomorphized, so the split is exact by
-/// construction.
-trait Sink {
-    /// Append one varint.
-    fn varint(&mut self, v: u64);
-    /// Append one fixed-layout value.
-    fn value<T: SketchCodec>(&mut self, value: &T);
-    /// Append a `usize` as a `u64`.
-    fn usize(&mut self, v: usize);
-    /// Bytes appended so far.
-    fn len(&self) -> usize;
-}
-
-impl Sink for Encoder {
-    #[inline]
-    fn varint(&mut self, v: u64) {
-        self.put_varint(v);
-    }
-
-    fn value<T: SketchCodec>(&mut self, value: &T) {
-        value.encode(self);
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.put_usize(v);
-    }
-
-    fn len(&self) -> usize {
-        Encoder::len(self)
-    }
-}
-
-/// A [`Sink`] that only counts the bytes.
-#[derive(Default)]
-struct Measure(usize);
-
-impl Sink for Measure {
-    #[inline]
-    fn varint(&mut self, v: u64) {
-        self.0 += varint_len(v);
-    }
-
-    fn value<T: SketchCodec>(&mut self, value: &T) {
-        self.0 += value.encoded_len();
-    }
-
-    fn usize(&mut self, _: usize) {
-        self.0 += 8;
-    }
-
-    fn len(&self) -> usize {
-        self.0
     }
 }
 
@@ -662,20 +591,20 @@ impl Sampling {
 }
 
 /// A label set's varints, in wire order (see "Label sets" in the
-/// [module docs](self)), into `sink`: the bytes the sparse runs and the
+/// [module docs](self)), into `out`: the bytes the sparse runs and the
 /// table rows take.  The set's table is `sampling`'s top level
 /// ([`Layer::check_invariants`]); a member the sampling puts outside `A_0`
 /// or at the top has no run, and is not written.
-fn set_varints(set: &SketchSet, sampling: &Sampling, sink: &mut impl Sink) -> (usize, usize) {
+fn set_varints(set: &SketchSet, sampling: &Sampling, out: &mut Encoder) -> (usize, usize) {
     let (mut runs, mut cells) = (0, 0);
-    let start = sink.len();
-    sink.varint(cast::u64_from_usize(set.bunch_nodes.len()));
-    runs += sink.len() - start;
+    let start = out.len();
+    out.put_varint(cast::u64_from_usize(set.bunch_nodes.len()));
+    runs += out.len() - start;
     // Per level below the top, the row's (rank, distance) pairs.
     let below = sampling.k.saturating_sub(1).min(sampling.members.len());
     let mut levels: Vec<Vec<(u32, Distance)>> = vec![Vec::new(); below];
     for label in set.labels() {
-        let start = sink.len();
+        let start = out.len();
         levels.iter_mut().for_each(Vec::clear);
         for (&w, &distance) in label.bunch_nodes.iter().zip(label.bunch_dists) {
             if let Some((level, rank)) = sampling.slot(w) {
@@ -686,27 +615,27 @@ fn set_varints(set: &SketchSet, sampling: &Sampling, sink: &mut impl Sink) -> (u
         }
         for level in 0..sampling.k.saturating_sub(1) {
             let run = levels.get(level).map_or(&[][..], Vec::as_slice);
-            sink.varint(cast::u64_from_usize(run.len()));
+            out.put_varint(cast::u64_from_usize(run.len()));
             // The smallest rank the next entry may carry; gaps count up
             // from it.
             let mut floor = 0;
             for &(rank, distance) in run {
-                sink.varint(u64::from(rank - floor));
-                sink.varint(distance);
+                out.put_varint(u64::from(rank - floor));
+                out.put_varint(distance);
                 floor = rank + 1;
             }
         }
-        let middle = sink.len();
+        let middle = out.len();
         let finite = label.table_dists.iter().filter(|&&d| d != INFINITY);
         match finite.min().copied() {
             None => {
-                sink.varint(0);
-                label.table_dists.iter().for_each(|_| sink.varint(0));
+                out.put_varint(0);
+                label.table_dists.iter().for_each(|_| out.put_varint(0));
             }
             Some(least) => {
-                sink.varint(least + 1);
+                out.put_varint(least + 1);
                 for &distance in label.table_dists {
-                    sink.varint(if distance == INFINITY {
+                    out.put_varint(if distance == INFINITY {
                         0
                     } else {
                         distance - least + 1
@@ -715,7 +644,7 @@ fn set_varints(set: &SketchSet, sampling: &Sampling, sink: &mut impl Sink) -> (u
             }
         }
         runs += middle - start;
-        cells += sink.len() - middle;
+        cells += out.len() - middle;
     }
     (runs, cells)
 }
@@ -966,14 +895,6 @@ impl SketchCodec for Hierarchy {
             message: e.to_string(),
         })
     }
-
-    fn encoded_len(&self) -> usize {
-        let levels = self
-            .levels()
-            .iter()
-            .map(|&level| varint_len(level_byte(level)));
-        8 + 8 + 8 + levels.sum::<usize>()
-    }
 }
 
 /// A level's varint: the level plus one, so `-1` (outside `A_0`) is `0`.
@@ -1016,10 +937,6 @@ impl SketchCodec for DensityNet {
         }
         Ok(net)
     }
-
-    fn encoded_len(&self) -> usize {
-        8 + 8 + 8 + 4 * self.len()
-    }
 }
 
 impl SketchCodec for CdgParams {
@@ -1039,10 +956,6 @@ impl SketchCodec for CdgParams {
             message: e.to_string(),
         })?;
         Ok(params)
-    }
-
-    fn encoded_len(&self) -> usize {
-        8 + 8 + 8
     }
 }
 
@@ -1065,10 +978,6 @@ impl SketchCodec for RunStats {
             active_rounds: input.u64("RunStats.active_rounds")?,
             bandwidth_violations: input.u64("RunStats.bandwidth_violations")?,
         })
-    }
-
-    fn encoded_len(&self) -> usize {
-        6 * 8
     }
 }
 
@@ -1143,15 +1052,6 @@ impl SketchCodec for SchemeSpec {
                 context: "SchemeSpec tag",
                 message: format!("unknown scheme tag {other}"),
             }),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        let option = |value: Option<usize>| 1 + value.map_or(0, |_| 8);
-        1 + match *self {
-            SchemeSpec::ThorupZwick { .. } | SchemeSpec::ThreeStretch { .. } => 8,
-            SchemeSpec::Cdg { .. } => 8 + 8,
-            SchemeSpec::Degrading { max_layers, max_k } => option(max_layers) + option(max_k),
         }
     }
 }
@@ -1307,42 +1207,42 @@ impl LayerBytes {
 /// payloads" in the [module docs](self)): a 3-stretch layer's one level as
 /// its density net, at the spec's ε; otherwise the hierarchy, after the
 /// params of a CDG or degrading layer.
-fn put_sampling(spec: &SchemeSpec, layer: &Layer, sink: &mut impl Sink) {
+fn put_sampling(spec: &SchemeSpec, layer: &Layer, out: &mut Encoder) {
     let hierarchy = &layer.hierarchy;
     match *spec {
-        SchemeSpec::ThorupZwick { .. } => sink.value(hierarchy),
+        SchemeSpec::ThorupZwick { .. } => hierarchy.encode(out),
         SchemeSpec::ThreeStretch { eps } => {
             let members = hierarchy.level_members(0);
             let net = DensityNet::from_members(hierarchy.num_nodes(), eps, members);
-            sink.value(&net);
+            net.encode(out);
         }
         SchemeSpec::Cdg { .. } | SchemeSpec::Degrading { .. } => {
-            layer.params.iter().for_each(|params| sink.value(params));
-            sink.value(hierarchy);
+            layer.params.iter().for_each(|params| params.encode(out));
+            hierarchy.encode(out);
         }
     }
 }
 
 /// The one writer of the family layouts: `stored`'s layers in its spec's
-/// layout into `sink`, and each layer's bytes by part.  A layer's label set
+/// layout into `out`, and each layer's bytes by part.  A layer's label set
 /// is written against its hierarchy, whose top level is its table.
-fn put_family(stored: &StoredSketches, sink: &mut impl Sink) -> Vec<LayerBytes> {
-    let mut start = sink.len();
+fn put_family(stored: &StoredSketches, out: &mut Encoder) -> Vec<LayerBytes> {
+    let mut start = out.len();
     if let SchemeSpec::Degrading { .. } = stored.spec {
-        sink.usize(stored.layers.len());
+        out.put_usize(stored.layers.len());
     }
     let mut split = Vec::with_capacity(stored.layers.len());
     for layer in &stored.layers {
-        put_sampling(&stored.spec, layer, sink);
-        let sampling = sink.len() - start;
+        put_sampling(&stored.spec, layer, out);
+        let sampling = out.len() - start;
         let over = Sampling::of(&layer.hierarchy);
-        let (runs, cells) = set_varints(&layer.sketches, &over, sink);
+        let (runs, cells) = set_varints(&layer.sketches, &over, out);
         split.push(LayerBytes {
             sampling,
             runs,
             cells,
         });
-        start = sink.len();
+        start = out.len();
     }
     split
 }
@@ -1362,10 +1262,11 @@ pub(crate) fn write_family(stored: &StoredSketches) -> Vec<u8> {
     out.into_bytes()
 }
 
-/// Each layer's share of `stored`'s family payload, by part, without
-/// writing it.
+/// Each layer's share of `stored`'s family payload, by part: the one
+/// writer's own accounting, from writing the payload once into a scratch
+/// encoder.
 pub(crate) fn layer_bytes(stored: &StoredSketches) -> Vec<LayerBytes> {
-    put_family(stored, &mut Measure::default())
+    put_family(stored, &mut Encoder::new())
 }
 
 /// Read one layer — its sampling as `spec`'s payload stores it, then the
@@ -1590,7 +1491,8 @@ mod tests {
         for v in values {
             let mut out = Encoder::new();
             out.put_varint(v);
-            assert_eq!(out.len(), varint_len(v), "{v}");
+            let groups = (70 - (v | 1).leading_zeros()) / 7;
+            assert_eq!(out.len(), cast::usize_from_u32(groups), "{v}");
             let mut input = Decoder::new(out.as_bytes());
             assert_eq!(input.varint("v").unwrap(), v);
             input.finish().unwrap();
@@ -1679,7 +1581,7 @@ mod tests {
         };
         let bytes = stored.encode_payload();
         let split = stored.layer_bytes();
-        assert_eq!(split[0].sampling, Hierarchy::encoded_len(&toy_hierarchy()));
+        assert_eq!(split[0].sampling, toy_hierarchy().to_bytes().len());
         assert_eq!((split[0].runs, split[0].cells), (12, 6));
         assert_eq!(split[0].total(), bytes.len());
         assert_eq!(
@@ -2026,15 +1928,8 @@ mod tests {
         }
     }
 
-    /// `to_bytes` reserves `encoded_len` bytes and must fill exactly that.
-    fn assert_len_is_exact<T: SketchCodec>(value: &T) {
-        let mut out = Encoder::with_capacity(value.encoded_len());
-        value.encode(&mut out);
-        assert_eq!(out.len(), value.encoded_len());
-    }
-
     #[test]
-    fn encoded_len_is_exact_for_every_family() {
+    fn layer_bytes_add_up_to_the_payload_for_every_family() {
         use crate::scheme::SchemeConfig;
         use netgraph::generators::{erdos_renyi, GeneratorConfig};
 
@@ -2047,10 +1942,8 @@ mod tests {
             SchemeSpec::degrading(),
         ] {
             let stored = spec.build_sketches(&graph, &config).unwrap().sketches;
-            let mut measure = Measure::default();
-            let split = put_family(&stored, &mut measure);
+            let split = stored.layer_bytes();
             let bytes = stored.encode_payload();
-            assert_eq!(bytes.len(), measure.len(), "{spec}");
             let parts: usize = split.iter().map(LayerBytes::total).sum();
             assert_eq!(parts, bytes.len(), "{spec}");
             for layer in &stored.layers {
@@ -2121,25 +2014,6 @@ mod tests {
         // The decode is the built layers: hierarchy, params and labels.
         let decoded = StoredSketches::decode_payload(&spec, &built.encode_payload()).unwrap();
         assert_eq!(decoded, built);
-    }
-
-    #[test]
-    fn encoded_len_is_exact_for_the_small_types() {
-        assert_len_is_exact(&CdgParams::new(0.25, 2));
-        assert_len_is_exact(&RunStats::default());
-        assert_len_is_exact(&toy_hierarchy());
-        for spec in [
-            SchemeSpec::thorup_zwick(3),
-            SchemeSpec::three_stretch(0.25),
-            SchemeSpec::cdg(0.2, 2),
-            SchemeSpec::degrading(),
-            SchemeSpec::Degrading {
-                max_layers: Some(3),
-                max_k: None,
-            },
-        ] {
-            assert_len_is_exact(&spec);
-        }
     }
 
     #[test]

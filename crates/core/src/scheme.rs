@@ -244,7 +244,8 @@ impl StoredSketches {
     }
 
     /// Each layer's share of [`StoredSketches::encode_payload`]'s bytes, by
-    /// part — sampling, sparse runs, table cells — without writing them.
+    /// part — sampling, sparse runs, table cells — read off the one writer:
+    /// the payload is written once into a scratch encoder and dropped.
     pub fn layer_bytes(&self) -> Vec<LayerBytes> {
         layer_bytes(self)
     }

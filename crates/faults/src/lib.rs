@@ -39,7 +39,10 @@
 //! endpoint share one grammar: `;`-separated clauses, each either
 //! `seed=N` or `point=action[,modifier...]` with modifiers `one_in=N`
 //! (trip a deterministic 1-in-N subset of eligible hits), `after=N` (skip
-//! the first N hits), and `max=N` (cap total trips).
+//! the first N hits), and `max=N` (cap total trips).  A spec says each
+//! thing once: a second `seed=`, a second clause for one point, or a
+//! modifier given twice in one clause is refused with an error naming the
+//! clause, never settled by the last value.
 //!
 //! ```
 //! let plan = dsketch_faults::FaultPlan::parse(
@@ -239,12 +242,17 @@ impl FaultPlan {
     /// `seed=7;store.save.rename=error,one_in=4;net.read.frame=delay:25,after=2,max=3`.
     pub fn parse(spec: &str) -> Result<FaultPlan, FaultSpecError> {
         let mut plan = FaultPlan::new(0);
+        let mut seeded = false;
         for clause in spec.split(';').map(str::trim).filter(|c| !c.is_empty()) {
             let (name, rest) = clause
                 .split_once('=')
                 .ok_or_else(|| FaultSpecError(format!("clause '{clause}' has no '='")))?;
             let (name, rest) = (name.trim(), rest.trim());
+            let repeats = |what: &str| FaultSpecError(format!("clause '{clause}' repeats {what}"));
             if name == "seed" {
+                if std::mem::replace(&mut seeded, true) {
+                    return Err(repeats("the seed"));
+                }
                 plan.seed = rest
                     .parse()
                     .map_err(|_| FaultSpecError(format!("seed '{rest}' is not a u64")))?;
@@ -255,9 +263,13 @@ impl FaultPlan {
                     "clause '{clause}' has no point name"
                 )));
             }
+            if plan.points.contains_key(name) {
+                return Err(repeats(&format!("point '{name}'")));
+            }
             let mut fields = rest.split(',').map(str::trim);
             let action = parse_action(fields.next().unwrap_or(""))?;
             let mut point = PointPlan::new(action);
+            let mut given = Vec::new();
             for modifier in fields {
                 let (key, value) = modifier.split_once('=').ok_or_else(|| {
                     FaultSpecError(format!("modifier '{modifier}' is not key=value"))
@@ -265,16 +277,22 @@ impl FaultPlan {
                 let value: u64 = value.trim().parse().map_err(|_| {
                     FaultSpecError(format!("modifier '{modifier}' needs a u64 value"))
                 })?;
-                match key.trim() {
-                    "one_in" => point.one_in = value,
-                    "after" => point.after = value,
-                    "max" => point.max = value,
+                let key = key.trim();
+                let field = match key {
+                    "one_in" => &mut point.one_in,
+                    "after" => &mut point.after,
+                    "max" => &mut point.max,
                     other => {
                         return Err(FaultSpecError(format!(
                             "unknown modifier '{other}' (known: one_in, after, max)"
                         )))
                     }
+                };
+                if given.contains(&key) {
+                    return Err(repeats(&format!("'{key}'")));
                 }
+                given.push(key);
+                *field = value;
             }
             plan.points.insert(name.to_string(), point);
         }
@@ -713,6 +731,15 @@ mod tests {
             ("p=error,when=5", "unknown modifier"),
             ("p=error,one_in", "key=value"),
             ("=error", "no point name"),
+            (
+                "p=error;q=panic;p=delay:5",
+                "clause 'p=delay:5' repeats point 'p'",
+            ),
+            ("seed=1;p=error;seed=2", "clause 'seed=2' repeats the seed"),
+            (
+                "p=error,max=1,max=2",
+                "clause 'p=error,max=1,max=2' repeats 'max'",
+            ),
         ] {
             let err = FaultPlan::parse(spec).unwrap_err().to_string();
             assert!(err.contains(needle), "spec '{spec}' → '{err}'");

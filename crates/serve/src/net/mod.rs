@@ -23,4 +23,4 @@ mod wire;
 
 pub use client::NetClient;
 pub use protocol::{NetError, Request, Response, WireError, WireErrorCode};
-pub use server::{NetConfig, NetServer, NetServerStats, NetStartError, ServeMeta};
+pub use server::{NetConfig, NetServer, NetServerStats, NetStartError, ServeMeta, MAX_BATCH_PAIRS};

@@ -21,8 +21,8 @@
 //! (`wire.rs`), so the four sniffed bytes stay buffered for the session
 //! they select, and a frame costs one `read` and one `write`.
 //! Backpressure is the hand-off queue, which bounds waiting connections,
-//! and [`NetConfig::max_batch_pairs`], which bounds how much work one frame
-//! may demand.
+//! and [`MAX_BATCH_PAIRS`], which bounds how much work one frame may
+//! demand.
 //!
 //! # Timeouts and shutdown
 //!
@@ -61,22 +61,23 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Accepted connections that may wait for a free worker.  A full queue
+/// refuses further connections instead of buffering without limit.
+const PENDING_CONNECTIONS: usize = 32;
+
+/// Largest number of pairs one batch frame may carry; larger batches are
+/// answered with a typed [`WireErrorCode::BatchTooLarge`] error.
+pub const MAX_BATCH_PAIRS: usize = 1 << 16;
+
 /// Sizing and timeouts of the network front end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetConfig {
     /// Connection worker threads.  Each serves one connection at a time,
     /// so this is the concurrent-connection bound.  Must be ≥ 1.
     pub workers: usize,
-    /// Accepted connections that may wait for a free worker.  A full
-    /// queue refuses further connections instead of buffering without
-    /// limit.
-    pub pending_connections: usize,
     /// Deadline for reading one complete frame (or HTTP request head);
     /// also the idle timeout between frames and the write deadline.
     pub read_timeout: Duration,
-    /// Largest number of pairs one batch frame may carry; larger batches
-    /// are answered with a typed [`WireErrorCode::BatchTooLarge`] error.
-    pub max_batch_pairs: usize,
     /// Mirror every sampled trace event to stdout as one JSON line (the
     /// `--log-json` flag).  Sampling itself is
     /// [`ServeConfig::trace_sample`].
@@ -87,9 +88,7 @@ impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             workers: 4,
-            pending_connections: 32,
             read_timeout: Duration::from_secs(5),
-            max_batch_pairs: 1 << 16,
             log_json: false,
         }
     }
@@ -102,21 +101,9 @@ impl NetConfig {
         self
     }
 
-    /// Replace the pending-connection bound.
-    pub fn with_pending_connections(mut self, pending: usize) -> Self {
-        self.pending_connections = pending;
-        self
-    }
-
     /// Replace the read/idle/write deadline.
     pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
         self.read_timeout = timeout;
-        self
-    }
-
-    /// Replace the per-frame batch-size bound.
-    pub fn with_max_batch_pairs(mut self, pairs: usize) -> Self {
-        self.max_batch_pairs = pairs;
         self
     }
 
@@ -135,11 +122,6 @@ impl NetConfig {
         if self.read_timeout.is_zero() {
             return Err(SketchError::InvalidParameters(
                 "NetConfig::read_timeout must be nonzero".to_string(),
-            ));
-        }
-        if self.max_batch_pairs == 0 {
-            return Err(SketchError::InvalidParameters(
-                "NetConfig::max_batch_pairs must be >= 1".to_string(),
             ));
         }
         Ok(())
@@ -285,7 +267,7 @@ impl NetServer {
         let shutdown = Arc::new(AtomicBool::new(false));
         let meta = Arc::new(meta);
         let started_at = Instant::now();
-        let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(net_config.pending_connections);
+        let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(PENDING_CONNECTIONS);
         let conn_rx = Arc::new(Mutex::new(conn_rx));
 
         let mut workers = Vec::with_capacity(net_config.workers);
@@ -560,13 +542,12 @@ fn answer_request(request: Request, ctx: &WorkerCtx) -> Response {
             Err(e) => Response::Error(WireError::from_sketch(&e)),
         },
         Request::QueryBatch { pairs } => {
-            if pairs.len() > ctx.config.max_batch_pairs {
+            if pairs.len() > MAX_BATCH_PAIRS {
                 return Response::Error(WireError::new(
                     WireErrorCode::BatchTooLarge,
                     format!(
-                        "batch of {} pairs exceeds the {}-pair bound",
-                        pairs.len(),
-                        ctx.config.max_batch_pairs
+                        "batch of {} pairs exceeds the {MAX_BATCH_PAIRS}-pair bound",
+                        pairs.len()
                     ),
                 ));
             }

@@ -9,7 +9,7 @@ use dsketch_serve::net::protocol::{
     frame_bytes, parse_header, DEFAULT_MAX_PAYLOAD, HEADER_LEN, REQUEST_MAGIC, RESPONSE_MAGIC,
 };
 use dsketch_serve::{
-    net::{Request, Response, WireError, WireErrorCode},
+    net::{NetError, Request, Response, WireError, WireErrorCode, MAX_BATCH_PAIRS},
     NetClient, NetConfig, NetServer, ServeConfig,
 };
 use netgraph::generators::{erdos_renyi, GeneratorConfig};
@@ -536,6 +536,39 @@ fn payload_errors_keep_the_connection_usable() {
     }
 
     drop(stream);
+    fixture.assert_still_healthy();
+    fixture.server.shutdown();
+}
+
+/// A batch one pair over [`MAX_BATCH_PAIRS`] is refused whole with a typed
+/// error, and the same connection then answers a batch of exactly the bound,
+/// every slot the direct estimate.
+#[test]
+fn a_batch_over_the_bound_is_refused_and_one_at_it_is_answered() {
+    let fixture = Fixture::start();
+    let mut client = NetClient::connect(&fixture.addr(), Duration::from_secs(5)).expect("connect");
+    let n = fixture.n as u32;
+    let pairs: Vec<(NodeId, NodeId)> = (0..=MAX_BATCH_PAIRS as u32)
+        .map(|i| (NodeId(i % n), NodeId((i / n) % n)))
+        .collect();
+
+    match client.query_batch(&pairs) {
+        Err(NetError::Server(e)) => assert_eq!(e.code, WireErrorCode::BatchTooLarge, "{e:?}"),
+        other => panic!("expected batch-too-large, got {other:?}"),
+    }
+
+    let at_bound = &pairs[..MAX_BATCH_PAIRS];
+    let answers = client.query_batch(at_bound).expect("a batch at the bound");
+    assert_eq!(answers.len(), MAX_BATCH_PAIRS);
+    for (&(u, v), wire) in at_bound.iter().zip(answers) {
+        match (wire, fixture.oracle.estimate(u, v)) {
+            (Ok(w), Ok(d)) => assert_eq!(w, d, "wire answer for ({u}, {v}) must equal direct"),
+            (Err(_), Err(_)) => {}
+            (w, d) => panic!("wire {w:?} disagrees with direct {d:?} for ({u}, {v})"),
+        }
+    }
+
+    drop(client);
     fixture.assert_still_healthy();
     fixture.server.shutdown();
 }

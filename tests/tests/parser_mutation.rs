@@ -1,0 +1,122 @@
+//! Seeded mutation of the text grammars that outside input reaches.
+//!
+//! Each parser gets a fixed set of valid inputs; every case takes one of
+//! them and applies 1–4 edits — insert, delete or replace one byte, drawn
+//! from that grammar's alphabet — under a SplitMix64 stream from a fixed
+//! seed, so a failure replays exactly.  The contract: the parser returns
+//! (accepting or refusing), never panics, and what it accepts is stable.
+//!
+//! Covered: `SchemeSpec::parse` (every `--scheme` flag) and
+//! `FaultPlan::parse` (`DSKETCH_FAULTS`, `POST /faults?spec=`).  Still to
+//! join: NETQ frames, the HTTP request head and `query_pairs`,
+//! `dsketch_bench::check_args_or_exit`, and the edge-list reader.  The
+//! snapshot bytes are mutated already, by `codec_v2.rs` and
+//! `analysis_verify.rs`.
+
+use dsketch::SchemeSpec;
+use dsketch_faults::FaultPlan;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// Mutated inputs per parser.
+const CASES: usize = 200_000;
+
+/// One SplitMix64 stream.
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A draw below `bound` (`bound ≥ 1`).
+    fn below(&mut self, bound: usize) -> usize {
+        (self.next() % bound as u64) as usize
+    }
+}
+
+/// `seed`'s `CASES` mutants of `valid`: each one of the inputs with 1–4
+/// edits over `alphabet`.  Every byte of both is ASCII, so a mutant is too.
+fn mutants(seed: u64, valid: &[&str], alphabet: &[u8]) -> impl Iterator<Item = String> {
+    let mut rng = SplitMix64(seed);
+    let valid: Vec<Vec<u8>> = valid.iter().map(|s| s.as_bytes().to_vec()).collect();
+    let alphabet = alphabet.to_vec();
+    (0..CASES).map(move |_| {
+        let mut bytes = valid[rng.below(valid.len())].clone();
+        for _ in 0..1 + rng.below(4) {
+            let symbol = alphabet[rng.below(alphabet.len())];
+            match rng.below(3) {
+                0 => bytes.insert(rng.below(bytes.len() + 1), symbol),
+                1 if !bytes.is_empty() => {
+                    bytes.remove(rng.below(bytes.len()));
+                }
+                _ if !bytes.is_empty() => {
+                    let at = rng.below(bytes.len());
+                    bytes[at] = symbol;
+                }
+                _ => bytes.push(symbol),
+            }
+        }
+        String::from_utf8(bytes).expect("an ASCII mutant")
+    })
+}
+
+/// `parse(input)`, or the test's failure naming the input that panicked.
+fn no_panic<T>(parser: &str, input: &str, parse: impl FnOnce(&str) -> T) -> T {
+    catch_unwind(AssertUnwindSafe(|| parse(input)))
+        .unwrap_or_else(|_| panic!("{parser} panicked on {input:?}"))
+}
+
+#[test]
+fn scheme_specs_never_panic_and_what_parses_reaches_a_display_fixpoint() {
+    let valid = [
+        "tz:3",
+        "thorup-zwick:12",
+        "3stretch:0.25",
+        "three-stretch:1",
+        "cdg:0.2,2",
+        "degrading",
+        "degrading:4",
+        "degrading:k=2,layers=3",
+        "degrading:layers=1",
+    ];
+    let alphabet = b"tzhorup-wick3stech:degain,=.0123456789 kly+NIf";
+    let mut accepted = 0;
+    for input in mutants(0x5C4E_3E00, &valid, alphabet) {
+        let Ok(spec) = no_panic("SchemeSpec::parse", &input, SchemeSpec::parse) else {
+            continue;
+        };
+        accepted += 1;
+        // Strings, not specs: an ε of NaN parses and equals nothing.
+        let shown = spec.to_string();
+        let again = no_panic("SchemeSpec::parse", &shown, SchemeSpec::parse)
+            .unwrap_or_else(|e| panic!("{input:?} displays as {shown:?}, which is refused: {e}"));
+        assert_eq!(
+            again.to_string(),
+            shown,
+            "{input:?} has no display fixpoint"
+        );
+    }
+    assert!(accepted > 0, "no mutant parsed: the driver edits nothing");
+}
+
+#[test]
+fn fault_specs_never_panic() {
+    let valid = [
+        "seed=7;store.save.rename=error,one_in=4;net.read.frame=delay:25,after=2,max=3",
+        "serve.dispatch=panic,max=2",
+        "seed=1;store.save.write=partial:100,after=1",
+        "p=error",
+    ];
+    let alphabet = b"seedstore.av:rnm=;,_0123456789 errorpanicdelaypartialone_inaftermax";
+    let mut accepted = 0;
+    for input in mutants(0xFA17_5EED, &valid, alphabet) {
+        if no_panic("FaultPlan::parse", &input, FaultPlan::parse).is_ok() {
+            accepted += 1;
+        }
+    }
+    assert!(accepted > 0, "no mutant parsed: the driver edits nothing");
+}

@@ -63,7 +63,7 @@ fn readme_quickstart_runs_end_to_end() {
     let build = ["build", "--scheme", "tz:3", "--nodes", "256", "--out"];
     store(&[&build[..], &[g, "--threads", "2"]].concat());
     let inspect = store(&["inspect", "--snapshot", g]);
-    assert!(inspect.contains("DSK1 v4"), "{inspect}");
+    assert!(inspect.contains("DSK1 v5"), "{inspect}");
 
     let answer = query_line(&snapshot, 0, 41);
     let distance = answer
@@ -181,7 +181,7 @@ fn every_family_builds_inspects_and_verifies_and_verify_reads_its_whole_command_
         store(&["build", "--scheme", spec, "--nodes", "256", "--out", &g]);
         let inspect = store(&["inspect", "--snapshot", &g]);
         assert!(
-            inspect.contains("format:      DSK1 v4"),
+            inspect.contains("format:      DSK1 v5"),
             "{spec}: {inspect}"
         );
         // One byte split per layer, whose totals add up to the SKCH
@@ -424,6 +424,11 @@ fn store_serve_listen_answers_http_loadgen_and_swaps_over_its_socket() {
     let b = build("b.dsk", &["--scheme", "tz:3", "--seed", "43"]);
     let c = build("c.dsk", &["--scheme", "3stretch:0.4"]);
     let serve = ServeChild::spawn(&a, &["--trace-sample", "64"]);
+    // Every load charges the bytes it decoded where it charges its time:
+    // the cold start, the whole of a.dsk.
+    let file_len = |path: &Path| std::fs::metadata(path).expect("snapshot file").len();
+    let loaded = || serve.metric("dsketch_store_load_bytes_total");
+    assert_eq!(loaded(), file_len(&a));
 
     let stats = serve.get("/stats");
     assert!(stats.contains("\"num_nodes\":256"), "{stats}");
@@ -481,8 +486,11 @@ fn store_serve_listen_answers_http_loadgen_and_swaps_over_its_socket() {
     for (u, v) in PAIRS {
         assert_eq!(serve.query_line(u, v), query_line(&a, u, v));
     }
-    // Publish b into the live server: the same pairs now answer from it.
+    // Publish b into the live server: the same pairs now answer from it,
+    // and the swap's load charged exactly b.dsk's bytes.
+    let before = loaded();
     assert_eq!(serve.swap(&b), (200, "{\"generation\":2}".to_string()));
+    assert_eq!(loaded() - before, file_len(&b));
     refuses_another_family(2);
     for (u, v) in PAIRS {
         assert_eq!(serve.query_line(u, v), query_line(&b, u, v));

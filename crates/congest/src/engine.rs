@@ -41,9 +41,6 @@ pub struct CongestConfig {
     /// Number of worker threads a round runs on.  `0` means "use all
     /// available parallelism".
     pub num_threads: usize,
-    /// If true (default), exceeding the bandwidth budget panics; if false the
-    /// violation is only counted in [`RunStats::bandwidth_violations`].
-    pub panic_on_bandwidth_violation: bool,
 }
 
 impl Default for CongestConfig {
@@ -51,7 +48,6 @@ impl Default for CongestConfig {
         CongestConfig {
             messages_per_edge_per_round: 4,
             num_threads: 0,
-            panic_on_bandwidth_violation: true,
         }
     }
 }
@@ -293,7 +289,6 @@ impl<'g, P: NodeProgram> Network<'g, P> {
                 self.workers[s].outgoing[d] = drained;
             }
         }
-        self.stats.bandwidth_violations += sent.bandwidth_violations;
         self.in_flight = sent.messages;
         (sent.messages, sent.words)
     }
@@ -658,19 +653,6 @@ mod tests {
         for (u, capacity) in g.nodes().zip(inboxes) {
             assert!(capacity <= 2 * 4 * g.degree(u).max(1), "inbox of {u}");
         }
-    }
-
-    #[test]
-    fn bandwidth_violations_can_be_counted_instead() {
-        let g = path(3);
-        let config = CongestConfig {
-            panic_on_bandwidth_violation: false,
-            messages_per_edge_per_round: 1,
-            num_threads: 1,
-        };
-        let mut net = Network::new(&g, config, |u| Chatty { me: u });
-        let outcome = net.run_until_quiescent(5);
-        assert!(outcome.stats.bandwidth_violations > 0);
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub(crate) struct Lanes<M> {
     /// Messages the current node has put on each of its edge slots this
     /// round; reset by the node's first send.
     edge_sent: Vec<usize>,
-    /// Messages, words and violations of this round so far.
+    /// Messages and words of this round so far.
     pub(crate) tally: RunStats,
 }
 
@@ -183,14 +183,11 @@ impl<'a, M: Clone + MessageSize> NodeContext<'a, M> {
         out.edge_sent[slot] += 1;
         let (count, budget) = (out.edge_sent[slot], out.config.messages_per_edge_per_round);
         if count > budget {
-            out.tally.bandwidth_violations += 1;
-            if out.config.panic_on_bandwidth_violation {
-                panic!(
-                    "CONGEST bandwidth violation: {} sent {count} messages to {to} \
-                     in one round (budget {budget})",
-                    self.node
-                );
-            }
+            panic!(
+                "CONGEST bandwidth violation: {} sent {count} messages to {to} \
+                 in one round (budget {budget})",
+                self.node
+            );
         }
         out.tally.messages += 1;
         out.tally.words += message.words() as u64;
@@ -261,7 +258,6 @@ mod tests {
         );
         assert_eq!(sent(&out.outgoing[1]), [(NodeId(2), 6, 2)]);
         assert_eq!((out.tally.messages, out.tally.words), (3, 3));
-        assert_eq!(out.tally.bandwidth_violations, 0);
     }
 
     #[test]

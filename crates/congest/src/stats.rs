@@ -18,11 +18,6 @@ pub struct RunStats {
     pub max_messages_in_round: u64,
     /// Number of rounds in which at least one message was delivered.
     pub active_rounds: u64,
-    /// Number of `(edge, round)` slots where a node attempted to exceed the
-    /// per-edge bandwidth budget.  Always 0 for the programs in this
-    /// workspace unless a bug is introduced; tracked so model violations are
-    /// visible rather than silent.
-    pub bandwidth_violations: u64,
 }
 
 impl RunStats {
@@ -36,9 +31,6 @@ impl RunStats {
         self.words = self.words.saturating_add(other.words);
         self.max_messages_in_round = self.max_messages_in_round.max(other.max_messages_in_round);
         self.active_rounds = self.active_rounds.saturating_add(other.active_rounds);
-        self.bandwidth_violations = self
-            .bandwidth_violations
-            .saturating_add(other.bandwidth_violations);
     }
 
     /// Average messages per round (0 if no rounds ran).
@@ -89,7 +81,6 @@ mod tests {
             words: 200,
             max_messages_in_round: 40,
             active_rounds: 4,
-            bandwidth_violations: 0,
         };
         let b = RunStats {
             rounds: 3,
@@ -97,7 +88,6 @@ mod tests {
             words: 60,
             max_messages_in_round: 25,
             active_rounds: 3,
-            bandwidth_violations: 1,
         };
         a.absorb(&b);
         assert_eq!(a.rounds, 8);
@@ -105,7 +95,6 @@ mod tests {
         assert_eq!(a.words, 260);
         assert_eq!(a.max_messages_in_round, 40);
         assert_eq!(a.active_rounds, 7);
-        assert_eq!(a.bandwidth_violations, 1);
     }
 
     #[test]

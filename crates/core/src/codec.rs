@@ -4,11 +4,11 @@
 //! The paper's economics only pay off if the expensive CONGEST construction
 //! is paid **once**: labels must outlive the process that built them.  This
 //! module defines [`SketchCodec`], a hand-rolled, dependency-free binary
-//! codec for the state a family stores beside its labels — [`Hierarchy`],
-//! [`DensityNet`], [`CdgParams`], [`SchemeSpec`] (and [`RunStats`], the
-//! container's `STAT` record) — and the one
-//! writer and one reader of the four family payloads built from them and
-//! the label sets, so that a decoded set is **bit-identical** to the one
+//! codec for the parameters a family stores beside its labels —
+//! [`CdgParams`], [`SchemeSpec`] (and [`RunStats`], the container's `STAT`
+//! record) — and the one writer and one reader of the four family payloads
+//! built from them, each layer's levels and the label sets, so that a
+//! decoded set is **bit-identical** to the one
 //! that was encoded: same pivots, same bunches, same estimates for every
 //! query.
 //!
@@ -19,9 +19,9 @@
 //!
 //! # Label sets
 //!
-//! Labels are nearly all of a snapshot, and a label is small numbers.  Format
-//! 4 writes a layer's sampling first and every label row relative to it, so
-//! a row says only what its sampling does not:
+//! Labels are nearly all of a snapshot, and a label is small numbers.  The
+//! format writes a layer's sampling first and every label row relative to
+//! it, so a row says only what its sampling does not:
 //!
 //! ```text
 //! set   := sparse entries · row × n                 (n and k: the sampling's)
@@ -66,8 +66,8 @@
 //! the decoded columns once.  A set's table is its sampling's top level
 //! from the start ([`SketchSet::over`]), so the writer writes the set as it
 //! is, and `encode(decode(bytes)) == bytes` holds.  Labels that break
-//! [`Layer::check_invariants`] have no format-4 bytes: what is written for
-//! them decodes to other labels or not at all.
+//! [`Layer::check_invariants`] have no bytes in the format: what is
+//! written for them decodes to other labels or not at all.
 //!
 //! # Family payloads
 //!
@@ -77,38 +77,37 @@
 //! sampling before the labels:
 //!
 //! ```text
-//! tz        := hierarchy · set
-//! 3stretch  := net · set                        (the hierarchy's one level, A_0)
-//! cdg       := params · hierarchy · set         (the net is the hierarchy's A_0)
+//! tz        := levels · set
+//! 3stretch  := params · levels · set        (CdgParams(ε, 1, seed): CDG at k = 1)
+//! cdg       := params · levels · set
 //! degrading := count · cdg × count
-//! hierarchy := k · probability · n · (level + 1) × n     (one varint a node)
-//! net       := n · ε · count · member × count   (u32 members, ascending)
+//! levels    := n · (level + 1) × n
 //! ```
 //!
-//! One `match` on the spec writes a layer's sampling and one reads it
+//! A layer's sampling is written one way: its params if it keeps them —
+//! every net-restricted layer does, and its net is its levels' `A_0` —
+//! then one varint a node.  The bytes carry no `k`: the levels are read at
+//! the one the spec or the params give (Thorup–Zwick and CDG the spec's,
+//! 3-stretch 1, each degrading layer its params'), and a level byte past
+//! it names no level.  One `match` on the spec reads a layer's sampling
 //! back; one function writes the label sets and one reads them, filling
 //! each layer's columns:
 //! [`StoredSketches::decode_payload`](crate::scheme::StoredSketches::decode_payload)
 //! returns the layers, [`crate::flat`] freezes them into the served form.
-//! A 3-stretch layer's hierarchy is one level, its density net, so the
-//! payload writes that net — `A_0` at the spec's ε — and the reader turns
-//! it back into the one-level hierarchy the sampler draws: members
-//! strictly ascending and below `n`, no more nodes than bytes remain, ε
-//! the spec's.  Beyond each set's rows the reader holds a payload to what
-//! the sampling and the spec say together: a hierarchy of the spec's or
-//! the params' `k`, the degrading layers' count and schedule, the spec's
-//! CDG params and layer cap.  A layer holds exactly what its payload
-//! stores, so a built set equals the decode of its own bytes.  A build's
-//! run cost is not in the payload: the container's `STAT` section and the
-//! `dsketch-obs` registry hold it.
+//! Beyond each set's rows the reader holds a payload to what the sampling
+//! and the spec say together: the spec's CDG params (3-stretch's at
+//! `k = 1`), the degrading layers' count and schedule and the spec's
+//! layer cap.  A layer holds exactly what its payload stores, so a built
+//! set equals the decode of its own bytes.  A build's run cost is not in
+//! the payload: the container's `STAT` section and the `dsketch-obs`
+//! registry hold it.
 //!
 //! # Stability rules
 //!
-//! * The hierarchy's levels and every label value are varints; everything
-//!   else — the hierarchy's `k`, probability and node count, density net,
-//!   params, scheme spec, the degrading layer count — is little-endian and
-//!   fixed-width (`u8`/`u32`/`u64`, `f64` as IEEE-754 bits), collections
-//!   length-prefixed with `u64`.
+//! * The levels and every label value are varints; everything else — the
+//!   levels' node count, params, scheme spec, the degrading layer count —
+//!   is little-endian and fixed-width (`u8`/`u64`, `f64` as IEEE-754
+//!   bits), collections length-prefixed with `u64`.
 //! * A value has exactly one accepted form, so encoding is deterministic:
 //!   `encode(decode(bytes)) == bytes`.
 //! * Each layout has one writer; a size is what writing takes.  A family
@@ -138,7 +137,6 @@ use crate::hierarchy::Hierarchy;
 use crate::scheme::{Layer, SchemeSpec, StoredSketches};
 use crate::sketch::{self, DistKey, SketchSet, NO_PIVOT};
 use crate::slack::cdg::CdgParams;
-use crate::slack::density_net::DensityNet;
 use congest_sim::RunStats;
 use netgraph::{Distance, NodeId, INFINITY};
 
@@ -169,7 +167,7 @@ pub enum CodecError {
     },
     /// A label's pivot row is not the one its members determine — `p_i(u)`
     /// the least `(distance, id)` it holds at a level `≥ i`
-    /// ([`Layer::check_invariants`]): whose, where and how.  Format 4 has
+    /// ([`Layer::check_invariants`]): whose, where and how.  The format has
     /// no pivot bytes, so only labels in memory can break it.
     PivotRow(String),
     /// A label set disagrees with the hierarchy it is written against.
@@ -660,7 +658,8 @@ fn set_varints(set: &SketchSet, sampling: &Sampling, out: &mut Encoder) -> (usiz
 /// finite cells only under one, and cells within the distance range.  No
 /// count read from the input is trusted with more memory than the input
 /// itself could fill: `n` rows of `k` bytes at least (`read_layer` holds
-/// the sampling to that before building it), `n × width` cells of a byte.
+/// the levels to that before building the sampling), `n × width` cells of
+/// a byte.
 fn read_labels(input: &mut Decoder<'_>, sampling: &Sampling) -> Result<SketchSet, CodecError> {
     let (nodes, k, width) = (sampling.nodes(), sampling.k, sampling.top().len());
     // A sparse entry is at least two bytes: a rank gap and a distance.
@@ -867,76 +866,30 @@ fn merge_two(
     a[i..].iter().chain(&b[j..]).copied().for_each(push);
 }
 
-impl SketchCodec for Hierarchy {
-    fn encode(&self, out: &mut Encoder) {
-        out.put_usize(self.k());
-        out.put_f64(self.probability());
-        out.put_usize(self.levels().len());
-        for &level in self.levels() {
-            out.put_varint(level_byte(level));
-        }
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let k = input.usize("Hierarchy.k")?;
-        let probability = input.f64("Hierarchy.probability")?;
-        let len = input.len_prefix(1, "Hierarchy levels length")?;
-        let mut levels = Vec::with_capacity(len);
-        for _ in 0..len {
-            let byte = input.varint("Hierarchy level")?;
-            let Some(level) = i32::try_from(byte).ok().map(|byte| byte - 1) else {
-                let message = format!("level byte {byte} is past every level");
-                return Err(CodecError::invalid("Hierarchy", message));
-            };
-            levels.push(level);
-        }
-        Hierarchy::from_parts(levels, k, probability).map_err(|e| CodecError::Invalid {
-            context: "Hierarchy",
-            message: e.to_string(),
-        })
+/// A layer's levels (see "Family payloads" in the [module docs](self)):
+/// the node count, then per node its level plus one — `-1` (outside
+/// `A_0`) is `0` — as a varint.
+pub(crate) fn put_levels(hierarchy: &Hierarchy, out: &mut Encoder) {
+    out.put_usize(hierarchy.num_nodes());
+    for &level in hierarchy.levels() {
+        out.put_varint(u64::try_from(i64::from(level) + 1).unwrap_or(0));
     }
 }
 
-/// A level's varint: the level plus one, so `-1` (outside `A_0`) is `0`.
-fn level_byte(level: i32) -> u64 {
-    u64::try_from(i64::from(level) + 1).unwrap_or(0)
-}
-
-impl SketchCodec for DensityNet {
-    fn encode(&self, out: &mut Encoder) {
-        out.put_usize(self.num_nodes());
-        out.put_f64(self.eps());
-        out.put_usize(self.len());
-        for &member in self.members() {
-            out.put_u32(member.0);
-        }
+/// The levels [`put_levels`] writes, read as the hierarchy of `k` levels
+/// the spec or the params give: a level byte past `k` names no level.
+fn read_levels(input: &mut Decoder<'_>, k: usize) -> Result<Hierarchy, CodecError> {
+    let len = input.len_prefix(1, "Hierarchy levels length")?;
+    let mut levels = Vec::with_capacity(len);
+    for _ in 0..len {
+        let byte = input.varint("Hierarchy level")?;
+        let Some(level) = i32::try_from(byte).ok().map(|byte| byte - 1) else {
+            let message = format!("level byte {byte} is past every level");
+            return Err(CodecError::invalid("Hierarchy", message));
+        };
+        levels.push(level);
     }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let num_nodes = input.usize("DensityNet.num_nodes")?;
-        let eps = input.f64("DensityNet.eps")?;
-        if !eps.is_finite() {
-            return Err(CodecError::Invalid {
-                context: "DensityNet.eps",
-                message: format!("epsilon must be finite, got {eps}"),
-            });
-        }
-        let len = input.len_prefix(4, "DensityNet members length")?;
-        let mut members = Vec::with_capacity(len);
-        for _ in 0..len {
-            members.push(NodeId(input.u32("DensityNet member")?));
-        }
-        let net = DensityNet::from_members(num_nodes, eps, members);
-        // The net keeps ε in thousandths; bytes that say anything finer
-        // would not re-encode to themselves.
-        if net.eps().to_bits() != eps.to_bits() {
-            return Err(CodecError::Invalid {
-                context: "DensityNet.eps",
-                message: format!("epsilon {eps} is not a whole number of thousandths"),
-            });
-        }
-        Ok(net)
-    }
+    Hierarchy::from_levels(levels, k).map_err(|e| CodecError::invalid("Hierarchy", e.to_string()))
 }
 
 impl SketchCodec for CdgParams {
@@ -966,7 +919,6 @@ impl SketchCodec for RunStats {
         out.put_u64(self.words);
         out.put_u64(self.max_messages_in_round);
         out.put_u64(self.active_rounds);
-        out.put_u64(self.bandwidth_violations);
     }
 
     fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
@@ -976,7 +928,6 @@ impl SketchCodec for RunStats {
             words: input.u64("RunStats.words")?,
             max_messages_in_round: input.u64("RunStats.max_messages_in_round")?,
             active_rounds: input.u64("RunStats.active_rounds")?,
-            bandwidth_violations: input.u64("RunStats.bandwidth_violations")?,
         })
     }
 }
@@ -1058,7 +1009,7 @@ impl SketchCodec for SchemeSpec {
 
 impl Layer {
     /// Check the contracts a layer's labels keep with its sampling — the
-    /// ones format 4 writes them by (see "Label sets" in the
+    /// ones the format writes them by (see "Label sets" in the
     /// [module docs](self)), so a layer that keeps them is the decode of its
     /// own bytes:
     ///
@@ -1185,9 +1136,9 @@ pub(crate) fn check_covers(index: usize, covers: usize, first: usize) -> Result<
 /// The parts of a payload's layers add up to the payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerBytes {
-    /// The sampling the labels are written against — params, density net
-    /// or hierarchy — and, for the first layer of a degrading payload, the
-    /// layer count before it.
+    /// The sampling the labels are written against — params and levels —
+    /// and, for the first layer of a degrading payload, the layer count
+    /// before it.
     pub sampling: usize,
     /// The sparse runs: the set's entry total, each row's run lengths, and
     /// the `(rank gap, distance)` entries.
@@ -1203,29 +1154,10 @@ impl LayerBytes {
     }
 }
 
-/// Write `layer`'s sampling as `spec`'s payload stores it (see "Family
-/// payloads" in the [module docs](self)): a 3-stretch layer's one level as
-/// its density net, at the spec's ε; otherwise the hierarchy, after the
-/// params of a CDG or degrading layer.
-fn put_sampling(spec: &SchemeSpec, layer: &Layer, out: &mut Encoder) {
-    let hierarchy = &layer.hierarchy;
-    match *spec {
-        SchemeSpec::ThorupZwick { .. } => hierarchy.encode(out),
-        SchemeSpec::ThreeStretch { eps } => {
-            let members = hierarchy.level_members(0);
-            let net = DensityNet::from_members(hierarchy.num_nodes(), eps, members);
-            net.encode(out);
-        }
-        SchemeSpec::Cdg { .. } | SchemeSpec::Degrading { .. } => {
-            layer.params.iter().for_each(|params| params.encode(out));
-            hierarchy.encode(out);
-        }
-    }
-}
-
 /// The one writer of the family layouts: `stored`'s layers in its spec's
-/// layout into `out`, and each layer's bytes by part.  A layer's label set
-/// is written against its hierarchy, whose top level is its table.
+/// layout into `out`, and each layer's bytes by part.  A layer's sampling
+/// is written one way, its params (if it keeps them) then its levels, and
+/// its label set against its hierarchy, whose top level is its table.
 fn put_family(stored: &StoredSketches, out: &mut Encoder) -> Vec<LayerBytes> {
     let mut start = out.len();
     if let SchemeSpec::Degrading { .. } = stored.spec {
@@ -1233,7 +1165,8 @@ fn put_family(stored: &StoredSketches, out: &mut Encoder) -> Vec<LayerBytes> {
     }
     let mut split = Vec::with_capacity(stored.layers.len());
     for layer in &stored.layers {
-        put_sampling(&stored.spec, layer, out);
+        layer.params.iter().for_each(|params| params.encode(out));
+        put_levels(&layer.hierarchy, out);
         let sampling = out.len() - start;
         let over = Sampling::of(&layer.hierarchy);
         let (runs, cells) = set_varints(&layer.sketches, &over, out);
@@ -1270,37 +1203,21 @@ pub(crate) fn layer_bytes(stored: &StoredSketches) -> Vec<LayerBytes> {
 }
 
 /// Read one layer — its sampling as `spec`'s payload stores it, then the
-/// label set written against it — holding the sampling to the spec (a CDG
-/// layer's params are the spec's, a 3-stretch net is sampled for its ε)
-/// and the hierarchy to what the labels are read at: `k` levels (the
-/// spec's, a degrading layer's params', one for a 3-stretch net), `n` rows
-/// of `k` bytes at least in the bytes that remain.
+/// label set written against it — holding the params to the spec (a CDG
+/// layer's are the spec's `(ε, k)`, a 3-stretch layer's `(ε, 1)`), reading
+/// the levels at the `k` the spec or the params give, and holding them to
+/// `n` rows of `k` bytes at least in the bytes that remain.
 fn read_layer(spec: &SchemeSpec, input: &mut Decoder<'_>) -> Result<Layer, CodecError> {
-    let (hierarchy, params, k) = match *spec {
-        SchemeSpec::ThorupZwick { k } => (Hierarchy::decode(input)?, None, k),
-        SchemeSpec::ThreeStretch { eps } => (read_net(input, eps)?, None, 1),
-        SchemeSpec::Cdg { eps, k } => {
-            let params = CdgParams::decode(input)?;
-            if params.eps != eps || params.k != k {
-                return Err(CodecError::LayerContract(format!(
-                    "stored CdgParams (eps = {}, k = {}) but the spec says (eps = {eps}, k = {k})",
-                    params.eps, params.k
-                )));
-            }
-            (Hierarchy::decode(input)?, Some(params), k)
-        }
+    let (params, k) = match *spec {
+        SchemeSpec::ThorupZwick { k } => (None, k),
+        SchemeSpec::ThreeStretch { eps } => (Some(read_params(input, eps, 1)?), 1),
+        SchemeSpec::Cdg { eps, k } => (Some(read_params(input, eps, k)?), k),
         SchemeSpec::Degrading { .. } => {
             let params = CdgParams::decode(input)?;
-            (Hierarchy::decode(input)?, Some(params), params.k)
+            (Some(params), params.k)
         }
     };
-    if hierarchy.k() != k {
-        let message = format!(
-            "labels have k = {k} but the hierarchy has {}",
-            hierarchy.k()
-        );
-        return Err(CodecError::HierarchyContract(message));
-    }
+    let hierarchy = read_levels(input, k)?;
     let nodes = hierarchy.num_nodes();
     if u32::try_from(nodes).is_err() {
         let message = format!("{nodes} nodes exceed the u32 id range");
@@ -1322,44 +1239,17 @@ fn read_layer(spec: &SchemeSpec, input: &mut Decoder<'_>) -> Result<Layer, Codec
     })
 }
 
-/// Read a 3-stretch layer's density net as the one-level hierarchy the
-/// sampler builds over it: `A_0` the net, probability
-/// `CdgParams::new(eps, 1).level_probability(n)`, which is `0`.  A net no
-/// sampling for the spec's `eps` writes is refused: more nodes than bytes
-/// remain (a row is a byte at least; checked before anything is sized by
-/// the count), another ε, members not strictly ascending or not among the
-/// nodes.
-fn read_net(input: &mut Decoder<'_>, eps: f64) -> Result<Hierarchy, CodecError> {
-    let net = DensityNet::decode(input)?;
-    let nodes = input.bounded(net.num_nodes(), 1, "DensityNet.num_nodes")?;
-    if !net.sampled_for(eps) {
+/// A CDG layer's params, held to the `(eps, k)` the spec says — a
+/// 3-stretch spec's at `k = 1`.
+fn read_params(input: &mut Decoder<'_>, eps: f64, k: usize) -> Result<CdgParams, CodecError> {
+    let params = CdgParams::decode(input)?;
+    if params.eps != eps || params.k != k {
         return Err(CodecError::LayerContract(format!(
-            "the density net was sampled for eps = {} but the spec says {eps}",
-            net.eps()
+            "stored CdgParams (eps = {}, k = {}) but the spec says (eps = {eps}, k = {k})",
+            params.eps, params.k
         )));
     }
-    let invalid = |message| Err(CodecError::invalid("DensityNet", message));
-    let mut levels = vec![-1; nodes];
-    // The least index the next member may have.
-    let mut floor = 0;
-    for &member in net.members() {
-        let at = member.index();
-        if at >= nodes {
-            return invalid(format!(
-                "net member {member} out of range for {nodes} nodes"
-            ));
-        }
-        if at < floor {
-            return invalid(format!(
-                "net member {member} is not above the member before it"
-            ));
-        }
-        levels[at] = 0;
-        floor = at + 1;
-    }
-    let probability = CdgParams::new(eps, 1).level_probability(nodes);
-    Hierarchy::from_parts(levels, 1, probability)
-        .map_err(|e| CodecError::invalid("DensityNet", e.to_string()))
+    Ok(params)
 }
 
 /// Read the family payload of `spec`'s scheme at `input` — the one reader
@@ -1372,11 +1262,11 @@ pub(crate) fn read_family(
     spec: &SchemeSpec,
     input: &mut Decoder<'_>,
 ) -> Result<StoredSketches, CodecError> {
-    // A degrading layer is at least params (24) + hierarchy (24) + label
-    // set (1).
+    // A degrading layer is at least params (24) + levels (8) + label set
+    // (1).
     let (count, cap) = match *spec {
         SchemeSpec::Degrading { max_layers, .. } => {
-            (input.len_prefix(49, "degrading layers length")?, max_layers)
+            (input.len_prefix(33, "degrading layers length")?, max_layers)
         }
         _ => (1, None),
     };
@@ -1432,7 +1322,7 @@ mod tests {
     /// Three nodes sampled `k = 2` deep: nodes 0 and 1 at level 0, node 2
     /// the one node of `A_1` and so the one table landmark.
     fn toy_hierarchy() -> Hierarchy {
-        Hierarchy::from_parts(vec![0, 0, 1], 2, 0.5).unwrap()
+        Hierarchy::from_levels(vec![0, 0, 1], 2).unwrap()
     }
 
     /// The toy labels over [`toy_hierarchy`], with its top level as table.
@@ -1471,6 +1361,21 @@ mod tests {
         let mut out = Encoder::new();
         set_varints(set, &Sampling::of(hierarchy), &mut out);
         out.into_bytes()
+    }
+
+    /// `hierarchy`'s levels bytes.
+    fn levels_bytes(hierarchy: &Hierarchy) -> Vec<u8> {
+        let mut out = Encoder::new();
+        put_levels(hierarchy, &mut out);
+        out.into_bytes()
+    }
+
+    /// The levels `bytes` hold, read at `k`, and nothing else.
+    fn read_levels_at(bytes: &[u8], k: usize) -> Result<Hierarchy, CodecError> {
+        let mut input = Decoder::new(bytes);
+        let hierarchy = read_levels(&mut input, k)?;
+        input.finish()?;
+        Ok(hierarchy)
     }
 
     /// The label set `bytes` hold against `hierarchy`, and nothing else.
@@ -1581,7 +1486,7 @@ mod tests {
         };
         let bytes = stored.encode_payload();
         let split = stored.layer_bytes();
-        assert_eq!(split[0].sampling, toy_hierarchy().to_bytes().len());
+        assert_eq!(split[0].sampling, 8 + 3, "n, then a level byte a node");
         assert_eq!((split[0].runs, split[0].cells), (12, 6));
         assert_eq!(split[0].total(), bytes.len());
         assert_eq!(
@@ -1597,11 +1502,11 @@ mod tests {
     fn a_set_paired_with_another_hierarchy_is_refused() {
         for (other, expected) in [
             (
-                Hierarchy::from_parts(vec![0, 0, 0], 1, 0.5).unwrap(),
+                Hierarchy::from_levels(vec![0, 0, 0], 1).unwrap(),
                 "the labels have k = 2 but the hierarchy has 1",
             ),
             (
-                Hierarchy::from_parts(vec![0, 1, 0], 2, 0.5).unwrap(),
+                Hierarchy::from_levels(vec![0, 1, 0], 2).unwrap(),
                 "the labels' table is not the hierarchy's top level",
             ),
         ] {
@@ -1621,13 +1526,11 @@ mod tests {
         }
     }
 
-    /// A hand-built hierarchy's probability is NaN, and it still equals
-    /// itself, so a layer over one equals the decode of its own bytes.
+    /// A hierarchy is its levels and `k`, nothing else, so a layer over a
+    /// hand-built one equals the decode of its own bytes.
     #[test]
     fn a_hand_built_layer_equals_its_own_decode() {
         let hierarchy = Hierarchy::from_levels(vec![0, 0, 1], 2).unwrap();
-        assert!(hierarchy.probability().is_nan());
-        assert_eq!(hierarchy, hierarchy.clone());
         let stored = StoredSketches {
             spec: SchemeSpec::thorup_zwick(2),
             layers: vec![Layer {
@@ -1643,34 +1546,40 @@ mod tests {
         );
     }
 
+    /// A Thorup–Zwick hierarchy and a net — a 3-stretch sampling, CDG at
+    /// `k = 1`, whose nodes outside the net are outside `A_0` — both come
+    /// back from their levels read at their `k`.
     #[test]
     fn hierarchy_and_net_round_trip() {
         let h = Hierarchy::sample(50, &crate::hierarchy::TzParams::new(3).with_seed(5)).unwrap();
-        assert_eq!(Hierarchy::from_bytes(&h.to_bytes()).unwrap(), h);
+        assert_eq!(read_levels_at(&levels_bytes(&h), 3), Ok(h));
 
-        let net = DensityNet::sample_nonempty(60, 0.3, 9).unwrap();
-        assert_eq!(DensityNet::from_bytes(&net.to_bytes()).unwrap(), net);
+        let params = CdgParams::new(0.3, 1).with_seed(9);
+        let net = crate::slack::cdg::sample_net_hierarchy(600, params).unwrap();
+        assert!(net.levels().contains(&-1), "a net leaves nodes out");
+        assert_eq!(read_levels_at(&levels_bytes(&net), 1), Ok(net));
     }
 
     #[test]
     fn hierarchy_levels_are_one_varint_a_node_and_stay_below_k() {
-        let hierarchy = toy_hierarchy();
-        let bytes = hierarchy.to_bytes();
-        assert_eq!(bytes.len(), 24 + 3);
-        assert_eq!(bytes[24..], [1, 1, 2], "level + 1 per node");
+        let bytes = levels_bytes(&toy_hierarchy());
+        assert_eq!(bytes.len(), 8 + 3, "no k: the spec or the params give it");
+        assert_eq!(bytes[8..], [1, 1, 2], "level + 1 per node");
         // A level byte past k − 1 (here 3, level 2 of a k = 2 hierarchy)
-        // names no level.
+        // names no level; read at k = 1, neither does 2.
         let mut past = bytes.clone();
-        past[26] = 3;
-        let err = Hierarchy::from_bytes(&past).unwrap_err();
-        assert!(
-            matches!(&err, CodecError::Invalid { context: "Hierarchy", message } if message.contains("out of range")),
-            "{err}"
-        );
+        past[10] = 3;
+        for (bytes, k) in [(&past, 2), (&bytes, 1)] {
+            let err = read_levels_at(bytes, k).unwrap_err();
+            assert!(
+                matches!(&err, CodecError::Invalid { context: "Hierarchy", message } if message.contains("out of range")),
+                "{err}"
+            );
+        }
         // Nor does one past i32.
-        let mut huge = bytes[..26].to_vec();
+        let mut huge = bytes[..10].to_vec();
         huge.extend(varint_bytes(u64::from(u32::MAX)));
-        let err = Hierarchy::from_bytes(&huge).unwrap_err();
+        let err = read_levels_at(&huge, 2).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1682,8 +1591,8 @@ mod tests {
             "{err}"
         );
         // Level byte 0 is outside A_0.
-        past[26] = 0;
-        assert_eq!(Hierarchy::from_bytes(&past).unwrap().levels(), [0, 0, -1]);
+        past[10] = 0;
+        assert_eq!(read_levels_at(&past, 2).unwrap().levels(), [0, 0, -1]);
     }
 
     #[test]
@@ -1694,7 +1603,6 @@ mod tests {
             words: 3,
             max_messages_in_round: 4,
             active_rounds: 5,
-            bandwidth_violations: 6,
         };
         assert_eq!(RunStats::from_bytes(&stats.to_bytes()).unwrap(), stats);
 
@@ -1783,14 +1691,13 @@ mod tests {
         // ... and so is a run's length.
         let err = read_set(&raw_set(&[1, 1 << 30, 0, 0]), &hierarchy).unwrap_err();
         assert!(matches!(err, CodecError::UnexpectedEof { .. }), "{err}");
-        // A hierarchy of k = 0 is refused outright.
-        let mut zero = Encoder::new();
-        Hierarchy::from_levels(vec![0], 1)
-            .unwrap()
-            .encode(&mut zero);
-        let mut bytes = zero.into_bytes();
-        bytes[..8].copy_from_slice(&0u64.to_le_bytes());
-        let err = Hierarchy::from_bytes(&bytes).unwrap_err();
+        // So is a levels count past the bytes ...
+        let mut levels = levels_bytes(&hierarchy);
+        levels[..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let err = read_levels_at(&levels, 2).unwrap_err();
+        assert!(matches!(err, CodecError::UnexpectedEof { .. }), "{err}");
+        // ... and levels read at k = 0 are refused outright.
+        let err = read_levels_at(&levels_bytes(&hierarchy), 0).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1808,7 +1715,7 @@ mod tests {
     /// run, so a hand-made row that holds one sparse writes it as a cell.
     #[test]
     fn a_table_is_at_most_n_ascending_landmarks_and_owns_its_entries() {
-        let hierarchy = Hierarchy::from_parts(vec![1, 0, 1, 0], 2, 0.5).unwrap();
+        let hierarchy = Hierarchy::from_levels(vec![1, 0, 1, 0], 2).unwrap();
         assert_eq!(Sampling::of(&hierarchy).top(), [NodeId(0), NodeId(2)]);
         // Node 1's label holds v0 and v2, the table's.
         let mut sparse = SketchSet::sized(0, 2, Vec::new(), 0);

@@ -539,10 +539,12 @@ mod tests {
     }
 
     #[test]
-    fn no_bandwidth_violations_under_default_budget() {
+    fn no_bandwidth_violation_under_default_budget() {
         let g = erdos_renyi(50, 0.12, GeneratorConfig::uniform(31, 1, 12));
+        // A violation panics, naming the node: a run that returns kept
+        // the budget.
         let (_, stats) = run_td(&g, 3, 13);
-        assert_eq!(stats.bandwidth_violations, 0);
+        assert!(stats.messages > 0);
     }
 
     #[test]

@@ -476,8 +476,8 @@ impl StoredSketches {
     ///
     /// A set that cannot take its family's form is refused with a
     /// [`CodecError`]: a Thorup–Zwick set of other than one layer,
-    /// slack-family layers that break [`Layer::check_invariants`] (format 4
-    /// has no bytes for those), or — as the decoder refuses the same in
+    /// slack-family layers that break [`Layer::check_invariants`] (the
+    /// format has no bytes for those), or — as the decoder refuses the same in
     /// bytes — a layer count outside 1 to 32, layers over different node
     /// counts, or a node holding one landmark at two distances.  Every set
     /// an engine builds is accepted.
@@ -877,7 +877,7 @@ mod tests {
         // and both ingresses refuse it alike.
         let hierarchy = &tz.layers[0].hierarchy;
         let mut out = crate::codec::Encoder::new();
-        crate::codec::SketchCodec::encode(hierarchy, &mut out);
+        crate::codec::put_levels(hierarchy, &mut out);
         // One sparse entry; row 0's level-0 run holds it, at the rank one
         // past the level's members; then zeros enough for every row.
         let past = hierarchy.exact_level_members(0).len();

@@ -63,7 +63,7 @@ impl TzParams {
 }
 
 /// The sampled hierarchy: for every node, the highest level it belongs to.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Hierarchy {
     /// `level[v]` is the largest `i` with `v ∈ A_i`, or `-1` if `v` is not
     /// even in `A_0` (possible when the ground set is a strict subset of V,
@@ -71,17 +71,6 @@ pub struct Hierarchy {
     level: Vec<i32>,
     /// Number of levels `k`.
     k: usize,
-    /// The sampling probability used between consecutive levels.
-    probability: f64,
-}
-
-/// Equal levels, `k` and probability bits: a hand-built hierarchy's NaN
-/// probability equals itself, so a layer over one equals its own decode.
-impl PartialEq for Hierarchy {
-    fn eq(&self, other: &Self) -> bool {
-        (&self.level, self.k, self.probability.to_bits())
-            == (&other.level, other.k, other.probability.to_bits())
-    }
 }
 
 impl Hierarchy {
@@ -154,16 +143,12 @@ impl Hierarchy {
                 }
             }
         }
-        Hierarchy {
-            level,
-            k,
-            probability,
-        }
+        Hierarchy { level, k }
     }
 
-    /// Build a hierarchy from explicit levels (used in tests and for
-    /// replaying a hierarchy recorded elsewhere).  `level[v]` must be in
-    /// `-1..k` for every `v`.
+    /// Build a hierarchy from explicit levels — a hierarchy recorded
+    /// elsewhere, such as a snapshot's, read at the `k` its spec or params
+    /// give.  `level[v]` must be in `-1..k` for every `v`.
     pub fn from_levels(level: Vec<i32>, k: usize) -> Result<Self, SketchError> {
         // Levels are `i32`s below k, so a larger k names no level (and every
         // `2k − 1` downstream stays far from overflow).
@@ -177,35 +162,13 @@ impl Hierarchy {
                 "level {bad} out of range for k = {k}"
             )));
         }
-        Ok(Hierarchy {
-            level,
-            k,
-            probability: f64::NAN,
-        })
-    }
-
-    /// Rebuild a hierarchy from its full recorded state — levels, `k`, and
-    /// the sampling probability — as produced by [`Hierarchy::levels`] /
-    /// [`Hierarchy::k`] / [`Hierarchy::probability`].  Unlike
-    /// [`Hierarchy::from_levels`] this preserves the probability, so a
-    /// persisted hierarchy round-trips exactly (the persistence layer uses
-    /// this to make reloaded sketch sets bit-identical to freshly built
-    /// ones).
-    pub fn from_parts(level: Vec<i32>, k: usize, probability: f64) -> Result<Self, SketchError> {
-        let mut h = Self::from_levels(level, k)?;
-        if !probability.is_nan() && !(0.0..=1.0).contains(&probability) {
-            return Err(SketchError::InvalidParameters(format!(
-                "sampling probability must be in [0, 1] or NaN, got {probability}"
-            )));
-        }
-        h.probability = probability;
-        Ok(h)
+        Ok(Hierarchy { level, k })
     }
 
     /// The raw per-node levels: `levels()[v]` is the largest `i` with
     /// `v ∈ A_i`, or `-1` when `v` is outside the ground set.  Together with
-    /// [`Hierarchy::k`] and [`Hierarchy::probability`] this is the
-    /// hierarchy's complete state (see [`Hierarchy::from_parts`]).
+    /// [`Hierarchy::k`] this is the hierarchy's complete state (see
+    /// [`Hierarchy::from_levels`]).
     pub fn levels(&self) -> &[i32] {
         &self.level
     }
@@ -218,11 +181,6 @@ impl Hierarchy {
     /// Number of nodes the hierarchy covers.
     pub fn num_nodes(&self) -> usize {
         self.level.len()
-    }
-
-    /// The per-level sampling probability (NaN for hand-built hierarchies).
-    pub fn probability(&self) -> f64 {
-        self.probability
     }
 
     /// Highest level of `v`, or `-1` if `v` is not in the ground set.
@@ -381,22 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_preserves_probability() {
-        let sampled = Hierarchy::sample(40, &TzParams::new(3).with_seed(4)).unwrap();
-        let rebuilt = Hierarchy::from_parts(
-            sampled.levels().to_vec(),
-            sampled.k(),
-            sampled.probability(),
-        )
-        .unwrap();
-        assert_eq!(sampled, rebuilt);
-        // NaN (hand-built hierarchies) is accepted; out-of-range is not.
-        assert!(Hierarchy::from_parts(vec![0, 1], 2, f64::NAN).is_ok());
-        assert!(Hierarchy::from_parts(vec![0, 1], 2, 1.5).is_err());
-        assert!(Hierarchy::from_parts(vec![0, 9], 2, 0.5).is_err());
-    }
-
-    #[test]
     fn from_levels_round_trip() {
         let h = Hierarchy::from_levels(vec![0, 1, 2, -1, 0], 3).unwrap();
         assert_eq!(h.level_of(NodeId(2)), 2);
@@ -404,7 +346,6 @@ mod tests {
         assert_eq!(h.level_members(1), vec![NodeId(1), NodeId(2)]);
         assert_eq!(h.exact_level_members(0), vec![NodeId(0), NodeId(4)]);
         assert!(h.top_level_nonempty());
-        assert!(h.probability().is_nan());
         assert_eq!(h.num_nodes(), 5);
     }
 

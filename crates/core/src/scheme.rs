@@ -211,8 +211,10 @@ pub struct Layer {
     /// The sampled level hierarchy; a net-restricted layer's net is
     /// `hierarchy.level_members(0)`.
     pub hierarchy: Hierarchy,
-    /// The parameters the net and hierarchy were sampled with: CDG and
-    /// degrading layers only, the ones whose payload stores them.
+    /// The parameters the net and hierarchy were sampled with: every
+    /// net-restricted layer keeps them, and its payload stores them —
+    /// 3-stretch's are `CdgParams(ε, 1, seed)`, CDG at `k = 1`.  `None` on
+    /// a Thorup–Zwick layer, whose spec gives its `k`.
     pub params: Option<CdgParams>,
 }
 
@@ -617,11 +619,10 @@ impl SchemeSpec {
                 vec![(hierarchy, None)]
             }
             // Theorem 4.3's sketch is CDG's at k = 1: one phase, a single
-            // flood from the net.  ε is validated where the net is sampled;
-            // the spec holds it, so the layer keeps no params.
+            // flood from the net.  ε is validated where the net is sampled.
             SchemeSpec::ThreeStretch { eps } => {
                 let params = CdgParams::new(eps, 1).with_seed(config.seed);
-                vec![(cdg::sample_net_hierarchy(n, params)?, None)]
+                vec![net_restricted(params)?]
             }
             SchemeSpec::Cdg { eps, k } => {
                 let params = CdgParams::new(eps, k).with_seed(config.seed);
@@ -745,7 +746,7 @@ mod tests {
         assert_eq!(parts(layer), (2, None));
         let three = build("3stretch:0.4").sketches;
         assert_eq!(three.layers.len(), 1);
-        assert_eq!(parts(&three.layers[0]), (1, None));
+        assert_eq!(parts(&three.layers[0]), (1, Some(1)));
         assert!(!three.layers[0].hierarchy.level_members(0).is_empty());
         let cdg = build("cdg:0.4,2").sketches;
         assert_eq!(cdg.layers.len(), 1);
@@ -773,12 +774,8 @@ mod tests {
             let three = build("3stretch:0.3");
             let degrading = build("degrading:k=2,layers=2");
             assert_eq!(degrading.len(), 2);
-            let drawn = [(0.3, config.seed)].into_iter().chain(
-                degrading
-                    .iter()
-                    .map(|layer| layer.params.map(|p| (p.eps, p.seed)).unwrap()),
-            );
-            for (layer, (eps, seed)) in three.iter().chain(&degrading).zip(drawn) {
+            for layer in three.iter().chain(&degrading) {
+                let (eps, seed) = layer.params.map(|p| (p.eps, p.seed)).unwrap();
                 let net = DensityNet::sample_nonempty(n, eps, seed).unwrap();
                 assert_eq!(
                     net.members(),

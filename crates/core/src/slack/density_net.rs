@@ -79,12 +79,6 @@ impl DensityNet {
         self.eps_times_1000 as f64 / 1000.0
     }
 
-    /// Whether the net was sampled for `eps`, as far as its own unit —
-    /// thousandths — tells.
-    pub(crate) fn sampled_for(&self, eps: f64) -> bool {
-        eps.is_finite() && (eps * 1000.0).round() as u64 == self.eps_times_1000
-    }
-
     /// The net nodes.
     pub fn members(&self) -> &[NodeId] {
         &self.members

@@ -88,6 +88,13 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, IoError> {
                 line: line_no,
                 message: format!("invalid node count '{rest}'"),
             })?;
+            // Ids are `u32`s: past that, nothing may be sized by `n`.
+            if u32::try_from(n).is_err() {
+                return Err(IoError::Parse {
+                    line: line_no,
+                    message: format!("node count {n} exceeds the u32 id space"),
+                });
+            }
             num_nodes = Some(n);
             continue;
         }
@@ -205,6 +212,18 @@ mod tests {
             IoError::Parse { line, message } => {
                 assert_eq!(line, 4, "{message}");
                 assert!(message.contains("out of range"));
+            }
+            other => panic!("expected a parse error, got {other}"),
+        }
+    }
+
+    #[test]
+    fn a_node_count_past_the_u32_id_space_is_refused_at_its_line() {
+        let err = read_edge_list("nodes 4294967296\n0 1 1\n".as_bytes()).unwrap_err();
+        match err {
+            IoError::Parse { line, message } => {
+                assert_eq!(line, 1, "{message}");
+                assert!(message.contains("u32 id space"), "{message}");
             }
             other => panic!("expected a parse error, got {other}"),
         }

@@ -17,8 +17,8 @@
 //!   at snapshot time so count and buckets cannot tear.
 //! * [`Tracer`] — deterministic 1-in-N sampling over a shared atomic
 //!   counter (exactly ⌈Q/N⌉ of Q events are sampled), emitting structured
-//!   JSON [`TraceEvent`]s to a built-in ring buffer plus any pluggable
-//!   [`TraceSink`]s (e.g. [`StdoutSink`] for `--log-json`).
+//!   JSON [`TraceEvent`]s to a built-in ring buffer and, for `--log-json`,
+//!   to stdout ([`Tracer::with_stdout`]).
 //! * [`prometheus::encode`] — the Prometheus text exposition format over
 //!   one or more registry snapshots, served by the HTTP front end as
 //!   `GET /metrics`.
@@ -72,4 +72,4 @@ pub use registry::{
     global, Counter, FamilySnapshot, Gauge, InstrumentKind, MetricsRegistry, MetricsSnapshot,
     SeriesSnapshot, SeriesValue,
 };
-pub use trace::{RingSink, StdoutSink, TraceEvent, TraceSink, Tracer};
+pub use trace::{TraceEvent, Tracer};

@@ -1,5 +1,5 @@
 //! Sampled query tracing: deterministic 1-in-N selection, structured JSON
-//! events, pluggable sinks.
+//! events, a ring of the most recent ones.
 //!
 //! Sampling is a single shared atomic counter: the k-th call to
 //! [`Tracer::sample`] returns `true` iff `k ≡ 0 (mod N)`, so a run of `Q`
@@ -7,96 +7,28 @@
 //! on in tests and cheap enough (one relaxed `fetch_add`) to leave on in
 //! production paths.
 //!
-//! Every tracer owns a [`RingSink`] holding the most recent events (served
-//! by the HTTP front end as `GET /trace?n=K`) and forwards each event to
-//! any extra [`TraceSink`]s, e.g. [`StdoutSink`] for `--log-json` runs.
+//! Every tracer owns a ring holding the most recent events (served by the
+//! HTTP front end as `GET /trace?n=K`) and, when told to
+//! ([`Tracer::with_stdout`], the `--log-json` runs), prints each event as
+//! one line on stdout too.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-/// Receives rendered trace events (one JSON document per call).
-pub trait TraceSink: Send + Sync {
-    /// Accept one rendered event.  Must not block for long: this runs on
-    /// the query path of sampled queries.
-    fn emit(&self, json_line: &str);
-}
-
-/// A bounded in-memory buffer of the most recent events.
-#[derive(Debug)]
-pub struct RingSink {
-    capacity: usize,
-    events: Mutex<VecDeque<String>>,
-}
-
-impl RingSink {
-    /// A ring holding at most `capacity` events (oldest evicted first).
-    pub fn new(capacity: usize) -> RingSink {
-        RingSink {
-            capacity: capacity.max(1),
-            events: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    /// The most recent `n` events, oldest first.
-    pub fn last(&self, n: usize) -> Vec<String> {
-        let events = self.events.lock().unwrap_or_else(|e| e.into_inner());
-        let skip = events.len().saturating_sub(n);
-        events.iter().skip(skip).cloned().collect()
-    }
-
-    /// Number of events currently buffered.
-    pub fn len(&self) -> usize {
-        self.events.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// True when no events are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl TraceSink for RingSink {
-    fn emit(&self, json_line: &str) {
-        let mut events = self.events.lock().unwrap_or_else(|e| e.into_inner());
-        if events.len() == self.capacity {
-            events.pop_front();
-        }
-        events.push_back(json_line.to_string());
-    }
-}
-
-/// Writes each event as one line on stdout — the `--log-json` sink.
-#[derive(Debug, Default)]
-pub struct StdoutSink;
-
-impl TraceSink for StdoutSink {
-    fn emit(&self, json_line: &str) {
-        println!("{json_line}");
-    }
-}
-
-/// Default capacity of a tracer's built-in ring buffer.
+/// Capacity of a tracer's ring: the most recent events it keeps.
 const RING_CAPACITY: usize = 256;
 
 /// Deterministic 1-in-N sampler and event dispatcher.
+#[derive(Debug)]
 pub struct Tracer {
     /// Sample every `every`-th call; 0 disables sampling entirely.
     every: u64,
     calls: AtomicU64,
-    ring: Arc<RingSink>,
-    sinks: Vec<Arc<dyn TraceSink>>,
-}
-
-impl std::fmt::Debug for Tracer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tracer")
-            .field("every", &self.every)
-            .field("calls", &self.calls.load(Ordering::Relaxed))
-            .field("ring_len", &self.ring.len())
-            .field("extra_sinks", &self.sinks.len())
-            .finish()
-    }
+    /// Print each event on stdout as well.
+    stdout: bool,
+    /// The most recent [`RING_CAPACITY`] events, oldest first.
+    ring: Mutex<VecDeque<String>>,
 }
 
 impl Tracer {
@@ -112,14 +44,15 @@ impl Tracer {
         Tracer {
             every: n,
             calls: AtomicU64::new(0),
-            ring: Arc::new(RingSink::new(RING_CAPACITY)),
-            sinks: Vec::new(),
+            stdout: false,
+            ring: Mutex::new(VecDeque::new()),
         }
     }
 
-    /// Forward every emitted event to `sink` as well as the ring.
-    pub fn with_sink(mut self, sink: Arc<dyn TraceSink>) -> Tracer {
-        self.sinks.push(sink);
+    /// Print every emitted event as one line on stdout as well as keeping
+    /// it in the ring, when `stdout` is true.
+    pub fn with_stdout(mut self, stdout: bool) -> Tracer {
+        self.stdout = stdout;
         self
     }
 
@@ -139,18 +72,27 @@ impl Tracer {
             .is_multiple_of(self.every)
     }
 
-    /// Render `event` and dispatch it to the ring and all extra sinks.
+    /// Render `event` into the ring (the oldest event leaves a full one),
+    /// and onto stdout if the tracer prints.
     pub fn emit(&self, event: TraceEvent) {
         let line = event.finish();
-        self.ring.emit(&line);
-        for sink in &self.sinks {
-            sink.emit(&line);
+        if self.stdout {
+            println!("{line}");
         }
+        let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
+        if ring.len() == RING_CAPACITY {
+            ring.pop_front();
+        }
+        ring.push_back(line);
     }
 
     /// The most recent `n` buffered events, oldest first.
     pub fn recent(&self, n: usize) -> Vec<String> {
-        self.ring.last(n)
+        let ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
+        ring.iter()
+            .skip(ring.len().saturating_sub(n))
+            .cloned()
+            .collect()
     }
 }
 
@@ -259,31 +201,27 @@ mod tests {
 
     #[test]
     fn ring_keeps_most_recent_events() {
-        let ring = RingSink::new(3);
-        assert!(ring.is_empty());
-        for i in 0..5 {
-            ring.emit(&format!("e{i}"));
+        let tracer = Tracer::one_in(1);
+        assert!(tracer.recent(8).is_empty());
+        for u in 0..RING_CAPACITY as u64 + 2 {
+            tracer.emit(TraceEvent::new("query").num("u", u));
         }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.last(2), vec!["e3".to_string(), "e4".to_string()]);
-        assert_eq!(
-            ring.last(10),
-            vec!["e2".to_string(), "e3".to_string(), "e4".to_string()]
-        );
+        let kept = tracer.recent(usize::MAX);
+        assert_eq!(kept.len(), RING_CAPACITY);
+        assert_eq!(kept[0], r#"{"event":"query","u":2}"#);
+        let last = format!(r#"{{"event":"query","u":{}}}"#, RING_CAPACITY + 1);
+        assert_eq!(tracer.recent(1), [last]);
     }
 
+    /// `--log-json`'s tracer prints each event and keeps it in its ring
+    /// all the same (libtest captures the printed lines).
     #[test]
     fn tracer_emits_to_ring_and_extra_sinks() {
-        let extra = Arc::new(RingSink::new(8));
-        let tracer = Tracer::one_in(1).with_sink(extra.clone());
+        let tracer = Tracer::one_in(1).with_stdout(true);
         tracer.emit(TraceEvent::new("query").num("u", 1));
         tracer.emit(TraceEvent::new("query").num("u", 2));
         assert_eq!(tracer.recent(8).len(), 2);
-        assert_eq!(extra.len(), 2);
-        assert_eq!(
-            extra.last(1),
-            vec![r#"{"event":"query","u":2}"#.to_string()]
-        );
+        assert_eq!(tracer.recent(1), [r#"{"event":"query","u":2}"#]);
     }
 
     #[test]

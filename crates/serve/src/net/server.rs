@@ -52,7 +52,7 @@ use super::wire::Conn;
 use crate::server::{ServeClient, ServeConfig, SketchServer};
 use crate::stats::{NetCounters, NetStats, ServeStats};
 use dsketch::{DistanceOracle, SchemeSpec, SketchError};
-use dsketch_obs::{MetricsRegistry, StdoutSink, Tracer};
+use dsketch_obs::{MetricsRegistry, Tracer};
 use netgraph::GraphFingerprint;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -249,10 +249,7 @@ impl NetServer {
     ) -> Result<NetServer, NetStartError> {
         net_config.validate()?;
         let registry = Arc::new(MetricsRegistry::new());
-        let mut tracer = Tracer::one_in(serve_config.trace_sample);
-        if net_config.log_json {
-            tracer = tracer.with_sink(Arc::new(StdoutSink));
-        }
+        let tracer = Tracer::one_in(serve_config.trace_sample).with_stdout(net_config.log_json);
         let counters = Arc::new(NetCounters::register(&registry));
         let server = Arc::new(SketchServer::start_with_origin(
             oracle,

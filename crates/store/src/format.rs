@@ -29,12 +29,16 @@
 //! * The `version` field is the **major** format version, and a reader
 //!   reads exactly one: [`FORMAT_VERSION`].  Anything else — newer *or*
 //!   older — is refused with [`StoreError::UnsupportedVersion`].  There is
-//!   no v1, v2 or v3 reader and no converter: v2 changed the label encoding
+//!   no v1–v4 reader and no converter: v2 changed the label encoding
 //!   (fixed-width → gap-coded varints), v3 the label set itself (each
-//!   layer's top level a table written once; no entry levels, no row `k`)
-//!   and v4 what a row says (no pivots, ranks within a level for ids, cells
+//!   layer's top level a table written once; no entry levels, no row `k`),
+//!   v4 what a row says (no pivots, ranks within a level for ids, cells
 //!   relative to the row's least; the sampling first, one varint a node;
-//!   no per-layer run cost, no CDG net), a snapshot is a cache of a
+//!   no per-layer run cost, no CDG net) and v5 how a layer's sampling is
+//!   written (one way: its params, then its levels, read at the `k` the
+//!   spec or the params give — no stored `k` or probability, 3-stretch as
+//!   CDG at `k = 1` instead of a net; a `STAT` record without its
+//!   bandwidth-violation count), a snapshot is a cache of a
 //!   deterministic build, and rebuilding it is
 //!   one `build_stored` call — cheaper to own than a second decoder for
 //!   every consumer of the bytes.
@@ -57,7 +61,7 @@ use netgraph::GraphFingerprint;
 pub const MAGIC: [u8; 4] = *b"DSK1";
 
 /// The major format version this build writes, and the only one it reads.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// A four-byte section identifier (printable ASCII tag, e.g. `SKCH`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -154,38 +154,34 @@ pub fn read_snapshot<R: Read>(reader: R) -> Result<SnapshotContents, StoreError>
 
 fn decode_reader<R: Read>(reader: SnapshotReader<R>) -> Result<SnapshotContents, StoreError> {
     let started = std::time::Instant::now();
-    let contents = decode_raw(reader.read()?)?;
-    record_snapshot_load(started);
+    let raw = reader.read()?;
+    let bytes = raw.total_bytes();
+    let contents = decode_raw(raw)?;
+    record_snapshot_load(started, bytes);
     Ok(contents)
 }
 
-/// Charge one completed snapshot load to the global registry.
-fn record_snapshot_load(started: std::time::Instant) {
-    dsketch_obs::global()
+/// Charge one completed snapshot load — its time and its `bytes` — to the
+/// global registry.
+fn record_snapshot_load(started: std::time::Instant, bytes: u64) {
+    let registry = dsketch_obs::global();
+    registry
         .histogram(
             "dsketch_store_snapshot_load_nanos",
             "Wall time reading, verifying, and decoding one DSK1 snapshot.",
         )
         .record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-}
-
-/// Charge successfully loaded snapshot bytes to the global registry.
-fn record_snapshot_load_bytes(bytes: u64) {
-    dsketch_obs::global()
+    registry
         .counter(
             "dsketch_store_load_bytes_total",
-            "Snapshot bytes read from disk by successful loads.",
+            "Snapshot bytes decoded by successful loads.",
         )
         .add(bytes);
 }
 
 /// Read, verify and decode the snapshot at `path`.
 pub fn load_snapshot<P: AsRef<Path>>(path: P) -> Result<SnapshotContents, StoreError> {
-    let reader = SnapshotReader::open(path.as_ref())?;
-    let bytes = reader.available();
-    let contents = decode_reader(reader)?;
-    record_snapshot_load_bytes(bytes);
-    Ok(contents)
+    decode_reader(SnapshotReader::open(path.as_ref())?)
 }
 
 /// Read just the header of the snapshot at `path` — its [`SchemeSpec`] and
@@ -223,11 +219,7 @@ fn decode_raw(raw: RawSnapshot) -> Result<SnapshotContents, StoreError> {
 /// when the graph is at hand, so an oracle is never served against a
 /// topology it was not built for.
 pub fn load_frozen_oracle<P: AsRef<Path>>(path: P) -> Result<Box<dyn DistanceOracle>, StoreError> {
-    let reader = SnapshotReader::open(path.as_ref())?;
-    let bytes = reader.available();
-    let oracle = reader.read()?.frozen_oracle()?;
-    record_snapshot_load_bytes(bytes);
-    Ok(oracle)
+    SnapshotReader::open(path.as_ref())?.read()?.frozen_oracle()
 }
 
 /// [`load_frozen_oracle`] over any reader.
@@ -243,10 +235,11 @@ impl RawSnapshot {
     /// The decode checks every contract [`verify_snapshot_bytes`] does but
     /// the structural re-check of the arrays it built.  Charges the load,
     /// timed from the start of the container read, to
-    /// `dsketch_store_snapshot_load_nanos`.
+    /// `dsketch_store_snapshot_load_nanos`, and its bytes to
+    /// `dsketch_store_load_bytes_total`.
     pub fn frozen_oracle(&self) -> Result<Box<dyn DistanceOracle>, StoreError> {
         let (flat, _) = self.decode_flat()?;
-        record_snapshot_load(self.read_started);
+        record_snapshot_load(self.read_started, self.total_bytes());
         Ok(Box::new(flat))
     }
 
@@ -299,9 +292,7 @@ pub fn load_oracle_for_graph<P: AsRef<Path>>(
     path: P,
     graph: &Graph,
 ) -> Result<Box<dyn DistanceOracle>, StoreError> {
-    let reader = SnapshotReader::open(path.as_ref())?;
-    let bytes = reader.available();
-    let raw = reader.read()?;
+    let raw = SnapshotReader::open(path.as_ref())?.read()?;
     let actual = graph.fingerprint();
     if actual != raw.fingerprint() {
         return Err(StoreError::FingerprintMismatch {
@@ -309,9 +300,7 @@ pub fn load_oracle_for_graph<P: AsRef<Path>>(
             graph: actual,
         });
     }
-    let oracle = raw.frozen_oracle()?;
-    record_snapshot_load_bytes(bytes);
-    Ok(oracle)
+    raw.frozen_oracle()
 }
 
 /// Run the construction for `spec` on `graph`

@@ -184,11 +184,6 @@ impl<R: Read> SnapshotReader<R> {
         self
     }
 
-    /// The bound given to [`SnapshotReader::with_available`] (0 if none).
-    pub fn available(&self) -> u64 {
-        self.available
-    }
-
     /// Read the whole snapshot: parse and CRC-check the header, read the
     /// payload area, CRC-check every section, and require the source to
     /// end there.  Fails with a typed [`StoreError`] on truncation,

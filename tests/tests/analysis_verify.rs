@@ -187,9 +187,9 @@ fn varint_bytes(mut v: u64) -> Vec<u8> {
     out
 }
 
-/// A cursor over the v4 label-set bytes of a snapshot's `SKCH` section,
-/// from the hierarchy they are written against (Thorup–Zwick: the payload's
-/// start; CDG: past its params), yielding the file positions the targeted
+/// A cursor over the label-set bytes of a snapshot's `SKCH` section, from
+/// the levels they are written against (Thorup–Zwick: the payload's start;
+/// CDG: past its params), yielding the file positions the targeted
 /// mutations need.  A row is its runs — per level below the top, a length
 /// and `(rank gap, distance)` entries, a rank indexing that level's
 /// ascending members — then its least cell (`δ + 1`, `0` for none) and one
@@ -234,11 +234,10 @@ impl SketchSites {
     }
 }
 
-/// The hierarchy a label set is written against: `k`, the node count and
-/// one level varint (`level + 1`) per node — and the set's entry total.
+/// The levels a label set is written against — the node count and one
+/// level varint (`level + 1`) per node, read at the `k` the spec or the
+/// params give — and the set's entry total.
 struct SetHeader {
-    /// File offset of the hierarchy.
-    at: usize,
     k: u64,
     levels: Vec<Site>,
     total: Site,
@@ -246,18 +245,20 @@ struct SetHeader {
 
 impl<'a> TzSketchCursor<'a> {
     /// Position the cursor at the first row of a Thorup–Zwick `SKCH`
-    /// section's label set, returning the header too.
+    /// section's label set, at the `k` of the header's spec (`tag u8 = 0,
+    /// k u64` at the top of the body), returning the header too.
     fn new(bytes: &'a [u8]) -> (Self, SetHeader) {
-        Self::at(bytes, skch_range(bytes).0)
+        assert_eq!(bytes[12], 0, "Thorup–Zwick spec tag");
+        Self::at(bytes, skch_range(bytes).0, le_u64(bytes, 13))
     }
 
-    /// [`TzSketchCursor::new`] for a hierarchy starting at file offset
-    /// `start`.
-    fn at(bytes: &'a [u8], start: usize) -> (Self, SetHeader) {
-        let (k, n) = (le_u64(bytes, start), le_u64(bytes, start + 16));
+    /// [`TzSketchCursor::new`] for levels starting at file offset `start`,
+    /// read at `k`.
+    fn at(bytes: &'a [u8], start: usize, k: u64) -> (Self, SetHeader) {
+        let n = le_u64(bytes, start);
         let mut cursor = TzSketchCursor {
             bytes,
-            pos: start + 24,
+            pos: start + 8,
             members: vec![Vec::new(); k as usize],
         };
         let levels: Vec<Site> = (0..n).map(|_| cursor.varint()).collect();
@@ -267,12 +268,7 @@ impl<'a> TzSketchCursor<'a> {
             }
         }
         let total = cursor.varint();
-        let header = SetHeader {
-            at: start,
-            k,
-            levels,
-            total,
-        };
+        let header = SetHeader { k, levels, total };
         (cursor, header)
     }
 
@@ -586,8 +582,10 @@ fn resigned_finite_cell_without_a_least_cell_is_caught() {
     assert!(err.to_string().contains("no least cell"), "{err}");
 }
 
-/// A level varint is `level + 1`, below `k + 1`: one past names no level
-/// of the hierarchy, whose node count and `k` stand.
+/// A level varint is `level + 1`, below `k + 1` — the spec's `k`, which
+/// the bytes do not carry: one past names no level.  A 3-stretch payload's
+/// levels follow its params `(ε, 1, seed)` and are read at `k = 1`, so a
+/// net member raised to level 1 is refused before a row is read.
 #[test]
 fn resigned_level_byte_past_k_is_caught() {
     let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(3), 32, 13);
@@ -599,30 +597,17 @@ fn resigned_level_byte_past_k_is_caught() {
     expect_kind(&bytes, "section-decode", "level byte past k");
     let err = verify_snapshot_bytes(&bytes).unwrap_err();
     assert!(err.to_string().contains("out of range for k = 3"), "{err}");
-}
 
-#[test]
-fn resigned_hierarchy_k_mismatch_is_caught() {
-    // A Thorup–Zwick payload opens with its hierarchy: k, probability,
-    // node count, then one level varint per node.  The labels are read at
-    // the spec's k.
-    let bytes = snapshot_bytes(SchemeSpec::thorup_zwick(3), 32, 13);
-    let (_, header) = TzSketchCursor::new(&bytes);
-    assert_eq!(le_u64(&bytes, header.at), 3, "hierarchy k field");
-    let mut mutated = bytes.clone();
-    mutated[header.at..header.at + 8].copy_from_slice(&4u64.to_le_bytes());
-    resign(&mut mutated);
-    expect_kind(&mutated, "hierarchy-contract", "hierarchy k != spec k");
-
-    // A CDG payload's hierarchy follows its params (ε, k, seed), and is
-    // held to the params' k.
-    let mut bytes = snapshot_bytes(SchemeSpec::cdg(0.25, 2), 28, 19);
-    let (skch_at, _) = skch_range(&bytes);
-    assert_eq!(le_u64(&bytes, skch_at + 8), 2, "params k field");
-    assert_eq!(le_u64(&bytes, skch_at + 24), 2, "hierarchy k field");
-    bytes[skch_at + 24..skch_at + 32].copy_from_slice(&3u64.to_le_bytes());
+    let mut bytes = snapshot_bytes(SchemeSpec::three_stretch(0.5), 1024, 3);
+    let levels = skch_range(&bytes).0 + 24;
+    assert_eq!(le_u64(&bytes, levels), 1024);
+    let (_, header) = TzSketchCursor::at(&bytes, levels, 1);
+    let member = header.levels.iter().find(|level| level.value == 1).unwrap();
+    bytes[member.at] = 2;
     resign(&mut bytes);
-    expect_kind(&bytes, "hierarchy-contract", "hierarchy k != params k");
+    expect_kind(&bytes, "section-decode", "a net member at level 1");
+    let err = verify_snapshot_bytes(&bytes).unwrap_err();
+    assert!(err.to_string().contains("out of range for k = 1"), "{err}");
 }
 
 #[test]
@@ -641,30 +626,11 @@ fn resigned_spec_params_mismatch_is_caught() {
     expect_kind(&bytes, "layer-contract", "header eps != stored CdgParams");
 }
 
-/// A 3-stretch payload opens with its net — node count, ε, member count,
-/// a `u32` per member — which is the labels' one level: its members are
-/// the table, so a member past the nodes is refused before a row is read.
-#[test]
-fn resigned_three_stretch_net_member_past_its_nodes_is_caught() {
-    let mut bytes = snapshot_bytes(SchemeSpec::three_stretch(0.5), 1024, 3);
-    let (skch_at, _) = skch_range(&bytes);
-    let (nodes, members) = (le_u64(&bytes, skch_at), le_u64(&bytes, skch_at + 16));
-    assert_eq!(nodes, 1024);
-    let last = skch_at + 24 + 4 * (members as usize - 1);
-    bytes[last..last + 4].copy_from_slice(&(nodes as u32).to_le_bytes());
-    resign(&mut bytes);
-    expect_kind(&bytes, "section-decode", "a net member past the nodes");
-    let err = verify_snapshot_bytes(&bytes).unwrap_err();
-    assert!(
-        err.to_string().contains("out of range for 1024 nodes"),
-        "{err}"
-    );
-}
-
 #[test]
 fn resigned_net_eps_unlike_the_spec_or_params_is_caught() {
     // The header spec of a 3-stretch snapshot is `tag u8, eps f64`: claim
-    // 0.9 for a net sampled at 0.25.
+    // 0.9 for a net sampled at 0.25, which the params the payload opens
+    // with, `(0.25, 1, seed)`, still say.
     let mut bytes = snapshot_bytes(SchemeSpec::three_stretch(0.25), 32, 5);
     assert_eq!(bytes[12], 1, "ThreeStretch spec tag");
     assert_eq!(bytes[13..21], 0.25f64.to_le_bytes());
@@ -672,9 +638,9 @@ fn resigned_net_eps_unlike_the_spec_or_params_is_caught() {
     resign(&mut bytes);
     expect_kind(&bytes, "layer-contract", "header eps != the net's");
 
-    // A CDG payload's net is not in its bytes: it is its hierarchy's A_0,
-    // sampled for its params' ε.  So the ε it is held to is the params':
-    // claim 0.9 there (the payload opens with them) for the spec's 0.25.
+    // No payload writes its net: it is its levels' A_0, sampled for its
+    // params' ε.  So the ε it is held to is the params': claim 0.9 there
+    // (a CDG payload opens with them) for the spec's 0.25.
     let mut bytes = snapshot_bytes(SchemeSpec::cdg(0.25, 2), 28, 19);
     let params_eps_at = skch_range(&bytes).0;
     assert_eq!(
@@ -690,19 +656,20 @@ fn resigned_net_eps_unlike_the_spec_or_params_is_caught() {
     );
 }
 
-/// File offsets of each layer's hierarchy in a degrading snapshot's `SKCH`
-/// payload: a `u64` layer count, then per layer its params (`eps f64, k
-/// u64, seed u64`), its hierarchy and its label set.
-fn degrading_label_sets(bytes: &[u8]) -> Vec<usize> {
+/// File offsets of each layer's levels in a degrading snapshot's `SKCH`
+/// payload, with the params' `k` they are read at: a `u64` layer count,
+/// then per layer its params (`eps f64, k u64, seed u64`), its levels and
+/// its label set.
+fn degrading_label_sets(bytes: &[u8]) -> Vec<(usize, u64)> {
     let (skch_at, _) = skch_range(bytes);
     let mut at = skch_at + 8;
     (0..le_u64(bytes, skch_at))
         .map(|_| {
-            let hierarchy = at + 24;
-            let (mut cursor, header) = TzSketchCursor::at(bytes, hierarchy);
+            let (levels, k) = (at + 24, le_u64(bytes, at + 8));
+            let (mut cursor, header) = TzSketchCursor::at(bytes, levels, k);
             (0..header.levels.len()).for_each(|_| drop(cursor.next_sketch()));
             at = cursor.position();
-            hierarchy
+            (levels, k)
         })
         .collect()
 }
@@ -716,8 +683,8 @@ fn resigned_degrading_landmark_at_two_distances_is_caught() {
     let mut bytes = snapshot_bytes(SchemeSpec::parse("degrading:2").unwrap(), 32, 13);
     let sets = degrading_label_sets(&bytes);
     assert!(sets.len() >= 2, "{} layers", sets.len());
-    let rows = |set: usize| {
-        let (mut cursor, header) = TzSketchCursor::at(&bytes, set);
+    let rows = |(set, k): (usize, u64)| {
+        let (mut cursor, header) = TzSketchCursor::at(&bytes, set, k);
         (0..header.levels.len())
             .map(|_| cursor.next_sketch())
             .collect::<Vec<_>>()
@@ -774,10 +741,10 @@ fn resigned_trailing_bytes_inside_skch_are_caught() {
 #[test]
 fn a_v1_versioned_snapshot_is_refused_by_version() {
     // The file a v1 writer would have stamped: same container, version
-    // field 1, header CRC valid.  The verifier reads version 4 only and
+    // field 1, header CRC valid.  The verifier reads version 5 only and
     // must say so, not fail somewhere inside bytes it cannot parse.
     let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(2), 32, 13);
-    assert_eq!(le_u32(&bytes, 4), 4, "format version field");
+    assert_eq!(le_u32(&bytes, 4), 5, "format version field");
     bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
     resign(&mut bytes);
     expect_kind(&bytes, "unsupported-version", "v1 version field");

@@ -1,4 +1,4 @@
-//! The DSK1 v4 label bytes — each layer's sampling first, then rows of
+//! The DSK1 v5 label bytes — each layer's sampling first, then rows of
 //! per-level rank runs and table cells relative to the row's least cell,
 //! with no pivots — against every family and against hostile input.
 //!
@@ -9,7 +9,7 @@
 //!   built.  Hand-drawn labels stretch the numbers: any distance below
 //!   `u64::MAX`, any bunch, `k` up to 9, held in memory with no table and
 //!   written with their hierarchy's top level as one, their pivots derived
-//!   back.  One id past the hierarchy's nodes has no format-4 bytes: the
+//!   back.  One id past the hierarchy's nodes has no bytes in the format: the
 //!   layer's check refuses it by name, and both ingresses the bytes
 //!   written for it.
 //! * **Hostile bytes**, on a *bare* payload — no container, so no CRC to
@@ -18,8 +18,8 @@
 //!   fails with a `CodecError`, identically through both ingresses.  Never
 //!   a panic, never a hang.  A rank at or past its level's member count, a
 //!   least cell no cell equals, a finite cell in a row with none, a level
-//!   byte past `k`, a 3-stretch net no sampler writes (a member twice, out
-//!   of order or past `n`, another ε, more nodes than bytes), and a table
+//!   byte past `k`, a 3-stretch net no sampler writes (params of another ε
+//!   or `k`, a level past `k = 1`, more nodes than bytes), and a table
 //!   whose cells outgrow the bytes are refused by name.
 //! * **Size**: a saved snapshot of any family spends under 3 `SKCH` bytes
 //!   on a bunch entry (v1 spent 16, v2 up to 3.3, v3 up to 2.6).
@@ -207,7 +207,7 @@ fn varint_bytes(mut v: u64) -> Vec<u8> {
 /// One varint of a payload: `(offset, length, value)`.
 type Site = (usize, usize, u64);
 
-/// The sites of one v4 row: per level below the top its run's length and
+/// The sites of one row: per level below the top its run's length and
 /// `(rank gap, distance)` entries, then the least cell (`δ + 1`, `0` for
 /// none) and the cells (`d − δ + 1`, `0` for none).
 struct RowSites {
@@ -216,10 +216,10 @@ struct RowSites {
     cells: Vec<Site>,
 }
 
-/// A Thorup–Zwick payload, walked by hand: the hierarchy first (`k`,
-/// probability and node count, fixed-width, then `level + 1` per node),
-/// then the set's entry total and its rows.  Hand-rolled on purpose: it
-/// must not share code with the reader it is used against.
+/// A Thorup–Zwick payload, walked by hand at the spec's `k`: the levels
+/// first (the node count, fixed-width, then `level + 1` per node), then the
+/// set's entry total and its rows.  Hand-rolled on purpose: it must not
+/// share code with the reader it is used against.
 struct TzPayload {
     bytes: Vec<u8>,
     k: u64,
@@ -228,10 +228,9 @@ struct TzPayload {
 }
 
 impl TzPayload {
-    fn new(bytes: Vec<u8>) -> TzPayload {
-        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-        let (k, n) = (word(0), word(16));
-        let mut at = 24;
+    fn new(bytes: Vec<u8>, k: u64) -> TzPayload {
+        let n = u64::from_le_bytes(bytes[..8].try_into().unwrap());
+        let mut at = 8;
         let mut next = || {
             let (value, len) = varint_at(&bytes, at);
             at += len;
@@ -279,7 +278,10 @@ fn with_varint(bytes: &[u8], (at, len, _): Site, value: u64) -> Vec<u8> {
 
 /// A Thorup–Zwick payload of a fixed build, walked.
 fn tz_payload() -> TzPayload {
-    let payload = TzPayload::new(built(SchemeSpec::thorup_zwick(3), 256, 5).encode_payload());
+    let payload = TzPayload::new(
+        built(SchemeSpec::thorup_zwick(3), 256, 5).encode_payload(),
+        3,
+    );
     assert_eq!((payload.k, payload.levels.len()), (3, 256));
     payload
 }
@@ -414,29 +416,23 @@ fn table_cells_beyond_the_bytes_are_refused_both_ways() {
     );
 }
 
-/// A 3-stretch payload opens with its net — node count, ε, member count,
-/// a `u32` per member — which the reader turns into the one-level
-/// hierarchy the sampler draws.  A member list no sampling writes, an ε
-/// not the spec's and a node count past the bytes are refused, both ways
-/// alike — the count before anything is sized by it.
+/// A 3-stretch payload opens with its sampling as CDG's at `k = 1` —
+/// params `(ε, 1, seed)`, then the levels: the node count and one varint a
+/// node, `1` for a net member and `0` for the rest.  Params of another ε or
+/// `k`, a level past `k = 1` and a node count past the bytes are refused,
+/// both ways alike — the count before anything is sized by it.
 #[test]
 fn a_three_stretch_net_no_sampler_writes_is_refused_both_ways() {
     let spec = SchemeSpec::three_stretch(0.3);
     let bytes = built(spec, 64, 5).encode_payload();
     let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-    let (n, count) = (word(0), word(16) as usize);
-    assert_eq!(n, 64);
-    assert!(count >= 2, "{count} members");
-    let member = |i: usize| 24 + 4 * i;
-    let (first, second) = (
-        bytes[member(0)..member(1)].to_vec(),
-        bytes[member(1)..member(2)].to_vec(),
-    );
-    let with = |edits: &[(usize, &[u8])]| {
+    assert_eq!((f64::from_bits(word(0)), word(8), word(24)), (0.3, 1, 64));
+    let levels = &bytes[32..32 + 64];
+    assert!(levels.iter().all(|&level| level <= 1), "{levels:?}");
+    let member = 32 + levels.iter().position(|&level| level == 1).unwrap();
+    let with = |at: usize, value: &[u8]| {
         let mut edited = bytes.clone();
-        for &(at, value) in edits {
-            edited[at..at + value.len()].copy_from_slice(value);
-        }
+        edited[at..at + value.len()].copy_from_slice(value);
         edited
     };
     let refused = |edited: &[u8], what: &str| {
@@ -446,39 +442,31 @@ fn a_three_stretch_net_no_sampler_writes_is_refused_both_ways() {
         );
         FlatSketchSet::from_family_bytes(&spec, edited).unwrap_err()
     };
-    let invalid_net = |err: &CodecError, what: &str| matches!(err, CodecError::Invalid { context: "DensityNet", message } if message.contains(what));
 
-    for (edited, what) in [
-        (with(&[(member(1), &first)]), "a member listed twice"),
-        (
-            with(&[(member(0), &second), (member(1), &first)]),
-            "members out of order",
-        ),
+    for (edited, says) in [
+        (with(0, &0.5f64.to_le_bytes()), "(eps = 0.5, k = 1)"),
+        (with(8, &2u64.to_le_bytes()), "(eps = 0.3, k = 2)"),
     ] {
-        let err = refused(&edited, what);
+        let err = refused(&edited, says);
         assert!(
-            invalid_net(&err, "is not above the member before it"),
-            "{what}: {err}"
+            matches!(&err, CodecError::LayerContract(message) if message.contains(says) && message.contains("spec says (eps = 0.3, k = 1)")),
+            "{err}"
         );
     }
-    let past = with(&[(member(count - 1), &(n as u32).to_le_bytes())]);
-    let err = refused(&past, "a member at n");
-    assert!(invalid_net(&err, "out of range for 64 nodes"), "{err}");
 
-    let other_eps = with(&[(8, &0.5f64.to_le_bytes())]);
-    let err = refused(&other_eps, "another eps");
+    let err = refused(&with(member, &[2]), "a level past k = 1");
     assert!(
-        matches!(&err, CodecError::LayerContract(message) if message.contains("sampled for eps = 0.5")),
+        matches!(&err, CodecError::Invalid { context: "Hierarchy", message } if message.contains("out of range for k = 1")),
         "{err}"
     );
 
     for nodes in [bytes.len() as u64, 1 << 50] {
-        let err = refused(&with(&[(0, &nodes.to_le_bytes())]), "n past the bytes");
+        let err = refused(&with(24, &nodes.to_le_bytes()), "n past the bytes");
         assert!(
             matches!(
                 &err,
                 CodecError::UnexpectedEof {
-                    context: "DensityNet.num_nodes",
+                    context: "Hierarchy levels length",
                     ..
                 }
             ),
@@ -551,7 +539,7 @@ fn a_saved_snapshot_spends_under_six_skch_bytes_per_bunch_entry() {
         let spec = SchemeSpec::parse(spec).expect("a scheme");
         build_and_save(&graph(256, 42), spec, &config, &path).expect("build and save");
         let summary = inspect_snapshot(&path).expect("inspect");
-        assert_eq!(summary.version, 4, "{spec}");
+        assert_eq!(summary.version, 5, "{spec}");
         let mut sections = summary.sections.iter().zip(&summary.section_entities);
         let (bytes, entries) = sections
             .find_map(|(entry, entities)| match entities {

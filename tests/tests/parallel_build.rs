@@ -156,10 +156,10 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 #[test]
 fn snapshot_bytes_match_the_pinned_golden_digests() {
     let golden: [(usize, u64); 4] = [
-        (7_614, 0x0c36_1a90_c894_4523),
-        (26_430, 0x66c6_2732_8282_6f69),
-        (10_159, 0xb931_165e_81ae_f51d),
-        (94_154, 0xc462_93a6_4f68_a925),
+        (7_590, 0x36ef_d28d_02c8_802e),
+        (26_286, 0x8825_7c15_f433_72de),
+        (10_135, 0xcea8_5b4a_d5cc_0e12),
+        (94_018, 0x1e76_d8ca_5113_fd8a),
     ];
     // What the same four builds weighed at format version 1, where every
     // bunch entry was 16 fixed bytes.

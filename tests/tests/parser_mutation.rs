@@ -6,15 +6,23 @@
 //! seed, so a failure replays exactly.  The contract: the parser returns
 //! (accepting or refusing), never panics, and what it accepts is stable.
 //!
-//! Covered: `SchemeSpec::parse` (every `--scheme` flag) and
-//! `FaultPlan::parse` (`DSKETCH_FAULTS`, `POST /faults?spec=`).  Still to
-//! join: NETQ frames, the HTTP request head and `query_pairs`,
+//! Covered: `SchemeSpec::parse` (every `--scheme` flag),
+//! `FaultPlan::parse` (`DSKETCH_FAULTS`, `POST /faults?spec=`), and NETQ
+//! frames both ways — `parse_header`, then `Request::decode` or
+//! `Response::decode` on a payload as long as the header says, edited over
+//! all 256 byte values, every accepted frame re-encoding to its own bytes.
+//! Still to join: the HTTP request head and `query_pairs`,
 //! `dsketch_bench::check_args_or_exit`, and the edge-list reader.  The
 //! snapshot bytes are mutated already, by `codec_v2.rs` and
 //! `analysis_verify.rs`.
 
 use dsketch::SchemeSpec;
 use dsketch_faults::FaultPlan;
+use dsketch_serve::net::protocol::{
+    parse_header, DEFAULT_MAX_PAYLOAD, HEADER_LEN, REQUEST_MAGIC, RESPONSE_MAGIC,
+};
+use dsketch_serve::net::{NetError, Request, Response, WireError, WireErrorCode};
+use netgraph::NodeId;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Mutated inputs per parser.
@@ -39,10 +47,10 @@ impl SplitMix64 {
 }
 
 /// `seed`'s `CASES` mutants of `valid`: each one of the inputs with 1–4
-/// edits over `alphabet`.  Every byte of both is ASCII, so a mutant is too.
-fn mutants(seed: u64, valid: &[&str], alphabet: &[u8]) -> impl Iterator<Item = String> {
+/// edits over `alphabet`.
+fn mutants(seed: u64, valid: &[Vec<u8>], alphabet: &[u8]) -> impl Iterator<Item = Vec<u8>> {
     let mut rng = SplitMix64(seed);
-    let valid: Vec<Vec<u8>> = valid.iter().map(|s| s.as_bytes().to_vec()).collect();
+    let valid = valid.to_vec();
     let alphabet = alphabet.to_vec();
     (0..CASES).map(move |_| {
         let mut bytes = valid[rng.below(valid.len())].clone();
@@ -60,8 +68,15 @@ fn mutants(seed: u64, valid: &[&str], alphabet: &[u8]) -> impl Iterator<Item = S
                 _ => bytes.push(symbol),
             }
         }
-        String::from_utf8(bytes).expect("an ASCII mutant")
+        bytes
     })
+}
+
+/// [`mutants`] of text: every byte of the inputs and the alphabet is
+/// ASCII, so a mutant is too.
+fn text_mutants(seed: u64, valid: &[&str], alphabet: &[u8]) -> impl Iterator<Item = String> {
+    let valid: Vec<Vec<u8>> = valid.iter().map(|s| s.as_bytes().to_vec()).collect();
+    mutants(seed, &valid, alphabet).map(|bytes| String::from_utf8(bytes).expect("an ASCII mutant"))
 }
 
 /// `parse(input)`, or the test's failure naming the input that panicked.
@@ -85,7 +100,7 @@ fn scheme_specs_never_panic_and_what_parses_reaches_a_display_fixpoint() {
     ];
     let alphabet = b"tzhorup-wick3stech:degain,=.0123456789 kly+NIf";
     let mut accepted = 0;
-    for input in mutants(0x5C4E_3E00, &valid, alphabet) {
+    for input in text_mutants(0x5C4E_3E00, &valid, alphabet) {
         let Ok(spec) = no_panic("SchemeSpec::parse", &input, SchemeSpec::parse) else {
             continue;
         };
@@ -113,10 +128,81 @@ fn fault_specs_never_panic() {
     ];
     let alphabet = b"seedstore.av:rnm=;,_0123456789 errorpanicdelaypartialone_inaftermax";
     let mut accepted = 0;
-    for input in mutants(0xFA17_5EED, &valid, alphabet) {
+    for input in text_mutants(0xFA17_5EED, &valid, alphabet) {
         if no_panic("FaultPlan::parse", &input, FaultPlan::parse).is_ok() {
             accepted += 1;
         }
     }
     assert!(accepted > 0, "no mutant parsed: the driver edits nothing");
+}
+
+/// `seed`'s mutants of the `valid` frames, edited over every byte value and
+/// read as a peer reads them: the header against `magic`, then — when the
+/// payload is exactly as long as the header says — `reencode`, the decoder
+/// followed by `to_frame` of what it accepted.  Never a panic, and an
+/// accepted frame is its own bytes again.  Returns how many were accepted.
+fn frames_re_encode_to_themselves(
+    seed: u64,
+    valid: &[Vec<u8>],
+    magic: [u8; 4],
+    reencode: impl Fn(u8, &[u8]) -> Result<Vec<u8>, NetError>,
+) -> usize {
+    let alphabet: Vec<u8> = (0..=u8::MAX).collect();
+    let mut accepted = 0;
+    for frame in mutants(seed, valid, &alphabet) {
+        let read = catch_unwind(AssertUnwindSafe(|| {
+            let (head, payload) = frame.split_first_chunk::<HEADER_LEN>()?;
+            let header = parse_header(head, magic, DEFAULT_MAX_PAYLOAD).ok()?;
+            let whole = u32::try_from(payload.len()) == Ok(header.payload_len);
+            whole.then(|| reencode(header.kind, payload).ok()).flatten()
+        }));
+        match read {
+            Err(_) => panic!("a frame reader panicked on {frame:?}"),
+            Ok(Some(again)) => {
+                assert_eq!(again, frame, "an accepted frame re-encodes to other bytes");
+                accepted += 1;
+            }
+            Ok(None) => {}
+        }
+    }
+    accepted
+}
+
+#[test]
+fn netq_frames_never_panic_and_what_decodes_re_encodes_to_itself() {
+    let requests = [
+        Request::Ping,
+        Request::Query {
+            u: NodeId(3),
+            v: NodeId(41),
+        },
+        Request::QueryBatch {
+            pairs: vec![(NodeId(0), NodeId(1)), (NodeId(7), NodeId(300))],
+        },
+        Request::Stats,
+        Request::Swap {
+            path: "/srv/g.dsk".to_string(),
+        },
+    ];
+    let unknown = WireError::new(WireErrorCode::UnknownNode, "v9 is not a node");
+    let responses = [
+        Response::Pong,
+        Response::Distance(17),
+        Response::Batch(vec![Ok(5), Err(unknown), Ok(u64::MAX)]),
+        Response::Stats("{\"queries\":3}".to_string()),
+        Response::Swapped(2),
+        Response::Error(WireError::new(WireErrorCode::BadFrame, "short")),
+    ];
+    let requests: Vec<_> = requests.iter().map(Request::to_frame).collect();
+    let responses: Vec<_> = responses.iter().map(Response::to_frame).collect();
+    let accepted =
+        frames_re_encode_to_themselves(0x4E45_5451, &requests, REQUEST_MAGIC, |kind, payload| {
+            Request::decode(kind, payload).map(|request| request.to_frame())
+        });
+    assert!(accepted > 0, "no request mutant decoded");
+    let accepted =
+        frames_re_encode_to_themselves(0x4E45_5452, &responses, RESPONSE_MAGIC, |kind, payload| {
+            Response::decode(kind, payload).map(|response| response.to_frame())
+        });
+    assert!(accepted > 0, "no response mutant decoded");
 }

@@ -48,7 +48,6 @@ fn stats_are_internally_consistent() {
         stats.words >= stats.messages,
         "every message carries at least one word"
     );
-    assert_eq!(stats.bandwidth_violations, 0);
 }
 
 /// The BFS tree used by termination detection must be a valid spanning tree
@@ -89,8 +88,8 @@ fn oracle_mode_runs_under_strict_bandwidth() {
     let config = SchemeConfig::default()
         .with_seed(2)
         .with_congest(CongestConfig::strict());
+    // A violation panics, so a build that returns kept the strict budget.
     let result = SchemeSpec::thorup_zwick(3).build(&graph, &config).unwrap();
-    assert_eq!(result.stats.bandwidth_violations, 0);
     assert!(result.sketches.max_words() > 0);
 }
 

@@ -583,9 +583,7 @@ fn resigned_finite_cell_without_a_least_cell_is_caught() {
 }
 
 /// A level varint is `level + 1`, below `k + 1` — the spec's `k`, which
-/// the bytes do not carry: one past names no level.  A 3-stretch payload's
-/// levels follow its params `(ε, 1, seed)` and are read at `k = 1`, so a
-/// net member raised to level 1 is refused before a row is read.
+/// the bytes do not carry: one past names no level.
 #[test]
 fn resigned_level_byte_past_k_is_caught() {
     let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(3), 32, 13);
@@ -597,7 +595,14 @@ fn resigned_level_byte_past_k_is_caught() {
     expect_kind(&bytes, "section-decode", "level byte past k");
     let err = verify_snapshot_bytes(&bytes).unwrap_err();
     assert!(err.to_string().contains("out of range for k = 3"), "{err}");
+}
 
+/// A 3-stretch net is written as its nodes' levels, not as member ids: the
+/// levels follow its params `(ε, 1, seed)` and are read at `k = 1`, so a
+/// net member's level raised to 1 names no level and is refused before a
+/// row is read.
+#[test]
+fn resigned_three_stretch_net_member_past_its_nodes_is_caught() {
     let mut bytes = snapshot_bytes(SchemeSpec::three_stretch(0.5), 1024, 3);
     let levels = skch_range(&bytes).0 + 24;
     assert_eq!(le_u64(&bytes, levels), 1024);

@@ -89,8 +89,11 @@
 //! then one varint a node.  The bytes carry no `k`: the levels are read at
 //! the one the spec or the params give (Thorup–Zwick and CDG the spec's,
 //! 3-stretch 1, each degrading layer its params'), and a level byte past
-//! it names no level.  One `match` on the spec reads a layer's sampling
-//! back; one function writes the label sets and one reads them, filling
+//! it names no level.  One rule says which params a layer keeps and the
+//! `k` they give: the reader reads a layer's sampling back by it, and
+//! [`StoredSketches::freeze`] holds a layer in memory to it, so what the
+//! writer writes of a layer that keeps it is read back the same way.  One
+//! function writes the label sets and one reads them, filling
 //! each layer's columns:
 //! [`StoredSketches::decode_payload`](crate::scheme::StoredSketches::decode_payload)
 //! returns the layers, [`crate::flat`] freezes them into the served form.
@@ -1157,7 +1160,10 @@ impl LayerBytes {
 /// The one writer of the family layouts: `stored`'s layers in its spec's
 /// layout into `out`, and each layer's bytes by part.  A layer's sampling
 /// is written one way, its params (if it keeps them) then its levels, and
-/// its label set against its hierarchy, whose top level is its table.
+/// its label set against its hierarchy, whose top level is its table.  A
+/// layer whose params or hierarchy `k` break [`sampled_k`] — which
+/// [`StoredSketches::freeze`] refuses — has no bytes in the format: what is
+/// written for it decodes to other labels or not at all.
 fn put_family(stored: &StoredSketches, out: &mut Encoder) -> Vec<LayerBytes> {
     let mut start = out.len();
     if let SchemeSpec::Degrading { .. } = stored.spec {
@@ -1203,20 +1209,15 @@ pub(crate) fn layer_bytes(stored: &StoredSketches) -> Vec<LayerBytes> {
 }
 
 /// Read one layer — its sampling as `spec`'s payload stores it, then the
-/// label set written against it — holding the params to the spec (a CDG
-/// layer's are the spec's `(ε, k)`, a 3-stretch layer's `(ε, 1)`), reading
-/// the levels at the `k` the spec or the params give, and holding them to
-/// `n` rows of `k` bytes at least in the bytes that remain.
+/// label set written against it — holding the params to the spec and
+/// reading the levels at the `k` they give ([`sampled_k`]), and holding
+/// the levels to `n` rows of `k` bytes at least in the bytes that remain.
 fn read_layer(spec: &SchemeSpec, input: &mut Decoder<'_>) -> Result<Layer, CodecError> {
-    let (params, k) = match *spec {
-        SchemeSpec::ThorupZwick { k } => (None, k),
-        SchemeSpec::ThreeStretch { eps } => (Some(read_params(input, eps, 1)?), 1),
-        SchemeSpec::Cdg { eps, k } => (Some(read_params(input, eps, k)?), k),
-        SchemeSpec::Degrading { .. } => {
-            let params = CdgParams::decode(input)?;
-            (Some(params), params.k)
-        }
+    let params = match spec {
+        SchemeSpec::ThorupZwick { .. } => None,
+        _ => Some(CdgParams::decode(input)?),
     };
+    let k = sampled_k(spec, params)?;
     let hierarchy = read_levels(input, k)?;
     let nodes = hierarchy.num_nodes();
     if u32::try_from(nodes).is_err() {
@@ -1239,17 +1240,38 @@ fn read_layer(spec: &SchemeSpec, input: &mut Decoder<'_>) -> Result<Layer, Codec
     })
 }
 
-/// A CDG layer's params, held to the `(eps, k)` the spec says — a
-/// 3-stretch spec's at `k = 1`.
-fn read_params(input: &mut Decoder<'_>, eps: f64, k: usize) -> Result<CdgParams, CodecError> {
-    let params = CdgParams::decode(input)?;
+/// The `k` a layer of `spec`'s family is sampled to, given the params it
+/// keeps — the one rule for a layer's layout, which the reader reads the
+/// levels by and [`StoredSketches::freeze`] holds a layer in memory to, so
+/// the writer (its params if it keeps them, then its levels) writes
+/// nothing the reader reads another way.  A Thorup–Zwick layer keeps no
+/// params and is sampled to the spec's `k`; a CDG layer keeps the spec's
+/// `(ε, k)`, a 3-stretch layer `(ε, 1)`, and each degrading layer its
+/// own, at its params' `k`.
+pub(crate) fn sampled_k(spec: &SchemeSpec, params: Option<CdgParams>) -> Result<usize, CodecError> {
+    let (params, eps, k) = match (*spec, params) {
+        (SchemeSpec::ThorupZwick { k }, None) => return Ok(k),
+        (SchemeSpec::Degrading { .. }, Some(params)) => return Ok(params.k),
+        (SchemeSpec::ThreeStretch { eps }, Some(params)) => (params, eps, 1),
+        (SchemeSpec::Cdg { eps, k }, Some(params)) => (params, eps, k),
+        (spec, params) => {
+            let keeps = if params.is_some() {
+                "keeps"
+            } else {
+                "keeps no"
+            };
+            return Err(CodecError::LayerContract(format!(
+                "a {spec} layer {keeps} CdgParams"
+            )));
+        }
+    };
     if params.eps != eps || params.k != k {
         return Err(CodecError::LayerContract(format!(
             "stored CdgParams (eps = {}, k = {}) but the spec says (eps = {eps}, k = {k})",
             params.eps, params.k
         )));
     }
-    Ok(params)
+    Ok(k)
 }
 
 /// Read the family payload of `spec`'s scheme at `input` — the one reader
@@ -1514,7 +1536,7 @@ mod tests {
             let layer = Layer {
                 sketches: toy_set(),
                 hierarchy: other,
-                params: None,
+                params: Some(CdgParams::new(0.5, k)),
             };
             let err = layer.check_invariants().unwrap_err();
             assert_eq!(err, CodecError::HierarchyContract(expected.to_string()));

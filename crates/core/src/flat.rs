@@ -55,7 +55,8 @@
 
 use crate::cast;
 use crate::codec::{
-    check_covers, check_layer_count, read_family, unaddressable, CodecError, Decoder, MAX_LAYERS,
+    check_covers, check_layer_count, read_family, sampled_k, unaddressable, CodecError, Decoder,
+    MAX_LAYERS,
 };
 use crate::error::SketchError;
 use crate::oracle::{check_nodes, DistanceOracle};
@@ -475,9 +476,11 @@ impl StoredSketches {
     /// every pair, errors included.
     ///
     /// A set that cannot take its family's form is refused with a
-    /// [`CodecError`]: a Thorup–Zwick set of other than one layer,
-    /// slack-family layers that break [`Layer::check_invariants`] (the
-    /// format has no bytes for those), or — as the decoder refuses the same in
+    /// [`CodecError`]: a Thorup–Zwick set of other than one layer, a layer
+    /// whose params or hierarchy `k` its family's payload would read
+    /// another way, slack-family layers that break
+    /// [`Layer::check_invariants`] (the format has no bytes for those), or —
+    /// as the decoder refuses the same in
     /// bytes — a layer count outside 1 to 32, layers over different node
     /// counts, or a node holding one landmark at two distances.  Every set
     /// an engine builds is accepted.
@@ -495,10 +498,21 @@ impl StoredSketches {
         FlatSketchSet::from_layers(&self.spec, layers.collect())
     }
 
-    /// Hold a slack family's in-memory layers to the contracts of
-    /// [`Layer::check_invariants`] — a pivot row the merge keeps is its
-    /// members' derivation, so every pivot is a candidate of the rows.
+    /// Hold the in-memory layers to the layout their family's payload
+    /// reads them by — the params and hierarchy `k` of [`sampled_k`] — and
+    /// a slack family's to the contracts of [`Layer::check_invariants`]: a
+    /// pivot row the merge keeps is its members' derivation, so every pivot
+    /// is a candidate of the rows.
     fn check_rows(&self) -> Result<(), CodecError> {
+        for layer in &self.layers {
+            let (k, sampled) = (layer.hierarchy.k(), sampled_k(&self.spec, layer.params)?);
+            if k != sampled {
+                return Err(CodecError::HierarchyContract(format!(
+                    "a {} layer is sampled to k = {sampled} but its hierarchy has {k}",
+                    self.spec
+                )));
+            }
+        }
         if matches!(self.spec, SchemeSpec::ThorupZwick { .. }) {
             return Ok(());
         }
@@ -695,6 +709,7 @@ impl DistanceOracle for FlatSketchSet {
 mod tests {
     use super::*;
     use crate::query::{estimate_distance, estimate_distance_best_common};
+    use crate::slack::cdg::CdgParams;
 
     /// One hand-built label: its pivot slots and its ascending bunch.
     type Row<'a> = (&'a [Option<(NodeId, Distance)>], &'a [(NodeId, Distance)]);
@@ -760,12 +775,16 @@ mod tests {
 
     /// `set` as a Thorup–Zwick set, frozen: served by the level walk.
     fn frozen_as_tz(set: &SketchSet) -> FlatSketchSet {
-        stored(SchemeSpec::thorup_zwick(2), set).freeze().unwrap()
+        stored(SchemeSpec::thorup_zwick(set.k), set)
+            .freeze()
+            .unwrap()
     }
 
     /// `set` as the one layer of a CDG set, frozen: served as merged rows.
     fn frozen_as_slack(set: &SketchSet) -> FlatSketchSet {
-        stored(SchemeSpec::cdg(0.5, 2), set).freeze().unwrap()
+        let mut cdg = stored(SchemeSpec::cdg(0.5, set.k), set);
+        cdg.layers[0].params = Some(CdgParams::new(0.5, set.k));
+        cdg.freeze().unwrap()
     }
 
     #[test]
@@ -892,6 +911,39 @@ mod tests {
         assert!(
             matches!(flat_err, CodecError::Invalid { context, .. } if context.contains("rank")),
             "{flat_err}"
+        );
+    }
+
+    /// A layer whose params or hierarchy `k` its family's payload reads
+    /// another way has no bytes in the format, and freezing refuses it.
+    #[test]
+    fn a_layer_off_its_familys_layout_is_refused_on_freezing() {
+        let tz = tz_family();
+        let mut deeper = tz.clone();
+        deeper.spec = SchemeSpec::thorup_zwick(3);
+        assert_eq!(
+            deeper.freeze().unwrap_err(),
+            CodecError::HierarchyContract(
+                "a tz:3 layer is sampled to k = 3 but its hierarchy has 2".to_string()
+            )
+        );
+        let mut with_params = tz;
+        with_params.layers[0].params = Some(CdgParams::new(0.5, 2));
+        assert_eq!(
+            with_params.freeze().unwrap_err(),
+            CodecError::LayerContract("a tz:2 layer keeps CdgParams".to_string())
+        );
+        let mut three = stored(SchemeSpec::three_stretch(0.5), &toy_set());
+        assert_eq!(
+            three.freeze().unwrap_err(),
+            CodecError::LayerContract("a 3stretch:0.5 layer keeps no CdgParams".to_string())
+        );
+        three.layers[0].params = Some(CdgParams::new(0.5, 1));
+        assert_eq!(
+            three.freeze().unwrap_err(),
+            CodecError::HierarchyContract(
+                "a 3stretch:0.5 layer is sampled to k = 1 but its hierarchy has 2".to_string()
+            )
         );
     }
 

@@ -422,8 +422,8 @@ impl SchemeSpec {
 
     /// How the family is served: its name and its stretch bound (`2k − 1`;
     /// `3` and `8k − 1` on ε-far pairs; none for the degrading curve).  The
-    /// decoders hold a payload's hierarchy `k` and CDG params to the spec,
-    /// so the spec's parameters are the labels'.
+    /// decoders read a payload's levels at the `k` the spec gives and hold
+    /// its CDG params to the spec, so the spec's parameters are the labels'.
     pub(crate) fn served_as(&self) -> (&'static str, Option<u64>) {
         let times = |k: usize, factor: u64| (k as u64).saturating_mul(factor).saturating_sub(1);
         let stretch = match *self {
@@ -774,8 +774,18 @@ mod tests {
             let three = build("3stretch:0.3");
             let degrading = build("degrading:k=2,layers=2");
             assert_eq!(degrading.len(), 2);
-            for layer in three.iter().chain(&degrading) {
-                let (eps, seed) = layer.params.map(|p| (p.eps, p.seed)).unwrap();
+            // The 3-stretch layer is held to the spec's ε and the config's
+            // seed, fixed outside the layer; a degrading layer draws its own.
+            let drawn = [(0.3, config.seed)].into_iter().chain(
+                degrading
+                    .iter()
+                    .map(|layer| layer.params.map(|p| (p.eps, p.seed)).unwrap()),
+            );
+            assert_eq!(
+                three[0].params,
+                Some(CdgParams::new(0.3, 1).with_seed(config.seed))
+            );
+            for (layer, (eps, seed)) in three.iter().chain(&degrading).zip(drawn) {
                 let net = DensityNet::sample_nonempty(n, eps, seed).unwrap();
                 assert_eq!(
                     net.members(),

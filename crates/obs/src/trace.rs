@@ -213,8 +213,10 @@ mod tests {
         assert_eq!(tracer.recent(1), [last]);
     }
 
-    /// `--log-json`'s tracer prints each event and keeps it in its ring
-    /// all the same (libtest captures the printed lines).
+    /// `--log-json`'s tracer prints each event to stdout and keeps it in
+    /// its ring all the same (libtest captures the printed lines).  The
+    /// name is older than the stdout flag, which took the place of extra
+    /// sinks: stdout is the one output besides the ring.
     #[test]
     fn tracer_emits_to_ring_and_extra_sinks() {
         let tracer = Tracer::one_in(1).with_stdout(true);

@@ -599,8 +599,10 @@ fn resigned_level_byte_past_k_is_caught() {
 
 /// A 3-stretch net is written as its nodes' levels, not as member ids: the
 /// levels follow its params `(ε, 1, seed)` and are read at `k = 1`, so a
-/// net member's level raised to 1 names no level and is refused before a
-/// row is read.
+/// net member's level byte raised to name level 1 names no level and is
+/// refused before a row is read.  (The name is from when the net was
+/// written as member ids and the broken fact was a member past the node
+/// count; what it checks now is a level past `k = 1`.)
 #[test]
 fn resigned_three_stretch_net_member_past_its_nodes_is_caught() {
     let mut bytes = snapshot_bytes(SchemeSpec::three_stretch(0.5), 1024, 3);

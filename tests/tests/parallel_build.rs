@@ -150,9 +150,10 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// The `DSK1` bytes of a fixed build, pinned per family as
 /// `(length, FNV-1a 64)`, so "the bytes did not move" is a test: any change
 /// to label contents, label order, the payload codec or the container shows
-/// up here.  Pinned at format version 4 (the sampling first; rows of
-/// per-level rank runs and cells relative to their least, no pivots);
-/// re-pin only together with a `DSK1` format version bump.
+/// up here.  Pinned at format version 5 (every layer's sampling first, as
+/// its params if it keeps them and one level varint a node, with no `k`;
+/// rows of per-level rank runs and cells relative to their least, no
+/// pivots); re-pin only together with a `DSK1` format version bump.
 #[test]
 fn snapshot_bytes_match_the_pinned_golden_digests() {
     let golden: [(usize, u64); 4] = [

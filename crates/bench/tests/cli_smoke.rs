@@ -63,7 +63,7 @@ fn readme_quickstart_runs_end_to_end() {
     let build = ["build", "--scheme", "tz:3", "--nodes", "256", "--out"];
     store(&[&build[..], &[g, "--threads", "2"]].concat());
     let inspect = store(&["inspect", "--snapshot", g]);
-    assert!(inspect.contains("DSK1 v5"), "{inspect}");
+    assert!(inspect.contains("DSK1 v6"), "{inspect}");
 
     let answer = query_line(&snapshot, 0, 41);
     let distance = answer
@@ -181,7 +181,7 @@ fn every_family_builds_inspects_and_verifies_and_verify_reads_its_whole_command_
         store(&["build", "--scheme", spec, "--nodes", "256", "--out", &g]);
         let inspect = store(&["inspect", "--snapshot", &g]);
         assert!(
-            inspect.contains("format:      DSK1 v5"),
+            inspect.contains("format:      DSK1 v6"),
             "{spec}: {inspect}"
         );
         // One byte split per layer, whose totals add up to the SKCH

@@ -4,13 +4,12 @@
 //! The paper's economics only pay off if the expensive CONGEST construction
 //! is paid **once**: labels must outlive the process that built them.  This
 //! module defines [`SketchCodec`], a hand-rolled, dependency-free binary
-//! codec for the parameters a family stores beside its labels —
-//! [`CdgParams`], [`SchemeSpec`] (and [`RunStats`], the container's `STAT`
-//! record) — and the one writer and one reader of the four family payloads
-//! built from them, each layer's levels and the label sets, so that a
-//! decoded set is **bit-identical** to the one
-//! that was encoded: same pivots, same bunches, same estimates for every
-//! query.
+//! codec for what a snapshot stores beside its labels — the [`SchemeSpec`]
+//! its header carries and [`RunStats`], the container's `STAT` record —
+//! and the one writer and one reader of the four family payloads, each
+//! layer's levels and label set, so that a decoded set is
+//! **bit-identical** to the one that was encoded: same pivots, same
+//! bunches, same estimates for every query.
 //!
 //! The encoding is *payload only*: framing, versioning, checksums and
 //! corruption detection live one layer up, in the `dsketch-store` snapshot
@@ -71,46 +70,42 @@
 //!
 //! # Family payloads
 //!
-//! A family payload (a snapshot's `SKCH` section) is the
+//! A family payload (a snapshot's `SKCH` section) is the `L`
 //! [`Layer`]s of a [`StoredSketches`] — each a label set with the
-//! sampling it was built over — laid out as its spec's family says, the
-//! sampling before the labels:
+//! sampling it was built over — after the node count, the sampling before
+//! the labels:
 //!
 //! ```text
-//! tz        := levels · set
-//! 3stretch  := params · levels · set        (CdgParams(ε, 1, seed): CDG at k = 1)
-//! cdg       := params · levels · set
-//! degrading := count · cdg × count
-//! levels    := n · (level + 1) × n
+//! payload := n · (levels · set) × L
+//! levels  := (level + 1) × n                  (-1, outside A_0, is 0)
 //! ```
 //!
-//! A layer's sampling is written one way: its params if it keeps them —
-//! every net-restricted layer does, and its net is its levels' `A_0` —
-//! then one varint a node.  The bytes carry no `k`: the levels are read at
-//! the one the spec or the params give (Thorup–Zwick and CDG the spec's,
-//! 3-stretch 1, each degrading layer its params'), and a level byte past
-//! it names no level.  One rule says which params a layer keeps and the
-//! `k` they give: the reader reads a layer's sampling back by it, and
-//! [`StoredSketches::freeze`] holds a layer in memory to it, so what the
-//! writer writes of a layer that keeps it is read back the same way.  One
-//! function writes the label sets and one reads them, filling
-//! each layer's columns:
+//! `n` is said once, and with the spec it says everything else about the
+//! layers' sampling: the spec's [schedule](SchemeSpec::schedule) for `n`
+//! gives `L` and each layer's `(ε, k)` — one layer at the spec's `k` for
+//! Thorup–Zwick and CDG, at `k = 1` for 3-stretch, one per `ε_i = 2^{-i}`,
+//! `k_i = i` within the caps for the gracefully degrading family — and a
+//! net-restricted layer's net is its levels' `A_0`.  So the bytes carry no
+//! `k`, no ε, no layer count and no seed (a seed picks which sampling, and
+//! the levels are that sampling).  The reader reads each layer's levels at
+//! the schedule's `k`, and a level byte past it names no level;
+//! [`StoredSketches::freeze`] holds the layers in memory to the same
+//! schedule — its layer count, each hierarchy's `k` — so what the writer
+//! writes of a set it accepts is read back the same way.  A Thorup–Zwick
+//! payload is `n · levels · set`.  One function writes the label sets and
+//! one reads them, filling each layer's columns:
 //! [`StoredSketches::decode_payload`](crate::scheme::StoredSketches::decode_payload)
 //! returns the layers, [`crate::flat`] freezes them into the served form.
-//! Beyond each set's rows the reader holds a payload to what the sampling
-//! and the spec say together: the spec's CDG params (3-stretch's at
-//! `k = 1`), the degrading layers' count and schedule and the spec's
-//! layer cap.  A layer holds exactly what its payload stores, so a built
-//! set equals the decode of its own bytes.  A build's run cost is not in
-//! the payload: the container's `STAT` section and the `dsketch-obs`
-//! registry hold it.
+//! A layer holds exactly what its payload stores, so a built set equals
+//! the decode of its own bytes.  A build's run cost is not in the payload:
+//! the container's `STAT` section and the `dsketch-obs` registry hold it.
 //!
 //! # Stability rules
 //!
 //! * The levels and every label value are varints; everything else — the
-//!   levels' node count, params, scheme spec, the degrading layer count —
-//!   is little-endian and fixed-width (`u8`/`u64`, `f64` as IEEE-754
-//!   bits), collections length-prefixed with `u64`.
+//!   payload's node count, the scheme spec — is little-endian and
+//!   fixed-width (`u8`/`u64`, `f64` as IEEE-754 bits), collections
+//!   length-prefixed with `u64`.
 //! * A value has exactly one accepted form, so encoding is deterministic:
 //!   `encode(decode(bytes)) == bytes`.
 //! * Each layout has one writer; a size is what writing takes.  A family
@@ -139,7 +134,6 @@ use crate::cast;
 use crate::hierarchy::Hierarchy;
 use crate::scheme::{Layer, SchemeSpec, StoredSketches};
 use crate::sketch::{self, DistKey, SketchSet, NO_PIVOT};
-use crate::slack::cdg::CdgParams;
 use congest_sim::RunStats;
 use netgraph::{Distance, NodeId, INFINITY};
 
@@ -173,10 +167,11 @@ pub enum CodecError {
     /// ([`Layer::check_invariants`]): whose, where and how.  The format has
     /// no pivot bytes, so only labels in memory can break it.
     PivotRow(String),
-    /// A label set disagrees with the hierarchy it is written against.
+    /// A label set disagrees with the hierarchy it is written against, or
+    /// a hierarchy with the `k` its spec's schedule gives it.
     HierarchyContract(String),
-    /// A layer's parameters disagree with the layer before it, or with the
-    /// scheme spec the payload is read against.
+    /// A set's layers disagree with their spec's schedule — their count —
+    /// or with each other: a node holding one landmark at two distances.
     LayerContract(String),
 }
 
@@ -870,21 +865,21 @@ fn merge_two(
 }
 
 /// A layer's levels (see "Family payloads" in the [module docs](self)):
-/// the node count, then per node its level plus one — `-1` (outside
-/// `A_0`) is `0` — as a varint.
+/// per node its level plus one — `-1` (outside `A_0`) is `0` — as a
+/// varint.
 pub(crate) fn put_levels(hierarchy: &Hierarchy, out: &mut Encoder) {
-    out.put_usize(hierarchy.num_nodes());
     for &level in hierarchy.levels() {
         out.put_varint(u64::try_from(i64::from(level) + 1).unwrap_or(0));
     }
 }
 
-/// The levels [`put_levels`] writes, read as the hierarchy of `k` levels
-/// the spec or the params give: a level byte past `k` names no level.
-fn read_levels(input: &mut Decoder<'_>, k: usize) -> Result<Hierarchy, CodecError> {
-    let len = input.len_prefix(1, "Hierarchy levels length")?;
-    let mut levels = Vec::with_capacity(len);
-    for _ in 0..len {
+/// The levels [`put_levels`] writes for `n` nodes, read as the hierarchy
+/// of the `k` levels the schedule gives: a level byte past `k` names no
+/// level.
+fn read_levels(input: &mut Decoder<'_>, n: usize, k: usize) -> Result<Hierarchy, CodecError> {
+    let n = input.bounded(n, 1, "Hierarchy levels")?;
+    let mut levels = Vec::with_capacity(n);
+    for _ in 0..n {
         let byte = input.varint("Hierarchy level")?;
         let Some(level) = i32::try_from(byte).ok().map(|byte| byte - 1) else {
             let message = format!("level byte {byte} is past every level");
@@ -893,26 +888,6 @@ fn read_levels(input: &mut Decoder<'_>, k: usize) -> Result<Hierarchy, CodecErro
         levels.push(level);
     }
     Hierarchy::from_levels(levels, k).map_err(|e| CodecError::invalid("Hierarchy", e.to_string()))
-}
-
-impl SketchCodec for CdgParams {
-    fn encode(&self, out: &mut Encoder) {
-        out.put_f64(self.eps);
-        out.put_usize(self.k);
-        out.put_u64(self.seed);
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let eps = input.f64("CdgParams.eps")?;
-        let k = input.usize("CdgParams.k")?;
-        let seed = input.u64("CdgParams.seed")?;
-        let params = CdgParams::new(eps, k).with_seed(seed);
-        params.validate().map_err(|e| CodecError::Invalid {
-            context: "CdgParams",
-            message: e.to_string(),
-        })?;
-        Ok(params)
-    }
 }
 
 impl SketchCodec for RunStats {
@@ -962,6 +937,8 @@ fn decode_option_usize(
     }
 }
 
+/// A spec decodes only if it [validates](SchemeSpec::validate): a snapshot
+/// header's spec is the only place its ε, `k` and caps are said.
 impl SketchCodec for SchemeSpec {
     fn encode(&self, out: &mut Encoder) {
         match *self {
@@ -987,26 +964,29 @@ impl SketchCodec for SchemeSpec {
     }
 
     fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        match input.u8("SchemeSpec tag")? {
-            SPEC_TZ => Ok(SchemeSpec::ThorupZwick {
+        let spec = match input.u8("SchemeSpec tag")? {
+            SPEC_TZ => SchemeSpec::ThorupZwick {
                 k: input.usize("SchemeSpec.k")?,
-            }),
-            SPEC_THREE_STRETCH => Ok(SchemeSpec::ThreeStretch {
+            },
+            SPEC_THREE_STRETCH => SchemeSpec::ThreeStretch {
                 eps: input.f64("SchemeSpec.eps")?,
-            }),
-            SPEC_CDG => Ok(SchemeSpec::Cdg {
+            },
+            SPEC_CDG => SchemeSpec::Cdg {
                 eps: input.f64("SchemeSpec.eps")?,
                 k: input.usize("SchemeSpec.k")?,
-            }),
-            SPEC_DEGRADING => Ok(SchemeSpec::Degrading {
+            },
+            SPEC_DEGRADING => SchemeSpec::Degrading {
                 max_layers: decode_option_usize(input, "SchemeSpec.max_layers")?,
                 max_k: decode_option_usize(input, "SchemeSpec.max_k")?,
-            }),
-            other => Err(CodecError::Invalid {
-                context: "SchemeSpec tag",
-                message: format!("unknown scheme tag {other}"),
-            }),
-        }
+            },
+            other => {
+                let message = format!("unknown scheme tag {other}");
+                return Err(CodecError::invalid("SchemeSpec tag", message));
+            }
+        };
+        spec.validate()
+            .map_err(|e| CodecError::invalid("SchemeSpec", e.to_string()))?;
+        Ok(spec)
     }
 }
 
@@ -1108,40 +1088,13 @@ fn show_pivot((pivot, distance): (NodeId, Distance)) -> String {
     }
 }
 
-/// Most layers a set may have: one bit of a served row's layer mask each
-/// ([`crate::flat`]).  Builders stop at `⌈log₂ n⌉`.
-pub(crate) const MAX_LAYERS: usize = 32;
-
-/// A set has 1 to [`MAX_LAYERS`] layers.
-pub(crate) fn check_layer_count(count: usize) -> Result<(), CodecError> {
-    let broken = match count {
-        0 => "the set has no layers".to_string(),
-        1..=MAX_LAYERS => return Ok(()),
-        _ => format!("{count} layers exceed the {MAX_LAYERS} a row's layer mask can name"),
-    };
-    Err(CodecError::LayerContract(broken))
-}
-
-/// Layer `index` covers as many nodes as layer 0: every query indexes all
-/// of a set's layers.
-pub(crate) fn check_covers(index: usize, covers: usize, first: usize) -> Result<(), CodecError> {
-    if covers == first {
-        return Ok(());
-    }
-    Err(CodecError::invalid(
-        "degrading layers",
-        format!("layer {index} covers {covers} nodes but layer 0 covers {first}"),
-    ))
-}
-
 /// One layer's share of a family payload, by part: what `dsketch-store
 /// inspect` prints, so a format change reads its numbers from the tool.
 /// The parts of a payload's layers add up to the payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerBytes {
-    /// The sampling the labels are written against — params and levels —
-    /// and, for the first layer of a degrading payload, the layer count
-    /// before it.
+    /// The sampling the labels are written against — its levels — and,
+    /// for the first layer, the payload's node count before it.
     pub sampling: usize,
     /// The sparse runs: the set's entry total, each row's run lengths, and
     /// the `(rank gap, distance)` entries.
@@ -1157,21 +1110,21 @@ impl LayerBytes {
     }
 }
 
-/// The one writer of the family layouts: `stored`'s layers in its spec's
-/// layout into `out`, and each layer's bytes by part.  A layer's sampling
-/// is written one way, its params (if it keeps them) then its levels, and
-/// its label set against its hierarchy, whose top level is its table.  A
-/// layer whose params or hierarchy `k` break [`sampled_k`] — which
-/// [`StoredSketches::freeze`] refuses — has no bytes in the format: what is
-/// written for it decodes to other labels or not at all.
+/// The one writer of the family payloads: the node count, then each of
+/// `stored`'s layers — its levels, then its label set against its
+/// hierarchy, whose top level is its table — into `out`, and each layer's
+/// bytes by part.  A set whose layers break its spec's schedule — which
+/// [`StoredSketches::freeze`] refuses — has no bytes in the format: what
+/// is written for it decodes to other labels or not at all.
 fn put_family(stored: &StoredSketches, out: &mut Encoder) -> Vec<LayerBytes> {
     let mut start = out.len();
-    if let SchemeSpec::Degrading { .. } = stored.spec {
-        out.put_usize(stored.layers.len());
-    }
+    let n = stored
+        .layers
+        .first()
+        .map_or(0, |layer| layer.hierarchy.num_nodes());
+    out.put_usize(n);
     let mut split = Vec::with_capacity(stored.layers.len());
     for layer in &stored.layers {
-        layer.params.iter().for_each(|params| params.encode(out));
         put_levels(&layer.hierarchy, out);
         let sampling = out.len() - start;
         let over = Sampling::of(&layer.hierarchy);
@@ -1208,23 +1161,12 @@ pub(crate) fn layer_bytes(stored: &StoredSketches) -> Vec<LayerBytes> {
     put_family(stored, &mut Encoder::new())
 }
 
-/// Read one layer — its sampling as `spec`'s payload stores it, then the
-/// label set written against it — holding the params to the spec and
-/// reading the levels at the `k` they give ([`sampled_k`]), and holding
-/// the levels to `n` rows of `k` bytes at least in the bytes that remain.
-fn read_layer(spec: &SchemeSpec, input: &mut Decoder<'_>) -> Result<Layer, CodecError> {
-    let params = match spec {
-        SchemeSpec::ThorupZwick { .. } => None,
-        _ => Some(CdgParams::decode(input)?),
-    };
-    let k = sampled_k(spec, params)?;
-    let hierarchy = read_levels(input, k)?;
-    let nodes = hierarchy.num_nodes();
-    if u32::try_from(nodes).is_err() {
-        let message = format!("{nodes} nodes exceed the u32 id range");
-        return Err(CodecError::invalid("SketchSet length", message));
-    }
-    let rows = nodes.saturating_mul(k);
+/// Read one layer of `n` nodes sampled to `k` levels — its levels, then
+/// the label set written against them — holding the levels to `n` rows of
+/// `k` bytes at least in the bytes that remain.
+fn read_layer(input: &mut Decoder<'_>, n: usize, k: usize) -> Result<Layer, CodecError> {
+    let hierarchy = read_levels(input, n, k)?;
+    let rows = n.saturating_mul(k);
     if rows > input.remaining() {
         return Err(CodecError::UnexpectedEof {
             context: "SketchSet rows",
@@ -1236,105 +1178,31 @@ fn read_layer(spec: &SchemeSpec, input: &mut Decoder<'_>) -> Result<Layer, Codec
     Ok(Layer {
         sketches,
         hierarchy,
-        params,
     })
 }
 
-/// The `k` a layer of `spec`'s family is sampled to, given the params it
-/// keeps — the one rule for a layer's layout, which the reader reads the
-/// levels by and [`StoredSketches::freeze`] holds a layer in memory to, so
-/// the writer (its params if it keeps them, then its levels) writes
-/// nothing the reader reads another way.  A Thorup–Zwick layer keeps no
-/// params and is sampled to the spec's `k`; a CDG layer keeps the spec's
-/// `(ε, k)`, a 3-stretch layer `(ε, 1)`, and each degrading layer its
-/// own, at its params' `k`.
-pub(crate) fn sampled_k(spec: &SchemeSpec, params: Option<CdgParams>) -> Result<usize, CodecError> {
-    let (params, eps, k) = match (*spec, params) {
-        (SchemeSpec::ThorupZwick { k }, None) => return Ok(k),
-        (SchemeSpec::Degrading { .. }, Some(params)) => return Ok(params.k),
-        (SchemeSpec::ThreeStretch { eps }, Some(params)) => (params, eps, 1),
-        (SchemeSpec::Cdg { eps, k }, Some(params)) => (params, eps, k),
-        (spec, params) => {
-            let keeps = if params.is_some() {
-                "keeps"
-            } else {
-                "keeps no"
-            };
-            return Err(CodecError::LayerContract(format!(
-                "a {spec} layer {keeps} CdgParams"
-            )));
-        }
-    };
-    if params.eps != eps || params.k != k {
-        return Err(CodecError::LayerContract(format!(
-            "stored CdgParams (eps = {}, k = {}) but the spec says (eps = {eps}, k = {k})",
-            params.eps, params.k
-        )));
-    }
-    Ok(k)
-}
-
 /// Read the family payload of `spec`'s scheme at `input` — the one reader
-/// of the four family layouts, which both ingresses (the layers and the
+/// of the family payloads, which both ingresses (the layers and the
 /// frozen set) drive, so the two accept the same bytes and refuse the rest
-/// with the same [`CodecError`].  Beyond each layer (`read_layer`) it
-/// checks the degrading layers' count — [`MAX_LAYERS`] and the spec's cap
-/// at most — and their schedule.
+/// with the same [`CodecError`]: the node count, then one layer per entry
+/// of the spec's [schedule](SchemeSpec::schedule) for it, each read at the
+/// entry's `k`.
 pub(crate) fn read_family(
     spec: &SchemeSpec,
     input: &mut Decoder<'_>,
 ) -> Result<StoredSketches, CodecError> {
-    // A degrading layer is at least params (24) + levels (8) + label set
-    // (1).
-    let (count, cap) = match *spec {
-        SchemeSpec::Degrading { max_layers, .. } => {
-            (input.len_prefix(33, "degrading layers length")?, max_layers)
-        }
-        _ => (1, None),
-    };
-    check_layer_count(count)?;
-    if let Some(cap) = cap.filter(|&cap| count > cap) {
-        return Err(CodecError::LayerContract(format!(
-            "{count} layers exceed the spec's max_layers = {cap}"
-        )));
+    // A node is at least one level byte.
+    let n = input.len_prefix(1, "node count")?;
+    if u32::try_from(n).is_err() {
+        let message = format!("{n} nodes exceed the u32 id range");
+        return Err(CodecError::invalid("SketchSet length", message));
     }
-    let mut layers: Vec<Layer> = Vec::with_capacity(count);
-    for index in 0..count {
-        let layer = read_layer(spec, input)?;
-        if let Some(previous) = layers.last() {
-            check_schedule(index, previous, &layer)?;
-        }
-        layers.push(layer);
-    }
+    let schedule = spec.schedule(n);
+    let layers = schedule.iter().map(|layer| read_layer(input, n, layer.k));
     Ok(StoredSketches {
         spec: *spec,
-        layers,
+        layers: layers.collect::<Result<_, _>>()?,
     })
-}
-
-/// The gracefully degrading layers: all over one node count (every query
-/// indexes all of them), ε halving and `k` growing layer over layer — the
-/// trade-off of Theorem 4.8.  `layer` is layer `index`, read after
-/// `previous`.
-fn check_schedule(index: usize, previous: &Layer, layer: &Layer) -> Result<(), CodecError> {
-    let nodes = |layer: &Layer| layer.hierarchy.num_nodes();
-    check_covers(index, nodes(layer), nodes(previous))?;
-    let (Some(p0), Some(p1)) = (previous.params, layer.params) else {
-        return Ok(());
-    };
-    let broken = if p1.eps >= p0.eps {
-        format!(
-            "eps {} does not decrease from the previous layer's {}",
-            p1.eps, p0.eps
-        )
-    } else if p1.k < p0.k {
-        format!("k {} decreases from the previous layer's {}", p1.k, p0.k)
-    } else {
-        return Ok(());
-    };
-    Err(CodecError::LayerContract(format!(
-        "layer {index}: {broken}"
-    )))
 }
 
 #[cfg(test)]
@@ -1385,17 +1253,21 @@ mod tests {
         out.into_bytes()
     }
 
-    /// `hierarchy`'s levels bytes.
+    /// `hierarchy`'s levels bytes, after the node count a payload opens
+    /// with.
     fn levels_bytes(hierarchy: &Hierarchy) -> Vec<u8> {
         let mut out = Encoder::new();
+        out.put_usize(hierarchy.num_nodes());
         put_levels(hierarchy, &mut out);
         out.into_bytes()
     }
 
-    /// The levels `bytes` hold, read at `k`, and nothing else.
+    /// The levels `bytes` hold after their node count, read at `k`, and
+    /// nothing else.
     fn read_levels_at(bytes: &[u8], k: usize) -> Result<Hierarchy, CodecError> {
         let mut input = Decoder::new(bytes);
-        let hierarchy = read_levels(&mut input, k)?;
+        let n = input.usize("node count")?;
+        let hierarchy = read_levels(&mut input, n, k)?;
         input.finish()?;
         Ok(hierarchy)
     }
@@ -1496,7 +1368,6 @@ mod tests {
         let layer = Layer {
             sketches: set,
             hierarchy: toy_hierarchy(),
-            params: None,
         };
         assert_eq!(layer.check_invariants(), Ok(()));
         assert_eq!(layer.sketches.table_nodes, [NodeId(2)]);
@@ -1536,7 +1407,6 @@ mod tests {
             let layer = Layer {
                 sketches: toy_set(),
                 hierarchy: other,
-                params: Some(CdgParams::new(0.5, k)),
             };
             let err = layer.check_invariants().unwrap_err();
             assert_eq!(err, CodecError::HierarchyContract(expected.to_string()));
@@ -1558,7 +1428,6 @@ mod tests {
             layers: vec![Layer {
                 sketches: toy_set(),
                 hierarchy,
-                params: None,
             }],
         };
         let bytes = stored.encode_payload();
@@ -1576,7 +1445,7 @@ mod tests {
         let h = Hierarchy::sample(50, &crate::hierarchy::TzParams::new(3).with_seed(5)).unwrap();
         assert_eq!(read_levels_at(&levels_bytes(&h), 3), Ok(h));
 
-        let params = CdgParams::new(0.3, 1).with_seed(9);
+        let params = crate::slack::cdg::CdgParams::new(0.3, 1).with_seed(9);
         let net = crate::slack::cdg::sample_net_hierarchy(600, params).unwrap();
         assert!(net.levels().contains(&-1), "a net leaves nodes out");
         assert_eq!(read_levels_at(&levels_bytes(&net), 1), Ok(net));
@@ -1585,7 +1454,7 @@ mod tests {
     #[test]
     fn hierarchy_levels_are_one_varint_a_node_and_stay_below_k() {
         let bytes = levels_bytes(&toy_hierarchy());
-        assert_eq!(bytes.len(), 8 + 3, "no k: the spec or the params give it");
+        assert_eq!(bytes.len(), 8 + 3, "no k: the schedule gives it");
         assert_eq!(bytes[8..], [1, 1, 2], "level + 1 per node");
         // A level byte past k − 1 (here 3, level 2 of a k = 2 hierarchy)
         // names no level; read at k = 1, neither does 2.
@@ -1628,8 +1497,33 @@ mod tests {
         };
         assert_eq!(RunStats::from_bytes(&stats.to_bytes()).unwrap(), stats);
 
-        let params = CdgParams::new(0.25, 2).with_seed(11);
-        assert_eq!(CdgParams::from_bytes(&params.to_bytes()).unwrap(), params);
+        // The params a payload is read by are its spec's, said once, in the
+        // snapshot header: they round-trip, and out of range they decode to
+        // no spec.
+        let params = SchemeSpec::cdg(0.25, 2);
+        assert_eq!(SchemeSpec::from_bytes(&params.to_bytes()), Ok(params));
+        let uncapped = |max_layers, max_k| SchemeSpec::Degrading { max_layers, max_k };
+        for bad in [
+            SchemeSpec::thorup_zwick(0),
+            SchemeSpec::three_stretch(0.0),
+            SchemeSpec::three_stretch(f64::NAN),
+            SchemeSpec::cdg(1.5, 2),
+            SchemeSpec::cdg(0.25, 0),
+            uncapped(Some(0), None),
+            uncapped(None, Some(0)),
+        ] {
+            let err = SchemeSpec::from_bytes(&bad.to_bytes()).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CodecError::Invalid {
+                        context: "SchemeSpec",
+                        ..
+                    }
+                ),
+                "{bad}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1890,59 +1784,45 @@ mod tests {
         let config = SchemeConfig::default().with_seed(4).with_parallel_build();
         let spec = SchemeSpec::parse("degrading:k=2,layers=2").unwrap();
         let built = spec.build_sketches(&graph, &config).unwrap().sketches;
-        let decode = |set: &StoredSketches, spec: &SchemeSpec| {
-            StoredSketches::decode_payload(spec, &set.encode_payload()).map(drop)
-        };
-        assert_eq!(decode(&built, &spec), Ok(()));
-        let broken = |edit: fn(&mut Vec<Layer>)| {
-            let mut set = built.clone();
-            edit(&mut set.layers);
-            decode(&set, &SchemeSpec::degrading())
-                .unwrap_err()
-                .to_string()
-        };
-        /// The layer's ε, re-stamped first if `eps` names one.
-        fn eps(layer: &mut Layer, eps: Option<f64>) -> f64 {
-            let params = layer.params.as_mut().unwrap();
-            if let Some(eps) = eps {
-                params.eps = eps;
-            }
-            params.eps
-        }
-        for (what, err) in [
-            (
-                "eps 0.5 does not decrease",
-                broken(|layers| {
-                    let first = eps(&mut layers[0], None);
-                    eps(&mut layers[1], Some(first));
-                }),
-            ),
-            (
-                "k 1 decreases",
-                broken(|layers| {
-                    // Layer 1 (k = 2) first, then layer 0 (k = 1) at a smaller ε.
-                    layers.swap(0, 1);
-                    let first = eps(&mut layers[0], None);
-                    eps(&mut layers[1], Some(first / 2.0));
-                }),
-            ),
-            ("no layers", broken(|layers| layers.clear())),
-        ] {
-            assert!(
-                err.starts_with("layer contract broken") && err.contains(what),
-                "{err}"
-            );
-        }
+        let bytes = built.encode_payload();
+        let decode = |spec: &SchemeSpec| StoredSketches::decode_payload(spec, &bytes);
+        // The decode is the built layers, hierarchy and labels: read at the
+        // `k`s of the spec's schedule, which the built hierarchies have.
+        assert_eq!(decode(&spec).as_ref(), Ok(&built));
+        let ks: Vec<_> = built
+            .layers
+            .iter()
+            .map(|layer| layer.hierarchy.k())
+            .collect();
+        let scheduled: Vec<_> = spec.schedule(32).iter().map(|layer| layer.k).collect();
+        assert_eq!((ks, scheduled), (vec![1, 2], vec![1, 2]));
+        // The same bytes under another schedule: a cap of one layer leaves
+        // the second unread, and five layers uncapped run out of bytes.
         let capped = SchemeSpec::Degrading {
             max_layers: Some(1),
             max_k: None,
         };
-        let err = decode(&built, &capped).unwrap_err();
-        assert!(matches!(err, CodecError::LayerContract(_)), "{err}");
-
-        // The decode is the built layers: hierarchy, params and labels.
-        let decoded = StoredSketches::decode_payload(&spec, &built.encode_payload()).unwrap();
-        assert_eq!(decoded, built);
+        let err = decode(&capped).unwrap_err();
+        assert!(matches!(err, CodecError::TrailingBytes { .. }), "{err}");
+        let err = decode(&SchemeSpec::degrading()).unwrap_err();
+        assert!(matches!(err, CodecError::UnexpectedEof { .. }), "{err}");
+        // Freezing holds a set in memory to the same schedule.
+        let mut swapped = built.clone();
+        swapped.layers.swap(0, 1);
+        assert_eq!(
+            swapped.freeze().unwrap_err(),
+            CodecError::HierarchyContract(format!(
+                "a {spec} layer is sampled to k = 1 but its hierarchy has 2"
+            ))
+        );
+        let mut fewer = built;
+        fewer.layers.pop();
+        assert_eq!(
+            fewer.freeze().unwrap_err(),
+            CodecError::LayerContract(format!(
+                "a {spec} set over 32 nodes has 1 layers; its schedule has 2"
+            ))
+        );
     }
 
     #[test]

@@ -54,10 +54,7 @@
 #![deny(clippy::as_conversions)]
 
 use crate::cast;
-use crate::codec::{
-    check_covers, check_layer_count, read_family, sampled_k, unaddressable, CodecError, Decoder,
-    MAX_LAYERS,
-};
+use crate::codec::{read_family, unaddressable, CodecError, Decoder};
 use crate::error::SketchError;
 use crate::oracle::{check_nodes, DistanceOracle};
 use crate::scheme::{Layer, SchemeSpec, StoredSketches};
@@ -165,6 +162,10 @@ struct MergedRows {
     entries: Vec<RowEntry>,
 }
 
+/// Most layers a set may have: one bit of a served row's layer mask each.
+/// A schedule stops at `⌈log₂ n⌉`, at most 32 for the `u32` node ids.
+const MAX_LAYERS: usize = 32;
+
 /// One landmark of a merged row: `(landmark, mask, distance)`.
 type RowEntry = (NodeId, u32, Distance);
 
@@ -206,15 +207,21 @@ thread_local! {
 
 impl MergedRows {
     /// Merge a slack family's per-layer arrays into one row per node.  Their
-    /// rows keep the codec's row contracts (the decoders and `freeze` check
-    /// those first); what is checked here is what spans layers: their
-    /// count, their node count and, in [`RowBuilder`], one distance per
-    /// landmark.
+    /// rows keep the codec's row contracts and their count the spec's
+    /// schedule, 1 to 32 (the decoders and `freeze` check those first);
+    /// what is checked here is what spans layers: their node count and, in
+    /// [`RowBuilder`], one distance per landmark.
     fn merge(layers: &[&SketchSet]) -> Result<MergedRows, CodecError> {
-        check_layer_count(layers.len())?;
+        // Every query indexes all of a set's layers.  (A payload says `n`
+        // once, so only a set in memory can break this.)
         let num_nodes = layers.first().map_or(0, |layer| layer.len());
         for (index, layer) in layers.iter().enumerate() {
-            check_covers(index, layer.len(), num_nodes)?;
+            let covers = layer.len();
+            if covers != num_nodes {
+                let message =
+                    format!("layer {index} covers {covers} nodes but layer 0 covers {num_nodes}");
+                return Err(CodecError::invalid("degrading layers", message));
+            }
         }
         let entries = layers.iter().map(|layer| layer.bunch_entries()).sum();
         let mut builder = RowBuilder::new(num_nodes, entries);
@@ -476,13 +483,12 @@ impl StoredSketches {
     /// every pair, errors included.
     ///
     /// A set that cannot take its family's form is refused with a
-    /// [`CodecError`]: a Thorup–Zwick set of other than one layer, a layer
-    /// whose params or hierarchy `k` its family's payload would read
-    /// another way, slack-family layers that break
-    /// [`Layer::check_invariants`] (the format has no bytes for those), or —
-    /// as the decoder refuses the same in
-    /// bytes — a layer count outside 1 to 32, layers over different node
-    /// counts, or a node holding one landmark at two distances.  Every set
+    /// [`CodecError`]: layers unlike the spec's
+    /// [schedule](SchemeSpec::schedule) — another count, a hierarchy of
+    /// another `k` — slack-family layers that break
+    /// [`Layer::check_invariants`] or over different node counts (the
+    /// format has no bytes for those), or — as the decoder refuses the same
+    /// in bytes — a node holding one landmark at two distances.  Every set
     /// an engine builds is accepted.
     pub fn freeze(&self) -> Result<FlatSketchSet, CodecError> {
         self.check_rows()?;
@@ -498,18 +504,26 @@ impl StoredSketches {
         FlatSketchSet::from_layers(&self.spec, layers.collect())
     }
 
-    /// Hold the in-memory layers to the layout their family's payload
-    /// reads them by — the params and hierarchy `k` of [`sampled_k`] — and
-    /// a slack family's to the contracts of [`Layer::check_invariants`]: a
-    /// pivot row the merge keeps is its members' derivation, so every pivot
-    /// is a candidate of the rows.
+    /// Hold the in-memory layers to the schedule their payload is read by
+    /// — its layer count and each layer's `k` — and a slack family's to the
+    /// contracts of [`Layer::check_invariants`]: a pivot row the merge
+    /// keeps is its members' derivation, so every pivot is a candidate of
+    /// the rows.
     fn check_rows(&self) -> Result<(), CodecError> {
-        for layer in &self.layers {
-            let (k, sampled) = (layer.hierarchy.k(), sampled_k(&self.spec, layer.params)?);
+        let (spec, n) = (self.spec, self.num_nodes());
+        let schedule = spec.schedule(n);
+        if schedule.len() != self.layers.len() {
+            return Err(CodecError::LayerContract(format!(
+                "a {spec} set over {n} nodes has {} layers; its schedule has {}",
+                self.layers.len(),
+                schedule.len()
+            )));
+        }
+        for (layer, sampled) in self.layers.iter().zip(schedule) {
+            let (k, sampled) = (layer.hierarchy.k(), sampled.k);
             if k != sampled {
                 return Err(CodecError::HierarchyContract(format!(
-                    "a {} layer is sampled to k = {sampled} but its hierarchy has {k}",
-                    self.spec
+                    "a {spec} layer is sampled to k = {sampled} but its hierarchy has {k}"
                 )));
             }
         }
@@ -709,7 +723,6 @@ impl DistanceOracle for FlatSketchSet {
 mod tests {
     use super::*;
     use crate::query::{estimate_distance, estimate_distance_best_common};
-    use crate::slack::cdg::CdgParams;
 
     /// One hand-built label: its pivot slots and its ascending bunch.
     type Row<'a> = (&'a [Option<(NodeId, Distance)>], &'a [(NodeId, Distance)]);
@@ -765,7 +778,6 @@ mod tests {
         let layer = Layer {
             sketches,
             hierarchy,
-            params: None,
         };
         StoredSketches {
             spec,
@@ -782,9 +794,7 @@ mod tests {
 
     /// `set` as the one layer of a CDG set, frozen: served as merged rows.
     fn frozen_as_slack(set: &SketchSet) -> FlatSketchSet {
-        let mut cdg = stored(SchemeSpec::cdg(0.5, set.k), set);
-        cdg.layers[0].params = Some(CdgParams::new(0.5, set.k));
-        cdg.freeze().unwrap()
+        stored(SchemeSpec::cdg(0.5, set.k), set).freeze().unwrap()
     }
 
     #[test]
@@ -896,6 +906,7 @@ mod tests {
         // and both ingresses refuse it alike.
         let hierarchy = &tz.layers[0].hierarchy;
         let mut out = crate::codec::Encoder::new();
+        out.put_usize(hierarchy.num_nodes());
         crate::codec::put_levels(hierarchy, &mut out);
         // One sparse entry; row 0's level-0 run holds it, at the rank one
         // past the level's members; then zeros enough for every row.
@@ -914,8 +925,9 @@ mod tests {
         );
     }
 
-    /// A layer whose params or hierarchy `k` its family's payload reads
-    /// another way has no bytes in the format, and freezing refuses it.
+    /// A set whose layer count or hierarchy `k` is not its spec's schedule
+    /// is read another way from its payload, so it has no bytes in the
+    /// format, and freezing refuses it.
     #[test]
     fn a_layer_off_its_familys_layout_is_refused_on_freezing() {
         let tz = tz_family();
@@ -927,18 +939,15 @@ mod tests {
                 "a tz:3 layer is sampled to k = 3 but its hierarchy has 2".to_string()
             )
         );
-        let mut with_params = tz;
-        with_params.layers[0].params = Some(CdgParams::new(0.5, 2));
+        let mut twice = tz.clone();
+        twice.layers.push(tz.layers[0].clone());
         assert_eq!(
-            with_params.freeze().unwrap_err(),
-            CodecError::LayerContract("a tz:2 layer keeps CdgParams".to_string())
+            twice.freeze().unwrap_err(),
+            CodecError::LayerContract(
+                "a tz:2 set over 16 nodes has 2 layers; its schedule has 1".to_string()
+            )
         );
-        let mut three = stored(SchemeSpec::three_stretch(0.5), &toy_set());
-        assert_eq!(
-            three.freeze().unwrap_err(),
-            CodecError::LayerContract("a 3stretch:0.5 layer keeps no CdgParams".to_string())
-        );
-        three.layers[0].params = Some(CdgParams::new(0.5, 1));
+        let three = stored(SchemeSpec::three_stretch(0.5), &toy_set());
         assert_eq!(
             three.freeze().unwrap_err(),
             CodecError::HierarchyContract(
@@ -983,23 +992,22 @@ mod tests {
 
     #[test]
     fn ragged_degrading_layers_are_refused_by_both_decoders_and_reported_by_the_invariants() {
-        // Layer 0 over 24 nodes, layer 1 over 10: node 15 has a label in
-        // one layer only, and every query indexes all of them.
+        // Layer 1 over 10 nodes in a set of 24: node 15 has a label in one
+        // layer only, and every query indexes all of them.  The payload
+        // says `n` once, so its bytes cannot say this: both decoders read
+        // every layer over 24 nodes and refuse what follows alike.
         let mut ragged = degrading_set(24, 5);
-        ragged.layers.truncate(1);
-        ragged
-            .layers
-            .push(degrading_set(10, 5).layers.swap_remove(1));
+        ragged.layers[1] = degrading_set(10, 5).layers.swap_remove(1);
         let bytes = ragged.encode_payload();
         let spec = ragged.spec;
         let flat_err = FlatSketchSet::from_family_bytes(&spec, &bytes).unwrap_err();
         let layers_err = StoredSketches::decode_payload(&spec, &bytes).unwrap_err();
         assert_eq!(flat_err, layers_err);
-        assert_eq!(ragged.freeze().unwrap_err(), flat_err);
+        let err = ragged.freeze().unwrap_err();
         assert!(
-            matches!(&flat_err, CodecError::Invalid { message, .. }
+            matches!(&err, CodecError::Invalid { message, .. }
                 if message == "layer 1 covers 10 nodes but layer 0 covers 24"),
-            "{flat_err}"
+            "{err}"
         );
         // Served rows of that shape — pivot counts for 10 of the 24 nodes —
         // are what `check_invariants` names.

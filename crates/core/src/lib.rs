@@ -125,8 +125,9 @@
 //! * [`eval`] — stretch evaluation over any `DistanceOracle` (worst-case /
 //!   average / percentiles, slack-aware variants).
 //! * [`baseline`] — exact-oracle and landmark baselines for comparison.
-//! * [`codec`] — the stable binary encoding of the family payloads (label
-//!   sets and [`SketchCodec`] for the sampling beside them), the payload
+//! * [`codec`] — the stable binary encoding of the family payloads (each
+//!   layer's levels and label set; [`SketchCodec`] for the scheme spec and
+//!   the run cost beside them), the payload
 //!   layer under the `dsketch-store` snapshot format (build once, save,
 //!   serve from disk forever).
 //! * [`cast`] — checked and intent-bearing integer conversions; the
@@ -174,11 +175,11 @@ pub mod prelude {
     pub use crate::parallel::{BuildTimings, PhaseTiming};
     pub use crate::query::{estimate_distance, estimate_distance_best_common};
     pub use crate::scheme::{
-        BuildEngine, BuildOutcome, DynBuildOutcome, Layer, SchemeConfig, SchemeSpec, StoredSketches,
+        BuildEngine, BuildOutcome, DynBuildOutcome, Layer, LayerParams, SchemeConfig, SchemeSpec,
+        StoredSketches,
     };
     pub use crate::sketch::{Label, SketchSet};
     pub use crate::slack::cdg::CdgParams;
-    pub use crate::slack::degrading::DegradingParams;
     pub use crate::slack::density_net::DensityNet;
     // The CONGEST engine types every SchemeConfig embeds, re-exported so
     // downstream crates don't need a congest-sim dependency just to

@@ -196,7 +196,6 @@ mod tests {
             layers: vec![Layer {
                 sketches: labels,
                 hierarchy,
-                params: None,
             }],
         }
     }

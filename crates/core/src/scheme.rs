@@ -47,7 +47,7 @@ use crate::oracle::{check_nodes, DistanceOracle};
 use crate::query::{estimate_distance, estimate_distance_best_common};
 use crate::sketch::{Label, SketchSet};
 use crate::slack::cdg::{self, CdgParams};
-use crate::slack::degrading::DegradingParams;
+use crate::slack::degrading;
 use congest_sim::{CongestConfig, RunStats};
 use netgraph::{Distance, Graph, NodeId, INFINITY};
 
@@ -201,9 +201,10 @@ pub type DynBuildOutcome = BuildOutcome<Box<dyn DistanceOracle>>;
 ///
 /// The hierarchy is over all nodes (Thorup–Zwick) or restricted to an
 /// ε-density net, its `A_0` (Lemma 4.5: CDG and each gracefully degrading
-/// layer; 3-stretch, Theorem 4.3, is CDG at `k = 1`, the net alone).  A
-/// layer is what its payload stores, so a built layer equals the decode
-/// of its own bytes.
+/// layer; 3-stretch, Theorem 4.3, is CDG at `k = 1`, the net alone).  How
+/// it was sampled is the spec's [schedule](SchemeSpec::schedule), not the
+/// layer's.  A layer is what its payload stores, so a built layer equals
+/// the decode of its own bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Layer {
     /// The per-node labels.
@@ -211,11 +212,17 @@ pub struct Layer {
     /// The sampled level hierarchy; a net-restricted layer's net is
     /// `hierarchy.level_members(0)`.
     pub hierarchy: Hierarchy,
-    /// The parameters the net and hierarchy were sampled with: every
-    /// net-restricted layer keeps them, and its payload stores them —
-    /// 3-stretch's are `CdgParams(ε, 1, seed)`, CDG at `k = 1`.  `None` on
-    /// a Thorup–Zwick layer, whose spec gives its `k`.
-    pub params: Option<CdgParams>,
+}
+
+/// How one layer of a spec is sampled, as [`SchemeSpec::schedule`] gives
+/// it for a node count: a function of the spec and `n`, never stored.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LayerParams {
+    /// The slack of the ε-density net the hierarchy is restricted to;
+    /// `None` for Thorup–Zwick, whose hierarchy is over all nodes.
+    pub eps: Option<f64>,
+    /// The hierarchy's level count `k`.
+    pub k: usize,
 }
 
 /// A persistable sketch set: the spec it was built for plus its layers —
@@ -351,14 +358,13 @@ pub enum SchemeSpec {
     },
 }
 
-/// Build every `sampled` layer of `spec` — a hierarchy, and a CDG or
-/// degrading layer's params — on the engine `config` selects, the CONGEST
-/// simulation or the direct parallel engine, identical labels either way,
-/// and sum the layers' costs.
+/// Build a layer over every `sampled` hierarchy of `spec` on the engine
+/// `config` selects, the CONGEST simulation or the direct parallel engine,
+/// identical labels either way, and sum the layers' costs.
 fn build_layers(
     spec: &SchemeSpec,
     graph: &Graph,
-    sampled: Vec<(Hierarchy, Option<CdgParams>)>,
+    sampled: Vec<Hierarchy>,
     config: &SchemeConfig,
 ) -> Result<BuildOutcome<StoredSketches>, SketchError> {
     let mut outcome = BuildOutcome {
@@ -368,7 +374,7 @@ fn build_layers(
         },
         stats: RunStats::default(),
     };
-    for (hierarchy, params) in sampled {
+    for hierarchy in sampled {
         let (sketches, stats) = match config.engine {
             BuildEngine::Congest => distributed::build_with_hierarchy(graph, &hierarchy, config)?,
             BuildEngine::Parallel => (
@@ -380,7 +386,6 @@ fn build_layers(
         outcome.sketches.layers.push(Layer {
             sketches,
             hierarchy,
-            params,
         });
     }
     Ok(outcome)
@@ -422,8 +427,9 @@ impl SchemeSpec {
 
     /// How the family is served: its name and its stretch bound (`2k − 1`;
     /// `3` and `8k − 1` on ε-far pairs; none for the degrading curve).  The
-    /// decoders read a payload's levels at the `k` the spec gives and hold
-    /// its CDG params to the spec, so the spec's parameters are the labels'.
+    /// decoders read a payload's levels at the `k`s of the spec's
+    /// [schedule](SchemeSpec::schedule), so the spec's parameters are the
+    /// labels'.
     pub(crate) fn served_as(&self) -> (&'static str, Option<u64>) {
         let times = |k: usize, factor: u64| (k as u64).saturating_mul(factor).saturating_sub(1);
         let stretch = match *self {
@@ -433,6 +439,70 @@ impl SchemeSpec {
             SchemeSpec::Degrading { .. } => None,
         };
         (self.name(), stretch)
+    }
+
+    /// The spec's layer schedule for `n` nodes: how each layer, in payload
+    /// order, is sampled — the one source of a layer's `(ε, k)` for the
+    /// sampler ([`SchemeSpec::build_sketches`]), the reader
+    /// ([`StoredSketches::decode_payload`]) and [`StoredSketches::freeze`].
+    ///
+    /// Thorup–Zwick is one layer over all nodes at the spec's `k`, CDG one
+    /// over an ε-density net at its `(ε, k)` (Theorem 4.6) and 3-stretch
+    /// CDG at `k = 1` (Theorem 4.3).  The gracefully degrading family
+    /// (Theorem 4.8) has one CDG layer per `i = 1, …, ⌈log₂ n⌉` (at least
+    /// one) at `ε_i = 2^{-i}` and `k_i = i`, the spec's `max_layers`
+    /// capping the count and its `max_k` each `k_i`.
+    ///
+    /// ```
+    /// use dsketch::prelude::*;
+    ///
+    /// let spec = SchemeSpec::parse("degrading:k=2,layers=3").unwrap();
+    /// let schedule: Vec<_> = spec.schedule(1000).iter().map(|l| (l.eps, l.k)).collect();
+    /// assert_eq!(schedule, [(Some(0.5), 1), (Some(0.25), 2), (Some(0.125), 2)]);
+    /// ```
+    pub fn schedule(&self, n: usize) -> Vec<LayerParams> {
+        let net = |eps, k| LayerParams { eps: Some(eps), k };
+        match *self {
+            SchemeSpec::ThorupZwick { k } => vec![LayerParams { eps: None, k }],
+            SchemeSpec::ThreeStretch { eps } => vec![net(eps, 1)],
+            SchemeSpec::Cdg { eps, k } => vec![net(eps, k)],
+            SchemeSpec::Degrading { max_layers, max_k } => {
+                let log_n = TzParams::log_n(n).k;
+                let count = max_layers.map_or(log_n, |cap| cap.min(log_n));
+                (1..=count)
+                    .zip(1..)
+                    .map(|(i, power)| net(0.5f64.powi(power), max_k.map_or(i, |cap| i.min(cap))))
+                    .collect()
+            }
+        }
+    }
+
+    /// Check the spec's parameters: ε in `(0, 1]`, `k` in `1..=u32::MAX`
+    /// (which keeps `8k − 1` and every level in range), degrading caps at
+    /// least 1.  [`SchemeSpec::build_sketches`] builds, and a snapshot
+    /// header decodes to, only a spec that passes.
+    pub fn validate(&self) -> Result<(), SketchError> {
+        let invalid = |what: String| Err(SketchError::InvalidParameters(what));
+        let (eps, k) = match *self {
+            SchemeSpec::ThorupZwick { k } => (None, k),
+            SchemeSpec::ThreeStretch { eps } => (Some(eps), 1),
+            SchemeSpec::Cdg { eps, k } => (Some(eps), k),
+            SchemeSpec::Degrading { max_layers, max_k } => {
+                if max_layers == Some(0) || max_k == Some(0) {
+                    return invalid(format!("degrading caps must be at least 1, got {self}"));
+                }
+                return Ok(());
+            }
+        };
+        if k == 0 || u32::try_from(k).is_err() {
+            return invalid(format!("k = {k} is not in 1..=u32::MAX"));
+        }
+        match eps {
+            Some(eps) if !(eps > 0.0 && eps <= 1.0) => {
+                invalid(format!("epsilon must be in (0, 1], got {eps}"))
+            }
+            _ => Ok(()),
+        }
     }
 
     /// One representative spec per family, with parameters suited to small
@@ -579,72 +649,50 @@ impl SchemeSpec {
     /// Run the construction on the engine `config` selects, keeping its
     /// layers — the one place a spec becomes sketches.
     ///
-    /// Each family validates its parameters (a zero `k` or degrading cap,
-    /// a `k` above `max(1, ⌈log₂ n⌉)`, an ε outside `(0, 1]` is
-    /// [`SketchError::InvalidParameters`]) and samples its hierarchies from
-    /// [`SchemeConfig::seed`]; one engine dispatch then builds every layer
-    /// of the returned [`StoredSketches`]: the CONGEST simulation returns
-    /// the round/message cost, both engines record their per-phase cost on
-    /// the registry (see [`BuildOutcome`]), and both build identical
-    /// sketches.
+    /// The spec is [validated](SchemeSpec::validate) (a zero `k` or
+    /// degrading cap, an ε outside `(0, 1]` — and here a `k` above
+    /// `max(1, ⌈log₂ n⌉)` — is [`SketchError::InvalidParameters`]), and
+    /// one hierarchy per layer of its [schedule](SchemeSpec::schedule) is
+    /// sampled from [`SchemeConfig::seed`]; one engine dispatch then builds
+    /// every layer of the returned [`StoredSketches`]: the CONGEST
+    /// simulation returns the round/message cost, both engines record their
+    /// per-phase cost on the registry (see [`BuildOutcome`]), and both
+    /// build identical sketches.
     pub fn build_sketches(
         &self,
         graph: &Graph,
         config: &SchemeConfig,
     ) -> Result<BuildOutcome<StoredSketches>, SketchError> {
+        self.validate()?;
         let n = graph.num_nodes();
+        let schedule = self.schedule(n);
         // Past ⌈log₂ n⌉ levels, labels of O(k·n^{1/k}) words stop shrinking
         // while the stretch bound keeps growing — and sampling, a k × n pass
-        // per attempt, runs as long as k says.  (The degrading layer count
-        // stops at the same value.)
-        let levels = |k: usize| {
-            let cap = TzParams::log_n(n).k;
-            if k <= cap {
-                return Ok(());
-            }
-            Err(SketchError::InvalidParameters(format!(
+        // per attempt, runs as long as k says.  (A degrading schedule stops
+        // at the same value.)
+        let cap = TzParams::log_n(n).k;
+        if let Some(LayerParams { k, .. }) = schedule.iter().find(|layer| layer.k > cap) {
+            return Err(SketchError::InvalidParameters(format!(
                 "k = {k} exceeds max(1, ⌈log₂ n⌉) = {cap} for n = {n}"
-            )))
-        };
-        // A hierarchy restricted to an ε-density net (Lemma 4.5), with the
-        // params it was sampled with.
-        let net_restricted =
-            |params: CdgParams| cdg::sample_net_hierarchy(n, params).map(|h| (h, Some(params)));
-        let sampled = match *self {
-            SchemeSpec::ThorupZwick { k } => {
-                let params = TzParams::new(k).with_seed(config.seed);
-                params.validate()?;
-                levels(k)?;
-                let (hierarchy, _) = Hierarchy::sample_until_top_nonempty(n, &params, 1000)?;
-                vec![(hierarchy, None)]
+            )));
+        }
+        let sample = |(layer, i): (LayerParams, u64)| match layer.eps {
+            None => {
+                let params = TzParams::new(layer.k).with_seed(config.seed);
+                Ok(Hierarchy::sample_until_top_nonempty(n, &params, 1000)?.0)
             }
-            // Theorem 4.3's sketch is CDG's at k = 1: one phase, a single
-            // flood from the net.  ε is validated where the net is sampled.
-            SchemeSpec::ThreeStretch { eps } => {
-                let params = CdgParams::new(eps, 1).with_seed(config.seed);
-                vec![net_restricted(params)?]
-            }
-            SchemeSpec::Cdg { eps, k } => {
-                let params = CdgParams::new(eps, k).with_seed(config.seed);
-                params.validate()?;
-                levels(k)?;
-                vec![net_restricted(params)?]
-            }
-            SchemeSpec::Degrading { max_layers, max_k } => {
-                if max_layers == Some(0) || max_k == Some(0) {
-                    return Err(SketchError::InvalidParameters(format!(
-                        "degrading caps must be at least 1, got {self}"
-                    )));
-                }
-                let params = DegradingParams {
-                    seed: config.seed,
-                    max_layers,
-                    max_k,
+            // A hierarchy restricted to an ε-density net (Lemma 4.5); each
+            // gracefully degrading layer draws from a seed of its own.
+            Some(eps) => {
+                let seed = match self {
+                    SchemeSpec::Degrading { .. } => degrading::layer_seed(config.seed, i),
+                    _ => config.seed,
                 };
-                let layers = params.layers(n).into_iter();
-                layers.map(net_restricted).collect::<Result<_, _>>()?
+                cdg::sample_net_hierarchy(n, CdgParams::new(eps, layer.k).with_seed(seed))
             }
         };
+        let sampled = schedule.into_iter().zip(1..).map(sample);
+        let sampled = sampled.collect::<Result<_, SketchError>>()?;
         build_layers(self, graph, sampled, config)
     }
 
@@ -736,24 +784,24 @@ mod tests {
             assert_eq!(outcome.sketches.spec, spec);
             outcome
         };
-        // A layer's hierarchy depth, and the params' `k` if it keeps them.
-        let parts = |layer: &Layer| (layer.hierarchy.k(), layer.params.map(|p| p.k));
+        // A layer's hierarchy depth.
+        let depth = |layer: &Layer| layer.hierarchy.k();
 
         let tz = build("tz:2");
         let [layer] = tz.sketches.layers.as_slice() else {
             panic!("one Thorup–Zwick layer");
         };
-        assert_eq!(parts(layer), (2, None));
+        assert_eq!(depth(layer), 2);
         let three = build("3stretch:0.4").sketches;
         assert_eq!(three.layers.len(), 1);
-        assert_eq!(parts(&three.layers[0]), (1, Some(1)));
+        assert_eq!(depth(&three.layers[0]), 1);
         assert!(!three.layers[0].hierarchy.level_members(0).is_empty());
         let cdg = build("cdg:0.4,2").sketches;
         assert_eq!(cdg.layers.len(), 1);
-        assert_eq!(parts(&cdg.layers[0]), (2, Some(2)));
+        assert_eq!(depth(&cdg.layers[0]), 2);
         let deg = build("degrading:k=2,layers=2");
-        let deg: Vec<_> = deg.sketches.layers.iter().map(parts).collect();
-        assert_eq!(deg, [(1, Some(1)), (2, Some(2))]);
+        let deg: Vec<_> = deg.sketches.layers.iter().map(depth).collect();
+        assert_eq!(deg, [1, 2]);
     }
 
     /// A net-restricted layer keeps no net: its hierarchy's `A_0` is the
@@ -775,16 +823,11 @@ mod tests {
             let degrading = build("degrading:k=2,layers=2");
             assert_eq!(degrading.len(), 2);
             // The 3-stretch layer is held to the spec's ε and the config's
-            // seed, fixed outside the layer; a degrading layer draws its own.
-            let drawn = [(0.3, config.seed)].into_iter().chain(
-                degrading
-                    .iter()
-                    .map(|layer| layer.params.map(|p| (p.eps, p.seed)).unwrap()),
-            );
-            assert_eq!(
-                three[0].params,
-                Some(CdgParams::new(0.3, 1).with_seed(config.seed))
-            );
+            // seed, fixed outside the layer; degrading layer i to
+            // ε_i = 2^-i and a seed of its own.
+            let own = |i: u64| config.seed.wrapping_add(i).wrapping_mul(0xD1B5_4A33);
+            let drawn = [(0.3, config.seed), (0.5, own(1)), (0.25, own(2))];
+            assert_eq!(three[0].hierarchy.k(), 1);
             for (layer, (eps, seed)) in three.iter().chain(&degrading).zip(drawn) {
                 let net = DensityNet::sample_nonempty(n, eps, seed).unwrap();
                 assert_eq!(
@@ -792,6 +835,27 @@ mod tests {
                     layer.hierarchy.level_members(0),
                     "{engine:?}: eps {eps}"
                 );
+            }
+        }
+    }
+
+    /// Every family's build is its schedule: as many layers, each
+    /// hierarchy at the schedule's `k`, on both engines and every `n`.
+    #[test]
+    fn every_build_follows_its_schedule() {
+        let specs = SchemeSpec::all_families()
+            .into_iter()
+            .chain([SchemeSpec::parse("degrading:layers=2").unwrap()]);
+        for spec in specs {
+            for n in [12, 40, 90] {
+                let graph = erdos_renyi(n, 8.0 / n as f64, GeneratorConfig::uniform(4, 1, 20));
+                let schedule: Vec<_> = spec.schedule(n).iter().map(|layer| layer.k).collect();
+                for engine in [BuildEngine::Congest, BuildEngine::Parallel] {
+                    let config = SchemeConfig::default().with_seed(6).with_engine(engine);
+                    let built = spec.build_sketches(&graph, &config).unwrap().sketches;
+                    let ks: Vec<_> = built.layers.iter().map(|l| l.hierarchy.k()).collect();
+                    assert_eq!(ks, schedule, "{spec}, n = {n}, {engine:?}");
+                }
             }
         }
     }

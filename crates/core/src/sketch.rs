@@ -713,7 +713,6 @@ mod tests {
             Layer {
                 sketches: set,
                 hierarchy,
-                params: None,
             }
         };
         let err = layer(2).check_invariants().unwrap_err();

@@ -67,24 +67,6 @@ impl CdgParams {
         let bound = 10.0 / self.eps * (num_nodes.max(2) as f64).ln();
         bound.max(2.0).powf(-1.0 / self.k as f64).clamp(0.0, 1.0)
     }
-
-    /// Validate.
-    pub fn validate(&self) -> Result<(), SketchError> {
-        // The upper bound keeps `8k − 1` (and every level, a `u32`) in range
-        // for parameters read from a snapshot.
-        if self.k == 0 || u32::try_from(self.k).is_err() {
-            return Err(SketchError::InvalidParameters(
-                "k must be in 1..=u32::MAX".into(),
-            ));
-        }
-        if !(self.eps > 0.0 && self.eps <= 1.0) {
-            return Err(SketchError::InvalidParameters(format!(
-                "epsilon must be in (0, 1], got {}",
-                self.eps
-            )));
-        }
-        Ok(())
-    }
 }
 
 /// Sample one layer of the construction from `params.seed`: the ε-density
@@ -214,11 +196,12 @@ mod tests {
 
     #[test]
     fn params_validation_and_accessors() {
-        assert!(CdgParams::new(0.5, 0).validate().is_err());
-        assert!(CdgParams::new(0.0, 2).validate().is_err());
-        assert!(CdgParams::new(2.0, 2).validate().is_err());
+        // The one check of a CDG spec's parameters is its spec's.
+        assert!(SchemeSpec::cdg(0.5, 0).validate().is_err());
+        assert!(SchemeSpec::cdg(0.0, 2).validate().is_err());
+        assert!(SchemeSpec::cdg(2.0, 2).validate().is_err());
+        assert!(SchemeSpec::cdg(0.25, 3).validate().is_ok());
         let p = CdgParams::new(0.25, 3).with_seed(7);
-        assert!(p.validate().is_ok());
         assert_eq!(p.stretch(), 23);
         assert_eq!(p.seed, 7);
         let prob = p.level_probability(1000);

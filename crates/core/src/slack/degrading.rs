@@ -9,57 +9,21 @@
 //! that `O(log 1/ε)`-stretch graceful degradation implies `O(log n)`
 //! worst-case stretch and `O(1)` average stretch.
 //!
-//! This module holds the layer schedule ([`DegradingParams::layers`]);
+//! The layer schedule is [`crate::scheme::SchemeSpec::schedule`]'s, a
+//! function of the spec and `n`; this module holds the one thing it does
+//! not say, each layer's sampling seed (`layer_seed`).
 //! [`crate::scheme::SchemeSpec::build_sketches`] samples one CDG layer per
 //! entry (`cdg::sample_net_hierarchy`) and builds them all with the
 //! engine every family shares.
 
-use crate::slack::cdg::CdgParams;
-
-/// Parameters of the gracefully degrading construction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegradingParams {
-    /// Sampling seed (each layer derives its own sub-seed).
-    pub seed: u64,
-    /// Optional cap on the number of layers (default `⌈log₂ n⌉`).
-    pub max_layers: Option<usize>,
-    /// Optional cap on each layer's `k` (useful to keep tiny test graphs
-    /// fast); `None` uses the paper's `k_i = i`.
-    pub max_k: Option<usize>,
-}
-
-impl DegradingParams {
-    /// Default parameters with the given seed.
-    pub fn new(seed: u64) -> Self {
-        DegradingParams {
-            seed,
-            max_layers: None,
-            max_k: None,
-        }
-    }
-
-    /// The layer specifications `(ε_i, k_i)` for a graph of `n` nodes.
-    pub fn layers(&self, n: usize) -> Vec<CdgParams> {
-        let log_n = ((n.max(2) as f64).log2().ceil() as usize).max(1);
-        let count = self.max_layers.unwrap_or(log_n).min(log_n).max(1);
-        (1..=count)
-            .map(|i| {
-                let eps = 0.5f64.powi(i as i32);
-                let k = match self.max_k {
-                    Some(cap) => i.min(cap),
-                    None => i,
-                }
-                .max(1);
-                CdgParams::new(eps, k)
-                    .with_seed(self.seed.wrapping_add(i as u64).wrapping_mul(0xD1B5_4A33))
-            })
-            .collect()
-    }
+/// The sampling seed of layer `i` (1-based) of a build from `seed`: each
+/// layer draws its net and hierarchy from a seed of its own.
+pub(crate) fn layer_seed(seed: u64, i: u64) -> u64 {
+    seed.wrapping_add(i).wrapping_mul(0xD1B5_4A33)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::oracle::DistanceOracle;
     use crate::query::estimate_distance_best_common;
     use crate::scheme::{SchemeConfig, SchemeSpec, StoredSketches};
@@ -67,10 +31,14 @@ mod tests {
     use netgraph::generators::{erdos_renyi, grid, GeneratorConfig};
     use netgraph::{Graph, NodeId};
 
-    fn build_scheme(graph: &Graph, params: DegradingParams) -> StoredSketches {
-        let (max_layers, max_k) = (params.max_layers, params.max_k);
-        let spec = SchemeSpec::Degrading { max_layers, max_k };
-        let config = SchemeConfig::default().with_seed(params.seed);
+    /// The degrading build from `seed` with each layer's `k` capped at
+    /// `max_k`.
+    fn build_scheme(graph: &Graph, seed: u64, max_k: usize) -> StoredSketches {
+        let spec = SchemeSpec::Degrading {
+            max_layers: None,
+            max_k: Some(max_k),
+        };
+        let config = SchemeConfig::default().with_seed(seed);
         spec.build_sketches(graph, &config).unwrap().sketches
     }
 
@@ -92,39 +60,26 @@ mod tests {
 
     #[test]
     fn layer_schedule_follows_powers_of_two() {
-        let p = DegradingParams::new(3);
-        let layers = p.layers(256);
+        let schedule =
+            |max_layers, max_k| SchemeSpec::Degrading { max_layers, max_k }.schedule(256);
+        let layers = schedule(None, None);
         assert_eq!(layers.len(), 8);
-        assert!((layers[0].eps - 0.5).abs() < 1e-12);
-        assert!((layers[3].eps - 0.0625).abs() < 1e-12);
+        assert!((layers[0].eps.unwrap() - 0.5).abs() < 1e-12);
+        assert!((layers[3].eps.unwrap() - 0.0625).abs() < 1e-12);
         assert_eq!(layers[0].k, 1);
         assert_eq!(layers[5].k, 6);
         // max_k caps each layer's k.
-        let capped = DegradingParams {
-            max_k: Some(3),
-            ..p
-        }
-        .layers(256);
+        let capped = schedule(None, Some(3));
         assert!(capped.iter().all(|l| l.k <= 3));
         // max_layers caps the layer count.
-        let fewer = DegradingParams {
-            max_layers: Some(4),
-            ..p
-        }
-        .layers(256);
+        let fewer = schedule(Some(4), None);
         assert_eq!(fewer.len(), 4);
     }
 
     #[test]
     fn average_stretch_is_small_on_random_graph() {
         let g = erdos_renyi(80, 0.08, GeneratorConfig::uniform(13, 1, 20));
-        let sketches = build_scheme(
-            &g,
-            DegradingParams {
-                max_k: Some(3),
-                ..DegradingParams::new(5)
-            },
-        );
+        let sketches = build_scheme(&g, 5, 3);
         let (avg, worst) = average_and_worst_stretch(&g, &sketches);
         // Corollary 4.9: O(1) average stretch, O(log n) worst case.  For an
         // 80-node graph "O(1)" should comfortably be below 4 and the worst
@@ -136,13 +91,7 @@ mod tests {
     #[test]
     fn average_stretch_is_small_on_grid() {
         let g = grid(8, 8, GeneratorConfig::uniform(7, 1, 10));
-        let sketches = build_scheme(
-            &g,
-            DegradingParams {
-                max_k: Some(3),
-                ..DegradingParams::new(2)
-            },
-        );
+        let sketches = build_scheme(&g, 2, 3);
         let (avg, worst) = average_and_worst_stretch(&g, &sketches);
         assert!(avg < 4.0, "average stretch too large: {avg}");
         assert!(worst < 48.0, "worst-case stretch too large: {worst}");
@@ -151,13 +100,7 @@ mod tests {
     #[test]
     fn degrading_estimate_never_worse_than_coarsest_layer() {
         let g = erdos_renyi(60, 0.1, GeneratorConfig::uniform(3, 1, 12));
-        let sketches = build_scheme(
-            &g,
-            DegradingParams {
-                max_k: Some(2),
-                ..DegradingParams::new(9)
-            },
-        );
+        let sketches = build_scheme(&g, 9, 2);
         for u in g.nodes().take(10) {
             for v in g.nodes().skip(30).take(10) {
                 if u == v {

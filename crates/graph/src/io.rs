@@ -1,6 +1,7 @@
 //! Plain-text edge-list persistence for generated networks.
 //!
-//! Format (one record per line, `#`-prefixed comment lines ignored):
+//! Format (one record per line, `#`-prefixed comment lines ignored; the
+//! `nodes <n>` header once — a second is refused at its line):
 //!
 //! ```text
 //! # distance-sketches edge list
@@ -95,7 +96,13 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, IoError> {
                     message: format!("node count {n} exceeds the u32 id space"),
                 });
             }
-            num_nodes = Some(n);
+            // The last of two headers must not silently win.
+            if let Some(first) = num_nodes.replace(n) {
+                return Err(IoError::Parse {
+                    line: line_no,
+                    message: format!("second 'nodes' header ({n}) after 'nodes {first}'"),
+                });
+            }
             continue;
         }
         let mut parts = trimmed.split_whitespace();
@@ -224,6 +231,18 @@ mod tests {
             IoError::Parse { line, message } => {
                 assert_eq!(line, 1, "{message}");
                 assert!(message.contains("u32 id space"), "{message}");
+            }
+            other => panic!("expected a parse error, got {other}"),
+        }
+    }
+
+    #[test]
+    fn a_second_nodes_header_is_refused_at_its_line() {
+        let err = read_edge_list("nodes 3\n0 1 1\n# more\nnodes 5\n".as_bytes()).unwrap_err();
+        match err {
+            IoError::Parse { line, message } => {
+                assert_eq!(line, 4, "{message}");
+                assert!(message.contains("second 'nodes' header"), "{message}");
             }
             other => panic!("expected a parse error, got {other}"),
         }

@@ -18,28 +18,32 @@
 //!
 //! All container integers are little-endian and fixed-width.  Section
 //! offsets are relative to the start of the payload area, so the header can
-//! be any length without disturbing them.  Inside the `SKCH` payload each
-//! layer's sampling comes first and its label rows are written relative to
-//! it — sparse entries as ranks within their level, table cells relative to
-//! the row's least cell, pivots derived (see `dsketch::codec`, "Label
-//! sets"); that is the payload's business, not the container's.
+//! be any length without disturbing them.  The `SKCH` payload opens with
+//! the node count; then each layer of the header spec's schedule for it has
+//! its sampling first and its label rows written relative to it — sparse
+//! entries as ranks within their level, table cells relative to the row's
+//! least cell, pivots derived (see `dsketch::codec`, "Family payloads" and
+//! "Label sets"); that is the payload's business, not the container's.
 //!
 //! # Versioning policy
 //!
 //! * The `version` field is the **major** format version, and a reader
 //!   reads exactly one: [`FORMAT_VERSION`].  Anything else — newer *or*
 //!   older — is refused with [`StoreError::UnsupportedVersion`].  There is
-//!   no v1–v4 reader and no converter: v2 changed the label encoding
+//!   no v1–v5 reader and no converter: v2 changed the label encoding
 //!   (fixed-width → gap-coded varints), v3 the label set itself (each
 //!   layer's top level a table written once; no entry levels, no row `k`),
 //!   v4 what a row says (no pivots, ranks within a level for ids, cells
 //!   relative to the row's least; the sampling first, one varint a node;
-//!   no per-layer run cost, no CDG net) and v5 how a layer's sampling is
+//!   no per-layer run cost, no CDG net), v5 how a layer's sampling is
 //!   written (one way: its params, then its levels, read at the `k` the
 //!   spec or the params give — no stored `k` or probability, 3-stretch as
 //!   CDG at `k = 1` instead of a net; a `STAT` record without its
-//!   bandwidth-violation count), a snapshot is a cache of a
-//!   deterministic build, and rebuilding it is
+//!   bandwidth-violation count) and v6 what a payload says of its sampling
+//!   (the node count once, then each layer's levels: no params, layer count
+//!   or repeated node count — the spec's layer schedule for `n` gives every
+//!   layer's `(ε, k)`, and a header spec out of range is refused), a
+//!   snapshot is a cache of a deterministic build, and rebuilding it is
 //!   one `build_stored` call — cheaper to own than a second decoder for
 //!   every consumer of the bytes.
 //! * **Minor** evolution is new section ids: readers skip sections they do
@@ -61,7 +65,7 @@ use netgraph::GraphFingerprint;
 pub const MAGIC: [u8; 4] = *b"DSK1";
 
 /// The major format version this build writes, and the only one it reads.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// A four-byte section identifier (printable ASCII tag, e.g. `SKCH`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -40,25 +40,23 @@ fn main() {
         .expect("construction");
     let degrading = &outcome.sketches;
     println!("\nlayers (ε_i = 2^-i, k_i = min(i, {max_k})):");
+    // Each layer is a CDG layer: the spec's schedule for n says its (ε, k),
+    // and its net is its hierarchy's A_0.
     let mut rows = Vec::new();
-    for (i, layer) in degrading.layers.iter().enumerate() {
-        // Each layer is a CDG layer: its params are there, and its net is
-        // its hierarchy's A_0.
-        if let Some(params) = layer.params {
-            rows.push(vec![
-                format!("{}", i + 1),
-                format!("{:.4}", params.eps),
-                params.k.to_string(),
-                layer.hierarchy.level_members(0).len().to_string(),
-                layer
-                    .sketches
-                    .labels()
-                    .map(|label| label.words())
-                    .max()
-                    .unwrap_or(0)
-                    .to_string(),
-            ]);
-        }
+    for (i, (layer, params)) in degrading.layers.iter().zip(scheme.schedule(n)).enumerate() {
+        rows.push(vec![
+            format!("{}", i + 1),
+            params.eps.map_or("-".into(), |eps| format!("{eps:.4}")),
+            params.k.to_string(),
+            layer.hierarchy.level_members(0).len().to_string(),
+            layer
+                .sketches
+                .labels()
+                .map(|label| label.words())
+                .max()
+                .unwrap_or(0)
+                .to_string(),
+        ]);
     }
     print_table(&["layer", "eps", "k", "|net|", "max words"], &rows);
     println!(

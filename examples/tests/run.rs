@@ -42,3 +42,25 @@ fn quickstart_refuses_a_bad_scheme_with_exit_two() {
         assert!(!stderr.contains("panicked"), "{scheme}: {stderr}");
     }
 }
+
+/// `degrading_demo`'s layer table is the spec's schedule: ⌈log₂ 100⌉ = 7
+/// rows at ε_i = 2^-i and k_i = min(i, 3).
+#[test]
+fn the_degrading_demo_prints_its_schedule() {
+    let output = run(env!("CARGO_BIN_EXE_degrading_demo"), &["--nodes", "100"]);
+    assert!(output.status.success());
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let rows: Vec<Vec<&str>> = stdout
+        .lines()
+        .skip_while(|line| !line.trim_start().starts_with("-----"))
+        .skip(1)
+        .take_while(|line| !line.starts_with("total:"))
+        .map(|line| line.split_whitespace().collect())
+        .collect();
+    assert_eq!(rows.len(), 7, "{stdout}");
+    for (i, row) in (1..).zip(&rows) {
+        let eps = format!("{:.4}", 0.5f64.powi(i));
+        let k = i.min(3).to_string();
+        assert_eq!(row[..3], [i.to_string().as_str(), &eps, &k], "{stdout}");
+    }
+}

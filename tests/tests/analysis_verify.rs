@@ -188,9 +188,9 @@ fn varint_bytes(mut v: u64) -> Vec<u8> {
 }
 
 /// A cursor over the label-set bytes of a snapshot's `SKCH` section, from
-/// the levels they are written against (Thorup–Zwick: the payload's start;
-/// CDG: past its params), yielding the file positions the targeted
-/// mutations need.  A row is its runs — per level below the top, a length
+/// the levels they are written against (the first layer's right after the
+/// payload's node count, each later one's after the set before it),
+/// yielding the file positions the targeted mutations need.  A row is its runs — per level below the top, a length
 /// and `(rank gap, distance)` entries, a rank indexing that level's
 /// ascending members — then its least cell (`δ + 1`, `0` for none) and one
 /// cell per top-level node (`d − δ + 1`, `0` for none).  Hand-rolled on
@@ -234,9 +234,9 @@ impl SketchSites {
     }
 }
 
-/// The levels a label set is written against — the node count and one
-/// level varint (`level + 1`) per node, read at the `k` the spec or the
-/// params give — and the set's entry total.
+/// The levels a label set is written against — one level varint
+/// (`level + 1`) per node of the payload's node count, read at the `k` the
+/// spec's schedule gives — and the set's entry total.
 struct SetHeader {
     k: u64,
     levels: Vec<Site>,
@@ -249,16 +249,21 @@ impl<'a> TzSketchCursor<'a> {
     /// k u64` at the top of the body), returning the header too.
     fn new(bytes: &'a [u8]) -> (Self, SetHeader) {
         assert_eq!(bytes[12], 0, "Thorup–Zwick spec tag");
-        Self::at(bytes, skch_range(bytes).0, le_u64(bytes, 13))
+        let skch_at = skch_range(bytes).0;
+        Self::at(
+            bytes,
+            skch_at + 8,
+            le_u64(bytes, skch_at),
+            le_u64(bytes, 13),
+        )
     }
 
-    /// [`TzSketchCursor::new`] for levels starting at file offset `start`,
-    /// read at `k`.
-    fn at(bytes: &'a [u8], start: usize, k: u64) -> (Self, SetHeader) {
-        let n = le_u64(bytes, start);
+    /// [`TzSketchCursor::new`] for the levels of `n` nodes starting at file
+    /// offset `start`, read at `k`.
+    fn at(bytes: &'a [u8], start: usize, n: u64, k: u64) -> (Self, SetHeader) {
         let mut cursor = TzSketchCursor {
             bytes,
-            pos: start + 8,
+            pos: start,
             members: vec![Vec::new(); k as usize],
         };
         let levels: Vec<Site> = (0..n).map(|_| cursor.varint()).collect();
@@ -598,17 +603,17 @@ fn resigned_level_byte_past_k_is_caught() {
 }
 
 /// A 3-stretch net is written as its nodes' levels, not as member ids: the
-/// levels follow its params `(ε, 1, seed)` and are read at `k = 1`, so a
-/// net member's level byte raised to name level 1 names no level and is
-/// refused before a row is read.  (The name is from when the net was
-/// written as member ids and the broken fact was a member past the node
-/// count; what it checks now is a level past `k = 1`.)
+/// levels follow the payload's node count and are read at the schedule's
+/// `k = 1`, so a net member's level byte raised to name level 1 names no
+/// level and is refused before a row is read.  (The name is from when the
+/// net was written as member ids and the broken fact was a member past the
+/// node count; what it checks now is a level past `k = 1`.)
 #[test]
 fn resigned_three_stretch_net_member_past_its_nodes_is_caught() {
     let mut bytes = snapshot_bytes(SchemeSpec::three_stretch(0.5), 1024, 3);
-    let levels = skch_range(&bytes).0 + 24;
-    assert_eq!(le_u64(&bytes, levels), 1024);
-    let (_, header) = TzSketchCursor::at(&bytes, levels, 1);
+    let skch_at = skch_range(&bytes).0;
+    assert_eq!(le_u64(&bytes, skch_at), 1024);
+    let (_, header) = TzSketchCursor::at(&bytes, skch_at + 8, 1024, 1);
     let member = header.levels.iter().find(|level| level.value == 1).unwrap();
     bytes[member.at] = 2;
     resign(&mut bytes);
@@ -617,68 +622,69 @@ fn resigned_three_stretch_net_member_past_its_nodes_is_caught() {
     assert!(err.to_string().contains("out of range for k = 1"), "{err}");
 }
 
+/// The header's spec is the only place a payload's ε, `k` and caps are
+/// said: re-signed out of range — ε of 0, NaN or 1.5, a CDG `k` of 0, a
+/// degrading cap of 0 — it is refused before a layer is read, on every
+/// ingress.
 #[test]
-fn resigned_spec_params_mismatch_is_caught() {
-    let mut bytes = snapshot_bytes(SchemeSpec::cdg(0.25, 2), 28, 19);
-    // The header spec is `tag u8, eps f64, k u64` at the top of the body:
-    // nudge eps so it no longer matches the CdgParams stored in the
-    // payload.  The header CRC is re-signed, so only the cross-check
-    // between the two copies can object.
-    assert_eq!(bytes[12], 2, "Cdg spec tag");
-    let eps_at = 13;
-    let eps = f64::from_le_bytes(bytes[eps_at..eps_at + 8].try_into().unwrap());
-    assert_eq!(eps, 0.25);
-    bytes[eps_at..eps_at + 8].copy_from_slice(&0.26f64.to_le_bytes());
-    resign(&mut bytes);
-    expect_kind(&bytes, "layer-contract", "header eps != stored CdgParams");
-}
-
-#[test]
-fn resigned_net_eps_unlike_the_spec_or_params_is_caught() {
-    // The header spec of a 3-stretch snapshot is `tag u8, eps f64`: claim
-    // 0.9 for a net sampled at 0.25, which the params the payload opens
-    // with, `(0.25, 1, seed)`, still say.
-    let mut bytes = snapshot_bytes(SchemeSpec::three_stretch(0.25), 32, 5);
-    assert_eq!(bytes[12], 1, "ThreeStretch spec tag");
-    assert_eq!(bytes[13..21], 0.25f64.to_le_bytes());
-    bytes[13..21].copy_from_slice(&0.9f64.to_le_bytes());
-    resign(&mut bytes);
-    expect_kind(&bytes, "layer-contract", "header eps != the net's");
-
-    // No payload writes its net: it is its levels' A_0, sampled for its
-    // params' ε.  So the ε it is held to is the params': claim 0.9 there
-    // (a CDG payload opens with them) for the spec's 0.25.
-    let mut bytes = snapshot_bytes(SchemeSpec::cdg(0.25, 2), 28, 19);
-    let params_eps_at = skch_range(&bytes).0;
+fn resigned_header_specs_out_of_range_are_refused() {
+    // The header spec is `tag u8` at the top of the body, then CDG's
+    // `eps f64, k u64`, 3-stretch's `eps f64`, or degrading's two caps,
+    // each `flag u8` and `u64` if set.
+    let cdg = snapshot_bytes(SchemeSpec::cdg(0.25, 2), 28, 19);
+    let three = snapshot_bytes(SchemeSpec::three_stretch(0.25), 32, 5);
+    let capped = SchemeSpec::parse("degrading:layers=2").unwrap();
+    let degrading = snapshot_bytes(capped, 32, 13);
+    assert_eq!((cdg[12], three[12], degrading[12]), (2, 1, 3), "spec tags");
     assert_eq!(
-        bytes[params_eps_at..params_eps_at + 8],
-        0.25f64.to_le_bytes()
+        (le_u64(&cdg, 21), degrading[13], le_u64(&degrading, 14)),
+        (2, 1, 2)
     );
-    bytes[params_eps_at..params_eps_at + 8].copy_from_slice(&0.9f64.to_le_bytes());
-    resign(&mut bytes);
-    expect_kind(
-        &bytes,
-        "layer-contract",
-        "the params' (and net's) eps != the spec's",
-    );
+    let mut cases = Vec::new();
+    for eps in [0.0, f64::NAN, 1.5] {
+        for (family, bytes) in [("cdg", &cdg), ("3stretch", &three)] {
+            let mut bad = bytes.clone();
+            bad[13..21].copy_from_slice(&eps.to_le_bytes());
+            cases.push((bad, format!("{family} eps = {eps}"), "epsilon"));
+        }
+    }
+    let mut bad = cdg.clone();
+    bad[21..29].copy_from_slice(&0u64.to_le_bytes());
+    cases.push((bad, "cdg k = 0".to_string(), "k = 0"));
+    let mut bad = degrading.clone();
+    bad[14..22].copy_from_slice(&0u64.to_le_bytes());
+    cases.push((
+        bad,
+        "degrading layer cap 0".to_string(),
+        "caps must be at least 1",
+    ));
+    for (mut bytes, what, named) in cases {
+        resign(&mut bytes);
+        expect_kind(&bytes, "header-decode", &what);
+        let err = verify_snapshot_bytes(&bytes).unwrap_err();
+        assert!(err.to_string().contains(named), "{what}: {err}");
+    }
 }
 
 /// File offsets of each layer's levels in a degrading snapshot's `SKCH`
-/// payload, with the params' `k` they are read at: a `u64` layer count,
-/// then per layer its params (`eps f64, k u64, seed u64`), its levels and
-/// its label set.
-fn degrading_label_sets(bytes: &[u8]) -> Vec<(usize, u64)> {
+/// payload, with the `k` they are read at: the payload's node count, then
+/// per layer of `spec`'s schedule for it its levels and its label set.
+fn degrading_label_sets(bytes: &[u8], spec: SchemeSpec) -> (u64, Vec<(usize, u64)>) {
     let (skch_at, _) = skch_range(bytes);
+    let n = le_u64(bytes, skch_at);
     let mut at = skch_at + 8;
-    (0..le_u64(bytes, skch_at))
-        .map(|_| {
-            let (levels, k) = (at + 24, le_u64(bytes, at + 8));
-            let (mut cursor, header) = TzSketchCursor::at(bytes, levels, k);
+    let sets = spec
+        .schedule(n as usize)
+        .iter()
+        .map(|layer| {
+            let (levels, k) = (at, layer.k as u64);
+            let (mut cursor, header) = TzSketchCursor::at(bytes, levels, n, k);
             (0..header.levels.len()).for_each(|_| drop(cursor.next_sketch()));
             at = cursor.position();
             (levels, k)
         })
-        .collect()
+        .collect();
+    (n, sets)
 }
 
 #[test]
@@ -687,11 +693,12 @@ fn resigned_degrading_landmark_at_two_distances_is_caught() {
     // layer-1 distance — a sparse distance or a table cell other than the
     // row's least — breaks no row (its pivots are derived from what the
     // row holds), and the node's served row has one distance column.
-    let mut bytes = snapshot_bytes(SchemeSpec::parse("degrading:2").unwrap(), 32, 13);
-    let sets = degrading_label_sets(&bytes);
+    let spec = SchemeSpec::parse("degrading:2").unwrap();
+    let mut bytes = snapshot_bytes(spec, 32, 13);
+    let (n, sets) = degrading_label_sets(&bytes, spec);
     assert!(sets.len() >= 2, "{} layers", sets.len());
     let rows = |(set, k): (usize, u64)| {
-        let (mut cursor, header) = TzSketchCursor::at(&bytes, set, k);
+        let (mut cursor, header) = TzSketchCursor::at(&bytes, set, n, k);
         (0..header.levels.len())
             .map(|_| cursor.next_sketch())
             .collect::<Vec<_>>()
@@ -719,7 +726,9 @@ fn resigned_degrading_landmark_at_two_distances_is_caught() {
 #[test]
 fn a_degrading_snapshot_of_33_layers_is_caught() {
     // One layer more than a row's mask has bits, written whole so every
-    // checksum holds; nothing but the layer count is wrong.
+    // checksum holds; nothing but the layer count is wrong.  The payload
+    // says none: the spec's schedule over 24 nodes reads five layers, and
+    // the 28 after them are bytes no layer claims.
     let mut contents = build_stored(
         &graph(24, 5),
         SchemeSpec::degrading(),
@@ -730,9 +739,9 @@ fn a_degrading_snapshot_of_33_layers_is_caught() {
     *layers = layers.iter().cycle().take(33).cloned().collect();
     let mut bytes = Vec::new();
     write_snapshot(&mut bytes, &contents).unwrap();
-    expect_kind(&bytes, "layer-contract", "33 layers");
+    expect_kind(&bytes, "trailing-bytes", "33 layers");
     let err = verify_snapshot_bytes(&bytes).unwrap_err();
-    assert!(err.to_string().contains("33 layers exceed"), "{err}");
+    assert!(err.to_string().contains("trailing bytes"), "{err}");
 }
 
 #[test]
@@ -748,10 +757,10 @@ fn resigned_trailing_bytes_inside_skch_are_caught() {
 #[test]
 fn a_v1_versioned_snapshot_is_refused_by_version() {
     // The file a v1 writer would have stamped: same container, version
-    // field 1, header CRC valid.  The verifier reads version 5 only and
+    // field 1, header CRC valid.  The verifier reads version 6 only and
     // must say so, not fail somewhere inside bytes it cannot parse.
     let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(2), 32, 13);
-    assert_eq!(le_u32(&bytes, 4), 5, "format version field");
+    assert_eq!(le_u32(&bytes, 4), 6, "format version field");
     bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
     resign(&mut bytes);
     expect_kind(&bytes, "unsupported-version", "v1 version field");

@@ -222,22 +222,19 @@ fn label(pivot: (u32, Distance), bunch: &[(u32, Distance)]) -> Row {
     (pivots, bunch.iter().map(|&(w, d)| (NodeId(w), d)).collect())
 }
 
-/// A `spec` set over hand-built layers (hierarchy and params are along for
-/// the encoding; no query reads them).  The params keep the degrading
-/// contract the decoders check — ε halving layer over layer — and a
-/// one-layer set's are `cdg:0.5,1`'s.
+/// A `spec` set over hand-built layers (the hierarchy is along for the
+/// encoding; no query reads it).
 fn slack_set(spec: SchemeSpec, layers: Vec<Vec<Row>>) -> StoredSketches {
-    let layers = (1..)
-        .zip(layers)
-        .map(|(i, rows)| {
-            let (n, eps) = (rows.len(), 0.5f64.powi(i));
+    let layers = layers
+        .into_iter()
+        .map(|rows| {
+            let n = rows.len();
             let hierarchy = Hierarchy::from_levels(vec![0; n], 1).unwrap();
             let mut sketches = SketchSet::over(&hierarchy);
             for (pivots, bunch) in &rows {
                 sketches.push_label(pivots, bunch).unwrap();
             }
             Layer {
-                params: Some(CdgParams::new(eps, 1)),
                 hierarchy,
                 sketches,
             }
@@ -246,9 +243,15 @@ fn slack_set(spec: SchemeSpec, layers: Vec<Vec<Row>>) -> StoredSketches {
     StoredSketches { spec, layers }
 }
 
-/// [`slack_set`] for the degrading family.
+/// [`slack_set`] for the degrading family with every `k` capped at 1,
+/// whose schedule over the hand-built layers' three nodes is two layers at
+/// `k = 1`.
 fn degrading_of(layers: Vec<Vec<Row>>) -> StoredSketches {
-    slack_set(SchemeSpec::degrading(), layers)
+    let spec = SchemeSpec::Degrading {
+        max_layers: None,
+        max_k: Some(1),
+    };
+    slack_set(spec, layers)
 }
 
 /// Freeze `set`, require both ingresses of the decoder to meet its bytes with the same
@@ -277,19 +280,23 @@ fn assert_accepted(set: &StoredSketches, context: &str) {
 /// `freeze` refuses `set` with an error `expected` accepts, and both
 /// decoders refuse its bytes with that same error — or, for a state the
 /// bytes cannot say (a pivot row is derived, a member is a rank within its
-/// level), meet the bytes written for it alike, and neither with `set`.
+/// level, the node count is said once and the layer count by the spec's
+/// schedule), meet the bytes written for it alike, and neither with `set`.
 fn assert_refused(set: &StoredSketches, expected: fn(&CodecError) -> bool, context: &str) {
     let refused = set.freeze().expect_err(context);
     assert!(expected(&refused), "{context}: refused with {refused}");
     let bytes = set.encode_payload();
-    if matches!(
-        refused,
-        CodecError::PivotRow(_)
-            | CodecError::Invalid {
-                context: "label node",
-                ..
-            }
-    ) {
+    let unscheduled = set.layers.len() != set.spec.schedule(set.num_nodes()).len();
+    if unscheduled
+        || matches!(
+            refused,
+            CodecError::PivotRow(_)
+                | CodecError::Invalid {
+                    context: "label node" | "degrading layers",
+                    ..
+                }
+        )
+    {
         let flat = FlatSketchSet::from_family_bytes(&set.spec, &bytes);
         let map = StoredSketches::decode_payload(&set.spec, &bytes);
         let frozen = map
@@ -338,11 +345,10 @@ fn hand_built_layers_that_meet_the_conditions_are_merged() {
     // Layer 1 wins for (0, 1): 4 + 0 against 5 + 7 through node 2.
     assert_eq!(set.freeze().unwrap().estimate(NodeId(0), NodeId(1)), Ok(4));
 
-    // 32 layers is the last count a `u32` mask can name.
-    let mut layers = two_layer_base();
-    let last = layers[1].clone();
-    layers.resize(32, last);
-    assert_accepted(&degrading_of(layers), "32 layers");
+    // 32 layers is the last count a `u32` mask can name, and the most a
+    // schedule over `u32` node ids gives.
+    let most = SchemeSpec::degrading().schedule(u32::MAX as usize).len();
+    assert_eq!(most, 32);
 }
 
 /// The case the mask exists for: node 0 holds landmark 2 in layer 0 only,

@@ -150,17 +150,18 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// The `DSK1` bytes of a fixed build, pinned per family as
 /// `(length, FNV-1a 64)`, so "the bytes did not move" is a test: any change
 /// to label contents, label order, the payload codec or the container shows
-/// up here.  Pinned at format version 5 (every layer's sampling first, as
-/// its params if it keeps them and one level varint a node, with no `k`;
-/// rows of per-level rank runs and cells relative to their least, no
-/// pivots); re-pin only together with a `DSK1` format version bump.
+/// up here.  Pinned at format version 6 (the node count once, then every
+/// layer's sampling first, as one level varint a node, with no `k`, ε,
+/// layer count or seed — the spec's schedule for `n` says them; rows of
+/// per-level rank runs and cells relative to their least, no pivots);
+/// re-pin only together with a `DSK1` format version bump.
 #[test]
 fn snapshot_bytes_match_the_pinned_golden_digests() {
     let golden: [(usize, u64); 4] = [
-        (7_590, 0x36ef_d28d_02c8_802e),
-        (26_286, 0x8825_7c15_f433_72de),
-        (10_135, 0xcea8_5b4a_d5cc_0e12),
-        (94_018, 0x1e76_d8ca_5113_fd8a),
+        (7_590, 0x7546_f7d2_c111_8646),
+        (26_262, 0x3e80_a6dd_838b_170b),
+        (10_111, 0x5148_e09c_c34b_a900),
+        (93_762, 0x92c5_f09e_bb33_e59c),
     ];
     // What the same four builds weighed at format version 1, where every
     // bunch entry was 16 fixed bytes.

@@ -7,14 +7,14 @@
 //! (accepting or refusing), never panics, and what it accepts is stable.
 //!
 //! Covered: `SchemeSpec::parse` (every `--scheme` flag),
-//! `FaultPlan::parse` (`DSKETCH_FAULTS`, `POST /faults?spec=`), and NETQ
-//! frames both ways — `parse_header`, then `Request::decode` or
-//! `Response::decode` on a payload as long as the header says, edited over
-//! all 256 byte values, every accepted frame re-encoding to its own bytes.
-//! Still to join: the HTTP request head and `query_pairs`,
-//! `dsketch_bench::check_args_or_exit`, and the edge-list reader.  The
-//! snapshot bytes are mutated already, by `codec_v2.rs` and
-//! `analysis_verify.rs`.
+//! `FaultPlan::parse` (`DSKETCH_FAULTS`, `POST /faults?spec=`), the
+//! edge-list reader `read_edge_list` (every accepted graph written back
+//! reads back equal), and NETQ frames both ways — `parse_header`, then
+//! `Request::decode` or `Response::decode` on a payload as long as the
+//! header says, edited over all 256 byte values, every accepted frame
+//! re-encoding to its own bytes.  Still to join: the HTTP request head and
+//! `query_pairs`, and `dsketch_bench::check_args_or_exit`.  The snapshot
+//! bytes are mutated already, by `codec_v2.rs` and `analysis_verify.rs`.
 
 use dsketch::SchemeSpec;
 use dsketch_faults::FaultPlan;
@@ -22,7 +22,8 @@ use dsketch_serve::net::protocol::{
     parse_header, DEFAULT_MAX_PAYLOAD, HEADER_LEN, REQUEST_MAGIC, RESPONSE_MAGIC,
 };
 use dsketch_serve::net::{NetError, Request, Response, WireError, WireErrorCode};
-use netgraph::NodeId;
+use netgraph::io::{read_edge_list, write_edge_list};
+use netgraph::{Graph, NodeId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Mutated inputs per parser.
@@ -132,6 +133,44 @@ fn fault_specs_never_panic() {
         if no_panic("FaultPlan::parse", &input, FaultPlan::parse).is_ok() {
             accepted += 1;
         }
+    }
+    assert!(accepted > 0, "no mutant parsed: the driver edits nothing");
+}
+
+#[test]
+fn edge_lists_never_panic_and_what_reads_writes_back_to_itself() {
+    // One-digit node counts: four edits make one at most five digits, so
+    // no mutant sizes a graph past about 10^5 nodes.  The commented-out
+    // header is one deleted `#` from a second `nodes` line.
+    let valid = [
+        "# distance-sketches edge list\nnodes 4\n0 1 5\n1 2 7\n2 3 1\n",
+        "nodes 3\n0 1 1\n# nodes 7\n\n1 2 9\n",
+        "nodes 5\n0 4 3\n4 0 2\n1 3 8\n",
+        "nodes 1\n",
+    ];
+    let alphabet = b"0123456789 \n#nodes ";
+    let shape = |graph: &Graph| {
+        (
+            graph.num_nodes(),
+            graph.undirected_edges().collect::<Vec<_>>(),
+        )
+    };
+    let mut accepted = 0;
+    for input in text_mutants(0xED6E_115D, &valid, alphabet) {
+        let read = |text: &str| read_edge_list(text.as_bytes());
+        let Ok(graph) = no_panic("read_edge_list", &input, read) else {
+            continue;
+        };
+        accepted += 1;
+        let mut written = Vec::new();
+        write_edge_list(&graph, &mut written).expect("writing to memory");
+        let again = read_edge_list(written.as_slice())
+            .unwrap_or_else(|e| panic!("{input:?} writes back as a list that is refused: {e}"));
+        assert_eq!(
+            shape(&again),
+            shape(&graph),
+            "{input:?} reads back another graph"
+        );
     }
     assert!(accepted > 0, "no mutant parsed: the driver edits nothing");
 }

@@ -62,9 +62,9 @@ fn assert_estimates_identical(a: &dyn DistanceOracle, b: &dyn DistanceOracle, n:
 // Property tests: encode/decode round trips per family
 // ---------------------------------------------------------------------------
 
-/// `decode(encode(x)) == x` for the family's layers — labels, hierarchy,
-/// net, params and recorded cost — on both engines, and the encoding is
-/// canonical: re-encoding reproduces the same bytes.
+/// `decode(encode(x)) == x` for the family's layers — labels and
+/// hierarchy — on both engines, and the encoding is canonical: re-encoding
+/// reproduces the same bytes.
 fn check_codec_round_trip(spec: SchemeSpec, n: usize, seed: u64) {
     let g = graph(n, seed);
     for engine in [BuildEngine::Congest, BuildEngine::Parallel] {
@@ -244,7 +244,7 @@ fn restamp_version(bytes: &mut [u8], version: u32) {
 
 #[test]
 fn other_format_versions_are_refused_by_version_not_by_accident() {
-    // There is no v4 reader: a file stamped version 4 (or 6) is refused
+    // There is no v5 reader: a file stamped version 5 (or 7) is refused
     // with the typed version error on every load path, before a byte of
     // its payload is interpreted, and the message says which way it is off.
     let g = graph(24, 3);
@@ -252,9 +252,9 @@ fn other_format_versions_are_refused_by_version_not_by_accident() {
     let mut bytes = Vec::new();
     dsketch_store::write_snapshot(&mut bytes, &contents).unwrap();
     assert_eq!(bytes[4..8], dsketch_store::FORMAT_VERSION.to_le_bytes());
-    assert_eq!(dsketch_store::FORMAT_VERSION, 5);
+    assert_eq!(dsketch_store::FORMAT_VERSION, 6);
 
-    for (version, direction) in [(4u32, "older"), (6, "newer")] {
+    for (version, direction) in [(5u32, "older"), (7, "newer")] {
         let mut stamped = bytes.clone();
         restamp_version(&mut stamped, version);
         let path = temp_path(&format!("stamped_v{version}.dsk"));
@@ -272,7 +272,7 @@ fn other_format_versions_are_refused_by_version_not_by_accident() {
             assert!(
                 matches!(
                     error,
-                    StoreError::UnsupportedVersion { found, supported: 5 } if found == version
+                    StoreError::UnsupportedVersion { found, supported: 6 } if found == version
                 ),
                 "version {version}: {error}"
             );

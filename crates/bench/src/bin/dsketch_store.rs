@@ -53,11 +53,11 @@
 
 use dsketch::prelude::*;
 use dsketch_bench::workloads::{QueryWorkload, Workload, WorkloadSpec};
-use dsketch_bench::{arg_engine, arg_parse_or_exit, arg_value, check_args_or_exit, Table};
+use dsketch_bench::{arg_engine, arg_parse_or_exit, arg_value, check_args_or_exit};
 use dsketch_serve::{NetConfig, NetServer, ServeConfig, ServeMeta, SketchServer};
 use dsketch_store::{
     build_and_save, build_and_save_from_edge_list, inspect_snapshot, load_frozen_oracle,
-    load_snapshot, SectionEntities, SnapshotReader,
+    load_snapshot, SnapshotReader,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -326,7 +326,7 @@ fn cmd_inspect(args: &[String]) {
         );
     }
     // Where each layer's SKCH bytes go; the layers' totals add up to the
-    // section.  (The layers are decoded once more for it: inspect only.)
+    // payload.  (The layers are decoded once more for it: inspect only.)
     let layers = load_snapshot(&path).unwrap_or_else(|e| {
         eprintln!("inspect failed: {e}");
         std::process::exit(1);
@@ -343,27 +343,15 @@ fn cmd_inspect(args: &[String]) {
         );
     }
     println!("total bytes: {}", summary.total_bytes);
-    for (entry, entities) in summary.sections.iter().zip(&summary.section_entities) {
-        if let SectionEntities::Sketches { bunch_entries, .. } = entities {
-            println!(
-                "on disk:     {:.2} {} bytes per bunch entry",
-                entry.len as f64 / (*bunch_entries).max(1) as f64,
-                entry.id
-            );
-        }
-    }
-    let mut table = Table::new(&["section", "offset", "bytes", "crc32", "decodes to"]);
-    for (entry, entities) in summary.sections.iter().zip(&summary.section_entities) {
-        table.push(vec![
-            entry.id.to_string(),
-            entry.offset.to_string(),
-            entry.len.to_string(),
-            format!("{:08x}", entry.crc),
-            entities.to_string(),
-        ]);
-    }
-    println!("{}", table.to_text());
-    println!("all checksums verified ✓");
+    println!(
+        "payload:     SKCH {} bytes ({:.2} per bunch entry): {} layer(s), {} bunch entries, {} pivots",
+        summary.payload_bytes,
+        summary.payload_bytes as f64 / summary.bunch_entries.max(1) as f64,
+        summary.layers,
+        summary.bunch_entries,
+        summary.pivots
+    );
+    println!("checksum verified ✓");
 }
 
 fn cmd_verify(args: &[String]) {
@@ -371,26 +359,14 @@ fn cmd_verify(args: &[String]) {
     match dsketch_store::verify_snapshot_file(&path) {
         Ok(summary) => {
             let (name, nodes) = (summary.spec.name(), summary.num_nodes);
-            for entities in &summary.section_entities {
-                if let SectionEntities::Sketches {
-                    layers,
-                    bunch_entries,
-                    pivots,
-                    ..
-                } = entities
-                {
-                    println!(
-                        "{path}: ok — {name} snapshot, {nodes} nodes, {layers} layer(s), \
-                         {bunch_entries} bunch entries, {pivots} pivots"
-                    );
-                }
-            }
-            let payload: u64 = summary.sections.iter().map(|section| section.len).sum();
-            for section in &summary.sections {
-                let at = summary.total_bytes - payload + section.offset;
-                let (id, len) = (section.id, section.len);
-                println!("  section {id}: {len} bytes at offset {at}, crc ok");
-            }
+            let (layers, entries, pivots) = (summary.layers, summary.bunch_entries, summary.pivots);
+            println!(
+                "{path}: ok — {name} snapshot, {nodes} nodes, {layers} layer(s), \
+                 {entries} bunch entries, {pivots} pivots"
+            );
+            let len = summary.payload_bytes;
+            let at = summary.total_bytes - 4 - len;
+            println!("  payload SKCH: {len} bytes at offset {at}, crc ok");
         }
         Err(e) => {
             eprintln!("{path}: FAILED [{}] {e}", e.kind());

@@ -63,7 +63,7 @@ fn readme_quickstart_runs_end_to_end() {
     let build = ["build", "--scheme", "tz:3", "--nodes", "256", "--out"];
     store(&[&build[..], &[g, "--threads", "2"]].concat());
     let inspect = store(&["inspect", "--snapshot", g]);
-    assert!(inspect.contains("DSK1 v6"), "{inspect}");
+    assert!(inspect.contains("DSK1 v7"), "{inspect}");
 
     let answer = query_line(&snapshot, 0, 41);
     let distance = answer
@@ -181,11 +181,11 @@ fn every_family_builds_inspects_and_verifies_and_verify_reads_its_whole_command_
         store(&["build", "--scheme", spec, "--nodes", "256", "--out", &g]);
         let inspect = store(&["inspect", "--snapshot", &g]);
         assert!(
-            inspect.contains("format:      DSK1 v6"),
+            inspect.contains("format:      DSK1 v7"),
             "{spec}: {inspect}"
         );
         // One byte split per layer, whose totals add up to the SKCH
-        // section's length in the section table.
+        // payload's length on the payload line.
         let layer_bytes: Vec<usize> = inspect
             .lines()
             .filter(|line| line.starts_with("layer "))
@@ -203,9 +203,11 @@ fn every_family_builds_inspects_and_verifies_and_verify_reads_its_whole_command_
             .lines()
             .find_map(|line| {
                 let cells: Vec<&str> = line.split_whitespace().collect();
-                (cells.first() == Some(&"SKCH")).then(|| cells[2].parse().expect("a length"))
+                cells
+                    .starts_with(&["payload:", "SKCH"])
+                    .then(|| cells[2].parse().expect("a length"))
             })
-            .expect("a SKCH row");
+            .expect("a payload line");
         let layers = if spec == "degrading" { 8 } else { 1 };
         assert_eq!(layer_bytes.len(), layers, "{spec}: {inspect}");
         assert_eq!(layer_bytes.iter().sum::<usize>(), skch, "{spec}: {inspect}");

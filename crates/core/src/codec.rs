@@ -5,7 +5,7 @@
 //! is paid **once**: labels must outlive the process that built them.  This
 //! module defines [`SketchCodec`], a hand-rolled, dependency-free binary
 //! codec for what a snapshot stores beside its labels — the [`SchemeSpec`]
-//! its header carries and [`RunStats`], the container's `STAT` record —
+//! its header carries and [`RunStats`], the header's build-cost record —
 //! and the one writer and one reader of the four family payloads, each
 //! layer's levels and label set, so that a decoded set is
 //! **bit-identical** to the one that was encoded: same pivots, same
@@ -14,7 +14,7 @@
 //! The encoding is *payload only*: framing, versioning, checksums and
 //! corruption detection live one layer up, in the `dsketch-store` snapshot
 //! container (`DSK1` format).  Keeping the codec flat and deterministic is
-//! what makes the container's section CRCs meaningful.
+//! what makes the container's one CRC meaningful.
 //!
 //! # Label sets
 //!
@@ -70,7 +70,7 @@
 //!
 //! # Family payloads
 //!
-//! A family payload (a snapshot's `SKCH` section) is the `L`
+//! A family payload (a snapshot's `SKCH` payload) is the `L`
 //! [`Layer`]s of a [`StoredSketches`] — each a label set with the
 //! sampling it was built over — after the node count, the sampling before
 //! the labels:
@@ -98,7 +98,7 @@
 //! returns the layers, [`crate::flat`] freezes them into the served form.
 //! A layer holds exactly what its payload stores, so a built set equals
 //! the decode of its own bytes.  A build's run cost is not in the payload:
-//! the container's `STAT` section and the `dsketch-obs` registry hold it.
+//! the container's header and the `dsketch-obs` registry hold it.
 //!
 //! # Stability rules
 //!

@@ -40,7 +40,7 @@
 //!   every type-erased build ([`SchemeSpec::build`]) ends with it, moving a
 //!   Thorup–Zwick layer rather than copying it.
 //! * [`FlatSketchSet::from_family_bytes`] — straight from the `SKCH`
-//!   section bytes of a `dsketch-store` snapshot, through the codec's one
+//!   payload bytes of a `dsketch-store` snapshot, through the codec's one
 //!   decoder (see [`crate::codec`], "Family payloads"), which checks every
 //!   contract of the family's labels on the way and fills the columns the
 //!   header sized up front; the slack families merge them once.
@@ -579,7 +579,7 @@ impl FlatSketchSet {
         })
     }
 
-    /// Materialize a frozen set directly from the `SKCH` section payload of
+    /// Materialize a frozen set directly from the `SKCH` payload of
     /// a `DSK1` snapshot, dispatching on the stored [`SchemeSpec`] — the
     /// cold-start path.  Reads through the codec's one decoder, as
     /// [`StoredSketches::decode_payload`] does, so it accepts exactly the

@@ -247,7 +247,7 @@ impl StoredSketches {
         self
     }
 
-    /// Encode the family payload (the `SKCH` section body of a snapshot).
+    /// Encode the family payload (the `SKCH` payload of a snapshot).
     pub fn encode_payload(&self) -> Vec<u8> {
         write_family(self)
     }

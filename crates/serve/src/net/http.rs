@@ -506,6 +506,83 @@ mod tests {
         assert!(bare.contains("parameters must be key=value"), "{bare}");
     }
 
+    /// Seeded mutation of the request head, in the manner of the other
+    /// grammars' driver (`tests/tests/parser_mutation.rs`; this one lives
+    /// here because the parsers are private): 200 000 mutants of a few
+    /// valid heads, each with 1–4 one-byte edits (insert, delete, replace)
+    /// over letters, digits, `/?&=%`, space, CR, LF and a non-UTF-8 byte
+    /// under a SplitMix64 stream, go through the request line, the query
+    /// pairs and the percent decoder.  None panics; an accepted line is
+    /// `GET` or `POST` with a target free of whitespace; accepted pairs
+    /// have distinct keys; text with no `%` decodes to itself.
+    #[test]
+    fn mutated_heads_never_panic_and_what_parses_is_well_formed() {
+        let valid: [&[u8]; 5] = [
+            b"GET /distance?u=1&v=2 HTTP/1.1\r\nhost: x\r\n\r\n",
+            b"GET /stats HTTP/1.1\r\n\r\n",
+            b"GET /trace?n=16 HTTP/1.0\r\n\r\n",
+            b"POST /swap?snapshot=%2Ftmp%2Fnext%20gen.dsk HTTP/1.1\r\n\r\n",
+            b"POST /faults?spec=seed%3D1%3Bserve.dispatch%3Dpanic HTTP/1.1\r\n\r\n",
+        ];
+        let mut alphabet: Vec<u8> = (b'a'..=b'z').chain(b'A'..=b'Z').collect();
+        alphabet.extend(b'0'..=b'9');
+        alphabet.extend_from_slice(b"/?&=% \r\n\xff");
+        let mut state = 0x4854_5450_4845_4144u64;
+        let mut below = |bound: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            usize::try_from((z ^ (z >> 31)) % bound as u64).unwrap()
+        };
+        let decodes = |text: &str| {
+            let decoded = percent_decode(text);
+            if !text.contains('%') {
+                assert_eq!(decoded.as_deref(), Some(text));
+            }
+        };
+        let mut accepted = 0;
+        for _ in 0..200_000 {
+            let mut head = valid[below(valid.len())].to_vec();
+            for _ in 0..1 + below(4) {
+                let symbol = alphabet[below(alphabet.len())];
+                match below(3) {
+                    0 => head.insert(below(head.len() + 1), symbol),
+                    1 if !head.is_empty() => drop(head.remove(below(head.len()))),
+                    _ if !head.is_empty() => {
+                        let at = below(head.len());
+                        head[at] = symbol;
+                    }
+                    _ => head.push(symbol),
+                }
+            }
+            let shown = String::from_utf8_lossy(&head).into_owned();
+            let Ok((method, target)) = parse_request_line(&head) else {
+                continue;
+            };
+            accepted += 1;
+            assert!(method == "GET" || method == "POST", "{shown:?}");
+            assert!(
+                !target.is_empty() && !target.contains(char::is_whitespace),
+                "{shown:?} gave target {target:?}"
+            );
+            let query = target.split_once('?').map_or("", |(_, query)| query);
+            decodes(query);
+            let Ok(pairs) = query_pairs(query) else {
+                continue;
+            };
+            for (at, &(key, value)) in pairs.iter().enumerate() {
+                assert!(
+                    pairs[..at].iter().all(|&(seen, _)| seen != key),
+                    "{shown:?} repeats {key:?}"
+                );
+                decodes(key);
+                decodes(value);
+            }
+        }
+        assert!(accepted > 0, "no mutant parsed: the driver edits nothing");
+    }
+
     #[test]
     fn replies_carry_content_length_and_close() {
         let reply = json_reply(200, "{\"ok\":true}");

@@ -205,7 +205,7 @@ impl SketchServer {
 
     /// Cold-start a server from a `DSK1` sketch snapshot on disk, without
     /// running the builder at all: load the snapshot (CRC-verified),
-    /// decode the section bytes straight into the label columns of the
+    /// decode the `SKCH` payload straight into the label columns of the
     /// frozen [`FlatSketchSet`](dsketch::flat::FlatSketchSet), and serve
     /// it.
     ///

@@ -1,10 +1,11 @@
-//! CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the per-section
-//! corruption check of the `DSK1` format.
+//! CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the corruption
+//! check of the `DSK1` format.
 //!
 //! Hand-rolled so the store stays dependency-free; the tables are built at
 //! compile time.  This is the same CRC as zlib/PNG, so snapshots can be
 //! cross-checked with standard tools (`python3 -c 'import zlib, sys;
-//! print(hex(zlib.crc32(open(sys.argv[1], "rb").read())))' section.bin`).
+//! print(hex(zlib.crc32(open(sys.argv[1], "rb").read()[:-4])))' g.dsk` prints
+//! the checksum a snapshot stores in its last four bytes, little-endian).
 //!
 //! Whole snapshots go through here on every write, load, verify and swap,
 //! so the loop is slicing-by-8: eight bytes per step through eight tables,
@@ -65,7 +66,14 @@ fn update_bytewise(mut crc: u32, bytes: &[u8]) -> u32 {
 
 /// The CRC-32 of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
+    crc32_extend(0, bytes)
+}
+
+/// The CRC-32 of a stream whose first part has CRC-32 `crc` and whose
+/// rest is `bytes` (zlib's `crc32(crc, buf, len)`): one checksum over
+/// parts held in separate buffers.
+pub(crate) fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
+    let mut crc = !crc;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
         let state = crc.to_le_bytes();
@@ -121,6 +129,15 @@ mod tests {
                 reference(&buffer[3..]),
                 "round {round}"
             );
+        }
+    }
+
+    #[test]
+    fn a_crc_extends_across_parts() {
+        let whole = b"distance sketches, stored once";
+        for split in 0..=whole.len() {
+            let (head, tail) = whole.split_at(split);
+            assert_eq!(crc32_extend(crc32(head), tail), crc32(whole), "{split}");
         }
     }
 

@@ -5,7 +5,6 @@
 //! snapshot is always reported, never a panic and never a silently wrong
 //! oracle.
 
-use crate::format::{SectionId, HEADER};
 use dsketch::codec::CodecError;
 use dsketch::SketchError;
 use netgraph::GraphFingerprint;
@@ -34,47 +33,19 @@ pub enum StoreError {
         /// The one version this build reads and writes.
         supported: u32,
     },
-    /// The header bytes do not match their own checksum (header corruption).
-    HeaderChecksumMismatch {
+    /// The bytes before the final CRC do not match it (corruption
+    /// anywhere in the header or the payload).
+    ChecksumMismatch {
         /// CRC recorded in the file.
         expected: u32,
         /// CRC of the bytes actually read.
         actual: u32,
     },
-    /// A section's payload does not match the checksum in the section
-    /// table (payload corruption).
-    SectionChecksumMismatch {
-        /// The corrupted section.
-        section: SectionId,
-        /// CRC recorded in the section table.
-        expected: u32,
-        /// CRC of the payload actually read.
-        actual: u32,
-    },
-    /// The section table itself is inconsistent (overlapping or
-    /// out-of-order sections, lengths exceeding the payload).
-    MalformedSectionTable {
-        /// Description of the inconsistency.
-        message: String,
-    },
-    /// Bytes follow the payload area the section table declares: no
-    /// section claims them and no checksum covers them.
-    TrailingBytes {
-        /// Length of the declared payload area.
-        declared: u64,
-    },
-    /// A section required to reconstruct the oracle is absent.
-    MissingSection {
-        /// The absent section.
-        section: SectionId,
-    },
-    /// A section's payload failed to decode.
-    Codec {
-        /// The section being decoded.
-        section: SectionId,
-        /// The underlying decode failure.
-        source: CodecError,
-    },
+    /// The header's fields failed to decode.
+    Header(CodecError),
+    /// The `SKCH` payload failed to decode, or decoded to labels that break
+    /// a contract of their family or of the header.
+    Payload(CodecError),
     /// The snapshot was built on a different graph than the one supplied.
     FingerprintMismatch {
         /// Fingerprint recorded in the snapshot header.
@@ -112,31 +83,12 @@ impl std::fmt::Display for StoreError {
                     "a newer format: upgrade this build"
                 }
             ),
-            StoreError::HeaderChecksumMismatch { expected, actual } => write!(
+            StoreError::ChecksumMismatch { expected, actual } => write!(
                 f,
-                "header checksum mismatch: stored {expected:08x}, computed {actual:08x}"
+                "snapshot checksum mismatch: stored {expected:08x}, computed {actual:08x}"
             ),
-            StoreError::SectionChecksumMismatch {
-                section,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "section {section} checksum mismatch: stored {expected:08x}, computed {actual:08x}"
-            ),
-            StoreError::MalformedSectionTable { message } => {
-                write!(f, "malformed section table: {message}")
-            }
-            StoreError::TrailingBytes { declared } => write!(
-                f,
-                "bytes follow the {declared}-byte payload area the section table declares"
-            ),
-            StoreError::MissingSection { section } => {
-                write!(f, "required section {section} is missing")
-            }
-            StoreError::Codec { section, source } => {
-                write!(f, "section {section} failed to decode: {source}")
-            }
+            StoreError::Header(source) => write!(f, "header failed to decode: {source}"),
+            StoreError::Payload(source) => write!(f, "SKCH payload failed to decode: {source}"),
             StoreError::FingerprintMismatch { snapshot, graph } => write!(
                 f,
                 "snapshot was built on a different graph: snapshot has {snapshot}, \
@@ -152,7 +104,7 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io(e) => Some(e),
-            StoreError::Codec { source, .. } => Some(source),
+            StoreError::Header(source) | StoreError::Payload(source) => Some(source),
             StoreError::Sketch(e) => Some(e),
             StoreError::EdgeList(e) => Some(e),
             _ => None,
@@ -170,13 +122,9 @@ impl StoreError {
             StoreError::Truncated { .. } => "truncated",
             StoreError::BadMagic { .. } => "bad-magic",
             StoreError::UnsupportedVersion { .. } => "unsupported-version",
-            StoreError::HeaderChecksumMismatch { .. } => "header-checksum",
-            StoreError::SectionChecksumMismatch { .. } => "section-checksum",
-            StoreError::MalformedSectionTable { .. } => "section-table",
-            StoreError::TrailingBytes { .. } => "trailing-bytes",
-            StoreError::MissingSection { .. } => "missing-section",
-            StoreError::Codec { section, .. } if *section == HEADER => "header-decode",
-            StoreError::Codec { source, .. } => match source {
+            StoreError::ChecksumMismatch { .. } => "checksum",
+            StoreError::Header(_) => "header-decode",
+            StoreError::Payload(source) => match source {
                 CodecError::TrailingBytes { .. } => "trailing-bytes",
                 CodecError::PivotRow(_) => "pivot-row",
                 CodecError::HierarchyContract(_) => "hierarchy-contract",
@@ -238,16 +186,18 @@ mod tests {
         assert!(StoreError::Truncated { context: "header" }
             .to_string()
             .contains("header"));
-        let section = SectionId(*b"SKCH");
-        assert!(StoreError::MissingSection { section }
-            .to_string()
-            .contains("SKCH"));
-        assert!(StoreError::SectionChecksumMismatch {
-            section,
+        assert!(StoreError::ChecksumMismatch {
             expected: 1,
             actual: 2
         }
         .to_string()
         .contains("checksum"));
+        let eof = || CodecError::UnexpectedEof {
+            context: "node count",
+            needed: 8,
+            remaining: 0,
+        };
+        assert!(StoreError::Payload(eof()).to_string().contains("SKCH"));
+        assert!(StoreError::Header(eof()).to_string().contains("header"));
     }
 }

@@ -12,12 +12,12 @@
 //! ```text
 //! build ──► save ──► inspect ──► load ──► serve
 //! (CONGEST   (DSK1    (header +   (CRC-     (SketchServer::
-//!  rounds,    file)    sections)   verified   from_snapshot)
+//!  rounds,    file)    payload)    verified   from_snapshot)
 //!  once)                           oracle)
 //! ```
 //!
 //! There is one snapshot reader.  A load, a hot swap, `inspect` and
-//! `verify` all parse the container once ([`SnapshotReader`]) and decode
+//! `verify` all read the container once ([`SnapshotReader`]) and decode
 //! the labels once, through the codec's one family reader, which reads
 //! every row against the sampling stored before it (pivots derived, ids
 //! ranked within their level) and holds the payload to what the bytes can
@@ -31,8 +31,8 @@
 //! A snapshot is a [`format::Header`] (magic `DSK1`, major version, the
 //! [`SchemeSpec`](dsketch::SchemeSpec) it was built with, the
 //! [`GraphFingerprint`](netgraph::GraphFingerprint) of the graph it was
-//! built on, and a section table) followed by contiguous sections, each
-//! CRC-32 checked.  Payload encodings are the stable
+//! built on, and the build's cost when recorded), then the `SKCH` payload,
+//! then one CRC-32 over both.  Encodings are the stable
 //! [`SketchCodec`](dsketch::codec::SketchCodec) layer in `dsketch::codec`
 //! (label sets as gap-coded varints beside a landmark table, everything
 //! else little-endian and fixed-width).
@@ -42,7 +42,7 @@
 //! # Safety properties
 //!
 //! * **Corruption is detected, never served**: truncation, bit flips,
-//!   trailing bytes, inconsistent section tables and labels that break
+//!   appended bytes (the CRC no longer sits last) and labels that break
 //!   their family's contracts all fail with a typed [`StoreError`].
 //! * **Wrong-graph loads are refused**: [`load_oracle_for_graph`] compares
 //!   the snapshot's stored fingerprint against the supplied graph.
@@ -103,12 +103,12 @@ pub mod watch;
 /// snapshot carries one).
 pub use dsketch::StoredSketches;
 pub use error::StoreError;
-pub use format::{SectionId, FORMAT_VERSION, MAGIC, SECTION_BUILD_STATS, SECTION_SKETCHES};
+pub use format::{FORMAT_VERSION, MAGIC};
 pub use pipeline::{
     build_and_save, build_and_save_from_edge_list, build_stored, inspect_snapshot,
     load_frozen_oracle, load_oracle_for_graph, load_snapshot, peek_snapshot_meta,
     read_frozen_oracle, read_snapshot, save_snapshot, snapshot_tmp_path, verify_snapshot_bytes,
-    verify_snapshot_file, write_snapshot, SectionEntities, SnapshotContents, SnapshotSummary,
+    verify_snapshot_file, write_snapshot, SnapshotContents, SnapshotSummary,
 };
-pub use snapshot::{RawSnapshot, SnapshotReader, SnapshotWriter};
+pub use snapshot::{RawSnapshot, SnapshotReader};
 pub use watch::{WatchCore, WatchOutcome};

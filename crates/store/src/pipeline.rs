@@ -20,16 +20,16 @@
 //!   arrays too).
 //!
 //! Every path from bytes to labels — cold start, hot swap, the map loader,
-//! `inspect`, `verify` — parses the container once with
-//! [`SnapshotReader`] and decodes the `SKCH` section once through the
-//! codec's one family reader, so they accept the same files and refuse the
-//! rest with the same [`StoreError::kind`].
+//! `inspect`, `verify` — reads the container once with [`SnapshotReader`]
+//! and decodes the `SKCH` payload once through the codec's one family
+//! reader, so they accept the same files and refuse the rest with the same
+//! [`StoreError::kind`].
 
 use crate::error::StoreError;
-use crate::format::{SectionEntry, SECTION_BUILD_STATS, SECTION_SKETCHES};
-use crate::snapshot::{RawSnapshot, SnapshotReader, SnapshotWriter};
+use crate::format::Header;
+use crate::snapshot::{write_container, RawSnapshot, SnapshotReader};
 use congest_sim::RunStats;
-use dsketch::codec::{CodecError, SketchCodec};
+use dsketch::codec::CodecError;
 use dsketch::prelude::*;
 use dsketch::sketch::TableShape;
 use netgraph::{Graph, GraphFingerprint};
@@ -48,15 +48,17 @@ pub struct SnapshotContents {
     pub build_stats: Option<RunStats>,
 }
 
-/// Serialize `contents` to any writer.  Returns the bytes written.
+/// Serialize `contents` to any writer: the header, the `SKCH` payload
+/// ([`StoredSketches::encode_payload`]) and one CRC over both.  Returns the
+/// bytes written.
 pub fn write_snapshot<W: Write>(writer: W, contents: &SnapshotContents) -> Result<u64, StoreError> {
     let started = std::time::Instant::now();
-    let mut snapshot = SnapshotWriter::new(contents.sketches.spec, contents.fingerprint);
-    snapshot.add_section(SECTION_SKETCHES, contents.sketches.encode_payload());
-    if let Some(stats) = &contents.build_stats {
-        snapshot.add_section(SECTION_BUILD_STATS, stats.to_bytes());
-    }
-    let written = snapshot.write_to(writer)?;
+    let header = Header {
+        spec: contents.sketches.spec,
+        fingerprint: contents.fingerprint,
+        build_stats: contents.build_stats.clone(),
+    };
+    let written = write_container(writer, &header, &contents.sketches.encode_payload())?;
     let registry = dsketch_obs::global();
     registry
         .histogram(
@@ -67,7 +69,7 @@ pub fn write_snapshot<W: Write>(writer: W, contents: &SnapshotContents) -> Resul
     registry
         .counter(
             "dsketch_store_save_bytes_total",
-            "Snapshot bytes written (headers, sections, checksums).",
+            "Snapshot bytes written (headers, payloads, checksums).",
         )
         .add(written);
     Ok(written)
@@ -198,18 +200,18 @@ pub fn peek_snapshot_meta<P: AsRef<Path>>(
 }
 
 fn decode_raw(raw: RawSnapshot) -> Result<SnapshotContents, StoreError> {
-    let payload = raw.require_section(SECTION_SKETCHES)?;
-    let sketches = StoredSketches::decode_payload(&raw.spec(), payload).map_err(skch_error)?;
-    let build_stats = raw.check_labels(sketches.num_nodes())?;
+    let sketches =
+        StoredSketches::decode_payload(&raw.spec(), raw.payload()).map_err(StoreError::Payload)?;
+    raw.check_labels(sketches.num_nodes())?;
     Ok(SnapshotContents {
         fingerprint: raw.fingerprint(),
         sketches,
-        build_stats,
+        build_stats: raw.header().build_stats.clone(),
     })
 }
 
 /// Load the snapshot at `path` straight into a **frozen** oracle: the
-/// `SKCH` section bytes are decoded straight into the label columns a
+/// `SKCH` payload bytes are decoded straight into the label columns a
 /// [`FlatSketchSet`] serves (merged into rows for the slack families) —
 /// the cold-start path of every server and CLI.
 /// The scheme is dispatched from the stored [`SchemeSpec`] — callers do not
@@ -228,7 +230,7 @@ pub fn read_frozen_oracle<R: Read>(reader: R) -> Result<Box<dyn DistanceOracle>,
 }
 
 impl RawSnapshot {
-    /// Materialize the `SKCH` section of this already parsed and
+    /// Materialize the `SKCH` payload of this already read and
     /// CRC-verified container into a frozen oracle — the decode half of
     /// [`read_frozen_oracle`], for callers that also need the header
     /// (origin checks before a swap) and must not parse the bytes twice.
@@ -238,49 +240,33 @@ impl RawSnapshot {
     /// `dsketch_store_snapshot_load_nanos`, and its bytes to
     /// `dsketch_store_load_bytes_total`.
     pub fn frozen_oracle(&self) -> Result<Box<dyn DistanceOracle>, StoreError> {
-        let (flat, _) = self.decode_flat()?;
+        let flat = self.decode_flat()?;
         record_snapshot_load(self.read_started, self.total_bytes());
         Ok(Box::new(flat))
     }
 
     /// The one decode every reader of the served form runs: the `SKCH`
-    /// section into a [`FlatSketchSet`], held to its family's contracts
+    /// payload into a [`FlatSketchSet`], held to its family's contracts
     /// ([`FlatSketchSet::from_family_bytes`]) and to the header's
     /// ([`RawSnapshot::check_labels`]).
-    fn decode_flat(&self) -> Result<(FlatSketchSet, Option<RunStats>), StoreError> {
-        let flat =
-            FlatSketchSet::from_family_bytes(&self.spec(), self.require_section(SECTION_SKETCHES)?)
-                .map_err(skch_error)?;
-        let build_stats = self.check_labels(flat.num_nodes())?;
-        Ok((flat, build_stats))
+    fn decode_flat(&self) -> Result<FlatSketchSet, StoreError> {
+        let flat = FlatSketchSet::from_family_bytes(&self.spec(), self.payload())
+            .map_err(StoreError::Payload)?;
+        self.check_labels(flat.num_nodes())?;
+        Ok(flat)
     }
 
     /// What a snapshot holds its decoded labels to beyond their payload:
-    /// they cover the node count of the graph the header names, and a
-    /// `STAT` section, when present, decodes (to what is returned).
-    fn check_labels(&self, labels: usize) -> Result<Option<RunStats>, StoreError> {
+    /// they cover the node count of the graph the header names.
+    fn check_labels(&self, labels: usize) -> Result<(), StoreError> {
         let says = self.fingerprint().nodes;
         if u64::try_from(labels).ok() != Some(says) {
-            return Err(skch_error(CodecError::invalid(
+            return Err(StoreError::Payload(CodecError::invalid(
                 "SketchSet length",
                 format!("the labels cover {labels} nodes but the fingerprint says {says}"),
             )));
         }
-        self.section(SECTION_BUILD_STATS)
-            .map(RunStats::from_bytes)
-            .transpose()
-            .map_err(|source| StoreError::Codec {
-                section: SECTION_BUILD_STATS,
-                source,
-            })
-    }
-}
-
-/// A failure decoding the `SKCH` section.
-fn skch_error(source: CodecError) -> StoreError {
-    StoreError::Codec {
-        section: SECTION_SKETCHES,
-        source,
+        Ok(())
     }
 }
 
@@ -356,61 +342,6 @@ pub fn build_and_save_from_edge_list<P: AsRef<Path>, Q: AsRef<Path>>(
     Ok((graph, contents, bytes))
 }
 
-/// What one section's payload decodes to — the "entities" column of
-/// `dsketch-store inspect`.  Byte lengths say how big a section is;
-/// this says what is *in* it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SectionEntities {
-    /// The `SKCH` family payload: decoded sketch counts.
-    Sketches {
-        /// Sketch layers (`1` for the single-layer families, the layer
-        /// count for the gracefully degrading scheme).
-        layers: usize,
-        /// Nodes covered (per layer).
-        nodes: usize,
-        /// Total bunch entries across every sketch of every layer.
-        bunch_entries: usize,
-        /// Pivot slots holding a pivot, across every layer.
-        pivots: usize,
-    },
-    /// The `STAT` section: decoded construction-cost records.
-    BuildStats {
-        /// Number of decoded [`RunStats`] records.
-        records: usize,
-    },
-    /// A section this inspector does not decode (the forward-compat
-    /// carry path for unknown ids).
-    Opaque,
-}
-
-impl std::fmt::Display for SectionEntities {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SectionEntities::Sketches {
-                layers,
-                nodes,
-                bunch_entries,
-                ..
-            } if *layers == 1 => {
-                write!(f, "{nodes} nodes, {bunch_entries} bunch entries")
-            }
-            SectionEntities::Sketches {
-                layers,
-                nodes,
-                bunch_entries,
-                ..
-            } => write!(
-                f,
-                "{layers} layers × {nodes} nodes, {bunch_entries} bunch entries"
-            ),
-            SectionEntities::BuildStats { records } => {
-                write!(f, "{records} build-stats record")
-            }
-            SectionEntities::Opaque => write!(f, "(not decoded)"),
-        }
-    }
-}
-
 /// A decoded header summary: what `dsketch-store inspect` prints.
 #[derive(Debug, Clone)]
 pub struct SnapshotSummary {
@@ -420,12 +351,17 @@ pub struct SnapshotSummary {
     pub spec: SchemeSpec,
     /// The stored graph fingerprint.
     pub fingerprint: GraphFingerprint,
-    /// The section table.
-    pub sections: Vec<SectionEntry>,
-    /// What each section's payload decodes to, parallel to `sections`.
-    pub section_entities: Vec<SectionEntities>,
     /// Total snapshot size in bytes.
     pub total_bytes: u64,
+    /// Size of the `SKCH` payload in bytes.
+    pub payload_bytes: u64,
+    /// Sketch layers (`1` for the single-layer families, the layer count
+    /// for the gracefully degrading scheme).
+    pub layers: usize,
+    /// Total bunch entries across every sketch of every layer.
+    pub bunch_entries: usize,
+    /// Pivot slots holding a pivot, across every layer.
+    pub pivots: usize,
     /// Nodes covered by the sketches.
     pub num_nodes: usize,
     /// Largest per-node label, in CONGEST words.
@@ -438,7 +374,7 @@ pub struct SnapshotSummary {
     pub tables: Vec<TableShape>,
 }
 
-/// Summarize the snapshot at `path`: header fields, section table, label
+/// Summarize the snapshot at `path`: header fields, payload size, label
 /// statistics.  Runs the decode a load runs, so an `inspect` that says
 /// "ok" means the snapshot will load.
 pub fn inspect_snapshot<P: AsRef<Path>>(path: P) -> Result<SnapshotSummary, StoreError> {
@@ -467,43 +403,28 @@ pub fn verify_snapshot_bytes(bytes: &[u8]) -> Result<SnapshotSummary, StoreError
 fn verify(raw: &RawSnapshot) -> Result<SnapshotSummary, StoreError> {
     let (summary, flat) = summarize(raw)?;
     flat.check_invariants()
-        .map_err(|message| skch_error(CodecError::invalid("FlatSketchSet", message)))?;
+        .map_err(|message| StoreError::Payload(CodecError::invalid("FlatSketchSet", message)))?;
     Ok(summary)
 }
 
 /// Decode `raw` as a load does and describe it.  The label counts come from
 /// the decoded set: a bunch entry and a present pivot are two words each.
 fn summarize(raw: &RawSnapshot) -> Result<(SnapshotSummary, FlatSketchSet), StoreError> {
-    let (flat, build_stats) = raw.decode_flat()?;
+    let flat = raw.decode_flat()?;
     let pivots = flat.present_pivots();
-    let sketches = SectionEntities::Sketches {
-        layers: flat.num_layers(),
-        nodes: flat.num_nodes(),
-        bunch_entries: flat.total_words() / 2 - pivots,
-        pivots,
-    };
-    let sections = raw.header().sections.clone();
-    let section_entities = sections
-        .iter()
-        .map(|entry| match entry.id {
-            SECTION_SKETCHES => sketches.clone(),
-            SECTION_BUILD_STATS => SectionEntities::BuildStats {
-                records: usize::from(build_stats.is_some()),
-            },
-            _ => SectionEntities::Opaque,
-        })
-        .collect();
     let summary = SnapshotSummary {
-        version: raw.header().version,
+        version: crate::format::FORMAT_VERSION,
         spec: raw.spec(),
         fingerprint: raw.fingerprint(),
-        sections,
-        section_entities,
         total_bytes: raw.total_bytes(),
+        payload_bytes: dsketch::cast::u64_from_usize(raw.payload().len()),
+        layers: flat.num_layers(),
+        bunch_entries: flat.total_words() / 2 - pivots,
+        pivots,
         num_nodes: flat.num_nodes(),
         max_words: flat.max_words(),
         avg_words: flat.avg_words(),
-        build_stats,
+        build_stats: raw.header().build_stats.clone(),
         tables: flat.tables().to_vec(),
     };
     Ok((summary, flat))
@@ -645,12 +566,8 @@ mod tests {
         // A CRC-valid container whose SKCH payload is not a label set: the
         // right graph gets as far as the decoder, the wrong one must not.
         let graph = graph();
-        let mut writer = SnapshotWriter::new(SchemeSpec::thorup_zwick(2), graph.fingerprint());
-        writer.add_section(SECTION_SKETCHES, vec![0xff; 8]);
         let path = temp_path("fp_first.dsk");
-        writer
-            .write_to(std::fs::File::create(&path).unwrap())
-            .unwrap();
+        write_bare(&path, &graph, &[0xff; 8]);
         let other = erdos_renyi(49, 0.15, GeneratorConfig::uniform(5, 1, 20));
         assert!(matches!(
             load_oracle_for_graph(&path, &other),
@@ -658,16 +575,26 @@ mod tests {
         ));
         assert!(matches!(
             load_oracle_for_graph(&path, &graph),
-            Err(StoreError::Codec { .. })
+            Err(StoreError::Payload(_))
         ));
         std::fs::remove_file(&path).ok();
     }
 
+    /// A CRC-valid snapshot of `graph` with `payload` as its `SKCH` bytes.
+    fn write_bare(path: &Path, graph: &Graph, payload: &[u8]) {
+        let header = Header {
+            spec: SchemeSpec::thorup_zwick(2),
+            fingerprint: graph.fingerprint(),
+            build_stats: None,
+        };
+        write_container(std::fs::File::create(path).unwrap(), &header, payload).unwrap();
+    }
+
     #[test]
-    fn inspect_reports_the_section_table() {
+    fn inspect_reports_the_payload() {
         let graph = graph();
         let path = temp_path("inspect.dsk");
-        build_and_save(
+        let (contents, _) = build_and_save(
             &graph,
             SchemeSpec::thorup_zwick(2),
             &SchemeConfig::default().with_seed(1),
@@ -678,26 +605,12 @@ mod tests {
         assert_eq!(summary.version, crate::format::FORMAT_VERSION);
         assert_eq!(summary.num_nodes, 48);
         assert!(summary.max_words > 0);
-        assert_eq!(summary.sections.len(), 2, "SKCH + STAT");
-        // The entities column decodes what is *in* each section, not just
-        // how many bytes it holds.
-        assert!(
-            matches!(
-                summary.section_entities[0],
-                SectionEntities::Sketches {
-                    layers: 1,
-                    nodes: 48,
-                    bunch_entries,
-                    pivots,
-                } if bunch_entries > 0 && pivots >= 48
-            ),
-            "{:?}",
-            summary.section_entities[0]
-        );
-        assert_eq!(
-            summary.section_entities[1],
-            SectionEntities::BuildStats { records: 1 }
-        );
+        // What is *in* the payload, not just how many bytes it holds.
+        assert_eq!(summary.layers, 1);
+        assert!(summary.bunch_entries > 0);
+        assert!(summary.pivots >= 48);
+        let payload = contents.sketches.encode_payload().len();
+        assert_eq!(summary.payload_bytes, u64::try_from(payload).unwrap());
         assert!(summary.build_stats.unwrap().rounds > 0);
         assert_eq!(summary.total_bytes, std::fs::metadata(&path).unwrap().len());
         std::fs::remove_file(&path).ok();
@@ -727,16 +640,14 @@ mod tests {
 
     #[test]
     fn missing_sketch_section_is_a_typed_error() {
-        let graph = graph();
-        let writer = SnapshotWriter::new(SchemeSpec::thorup_zwick(2), graph.fingerprint());
+        // An empty payload: a header and its CRC, no SKCH bytes.
         let path = temp_path("empty.dsk");
-        let file = std::fs::File::create(&path).unwrap();
-        writer.write_to(file).unwrap();
+        write_bare(&path, &graph(), &[]);
         let err = match load_frozen_oracle(&path) {
-            Ok(_) => panic!("snapshot without a SKCH section must be refused"),
+            Ok(_) => panic!("snapshot without SKCH bytes must be refused"),
             Err(e) => e,
         };
-        assert!(matches!(err, StoreError::MissingSection { .. }), "{err}");
+        assert_eq!(err.kind(), "section-decode", "{err}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -747,7 +658,6 @@ mod tests {
         assert_eq!(kind(b"not a snapshot at all"), "bad-magic");
         let mut prelude = crate::format::MAGIC.to_vec();
         prelude.extend_from_slice(&99u32.to_le_bytes());
-        prelude.extend_from_slice(&0u32.to_le_bytes());
         assert!(matches!(
             verify_snapshot_bytes(&prelude),
             Err(StoreError::UnsupportedVersion { found: 99, .. })
@@ -760,7 +670,6 @@ mod tests {
         for version in [supported - 1, supported + 1] {
             let mut prelude = crate::format::MAGIC.to_vec();
             prelude.extend_from_slice(&version.to_le_bytes());
-            prelude.extend_from_slice(&0u32.to_le_bytes());
             let err = verify_snapshot_bytes(&prelude).unwrap_err();
             assert!(
                 matches!(err, StoreError::UnsupportedVersion { found, supported: s }

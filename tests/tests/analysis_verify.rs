@@ -10,9 +10,9 @@
 //!   for every family over random graphs and seeds, is accepted everywhere
 //!   and reports the right entity counts (property-tested).
 //! * **Rejection of corrupted input** — a mutation sweep.  Unsigned
-//!   single-bit flips anywhere in the file must be rejected (the CRCs'
+//!   single-bit flips anywhere in the file must be rejected (the CRC's
 //!   job).  Then the adversarial half: targeted semantic corruptions with
-//!   the CRCs **re-signed**, which the container accepts and only the label
+//!   the CRC **re-signed**, which the container accepts and only the label
 //!   contracts can catch — each must be refused on all four ingresses with
 //!   the `StoreError::kind()` that names the violated contract.
 //! * **Seeded mutation fuzz** — random edits inside `SKCH`, re-signed:
@@ -22,7 +22,7 @@
 use dsketch::prelude::*;
 use dsketch_store::{
     build_stored, inspect_snapshot, read_frozen_oracle, read_snapshot, verify_snapshot_bytes,
-    write_snapshot, SectionEntities, SnapshotWriter, StoreError, SECTION_BUILD_STATS,
+    write_snapshot, StoreError,
 };
 use netgraph::generators::{erdos_renyi, GeneratorConfig};
 use netgraph::{Graph, NodeId};
@@ -73,105 +73,30 @@ fn le_u64(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
 }
 
-/// Where things live in one snapshot: the section rows (id, payload
-/// offset, length) and the fixed landmarks needed to re-sign it.
-struct Layout {
-    /// Start of the section-row array within the file.
-    rows_start: usize,
-    /// End of the header body == where the header CRC lives.
-    body_end: usize,
-    /// `(id, file offset, len)` per section, in payload order.
-    sections: Vec<([u8; 4], usize, usize)>,
-}
-
-/// Recover the section table without decoding the (variable-length) scheme
-/// spec: the rows are the last `count * 24` bytes of the header body with
-/// the count word directly before them, so the right `count` is the one
-/// whose rows are contiguous and exactly cover the payload area.
-fn layout(bytes: &[u8]) -> Layout {
-    let header_len = le_u32(bytes, 8) as usize;
-    let body_end = 12 + header_len - 4;
-    let payload_start = 12 + header_len;
-    let payload_len = bytes.len() - payload_start;
-    for count in 0..=32usize {
-        let rows_start = match (body_end.checked_sub(count * 24), count) {
-            (Some(start), _) if start >= 16 => start,
-            _ => break,
-        };
-        if le_u32(bytes, rows_start - 4) as usize != count {
-            continue;
-        }
-        let mut sections = Vec::new();
-        let mut cursor = 0usize;
-        let mut consistent = true;
-        for row in 0..count {
-            let at = rows_start + row * 24;
-            let id: [u8; 4] = bytes[at..at + 4].try_into().unwrap();
-            let offset = le_u64(bytes, at + 4) as usize;
-            let len = le_u64(bytes, at + 12) as usize;
-            if offset != cursor {
-                consistent = false;
-                break;
-            }
-            sections.push((id, payload_start + offset, len));
-            cursor = offset + len;
-        }
-        if consistent && cursor == payload_len {
-            return Layout {
-                rows_start,
-                body_end,
-                sections,
-            };
-        }
-    }
-    panic!("could not recover the section table from the snapshot bytes");
-}
-
-/// Recompute every section CRC and the header CRC — what an adversary (or
-/// a buggy writer) would do after editing payload bytes, producing a file
-/// the container-level checks fully accept.
+/// Re-sign `bytes`: the CRC over everything before the last four bytes,
+/// written there — what an adversary (or a buggy writer) would do after
+/// editing a byte, producing a file the container fully accepts.
 fn resign(bytes: &mut [u8]) {
-    let layout = layout(bytes);
-    for (row, &(_, file_offset, len)) in layout.sections.iter().enumerate() {
-        let crc = crc32(&bytes[file_offset..file_offset + len]);
-        let at = layout.rows_start + row * 24 + 20;
-        bytes[at..at + 4].copy_from_slice(&crc.to_le_bytes());
-    }
-    let header_crc = crc32(&bytes[..layout.body_end]);
-    bytes[layout.body_end..layout.body_end + 4].copy_from_slice(&header_crc.to_le_bytes());
+    let body_end = bytes.len() - 4;
+    let crc = crc32(&bytes[..body_end]);
+    bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
 }
 
+/// The file offset and length of a valid snapshot's `SKCH` payload.  It
+/// lies between the header and the CRC, so it starts
+/// `len − 4 − encode_payload().len()` bytes in.
 fn skch_range(bytes: &[u8]) -> (usize, usize) {
-    let layout = layout(bytes);
-    let &(_, offset, len) = layout
-        .sections
-        .iter()
-        .find(|(id, _, _)| id == b"SKCH")
-        .expect("snapshot has a SKCH section");
-    (offset, len)
+    let contents = read_snapshot(bytes).expect("a valid snapshot");
+    let len = contents.sketches.encode_payload().len();
+    (bytes.len() - 4 - len, len)
 }
 
 /// Replace `old_len` bytes at file offset `at` (inside the `SKCH` payload)
-/// with `new`, then put the container back in order around the edit: the
-/// section's declared length, every later section's offset, and all CRCs.
+/// with `new`, then re-sign: no length or offset says where the payload
+/// ends, so nothing else needs fixing.
 fn splice_skch(bytes: &mut Vec<u8>, at: usize, old_len: usize, new: &[u8]) {
-    let layout = layout(bytes);
-    let (skch_row, &(_, skch_at, skch_len)) = layout
-        .sections
-        .iter()
-        .enumerate()
-        .find(|(_, (id, _, _))| id == b"SKCH")
-        .expect("snapshot has a SKCH section");
-    assert!(skch_at <= at && at + old_len <= skch_at + skch_len);
+    assert!(at + old_len <= bytes.len() - 4, "an edit before the CRC");
     bytes.splice(at..at + old_len, new.iter().copied());
-    let new_len = (skch_len - old_len + new.len()) as u64;
-    let len_at = layout.rows_start + skch_row * 24 + 12;
-    bytes[len_at..len_at + 8].copy_from_slice(&new_len.to_le_bytes());
-    for row in skch_row + 1..layout.sections.len() {
-        let offset_at = layout.rows_start + row * 24 + 4;
-        let offset = le_u64(bytes, offset_at) - old_len as u64 + new.len() as u64;
-        bytes[offset_at..offset_at + 8].copy_from_slice(&offset.to_le_bytes());
-    }
     resign(bytes);
 }
 
@@ -187,7 +112,7 @@ fn varint_bytes(mut v: u64) -> Vec<u8> {
     out
 }
 
-/// A cursor over the label-set bytes of a snapshot's `SKCH` section, from
+/// A cursor over the label-set bytes of a snapshot's `SKCH` payload, from
 /// the levels they are written against (the first layer's right after the
 /// payload's node count, each later one's after the set before it),
 /// yielding the file positions the targeted mutations need.  A row is its runs — per level below the top, a length
@@ -245,17 +170,12 @@ struct SetHeader {
 
 impl<'a> TzSketchCursor<'a> {
     /// Position the cursor at the first row of a Thorup–Zwick `SKCH`
-    /// section's label set, at the `k` of the header's spec (`tag u8 = 0,
-    /// k u64` at the top of the body), returning the header too.
+    /// payload's label set, at the `k` of the header's spec (`tag u8 = 0,
+    /// k u64` right after magic and version), returning the header too.
     fn new(bytes: &'a [u8]) -> (Self, SetHeader) {
-        assert_eq!(bytes[12], 0, "Thorup–Zwick spec tag");
+        assert_eq!(bytes[8], 0, "Thorup–Zwick spec tag");
         let skch_at = skch_range(bytes).0;
-        Self::at(
-            bytes,
-            skch_at + 8,
-            le_u64(bytes, skch_at),
-            le_u64(bytes, 13),
-        )
+        Self::at(bytes, skch_at + 8, le_u64(bytes, skch_at), le_u64(bytes, 9))
     }
 
     /// [`TzSketchCursor::new`] for the levels of `n` nodes starting at file
@@ -369,18 +289,10 @@ proptest! {
             }
             let summary = verify_snapshot_bytes(&bytes).expect("verified above");
             prop_assert_eq!(summary.num_nodes, n);
-            let sketches = summary.sections.iter().zip(&summary.section_entities).find_map(
-                |(entry, entities)| match *entities {
-                    SectionEntities::Sketches { layers, nodes, bunch_entries, pivots } => {
-                        Some((entry.id.to_string(), layers, nodes, bunch_entries, pivots))
-                    }
-                    _ => None,
-                },
-            );
-            let (id, layers, nodes, bunch_entries, pivots) =
-                sketches.unwrap_or_else(|| panic!("{spec}: no SKCH section reported"));
-            prop_assert_eq!(id, "SKCH");
-            prop_assert_eq!(nodes, n);
+            prop_assert_eq!(summary.total_bytes, bytes.len() as u64);
+            prop_assert_eq!(summary.payload_bytes, skch_range(&bytes).1 as u64);
+            let (layers, bunch_entries, pivots) =
+                (summary.layers, summary.bunch_entries, summary.pivots);
             prop_assert!(layers >= 1);
             prop_assert!(bunch_entries > 0, "{}: no bunch entries", spec);
             prop_assert!(pivots >= n * layers, "{}: {} pivots", spec, pivots);
@@ -418,7 +330,7 @@ fn every_truncation_is_rejected() {
 }
 
 // ---------------------------------------------------------------------------
-// Signed corruption: the CRCs pass, only the semantic walk can object
+// Signed corruption: the CRC passes, only the semantic walk can object
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -433,58 +345,66 @@ fn container_level_mutations_fail_with_their_own_kinds() {
     future[4..8].copy_from_slice(&99u32.to_le_bytes());
     expect_kind(&future, "unsupported-version", "version");
 
-    // Flip one header-body byte without re-signing.
-    let mut header_flip = bytes.clone();
-    header_flip[16] ^= 0xFF;
-    expect_kind(&header_flip, "header-checksum", "header flip");
-
-    // Flip one payload byte without re-signing.
-    let mut payload_flip = bytes.clone();
+    // One byte of each header field and of the payload, flipped without
+    // re-signing: the one CRC covers them all.  A Thorup–Zwick header is
+    // the spec at 8..17, the fingerprint at 17..41, the stats flag at 41
+    // and the stats at 42..82.
+    assert_eq!((bytes[8], bytes[41]), (0, 1), "spec tag and stats flag");
     let (skch_at, _) = skch_range(&bytes);
-    payload_flip[skch_at] ^= 0xFF;
-    expect_kind(&payload_flip, "section-checksum", "payload flip");
+    for (at, what) in [
+        (9, "spec"),
+        (17, "fingerprint"),
+        (41, "stats flag"),
+        (42, "stats"),
+        (skch_at, "payload"),
+        (bytes.len() - 1, "crc"),
+    ] {
+        let mut flipped = bytes.clone();
+        flipped[at] ^= 0xFF;
+        expect_kind(&flipped, "checksum", &format!("{what} flip"));
+    }
 
-    expect_kind(&bytes[..40], "truncated", "truncation");
+    // Re-signed, a stats flag that is neither 0 nor 1 is the header's
+    // own fault.
+    let mut flag = bytes.clone();
+    flag[41] = 2;
+    resign(&mut flag);
+    expect_kind(&flag, "header-decode", "stats flag 2");
 
-    // Extra payload bytes no section claims (signed: no CRC covers them).
+    expect_kind(&bytes[..6], "truncated", "truncation in the prelude");
+    expect_kind(&bytes[..10], "truncated", "truncation before a CRC fits");
+    expect_kind(&bytes[..40], "checksum", "truncation in the header");
+
+    // An extra byte after the CRC: the last four bytes are no longer the
+    // CRC of what precedes them.
     let mut trailing = bytes.clone();
     trailing.push(0xAB);
-    expect_kind(&trailing, "trailing-bytes", "payload-area trailing bytes");
+    expect_kind(&trailing, "checksum", "one byte appended");
 }
 
 #[test]
 fn a_byte_appended_after_the_payload_area_is_refused_everywhere() {
-    // `printf '\xab' >> g.dsk` on a file of every family: no section claims
-    // the byte and no checksum covers it, so only the reader's end-of-file
-    // check sees it — and every ingress runs that reader.
+    // `printf '\xab' >> g.dsk` on a file of every family: the CRC is read
+    // from the last four bytes, which now end in the appended one — and
+    // every ingress runs that reader.
     for spec in SchemeSpec::all_families() {
         let mut bytes = snapshot_bytes(spec, 24, 21);
         bytes.push(0xAB);
-        expect_kind(&bytes, "trailing-bytes", &format!("{spec} + one byte"));
+        expect_kind(&bytes, "checksum", &format!("{spec} + one byte"));
     }
 }
 
 #[test]
 fn missing_sketch_section_is_reported_as_such() {
-    let contents = build_stored(
-        &graph(24, 5),
-        SchemeSpec::thorup_zwick(2),
-        &SchemeConfig::default().with_seed(5).with_parallel_build(),
-    )
-    .unwrap();
-    // A container with only the STAT section: structurally immaculate,
-    // semantically useless.
-    let mut writer = SnapshotWriter::new(contents.sketches.spec, contents.fingerprint);
-    writer.add_section(
-        SECTION_BUILD_STATS,
-        contents.build_stats.unwrap().to_bytes(),
-    );
-    let mut bytes = Vec::new();
-    writer.write_to(&mut bytes).unwrap();
-    expect_kind(&bytes, "missing-section", "snapshot without SKCH");
+    // A header and its CRC with no SKCH bytes between them: structurally
+    // immaculate, semantically useless.
+    let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(2), 24, 5);
+    let (skch_at, skch_len) = skch_range(&bytes);
+    splice_skch(&mut bytes, skch_at, skch_len, &[]);
+    expect_kind(&bytes, "section-decode", "an empty payload");
 }
 
-/// Every row of a Thorup–Zwick `SKCH` section's label set, with its
+/// Every row of a Thorup–Zwick `SKCH` payload's label set, with its
 /// header.
 fn tz_rows(bytes: &[u8]) -> (SetHeader, Vec<SketchSites>) {
     let (mut cursor, header) = TzSketchCursor::new(bytes);
@@ -628,31 +548,31 @@ fn resigned_three_stretch_net_member_past_its_nodes_is_caught() {
 /// ingress.
 #[test]
 fn resigned_header_specs_out_of_range_are_refused() {
-    // The header spec is `tag u8` at the top of the body, then CDG's
-    // `eps f64, k u64`, 3-stretch's `eps f64`, or degrading's two caps,
-    // each `flag u8` and `u64` if set.
+    // The header spec is `tag u8` right after magic and version, then
+    // CDG's `eps f64, k u64`, 3-stretch's `eps f64`, or degrading's two
+    // caps, each `flag u8` and `u64` if set.
     let cdg = snapshot_bytes(SchemeSpec::cdg(0.25, 2), 28, 19);
     let three = snapshot_bytes(SchemeSpec::three_stretch(0.25), 32, 5);
     let capped = SchemeSpec::parse("degrading:layers=2").unwrap();
     let degrading = snapshot_bytes(capped, 32, 13);
-    assert_eq!((cdg[12], three[12], degrading[12]), (2, 1, 3), "spec tags");
+    assert_eq!((cdg[8], three[8], degrading[8]), (2, 1, 3), "spec tags");
     assert_eq!(
-        (le_u64(&cdg, 21), degrading[13], le_u64(&degrading, 14)),
+        (le_u64(&cdg, 17), degrading[9], le_u64(&degrading, 10)),
         (2, 1, 2)
     );
     let mut cases = Vec::new();
     for eps in [0.0, f64::NAN, 1.5] {
         for (family, bytes) in [("cdg", &cdg), ("3stretch", &three)] {
             let mut bad = bytes.clone();
-            bad[13..21].copy_from_slice(&eps.to_le_bytes());
+            bad[9..17].copy_from_slice(&eps.to_le_bytes());
             cases.push((bad, format!("{family} eps = {eps}"), "epsilon"));
         }
     }
     let mut bad = cdg.clone();
-    bad[21..29].copy_from_slice(&0u64.to_le_bytes());
+    bad[17..25].copy_from_slice(&0u64.to_le_bytes());
     cases.push((bad, "cdg k = 0".to_string(), "k = 0"));
     let mut bad = degrading.clone();
-    bad[14..22].copy_from_slice(&0u64.to_le_bytes());
+    bad[10..18].copy_from_slice(&0u64.to_le_bytes());
     cases.push((
         bad,
         "degrading layer cap 0".to_string(),
@@ -747,8 +667,8 @@ fn a_degrading_snapshot_of_33_layers_is_caught() {
 #[test]
 fn resigned_trailing_bytes_inside_skch_are_caught() {
     let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(2), 32, 13);
-    // Splice one extra byte onto the end of the SKCH payload, growing its
-    // declared length and shifting every later section's offset.
+    // Splice one extra byte onto the end of the SKCH payload, just before
+    // the CRC.
     let (skch_at, skch_len) = skch_range(&bytes);
     splice_skch(&mut bytes, skch_at + skch_len, 0, &[0xEE]);
     expect_kind(&bytes, "trailing-bytes", "extra byte inside SKCH");
@@ -757,10 +677,10 @@ fn resigned_trailing_bytes_inside_skch_are_caught() {
 #[test]
 fn a_v1_versioned_snapshot_is_refused_by_version() {
     // The file a v1 writer would have stamped: same container, version
-    // field 1, header CRC valid.  The verifier reads version 6 only and
-    // must say so, not fail somewhere inside bytes it cannot parse.
+    // field 1, CRC valid.  The verifier reads version 7 only and must say
+    // so, not fail somewhere inside bytes it cannot parse.
     let mut bytes = snapshot_bytes(SchemeSpec::thorup_zwick(2), 32, 13);
-    assert_eq!(le_u32(&bytes, 4), 6, "format version field");
+    assert_eq!(le_u32(&bytes, 4), 7, "format version field");
     bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
     resign(&mut bytes);
     expect_kind(&bytes, "unsupported-version", "v1 version field");

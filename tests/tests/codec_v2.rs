@@ -26,9 +26,7 @@
 
 use dsketch::codec::CodecError;
 use dsketch::prelude::*;
-use dsketch_store::{
-    build_and_save, build_stored, inspect_snapshot, SectionEntities, StoredSketches,
-};
+use dsketch_store::{build_and_save, build_stored, inspect_snapshot, StoredSketches};
 use netgraph::generators::{erdos_renyi, GeneratorConfig};
 use netgraph::{Graph, NodeId};
 use proptest::prelude::*;
@@ -526,16 +524,8 @@ fn a_saved_snapshot_spends_under_six_skch_bytes_per_bunch_entry() {
         let spec = SchemeSpec::parse(spec).expect("a scheme");
         build_and_save(&graph(256, 42), spec, &config, &path).expect("build and save");
         let summary = inspect_snapshot(&path).expect("inspect");
-        assert_eq!(summary.version, 6, "{spec}");
-        let mut sections = summary.sections.iter().zip(&summary.section_entities);
-        let (bytes, entries) = sections
-            .find_map(|(entry, entities)| match entities {
-                SectionEntities::Sketches { bunch_entries, .. } => {
-                    Some((entry.len, *bunch_entries))
-                }
-                _ => None,
-            })
-            .expect("a SKCH section");
+        assert_eq!(summary.version, 7, "{spec}");
+        let (bytes, entries) = (summary.payload_bytes, summary.bunch_entries);
         let per_entry = bytes as f64 / entries.max(1) as f64;
         assert!(
             per_entry < 3.0,

@@ -150,7 +150,8 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// The `DSK1` bytes of a fixed build, pinned per family as
 /// `(length, FNV-1a 64)`, so "the bytes did not move" is a test: any change
 /// to label contents, label order, the payload codec or the container shows
-/// up here.  Pinned at format version 6 (the node count once, then every
+/// up here.  Pinned at format version 7 (one header, the payload and one
+/// CRC, no section table; a payload of the node count once, then every
 /// layer's sampling first, as one level varint a node, with no `k`, ε,
 /// layer count or seed — the spec's schedule for `n` says them; rows of
 /// per-level rank runs and cells relative to their least, no pivots);
@@ -158,10 +159,10 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 #[test]
 fn snapshot_bytes_match_the_pinned_golden_digests() {
     let golden: [(usize, u64); 4] = [
-        (7_590, 0x7546_f7d2_c111_8646),
-        (26_262, 0x3e80_a6dd_838b_170b),
-        (10_111, 0x5148_e09c_c34b_a900),
-        (93_762, 0x92c5_f09e_bb33_e59c),
+        (7_535, 0x014e_da41_d36e_8bbd),
+        (26_207, 0x29e9_00ca_ac80_c733),
+        (10_056, 0x85a3_84c6_cb9c_49a9),
+        (93_707, 0x1f28_f10c_1e0e_c170),
     ];
     // What the same four builds weighed at format version 1, where every
     // bunch entry was 16 fixed bytes.

@@ -232,19 +232,18 @@ fn garbage_files_fail_with_bad_magic_or_truncation() {
 }
 
 /// Rewrite the format-version field of snapshot `bytes` and re-sign the
-/// header CRC, which covers it: the file another major version's writer
-/// would have stamped, as far as the container can tell.
+/// CRC in the last four bytes, which covers it: the file another major
+/// version's writer would have stamped, as far as the container can tell.
 fn restamp_version(bytes: &mut [u8], version: u32) {
     bytes[4..8].copy_from_slice(&version.to_le_bytes());
-    let header_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-    let crc_at = 12 + header_len - 4;
+    let crc_at = bytes.len() - 4;
     let crc = dsketch_store::crc32::crc32(&bytes[..crc_at]);
-    bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+    bytes[crc_at..].copy_from_slice(&crc.to_le_bytes());
 }
 
 #[test]
 fn other_format_versions_are_refused_by_version_not_by_accident() {
-    // There is no v5 reader: a file stamped version 5 (or 7) is refused
+    // There is no v6 reader: a file stamped version 6 (or 8) is refused
     // with the typed version error on every load path, before a byte of
     // its payload is interpreted, and the message says which way it is off.
     let g = graph(24, 3);
@@ -252,9 +251,9 @@ fn other_format_versions_are_refused_by_version_not_by_accident() {
     let mut bytes = Vec::new();
     dsketch_store::write_snapshot(&mut bytes, &contents).unwrap();
     assert_eq!(bytes[4..8], dsketch_store::FORMAT_VERSION.to_le_bytes());
-    assert_eq!(dsketch_store::FORMAT_VERSION, 6);
+    assert_eq!(dsketch_store::FORMAT_VERSION, 7);
 
-    for (version, direction) in [(5u32, "older"), (7, "newer")] {
+    for (version, direction) in [(6u32, "older"), (8, "newer")] {
         let mut stamped = bytes.clone();
         restamp_version(&mut stamped, version);
         let path = temp_path(&format!("stamped_v{version}.dsk"));
@@ -272,13 +271,32 @@ fn other_format_versions_are_refused_by_version_not_by_accident() {
             assert!(
                 matches!(
                     error,
-                    StoreError::UnsupportedVersion { found, supported: 6 } if found == version
+                    StoreError::UnsupportedVersion { found, supported: 7 } if found == version
                 ),
                 "version {version}: {error}"
             );
             assert!(error.to_string().contains(direction), "{error}");
         }
         std::fs::remove_file(&path).ok();
+    }
+}
+
+/// The build's cost is a header field: a snapshot written with it and one
+/// written without it each read back equal to what was written.
+#[test]
+fn build_stats_present_or_absent_read_back_equal() {
+    let g = graph(32, 9);
+    let built = build_stored(&g, SchemeSpec::thorup_zwick(2), &config(9)).unwrap();
+    assert!(built.build_stats.as_ref().unwrap().rounds > 0);
+    let mut without = built.clone();
+    without.build_stats = None;
+    for contents in [built, without] {
+        let mut bytes = Vec::new();
+        dsketch_store::write_snapshot(&mut bytes, &contents).unwrap();
+        let back = dsketch_store::read_snapshot(bytes.as_slice()).unwrap();
+        assert_eq!(back.build_stats, contents.build_stats);
+        assert_eq!(back.fingerprint, contents.fingerprint);
+        assert!(back.sketches == contents.sketches);
     }
 }
 

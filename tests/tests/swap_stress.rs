@@ -327,15 +327,14 @@ fn a_v1_versioned_snapshot_is_refused_over_http_swap() {
     use dsketch_serve::{NetConfig, NetServer};
     let n = 32;
     let (snap_a, snap_b, oracle_a, _) = two_snapshots(n, "http_v1");
-    // Snapshot B with its version field rewritten to 1 and the header CRC
-    // (which covers the field) re-signed: what a v1 writer would have
-    // stamped, as far as the container can tell.
+    // Snapshot B with its version field rewritten to 1 and the CRC (which
+    // covers the field) re-signed: what a v1 writer would have stamped, as
+    // far as the container can tell.
     let mut bytes = std::fs::read(&snap_b).expect("read b");
     bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-    let header_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-    let crc_at = 12 + header_len - 4;
+    let crc_at = bytes.len() - 4;
     let crc = dsketch_store::crc32::crc32(&bytes[..crc_at]);
-    bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+    bytes[crc_at..].copy_from_slice(&crc.to_le_bytes());
     let stamped = temp_path("http_v1_stamped.dsk");
     std::fs::write(&stamped, &bytes).expect("write stamped");
 
@@ -535,7 +534,7 @@ fn refused_swaps_leave_the_live_generation_untouched() {
     bytes[mid] ^= 0xff;
     std::fs::write(&corrupt, &bytes).unwrap();
     match server.swap_snapshot(&corrupt) {
-        Err(SwapError::Store(e)) if e.kind() == "section-checksum" => {}
+        Err(SwapError::Store(e)) if e.kind() == "checksum" => {}
         other => panic!("corrupted snapshot must fail its checksum, got {other:?}"),
     }
     assert_still_generation_one("corrupted snapshot");

@@ -57,7 +57,7 @@ use dsketch_bench::{arg_engine, arg_parse_or_exit, arg_value, check_args_or_exit
 use dsketch_serve::{NetConfig, NetServer, ServeConfig, ServeMeta, SketchServer};
 use dsketch_store::{
     build_and_save, build_and_save_from_edge_list, inspect_snapshot, load_frozen_oracle,
-    load_snapshot, SnapshotReader,
+    SnapshotReader,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -326,13 +326,8 @@ fn cmd_inspect(args: &[String]) {
         );
     }
     // Where each layer's SKCH bytes go; the layers' totals add up to the
-    // payload.  (The layers are decoded once more for it: inspect only.)
-    let layers = load_snapshot(&path).unwrap_or_else(|e| {
-        eprintln!("inspect failed: {e}");
-        std::process::exit(1);
-    });
-    let split = layers.sketches.layer_bytes();
-    for (index, (bytes, table)) in split.iter().zip(&summary.tables).enumerate() {
+    // payload.
+    for (index, (bytes, table)) in summary.layer_bytes.iter().zip(&summary.tables).enumerate() {
         println!(
             "layer {index}:     sampling {} + runs {} + cells {} = {} bytes ({:.2} per entry)",
             bytes.sampling,

@@ -42,16 +42,6 @@ impl std::error::Error for CastError {}
 const _: () = assert!(std::mem::size_of::<usize>() <= 8, "usize wider than u64");
 const _: () = assert!(std::mem::size_of::<usize>() >= 4, "usize narrower than u32");
 
-/// Narrow a `usize` to `u32`, failing when the value does not fit —
-/// the on-disk form of array offsets and counts.
-#[inline]
-pub fn to_u32(v: usize) -> Result<u32, CastError> {
-    u32::try_from(v).map_err(|_| CastError {
-        value: u64_from_usize(v),
-        target: "u32",
-    })
-}
-
 /// Narrow a `u64` to `usize`, failing when the value does not fit —
 /// turning an on-disk length back into an index.
 #[inline]
@@ -90,18 +80,8 @@ mod tests {
 
     #[test]
     fn narrowing_succeeds_in_range() {
-        assert_eq!(to_u32(0), Ok(0));
-        assert_eq!(to_u32(u32::MAX as usize), Ok(u32::MAX));
         assert_eq!(to_usize(0), Ok(0));
         assert_eq!(to_usize(12345), Ok(12345));
-    }
-
-    #[test]
-    fn narrowing_fails_with_a_typed_error() {
-        let err = to_u32(u32::MAX as usize + 1).unwrap_err();
-        assert_eq!(err.value, u32::MAX as u64 + 1);
-        assert_eq!(err.target, "u32");
-        assert!(err.to_string().contains("does not fit in u32"));
     }
 
     #[test]

@@ -1,132 +1,122 @@
-//! Stable binary encoding of sketches — the wire/disk representation behind
-//! the `dsketch-store` persistence layer.
+//! Stable binary encoding of sketches: the `SKCH` payload of a `dsketch-store`
+//! snapshot, and the little-endian [`Encoder`]/[`Decoder`] every encoding
+//! in the workspace goes through.  This module is the one statement of the
+//! payload's bytes; the container around it (header, checksum, versioning)
+//! is `dsketch-store`'s `format` module.
 //!
 //! The paper's economics only pay off if the expensive CONGEST construction
-//! is paid **once**: labels must outlive the process that built them.  This
-//! module defines [`SketchCodec`], a hand-rolled, dependency-free binary
-//! codec for what a snapshot stores beside its labels — the [`SchemeSpec`]
-//! its header carries and [`RunStats`], the header's build-cost record —
-//! and the one writer and one reader of the four family payloads, each
-//! layer's levels and label set, so that a decoded set is
-//! **bit-identical** to the one that was encoded: same pivots, same
-//! bunches, same estimates for every query.
+//! is paid **once**: labels must outlive the process that built them.  One
+//! writer and one reader of the four family payloads — each layer's levels
+//! and label set — make a decoded set **bit-identical** to the one that
+//! was encoded: same pivots, same bunches, same estimates for every query.
 //!
-//! The encoding is *payload only*: framing, versioning, checksums and
-//! corruption detection live one layer up, in the `dsketch-store` snapshot
-//! container (`DSK1` format).  Keeping the codec flat and deterministic is
-//! what makes the container's one CRC meaningful.
+//! # The payload
 //!
-//! # Label sets
-//!
-//! Labels are nearly all of a snapshot, and a label is small numbers.  The
-//! format writes a layer's sampling first and every label row relative to
-//! it, so a row says only what its sampling does not:
+//! A family payload is the `L` [`Layer`]s of a [`StoredSketches`] — each a
+//! label set with the sampling it was built over — after the node count,
+//! the sampling before the labels and every label row written relative to
+//! it:
 //!
 //! ```text
-//! set   := sparse entries · row × n                 (n and k: the sampling's)
-//! row   := run_0 … run_{k−2} · cells                (owner = row index)
-//! run_i := len · (rank gap · distance) × len
-//!          rank: the member's index among A_i \ A_{i+1}, ascending;
-//!          gap = rank for a run's first entry, rank − previous rank − 1 after
-//! cells := δ' · cell × width                        (width = |A_{k−1}|)
-//!          δ' = 0: every cell empty | δ + 1, δ the row's least cell
-//! cell  := 0 (not in this bunch) | d − δ + 1
+//! payload := n · (levels · set) × L                 n: u64
+//! levels  := (level + 1) × n                        (-1, outside A_0, is 0)
+//! set     := sparse entries · row × n               (n, k, the table: the sampling's)
+//! row     := run_0 … run_{k−2} · cells              (owner = row index)
+//! run_i   := len · (rank gap · distance) × len
+//!            rank: the member's index among A_i \ A_{i+1}, ascending;
+//!            gap = rank for a run's first entry, rank − previous rank − 1 after
+//! cells   := δ' · cell × width                      (width = |A_{k−1}|, the table)
+//!            δ' = 0: every cell empty | δ + 1, δ the row's least cell
+//! cell    := 0 (not in this bunch) | d − δ + 1
 //! ```
 //!
-//! Every value is a LEB128 varint (7 value bits per byte, low group first,
-//! shortest form only).  Each fact is said once:
+//! Everything after `n` is a LEB128 varint: 7 value bits a byte, low group
+//! first, shortest form only (`0x80 0x00` is refused, so is an 11th byte).
+//! Each fact is said once:
 //!
-//! * a row has no `k`, no node count and no table: the sampling stored
-//!   before the set fixes all three — the table is its top level `A_{k−1}`,
-//!   the landmarks every label holds (3-stretch: the whole net);
+//! * `n` is said once, and with the spec it says everything else about the
+//!   layers' sampling: the spec's [schedule](SchemeSpec::schedule) for `n`
+//!   gives `L` and each layer's `(ε, k)` — one layer at the spec's `k` for
+//!   Thorup–Zwick and CDG, at `k = 1` for 3-stretch, one per
+//!   `ε_i = 2^{-i}`, `k_i = i` within the caps for the gracefully
+//!   degrading family — and a net-restricted layer's net is its levels'
+//!   `A_0`.  So the bytes carry no `k`, no ε, no layer count and no seed;
+//!   the reader reads each layer's levels at the schedule's `k`, and a level
+//!   byte past it names no level;
+//! * a row has no `k`, no node count and no table: the sampling fixes all
+//!   three — the table is its top level `A_{k−1}`, the landmarks every
+//!   label holds (3-stretch: the whole net);
 //! * an entry has no level and no id: a member of `B_i(u)` lies in
 //!   `A_i \ A_{i+1}`, so its run names its level, and its rank within that
-//!   level's ascending member list names the node — a few bits where an id
-//!   over all `n` nodes took many;
+//!   level's ascending member list names the node;
 //! * a row has no pivots.  `p_i(u)` is the nearest member of `A_i`, ties to
 //!   the smaller id, so it lies in `B_i(u)` or is `p_{i+1}(u)`: the least
 //!   `(distance, id)` over the row's members of level `≥ i`, with
 //!   `(NO_PIVOT, INFINITY)` where there is none.  The reader derives it
-//!   while it reads (each run names its level, each cell is at the top),
-//!   with the one derivation [`Layer::check_invariants`] holds built labels
-//!   to;
-//! * a cell is relative to its row's least cell, which the row states once.
+//!   while it reads, with the one derivation [`Layer::check_invariants`]
+//!   holds built labels to;
+//! * a cell is relative to its row's least cell, which the row states once;
+//! * a build's run cost is not in the payload: the container's header and
+//!   the `dsketch-obs` registry hold it.
 //!
 //! So the bytes cannot say what the sampling rules out — a pivot off the
 //! nearest member, a sparse entry naming a table landmark or a node outside
-//! `A_0`, a table unlike the top level — and the reader has nothing of it to
-//! refuse.  What it refuses is what the bytes can still say: a rank at or
-//! past its level's member count, a `δ` no cell equals, a finite cell after
-//! `δ' = 0`, a cell past the distance range, and totals unlike the rows.
-//! Gap coding makes "strictly ascending" a property of the bytes; the
-//! reader merges a row's runs into the ascending sparse row the kernel
-//! searches.  The totals are held against the bytes that remain — `n` rows
-//! of `k` bytes at least, `n × width` cells of a byte at least — and size
-//! the decoded columns once.  A set's table is its sampling's top level
-//! from the start ([`SketchSet::over`]), so the writer writes the set as it
-//! is, and `encode(decode(bytes)) == bytes` holds.  Labels that break
-//! [`Layer::check_invariants`] have no bytes in the format: what is
-//! written for them decodes to other labels or not at all.
+//! `A_0`, a table unlike the top level, a hierarchy of another `k` — and
+//! the reader has nothing of it to refuse.  What it refuses is what the
+//! bytes can still say: a rank at or past its level's member count, a `δ`
+//! no cell equals, a finite cell after `δ' = 0`, a cell past the distance
+//! range, a non-canonical varint, and totals unlike the rows or larger
+//! than the bytes that remain (`n` rows of `k` bytes at least, `n × width`
+//! cells of a byte at least), checked before they size the decoded
+//! columns.  [`StoredSketches::freeze`] holds in-memory layers to the same
+//! schedule, so what the writer writes of a set it accepts is read back
+//! the same way; labels that break [`Layer::check_invariants`] have no
+//! bytes in the format.
 //!
-//! # Family payloads
-//!
-//! A family payload (a snapshot's `SKCH` payload) is the `L`
-//! [`Layer`]s of a [`StoredSketches`] — each a label set with the
-//! sampling it was built over — after the node count, the sampling before
-//! the labels:
-//!
-//! ```text
-//! payload := n · (levels · set) × L
-//! levels  := (level + 1) × n                  (-1, outside A_0, is 0)
-//! ```
-//!
-//! `n` is said once, and with the spec it says everything else about the
-//! layers' sampling: the spec's [schedule](SchemeSpec::schedule) for `n`
-//! gives `L` and each layer's `(ε, k)` — one layer at the spec's `k` for
-//! Thorup–Zwick and CDG, at `k = 1` for 3-stretch, one per `ε_i = 2^{-i}`,
-//! `k_i = i` within the caps for the gracefully degrading family — and a
-//! net-restricted layer's net is its levels' `A_0`.  So the bytes carry no
-//! `k`, no ε, no layer count and no seed (a seed picks which sampling, and
-//! the levels are that sampling).  The reader reads each layer's levels at
-//! the schedule's `k`, and a level byte past it names no level;
-//! [`StoredSketches::freeze`] holds the layers in memory to the same
-//! schedule — its layer count, each hierarchy's `k` — so what the writer
-//! writes of a set it accepts is read back the same way.  A Thorup–Zwick
-//! payload is `n · levels · set`.  One function writes the label sets and
-//! one reads them, filling each layer's columns:
-//! [`StoredSketches::decode_payload`](crate::scheme::StoredSketches::decode_payload)
-//! returns the layers, [`crate::flat`] freezes them into the served form.
-//! A layer holds exactly what its payload stores, so a built set equals
-//! the decode of its own bytes.  A build's run cost is not in the payload:
-//! the container's header and the `dsketch-obs` registry hold it.
-//!
-//! # Stability rules
-//!
-//! * The levels and every label value are varints; everything else — the
-//!   payload's node count, the scheme spec — is little-endian and
-//!   fixed-width (`u8`/`u64`, `f64` as IEEE-754 bits), collections
-//!   length-prefixed with `u64`.
-//! * A value has exactly one accepted form, so encoding is deterministic:
-//!   `encode(decode(bytes)) == bytes`.
-//! * Each layout has one writer; a size is what writing takes.  A family
-//!   payload is written in one pass, and its byte split is read off that
-//!   same writer.
-//! * Changing any encoding below is a **format break** and must bump the
-//!   container's major version in `dsketch-store`.
+//! The bytes, written out for Thorup–Zwick at `k = 2` on the path
+//! `0 — 1 — 2` (unit weights) with `A_1 = {0}`:
 //!
 //! ```
 //! use dsketch::prelude::*;
-//! use netgraph::generators::{erdos_renyi, GeneratorConfig};
+//! use netgraph::{GraphBuilder, NodeId};
 //!
-//! let graph = erdos_renyi(32, 0.2, GeneratorConfig::uniform(1, 1, 9));
-//! let config = SchemeConfig::default().with_seed(3).with_parallel_build();
-//! let built = SchemeSpec::thorup_zwick(2).build_sketches(&graph, &config).unwrap();
+//! let mut path = GraphBuilder::new(3);
+//! path.add_edge(NodeId(0), NodeId(1), 1);
+//! path.add_edge(NodeId(1), NodeId(2), 1);
+//! let hierarchy = Hierarchy::from_levels(vec![1, 0, 0], 2).unwrap();
+//! let sketches = dsketch::build::thorup_zwick(&path.build(), &hierarchy, 1).sketches;
+//! let stored = StoredSketches {
+//!     spec: SchemeSpec::thorup_zwick(2),
+//!     layers: vec![Layer { sketches, hierarchy }],
+//! };
+//! let bytes = stored.encode_payload();
+//! assert_eq!(bytes[..8], 3u64.to_le_bytes()); // n
+//! assert_eq!(bytes[8..11], [2, 1, 1]); // levels + 1
+//! assert_eq!(bytes[11], 3); // sparse entries: B_0(1) = {1}, B_0(2) = {1, 2}
+//! // Each row: run_0 (len, then rank gap · distance per entry), then
+//! // δ' and the one cell of the table {0}.
+//! assert_eq!(bytes[12..15], [0, 1, 1]); // node 0: no run_0; δ = 0, d(0, 0) = δ
+//! assert_eq!(bytes[15..20], [1, 0, 0, 2, 1]); // node 1: rank 0 at 0; δ = 1
+//! assert_eq!(bytes[20..27], [2, 0, 1, 0, 0, 3, 1]); // node 2: ranks 0 at 1, 1 at 0; δ = 2
+//! assert_eq!(bytes.len(), 27);
 //!
-//! let bytes = built.sketches.encode_payload();
-//! let decoded = StoredSketches::decode_payload(&built.sketches.spec, &bytes).unwrap();
-//! assert_eq!(decoded, built.sketches);
+//! let decoded = StoredSketches::decode_payload(&stored.spec, &bytes).unwrap();
+//! assert_eq!(decoded, stored);
 //! assert_eq!(decoded.encode_payload(), bytes);
 //! ```
+//!
+//! # Stability rules
+//!
+//! * A value has exactly one accepted form, so encoding is deterministic:
+//!   `encode(decode(bytes)) == bytes`.
+//! * Each layout has one writer; a size is what writing takes.  A family
+//!   payload is written in one pass (`put_family`), its byte split is read
+//!   off that same writer ([`LayerBytes`]), and one reader (`read_family`)
+//!   serves both ingresses:
+//!   [`StoredSketches::decode_payload`](crate::scheme::StoredSketches::decode_payload)
+//!   returns the layers, [`crate::flat`] freezes them into the served form.
+//! * Changing any encoding here is a **format break** and must bump the
+//!   container's major version in `dsketch-store`.
 
 #![deny(clippy::as_conversions)]
 
@@ -134,7 +124,6 @@ use crate::cast;
 use crate::hierarchy::Hierarchy;
 use crate::scheme::{Layer, SchemeSpec, StoredSketches};
 use crate::sketch::{self, DistKey, SketchSet, NO_PIVOT};
-use congest_sim::RunStats;
 use netgraph::{Distance, NodeId, INFINITY};
 
 /// Errors produced while decoding a binary payload.
@@ -213,8 +202,9 @@ impl CodecError {
     }
 }
 
-/// Little-endian payload builder.  All [`SketchCodec`] encodings go through
-/// this type, so the byte layout is defined in exactly one place.
+/// Little-endian payload builder: every encoding in the workspace — the
+/// family payloads, the snapshot header, the NETQ frames — goes through
+/// this type.
 #[derive(Debug, Default)]
 pub struct Encoder {
     buf: Vec<u8>,
@@ -498,36 +488,6 @@ impl<'a> Decoder<'a> {
             });
         }
         Ok(())
-    }
-}
-
-/// Stable binary encode/decode for sketch state.
-///
-/// Implementations must be **lossless and deterministic**: `decode` of an
-/// `encode` yields a value equal to the original (same estimates for every
-/// query), and `encode` of that value yields the same bytes.  See the
-/// [module docs](self) for the layout rules.
-pub trait SketchCodec: Sized {
-    /// Append this value's encoding to `out`.
-    fn encode(&self, out: &mut Encoder);
-
-    /// Decode one value, consuming exactly the bytes `encode` produced.
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError>;
-
-    /// Encode into a fresh byte vector.
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Encoder::new();
-        self.encode(&mut out);
-        out.into_bytes()
-    }
-
-    /// Decode from a byte slice, requiring the slice to be exactly one
-    /// encoded value (trailing bytes are an error).
-    fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut input = Decoder::new(bytes);
-        let value = Self::decode(&mut input)?;
-        input.finish()?;
-        Ok(value)
     }
 }
 
@@ -888,106 +848,6 @@ fn read_levels(input: &mut Decoder<'_>, n: usize, k: usize) -> Result<Hierarchy,
         levels.push(level);
     }
     Hierarchy::from_levels(levels, k).map_err(|e| CodecError::invalid("Hierarchy", e.to_string()))
-}
-
-impl SketchCodec for RunStats {
-    fn encode(&self, out: &mut Encoder) {
-        out.put_u64(self.rounds);
-        out.put_u64(self.messages);
-        out.put_u64(self.words);
-        out.put_u64(self.max_messages_in_round);
-        out.put_u64(self.active_rounds);
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(RunStats {
-            rounds: input.u64("RunStats.rounds")?,
-            messages: input.u64("RunStats.messages")?,
-            words: input.u64("RunStats.words")?,
-            max_messages_in_round: input.u64("RunStats.max_messages_in_round")?,
-            active_rounds: input.u64("RunStats.active_rounds")?,
-        })
-    }
-}
-
-/// Scheme-spec tags used on disk (stable; new variants append, never renumber).
-const SPEC_TZ: u8 = 0;
-const SPEC_THREE_STRETCH: u8 = 1;
-const SPEC_CDG: u8 = 2;
-const SPEC_DEGRADING: u8 = 3;
-
-fn encode_option_usize(value: Option<usize>, out: &mut Encoder) {
-    match value {
-        Some(v) => {
-            out.put_u8(1);
-            out.put_usize(v);
-        }
-        None => out.put_u8(0),
-    }
-}
-
-fn decode_option_usize(
-    input: &mut Decoder<'_>,
-    context: &'static str,
-) -> Result<Option<usize>, CodecError> {
-    if input.bool(context)? {
-        Ok(Some(input.usize(context)?))
-    } else {
-        Ok(None)
-    }
-}
-
-/// A spec decodes only if it [validates](SchemeSpec::validate): a snapshot
-/// header's spec is the only place its ε, `k` and caps are said.
-impl SketchCodec for SchemeSpec {
-    fn encode(&self, out: &mut Encoder) {
-        match *self {
-            SchemeSpec::ThorupZwick { k } => {
-                out.put_u8(SPEC_TZ);
-                out.put_usize(k);
-            }
-            SchemeSpec::ThreeStretch { eps } => {
-                out.put_u8(SPEC_THREE_STRETCH);
-                out.put_f64(eps);
-            }
-            SchemeSpec::Cdg { eps, k } => {
-                out.put_u8(SPEC_CDG);
-                out.put_f64(eps);
-                out.put_usize(k);
-            }
-            SchemeSpec::Degrading { max_layers, max_k } => {
-                out.put_u8(SPEC_DEGRADING);
-                encode_option_usize(max_layers, out);
-                encode_option_usize(max_k, out);
-            }
-        }
-    }
-
-    fn decode(input: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let spec = match input.u8("SchemeSpec tag")? {
-            SPEC_TZ => SchemeSpec::ThorupZwick {
-                k: input.usize("SchemeSpec.k")?,
-            },
-            SPEC_THREE_STRETCH => SchemeSpec::ThreeStretch {
-                eps: input.f64("SchemeSpec.eps")?,
-            },
-            SPEC_CDG => SchemeSpec::Cdg {
-                eps: input.f64("SchemeSpec.eps")?,
-                k: input.usize("SchemeSpec.k")?,
-            },
-            SPEC_DEGRADING => SchemeSpec::Degrading {
-                max_layers: decode_option_usize(input, "SchemeSpec.max_layers")?,
-                max_k: decode_option_usize(input, "SchemeSpec.max_k")?,
-            },
-            other => {
-                let message = format!("unknown scheme tag {other}");
-                return Err(CodecError::invalid("SchemeSpec tag", message));
-            }
-        };
-        spec.validate()
-            .map_err(|e| CodecError::invalid("SchemeSpec", e.to_string()))?;
-        Ok(spec)
-    }
 }
 
 impl Layer {
@@ -1484,67 +1344,6 @@ mod tests {
         // Level byte 0 is outside A_0.
         past[10] = 0;
         assert_eq!(read_levels_at(&past, 2).unwrap().levels(), [0, 0, -1]);
-    }
-
-    #[test]
-    fn stats_and_params_round_trip() {
-        let stats = RunStats {
-            rounds: 1,
-            messages: 2,
-            words: 3,
-            max_messages_in_round: 4,
-            active_rounds: 5,
-        };
-        assert_eq!(RunStats::from_bytes(&stats.to_bytes()).unwrap(), stats);
-
-        // The params a payload is read by are its spec's, said once, in the
-        // snapshot header: they round-trip, and out of range they decode to
-        // no spec.
-        let params = SchemeSpec::cdg(0.25, 2);
-        assert_eq!(SchemeSpec::from_bytes(&params.to_bytes()), Ok(params));
-        let uncapped = |max_layers, max_k| SchemeSpec::Degrading { max_layers, max_k };
-        for bad in [
-            SchemeSpec::thorup_zwick(0),
-            SchemeSpec::three_stretch(0.0),
-            SchemeSpec::three_stretch(f64::NAN),
-            SchemeSpec::cdg(1.5, 2),
-            SchemeSpec::cdg(0.25, 0),
-            uncapped(Some(0), None),
-            uncapped(None, Some(0)),
-        ] {
-            let err = SchemeSpec::from_bytes(&bad.to_bytes()).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    CodecError::Invalid {
-                        context: "SchemeSpec",
-                        ..
-                    }
-                ),
-                "{bad}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn scheme_spec_round_trips_every_variant() {
-        let specs = [
-            SchemeSpec::thorup_zwick(3),
-            SchemeSpec::three_stretch(0.25),
-            SchemeSpec::cdg(0.2, 2),
-            SchemeSpec::degrading(),
-            SchemeSpec::Degrading {
-                max_layers: Some(3),
-                max_k: Some(4),
-            },
-        ];
-        for spec in specs {
-            assert_eq!(SchemeSpec::from_bytes(&spec.to_bytes()).unwrap(), spec);
-        }
-        assert!(matches!(
-            SchemeSpec::from_bytes(&[200]),
-            Err(CodecError::Invalid { .. })
-        ));
     }
 
     #[test]

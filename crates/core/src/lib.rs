@@ -126,10 +126,8 @@
 //!   average / percentiles, slack-aware variants).
 //! * [`baseline`] — exact-oracle and landmark baselines for comparison.
 //! * [`codec`] — the stable binary encoding of the family payloads (each
-//!   layer's levels and label set; [`SketchCodec`] for the scheme spec and
-//!   the run cost beside them), the payload
-//!   layer under the `dsketch-store` snapshot format (build once, save,
-//!   serve from disk forever).
+//!   layer's levels and label set), the payload under the `dsketch-store`
+//!   snapshot format (build once, save, serve from disk forever).
 //! * [`cast`] — checked and intent-bearing integer conversions; the
 //!   byte-layout modules deny `clippy::as_conversions` in favor of these
 //!   helpers.
@@ -162,7 +160,7 @@ pub mod slack;
 
 /// Convenient re-exports of the most common types.
 pub mod prelude {
-    pub use crate::codec::{CodecError, Decoder, Encoder, SketchCodec};
+    pub use crate::codec::{CodecError, Decoder, Encoder};
     pub use crate::distributed::SyncMode;
     pub use crate::error::SketchError;
     pub use crate::eval::{

@@ -33,6 +33,26 @@
 //! | `delay:MS`   | [`hit`] sleeps `MS` milliseconds, then returns `None` — exercises deadlines |
 //! | `partial:N`  | [`hit`] returns [`Fault::Partial`]; IO wrappers cut the stream after `N` bytes |
 //!
+//! # The failpoints
+//!
+//! Every failpoint in the workspace (`tests/tests/fault_injection.rs` trips
+//! each one, with no wrong answer, and holds this table to the names it
+//! arms):
+//!
+//! | failpoint | layer | failure it simulates | what heals it |
+//! |---|---|---|---|
+//! | `store.save.create` | store | staging file creation fails | the save fails; the old snapshot stays, no `*.tmp` is left |
+//! | `store.save.write` | store | write error or torn partial write | as above |
+//! | `store.save.fsync` | store | fsync fails before publish | as above |
+//! | `store.save.rename` | store | the atomic rename into place fails | as above |
+//! | `store.write.section` | store | the `SKCH` payload torn mid-write | as above |
+//! | `store.load.read` | store | a snapshot read fails on a cold start or swap | the swap is refused, the live generation serves; the retry publishes |
+//! | `watch.rebuild` | store | a watch tick fails before the rebuild | jittered exponential backoff, reset by the first good tick |
+//! | `serve.dispatch` | serve | answering a batch panics (or is shed) | the batch answers `shard-panicked` (HTTP 503); the caller drops its cache and serves the next batch |
+//! | `net.read.frame` | net | the connection drops during a frame read | a retrying client reconnects |
+//! | `net.write.frame` | net | the connection breaks during a frame write | as above |
+//! | `net.accept.handoff` | net | the accept hand-off queue is full | `503` with `Retry-After: 1`, counted as an overload |
+//!
 //! # Spec grammar
 //!
 //! The env var `DSKETCH_FAULTS` and the serve layer's `POST /faults`

@@ -11,7 +11,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Number of log₂ buckets. `2^39` ns ≈ 9.2 minutes, far beyond any
 /// single-query or single-phase duration the workspace measures.
@@ -76,25 +75,6 @@ impl Histogram {
         self.cells.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// A guard that records the elapsed nanoseconds since its creation
-    /// when dropped — the span-style way to time a scope:
-    ///
-    /// ```
-    /// # let registry = dsketch_obs::MetricsRegistry::new();
-    /// let hist = registry.histogram("dsketch_build_phase_nanos", "Phase wall time.");
-    /// {
-    ///     let _span = hist.start_span();
-    ///     // … timed work …
-    /// } // recorded here
-    /// assert_eq!(hist.snapshot().count(), 1);
-    /// ```
-    pub fn start_span(&self) -> HistogramSpan {
-        HistogramSpan {
-            histogram: self.clone(),
-            started: Instant::now(),
-        }
-    }
-
     /// A point-in-time copy of the cells.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -107,21 +87,6 @@ impl Histogram {
             sum: self.cells.sum.load(Ordering::Relaxed),
             max: self.cells.max.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// Times a scope into a [`Histogram`] on drop — see
-/// [`Histogram::start_span`].
-#[derive(Debug)]
-pub struct HistogramSpan {
-    histogram: Histogram,
-    started: Instant,
-}
-
-impl Drop for HistogramSpan {
-    fn drop(&mut self) {
-        self.histogram
-            .record(u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX));
     }
 }
 
@@ -280,11 +245,9 @@ mod tests {
     }
 
     #[test]
-    fn spans_record_on_drop_and_absorb_sums() {
+    fn snapshots_absorb_counts_and_sums() {
         let hist = Histogram::new();
-        {
-            let _span = hist.start_span();
-        }
+        hist.record(1);
         let mut a = hist.snapshot();
         assert_eq!(a.count(), 1);
         let other = Histogram::new();

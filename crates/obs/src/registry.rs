@@ -69,11 +69,6 @@ impl Gauge {
         self.cell.fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// Subtract `delta`.
-    pub fn sub(&self, delta: i64) {
-        self.cell.fetch_sub(delta, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn value(&self) -> i64 {
         self.cell.load(Ordering::Relaxed)
@@ -226,14 +221,9 @@ impl MetricsRegistry {
         }
     }
 
-    /// Register (or look up) an unlabeled gauge.
+    /// Register (or look up) a gauge.
     pub fn gauge(&self, name: &str, help: &str) -> Gauge {
-        self.gauge_with(name, help, &[])
-    }
-
-    /// Register (or look up) a labeled gauge series.
-    pub fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        match self.register(name, help, InstrumentKind::Gauge, labels) {
+        match self.register(name, help, InstrumentKind::Gauge, &[]) {
             SeriesCell::Gauge(g) => g,
             _ => unreachable!("kind checked at registration"),
         }
@@ -438,7 +428,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         let g = registry.gauge("dsketch_test_queue_entries", "depth");
         g.add(5);
-        g.sub(2);
+        g.add(-2);
         assert_eq!(g.value(), 3);
         g.set(-1);
         assert_eq!(

@@ -47,8 +47,8 @@
 //!
 //! Per query, medians of ten alternated traced runs of the sharded design
 //! this replaced (worker shards, bounded queues, reply channels) and of
-//! this one, on the benchmark's two wire workloads (ARCHITECTURE.md has
-//! the spread, CHANGES.md PR 17 every run):
+//! this one, on the benchmark's two wire workloads (CHANGES.md, PR 17, has
+//! every run and the spread):
 //!
 //! ```text
 //!                      wire-tz-uniform      wire-degrading-zipf

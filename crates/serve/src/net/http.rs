@@ -33,10 +33,9 @@
 //! keep-alive.  It exists so `curl` and dashboards can hit the server
 //! without a client binary — the binary protocol is the real interface.
 
-use super::protocol::{NetError, WireErrorCode};
+use super::protocol::{NetError, WireError, WireErrorCode};
 use super::server::{send, stats_json, WorkerCtx};
 use super::wire::Conn;
-use dsketch::SketchError;
 use dsketch_obs::prometheus;
 use netgraph::NodeId;
 use std::time::Instant;
@@ -374,13 +373,14 @@ fn distance_route(query: &str, ctx: &WorkerCtx) -> String {
             ),
         ),
         Err(e) => {
-            let (status, code) = match &e {
-                SketchError::UnknownNode(_) => (404, WireErrorCode::UnknownNode),
-                SketchError::NoCommonLandmark { .. } => (422, WireErrorCode::NoCommonLandmark),
-                SketchError::ShardPanicked => (503, WireErrorCode::ShardPanicked),
-                _ => (500, WireErrorCode::Internal),
+            let error = WireError::from_sketch(&e);
+            let status = match error.code {
+                WireErrorCode::UnknownNode => 404,
+                WireErrorCode::NoCommonLandmark => 422,
+                WireErrorCode::ShardPanicked => 503,
+                _ => 500,
             };
-            error_reply(status, code.name(), e.to_string())
+            error_reply(status, error.code.name(), error.detail)
         }
     }
 }

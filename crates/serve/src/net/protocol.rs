@@ -1,4 +1,5 @@
-//! The `NETQ`/`NETR` length-prefixed binary wire protocol.
+//! The `NETQ`/`NETR` length-prefixed binary wire protocol.  This module is
+//! the one statement of a frame's bytes.
 //!
 //! Every message on the wire is one *frame*:
 //!
@@ -7,21 +8,59 @@
 //!  ──────  ────  ─────────────────────────────────────────────
 //!       0     4  magic        "NETQ" (request) / "NETR" (reply)
 //!       4     1  version      currently 1
-//!       5     1  kind         frame type (see below)
+//!       5     1  kind         frame type (below)
 //!       6     2  reserved     must be zero (LE u16)
 //!       8     4  payload len  LE u32, at most `DEFAULT_MAX_PAYLOAD`
-//!      12     …  payload      SketchCodec-encoded body
+//!      12     …  payload      by kind (below)
 //! ```
 //!
-//! Request kinds (`NETQ`): `0` ping, `1` single query (two `NodeId`s),
-//! `2` batched query (length-prefixed pair list), `3` stats, `4` swap
-//! (length-prefixed snapshot path).  Response kinds (`NETR`): `0` pong,
-//! `1` distance (`u64`), `2` batch (per-pair ok/error results), `3` stats
-//! (length-prefixed JSON text), `4` swapped (the new generation number),
-//! `15` typed error.  Payload encodings reuse [`dsketch::codec`] — the same
-//! little-endian, length-prefixed, bounds-checked decoder the `DSK1`
-//! snapshot format is built on, so a truncated or corrupted payload fails
-//! with a typed [`CodecError`], never a panic.
+//! Payloads are little-endian and fixed-width; a count or a byte string's
+//! length is a `u64`, a node id a `u32`, a distance a `u64`:
+//!
+//! ```text
+//!  NETQ  0 ping          (empty)
+//!        1 query         u · v
+//!        2 query batch   count · (u · v) × count
+//!        3 stats         (empty)
+//!        4 swap          len · snapshot path (UTF-8, a path on the server)
+//!  NETR  0 pong          (empty)
+//!        1 distance      distance
+//!        2 batch         count · result × count, in input order
+//!                        result := u8 0 · distance | u8 1 · error
+//!        3 stats         len · JSON text
+//!        4 swapped       generation u64
+//!       15 error         error
+//!  error := code u8 · len · detail (UTF-8)    codes: WireErrorCode, 1–8
+//! ```
+//!
+//! Payloads go through [`dsketch::codec`]'s encoder and bounds-checked
+//! decoder, so a truncated or corrupted payload fails with a typed
+//! [`CodecError`], never a panic.  The offsets, written out:
+//!
+//! ```
+//! use dsketch_serve::net::{Request, Response, WireError, WireErrorCode};
+//! use netgraph::NodeId;
+//!
+//! let pairs = vec![(NodeId(3), NodeId(7))];
+//! let frame = Request::QueryBatch { pairs }.to_frame();
+//! assert_eq!(&frame[0..4], b"NETQ");
+//! assert_eq!(frame[4..8], [1, 2, 0, 0]); // version, kind, reserved
+//! assert_eq!(frame[8..12], 16u32.to_le_bytes()); // payload len
+//! assert_eq!(frame[12..20], 1u64.to_le_bytes()); // count
+//! assert_eq!(frame[20..28], [3, 0, 0, 0, 7, 0, 0, 0]); // u · v
+//!
+//! let error = WireError::new(WireErrorCode::UnknownNode, "9?");
+//! let frame = Response::Batch(vec![Ok(5), Err(error)]).to_frame();
+//! assert_eq!(&frame[0..4], b"NETR");
+//! assert_eq!(frame[5], 2);
+//! assert_eq!(frame[8..12], 29u32.to_le_bytes()); // 8 + 9 + 12
+//! assert_eq!(frame[12..20], 2u64.to_le_bytes()); // count
+//! assert_eq!(frame[20], 0); // ok ...
+//! assert_eq!(frame[21..29], 5u64.to_le_bytes()); // ... at distance 5
+//! assert_eq!(frame[29..31], [1, 1]); // error, code 1: unknown-node
+//! assert_eq!(frame[31..39], 2u64.to_le_bytes());
+//! assert_eq!(&frame[39..], b"9?");
+//! ```
 //!
 //! Framing errors (bad magic, unsupported version, nonzero reserved
 //! bytes, oversized length prefix) poison the stream — after one the

@@ -311,11 +311,6 @@ impl NetServer {
         &self.config
     }
 
-    /// Snapshot the query counters.
-    pub fn serve_stats(&self) -> ServeStats {
-        self.server.stats()
-    }
-
     /// Snapshot the wire-level counters.
     pub fn net_stats(&self) -> NetStats {
         NetStats::from_metrics(&self.server.registry().snapshot())
@@ -327,7 +322,7 @@ impl NetServer {
     pub fn shutdown(mut self) -> NetServerStats {
         self.stop_net();
         NetServerStats {
-            serve: self.serve_stats(),
+            serve: self.server.stats(),
             net: self.net_stats(),
         }
     }

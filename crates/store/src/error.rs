@@ -4,6 +4,31 @@
 //! explicit [`StoreError`] variant — a corrupted, truncated, or mismatched
 //! snapshot is always reported, never a panic and never a silently wrong
 //! oracle.
+//!
+//! # Refusals
+//!
+//! Every refusal is named by its [`StoreError::kind`], which `dsketch-store
+//! verify` prints after `FAILED [`.  Each kind, and one edit that produces
+//! it (a table-driven test below makes every edit and holds this table to
+//! `kind`'s names; "re-signed" means the CRC is rewritten to match, so
+//! only the decode can object):
+//!
+//! | kind | an edit that produces it |
+//! |---|---|
+//! | `io` | load a path that does not exist |
+//! | `truncated` | cut a snapshot to its first six bytes, short of magic and version |
+//! | `bad-magic` | change byte 0 |
+//! | `unsupported-version` | write another version at byte 4 |
+//! | `checksum` | flip any byte past the version, or append one to the file |
+//! | `header-decode` | set the stats flag to 2, re-signed |
+//! | `section-decode` | empty the payload, re-signed |
+//! | `trailing-bytes` | append a byte to the payload, re-signed |
+//! | `pivot-row` | none on disk, where a pivot is derived: freeze a slack set whose pivot is off its members' derivation |
+//! | `hierarchy-contract` | none on disk, where `k` is the schedule's: freeze a set whose hierarchy has another `k` |
+//! | `layer-contract` | freeze a set with a layer more than its schedule (on disk: a degrading node holding one landmark at two distances) |
+//! | `fingerprint-mismatch` | load for a graph other than the one the snapshot was built on |
+//! | `sketch` | build `tz:0` |
+//! | `edge-list` | build from an edge list with a line that is not an edge |
 
 use dsketch::codec::CodecError;
 use dsketch::SketchError;
@@ -159,6 +184,154 @@ impl From<netgraph::io::IoError> for StoreError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{
+        build_and_save_from_edge_list, build_stored, load_oracle_for_graph, read_snapshot,
+        save_snapshot, write_snapshot,
+    };
+    use dsketch::prelude::*;
+    use netgraph::generators::{erdos_renyi, GeneratorConfig};
+    use netgraph::NodeId;
+
+    /// Rewrite the CRC in the last four bytes to match the rest.
+    fn resign(bytes: &mut [u8]) {
+        let (body, crc) = bytes.split_at_mut(bytes.len() - 4);
+        crc.copy_from_slice(&crate::crc32::crc32(body).to_le_bytes());
+    }
+
+    /// The payload of `bytes`, a valid snapshot: between header and CRC.
+    fn payload_at(bytes: &[u8]) -> usize {
+        let contents = read_snapshot(bytes).unwrap();
+        bytes.len() - 4 - contents.sketches.encode_payload().len()
+    }
+
+    /// Every row of the module doc's refusal table, one per kind.
+    fn doc_table_kinds() -> Vec<&'static str> {
+        let source = include_str!("error.rs");
+        let rows = source
+            .lines()
+            .filter_map(|line| line.strip_prefix("//! | `"));
+        rows.filter_map(|row| row.split('`').next()).collect()
+    }
+
+    /// Every name [`StoreError::kind`] returns, read off its source.
+    fn kind_names() -> Vec<&'static str> {
+        let source = include_str!("error.rs");
+        let start = source.find("pub fn kind(&self)").unwrap();
+        let body = &source[start..start + source[start..].find("\n    }\n").unwrap()];
+        let mut names: Vec<&str> = body.split('"').skip(1).step_by(2).collect();
+        names.sort_unstable();
+        names.dedup();
+        names
+    }
+
+    #[test]
+    fn every_refusal_kind_has_a_doc_row_and_the_edit_it_names_produces_it() {
+        let dir = std::env::temp_dir().join(format!("dsketch_refusals_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let config = SchemeConfig::default().with_seed(11).with_parallel_build();
+        let graph = erdos_renyi(32, 0.25, GeneratorConfig::uniform(11, 1, 20));
+        let tz = build_stored(&graph, SchemeSpec::thorup_zwick(2), &config).unwrap();
+        let mut bytes = Vec::new();
+        write_snapshot(&mut bytes, &tz).unwrap();
+        let read = |bytes: &[u8]| read_snapshot(bytes).map(drop);
+        let edited = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut copy = bytes.clone();
+            edit(&mut copy);
+            read(&copy)
+        };
+        let payload = payload_at(&bytes);
+        let frozen =
+            |sketches: &StoredSketches| sketches.freeze().map(drop).map_err(StoreError::Payload);
+
+        // A one-level slack set over two nodes, node 1's pivot not its
+        // nearest member.
+        let mut off = SketchSet::over(&Hierarchy::from_levels(vec![0, 0], 1).unwrap());
+        off.push_label(&[Some((NodeId(0), 0))], &[(NodeId(0), 0), (NodeId(1), 5)])
+            .unwrap();
+        off.push_label(&[Some((NodeId(0), 5))], &[(NodeId(0), 5), (NodeId(1), 0)])
+            .unwrap();
+        let off = StoredSketches {
+            spec: SchemeSpec::three_stretch(0.5),
+            layers: vec![Layer {
+                sketches: off,
+                hierarchy: Hierarchy::from_levels(vec![0, 0], 1).unwrap(),
+            }],
+        };
+        let other_k = StoredSketches {
+            spec: SchemeSpec::thorup_zwick(3),
+            ..tz.sketches.clone()
+        };
+        let mut extra_layer = tz.sketches.clone();
+        extra_layer.layers.push(extra_layer.layers[0].clone());
+        let snapshot = dir.join("tz.dsk");
+        save_snapshot(&snapshot, &tz).unwrap();
+        let other_graph = erdos_renyi(32, 0.25, GeneratorConfig::uniform(12, 1, 20));
+        let edges = dir.join("edges.txt");
+        std::fs::write(&edges, "0 1 3\nnot an edge\n").unwrap();
+
+        let table: Vec<(&str, Result<(), StoreError>)> = vec![
+            ("io", crate::load_snapshot(dir.join("none.dsk")).map(drop)),
+            ("truncated", read(&bytes[..6])),
+            ("bad-magic", edited(&|b| b[0] = b'X')),
+            ("unsupported-version", edited(&|b| b[4] ^= 1)),
+            ("checksum", edited(&|b| b[payload] ^= 0x40)),
+            ("checksum", edited(&|b| b.push(0))),
+            (
+                "header-decode",
+                edited(&|b| {
+                    b[41] = 2;
+                    resign(b);
+                }),
+            ),
+            (
+                "section-decode",
+                edited(&|b| {
+                    b.drain(payload..b.len() - 4);
+                    resign(b);
+                }),
+            ),
+            (
+                "trailing-bytes",
+                edited(&|b| {
+                    b.insert(b.len() - 4, 0);
+                    resign(b);
+                }),
+            ),
+            ("pivot-row", frozen(&off)),
+            ("hierarchy-contract", frozen(&other_k)),
+            ("layer-contract", frozen(&extra_layer)),
+            (
+                "fingerprint-mismatch",
+                load_oracle_for_graph(&snapshot, &other_graph).map(drop),
+            ),
+            (
+                "sketch",
+                build_stored(&graph, SchemeSpec::thorup_zwick(0), &config).map(drop),
+            ),
+            (
+                "edge-list",
+                build_and_save_from_edge_list(
+                    &edges,
+                    SchemeSpec::thorup_zwick(2),
+                    &config,
+                    &snapshot,
+                )
+                .map(drop),
+            ),
+        ];
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(bytes[41], 1, "a tz header's stats flag is at byte 41");
+        for (kind, result) in &table {
+            let err = result.as_ref().expect_err(kind);
+            assert_eq!(err.kind(), *kind, "{err}");
+        }
+        let mut tested: Vec<&str> = table.iter().map(|&(kind, _)| kind).collect();
+        tested.dedup();
+        assert_eq!(doc_table_kinds(), tested, "the doc table's rows, in order");
+        let mut documented = doc_table_kinds();
+        documented.sort_unstable();
+        assert_eq!(kind_names(), documented, "StoreError::kind's names");
+    }
 
     #[test]
     fn display_messages_name_the_failure() {

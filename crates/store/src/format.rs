@@ -1,59 +1,79 @@
 //! The `DSK1` snapshot layout: one header, one payload, one checksum.
+//! This module is the one statement of the container and its header; the
+//! `SKCH` payload's bytes are `dsketch::codec`'s.
 //!
 //! ```text
-//! ┌──────────────────────────────────────────────────────────────┐
-//! │ header    magic "DSK1" (4) · version u32                     │
-//! │           scheme spec (tagged, variable)                     │
-//! │           graph fingerprint: n u64 · m u64 · checksum u64    │
-//! │           build stats: u8 0 | 1, then RunStats (5 × u64)     │
-//! ├──────────────────────────────────────────────────────────────┤
-//! │ payload   SKCH: the sketches (every byte up to the checksum) │
-//! ├──────────────────────────────────────────────────────────────┤
-//! │ crc32 u32 over every byte before it                          │
-//! └──────────────────────────────────────────────────────────────┘
+//!  offset   size  field
+//!  ──────   ────  ─────────────────────────────────────────────────────
+//!       0      4  magic          "DSK1"
+//!       4      4  version        u32, FORMAT_VERSION
+//!       8      S  scheme spec    tag u8, then by tag:
+//!                                  0 tz          k u64              S = 9
+//!                                  1 3-stretch   ε f64              S = 9
+//!                                  2 cdg         ε f64 · k u64      S = 17
+//!                                  3 degrading   cap · cap          S = 3–19
+//!                                    (a cap: u8 0 | u8 1 · u64; layers, then k)
+//!    8+S     24  fingerprint    nodes u64 · edges u64 · weight checksum u64
+//!   32+S      1  stats flag     0 | 1
+//!   33+S  0|40   build stats    RunStats when the flag is 1: rounds ·
+//!                               messages · words · max_messages_in_round ·
+//!                               active_rounds, each u64
+//!      H      …  payload        SKCH: every byte up to the checksum
+//!    end−4    4  crc32          u32 over every byte before it
 //! ```
 //!
-//! All header integers are little-endian and fixed-width.  The header says
-//! where it ends through its own encoding, so no length, offset or count
-//! is stored: the payload is whatever lies between the header and the
-//! checksum.  The `SKCH` payload opens with the node count; then each
-//! layer of the header spec's schedule for it has its sampling first and
-//! its label rows written relative to it — sparse entries as ranks within
-//! their level, table cells relative to the row's least cell, pivots
-//! derived (see `dsketch::codec`, "Family payloads" and "Label sets");
-//! that is the payload's business, not the container's.
+//! Every header integer is little-endian and fixed-width, an `f64` is its
+//! IEEE-754 bits.  The header ends where its own encoding says, so no
+//! length, offset or count is stored: the payload is whatever lies between
+//! the header and the checksum.  A spec decodes only if it
+//! [validates](dsketch::SchemeSpec::validate), so a header spec out of
+//! range is a `header-decode` refusal before a layer is read.  The offsets,
+//! written out for a Thorup–Zwick snapshot:
+//!
+//! ```
+//! use dsketch::prelude::*;
+//! use dsketch_store::{build_stored, crc32::crc32, write_snapshot, FORMAT_VERSION};
+//! use netgraph::generators::{erdos_renyi, GeneratorConfig};
+//!
+//! let graph = erdos_renyi(40, 0.2, GeneratorConfig::uniform(3, 1, 9));
+//! let config = SchemeConfig::default().with_seed(5).with_parallel_build();
+//! let contents = build_stored(&graph, SchemeSpec::thorup_zwick(3), &config).unwrap();
+//! let mut bytes = Vec::new();
+//! write_snapshot(&mut bytes, &contents).unwrap();
+//!
+//! let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+//! assert_eq!(&bytes[0..4], b"DSK1");
+//! assert_eq!(bytes[4..8], FORMAT_VERSION.to_le_bytes());
+//! assert_eq!((bytes[8], u64_at(9)), (0, 3)); // tz, k = 3: S = 9
+//! let fingerprint = graph.fingerprint();
+//! assert_eq!(u64_at(17), fingerprint.nodes);
+//! assert_eq!(u64_at(25), fingerprint.edges);
+//! assert_eq!(u64_at(33), fingerprint.weight_checksum);
+//! assert_eq!(bytes[41], 1); // a build records its stats ...
+//! let stats = contents.build_stats.as_ref().unwrap();
+//! assert_eq!(u64_at(42), stats.rounds); // ... five u64s from offset 42
+//! assert_eq!(u64_at(74), stats.active_rounds);
+//! let (body, crc) = bytes.split_at(bytes.len() - 4);
+//! assert_eq!(&body[82..], contents.sketches.encode_payload()); // H = 82
+//! assert_eq!(crc, crc32(body).to_le_bytes());
+//! ```
 //!
 //! # Versioning policy
 //!
-//! * The `version` field is the **major** format version, and a reader
-//!   reads exactly one: [`FORMAT_VERSION`].  Anything else — newer *or*
-//!   older — is refused with [`StoreError::UnsupportedVersion`].  There is
-//!   no v1–v6 reader and no converter: v2 changed the label encoding
-//!   (fixed-width → gap-coded varints), v3 the label set itself (each
-//!   layer's top level a table written once; no entry levels, no row `k`),
-//!   v4 what a row says (no pivots, ranks within a level for ids, cells
-//!   relative to the row's least; the sampling first, one varint a node;
-//!   no per-layer run cost, no CDG net), v5 how a layer's sampling is
-//!   written (one way: its params, then its levels, read at the `k` the
-//!   spec or the params give — no stored `k` or probability, 3-stretch as
-//!   CDG at `k = 1` instead of a net; a `STAT` record without its
-//!   bandwidth-violation count), v6 what a payload says of its sampling
-//!   (the node count once, then each layer's levels: no params, layer count
-//!   or repeated node count — the spec's layer schedule for `n` gives every
-//!   layer's `(ε, k)`, and a header spec out of range is refused) and v7
-//!   the container (one header, the payload and one CRC over both: no
-//!   section table, header length or per-section CRC, the build stats a
-//!   header field).  A snapshot is a cache of a deterministic build, and
-//!   rebuilding it is one `build_stored` call — cheaper to own than a
-//!   second decoder for every consumer of the bytes.
-//! * Any change to the header or to the payload encoding (see
-//!   `dsketch::codec`) is a major bump.
+//! The `version` field is the **major** format version, and a reader reads
+//! exactly one: [`FORMAT_VERSION`].  Anything else, newer *or* older, is
+//! refused with [`StoreError::UnsupportedVersion`].  Any change to the
+//! header or to the payload encoding is a major bump.  There is no reader
+//! of an older version and no converter: a snapshot is a cache of a
+//! deterministic build, and rebuilding it is one `build_stored` call —
+//! cheaper to own than a second decoder for every consumer of the bytes.
+//! CHANGES.md keeps what each version changed.
 
 #![deny(clippy::as_conversions)]
 
 use crate::error::StoreError;
 use congest_sim::RunStats;
-use dsketch::codec::{CodecError, Decoder, Encoder, SketchCodec};
+use dsketch::codec::{CodecError, Decoder, Encoder};
 use dsketch::SchemeSpec;
 use netgraph::GraphFingerprint;
 
@@ -85,7 +105,7 @@ impl Header {
             out.put_u8(b);
         }
         out.put_u32(FORMAT_VERSION);
-        self.spec.encode(&mut out);
+        put_spec(&self.spec, &mut out);
         out.put_u64(self.fingerprint.nodes);
         out.put_u64(self.fingerprint.edges);
         out.put_u64(self.fingerprint.weight_checksum);
@@ -93,7 +113,7 @@ impl Header {
             None => out.put_u8(0),
             Some(stats) => {
                 out.put_u8(1);
-                stats.encode(&mut out);
+                put_stats(stats, &mut out);
             }
         }
         out.into_bytes()
@@ -102,14 +122,14 @@ impl Header {
     /// Decode the fields that follow magic and version (`check_prelude`
     /// has passed them), leaving `input` at the first payload byte.
     pub(crate) fn decode(input: &mut Decoder<'_>) -> Result<Header, CodecError> {
-        let spec = SchemeSpec::decode(input)?;
+        let spec = read_spec(input)?;
         let fingerprint = GraphFingerprint {
             nodes: input.u64("fingerprint.nodes")?,
             edges: input.u64("fingerprint.edges")?,
             weight_checksum: input.u64("fingerprint.checksum")?,
         };
         let build_stats = if input.bool("build stats flag")? {
-            Some(RunStats::decode(input)?)
+            Some(read_stats(input)?)
         } else {
             None
         };
@@ -119,6 +139,95 @@ impl Header {
             build_stats,
         })
     }
+}
+
+/// Scheme-spec tags (stable; a new variant appends, never renumbers).
+const SPEC_TZ: u8 = 0;
+const SPEC_THREE_STRETCH: u8 = 1;
+const SPEC_CDG: u8 = 2;
+const SPEC_DEGRADING: u8 = 3;
+
+fn put_spec(spec: &SchemeSpec, out: &mut Encoder) {
+    let put_cap = |cap: Option<usize>, out: &mut Encoder| match cap {
+        Some(v) => {
+            out.put_u8(1);
+            out.put_usize(v);
+        }
+        None => out.put_u8(0),
+    };
+    match *spec {
+        SchemeSpec::ThorupZwick { k } => {
+            out.put_u8(SPEC_TZ);
+            out.put_usize(k);
+        }
+        SchemeSpec::ThreeStretch { eps } => {
+            out.put_u8(SPEC_THREE_STRETCH);
+            out.put_f64(eps);
+        }
+        SchemeSpec::Cdg { eps, k } => {
+            out.put_u8(SPEC_CDG);
+            out.put_f64(eps);
+            out.put_usize(k);
+        }
+        SchemeSpec::Degrading { max_layers, max_k } => {
+            out.put_u8(SPEC_DEGRADING);
+            put_cap(max_layers, out);
+            put_cap(max_k, out);
+        }
+    }
+}
+
+/// Read the spec [`put_spec`] writes; it decodes only if it
+/// [validates](SchemeSpec::validate).
+fn read_spec(input: &mut Decoder<'_>) -> Result<SchemeSpec, CodecError> {
+    let read_cap = |input: &mut Decoder<'_>, context| -> Result<_, CodecError> {
+        Ok(if input.bool(context)? {
+            Some(input.usize(context)?)
+        } else {
+            None
+        })
+    };
+    let spec = match input.u8("SchemeSpec tag")? {
+        SPEC_TZ => SchemeSpec::ThorupZwick {
+            k: input.usize("SchemeSpec.k")?,
+        },
+        SPEC_THREE_STRETCH => SchemeSpec::ThreeStretch {
+            eps: input.f64("SchemeSpec.eps")?,
+        },
+        SPEC_CDG => SchemeSpec::Cdg {
+            eps: input.f64("SchemeSpec.eps")?,
+            k: input.usize("SchemeSpec.k")?,
+        },
+        SPEC_DEGRADING => SchemeSpec::Degrading {
+            max_layers: read_cap(input, "SchemeSpec.max_layers")?,
+            max_k: read_cap(input, "SchemeSpec.max_k")?,
+        },
+        other => {
+            let message = format!("unknown scheme tag {other}");
+            return Err(CodecError::invalid("SchemeSpec tag", message));
+        }
+    };
+    spec.validate()
+        .map_err(|e| CodecError::invalid("SchemeSpec", e.to_string()))?;
+    Ok(spec)
+}
+
+fn put_stats(stats: &RunStats, out: &mut Encoder) {
+    out.put_u64(stats.rounds);
+    out.put_u64(stats.messages);
+    out.put_u64(stats.words);
+    out.put_u64(stats.max_messages_in_round);
+    out.put_u64(stats.active_rounds);
+}
+
+fn read_stats(input: &mut Decoder<'_>) -> Result<RunStats, CodecError> {
+    Ok(RunStats {
+        rounds: input.u64("RunStats.rounds")?,
+        messages: input.u64("RunStats.messages")?,
+        words: input.u64("RunStats.words")?,
+        max_messages_in_round: input.u64("RunStats.max_messages_in_round")?,
+        active_rounds: input.u64("RunStats.active_rounds")?,
+    })
 }
 
 /// Check a snapshot's first eight bytes, its magic and version — first, so
@@ -222,6 +331,74 @@ mod tests {
                 _ => "checksum",
             };
             assert_eq!(err.kind(), expected, "flip at byte {byte}: {err}");
+        }
+    }
+
+    /// `read_spec` of `put_spec`'s bytes, which must be all of them.
+    fn spec_round_trip(spec: &SchemeSpec) -> Result<SchemeSpec, CodecError> {
+        let mut out = Encoder::new();
+        put_spec(spec, &mut out);
+        let bytes = out.into_bytes();
+        let mut input = Decoder::new(&bytes);
+        let decoded = read_spec(&mut input)?;
+        input.finish()?;
+        Ok(decoded)
+    }
+
+    #[test]
+    fn scheme_spec_round_trips_every_variant() {
+        let specs = [
+            SchemeSpec::thorup_zwick(3),
+            SchemeSpec::three_stretch(0.25),
+            SchemeSpec::cdg(0.2, 2),
+            SchemeSpec::degrading(),
+            SchemeSpec::Degrading {
+                max_layers: Some(3),
+                max_k: Some(4),
+            },
+        ];
+        for spec in specs {
+            assert_eq!(spec_round_trip(&spec).unwrap(), spec);
+        }
+        assert!(matches!(
+            read_spec(&mut Decoder::new(&[200])),
+            Err(CodecError::Invalid { .. })
+        ));
+    }
+
+    #[test]
+    fn stats_and_params_round_trip() {
+        let mut out = Encoder::new();
+        put_stats(&stats(), &mut out);
+        let bytes = out.into_bytes();
+        assert_eq!(read_stats(&mut Decoder::new(&bytes)).unwrap(), stats());
+
+        // The params a payload is read by are its spec's, said once, in the
+        // snapshot header: they round-trip, and out of range they decode to
+        // no spec.
+        let params = SchemeSpec::cdg(0.25, 2);
+        assert_eq!(spec_round_trip(&params), Ok(params));
+        let uncapped = |max_layers, max_k| SchemeSpec::Degrading { max_layers, max_k };
+        for bad in [
+            SchemeSpec::thorup_zwick(0),
+            SchemeSpec::three_stretch(0.0),
+            SchemeSpec::three_stretch(f64::NAN),
+            SchemeSpec::cdg(1.5, 2),
+            SchemeSpec::cdg(0.25, 0),
+            uncapped(Some(0), None),
+            uncapped(None, Some(0)),
+        ] {
+            let err = spec_round_trip(&bad).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CodecError::Invalid {
+                        context: "SchemeSpec",
+                        ..
+                    }
+                ),
+                "{bad}: {err}"
+            );
         }
     }
 

@@ -26,18 +26,9 @@
 //! of the arrays the decode built.  So they accept the same files and
 //! refuse the rest with the same [`StoreError::kind`].
 //!
-//! # Format at a glance
-//!
-//! A snapshot is a [`format::Header`] (magic `DSK1`, major version, the
-//! [`SchemeSpec`](dsketch::SchemeSpec) it was built with, the
-//! [`GraphFingerprint`](netgraph::GraphFingerprint) of the graph it was
-//! built on, and the build's cost when recorded), then the `SKCH` payload,
-//! then one CRC-32 over both.  Encodings are the stable
-//! [`SketchCodec`](dsketch::codec::SketchCodec) layer in `dsketch::codec`
-//! (label sets as gap-coded varints beside a landmark table, everything
-//! else little-endian and fixed-width).
-//! See `format` for the byte layout and the versioning policy, and
-//! ARCHITECTURE.md's *Persistence* section for the full diagram.
+//! A snapshot is a header, the `SKCH` payload and one CRC-32 over both:
+//! [`format`](mod@format) states the container's bytes and the versioning policy,
+//! [`dsketch::codec`] the payload's, and [`error`] every refusal.
 //!
 //! # Safety properties
 //!

@@ -29,7 +29,7 @@ use crate::error::StoreError;
 use crate::format::Header;
 use crate::snapshot::{write_container, RawSnapshot, SnapshotReader};
 use congest_sim::RunStats;
-use dsketch::codec::CodecError;
+use dsketch::codec::{CodecError, LayerBytes};
 use dsketch::prelude::*;
 use dsketch::sketch::TableShape;
 use netgraph::{Graph, GraphFingerprint};
@@ -158,7 +158,7 @@ fn decode_reader<R: Read>(reader: SnapshotReader<R>) -> Result<SnapshotContents,
     let started = std::time::Instant::now();
     let raw = reader.read()?;
     let bytes = raw.total_bytes();
-    let contents = decode_raw(raw)?;
+    let contents = decode_raw(&raw)?;
     record_snapshot_load(started, bytes);
     Ok(contents)
 }
@@ -199,7 +199,7 @@ pub fn peek_snapshot_meta<P: AsRef<Path>>(
     Ok((raw.spec(), raw.fingerprint()))
 }
 
-fn decode_raw(raw: RawSnapshot) -> Result<SnapshotContents, StoreError> {
+fn decode_raw(raw: &RawSnapshot) -> Result<SnapshotContents, StoreError> {
     let sketches =
         StoredSketches::decode_payload(&raw.spec(), raw.payload()).map_err(StoreError::Payload)?;
     raw.check_labels(sketches.num_nodes())?;
@@ -372,14 +372,25 @@ pub struct SnapshotSummary {
     pub build_stats: Option<RunStats>,
     /// Each layer's landmark table, in layer order.
     pub tables: Vec<TableShape>,
+    /// Each layer's share of the payload by part, in layer order, read off
+    /// the one writer ([`StoredSketches::layer_bytes`]): the parts add up to
+    /// `payload_bytes`.  Filled by [`inspect_snapshot`]; the verify calls,
+    /// which re-encode nothing, leave it empty.
+    pub layer_bytes: Vec<LayerBytes>,
 }
 
 /// Summarize the snapshot at `path`: header fields, payload size, label
-/// statistics.  Runs the decode a load runs, so an `inspect` that says
-/// "ok" means the snapshot will load.
+/// statistics and each layer's byte split, all from one read and one
+/// decode of the payload.  The decode accepts exactly the bytes a load
+/// accepts, so an `inspect` that says "ok" means the snapshot will load.
 pub fn inspect_snapshot<P: AsRef<Path>>(path: P) -> Result<SnapshotSummary, StoreError> {
     let raw = SnapshotReader::open(path.as_ref())?.read()?;
-    Ok(summarize(&raw)?.0)
+    let contents = decode_raw(&raw)?;
+    let flat = contents.sketches.freeze().map_err(StoreError::Payload)?;
+    Ok(SnapshotSummary {
+        layer_bytes: contents.sketches.layer_bytes(),
+        ..describe(&raw, &flat)
+    })
 }
 
 /// Verify the snapshot at `path` — what `dsketch-store verify` runs: the
@@ -401,18 +412,17 @@ pub fn verify_snapshot_bytes(bytes: &[u8]) -> Result<SnapshotSummary, StoreError
 }
 
 fn verify(raw: &RawSnapshot) -> Result<SnapshotSummary, StoreError> {
-    let (summary, flat) = summarize(raw)?;
+    let flat = raw.decode_flat()?;
     flat.check_invariants()
         .map_err(|message| StoreError::Payload(CodecError::invalid("FlatSketchSet", message)))?;
-    Ok(summary)
+    Ok(describe(raw, &flat))
 }
 
-/// Decode `raw` as a load does and describe it.  The label counts come from
-/// the decoded set: a bunch entry and a present pivot are two words each.
-fn summarize(raw: &RawSnapshot) -> Result<(SnapshotSummary, FlatSketchSet), StoreError> {
-    let flat = raw.decode_flat()?;
+/// Describe `raw` by its decoded labels `flat`: a bunch entry and a present
+/// pivot are two words each.
+fn describe(raw: &RawSnapshot, flat: &FlatSketchSet) -> SnapshotSummary {
     let pivots = flat.present_pivots();
-    let summary = SnapshotSummary {
+    SnapshotSummary {
         version: crate::format::FORMAT_VERSION,
         spec: raw.spec(),
         fingerprint: raw.fingerprint(),
@@ -426,8 +436,8 @@ fn summarize(raw: &RawSnapshot) -> Result<(SnapshotSummary, FlatSketchSet), Stor
         avg_words: flat.avg_words(),
         build_stats: raw.header().build_stats.clone(),
         tables: flat.tables().to_vec(),
-    };
-    Ok((summary, flat))
+        layer_bytes: Vec::new(),
+    }
 }
 
 #[cfg(test)]

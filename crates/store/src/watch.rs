@@ -5,7 +5,7 @@
 //! [`GraphFingerprint`] to the one the current snapshot was built on, and
 //! rebuilds + re-saves only when they differ.  The CLI (and any embedding)
 //! then tells a live `dsketch_serve::SketchServer` to hot-swap the
-//! fresh snapshot in — see ARCHITECTURE.md's *Live snapshots* section.
+//! fresh snapshot in (see `dsketch_serve::swap`).
 //!
 //! The loop itself (sleep cadence, signal handling, the network swap call)
 //! lives in the binary; this module is the deterministic, testable core:

@@ -689,3 +689,27 @@ fn the_faults_endpoint_arms_reports_and_disarms() {
     assert_eq!(dsketch_faults::registry().armed_points(), 0);
     server.shutdown();
 }
+
+/// The failpoint catalogue in the `dsketch-faults` crate doc names exactly
+/// the points this file arms, so a new failpoint gets a row there and a
+/// trip here.
+#[test]
+fn the_failpoint_catalogue_names_every_point_this_file_trips() {
+    let catalogue: std::collections::BTreeSet<&str> =
+        include_str!("../../crates/faults/src/lib.rs")
+            .lines()
+            .filter_map(|line| line.strip_prefix("//! | `"))
+            .filter_map(|row| row.split('`').next())
+            .filter(|name| name.contains('.'))
+            .collect();
+    let source = include_str!("fault_injection.rs");
+    let is_name = |c: char| c.is_ascii_lowercase() || c == '.' || c == '_';
+    let armed: std::collections::BTreeSet<&str> = ["=error", "=panic", "=partial:", "=delay:"]
+        .iter()
+        .flat_map(|action| source.match_indices(action))
+        .filter_map(|(at, _)| source[..at].rsplit(|c| !is_name(c)).next())
+        .filter(|name| name.contains('.'))
+        .collect();
+    assert!(!catalogue.is_empty(), "no catalogue rows found");
+    assert_eq!(catalogue, armed);
+}

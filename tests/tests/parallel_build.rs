@@ -150,12 +150,8 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// The `DSK1` bytes of a fixed build, pinned per family as
 /// `(length, FNV-1a 64)`, so "the bytes did not move" is a test: any change
 /// to label contents, label order, the payload codec or the container shows
-/// up here.  Pinned at format version 7 (one header, the payload and one
-/// CRC, no section table; a payload of the node count once, then every
-/// layer's sampling first, as one level varint a node, with no `k`, ε,
-/// layer count or seed — the spec's schedule for `n` says them; rows of
-/// per-level rank runs and cells relative to their least, no pivots);
-/// re-pin only together with a `DSK1` format version bump.
+/// up here.  Pinned at the current `FORMAT_VERSION`; re-pin only together
+/// with a `DSK1` format version bump.
 #[test]
 fn snapshot_bytes_match_the_pinned_golden_digests() {
     let golden: [(usize, u64); 4] = [

@@ -14,9 +14,9 @@
 //! header says, edited over all 256 byte values, every accepted frame
 //! re-encoding to its own bytes.  The HTTP request head, its query pairs
 //! and the percent decoder are driven the same way by a unit test beside
-//! their private parsers (`dsketch-serve`'s `net::http`).  Still to join:
-//! `dsketch_bench::check_args_or_exit`.  The snapshot bytes are mutated
-//! already, by `codec_v2.rs` and `analysis_verify.rs`.
+//! their private parsers (`dsketch-serve`'s `net::http`), and command lines
+//! by one beside `dsketch_bench::check_args`.  The snapshot bytes are
+//! mutated already, by `codec_v2.rs` and `analysis_verify.rs`.
 
 use dsketch::SchemeSpec;
 use dsketch_faults::FaultPlan;

@@ -23,8 +23,9 @@
 //! ```
 //!
 //! Flags are [`USAGE`]'s (anything else is refused before connecting):
-//! `--batch 1` uses single-query frames, `--timeout-ms` is the per-frame
-//! deadline, and `--json -` (the default) writes no file.
+//! every frame is a batch of `--batch` pairs (one pair at `--batch 1`),
+//! `--timeout-ms` is the per-frame deadline, and `--json -` (the default)
+//! writes no file.
 //!
 //! The node count is discovered from the server's stats document, so the
 //! workload always matches whatever sketch the server is actually holding.
@@ -206,29 +207,14 @@ fn run_connection(
     };
     for chunk in pairs.chunks(batch) {
         let frame_started = Instant::now();
-        if batch == 1 {
-            let (u, v) = chunk[0];
-            match client.query(u, v) {
-                Ok(Ok(_)) => report.answers += 1,
-                Ok(Err(_)) => {
-                    report.answers += 1;
-                    report.typed_errors += 1;
-                }
-                Err(e) => {
-                    report.transport_error = Some(format!("query: {e}"));
-                    return report;
-                }
+        match client.query_batch(chunk) {
+            Ok(results) => {
+                report.answers += results.len() as u64;
+                report.typed_errors += results.iter().filter(|r| r.is_err()).count() as u64;
             }
-        } else {
-            match client.query_batch(chunk) {
-                Ok(results) => {
-                    report.answers += results.len() as u64;
-                    report.typed_errors += results.iter().filter(|r| r.is_err()).count() as u64;
-                }
-                Err(e) => {
-                    report.transport_error = Some(format!("batch: {e}"));
-                    return report;
-                }
+            Err(e) => {
+                report.transport_error = Some(format!("batch: {e}"));
+                return report;
             }
         }
         let frame_nanos = u64::try_from(frame_started.elapsed().as_nanos()).unwrap_or(u64::MAX);

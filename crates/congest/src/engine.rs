@@ -202,7 +202,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     }
 
     /// True if all programs report done and no messages are in flight.
-    pub fn is_quiescent(&self) -> bool {
+    fn is_quiescent(&self) -> bool {
         self.in_flight == 0 && self.programs.iter().all(|p| p.is_done())
     }
 

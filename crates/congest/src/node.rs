@@ -135,11 +135,6 @@ impl<'a, M: Clone + MessageSize> NodeContext<'a, M> {
         self.graph.neighbors(self.node).map(|e| (e.to, e.weight))
     }
 
-    /// Weight of the edge to `neighbor`, if it exists.
-    pub fn edge_weight_to(&self, neighbor: NodeId) -> Option<Weight> {
-        self.graph.edge_weight(self.node, neighbor)
-    }
-
     /// Messages delivered to this node at the end of the previous round.
     pub fn incoming(&self) -> &[Incoming<M>] {
         self.incoming
@@ -234,8 +229,10 @@ mod tests {
         assert_eq!(ctx.round(), 3);
         assert_eq!(ctx.num_nodes(), 3);
         assert_eq!(ctx.degree(), 2);
-        assert_eq!(ctx.edge_weight_to(NodeId(0)), Some(4));
-        assert_eq!(ctx.edge_weight_to(NodeId(2)), Some(6));
+        assert_eq!(
+            ctx.neighbors().collect::<Vec<_>>(),
+            [(NodeId(0), 4), (NodeId(2), 6)]
+        );
         assert_eq!(ctx.incoming().len(), 1);
         assert_eq!(ctx.incoming()[0].message, 10);
 

@@ -90,7 +90,7 @@ impl BfsTreeProgram {
     }
 
     /// Extract the tree view once the run has quiesced.
-    pub fn tree_info(&self) -> TreeInfo {
+    fn tree_info(&self) -> TreeInfo {
         TreeInfo {
             root: self.best_root,
             parent: self.parent,

@@ -33,15 +33,6 @@ impl RunStats {
         self.active_rounds = self.active_rounds.saturating_add(other.active_rounds);
     }
 
-    /// Average messages per round (0 if no rounds ran).
-    pub fn avg_messages_per_round(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.messages as f64 / self.rounds as f64
-        }
-    }
-
     /// Record the delivery of `messages` messages totalling `words` words in
     /// one round.
     pub(crate) fn record_round(&mut self, messages: u64, words: u64) {
@@ -70,7 +61,6 @@ mod tests {
         assert_eq!(s.words, 25);
         assert_eq!(s.max_messages_in_round, 10);
         assert_eq!(s.active_rounds, 2);
-        assert!((s.avg_messages_per_round() - 5.0).abs() < 1e-9);
     }
 
     #[test]
@@ -95,10 +85,5 @@ mod tests {
         assert_eq!(a.words, 260);
         assert_eq!(a.max_messages_in_round, 40);
         assert_eq!(a.active_rounds, 7);
-    }
-
-    #[test]
-    fn empty_stats_average_is_zero() {
-        assert_eq!(RunStats::default().avg_messages_per_round(), 0.0);
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::error::SketchError;
 use crate::oracle::DistanceOracle;
-use netgraph::apsp::{DistanceTable, SampledPairs};
+use netgraph::apsp::DistanceTable;
 use netgraph::{Distance, Graph, NodeId};
 
 /// Aggregate stretch statistics over a set of evaluated pairs.
@@ -67,15 +67,6 @@ impl StretchReport {
                 / n as f64,
         }
     }
-
-    /// Fraction of evaluated pairs (excluding failures) with stretch at most
-    /// `bound` — only meaningful when built through [`evaluate_pairs`], which
-    /// records it; recomputed here from the distribution summary is not
-    /// possible, so this helper reports whether the *worst* observed stretch
-    /// meets the bound.
-    pub fn meets_bound(&self, bound: f64) -> bool {
-        self.failures == 0 && self.worst <= bound + 1e-9
-    }
 }
 
 /// Evaluate arbitrary estimator output against exact pairs.
@@ -103,25 +94,6 @@ where
     StretchReport::from_stretches(stretches, failures)
 }
 
-/// Evaluate any [`DistanceOracle`] over **all** pairs of a graph.
-pub fn evaluate_oracle(graph: &Graph, oracle: &dyn DistanceOracle) -> StretchReport {
-    let table = DistanceTable::exact(graph);
-    let pairs: Vec<_> = table.pairs().collect();
-    evaluate_pairs(&pairs, |u, v| oracle.estimate(u, v))
-}
-
-/// Evaluate any [`DistanceOracle`] over a uniform sample of pairs (for
-/// graphs where the full quadratic table would dominate the experiment).
-pub fn evaluate_oracle_sampled(
-    graph: &Graph,
-    oracle: &dyn DistanceOracle,
-    num_pairs: usize,
-    seed: u64,
-) -> StretchReport {
-    let sampled = SampledPairs::uniform(graph, num_pairs, seed);
-    evaluate_pairs(&sampled.pairs, |u, v| oracle.estimate(u, v))
-}
-
 /// Evaluate any [`DistanceOracle`] separately on ε-far pairs and on the
 /// remaining (near) pairs, as needed to check slack guarantees.
 pub fn evaluate_oracle_with_slack(
@@ -132,10 +104,9 @@ pub fn evaluate_oracle_with_slack(
     evaluate_with_slack(graph, eps, |u, v| oracle.estimate(u, v))
 }
 
-/// Evaluate an arbitrary estimator separately on ε-far pairs and on the
-/// remaining (near) pairs.  The closure form serves baselines that are not
-/// [`DistanceOracle`]s; sketch sets use [`evaluate_oracle_with_slack`].
-pub fn evaluate_with_slack<F>(graph: &Graph, eps: f64, mut estimate: F) -> SlackReport
+/// Evaluate an estimator separately on ε-far pairs and on the remaining
+/// (near) pairs.
+fn evaluate_with_slack<F>(graph: &Graph, eps: f64, mut estimate: F) -> SlackReport
 where
     F: FnMut(NodeId, NodeId) -> Result<Distance, SketchError>,
 {
@@ -171,7 +142,12 @@ pub struct SlackReport {
 mod tests {
     use super::*;
     use crate::scheme::{SchemeConfig, SchemeSpec, StoredSketches};
+    use netgraph::apsp::SampledPairs;
     use netgraph::generators::{erdos_renyi, GeneratorConfig};
+
+    fn all_pairs(g: &Graph) -> Vec<(NodeId, NodeId, Distance)> {
+        DistanceTable::exact(g).pairs().collect()
+    }
 
     fn build_sketches(n: usize, k: usize) -> (Graph, StoredSketches) {
         let g = erdos_renyi(n, 0.1, GeneratorConfig::uniform(3, 1, 15));
@@ -190,28 +166,26 @@ mod tests {
         assert!((report.worst - 1.0).abs() < 1e-9);
         assert!((report.average - 1.0).abs() < 1e-9);
         assert!((report.exact_fraction - 1.0).abs() < 1e-9);
-        assert!(report.meets_bound(1.0));
     }
 
     #[test]
     fn report_statistics_are_ordered() {
         let (g, sketches) = build_sketches(60, 3);
-        let report = evaluate_oracle(&g, &sketches);
+        let report = evaluate_pairs(&all_pairs(&g), |u, v| sketches.estimate(u, v));
         assert_eq!(report.failures, 0);
         assert!(report.worst <= 5.0 + 1e-9, "k=3 stretch bound");
         assert!(report.median <= report.p90 + 1e-12);
         assert!(report.p90 <= report.p99 + 1e-12);
         assert!(report.p99 <= report.worst + 1e-12);
         assert!(report.average >= 1.0);
-        assert!(report.meets_bound(5.0));
-        assert!(!report.meets_bound(report.worst - 0.5));
     }
 
     #[test]
     fn sampled_evaluation_agrees_roughly_with_full() {
         let (g, sketches) = build_sketches(80, 2);
-        let full = evaluate_oracle(&g, &sketches);
-        let sampled = evaluate_oracle_sampled(&g, &sketches, 400, 9);
+        let full = evaluate_pairs(&all_pairs(&g), |u, v| sketches.estimate(u, v));
+        let sampled = SampledPairs::uniform(&g, 400, 9);
+        let sampled = evaluate_pairs(&sampled.pairs, |u, v| sketches.estimate(u, v));
         assert!(sampled.pairs > 0);
         assert!(sampled.worst <= full.worst + 1e-9);
         assert!((sampled.average - full.average).abs() < 0.5);

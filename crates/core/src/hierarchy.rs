@@ -205,11 +205,6 @@ impl Hierarchy {
             .collect()
     }
 
-    /// Sizes of `A_0, …, A_{k-1}`.
-    pub fn level_sizes(&self) -> Vec<usize> {
-        (0..self.k).map(|i| self.level_members(i).len()).collect()
-    }
-
     /// True if the top level `A_{k-1}` is non-empty.  When it is empty the
     /// worst-case stretch guarantee can fail for some pairs; the paper
     /// implicitly conditions on the (high-probability) event that it is
@@ -275,7 +270,7 @@ mod tests {
     #[test]
     fn levels_are_nested() {
         let h = Hierarchy::sample(500, &TzParams::new(4).with_seed(3)).unwrap();
-        let sizes = h.level_sizes();
+        let sizes: Vec<usize> = (0..4).map(|i| h.level_members(i).len()).collect();
         assert_eq!(sizes.len(), 4);
         assert_eq!(sizes[0], 500);
         for w in sizes.windows(2) {
@@ -287,7 +282,7 @@ mod tests {
     fn expected_level_sizes_are_roughly_geometric() {
         // n = 4096, k = 4 => per-level survival probability 4096^(-1/4) = 1/8.
         let h = Hierarchy::sample(4096, &TzParams::new(4).with_seed(11)).unwrap();
-        let sizes = h.level_sizes();
+        let sizes: Vec<usize> = (0..4).map(|i| h.level_members(i).len()).collect();
         // E|A_1| = 512; allow generous tolerance.
         assert!(sizes[1] > 300 && sizes[1] < 800, "A_1 size {}", sizes[1]);
         // E|A_2| = 64

@@ -163,10 +163,7 @@ pub mod prelude {
     pub use crate::codec::{CodecError, Decoder, Encoder};
     pub use crate::distributed::SyncMode;
     pub use crate::error::SketchError;
-    pub use crate::eval::{
-        evaluate_oracle, evaluate_oracle_sampled, evaluate_oracle_with_slack, SlackReport,
-        StretchReport,
-    };
+    pub use crate::eval::{evaluate_oracle_with_slack, SlackReport, StretchReport};
     pub use crate::flat::FlatSketchSet;
     pub use crate::hierarchy::{Hierarchy, TzParams};
     pub use crate::oracle::DistanceOracle;

@@ -60,7 +60,7 @@ impl CdgParams {
     }
 
     /// The paper's per-level sampling probability `((10/ε) ln n)^{-1/k}`.
-    pub fn level_probability(&self, num_nodes: usize) -> f64 {
+    fn level_probability(&self, num_nodes: usize) -> f64 {
         if self.k <= 1 {
             return 0.0;
         }

@@ -154,13 +154,6 @@ pub struct DensityNetReport {
     pub coverage_violations: usize,
 }
 
-impl DensityNetReport {
-    /// True if both properties of Definition 4.1 hold.
-    pub fn is_valid(&self) -> bool {
-        self.coverage_violations == 0 && (self.size as f64) <= self.size_bound
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,7 +208,8 @@ mod tests {
         let table = DistanceTable::exact(&g);
         let net = DensityNet::sample_nonempty(n, 0.25, 5).unwrap();
         let report = net.verify(&g, &table);
-        assert!(report.is_valid(), "{report:?}");
+        assert_eq!(report.coverage_violations, 0, "{report:?}");
+        assert!(report.size as f64 <= report.size_bound, "{report:?}");
     }
 
     #[test]

@@ -76,7 +76,7 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
@@ -117,8 +117,8 @@ pub enum FaultAction {
     Panic,
     /// Sleep this many milliseconds, then continue normally.
     Delay(u64),
-    /// Cut a wrapped IO stream after this many bytes ([`FaultWriter`] /
-    /// [`FaultReader`]); plain call sites treat it like [`FaultAction::Error`].
+    /// Cut a wrapped IO stream after this many bytes ([`FaultWriter`]);
+    /// plain call sites treat it like [`FaultAction::Error`].
     Partial(u64),
 }
 
@@ -179,16 +179,6 @@ impl PointPlan {
             one_in: 1,
             after: 0,
             max: u64::MAX,
-        }
-    }
-
-    /// Trip exactly once, on the k-th hit (1-based).
-    pub fn on_hit(k: u64, action: FaultAction) -> PointPlan {
-        PointPlan {
-            action,
-            one_in: 1,
-            after: k.saturating_sub(1),
-            max: 1,
         }
     }
 
@@ -571,51 +561,6 @@ impl<W: Write> Write for FaultWriter<W> {
     }
 }
 
-/// A `Read` adapter that injects `error` / `partial` faults from `point`:
-/// `partial:N` serves at most `N` more bytes, then reports end-of-stream —
-/// a short read, exactly what a truncated file or dropped connection
-/// produces.
-#[derive(Debug)]
-pub struct FaultReader<R> {
-    inner: R,
-    point: &'static str,
-    /// Once a partial fault trips, the remaining byte budget.
-    remaining: Option<u64>,
-}
-
-impl<R: Read> FaultReader<R> {
-    /// Wrap `inner`, injecting faults armed under `point`.
-    pub fn new(inner: R, point: &'static str) -> FaultReader<R> {
-        FaultReader {
-            inner,
-            point,
-            remaining: None,
-        }
-    }
-}
-
-impl<R: Read> Read for FaultReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.remaining.is_none() {
-            match hit(self.point) {
-                None => {}
-                Some(Fault::Partial(n)) => self.remaining = Some(n),
-                Some(fault) => return Err(fault.io_error(self.point)),
-            }
-        }
-        match self.remaining {
-            None => self.inner.read(buf),
-            Some(0) => Ok(0),
-            Some(budget) => {
-                let cap = usize::try_from(budget).unwrap_or(usize::MAX).min(buf.len());
-                let got = self.inner.read(&mut buf[..cap])?;
-                self.remaining = Some(budget - got as u64);
-                Ok(got)
-            }
-        }
-    }
-}
-
 /// FNV-1a over `bytes` — stable, dependency-free point-name hashing.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -686,8 +631,10 @@ mod tests {
 
     #[test]
     fn kth_hit_after_and_max_schedule_exactly() {
-        let plan = FaultPlan::new(9)
-            .with_point("unit.kth", PointPlan::on_hit(3, FaultAction::Error).max(2));
+        let plan = FaultPlan::new(9).with_point(
+            "unit.kth",
+            PointPlan::new(FaultAction::Error).after(2).max(2),
+        );
         let _guard = Armed::with(&plan);
         let outcomes: Vec<bool> = (0..6).map(|_| hit("unit.kth").is_some()).collect();
         // Hits 1–2 skipped (`after = 2`), hits 3–4 trip (`max = 2`), rest pass.
@@ -768,8 +715,10 @@ mod tests {
 
     #[test]
     fn fault_writer_cuts_after_the_partial_budget() {
-        let plan = FaultPlan::new(0)
-            .with_point("unit.writer", PointPlan::on_hit(2, FaultAction::Partial(3)));
+        let plan = FaultPlan::new(0).with_point(
+            "unit.writer",
+            PointPlan::new(FaultAction::Partial(3)).after(1).max(1),
+        );
         let _guard = Armed::with(&plan);
         let mut sink = Vec::new();
         let mut writer = FaultWriter::new(&mut sink, "unit.writer");
@@ -777,17 +726,6 @@ mod tests {
         let err = writer.write_all(b"efgh").unwrap_err(); // hit 2 cuts after 3 bytes
         assert!(err.to_string().contains("unit.writer"));
         assert_eq!(sink, b"abcdefg");
-    }
-
-    #[test]
-    fn fault_reader_serves_the_budget_then_reports_eof() {
-        let plan =
-            FaultPlan::new(0).with_point("unit.reader", PointPlan::new(FaultAction::Partial(5)));
-        let _guard = Armed::with(&plan);
-        let mut reader = FaultReader::new(&b"0123456789"[..], "unit.reader");
-        let mut out = Vec::new();
-        reader.read_to_end(&mut out).unwrap();
-        assert_eq!(out, b"01234", "short read: budget served, then EOF");
     }
 
     #[test]
@@ -807,7 +745,7 @@ mod tests {
     #[test]
     fn delay_action_sleeps_then_passes() {
         let plan = FaultPlan::new(0)
-            .with_point("unit.delay", PointPlan::on_hit(1, FaultAction::Delay(30)));
+            .with_point("unit.delay", PointPlan::new(FaultAction::Delay(30)).max(1));
         let _guard = Armed::with(&plan);
         let started = std::time::Instant::now();
         assert_eq!(hit("unit.delay"), None, "delay continues normally");

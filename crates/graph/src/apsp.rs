@@ -74,7 +74,7 @@ impl DistanceTable {
     /// This is the quantity that decides whether `v` is ε-far from `u`
     /// (Section 4 of the paper): `v` is ε-far from `u` iff
     /// `|{w : d(u,w) < d(u,v)}| ≥ ε n`.
-    pub fn rank_of(&self, u: NodeId, v: NodeId) -> usize {
+    fn rank_of(&self, u: NodeId, v: NodeId) -> usize {
         let duv = self.distance(u, v);
         self.row(u).iter().filter(|&&d| d < duv).count()
     }

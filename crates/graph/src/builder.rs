@@ -16,7 +16,6 @@ pub struct GraphBuilder {
     /// Canonicalized edges (min(u,v), max(u,v), w); may contain duplicates
     /// until `build`.
     edges: Vec<(u32, u32, Weight)>,
-    dropped_self_loops: usize,
 }
 
 impl GraphBuilder {
@@ -25,7 +24,6 @@ impl GraphBuilder {
         GraphBuilder {
             num_nodes,
             edges: Vec::new(),
-            dropped_self_loops: 0,
         }
     }
 
@@ -34,18 +32,12 @@ impl GraphBuilder {
         GraphBuilder {
             num_nodes,
             edges: Vec::with_capacity(num_edges),
-            dropped_self_loops: 0,
         }
     }
 
     /// Number of nodes this builder was created for.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
-    }
-
-    /// Number of self-loops that were silently dropped.
-    pub fn dropped_self_loops(&self) -> usize {
-        self.dropped_self_loops
     }
 
     /// Add an undirected edge `(u, v)` with weight `w`.
@@ -59,7 +51,6 @@ impl GraphBuilder {
             self.num_nodes
         );
         if u == v {
-            self.dropped_self_loops += 1;
             return;
         }
         let (a, b) = if u.0 < v.0 { (u.0, v.0) } else { (v.0, u.0) };
@@ -69,15 +60,6 @@ impl GraphBuilder {
     /// Add an edge by raw indices; convenience for generators and I/O.
     pub fn add_edge_idx(&mut self, u: usize, v: usize, w: Weight) {
         self.add_edge(NodeId::from_index(u), NodeId::from_index(v), w);
-    }
-
-    /// Returns `true` if an edge between `u` and `v` has already been added.
-    ///
-    /// Linear scan — intended for generators that add few edges per node, not
-    /// for hot paths.
-    pub fn contains_edge(&self, u: NodeId, v: NodeId) -> bool {
-        let (a, b) = if u.0 < v.0 { (u.0, v.0) } else { (v.0, u.0) };
-        self.edges.iter().any(|&(x, y, _)| x == a && y == b)
     }
 
     /// Finalize into a CSR [`Graph`].
@@ -168,7 +150,6 @@ mod tests {
         let mut b = GraphBuilder::new(3);
         b.add_edge(NodeId(1), NodeId(1), 5);
         b.add_edge(NodeId(0), NodeId(1), 2);
-        assert_eq!(b.dropped_self_loops(), 1);
         let g = b.build();
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.degree(NodeId(1)), 1);
@@ -183,6 +164,7 @@ mod tests {
         let g = b.build();
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.edge_weight(NodeId(0), NodeId(1)), Some(4));
+        assert_eq!(g.edge_weight(NodeId(1), NodeId(0)), Some(4));
     }
 
     #[test]
@@ -195,15 +177,6 @@ mod tests {
         let g = b.build();
         let targets: Vec<u32> = g.neighbors(NodeId(2)).map(|e| e.to.0).collect();
         assert_eq!(targets, vec![0, 1, 3, 4]);
-    }
-
-    #[test]
-    fn contains_edge_detects_both_orientations() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge_idx(0, 2, 1);
-        assert!(b.contains_edge(NodeId(0), NodeId(2)));
-        assert!(b.contains_edge(NodeId(2), NodeId(0)));
-        assert!(!b.contains_edge(NodeId(0), NodeId(1)));
     }
 
     #[test]

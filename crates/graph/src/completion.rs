@@ -45,14 +45,6 @@ impl MetricCompletion {
         }
     }
 
-    /// The completion-local id of an original node, if it is in the subset.
-    pub fn local_id(&self, original: NodeId) -> Option<NodeId> {
-        self.original
-            .iter()
-            .position(|&v| v == original)
-            .map(NodeId::from_index)
-    }
-
     /// The original id of a completion-local node.
     pub fn original_id(&self, local: NodeId) -> NodeId {
         self.original[local.index()]
@@ -119,11 +111,10 @@ mod tests {
         let subset = vec![NodeId(2), NodeId(5), NodeId(9)];
         let completion = MetricCompletion::build(&g, &subset);
         assert!(!completion.is_empty());
+        assert_eq!(completion.original, subset);
         for (i, &orig) in subset.iter().enumerate() {
-            assert_eq!(completion.local_id(orig), Some(NodeId::from_index(i)));
             assert_eq!(completion.original_id(NodeId::from_index(i)), orig);
         }
-        assert_eq!(completion.local_id(NodeId(0)), None);
     }
 
     #[test]

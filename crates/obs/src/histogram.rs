@@ -75,7 +75,7 @@ impl Histogram {
         self.cells.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// A point-in-time copy of the cells.
+    /// A copy of the cells, each loaded once.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: self
@@ -90,7 +90,9 @@ impl Histogram {
     }
 }
 
-/// A consistent point-in-time view of one histogram.
+/// A copy of one histogram's cells, each loaded once.  Recording is not
+/// paused, so `sum` and `max` may include an observation the buckets do
+/// not yet show; [`HistogramSnapshot::count`] always equals the buckets.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket observation counts ([`BUCKETS`] entries, non-cumulative).

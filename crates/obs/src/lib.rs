@@ -8,9 +8,10 @@
 //! * [`MetricsRegistry`] — named counters, gauges, and log₂-bucket latency
 //!   histograms.  Recording is lock-free (plain relaxed atomics behind
 //!   cheap `Clone` handles); reading is a one-pass [`MetricsRegistry::snapshot`]
-//!   whose derived quantities (histogram counts, ratios) are computed from
-//!   the snapshot itself, so a `/stats` document can never mix counter
-//!   values from two different moments.
+//!   that loads each atomic once and computes its derived quantities
+//!   (histogram counts, ratios) from the values it reports.  It is not a
+//!   consistent cut: relations between counters hold exactly once writers
+//!   are quiet.
 //! * [`Histogram`] — fixed log₂ buckets over nanoseconds: bucket *i* holds
 //!   values in `[2^i, 2^(i+1))`, recording is three `fetch_add`-class
 //!   atomic operations, and the total count is *derived from the buckets*

@@ -10,7 +10,11 @@
 //! [`MetricsRegistry::snapshot`] walks every family once under the read
 //! lock and loads each atomic exactly once, producing a
 //! [`MetricsSnapshot`] whose derived quantities (ratios, histogram counts)
-//! are internally consistent by construction.
+//! are computed from the values it reports.  It is not a consistent cut:
+//! writers add with relaxed `fetch_add` and take no lock, so the read lock
+//! orders nothing against them, and a relation between counters (such as
+//! `cache_hits + cache_misses == queries`) holds exactly once the writers
+//! are quiet.
 
 use crate::histogram::{Histogram, HistogramSnapshot};
 use std::collections::BTreeMap;
@@ -242,8 +246,9 @@ impl MetricsRegistry {
         }
     }
 
-    /// One consistent pass over every registered instrument: each atomic is
-    /// loaded exactly once, under a single read lock.
+    /// One pass over every registered instrument: each atomic is loaded
+    /// exactly once, under a single read lock that keeps registration out
+    /// but orders nothing against recording (see the module doc).
     pub fn snapshot(&self) -> MetricsSnapshot {
         let map = self.read();
         MetricsSnapshot {
@@ -278,8 +283,8 @@ pub fn global() -> &'static MetricsRegistry {
     GLOBAL.get_or_init(MetricsRegistry::new)
 }
 
-/// A point-in-time view of one registry: every family, every series, read
-/// in one pass.
+/// A view of one registry: every family, every series, each atomic read
+/// once in one pass.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Families in name order.

@@ -89,7 +89,7 @@ impl NetClient {
     }
 
     /// Send one request frame and wait for its response frame.
-    pub fn round_trip(&mut self, request: &Request) -> Result<Response, NetError> {
+    fn round_trip(&mut self, request: &Request) -> Result<Response, NetError> {
         self.conn.write_all(&request.to_frame(), self.timeout)?;
         let deadline = Instant::now() + self.timeout;
         match self.conn.read_frame(RESPONSE_MAGIC, deadline, None)? {
@@ -106,14 +106,18 @@ impl NetClient {
         }
     }
 
-    /// One distance query.  A typed server-side failure (unknown node, no
-    /// common landmark) arrives as `Ok(Err(_))`; transport problems as
-    /// `Err(_)`.
+    /// One distance query: the one slot of a one-pair
+    /// [`NetClient::query_batch`].  The pair's own failure (unknown node, no
+    /// common landmark, a panicked answer) arrives as `Ok(Err(_))`; a
+    /// request-level failure as `Err(NetError::Server(_))`, transport
+    /// problems as other `Err(_)`s.
     pub fn query(&mut self, u: NodeId, v: NodeId) -> Result<Result<Distance, WireError>, NetError> {
-        match self.round_trip(&Request::Query { u, v })? {
-            Response::Distance(d) => Ok(Ok(d)),
-            Response::Error(e) => Ok(Err(e)),
-            other => Err(unexpected("distance", &other)),
+        match <[_; 1]>::try_from(self.query_batch(&[(u, v)])?) {
+            Ok([slot]) => Ok(slot),
+            Err(_) => Err(NetError::UnexpectedResponse {
+                expected: "one-slot batch",
+                got: "batch of another size",
+            }),
         }
     }
 

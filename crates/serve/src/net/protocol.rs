@@ -19,12 +19,12 @@
 //!
 //! ```text
 //!  NETQ  0 ping          (empty)
-//!        1 query         u · v
+//!        1 (retired)     was a single query
 //!        2 query batch   count · (u · v) × count
 //!        3 stats         (empty)
 //!        4 swap          len · snapshot path (UTF-8, a path on the server)
 //!  NETR  0 pong          (empty)
-//!        1 distance      distance
+//!        1 (retired)     was a single distance
 //!        2 batch         count · result × count, in input order
 //!                        result := u8 0 · distance | u8 1 · error
 //!        3 stats         len · JSON text
@@ -32,6 +32,12 @@
 //!       15 error         error
 //!  error := code u8 · len · detail (UTF-8)    codes: WireErrorCode, 1–8
 //! ```
+//!
+//! Kind 1 is retired in both directions and not reused: one pair is a
+//! batch of one, so a query has one frame and a pair's error is always a
+//! batch slot.  A kind-1 request is refused like any unassigned kind (a
+//! `bad-frame` error frame; the connection stays open) and a kind-1 reply
+//! decodes as [`NetError::UnknownFrameKind`].
 //!
 //! Payloads go through [`dsketch::codec`]'s encoder and bounds-checked
 //! decoder, so a truncated or corrupted payload fails with a typed
@@ -321,13 +327,6 @@ impl WireError {
 pub enum Request {
     /// Liveness probe; answered with [`Response::Pong`].
     Ping,
-    /// One distance query.
-    Query {
-        /// First endpoint.
-        u: NodeId,
-        /// Second endpoint.
-        v: NodeId,
-    },
     /// A batch of distance queries, answered in input order.
     QueryBatch {
         /// The query pairs.
@@ -349,7 +348,6 @@ impl Request {
     pub fn kind(&self) -> u8 {
         match self {
             Request::Ping => 0,
-            Request::Query { .. } => 1,
             Request::QueryBatch { .. } => 2,
             Request::Stats => 3,
             Request::Swap { .. } => 4,
@@ -360,7 +358,6 @@ impl Request {
     pub fn kind_name(&self) -> &'static str {
         match self {
             Request::Ping => "ping",
-            Request::Query { .. } => "query",
             Request::QueryBatch { .. } => "query-batch",
             Request::Stats => "stats",
             Request::Swap { .. } => "swap",
@@ -372,10 +369,6 @@ impl Request {
         let mut payload = Encoder::new();
         match self {
             Request::Ping | Request::Stats => {}
-            Request::Query { u, v } => {
-                payload.put_u32(u.0);
-                payload.put_u32(v.0);
-            }
             Request::QueryBatch { pairs } => {
                 payload.put_usize(pairs.len());
                 for &(u, v) in pairs {
@@ -393,10 +386,6 @@ impl Request {
         let mut input = Decoder::new(payload);
         let request = match kind {
             0 => Request::Ping,
-            1 => Request::Query {
-                u: NodeId(input.u32("Query.u")?),
-                v: NodeId(input.u32("Query.v")?),
-            },
             2 => {
                 let count = input.len_prefix(8, "QueryBatch.count")?;
                 let mut pairs = Vec::with_capacity(count);
@@ -430,15 +419,15 @@ impl Request {
 pub enum Response {
     /// Reply to [`Request::Ping`].
     Pong,
-    /// Successful single-query answer.
-    Distance(Distance),
     /// Batched answers, one slot per input pair, in input order.
     Batch(Vec<Result<Distance, WireError>>),
     /// Server counters as JSON text (same document `GET /stats` serves).
     Stats(String),
     /// Reply to [`Request::Swap`]: the generation number now serving.
     Swapped(u64),
-    /// The request failed as a whole.
+    /// The request failed as a whole: a bad frame, a batch over the pair
+    /// bound, a refused swap.  A pair's own outcome is a [`Response::Batch`]
+    /// slot, never this.
     Error(WireError),
 }
 
@@ -447,7 +436,6 @@ impl Response {
     pub fn kind(&self) -> u8 {
         match self {
             Response::Pong => 0,
-            Response::Distance(_) => 1,
             Response::Batch(_) => 2,
             Response::Stats(_) => 3,
             Response::Swapped(_) => 4,
@@ -459,7 +447,6 @@ impl Response {
     pub fn kind_name(&self) -> &'static str {
         match self {
             Response::Pong => "pong",
-            Response::Distance(_) => "distance",
             Response::Batch(_) => "batch",
             Response::Stats(_) => "stats",
             Response::Swapped(_) => "swapped",
@@ -472,7 +459,6 @@ impl Response {
         let mut payload = Encoder::new();
         match self {
             Response::Pong => {}
-            Response::Distance(d) => payload.put_u64(*d),
             Response::Batch(results) => {
                 payload.put_usize(results.len());
                 for result in results {
@@ -500,7 +486,6 @@ impl Response {
         let mut input = Decoder::new(payload);
         let response = match kind {
             0 => Response::Pong,
-            1 => Response::Distance(input.u64("Distance")?),
             2 => {
                 let count = input.len_prefix(1, "Batch.count")?;
                 let mut results = Vec::with_capacity(count);
@@ -626,9 +611,8 @@ mod tests {
     #[test]
     fn every_request_kind_round_trips() {
         round_trip_request(Request::Ping);
-        round_trip_request(Request::Query {
-            u: NodeId(7),
-            v: NodeId(u32::MAX),
+        round_trip_request(Request::QueryBatch {
+            pairs: vec![(NodeId(7), NodeId(u32::MAX))],
         });
         round_trip_request(Request::QueryBatch { pairs: vec![] });
         round_trip_request(Request::QueryBatch {
@@ -646,8 +630,8 @@ mod tests {
     #[test]
     fn every_response_kind_round_trips() {
         round_trip_response(Response::Pong);
-        round_trip_response(Response::Distance(0));
-        round_trip_response(Response::Distance(u64::MAX));
+        round_trip_response(Response::Batch(vec![Ok(0)]));
+        round_trip_response(Response::Batch(vec![Ok(u64::MAX)]));
         round_trip_response(Response::Batch(vec![]));
         round_trip_response(Response::Batch(vec![
             Ok(42),
@@ -705,9 +689,8 @@ mod tests {
     #[test]
     fn truncated_payloads_fail_with_codec_errors_not_panics() {
         let frames = [
-            Request::Query {
-                u: NodeId(1),
-                v: NodeId(2),
+            Request::QueryBatch {
+                pairs: vec![(NodeId(1), NodeId(2))],
             }
             .to_frame(),
             Request::QueryBatch {

@@ -529,10 +529,6 @@ fn binary_session(conn: &mut Conn, ctx: &WorkerCtx) {
 fn answer_request(request: Request, ctx: &WorkerCtx) -> Response {
     match request {
         Request::Ping => Response::Pong,
-        Request::Query { u, v } => match ctx.client.query(u, v) {
-            Ok(distance) => Response::Distance(distance),
-            Err(e) => Response::Error(WireError::from_sketch(&e)),
-        },
         Request::QueryBatch { pairs } => {
             if pairs.len() > MAX_BATCH_PAIRS {
                 return Response::Error(WireError::new(
@@ -589,9 +585,10 @@ pub(super) fn send(conn: &mut Conn, bytes: &[u8], ctx: &WorkerCtx) -> bool {
 /// object (hand-rolled — every value is a number or a short JSON string).
 ///
 /// Every number comes from **one** registry snapshot, so the `derived`
-/// ratios are computed from exactly the values reported beside them —
-/// under concurrent load the document can never claim, say, more cache
-/// hits than queries.
+/// ratios are computed from exactly the values reported beside them.  The
+/// snapshot is not a consistent cut: under concurrent load the counters
+/// are read one by one, and relations such as `cache_hits + cache_misses
+/// == queries` hold exactly once the writers are quiet.
 pub(crate) fn stats_json(ctx: &WorkerCtx) -> String {
     let snap = ctx.server.registry().snapshot();
     let serve = ServeStats::from_metrics(&snap);

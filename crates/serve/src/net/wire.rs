@@ -280,9 +280,8 @@ mod tests {
     fn frames_sent_back_to_back_are_read_one_at_a_time_and_every_byte_is_counted() {
         let (mut conn, mut peer) = pair();
         let first = Request::Ping.to_frame();
-        let second = Request::Query {
-            u: NodeId(3),
-            v: NodeId(4),
+        let second = Request::QueryBatch {
+            pairs: vec![(NodeId(3), NodeId(4))],
         }
         .to_frame();
         peer.write_all(&[first.clone(), second.clone()].concat())

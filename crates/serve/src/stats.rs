@@ -73,7 +73,7 @@ impl ServeTotals {
     }
 }
 
-/// A point-in-time snapshot of a server's counters.
+/// A snapshot of a server's counters, read in one registry pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// The query counters.
@@ -88,8 +88,9 @@ pub struct ServeStats {
 impl ServeStats {
     /// Rebuild the view from one registry snapshot — every number comes
     /// from the same [`MetricsSnapshot`], so the derived ratios
-    /// (`hit_rate`, queries-per-batch) are internally consistent no matter
-    /// how hard the callers are writing concurrently.
+    /// (`hit_rate`, queries-per-batch) are computed from the totals
+    /// reported beside them.  Relations between totals (`cache_hits +
+    /// cache_misses == queries`) hold exactly once the callers are quiet.
     pub(crate) fn from_metrics(snap: &MetricsSnapshot) -> ServeStats {
         let read = |name: &str| snap.counter(name, "").unwrap_or(0);
         let latency = snap.histogram_total("dsketch_serve_batch_latency_nanos");

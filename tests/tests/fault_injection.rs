@@ -337,17 +337,22 @@ fn an_injected_dispatch_panic_fails_only_its_batch_in_process_and_over_the_wire(
     // The one worker is ours until the NETQ connection closes.
     drop(wire);
 
-    // The bytes themselves: an error frame (kind 15) whose payload opens
-    // with wire code 8.
+    // The bytes themselves: a shed single query is a batch frame (kind 2)
+    // of one slot (count 1) that is an error (tag 1) with wire code 8.
     scope.rearm("seed=11;serve.dispatch=panic,max=1");
     let mut raw = std::net::TcpStream::connect(&addr).expect("raw connect");
     raw.set_read_timeout(Some(Duration::from_secs(10)))
         .expect("read timeout");
-    raw.write_all(&dsketch_serve::net::Request::Query { u, v }.to_frame())
-        .expect("raw request");
-    let mut head = [0u8; 13];
+    let one = dsketch_serve::net::Request::QueryBatch {
+        pairs: vec![(u, v)],
+    };
+    raw.write_all(&one.to_frame()).expect("raw request");
+    let mut head = [0u8; 22];
     raw.read_exact(&mut head).expect("raw reply");
-    assert_eq!((&head[..4], head[5], head[12]), (&b"NETR"[..], 15, 8));
+    assert_eq!(
+        (&head[..4], head[5], &head[12..20], head[20], head[21]),
+        (&b"NETR"[..], 2, &1u64.to_le_bytes()[..], 1, 8)
+    );
     drop(raw);
 
     scope.rearm("seed=11;serve.dispatch=panic,max=1");

@@ -73,23 +73,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn single_queries_round_trip(u in 0u32..=u32::MAX, v in 0u32..=u32::MAX) {
-        let request = Request::Query { u: NodeId(u), v: NodeId(v) };
-        prop_assert_eq!(reencode_request(&request), request);
-    }
-
-    #[test]
     fn batches_round_trip(raw in prop::collection::vec((0u32..=u32::MAX, 0u32..=u32::MAX), 0..40)) {
         let pairs: Vec<(NodeId, NodeId)> =
             raw.into_iter().map(|(u, v)| (NodeId(u), NodeId(v))).collect();
         let request = Request::QueryBatch { pairs };
         prop_assert_eq!(reencode_request(&request), request);
-    }
-
-    #[test]
-    fn distances_round_trip(d in 0u64..=u64::MAX) {
-        let response = Response::Distance(d);
-        prop_assert_eq!(reencode_response(&response), response);
     }
 
     #[test]
@@ -242,21 +230,25 @@ fn provoke(addr: &str, bytes: &[u8], deadline_ms: u64) -> Provoked {
     }
 }
 
-/// Decode a reply as a typed `NETR` error frame, if that is what it is.
-fn as_error_frame(reply: &[u8]) -> Option<WireError> {
-    if reply.len() < HEADER_LEN {
-        return None;
+/// Split a reply into whole `NETR` frames: `Some` only if every byte
+/// belongs to a frame and every frame is a typed error.
+fn error_frames(mut reply: &[u8]) -> Option<Vec<WireError>> {
+    let mut errors = Vec::new();
+    while !reply.is_empty() {
+        let header = parse_header(
+            reply.get(..HEADER_LEN)?.try_into().ok()?,
+            RESPONSE_MAGIC,
+            DEFAULT_MAX_PAYLOAD,
+        )
+        .ok()?;
+        let end = HEADER_LEN + header.payload_len as usize;
+        match Response::decode(header.kind, reply.get(HEADER_LEN..end)?).ok()? {
+            Response::Error(e) => errors.push(e),
+            _ => return None,
+        }
+        reply = &reply[end..];
     }
-    let header = parse_header(
-        reply[..HEADER_LEN].try_into().ok()?,
-        RESPONSE_MAGIC,
-        DEFAULT_MAX_PAYLOAD,
-    )
-    .ok()?;
-    match Response::decode(header.kind, &reply[HEADER_LEN..]).ok()? {
-        Response::Error(e) => Some(e),
-        _ => None,
-    }
+    Some(errors)
 }
 
 #[test]
@@ -264,9 +256,8 @@ fn truncations_at_every_length_get_typed_errors_or_clean_closes() {
     let fixture = Fixture::start();
     let addr = fixture.addr();
     let frames = [
-        Request::Query {
-            u: NodeId(1),
-            v: NodeId(2),
+        Request::QueryBatch {
+            pairs: vec![(NodeId(1), NodeId(2))],
         }
         .to_frame(),
         Request::QueryBatch {
@@ -283,10 +274,11 @@ fn truncations_at_every_length_get_typed_errors_or_clean_closes() {
                 Provoked::Reply(reply) => {
                     // A cut inside the payload after a valid header may
                     // never produce a reply (the frame just ends early);
-                    // any reply must be a typed error frame.
-                    let error = as_error_frame(&reply)
+                    // any reply must be one typed error frame.
+                    let errors = error_frames(&reply)
                         .unwrap_or_else(|| panic!("cut {cut}: non-error reply {reply:?}"));
-                    assert_eq!(error.code, WireErrorCode::BadFrame, "cut {cut}");
+                    assert_eq!(errors.len(), 1, "cut {cut}: {errors:?}");
+                    assert_eq!(errors[0].code, WireErrorCode::BadFrame, "cut {cut}");
                 }
             }
         }
@@ -335,12 +327,15 @@ fn oversized_length_prefixes_are_rejected_before_allocation() {
         let mut header = Vec::with_capacity(HEADER_LEN);
         header.extend_from_slice(&REQUEST_MAGIC);
         header.push(1); // version
-        header.push(1); // kind: query
+        header.push(2); // kind: query batch
         header.extend_from_slice(&0u16.to_le_bytes());
         header.extend_from_slice(&claimed.to_le_bytes());
         match provoke(&addr, &header, 3_000) {
             Provoked::Reply(reply) => {
-                let error = as_error_frame(&reply).expect("typed error frame");
+                let errors = error_frames(&reply).expect("typed error frames");
+                let [error] = errors.as_slice() else {
+                    panic!("one error frame, then the close: {errors:?}")
+                };
                 assert_eq!(error.code, WireErrorCode::BadFrame);
                 assert!(
                     error.detail.contains("exceeds"),
@@ -359,9 +354,8 @@ fn oversized_length_prefixes_are_rejected_before_allocation() {
 fn bit_flipped_headers_never_panic_or_hang() {
     let fixture = Fixture::start();
     let addr = fixture.addr();
-    let good = Request::Query {
-        u: NodeId(1),
-        v: NodeId(2),
+    let good = Request::QueryBatch {
+        pairs: vec![(NodeId(1), NodeId(2))],
     }
     .to_frame();
     for byte in 0..HEADER_LEN {
@@ -373,12 +367,11 @@ fn bit_flipped_headers_never_panic_or_hang() {
                 Provoked::Reply(reply) => {
                     // Magic-byte flips route the connection to the HTTP
                     // sniffer, which closes silently; every other header
-                    // flip that earns any reply must lead with a typed
-                    // error frame (a shrunk length prefix may append a
-                    // second error frame for the now-misaligned remainder —
-                    // the leading frame is what matters).
+                    // flip that earns any reply must be typed error frames
+                    // (a shrunk length prefix appends a second one for the
+                    // now-misaligned remainder).
                     assert!(
-                        as_error_frame(&reply).is_some(),
+                        error_frames(&reply).is_some_and(|errors| !errors.is_empty()),
                         "byte {byte} bit {bit}: reply is not a typed error frame: {reply:?}"
                     );
                 }
@@ -452,6 +445,41 @@ fn garbage_http_request_lines_get_4xx_not_crashes() {
     );
 }
 
+/// Read one whole `NETR` frame off `stream` and decode it.
+fn read_reply(stream: &mut TcpStream) -> Response {
+    let mut header = [0u8; HEADER_LEN];
+    stream.read_exact(&mut header).expect("reply header");
+    let header =
+        parse_header(&header, RESPONSE_MAGIC, DEFAULT_MAX_PAYLOAD).expect("valid reply header");
+    let mut payload = vec![0u8; header.payload_len as usize];
+    stream.read_exact(&mut payload).expect("reply payload");
+    Response::decode(header.kind, &payload).expect("reply decodes")
+}
+
+/// Send a one-pair batch on `stream`: its one slot is the direct estimate.
+fn assert_answers_like_the_oracle(stream: &mut TcpStream, fixture: &Fixture) {
+    let (u, v) = (NodeId(0), NodeId(1));
+    stream
+        .write_all(
+            &Request::QueryBatch {
+                pairs: vec![(u, v)],
+            }
+            .to_frame(),
+        )
+        .expect("real query");
+    match read_reply(stream) {
+        Response::Batch(slots) => assert_eq!(
+            slots,
+            [fixture
+                .oracle
+                .estimate(u, v)
+                .map_err(|e| WireError::from_sketch(&e))],
+            "post-error answers still match direct calls"
+        ),
+        other => panic!("expected a batch, got {other:?}"),
+    }
+}
+
 /// Unknown binary frame kinds and undecodable payloads keep the connection
 /// alive (framing is intact) — the same socket answers real queries after
 /// the typed error.
@@ -468,75 +496,55 @@ fn payload_errors_keep_the_connection_usable() {
     stream
         .write_all(&frame_bytes(REQUEST_MAGIC, 9, &[]))
         .expect("write");
-    let mut reply = vec![0u8; HEADER_LEN];
-    stream.read_exact(&mut reply).expect("error header");
-    let header = parse_header(
-        reply[..HEADER_LEN].try_into().expect("header"),
-        RESPONSE_MAGIC,
-        DEFAULT_MAX_PAYLOAD,
-    )
-    .expect("valid reply header");
-    let mut payload = vec![0u8; header.payload_len as usize];
-    stream.read_exact(&mut payload).expect("error payload");
-    match Response::decode(header.kind, &payload).expect("decodes") {
+    match read_reply(&mut stream) {
         Response::Error(e) => assert_eq!(e.code, WireErrorCode::BadFrame),
         other => panic!("expected error frame, got {other:?}"),
     }
 
-    // Truncated query payload inside a well-framed envelope (3 bytes where
-    // 8 are needed).
+    // Truncated batch payload inside a well-framed envelope (3 bytes where
+    // the count alone needs 8).
     stream
-        .write_all(&frame_bytes(REQUEST_MAGIC, 1, &[1, 2, 3]))
+        .write_all(&frame_bytes(REQUEST_MAGIC, 2, &[1, 2, 3]))
         .expect("write");
-    let mut reply = vec![0u8; HEADER_LEN];
-    stream.read_exact(&mut reply).expect("second error header");
+    match read_reply(&mut stream) {
+        Response::Error(e) => assert_eq!(e.code, WireErrorCode::BadFrame),
+        other => panic!("expected error frame, got {other:?}"),
+    }
 
     // ... and the same connection still answers a real query.
-    let mut payload = vec![
-        0u8;
-        parse_header(
-            reply[..HEADER_LEN].try_into().expect("header"),
-            RESPONSE_MAGIC,
-            DEFAULT_MAX_PAYLOAD
-        )
-        .expect("valid header")
-        .payload_len as usize
-    ];
-    stream
-        .read_exact(&mut payload)
-        .expect("second error payload");
-    stream
-        .write_all(
-            &Request::Query {
-                u: NodeId(0),
-                v: NodeId(1),
-            }
-            .to_frame(),
-        )
-        .expect("real query");
-    let mut reply = vec![0u8; HEADER_LEN];
-    stream.read_exact(&mut reply).expect("answer header");
-    let header = parse_header(
-        reply[..HEADER_LEN].try_into().expect("header"),
-        RESPONSE_MAGIC,
-        DEFAULT_MAX_PAYLOAD,
-    )
-    .expect("valid answer header");
-    let mut payload = vec![0u8; header.payload_len as usize];
-    stream.read_exact(&mut payload).expect("answer payload");
-    match Response::decode(header.kind, &payload).expect("decodes") {
-        Response::Distance(d) => {
-            assert_eq!(
-                Ok(d),
-                fixture.oracle.estimate(NodeId(0), NodeId(1)),
-                "post-error answers still match direct calls"
-            );
-        }
-        other => panic!("expected a distance, got {other:?}"),
-    }
+    assert_answers_like_the_oracle(&mut stream, &fixture);
 
     drop(stream);
     fixture.assert_still_healthy();
+    fixture.server.shutdown();
+}
+
+/// Kind 1 (the single query and its distance reply) is retired in both
+/// directions: a hand-built kind-1 `NETQ` frame is refused like any
+/// unassigned kind and the connection keeps answering batches; a kind-1
+/// `NETR` frame decodes as an unknown kind.
+#[test]
+fn a_retired_kind_1_frame_is_a_bad_frame_and_the_connection_stays() {
+    let fixture = Fixture::start();
+    let mut stream = TcpStream::connect(fixture.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let u_v = [0u32.to_le_bytes(), 1u32.to_le_bytes()].concat();
+    stream
+        .write_all(&frame_bytes(REQUEST_MAGIC, 1, &u_v))
+        .expect("write");
+    match read_reply(&mut stream) {
+        Response::Error(e) => assert_eq!(e.code, WireErrorCode::BadFrame, "{e:?}"),
+        other => panic!("expected a bad-frame error, got {other:?}"),
+    }
+    assert_answers_like_the_oracle(&mut stream, &fixture);
+
+    assert_eq!(
+        Response::decode(1, &5u64.to_le_bytes()),
+        Err(NetError::UnknownFrameKind { got: 1 })
+    );
+    drop(stream);
     fixture.server.shutdown();
 }
 

@@ -87,8 +87,9 @@ fn http_get(addr: &str, path_and_query: &str) -> String {
 }
 
 /// The acceptance criterion: for all four scheme families, concurrent
-/// single-frame, batch-frame, and HTTP clients all return exactly what
-/// direct `estimate()` calls return — including errors.
+/// single-pair, batch, and HTTP clients all return exactly what direct
+/// `estimate()` calls return — including errors.  A single query is the one
+/// slot of a one-pair batch, errors included.
 #[test]
 fn wire_answers_match_direct_oracle_for_every_family() {
     for spec in SchemeSpec::all_families() {
@@ -104,7 +105,7 @@ fn wire_answers_match_direct_oracle_for_every_family() {
         let addr = server.local_addr().to_string();
 
         std::thread::scope(|scope| {
-            // Single-query frames.
+            // Single queries, each the one slot of a one-pair batch.
             let single_addr = addr.clone();
             let single_oracle = Arc::clone(&oracle);
             scope.spawn(move || {
@@ -112,6 +113,12 @@ fn wire_answers_match_direct_oracle_for_every_family() {
                     NetClient::connect(&single_addr, Duration::from_secs(10)).expect("connect");
                 for (u, v) in query_stream(n, 300, 1) {
                     let wire = client.query(u, v).expect("transport");
+                    let batch = client.query_batch(&[(u, v)]).expect("transport");
+                    assert_eq!(
+                        batch,
+                        std::slice::from_ref(&wire),
+                        "{spec} ({u}, {v}): query is a batch of one"
+                    );
                     assert_wire_matches(
                         &format!("{spec} single ({u}, {v})"),
                         &wire,
@@ -283,9 +290,8 @@ fn slow_clients_hit_the_deadline_without_pinning_the_worker() {
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
             .expect("timeout");
-        let frame = dsketch_serve::net::Request::Query {
-            u: NodeId(0),
-            v: NodeId(1),
+        let frame = dsketch_serve::net::Request::QueryBatch {
+            pairs: vec![(NodeId(0), NodeId(1))],
         }
         .to_frame();
         // Pass the protocol sniff immediately, then dribble one byte per
@@ -333,9 +339,8 @@ fn slow_clients_hit_the_deadline_without_pinning_the_worker() {
     stalled
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("timeout");
-    let frame = dsketch_serve::net::Request::Query {
-        u: NodeId(4),
-        v: NodeId(5),
+    let frame = dsketch_serve::net::Request::QueryBatch {
+        pairs: vec![(NodeId(4), NodeId(5))],
     }
     .to_frame();
     stalled.write_all(&frame[..15]).expect("partial frame");
@@ -416,13 +421,14 @@ fn wire_counters_account_every_frame_exactly() {
     assert_eq!(stats.net.http_requests, 2, "{stats}");
     assert_eq!(stats.net.protocol_errors, 0, "{stats}");
     assert_eq!(stats.net.timeouts, 0, "{stats}");
-    // Every byte sent: the five request frames and the two HTTP heads.
+    // Every byte sent: the five request frames (a single query is a
+    // one-pair batch) and the two HTTP heads.
     use dsketch_serve::net::Request;
-    let (u, v) = (NodeId(0), NodeId(1));
+    let one = vec![(NodeId(0), NodeId(1))];
     let frames = [
         Request::Ping,
-        Request::Query { u, v },
-        Request::Query { u, v },
+        Request::QueryBatch { pairs: one.clone() },
+        Request::QueryBatch { pairs: one },
         Request::QueryBatch { pairs },
         Request::Stats,
     ];

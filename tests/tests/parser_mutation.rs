@@ -213,9 +213,8 @@ fn frames_re_encode_to_themselves(
 fn netq_frames_never_panic_and_what_decodes_re_encodes_to_itself() {
     let requests = [
         Request::Ping,
-        Request::Query {
-            u: NodeId(3),
-            v: NodeId(41),
+        Request::QueryBatch {
+            pairs: vec![(NodeId(3), NodeId(41))],
         },
         Request::QueryBatch {
             pairs: vec![(NodeId(0), NodeId(1)), (NodeId(7), NodeId(300))],
@@ -228,7 +227,7 @@ fn netq_frames_never_panic_and_what_decodes_re_encodes_to_itself() {
     let unknown = WireError::new(WireErrorCode::UnknownNode, "v9 is not a node");
     let responses = [
         Response::Pong,
-        Response::Distance(17),
+        Response::Batch(vec![Ok(17)]),
         Response::Batch(vec![Ok(5), Err(unknown), Ok(u64::MAX)]),
         Response::Stats("{\"queries\":3}".to_string()),
         Response::Swapped(2),

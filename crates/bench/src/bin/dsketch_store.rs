@@ -412,7 +412,6 @@ fn serve_network(
     let serve_seconds: u64 = arg_parse_or_exit(args, "serve-seconds", 0);
     let net_workers = arg_parse_or_exit(args, "net-workers", 4usize).max(1);
     let log_json = args.iter().any(|a| a == "--log-json");
-    let (spec, fingerprint) = origin;
     let server = NetServer::start_with_origin(
         oracle,
         config,
@@ -420,7 +419,7 @@ fn serve_network(
             .with_workers(net_workers)
             .with_log_json(log_json),
         listen,
-        ServeMeta::new(spec.to_string(), fingerprint.to_string()),
+        ServeMeta,
         Some(origin),
     )
     .unwrap_or_else(|e| {

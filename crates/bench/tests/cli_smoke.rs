@@ -470,6 +470,25 @@ fn store_serve_listen_answers_http_loadgen_and_swaps_over_its_socket() {
         served >= 20_000,
         "only {served} of loadgen's queries counted"
     );
+    // Its accounting, read off `/stats` by registry name: every query a
+    // cache hit or a miss, and no batch panicked.
+    let stats = serve.get("/stats");
+    let stat = |name: &str| -> u64 {
+        let value = stats.split_once(&format!("\"{name}\":"));
+        let value = value.and_then(|(_, rest)| rest.split([',', '}']).next());
+        let value = value.and_then(|digits| digits.parse().ok());
+        value.unwrap_or_else(|| panic!("no {name} in {stats}"))
+    };
+    let (hits, misses) = (
+        stat("dsketch_serve_cache_hits_total"),
+        stat("dsketch_serve_cache_misses_total"),
+    );
+    assert_eq!(
+        hits + misses,
+        stat("dsketch_serve_queries_total"),
+        "{stats}"
+    );
+    assert_eq!(stat("dsketch_serve_panics_total"), 0, "{stats}");
     let trace = serve.get("/trace?n=4");
     assert!(trace.contains("\"event\""), "no sampled event: {trace}");
 

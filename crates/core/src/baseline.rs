@@ -1,51 +1,21 @@
-//! Baselines the sketches are compared against in the experiment harness.
+//! The landmark baseline the sketches are compared against in the
+//! experiment harness.
 //!
-//! * [`ExactOracle`] — store the full distance vector at every node
-//!   (`n` words per node, stretch 1).  This is the "straightforward brute
-//!   force solution" the introduction dismisses as infeasible at scale; it
-//!   anchors the size axis of the size/stretch trade-off plots.
-//! * [`LandmarkSketch`] — `L` uniformly random landmarks, every node stores
-//!   its distance to each of them, estimate `min_ℓ d(u, ℓ) + d(ℓ, v)`.  This
-//!   is the folklore baseline that the ε-density-net construction of
-//!   Theorem 4.3 refines (the net gives a provable 3-stretch ε-slack bound;
-//!   uniform landmarks give no worst-case guarantee).
+//! [`LandmarkSketch`] picks `L` uniformly random landmarks; every node
+//! stores its distance to each of them, and a query estimates
+//! `min_ℓ d(u, ℓ) + d(ℓ, v)`.  This is the folklore baseline that the
+//! ε-density-net construction of Theorem 4.3 refines (the net gives a
+//! provable 3-stretch ε-slack bound; uniform landmarks give no worst-case
+//! guarantee).  The exact side of a comparison is
+//! [`DistanceTable`](netgraph::apsp::DistanceTable), the full distance
+//! vector at every node that the introduction dismisses as infeasible at
+//! scale.
 
 use crate::error::SketchError;
-use netgraph::apsp::DistanceTable;
 use netgraph::shortest_path::multi_source_dijkstra;
 use netgraph::{Distance, Graph, NodeId, INFINITY};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-/// Exact all-pairs oracle: every node stores its whole distance vector.
-#[derive(Debug, Clone)]
-pub struct ExactOracle {
-    table: DistanceTable,
-}
-
-impl ExactOracle {
-    /// Build the oracle (centralized, `n` Dijkstra runs).
-    pub fn build(graph: &Graph) -> Self {
-        ExactOracle {
-            table: DistanceTable::exact(graph),
-        }
-    }
-
-    /// The exact distance.
-    pub fn estimate(&self, u: NodeId, v: NodeId) -> Result<Distance, SketchError> {
-        let d = self.table.distance(u, v);
-        if d == INFINITY {
-            Err(SketchError::NoCommonLandmark { u, v })
-        } else {
-            Ok(d)
-        }
-    }
-
-    /// Per-node storage in words (one distance per other node).
-    pub fn words_per_node(&self) -> usize {
-        self.table.num_nodes().saturating_sub(1)
-    }
-}
 
 /// Uniform-landmark sketch baseline.
 #[derive(Debug, Clone)]
@@ -104,28 +74,8 @@ impl LandmarkSketch {
 mod tests {
     use super::*;
     use crate::eval::evaluate_pairs;
+    use netgraph::apsp::DistanceTable;
     use netgraph::generators::{erdos_renyi, ring, GeneratorConfig};
-
-    #[test]
-    fn exact_oracle_is_exact() {
-        let g = erdos_renyi(40, 0.15, GeneratorConfig::uniform(3, 1, 10));
-        let oracle = ExactOracle::build(&g);
-        let table = DistanceTable::exact(&g);
-        let pairs: Vec<_> = table.pairs().collect();
-        let report = evaluate_pairs(&pairs, |u, v| oracle.estimate(u, v));
-        assert!((report.worst - 1.0).abs() < 1e-9);
-        assert_eq!(oracle.words_per_node(), 39);
-    }
-
-    #[test]
-    fn exact_oracle_reports_disconnection() {
-        let mut b = netgraph::GraphBuilder::new(3);
-        b.add_edge_idx(0, 1, 1);
-        let g = b.build();
-        let oracle = ExactOracle::build(&g);
-        assert!(oracle.estimate(NodeId(0), NodeId(2)).is_err());
-        assert_eq!(oracle.estimate(NodeId(0), NodeId(1)).unwrap(), 1);
-    }
 
     #[test]
     fn landmark_estimates_are_upper_bounds() {

@@ -124,7 +124,7 @@
 //!   layers are sampled from.
 //! * [`eval`] — stretch evaluation over any `DistanceOracle` (worst-case /
 //!   average / percentiles, slack-aware variants).
-//! * [`baseline`] — exact-oracle and landmark baselines for comparison.
+//! * [`baseline`] — the uniform-landmark baseline for comparison.
 //! * [`codec`] — the stable binary encoding of the family payloads (each
 //!   layer's levels and label set), the payload under the `dsketch-store`
 //!   snapshot format (build once, save, serve from disk forever).

@@ -45,7 +45,7 @@ use crate::error::SketchError;
 use crate::hierarchy::{Hierarchy, TzParams};
 use crate::oracle::{check_nodes, DistanceOracle};
 use crate::query::{estimate_distance, estimate_distance_best_common};
-use crate::sketch::{Label, SketchSet};
+use crate::sketch::{present_pivots, Label, SketchSet, TableShape};
 use crate::slack::cdg::{self, CdgParams};
 use crate::slack::degrading;
 use congest_sim::{CongestConfig, RunStats};
@@ -257,6 +257,26 @@ impl StoredSketches {
     /// the payload is written once into a scratch encoder and dropped.
     pub fn layer_bytes(&self) -> Vec<LayerBytes> {
         layer_bytes(self)
+    }
+
+    /// Each layer's landmark table, in layer order: what
+    /// [`FlatSketchSet::tables`](crate::flat::FlatSketchSet::tables) reports
+    /// of the frozen set.
+    pub fn tables(&self) -> Vec<TableShape> {
+        self.layers
+            .iter()
+            .map(|layer| layer.sketches.table_shape())
+            .collect()
+    }
+
+    /// Pivot slots holding a pivot, over every node of every layer: what
+    /// [`FlatSketchSet::present_pivots`](crate::flat::FlatSketchSet::present_pivots)
+    /// reports of the frozen set.
+    pub fn present_pivots(&self) -> usize {
+        self.layers
+            .iter()
+            .map(|layer| present_pivots(&layer.sketches.pivots))
+            .sum()
     }
 
     /// Decode the family payload of `spec`'s scheme into its layers — the

@@ -19,7 +19,8 @@
 //! * [`Tracer`] — deterministic 1-in-N sampling over a shared atomic
 //!   counter (exactly ⌈Q/N⌉ of Q events are sampled), emitting structured
 //!   JSON [`TraceEvent`]s to a built-in ring buffer and, for `--log-json`,
-//!   to stdout ([`Tracer::with_stdout`]).
+//!   to stdout ([`Tracer::with_stdout`]).  Their strings are written by
+//!   [`JsonString`], the workspace's one JSON string escaper.
 //! * [`prometheus::encode`] — the Prometheus text exposition format over
 //!   one or more registry snapshots, served by the HTTP front end as
 //!   `GET /metrics`.
@@ -73,4 +74,4 @@ pub use registry::{
     global, Counter, FamilySnapshot, Gauge, InstrumentKind, MetricsRegistry, MetricsSnapshot,
     SeriesSnapshot, SeriesValue,
 };
-pub use trace::{TraceEvent, Tracer};
+pub use trace::{JsonString, TraceEvent, Tracer};

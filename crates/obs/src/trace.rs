@@ -13,6 +13,7 @@
 //! one line on stdout too.
 
 use std::collections::VecDeque;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -116,32 +117,25 @@ impl TraceEvent {
     /// Start an event of the given kind.
     pub fn new(kind: &str) -> TraceEvent {
         let mut body = String::with_capacity(64);
-        body.push_str("{\"event\":\"");
-        push_escaped(&mut body, kind);
-        body.push('"');
+        let _ = write!(body, "{{\"event\":{}", JsonString(kind));
         TraceEvent { body }
     }
 
     /// Append an unsigned numeric field.
     pub fn num(mut self, key: &str, value: u64) -> TraceEvent {
-        self.push_key(key);
-        self.body.push_str(&value.to_string());
+        let _ = write!(self.body, ",{}:{value}", JsonString(key));
         self
     }
 
     /// Append a boolean field.
     pub fn flag(mut self, key: &str, value: bool) -> TraceEvent {
-        self.push_key(key);
-        self.body.push_str(if value { "true" } else { "false" });
+        let _ = write!(self.body, ",{}:{value}", JsonString(key));
         self
     }
 
     /// Append a string field (JSON-escaped).
     pub fn text(mut self, key: &str, value: &str) -> TraceEvent {
-        self.push_key(key);
-        self.body.push('"');
-        push_escaped(&mut self.body, value);
-        self.body.push('"');
+        let _ = write!(self.body, ",{}:{}", JsonString(key), JsonString(value));
         self
     }
 
@@ -150,25 +144,36 @@ impl TraceEvent {
         self.body.push('}');
         self.body
     }
-
-    fn push_key(&mut self, key: &str) {
-        self.body.push_str(",\"");
-        push_escaped(&mut self.body, key);
-        self.body.push_str("\":");
-    }
 }
 
-fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// A string written as a JSON string literal, quotes included: the one JSON
+/// escaper of the workspace, behind trace events, the serving stats
+/// document and every HTTP error body.
+///
+/// ```
+/// use dsketch_obs::JsonString;
+///
+/// let shown = JsonString("say \"hi\"\n\u{1}").to_string();
+/// assert_eq!(shown, r#""say \"hi\"\n\u0001""#);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct JsonString<'a>(pub &'a str);
+
+impl std::fmt::Display for JsonString<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_char('"')?;
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if u32::from(c) < 0x20 => write!(f, "\\u{:04x}", u32::from(c))?,
+                c => f.write_char(c)?,
+            }
         }
+        f.write_char('"')
     }
 }
 

@@ -52,7 +52,7 @@ use super::wire::Conn;
 use crate::server::{ServeClient, ServeConfig, SketchServer};
 use crate::stats::{NetCounters, NetStats, ServeStats};
 use dsketch::{DistanceOracle, SchemeSpec, SketchError};
-use dsketch_obs::{MetricsRegistry, Tracer};
+use dsketch_obs::{JsonString, MetricsRegistry, SeriesValue, Tracer};
 use netgraph::GraphFingerprint;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -170,38 +170,30 @@ impl std::fmt::Display for NetServerStats {
     }
 }
 
-/// Descriptive metadata about what a [`NetServer`] serves, reported by
-/// `GET /stats`: the parsed [`SchemeSpec`](dsketch::SchemeSpec) string and
-/// the graph fingerprint the sketches were built from.  Both default to
-/// empty (reported as `""`) when the caller has nothing to say.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServeMeta {
-    /// The serving scheme spec, e.g. `"tz:3"` (empty when unknown).
-    pub spec: String,
-    /// The source graph fingerprint's display form (empty when unknown).
-    pub fingerprint: String,
-}
+/// Ignored: what a [`NetServer`] serves is read from its live generation,
+/// whose provenance is the `origin` of [`NetServer::start_with_origin`].
+/// Kept, with [`ServeMeta::new`]'s signature, because
+/// `benchmark/src/drive.rs` builds one; ROADMAP item 1(a) deletes it
+/// together with that call.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServeMeta;
 
 impl ServeMeta {
-    /// Build from the two display strings.
-    pub fn new(spec: impl Into<String>, fingerprint: impl Into<String>) -> ServeMeta {
-        ServeMeta {
-            spec: spec.into(),
-            fingerprint: fingerprint.into(),
-        }
+    /// Ignores both strings.
+    pub fn new(_spec: impl Into<String>, _fingerprint: impl Into<String>) -> ServeMeta {
+        ServeMeta
     }
 }
 
 /// Everything a connection worker needs: its own query client (and so its
 /// own result cache), the shared counters, the shutdown flag, and the
-/// oracle metadata the stats document reports.
+/// start time the stats document reports its uptime from.
 pub(super) struct WorkerCtx {
     pub(super) server: Arc<SketchServer>,
     pub(super) client: ServeClient,
     pub(super) counters: Arc<NetCounters>,
     shutdown: Arc<AtomicBool>,
     pub(super) config: NetConfig,
-    meta: Arc<ServeMeta>,
     started_at: Instant,
 }
 
@@ -230,21 +222,20 @@ impl NetServer {
         net_config: NetConfig,
         addr: &str,
     ) -> Result<NetServer, NetStartError> {
-        let meta = ServeMeta::default();
-        NetServer::start_with_origin(oracle, serve_config, net_config, addr, meta, None)
+        NetServer::start_with_origin(oracle, serve_config, net_config, addr, ServeMeta, None)
     }
 
-    /// [`NetServer::start`] plus the descriptive [`ServeMeta`] reported by
-    /// `GET /stats` and the oracle's typed provenance (scheme + graph
-    /// fingerprint), which arms the swap compatibility gates —
+    /// [`NetServer::start`] plus the oracle's typed provenance (scheme +
+    /// graph fingerprint): the stats document's `spec` and `graph`, and
+    /// what arms the swap compatibility gates —
     /// [`SketchServer::swap_snapshot`] refuses a snapshot whose scheme
-    /// differs from `origin`'s.
+    /// differs from `origin`'s.  `_meta` is ignored (see [`ServeMeta`]).
     pub fn start_with_origin(
         oracle: Arc<dyn DistanceOracle>,
         serve_config: ServeConfig,
         net_config: NetConfig,
         addr: &str,
-        meta: ServeMeta,
+        _meta: ServeMeta,
         origin: Option<(SchemeSpec, GraphFingerprint)>,
     ) -> Result<NetServer, NetStartError> {
         net_config.validate()?;
@@ -262,7 +253,6 @@ impl NetServer {
         let local_addr = listener.local_addr().map_err(NetStartError::Bind)?;
 
         let shutdown = Arc::new(AtomicBool::new(false));
-        let meta = Arc::new(meta);
         let started_at = Instant::now();
         let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(PENDING_CONNECTIONS);
         let conn_rx = Arc::new(Mutex::new(conn_rx));
@@ -275,7 +265,6 @@ impl NetServer {
                 counters: Arc::clone(&counters),
                 shutdown: Arc::clone(&shutdown),
                 config: net_config,
-                meta: Arc::clone(&meta),
                 started_at,
             };
             let rx = Arc::clone(&conn_rx);
@@ -581,82 +570,105 @@ pub(super) fn send(conn: &mut Conn, bytes: &[u8], ctx: &WorkerCtx) -> bool {
 }
 
 /// The stats document served by `GET /stats` and the binary stats frame:
-/// oracle metadata, query totals, and wire counters in one JSON
-/// object (hand-rolled — every value is a number or a short JSON string).
+/// one JSON object in two parts.
 ///
-/// Every number comes from **one** registry snapshot, so the `derived`
-/// ratios are computed from exactly the values reported beside them.  The
-/// snapshot is not a consistent cut: under concurrent load the counters
-/// are read one by one, and relations such as `cache_hits + cache_misses
-/// == queries` hold exactly once the writers are quiet.
+/// * The live generation's metadata — `scheme`, `spec`, `graph`,
+///   `num_nodes`, `stretch_bound`, `uptime_seconds` and `generation` —
+///   read from the [`Generation`](crate::swap::Generation) serving now, so
+///   a hot swap shows in the very next document.  `spec` and `graph` are
+///   `""` for an oracle started with no origin.
+/// * `"metrics"`: every series of the server's registry under the name
+///   `/metrics` prints for it, `name` or `name{k="v"}`; a counter or gauge
+///   is a number, a histogram `{"count":…,"sum":…,"max":…}`.  A series
+///   registered on the server shows here with no edit to this function.
+///
+/// The metrics are one registry snapshot, which is not a consistent cut:
+/// a relation between series (every query a cache hit or a miss) holds
+/// exactly once the writers are quiet.
 pub(crate) fn stats_json(ctx: &WorkerCtx) -> String {
-    let snap = ctx.server.registry().snapshot();
-    let serve = ServeStats::from_metrics(&snap);
-    let net = NetStats::from_metrics(&snap);
-    // Oracle metadata comes from the *current* generation, so a hot swap
-    // is reflected in the very next stats document.
     let generation = ctx.server.current_generation();
-    let stretch = match generation.oracle.stretch_bound() {
-        Some(bound) => bound.to_string(),
-        None => "null".to_string(),
-    };
-    let spec = match generation.spec {
-        Some(spec) => spec.to_string(),
-        None => ctx.meta.spec.clone(),
-    };
-    let fingerprint = match generation.fingerprint {
-        Some(fingerprint) => fingerprint.to_string(),
-        None => ctx.meta.fingerprint.clone(),
-    };
-    let frames_per_connection = if net.connections_accepted == 0 {
-        0.0
-    } else {
-        net.frames_in as f64 / net.connections_accepted as f64
-    };
+    let mut metrics = Vec::new();
+    for family in ctx.server.registry().snapshot().families {
+        for series in family.series {
+            let name = match series.labels.as_str() {
+                "" => family.name.clone(),
+                labels => format!("{}{{{labels}}}", family.name),
+            };
+            let value = match series.value {
+                SeriesValue::Counter(v) => v.to_string(),
+                SeriesValue::Gauge(v) => v.to_string(),
+                SeriesValue::Histogram(h) => format!(
+                    "{{\"count\":{},\"sum\":{},\"max\":{}}}",
+                    h.count(),
+                    h.sum,
+                    h.max
+                ),
+            };
+            metrics.push(format!("{}:{value}", JsonString(&name)));
+        }
+    }
+    let spec = generation.spec.map_or(String::new(), |s| s.to_string());
+    let graph = generation
+        .fingerprint
+        .map_or(String::new(), |f| f.to_string());
+    let stretch = generation.oracle.stretch_bound();
+    let stretch = stretch.map_or("null".to_string(), |bound| bound.to_string());
     format!(
         concat!(
-            "{{\"scheme\":\"{}\",\"spec\":\"{}\",\"graph\":\"{}\",",
-            "\"num_nodes\":{},\"stretch_bound\":{},\"uptime_seconds\":{:.3},",
-            "\"generation\":{},\"swaps\":{},",
-            "\"serve\":{{\"queries\":{},\"cache_hits\":{},\"cache_misses\":{},",
-            "\"cache_invalidations\":{},",
-            "\"errors\":{},\"batches\":{},\"busy_nanos\":{},\"max_latency_nanos\":{},",
-            "\"panics\":{}}},",
-            "\"net\":{{\"connections_accepted\":{},\"connections_refused\":{},",
-            "\"connections_closed\":{},\"frames_in\":{},\"frames_out\":{},",
-            "\"http_requests\":{},\"bytes_in\":{},\"bytes_out\":{},",
-            "\"timeouts\":{},\"protocol_errors\":{},\"overloads\":{}}},",
-            "\"derived\":{{\"hit_rate\":{:.6},\"frames_per_connection\":{:.3}}}}}"
+            "{{\"scheme\":{},\"spec\":{},\"graph\":{},\"num_nodes\":{},",
+            "\"stretch_bound\":{},\"uptime_seconds\":{:.3},\"generation\":{},",
+            "\"metrics\":{{{}}}}}"
         ),
-        generation.oracle.scheme_name(),
-        http::json_escape(&spec),
-        http::json_escape(&fingerprint),
+        JsonString(generation.oracle.scheme_name()),
+        JsonString(&spec),
+        JsonString(&graph),
         generation.oracle.num_nodes(),
         stretch,
         ctx.started_at.elapsed().as_secs_f64(),
-        serve.generation,
-        serve.swaps,
-        serve.totals.queries,
-        serve.totals.cache_hits,
-        serve.totals.cache_misses,
-        serve.totals.cache_invalidations,
-        serve.totals.errors,
-        serve.totals.batches,
-        serve.totals.busy_nanos,
-        serve.totals.max_latency_nanos,
-        serve.totals.panics,
-        net.connections_accepted,
-        net.connections_refused,
-        net.connections_closed,
-        net.frames_in,
-        net.frames_out,
-        net.http_requests,
-        net.bytes_in,
-        net.bytes_out,
-        net.timeouts,
-        net.protocol_errors,
-        net.overloads,
-        serve.totals.hit_rate(),
-        frames_per_connection,
+        generation.number,
+        metrics.join(","),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::net::NetClient;
+    use dsketch::SchemeConfig;
+    use netgraph::generators::{erdos_renyi, GeneratorConfig};
+
+    /// The stats document prints the registry, not a list of names: series
+    /// registered on a running server show at once, a counter as its
+    /// value, a labelled histogram under `name{k="v"}` as count, sum and
+    /// max.
+    #[test]
+    fn a_series_registered_after_start_shows_in_the_stats_document() {
+        let graph = erdos_renyi(24, 0.2, GeneratorConfig::uniform(3, 1, 9));
+        let outcome = SchemeSpec::thorup_zwick(2)
+            .build(&graph, &SchemeConfig::default().with_seed(5))
+            .unwrap();
+        let config = NetConfig::default().with_workers(1);
+        let net = NetServer::start(
+            Arc::from(outcome.sketches),
+            ServeConfig::default(),
+            config,
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let registry = net.server.registry();
+        registry.counter("dsketch_test_late_total", "Late.").add(7);
+        registry
+            .histogram_with("dsketch_test_late_nanos", "Late.", &[("stage", "x")])
+            .record(5);
+        let addr = net.local_addr().to_string();
+        let doc = NetClient::connect(&addr, Duration::from_secs(10))
+            .unwrap()
+            .stats_json()
+            .unwrap();
+        assert!(doc.contains(r#""dsketch_test_late_total":7"#), "{doc}");
+        let histogram = r#""dsketch_test_late_nanos{stage=\"x\"}":{"count":1,"sum":5,"max":5}"#;
+        assert!(doc.contains(histogram), "{doc}");
+        assert!(doc.contains(r#""num_nodes":24,"#), "{doc}");
+        net.shutdown();
+    }
 }

@@ -354,8 +354,7 @@ impl SketchServer {
         }
     }
 
-    /// Snapshot the counters (one registry snapshot, the same view
-    /// `GET /stats` serves).
+    /// Snapshot the counters (one registry snapshot).
     pub fn stats(&self) -> ServeStats {
         ServeStats::from_metrics(&self.registry.snapshot())
     }

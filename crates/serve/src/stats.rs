@@ -10,9 +10,10 @@
 //! / `dsketch_net_*` families, and the public snapshot types here are
 //! *views* of those instruments.  There is one path from instruments to
 //! views: [`ServeStats::from_metrics`] / [`NetStats::from_metrics`] over one
-//! registry snapshot, behind `SketchServer::stats`, `NetServer::net_stats`
-//! and `GET /stats` alike, so every number in one view was read at one
-//! moment.
+//! registry snapshot, behind `SketchServer::stats` and
+//! `NetServer::net_stats`, so every number in one view was read at one
+//! moment.  `GET /stats` reads no view: it prints the registry snapshot
+//! itself, every series under its own name.
 
 use dsketch_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 
@@ -139,9 +140,7 @@ impl std::fmt::Display for ServeStats {
 /// batch — sockets, frames, bytes, timeouts.
 ///
 /// A plain snapshot value like [`ServeTotals`]; the live cells are
-/// `dsketch_net_*` instruments in the server's registry.  `GET /stats`
-/// serves both in one JSON document, so wire cost and query cost can be
-/// read side by side.
+/// `dsketch_net_*` instruments in the server's registry.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Connections the listener accepted.

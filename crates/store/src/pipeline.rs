@@ -343,7 +343,7 @@ pub fn build_and_save_from_edge_list<P: AsRef<Path>, Q: AsRef<Path>>(
 }
 
 /// A decoded header summary: what `dsketch-store inspect` prints.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotSummary {
     /// Format version of the snapshot.
     pub version: u32,
@@ -381,15 +381,20 @@ pub struct SnapshotSummary {
 
 /// Summarize the snapshot at `path`: header fields, payload size, label
 /// statistics and each layer's byte split, all from one read and one
-/// decode of the payload.  The decode accepts exactly the bytes a load
+/// decode of the payload into its layers, which are summarized as they
+/// are (never frozen).  The decode accepts exactly the bytes a load
 /// accepts, so an `inspect` that says "ok" means the snapshot will load.
 pub fn inspect_snapshot<P: AsRef<Path>>(path: P) -> Result<SnapshotSummary, StoreError> {
     let raw = SnapshotReader::open(path.as_ref())?.read()?;
-    let contents = decode_raw(&raw)?;
-    let flat = contents.sketches.freeze().map_err(StoreError::Payload)?;
+    let sketches = decode_raw(&raw)?.sketches;
     Ok(SnapshotSummary {
-        layer_bytes: contents.sketches.layer_bytes(),
-        ..describe(&raw, &flat)
+        layer_bytes: sketches.layer_bytes(),
+        ..describe(
+            &raw,
+            &sketches,
+            sketches.present_pivots(),
+            sketches.tables(),
+        )
     })
 }
 
@@ -415,27 +420,36 @@ fn verify(raw: &RawSnapshot) -> Result<SnapshotSummary, StoreError> {
     let flat = raw.decode_flat()?;
     flat.check_invariants()
         .map_err(|message| StoreError::Payload(CodecError::invalid("FlatSketchSet", message)))?;
-    Ok(describe(raw, &flat))
+    Ok(describe(
+        raw,
+        &flat,
+        flat.present_pivots(),
+        flat.tables().to_vec(),
+    ))
 }
 
-/// Describe `raw` by its decoded labels `flat`: a bunch entry and a present
-/// pivot are two words each.
-fn describe(raw: &RawSnapshot, flat: &FlatSketchSet) -> SnapshotSummary {
-    let pivots = flat.present_pivots();
+/// Describe `raw` by its decoded `labels`, their present `pivots` and each
+/// layer's table: a bunch entry and a present pivot are two words each.
+fn describe(
+    raw: &RawSnapshot,
+    labels: &dyn DistanceOracle,
+    pivots: usize,
+    tables: Vec<TableShape>,
+) -> SnapshotSummary {
     SnapshotSummary {
         version: crate::format::FORMAT_VERSION,
         spec: raw.spec(),
         fingerprint: raw.fingerprint(),
         total_bytes: raw.total_bytes(),
         payload_bytes: dsketch::cast::u64_from_usize(raw.payload().len()),
-        layers: flat.num_layers(),
-        bunch_entries: flat.total_words() / 2 - pivots,
+        layers: tables.len(),
+        bunch_entries: labels.total_words() / 2 - pivots,
         pivots,
-        num_nodes: flat.num_nodes(),
-        max_words: flat.max_words(),
-        avg_words: flat.avg_words(),
+        num_nodes: labels.num_nodes(),
+        max_words: labels.max_words(),
+        avg_words: labels.avg_words(),
         build_stats: raw.header().build_stats.clone(),
-        tables: flat.tables().to_vec(),
+        tables,
         layer_bytes: Vec::new(),
     }
 }
@@ -624,6 +638,31 @@ mod tests {
         assert!(summary.build_stats.unwrap().rounds > 0);
         assert_eq!(summary.total_bytes, std::fs::metadata(&path).unwrap().len());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `inspect` summarizes the decoded layers and `verify` the frozen set
+    /// it checks: two roads to one summary, but the byte split only
+    /// `inspect` computes.
+    #[test]
+    fn inspect_and_verify_summarize_every_family_alike() {
+        let graph = graph();
+        for (index, spec) in SchemeSpec::all_families().into_iter().enumerate() {
+            let path = temp_path(&format!("summaries_{index}.dsk"));
+            let config = SchemeConfig::default().with_seed(5).with_parallel_build();
+            build_and_save(&graph, spec, &config, &path).unwrap();
+            let inspected = inspect_snapshot(&path).unwrap();
+            assert!(!inspected.layer_bytes.is_empty(), "{spec}");
+            let verified = verify_snapshot_file(&path).unwrap();
+            assert_eq!(
+                SnapshotSummary {
+                    layer_bytes: Vec::new(),
+                    ..inspected
+                },
+                verified,
+                "{spec}"
+            );
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

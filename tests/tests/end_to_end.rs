@@ -192,9 +192,8 @@ fn slack_constructions_work_on_multiple_families() {
 
 #[test]
 fn exact_oracle_and_landmarks_bracket_tz_accuracy() {
-    use dsketch::baseline::{ExactOracle, LandmarkSketch};
+    use dsketch::baseline::LandmarkSketch;
     let graph = erdos_renyi(80, 0.1, GeneratorConfig::uniform(31, 1, 20));
-    let oracle = ExactOracle::build(&graph);
     let landmarks = LandmarkSketch::build(&graph, 8, 2);
     let tz = SchemeSpec::thorup_zwick(2)
         .build(&graph, &SchemeConfig::default().with_seed(2))
@@ -204,9 +203,10 @@ fn exact_oracle_and_landmarks_bracket_tz_accuracy() {
     let mut lm_sum = 0.0;
     let mut count = 0usize;
     for (u, v, exact) in table.pairs() {
-        assert_eq!(oracle.estimate(u, v).unwrap(), exact);
+        assert_eq!(table.distance(u, v), exact);
         let tz_est = tz.sketches.estimate(u, v).unwrap();
         let lm_est = landmarks.estimate(u, v).unwrap();
+        assert!(tz_est >= exact && lm_est >= exact, "({u}, {v})");
         tz_sum += tz_est as f64 / exact.max(1) as f64;
         lm_sum += lm_est as f64 / exact.max(1) as f64;
         count += 1;

@@ -256,9 +256,25 @@ fn http_get(addr: &str, path: &str) -> String {
     reply
 }
 
+/// The value `/stats` gives the unlabelled series `name` in its
+/// `"metrics"` object: a number, or a histogram's
+/// `{"count":…,"sum":…,"max":…}`.
+fn stats_value<'d>(doc: &'d str, name: &str) -> Option<&'d str> {
+    let metrics = &doc[doc.find("\"metrics\":{")?..];
+    let key = format!("\"{name}\":");
+    let rest = &metrics[metrics.find(&key)? + key.len()..];
+    let end = if rest.starts_with('{') {
+        rest.find('}')? + 1
+    } else {
+        rest.find([',', '}'])?
+    };
+    Some(&rest[..end])
+}
+
 /// The acceptance criterion end-to-end: drive a known number of queries
 /// over a real socket, scrape `/metrics`, and require the histogram count
-/// and query counters to equal the queries sent — exactly.
+/// and query counters to equal the queries sent — exactly; `/stats`
+/// agrees with `/metrics` on every one of the server's series.
 #[test]
 fn metrics_endpoint_accounts_every_query_exactly() {
     const QUERIES: usize = 333;
@@ -352,6 +368,40 @@ fn metrics_endpoint_accounts_every_query_exactly() {
             .get("dsketch_serve_batch_latency_nanos_count"),
         Some(&(QUERIES.div_ceil(37) as i128))
     );
+
+    // `/stats` prints the same registry under the same names.  Scraped
+    // right after `/metrics` (an HTTP request answers no query), every
+    // query series reads the same in both, and every family of the
+    // server's registry — what `/metrics` shows beyond the process-global
+    // one — is in the document.
+    let stats = http_get(&addr, "/stats");
+    let global: Vec<String> = dsketch_obs::global()
+        .snapshot()
+        .families
+        .into_iter()
+        .map(|family| family.name)
+        .collect();
+    for (family, kind) in parsed.types.iter().filter(|(f, _)| !global.contains(f)) {
+        let shown = stats_value(&stats, family)
+            .unwrap_or_else(|| panic!("family `{family}` missing from /stats: {stats}"));
+        if !family.starts_with("dsketch_serve_") {
+            continue;
+        }
+        let sample = |suffix: &str| parsed.samples[&format!("{family}{suffix}")];
+        if kind == "histogram" {
+            let expected = format!(
+                "{{\"count\":{},\"sum\":{},",
+                sample("_count"),
+                sample("_sum")
+            );
+            assert!(
+                shown.starts_with(&expected),
+                "{family}: {shown} vs {expected}"
+            );
+        } else {
+            assert_eq!(shown, sample("").to_string(), "{family}");
+        }
+    }
 
     // A second scrape is monotone in the counters.
     let reply2 = http_get(&addr, "/metrics");

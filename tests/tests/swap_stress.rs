@@ -222,7 +222,7 @@ fn http_queries_and_swaps_interleave_cleanly() {
         ServeConfig::default(),
         NetConfig::default().with_workers(2),
         "127.0.0.1:0",
-        dsketch_serve::ServeMeta::new(spec.to_string(), fingerprint.to_string()),
+        dsketch_serve::ServeMeta,
         Some((spec, fingerprint)),
     )
     .expect("listen");
@@ -291,7 +291,7 @@ fn http_queries_and_swaps_interleave_cleanly() {
     }
     let stats = get("/stats");
     assert!(stats.contains("\"generation\":2"), "{stats}");
-    assert!(stats.contains("\"swaps\":1"), "{stats}");
+    assert!(stats.contains("\"dsketch_swap_total\":1"), "{stats}");
     let metrics = get("/metrics");
     assert!(metrics.contains("dsketch_serve_generation 2"), "{metrics}");
     assert!(metrics.contains("dsketch_swap_total 1"), "{metrics}");
@@ -346,7 +346,7 @@ fn a_v1_versioned_snapshot_is_refused_over_http_swap() {
         ServeConfig::default(),
         NetConfig::default().with_workers(2),
         "127.0.0.1:0",
-        dsketch_serve::ServeMeta::new(spec.to_string(), fingerprint.to_string()),
+        dsketch_serve::ServeMeta,
         Some((spec, fingerprint)),
     )
     .expect("listen");
@@ -372,7 +372,7 @@ fn a_v1_versioned_snapshot_is_refused_over_http_swap() {
 
     let stats = http("GET /stats HTTP/1.1\r\nhost: t\r\n\r\n".to_string());
     assert!(stats.contains("\"generation\":1"), "{stats}");
-    assert!(stats.contains("\"swaps\":0"), "{stats}");
+    assert!(stats.contains("\"dsketch_swap_total\":0"), "{stats}");
     for (u, v) in (0..6u32).map(|i| (i, (i * 5 + 1) % n as u32)) {
         let reply = http(format!(
             "GET /distance?u={u}&v={v} HTTP/1.1\r\nhost: t\r\n\r\n"

@@ -30,9 +30,10 @@
 //! cargo run --release -p dsketch-bench --bin dsketch-store -- \
 //!     query --snapshot g.dsk --u 0 --v 41
 //!
-//! # cold-start a server from the snapshot and replay traffic
+//! # cold-start a server from the snapshot and serve it on a port; replay
+//! # traffic against it with dsketch-loadgen --addr 127.0.0.1:7421
 //! cargo run --release -p dsketch-bench --bin dsketch-store -- \
-//!     serve --snapshot g.dsk --queries 100000
+//!     serve --snapshot g.dsk --listen 127.0.0.1:7421
 //!
 //! # keep g.dsk fresh against an evolving edge list, hot-swapping a live
 //! # server whenever the graph's fingerprint moves
@@ -46,15 +47,16 @@
 //! there: `--threads 0` means all cores; `--engine` defaults to
 //! `parallel`; `--trace-sample N` samples every N-th query into the trace
 //! ring (`GET /trace?n=K`), and `--log-json` mirrors those events to stdout;
-//! `--listen` exposes the cold-started server over TCP (binary protocol
-//! and HTTP on one port) instead of replaying a local workload; `watch`
-//! rebuilds `--snapshot` whenever the graph's fingerprint moves and sends
-//! `--server` a swap request (`--iterations 0` runs forever).
+//! `serve` only serves: `--listen` is where the cold-started server
+//! answers (binary protocol and HTTP on one port), and replaying traffic
+//! against it is `dsketch-loadgen`'s job; `watch` rebuilds `--snapshot`
+//! whenever the graph's fingerprint moves and sends `--server` a swap
+//! request (`--iterations 0` runs forever).
 
 use dsketch::prelude::*;
-use dsketch_bench::workloads::{QueryWorkload, Workload, WorkloadSpec};
+use dsketch_bench::workloads::{Workload, WorkloadSpec};
 use dsketch_bench::{arg_engine, arg_parse_or_exit, arg_value, check_args_or_exit};
-use dsketch_serve::{NetConfig, NetServer, ServeConfig, ServeMeta, SketchServer};
+use dsketch_serve::{NetConfig, NetServer, ServeConfig, ServeMeta};
 use dsketch_store::{
     build_and_save, build_and_save_from_edge_list, inspect_snapshot, load_frozen_oracle,
     SnapshotReader,
@@ -78,9 +80,8 @@ build   --scheme SPEC --out FILE [--edges FILE | --topology T --nodes N] [--seed
 inspect --snapshot FILE
 verify  --snapshot FILE
 query   --snapshot FILE --u NODE --v NODE
-serve   --snapshot FILE [--queries N] [--batch N] [--cache N]
-        [--workload uniform|hotspot|adversarial] [--seed N] [--trace-sample N]
-        [--listen HOST:PORT [--serve-seconds N] [--net-workers N] [--log-json]]
+serve   --snapshot FILE --listen HOST:PORT [--cache N] [--trace-sample N]
+        [--serve-seconds N] [--net-workers N] [--log-json]
 watch   --graph EDGE_LIST --scheme SPEC --snapshot FILE [--server HOST:PORT]
         [--interval-ms N] [--iterations N] [--seed N] [--threads N]";
 
@@ -396,29 +397,48 @@ fn cmd_query(args: &[String]) {
     }
 }
 
-/// Serve `oracle` on `listen` over TCP until `--serve-seconds` elapses
-/// (0 = forever), then drain gracefully, print the final wire + query
-/// counters and exit 0; exit 1 when the listener cannot bind.  `origin` —
-/// the snapshot's scheme and graph fingerprint — is what `/stats` reports
-/// and what arms the hot-swap compatibility gates, so `POST /swap` refuses
-/// a snapshot built with a different scheme.
-fn serve_network(
-    args: &[String],
-    listen: &str,
-    oracle: Arc<dyn DistanceOracle>,
-    config: ServeConfig,
-    origin: (SchemeSpec, netgraph::GraphFingerprint),
-) -> ! {
+/// Cold-start a server from `--snapshot` and serve it on `--listen` over
+/// TCP until `--serve-seconds` elapses (0 = forever), then drain
+/// gracefully and print the final wire + query counters; exit 1 when the
+/// snapshot does not load or the listener cannot bind.  The snapshot's
+/// scheme and graph fingerprint are what `/stats` reports and what arms the
+/// hot-swap compatibility gates, so `POST /swap` refuses a snapshot built
+/// with a different scheme.
+fn cmd_serve(args: &[String]) {
+    let path = required(args, "snapshot");
+    let listen = required(args, "listen");
+    let cache: usize = arg_parse_or_exit(args, "cache", 4096);
+    let trace_sample: u64 = arg_parse_or_exit(args, "trace-sample", 0);
     let serve_seconds: u64 = arg_parse_or_exit(args, "serve-seconds", 0);
     let net_workers = arg_parse_or_exit(args, "net-workers", 4usize).max(1);
     let log_json = args.iter().any(|a| a == "--log-json");
+
+    let load_started = Instant::now();
+    // One read of the file: the header that names what is being served (and
+    // arms the swap compatibility gates) and the labels come from the same
+    // bytes, so a snapshot renamed into place meanwhile cannot pair one
+    // file's origin with another's labels.
+    let cold_start = || -> Result<_, dsketch_store::StoreError> {
+        let raw = SnapshotReader::open(std::path::Path::new(&path))?.read()?;
+        Ok(((raw.spec(), raw.fingerprint()), raw.frozen_oracle()?))
+    };
+    let (origin, oracle) = cold_start().unwrap_or_else(|e| {
+        eprintln!("cold start failed: {e}");
+        std::process::exit(1);
+    });
+    println!(
+        "cold-started from {path} in {:.1} ms (no construction rounds; frozen flat CSR labels)",
+        load_started.elapsed().as_secs_f64() * 1e3
+    );
     let server = NetServer::start_with_origin(
-        oracle,
-        config,
+        Arc::from(oracle),
+        ServeConfig::default()
+            .with_cache_capacity(cache)
+            .with_trace_sample(trace_sample),
         NetConfig::default()
             .with_workers(net_workers)
             .with_log_json(log_json),
-        listen,
+        &listen,
         ServeMeta,
         Some(origin),
     )
@@ -442,92 +462,4 @@ fn serve_network(
     std::thread::sleep(std::time::Duration::from_secs(serve_seconds));
     let stats = server.shutdown();
     println!("drained and stopped.\n{stats}");
-    std::process::exit(0);
-}
-
-fn cmd_serve(args: &[String]) {
-    let path = required(args, "snapshot");
-    let queries: usize = arg_parse_or_exit(args, "queries", 100_000);
-    let batch: usize = arg_parse_or_exit(args, "batch", 256);
-    let cache: usize = arg_parse_or_exit(args, "cache", 4096);
-    let seed: u64 = arg_parse_or_exit(args, "seed", 42);
-    let workload_text = arg_value(args, "workload").unwrap_or_else(|| "uniform".to_string());
-    let shape = QueryWorkload::parse(&workload_text).unwrap_or_else(|| {
-        eprintln!(
-            "--workload {workload_text}: unknown (known: {:?})",
-            QueryWorkload::all().map(|w| w.name())
-        );
-        std::process::exit(2);
-    });
-
-    let trace_sample: u64 = arg_parse_or_exit(args, "trace-sample", 0);
-    let load_started = Instant::now();
-    let config = ServeConfig::default()
-        .with_cache_capacity(cache)
-        .with_trace_sample(trace_sample);
-    // One read of the file: the header that names what is being served (and
-    // arms the swap compatibility gates) and the labels come from the same
-    // bytes, so a snapshot renamed into place meanwhile cannot pair one
-    // file's origin with another's labels.  (SketchServer::from_snapshot is
-    // this same sequence; the oracle is loaded here so the node count is at
-    // hand for workload generation.)
-    let cold_start = || -> Result<_, dsketch_store::StoreError> {
-        let raw = SnapshotReader::open(std::path::Path::new(&path))?.read()?;
-        Ok(((raw.spec(), raw.fingerprint()), raw.frozen_oracle()?))
-    };
-    let (origin, oracle) = cold_start().unwrap_or_else(|e| {
-        eprintln!("cold start failed: {e}");
-        std::process::exit(1);
-    });
-    let num_nodes = oracle.num_nodes();
-
-    // `--listen` turns the cold-started server into a network service
-    // instead of a local replay: the paper's standby-server story end to
-    // end (snapshot on disk → serving sockets, no construction rounds).
-    if let Some(listen) = arg_value(args, "listen") {
-        println!(
-            "cold-started from {path} in {:.1} ms; exposing it on the network",
-            load_started.elapsed().as_secs_f64() * 1e3
-        );
-        serve_network(args, &listen, Arc::from(oracle), config, origin);
-    }
-    if num_nodes < 2 {
-        eprintln!("{path} holds {num_nodes} node(s): a query workload needs at least two");
-        std::process::exit(1);
-    }
-
-    let server = SketchServer::start(Arc::from(oracle), config).expect("no ServeConfig is invalid");
-    println!(
-        "cold-started server from {path} in {:.1} ms \
-         (no construction rounds; frozen flat CSR labels)",
-        load_started.elapsed().as_secs_f64() * 1e3,
-    );
-
-    let pairs = shape.generate(num_nodes, queries, seed);
-    let client = server.client();
-    let replay_started = Instant::now();
-    let mut nonzero = 0usize;
-    for chunk in pairs.chunks(batch.max(1)) {
-        for result in client.query_batch(chunk) {
-            if matches!(result, Ok(d) if d > 0) {
-                nonzero += 1;
-            }
-        }
-    }
-    let elapsed = replay_started.elapsed();
-    let stats = server.shutdown();
-    println!(
-        "[{}] replayed {} queries in {:.1} ms — {:.0} queries/s, {:.1}% cache hits, {} errors",
-        shape.name(),
-        stats.totals.queries,
-        elapsed.as_secs_f64() * 1e3,
-        stats.totals.queries as f64 / elapsed.as_secs_f64(),
-        100.0 * stats.totals.hit_rate(),
-        stats.totals.errors,
-    );
-    println!("{nonzero} / {queries} answers were nonzero distances");
-    if nonzero == 0 {
-        eprintln!("snapshot served no usable answers — refusing to call this a success");
-        std::process::exit(1);
-    }
 }

@@ -4,8 +4,8 @@
 //! *topology* recipe — every experiment row records the graph it ran on, so
 //! the tables of ARCHITECTURE.md's *Experiment index* are reproducible
 //! verbatim.  A [`QueryWorkload`] is a named, seeded *traffic* recipe — a
-//! stream of `(u, v)` query pairs replayed against a built oracle by the
-//! `dsketch-store serve` and `dsketch-loadgen` binaries.
+//! stream of `(u, v)` query pairs that `dsketch-loadgen` replays against a
+//! `dsketch-store serve --listen` server.
 
 use netgraph::diameter::{diameters, DiameterReport};
 use netgraph::generators::{erdos_renyi, grid, preferential_attachment, ring, GeneratorConfig};
@@ -387,6 +387,45 @@ mod tests {
             assert_eq!(QueryWorkload::parse(shape.name()), Some(shape));
         }
         assert_eq!(QueryWorkload::parse("nope"), None);
+    }
+
+    /// What a result cache makes of each shape, at the quickstart's sizes:
+    /// tz:3 on ER n=256 (seed 42), built by the parallel engine and served
+    /// in process with the default 4096-entry cache, 20 000 queries in
+    /// batches of 256 through one client.  Zipf endpoints mostly hit,
+    /// never-repeating pairs never do, and every batch holds a distance.
+    #[test]
+    fn the_result_cache_turns_traffic_skew_into_hit_rate() {
+        use dsketch::{DistanceOracle, SchemeConfig, SchemeSpec};
+        use dsketch_serve::{ServeConfig, SketchServer};
+        use std::sync::Arc;
+
+        let graph = WorkloadSpec::new(Workload::ErdosRenyi, 256, 42).build();
+        let config = SchemeConfig::default()
+            .with_seed(42)
+            .with_parallel_build()
+            .with_threads(2);
+        let outcome = SchemeSpec::thorup_zwick(3)
+            .build(&graph, &config)
+            .expect("tz:3 builds");
+        let oracle: Arc<dyn DistanceOracle> = Arc::from(outcome.sketches);
+        let hit_rate = |shape: QueryWorkload| {
+            let server = SketchServer::start(Arc::clone(&oracle), ServeConfig::default())
+                .expect("no ServeConfig is invalid");
+            let client = server.client();
+            for batch in shape.generate(256, 20_000, 42).chunks(256) {
+                let answers = client.query_batch(batch);
+                let nonzero = answers.iter().any(|a| matches!(a, Ok(d) if *d > 0));
+                assert!(nonzero, "{}: a batch without a distance", shape.name());
+            }
+            let totals = server.shutdown().totals;
+            assert_eq!((totals.queries, totals.errors), (20_000, 0));
+            totals.hit_rate()
+        };
+        hit_rate(QueryWorkload::Uniform); // it runs; its rate is whatever n allows
+        let hotspot = hit_rate(QueryWorkload::Hotspot);
+        assert!(hotspot > 0.5, "hotspot hit {hotspot}");
+        assert_eq!(hit_rate(QueryWorkload::Adversarial), 0.0);
     }
 
     #[test]

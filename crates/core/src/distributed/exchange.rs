@@ -119,11 +119,6 @@ impl<'a> SketchExchangeProgram<'a> {
         self.estimate
     }
 
-    /// True once the requester has the full remote sketch.
-    pub fn reply_complete(&self) -> bool {
-        self.reply_complete
-    }
-
     fn start_reply(&mut self) {
         // Stream pivots first, then bunch entries, then the terminator.
         for level in 0..self.own.k() {

@@ -99,13 +99,15 @@
 //! println!("{stats}");
 //! ```
 //!
-//! `dsketch-store serve` (in `crates/bench`, which owns the workload
-//! generators) wires this into an end-to-end traffic replay over a
-//! snapshot, or with `--listen` into a network service:
+//! `dsketch-store serve` (in `crates/bench`) wires this into a network
+//! service over a snapshot, and `dsketch-loadgen` (which owns the workload
+//! generators) replays traffic against it:
 //!
 //! ```text
 //! cargo run --release -p dsketch-bench --bin dsketch-store -- \
-//!     serve --snapshot g.dsk --queries 100000
+//!     serve --snapshot g.dsk --listen 127.0.0.1:7421
+//! cargo run --release -p dsketch-bench --bin dsketch-loadgen -- \
+//!     --addr 127.0.0.1:7421 --queries 100000 --workload hotspot
 //! ```
 
 // No panics on the served path; an exemption is `#[expect(.., reason)]`.

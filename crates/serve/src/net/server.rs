@@ -39,7 +39,7 @@
 //!   accept loop stops, listener closes   (late connects: ECONNREFUSED)
 //!   idle connections close at once       (abort flag between frames)
 //!   in-flight frames complete + answer   (drain, then close)
-//!   final counters are read              (one registry snapshot each)
+//!   final counters are read              (off the live handles)
 //! ```
 //!
 //! The accept loop blocks in `accept`, so raising the flag is followed by
@@ -210,7 +210,7 @@ pub struct NetServer {
     accept_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     server: Arc<SketchServer>,
-    config: NetConfig,
+    counters: Arc<NetCounters>,
 }
 
 impl NetServer {
@@ -286,7 +286,7 @@ impl NetServer {
             accept_thread: Some(accept_thread),
             workers,
             server,
-            config: net_config,
+            counters,
         })
     }
 
@@ -295,14 +295,9 @@ impl NetServer {
         self.addr
     }
 
-    /// The network sizing the server was started with.
-    pub fn config(&self) -> &NetConfig {
-        &self.config
-    }
-
     /// Snapshot the wire-level counters.
     pub fn net_stats(&self) -> NetStats {
-        NetStats::from_metrics(&self.server.registry().snapshot())
+        self.counters.stats()
     }
 
     /// Gracefully drain and stop: refuse new connections, let in-flight

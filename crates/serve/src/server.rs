@@ -354,9 +354,13 @@ impl SketchServer {
         }
     }
 
-    /// Snapshot the counters (one registry snapshot).
+    /// Snapshot the counters and the generation serving.
     pub fn stats(&self) -> ServeStats {
-        ServeStats::from_metrics(&self.registry.snapshot())
+        ServeStats {
+            totals: self.counters.totals(),
+            generation: self.generation(),
+            swaps: self.swaps.value(),
+        }
     }
 
     /// Consume the server and return the final counters.  There is nothing

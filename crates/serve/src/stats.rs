@@ -8,14 +8,14 @@
 //! [`MetricsRegistry`]: the internal counter structs hold cheap
 //! [`Counter`]/[`Histogram`] handles registered under the `dsketch_serve_*`
 //! / `dsketch_net_*` families, and the public snapshot types here are
-//! *views* of those instruments.  There is one path from instruments to
-//! views: [`ServeStats::from_metrics`] / [`NetStats::from_metrics`] over one
-//! registry snapshot, behind `SketchServer::stats` and
-//! `NetServer::net_stats`, so every number in one view was read at one
-//! moment.  `GET /stats` reads no view: it prints the registry snapshot
-//! itself, every series under its own name.
+//! *views* of those instruments.  Each series name is written once, where
+//! it is registered; a view is read off the same handles
+//! (`ServeCounters::totals`, `NetCounters::stats`, behind
+//! `SketchServer::stats` and `NetServer::net_stats`), each cell loaded
+//! once, never looked up by name.  `GET /stats` reads no view: it prints
+//! the registry snapshot itself, every series under its own name.
 
-use dsketch_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
+use dsketch_obs::{Counter, Histogram, MetricsRegistry};
 
 /// Query counters of one server, summed over every `ServeClient` it handed
 /// out.  A plain snapshot value, like `RunStats` on the build side.
@@ -74,7 +74,7 @@ impl ServeTotals {
     }
 }
 
-/// A snapshot of a server's counters, read in one registry pass.
+/// A snapshot of a server's counters and the generation it serves.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// The query counters.
@@ -84,36 +84,6 @@ pub struct ServeStats {
     pub generation: u64,
     /// Hot snapshot swaps published since startup.
     pub swaps: u64,
-}
-
-impl ServeStats {
-    /// Rebuild the view from one registry snapshot — every number comes
-    /// from the same [`MetricsSnapshot`], so the derived ratios
-    /// (`hit_rate`, queries-per-batch) are computed from the totals
-    /// reported beside them.  Relations between totals (`cache_hits +
-    /// cache_misses == queries`) hold exactly once the callers are quiet.
-    pub(crate) fn from_metrics(snap: &MetricsSnapshot) -> ServeStats {
-        let read = |name: &str| snap.counter(name, "").unwrap_or(0);
-        let latency = snap.histogram_total("dsketch_serve_batch_latency_nanos");
-        ServeStats {
-            totals: ServeTotals {
-                queries: read("dsketch_serve_queries_total"),
-                cache_hits: read("dsketch_serve_cache_hits_total"),
-                cache_misses: read("dsketch_serve_cache_misses_total"),
-                cache_invalidations: read("dsketch_serve_cache_invalidations_total"),
-                errors: read("dsketch_serve_errors_total"),
-                batches: read("dsketch_serve_batches_total"),
-                busy_nanos: latency.sum,
-                max_latency_nanos: latency.max,
-                panics: read("dsketch_serve_panics_total"),
-            },
-            generation: snap
-                .gauge("dsketch_serve_generation", "")
-                .unwrap_or(1)
-                .max(0) as u64,
-            swaps: read("dsketch_swap_total"),
-        }
-    }
 }
 
 impl std::fmt::Display for ServeStats {
@@ -176,27 +146,6 @@ pub struct NetStats {
     /// `503 Service Unavailable` + `Retry-After` before closing.  Every
     /// overload is also counted in `connections_refused`.
     pub overloads: u64,
-}
-
-impl NetStats {
-    /// Rebuild the wire view from one registry snapshot (same consistency
-    /// contract as [`ServeStats::from_metrics`]).
-    pub(crate) fn from_metrics(snap: &MetricsSnapshot) -> NetStats {
-        let read = |name: &str| snap.counter(name, "").unwrap_or(0);
-        NetStats {
-            connections_accepted: read("dsketch_net_connections_accepted_total"),
-            connections_refused: read("dsketch_net_connections_refused_total"),
-            connections_closed: read("dsketch_net_connections_closed_total"),
-            frames_in: read("dsketch_net_frames_in_total"),
-            frames_out: read("dsketch_net_frames_out_total"),
-            http_requests: read("dsketch_net_http_requests_total"),
-            bytes_in: read("dsketch_net_bytes_in_total"),
-            bytes_out: read("dsketch_net_bytes_out_total"),
-            timeouts: read("dsketch_net_timeouts_total"),
-            protocol_errors: read("dsketch_net_protocol_errors_total"),
-            overloads: read("dsketch_net_overload_total"),
-        }
-    }
 }
 
 impl std::fmt::Display for NetStats {
@@ -289,11 +238,28 @@ impl NetCounters {
             ),
         }
     }
+
+    /// Read the wire counters, each cell once.
+    pub(crate) fn stats(&self) -> NetStats {
+        NetStats {
+            connections_accepted: self.connections_accepted.value(),
+            connections_refused: self.connections_refused.value(),
+            connections_closed: self.connections_closed.value(),
+            frames_in: self.frames_in.value(),
+            frames_out: self.frames_out.value(),
+            http_requests: self.http_requests.value(),
+            bytes_in: self.bytes_in.value(),
+            bytes_out: self.bytes_out.value(),
+            timeouts: self.timeouts.value(),
+            protocol_errors: self.protocol_errors.value(),
+            overloads: self.overload.value(),
+        }
+    }
 }
 
 /// The live instrument handles every [`ServeClient`](crate::ServeClient)
-/// of one server writes — once per batch — and [`ServeStats::from_metrics`]
-/// reads back by name.
+/// of one server writes — once per batch — and [`ServeCounters::totals`]
+/// reads back.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ServeCounters {
     pub queries: Counter,
@@ -346,6 +312,24 @@ impl ServeCounters {
             ),
         }
     }
+
+    /// Read the query totals, each cell once.  Relations between totals
+    /// (`cache_hits + cache_misses == queries`) hold exactly once the
+    /// callers are quiet.
+    pub(crate) fn totals(&self) -> ServeTotals {
+        let latency = self.latency.snapshot();
+        ServeTotals {
+            queries: self.queries.value(),
+            cache_hits: self.cache_hits.value(),
+            cache_misses: self.cache_misses.value(),
+            cache_invalidations: self.cache_invalidations.value(),
+            errors: self.errors.value(),
+            batches: self.batches.value(),
+            busy_nanos: latency.sum,
+            max_latency_nanos: latency.max,
+            panics: self.panics.value(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -367,7 +351,7 @@ mod tests {
         counters.queries.add(3);
         counters.latency.record(50);
         counters.latency.record(10);
-        let totals = ServeStats::from_metrics(&registry.snapshot()).totals;
+        let totals = counters.totals();
         assert_eq!(totals.queries, 3);
         assert_eq!(totals.busy_nanos, 60);
         assert_eq!(totals.max_latency_nanos, 50);
@@ -391,20 +375,18 @@ mod tests {
         second.batches.inc();
         second.latency.record(900);
         second.panics.inc();
-        let stats = ServeStats::from_metrics(&registry.snapshot());
-        assert_eq!(stats.totals.queries, 6);
-        assert_eq!(stats.totals.cache_hits + stats.totals.cache_misses, 6);
-        assert_eq!(stats.totals.cache_invalidations, 1);
-        assert_eq!(stats.totals.errors, 1);
-        assert_eq!(stats.totals.batches, 2);
-        assert_eq!(stats.totals.busy_nanos, 1000);
-        assert_eq!(stats.totals.max_latency_nanos, 900);
-        assert_eq!(stats.totals.panics, 1);
-        assert!((stats.totals.hit_rate() - 1.0 / 6.0).abs() < 1e-9);
-        assert!((stats.totals.avg_latency_nanos() - 1000.0 / 6.0).abs() < 1e-9);
-        // No swap instruments registered: sensible defaults.
-        assert_eq!(stats.generation, 1);
-        assert_eq!(stats.swaps, 0);
+        let totals = first.totals();
+        assert_eq!(totals, second.totals(), "clones read the same cells");
+        assert_eq!(totals.queries, 6);
+        assert_eq!(totals.cache_hits + totals.cache_misses, 6);
+        assert_eq!(totals.cache_invalidations, 1);
+        assert_eq!(totals.errors, 1);
+        assert_eq!(totals.batches, 2);
+        assert_eq!(totals.busy_nanos, 1000);
+        assert_eq!(totals.max_latency_nanos, 900);
+        assert_eq!(totals.panics, 1);
+        assert!((totals.hit_rate() - 1.0 / 6.0).abs() < 1e-9);
+        assert!((totals.avg_latency_nanos() - 1000.0 / 6.0).abs() < 1e-9);
     }
 
     #[test]
@@ -435,7 +417,7 @@ mod tests {
             protocol_errors: 6,
             overloads: 7,
         };
-        let stats = NetStats::from_metrics(&registry.snapshot());
+        let stats = counters.stats();
         assert_eq!(stats, expected);
         let text = stats.to_string();
         assert!(text.contains("3 conns accepted"));

@@ -59,7 +59,8 @@ impl WatchCore {
     /// A watcher over the edge list at `graph_path`, keeping the `DSK1`
     /// file at `snapshot_path` fresh with `spec` builds under `config`.
     /// The first [`check_once`](Self::check_once) always rebuilds unless
-    /// the watcher is [primed](Self::prime) first.
+    /// the watcher is primed first by
+    /// [`prime_from_snapshot`](Self::prime_from_snapshot).
     pub fn new<P: AsRef<Path>, Q: AsRef<Path>>(
         graph_path: P,
         snapshot_path: Q,
@@ -75,13 +76,6 @@ impl WatchCore {
             consecutive_failures: 0,
             jitter_state: 0x9E37_79B9_7F4A_7C15,
         }
-    }
-
-    /// Seed the change detector with the fingerprint of an already built
-    /// snapshot, so an unchanged graph does not trigger a rebuild on the
-    /// very first tick.
-    pub fn prime(&mut self, fingerprint: GraphFingerprint) {
-        self.last = Some(fingerprint);
     }
 
     /// Try to seed the change detector from the snapshot file itself

@@ -3,8 +3,9 @@
 //!
 //! ```text
 //! # pay the construction once, keep the artifact (parallel engine,
-//! # all cores; --threads N pins the worker count — the snapshot bytes
-//! # are bit-identical for every N)
+//! # all cores; --threads N pins the worker count of either engine — the
+//! # direct build's pool or the CONGEST rounds' workers — and the snapshot
+//! # bytes are bit-identical for every N)
 //! cargo run --release -p dsketch-bench --bin dsketch-store -- \
 //!     build --scheme tz:3 --nodes 512 --threads 8 --out g.dsk
 //!
@@ -223,7 +224,11 @@ fn cmd_build(args: &[String]) {
     let config = SchemeConfig::default()
         .with_seed(seed)
         .with_engine(engine)
-        .with_threads(threads);
+        .with_threads(threads)
+        .with_congest(CongestConfig {
+            num_threads: threads,
+            ..CongestConfig::default()
+        });
 
     let build_started = Instant::now();
     let (graph_label, graph, contents, bytes) = if let Some(edges) = arg_value(args, "edges") {

@@ -73,11 +73,46 @@ fn readme_quickstart_runs_end_to_end() {
 
     store(&["verify", "--snapshot", g]);
 
-    // The CONGEST engine builds the identical labels (round-accounted).
+    // The CONGEST engine builds the identical labels (round-accounted),
+    // and on any number of round workers the same rounds, messages and
+    // bytes.
     let congest = dir.join("congest.dsk");
     let c = congest.to_str().expect("utf-8 temp path");
     store(&[&build[..], &[c, "--engine", "congest"]].concat());
     assert_eq!(query_line(&congest, 0, 41), answer);
+    let [(cost_one, bytes_one), (cost_two, bytes_two)] = ["1", "2"].map(|threads| {
+        let path = dir.join(format!("congest-t{threads}.dsk"));
+        let p = path.to_str().expect("utf-8 temp path");
+        let stdout = store(
+            &[
+                &build[..],
+                &[p, "--engine", "congest", "--threads", threads],
+            ]
+            .concat(),
+        );
+        // "built tz:3 in 0.01s: R rounds, M messages, W words on the wire"
+        let cost = stdout
+            .lines()
+            .filter_map(|line| line.strip_prefix("built "))
+            .find_map(|line| line.split_once("s: "))
+            .unwrap_or_else(|| panic!("no cost line:\n{stdout}"))
+            .1
+            .to_string();
+        assert!(
+            cost.contains(" rounds, ") && cost.contains(" messages, "),
+            "{cost}"
+        );
+        (cost, std::fs::read(&path).expect("snapshot written"))
+    });
+    assert_eq!(
+        cost_one, cost_two,
+        "rounds and messages at one and two threads"
+    );
+    assert!(
+        bytes_one == bytes_two,
+        "snapshots differ between one and two threads"
+    );
+    assert!(std::fs::read(&congest).expect("snapshot written") == bytes_one);
 
     // A node count that does not parse, or that the topology cannot
     // generate, is a usage error naming the flag — not a fallback, not a

@@ -1,12 +1,14 @@
 //! The per-node program abstraction, the context handed to it each round,
 //! and the sending half of the message plane.
 //!
-//! `send` and `broadcast` resolve the edge *slot* in the sender's sorted CSR
-//! adjacency at once: the slot yields the edge weight, proves adjacency (no
-//! slot is the non-neighbour panic) and indexes the per-edge budget count;
-//! `broadcast` walks the slots without a lookup.  The message then joins,
-//! addressed and weighed, the sending worker's lane for the destination's
-//! worker ([`crate::engine`] has the receiving half of a round).
+//! `send` resolves the edge *slot* in the sender's sorted CSR adjacency at
+//! once: the slot yields the edge weight, proves adjacency (no slot is the
+//! non-neighbour panic) and indexes the per-edge budget count.  `broadcast`
+//! needs no lookup: it takes the sender's neighbour and weight slices, its
+//! budget counts and the round's tally once and walks the slots in order.
+//! Either way the message joins, addressed and weighed, the sending worker's
+//! lane for the destination's worker ([`crate::engine`] has the receiving
+//! half of a round).
 
 use crate::engine::CongestConfig;
 use crate::message::MessageSize;
@@ -154,8 +156,28 @@ impl<'a, M: Clone + MessageSize> NodeContext<'a, M> {
 
     /// Send `message` to every neighbor.
     pub fn broadcast(&mut self, message: M) {
-        for slot in 0..self.degree() {
-            self.send_on_slot(slot, message.clone());
+        let (targets, weights) = self.graph.neighbor_slices(self.node);
+        let out = &mut *self.out;
+        if self.queued == 0 {
+            out.edge_sent.clear();
+            out.edge_sent.resize(targets.len(), 0);
+        }
+        self.queued += targets.len();
+        let (sent, budget) = (targets.len() as u64, out.config.messages_per_edge_per_round);
+        out.tally.messages += sent;
+        out.tally.words += sent * message.words() as u64;
+        let slots = targets.iter().zip(weights).zip(&mut out.edge_sent);
+        for ((&to, &edge_weight), count) in slots {
+            *count += 1;
+            if *count > budget {
+                bandwidth_violation(self.node, *count, to, budget);
+            }
+            let incoming = Incoming {
+                from: self.node,
+                edge_weight,
+                message: message.clone(),
+            };
+            out.outgoing[to.index() / out.chunk].push((to, incoming));
         }
     }
 
@@ -178,11 +200,7 @@ impl<'a, M: Clone + MessageSize> NodeContext<'a, M> {
         out.edge_sent[slot] += 1;
         let (count, budget) = (out.edge_sent[slot], out.config.messages_per_edge_per_round);
         if count > budget {
-            panic!(
-                "CONGEST bandwidth violation: {} sent {count} messages to {to} \
-                 in one round (budget {budget})",
-                self.node
-            );
+            bandwidth_violation(self.node, count, to, budget);
         }
         out.tally.messages += 1;
         out.tally.words += message.words() as u64;
@@ -193,6 +211,15 @@ impl<'a, M: Clone + MessageSize> NodeContext<'a, M> {
         };
         out.outgoing[to.index() / out.chunk].push((to, incoming));
     }
+}
+
+/// The panic of a send past the per-edge budget.
+#[cold]
+fn bandwidth_violation(node: NodeId, count: usize, to: NodeId, budget: usize) -> ! {
+    panic!(
+        "CONGEST bandwidth violation: {node} sent {count} messages to {to} \
+         in one round (budget {budget})"
+    )
 }
 
 #[cfg(test)]

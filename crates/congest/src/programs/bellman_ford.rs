@@ -7,13 +7,14 @@
 //!   singleton source set it is exactly Algorithm 1.
 //! * [`SourceTable`] is the state of the k-source variant (Algorithm 2
 //!   lines 10–20), where every node learns its distance to *each* source:
-//!   a run of `(source, distance, queued)` ascending by source plus the FIFO
-//!   of sources with an unannounced improvement, served round-robin so at
+//!   a hashed map from source to `(distance, queued)` plus the FIFO of
+//!   sources with an unannounced improvement, served round-robin so at
 //!   most one message crosses an edge per round — `O(|sources| · S)` rounds
 //!   as in Lemma 3.4.  Both Algorithm-2 programs of `dsketch::distributed`
-//!   relax into it straight from `ctx.incoming()`, and the finished run is
-//!   what the label is built from; a phase with no threshold is the plain
-//!   k-source flood (Theorem 4.3's sketch).
+//!   relax into it straight from `ctx.incoming()`, and the finished table
+//!   (iterated in no particular order) is what the label is built from; a
+//!   phase with no threshold is the plain k-source flood (Theorem 4.3's
+//!   sketch).
 
 use crate::message::MessageSize;
 use crate::node::{NodeContext, NodeProgram};
@@ -108,50 +109,115 @@ impl MessageSize for SourcedAnnouncement {
 
 /// Per-source distances with round-robin announcement scheduling: the state
 /// of Algorithm 2 lines 10–20 at one node.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// The distances are an open-addressed map (linear probing over a
+/// power-of-two array, at most half full, in one allocation), so a relax is
+/// one hashed probe; the FIFO of sources with an unannounced improvement
+/// decides the announcement order, so the map's layout never shows in what a
+/// node sends.  [`SourceTable::iter`] is in no particular order.
+#[derive(Debug, Clone, Default)]
 pub struct SourceTable {
-    /// `(source, best known distance, queued)`, strictly ascending by source.
-    entries: Vec<(NodeId, Distance, bool)>,
+    /// `slots.len()` is zero or a power of two; a slot whose source is
+    /// [`VACANT`] is free.
+    slots: Vec<Slot>,
+    /// Occupied slots.
+    len: usize,
     /// Sources with an un-sent improved distance, in FIFO order; exactly the
     /// entries marked `queued`.
     fifo: VecDeque<NodeId>,
 }
 
+/// One entry of a [`SourceTable`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    distance: Distance,
+    source: NodeId,
+    queued: bool,
+}
+
+/// The source id of a free slot (node ids are dense, so no graph the
+/// simulator can hold in memory reaches it).
+const VACANT: NodeId = NodeId(u32::MAX);
+
+const FREE: Slot = Slot {
+    distance: INFINITY,
+    source: VACANT,
+    queued: false,
+};
+
+/// Slots of a table's first allocation (1 KiB).  A Thorup–Zwick phase at
+/// `k = 3` leaves about `n^{1/3}` sources at a node, 25 at `n = 16384`: this
+/// holds them at half load without a doubling, and each doubling (a fresh
+/// allocation, filled and rehashed into) costs more than the memory it
+/// would save — starting at 8 slots made `congest-build`'s CONGEST builds
+/// about a tenth slower.
+const MIN_SLOTS: usize = 64;
+
 impl SourceTable {
-    fn search(&self, source: NodeId) -> Result<usize, usize> {
-        self.entries.binary_search_by_key(&source, |e| e.0)
+    /// `Ok(slot)` holding `source`, or `Err(slot)` where it would go (an
+    /// `Err` of no meaning while the table has no slots).
+    fn find(&self, source: NodeId) -> Result<usize, usize> {
+        let mask = self.slots.len().wrapping_sub(1);
+        // Fibonacci hashing: the high half of the product mixes every bit of
+        // the id into the low bits the mask keeps.
+        let mut i = (u64::from(source.0).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
+        while let Some(slot) = self.slots.get(i) {
+            if slot.source == source {
+                return Ok(i);
+            }
+            if slot.source == VACANT {
+                return Err(i);
+            }
+            i = (i + 1) & mask;
+        }
+        Err(i)
+    }
+
+    /// The slot of a new entry for `source` (absent), at [`INFINITY`] and
+    /// not queued; doubles the array first if it would pass half full.
+    fn insert(&mut self, source: NodeId) -> usize {
+        assert_ne!(source, VACANT, "the vacant id is not a node");
+        if 2 * (self.len + 1) > self.slots.len() {
+            let capacity = (2 * self.slots.len()).max(MIN_SLOTS);
+            let old = std::mem::replace(&mut self.slots, vec![FREE; capacity]);
+            for slot in old.into_iter().filter(|slot| slot.source != VACANT) {
+                if let Err(i) = self.find(slot.source) {
+                    self.slots[i] = slot;
+                }
+            }
+        }
+        let i = self.find(source).unwrap_err();
+        self.slots[i] = Slot { source, ..FREE };
+        self.len += 1;
+        i
     }
 
     /// Best known distance to `source` ([`INFINITY`] if never heard of).
     pub fn distance(&self, source: NodeId) -> Distance {
-        self.search(source).map_or(INFINITY, |i| self.entries[i].1)
+        self.find(source)
+            .map_or(INFINITY, |i| self.slots[i].distance)
     }
 
     /// Record `distance` to `source` without scheduling an announcement: the
     /// origin entry of a source, whose announcement is sent unconditionally
     /// (Algorithm 2 line 8) rather than queued.
     pub fn set_origin(&mut self, source: NodeId, distance: Distance) {
-        match self.search(source) {
-            Ok(i) => self.entries[i].1 = distance,
-            Err(i) => self.entries.insert(i, (source, distance, false)),
-        }
+        let i = self.find(source).unwrap_or_else(|_| self.insert(source));
+        self.slots[i].distance = distance;
     }
 
     /// Relax `source` to `candidate`: a strict improvement is stored and the
     /// source joins the FIFO unless it is already waiting there.  Returns
     /// whether the candidate improved the table.
     pub fn relax(&mut self, source: NodeId, candidate: Distance) -> bool {
-        let i = match self.search(source) {
-            Ok(i) if candidate < self.entries[i].1 => i,
-            Err(i) if candidate < INFINITY => {
-                self.entries.insert(i, (source, INFINITY, false));
-                i
-            }
+        let i = match self.find(source) {
+            Ok(i) if candidate < self.slots[i].distance => i,
+            Err(_) if candidate < INFINITY => self.insert(source),
             _ => return false,
         };
-        let (_, distance, queued) = &mut self.entries[i];
-        *distance = candidate;
-        if !std::mem::replace(queued, true) {
+        let slot = &mut self.slots[i];
+        slot.distance = candidate;
+        if !std::mem::replace(&mut slot.queued, true) {
             self.fifo.push_back(source);
         }
         true
@@ -160,9 +226,9 @@ impl SourceTable {
     /// Take the next source to announce, with its current distance.
     pub fn pop_announcement(&mut self) -> Option<(NodeId, Distance)> {
         let source = self.fifo.pop_front()?;
-        let i = self.search(source).expect("queued sources have an entry");
-        self.entries[i].2 = false;
-        Some((source, self.entries[i].1))
+        let i = self.find(source).expect("queued sources have an entry");
+        self.slots[i].queued = false;
+        Some((source, self.slots[i].distance))
     }
 
     /// True if no announcement is waiting.
@@ -170,16 +236,21 @@ impl SourceTable {
         self.fifo.is_empty()
     }
 
-    /// All `(source, distance)` pairs, ascending by source.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = (NodeId, Distance)> + '_ {
-        self.entries
+    /// All `(source, distance)` pairs, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, Distance)> + '_ {
+        self.slots
             .iter()
-            .map(|&(source, distance, _)| (source, distance))
+            .filter(|slot| slot.source != VACANT)
+            .map(|slot| (slot.source, slot.distance))
     }
 
-    /// Forget everything (the next phase starts from an empty table).
+    /// Forget everything (the next phase starts from an empty table); the
+    /// array keeps its size.
     pub fn clear(&mut self) {
-        self.entries.clear();
+        if self.len > 0 {
+            self.slots.fill(FREE);
+            self.len = 0;
+        }
         self.fifo.clear();
     }
 }
@@ -217,11 +288,47 @@ mod tests {
         );
         assert_eq!(t.distance(NodeId(7)), 4);
         assert_eq!(t.distance(NodeId(5)), INFINITY);
-        // The run is ascending by source whatever the arrival order.
-        assert_eq!(
-            t.iter().collect::<Vec<_>>(),
-            [(NodeId(2), 30), (NodeId(7), 4)]
+        // One entry per source, holding its minimum; the order is the map's.
+        let mut entries: Vec<_> = t.iter().collect();
+        entries.sort_unstable();
+        assert_eq!(entries, [(NodeId(2), 30), (NodeId(7), 4)]);
+    }
+
+    #[test]
+    fn growth_keeps_every_entry_and_the_fifo_order() {
+        // Strided ids (as sampled sources often are) well past the first
+        // allocation: every growth rehashes, none may lose or reorder.
+        let sources: Vec<NodeId> = (0..1000u32).map(|i| NodeId(i * 64 + 3)).collect();
+        let mut t = SourceTable::default();
+        for (d, &s) in sources.iter().rev().enumerate() {
+            assert!(t.relax(s, 10_000 + d as u64));
+        }
+        // Improve every other source while it waits: it keeps its place.
+        for &s in sources.iter().step_by(2) {
+            assert!(t.relax(s, 5));
+        }
+        assert_eq!(t.iter().count(), sources.len());
+        assert!(sources.iter().all(|&s| t.distance(s) < INFINITY));
+        assert_eq!(t.distance(NodeId(4)), INFINITY);
+        let served: Vec<_> = std::iter::from_fn(|| t.pop_announcement()).collect();
+        assert!(
+            served
+                .iter()
+                .map(|&(s, _)| s)
+                .eq(sources.iter().rev().copied()),
+            "arrival order"
         );
+        assert!(
+            served.iter().all(|&(s, d)| d == t.distance(s)),
+            "the latest distance goes out"
+        );
+        // Served entries stay, unqueued, and queue again on an improvement.
+        assert!(t.is_idle());
+        assert!(t.relax(sources[1], 1));
+        assert_eq!(t.pop_announcement(), Some((sources[1], 1)));
+        let mut all: Vec<NodeId> = t.iter().map(|(s, _)| s).collect();
+        all.sort_unstable();
+        assert_eq!(all, sources);
     }
 
     #[test]
@@ -252,7 +359,7 @@ mod tests {
         assert!(!t.relax(NodeId(4), 3), "nothing beats the origin's zero");
         assert!(t.is_idle());
         t.clear();
-        assert_eq!(t.iter().len(), 0);
+        assert_eq!(t.iter().count(), 0);
         assert_eq!(t.distance(NodeId(4)), INFINITY);
     }
 

@@ -9,8 +9,9 @@
 //! are queued per source and served round-robin, so the program sends at most
 //! one data message per edge per round.  Both modes keep that state in the
 //! shared `SourceTable` of `congest_sim::programs::bellman_ford`, whose
-//! finished per-phase runs are merged once into the label's sorted bunch
-//! and appended, row by row, to the one [`SketchSet`] the build returns.
+//! finished per-phase tables are gathered and sorted once into the label's
+//! bunch and appended, row by row, to the one [`SketchSet`] the build
+//! returns.
 //!
 //! Two synchronization modes are provided, matching the two options the paper
 //! describes for detecting the end of a phase:
@@ -86,9 +87,9 @@ pub fn build_with_hierarchy(
 }
 
 /// One node's label as its phases finish, `k − 1` down to `0`, in both
-/// synchronization modes.  A phase leaves a run of `(source, distance)`
-/// ascending by source; the `k` runs have disjoint sources
-/// (`A_i \ A_{i+1}`), so they are appended as they arrive and merged once.
+/// synchronization modes.  A phase leaves its `(source, distance)` pairs in
+/// the table's order; the `k` phases have disjoint sources
+/// (`A_i \ A_{i+1}`), so they are appended as they arrive and sorted once.
 #[derive(Debug, Clone)]
 struct LabelFold {
     pivots: Vec<Option<(NodeId, Distance)>>,
@@ -124,8 +125,8 @@ impl LabelFold {
 
     /// Append the finished label to `set`, as node `set.len()`'s.
     fn append_to(mut self, set: &mut SketchSet) -> Result<(), SketchError> {
-        // k sorted runs back to back: the stable sort merges them.
-        self.bunch.sort_by_key(|&(node, _)| node);
+        // Sources are distinct across phases, so no two keys tie.
+        self.bunch.sort_unstable_by_key(|&(node, _)| node);
         set.push_label(&self.pivots, &self.bunch)
     }
 }

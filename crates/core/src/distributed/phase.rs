@@ -12,8 +12,8 @@
 //!
 //! The per-source state is the shared [`SourceTable`]; the program adds only
 //! the threshold test in front of it.  Once the phase has quiesced the table
-//! is the bunch slice `B_i(u)` as a run ascending by source, which is the
-//! form [`super`] folds into the label.
+//! holds the bunch slice `B_i(u)`, in no particular order, which [`super`]
+//! folds into the label.
 
 use crate::sketch::DistKey;
 use congest_sim::programs::bellman_ford::{SourceTable, SourcedAnnouncement};
@@ -211,8 +211,8 @@ mod tests {
         });
         let outcome = net.run_until_quiescent(1_000);
         assert!(outcome.completed);
-        assert!(net.programs()[1].distances().iter().len() == 0);
-        assert!(net.programs()[2].distances().iter().len() == 0);
+        assert_eq!(net.programs()[1].distances().iter().count(), 0);
+        assert_eq!(net.programs()[2].distances().iter().count(), 0);
         // Only the origin broadcast happened: one message per incident edge.
         assert_eq!(outcome.stats.messages, g.degree(NodeId(0)) as u64);
     }

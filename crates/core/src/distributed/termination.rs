@@ -26,7 +26,7 @@ use congest_sim::programs::bellman_ford::SourceTable;
 use congest_sim::programs::bfs_tree::TreeInfo;
 use congest_sim::{MessageSize, NodeContext, NodeProgram};
 use netgraph::{add_dist, Distance, NodeId};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Maximum number of queued ECHO messages sent to one neighbor per round.
 /// One data message plus two echoes plus one control message stays within the
@@ -78,6 +78,10 @@ impl MessageSize for TdMessage {
     }
 }
 
+/// An ECHO waiting for its neighbour's per-round allowance:
+/// `(phase, source, distance)` of the echoed data message.
+type QueuedEcho = (u32, NodeId, Distance);
+
 /// A broadcast whose echoes are still being collected.
 #[derive(Debug, Clone)]
 struct Outstanding {
@@ -104,21 +108,25 @@ pub struct TerminationTzProgram {
     phase: u32,
     /// Algorithm 2's per-source distances and announcement queue.
     table: SourceTable,
-    /// For each queued (not yet broadcast) improvement, the neighbor and
-    /// original value that must be echoed when the improvement is broadcast
-    /// or superseded.
-    pending_ack: BTreeMap<NodeId, (NodeId, Distance)>,
+    /// For each queued (not yet broadcast) improvement, ascending by source:
+    /// the source, and the neighbor and original value that must be echoed
+    /// when the improvement is broadcast or superseded.
+    pending_ack: Vec<(NodeId, (NodeId, Distance))>,
     outstanding: Vec<Outstanding>,
-    /// Queued echoes per neighbor, rate-limited per round.
-    echo_queues: BTreeMap<NodeId, VecDeque<(u32, NodeId, Distance)>>,
+    /// This node's neighbors, ascending (learned in `on_start`).
+    neighbors: Vec<NodeId>,
+    /// Queued echoes per neighbor slot (`echo_queues[i]` is for
+    /// `neighbors[i]`), rate-limited per round and sent in slot order.
+    echo_queues: Vec<VecDeque<QueuedEcho>>,
     /// Whether the origin broadcast (if this node is a source this phase) has
     /// been fully echoed.
     origin_complete: bool,
     /// True when this node is a source of the current phase and still has to
     /// broadcast its origin announcement `⟨me, 0⟩`.
     origin_pending: bool,
-    /// COMPLETE messages received from tree children, per phase.
-    children_complete: BTreeMap<u32, BTreeSet<NodeId>>,
+    /// Whether tree child `c` has sent COMPLETE for phase `p`, at
+    /// `p * children + c` (children in the tree's ascending order).
+    children_complete: Vec<bool>,
     sent_complete: bool,
     /// Control messages to send this round (kept separate from data/echo so
     /// budgets are respected).
@@ -133,16 +141,17 @@ impl TerminationTzProgram {
         TerminationTzProgram {
             me,
             level,
+            children_complete: vec![false; k * tree.children.len()],
             tree,
             label: LabelFold::new(k),
             phase: k as u32 - 1,
             table: SourceTable::default(),
-            pending_ack: BTreeMap::new(),
+            pending_ack: Vec::new(),
             outstanding: Vec::new(),
-            echo_queues: BTreeMap::new(),
+            neighbors: Vec::new(),
+            echo_queues: Vec::new(),
             origin_complete: false,
             origin_pending: false,
-            children_complete: BTreeMap::new(),
             sent_complete: false,
             pending_control: Vec::new(),
             finished: false,
@@ -163,11 +172,21 @@ impl TerminationTzProgram {
         self.level == phase as i32
     }
 
+    /// Queue an ECHO to `to`, which sent us a data message, so is a
+    /// neighbor.
     fn queue_echo(&mut self, to: NodeId, phase: u32, source: NodeId, distance: Distance) {
-        self.echo_queues
-            .entry(to)
-            .or_default()
-            .push_back((phase, source, distance));
+        if let Ok(slot) = self.neighbors.binary_search(&to) {
+            self.echo_queues[slot].push_back((phase, source, distance));
+        }
+    }
+
+    /// Take the echo obligation of `source`'s queued improvement, if any.
+    fn take_ack(&mut self, source: NodeId) -> Option<(NodeId, Distance)> {
+        let i = self
+            .pending_ack
+            .binary_search_by_key(&source, |e| e.0)
+            .ok()?;
+        Some(self.pending_ack.remove(i).1)
     }
 
     /// Accept or reject an incoming data announcement.  An improvement is
@@ -202,10 +221,11 @@ impl TerminationTzProgram {
         // A previously queued improvement for this source is superseded:
         // discharge its echo obligation now (paper: "it might get superseded
         // ... then it sends an ECHO message back").
-        if let Some((old_from, old_value)) = self.pending_ack.remove(&source) {
+        if let Some((old_from, old_value)) = self.take_ack(source) {
             self.queue_echo(old_from, phase, source, old_value);
         }
-        self.pending_ack.insert(source, (from, announced));
+        let i = self.pending_ack.partition_point(|e| e.0 < source);
+        self.pending_ack.insert(i, (source, (from, announced)));
     }
 
     fn handle_echo(&mut self, phase: u32, source: NodeId, value: Distance) {
@@ -276,7 +296,7 @@ impl TerminationTzProgram {
             && self.table.is_idle()
             && self.outstanding.is_empty()
             && self.pending_ack.is_empty()
-            && self.echo_queues.values().all(|q| q.is_empty())
+            && self.echo_queues.iter().all(VecDeque::is_empty)
     }
 
     /// Queue `msg` for every child in the BFS tree.
@@ -286,11 +306,11 @@ impl TerminationTzProgram {
     }
 
     fn children_all_complete(&self) -> bool {
-        let set = self.children_complete.get(&self.phase);
-        self.tree
-            .children
-            .iter()
-            .all(|c| set.map(|s| s.contains(c)).unwrap_or(false))
+        let children = self.tree.children.len();
+        let phase = self.phase as usize;
+        self.children_complete
+            .get(phase * children..(phase + 1) * children)
+            .is_some_and(|done| done.iter().all(|&d| d))
     }
 
     fn maybe_complete_or_advance(&mut self) {
@@ -324,7 +344,9 @@ impl TerminationTzProgram {
 impl NodeProgram for TerminationTzProgram {
     type Message = TdMessage;
 
-    fn on_start(&mut self, _ctx: &mut NodeContext<'_, Self::Message>) {
+    fn on_start(&mut self, ctx: &mut NodeContext<'_, Self::Message>) {
+        self.neighbors = ctx.neighbors().map(|(v, _)| v).collect();
+        self.echo_queues = vec![VecDeque::new(); self.neighbors.len()];
         // Everyone knows k, so phase k − 1 starts immediately and together;
         // sources emit their origin announcement in the first round.
         self.begin_phase();
@@ -346,10 +368,13 @@ impl NodeProgram for TerminationTzProgram {
                     distance,
                 } => self.handle_echo(phase, source, distance),
                 TdMessage::Complete { phase } => {
-                    self.children_complete
-                        .entry(phase)
-                        .or_default()
-                        .insert(from);
+                    let children = &self.tree.children;
+                    if let Ok(child) = children.binary_search(&from) {
+                        let at = phase as usize * children.len() + child;
+                        if let Some(done) = self.children_complete.get_mut(at) {
+                            *done = true;
+                        }
+                    }
                 }
                 TdMessage::Start { phase } => {
                     // Forward down the tree regardless, so the whole subtree
@@ -390,7 +415,7 @@ impl NodeProgram for TerminationTzProgram {
                     });
                 }
             } else if let Some((source, value)) = self.table.pop_announcement() {
-                let ack_to = self.pending_ack.remove(&source);
+                let ack_to = self.take_ack(source);
                 let degree = ctx.degree();
                 ctx.broadcast(TdMessage::Data {
                     phase: self.phase,
@@ -407,7 +432,7 @@ impl NodeProgram for TerminationTzProgram {
         }
 
         // ---- send queued echoes, rate limited per neighbor ----
-        for (&to, queue) in &mut self.echo_queues {
+        for (&to, queue) in self.neighbors.iter().zip(&mut self.echo_queues) {
             let ready = queue.len().min(ECHOES_PER_NEIGHBOR_PER_ROUND);
             for (phase, source, distance) in queue.drain(..ready) {
                 let echo = TdMessage::Echo {
@@ -431,7 +456,7 @@ impl NodeProgram for TerminationTzProgram {
     fn is_done(&self) -> bool {
         self.finished
             && self.pending_control.is_empty()
-            && self.echo_queues.values().all(|q| q.is_empty())
+            && self.echo_queues.iter().all(VecDeque::is_empty)
     }
 }
 

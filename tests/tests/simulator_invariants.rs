@@ -104,3 +104,48 @@ fn word_accounting_matches_message_types() {
     // Oracle mode sends only SourcedAnnouncement messages (2 words each).
     assert_eq!(result.stats.words, 2 * result.stats.messages);
 }
+
+/// On inputs where every node's source table holds a dozen sources a phase
+/// or more — and, at tz:2, about 45 in its top phase, past the 32 a table
+/// takes before it first doubles — the CONGEST engine builds exactly the
+/// direct engine's layers, at one thread and at two, for the same cost at
+/// both.
+#[test]
+fn congest_labels_equal_the_direct_build_where_source_tables_grow() {
+    let er =
+        |n: usize, seed| erdos_renyi(n, 8.0 / n as f64, GeneratorConfig::uniform(seed, 1, 100));
+    let inputs = [
+        ("tz:3", er(2048, 31)),
+        ("tz:2", er(2048, 34)),
+        ("tz:3", grid(45, 45, GeneratorConfig::uniform(32, 1, 10))),
+        ("cdg:0.3,2", er(1024, 33)),
+    ];
+    for (scheme, graph) in &inputs {
+        let spec = SchemeSpec::parse(scheme).unwrap();
+        let config = SchemeConfig::default().with_seed(5);
+        let direct = spec
+            .build_sketches(graph, &config.with_engine(BuildEngine::Parallel))
+            .unwrap();
+        let costs: Vec<_> = [1, 2]
+            .into_iter()
+            .map(|num_threads| {
+                let congest =
+                    config
+                        .with_engine(BuildEngine::Congest)
+                        .with_congest(CongestConfig {
+                            num_threads,
+                            ..Default::default()
+                        });
+                let built = spec.build_sketches(graph, &congest).unwrap();
+                let n = graph.num_nodes();
+                assert!(
+                    built.sketches == direct.sketches,
+                    "{scheme} on n = {n} at {num_threads} threads"
+                );
+                built.stats
+            })
+            .collect();
+        assert!(costs[0].messages > 0);
+        assert_eq!(costs[0], costs[1], "{scheme}: cost at one and two threads");
+    }
+}

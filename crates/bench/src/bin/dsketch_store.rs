@@ -3,9 +3,9 @@
 //!
 //! ```text
 //! # pay the construction once, keep the artifact (parallel engine,
-//! # all cores; --threads N pins the worker count of either engine — the
-//! # direct build's pool or the CONGEST rounds' workers — and the snapshot
-//! # bytes are bit-identical for every N)
+//! # all cores; --threads N is the one worker count of either engine —
+//! # the direct build's pool or the CONGEST rounds' workers, printed on the
+//! # "built" line — and the snapshot bytes are bit-identical for every N)
 //! cargo run --release -p dsketch-bench --bin dsketch-store -- \
 //!     build --scheme tz:3 --nodes 512 --threads 8 --out g.dsk
 //!
@@ -13,7 +13,8 @@
 //! cargo run --release -p dsketch-bench --bin dsketch-store -- \
 //!     build --scheme cdg:0.2,2 --edges graph.txt --out g.dsk
 //!
-//! # measure the CONGEST round/message cost instead (the paper's currency)
+//! # measure the CONGEST round/message cost instead (the paper's currency;
+//! # strict CONGEST, one message per edge per round)
 //! cargo run --release -p dsketch-bench --bin dsketch-store -- \
 //!     build --scheme tz:3 --nodes 512 --engine congest --out g.dsk
 //!
@@ -224,11 +225,7 @@ fn cmd_build(args: &[String]) {
     let config = SchemeConfig::default()
         .with_seed(seed)
         .with_engine(engine)
-        .with_threads(threads)
-        .with_congest(CongestConfig {
-            num_threads: threads,
-            ..CongestConfig::default()
-        });
+        .with_threads(threads);
 
     let build_started = Instant::now();
     let (graph_label, graph, contents, bytes) = if let Some(edges) = arg_value(args, "edges") {
@@ -276,16 +273,17 @@ fn cmd_build(args: &[String]) {
         graph.num_edges(),
         graph.fingerprint()
     );
+    let workers = dsketch::parallel::resolve_threads(threads);
     match engine {
         BuildEngine::Parallel => println!(
-            "built {spec} with the parallel engine ({} worker threads) in {:.2}s",
-            dsketch::parallel::resolve_threads(threads),
+            "built {spec} with the parallel engine ({workers} worker threads) in {:.2}s",
             elapsed.as_secs_f64(),
         ),
         BuildEngine::Congest => {
             let stats = contents.build_stats.as_ref().expect("build records stats");
             println!(
-                "built {spec} in {:.2}s: {} rounds, {} messages, {} words on the wire",
+                "built {spec} with the congest engine ({workers} worker threads) in {:.2}s: \
+                 {} rounds, {} messages, {} words on the wire",
                 elapsed.as_secs_f64(),
                 stats.rounds,
                 stats.messages,

@@ -90,14 +90,17 @@ fn readme_quickstart_runs_end_to_end() {
             ]
             .concat(),
         );
-        // "built tz:3 in 0.01s: R rounds, M messages, W words on the wire"
-        let cost = stdout
+        // "built tz:3 with the congest engine (T worker threads) in 0.01s:
+        // R rounds, M messages, W words on the wire" — T is the one worker
+        // count `--threads` sets.
+        let (engine, cost) = stdout
             .lines()
             .filter_map(|line| line.strip_prefix("built "))
             .find_map(|line| line.split_once("s: "))
-            .unwrap_or_else(|| panic!("no cost line:\n{stdout}"))
-            .1
-            .to_string();
+            .unwrap_or_else(|| panic!("no cost line:\n{stdout}"));
+        let workers = format!("with the congest engine ({threads} worker threads) in ");
+        assert!(engine.contains(&workers), "{engine}");
+        let cost = cost.to_string();
         assert!(
             cost.contains(" rounds, ") && cost.contains(" messages, "),
             "{cost}"
@@ -566,10 +569,12 @@ fn unknown_experiment_id_is_a_usage_error_before_anything_runs() {
         assert_eq!(output.status.code(), Some(2), "e{retired}");
     }
 
-    // The tables only `--quick` runs in the test suite: e9 is the one entry
-    // to termination-detection mode, e10 the Theorem 3.8 scaling sweep.
-    let stdout = run_ok(experiments, &["e6", "e8", "e9", "e10", "e11", "--quick"]);
-    for id in ["E6", "E8", "E11"] {
+    // Every paper table, `--quick`: each one's oracle-mode builds run at
+    // the strict budget of one message per edge per round (a violation
+    // panics); e9 is the one entry to termination-detection mode, e10 the
+    // Theorem 3.8 scaling sweep.
+    let stdout = run_ok(experiments, &["all", "--quick"]);
+    for id in ["E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E11"] {
         assert!(!table_rows(&stdout, id).is_empty(), "{id}:\n{stdout}");
     }
     // e9: two families × k ∈ {2, 3}.

@@ -36,7 +36,11 @@ pub struct CongestConfig {
     /// announcement plus one ECHO of the termination-detection layer, which
     /// the paper accounts for as "at most doubling" the message complexity).
     /// The default of 4 admits that constant while still catching runaway
-    /// programs; set it to 1 to assert the strict model.
+    /// programs; set it to 1 to assert the strict model.  A scheme build
+    /// (`dsketch::SchemeConfig`) does not take this value from its caller:
+    /// it derives the budget from its sync mode — 1 under the phase oracle,
+    /// 4 under termination detection — and `num_threads` from its one
+    /// worker count.
     pub messages_per_edge_per_round: usize,
     /// Number of worker threads a round runs on.  `0` means "use all
     /// available parallelism".
@@ -189,11 +193,6 @@ impl<'g, P: NodeProgram> Network<'g, P> {
     /// Consume the network and return the node programs.
     pub fn into_programs(self) -> Vec<P> {
         self.programs
-    }
-
-    /// Statistics accumulated so far.
-    pub fn stats(&self) -> &RunStats {
-        &self.stats
     }
 
     /// Rounds executed so far.

@@ -90,7 +90,7 @@ impl BfsTreeProgram {
     }
 
     /// Extract the tree view once the run has quiesced.
-    fn tree_info(&self) -> TreeInfo {
+    pub fn tree_info(&self) -> TreeInfo {
         TreeInfo {
             root: self.best_root,
             parent: self.parent,

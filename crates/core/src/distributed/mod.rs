@@ -20,22 +20,25 @@
 //!   execution and the simulator's global quiescence oracle ends it.  This
 //!   models the Section 3.2 assumption that phases can be synchronized
 //!   externally (there: by waiting out a known upper bound in terms of `S`);
-//!   the measured rounds are the rounds the phase actually needed.
+//!   the measured rounds are the rounds the phase actually needed.  An edge
+//!   carries one message a round: strict CONGEST.
 //! * [`SyncMode::TerminationDetection`] — the full Section 3.3 protocol: a
 //!   BFS tree is built first, every data message is ECHOed, sources detect
 //!   when their announcement has stopped propagating, COMPLETE messages
 //!   converge up the tree and the root STARTs the next phase.  The measured
 //!   rounds and messages include all of that overhead (experiment E9
-//!   quantifies it).
+//!   quantifies it); an edge carries up to four messages a round.
 //!
-//! A build returns its labels and one [`RunStats`], the sum of its runs.
-//! What each run cost is a row of the process-global
-//! [`dsketch_obs::global`] registry — `dsketch_congest_{rounds,messages,
-//! words}_total` and the wall time `dsketch_congest_phase_nanos`, keyed by
-//! `phase`: one row per Algorithm-2 phase (`"0"` … `"k-1"`) under the
-//! oracle, and under termination detection the BFS preamble (`"tree"`) and
-//! the one run that carries all `k` phases with their ECHO/COMPLETE/START
-//! traffic (`"detected"`).
+//! One driver runs every simulated run on [`SchemeConfig::threads`] round
+//! workers at the mode's budget, aborts it past
+//! [`SchemeConfig::max_rounds`], and records its cost as a row of the build
+//! ledger on the process-global [`dsketch_obs::global`] registry —
+//! `dsketch_build_{rounds,messages,words}_total` and the wall time
+//! `dsketch_build_phase_nanos`, keyed by `phase`: `congest/0` …
+//! `congest/k-1` under the oracle, and under termination detection the BFS
+//! preamble (`congest/tree`) and the one run that carries all `k` phases
+//! with their ECHO/COMPLETE/START traffic (`congest/detected`).  A build
+//! returns its labels and one [`RunStats`], the sum of its runs.
 
 mod exchange;
 mod phase;
@@ -47,11 +50,12 @@ pub use termination::TerminationTzProgram;
 
 use crate::error::SketchError;
 use crate::hierarchy::Hierarchy;
+use crate::parallel::record_phase;
 use crate::scheme::SchemeConfig;
 use crate::sketch::{DistKey, SketchSet};
 use congest_sim::programs::bellman_ford::SourceTable;
-use congest_sim::programs::bfs_tree::build_bfs_tree;
-use congest_sim::{Network, RunStats};
+use congest_sim::programs::bfs_tree::BfsTreeProgram;
+use congest_sim::{CongestConfig, Network, NodeProgram, RunStats};
 use netgraph::{Distance, Graph, NodeId};
 use std::time::Instant;
 
@@ -67,7 +71,7 @@ pub enum SyncMode {
 }
 
 /// Run the distributed Thorup–Zwick construction with an explicit
-/// hierarchy, under `config`'s phase synchronization, CONGEST settings and
+/// hierarchy, under `config`'s phase synchronization, worker count and
 /// round limit (its seed and engine choice do not apply: the hierarchy is
 /// given, and this *is* the CONGEST engine); returns the labels and the
 /// total cost of the runs.  The CONGEST engine behind
@@ -131,6 +135,46 @@ impl LabelFold {
     }
 }
 
+/// The engine settings every run of a build shares: `config`'s worker
+/// count, at its sync mode's budget — Algorithm 2's one announcement per
+/// edge and round, plus under Section 3.3 its ECHOes and one control message.
+fn engine_config(config: &SchemeConfig) -> CongestConfig {
+    let messages_per_edge_per_round = match config.sync {
+        SyncMode::GlobalOracle => 1,
+        SyncMode::TerminationDetection => 1 + termination::ECHOES_PER_NEIGHBOR_PER_ROUND + 1,
+    };
+    CongestConfig {
+        messages_per_edge_per_round,
+        num_threads: config.threads,
+    }
+}
+
+/// The one driver of a build's simulated runs: run `factory`'s programs on
+/// [`engine_config`] until quiescence or `config.max_rounds`, record the
+/// run under `congest/{run}` ([`record_phase`]), add its cost to `total`,
+/// and hand back the finished programs.  A run the limit cut off is
+/// [`SketchError::RoundLimitExceeded`]; its rounds were spent, so they are
+/// recorded all the same.
+fn simulate<P: NodeProgram>(
+    graph: &Graph,
+    config: &SchemeConfig,
+    run: &str,
+    total: &mut RunStats,
+    factory: impl FnMut(NodeId) -> P,
+) -> Result<Vec<P>, SketchError> {
+    let started = Instant::now();
+    let mut net = Network::new(graph, engine_config(config), factory);
+    let outcome = net.run_until_quiescent(config.max_rounds);
+    record_phase(&format!("congest/{run}"), 0, &outcome.stats, started);
+    if !outcome.completed {
+        return Err(SketchError::RoundLimitExceeded {
+            limit: config.max_rounds,
+        });
+    }
+    total.absorb(&outcome.stats);
+    Ok(net.into_programs())
+}
+
 /// Oracle-synchronized execution: one simulator run per phase, each
 /// node's finished table folded into its label ([`LabelFold`]).
 fn run_global_oracle(
@@ -140,30 +184,18 @@ fn run_global_oracle(
 ) -> Result<(SketchSet, RunStats), SketchError> {
     let mut labels = vec![LabelFold::new(hierarchy.k()); graph.num_nodes()];
     let mut total = RunStats::default();
-
     for phase in (0..hierarchy.k()).rev() {
-        let started = Instant::now();
-        let mut net = Network::new(graph, config.congest, |u| {
+        let programs = simulate(graph, config, &phase.to_string(), &mut total, |u| {
             PhaseProgram::new(
                 u,
                 phase as u32,
                 hierarchy.level_of(u),
                 labels[u.index()].threshold,
             )
-        });
-        let outcome = net.run_until_quiescent(config.max_rounds);
-        if !outcome.completed {
-            return Err(SketchError::RoundLimitExceeded {
-                limit: config.max_rounds,
-            });
-        }
-
-        for (label, program) in labels.iter_mut().zip(net.programs()) {
+        })?;
+        for (label, program) in labels.iter_mut().zip(&programs) {
             label.fold(phase, program.distances());
         }
-
-        record_phase(&phase.to_string(), &outcome.stats, started);
-        total.absorb(&outcome.stats);
     }
 
     let mut sketches = SketchSet::over(hierarchy);
@@ -173,56 +205,24 @@ fn run_global_oracle(
     Ok((sketches, total))
 }
 
-/// Feed one finished run to the process-global [`dsketch_obs::global`]
-/// registry: its wall time next to `dsketch_build_phase_nanos`, and its cost
-/// in the paper's currency (`phase` is the label on all four families; see
-/// the [module docs](self) for its values).
-fn record_phase(phase: &str, stats: &RunStats, started: Instant) {
-    let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let registry = dsketch_obs::global();
-    let labels: &[(&str, &str)] = &[("phase", phase)];
-    let help = "Cost of the simulated CONGEST runs, by phase.";
-    registry
-        .histogram_with("dsketch_congest_phase_nanos", help, labels)
-        .record(nanos);
-    registry
-        .counter_with("dsketch_congest_rounds_total", help, labels)
-        .add(stats.rounds);
-    registry
-        .counter_with("dsketch_congest_messages_total", help, labels)
-        .add(stats.messages);
-    registry
-        .counter_with("dsketch_congest_words_total", help, labels)
-        .add(stats.words);
-}
-
-/// Fully distributed execution with Section 3.3 termination detection.
+/// Fully distributed execution with Section 3.3 termination detection:
+/// leader election and a BFS tree (paper: `O(D)` rounds, `O(|E| log n)`
+/// messages), then one run that carries all `k` phases.
 fn run_termination_detection(
     graph: &Graph,
     hierarchy: &Hierarchy,
     config: &SchemeConfig,
 ) -> Result<(SketchSet, RunStats), SketchError> {
-    // Leader election + BFS tree (paper: O(D) rounds, O(|E| log n) messages).
-    let started = Instant::now();
-    let (trees, mut total) = build_bfs_tree(graph, config.congest);
-    record_phase("tree", &total, started);
-
-    let started = Instant::now();
+    let mut total = RunStats::default();
+    let trees = simulate(graph, config, "tree", &mut total, BfsTreeProgram::new)?;
     let k = hierarchy.k();
-    let mut net = Network::new(graph, config.congest, |u| {
-        TerminationTzProgram::new(u, k, hierarchy.level_of(u), trees[u.index()].clone())
-    });
-    let outcome = net.run_until_quiescent(config.max_rounds);
-    if !outcome.completed || !net.programs().iter().all(|p| p.finished()) {
-        return Err(SketchError::RoundLimitExceeded {
-            limit: config.max_rounds,
-        });
-    }
+    let programs = simulate(graph, config, "detected", &mut total, |u| {
+        let tree = trees[u.index()].tree_info();
+        TerminationTzProgram::new(u, k, hierarchy.level_of(u), tree)
+    })?;
 
-    record_phase("detected", &outcome.stats, started);
-    total.absorb(&outcome.stats);
     let mut sketches = SketchSet::over(hierarchy);
-    for program in net.into_programs() {
+    for program in programs {
         program.label.append_to(&mut sketches)?;
     }
     Ok((sketches, total))
@@ -319,6 +319,20 @@ mod tests {
         let g = ring(10, GeneratorConfig::unit(1));
         let err = SchemeSpec::thorup_zwick(0).build(&g, &SchemeConfig::default());
         assert!(err.is_err());
+    }
+
+    /// Every run of a build shares one engine setting: `threads` round
+    /// workers, at strict CONGEST under the oracle (Algorithm 2) and one
+    /// announcement, two ECHOes and one control message under Section 3.3.
+    #[test]
+    fn engine_settings_come_from_threads_and_the_sync_mode() {
+        let config = SchemeConfig::default().with_threads(3);
+        let settings = |config: &SchemeConfig| {
+            let engine = engine_config(config);
+            (engine.messages_per_edge_per_round, engine.num_threads)
+        };
+        assert_eq!(settings(&config), (1, 3));
+        assert_eq!(settings(&config.with_termination_detection()), (4, 3));
     }
 
     #[test]

@@ -29,9 +29,9 @@ use netgraph::{add_dist, Distance, NodeId};
 use std::collections::VecDeque;
 
 /// Maximum number of queued ECHO messages sent to one neighbor per round.
-/// One data message plus two echoes plus one control message stays within the
-/// engine's default per-edge budget of four messages per round.
-const ECHOES_PER_NEIGHBOR_PER_ROUND: usize = 2;
+/// One data message plus two echoes plus one control message is the
+/// per-edge budget of four a termination-detected build runs at.
+pub(super) const ECHOES_PER_NEIGHBOR_PER_ROUND: usize = 2;
 
 /// Messages of the termination-detected construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,16 +156,6 @@ impl TerminationTzProgram {
             pending_control: Vec::new(),
             finished: false,
         }
-    }
-
-    /// True once the DONE wave has reached this node.
-    pub fn finished(&self) -> bool {
-        self.finished
-    }
-
-    /// The node this program runs on.
-    pub fn node(&self) -> NodeId {
-        self.me
     }
 
     fn is_source_for(&self, phase: u32) -> bool {
@@ -552,7 +542,7 @@ mod tests {
         let (_, td) = build_with_hierarchy(&g, &h, &config.with_termination_detection()).unwrap();
         let k = 2u64;
         let n = 60u64;
-        let (_, tree) = build_bfs_tree(&g, config.congest);
+        let (_, tree) = build_bfs_tree(&g, CongestConfig::default());
         let control_budget = k * 3 * n + tree.messages;
         assert!(
             td.messages <= 2 * oracle.messages + control_budget,
@@ -581,7 +571,7 @@ mod tests {
         });
         let outcome = net.run_until_quiescent(100);
         assert!(outcome.completed);
-        assert!(net.programs()[0].finished());
+        assert!(net.programs()[0].finished);
         let mut set = SketchSet::over(&Hierarchy::from_levels(vec![0], 1).unwrap());
         let program = net.into_programs().remove(0);
         program.label.append_to(&mut set).unwrap();
@@ -601,8 +591,8 @@ mod tests {
                 depth: 1,
             },
         );
-        assert_eq!(p.node(), NodeId(2));
-        assert!(!p.finished());
+        assert_eq!(p.me, NodeId(2));
+        assert!(!p.finished);
         p.label.pivots[0] = Some((NodeId(2), 0));
         p.label.bunch.push((NodeId(3), 7));
         let mut set = SketchSet::sized(0, 2, Vec::new(), 0);

@@ -30,7 +30,8 @@
 //!   benches and serving layers are scheme-agnostic.  What each phase
 //!   cost is on the `dsketch-obs` registry, not the outcome.
 //! * [`SchemeConfig`] — *how* to build it: the seed, the engine (CONGEST
-//!   simulation or direct parallel), the phase synchronization and the
+//!   simulation or direct parallel), one worker count for either engine,
+//!   the phase synchronization (which also sets the CONGEST budget) and the
 //!   round limit, shared by every family.
 //! * [`DistanceOracle`] — the query side.  Every
 //!   sketch-set type answers `estimate(u, v)` from the two labels alone and
@@ -176,10 +177,9 @@ pub mod prelude {
     pub use crate::sketch::{Label, SketchSet};
     pub use crate::slack::cdg::CdgParams;
     pub use crate::slack::density_net::DensityNet;
-    // The CONGEST engine types every SchemeConfig embeds, re-exported so
-    // downstream crates don't need a congest-sim dependency just to
-    // configure a build.
-    pub use congest_sim::{CongestConfig, RunStats};
+    // The cost every BuildOutcome carries, re-exported so downstream
+    // crates don't need a congest-sim dependency just to read a build.
+    pub use congest_sim::RunStats;
 }
 
 pub use prelude::*;

@@ -42,6 +42,7 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16, 25]); // input order, always
 //! ```
 
+use congest_sim::RunStats;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -255,10 +256,10 @@ pub struct PhaseTiming {
 /// time per batched phase, which `dsketch-benchmark` reports as its
 /// `core.build.{pivots,clusters,merge}_s` rows.  A scheme build keeps no
 /// timings of its own: every [`BuildTimings::record`] also lands on the
-/// registry, which is where a multi-layer build's phases add up.  Timings
-/// are measurement metadata: they vary run to run and are **not** part of
-/// the persisted snapshot (snapshot bytes stay bit-identical across thread
-/// counts).
+/// registry's build ledger (`dsketch_build_*{phase}`), which is where a
+/// multi-layer build's phases add up.  Timings are measurement metadata: they vary run to run and are
+/// **not** part of the persisted snapshot (snapshot bytes stay
+/// bit-identical across thread counts).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BuildTimings {
     /// Resolved worker-thread count the build ran with.
@@ -276,37 +277,45 @@ impl BuildTimings {
         }
     }
 
-    /// Record a phase that started at `started` and just finished.
-    ///
-    /// Besides appending to this build's own phase list, the observation
-    /// feeds the process-global [`dsketch_obs::global`] registry
-    /// (`dsketch_build_phase_nanos{phase=…}` and
-    /// `dsketch_build_items_total{phase=…}`), so long-running processes can
-    /// expose cumulative build cost over every build they ever ran.
+    /// Record a phase that started at `started` and just finished, here and
+    /// on the registry's build ledger.
     pub fn record(&mut self, phase: &str, items: usize, started: Instant) {
-        let elapsed = started.elapsed();
-        let registry = dsketch_obs::global();
-        let labels: &[(&str, &str)] = &[("phase", phase)];
-        registry
-            .histogram_with(
-                "dsketch_build_phase_nanos",
-                "Wall time of one batched build phase.",
-                labels,
-            )
-            .record(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
-        registry
-            .counter_with(
-                "dsketch_build_items_total",
-                "Independent explorations batched across build phases.",
-                labels,
-            )
-            .add(items as u64);
+        let seconds = record_phase(phase, items, &RunStats::default(), started);
         self.phases.push(PhaseTiming {
             phase: phase.to_string(),
             items,
-            seconds: elapsed.as_secs_f64(),
+            seconds,
         });
     }
+}
+
+/// The build-cost ledger of both engines: feed one finished `phase` to the
+/// process-global [`dsketch_obs::global`] registry and return its wall
+/// seconds — a `dsketch_build_phase_nanos` observation, plus what it spent
+/// on the `dsketch_build_{items,rounds,messages,words}_total` counters (a
+/// zero adds no row).  Phases: `tz/pivots|clusters|merge` on the direct
+/// engine; `congest/0` … `congest/k-1`, `congest/tree` and
+/// `congest/detected` on the CONGEST engine ([`crate::distributed`]).
+pub(crate) fn record_phase(phase: &str, items: usize, run: &RunStats, started: Instant) -> f64 {
+    let elapsed = started.elapsed();
+    let registry = dsketch_obs::global();
+    let labels: &[(&str, &str)] = &[("phase", phase)];
+    let help = "What one build phase cost: wall time, explorations, rounds, messages, words.";
+    let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+    registry
+        .histogram_with("dsketch_build_phase_nanos", help, labels)
+        .record(nanos);
+    for (name, spent) in [
+        ("dsketch_build_items_total", items as u64),
+        ("dsketch_build_rounds_total", run.rounds),
+        ("dsketch_build_messages_total", run.messages),
+        ("dsketch_build_words_total", run.words),
+    ] {
+        if spent > 0 {
+            registry.counter_with(name, help, labels).add(spent);
+        }
+    }
+    elapsed.as_secs_f64()
 }
 
 #[cfg(test)]

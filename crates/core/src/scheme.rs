@@ -48,7 +48,7 @@ use crate::query::{estimate_distance, estimate_distance_best_common};
 use crate::sketch::{present_pivots, Label, SketchSet, TableShape};
 use crate::slack::cdg::{self, CdgParams};
 use crate::slack::degrading;
-use congest_sim::{CongestConfig, RunStats};
+use congest_sim::RunStats;
 use netgraph::{Distance, Graph, NodeId, INFINITY};
 
 /// Which construction engine a build runs on.
@@ -71,14 +71,13 @@ pub enum BuildEngine {
     /// deterministically.  Orders of magnitude faster wall-clock — the
     /// production path behind `build → save → serve` — but it does not
     /// simulate the network, so [`BuildOutcome::stats`] is empty; its cost
-    /// is wall-clock time per batched phase, recorded on the registry as
-    /// `dsketch_build_phase_nanos{phase}`.
+    /// is wall-clock time per batched phase, on the same registry ledger as
+    /// the CONGEST runs: `dsketch_build_phase_nanos{phase="tz/…"}`.
     Parallel,
 }
 
 /// The construction parameters shared by every scheme: randomness, engine
-/// choice, phase synchronization, CONGEST engine settings and the round
-/// safety valve.
+/// choice, worker count, phase synchronization and the round safety valve.
 #[derive(Debug, Clone, Copy)]
 pub struct SchemeConfig {
     /// Seed for all sampling (hierarchies, density nets).
@@ -87,20 +86,21 @@ pub struct SchemeConfig {
     /// direct parallel engine).  The seed-derived sampling is shared, so
     /// both engines build identical sketches.
     pub engine: BuildEngine,
-    /// Worker threads for the [`BuildEngine::Parallel`] engine; `0` (the
+    /// Worker threads of either engine: the [`BuildEngine::Parallel`]
+    /// pool, or the rounds' workers of [`BuildEngine::Congest`]; `0` (the
     /// default) means "all available parallelism".  The output never
     /// depends on this value — `threads = k` is bit-identical to
-    /// `threads = 1`.
+    /// `threads = 1`, rounds and messages included.
     pub threads: usize,
-    /// How phase boundaries are detected (Section 3.2 vs Section 3.3).
+    /// How phase boundaries are detected (Section 3.2 vs Section 3.3),
+    /// and so the CONGEST budget a run is held to: one message per edge per
+    /// round under the oracle, four under termination detection.
     ///
     /// Only meaningful on the [`BuildEngine::Congest`] engine; the parallel
     /// engine has no phases to synchronize.
     pub sync: SyncMode,
-    /// CONGEST engine configuration (compute-step threads, bandwidth
-    /// budget).  Only used by [`BuildEngine::Congest`].
-    pub congest: CongestConfig,
-    /// Safety valve: abort if a single simulated run exceeds this many
+    /// Safety valve: abort if a single simulated run — an Algorithm-2
+    /// phase, the BFS preamble or the detected run — exceeds this many
     /// rounds.  Only used by [`BuildEngine::Congest`] (the parallel engine
     /// executes no rounds).
     pub max_rounds: u64,
@@ -113,7 +113,6 @@ impl Default for SchemeConfig {
             engine: BuildEngine::Congest,
             threads: 0,
             sync: SyncMode::GlobalOracle,
-            congest: CongestConfig::default(),
             max_rounds: 50_000_000,
         }
     }
@@ -138,8 +137,8 @@ impl SchemeConfig {
         self
     }
 
-    /// Set the worker-thread count for the parallel engine (`0` = all
-    /// available parallelism).
+    /// Set the worker-thread count of either engine (`0` = all available
+    /// parallelism).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -148,12 +147,6 @@ impl SchemeConfig {
     /// Use the Section 3.3 termination-detection protocol.
     pub fn with_termination_detection(mut self) -> Self {
         self.sync = SyncMode::TerminationDetection;
-        self
-    }
-
-    /// Replace the CONGEST engine configuration.
-    pub fn with_congest(mut self, congest: CongestConfig) -> Self {
-        self.congest = congest;
         self
     }
 
@@ -175,10 +168,10 @@ impl SchemeConfig {
 /// shared cost statistics every theorem of the paper is stated in.
 ///
 /// What each phase cost is not a field: both engines record it on the
-/// process-global [`dsketch_obs::global`] registry as it runs —
-/// `dsketch_congest_*{phase}` for the CONGEST runs (see
-/// [`crate::distributed`]), `dsketch_build_phase_nanos{phase}` for the
-/// direct engine's batched phases.
+/// process-global [`dsketch_obs::global`] registry as it runs, as rows of
+/// one ledger — `dsketch_build_*{phase}`, with `congest/…` phases for the
+/// CONGEST runs (see [`crate::distributed`]) and `tz/…` for the direct
+/// engine's batched phases.
 #[derive(Debug, Clone)]
 pub struct BuildOutcome<O> {
     /// The built sketches: the [`StoredSketches`] layers
@@ -919,10 +912,7 @@ mod tests {
         let er = erdos_renyi(150, 0.06, GeneratorConfig::uniform(9, 1, 15));
         for (graph, eps, seed) in [(grid, 0.4, 3), (er, 0.3, 2)] {
             for engine in [BuildEngine::Congest, BuildEngine::Parallel] {
-                let config = SchemeConfig::default()
-                    .with_seed(seed)
-                    .with_engine(engine)
-                    .with_congest(CongestConfig::strict());
+                let config = SchemeConfig::default().with_seed(seed).with_engine(engine);
                 let built = SchemeSpec::three_stretch(eps)
                     .build_sketches(&graph, &config)
                     .unwrap()
@@ -968,26 +958,31 @@ mod tests {
         let config = SchemeConfig::default()
             .with_seed(7)
             .with_termination_detection()
-            .with_congest(CongestConfig::default())
+            .with_threads(2)
             .with_max_rounds(1_000_000);
         assert_eq!(config.seed, 7);
         assert_eq!(config.sync, SyncMode::TerminationDetection);
+        assert_eq!(config.threads, 2);
         let outcome = SchemeSpec::thorup_zwick(2).build(&graph, &config).unwrap();
         assert!(outcome.stats.rounds > 0);
         let snapshot = dsketch_obs::global().snapshot();
-        let tree = snapshot.counter("dsketch_congest_rounds_total", "phase=\"tree\"");
+        let tree = snapshot.counter("dsketch_build_rounds_total", "phase=\"congest/tree\"");
         assert!(tree > Some(0), "termination detection builds a BFS tree");
     }
 
     #[test]
     fn round_limit_propagates_to_all_schemes() {
         let graph = netgraph::generators::ring(64, GeneratorConfig::unit(1));
+        let config = SchemeConfig::default().with_max_rounds(1);
         for spec in SchemeSpec::all_families() {
-            let result = spec.build(&graph, &SchemeConfig::default().with_max_rounds(1));
-            assert!(
-                matches!(result, Err(SketchError::RoundLimitExceeded { .. })),
-                "{spec} should hit the round limit"
-            );
+            for config in [config, config.with_termination_detection()] {
+                let result = spec.build(&graph, &config);
+                assert!(
+                    matches!(result, Err(SketchError::RoundLimitExceeded { .. })),
+                    "{spec} under {:?} should hit the round limit",
+                    config.sync
+                );
+            }
         }
     }
 

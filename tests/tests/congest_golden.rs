@@ -84,8 +84,11 @@ fn run_programs<P: NodeProgram + std::fmt::Debug>(
     (format!("{:?}", net.programs()), outcome.stats)
 }
 
+/// A build on `config`'s worker count; its budget comes from the sync mode.
 fn scheme_config(config: CongestConfig) -> SchemeConfig {
-    SchemeConfig::default().with_seed(17).with_congest(config)
+    SchemeConfig::default()
+        .with_seed(17)
+        .with_threads(config.num_threads)
 }
 
 fn build_tz(graph: &Graph, k: usize, config: &SchemeConfig) -> (String, RunStats) {

@@ -20,10 +20,7 @@ fn thread_count_does_not_change_results_or_stats() {
 
     let mut results = Vec::new();
     for threads in [1usize, 2, 8] {
-        let config = SchemeConfig::default().with_congest(CongestConfig {
-            num_threads: threads,
-            ..Default::default()
-        });
+        let config = SchemeConfig::default().with_threads(threads);
         results.push(build_with_hierarchy(&graph, &h, &config).unwrap());
     }
     for pair in results.windows(2) {
@@ -81,13 +78,13 @@ fn bfs_tree_and_k_source_agree_with_centralized_computations() {
 }
 
 /// Strict CONGEST mode (one message per edge per round) is sufficient for the
-/// oracle-synchronized construction: the round-robin queues never violate it.
+/// oracle-synchronized construction: the round-robin queues never violate it,
+/// and the default config holds every oracle-mode build to it.
 #[test]
 fn oracle_mode_runs_under_strict_bandwidth() {
     let graph = grid(9, 9, GeneratorConfig::uniform(5, 1, 8));
-    let config = SchemeConfig::default()
-        .with_seed(2)
-        .with_congest(CongestConfig::strict());
+    let config = SchemeConfig::default().with_seed(2);
+    assert_eq!(config.sync, SyncMode::GlobalOracle);
     // A violation panics, so a build that returns kept the strict budget.
     let result = SchemeSpec::thorup_zwick(3).build(&graph, &config).unwrap();
     assert!(result.sketches.max_words() > 0);
@@ -129,13 +126,9 @@ fn congest_labels_equal_the_direct_build_where_source_tables_grow() {
         let costs: Vec<_> = [1, 2]
             .into_iter()
             .map(|num_threads| {
-                let congest =
-                    config
-                        .with_engine(BuildEngine::Congest)
-                        .with_congest(CongestConfig {
-                            num_threads,
-                            ..Default::default()
-                        });
+                let congest = config
+                    .with_engine(BuildEngine::Congest)
+                    .with_threads(num_threads);
                 let built = spec.build_sketches(graph, &congest).unwrap();
                 let n = graph.num_nodes();
                 assert!(

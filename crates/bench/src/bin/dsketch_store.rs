@@ -73,6 +73,17 @@ fn required(args: &[String], name: &str) -> String {
     })
 }
 
+/// `--scheme`, parsed and validated: a spec that cannot build (`tz:0`, a
+/// zero degrading cap, an ε outside `(0, 1]`) is a usage error naming it.
+fn scheme_or_exit(args: &[String]) -> SchemeSpec {
+    let text = required(args, "scheme");
+    let spec = SchemeSpec::parse(&text).and_then(|spec| spec.validate().map(|()| spec));
+    spec.unwrap_or_else(|e| {
+        eprintln!("--scheme {text}: {e}");
+        std::process::exit(2);
+    })
+}
+
 /// What each subcommand accepts: [`check_args_or_exit`] holds every
 /// command line to its subcommand's lines here, so the usage text is the
 /// one list of flags.
@@ -130,16 +141,12 @@ fn main() {
 fn cmd_watch(args: &[String]) {
     let graph_path = required(args, "graph");
     let snapshot_path = required(args, "snapshot");
-    let scheme_text = required(args, "scheme");
+    let spec = scheme_or_exit(args);
     let seed: u64 = arg_parse_or_exit(args, "seed", 42);
     let threads: usize = arg_parse_or_exit(args, "threads", 0);
     let interval_ms: u64 = arg_parse_or_exit(args, "interval-ms", 2_000);
     let iterations: u64 = arg_parse_or_exit(args, "iterations", 0);
     let server = arg_value(args, "server");
-    let spec = SchemeSpec::parse(&scheme_text).unwrap_or_else(|e| {
-        eprintln!("--scheme {scheme_text}: {e}");
-        std::process::exit(2);
-    });
     let config = SchemeConfig::default()
         .with_seed(seed)
         .with_parallel_build()
@@ -213,15 +220,11 @@ fn swap_live_server(addr: &str, path: &str, tick: u64) {
 }
 
 fn cmd_build(args: &[String]) {
-    let scheme_text = required(args, "scheme");
+    let spec = scheme_or_exit(args);
     let out = required(args, "out");
     let seed: u64 = arg_parse_or_exit(args, "seed", 42);
     let threads: usize = arg_parse_or_exit(args, "threads", 0);
     let engine = arg_engine(args);
-    let spec = SchemeSpec::parse(&scheme_text).unwrap_or_else(|e| {
-        eprintln!("--scheme {scheme_text}: {e}");
-        std::process::exit(2);
-    });
     let config = SchemeConfig::default()
         .with_seed(seed)
         .with_engine(engine)

@@ -261,6 +261,9 @@ fn e4_cdg(quick: bool) -> ExperimentResult {
 }
 
 /// E5 — Theorem 1.3 / 4.8 / Corollary 4.9: gracefully degrading sketches.
+/// Beside each workload's degrading row, a Thorup–Zwick row at
+/// `k = ⌈log₂ n⌉` (its `layers` cell is its spec): the same `O(log n)`
+/// worst case, whose average the degrading sketch pushes toward a constant.
 fn e5_degrading(quick: bool) -> ExperimentResult {
     let n = if quick { 96 } else { 192 };
     let mut table = Table::new(&[
@@ -296,6 +299,21 @@ fn e5_degrading(quick: bool) -> ExperimentResult {
             format!("{logn:.1}"),
             format!("{:.2}", report.average),
             outcome.stats.rounds.to_string(),
+        ]);
+        let tz = SchemeSpec::thorup_zwick(TzParams::log_n(graph.num_nodes()).k);
+        let plain = tz
+            .build(&graph, &SchemeConfig::default().with_seed(3))
+            .unwrap();
+        let report = evaluate_pairs(&pairs, |u, v| plain.sketches.estimate(u, v));
+        table.push(vec![
+            spec.label(),
+            tz.to_string(),
+            plain.sketches.max_words().to_string(),
+            "-".into(),
+            format!("{:.2}", report.worst),
+            format!("{logn:.1}"),
+            format!("{:.2}", report.average),
+            plain.stats.rounds.to_string(),
         ]);
     }
     ExperimentResult {

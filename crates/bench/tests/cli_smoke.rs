@@ -269,6 +269,8 @@ fn every_family_builds_inspects_and_verifies_and_verify_reads_its_whole_command_
         "inspect --snapshot => --snapshot is missing its value",
         "build --scheme tz:3 --nodes 64 --out $NOPE --bogus 1 => unknown flag --bogus",
         "build --scheme degrading:layers=0 --out $NOPE => invalid layer cap '0'",
+        "build --scheme bogus --nodes 64 --out $NOPE => --scheme bogus",
+        "build --scheme tz:0 --nodes 64 --out $NOPE => --scheme tz:0",
         "serve --snapshot $G --quries 10 => unknown flag --quries",
         "serve --snapshot $G --log-json --listen => --listen is missing its value",
         "serve --snapshot $G => missing required flag --listen",
@@ -577,6 +579,17 @@ fn unknown_experiment_id_is_a_usage_error_before_anything_runs() {
     for id in ["E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E11"] {
         assert!(!table_rows(&stdout, id).is_empty(), "{id}:\n{stdout}");
     }
+    // e5: per workload the degrading row, then Thorup–Zwick at
+    // k = ⌈log₂ 96⌉ = 7 beside it.
+    let e5: Vec<(String, String)> = table_rows(&stdout, "E5")
+        .into_iter()
+        .map(|row| (family(&row[0]), row[1].clone()))
+        .collect();
+    let expected: Vec<(String, String)> = ["erdos-renyi", "grid", "power-law"]
+        .into_iter()
+        .flat_map(|f| ["7", "tz:7"].map(|layers| (f.to_string(), layers.to_string())))
+        .collect();
+    assert_eq!(e5, expected, "{stdout}");
     // e9: two families × k ∈ {2, 3}.
     let e9: Vec<(String, String)> = table_rows(&stdout, "E9")
         .into_iter()

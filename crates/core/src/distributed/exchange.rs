@@ -292,10 +292,12 @@ mod tests {
         assert!(stats.rounds > 0);
     }
 
-    /// Every ordered pair, at `k` = 1, 2 and 3, on a small random graph and
-    /// on a disconnected one: the exchange answers what the reference rule
-    /// answers on the two labels, and `None` on both sides of a pair across
-    /// components.
+    /// Every ordered pair, at `k` = 1, 2 and 3, on a small random graph, on
+    /// a chorded ring and on a disconnected one: the exchange answers what
+    /// the reference rule answers on the two labels, and `None` on both
+    /// sides of a pair across components.  The ring's chords are heavy, so
+    /// they cut its hop diameter `D` but no shortest path: the `D ≪ S`
+    /// overlay of Section 2.1, where shipping one sketch beats Bellman–Ford.
     #[test]
     fn exchange_answers_like_the_reference_on_every_pair() {
         // A ring of 18 nodes and a path of 12 with no edge between them.
@@ -307,7 +309,10 @@ mod tests {
             disconnected.add_edge_idx(i, i + 1, 1 + (i as u64 * 3) % 4);
         }
         let er = erdos_renyi(20, 0.2, GeneratorConfig::uniform(5, 1, 20));
-        for g in [er, disconnected.build()] {
+        let chorded = ring_with_chords(24, 12, 1_000, GeneratorConfig::unit(4));
+        let d = netgraph::diameter::diameters(&chorded);
+        assert!(2 * d.hop_diameter < d.shortest_path_diameter, "{d:?}");
+        for g in [er, chorded, disconnected.build()] {
             for k in 1..=3 {
                 let sketches = build_sketches(&g, k);
                 for u in g.nodes() {

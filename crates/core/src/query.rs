@@ -4,8 +4,9 @@
 //! locally, in `O(k)` time, with no access to the graph — that is the whole
 //! point of a distance sketch.  In a deployed system the two labels would be
 //! exchanged over the network (at most `O(D · sketch size)` rounds, Section
-//! 2.1); the `examples/p2p_overlay` binary demonstrates that exchange on the
-//! simulator.
+//! 2.1); [`run_sketch_exchange`](crate::distributed::run_sketch_exchange)
+//! runs that exchange on the simulator, and experiment e7 prices it against
+//! on-demand Bellman–Ford.
 //!
 //! Both rules take two borrowed [`Label`] views and are the per-node
 //! reference every served answer is held to

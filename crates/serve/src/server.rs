@@ -324,11 +324,6 @@ impl SketchServer {
         self.cell.version()
     }
 
-    /// The sizing the server was started with.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
     /// The registry holding this server's `dsketch_serve_*` instruments.
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry

@@ -25,17 +25,23 @@
 //! Flags are [`USAGE`]'s (anything else is refused before connecting):
 //! every frame is a batch of `--batch` pairs (one pair at `--batch 1`),
 //! `--timeout-ms` is the per-frame deadline, and `--json -` (the default)
-//! writes no file.
+//! writes no file.  `--connections`, `--batch` and `--timeout-ms` are at
+//! least 1: a zero is a usage error naming the flag (exit 2).
 //!
-//! The node count is discovered from the server's stats document, so the
+//! The node count and scheme are read from the server's stats document
+//! (one `GET /stats` on the same port, after a `NETQ` ping), so the
 //! workload always matches whatever sketch the server is actually holding.
 //! Exit status is nonzero on any transport error or any non-typed failure.
 
 use dsketch_bench::workloads::QueryWorkload;
-use dsketch_bench::{arg_parse_or_exit, arg_value, check_args_or_exit, percentile_nanos};
+use dsketch_bench::{
+    arg_parse_or_exit, arg_positive_or_exit, arg_value, check_args_or_exit, percentile_nanos,
+};
 use dsketch_obs::Histogram;
 use dsketch_serve::NetClient;
 use netgraph::NodeId;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// Latency samples and error tallies from one connection's replay.
@@ -61,10 +67,10 @@ fn main() {
         std::process::exit(2);
     });
     let queries: usize = arg_parse_or_exit(&args, "queries", 10_000);
-    let connections: usize = arg_parse_or_exit(&args, "connections", 4).max(1);
-    let batch: usize = arg_parse_or_exit(&args, "batch", 16).max(1);
+    let connections = arg_positive_or_exit(&args, "connections", 4);
+    let batch = arg_positive_or_exit(&args, "batch", 16);
     let seed: u64 = arg_parse_or_exit(&args, "seed", 42);
-    let timeout = Duration::from_millis(arg_parse_or_exit(&args, "timeout-ms", 5_000u64).max(1));
+    let timeout = Duration::from_millis(arg_positive_or_exit(&args, "timeout-ms", 5_000));
     let json_path = arg_value(&args, "json").filter(|path| path != "-");
     let workload_text = arg_value(&args, "workload").unwrap_or_else(|| "uniform".to_string());
     let shape = QueryWorkload::parse(&workload_text).unwrap_or_else(|| {
@@ -80,10 +86,9 @@ fn main() {
         std::process::exit(2);
     });
 
-    // One probe connection: liveness, then the node count from the stats
-    // document so the generated pairs match the served sketch.  Retried
-    // with backoff so racing a just-spawned server is not a
-    // coin flip.
+    // One probe connection for liveness, retried with backoff so racing a
+    // just-spawned server is not a coin flip; then the node count from the
+    // stats document, so the generated pairs match the served sketch.
     let mut probe = NetClient::connect_with_retry(&addr, timeout, timeout).unwrap_or_else(|e| {
         eprintln!("cannot connect to {addr}: {e}");
         std::process::exit(1);
@@ -92,8 +97,9 @@ fn main() {
         eprintln!("ping failed: {e}");
         std::process::exit(1);
     }
-    let stats = probe.stats_json().unwrap_or_else(|e| {
-        eprintln!("stats request failed: {e}");
+    drop(probe);
+    let stats = stats_document(&addr, timeout).unwrap_or_else(|e| {
+        eprintln!("GET /stats failed: {e}");
         std::process::exit(1);
     });
     let num_nodes = json_usize_field(&stats, "num_nodes").unwrap_or_else(|| {
@@ -105,7 +111,6 @@ fn main() {
         std::process::exit(1);
     }
     let scheme = json_string_field(&stats, "scheme").unwrap_or_else(|| "?".to_string());
-    drop(probe);
     println!(
         "target {addr}: scheme {scheme}, {num_nodes} nodes — replaying {queries} {} \
          queries over {connections} connection(s), {batch} pairs/frame",
@@ -267,6 +272,20 @@ fn chunk_evenly(pairs: &[(NodeId, NodeId)], parts: usize) -> Vec<Vec<(NodeId, No
         offset += len;
     }
     out
+}
+
+/// The body of one `GET /stats` on `addr`: the server's stats document.
+fn stats_document(addr: &str, timeout: Duration) -> std::io::Result<String> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))?;
+    stream.write_all(b"GET /stats HTTP/1.1\r\nconnection: close\r\n\r\n")?;
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply)?;
+    match reply.split_once("\r\n\r\n") {
+        Some((head, body)) if head.starts_with("HTTP/1.1 200") => Ok(body.to_string()),
+        _ => Err(std::io::Error::other(format!("unexpected reply: {reply}"))),
+    }
 }
 
 /// Pull `"name": 123` out of a flat JSON document (the stats format is

@@ -48,8 +48,9 @@
 //! with anything else is refused before it acts.  What is not obvious
 //! there: `--threads 0` means all cores; `--engine` defaults to
 //! `parallel`; `--trace-sample N` samples every N-th query into the trace
-//! ring (`GET /trace?n=K`), and `--log-json` mirrors those events to stdout;
-//! `serve` only serves: `--listen` is where the cold-started server
+//! ring (`GET /trace?n=K`), the one place sampled events go;
+//! `--net-workers` is at least 1 (a zero is a usage error); `serve` only
+//! serves: `--listen` is where the cold-started server
 //! answers (binary protocol and HTTP on one port), and replaying traffic
 //! against it is `dsketch-loadgen`'s job; `watch` rebuilds `--snapshot`
 //! whenever the graph's fingerprint moves and sends `--server` a swap
@@ -57,7 +58,9 @@
 
 use dsketch::prelude::*;
 use dsketch_bench::workloads::{Workload, WorkloadSpec};
-use dsketch_bench::{arg_engine, arg_parse_or_exit, arg_value, check_args_or_exit};
+use dsketch_bench::{
+    arg_engine, arg_parse_or_exit, arg_positive_or_exit, arg_value, check_args_or_exit,
+};
 use dsketch_serve::{NetConfig, NetServer, ServeConfig, ServeMeta};
 use dsketch_store::{
     build_and_save, build_and_save_from_edge_list, inspect_snapshot, load_frozen_oracle,
@@ -73,12 +76,12 @@ fn required(args: &[String], name: &str) -> String {
     })
 }
 
-/// `--scheme`, parsed and validated: a spec that cannot build (`tz:0`, a
-/// zero degrading cap, an ε outside `(0, 1]`) is a usage error naming it.
+/// `--scheme`, parsed: a spec that cannot build (`tz:0`, a zero degrading
+/// cap, an ε outside `(0, 1]`) does not parse, and is a usage error naming
+/// it.
 fn scheme_or_exit(args: &[String]) -> SchemeSpec {
     let text = required(args, "scheme");
-    let spec = SchemeSpec::parse(&text).and_then(|spec| spec.validate().map(|()| spec));
-    spec.unwrap_or_else(|e| {
+    SchemeSpec::parse(&text).unwrap_or_else(|e| {
         eprintln!("--scheme {text}: {e}");
         std::process::exit(2);
     })
@@ -94,7 +97,7 @@ inspect --snapshot FILE
 verify  --snapshot FILE
 query   --snapshot FILE --u NODE --v NODE
 serve   --snapshot FILE --listen HOST:PORT [--cache N] [--trace-sample N]
-        [--serve-seconds N] [--net-workers N] [--log-json]
+        [--serve-seconds N] [--net-workers N]
 watch   --graph EDGE_LIST --scheme SPEC --snapshot FILE [--server HOST:PORT]
         [--interval-ms N] [--iterations N] [--seed N] [--threads N]";
 
@@ -416,8 +419,7 @@ fn cmd_serve(args: &[String]) {
     let cache: usize = arg_parse_or_exit(args, "cache", 4096);
     let trace_sample: u64 = arg_parse_or_exit(args, "trace-sample", 0);
     let serve_seconds: u64 = arg_parse_or_exit(args, "serve-seconds", 0);
-    let net_workers = arg_parse_or_exit(args, "net-workers", 4usize).max(1);
-    let log_json = args.iter().any(|a| a == "--log-json");
+    let net_workers = arg_positive_or_exit(args, "net-workers", 4usize);
 
     let load_started = Instant::now();
     // One read of the file: the header that names what is being served (and
@@ -441,9 +443,7 @@ fn cmd_serve(args: &[String]) {
         ServeConfig::default()
             .with_cache_capacity(cache)
             .with_trace_sample(trace_sample),
-        NetConfig::default()
-            .with_workers(net_workers)
-            .with_log_json(log_json),
+        NetConfig::default().with_workers(net_workers),
         &listen,
         ServeMeta,
         Some(origin),

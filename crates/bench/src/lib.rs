@@ -111,6 +111,21 @@ pub fn arg_parse_or_exit<T: std::str::FromStr>(args: &[String], name: &str, defa
     }
 }
 
+/// [`arg_parse_or_exit`] for a count or a duration that must be at least
+/// one: a zero is a usage error naming the flag (exit code 2), not a value
+/// quietly raised to one.
+pub fn arg_positive_or_exit<T>(args: &[String], name: &str, default: T) -> T
+where
+    T: std::str::FromStr + Default + PartialEq,
+{
+    let value = arg_parse_or_exit(args, name, default);
+    if value == T::default() {
+        eprintln!("--{name} 0: must be at least 1");
+        std::process::exit(2);
+    }
+    value
+}
+
 /// Parse `dsketch-store`'s `--engine parallel|congest` flag (default: the
 /// parallel production engine); an unknown engine name is a usage error
 /// (exit 2).

@@ -272,7 +272,9 @@ fn every_family_builds_inspects_and_verifies_and_verify_reads_its_whole_command_
         "build --scheme bogus --nodes 64 --out $NOPE => --scheme bogus",
         "build --scheme tz:0 --nodes 64 --out $NOPE => --scheme tz:0",
         "serve --snapshot $G --quries 10 => unknown flag --quries",
-        "serve --snapshot $G --log-json --listen => --listen is missing its value",
+        "serve --snapshot $G --listen => --listen is missing its value",
+        "serve --snapshot $G --listen 127.0.0.1:0 --log-json => unknown flag --log-json",
+        "serve --snapshot $G --listen 127.0.0.1:0 --net-workers 0 => --net-workers 0",
         "serve --snapshot $G => missing required flag --listen",
         "serve --snapshot $G --listen 127.0.0.1:0 --queries 10 => unknown flag --queries",
         "serve --snapshot $G --listen 127.0.0.1:0 --batch 16 => unknown flag --batch",
@@ -282,6 +284,9 @@ fn every_family_builds_inspects_and_verifies_and_verify_reads_its_whole_command_
         "query --snapshot $G --u 0 --v 5 extra => unexpected argument extra",
         "watch --graph $NOPE --snapshot $NOPE --interval 5 => unknown flag --interval",
         "loadgen --addr 127.0.0.1:9 --batch 16 --batch 4 => --batch given more than once",
+        "loadgen --addr 127.0.0.1:9 --connections 0 => --connections 0",
+        "loadgen --addr 127.0.0.1:9 --batch 0 => --batch 0",
+        "loadgen --addr 127.0.0.1:9 --timeout-ms 0 => --timeout-ms 0",
     ] {
         let (line, named) = case
             .split_once(" => ")
@@ -522,7 +527,11 @@ fn store_serve_listen_answers_http_loadgen_and_swaps_over_its_socket() {
         assert_eq!(status, 409, "{refusal}");
         assert!(refusal.contains("swap-refused"), "{refusal}");
         assert_eq!(serve.metric("dsketch_serve_generation"), generation);
-        assert_eq!(serve.metric("dsketch_swap_total"), generation - 1);
+        let stats = serve.get("/stats");
+        assert!(
+            stats.contains(&format!("\"generation\":{generation},")),
+            "{stats}"
+        );
     };
     refuses_another_family(1);
     // Generation 1 answers what `query` reads from the same file.

@@ -544,8 +544,10 @@ impl SchemeSpec {
     /// Unrecognized scheme names and malformed parameters — a degrading cap
     /// of zero, or one given twice, included — are rejected with
     /// [`SketchError::InvalidParameters`] whose message names the offending
-    /// token and lists the valid scheme forms; every spec's [`Display`] form
-    /// parses back to the same spec.
+    /// token and lists the valid scheme forms.  So is a well-formed spec
+    /// that [`SchemeSpec::validate`] refuses (`tz:0`, `cdg:0,2`,
+    /// `3stretch:2`): what parses is a spec that can build.  Every spec's
+    /// [`Display`] form parses back to the same spec.
     ///
     /// ```
     /// use dsketch::prelude::*;
@@ -579,7 +581,7 @@ impl SchemeSpec {
             Some((n, a)) => (n, Some(a)),
             None => (text, None),
         };
-        match name {
+        let spec = match name {
             "tz" | "thorup-zwick" => {
                 let raw = args.ok_or_else(|| {
                     invalid(format!(
@@ -656,7 +658,12 @@ impl SchemeSpec {
             } else {
                 format!("unknown scheme '{name}'")
             })),
-        }
+        }?;
+        spec.validate().map_err(|e| match e {
+            SketchError::InvalidParameters(why) => invalid(format!("scheme '{text}': {why}")),
+            other => other,
+        })?;
+        Ok(spec)
     }
 
     /// Run the construction on the engine `config` selects, keeping its
@@ -1127,6 +1134,17 @@ mod tests {
             ("degrading:k=4,k=5", "k cap given twice"),
             ("degrading:4,k=2", "k cap given twice"),
             ("degrading:layers=2,layers=3", "layer cap given twice"),
+            // Well formed, but `validate` refuses them: they do not parse.
+            ("tz:0", "scheme 'tz:0': k = 0 is not in 1..=u32::MAX"),
+            ("cdg:0.2,0", "scheme 'cdg:0.2,0': k = 0 is not in"),
+            (
+                "cdg:0,2",
+                "scheme 'cdg:0,2': epsilon must be in (0, 1], got 0",
+            ),
+            (
+                "3stretch:2",
+                "scheme '3stretch:2': epsilon must be in (0, 1], got 2",
+            ),
         ];
         for (input, fragment) in cases {
             let message = SchemeSpec::parse(input).unwrap_err().to_string();

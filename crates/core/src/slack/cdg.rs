@@ -108,7 +108,6 @@ mod tests {
     use super::*;
     use crate::query::estimate_distance;
     use crate::scheme::{Layer, SchemeConfig, SchemeSpec};
-    use crate::slack::is_eps_far;
     use netgraph::apsp::DistanceTable;
     use netgraph::generators::{erdos_renyi, grid, ring, GeneratorConfig};
     use netgraph::Graph;
@@ -129,7 +128,7 @@ mod tests {
         for (u, v, exact) in table.pairs() {
             if let Ok(est) = estimate_distance(sketches.label(u), sketches.label(v)) {
                 assert!(est >= exact, "underestimate for ({u},{v})");
-                if is_eps_far(&table, u, v, params.eps) {
+                if table.is_eps_far(u, v, params.eps) {
                     assert!(
                         est <= bound * exact,
                         "CDG stretch violated for ({u},{v}): est {est}, exact {exact}, bound {bound}"
@@ -138,7 +137,7 @@ mod tests {
             } else {
                 // A missing estimate is only acceptable for pairs that are
                 // not eps-far (the slack).
-                assert!(!is_eps_far(&table, u, v, params.eps));
+                assert!(!table.is_eps_far(u, v, params.eps));
             }
         }
     }

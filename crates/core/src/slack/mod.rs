@@ -2,8 +2,11 @@
 //!
 //! A labeling has stretch `t` with *ε-slack* if the estimate is within a
 //! factor `t` for every pair `(u, v)` where `v` is ε-far from `u`, i.e. `v`
-//! is not among the `εn` closest nodes to `u`.  Giving up on the nearest
-//! pairs buys dramatically smaller sketches and faster construction:
+//! is not among the `εn` closest nodes to `u` (the predicate is
+//! [`DistanceTable::is_eps_far`](netgraph::apsp::DistanceTable::is_eps_far),
+//! computed from exact distances and used only to evaluate the guarantees).
+//! Giving up on the nearest pairs buys dramatically smaller sketches and
+//! faster construction:
 //!
 //! * [`density_net`] — Lemma 4.2: an ε-density net sampled in constant time.
 //! * [`cdg`] — Theorem 4.6: the (ε, k)-CDG sketch, stretch `8k − 1` with
@@ -23,22 +26,11 @@ pub mod cdg;
 pub mod degrading;
 pub mod density_net;
 
-use netgraph::apsp::DistanceTable;
-use netgraph::NodeId;
-
-/// The ε-far predicate of Section 4: `v` is ε-far from `u` if at least `εn`
-/// nodes are strictly closer to `u` than `v` is.
-///
-/// Computed from exact distances; used only for *evaluating* slack
-/// guarantees, never by the constructions themselves.
-pub fn is_eps_far(table: &DistanceTable, u: NodeId, v: NodeId, eps: f64) -> bool {
-    table.is_eps_far(u, v, eps)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use netgraph::apsp::DistanceTable;
     use netgraph::generators::{ring, GeneratorConfig};
+    use netgraph::NodeId;
 
     #[test]
     fn eps_far_matches_rank_definition() {
@@ -49,7 +41,7 @@ mod tests {
         let u = NodeId(0);
         let antipode = NodeId(5);
         let neighbor = NodeId(1);
-        assert!(is_eps_far(&table, u, antipode, 0.5));
-        assert!(!is_eps_far(&table, u, neighbor, 0.5));
+        assert!(table.is_eps_far(u, antipode, 0.5));
+        assert!(!table.is_eps_far(u, neighbor, 0.5));
     }
 }

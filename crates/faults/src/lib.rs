@@ -42,10 +42,9 @@
 //! | failpoint | layer | failure it simulates | what heals it |
 //! |---|---|---|---|
 //! | `store.save.create` | store | staging file creation fails | the save fails; the old snapshot stays, no `*.tmp` is left |
-//! | `store.save.write` | store | write error or torn partial write | as above |
+//! | `store.save.write` | store | write error, or a partial write that tears the header or the `SKCH` payload | as above |
 //! | `store.save.fsync` | store | fsync fails before publish | as above |
 //! | `store.save.rename` | store | the atomic rename into place fails | as above |
-//! | `store.write.section` | store | the `SKCH` payload torn mid-write | as above |
 //! | `store.load.read` | store | a snapshot read fails on a cold start or swap | the swap is refused, the live generation serves; the retry publishes |
 //! | `watch.rebuild` | store | a watch tick fails before the rebuild | jittered exponential backoff, reset by the first good tick |
 //! | `serve.dispatch` | serve | answering a batch panics (or is shed) | the batch answers `shard-panicked` (HTTP 503); the caller drops its cache and serves the next batch |

@@ -18,8 +18,8 @@
 //!   at snapshot time so count and buckets cannot tear.
 //! * [`Tracer`] — deterministic 1-in-N sampling over a shared atomic
 //!   counter (exactly ⌈Q/N⌉ of Q events are sampled), emitting structured
-//!   JSON [`TraceEvent`]s to a built-in ring buffer and, for `--log-json`,
-//!   to stdout ([`Tracer::with_stdout`]).  Their strings are written by
+//!   JSON [`TraceEvent`]s to a built-in ring buffer, which the HTTP front
+//!   end serves as `GET /trace`.  Their strings are written by
 //!   [`JsonString`], the workspace's one JSON string escaper.
 //! * [`prometheus::encode`] — the Prometheus text exposition format over
 //!   one or more registry snapshots, served by the HTTP front end as

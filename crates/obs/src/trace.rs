@@ -7,10 +7,8 @@
 //! on in tests and cheap enough (one relaxed `fetch_add`) to leave on in
 //! production paths.
 //!
-//! Every tracer owns a ring holding the most recent events (served by the
-//! HTTP front end as `GET /trace?n=K`) and, when told to
-//! ([`Tracer::with_stdout`], the `--log-json` runs), prints each event as
-//! one line on stdout too.
+//! Every tracer owns a ring holding the most recent events, and the ring
+//! is where events go: the HTTP front end serves it as `GET /trace?n=K`.
 
 use std::collections::VecDeque;
 use std::fmt::Write;
@@ -26,8 +24,6 @@ pub struct Tracer {
     /// Sample every `every`-th call; 0 disables sampling entirely.
     every: u64,
     calls: AtomicU64,
-    /// Print each event on stdout as well.
-    stdout: bool,
     /// The most recent [`RING_CAPACITY`] events, oldest first.
     ring: Mutex<VecDeque<String>>,
 }
@@ -45,16 +41,8 @@ impl Tracer {
         Tracer {
             every: n,
             calls: AtomicU64::new(0),
-            stdout: false,
             ring: Mutex::new(VecDeque::new()),
         }
-    }
-
-    /// Print every emitted event as one line on stdout as well as keeping
-    /// it in the ring, when `stdout` is true.
-    pub fn with_stdout(mut self, stdout: bool) -> Tracer {
-        self.stdout = stdout;
-        self
     }
 
     /// Whether sampling is on at all — lets callers skip argument
@@ -73,13 +61,9 @@ impl Tracer {
             .is_multiple_of(self.every)
     }
 
-    /// Render `event` into the ring (the oldest event leaves a full one),
-    /// and onto stdout if the tracer prints.
+    /// Render `event` into the ring (the oldest event leaves a full one).
     pub fn emit(&self, event: TraceEvent) {
         let line = event.finish();
-        if self.stdout {
-            println!("{line}");
-        }
         let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
         if ring.len() == RING_CAPACITY {
             ring.pop_front();
@@ -216,19 +200,6 @@ mod tests {
         assert_eq!(kept[0], r#"{"event":"query","u":2}"#);
         let last = format!(r#"{{"event":"query","u":{}}}"#, RING_CAPACITY + 1);
         assert_eq!(tracer.recent(1), [last]);
-    }
-
-    /// `--log-json`'s tracer prints each event to stdout and keeps it in
-    /// its ring all the same (libtest captures the printed lines).  The
-    /// name is older than the stdout flag, which took the place of extra
-    /// sinks: stdout is the one output besides the ring.
-    #[test]
-    fn tracer_emits_to_ring_and_extra_sinks() {
-        let tracer = Tracer::one_in(1).with_stdout(true);
-        tracer.emit(TraceEvent::new("query").num("u", 1));
-        tracer.emit(TraceEvent::new("query").num("u", 2));
-        assert_eq!(tracer.recent(8).len(), 2);
-        assert_eq!(tracer.recent(1), [r#"{"event":"query","u":2}"#]);
     }
 
     #[test]

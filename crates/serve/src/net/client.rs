@@ -150,19 +150,6 @@ impl NetClient {
             other => Err(unexpected("swapped", &other)),
         }
     }
-
-    /// Fetch the server's stats JSON document.
-    pub fn stats_json(&mut self) -> Result<String, NetError> {
-        match self.round_trip(&Request::Stats)? {
-            Response::Stats(json) => Ok(json),
-            other => Err(unexpected("stats", &other)),
-        }
-    }
-
-    /// The underlying stream (tests use this to misbehave on purpose).
-    pub fn stream(&self) -> &TcpStream {
-        self.conn.stream()
-    }
 }
 
 fn unexpected(expected: &'static str, got: &Response) -> NetError {

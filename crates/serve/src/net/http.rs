@@ -7,10 +7,11 @@
 //!
 //! * `GET /distance?u=<id>&v=<id>` — one distance estimate,
 //!   `{"u":…,"v":…,"distance":…,"scheme":"…"}` on success.
-//! * `GET /stats` — the document the binary stats frame carries: the
-//!   live generation's metadata and, under `"metrics"`, every series of
-//!   the server's registry by the name `GET /metrics` (the Prometheus
-//!   text of the process-global registry and the server's) gives it.
+//! * `GET /stats` — the stats document: the live generation's metadata
+//!   and, under `"metrics"`, every series of the server's registry by the
+//!   name `GET /metrics` (the Prometheus text of the process-global
+//!   registry and the server's) gives it.  The binary protocol has no
+//!   stats frame; this route is the document's one outlet.
 //! * `GET /trace?n=<K>` — the last `K` (default 32) sampled trace events.
 //! * `POST /swap?snapshot=<path>` — hot-swap the serving oracle to the
 //!   `DSK1` snapshot at `<path>` (percent-encoded, on the server's
@@ -39,9 +40,9 @@
 //! without a client binary — the binary protocol is the real interface.
 
 use super::protocol::{NetError, WireError, WireErrorCode};
-use super::server::{send, stats_json, WorkerCtx};
+use super::server::{send, WorkerCtx};
 use super::wire::Conn;
-use dsketch_obs::{prometheus, JsonString};
+use dsketch_obs::{prometheus, JsonString, SeriesValue};
 use netgraph::NodeId;
 use std::time::Instant;
 
@@ -120,7 +121,7 @@ fn route(method: &str, target: &str, ctx: &WorkerCtx) -> Result<String, String> 
     };
     match (method, path) {
         ("GET", "/distance") => distance_route(query, ctx),
-        ("GET", "/stats") => Ok(json_reply(200, &stats_json(ctx))),
+        ("GET", "/stats") => Ok(json_reply(200, &stats_document(ctx))),
         // The process-global registry (build, graph, store instruments)
         // plus this server's own (query and wire instruments).
         ("GET", "/metrics") => Ok(text_reply(
@@ -150,6 +151,67 @@ fn route(method: &str, target: &str, ctx: &WorkerCtx) -> Result<String, String> 
             "unknown path (try /distance, /stats, /metrics, /trace, /faults, or POST /swap)",
         )),
     }
+}
+
+/// The `GET /stats` body, the stats document: one JSON object in two
+/// parts.
+///
+/// * The live generation's metadata — `scheme`, `spec`, `graph`,
+///   `num_nodes`, `stretch_bound`, `uptime_seconds` and `generation` —
+///   read from the [`Generation`](crate::swap::Generation) serving now, so
+///   a hot swap shows in the very next document.  `spec` and `graph` are
+///   `""` for an oracle started with no origin.
+/// * `"metrics"`: every series of the server's registry under the name
+///   `/metrics` prints for it, `name` or `name{k="v"}`; a counter or gauge
+///   is a number, a histogram `{"count":…,"sum":…,"max":…}`.  A series
+///   registered on the server shows here with no edit to this function.
+///
+/// The metrics are one registry snapshot, which is not a consistent cut:
+/// a relation between series (every query a cache hit or a miss) holds
+/// exactly once the writers are quiet.
+fn stats_document(ctx: &WorkerCtx) -> String {
+    let generation = ctx.server.current_generation();
+    let mut metrics = Vec::new();
+    for family in ctx.server.registry().snapshot().families {
+        for series in family.series {
+            let name = match series.labels.as_str() {
+                "" => family.name.clone(),
+                labels => format!("{}{{{labels}}}", family.name),
+            };
+            let value = match series.value {
+                SeriesValue::Counter(v) => v.to_string(),
+                SeriesValue::Gauge(v) => v.to_string(),
+                SeriesValue::Histogram(h) => format!(
+                    "{{\"count\":{},\"sum\":{},\"max\":{}}}",
+                    h.count(),
+                    h.sum,
+                    h.max
+                ),
+            };
+            metrics.push(format!("{}:{value}", JsonString(&name)));
+        }
+    }
+    let spec = generation.spec.map_or(String::new(), |s| s.to_string());
+    let graph = generation
+        .fingerprint
+        .map_or(String::new(), |f| f.to_string());
+    let stretch = generation.oracle.stretch_bound();
+    let stretch = stretch.map_or("null".to_string(), |bound| bound.to_string());
+    format!(
+        concat!(
+            "{{\"scheme\":{},\"spec\":{},\"graph\":{},\"num_nodes\":{},",
+            "\"stretch_bound\":{},\"uptime_seconds\":{:.3},\"generation\":{},",
+            "\"metrics\":{{{}}}}}"
+        ),
+        JsonString(generation.oracle.scheme_name()),
+        JsonString(&spec),
+        JsonString(&graph),
+        generation.oracle.num_nodes(),
+        stretch,
+        ctx.started_at.elapsed().as_secs_f64(),
+        generation.number,
+        metrics.join(","),
+    )
 }
 
 /// The `GET /faults` body: every armed failpoint with its plan and

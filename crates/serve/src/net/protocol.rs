@@ -21,23 +21,25 @@
 //!  NETQ  0 ping          (empty)
 //!        1 (retired)     was a single query
 //!        2 query batch   count · (u · v) × count
-//!        3 stats         (empty)
+//!        3 (retired)     was stats
 //!        4 swap          len · snapshot path (UTF-8, a path on the server)
 //!  NETR  0 pong          (empty)
 //!        1 (retired)     was a single distance
 //!        2 batch         count · result × count, in input order
 //!                        result := u8 0 · distance | u8 1 · error
-//!        3 stats         len · JSON text
+//!        3 (retired)     was stats
 //!        4 swapped       generation u64
 //!       15 error         error
 //!  error := code u8 · len · detail (UTF-8)    codes: WireErrorCode, 1–8
 //! ```
 //!
-//! Kind 1 is retired in both directions and not reused: one pair is a
-//! batch of one, so a query has one frame and a pair's error is always a
-//! batch slot.  A kind-1 request is refused like any unassigned kind (a
-//! `bad-frame` error frame; the connection stays open) and a kind-1 reply
-//! decodes as [`NetError::UnknownFrameKind`].
+//! Kinds 1 and 3 are retired in both directions and not reused.  Kind 1
+//! was a single query: one pair is a batch of one, so a query has one
+//! frame and a pair's error is always a batch slot.  Kind 3 was the stats
+//! document, which `GET /stats` serves on the same port.  A retired-kind
+//! request is refused like any unassigned kind (a `bad-frame` error frame;
+//! the connection stays open) and a retired-kind reply decodes as
+//! [`NetError::UnknownFrameKind`].
 //!
 //! Payloads go through [`dsketch::codec`]'s encoder and bounds-checked
 //! decoder, so a truncated or corrupted payload fails with a typed
@@ -332,8 +334,6 @@ pub enum Request {
         /// The query pairs.
         pairs: Vec<(NodeId, NodeId)>,
     },
-    /// Ask for the server's counters as JSON.
-    Stats,
     /// Ask the server to hot-swap its serving oracle to the snapshot at
     /// `path` (a path on the *server's* filesystem).  Answered with
     /// [`Response::Swapped`] or a [`WireErrorCode::SwapRefused`] error.
@@ -349,7 +349,6 @@ impl Request {
         match self {
             Request::Ping => 0,
             Request::QueryBatch { .. } => 2,
-            Request::Stats => 3,
             Request::Swap { .. } => 4,
         }
     }
@@ -359,7 +358,6 @@ impl Request {
         match self {
             Request::Ping => "ping",
             Request::QueryBatch { .. } => "query-batch",
-            Request::Stats => "stats",
             Request::Swap { .. } => "swap",
         }
     }
@@ -368,7 +366,7 @@ impl Request {
     pub fn to_frame(&self) -> Vec<u8> {
         let mut payload = Encoder::new();
         match self {
-            Request::Ping | Request::Stats => {}
+            Request::Ping => {}
             Request::QueryBatch { pairs } => {
                 payload.put_usize(pairs.len());
                 for &(u, v) in pairs {
@@ -396,7 +394,6 @@ impl Request {
                 }
                 Request::QueryBatch { pairs }
             }
-            3 => Request::Stats,
             4 => {
                 let path_bytes = input.byte_string("Swap.path")?;
                 let path = String::from_utf8(path_bytes).map_err(|e| {
@@ -421,8 +418,6 @@ pub enum Response {
     Pong,
     /// Batched answers, one slot per input pair, in input order.
     Batch(Vec<Result<Distance, WireError>>),
-    /// Server counters as JSON text (same document `GET /stats` serves).
-    Stats(String),
     /// Reply to [`Request::Swap`]: the generation number now serving.
     Swapped(u64),
     /// The request failed as a whole: a bad frame, a batch over the pair
@@ -437,7 +432,6 @@ impl Response {
         match self {
             Response::Pong => 0,
             Response::Batch(_) => 2,
-            Response::Stats(_) => 3,
             Response::Swapped(_) => 4,
             Response::Error(_) => 15,
         }
@@ -448,7 +442,6 @@ impl Response {
         match self {
             Response::Pong => "pong",
             Response::Batch(_) => "batch",
-            Response::Stats(_) => "stats",
             Response::Swapped(_) => "swapped",
             Response::Error(_) => "error",
         }
@@ -474,7 +467,6 @@ impl Response {
                     }
                 }
             }
-            Response::Stats(json) => payload.put_byte_string(json.as_bytes()),
             Response::Swapped(generation) => payload.put_u64(*generation),
             Response::Error(e) => e.encode(&mut payload),
         }
@@ -502,16 +494,6 @@ impl Response {
                     }
                 }
                 Response::Batch(results)
-            }
-            3 => {
-                let bytes = input.byte_string("Stats.json")?;
-                let json = String::from_utf8(bytes).map_err(|e| {
-                    NetError::Codec(CodecError::Invalid {
-                        context: "Stats.json",
-                        message: format!("stats payload is not UTF-8: {e}"),
-                    })
-                })?;
-                Response::Stats(json)
             }
             4 => Response::Swapped(input.u64("Swapped.generation")?),
             15 => Response::Error(WireError::decode(&mut input)?),
@@ -618,7 +600,6 @@ mod tests {
         round_trip_request(Request::QueryBatch {
             pairs: vec![(NodeId(0), NodeId(1)), (NodeId(9), NodeId(9))],
         });
-        round_trip_request(Request::Stats);
         round_trip_request(Request::Swap {
             path: "/var/lib/dsketch/next.dsk1".to_string(),
         });
@@ -641,7 +622,6 @@ mod tests {
             )),
             Ok(0),
         ]));
-        round_trip_response(Response::Stats("{\"queries\": 3}".to_string()));
         round_trip_response(Response::Swapped(1));
         round_trip_response(Response::Swapped(u64::MAX));
         round_trip_response(Response::Error(WireError::new(

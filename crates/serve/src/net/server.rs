@@ -52,7 +52,7 @@ use super::wire::Conn;
 use crate::server::{ServeClient, ServeConfig, SketchServer};
 use crate::stats::{NetCounters, NetStats, ServeStats};
 use dsketch::{DistanceOracle, SchemeSpec, SketchError};
-use dsketch_obs::{JsonString, MetricsRegistry, SeriesValue, Tracer};
+use dsketch_obs::{MetricsRegistry, Tracer};
 use netgraph::GraphFingerprint;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -78,10 +78,6 @@ pub struct NetConfig {
     /// Deadline for reading one complete frame (or HTTP request head);
     /// also the idle timeout between frames and the write deadline.
     pub read_timeout: Duration,
-    /// Mirror every sampled trace event to stdout as one JSON line (the
-    /// `--log-json` flag).  Sampling itself is
-    /// [`ServeConfig::trace_sample`].
-    pub log_json: bool,
 }
 
 impl Default for NetConfig {
@@ -89,7 +85,6 @@ impl Default for NetConfig {
         NetConfig {
             workers: 4,
             read_timeout: Duration::from_secs(5),
-            log_json: false,
         }
     }
 }
@@ -104,12 +99,6 @@ impl NetConfig {
     /// Replace the read/idle/write deadline.
     pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
         self.read_timeout = timeout;
-        self
-    }
-
-    /// Mirror sampled trace events to stdout as JSON lines.
-    pub fn with_log_json(mut self, log_json: bool) -> Self {
-        self.log_json = log_json;
         self
     }
 
@@ -194,7 +183,7 @@ pub(super) struct WorkerCtx {
     pub(super) counters: Arc<NetCounters>,
     shutdown: Arc<AtomicBool>,
     pub(super) config: NetConfig,
-    started_at: Instant,
+    pub(super) started_at: Instant,
 }
 
 /// The TCP front end over a [`SketchServer`].
@@ -240,7 +229,7 @@ impl NetServer {
     ) -> Result<NetServer, NetStartError> {
         net_config.validate()?;
         let registry = Arc::new(MetricsRegistry::new());
-        let tracer = Tracer::one_in(serve_config.trace_sample).with_stdout(net_config.log_json);
+        let tracer = Tracer::one_in(serve_config.trace_sample);
         let counters = Arc::new(NetCounters::register(&registry));
         let server = Arc::new(SketchServer::start_with_origin(
             oracle,
@@ -531,7 +520,6 @@ fn answer_request(request: Request, ctx: &WorkerCtx) -> Response {
                     .collect(),
             )
         }
-        Request::Stats => Response::Stats(stats_json(ctx)),
         Request::Swap { path } => match ctx.server.swap_snapshot(&path) {
             Ok(generation) => Response::Swapped(generation),
             Err(e) => Response::Error(WireError::new(WireErrorCode::SwapRefused, e.to_string())),
@@ -564,73 +552,12 @@ pub(super) fn send(conn: &mut Conn, bytes: &[u8], ctx: &WorkerCtx) -> bool {
     }
 }
 
-/// The stats document served by `GET /stats` and the binary stats frame:
-/// one JSON object in two parts.
-///
-/// * The live generation's metadata — `scheme`, `spec`, `graph`,
-///   `num_nodes`, `stretch_bound`, `uptime_seconds` and `generation` —
-///   read from the [`Generation`](crate::swap::Generation) serving now, so
-///   a hot swap shows in the very next document.  `spec` and `graph` are
-///   `""` for an oracle started with no origin.
-/// * `"metrics"`: every series of the server's registry under the name
-///   `/metrics` prints for it, `name` or `name{k="v"}`; a counter or gauge
-///   is a number, a histogram `{"count":…,"sum":…,"max":…}`.  A series
-///   registered on the server shows here with no edit to this function.
-///
-/// The metrics are one registry snapshot, which is not a consistent cut:
-/// a relation between series (every query a cache hit or a miss) holds
-/// exactly once the writers are quiet.
-pub(crate) fn stats_json(ctx: &WorkerCtx) -> String {
-    let generation = ctx.server.current_generation();
-    let mut metrics = Vec::new();
-    for family in ctx.server.registry().snapshot().families {
-        for series in family.series {
-            let name = match series.labels.as_str() {
-                "" => family.name.clone(),
-                labels => format!("{}{{{labels}}}", family.name),
-            };
-            let value = match series.value {
-                SeriesValue::Counter(v) => v.to_string(),
-                SeriesValue::Gauge(v) => v.to_string(),
-                SeriesValue::Histogram(h) => format!(
-                    "{{\"count\":{},\"sum\":{},\"max\":{}}}",
-                    h.count(),
-                    h.sum,
-                    h.max
-                ),
-            };
-            metrics.push(format!("{}:{value}", JsonString(&name)));
-        }
-    }
-    let spec = generation.spec.map_or(String::new(), |s| s.to_string());
-    let graph = generation
-        .fingerprint
-        .map_or(String::new(), |f| f.to_string());
-    let stretch = generation.oracle.stretch_bound();
-    let stretch = stretch.map_or("null".to_string(), |bound| bound.to_string());
-    format!(
-        concat!(
-            "{{\"scheme\":{},\"spec\":{},\"graph\":{},\"num_nodes\":{},",
-            "\"stretch_bound\":{},\"uptime_seconds\":{:.3},\"generation\":{},",
-            "\"metrics\":{{{}}}}}"
-        ),
-        JsonString(generation.oracle.scheme_name()),
-        JsonString(&spec),
-        JsonString(&graph),
-        generation.oracle.num_nodes(),
-        stretch,
-        ctx.started_at.elapsed().as_secs_f64(),
-        generation.number,
-        metrics.join(","),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::NetClient;
     use dsketch::SchemeConfig;
     use netgraph::generators::{erdos_renyi, GeneratorConfig};
+    use std::io::{Read, Write};
 
     /// The stats document prints the registry, not a list of names: series
     /// registered on a running server show at once, a counter as its
@@ -655,11 +582,11 @@ mod tests {
         registry
             .histogram_with("dsketch_test_late_nanos", "Late.", &[("stage", "x")])
             .record(5);
-        let addr = net.local_addr().to_string();
-        let doc = NetClient::connect(&addr, Duration::from_secs(10))
-            .unwrap()
-            .stats_json()
-            .unwrap();
+        let mut stream = TcpStream::connect(net.local_addr()).unwrap();
+        stream.write_all(b"GET /stats HTTP/1.1\r\n\r\n").unwrap();
+        let mut doc = String::new();
+        stream.read_to_string(&mut doc).unwrap();
+        assert!(doc.starts_with("HTTP/1.1 200 OK"), "{doc}");
         assert!(doc.contains(r#""dsketch_test_late_total":7"#), "{doc}");
         let histogram = r#""dsketch_test_late_nanos{stage=\"x\"}":{"count":1,"sum":5,"max":5}"#;
         assert!(doc.contains(histogram), "{doc}");

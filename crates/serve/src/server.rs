@@ -29,7 +29,7 @@ use crate::cache::LruCache;
 use crate::stats::{ServeCounters, ServeStats};
 use crate::swap::{Generation, SwapCell, SwapError};
 use dsketch::{DistanceOracle, SchemeSpec, SketchError};
-use dsketch_obs::{Counter, Gauge, MetricsRegistry, TraceEvent, Tracer};
+use dsketch_obs::{Gauge, MetricsRegistry, TraceEvent, Tracer};
 use netgraph::{Distance, GraphFingerprint, NodeId};
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -135,7 +135,6 @@ pub struct SketchServer {
     tracer: Arc<Tracer>,
     config: ServeConfig,
     generation_gauge: Gauge,
-    swaps: Counter,
 }
 
 impl SketchServer {
@@ -187,10 +186,6 @@ impl SketchServer {
             "Snapshot generation currently serving (1 = startup oracle).",
         );
         generation_gauge.set(1);
-        let swaps = registry.counter(
-            "dsketch_swap_total",
-            "Snapshot swaps published since startup.",
-        );
         Ok(SketchServer {
             cell,
             swap_lock: Mutex::new(()),
@@ -199,7 +194,6 @@ impl SketchServer {
             tracer,
             config,
             generation_gauge,
-            swaps,
         })
     }
 
@@ -307,7 +301,6 @@ impl SketchServer {
         let version = self.cell.store(Arc::new(next));
         debug_assert_eq!(version, current.number + 1);
         self.generation_gauge.set(version as i64);
-        self.swaps.inc();
         Ok(version)
     }
 
@@ -354,7 +347,6 @@ impl SketchServer {
         ServeStats {
             totals: self.counters.totals(),
             generation: self.generation(),
-            swaps: self.swaps.value(),
         }
     }
 

@@ -12,8 +12,11 @@
 //! it is registered; a view is read off the same handles
 //! (`ServeCounters::totals`, `NetCounters::stats`, behind
 //! `SketchServer::stats` and `NetServer::net_stats`), each cell loaded
-//! once, never looked up by name.  `GET /stats` reads no view: it prints
-//! the registry snapshot itself, every series under its own name.
+//! once, never looked up by name.  `GET /stats`, the stats document, reads
+//! no view: it prints the registry snapshot itself, every series under its
+//! own name.  A fact has one series: the swap count, for one, is
+//! `generation − 1` (`dsketch_serve_generation`, [`ServeStats::generation`]),
+//! since a published swap is the only thing that advances the generation.
 
 use dsketch_obs::{Counter, Histogram, MetricsRegistry};
 
@@ -80,10 +83,9 @@ pub struct ServeStats {
     /// The query counters.
     pub totals: ServeTotals,
     /// Snapshot generation serving when this snapshot was taken (1 = the
-    /// startup oracle; each hot swap increments it).
+    /// startup oracle; each published hot swap increments it, so the swap
+    /// count is `generation − 1`).
     pub generation: u64,
-    /// Hot snapshot swaps published since startup.
-    pub swaps: u64,
 }
 
 impl std::fmt::Display for ServeStats {
@@ -91,7 +93,7 @@ impl std::fmt::Display for ServeStats {
         write!(
             f,
             "{} queries in {} batches: {:.1}% cache hits, {} errors, {} panics, \
-             avg {:.2} µs/query, max {:.2} µs/batch, generation {} ({} swaps)",
+             avg {:.2} µs/query, max {:.2} µs/batch, generation {}",
             self.totals.queries,
             self.totals.batches,
             100.0 * self.totals.hit_rate(),
@@ -100,7 +102,6 @@ impl std::fmt::Display for ServeStats {
             self.totals.avg_latency_nanos() / 1_000.0,
             self.totals.max_latency_nanos as f64 / 1_000.0,
             self.generation,
-            self.swaps,
         )
     }
 }
@@ -443,12 +444,11 @@ mod tests {
                 panics: 1,
             },
             generation: 3,
-            swaps: 2,
         };
         let text = stats.to_string();
         assert!(text.contains("100 queries in 10 batches"));
         assert!(text.contains("25.0% cache hits"));
         assert!(text.contains("2 errors, 1 panics"));
-        assert!(text.contains("generation 3 (2 swaps)"));
+        assert!(text.ends_with("generation 3"), "{text}");
     }
 }

@@ -27,7 +27,7 @@
 //! | `hierarchy-contract` | none on disk, where `k` is the schedule's: freeze a set whose hierarchy has another `k` |
 //! | `layer-contract` | freeze a set with a layer more than its schedule (on disk: a degrading node holding one landmark at two distances) |
 //! | `fingerprint-mismatch` | load for a graph other than the one the snapshot was built on |
-//! | `sketch` | build `tz:0` |
+//! | `sketch` | build `SchemeSpec::thorup_zwick(0)` (the parser refuses `tz:0`) |
 //! | `edge-list` | build from an edge list with a line that is not an edge |
 
 use dsketch::codec::CodecError;

@@ -19,10 +19,9 @@ use netgraph::GraphFingerprint;
 use std::io::{Read, Write};
 
 /// Write `header`, `payload` and the CRC-32 of both to `writer`.  Returns
-/// the total number of bytes written.
-///
-/// Failpoint (see `dsketch-faults`): `store.write.section`, before the
-/// payload (supports `partial:N`, a torn payload write).
+/// the total number of bytes written.  A torn write is injected around
+/// this function, not in it: `save_snapshot` wraps its file in a
+/// `FaultWriter` under the `store.save.write` failpoint.
 pub(crate) fn write_container<W: Write>(
     mut writer: W,
     header: &Header,
@@ -30,20 +29,6 @@ pub(crate) fn write_container<W: Write>(
 ) -> Result<u64, StoreError> {
     let header = header.to_bytes();
     writer.write_all(&header)?;
-    match dsketch_faults::fail_point!("store.write.section") {
-        None => {}
-        Some(dsketch_faults::Fault::Partial(n)) => {
-            // A torn payload write: flush the allowed prefix so the
-            // truncation really lands in the stream, then fail.
-            let keep = usize::try_from(n).unwrap_or(usize::MAX).min(payload.len());
-            writer.write_all(payload.get(..keep).unwrap_or_default())?;
-            writer.flush()?;
-            return Err(StoreError::Io(
-                dsketch_faults::Fault::Partial(n).io_error("store.write.section"),
-            ));
-        }
-        Some(fault) => return Err(StoreError::Io(fault.io_error("store.write.section"))),
-    }
     writer.write_all(payload)?;
     writer.write_all(&crc32_extend(crc32(&header), payload).to_le_bytes())?;
     writer.flush()?;

@@ -99,20 +99,17 @@ proptest! {
     }
 
     #[test]
-    fn error_and_stats_frames_round_trip(
+    fn error_frames_round_trip(
         selector in 0u32..6,
         detail in prop::collection::vec(0u32..256, 0..64),
     ) {
         let error = Response::Error(WireError::new(code_of(selector), detail_of(&detail)));
         prop_assert_eq!(reencode_response(&error), error);
-        let stats = Response::Stats(format!("{{\"x\":\"{}\"}}", detail_of(&detail).replace('"', "'")));
-        prop_assert_eq!(reencode_response(&stats), stats);
     }
 
     #[test]
     fn control_frames_round_trip(_x in 0u32..1) {
         prop_assert_eq!(reencode_request(&Request::Ping), Request::Ping);
-        prop_assert_eq!(reencode_request(&Request::Stats), Request::Stats);
         prop_assert_eq!(reencode_response(&Response::Pong), Response::Pong);
     }
 
@@ -519,31 +516,36 @@ fn payload_errors_keep_the_connection_usable() {
     fixture.server.shutdown();
 }
 
-/// Kind 1 (the single query and its distance reply) is retired in both
-/// directions: a hand-built kind-1 `NETQ` frame is refused like any
-/// unassigned kind and the connection keeps answering batches; a kind-1
-/// `NETR` frame decodes as an unknown kind.
+/// The retired kinds — 1 (the single query and its distance reply) and 3
+/// (the stats document, now `GET /stats` only) — are retired in both
+/// directions: a hand-built `NETQ` frame of either kind is refused like any
+/// unassigned kind and the same connection keeps answering batches; a
+/// `NETR` frame of either kind decodes as an unknown kind.
 #[test]
-fn a_retired_kind_1_frame_is_a_bad_frame_and_the_connection_stays() {
+fn retired_kinds_are_bad_frames_and_the_connection_stays() {
     let fixture = Fixture::start();
     let mut stream = TcpStream::connect(fixture.addr()).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .expect("timeout");
     let u_v = [0u32.to_le_bytes(), 1u32.to_le_bytes()].concat();
-    stream
-        .write_all(&frame_bytes(REQUEST_MAGIC, 1, &u_v))
-        .expect("write");
-    match read_reply(&mut stream) {
-        Response::Error(e) => assert_eq!(e.code, WireErrorCode::BadFrame, "{e:?}"),
-        other => panic!("expected a bad-frame error, got {other:?}"),
+    let json = [&2u64.to_le_bytes()[..], b"{}"].concat();
+    // (kind, the request payload it carried, the reply payload it carried)
+    let retired: [(u8, &[u8], &[u8]); 2] = [(1, &u_v, &5u64.to_le_bytes()), (3, &[], &json)];
+    for (kind, request, reply) in retired {
+        stream
+            .write_all(&frame_bytes(REQUEST_MAGIC, kind, request))
+            .expect("write");
+        match read_reply(&mut stream) {
+            Response::Error(e) => assert_eq!(e.code, WireErrorCode::BadFrame, "kind {kind}: {e:?}"),
+            other => panic!("kind {kind}: expected a bad-frame error, got {other:?}"),
+        }
+        assert_answers_like_the_oracle(&mut stream, &fixture);
+        assert_eq!(
+            Response::decode(kind, reply),
+            Err(NetError::UnknownFrameKind { got: kind })
+        );
     }
-    assert_answers_like_the_oracle(&mut stream, &fixture);
-
-    assert_eq!(
-        Response::decode(1, &5u64.to_le_bytes()),
-        Err(NetError::UnknownFrameKind { got: 1 })
-    );
     drop(stream);
     fixture.server.shutdown();
 }

@@ -385,8 +385,8 @@ fn wire_counters_account_every_frame_exactly() {
     .expect("server start");
     let addr = server.local_addr().to_string();
 
-    // Connection 1 (binary): ping + 2 single queries + one 3-pair batch +
-    // one stats frame = 5 frames each way.
+    // Connection 1 (binary): ping + 2 single queries + one 3-pair batch =
+    // 4 frames each way.
     let mut client = NetClient::connect(&addr, Duration::from_secs(10)).expect("connect");
     client.ping().expect("ping");
     assert!(client.query(NodeId(0), NodeId(1)).expect("q1").is_ok());
@@ -398,11 +398,6 @@ fn wire_counters_account_every_frame_exactly() {
     ];
     let batch = client.query_batch(&pairs).expect("batch");
     assert_eq!(batch.len(), 3);
-    let stats_doc = client.stats_json().expect("stats frame");
-    assert!(
-        stats_doc.contains(&format!("\"num_nodes\":{n}")),
-        "stats carry the oracle shape: {stats_doc}"
-    );
     drop(client);
 
     // Connections 2 and 3 (HTTP): one routed request each.
@@ -416,12 +411,12 @@ fn wire_counters_account_every_frame_exactly() {
     assert_eq!(stats.net.connections_accepted, 3, "{stats}");
     assert_eq!(stats.net.connections_closed, 3, "{stats}");
     assert_eq!(stats.net.connections_refused, 0, "{stats}");
-    assert_eq!(stats.net.frames_in, 5, "{stats}");
-    assert_eq!(stats.net.frames_out, 5, "{stats}");
+    assert_eq!(stats.net.frames_in, 4, "{stats}");
+    assert_eq!(stats.net.frames_out, 4, "{stats}");
     assert_eq!(stats.net.http_requests, 2, "{stats}");
     assert_eq!(stats.net.protocol_errors, 0, "{stats}");
     assert_eq!(stats.net.timeouts, 0, "{stats}");
-    // Every byte sent: the five request frames (a single query is a
+    // Every byte sent: the four request frames (a single query is a
     // one-pair batch) and the two HTTP heads.
     use dsketch_serve::net::Request;
     let one = vec![(NodeId(0), NodeId(1))];
@@ -430,7 +425,6 @@ fn wire_counters_account_every_frame_exactly() {
         Request::QueryBatch { pairs: one.clone() },
         Request::QueryBatch { pairs: one },
         Request::QueryBatch { pairs },
-        Request::Stats,
     ];
     let sent = frames.iter().map(|r| r.to_frame().len()).sum::<usize>()
         + http_request("/distance?u=0&v=1").len()

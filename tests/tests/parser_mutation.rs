@@ -219,7 +219,6 @@ fn netq_frames_never_panic_and_what_decodes_re_encodes_to_itself() {
         Request::QueryBatch {
             pairs: vec![(NodeId(0), NodeId(1)), (NodeId(7), NodeId(300))],
         },
-        Request::Stats,
         Request::Swap {
             path: "/srv/g.dsk".to_string(),
         },
@@ -229,7 +228,6 @@ fn netq_frames_never_panic_and_what_decodes_re_encodes_to_itself() {
         Response::Pong,
         Response::Batch(vec![Ok(17)]),
         Response::Batch(vec![Ok(5), Err(unknown), Ok(u64::MAX)]),
-        Response::Stats("{\"queries\":3}".to_string()),
         Response::Swapped(2),
         Response::Error(WireError::new(WireErrorCode::BadFrame, "short")),
     ];

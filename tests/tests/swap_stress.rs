@@ -181,8 +181,11 @@ fn swap_under_fire_every_answer_matches_its_serving_generation() {
         .snapshot()
         .histogram_total("dsketch_serve_batch_latency_nanos");
     let stats = server.shutdown();
-    assert_eq!(stats.generation, SWAPS + 1);
-    assert_eq!(stats.swaps, SWAPS);
+    assert_eq!(
+        stats.generation,
+        SWAPS + 1,
+        "one generation per published swap"
+    );
     assert_eq!(stats.totals.errors, 0, "no query may fail during swaps");
     assert!(answered.load(Ordering::Relaxed) > 0);
     assert_eq!(stats.totals.queries, answered.load(Ordering::Relaxed));
@@ -291,10 +294,9 @@ fn http_queries_and_swaps_interleave_cleanly() {
     }
     let stats = get("/stats");
     assert!(stats.contains("\"generation\":2"), "{stats}");
-    assert!(stats.contains("\"dsketch_swap_total\":1"), "{stats}");
+    assert!(stats.contains("\"dsketch_serve_generation\":2"), "{stats}");
     let metrics = get("/metrics");
     assert!(metrics.contains("dsketch_serve_generation 2"), "{metrics}");
-    assert!(metrics.contains("dsketch_swap_total 1"), "{metrics}");
 
     // A swap refusal over HTTP is a 409 with the typed error name, and
     // the live generation stays put.
@@ -372,7 +374,7 @@ fn a_v1_versioned_snapshot_is_refused_over_http_swap() {
 
     let stats = http("GET /stats HTTP/1.1\r\nhost: t\r\n\r\n".to_string());
     assert!(stats.contains("\"generation\":1"), "{stats}");
-    assert!(stats.contains("\"dsketch_swap_total\":0"), "{stats}");
+    assert!(stats.contains("\"dsketch_serve_generation\":1"), "{stats}");
     for (u, v) in (0..6u32).map(|i| (i, (i * 5 + 1) % n as u32)) {
         let reply = http(format!(
             "GET /distance?u={u}&v={v} HTTP/1.1\r\nhost: t\r\n\r\n"
@@ -590,7 +592,7 @@ fn refused_swaps_leave_the_live_generation_untouched() {
     assert_eq!(server.generation(), 2);
 
     let stats = server.shutdown();
-    assert_eq!(stats.swaps, 1, "only the successful publish counts");
+    assert_eq!(stats.generation, 2, "only the successful publish counts");
     for path in [&snap_a, &snap_b, &corrupt, &wrong_n, &wrong_scheme] {
         std::fs::remove_file(path).ok();
     }
@@ -620,7 +622,6 @@ fn mid_swap_shutdown_drains_cleanly() {
     });
     let stats = server.shutdown();
     assert_eq!(stats.generation, 2);
-    assert_eq!(stats.swaps, 1);
     assert_eq!(stats.totals.errors, 0);
     assert_eq!(stats.totals.queries, 400);
     std::fs::remove_file(&snap_a).ok();
@@ -674,7 +675,6 @@ fn cache_invalidation_accounting_is_exact_across_one_swap() {
     assert_eq!(stats.totals.cache_hits, 20);
     assert_eq!(stats.totals.cache_invalidations, 10);
     assert_eq!(stats.generation, 2);
-    assert_eq!(stats.swaps, 1);
 
     server.shutdown();
     std::fs::remove_file(&snap_a).ok();

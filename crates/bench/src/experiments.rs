@@ -536,9 +536,8 @@ fn e9_termination_overhead(quick: bool) -> ExperimentResult {
     ExperimentResult {
         id: "e9",
         title: "Overhead of Section 3.3 termination detection",
-        claim:
-            "the ECHO/COMPLETE/START protocol at most doubles messages and adds O(D) rounds per \
-                phase relative to an idealized synchronizer (Section 3.3)",
+        claim: "one ECHO per data message, O(n) COMPLETE/START/DONE messages per phase and a \
+                leader/BFS preamble paid once, over an idealized synchronizer (Section 3.3)",
         table,
     }
 }

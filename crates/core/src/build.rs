@@ -28,25 +28,16 @@
 //!   untruncated Dijkstra per net node.
 //!
 //! Each exploration touches only its own output, so the batch runs on the
-//! [`crate::parallel`] worker pool, and so does the step that turns its
-//! results into labels.  Clusters and bunches are inverse relations
-//! (`u ∈ C(w)` iff `w ∈ B(u)`, Section 3.2), so that step is a transpose: count
-//! `|B(u)|`, size the label columns exactly, cut the nodes into one
-//! consecutive range per worker, and let each worker scatter the
-//! `(w, d(u, w))` of its own rows out of the shared cluster list straight
-//! into its piece of the bunch columns ([`parallel_split_mut`] — disjoint
-//! pieces, no atomics).  Every landmark owns exactly one cluster and the
-//! clusters are walked in ascending landmark id, so each row comes out
-//! strictly ascending with no sort.  A top-level cluster is different: with
-//! `A_k = ∅` its search is untruncated and its landmark is in every bunch
-//! it reaches, so it is scattered straight into its column of the landmark
-//! table, in the same worker pieces.  Those columns and that table are the
-//! [`SketchSet`] itself ([`crate::sketch`]).  Where the cuts fall decides who writes a
-//! row, never what is written, which makes `threads = k` **bit-identical**
-//! to `threads = 1` — down to the serialized `DSK1` snapshot bytes (property
+//! [`crate::parallel`] worker pool.  Clusters and bunches are inverse
+//! relations (`u ∈ C(w)` iff `w ∈ B(u)`, Section 3.2), so the labels are the
+//! clusters transposed, on the same pool, by the assembler the CONGEST
+//! engine's clusters go through too (`SketchSet::from_clusters` in
+//! [`crate::sketch`]; here the `tz/merge` phase).  Its output does not depend
+//! on the worker count, which makes `threads = k` **bit-identical** to
+//! `threads = 1` — down to the serialized `DSK1` snapshot bytes (property
 //! tested in `tests/tests/parallel_build.rs`, measured by `dsketch-benchmark`'s
 //! `core.build.parallel_speedup` row; `tests/tests/build_differential.rs`
-//! holds the engine to an insert-based model label for label).
+//! holds both engines to an insert-based model label for label).
 //!
 //! # The centralized baseline
 //!
@@ -100,10 +91,8 @@
 //! ```
 
 use crate::hierarchy::Hierarchy;
-use crate::parallel::{
-    parallel_map, parallel_map_with, parallel_split_mut, resolve_threads, BuildTimings,
-};
-use crate::sketch::{offset, DistKey, SketchSet, NO_PIVOT};
+use crate::parallel::{parallel_map, parallel_map_with, resolve_threads, BuildTimings};
+use crate::sketch::{DistKey, SketchSet};
 use netgraph::shortest_path::RadixQueue;
 use netgraph::{add_dist, Distance, Graph, NodeId, INFINITY};
 use std::time::Instant;
@@ -168,93 +157,16 @@ pub fn thorup_zwick(graph: &Graph, hierarchy: &Hierarchy, threads: usize) -> Dir
     );
     timings.record("tz/clusters", work.len(), started);
 
-    // Phase 3: transpose clusters into bunches (`u ∈ C(w)` iff `w ∈ B(u)`).
-    // A top-level cluster is an untruncated search (`A_k = ∅`), and its
-    // landmark is in every bunch it reaches: it is a column of the table,
-    // scattered straight into it.  The rest go to the sparse rows: count
-    // `|B(u) \ A_{k−1}|`, size the columns exactly, then scatter every
-    // `(w, d(u, w))` into row `u`.
+    // Phase 3: transpose clusters into bunches (`u ∈ C(w)` iff
+    // `w ∈ B(u)`), each cluster filed under its landmark's id.
     let started = Instant::now();
-    let mut sketches = SketchSet::over(hierarchy);
-    let width = sketches.table_nodes.len();
-    // The work list is level-major and ascending within a level, so the
-    // top level's clusters are its last `width`, in table order.
-    let (sparse, top) = clusters.split_at(clusters.len() - width);
-    let mut offsets = vec![0usize; n + 1];
-    for cluster in sparse {
-        for &(u, _) in cluster {
-            offsets[u.index() + 1] += 1;
-        }
-    }
-    for u in 0..n {
-        offsets[u + 1] += offsets[u];
-    }
-    sketches
-        .offsets
-        .extend(offsets[1..].iter().map(|&end| offset(end)));
-    for u in 0..n {
-        sketches.pivots.extend(pivot_keys[..k].iter().map(|keys| {
-            let key = keys[u];
-            if key.is_infinite() {
-                (NO_PIVOT, INFINITY)
-            } else {
-                (key.node, key.distance)
-            }
-        }));
-    }
-    sketches.bunch_nodes = vec![NodeId(0); offsets[n]];
-    sketches.bunch_dists = vec![0; offsets[n]];
-    sketches.table_dists.resize(n * width, INFINITY);
-    // Each landmark owns exactly one cluster; walking them in ascending id
-    // makes every row come out sorted, whoever fills it.
-    let mut by_landmark: Vec<usize> = (0..sparse.len()).collect();
-    by_landmark.sort_unstable_by_key(|&i| work[i].1);
-    // Workers own disjoint node ranges, cut so each holds an equal share of
-    // the sparse entries, and the matching pieces of both bunch columns and
-    // of the table; every worker reads all clusters and keeps its own rows.
-    let cuts = balanced_cuts(&offsets, threads.clamp(1, n.max(1)));
-    let ends = || cuts[1..].iter().map(|&cut| offsets[cut]);
-    let rows = || cuts[1..].iter().map(|&cut| cut * width);
-    let mut pieces: Vec<_> = split_at_ends(&mut sketches.bunch_nodes, ends())
-        .into_iter()
-        .zip(split_at_ends(&mut sketches.bunch_dists, ends()))
-        .zip(split_at_ends(&mut sketches.table_dists, rows()))
-        .collect();
-    let whole: Vec<usize> = (0..=pieces.len()).collect();
-    // One set of column pieces to a worker.
-    parallel_split_mut(&mut pieces, &whole, |piece, columns| {
-        let (lo, hi) = (cuts[piece], cuts[piece + 1]);
-        let base = offsets[lo];
-        // The next free slot of each of this piece's rows.
-        let mut next: Vec<usize> = offsets[lo..hi].iter().map(|&o| o - base).collect();
-        for ((nodes, dists), cells) in columns {
-            for &i in &by_landmark {
-                let w = work[i].1;
-                for &(u, distance) in &sparse[i] {
-                    if (lo..hi).contains(&u.index()) {
-                        let at = &mut next[u.index() - lo];
-                        nodes[*at] = w;
-                        dists[*at] = distance;
-                        *at += 1;
-                    }
-                }
-            }
-            for (column, cluster) in top.iter().enumerate() {
-                for &(u, distance) in cluster {
-                    if (lo..hi).contains(&u.index()) {
-                        cells[(u.index() - lo) * width + column] = distance;
-                    }
-                }
-            }
-        }
-        // Every (u, w) pair landed exactly once: each row is full.
-        debug_assert!(next
-            .iter()
-            .zip(&offsets[lo + 1..=hi])
-            .all(|(&at, &end)| at == end - base));
-    });
     let total_cluster_size = clusters.iter().map(Vec::len).sum();
-    drop(clusters);
+    let mut by_landmark = vec![Vec::new(); n];
+    for (&(_, w), cluster) in work.iter().zip(clusters) {
+        by_landmark[w.index()] = cluster;
+    }
+    let sketches = SketchSet::from_clusters(hierarchy, &pivot_keys, &by_landmark, threads);
+    drop(by_landmark);
     timings.record("tz/merge", n, started);
 
     DirectTzBuild {
@@ -263,33 +175,6 @@ pub fn thorup_zwick(graph: &Graph, hierarchy: &Hierarchy, threads: usize) -> Dir
         total_cluster_size,
         timings,
     }
-}
-
-/// Cut the rows `0..n` of a CSR `offsets` array into `pieces` consecutive
-/// node ranges of roughly equal entry count (piece `p` starts at the first
-/// row boundary at or past `p / pieces` of the entries): piece `p` is
-/// `cuts[p]..cuts[p + 1]`.
-fn balanced_cuts(offsets: &[usize], pieces: usize) -> Vec<usize> {
-    let n = offsets.len() - 1;
-    let total = offsets[n];
-    let mut cuts: Vec<usize> = (0..pieces)
-        .map(|p| offsets.partition_point(|&o| o < total * p / pieces).min(n))
-        .collect();
-    cuts.push(n);
-    cuts
-}
-
-/// Cut `column` into consecutive pieces ending at `ends` (non-decreasing,
-/// the last at `column.len()`).
-fn split_at_ends<T>(mut column: &mut [T], ends: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
-    let mut start = 0;
-    ends.map(|end| {
-        let (piece, rest) = std::mem::take(&mut column).split_at_mut(end - start);
-        column = rest;
-        start = end;
-        piece
-    })
-    .collect()
 }
 
 /// Multi-source Dijkstra minimizing the lexicographic `(distance, source)`
@@ -438,23 +323,6 @@ mod tests {
             assert_eq!(reference.pivot_keys, build.pivot_keys);
             assert_eq!(reference.total_cluster_size, build.total_cluster_size);
         }
-    }
-
-    #[test]
-    fn cuts_cover_all_rows_and_balance_the_entries() {
-        // Rows of 5, 0, 1, 9, 0, 3, 2 entries.
-        let offsets = [0usize, 5, 5, 6, 15, 15, 18, 20];
-        assert_eq!(balanced_cuts(&offsets, 1), vec![0, 7]);
-        assert_eq!(balanced_cuts(&offsets, 2), vec![0, 4, 7]);
-        for pieces in 1..=9 {
-            let cuts = balanced_cuts(&offsets, pieces);
-            assert_eq!(cuts.len(), pieces + 1);
-            assert_eq!((cuts[0], cuts[pieces]), (0, 7));
-            assert!(cuts.windows(2).all(|c| c[0] <= c[1]), "{cuts:?}");
-        }
-        // No entries at all, and no rows at all.
-        assert_eq!(balanced_cuts(&[0, 0, 0], 2), vec![0, 0, 2]);
-        assert_eq!(balanced_cuts(&[0], 1), vec![0, 0]);
     }
 
     #[test]

@@ -8,10 +8,13 @@
 //! exactly when `v` would enter the bunch `B_i(u)`.  Outgoing announcements
 //! are queued per source and served round-robin, so the program sends at most
 //! one data message per edge per round.  Both modes keep that state in the
-//! shared `SourceTable` of `congest_sim::programs::bellman_ford`, whose
-//! finished per-phase tables are gathered and sorted once into the label's
-//! bunch and appended, row by row, to the one [`SketchSet`] the build
-//! returns.
+//! shared `SourceTable` of `congest_sim::programs::bellman_ford`.  A finished
+//! phase-`i` table at `u` is `B_i(u)`: its `(source, d)` pairs are filed under
+//! their sources' clusters, and `key(u, A_i)` — the pivot key and the next
+//! phase's threshold — is the least of their keys and `key(u, A_{i+1})`.
+//! Those clusters and keys go to the one assembler both engines share (the
+//! direct engine's transpose, `SketchSet::from_clusters` in
+//! [`crate::sketch`]), which writes the [`SketchSet`] the build returns.
 //!
 //! Two synchronization modes are provided, matching the two options the paper
 //! describes for detecting the end of a phase:
@@ -84,54 +87,51 @@ pub fn build_with_hierarchy(
     hierarchy: &Hierarchy,
     config: &SchemeConfig,
 ) -> Result<(SketchSet, RunStats), SketchError> {
-    match config.sync {
+    let (fold, stats) = match config.sync {
         SyncMode::GlobalOracle => run_global_oracle(graph, hierarchy, config),
         SyncMode::TerminationDetection => run_termination_detection(graph, hierarchy, config),
-    }
+    }?;
+    let (keys, clusters) = (&fold.pivot_keys, &fold.clusters);
+    let sketches = SketchSet::from_clusters(hierarchy, keys, clusters, config.threads);
+    Ok((sketches, stats))
 }
 
-/// One node's label as its phases finish, `k − 1` down to `0`, in both
-/// synchronization modes.  A phase leaves its `(source, distance)` pairs in
-/// the table's order; the `k` phases have disjoint sources
-/// (`A_i \ A_{i+1}`), so they are appended as they arrive and sorted once.
-#[derive(Debug, Clone)]
-struct LabelFold {
-    pivots: Vec<Option<(NodeId, Distance)>>,
-    bunch: Vec<(NodeId, Distance)>,
-    /// `key(u, A_{i+1})` while phase `i` runs; infinite for `A_k = ∅`.
-    threshold: DistKey,
+/// `key(u, A_i)`, the least of `key(u, A_{i+1})` and the keys phase `i` left
+/// at `u`: the level's pivot key and phase `i − 1`'s threshold.
+fn pivot_key(above: DistKey, table: &SourceTable) -> DistKey {
+    table
+        .iter()
+        .map(|(w, d)| DistKey::new(d, w))
+        .fold(above, DistKey::min)
 }
 
-impl LabelFold {
-    /// The label of a node of a `k`-level hierarchy before any phase.
-    fn new(k: usize) -> LabelFold {
-        LabelFold {
-            pivots: vec![None; k],
-            bunch: Vec::new(),
-            threshold: DistKey::INFINITE,
+/// Every node's finished phases, `k − 1` down to `0`, as the one assembler
+/// takes them ([`SketchSet::from_clusters`]): a phase-`i` table's
+/// `(source, d)` at `u` puts `(u, d)` on `clusters[source]`, and its
+/// [`pivot_key`] is `key(u, A_i)`.
+struct Fold {
+    /// `pivot_keys[i][u] = key(u, A_i)`; row `k`, for `A_k = ∅`, infinite.
+    pivot_keys: Vec<Vec<DistKey>>,
+    /// `clusters[w]`: `(u, d(u, w))` for every `u` with `w ∈ B(u)`.
+    clusters: Vec<Vec<(NodeId, Distance)>>,
+}
+
+impl Fold {
+    fn new(hierarchy: &Hierarchy) -> Fold {
+        let n = hierarchy.num_nodes();
+        Fold {
+            pivot_keys: vec![vec![DistKey::INFINITE; n]; hierarchy.k() + 1],
+            clusters: vec![Vec::new(); n],
         }
     }
 
-    /// Fold phase `level`'s finished table in as `B_level(u)`, and take
-    /// `key(u, A_level) = min(best new key, key(u, A_{level+1}))` as the
-    /// level's pivot and the next threshold.
-    fn fold(&mut self, level: usize, table: &SourceTable) {
-        let mut best = self.threshold;
+    /// Fold node `u`'s finished phase-`level` table in.
+    fn phase(&mut self, level: usize, u: NodeId, table: &SourceTable) {
+        let above = self.pivot_keys[level + 1][u.index()];
+        self.pivot_keys[level][u.index()] = pivot_key(above, table);
         for (source, distance) in table.iter() {
-            self.bunch.push((source, distance));
-            best = best.min(DistKey::new(distance, source));
+            self.clusters[source.index()].push((u, distance));
         }
-        if !best.is_infinite() {
-            self.pivots[level] = Some((best.node, best.distance));
-        }
-        self.threshold = best;
-    }
-
-    /// Append the finished label to `set`, as node `set.len()`'s.
-    fn append_to(mut self, set: &mut SketchSet) -> Result<(), SketchError> {
-        // Sources are distinct across phases, so no two keys tie.
-        self.bunch.sort_unstable_by_key(|&(node, _)| node);
-        set.push_label(&self.pivots, &self.bunch)
     }
 }
 
@@ -176,43 +176,35 @@ fn simulate<P: NodeProgram>(
 }
 
 /// Oracle-synchronized execution: one simulator run per phase, each
-/// node's finished table folded into its label ([`LabelFold`]).
+/// node's finished table folded in ([`Fold`]) before the next starts.
 fn run_global_oracle(
     graph: &Graph,
     hierarchy: &Hierarchy,
     config: &SchemeConfig,
-) -> Result<(SketchSet, RunStats), SketchError> {
-    let mut labels = vec![LabelFold::new(hierarchy.k()); graph.num_nodes()];
+) -> Result<(Fold, RunStats), SketchError> {
+    let mut fold = Fold::new(hierarchy);
     let mut total = RunStats::default();
     for phase in (0..hierarchy.k()).rev() {
         let programs = simulate(graph, config, &phase.to_string(), &mut total, |u| {
-            PhaseProgram::new(
-                u,
-                phase as u32,
-                hierarchy.level_of(u),
-                labels[u.index()].threshold,
-            )
+            let threshold = fold.pivot_keys[phase + 1][u.index()];
+            PhaseProgram::new(u, phase as u32, hierarchy.level_of(u), threshold)
         })?;
-        for (label, program) in labels.iter_mut().zip(&programs) {
-            label.fold(phase, program.distances());
+        for (u, program) in graph.nodes().zip(&programs) {
+            fold.phase(phase, u, program.distances());
         }
     }
-
-    let mut sketches = SketchSet::over(hierarchy);
-    for label in labels {
-        label.append_to(&mut sketches)?;
-    }
-    Ok((sketches, total))
+    Ok((fold, total))
 }
 
 /// Fully distributed execution with Section 3.3 termination detection:
 /// leader election and a BFS tree (paper: `O(D)` rounds, `O(|E| log n)`
-/// messages), then one run that carries all `k` phases.
+/// messages), then one run that carries all `k` phases; every node keeps
+/// its finished tables, folded in ([`Fold`]) after the run.
 fn run_termination_detection(
     graph: &Graph,
     hierarchy: &Hierarchy,
     config: &SchemeConfig,
-) -> Result<(SketchSet, RunStats), SketchError> {
+) -> Result<(Fold, RunStats), SketchError> {
     let mut total = RunStats::default();
     let trees = simulate(graph, config, "tree", &mut total, BfsTreeProgram::new)?;
     let k = hierarchy.k();
@@ -221,11 +213,13 @@ fn run_termination_detection(
         TerminationTzProgram::new(u, k, hierarchy.level_of(u), tree)
     })?;
 
-    let mut sketches = SketchSet::over(hierarchy);
-    for program in programs {
-        program.label.append_to(&mut sketches)?;
+    let mut fold = Fold::new(hierarchy);
+    for phase in (0..k).rev() {
+        for (u, program) in graph.nodes().zip(&programs) {
+            fold.phase(phase, u, &program.tables[phase]);
+        }
     }
-    Ok((sketches, total))
+    Ok((fold, total))
 }
 
 #[cfg(test)]

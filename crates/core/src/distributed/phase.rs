@@ -13,7 +13,7 @@
 //! The per-source state is the shared [`SourceTable`]; the program adds only
 //! the threshold test in front of it.  Once the phase has quiesced the table
 //! holds the bunch slice `B_i(u)`, in no particular order, which [`super`]
-//! folds into the label.
+//! folds into clusters and pivot keys.
 
 use crate::sketch::DistKey;
 use congest_sim::programs::bellman_ford::{SourceTable, SourcedAnnouncement};
@@ -46,16 +46,6 @@ impl PhaseProgram {
             threshold,
             table: SourceTable::default(),
         }
-    }
-
-    /// The node this program runs on.
-    pub fn node(&self) -> NodeId {
-        self.me
-    }
-
-    /// The phase index.
-    pub fn phase(&self) -> u32 {
-        self.phase
     }
 
     /// True if this node is a source of this phase (`u ∈ A_i \ A_{i+1}`).
@@ -220,8 +210,6 @@ mod tests {
     #[test]
     fn accessors_report_phase_and_source_status() {
         let p = PhaseProgram::new(NodeId(3), 2, 2, DistKey::INFINITE);
-        assert_eq!(p.node(), NodeId(3));
-        assert_eq!(p.phase(), 2);
         assert!(p.is_source());
         let q = PhaseProgram::new(NodeId(3), 2, 1, DistKey::INFINITE);
         assert!(!q.is_source());

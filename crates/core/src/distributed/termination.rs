@@ -20,7 +20,7 @@
 //! matching the paper's accounting; experiment E9 measures the observed
 //! overhead against the oracle-synchronized mode.
 
-use super::LabelFold;
+use super::pivot_key;
 use crate::sketch::DistKey;
 use congest_sim::programs::bellman_ford::SourceTable;
 use congest_sim::programs::bfs_tree::TreeInfo;
@@ -101,8 +101,10 @@ pub struct TerminationTzProgram {
     tree: TreeInfo,
 
     // ---- accumulated results ----
-    /// The finished phases, and `key(u, A_{phase+1})`.
-    pub(super) label: LabelFold,
+    /// The finished phases' tables, by phase; the driver folds them.
+    pub(super) tables: Vec<SourceTable>,
+    /// `key(u, A_{phase+1})`: the current phase's threshold.
+    threshold: DistKey,
 
     // ---- current phase ----
     phase: u32,
@@ -143,7 +145,8 @@ impl TerminationTzProgram {
             level,
             children_complete: vec![false; k * tree.children.len()],
             tree,
-            label: LabelFold::new(k),
+            tables: vec![SourceTable::default(); k],
+            threshold: DistKey::INFINITE,
             phase: k as u32 - 1,
             table: SourceTable::default(),
             pending_ack: Vec::new(),
@@ -202,8 +205,8 @@ impl TerminationTzProgram {
             }
         }
         let candidate = add_dist(announced, edge_weight);
-        let improves = DistKey::new(candidate, source) < self.label.threshold
-            && self.table.relax(source, candidate);
+        let improves =
+            DistKey::new(candidate, source) < self.threshold && self.table.relax(source, candidate);
         if !improves {
             self.queue_echo(from, phase, source, announced);
             return;
@@ -238,12 +241,18 @@ impl TerminationTzProgram {
         }
     }
 
-    /// Fold the current phase's results into the sketch state and move to
-    /// `target` (which is always `self.phase - 1` in practice, but the loop
-    /// tolerates skipping).
+    /// Keep the finished phase's table; its pivot key is the next threshold.
+    fn finish_phase(&mut self) {
+        let table = std::mem::take(&mut self.table);
+        self.threshold = pivot_key(self.threshold, &table);
+        self.tables[self.phase as usize] = table;
+    }
+
+    /// Finish the current phase and move to `target` (which is always
+    /// `self.phase - 1` in practice, but the loop tolerates skipping).
     fn advance_to_phase(&mut self, target: u32) {
         while self.phase > target {
-            self.label.fold(self.phase as usize, &self.table);
+            self.finish_phase();
             self.phase -= 1;
             self.reset_phase_state();
             self.begin_phase();
@@ -251,7 +260,6 @@ impl TerminationTzProgram {
     }
 
     fn reset_phase_state(&mut self) {
-        self.table.clear();
         self.pending_ack.clear();
         self.outstanding.clear();
         self.origin_complete = false;
@@ -264,7 +272,7 @@ impl TerminationTzProgram {
     fn begin_phase(&mut self) {
         if self.is_source_for(self.phase) {
             let key = DistKey::new(0, self.me);
-            if key < self.label.threshold {
+            if key < self.threshold {
                 self.table.set_origin(self.me, 0);
             }
             self.origin_pending = true;
@@ -273,7 +281,7 @@ impl TerminationTzProgram {
 
     fn finish_construction(&mut self) {
         if !self.finished {
-            self.label.fold(self.phase as usize, &self.table);
+            self.finish_phase();
             self.finished = true;
         }
     }
@@ -571,11 +579,12 @@ mod tests {
         });
         let outcome = net.run_until_quiescent(100);
         assert!(outcome.completed);
-        assert!(net.programs()[0].finished);
-        let mut set = SketchSet::over(&Hierarchy::from_levels(vec![0], 1).unwrap());
-        let program = net.into_programs().remove(0);
-        program.label.append_to(&mut set).unwrap();
-        assert_eq!(set.label(NodeId(0)).bunch_size(), 1);
+        let program = &net.programs()[0];
+        assert!(program.finished);
+        // Its one phase found only itself.
+        let pairs: Vec<_> = program.tables[0].iter().collect();
+        assert_eq!(pairs, [(NodeId(0), 0)]);
+        assert_eq!(program.threshold, DistKey::new(0, NodeId(0)));
     }
 
     #[test]
@@ -593,13 +602,20 @@ mod tests {
         );
         assert_eq!(p.me, NodeId(2));
         assert!(!p.finished);
-        p.label.pivots[0] = Some((NodeId(2), 0));
-        p.label.bunch.push((NodeId(3), 7));
-        let mut set = SketchSet::sized(0, 2, Vec::new(), 0);
-        p.label.append_to(&mut set).unwrap();
-        let s = set.label(NodeId(0));
-        assert_eq!(s.pivot(0), Some((NodeId(2), 0)));
-        assert_eq!(s.pivot(1), None);
-        assert_eq!(s.distance_to(NodeId(3)), Some(7));
+        // Phase 1 heard of v5 at 7 and v3 at 7: the tie goes to v3, whose
+        // key is the phase-0 threshold.
+        p.table.relax(NodeId(5), 7);
+        p.table.relax(NodeId(3), 7);
+        p.advance_to_phase(0);
+        assert_eq!(p.threshold, DistKey::new(7, NodeId(3)));
+        assert_eq!(p.tables[1].distance(NodeId(3)), 7);
+        assert_eq!(p.tables[1].iter().count(), 2);
+        // Phase 0 starts from an empty table with the node as its own source.
+        let pairs: Vec<_> = p.table.iter().collect();
+        assert_eq!(pairs, [(NodeId(2), 0)]);
+        p.finish_construction();
+        assert!(p.finished);
+        assert_eq!(p.threshold, DistKey::new(0, NodeId(2)));
+        assert_eq!(p.tables[0].distance(NodeId(2)), 0);
     }
 }

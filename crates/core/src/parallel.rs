@@ -21,8 +21,8 @@
 //!   threads join.
 //! * [`parallel_split_mut`] is the write side: it cuts one output slice into
 //!   consecutive disjoint pieces (`split_at_mut`) and gives each worker
-//!   exclusive access to one.  The direct engine's cluster→bunch transpose
-//!   runs on it — every worker fills the label rows of its own node range —
+//!   exclusive access to one.  The cluster→bunch transpose of both engines
+//!   ([`crate::sketch`]) runs on it — every worker fills its node range's rows —
 //!   so the result is a function of what is written per piece, never of the
 //!   cuts or the schedule.
 //! * With `threads == 1` (or a single piece) no threads are spawned at all —

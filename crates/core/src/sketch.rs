@@ -42,14 +42,14 @@
 //! (Thm 4.3).  So those entries are a column each, with no ids repeated n
 //! times, and a probe for a table landmark is one load.  A bunch is the
 //! sparse row and the finite cells of the table row together; the sparse
-//! row never names a table landmark ([`SketchSet::push_label`] routes
-//! them), so each entry has one place.
+//! row never names a table landmark (the assembler and
+//! [`SketchSet::push_label`] route them), so each entry has one place.
 //!
-//! That is the one shape a label has: both engines write it
-//! ([`crate::build`]'s transpose scatters each top-level cluster straight
-//! into its table column and the rest into the rows; the CONGEST programs
-//! append each finished label once), the codec encodes it and decodes into
-//! it, and a Thorup–Zwick set is served as it is ([`crate::flat`]).  A
+//! That is the one shape a label has: one assembler writes it for both
+//! engines (`SketchSet::from_clusters`, the clusters [`crate::build`] grows
+//! or [`crate::distributed`] floods, transposed on the worker pool), the
+//! codec encodes it and decodes into it, and a Thorup–Zwick set is served
+//! as it is ([`crate::flat`]).  A
 //! membership probe is a position load, then, for a landmark outside the
 //! table, a binary search over one contiguous `u32` slice.
 //!
@@ -64,6 +64,7 @@
 use crate::cast;
 use crate::error::SketchError;
 use crate::hierarchy::Hierarchy;
+use crate::parallel::{parallel_split_mut, resolve_threads};
 use netgraph::{Distance, NodeId, INFINITY};
 
 /// Lexicographic `(distance, node)` key used for consistent tie-breaking.
@@ -335,7 +336,7 @@ impl Eq for SketchSet {}
 impl SketchSet {
     /// A set of no labels over `hierarchy`, for the labels of its nodes to
     /// be appended to ([`SketchSet::push_label`]): `k` pivot slots a label,
-    /// the top level `A_{k−1}` as its table.  Both engines start from it.
+    /// the top level `A_{k−1}` as its table.  The assembler starts from it.
     pub fn over(hierarchy: &Hierarchy) -> Self {
         let k = hierarchy.k();
         let top = hierarchy.level_members(k.saturating_sub(1));
@@ -410,6 +411,99 @@ impl SketchSet {
         }
         self.seal_label();
         Ok(())
+    }
+
+    /// The one assembler of a built set, for both engines: the labels of
+    /// `hierarchy`'s nodes from `pivot_keys[i][u] = key(u, A_i)` (rows `0..k`)
+    /// and `clusters[w]`, the `(u, d(u, w))` of every `u` with `w ∈ B(u)`,
+    /// on `threads` workers (`0` = all available parallelism).
+    ///
+    /// `u ∈ C(w)` iff `w ∈ B(u)` (§3.2), so this is a transpose: each worker
+    /// owns a node range and scatters its rows out of the clusters
+    /// ([`parallel_split_mut`]: disjoint pieces, no atomics), a table
+    /// landmark's into its table column.  Clusters are walked in ascending
+    /// landmark id, so rows come out sorted with no sort, and where the cuts
+    /// fall decides who writes a row, never what is written.
+    pub(crate) fn from_clusters(
+        hierarchy: &Hierarchy,
+        pivot_keys: &[Vec<DistKey>],
+        clusters: &[Vec<(NodeId, Distance)>],
+        threads: usize,
+    ) -> SketchSet {
+        let mut set = SketchSet::over(hierarchy);
+        let (n, width) = (hierarchy.num_nodes(), set.table_nodes.len());
+        let positions = &set.positions;
+        let mut offsets = vec![0usize; n + 1];
+        for (w, cluster) in clusters.iter().enumerate() {
+            if position(positions, NodeId::from_index(w)).is_none() {
+                for &(u, _) in cluster {
+                    offsets[u.index() + 1] += 1;
+                }
+            }
+        }
+        for u in 0..n {
+            offsets[u + 1] += offsets[u];
+        }
+        set.offsets
+            .extend(offsets[1..].iter().map(|&end| offset(end)));
+        for u in 0..n {
+            let keys = pivot_keys[..set.k].iter().map(|keys| keys[u]);
+            set.pivots.extend(keys.map(|key| {
+                if key.is_infinite() {
+                    (NO_PIVOT, INFINITY)
+                } else {
+                    (key.node, key.distance)
+                }
+            }));
+        }
+        set.bunch_nodes = vec![NodeId(0); offsets[n]];
+        set.bunch_dists = vec![0; offsets[n]];
+        set.table_dists.resize(n * width, INFINITY);
+        // Each worker owns a node range holding an equal share of the sparse
+        // entries, and its rows' pieces of the columns and of the table.
+        let cuts = balanced_cuts(&offsets, resolve_threads(threads).clamp(1, n.max(1)));
+        let ends = || cuts[1..].iter().map(|&cut| offsets[cut]);
+        let rows = || cuts[1..].iter().map(|&cut| cut * width);
+        let mut pieces: Vec<_> = split_at_ends(&mut set.bunch_nodes, ends())
+            .into_iter()
+            .zip(split_at_ends(&mut set.bunch_dists, ends()))
+            .zip(split_at_ends(&mut set.table_dists, rows()))
+            .collect();
+        let whole: Vec<usize> = (0..=pieces.len()).collect();
+        // One set of column pieces to a worker.
+        parallel_split_mut(&mut pieces, &whole, |piece, columns| {
+            let (lo, hi) = (cuts[piece], cuts[piece + 1]);
+            let base = offsets[lo];
+            // The next free slot of each of this piece's rows.
+            let mut next: Vec<usize> = offsets[lo..hi].iter().map(|&o| o - base).collect();
+            for ((nodes, dists), cells) in columns {
+                for (w, cluster) in clusters.iter().enumerate() {
+                    let w = NodeId::from_index(w);
+                    let column = position(positions, w);
+                    let mine = cluster
+                        .iter()
+                        .filter(|(u, _)| (lo..hi).contains(&u.index()));
+                    for &(u, distance) in mine {
+                        let row = u.index() - lo;
+                        match column {
+                            Some(at) => cells[row * width + at] = distance,
+                            None => {
+                                let at = &mut next[row];
+                                nodes[*at] = w;
+                                dists[*at] = distance;
+                                *at += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            // Every (u, w) pair landed exactly once: each row is full.
+            debug_assert!(next
+                .iter()
+                .zip(&offsets[lo + 1..=hi])
+                .all(|(&at, &end)| at == end - base));
+        });
+        set
     }
 
     /// `w`'s position in the table, if it is a table landmark.
@@ -569,6 +663,33 @@ impl SketchSet {
     }
 }
 
+/// Cut the rows `0..n` of a CSR `offsets` array into `pieces` consecutive
+/// node ranges of roughly equal entry count (piece `p` starts at the first
+/// row boundary at or past `p / pieces` of the entries): piece `p` is
+/// `cuts[p]..cuts[p + 1]`.
+fn balanced_cuts(offsets: &[usize], pieces: usize) -> Vec<usize> {
+    let n = offsets.len() - 1;
+    let total = offsets[n];
+    let mut cuts: Vec<usize> = (0..pieces)
+        .map(|p| offsets.partition_point(|&o| o < total * p / pieces).min(n))
+        .collect();
+    cuts.push(n);
+    cuts
+}
+
+/// Cut `column` into consecutive pieces ending at `ends` (non-decreasing,
+/// the last at `column.len()`).
+fn split_at_ends<T>(mut column: &mut [T], ends: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
+    let mut start = 0;
+    ends.map(|end| {
+        let (piece, rest) = std::mem::take(&mut column).split_at_mut(end - start);
+        column = rest;
+        start = end;
+        piece
+    })
+    .collect()
+}
+
 /// `Err(message)` unless `ok`: one line of a `check_invariants`.
 pub(crate) fn ensure(ok: bool, message: String) -> Result<(), String> {
     if ok {
@@ -586,6 +707,23 @@ mod tests {
     /// labels over any node ids.
     fn plain(k: usize) -> SketchSet {
         SketchSet::sized(0, k, Vec::new(), 0)
+    }
+
+    #[test]
+    fn cuts_cover_all_rows_and_balance_the_entries() {
+        // Rows of 5, 0, 1, 9, 0, 3, 2 entries.
+        let offsets = [0usize, 5, 5, 6, 15, 15, 18, 20];
+        assert_eq!(balanced_cuts(&offsets, 1), vec![0, 7]);
+        assert_eq!(balanced_cuts(&offsets, 2), vec![0, 4, 7]);
+        for pieces in 1..=9 {
+            let cuts = balanced_cuts(&offsets, pieces);
+            assert_eq!(cuts.len(), pieces + 1);
+            assert_eq!((cuts[0], cuts[pieces]), (0, 7));
+            assert!(cuts.windows(2).all(|c| c[0] <= c[1]), "{cuts:?}");
+        }
+        // No entries at all, and no rows at all.
+        assert_eq!(balanced_cuts(&[0, 0, 0], 2), vec![0, 0, 2]);
+        assert_eq!(balanced_cuts(&[0], 1), vec![0, 0]);
     }
 
     #[test]

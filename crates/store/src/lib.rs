@@ -1,13 +1,13 @@
 //! `dsketch-store` — versioned binary persistence for distance sketches.
 //!
 //! The paper's value proposition is asymmetric: construction costs
-//! `Õ(n^{1/2+1/k} + D)` CONGEST rounds, but once the labels exist every
-//! distance query is answered from two labels alone.  That bargain only
-//! pays off if the expensive half is paid **once** — which means sketches
-//! must outlive the process that built them.  This crate is that missing
-//! half-life: a dependency-free, versioned, checksummed binary snapshot
-//! format (`DSK1`) for every sketch family, and the pipeline that moves
-//! sketches through their full lifecycle:
+//! `O(k·n^{1/k}·S·log n)` CONGEST rounds (Thm 3.8), but once the labels
+//! exist every distance query is answered from two labels alone.  That
+//! bargain only pays off if the expensive half is paid **once** — which
+//! means sketches must outlive the process that built them.  This crate is
+//! that missing half-life: a dependency-free, versioned, checksummed binary
+//! snapshot format (`DSK1`) for every sketch family, and the pipeline that
+//! moves sketches through their full lifecycle:
 //!
 //! ```text
 //! build ──► save ──► inspect ──► load ──► serve

@@ -1,22 +1,27 @@
-//! Differential test of the direct Thorup–Zwick engine against an
-//! independent model of what it must produce.
+//! Differential test of both Thorup–Zwick engines against an independent
+//! model of what they must produce.
 //!
-//! The engine (`dsketch::build::thorup_zwick`) transposes clusters into
-//! bunches in parallel and hands every label over as one sorted run.  The
-//! reference here is the construction it replaced, kept deliberately naive:
+//! The direct engine (`dsketch::build::thorup_zwick`) grows clusters by
+//! Dijkstra, the CONGEST engine (`dsketch::distributed::build_with_hierarchy`,
+//! under either sync mode) floods them by Algorithm 2, and both hand them
+//! to one parallel transpose that writes every label as one sorted run.  The
+//! reference here is the construction they replaced, kept deliberately naive:
 //! clusters straight from the definition over exact all-pairs distances,
 //! merged one `(u, w)` pair at a time into a `BTreeMap` per node under the
 //! `insert_bunch` rule (smallest distance wins, lowest level on a tie).
-//! The two must agree label for label — pivots, members, distances, order —
-//! for every generator, every `k`, every thread count, on disconnected
-//! inputs, with an empty top level and on a CDG net-restricted hierarchy.
+//! Each build must agree with it label for label — pivots, members,
+//! distances, order — for every generator, every `k`, every thread count,
+//! on disconnected inputs, with an empty top level and on a CDG
+//! net-restricted hierarchy.
 //! The model also keeps the level it merged each member at, which the
 //! labels no longer store: it must be the member's sampled level, the one
 //! the codec writes.
 
 use dsketch::build::thorup_zwick;
+use dsketch::distributed::build_with_hierarchy;
 use dsketch::hierarchy::{Hierarchy, TzParams};
-use dsketch::sketch::DistKey;
+use dsketch::scheme::SchemeConfig;
+use dsketch::sketch::{DistKey, SketchSet};
 use dsketch::slack::density_net::DensityNet;
 use netgraph::apsp::DistanceTable;
 use netgraph::generators::{
@@ -99,35 +104,62 @@ fn reference_labels(graph: &Graph, hierarchy: &Hierarchy) -> Vec<ModelLabel> {
     labels
 }
 
-/// Build on every thread count and compare each label with the model.
-fn assert_engine_matches_model(name: &str, graph: &Graph, hierarchy: &Hierarchy) {
+/// Build on the direct engine at every thread count, and on the CONGEST
+/// engine under both sync modes at each of `congest_threads`, and compare
+/// each label with the model.
+fn assert_engines_match_model(
+    name: &str,
+    graph: &Graph,
+    hierarchy: &Hierarchy,
+    congest_threads: &[usize],
+) {
     let model = reference_labels(graph, hierarchy);
     let pairs: usize = model.iter().map(|label| label.bunch.len()).sum();
+    let k = hierarchy.k();
     for threads in THREADS {
         let built = thorup_zwick(graph, hierarchy, threads);
-        let context = format!("{name}, k = {}, threads = {threads}", hierarchy.k());
+        let context = format!("{name}, k = {k}, threads = {threads}");
         assert_eq!(built.total_cluster_size, pairs, "{context}");
-        assert_eq!(built.sketches.len(), model.len(), "{context}");
-        built.sketches.check_invariants().expect("label invariants");
-        for (sketch, expected) in built.sketches.labels().zip(&model) {
-            let owner = sketch.owner;
-            assert_eq!(sketch.k(), hierarchy.k(), "{context}: k of {owner}");
-            let pivots: Vec<_> = (0..sketch.k()).map(|level| sketch.pivot(level)).collect();
-            assert_eq!(pivots, expected.pivots, "{context}: pivots of {owner}");
-            let bunch: Vec<(NodeId, Distance)> =
-                expected.bunch.iter().map(|(&w, &(_, d))| (w, d)).collect();
+        assert_labels_match_model(&context, &built.sketches, hierarchy, &model);
+    }
+    for &threads in congest_threads {
+        let config = SchemeConfig::default().with_threads(threads);
+        for config in [config, config.with_termination_detection()] {
+            let (sketches, _) =
+                build_with_hierarchy(graph, hierarchy, &config).expect("CONGEST build");
+            let context = format!("{name}, k = {k}, threads = {threads}, {:?}", config.sync);
+            assert_labels_match_model(&context, &sketches, hierarchy, &model);
+        }
+    }
+}
+
+/// Every label of `sketches` against the model's.
+fn assert_labels_match_model(
+    context: &str,
+    sketches: &SketchSet,
+    hierarchy: &Hierarchy,
+    model: &[ModelLabel],
+) {
+    assert_eq!(sketches.len(), model.len(), "{context}");
+    sketches.check_invariants().expect("label invariants");
+    for (sketch, expected) in sketches.labels().zip(model) {
+        let owner = sketch.owner;
+        assert_eq!(sketch.k(), hierarchy.k(), "{context}: k of {owner}");
+        let pivots: Vec<_> = (0..sketch.k()).map(|level| sketch.pivot(level)).collect();
+        assert_eq!(pivots, expected.pivots, "{context}: pivots of {owner}");
+        let bunch: Vec<(NodeId, Distance)> =
+            expected.bunch.iter().map(|(&w, &(_, d))| (w, d)).collect();
+        assert_eq!(
+            sketch.bunch().collect::<Vec<_>>(),
+            bunch,
+            "{context}: bunch of {owner}"
+        );
+        for (&w, &(level, _)) in &expected.bunch {
             assert_eq!(
-                sketch.bunch().collect::<Vec<_>>(),
-                bunch,
-                "{context}: bunch of {owner}"
+                i64::from(level),
+                i64::from(hierarchy.level_of(w)),
+                "{context}: level of {w} in the bunch of {owner}"
             );
-            for (&w, &(level, _)) in &expected.bunch {
-                assert_eq!(
-                    i64::from(level),
-                    i64::from(hierarchy.level_of(w)),
-                    "{context}: level of {w} in the bunch of {owner}"
-                );
-            }
         }
     }
 }
@@ -163,7 +195,9 @@ proptest! {
             for k in 1..=4usize {
                 let params = TzParams::new(k).with_seed(seed ^ 0x5EED);
                 let hierarchy = Hierarchy::sample(graph.num_nodes(), &params).unwrap();
-                assert_engine_matches_model(name, &graph, &hierarchy);
+                // The CONGEST engine spawns its workers every round: one
+                // thread count a `k`, so each generator meets all four.
+                assert_engines_match_model(name, &graph, &hierarchy, &[THREADS[k - 1]]);
             }
         }
     }
@@ -186,7 +220,7 @@ fn engine_matches_the_model_on_disconnected_inputs() {
     for k in 1..=4usize {
         for seed in 0..4u64 {
             let hierarchy = Hierarchy::sample(23, &TzParams::new(k).with_seed(seed)).unwrap();
-            assert_engine_matches_model("disconnected", &graph, &hierarchy);
+            assert_engines_match_model("disconnected", &graph, &hierarchy, &THREADS);
         }
     }
 }
@@ -199,10 +233,10 @@ fn engine_matches_the_model_with_an_empty_top_level() {
     let levels: Vec<i32> = (0..30).map(|v| if v % 5 == 0 { 1 } else { 0 }).collect();
     let hierarchy = Hierarchy::from_levels(levels, 3).unwrap();
     assert!(!hierarchy.top_level_nonempty());
-    assert_engine_matches_model("empty top level", &graph, &hierarchy);
+    assert_engines_match_model("empty top level", &graph, &hierarchy, &THREADS);
 
     let nobody = Hierarchy::from_levels(vec![-1; 30], 2).unwrap();
-    assert_engine_matches_model("empty ground set", &graph, &nobody);
+    assert_engines_match_model("empty ground set", &graph, &nobody, &THREADS);
 }
 
 /// The CDG shape: the ground set is a density net, every other node sits at
@@ -216,7 +250,7 @@ fn engine_matches_the_model_on_a_net_restricted_hierarchy() {
             let hierarchy =
                 Hierarchy::sample_on_ground_set(48, net.members(), k, 0.4, seed).unwrap();
             assert_eq!(hierarchy.level_members(0), net.members());
-            assert_engine_matches_model("net-restricted", &graph, &hierarchy);
+            assert_engines_match_model("net-restricted", &graph, &hierarchy, &THREADS);
         }
     }
 }

@@ -25,54 +25,17 @@ use crate::stats::RunStats;
 use netgraph::{Graph, NodeId};
 use std::mem;
 
-/// Engine configuration.
-#[derive(Debug, Clone, Copy)]
+/// Engine configuration: how many workers a round runs on.  The per-edge
+/// message budget is not configured here; each program declares its own
+/// ([`NodeProgram::MESSAGES_PER_EDGE_PER_ROUND`]).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CongestConfig {
-    /// Maximum number of messages a node may send over one edge in one round.
-    ///
-    /// The CONGEST model allows exactly one `O(log n)`-bit message per edge
-    /// per round; the paper's constructions use a small constant number of
-    /// logical messages per edge per round (e.g. one Bellman–Ford
-    /// announcement plus one ECHO of the termination-detection layer, which
-    /// the paper accounts for as "at most doubling" the message complexity).
-    /// The default of 4 admits that constant while still catching runaway
-    /// programs; set it to 1 to assert the strict model.  A scheme build
-    /// (`dsketch::SchemeConfig`) does not take this value from its caller:
-    /// it derives the budget from its sync mode — 1 under the phase oracle,
-    /// 4 under termination detection — and `num_threads` from its one
-    /// worker count.
-    pub messages_per_edge_per_round: usize,
-    /// Number of worker threads a round runs on.  `0` means "use all
-    /// available parallelism".
+    /// Number of worker threads a round runs on.  `0` (the default) means
+    /// "use all available parallelism".
     pub num_threads: usize,
 }
 
-impl Default for CongestConfig {
-    fn default() -> Self {
-        CongestConfig {
-            messages_per_edge_per_round: 4,
-            num_threads: 0,
-        }
-    }
-}
-
 impl CongestConfig {
-    /// Strict CONGEST: one message per edge per round, violations panic.
-    pub fn strict() -> Self {
-        CongestConfig {
-            messages_per_edge_per_round: 1,
-            ..Default::default()
-        }
-    }
-
-    /// Sequential execution (useful for debugging nondeterminism suspicions).
-    pub fn sequential() -> Self {
-        CongestConfig {
-            num_threads: 1,
-            ..Default::default()
-        }
-    }
-
     fn resolved_threads(&self, n: usize) -> usize {
         let hw = if self.num_threads == 0 {
             std::thread::available_parallelism()
@@ -150,7 +113,9 @@ pub struct Network<'g, P: NodeProgram> {
 
 impl<'g, P: NodeProgram> Network<'g, P> {
     /// Create a network over `graph`, instantiating one program per node via
-    /// `factory` (called with each node's id in increasing order).
+    /// `factory` (called with each node's id in increasing order).  Every
+    /// send is checked against `P`'s declared per-edge budget
+    /// ([`NodeProgram::MESSAGES_PER_EDGE_PER_ROUND`]).
     pub fn new(
         graph: &'g Graph,
         config: CongestConfig,
@@ -160,7 +125,7 @@ impl<'g, P: NodeProgram> Network<'g, P> {
         let chunk = n.div_ceil(config.resolved_threads(n)).max(1);
         let count = n.div_ceil(chunk);
         let workers = (0..count)
-            .map(|_| Lanes::new(count, chunk, config))
+            .map(|_| Lanes::new(count, chunk, P::MESSAGES_PER_EDGE_PER_ROUND))
             .collect();
         Network {
             graph,
@@ -378,17 +343,8 @@ mod tests {
     #[test]
     fn sequential_and_parallel_execution_agree() {
         let g = ring(31, GeneratorConfig::unit(2));
-        let mut seq = Network::new(&g, CongestConfig::sequential(), |u| {
-            Flood::new(u, NodeId(3))
-        });
-        let mut par = Network::new(
-            &g,
-            CongestConfig {
-                num_threads: 4,
-                ..Default::default()
-            },
-            |u| Flood::new(u, NodeId(3)),
-        );
+        let mut seq = Network::new(&g, with_threads(1), |u| Flood::new(u, NodeId(3)));
+        let mut par = Network::new(&g, with_threads(4), |u| Flood::new(u, NodeId(3)));
         let so = seq.run_until_quiescent(200);
         let po = par.run_until_quiescent(200);
         assert_eq!(so.stats, po.stats);
@@ -418,10 +374,7 @@ mod tests {
     }
 
     fn with_threads(num_threads: usize) -> CongestConfig {
-        CongestConfig {
-            num_threads,
-            ..Default::default()
-        }
+        CongestConfig { num_threads }
     }
 
     /// Run a network of `make` programs on `graph` at one and at two threads
@@ -472,19 +425,40 @@ mod tests {
         panic!("{message}");
     }
 
-    /// Program whose last node floods too many messages over one edge in one
-    /// round.
+    /// The last node of a path sends `count` messages to its predecessor in
+    /// its first round.
+    fn chatter(me: NodeId, ctx: &mut NodeContext<'_, u64>, count: u64) {
+        if me.index() + 1 == ctx.num_nodes() {
+            for i in 0..count {
+                ctx.send(NodeId(me.0 - 1), i);
+            }
+        }
+    }
+
+    /// Program at the default budget (one message) that sends two.
     struct Chatty {
         me: NodeId,
     }
     impl NodeProgram for Chatty {
         type Message = u64;
         fn on_start(&mut self, ctx: &mut NodeContext<'_, u64>) {
-            if self.me.index() + 1 == ctx.num_nodes() {
-                for i in 0..10 {
-                    ctx.send(NodeId(self.me.0 - 1), i);
-                }
-            }
+            chatter(self.me, ctx, 2);
+        }
+        fn on_round(&mut self, _ctx: &mut NodeContext<'_, u64>) {}
+        fn is_done(&self) -> bool {
+            true
+        }
+    }
+
+    /// Program that declares a budget of four messages and sends five.
+    struct ChattyFour {
+        me: NodeId,
+    }
+    impl NodeProgram for ChattyFour {
+        type Message = u64;
+        const MESSAGES_PER_EDGE_PER_ROUND: usize = 4;
+        fn on_start(&mut self, ctx: &mut NodeContext<'_, u64>) {
+            chatter(self.me, ctx, 5);
         }
         fn on_round(&mut self, _ctx: &mut NodeContext<'_, u64>) {}
         fn is_done(&self) -> bool {
@@ -494,10 +468,19 @@ mod tests {
 
     #[test]
     #[should_panic(
-        expected = "CONGEST bandwidth violation: v2 sent 5 messages to v1 in one round (budget 4)"
+        expected = "CONGEST bandwidth violation: v2 sent 2 messages to v1 in one round (budget 1)"
     )]
     fn exceeding_bandwidth_panics_by_default() {
         let message = panic_message(&path(3), |u| Chatty { me: u });
+        panic!("{message}");
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "CONGEST bandwidth violation: v2 sent 5 messages to v1 in one round (budget 4)"
+    )]
+    fn exceeding_a_declared_budget_panics() {
+        let message = panic_message(&path(3), |u| ChattyFour { me: u });
         panic!("{message}");
     }
 
@@ -527,7 +510,8 @@ mod tests {
     }
 
     /// Program that sends numbered messages — one per neighbor, a second one
-    /// over its first edge, then a broadcast — and logs every inbox.
+    /// over its first edge, then a broadcast (three on that edge) — and logs
+    /// every inbox.
     struct Recorder {
         sent: u64,
         rounds_left: u32,
@@ -546,6 +530,7 @@ mod tests {
     }
     impl NodeProgram for Recorder {
         type Message = u64;
+        const MESSAGES_PER_EDGE_PER_ROUND: usize = 3;
         fn on_start(&mut self, ctx: &mut NodeContext<'_, u64>) {
             self.talk(ctx);
         }
@@ -601,14 +586,16 @@ mod tests {
         }
     }
 
-    /// Program that broadcasts once a round, and `budget` times in the two
-    /// rounds of the burst (two, so that both generations of lanes see it).
+    /// Program that broadcasts once a round, and four times — its declared
+    /// budget — in the two rounds of the burst (two, so that both generations
+    /// of lanes see it).
     struct Pulse {
         rounds_left: u32,
     }
     const BURST: [u64; 2] = [10, 11];
     impl NodeProgram for Pulse {
         type Message = u64;
+        const MESSAGES_PER_EDGE_PER_ROUND: usize = 4;
         fn on_start(&mut self, _ctx: &mut NodeContext<'_, u64>) {}
         fn on_round(&mut self, ctx: &mut NodeContext<'_, u64>) {
             self.rounds_left -= 1;

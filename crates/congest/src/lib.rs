@@ -33,10 +33,14 @@
 //!
 //! Messages are ordinary Rust values; the simulator does not serialize them
 //! to bits.  Instead every message type reports its size in *words* via
-//! [`MessageSize`], and the engine enforces the per-edge, per-round message
-//! budget ([`CongestConfig::messages_per_edge_per_round`]).  A program that
-//! tries to exceed the budget panics, so violations of the model cannot go
-//! unnoticed, and the per-message word cost is accumulated in the statistics.
+//! [`MessageSize`], and the per-message word cost is accumulated in the
+//! statistics.  The per-edge, per-round message budget is the program's own:
+//! [`NodeProgram::MESSAGES_PER_EDGE_PER_ROUND`], the model's one message
+//! unless the program's send schedule needs a larger constant, which it
+//! declares beside that schedule.  A program that tries to exceed its budget
+//! panics, naming the node, the edge and the budget, so violations of the
+//! model cannot go unnoticed.  [`CongestConfig`] is only the number of
+//! worker threads a round runs on.
 
 pub mod engine;
 pub mod message;

@@ -4,7 +4,8 @@
 //! one node id or one distance value (Section 2.2 of the paper).  The
 //! simulator never serializes messages to bits; instead every message type
 //! declares how many words it would occupy on the wire, and the engine adds
-//! that to the run statistics and (optionally) enforces a per-edge budget.
+//! that to the run statistics.  (The per-edge budget the engine enforces
+//! counts messages, not words: [`crate::NodeProgram::MESSAGES_PER_EDGE_PER_ROUND`].)
 
 /// Types that know their size in CONGEST words.
 pub trait MessageSize {

@@ -10,7 +10,6 @@
 //! lane for the destination's worker ([`crate::engine`] has the receiving
 //! half of a round).
 
-use crate::engine::CongestConfig;
 use crate::message::MessageSize;
 use crate::stats::RunStats;
 use netgraph::{Graph, NodeId, Weight};
@@ -25,12 +24,21 @@ use netgraph::{Graph, NodeId, Weight};
 /// in flight, or when the round limit is reached.
 ///
 /// Programs must only communicate through the context's `send` methods —
-/// exactly the locality constraint of the CONGEST model.  Each program owns
-/// its local state, which is what makes the engine's parallel execution of a
-/// round safe.
+/// exactly the locality constraint of the CONGEST model — and within their
+/// declared bandwidth, [`NodeProgram::MESSAGES_PER_EDGE_PER_ROUND`].  Each
+/// program owns its local state, which is what makes the engine's parallel
+/// execution of a round safe.
 pub trait NodeProgram: Send {
     /// The message type exchanged by this algorithm.
     type Message: Clone + Send + MessageSize;
+
+    /// The most messages a node of this program sends over one edge in one
+    /// round; a send past it panics, naming the node, the edge and this
+    /// budget.  The default is the model's one message.  A protocol whose
+    /// schedule puts a constant number of logical messages on an edge (an
+    /// announcement beside an echo, say) declares that constant, in the
+    /// module that knows the schedule.
+    const MESSAGES_PER_EDGE_PER_ROUND: usize = 1;
 
     /// Called once before round 0.  Typically used by source/root nodes to
     /// seed their first announcements.
@@ -75,7 +83,8 @@ pub(crate) struct Lanes<M> {
     pub(crate) arriving: Vec<Lane<M>>,
     /// Nodes per worker: node `v` belongs to worker `v / chunk`.
     chunk: usize,
-    config: CongestConfig,
+    /// The program's per-edge, per-round message budget.
+    budget: usize,
     /// Messages the current node has put on each of its edge slots this
     /// round; reset by the node's first send.
     edge_sent: Vec<usize>,
@@ -84,13 +93,13 @@ pub(crate) struct Lanes<M> {
 }
 
 impl<M> Lanes<M> {
-    pub(crate) fn new(workers: usize, chunk: usize, config: CongestConfig) -> Self {
+    pub(crate) fn new(workers: usize, chunk: usize, budget: usize) -> Self {
         let empty = || std::iter::repeat_with(Vec::new).take(workers).collect();
         Lanes {
             outgoing: empty(),
             arriving: empty(),
             chunk,
-            config,
+            budget,
             edge_sent: Vec::new(),
             tally: RunStats::default(),
         }
@@ -163,7 +172,7 @@ impl<'a, M: Clone + MessageSize> NodeContext<'a, M> {
             out.edge_sent.resize(targets.len(), 0);
         }
         self.queued += targets.len();
-        let (sent, budget) = (targets.len() as u64, out.config.messages_per_edge_per_round);
+        let (sent, budget) = (targets.len() as u64, out.budget);
         out.tally.messages += sent;
         out.tally.words += sent * message.words() as u64;
         let slots = targets.iter().zip(weights).zip(&mut out.edge_sent);
@@ -198,7 +207,7 @@ impl<'a, M: Clone + MessageSize> NodeContext<'a, M> {
         }
         self.queued += 1;
         out.edge_sent[slot] += 1;
-        let (count, budget) = (out.edge_sent[slot], out.config.messages_per_edge_per_round);
+        let (count, budget) = (out.edge_sent[slot], out.budget);
         if count > budget {
             bandwidth_violation(self.node, count, to, budget);
         }
@@ -243,7 +252,8 @@ mod tests {
             message: 10u64,
         }];
         // Two workers of two nodes each: node 2 is the second worker's.
-        let mut out = Lanes::new(2, 2, CongestConfig::default());
+        // Node 1 sends twice over its edge to node 0: a budget of two.
+        let mut out = Lanes::new(2, 2, 2);
         let mut ctx = NodeContext {
             node: NodeId(1),
             round: 3,
@@ -287,7 +297,7 @@ mod tests {
     #[test]
     fn neighbors_iterator_matches_graph() {
         let g = path3();
-        let mut out = Lanes::new(1, 3, CongestConfig::default());
+        let mut out = Lanes::new(1, 3, 1);
         let ctx = NodeContext::<u64> {
             node: NodeId(0),
             round: 0,

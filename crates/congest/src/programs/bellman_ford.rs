@@ -366,7 +366,7 @@ mod tests {
     #[test]
     fn single_source_matches_dijkstra_on_path() {
         let g = weighted_path(8);
-        let mut net = Network::new(&g, CongestConfig::strict(), |u| {
+        let mut net = Network::new(&g, CongestConfig::default(), |u| {
             BellmanFordProgram::new(u, u == NodeId(0))
         });
         let outcome = net.run_until_quiescent(10_000);
@@ -381,7 +381,7 @@ mod tests {
     fn super_source_matches_multi_source_dijkstra() {
         let g = erdos_renyi(80, 0.08, GeneratorConfig::uniform(5, 1, 20));
         let sources = [NodeId(0), NodeId(17), NodeId(42)];
-        let mut net = Network::new(&g, CongestConfig::strict(), |u| {
+        let mut net = Network::new(&g, CongestConfig::default(), |u| {
             BellmanFordProgram::new(u, sources.contains(&u))
         });
         let outcome = net.run_until_quiescent(100_000);
@@ -395,7 +395,7 @@ mod tests {
     #[test]
     fn bellman_ford_rounds_bounded_by_sp_diameter_plus_constant() {
         let g = ring(60, GeneratorConfig::unit(1));
-        let mut net = Network::new(&g, CongestConfig::strict(), |u| {
+        let mut net = Network::new(&g, CongestConfig::default(), |u| {
             BellmanFordProgram::new(u, u == NodeId(0))
         });
         let outcome = net.run_until_quiescent(10_000);
@@ -414,7 +414,7 @@ mod tests {
     #[test]
     fn no_sources_means_everything_stays_infinite() {
         let g = weighted_path(5);
-        let mut net = Network::new(&g, CongestConfig::strict(), |u| {
+        let mut net = Network::new(&g, CongestConfig::default(), |u| {
             BellmanFordProgram::new(u, false)
         });
         let outcome = net.run_until_quiescent(100);

@@ -12,7 +12,12 @@
 //! with the smallest id wins.  Whenever a node learns of a smaller root (or a
 //! shorter hop distance to the current root) it adopts the sender as its
 //! parent, notifies the old and new parents so that children sets stay
-//! consistent, and re-floods.  The protocol stabilizes in `O(D)` rounds.
+//! consistent, and re-floods.  The protocol stabilizes in `O(D)` rounds, but
+//! it does not meet the cited message bound: a node re-floods every time a
+//! smaller id's wave reaches it, which can happen `O(D)` times, so the flood
+//! sends `O(D·|E|)` messages — 25·|E| on a 10×10 grid and 45·|E| on an
+//! 18×18 grid (experiment e9's inputs).  Electing by a seeded per-node rank
+//! instead of the raw id is the fix (ROADMAP item 22).
 
 use crate::message::MessageSize;
 use crate::node::{NodeContext, NodeProgram};
@@ -130,6 +135,11 @@ impl BfsTreeProgram {
 
 impl NodeProgram for BfsTreeProgram {
     type Message = TreeMessage;
+
+    /// A round's announce broadcast, plus a claim to the parent or an
+    /// abandon to a former one: the claim always goes to the current parent,
+    /// and the current parent is never abandoned, so no edge carries both.
+    const MESSAGES_PER_EDGE_PER_ROUND: usize = 2;
 
     fn on_start(&mut self, ctx: &mut NodeContext<'_, Self::Message>) {
         ctx.broadcast(TreeMessage::Announce {

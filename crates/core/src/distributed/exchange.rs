@@ -180,6 +180,10 @@ impl<'a> SketchExchangeProgram<'a> {
 impl NodeProgram for SketchExchangeProgram<'_> {
     type Message = ExchangeMessage;
 
+    /// A round's sends on one edge: the request flood's broadcast, plus one
+    /// reply entry on the edge toward the requester.
+    const MESSAGES_PER_EDGE_PER_ROUND: usize = 2;
+
     fn on_start(&mut self, ctx: &mut NodeContext<'_, Self::Message>) {
         if self.me == self.requester {
             self.seen_request = true;
@@ -317,7 +321,7 @@ mod tests {
                 let sketches = build_sketches(&g, k);
                 for u in g.nodes() {
                     for v in g.nodes() {
-                        let config = CongestConfig::sequential();
+                        let config = CongestConfig { num_threads: 1 };
                         let (remote, _) = run_sketch_exchange(&g, &sketches, u, v, config);
                         let local = estimate_distance(sketches.label(u), sketches.label(v));
                         assert_eq!(remote, local.ok(), "k = {k}, ({u}, {v})");

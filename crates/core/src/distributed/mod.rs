@@ -23,21 +23,24 @@
 //!   execution and the simulator's global quiescence oracle ends it.  This
 //!   models the Section 3.2 assumption that phases can be synchronized
 //!   externally (there: by waiting out a known upper bound in terms of `S`);
-//!   the measured rounds are the rounds the phase actually needed.  An edge
-//!   carries one message a round: strict CONGEST.
+//!   the measured rounds are the rounds the phase actually needed.
+//!   [`PhaseProgram`] sends at the model's default budget.
 //! * [`SyncMode::TerminationDetection`] — the full Section 3.3 protocol: a
 //!   BFS tree is built first, every data message is ECHOed, sources detect
 //!   when their announcement has stopped propagating, COMPLETE messages
 //!   converge up the tree and the root STARTs the next phase.  The measured
 //!   rounds and messages include all of that overhead (experiment E9
-//!   quantifies it); an edge carries up to four messages a round.
+//!   quantifies it); [`TerminationTzProgram`] declares the per-edge budget
+//!   its ECHOes and control messages need beside the announcement.
 //!
-//! One driver runs every simulated run on [`SchemeConfig::threads`] round
-//! workers at the mode's budget, aborts it past
-//! [`SchemeConfig::max_rounds`], and records its cost as a row of the build
-//! ledger on the process-global [`dsketch_obs::global`] registry —
-//! `dsketch_build_{rounds,messages,words}_total` and the wall time
-//! `dsketch_build_phase_nanos`, keyed by `phase`: `congest/0` …
+//! Every program states its own per-edge budget
+//! (`congest_sim::NodeProgram::MESSAGES_PER_EDGE_PER_ROUND`), in the module
+//! that knows its send schedule; a build does not configure it.  One driver
+//! runs every simulated run on [`SchemeConfig::threads`] round workers,
+//! aborts it past [`SchemeConfig::max_rounds`], and records its cost as a
+//! row of the build ledger on the process-global [`dsketch_obs::global`]
+//! registry — `dsketch_build_{rounds,messages,words}_total` and the wall
+//! time `dsketch_build_phase_nanos`, keyed by `phase`: `congest/0` …
 //! `congest/k-1` under the oracle, and under termination detection the BFS
 //! preamble (`congest/tree`) and the one run that carries all `k` phases
 //! with their ECHO/COMPLETE/START traffic (`congest/detected`).  A build
@@ -135,24 +138,11 @@ impl Fold {
     }
 }
 
-/// The engine settings every run of a build shares: `config`'s worker
-/// count, at its sync mode's budget — Algorithm 2's one announcement per
-/// edge and round, plus under Section 3.3 its ECHOes and one control message.
-fn engine_config(config: &SchemeConfig) -> CongestConfig {
-    let messages_per_edge_per_round = match config.sync {
-        SyncMode::GlobalOracle => 1,
-        SyncMode::TerminationDetection => 1 + termination::ECHOES_PER_NEIGHBOR_PER_ROUND + 1,
-    };
-    CongestConfig {
-        messages_per_edge_per_round,
-        num_threads: config.threads,
-    }
-}
-
 /// The one driver of a build's simulated runs: run `factory`'s programs on
-/// [`engine_config`] until quiescence or `config.max_rounds`, record the
-/// run under `congest/{run}` ([`record_phase`]), add its cost to `total`,
-/// and hand back the finished programs.  A run the limit cut off is
+/// `config.threads` round workers, at the program's own per-edge budget,
+/// until quiescence or `config.max_rounds`, record the run under
+/// `congest/{run}` ([`record_phase`]), add its cost to `total`, and hand
+/// back the finished programs.  A run the limit cut off is
 /// [`SketchError::RoundLimitExceeded`]; its rounds were spent, so they are
 /// recorded all the same.
 fn simulate<P: NodeProgram>(
@@ -163,7 +153,10 @@ fn simulate<P: NodeProgram>(
     factory: impl FnMut(NodeId) -> P,
 ) -> Result<Vec<P>, SketchError> {
     let started = Instant::now();
-    let mut net = Network::new(graph, engine_config(config), factory);
+    let workers = CongestConfig {
+        num_threads: config.threads,
+    };
+    let mut net = Network::new(graph, workers, factory);
     let outcome = net.run_until_quiescent(config.max_rounds);
     record_phase(&format!("congest/{run}"), 0, &outcome.stats, started);
     if !outcome.completed {
@@ -197,9 +190,12 @@ fn run_global_oracle(
 }
 
 /// Fully distributed execution with Section 3.3 termination detection:
-/// leader election and a BFS tree (paper: `O(D)` rounds, `O(|E| log n)`
-/// messages), then one run that carries all `k` phases; every node keeps
-/// its finished tables, folded in ([`Fold`]) after the run.
+/// leader election and a BFS tree, then one run that carries all `k`
+/// phases; every node keeps its finished tables, folded in ([`Fold`]) after
+/// the run.  The paper cites `O(D)` rounds and `O(|E| log n)` messages for
+/// the preamble; the smallest-id flood here takes `O(D)` rounds but sends
+/// `O(D·|E|)` messages (45·|E| on an 18×18 grid), which ROADMAP item 22
+/// fixes by electing a seeded rank.
 fn run_termination_detection(
     graph: &Graph,
     hierarchy: &Hierarchy,
@@ -313,20 +309,6 @@ mod tests {
         let g = ring(10, GeneratorConfig::unit(1));
         let err = SchemeSpec::thorup_zwick(0).build(&g, &SchemeConfig::default());
         assert!(err.is_err());
-    }
-
-    /// Every run of a build shares one engine setting: `threads` round
-    /// workers, at strict CONGEST under the oracle (Algorithm 2) and one
-    /// announcement, two ECHOes and one control message under Section 3.3.
-    #[test]
-    fn engine_settings_come_from_threads_and_the_sync_mode() {
-        let config = SchemeConfig::default().with_threads(3);
-        let settings = |config: &SchemeConfig| {
-            let engine = engine_config(config);
-            (engine.messages_per_edge_per_round, engine.num_threads)
-        };
-        assert_eq!(settings(&config), (1, 3));
-        assert_eq!(settings(&config.with_termination_detection()), (4, 3));
     }
 
     #[test]

@@ -119,7 +119,7 @@ mod tests {
         b.add_edge_idx(0, 4, 3);
         let g = b.build();
         let sources = [NodeId(0), NodeId(4)];
-        let mut net = Network::new(&g, CongestConfig::strict(), |u| {
+        let mut net = Network::new(&g, CongestConfig::default(), |u| {
             PhaseProgram::new(
                 u,
                 0,
@@ -159,7 +159,7 @@ mod tests {
             DistKey::new(2, NodeId(99)),
             DistKey::new(2, NodeId(99)),
         ];
-        let mut net = Network::new(&g, CongestConfig::strict(), |u| {
+        let mut net = Network::new(&g, CongestConfig::default(), |u| {
             PhaseProgram::new(
                 u,
                 1,
@@ -187,7 +187,7 @@ mod tests {
         b.add_edge_idx(1, 2, 1);
         b.add_edge_idx(2, 3, 1);
         let g = b.build();
-        let mut net = Network::new(&g, CongestConfig::strict(), |u| {
+        let mut net = Network::new(&g, CongestConfig::default(), |u| {
             PhaseProgram::new(
                 u,
                 0,
@@ -218,12 +218,13 @@ mod tests {
     #[test]
     fn phase_respects_strict_bandwidth_on_dense_graph() {
         let g = erdos_renyi(60, 0.2, GeneratorConfig::uniform(3, 1, 10));
-        let mut net = Network::new(&g, CongestConfig::strict(), |u| {
+        let mut net = Network::new(&g, CongestConfig::default(), |u| {
             PhaseProgram::new(u, 0, 0, DistKey::INFINITE)
         });
         // Every node is a source: the heaviest possible phase.  Completing
-        // under the strict config proves the round-robin queue never sends
-        // two messages over one edge in one round (a violation panics).
+        // at the program's default budget of one proves the round-robin
+        // queue never sends two messages over one edge in one round (a
+        // violation panics).
         let outcome = net.run_until_quiescent(10_000_000);
         assert!(outcome.completed);
     }

@@ -29,9 +29,7 @@ use netgraph::{add_dist, Distance, NodeId};
 use std::collections::VecDeque;
 
 /// Maximum number of queued ECHO messages sent to one neighbor per round.
-/// One data message plus two echoes plus one control message is the
-/// per-edge budget of four a termination-detected build runs at.
-pub(super) const ECHOES_PER_NEIGHBOR_PER_ROUND: usize = 2;
+const ECHOES_PER_NEIGHBOR_PER_ROUND: usize = 2;
 
 /// Messages of the termination-detected construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -342,6 +340,12 @@ impl TerminationTzProgram {
 impl NodeProgram for TerminationTzProgram {
     type Message = TdMessage;
 
+    /// A round's sends on one edge: at most one data announcement (the
+    /// origin or one queued source, broadcast), up to
+    /// `ECHOES_PER_NEIGHBOR_PER_ROUND` queued ECHOes, and one
+    /// COMPLETE/START/DONE control message.
+    const MESSAGES_PER_EDGE_PER_ROUND: usize = 1 + ECHOES_PER_NEIGHBOR_PER_ROUND + 1;
+
     fn on_start(&mut self, ctx: &mut NodeContext<'_, Self::Message>) {
         self.neighbors = ctx.neighbors().map(|(v, _)| v).collect();
         self.echo_queues = vec![VecDeque::new(); self.neighbors.len()];
@@ -564,8 +568,8 @@ mod tests {
     #[test]
     fn no_bandwidth_violation_under_default_budget() {
         let g = erdos_renyi(50, 0.12, GeneratorConfig::uniform(31, 1, 12));
-        // A violation panics, naming the node: a run that returns kept
-        // the budget.
+        // A send past the program's declared budget panics, naming the
+        // node: a run that returns kept it.
         let (_, stats) = run_td(&g, 3, 13);
         assert!(stats.messages > 0);
     }

@@ -31,8 +31,9 @@
 //!   cost is on the `dsketch-obs` registry, not the outcome.
 //! * [`SchemeConfig`] — *how* to build it: the seed, the engine (CONGEST
 //!   simulation or direct parallel), one worker count for either engine,
-//!   the phase synchronization (which also sets the CONGEST budget) and the
-//!   round limit, shared by every family.
+//!   the phase synchronization and the round limit, shared by every
+//!   family.  The CONGEST budget per edge and round is not among them: each
+//!   distributed program declares its own.
 //! * [`DistanceOracle`] — the query side.  Every
 //!   sketch-set type answers `estimate(u, v)` from the two labels alone and
 //!   reports its per-node size in CONGEST words.

@@ -92,9 +92,10 @@ pub struct SchemeConfig {
     /// depends on this value — `threads = k` is bit-identical to
     /// `threads = 1`, rounds and messages included.
     pub threads: usize,
-    /// How phase boundaries are detected (Section 3.2 vs Section 3.3),
-    /// and so the CONGEST budget a run is held to: one message per edge per
-    /// round under the oracle, four under termination detection.
+    /// How phase boundaries are detected (Section 3.2 vs Section 3.3), and
+    /// so which programs run.  Each program holds itself to the per-edge
+    /// budget it declares for its send schedule
+    /// (`congest_sim::NodeProgram::MESSAGES_PER_EDGE_PER_ROUND`).
     ///
     /// Only meaningful on the [`BuildEngine::Congest`] engine; the parallel
     /// engine has no phases to synchronize.

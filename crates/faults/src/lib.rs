@@ -170,37 +170,9 @@ pub struct PointPlan {
     pub max: u64,
 }
 
-impl PointPlan {
-    /// A plan that trips `action` on every hit.
-    pub fn new(action: FaultAction) -> PointPlan {
-        PointPlan {
-            action,
-            one_in: 1,
-            after: 0,
-            max: u64::MAX,
-        }
-    }
-
-    /// Replace the 1-in-N trip rate.
-    pub fn one_in(mut self, n: u64) -> PointPlan {
-        self.one_in = n;
-        self
-    }
-
-    /// Skip the first `n` hits.
-    pub fn after(mut self, n: u64) -> PointPlan {
-        self.after = n;
-        self
-    }
-
-    /// Cap total trips at `n`.
-    pub fn max(mut self, n: u64) -> PointPlan {
-        self.max = n;
-        self
-    }
-}
-
 /// A seeded set of [`PointPlan`]s, ready to arm in a [`FaultRegistry`].
+/// Plans are written in the spec grammar and read by [`FaultPlan::parse`];
+/// the default plan is empty and arms nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// Seed for the deterministic 1-in-N draws (mixed per point with the
@@ -223,20 +195,6 @@ impl std::fmt::Display for FaultSpecError {
 impl std::error::Error for FaultSpecError {}
 
 impl FaultPlan {
-    /// An empty plan with `seed`.
-    pub fn new(seed: u64) -> FaultPlan {
-        FaultPlan {
-            seed,
-            points: BTreeMap::new(),
-        }
-    }
-
-    /// Add (or replace) the plan for one point.
-    pub fn with_point(mut self, name: &str, plan: PointPlan) -> FaultPlan {
-        self.points.insert(name.to_string(), plan);
-        self
-    }
-
     /// Number of points in the plan.
     pub fn len(&self) -> usize {
         self.points.len()
@@ -250,7 +208,7 @@ impl FaultPlan {
     /// Parse the spec grammar (see the module docs):
     /// `seed=7;store.save.rename=error,one_in=4;net.read.frame=delay:25,after=2,max=3`.
     pub fn parse(spec: &str) -> Result<FaultPlan, FaultSpecError> {
-        let mut plan = FaultPlan::new(0);
+        let mut plan = FaultPlan::default();
         let mut seeded = false;
         for clause in spec.split(';').map(str::trim).filter(|c| !c.is_empty()) {
             let (name, rest) = clause
@@ -277,7 +235,12 @@ impl FaultPlan {
             }
             let mut fields = rest.split(',').map(str::trim);
             let action = parse_action(fields.next().unwrap_or(""))?;
-            let mut point = PointPlan::new(action);
+            let mut point = PointPlan {
+                action,
+                one_in: 1,
+                after: 0,
+                max: u64::MAX,
+            };
             let mut given = Vec::new();
             for modifier in fields {
                 let (key, value) = modifier.split_once('=').ok_or_else(|| {
@@ -604,9 +567,13 @@ mod tests {
         }
     }
 
+    fn plan(spec: &str) -> FaultPlan {
+        FaultPlan::parse(spec).unwrap()
+    }
+
     #[test]
     fn disarmed_points_cost_nothing_and_return_none() {
-        let _guard = Armed::with(&FaultPlan::new(0)); // empty plan = disarmed
+        let _guard = Armed::with(&plan("")); // empty plan = disarmed
         assert!(!armed());
         assert_eq!(fail_point!("anything.at.all"), None);
         assert_eq!(registry().trips("anything.at.all"), 0);
@@ -614,8 +581,7 @@ mod tests {
 
     #[test]
     fn error_plan_trips_every_hit_and_counts() {
-        let plan = FaultPlan::new(1).with_point("unit.point", PointPlan::new(FaultAction::Error));
-        let _guard = Armed::with(&plan);
+        let _guard = Armed::with(&plan("seed=1;unit.point=error"));
         assert!(armed());
         for _ in 0..5 {
             assert_eq!(fail_point!("unit.point"), Some(Fault::Error));
@@ -630,11 +596,7 @@ mod tests {
 
     #[test]
     fn kth_hit_after_and_max_schedule_exactly() {
-        let plan = FaultPlan::new(9).with_point(
-            "unit.kth",
-            PointPlan::new(FaultAction::Error).after(2).max(2),
-        );
-        let _guard = Armed::with(&plan);
+        let _guard = Armed::with(&plan("seed=9;unit.kth=error,after=2,max=2"));
         let outcomes: Vec<bool> = (0..6).map(|_| hit("unit.kth").is_some()).collect();
         // Hits 1–2 skipped (`after = 2`), hits 3–4 trip (`max = 2`), rest pass.
         assert_eq!(outcomes, [false, false, true, true, false, false]);
@@ -644,9 +606,7 @@ mod tests {
     #[test]
     fn one_in_draws_are_deterministic_and_roughly_proportional() {
         let run = |seed: u64| -> Vec<usize> {
-            let plan = FaultPlan::new(seed)
-                .with_point("unit.ratio", PointPlan::new(FaultAction::Error).one_in(4));
-            let _guard = Armed::with(&plan);
+            let _guard = Armed::with(&plan(&format!("seed={seed};unit.ratio=error,one_in=4")));
             (0..400).filter(|_| hit("unit.ratio").is_some()).collect()
         };
         let first = run(42);
@@ -670,21 +630,27 @@ mod tests {
         .unwrap();
         assert_eq!(plan.seed, 7);
         assert_eq!(plan.len(), 4);
-        let expected = FaultPlan::new(7)
-            .with_point(
-                "store.save.rename",
-                PointPlan::new(FaultAction::Error).one_in(4),
-            )
-            .with_point(
-                "net.read.frame",
-                PointPlan::new(FaultAction::Delay(25)).after(2).max(3),
-            )
-            .with_point("serve.dispatch", PointPlan::new(FaultAction::Panic))
-            .with_point(
-                "store.save.write",
-                PointPlan::new(FaultAction::Partial(100)),
-            );
-        assert_eq!(plan, expected);
+        // (point, action, one_in, after, max), in name order.
+        let points: Vec<_> = plan
+            .points
+            .iter()
+            .map(|(name, p)| (name.as_str(), p.action, p.one_in, p.after, p.max))
+            .collect();
+        assert_eq!(
+            points,
+            [
+                ("net.read.frame", FaultAction::Delay(25), 1, 2, 3),
+                ("serve.dispatch", FaultAction::Panic, 1, 0, u64::MAX),
+                ("store.save.rename", FaultAction::Error, 4, 0, u64::MAX),
+                (
+                    "store.save.write",
+                    FaultAction::Partial(100),
+                    1,
+                    0,
+                    u64::MAX
+                ),
+            ]
+        );
     }
 
     #[test]
@@ -714,11 +680,7 @@ mod tests {
 
     #[test]
     fn fault_writer_cuts_after_the_partial_budget() {
-        let plan = FaultPlan::new(0).with_point(
-            "unit.writer",
-            PointPlan::new(FaultAction::Partial(3)).after(1).max(1),
-        );
-        let _guard = Armed::with(&plan);
+        let _guard = Armed::with(&plan("unit.writer=partial:3,after=1,max=1"));
         let mut sink = Vec::new();
         let mut writer = FaultWriter::new(&mut sink, "unit.writer");
         writer.write_all(b"abcd").unwrap(); // hit 1 passes
@@ -729,8 +691,7 @@ mod tests {
 
     #[test]
     fn panic_action_panics_with_the_point_name() {
-        let plan = FaultPlan::new(0).with_point("unit.panic", PointPlan::new(FaultAction::Panic));
-        let _guard = Armed::with(&plan);
+        let _guard = Armed::with(&plan("unit.panic=panic"));
         let result = std::panic::catch_unwind(|| hit("unit.panic"));
         let message = *result
             .expect_err("panic action must panic")
@@ -743,9 +704,7 @@ mod tests {
 
     #[test]
     fn delay_action_sleeps_then_passes() {
-        let plan = FaultPlan::new(0)
-            .with_point("unit.delay", PointPlan::new(FaultAction::Delay(30)).max(1));
-        let _guard = Armed::with(&plan);
+        let _guard = Armed::with(&plan("unit.delay=delay:30,max=1"));
         let started = std::time::Instant::now();
         assert_eq!(hit("unit.delay"), None, "delay continues normally");
         assert!(started.elapsed() >= Duration::from_millis(25));
@@ -754,9 +713,7 @@ mod tests {
 
     #[test]
     fn arm_replaces_and_env_arming_parses() {
-        let _guard = Armed::with(
-            &FaultPlan::new(0).with_point("unit.old", PointPlan::new(FaultAction::Error)),
-        );
+        let _guard = Armed::with(&plan("unit.old=error"));
         assert_eq!(
             arm_from_spec("unit.new=error,max=1").unwrap(),
             1,

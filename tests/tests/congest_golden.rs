@@ -57,7 +57,6 @@ fn inputs() -> [(&'static str, Graph); 4] {
 fn config(threads: usize) -> CongestConfig {
     CongestConfig {
         num_threads: threads,
-        ..Default::default()
     }
 }
 
@@ -84,7 +83,8 @@ fn run_programs<P: NodeProgram + std::fmt::Debug>(
     (format!("{:?}", net.programs()), outcome.stats)
 }
 
-/// A build on `config`'s worker count; its budget comes from the sync mode.
+/// A build on `config`'s worker count; each of its programs keeps its own
+/// per-edge budget.
 fn scheme_config(config: CongestConfig) -> SchemeConfig {
     SchemeConfig::default()
         .with_seed(17)

@@ -63,7 +63,7 @@ fn bfs_tree_and_k_source_agree_with_centralized_computations() {
 
     // k-source Bellman-Ford vs Dijkstra from a handful of sources.
     let sources = [NodeId(0), NodeId(30), NodeId(60), NodeId(89)];
-    let mut net = Network::new(&graph, CongestConfig::strict(), |u| {
+    let mut net = Network::new(&graph, CongestConfig::default(), |u| {
         let level = if sources.contains(&u) { 0 } else { -1 };
         PhaseProgram::new(u, 0, level, DistKey::INFINITE)
     });
@@ -77,15 +77,17 @@ fn bfs_tree_and_k_source_agree_with_centralized_computations() {
     }
 }
 
-/// Strict CONGEST mode (one message per edge per round) is sufficient for the
-/// oracle-synchronized construction: the round-robin queues never violate it,
-/// and the default config holds every oracle-mode build to it.
+/// Strict CONGEST (one message per edge per round) is sufficient for the
+/// oracle-synchronized construction: the round-robin queues never violate
+/// it, and every oracle-mode build is held to it, because that is the budget
+/// `PhaseProgram` declares (the trait's default).
 #[test]
 fn oracle_mode_runs_under_strict_bandwidth() {
     let graph = grid(9, 9, GeneratorConfig::uniform(5, 1, 8));
     let config = SchemeConfig::default().with_seed(2);
     assert_eq!(config.sync, SyncMode::GlobalOracle);
-    // A violation panics, so a build that returns kept the strict budget.
+    // A send past `PhaseProgram`'s budget panics, so a build that returns
+    // kept the strict one.
     let result = SchemeSpec::thorup_zwick(3).build(&graph, &config).unwrap();
     assert!(result.sketches.max_words() > 0);
 }
